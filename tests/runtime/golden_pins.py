@@ -1,0 +1,233 @@
+"""Golden behaviour pins for the deployment flavours.
+
+Each pin is a sha256 over everything a run makes observable — the
+journeys (verdict, port, bytes, punted, sync_tables, retries), the
+metrics snapshot, the simulated clock and the fault effect log — for one
+(flavour, middlebox, clean | faulted) cell driven by one fixed
+2 000-packet churn stream.  They were recorded on the commit *before*
+the runtime was refactored to one packet loop with composable roles, so
+"the refactor changed no simulated behaviour" is a byte comparison.
+
+Regenerate (only when simulated behaviour is meant to change, and say
+which pin moved and why in CHANGES.md)::
+
+    PYTHONPATH=src python -m tests.runtime.golden_pins --write
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from functools import lru_cache
+from pathlib import Path
+from typing import Dict, Iterator, List, Tuple
+
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import (
+    BatchFault,
+    FaultPlan,
+    LinkFault,
+    PoolMemberCrash,
+    PoolMemberDrain,
+    PrimarySwitchCrash,
+    PuntReorder,
+    ServerCrash,
+    StaleReplication,
+    StandbyStaleReplay,
+    SwitchReprogram,
+    WritebackOverflow,
+)
+from repro.middleboxes import load
+from repro.net.addresses import ip
+from repro.runtime.cache import CacheConfigurationError, CachedGalliumMiddlebox
+from repro.runtime.cached_failover import CachedFailoverDeployment
+from repro.runtime.degradation import DegradationPolicy
+from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
+from repro.runtime.failover import FailoverDeployment
+from repro.runtime.pool import PooledDeployment
+from repro.workloads.iperf import EXTERNAL_SERVER, VIP
+from repro.workloads.packets import FlowSpec, flow_packets
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+PACKETS = 2000
+CACHE_ENTRIES = 8
+MIDDLEBOXES = ("minilb", "mazunat", "lb", "trojan")
+FLAVOURS = (
+    "base", "cached", "failover-exact", "failover-phi",
+    "cached+failover", "pooled",
+)
+
+_BENIGN = (
+    BatchFault(mode="fail", probability=0.2, doom_probability=0.05),
+    LinkFault(direction="to_server", probability=0.04),
+    LinkFault(direction="to_switch", mode="corrupt", probability=0.04),
+    StaleReplication(probability=0.3, start=100, stop=1500),
+    WritebackOverflow(probability=0.02),
+)
+_SINGLE_SWITCH = FaultPlan(_BENIGN + (
+    ServerCrash(at_packet=300, outage=40, lose_state=True),
+    SwitchReprogram(at_packet=900, duration=30),
+    ServerCrash(at_packet=1400, outage=25, lose_state=False),
+    PuntReorder(),
+))
+_FAILOVER = FaultPlan(_BENIGN + (
+    PrimarySwitchCrash(at_packet=700, promotion_window=20),
+    StandbyStaleReplay(probability=0.3),
+))
+_POOL = FaultPlan(_BENIGN + (
+    PoolMemberCrash(member="srv1", at_packet=400, migration_window=150),
+    PoolMemberDrain(member="srv0", at_packet=1100, drain_window=100),
+))
+#: the one fixed fault plan each flavour is pinned under
+FAULT_PLANS: Dict[str, FaultPlan] = {
+    "base": _SINGLE_SWITCH,
+    "cached": _SINGLE_SWITCH,
+    "failover-exact": _FAILOVER,
+    "failover-phi": _FAILOVER,
+    "cached+failover": _FAILOVER,
+    "pooled": _POOL,
+}
+
+
+@lru_cache(maxsize=None)
+def churn_stream(name: str) -> List[Tuple[object, int]]:
+    """The fixed stream: 24 TCP flows in flight at once, each SYN, 2-40
+    data packets, FIN; a seeded RNG picks whose packet comes next."""
+    rng = random.Random(0x601D)
+    daddr = VIP if name in ("minilb", "lb") else EXTERNAL_SERVER
+
+    def flows() -> Iterator[Iterator]:
+        index = 0
+        while True:
+            yield flow_packets(FlowSpec(
+                saddr=f"192.168.{1 + index // 200}.{1 + index % 200}",
+                daddr=daddr, sport=10000 + index, dport=5001,
+                data_packets=rng.randint(2, 40), payload_size=64,
+            ))
+            index += 1
+
+    source = flows()
+    active = [next(source) for _ in range(24)]
+    stream: List[Tuple[object, int]] = []
+    while len(stream) < PACKETS:
+        slot = rng.randrange(len(active))
+        packet = next(active[slot], None)
+        if packet is None:
+            active[slot] = next(source)
+            continue
+        stream.append((packet, 1))
+    return stream
+
+
+@lru_cache(maxsize=None)
+def compiled(name: str):
+    return compile_middlebox(load(name).lowered)
+
+
+def build(flavour: str, name: str, injector):
+    """A fresh installed deployment of one flavour (compiled engine)."""
+    bundle = load(name)
+    plan, program = compiled(name)
+    common = dict(
+        config=bundle.config, seed=7, fast_path=True,
+        policy=DegradationPolicy(), injector=injector,
+    )
+    if flavour == "base":
+        box = GalliumMiddlebox(plan, program, **common)
+    elif flavour == "cached":
+        box = CachedGalliumMiddlebox(
+            plan, program, cache_entries=CACHE_ENTRIES, **common
+        )
+    elif flavour in ("failover-exact", "failover-phi"):
+        box = FailoverDeployment(
+            plan, program, detection=flavour.split("-")[1], **common
+        )
+    elif flavour == "cached+failover":
+        box = CachedFailoverDeployment(
+            plan, program, cache_entries=CACHE_ENTRIES, detection="phi",
+            **common,
+        )
+    elif flavour == "pooled":
+        box = PooledDeployment(plan, program, servers=3, **common)
+    else:
+        raise KeyError(flavour)
+    box.install()
+    if name == "minilb":
+        # The registry config leaves minilb's backend vector empty.
+        box.state.vectors["backends"] = [
+            int(ip("10.0.1.1")), int(ip("10.0.1.2")),
+        ]
+        box.sync_all_state()
+    return box
+
+
+def _journey_row(journey) -> list:
+    port, frame = journey.emitted[0] if journey.emitted else (0, None)
+    return [
+        journey.verdict, port, frame.pack().hex() if frame else "",
+        journey.punted, journey.sync_tables, journey.retries,
+    ]
+
+
+def pin(flavour: str, name: str, faulted: bool) -> str:
+    injector = None
+    if faulted:
+        injector = FaultInjector(
+            FAULT_PLANS[flavour], seed=3,
+            max_attempts=DegradationPolicy().retry.max_attempts,
+        )
+    box = build(flavour, name, injector)
+    rows = []
+    for packet, port in churn_stream(name):
+        rows.append(_journey_row(box.process_packet(packet.copy(), port)))
+        rows.extend(_journey_row(j) for j in box.drain_deferred())
+    box.recover()
+    rows.extend(_journey_row(j) for j in box.drain_deferred())
+    blob = json.dumps(
+        [rows, box.telemetry.metrics.to_dict(),
+         round(box.telemetry.clock.now_us, 6), box.fault_log],
+        sort_keys=True,
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def compute(flavour: str) -> Dict[str, Dict[str, str]]:
+    """``{middlebox: {"clean": sha, "faulted": sha}}`` for every
+    middlebox the flavour admits."""
+    pins: Dict[str, Dict[str, str]] = {}
+    for name in MIDDLEBOXES:
+        try:
+            pins[name] = {
+                "clean": pin(flavour, name, False),
+                "faulted": pin(flavour, name, True),
+            }
+        except CacheConfigurationError:
+            continue  # not admitted in cache mode
+    return pins
+
+
+def golden_path(flavour: str) -> Path:
+    return GOLDEN_DIR / f"{flavour.replace('+', '_')}.json"
+
+
+def main(argv: List[str]) -> int:
+    write = "--write" in argv
+    status = 0
+    for flavour in FLAVOURS:
+        pins = compute(flavour)
+        path = golden_path(flavour)
+        if write:
+            GOLDEN_DIR.mkdir(exist_ok=True)
+            path.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
+            print(f"wrote {path} ({len(pins)} middleboxes)")
+        elif pins != json.loads(path.read_text()):
+            print(f"{flavour}: pins differ from {path}")
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
