@@ -22,7 +22,8 @@ help:
 	@echo "  faults-smoke    fixed-seed ~60s campaign slice"
 	@echo "  failover-smoke  fixed-seed ~60s active-standby failover campaign"
 	@echo "  pool-smoke      fixed-seed punt-path server-pool campaign"
-	@echo "                  (member crash/drain + live flow-state migration)"
+	@echo "                  (member crash/drain + live flow-state migration;"
+	@echo "                  second slice behind a bounded-cache switch)"
 	@echo "  telemetry-smoke trace/metrics JSON on two middleboxes + schema check"
 	@echo "  obs-smoke       windowed series + INT + health JSON, schema-checked,"
 	@echo "                  byte-identical across re-runs; phi-detector smoke"
@@ -114,10 +115,15 @@ failover-smoke:
 # radius limited to owned flows, full fallback forbidden while a member
 # survives).  The summary rollup — per-member crash/drain counts and
 # migration-window distributions — is schema-checked before it is
-# written.  Fixed seed, ~60 seconds.
+# written.  A second, shorter slice runs the same pool behind a
+# bounded-cache switch (`--cached`: the pool checkpoints the tables the
+# switch no longer holds in full).  Fixed seed, ~60 + ~30 seconds.
 pool-smoke:
 	$(PYTHON) -m repro faults --runs 100000 --seed 0 --time-budget 60 \
 		--servers 3 --summary-json pool_summary.json
+	$(PYTHON) -m repro.telemetry.schema faults_summary pool_summary.json
+	$(PYTHON) -m repro faults --runs 100000 --seed 0 --time-budget 30 \
+		--servers 3 --cached --summary-json pool_summary.json
 	$(PYTHON) -m repro.telemetry.schema faults_summary pool_summary.json
 	rm -f pool_summary.json
 

@@ -266,33 +266,29 @@ def cmd_difftest(args) -> int:
 def cmd_faults(args) -> int:
     from repro.faults import run_campaign
 
-    servers = 0
-    if args.servers is not None:
-        if args.cached or args.failover:
-            raise SystemExit(
-                "error: --servers does not compose with --cached or"
-                " --failover — run those campaigns separately"
-            )
-        from repro.runtime.pool import default_member_names
+    try:
+        if args.servers is not None:
+            from repro.runtime.pool import default_member_names
 
-        # Validate the pool size up front (ValueError on N < 1) so a bad
-        # flag fails before any scenario runs.
-        default_member_names(args.servers)
-        servers = args.servers
-    stats, failures = run_campaign(
-        runs=args.runs,
-        seed=args.seed,
-        packets=args.packets,
-        max_failures=args.max_failures,
-        time_budget_s=args.time_budget,
-        seed_override=args.seed_override,
-        shrink_failures=args.shrink,
-        cached=args.cached,
-        cache_entries=args.cache_entries,
-        failover=args.failover,
-        pool_servers=servers,
-        log=print,  # streams progress and each failure report as found
-    )
+            # A bad pool size fails before any scenario runs.
+            default_member_names(args.servers)
+        stats, failures = run_campaign(
+            runs=args.runs,
+            seed=args.seed,
+            packets=args.packets,
+            max_failures=args.max_failures,
+            time_budget_s=args.time_budget,
+            seed_override=args.seed_override,
+            shrink_failures=args.shrink,
+            cached=args.cached,
+            cache_entries=args.cache_entries,
+            failover=args.failover,
+            pool_servers=args.servers or 0,
+            log=print,  # streams progress and each failure report as found
+        )
+    except ValueError as exc:
+        # A pool size below 1, or a pairing the oracle refuses.
+        raise SystemExit(f"error: {exc}")
     print(stats.summary())
     if args.summary_json is not None:
         import json
@@ -449,41 +445,26 @@ def _build_observed_deployment(name, deployment, seed, cache_entries,
         middlebox = FastClickRuntime(
             bundle.lowered, config=bundle.config, telemetry=telemetry
         )
-    elif deployment == "cached":
-        from repro.runtime.cache import (
-            CacheConfigurationError,
-            CachedGalliumMiddlebox,
-        )
-        from repro.runtime.deployment import compile_middlebox
-
-        plan, program = compile_middlebox(bundle.lowered)
-        try:
-            middlebox = CachedGalliumMiddlebox(
-                plan, program, cache_entries=cache_entries,
-                config=bundle.config, seed=seed, telemetry=telemetry,
-            )
-        except CacheConfigurationError as exc:
-            raise SystemExit(f"error: {exc}")
-    elif deployment == "failover":
-        from repro.runtime.deployment import compile_middlebox
-        from repro.runtime.failover import FailoverDeployment
-
-        plan, program = compile_middlebox(bundle.lowered)
-        middlebox = FailoverDeployment(
-            plan, program, config=bundle.config, seed=seed,
-            telemetry=telemetry,
-        )
     else:
+        from repro.runtime.cache import BoundedCache, CacheConfigurationError
         from repro.runtime.deployment import (
             GalliumMiddlebox,
             compile_middlebox,
         )
+        from repro.runtime.failover import ActiveStandby
 
         plan, program = compile_middlebox(bundle.lowered)
-        middlebox = GalliumMiddlebox(
-            plan, program, config=bundle.config, seed=seed,
-            telemetry=telemetry,
-        )
+        roles = {
+            "cached": {"state_policy": BoundedCache(cache_entries)},
+            "failover": {"redundancy": ActiveStandby()},
+        }.get(deployment, {})
+        try:
+            middlebox = GalliumMiddlebox(
+                plan, program, config=bundle.config, seed=seed,
+                telemetry=telemetry, **roles,
+            )
+        except CacheConfigurationError as exc:
+            raise SystemExit(f"error: {exc}")
     middlebox.install()
     return middlebox, telemetry
 
@@ -599,7 +580,11 @@ def cmd_obs(args) -> int:
     series = telemetry.series.to_dict()
     int_report = telemetry.int_collector.to_dict()
     health = None
-    monitor = getattr(middlebox, "health", None)
+    # The baseline runtime has no redundancy role, a single switch no
+    # health monitor.
+    monitor = getattr(
+        getattr(middlebox, "redundancy", None), "health", None
+    )
     if monitor is not None:
         from repro.telemetry.health import expected_detection_latency_us
 
@@ -798,8 +783,8 @@ def build_parser() -> argparse.ArgumentParser:
                                help="run every scenario on a punt-path"
                                " server pool of N members under pool fault"
                                " plans (member crashes/drains with live"
-                               " flow-state migration); does not compose"
-                               " with --cached/--failover")
+                               " flow-state migration); composes with"
+                               " --cached, not yet with --failover")
     faults_parser.add_argument("--summary-json", default=None, metavar="PATH",
                                help="write the cross-scenario rollup"
                                " (window-length distributions, rollback"

@@ -347,22 +347,19 @@ def run_campaign(
 ) -> Tuple[CampaignStats, List[FaultFailure]]:
     """Run the fault campaign; returns ``(stats, failures)``.
 
-    ``cached`` drives every scenario on the bounded-table cache
-    deployment instead of the full-replication one (scenarios whose
-    programs cannot run in cache mode count as rejected);
-    ``failover`` drives every scenario on the active-standby
-    :class:`~repro.runtime.failover.FailoverDeployment` under
-    failover-specific fault plans (primary crashes, stale standby
-    replays); both together drive the composed
-    :class:`~repro.runtime.cached_failover.CachedFailoverDeployment`
-    (bounded caches on an active-standby pair, rebuilt at promotion);
+    ``cached`` drives every scenario with the bounded-cache switch state
+    policy instead of full replication (scenarios whose programs cannot
+    run in cache mode count as rejected); ``failover`` drives every
+    scenario on an active-standby switch pair under failover-specific
+    fault plans (primary crashes, stale standby replays);
+    ``pool_servers`` (≥2 to be interesting) punts into a server pool
+    under pool-specific fault plans (member crashes and drains with live
+    flow-state migration).  The three are independent deployment roles
+    and combine freely, except ``pool_servers`` with ``failover``, which
+    :func:`run_fault_oracle` refuses until a plan generator mixes their
+    fault kinds.
     ``shrink_failures`` delta-debugs each failure — fault plan, program,
     and stream — before it is reported or written to the corpus.
-    ``pool_servers`` (≥2 to be interesting) drives every scenario on the
-    punt-path :class:`~repro.runtime.pool.PooledDeployment` under
-    pool-specific fault plans (member crashes and drains with live
-    flow-state migration); it does not compose with ``cached`` or
-    ``failover``.
     """
     stats = CampaignStats()
     pool_names = default_member_names(pool_servers) if pool_servers else None

@@ -46,10 +46,7 @@ from repro.net.packet import RawPacket
 from repro.partition.constraints import SwitchResources
 from repro.partition.partitioner import PartitionError
 from repro.partition.plan import PlacementKind
-from repro.runtime.cache import (
-    CacheConfigurationError,
-    CachedGalliumMiddlebox,
-)
+from repro.runtime.cache import BoundedCache, CacheConfigurationError
 from repro.runtime.degradation import (
     DegradationPolicy,
     UNSALVAGEABLE_REASONS,
@@ -60,9 +57,8 @@ from repro.runtime.deployment import (
     PuntCompletion,
     compile_middlebox,
 )
-from repro.runtime.cached_failover import CachedFailoverDeployment
-from repro.runtime.failover import FailoverDeployment
-from repro.runtime.pool import PooledDeployment, default_member_names
+from repro.runtime.failover import ActiveStandby
+from repro.runtime.pool import ServerPool, build_selector, default_member_names
 from repro.switchsim.program import SwitchProgramError
 from repro.switchsim.switch_model import SwitchOutput
 
@@ -215,16 +211,23 @@ def run_fault_oracle(
 ) -> FaultOracleResult:
     """Drive one program through one fault schedule and verify it.
 
-    With ``cached`` the deployment under test (and its clean reference)
-    is the bounded-table :class:`CachedGalliumMiddlebox`; programs that
+    ``cached``, ``failover`` and ``pool`` each switch one role of the
+    deployment under test (see :mod:`repro.runtime`); the clean reference
+    always keeps the single-switch, single-server defaults and shares
+    only the DUT's switch state policy.
+
+    With ``cached`` both run the bounded-cache state policy; programs that
     cannot run in cache mode (no replicated tables, or a register-mutating
     switch pipeline) are REJECTED, mirroring the compile-time refusals.
 
-    With ``failover`` the deployment under test is the active-standby
-    :class:`FailoverDeployment`; the reference stays a clean single-switch
-    deployment, and the ``("promote",)`` effect-log tag replays as a
-    no-op — the promotion resync leaves the pair exactly where a healthy
-    single switch would be, which is precisely the property under test.
+    With ``failover`` the DUT runs on an active-standby pair.  The
+    ``("promote",)`` effect-log tag replays as a no-op on a
+    full-replication reference — the promotion resync leaves the pair
+    exactly where a healthy single switch would be, which is precisely the
+    property under test — and as a bulk resync on a cached reference: the
+    promotion rebuilt the promoted switch's bounded cache and FIFO order
+    from the server's authoritative copy, so the reference must
+    re-converge its own cache at the same log point.
 
     ``detection`` picks the failover DUT's crash detector: ``"phi"``
     (default) drives promotion from the φ-accrual heartbeat monitor —
@@ -234,13 +237,16 @@ def run_fault_oracle(
     so a φ-extended window simply contributes more ``("fallback", ...)``
     entries.
 
-    ``cached`` and ``failover`` compose: the deployment under test becomes
-    the :class:`CachedFailoverDeployment` (bounded tables over an
-    active-standby pair), the reference stays the clean cached deployment,
-    and the ``("promote",)`` tag mirrors a cached bulk resync onto the
-    reference — the promotion rebuilds the promoted switch's bounded cache
-    and FIFO eviction order from the server's authoritative copy, so the
-    reference must re-converge its own cache at the same log point.
+    With ``pool`` > 0 the DUT punts into a server pool of that many
+    members.  All members execute against one authoritative store, so a
+    correct pool *is* byte-equivalent to the single-server reference, and
+    the ``("pool_down", ...)`` / ``("pool_migrate", ...)`` effect-log tags
+    replay as no-ops — a correct migration is an identity transform on
+    committed state, which the observable/final-state/convergence checks
+    then verify.  The extra :func:`_check_pool` pass asserts the
+    no-fallback-while-survivors-exist guarantee and bounds the blast
+    radius of each member outage to the flows an independently rebuilt
+    selector says the member owned.
 
     With ``provenance`` (the default), a VIOLATION outcome re-runs the
     whole scenario with per-packet tracing on both deployments (the run is
@@ -249,24 +255,15 @@ def run_fault_oracle(
     pass ``provenance=False``.  ``_telemetry`` is the internal hook the
     provenance re-run uses: a ``(dut_telemetry, reference_telemetry)``
     pair threaded into the two deployments.
-
-    With ``pool`` > 0 the deployment under test is the punt-path
-    :class:`~repro.runtime.pool.PooledDeployment` with that many members;
-    the reference stays the clean single-server deployment (all members
-    execute against one authoritative store, so a correct pool *is*
-    byte-equivalent to it) and the ``("pool_down", ...)`` /
-    ``("pool_migrate", ...)`` effect-log tags replay as no-ops — a
-    correct migration is an identity transform on committed state, which
-    the observable/final-state/convergence checks then verify.  The
-    extra :func:`_check_pool` pass asserts the no-fallback-while-
-    survivors-exist guarantee and bounds the blast radius of each member
-    outage to the flows an independently rebuilt selector says the
-    member owned.
     """
-    if pool and (cached or failover):
+    if pool and failover:
+        # The runtime composes the two; what is missing is a fault-plan
+        # generator that mixes member crashes with primary crashes, and a
+        # pool plan alone would leave the standby untested.
         raise ValueError(
-            "pool mode does not compose with cached/failover scenarios yet"
-            " — run them separately"
+            "the fault harness has no plan generator mixing pool and"
+            " failover fault kinds yet — run --servers and --failover"
+            " campaigns separately"
         )
     pool_members = default_member_names(pool) if pool else []
     policy = policy or DegradationPolicy()
@@ -289,48 +286,22 @@ def run_fault_oracle(
         max_attempts=policy.retry.max_attempts,
     )
 
-    def deploy(
-        failover_dut: bool = False, pool_dut: bool = False, **kwargs
-    ) -> GalliumMiddlebox:
-        if pool_dut:
-            box = PooledDeployment(
-                plan, program, servers=pool,
-                port_pairs=dict(DEFAULT_PORT_PAIRS),
-                config=config, seed=deployment_seed, **kwargs,
-            )
-            box.install()
-            return box
-        if cached and failover_dut:
-            box = CachedFailoverDeployment(
-                plan, program, cache_entries=cache_entries,
-                port_pairs=dict(DEFAULT_PORT_PAIRS),
-                config=config, seed=deployment_seed,
-                detection=detection, **kwargs,
-            )
-        elif cached:
-            box = CachedGalliumMiddlebox(
-                plan, program, cache_entries=cache_entries,
-                port_pairs=dict(DEFAULT_PORT_PAIRS),
-                config=config, seed=deployment_seed, **kwargs,
-            )
-        elif failover_dut:
-            box = FailoverDeployment(
-                plan, program, port_pairs=dict(DEFAULT_PORT_PAIRS),
-                config=config, seed=deployment_seed,
-                detection=detection, **kwargs,
-            )
-        else:
-            box = GalliumMiddlebox(
-                plan, program, port_pairs=dict(DEFAULT_PORT_PAIRS),
-                config=config, seed=deployment_seed, **kwargs,
-            )
+    def deploy(**roles_and_faults) -> GalliumMiddlebox:
+        box = GalliumMiddlebox(
+            plan, program, port_pairs=dict(DEFAULT_PORT_PAIRS),
+            config=config, seed=deployment_seed,
+            state_policy=BoundedCache(cache_entries) if cached else None,
+            **roles_and_faults,
+        )
         box.install()
         return box
 
     try:
-        dut = deploy(failover_dut=failover, pool_dut=bool(pool),
-                     policy=policy, injector=injector,
-                     telemetry=dut_telemetry)
+        dut = deploy(
+            redundancy=ActiveStandby(detection) if failover else None,
+            punt_target=ServerPool(pool) if pool else None,
+            policy=policy, injector=injector, telemetry=dut_telemetry,
+        )
         reference = deploy(telemetry=ref_telemetry)
     except CacheConfigurationError as exc:
         return FaultOracleResult(
@@ -386,7 +357,7 @@ def run_fault_oracle(
             fault_kinds=fault_plan.kinds(),
             cached_mode=cached,
             failover_mode=failover,
-            promoted=bool(getattr(dut, "promoted", False)),
+            promoted=dut.redundancy.promoted,
             pool_mode=bool(pool),
             pool_servers=pool,
             migrations=dut.telemetry.metrics.counter_value(
@@ -405,7 +376,7 @@ def run_fault_oracle(
     if violation is None:
         try:
             violation = _replay_reference(
-                reference, dut, records, packets, policy, cached=cached
+                reference, dut, records, packets, policy
             )
         except Exception:
             return FaultOracleResult(
@@ -565,7 +536,7 @@ def _check_pool(
                 f"packet stalled on member {member!r} outside any"
                 " membership-change window",
             )
-        selector = PooledDeployment.build_selector(
+        selector = build_selector(
             members_at(index), deployment_seed,
             slots=dut.pool.selector.slots,
         )
@@ -612,7 +583,6 @@ def _replay_reference(
     records: Dict[int, PacketRecord],
     packets: List[Tuple[RawPacket, int]],
     policy: DegradationPolicy,
-    cached: bool = False,
 ) -> Optional[FaultViolation]:
     """Replay the DUT's effect log on the clean reference deployment and
     compare every delivered observable (plus policy conformance of every
@@ -627,6 +597,7 @@ def _replay_reference(
     the reference fast-pathed is effect-free beyond cache refills, and
     vice versa) instead of requiring the paths to match.
     """
+    cached = bool(reference.state_policy.bounded_tables)
     held: Dict[int, RawPacket] = {}
     expected: Dict[int, Observation] = {}
     # Replayed reference events are attributed to the DUT's packet index
@@ -652,12 +623,14 @@ def _replay_reference(
             ref_tracer.begin_packet(event[1])
         if tag == "ingress":
             _, index, ingress = event
-            out = reference.switch.receive(packets[index][0].copy(), ingress)
+            out, frame = reference.state_policy.ingress(
+                packets[index][0].copy(), ingress
+            )
             dut_punted = index in dut_punts
             if cached:
                 if dut_punted:
                     held[index] = _pristine(packets, index)
-                elif out.punted:
+                elif frame is not None:
                     # The DUT hit its cache; the reference missed.  Serve
                     # the miss now so refills land on the reference too.
                     completion = reference.complete_punt(
@@ -667,15 +640,15 @@ def _replay_reference(
                 else:
                     expected[index] = _switch_observation(out)
                 continue
-            if out.punted != dut_punted:
+            if (frame is not None) != dut_punted:
                 return FaultViolation(
                     "path", index,
-                    f"reference {'punted' if out.punted else 'fast-pathed'}"
+                    f"reference {'punted' if frame is not None else 'fast-pathed'}"
                     f" but deployment {'punted' if dut_punted else 'fast-pathed'}"
                     " — switch state diverged before this packet",
                 )
-            if out.punted:
-                held[index] = out.emitted[0][1]
+            if frame is not None:
+                held[index] = frame
             else:
                 expected[index] = _switch_observation(out)
         elif tag == "serve":
@@ -700,22 +673,18 @@ def _replay_reference(
             expected[index] = _journey_observation(journey)
         elif tag == "crash":
             reference.crash_resync()
-        elif tag == "resync":
-            if cached:
-                # The DUT's bulk resync rebuilt its bounded cache view
-                # deterministically from authoritative state; mirror it so
-                # the two caches re-converge at the same point.
-                reference.sync_all_state()
-        elif tag == "promote":
-            # The DUT promoted its standby and bulk-resynced it from the
+        elif tag in ("resync", "promote"):
+            # The DUT bulk-resynced its active switch (in place after a
+            # reprogram, or the standby it just promoted) from the
             # server's authoritative copy.  A full-replication reference
             # needs no action: replicated state equality follows from the
             # batch applies it already mirrored, and switch-authoritative
             # registers line up because the DUT's per-packet checkpoint fed
             # the fallback window the same values the reference's live
-            # switch held.  A cached reference must mirror the resync —
-            # the promotion rebuilt the DUT's bounded cache and FIFO order
-            # from authoritative state, same as the "resync" tag.
+            # switch held.  A cached reference must mirror the resync: it
+            # rebuilt the DUT's bounded cache and FIFO order
+            # deterministically, and the two caches have to re-converge at
+            # the same log point.
             if cached:
                 reference.sync_all_state()
         else:  # pragma: no cover - log tags are closed
@@ -789,7 +758,7 @@ def _check_convergence(dut: GalliumMiddlebox) -> Optional[FaultViolation]:
     weakens to coherence: every cached entry must match the authoritative
     value, and the cache must respect its size bound.
     """
-    cached_tables = frozenset(getattr(dut, "cached_tables", ()))
+    cached_tables = dut.state_policy.bounded_tables
     for name, placement in dut.plan.placements.items():
         if placement.kind is not PlacementKind.REPLICATED_TABLE:
             continue
@@ -807,11 +776,11 @@ def _check_convergence(dut: GalliumMiddlebox) -> Optional[FaultViolation]:
                     f"cached table {name!r} holds entries with no"
                     f" authoritative backing: {stale!r}",
                 )
-            if len(snapshot) > dut.cache_entries:
+            if len(snapshot) > dut.state_policy.cache_entries:
                 return FaultViolation(
                     "convergence", None,
                     f"cached table {name!r} holds {len(snapshot)} entries"
-                    f" (bound is {dut.cache_entries})",
+                    f" (bound is {dut.state_policy.cache_entries})",
                 )
             continue
         if placement.member.kind == "map":

@@ -4,13 +4,26 @@
   program's stand-in: interprets the non-offloaded partition, journals
   state mutations, and emits the return shim,
 * :class:`~repro.runtime.deployment.GalliumMiddlebox` — the switch+server
-  pair: fast path on the switch, punted packets through the server, state
-  synchronization with output commit (§4.3.3),
-* :class:`~repro.runtime.failover.FailoverDeployment` — the switch+server
-  pair over an active-standby switch pair: warm standby kept in sync by
-  batch replay, promoted after a primary crash,
+  pair and the only packet loop: fast path on the switch, punted packets
+  through the server, state synchronization with output commit (§4.3.3),
 * :class:`~repro.runtime.baseline.FastClickRuntime` — the unpartitioned
   baseline the paper compares against.
+
+A deployment flavour is a choice of three independent roles, passed to
+``GalliumMiddlebox(state_policy=, redundancy=, punt_target=)``; every
+combination composes:
+
+=================  ==============================================  ===========================================
+role               default                                         alternative
+=================  ==============================================  ===========================================
+switch state       :class:`~repro.runtime.deployment.FullReplication`  :class:`~repro.runtime.cache.BoundedCache`
+switch redundancy  :class:`~repro.runtime.deployment.SingleSwitch`     :class:`~repro.runtime.failover.ActiveStandby`
+punt target        :class:`~repro.runtime.deployment.SingleServer`     :class:`~repro.runtime.pool.ServerPool`
+=================  ==============================================  ===========================================
+
+``CachedGalliumMiddlebox``, ``FailoverDeployment`` and
+``PooledDeployment`` are constructor-only shorthands for one
+non-default role each.
 """
 
 from repro.runtime.server import ServerRuntime, ServerResult

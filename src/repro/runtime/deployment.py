@@ -13,6 +13,25 @@ partition → synthesize shims → build the switch program), and
 4. the packet returns to the switch, which applies the server's verdict or
    runs the post-processing pipeline.
 
+Roles
+-----
+That path exists once.  What a deployment *flavour* changes is decided by
+three role objects the one class holds, each with a default here that
+gives the paper's base deployment:
+
+* **switch state policy** — :class:`FullReplication` | bounded cache
+  (:class:`repro.runtime.cache.BoundedCache`): what a punt carries, what
+  the server runs for it, how its journal becomes an update batch, the
+  shape of a bulk resync;
+* **switch redundancy** — :class:`SingleSwitch` | active-standby
+  (:class:`repro.runtime.failover.ActiveStandby`): the commit wrapper,
+  the fallback window's open/close, the standby's copy;
+* **punt target** — :class:`SingleServer` | HRW pool
+  (:class:`repro.runtime.pool.ServerPool`): which runtime serves a punt,
+  when its destination counts as down, membership windows.
+
+Any combination of the three composes; none knows the others exist.
+
 Fault tolerance
 ---------------
 The deployment optionally runs under a :class:`DegradationPolicy` with a
@@ -34,7 +53,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.codegen.headers import synthesize_shim_layouts
 from repro.ir.externs import ExternHost
-from repro.ir.interp import Interpreter, PacketView, StateStore
+from repro.ir.interp import Interpreter, StateStore
 from repro.ir.lowering import LoweredMiddlebox, lower_program
 from repro.lang.parser import parse_program
 from repro.net.packet import RawPacket
@@ -43,11 +62,11 @@ from repro.partition.partitioner import partition_middlebox
 from repro.partition.plan import PartitionPlan, PlacementKind
 from repro.runtime.degradation import DegradationPolicy, DropAccounting
 from repro.runtime.server import ServerRuntime
-from repro.sim.clock import PACKET_GAP_US, PUNT_LINK_US, SERVER_INSTR_US
+from repro.sim.clock import PACKET_GAP_US, PUNT_LINK_US
 from repro.switchsim.control_plane import UpdateBatchError
 from repro.telemetry import LATENCY_BOUNDS_US, Telemetry
 from repro.switchsim.program import SwitchProgram
-from repro.switchsim.switch_model import SwitchModel, SwitchOutput
+from repro.switchsim.switch_model import SwitchModel
 
 
 @dataclass
@@ -130,13 +149,133 @@ def compile_middlebox(
     return plan, program
 
 
+class Role:
+    """One replaceable decision-maker of a :class:`GalliumMiddlebox`.
+
+    A role is built from its own settings only and bound to the
+    deployment that holds it; it reads the deployment's current
+    ``switch`` / ``state`` / ``server`` per call (promotion and crash
+    recovery swap them).
+    """
+
+    box: "GalliumMiddlebox"
+
+    def bind(self, box: "GalliumMiddlebox") -> None:
+        self.box = box
+
+
+class FullReplication(Role):
+    """Switch state policy: every switch-resident member is installed in
+    full; a punt carries the shim frame the pre pipeline emitted, the
+    server runs the non-offloaded partition, and the packet returns
+    through the post pipeline."""
+
+    #: replicated tables the switch holds only a subset of
+    bounded_tables: Tuple[str, ...] = ()
+
+    def sync(self, switch: SwitchModel) -> None:
+        self.box.install_full(switch)
+
+    def ingress(self, packet: RawPacket, ingress_port: int):
+        """Run the pre pipeline; returns ``(output, punt frame | None)``."""
+        first = self.box.switch.receive(packet, ingress_port)
+        return first, first.emitted[0][1] if first.punted else None
+
+    def fast_path_taken(self) -> None:
+        pass
+
+    def serve(self, runtime: ServerRuntime, frame: RawPacket):
+        return runtime.handle(frame)
+
+    def batch_aborted(self) -> None:
+        pass
+
+    def committed(self, sync_wait_us: float) -> None:
+        self.box._c_punts_served.inc()
+        self.box._h_sync_wait.observe(sync_wait_us)
+
+    def release(self, served):
+        """Return leg; ``(verdict, emitted, post instructions)``."""
+        second = self.box.switch.receive(served.packet, self.box.server_port)
+        return (
+            "drop" if second.dropped else "send",
+            second.emitted,
+            second.pipeline_instructions,
+        )
+
+    def state_recovered(self) -> None:
+        pass
+
+
+class SingleSwitch(Role):
+    """Switch redundancy: one switch.  A fallback window means it is
+    reprogramming — still readable, and resynced in place afterwards."""
+
+    promoted = False
+
+    def before_packet(self) -> None:
+        pass
+
+    def after_packet(self) -> None:
+        pass
+
+    def apply_batch(self, updates):
+        return self.box.switch.control_plane.apply_batch(updates)
+
+    def sync_standby(self) -> None:
+        pass
+
+    def fallback_packet(self, opening: bool) -> None:
+        if opening:
+            self.box.pull_switch_registers()
+
+    def may_exit_fallback(self) -> bool:
+        return True
+
+    def close_window(self) -> str:
+        """Bring the switch side back; returns the effect-log tag."""
+        self.box.sync_all_state()
+        if self.box._tracer is not None:
+            self.box._tracer.record("switch_resync", component="deployment")
+        return "resync"
+
+    def before_recover(self) -> None:
+        pass
+
+
+class SingleServer(Role):
+    """Punt target: one :class:`ServerRuntime`."""
+
+    def bind(self, box: "GalliumMiddlebox") -> None:
+        self.box = box
+        box.server = box.build_server_runtime()
+
+    def route(self, frame: RawPacket):
+        """``(runtime, ticket)`` for one punt; the ticket comes back in
+        :meth:`committed` once the punt's batch has landed."""
+        return self.box.server, None
+
+    def committed(self, runtime: ServerRuntime, ticket) -> None:
+        pass
+
+    def down(self, frame: RawPacket, index: int) -> Optional[str]:
+        """Why the punt's destination is unreachable (the degrade reason
+        should the bounded queue overflow), or ``None`` when it is up."""
+        return (
+            "queue_overflow" if self.box.injector.server_down(index)
+            else None
+        )
+
+    def advance_windows(self, index: int) -> None:
+        pass
+
+    def rebase(self) -> None:
+        """The authoritative store was (re)built: install, crash resync."""
+        self.box.server.state = self.box.state
+
+
 class GalliumMiddlebox:
     """A running switch+server middlebox pair."""
-
-    #: Cached deployments discard the pre pipeline's speculative work when
-    #: a packet punts (the server reruns the whole program); the tracer
-    #: must then drop those effect events too or they would double-count.
-    _discard_pre_effects = False
 
     def __init__(
         self,
@@ -151,6 +290,9 @@ class GalliumMiddlebox:
         injector=None,
         telemetry: Optional[Telemetry] = None,
         fast_path: bool = False,
+        state_policy: Optional[Role] = None,
+        redundancy: Optional[Role] = None,
+        punt_target: Optional[Role] = None,
     ):
         self.plan = plan
         self.program = program
@@ -168,30 +310,12 @@ class GalliumMiddlebox:
         # Time-resolved layer (None when off — same discipline as _tracer).
         self._series = self.telemetry.active_series
         self._int = self.telemetry.active_int
-        self.switch = SwitchModel(
-            program, server_port=server_port, port_pairs=port_pairs,
-            seed=seed, telemetry=self.telemetry, fast_path=fast_path,
-        )
+        self.server_port = server_port
+        self._port_pairs = port_pairs
+        self.switch = self.build_switch(seed)
         self.state = StateStore(plan.middlebox.state)
         self.state.tracer = self._tracer
         self.externs = ExternHost(config=config, clock=clock)
-        self.server = ServerRuntime(
-            plan,
-            self.state,
-            program.shim_to_server,
-            program.shim_to_switch,
-            self.externs,
-            telemetry=self.telemetry,
-            fast_path=fast_path,
-        )
-        self._fallback_engine = None
-        if fast_path:
-            from repro.runtime.compiled import CompiledServerExecutor
-
-            self._fallback_engine = CompiledServerExecutor(
-                plan.middlebox.process
-            )
-        self.server_port = server_port
         self.packets_processed = 0
         # -- graceful degradation (active when an injector is attached) ----
         self.policy = policy or DegradationPolicy()
@@ -217,12 +341,14 @@ class GalliumMiddlebox:
         self._deferred_journeys: List[PacketJourney] = []
         self._server_was_down = False
         self._fallback_active = False
-        # The deployment's retry policy always governs the control plane
-        # (retries only trigger on injected faults, so this is a no-op for
-        # fault-free runs but makes the policy uniformly configurable).
-        self.switch.control_plane.retry = self.policy.retry
-        if injector is not None:
-            self.switch.control_plane.fault_hook = injector.batch_fault
+        self.arm_switch(self.switch)
+        #: the runtime that served the latest punt (set by the punt target)
+        self.server: ServerRuntime
+        self.state_policy = state_policy or FullReplication()
+        self.redundancy = redundancy or SingleSwitch()
+        self.punt_target = punt_target or SingleServer()
+        for role in (self.punt_target, self.redundancy, self.state_policy):
+            role.bind(self)
 
     @classmethod
     def from_source(
@@ -238,6 +364,46 @@ class GalliumMiddlebox:
     def faults_armed(self) -> bool:
         return self.injector is not None
 
+    @property
+    def stats(self):
+        """Cache effectiveness counters (bounded state policy only)."""
+        return self.state_policy.stats
+
+    @property
+    def pool(self):
+        """The punt target, when it is a server pool."""
+        return self.punt_target
+
+    # -- parts the roles build on -------------------------------------------
+
+    def build_switch(self, seed: int) -> SwitchModel:
+        """One more switch running this deployment's program."""
+        return SwitchModel(
+            self.program, server_port=self.server_port,
+            port_pairs=dict(self._port_pairs) if self._port_pairs else None,
+            seed=seed, telemetry=self.telemetry, fast_path=self.fast_path,
+        )
+
+    def arm_switch(self, switch: SwitchModel) -> None:
+        """Put the active switch's control plane under the deployment's
+        retry policy and fault exposure (retries only trigger on injected
+        faults, so this is a no-op for fault-free runs)."""
+        switch.control_plane.retry = self.policy.retry
+        if self.injector is not None:
+            switch.control_plane.fault_hook = self.injector.batch_fault
+
+    def build_server_runtime(self) -> ServerRuntime:
+        """One more server runtime over the authoritative store."""
+        return ServerRuntime(
+            self.plan,
+            self.state,
+            self.program.shim_to_server,
+            self.program.shim_to_switch,
+            self.externs,
+            telemetry=self.telemetry,
+            fast_path=self.fast_path,
+        )
+
     # -- deployment ------------------------------------------------------------
 
     def install(self) -> None:
@@ -249,20 +415,23 @@ class GalliumMiddlebox:
             Interpreter(configure, self.state, self.externs).run()
         self.state.drain_journal()
         self.sync_all_state()
+        self.punt_target.rebase()
 
     def sync_all_state(self) -> None:
         """Bulk-install every switch-resident state member.
 
-        Used at deploy time and again after a switch reprogram: the switch
-        copy is rebuilt from the server's authoritative state, so each
-        table is cleared first (a stale switch entry the server deleted
-        meanwhile must not survive the resync).
+        Used at deploy time and again after a switch reprogram or a
+        promotion: the switch copy is rebuilt from the server's
+        authoritative state in the shape the state policy keeps it, and a
+        warm standby is rebuilt in full.
         """
-        self._sync_switch_state(self.switch)
+        self.state_policy.sync(self.switch)
+        self.redundancy.sync_standby()
 
-    def _sync_switch_state(self, switch) -> None:
+    def install_full(self, switch: SwitchModel) -> None:
         """Rebuild one switch's state from the server's authoritative
-        copy (the failover deployment also aims this at its standby)."""
+        copy.  Each table is cleared first: a stale switch entry the
+        server deleted meanwhile must not survive the resync."""
         for name, placement in self.plan.placements.items():
             if not placement.on_switch:
                 continue
@@ -287,6 +456,7 @@ class GalliumMiddlebox:
     # -- the packet path ----------------------------------------------------------
 
     def process_packet(self, packet: RawPacket, ingress_port: int = 1) -> PacketJourney:
+        self.redundancy.before_packet()
         index = self.packets_processed
         self.packets_processed += 1
         self.telemetry.clock.advance(PACKET_GAP_US)
@@ -299,33 +469,33 @@ class GalliumMiddlebox:
         wire_bytes = packet.wire_length()
         if self.faults_armed:
             journey = self._process_with_faults(packet, ingress_port, index)
-            self._finish_journey(journey, wire_bytes)
-            return journey
-        first = self.switch.receive(packet, ingress_port)
-        if not first.punted:
-            journey = PacketJourney(
-                verdict="drop" if first.dropped else "send",
-                emitted=first.emitted,
-                fast_path=True,
-                pre_instructions=first.pipeline_instructions,
-            )
-            self._finish_journey(journey, wire_bytes)
-            return journey
-        # Slow path: server handles the punted packet.
-        assert first.emitted and first.emitted[0][0] == self.server_port
-        completion = self.complete_punt(first.emitted[0][1])
-        journey = PacketJourney(
-            verdict=completion.verdict,
-            emitted=completion.emitted,
-            fast_path=False,
-            punted=True,
-            pre_instructions=first.pipeline_instructions,
-            server_instructions=completion.server_instructions,
-            post_instructions=completion.post_instructions,
-            sync_wait_us=completion.sync_wait_us,
-            sync_tables=completion.sync_tables,
-        )
+        else:
+            first, punted = self.state_policy.ingress(packet, ingress_port)
+            if punted is None:
+                # Booked on this path only: under faults a switch answer
+                # has never counted as a cache hit (golden pins hold it).
+                self.state_policy.fast_path_taken()
+                journey = PacketJourney(
+                    verdict="drop" if first.dropped else "send",
+                    emitted=first.emitted,
+                    fast_path=True,
+                    pre_instructions=first.pipeline_instructions,
+                )
+            else:
+                # Slow path: the server handles the punted packet.
+                completion = self.complete_punt(punted)
+                journey = PacketJourney(
+                    verdict=completion.verdict,
+                    emitted=completion.emitted,
+                    punted=True,
+                    pre_instructions=first.pipeline_instructions,
+                    server_instructions=completion.server_instructions,
+                    post_instructions=completion.post_instructions,
+                    sync_wait_us=completion.sync_wait_us,
+                    sync_tables=completion.sync_tables,
+                )
         self._finish_journey(journey, wire_bytes)
+        self.redundancy.after_packet()
         return journey
 
     def _finish_journey(self, journey: "PacketJourney",
@@ -356,81 +526,54 @@ class GalliumMiddlebox:
 
         This is the slow-path tail of :meth:`process_packet`, exposed so
         the fault harness can replay punt completions independently of
-        ingress (queued punts complete after the server recovers).
+        ingress (queued punts complete after the server recovers).  An
+        update batch that never lands raises ``UpdateBatchError`` (the
+        caller rolls the server state back); a lost return frame drops
+        the packet after the state committed.
         """
+        runtime, ticket = self.punt_target.route(punted_packet)
         self.telemetry.clock.advance(PUNT_LINK_US)
-        server_result = self.server.handle(punted_packet)
-        sync_wait = 0.0
-        sync_tables = 0
-        retries = 0
-        retry_wait = 0.0
-        stale_wait = 0.0
-        if server_result.updates:
+        served = self.state_policy.serve(runtime, punted_packet)
+        completion = PuntCompletion(
+            verdict="drop", emitted=[],
+            server_instructions=served.instructions,
+            post_instructions=0, sync_wait_us=0.0, sync_tables=0,
+        )
+        if served.updates:
             # Transactional: apply_batch either commits (possibly rolling
             # forward from the undo log when the final attempt's
             # confirmation was lost) or rolls the switch back byte-exactly
             # and raises — the caller then rolls the server back too, so
             # "whichever side won" cannot happen.
-            batch = self._apply_update_batch(server_result.updates)
+            try:
+                batch = self.redundancy.apply_batch(served.updates)
+            except UpdateBatchError:
+                self.state_policy.batch_aborted()
+                raise
             # Output commit: the packet is held until visibility.
-            sync_wait = batch.visibility_latency_us
-            sync_tables = batch.tables_touched
-            retries = batch.attempts - 1
-            retry_wait = batch.retry_wait_us
+            completion.sync_wait_us = batch.visibility_latency_us
+            completion.sync_tables = batch.tables_touched
+            completion.retries = batch.attempts - 1
+            completion.retry_wait_us = batch.retry_wait_us
             if self.faults_armed:
-                stale_wait = self.injector.stale_extra_us()
-                sync_wait += stale_wait
-        self._c_punts_served.inc()
-        self._h_sync_wait.observe(sync_wait)
+                completion.stale_wait_us = self.injector.stale_extra_us()
+                completion.sync_wait_us += completion.stale_wait_us
+        self.state_policy.committed(completion.sync_wait_us)
+        self.punt_target.committed(runtime, ticket)
         self.telemetry.clock.advance(PUNT_LINK_US)
         if self.faults_armed:
-            lost = self.injector.return_frame_fate()
-            if lost is not None:
-                # The return frame vanished after the state committed:
-                # switch and server stay consistent, the packet is gone.
-                return PuntCompletion(
-                    verdict="drop", emitted=[],
-                    server_instructions=server_result.instructions,
-                    post_instructions=0,
-                    sync_wait_us=sync_wait, sync_tables=sync_tables,
-                    retries=retries, retry_wait_us=retry_wait,
-                    stale_wait_us=stale_wait, lost_reason=lost,
-                )
-        second = self.switch.receive(server_result.packet, self.server_port)
-        return PuntCompletion(
-            verdict="drop" if second.dropped else "send",
-            emitted=second.emitted,
-            server_instructions=server_result.instructions,
-            post_instructions=second.pipeline_instructions,
-            sync_wait_us=sync_wait,
-            sync_tables=sync_tables,
-            retries=retries,
-            retry_wait_us=retry_wait,
-            stale_wait_us=stale_wait,
-        )
-
-    def _apply_update_batch(self, updates):
-        """Apply one punt's state updates to the switch control plane.
-
-        Hook: the failover deployment overrides this to replay committed
-        batches onto the warm standby and to turn a mid-batch switch
-        crash into a promotion.
-        """
-        return self.switch.control_plane.apply_batch(updates)
+            # A return frame that vanishes after the state committed
+            # leaves switch and server consistent; the packet is gone.
+            completion.lost_reason = self.injector.return_frame_fate()
+        if completion.lost_reason is None:
+            (
+                completion.verdict,
+                completion.emitted,
+                completion.post_instructions,
+            ) = self.state_policy.release(served)
+        return completion
 
     # -- the packet path under faults ----------------------------------------
-
-    def _punt_frame(
-        self, first: SwitchOutput, pristine: RawPacket, ingress_port: int
-    ) -> RawPacket:
-        """The frame that travels the switch→server punt path.
-
-        The base deployment forwards the shim-encapsulated packet the pre
-        pipeline emitted; the cached deployment overrides this to clone
-        the pristine packet at ingress (its server side reruns the whole
-        program, not the non-offloaded partition).
-        """
-        return first.emitted[0][1]
 
     def _process_with_faults(
         self, packet: RawPacket, ingress_port: int, index: int
@@ -439,19 +582,18 @@ class GalliumMiddlebox:
         injector.begin_packet(index)
         self._advance_windows(index)
         pristine = packet.copy()
-        # A still-active fallback window (the detector hasn't declared the
-        # primary dead yet — see _fallback_may_exit) keeps packets on the
-        # server path even after the injected outage itself has ended.
+        # A still-active fallback window (the redundancy role hasn't let
+        # it close yet) keeps packets on the server path even after the
+        # injected outage itself has ended.
         if self._fallback_active or injector.switch_down(index):
             if injector.server_down(index):
                 return self._degrade(
                     pristine, ingress_port, index, "total_outage"
                 )
             return self._fallback_process(packet, ingress_port, index)
-        mark = self._tracer.mark() if self._tracer is not None else 0
-        first = self.switch.receive(packet, ingress_port)
+        first, punted = self.state_policy.ingress(packet, ingress_port)
         self.fault_log.append(("ingress", index, ingress_port))
-        if not first.punted:
+        if punted is None:
             return PacketJourney(
                 verdict="drop" if first.dropped else "send",
                 emitted=first.emitted,
@@ -459,46 +601,26 @@ class GalliumMiddlebox:
                 pre_instructions=first.pipeline_instructions,
                 packet_index=index,
             )
-        if self._discard_pre_effects and self._tracer is not None:
-            self._tracer.rollback_effects(mark)
-        punted = self._punt_frame(first, pristine, ingress_port)
         fate = injector.punt_frame_fate()
         if fate is not None:
             # The frame died on the wire (or failed the server NIC's FCS
             # check); the pre-pipeline's switch-state effects stand, the
             # packet itself is unrecoverable.
             self.fault_log.append(("drop_punt", index))
-            self.accounting.count(fate)
-            self.accounting.failed_closed += 1
-            if self._tracer is not None:
-                self._tracer.record("degrade", component="deployment",
-                                    reason=fate, outcome="drop")
-            return PacketJourney(
-                verdict="drop", punted=True, degraded=True,
-                degraded_reason=fate,
+            return self._lost(
+                fate, punted=True, packet_index=index,
                 pre_instructions=first.pipeline_instructions,
-                packet_index=index,
             )
-        if self._punt_destination_down(punted, index):
+        down_reason = self.punt_target.down(punted, index)
+        if down_reason is not None:
             return self._enqueue_punt(
                 index, punted, pristine, ingress_port,
-                first.pipeline_instructions,
+                first.pipeline_instructions, down_reason,
             )
         return self._serve_punt(
             index, punted, pristine, ingress_port,
             first.pipeline_instructions,
         )
-
-    def _punt_destination_down(self, punted: RawPacket, index: int) -> bool:
-        """Whether the current punt's destination server is unreachable
-        (the packet then queues or degrades per policy).
-
-        Hook: the base deployment has one server, so this is exactly the
-        injected server outage; the pooled deployment overrides it to
-        route the check through the flow selector — a member outage
-        stalls only the flows that member owns.
-        """
-        return self.injector.server_down(index)
 
     def _serve_punt(
         self,
@@ -537,38 +659,37 @@ class GalliumMiddlebox:
                 punted=True,
             )
         self.fault_log.append(("serve", index))
-        if completion.lost_reason is not None:
-            self.accounting.count(completion.lost_reason)
-            self.accounting.failed_closed += 1
-            if self._tracer is not None:
-                self._tracer.record("degrade", component="deployment",
-                                    reason=completion.lost_reason,
-                                    outcome="drop")
-            return PacketJourney(
-                verdict="drop", punted=True, degraded=True,
-                degraded_reason=completion.lost_reason,
-                pre_instructions=pre_instructions,
-                server_instructions=completion.server_instructions,
-                sync_wait_us=completion.sync_wait_us,
-                sync_tables=completion.sync_tables,
-                retries=completion.retries,
-                retry_wait_us=completion.retry_wait_us,
-                stale_wait_us=completion.stale_wait_us,
-                packet_index=index,
-            )
-        return PacketJourney(
-            verdict=completion.verdict,
-            emitted=completion.emitted,
+        served = dict(
             punted=True,
             pre_instructions=pre_instructions,
             server_instructions=completion.server_instructions,
-            post_instructions=completion.post_instructions,
             sync_wait_us=completion.sync_wait_us,
             sync_tables=completion.sync_tables,
             retries=completion.retries,
             retry_wait_us=completion.retry_wait_us,
             stale_wait_us=completion.stale_wait_us,
             packet_index=index,
+        )
+        if completion.lost_reason is not None:
+            return self._lost(completion.lost_reason, **served)
+        return PacketJourney(
+            verdict=completion.verdict,
+            emitted=completion.emitted,
+            post_instructions=completion.post_instructions,
+            **served,
+        )
+
+    def _lost(self, reason: str, **journey_fields) -> PacketJourney:
+        """A frame vanished on the punt path: always a drop, whatever the
+        fail-open policy says (there is no packet left to forward)."""
+        self.accounting.count(reason)
+        self.accounting.failed_closed += 1
+        if self._tracer is not None:
+            self._tracer.record("degrade", component="deployment",
+                                reason=reason, outcome="drop")
+        return PacketJourney(
+            verdict="drop", degraded=True, degraded_reason=reason,
+            **journey_fields,
         )
 
     def _enqueue_punt(
@@ -578,11 +699,12 @@ class GalliumMiddlebox:
         pristine: RawPacket,
         ingress_port: int,
         pre_instructions: int,
+        overflow_reason: str,
     ) -> PacketJourney:
         if len(self._punt_queue) >= self.policy.punt_queue_depth:
             self.fault_log.append(("drop_punt", index))
             return self._degrade(
-                pristine, ingress_port, index, "queue_overflow",
+                pristine, ingress_port, index, overflow_reason,
                 pre_instructions=pre_instructions, punted=True,
             )
         self._punt_queue.append(
@@ -635,7 +757,7 @@ class GalliumMiddlebox:
             packet_index=index,
         )
 
-    # -- fallback mode (switch reprogramming) ---------------------------------
+    # -- fallback mode (switch unavailable) -----------------------------------
 
     def _fallback_process(
         self, packet: RawPacket, ingress_port: int, index: int
@@ -643,28 +765,16 @@ class GalliumMiddlebox:
         """Server-only operation: the server runs the *complete* middlebox
         program while the switch pipelines are unavailable.  Replication is
         deferred; the window ends with a bulk state resync."""
-        if not self._fallback_active:
-            self._fallback_active = True
-            self._enter_fallback()
+        self.redundancy.fallback_packet(opening=not self._fallback_active)
+        self._fallback_active = True
         self.fault_log.append(("fallback", index, ingress_port))
         self.accounting.fallback_packets += 1
         if self._tracer is not None:
             self._tracer.set_component("server.fallback")
             self._tracer.record("fallback", ingress_port=ingress_port)
-        self.state.drain_journal()
         packet.ingress_port = ingress_port
-        if self._fallback_engine is not None:
-            result = self._fallback_engine.run(
-                self.state, self.externs, packet=PacketView(packet)
-            )
-        else:
-            result = Interpreter(
-                self.plan.middlebox.process, self.state, self.externs
-            ).run(PacketView(packet))
-        self.state.drain_journal()  # bulk resync covers replication
-        self.telemetry.clock.advance(
-            result.instructions_executed * SERVER_INSTR_US
-        )
+        # The run's update batch is dropped: bulk resync covers replication.
+        result = self.server.run_complete(packet)
         if self._tracer is not None and result.verdict is not None:
             self._tracer.record("verdict", verdict=result.verdict,
                                 port=result.egress_port or 0)
@@ -679,47 +789,22 @@ class GalliumMiddlebox:
             verdict=verdict,
             emitted=emitted,
             fallback=True,
-            server_instructions=result.instructions_executed,
+            server_instructions=result.instructions,
             packet_index=index,
         )
 
-    def _enter_fallback(self) -> None:
-        """One-time work at the start of a fallback window.
-
-        Hook: the base deployment pulls switch-authoritative registers
-        from the (still reachable, merely reprogramming) switch; the
-        failover deployment recovers them from its per-packet checkpoint
-        instead — the crashed primary cannot be read.
-        """
-        self._pull_switch_registers()
-
     def _exit_fallback(self) -> None:
-        """End a fallback window: bulk resync, effect-log entry, stats.
-
-        Hook: the failover deployment promotes the standby first, so the
-        resync (and everything after) targets the new active switch.
-        """
-        self.sync_all_state()
-        self.fault_log.append(("resync",))
+        """End a fallback window: the redundancy role brings the switch
+        side back (resync in place, or promote the standby and resync
+        that), then the effect log and the ledger record it."""
+        tag = self.redundancy.close_window()
+        self.fault_log.append((tag,))
         self.accounting.switch_resyncs += 1
         self._fallback_active = False
-        if self._tracer is not None:
-            self._tracer.record("switch_resync", component="deployment")
 
-    def _fallback_may_exit(self) -> bool:
-        """Whether the deployment may leave an open fallback window once
-        the injected outage has ended.
-
-        Hook: the base deployment exits at the exact window boundary
-        (detection is free); the failover deployment overrides this to
-        gate promotion on its φ-accrual health detector, making detection
-        latency a measured quantity.
-        """
-        return True
-
-    def _pull_switch_registers(self) -> None:
+    def pull_switch_registers(self) -> None:
         """Copy switch-authoritative register values into server state
-        (entering fallback, and after a server restart)."""
+        (entering a reprogram window)."""
         for name, placement in self.plan.placements.items():
             if placement.kind is PlacementKind.SWITCH_REGISTER:
                 self.state.scalars[name] = self.switch.registers[name].value
@@ -734,9 +819,10 @@ class GalliumMiddlebox:
         the switch holds (replicated tables, registers) is read back from
         the switch — the last successfully committed batch survives by
         construction of the write-back protocol.  Server-only dynamic
-        state cannot be recovered and resets to its post-configure values:
-        a *declared* degradation the fault oracle mirrors, never a silent
-        one.
+        state cannot be recovered and resets to its post-configure values,
+        and a bounded table comes back as the cached subset only: both
+        are *declared* degradations the fault oracle mirrors, never silent
+        ones.
         """
         fresh = StateStore(self.plan.middlebox.state)
         fresh.track_reads = self.state.track_reads
@@ -768,19 +854,21 @@ class GalliumMiddlebox:
             ):
                 fresh.scalars[name] = self.switch.registers[name].value
         self.state = fresh
-        self.server.state = fresh
+        self.punt_target.rebase()
+        self.state_policy.state_recovered()
         self.accounting.server_restarts += 1
 
     # -- fault-window bookkeeping ------------------------------------------------
 
     def _advance_windows(self, index: int) -> None:
         """Fire window-edge transitions (recovery actions) for packet
-        ``index``: switch reprogram completion and server restart."""
+        ``index``: fallback window close, server restart, and whatever
+        membership windows the punt target keeps."""
         injector = self.injector
         if (
             self._fallback_active
             and not injector.switch_down(index)
-            and self._fallback_may_exit()
+            and self.redundancy.may_exit_fallback()
         ):
             self._exit_fallback()
         server_down = injector.server_down(index)
@@ -791,9 +879,10 @@ class GalliumMiddlebox:
             if injector.take_restart_state_loss():
                 self.crash_resync()
                 self.fault_log.append(("crash",))
-            self._drain_punt_queue()
+            self.drain_punt_queue()
+        self.punt_target.advance_windows(index)
 
-    def _drain_punt_queue(self) -> None:
+    def drain_punt_queue(self) -> None:
         """Serve punts buffered during the outage (possibly reordered by a
         link fault); their completed journeys surface via
         :meth:`drain_deferred`."""
@@ -826,6 +915,7 @@ class GalliumMiddlebox:
         the punt queue, resync after a reprogram, restart the server."""
         if not self.faults_armed:
             return
+        self.redundancy.before_recover()
         self.injector.clear()
         self._advance_windows(self.packets_processed)
 

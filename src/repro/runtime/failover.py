@@ -1,7 +1,8 @@
 """Active-standby switch failover (the robustness story §5 leaves out).
 
-A :class:`FailoverDeployment` runs the paper's deployment model on a
-*pair* of programmable switches:
+The :class:`ActiveStandby` redundancy role runs the paper's deployment
+model on a *pair* of programmable switches
+(:class:`FailoverDeployment` is the one-role shorthand):
 
 * the **primary** carries traffic exactly like the single-switch
   :class:`~repro.runtime.deployment.GalliumMiddlebox`;
@@ -34,12 +35,11 @@ and tracer.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.partition.plan import PlacementKind
-from repro.runtime.deployment import GalliumMiddlebox
+from repro.runtime.deployment import GalliumMiddlebox, Role
 from repro.switchsim.control_plane import UpdateBatchError
-from repro.switchsim.switch_model import SwitchModel
 from repro.telemetry.health import HealthConfig, HealthMonitor
 
 #: XOR'd into the deployment seed to derive the standby's jitter seed.
@@ -51,8 +51,8 @@ _STANDBY_SALT = 0x57B1
 DETECTION_MODES = ("phi", "exact")
 
 
-class FailoverDeployment(GalliumMiddlebox):
-    """Gallium deployment over an active-standby switch pair.
+class ActiveStandby(Role):
+    """Switch redundancy: an active switch plus a warm standby.
 
     ``detection`` selects how a primary crash is *noticed*: ``"phi"``
     (the default) runs a heartbeat-driven φ-accrual detector
@@ -64,37 +64,29 @@ class FailoverDeployment(GalliumMiddlebox):
     the experiments keep as the oracle reference.
     """
 
-    def __init__(self, plan, program, detection: str = "phi",
-                 health_config: Optional[HealthConfig] = None, **kwargs):
+    def __init__(self, detection: str = "phi",
+                 health_config: Optional[HealthConfig] = None):
         if detection not in DETECTION_MODES:
             raise ValueError(
                 f"detection must be one of {DETECTION_MODES}, got"
                 f" {detection!r}"
             )
-        super().__init__(plan, program, **kwargs)
         self.detection = detection
+        self._health_config = health_config
+
+    def bind(self, box: GalliumMiddlebox) -> None:
+        self.box = box
+        metrics = box.telemetry.metrics
         self.health: Optional[HealthMonitor] = (
-            HealthMonitor(
-                self.telemetry.metrics,
-                health_config if health_config is not None
-                else HealthConfig(),
-            )
-            if detection == "phi" else None
+            HealthMonitor(metrics, self._health_config or HealthConfig())
+            if self.detection == "phi" else None
         )
-        self.standby = SwitchModel(
-            program,
-            server_port=self.server_port,
-            port_pairs=dict(self.switch.port_pairs),
-            seed=self.seed ^ _STANDBY_SALT,
-            telemetry=self.telemetry,
-            fast_path=self.fast_path,
-        )
+        self.standby = box.build_switch(box.seed ^ _STANDBY_SALT)
         #: the crashed primary, kept for post-mortem introspection
         self.failed_primary = None
-        self._promoted = False
+        self.promoted = False
         #: per-packet checkpoint of switch-authoritative register values
         self._register_checkpoint: Dict[str, int] = {}
-        metrics = self.telemetry.metrics
         self._c_promotions = metrics.counter("failover.promotions")
         self._c_replayed = metrics.counter(
             "failover.standby_batches_replayed"
@@ -106,51 +98,41 @@ class FailoverDeployment(GalliumMiddlebox):
             "failover.promotion_window_packets"
         )
 
-    @property
-    def promoted(self) -> bool:
-        return self._promoted
-
-    # -- install / resync ------------------------------------------------------
-
-    def sync_all_state(self) -> None:
-        super().sync_all_state()
+    def sync_standby(self) -> None:
+        # Keep the warm standby bit-identical — and complete, whatever
+        # the active switch's state policy bounds — after any bulk resync
+        # (install time; there is no reprogram resync in failover plans).
         if self.standby is not None:
-            # Keep the warm standby bit-identical after any bulk resync
-            # (install time; there is no reprogram resync in failover
-            # plans).
-            self._sync_switch_state(self.standby)
+            self.box.install_full(self.standby)
 
-    # -- the packet path -------------------------------------------------------
+    # -- per packet ------------------------------------------------------------
 
-    def process_packet(self, packet, ingress_port: int = 1):
-        self._health_tick()
-        journey = super().process_packet(packet, ingress_port)
-        if not self._fallback_active:
-            # Checkpoint the active switch's data-plane registers after
-            # every completed packet.  A mid-batch crash still counts:
-            # the data plane keeps forwarding until the supervisor
-            # declares the primary dead at the next packet boundary.
-            self._checkpoint_registers()
-        return journey
-
-    def _health_tick(self) -> None:
+    def before_packet(self) -> None:
         """Synthesize the control-channel heartbeats due by now (no-op in
         ``"exact"`` mode and while the primary is crashed)."""
         if self.health is not None:
-            self.health.beat_until(self.telemetry.clock.now_us)
+            self.health.beat_until(self.box.telemetry.clock.now_us)
 
-    def _checkpoint_registers(self) -> None:
-        for name, placement in self.plan.placements.items():
+    def after_packet(self) -> None:
+        # Checkpoint the active switch's data-plane registers after every
+        # completed packet.  A mid-batch crash still counts: the data
+        # plane keeps forwarding until the supervisor declares the
+        # primary dead at the next packet boundary.
+        if not self.box._fallback_active:
+            self.checkpoint_registers()
+
+    def checkpoint_registers(self) -> None:
+        for name, placement in self.box.plan.placements.items():
             if placement.kind is PlacementKind.SWITCH_REGISTER:
                 self._register_checkpoint[name] = (
-                    self.switch.registers[name].value
+                    self.box.switch.registers[name].value
                 )
 
     # -- batch replication -----------------------------------------------------
 
-    def _apply_update_batch(self, updates):
+    def apply_batch(self, updates):
         try:
-            batch = super()._apply_update_batch(updates)
+            batch = self.box.switch.control_plane.apply_batch(updates)
         except UpdateBatchError:
             # Rolled back byte-exactly (possibly because the primary's
             # control-plane connection just died).  Consume a pending
@@ -163,20 +145,22 @@ class FailoverDeployment(GalliumMiddlebox):
         return batch
 
     def _take_primary_crash(self) -> None:
-        if self.faults_armed and self.injector.take_batch_crash():
-            if self._tracer is not None:
-                self._tracer.record(
+        box = self.box
+        if box.faults_armed and box.injector.take_batch_crash():
+            if box._tracer is not None:
+                box._tracer.record(
                     "primary_crash", component="failover", during="batch"
                 )
 
     def _replay_to_standby(self, updates) -> None:
         """Replicate one committed batch to the warm standby."""
+        box = self.box
         if self.standby is None or not updates:
             return
-        if self.faults_armed and self.injector.standby_replay_dropped():
+        if box.faults_armed and box.injector.standby_replay_dropped():
             self._c_replay_dropped.inc()
-            if self._tracer is not None:
-                self._tracer.record(
+            if box._tracer is not None:
+                box._tracer.record(
                     "standby_replay_dropped", component="failover"
                 )
             return
@@ -192,79 +176,75 @@ class FailoverDeployment(GalliumMiddlebox):
 
     # -- promotion window ------------------------------------------------------
 
-    def _fallback_process(self, packet, ingress_port: int, index: int):
+    def fallback_packet(self, opening: bool) -> None:
+        box = self.box
         self._c_window_packets.inc()
-        return super()._fallback_process(packet, ingress_port, index)
-
-    def _enter_fallback(self) -> None:
+        if not opening:
+            return
         # The primary is gone: recover its data-plane registers from the
         # continuous checkpoint (a dead switch cannot be pulled).
-        for name, placement in self.plan.placements.items():
-            if placement.kind is PlacementKind.SWITCH_REGISTER:
-                if name in self._register_checkpoint:
-                    self.state.scalars[name] = (
-                        self._register_checkpoint[name]
-                    )
+        box.state.scalars.update(self._register_checkpoint)
         if self.health is not None:
             # Ground truth for the detector's latency measurement; the
             # detector itself only learns of it through missing beats.
-            self.health.mark_crashed(self.telemetry.clock.now_us)
-        if self._tracer is not None:
-            self._tracer.record(
-                "failover_window_open", component="failover"
-            )
+            self.health.mark_crashed(box.telemetry.clock.now_us)
+        if box._tracer is not None:
+            box._tracer.record("failover_window_open", component="failover")
 
-    def _fallback_may_exit(self) -> bool:
+    def may_exit_fallback(self) -> bool:
         # φ mode: promotion waits for the detector to actually declare the
         # primary dead — the window extends past the injected outage by
         # the measured detection latency.  Exact mode: free detection at
-        # the window boundary, as before.
+        # the window boundary.
         if self.health is None:
             return True
-        return self.health.crash_detected(self.telemetry.clock.now_us)
+        return self.health.crash_detected(self.box.telemetry.clock.now_us)
 
-    def _exit_fallback(self) -> None:
-        self._promote()
-        self.sync_all_state()
-        self.fault_log.append(("promote",))
-        self.accounting.switch_resyncs += 1
-        self._fallback_active = False
+    def close_window(self) -> str:
+        box = self.box
+        self.promote()
+        box.sync_all_state()
         if self.health is not None:
             # The promoted standby takes over the heartbeat stream.
-            self.health.revive(self.telemetry.clock.now_us)
-        if self._tracer is not None:
-            self._tracer.record(
+            self.health.revive(box.telemetry.clock.now_us)
+        if box._tracer is not None:
+            box._tracer.record(
                 "failover_promote", component="failover",
                 replays=self._c_replayed.value,
                 dropped=self._c_replay_dropped.value,
             )
+        return "promote"
 
-    def recover(self) -> None:
-        """End-of-run recovery: if the stream ended inside an undetected
-        promotion window, force the detection (booked separately as
+    def before_recover(self) -> None:
+        """If the stream ended inside an undetected promotion window,
+        force the detection (booked separately as
         ``health.forced_detections``) so the promotion still happens and
         post-recovery equivalence can be checked."""
-        if (
-            self.health is not None
-            and self._fallback_active
-            and self.faults_armed
-        ):
-            self.health.force_detect(self.telemetry.clock.now_us)
-        super().recover()
+        if self.health is not None and self.box._fallback_active:
+            self.health.force_detect(self.box.telemetry.clock.now_us)
 
-    def _promote(self) -> None:
+    def promote(self) -> None:
         """The standby becomes the active switch."""
-        if self._promoted:
+        if self.promoted:
             return
-        self._promoted = True
+        box = self.box
+        self.promoted = True
         self._c_promotions.inc()
-        self.failed_primary = self.switch
-        self.switch = self.standby
+        self.failed_primary = box.switch
+        box.switch = self.standby
         self.standby = None
         # The promoted switch inherits the deployment's control-plane
-        # policy and fault exposure.
-        self.switch.control_plane.retry = self.policy.retry
-        if self.injector is not None:
-            self.switch.control_plane.fault_hook = self.injector.batch_fault
-        # The checkpoint now tracks the new active switch.
-        self._checkpoint_registers()
+        # policy and fault exposure; the checkpoint now tracks it.
+        box.arm_switch(box.switch)
+        self.checkpoint_registers()
+
+
+class FailoverDeployment(GalliumMiddlebox):
+    """Gallium deployment over an active-standby switch pair."""
+
+    def __init__(self, plan, program, detection: str = "phi",
+                 health_config: Optional[HealthConfig] = None, **kwargs):
+        super().__init__(
+            plan, program,
+            redundancy=ActiveStandby(detection, health_config), **kwargs
+        )

@@ -49,10 +49,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.ir.interp import StateStore
 from repro.net.packet import RawPacket
-from repro.partition.plan import PartitionPlan, PlacementKind
-from repro.runtime.deployment import GalliumMiddlebox, PacketJourney
+from repro.partition.plan import PartitionPlan
+from repro.runtime.deployment import GalliumMiddlebox, Role
 from repro.runtime.server import ServerRuntime
 from repro.sim.clock import MIGRATION_BASE_US, MIGRATION_ENTRY_US
 from repro.switchsim.selector import DEFAULT_SELECTOR_SLOTS, FlowSelector
@@ -111,21 +110,51 @@ class PoolMember:
     stalled_packets: int = 0
 
 
-class ServerPool:
-    """Members + selector + ownership ledger + server-only checkpoint."""
+def build_selector(
+    member_names: Sequence[str],
+    deployment_seed: int,
+    slots: int = DEFAULT_SELECTOR_SLOTS,
+) -> FlowSelector:
+    """The member table is a pure function of (names, seed, slots);
+    the fault oracle rebuilds it independently to check blast radius."""
+    return FlowSelector(
+        member_names, seed=deployment_seed ^ _SELECTOR_SALT, slots=slots
+    )
+
+
+class ServerPool(Role):
+    """Punt target: members + selector + ownership ledger + checkpoint of
+    the state a crash migration cannot read back from the switch."""
 
     def __init__(
         self,
-        plan: PartitionPlan,
-        state: StateStore,
-        selector: FlowSelector,
-        members: Dict[str, PoolMember],
+        servers: int = 2,
+        member_names: Optional[Sequence[str]] = None,
+        selector_slots: int = DEFAULT_SELECTOR_SLOTS,
     ):
-        self.plan = plan
-        self.state = state
-        self.selector = selector
-        self.members = members
+        # Validate the pool shape before any deployment machinery spins up
+        # — a bad --servers value must fail here, loudly, not deep inside
+        # install().
+        if member_names is not None:
+            self._names = validate_member_names(member_names)
+        else:
+            self._names = default_member_names(servers)
+        self._selector_slots = selector_slots
+
+    def bind(self, box: GalliumMiddlebox) -> None:
+        self.box = box
+        self.plan = box.plan
+        self.selector = build_selector(
+            self._names, box.seed, slots=self._selector_slots
+        )
+        self.members: Dict[str, PoolMember] = {
+            name: PoolMember(name=name, runtime=box.build_server_runtime())
+            for name in self._names
+        }
         self.retired: Dict[str, PoolMember] = {}
+        # `box.server` always points at a live member (route() re-points
+        # it per punt).
+        box.server = self.members[self.selector.members[0]].runtime
         #: map name -> key -> owning slot (last committed writer)
         self.map_owner: Dict[str, Dict[tuple, int]] = {}
         #: scalar/vector name -> owning slot (member-granular state)
@@ -137,27 +166,56 @@ class ServerPool:
         self._chk_maps: Dict[str, dict] = {}
         self._chk_vectors: Dict[str, list] = {}
         self._chk_scalars: Dict[str, int] = {}
+        metrics = box.telemetry.metrics
+        self._c_migrations = metrics.counter("pool.migrations")
+        self._c_migrated_entries = metrics.counter("pool.migrated_entries")
+        self._c_member_crashes = metrics.counter("pool.member_crashes")
+        self._c_member_drains = metrics.counter("pool.member_drains")
+        self._c_member_joins = metrics.counter("pool.member_joins")
+        self._h_migration_us = metrics.histogram(
+            "pool.migration_us", LATENCY_BOUNDS_US
+        )
+        self._windows_started: set = set()
+        self._windows_done: set = set()
 
     # -- routing -------------------------------------------------------------
 
-    def route(self, packet: RawPacket) -> Tuple[PoolMember, int]:
+    def _owner(self, packet: RawPacket) -> Tuple[PoolMember, int]:
         """(owning member, slot) for one punted packet."""
         slot = self.selector.slot_for_packet(packet)
         return self.members[self.selector.member_table()[slot]], slot
 
+    def route(self, packet: RawPacket):
+        member, slot = self._owner(packet)
+        self.box.server = member.runtime
+        return member.runtime, (member, slot)
+
+    def down(self, frame: RawPacket, index: int) -> Optional[str]:
+        """A member outage stalls only the flows that member owns."""
+        injector = self.box.injector
+        if injector.server_down(index):
+            return "queue_overflow"
+        member, slot = self._owner(frame)
+        if injector.pool_member_down(member.name, index):
+            self.affected[index] = (member.name, slot)
+            member.stalled_packets += 1
+            return "pool_member_down"
+        return None
+
     # -- ownership + checkpoint ----------------------------------------------
 
-    def commit_serve(self, member: PoolMember, slot: int) -> None:
-        """Pin the punt's committed writes to ``slot`` and refresh the
-        server-only checkpoint for the members it touched.
+    def committed(self, runtime: ServerRuntime, ticket) -> None:
+        """Pin the punt's committed writes to its slot and refresh the
+        checkpoint for the switch-unbacked members it touched.
 
         Called only after the update batch landed — a rolled-back punt
         never reaches this, so ledger and checkpoint always describe the
         last *committed* state (mirroring the switch's replicated copy).
         """
+        member, slot = ticket
         member.punts_served += 1
-        touched_server_only = set()
-        for op, name, keys, _value in member.runtime.last_journal:
+        touched_unbacked = set()
+        for op, name, keys, _value in runtime.last_journal:
             placement = self.plan.placements.get(name)
             if placement is None:
                 continue
@@ -169,29 +227,43 @@ class ServerPool:
                     owners[tuple(keys)] = slot
             else:
                 self.state_owner[name] = slot
-            if not placement.on_switch:
-                touched_server_only.add(name)
-        for name in touched_server_only:
+            if not self._switch_backed(name):
+                touched_unbacked.add(name)
+        for name in touched_unbacked:
             self._checkpoint_one(name)
 
-    def snapshot_checkpoint(self) -> None:
-        """Full server-only checkpoint (install time / after a resync)."""
+    def _switch_backed(self, name: str) -> bool:
+        """Whether the switch holds a *complete* copy of ``name`` a crash
+        migration can rebuild from: on the switch, and not a table the
+        state policy keeps only a bounded subset of."""
+        return (
+            self.plan.placements[name].on_switch
+            and name not in self.box.state_policy.bounded_tables
+        )
+
+    def rebase(self) -> None:
+        """Re-point every member at the deployment's (re)built store and
+        re-baseline the checkpoint (install time / after a crash
+        resync)."""
+        state = self.box.state
+        for member in (*self.members.values(), *self.retired.values()):
+            member.runtime.state = state
         self._chk_maps.clear()
         self._chk_vectors.clear()
         self._chk_scalars.clear()
-        for name, placement in self.plan.placements.items():
-            if placement.on_switch:
-                continue
-            self._checkpoint_one(name)
+        for name in self.plan.placements:
+            if not self._switch_backed(name):
+                self._checkpoint_one(name)
 
     def _checkpoint_one(self, name: str) -> None:
+        state = self.box.state
         kind = self.plan.placements[name].member.kind
         if kind == "map":
-            self._chk_maps[name] = dict(self.state.maps[name])
+            self._chk_maps[name] = dict(state.maps[name])
         elif kind == "vector":
-            self._chk_vectors[name] = list(self.state.vectors[name])
+            self._chk_vectors[name] = list(state.vectors[name])
         else:
-            self._chk_scalars[name] = self.state.scalars[name]
+            self._chk_scalars[name] = state.scalars[name]
 
     # -- migration -----------------------------------------------------------
 
@@ -207,14 +279,15 @@ class ServerPool:
                 )
             elif self.state_owner.get(name) in slots:
                 entries += (
-                    len(self.state.vectors[name]) if kind == "vector" else 1
+                    len(self.box.state.vectors[name])
+                    if kind == "vector" else 1
                 )
         return entries
 
-    def restore_owned(self, slots: FrozenSet[int], switch) -> int:
+    def restore_owned(self, slots: FrozenSet[int]) -> int:
         """Crash migration: rebuild every entry ``slots`` own from the
-        authoritative sources (switch replicated copy / server-only
-        checkpoint); returns the entry count.
+        authoritative sources (switch replicated copy / checkpoint);
+        returns the entry count.
 
         At a packet boundary both sources equal the live value — the
         write-back protocol commits before release, and the checkpoint
@@ -224,19 +297,21 @@ class ServerPool:
         tracking) surfaces as an oracle violation instead of hiding
         behind shared memory.
         """
+        state, switch = self.box.state, self.box.switch
         entries = 0
         for name, placement in self.plan.placements.items():
             kind = placement.member.kind
+            backed = self._switch_backed(name)
             if kind == "map":
                 owners = self.map_owner.get(name, {})
                 keys = [k for k, slot in owners.items() if slot in slots]
                 if not keys:
                     continue
-                if placement.on_switch:
+                if backed:
                     source = switch.tables[name].snapshot()
                 else:
                     source = self._chk_maps.get(name, {})
-                table = self.state.maps[name]
+                table = state.maps[name]
                 for key in keys:
                     entries += 1
                     if key in source:
@@ -246,9 +321,9 @@ class ServerPool:
             elif kind == "vector":
                 if self.state_owner.get(name) not in slots:
                     continue
-                vector = self.state.vectors[name]
+                vector = state.vectors[name]
                 entries += len(vector)
-                if placement.on_switch:
+                if backed:
                     snapshot = switch.tables[name].snapshot()
                     length = 1 + max(
                         (key[0] for key in snapshot), default=-1
@@ -258,36 +333,147 @@ class ServerPool:
                     for (position,), value in snapshot.items():
                         vector[position] = value
                 else:
-                    self.state.vectors[name] = list(
+                    state.vectors[name] = list(
                         self._chk_vectors.get(name, vector)
                     )
             else:  # scalar
                 if self.state_owner.get(name) not in slots:
                     continue
                 entries += 1
-                if placement.kind in (
-                    PlacementKind.SWITCH_REGISTER,
-                    PlacementKind.REPLICATED_REGISTER,
-                ):
-                    self.state.scalars[name] = switch.registers[name].value
+                if backed:
+                    state.scalars[name] = switch.registers[name].value
                 else:
-                    self.state.scalars[name] = self._chk_scalars.get(
-                        name, self.state.scalars[name]
+                    state.scalars[name] = self._chk_scalars.get(
+                        name, state.scalars[name]
                     )
         return entries
 
-    def remove_member(self, name: str) -> PoolMember:
-        """Retire ``name``: selector re-homes only its slots."""
-        self.selector.remove_member(name)
-        member = self.members.pop(name)
-        self.retired[name] = member
-        return member
+    # -- membership-change windows -------------------------------------------
 
-    def add_member(self, name: str, runtime: ServerRuntime) -> PoolMember:
+    def advance_windows(self, index: int) -> None:
+        box = self.box
+        injector = box.injector
+        for spec in (
+            spec
+            for kind in _POOL_FAULT_KINDS
+            for spec in injector.plan.by_kind(kind)
+        ):
+            if index < spec.at_packet or spec in self._windows_done:
+                continue
+            if spec not in self._windows_started:
+                self._windows_started.add(spec)
+                if spec.member not in self.members:
+                    raise ValueError(
+                        f"pool fault {spec.kind!r} references unknown"
+                        f" member {spec.member!r}"
+                        f" (live: {sorted(self.members)})"
+                    )
+                box.fault_log.append(("pool_down", spec.kind, spec.member))
+                injector.note(f"{spec.kind}[{spec.member}]")
+                if spec.kind == "pool_member_crash":
+                    self._c_member_crashes.inc()
+                else:
+                    self._c_member_drains.inc()
+                if box._tracer is not None:
+                    box._tracer.record(
+                        "pool_member_down", component="deployment",
+                        member=spec.member, fault=spec.kind,
+                    )
+            if injector.pool_member_down(spec.member, index):
+                continue  # migration window still open
+            self._windows_done.add(spec)
+            entries = self._migrate(
+                spec.member, crash=spec.kind == "pool_member_crash"
+            )
+            box.fault_log.append(("pool_migrate", spec.member, entries))
+            box.drain_punt_queue()
+
+    def _price_migration(self, entries: int) -> None:
+        cost_us = MIGRATION_BASE_US + entries * MIGRATION_ENTRY_US
+        self.box.telemetry.clock.advance(cost_us)
+        self._c_migrations.inc()
+        self._c_migrated_entries.inc(entries)
+        self._h_migration_us.observe(cost_us)
+
+    def _migrate(self, member_name: str, crash: bool) -> int:
+        """Re-home ``member_name``'s slots and migrate the state they own;
+        returns the migrated entry count (the priced transfer size)."""
+        if member_name not in self.members:
+            return 0
+        if len(self.selector.members) == 1:
+            # Defensive: generated plans always leave a survivor, but a
+            # hand-written plan may not — keep the last member serving
+            # rather than migrating into nothing.
+            return 0
+        slots = frozenset(self.selector.slots_owned(member_name))
+        if crash:
+            entries = self.restore_owned(slots)
+        else:
+            entries = self.count_owned(slots)
+        # Retire the member: the selector re-homes only its slots.
+        self.selector.remove_member(member_name)
+        self.retired[member_name] = self.members.pop(member_name)
+        self._price_migration(entries)
+        if self.box._tracer is not None:
+            self.box._tracer.record(
+                "pool_migrate", component="deployment",
+                member=member_name, entries=entries,
+            )
+        return entries
+
+    # -- programmatic membership (no fault plan needed) -----------------------
+
+    def drain_member(self, name: str) -> int:
+        """Gracefully retire a live member now; returns migrated entries."""
+        if name not in self.members:
+            raise ValueError(
+                f"cannot drain unknown member {name!r}"
+                f" (live: {sorted(self.members)})"
+            )
+        if len(self.members) == 1:
+            raise ValueError("cannot drain the last pool member")
+        self._c_member_drains.inc()
+        entries = self._migrate(name, crash=False)
+        if self.box.faults_armed:
+            self.box.fault_log.append(("pool_migrate", name, entries))
+        return entries
+
+    def join_member(self, name: str) -> int:
+        """Add a member; flows on its re-homed slots migrate *to* it."""
+        if name in self.members or name in self.retired:
+            raise ValueError(f"pool member {name!r} already registered")
+        validate_member_names([name])
         self.selector.add_member(name)
-        member = PoolMember(name=name, runtime=runtime)
-        self.members[name] = member
-        return member
+        self.members[name] = PoolMember(
+            name=name, runtime=self.box.build_server_runtime()
+        )
+        gained = frozenset(self.selector.slots_owned(name))
+        entries = self.count_owned(gained)
+        self._c_member_joins.inc()
+        self._price_migration(entries)
+        if self.box.faults_armed:
+            self.box.fault_log.append(("pool_migrate", name, entries))
+        return entries
+
+    # -- stats ---------------------------------------------------------------
+
+    def stats(self) -> dict:
+        """Deterministic pool snapshot for CLI / telemetry payloads."""
+        selector = self.selector
+        return {
+            "members": {
+                name: {
+                    "punts_served": member.punts_served,
+                    "stalled_packets": member.stalled_packets,
+                    "slots": len(selector.slots_owned(name)),
+                }
+                for name, member in sorted(self.members.items())
+            },
+            "retired": sorted(self.retired),
+            "selector_slots": selector.slots,
+            "migrations": self._c_migrations.value,
+            "migrated_entries": self._c_migrated_entries.value,
+        }
 
 
 class PooledDeployment(GalliumMiddlebox):
@@ -302,250 +488,8 @@ class PooledDeployment(GalliumMiddlebox):
         selector_slots: int = DEFAULT_SELECTOR_SLOTS,
         **kwargs,
     ):
-        # Validate the pool shape before any deployment machinery spins up
-        # — a bad --servers value must fail here, loudly, not deep inside
-        # install().
-        if member_names is not None:
-            names = validate_member_names(member_names)
-        else:
-            names = default_member_names(servers)
-        super().__init__(plan, program, **kwargs)
-        selector = self.build_selector(
-            names, self.seed, slots=selector_slots
+        super().__init__(
+            plan, program,
+            punt_target=ServerPool(servers, member_names, selector_slots),
+            **kwargs,
         )
-        members = {
-            name: PoolMember(name=name, runtime=self._build_member_runtime())
-            for name in names
-        }
-        self.pool = ServerPool(plan, self.state, selector, members)
-        # The base class built one ServerRuntime; keep `self.server`
-        # pointing at a live member (complete_punt rebinds it per punt).
-        self.server = members[selector.members[0]].runtime
-        metrics = self.telemetry.metrics
-        self._c_migrations = metrics.counter("pool.migrations")
-        self._c_migrated_entries = metrics.counter("pool.migrated_entries")
-        self._c_member_crashes = metrics.counter("pool.member_crashes")
-        self._c_member_drains = metrics.counter("pool.member_drains")
-        self._c_member_joins = metrics.counter("pool.member_joins")
-        self._h_migration_us = metrics.histogram(
-            "pool.migration_us", LATENCY_BOUNDS_US
-        )
-        self._down_member: Optional[str] = None
-        self._pool_started: set = set()
-        self._pool_done: set = set()
-
-    @classmethod
-    def build_selector(
-        cls,
-        member_names: Sequence[str],
-        deployment_seed: int,
-        slots: int = DEFAULT_SELECTOR_SLOTS,
-    ) -> FlowSelector:
-        """The member table is a pure function of (names, seed, slots);
-        the fault oracle rebuilds it independently to check blast radius."""
-        return FlowSelector(
-            member_names, seed=deployment_seed ^ _SELECTOR_SALT, slots=slots
-        )
-
-    def _build_member_runtime(self) -> ServerRuntime:
-        return ServerRuntime(
-            self.plan,
-            self.state,
-            self.program.shim_to_server,
-            self.program.shim_to_switch,
-            self.externs,
-            telemetry=self.telemetry,
-            fast_path=self.fast_path,
-        )
-
-    # -- deployment ----------------------------------------------------------
-
-    def install(self) -> None:
-        super().install()
-        self.pool.snapshot_checkpoint()
-
-    def crash_resync(self) -> None:
-        super().crash_resync()
-        # The base resync swapped in a fresh StateStore: re-point every
-        # member at it and re-baseline the server-only checkpoint.
-        self.pool.state = self.state
-        for member in self.pool.members.values():
-            member.runtime.state = self.state
-        for member in self.pool.retired.values():
-            member.runtime.state = self.state
-        self.pool.snapshot_checkpoint()
-
-    # -- punt path -----------------------------------------------------------
-
-    def complete_punt(self, punted_packet: RawPacket):
-        member, slot = self.pool.route(punted_packet)
-        self.server = member.runtime
-        completion = super().complete_punt(punted_packet)
-        # Only reached when the update batch committed (UpdateBatchError
-        # propagates past this point): pin the writes to the slot.
-        self.pool.commit_serve(member, slot)
-        return completion
-
-    def _punt_destination_down(self, punted: RawPacket, index: int) -> bool:
-        self._down_member = None
-        if super()._punt_destination_down(punted, index):
-            return True
-        if not self.faults_armed:
-            return False
-        member, slot = self.pool.route(punted)
-        if self.injector.pool_member_down(member.name, index):
-            self._down_member = member.name
-            self.pool.affected[index] = (member.name, slot)
-            member.stalled_packets += 1
-            return True
-        return False
-
-    def _enqueue_punt(
-        self,
-        index: int,
-        punted: RawPacket,
-        pristine: RawPacket,
-        ingress_port: int,
-        pre_instructions: int,
-    ) -> PacketJourney:
-        if (
-            self._down_member is not None
-            and len(self._punt_queue) >= self.policy.punt_queue_depth
-        ):
-            self.fault_log.append(("drop_punt", index))
-            return self._degrade(
-                pristine, ingress_port, index, "pool_member_down",
-                pre_instructions=pre_instructions, punted=True,
-            )
-        return super()._enqueue_punt(
-            index, punted, pristine, ingress_port, pre_instructions
-        )
-
-    # -- membership-change windows -------------------------------------------
-
-    def _advance_windows(self, index: int) -> None:
-        super()._advance_windows(index)
-        if not self.faults_armed:
-            return
-        for spec in self._pool_specs():
-            if index < spec.at_packet or spec in self._pool_done:
-                continue
-            if spec not in self._pool_started:
-                self._pool_started.add(spec)
-                if spec.member not in self.pool.members:
-                    raise ValueError(
-                        f"pool fault {spec.kind!r} references unknown"
-                        f" member {spec.member!r}"
-                        f" (live: {sorted(self.pool.members)})"
-                    )
-                self.fault_log.append(("pool_down", spec.kind, spec.member))
-                self.injector.note(f"{spec.kind}[{spec.member}]")
-                if spec.kind == "pool_member_crash":
-                    self._c_member_crashes.inc()
-                else:
-                    self._c_member_drains.inc()
-                if self._tracer is not None:
-                    self._tracer.record(
-                        "pool_member_down", component="deployment",
-                        member=spec.member, fault=spec.kind,
-                    )
-            if self.injector.pool_member_down(spec.member, index):
-                continue  # migration window still open
-            self._pool_done.add(spec)
-            entries = self._pool_migrate(
-                spec.member, crash=spec.kind == "pool_member_crash"
-            )
-            self.fault_log.append(("pool_migrate", spec.member, entries))
-            self._drain_punt_queue()
-
-    def _pool_specs(self) -> tuple:
-        plan = self.injector.plan
-        return tuple(
-            spec
-            for kind in _POOL_FAULT_KINDS
-            for spec in plan.by_kind(kind)
-        )
-
-    def _pool_migrate(self, member_name: str, crash: bool) -> int:
-        """Re-home ``member_name``'s slots and migrate the state they own;
-        returns the migrated entry count (the priced transfer size)."""
-        pool = self.pool
-        if member_name not in pool.members:
-            return 0
-        if len(pool.selector.members) == 1:
-            # Defensive: generated plans always leave a survivor, but a
-            # hand-written plan may not — keep the last member serving
-            # rather than migrating into nothing.
-            return 0
-        slots = frozenset(pool.selector.slots_owned(member_name))
-        if crash:
-            entries = pool.restore_owned(slots, self.switch)
-        else:
-            entries = pool.count_owned(slots)
-        pool.remove_member(member_name)
-        cost_us = MIGRATION_BASE_US + entries * MIGRATION_ENTRY_US
-        self.telemetry.clock.advance(cost_us)
-        self._c_migrations.inc()
-        self._c_migrated_entries.inc(entries)
-        self._h_migration_us.observe(cost_us)
-        if self._tracer is not None:
-            self._tracer.record(
-                "pool_migrate", component="deployment",
-                member=member_name, entries=entries,
-            )
-        return entries
-
-    # -- programmatic membership (no fault plan needed) -----------------------
-
-    def drain_member(self, name: str) -> int:
-        """Gracefully retire a live member now; returns migrated entries."""
-        if name not in self.pool.members:
-            raise ValueError(
-                f"cannot drain unknown member {name!r}"
-                f" (live: {sorted(self.pool.members)})"
-            )
-        if len(self.pool.members) == 1:
-            raise ValueError("cannot drain the last pool member")
-        self._c_member_drains.inc()
-        entries = self._pool_migrate(name, crash=False)
-        if self.faults_armed:
-            self.fault_log.append(("pool_migrate", name, entries))
-        return entries
-
-    def join_member(self, name: str) -> int:
-        """Add a member; flows on its re-homed slots migrate *to* it."""
-        if name in self.pool.members or name in self.pool.retired:
-            raise ValueError(f"pool member {name!r} already registered")
-        validate_member_names([name])
-        member = self.pool.add_member(name, self._build_member_runtime())
-        gained = frozenset(self.pool.selector.slots_owned(name))
-        entries = self.pool.count_owned(gained)
-        cost_us = MIGRATION_BASE_US + entries * MIGRATION_ENTRY_US
-        self.telemetry.clock.advance(cost_us)
-        self._c_member_joins.inc()
-        self._c_migrations.inc()
-        self._c_migrated_entries.inc(entries)
-        self._h_migration_us.observe(cost_us)
-        if self.faults_armed:
-            self.fault_log.append(("pool_migrate", member.name, entries))
-        return entries
-
-    # -- stats ---------------------------------------------------------------
-
-    def pool_stats(self) -> dict:
-        """Deterministic pool snapshot for CLI / telemetry payloads."""
-        selector = self.pool.selector
-        return {
-            "members": {
-                name: {
-                    "punts_served": member.punts_served,
-                    "stalled_packets": member.stalled_packets,
-                    "slots": len(selector.slots_owned(name)),
-                }
-                for name, member in sorted(self.pool.members.items())
-            },
-            "retired": sorted(self.pool.retired),
-            "selector_slots": selector.slots,
-            "migrations": self._c_migrations.value,
-            "migrated_entries": self._c_migrated_entries.value,
-        }

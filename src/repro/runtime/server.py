@@ -1,12 +1,17 @@
-"""The middlebox server's runtime for the non-offloaded partition.
+"""The middlebox server's runtime.
 
-Receives punted packets (with their to-server shim), seeds the interpreter
-environment from the shim, executes the non-offloaded CFG against the
-server's authoritative state, and produces:
+:meth:`ServerRuntime.handle` receives punted packets (with their
+to-server shim), seeds the interpreter environment from the shim,
+executes the non-offloaded CFG against the server's authoritative state,
+and produces:
 
 * the packet's return shim (verdict + post-partition inputs),
 * the batch of state updates that must be replicated to the switch before
   the packet may be released (output commit).
+
+:meth:`ServerRuntime.run_complete` runs the *complete* middlebox program
+on a packet as received — what a server-only fallback window and a
+bounded-cache punt both need.
 """
 
 from __future__ import annotations
@@ -62,10 +67,14 @@ class ServerRuntime:
         self.externs = externs or ExternHost()
         self.fast_path = fast_path
         self._engine = None
+        self._complete_engine = None
         if fast_path:
             from repro.runtime.compiled import CompiledServerExecutor
 
             self._engine = CompiledServerExecutor(plan.non_offloaded)
+            self._complete_engine = CompiledServerExecutor(
+                plan.middlebox.process
+            )
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._replicated = {
             name
@@ -74,7 +83,7 @@ class ServerRuntime:
         }
         self.packets_handled = 0
         self.instructions_total = 0
-        #: full write journal of the most recent :meth:`handle` call
+        #: full write journal of the most recent punt this runtime served
         #: (including server-only members the update batch omits) — the
         #: server pool reads it to pin written state to the serving slot.
         self.last_journal: list = []
@@ -150,6 +159,38 @@ class ServerRuntime:
             verdict=result.verdict,
             egress_port=result.egress_port,
             updates=updates,
+            instructions=result.instructions_executed,
+        )
+
+    def run_complete(self, packet: RawPacket) -> ServerResult:
+        """Run the complete middlebox program on ``packet`` as received.
+
+        No shim on either leg: the caller emits the verdict from the
+        server (or discards the updates — a fallback window ends in a
+        bulk resync).  Not a shim punt, so it books neither
+        ``server.punts_handled`` nor ``server.instructions_per_punt``.
+        """
+        from repro.sim.clock import SERVER_INSTR_US
+
+        self.state.drain_journal()  # discard any stale entries
+        view = PacketView(packet)
+        if self._complete_engine is not None:
+            result = self._complete_engine.run(
+                self.state, self.externs, packet=view
+            )
+        else:
+            result = Interpreter(
+                self.plan.middlebox.process, self.state, self.externs
+            ).run(view)
+        self.telemetry.clock.advance(
+            result.instructions_executed * SERVER_INSTR_US
+        )
+        self.last_journal = self.state.drain_journal()
+        return ServerResult(
+            packet=packet,
+            verdict=result.verdict,
+            egress_port=result.egress_port,
+            updates=self._updates_from_journal(self.last_journal),
             instructions=result.instructions_executed,
         )
 

@@ -205,6 +205,24 @@ class SwitchModel:
             pipeline_instructions=result.instructions,
         )
 
+    def rebook_as_punt(self, answered: SwitchOutput) -> SwitchOutput:
+        """Turn a packet the pre pipeline just answered into a punt.
+
+        For a bounded-cache deployment whose traversal missed a partial
+        table: the verdict is void, the server decides.  The packet moves
+        from the fast-path (and dropped) counters to the punted one.
+        """
+        self._c_fast.inc(-1)
+        if answered.dropped:
+            self._c_dropped.inc(-1)
+        self._c_punted.inc()
+        if self.adapter.tracer is not None:
+            self.adapter.tracer.record("punt", reason="partial_table")
+        return SwitchOutput(
+            punted=True,
+            pipeline_instructions=answered.pipeline_instructions,
+        )
+
     def _receive_from_server(self, packet: RawPacket) -> SwitchOutput:
         tracer = self.adapter.tracer
         shim_bytes = packet.metadata.pop(SHIM_KEY, b"")

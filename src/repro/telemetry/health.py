@@ -281,7 +281,7 @@ def measure_detection_latency(name: str = "mazunat", packets: int = 40,
     deployment.recover()
     deployment.drain_deferred()
     metrics = deployment.telemetry.metrics
-    monitor = deployment.health
+    monitor = deployment.redundancy.health
     return {
         "middlebox": name,
         "crash_at_packet": crash_at,

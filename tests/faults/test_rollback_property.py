@@ -48,37 +48,31 @@ def _switch_image(switch):
     return tables, registers
 
 
-class _RollbackAudit:
-    """Mixin: image the switch around every batch; on abort, demand
-    byte-identity with the pre-batch image before re-raising."""
+def _audit_rollbacks(box):
+    """Image the switch around every batch the redundancy role commits;
+    on abort, demand byte-identity with the pre-batch image before
+    re-raising.  (Shadows the role's ``apply_batch`` on the instance —
+    the packet loop looks it up per call.)"""
+    box.rollbacks_verified = 0
+    box.commits_seen = 0
+    apply_batch = box.redundancy.apply_batch
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.rollbacks_verified = 0
-        self.commits_seen = 0
-
-    def _apply_update_batch(self, updates):
-        pre = _switch_image(self.switch)
+    def audited(updates):
+        pre = _switch_image(box.switch)
         try:
-            result = super()._apply_update_batch(updates)
+            result = apply_batch(updates)
         except UpdateBatchError:
-            post = _switch_image(self.switch)
+            post = _switch_image(box.switch)
             assert post == pre, (
                 "aborted batch left residue on the switch:\n"
                 f"  pre : {pre}\n  post: {post}"
             )
-            self.rollbacks_verified += 1
+            box.rollbacks_verified += 1
             raise
-        self.commits_seen += 1
+        box.commits_seen += 1
         return result
 
-
-class _AuditedPlain(_RollbackAudit, GalliumMiddlebox):
-    pass
-
-
-class _AuditedCached(_RollbackAudit, CachedGalliumMiddlebox):
-    pass
+    box.redundancy.apply_batch = audited
 
 
 def _run(entry, fault_plan, cached):
@@ -88,7 +82,7 @@ def _run(entry, fault_plan, cached):
         seed=entry.injector_seed,
         max_attempts=entry.policy.retry.max_attempts,
     )
-    cls = _AuditedCached if cached else _AuditedPlain
+    cls = CachedGalliumMiddlebox if cached else GalliumMiddlebox
     try:
         box = cls(
             plan, program, port_pairs=dict(DEFAULT_PORT_PAIRS),
@@ -97,6 +91,7 @@ def _run(entry, fault_plan, cached):
         )
     except CacheConfigurationError as exc:
         pytest.skip(f"{entry.name}: not cacheable ({exc})")
+    _audit_rollbacks(box)
     box.install()
     for packet, ingress in entry.stream.build():
         box.process_packet(packet.copy(), ingress)

@@ -41,7 +41,7 @@ class TestCacheBasics:
             middlebox.process_packet(
                 make_tcp_packet(f"10.9.0.{client + 1}", "10.0.0.100", 5, 80), 1
             )
-        occupancy = middlebox.switch_cache_occupancy()["map"]
+        occupancy = middlebox.state_policy.occupancy()["map"]
         assert occupancy <= 4
         assert middlebox.stats.evictions > 0
         # The authoritative server map still holds everything.
@@ -112,6 +112,64 @@ class TestCacheEquivalence:
             if base.verdict == "send":
                 assert str(clone.ip.daddr) == str(packet.ip.daddr)
         assert middlebox.state.maps["conn_map"] == baseline.state.maps["conn_map"]
+
+
+    @pytest.mark.parametrize("cache_entries", [2, 128])
+    def test_miss_the_pre_pipeline_answers_itself_still_punts(
+        self, cache_entries
+    ):
+        """Trojan's pre pipeline *drops* a data packet whose flow lookup
+        misses.  Under a bounded table a miss may only mean "evicted", so
+        the packet must punt (paper §7) — regression: evicted flows' data
+        packets came back ``verdict=drop, punted=False``."""
+        from tests.runtime.golden_pins import churn_stream
+
+        middlebox = build_cached("trojan", cache_entries=cache_entries)
+        baseline = build_baseline("trojan")
+        answered_by_switch = 0
+        for packet, port in churn_stream("trojan"):
+            clone = packet.copy()
+            base = baseline.process_packet(clone, port)
+            journey = middlebox.process_packet(packet.copy(), port)
+            assert journey.verdict == base.verdict
+            if base.verdict == "send":
+                egress, frame = journey.emitted[0]
+                assert egress == (base.egress_port or 2)
+                assert frame.pack() == clone.pack()
+            answered_by_switch += journey.fast_path
+        assert middlebox.state.snapshot() == baseline.state.snapshot()
+        counters = middlebox.switch.counters()
+        assert counters["fast_path"] == answered_by_switch
+        assert counters["punted"] == middlebox.stats.misses
+        # 24 flows in flight: only the 2-entry cache is under pressure.
+        assert (middlebox.stats.evictions > 0) == (cache_entries == 2)
+
+    def test_answered_miss_is_booked_as_a_punt(self):
+        """Four flows SYN then data through a 2-entry cache: the two
+        evicted flows' data packets count under ``switch.punted_packets``
+        and ``cache.misses``, not under fast path or dropped."""
+        middlebox = build_cached("trojan", cache_entries=2)
+        flows = [(f"192.168.1.{i}", 10000 + i) for i in range(1, 5)]
+        from repro.net.headers import TcpFlags
+
+        for saddr, sport in flows:
+            middlebox.process_packet(make_tcp_packet(
+                saddr, "8.8.4.4", sport, 5001, flags=TcpFlags.SYN), 1)
+        before = middlebox.switch.counters()
+        journeys = [
+            middlebox.process_packet(make_tcp_packet(
+                saddr, "8.8.4.4", sport, 5001, flags=TcpFlags.ACK,
+                payload=b"x" * 32), 1)
+            for saddr, sport in flows
+        ]
+        assert [j.verdict for j in journeys] == ["send"] * 4
+        assert all(j.punted for j in journeys[:2])
+        after = middlebox.switch.counters()
+        assert after["dropped"] == before["dropped"]
+        assert (
+            after["punted"] - before["punted"]
+            == sum(j.punted for j in journeys)
+        )
 
 
 class TestCacheRestrictions:

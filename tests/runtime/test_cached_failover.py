@@ -1,12 +1,11 @@
 """Tests for the cache + failover composition.
 
-The composed deployment keeps bounded FIFO caches on *both* halves of an
-active-standby pair.  The load-bearing claims pinned here:
+The bounded-cache state policy and the active-standby redundancy role
+on one deployment: a bounded FIFO cache on the active switch, a full
+copy on the standby.  The load-bearing claims pinned here:
 
-* the per-packet register checkpoint still runs (the cached
-  ``process_packet`` does not call ``super()``, so the composition must
-  re-state it explicitly — a silent regression here loses
-  switch-authoritative registers across a primary crash);
+* the per-packet register checkpoint still runs (a silent regression
+  here loses switch-authoritative registers across a primary crash);
 * promotion rebuilds the bounded cache view and the FIFO eviction order
   on the promoted switch from the server's authoritative copy, and
   eviction keeps working afterwards;
@@ -19,12 +18,10 @@ from repro.faults.injector import FaultInjector
 from repro.faults.oracle import run_fault_oracle
 from repro.faults.plan import FaultPlan, PrimarySwitchCrash
 from repro.net.addresses import ip
-from repro.runtime.cached_failover import (
-    CachedFailoverDeployment,
-    build_cached_failover,
-)
+from repro.runtime.cache import BoundedCache
 from repro.runtime.degradation import DegradationPolicy
-from repro.runtime.deployment import compile_middlebox
+from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
+from repro.runtime.failover import ActiveStandby
 from repro.workloads.packets import make_tcp_packet
 from tests.conftest import get_bundle
 from tests.faults.test_cached_faults import MAP_SOURCE
@@ -40,10 +37,10 @@ def build(cache_entries=2, plan=None, injector_seed=0, detection="phi"):
             plan, seed=injector_seed,
             max_attempts=policy.retry.max_attempts,
         )
-    box = CachedFailoverDeployment(
-        partition_plan, program, cache_entries=cache_entries,
+    box = GalliumMiddlebox(
+        partition_plan, program, state_policy=BoundedCache(cache_entries),
+        redundancy=ActiveStandby(detection),
         config=bundle.config, policy=policy, injector=injector,
-        detection=detection,
     )
     box.install()
     box.state.vectors["backends"] = [
@@ -68,19 +65,20 @@ class TestComposition:
     def test_install_bounds_active_and_replicates_standby_in_full(self):
         box = build(cache_entries=2)
         drive(box, 10)
-        assert box.switch_cache_occupancy()["map"] <= 2
+        assert box.state_policy.occupancy()["map"] <= 2
         assert box.stats.evictions > 0
         # Evictions are switch-local maintenance: the standby keeps the
         # full replicated copy, ready to be bounded at promotion.
         authoritative = len(box.state.maps["map"])
         assert authoritative > 2
-        assert box.standby.tables["map"].entry_count == authoritative
+        assert box.redundancy.standby.tables["map"].entry_count == authoritative
 
     def test_register_checkpoint_runs_per_packet(self, monkeypatch):
         box = build(cache_entries=4)
         calls = []
         monkeypatch.setattr(
-            box, "_checkpoint_registers", lambda: calls.append(1)
+            box.redundancy, "checkpoint_registers",
+            lambda: calls.append(1),
         )
         drive(box, 3)
         assert len(calls) >= 3
@@ -89,15 +87,15 @@ class TestComposition:
         crash = FaultPlan((PrimarySwitchCrash(at_packet=4, promotion_window=2),))
         box = build(cache_entries=2, plan=crash)
         drive(box, 14)  # φ detection extends the window past the nominal 2
-        assert box.promoted
-        assert box.standby is None
+        assert box.redundancy.promoted
+        assert box.redundancy.standby is None
         # The promoted switch carries a well-formed bounded cache: within
         # bound, FIFO tracking exactly the installed entries, every entry
         # backed by the authoritative map.
-        occupancy = box.switch_cache_occupancy()["map"]
+        occupancy = box.state_policy.occupancy()["map"]
         assert occupancy <= 2
         installed = box.switch.tables["map"].snapshot()
-        assert set(box._fifo["map"]) == set(installed)
+        assert set(box.state_policy._fifo["map"]) == set(installed)
         for keys, value in installed.items():
             assert box.state.maps["map"][keys] == value
 
@@ -105,17 +103,17 @@ class TestComposition:
         crash = FaultPlan((PrimarySwitchCrash(at_packet=3, promotion_window=1),))
         box = build(cache_entries=2, plan=crash)
         drive(box, 12)  # φ detection extends the window past the nominal 1
-        assert box.promoted
+        assert box.redundancy.promoted
         evictions_at_promotion = box.stats.evictions
         drive(box, 8, start=12)
-        assert box.switch_cache_occupancy()["map"] <= 2
+        assert box.state_policy.occupancy()["map"] <= 2
         assert box.stats.evictions > evictions_at_promotion
 
     def test_hot_flow_hits_cache_after_promotion(self):
         crash = FaultPlan((PrimarySwitchCrash(at_packet=3, promotion_window=1),))
         box = build(cache_entries=4, plan=crash)
         drive(box, 12)  # φ detection extends the window past the nominal 1
-        assert box.promoted
+        assert box.redundancy.promoted
         flow = lambda: make_tcp_packet("10.6.9.1", "10.0.0.100", 9000, 80)
         first = box.process_packet(flow(), 1)
         assert first.punted  # miss refills the promoted switch's cache
@@ -125,9 +123,10 @@ class TestComposition:
         assert second.verdict == "send"
 
     def test_builder_helper(self):
-        box = build_cached_failover("minilb", cache_entries=3)
-        assert isinstance(box, CachedFailoverDeployment)
-        assert box.standby is not None
+        box = build(cache_entries=3)
+        assert isinstance(box.state_policy, BoundedCache)
+        assert isinstance(box.redundancy, ActiveStandby)
+        assert box.redundancy.standby is not None
 
 
 class TestComposedOracle:

@@ -66,15 +66,15 @@ def table_images(switch):
 class TestWarmStandby:
     def test_install_programs_both_switches(self):
         box = build_failover()
-        assert table_images(box.standby) == table_images(box.switch)
+        assert table_images(box.redundancy.standby) == table_images(box.switch)
         for name, reg in box.switch.registers.items():
-            assert box.standby.registers[name].value == reg.value
+            assert box.redundancy.standby.registers[name].value == reg.value
 
     def test_committed_batches_replayed(self):
         box = build_failover()
         drive(box, 5)
         assert box.switch.tables["nat_out"].entry_count == 5
-        assert table_images(box.standby) == table_images(box.switch)
+        assert table_images(box.redundancy.standby) == table_images(box.switch)
         metrics = box.telemetry.metrics
         assert metrics.counter("failover.standby_batches_replayed").value > 0
         assert metrics.counter("failover.standby_replay_dropped").value == 0
@@ -85,7 +85,7 @@ class TestWarmStandby:
         # mazunat's port allocator is switch-authoritative; the checkpoint
         # must hold its value as of the last completed packet.
         assert (
-            box._register_checkpoint["port_counter"]
+            box.redundancy._register_checkpoint["port_counter"]
             == box.switch.registers["port_counter"].value
         )
 
@@ -100,10 +100,10 @@ class TestPromotion:
         and its exact length is the *measured* detection latency."""
         box = build_failover(plan=self.CRASH)
         journeys = drive(box, 12)
-        assert box.promoted
-        assert box.standby is None
-        assert box.failed_primary is not None
-        assert box.failed_primary is not box.switch
+        assert box.redundancy.promoted
+        assert box.redundancy.standby is None
+        assert box.redundancy.failed_primary is not None
+        assert box.redundancy.failed_primary is not box.switch
         assert ("promote",) in box.fault_log
         window = [j.packet_index for j in journeys if j.fallback]
         assert window[0] == 3
@@ -119,10 +119,10 @@ class TestPromotion:
         assert metrics.counter("health.forced_detections").value == 0
         from repro.telemetry.health import expected_detection_latency_us
 
-        latency = box.health.detection_latency_us
+        latency = box.redundancy.health.detection_latency_us
         assert latency is not None
         assert 0.0 < latency <= expected_detection_latency_us(
-            box.health.config
+            box.redundancy.health.config
         )
 
     def test_exact_mode_keeps_free_boundary_detection(self):
@@ -130,8 +130,8 @@ class TestPromotion:
         the fault window's packet boundary, byte-exact legacy pins."""
         box = build_failover(plan=self.CRASH, detection="exact")
         journeys = drive(box, 8)
-        assert box.promoted
-        assert box.health is None
+        assert box.redundancy.promoted
+        assert box.redundancy.health is None
         window = [j.packet_index for j in journeys if j.fallback]
         assert window == [3, 4]
         metrics = box.telemetry.metrics
@@ -142,7 +142,7 @@ class TestPromotion:
     def test_promoted_switch_resynced_from_server(self):
         box = build_failover(plan=self.CRASH)
         drive(box, 12)
-        assert box.promoted
+        assert box.redundancy.promoted
         assert (
             box.switch.tables["nat_out"].snapshot()
             == box.state.maps["nat_out"]
@@ -171,7 +171,7 @@ class TestPromotion:
     def test_promotion_is_idempotent(self):
         box = build_failover(plan=self.CRASH)
         drive(box, 8)
-        box._promote()
+        box.redundancy.promote()
         assert box.telemetry.metrics.counter("failover.promotions").value == 1
 
 
@@ -181,7 +181,7 @@ class TestStaleStandby:
         box = build_failover(plan=plan)
         drive(box, 4)
         assert box.switch.tables["nat_out"].entry_count == 4
-        assert box.standby.tables["nat_out"].entry_count == 0
+        assert box.redundancy.standby.tables["nat_out"].entry_count == 0
         metrics = box.telemetry.metrics
         assert metrics.counter("failover.standby_replay_dropped").value == 4
         assert metrics.counter("failover.standby_batches_replayed").value == 0
@@ -193,7 +193,7 @@ class TestStaleStandby:
         ))
         box = build_failover(plan=plan)
         drive(box, 12)
-        assert box.promoted
+        assert box.redundancy.promoted
         # The promoted switch missed every pre-crash replay, yet the bulk
         # resync rebuilt it from the server's authoritative copy.
         assert (
@@ -210,7 +210,7 @@ class TestCrashDuringBatch:
         ))
         box = build_failover(plan=plan)
         journeys = drive(box, 12)
-        assert box.promoted
+        assert box.redundancy.promoted
         assert box.injector.injected.get("crash_during_batch", 0) == 1
         # The crash resolves transactionally first (packet 2's batch either
         # commits via roll-forward or aborts); the promotion window then

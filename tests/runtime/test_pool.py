@@ -116,7 +116,7 @@ class TestFaultFreeEquivalence:
         pooled = deploy_pool(servers=3)
         for host in range(1, 40):
             pooled.process_packet(packet(host), 1)
-        stats = pooled.pool_stats()
+        stats = pooled.pool.stats()
         served = [m["punts_served"] for m in stats["members"].values()]
         assert sum(served) == 39
         assert sum(1 for count in served if count > 0) >= 2
@@ -126,29 +126,29 @@ class TestMembershipChanges:
     def test_drain_unknown_member_rejected(self):
         pooled = deploy_pool(servers=2)
         with pytest.raises(ValueError, match="unknown member"):
-            pooled.drain_member("ghost")
+            pooled.pool.drain_member("ghost")
 
     def test_drain_last_member_rejected(self):
         pooled = deploy_pool(servers=2)
-        pooled.drain_member("srv0")
+        pooled.pool.drain_member("srv0")
         with pytest.raises(ValueError, match="last pool member"):
-            pooled.drain_member("srv1")
+            pooled.pool.drain_member("srv1")
 
     def test_join_duplicate_rejected(self):
         pooled = deploy_pool(servers=2)
         with pytest.raises(ValueError, match="already registered"):
-            pooled.join_member("srv1")
-        pooled.drain_member("srv0")
+            pooled.pool.join_member("srv1")
+        pooled.pool.drain_member("srv0")
         with pytest.raises(ValueError, match="already registered"):
-            pooled.join_member("srv0")
+            pooled.pool.join_member("srv0")
 
     def test_drain_migrates_and_serving_continues(self):
         pooled = deploy_pool(servers=3)
         for host in range(1, 30):
             pooled.process_packet(packet(host), 1)
-        drained = pooled.drain_member("srv1")
+        drained = pooled.pool.drain_member("srv1")
         assert drained >= 0
-        stats = pooled.pool_stats()
+        stats = pooled.pool.stats()
         assert stats["retired"] == ["srv1"]
         assert stats["migrations"] == 1
         # Repeat packets for every flow fast-path; new flows still punt.
@@ -163,9 +163,9 @@ class TestMembershipChanges:
         for host in range(1, 20):
             pooled.process_packet(packet(host), 1)
         before_us = pooled.telemetry.clock.now_us
-        pooled.join_member("srv9")
+        pooled.pool.join_member("srv9")
         assert pooled.telemetry.clock.now_us > before_us
-        stats = pooled.pool_stats()
+        stats = pooled.pool.stats()
         assert "srv9" in stats["members"]
         assert stats["members"]["srv9"]["slots"] > 0
         assert (
@@ -228,7 +228,7 @@ class TestCrashBlastRadius:
         for host in hosts:
             pooled.process_packet(packet(host), 1)
         pooled.recover()
-        assert pooled.pool_stats()["retired"] == ["srv0"]
+        assert pooled.pool.stats()["retired"] == ["srv0"]
         assert (
             pooled.telemetry.metrics.counter_value("pool.migrations") == 1
         )
