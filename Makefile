@@ -3,7 +3,8 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: help test verify symbolic-smoke lint lint-verify difftest \
-	difftest-smoke difftest-compiled faults faults-smoke failover-smoke \
+	difftest-smoke difftest-compiled oracle-pins faults faults-smoke \
+	failover-smoke \
 	pool-smoke telemetry-smoke obs-smoke tenancy-smoke perf perf-smoke \
 	benchmarks
 
@@ -14,10 +15,13 @@ help:
 	@echo "  symbolic-smoke  translation validation: prove all middleboxes,"
 	@echo "                  schema-check the JSON, disprove a seeded mutation"
 	@echo "  lint            ruff + mypy (skipped gracefully if not installed)"
-	@echo "  lint-verify     blocking ruff + mypy over src/repro/verify/"
+	@echo "  lint-verify     blocking ruff + mypy over src/repro/verify/ and"
+	@echo "                  the oracle kernel"
 	@echo "  difftest        full differential gauntlet (1000 programs, --shrink)"
 	@echo "  difftest-smoke  fixed-seed ~60s gauntlet slice"
 	@echo "  difftest-compiled  compiled-engine-vs-interpreter gauntlet (200 programs)"
+	@echo "  oracle-pins     every oracle's verdicts vs the golden file (wide sweep,"
+	@echo "                  ~3 min; the narrow one runs in tier-1)"
 	@echo "  faults          full fault campaign (500 scenarios)"
 	@echo "  faults-smoke    fixed-seed ~60s campaign slice"
 	@echo "  failover-smoke  fixed-seed ~60s active-standby failover campaign"
@@ -66,17 +70,20 @@ lint:
 	fi
 
 # Blocking lint: the verification layer (including the symbolic prover)
-# is held to zero ruff findings and a clean mypy run; CI gates on this
-# without continue-on-error.  Still skips when the tools are absent so
-# `make lint-verify` stays runnable in the bare container.
+# and the oracle kernel are held to zero ruff findings and a clean mypy
+# run; CI gates on this without continue-on-error.  The set grows one unit
+# per PR.  Still skips when the tools are absent so `make lint-verify`
+# stays runnable in the bare container.
+LINT_BLOCKING = src/repro/verify src/repro/difftest/kernel.py
+
 lint-verify:
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
-		$(PYTHON) -m ruff check src/repro/verify; \
+		$(PYTHON) -m ruff check $(LINT_BLOCKING); \
 	else \
 		echo "lint-verify: ruff not installed; skipping"; \
 	fi
 	@if $(PYTHON) -m mypy --version >/dev/null 2>&1; then \
-		$(PYTHON) -m mypy src/repro/verify; \
+		$(PYTHON) -m mypy $(LINT_BLOCKING); \
 	else \
 		echo "lint-verify: mypy not installed; skipping"; \
 	fi
@@ -94,6 +101,13 @@ difftest-smoke:
 # byte-identical verdicts, environments, journals, and metrics.
 difftest-compiled:
 	$(PYTHON) -m repro difftest --compiled --runs 200 --seed 0
+
+# Every oracle's verdict on a fixed set of seeded scenarios — the four
+# oracles plus the injected bugs each must catch — against the golden
+# file recorded before they were rewritten over one kernel.  Wide sweep;
+# tier-1 runs the narrow one (tests/difftest/test_oracle_pins.py).
+oracle-pins:
+	$(PYTHON) -m tests.difftest.oracle_pins --wide
 
 # The full fault campaign: 500 random fault scenarios.
 faults:

@@ -232,59 +232,63 @@ def cmd_experiments(args) -> int:
     return 0
 
 
+def _campaign_args(args) -> dict:
+    """What ``difftest``, ``difftest --compiled`` and ``faults`` all hand
+    to the seeded campaign loop."""
+    return dict(
+        runs=args.runs,
+        seed=args.seed,
+        packets=args.packets,
+        max_failures=args.max_failures,
+        time_budget_s=args.time_budget,
+        seed_override=args.seed_override,
+        log=print,  # streams progress and each failure report as found
+    )
+
+
+def _add_campaign_arguments(parser, runs_of: str, campaign: str) -> None:
+    """The flags :func:`_campaign_args` reads back."""
+    parser.add_argument("--runs", type=int, default=200,
+                        help=f"number of {runs_of}")
+    parser.add_argument("--seed", type=int, default=0,
+                        help=f"master seed (one seed per {campaign})")
+    parser.add_argument("--packets", type=int, default=25,
+                        help="packets per stream")
+    parser.add_argument("--max-failures", type=int, default=10,
+                        help="stop after this many failures")
+    parser.add_argument("--seed-override", type=int, default=None,
+                        help="pin the program seed of run 0"
+                        " (reproduce a reported failure)")
+    parser.add_argument("--time-budget", type=float, default=None,
+                        help="stop early after this many seconds")
+
+
 def cmd_difftest(args) -> int:
     from repro.difftest import run_compiled_gauntlet, run_gauntlet
 
     if args.compiled:
-        stats, _failures = run_compiled_gauntlet(
-            runs=args.runs,
-            seed=args.seed,
-            packets=args.packets,
-            max_failures=args.max_failures,
-            time_budget_s=args.time_budget,
-            seed_override=args.seed_override,
-            log=print,  # streams progress and each failure report as found
+        stats, _failures = run_compiled_gauntlet(**_campaign_args(args))
+    else:
+        stats, _failures = run_gauntlet(
+            shrink_failures=args.shrink, symbolic=args.symbolic,
+            **_campaign_args(args),
         )
-        print(stats.summary())
-        return 1 if stats.failures else 0
-
-    stats, failures = run_gauntlet(
-        runs=args.runs,
-        seed=args.seed,
-        packets=args.packets,
-        shrink_failures=args.shrink,
-        max_failures=args.max_failures,
-        time_budget_s=args.time_budget,
-        seed_override=args.seed_override,
-        symbolic=args.symbolic,
-        log=print,  # streams progress and each failure report as found
-    )
     print(stats.summary())
     return 1 if stats.failures else 0
 
 
 def cmd_faults(args) -> int:
     from repro.faults import run_campaign
+    from repro.runtime import DeploymentSpec
 
     try:
-        if args.servers is not None:
-            from repro.runtime.pool import default_member_names
-
-            # A bad pool size fails before any scenario runs.
-            default_member_names(args.servers)
-        stats, failures = run_campaign(
-            runs=args.runs,
-            seed=args.seed,
-            packets=args.packets,
-            max_failures=args.max_failures,
-            time_budget_s=args.time_budget,
-            seed_override=args.seed_override,
+        stats, _failures = run_campaign(
             shrink_failures=args.shrink,
-            cached=args.cached,
-            cache_entries=args.cache_entries,
-            failover=args.failover,
-            pool_servers=args.servers or 0,
-            log=print,  # streams progress and each failure report as found
+            deployment=DeploymentSpec.from_flags(
+                cached=args.cached, cache_entries=args.cache_entries,
+                failover=args.failover, servers=args.servers,
+            ),
+            **_campaign_args(args),
         )
     except ValueError as exc:
         # A pool size below 1, or a pairing the oracle refuses.
@@ -446,22 +450,22 @@ def _build_observed_deployment(name, deployment, seed, cache_entries,
             bundle.lowered, config=bundle.config, telemetry=telemetry
         )
     else:
-        from repro.runtime.cache import BoundedCache, CacheConfigurationError
+        from repro.runtime import DeploymentSpec
+        from repro.runtime.cache import CacheConfigurationError
         from repro.runtime.deployment import (
             GalliumMiddlebox,
             compile_middlebox,
         )
-        from repro.runtime.failover import ActiveStandby
 
         plan, program = compile_middlebox(bundle.lowered)
-        roles = {
-            "cached": {"state_policy": BoundedCache(cache_entries)},
-            "failover": {"redundancy": ActiveStandby()},
-        }.get(deployment, {})
+        spec = DeploymentSpec.from_flags(
+            cached=deployment == "cached", cache_entries=cache_entries,
+            failover=deployment == "failover",
+        )
         try:
             middlebox = GalliumMiddlebox(
                 plan, program, config=bundle.config, seed=seed,
-                telemetry=telemetry, **roles,
+                telemetry=telemetry, **spec.roles(),
             )
         except CacheConfigurationError as exc:
             raise SystemExit(f"error: {exc}")
@@ -720,22 +724,10 @@ def build_parser() -> argparse.ArgumentParser:
     difftest_parser = sub.add_parser(
         "difftest", help="run the differential-testing gauntlet"
     )
-    difftest_parser.add_argument("--runs", type=int, default=200,
-                                 help="number of generated programs")
-    difftest_parser.add_argument("--seed", type=int, default=0,
-                                 help="master seed (one seed per gauntlet)")
-    difftest_parser.add_argument("--packets", type=int, default=25,
-                                 help="packets per stream")
+    _add_campaign_arguments(difftest_parser, "generated programs", "gauntlet")
     difftest_parser.add_argument("--shrink", action="store_true",
                                  help="delta-debug each failure to a minimal"
                                  " reproducer")
-    difftest_parser.add_argument("--max-failures", type=int, default=10,
-                                 help="stop after this many failures")
-    difftest_parser.add_argument("--seed-override", type=int, default=None,
-                                 help="pin the program seed of run 0"
-                                 " (reproduce a reported failure)")
-    difftest_parser.add_argument("--time-budget", type=float, default=None,
-                                 help="stop early after this many seconds")
     difftest_parser.add_argument("--compiled", action="store_true",
                                  help="differential-test the compiled"
                                  " fast-path engine against the IR"
@@ -751,19 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults_parser = sub.add_parser(
         "faults", help="run the fault-injection campaign"
     )
-    faults_parser.add_argument("--runs", type=int, default=200,
-                               help="number of fault scenarios")
-    faults_parser.add_argument("--seed", type=int, default=0,
-                               help="master seed (one seed per campaign)")
-    faults_parser.add_argument("--packets", type=int, default=25,
-                               help="packets per stream")
-    faults_parser.add_argument("--max-failures", type=int, default=10,
-                               help="stop after this many failures")
-    faults_parser.add_argument("--seed-override", type=int, default=None,
-                               help="pin the program seed of run 0"
-                               " (reproduce a reported failure)")
-    faults_parser.add_argument("--time-budget", type=float, default=None,
-                               help="stop early after this many seconds")
+    _add_campaign_arguments(faults_parser, "fault scenarios", "campaign")
     faults_parser.add_argument("--shrink", action="store_true",
                                help="delta-debug each failure (fault plan,"
                                " program, stream) to a minimal reproducer")

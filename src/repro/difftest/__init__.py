@@ -5,8 +5,11 @@ functional-equivalence claim (paper section 3.1):
 
 * :mod:`repro.difftest.generator` — seeded random middlebox programs over
   the full ``repro.lang`` subset,
+* :mod:`repro.difftest.kernel` — what every oracle in the repo shares:
+  observation, finding, end state, the typed failure boundary,
+  provenance, the seeded campaign loop,
 * :mod:`repro.difftest.oracle` — three-way run (FastClick baseline vs.
-  ``GalliumMiddlebox`` vs. ``CachedGalliumMiddlebox``) over a seeded
+  ``GalliumMiddlebox`` vs. its bounded-cache flavour) over a seeded
   packet stream, comparing verdicts, header fields, egress ports, and
   final state,
 * :mod:`repro.difftest.shrink` — delta-debugging minimizer for diverging
@@ -28,7 +31,8 @@ from repro.difftest.compiled import (
 )
 from repro.difftest.corpus import CorpusEntry, load_corpus, replay_entry, save_entry
 from repro.difftest.generator import GenProgram, ProgramGenerator, generate_program
-from repro.difftest.oracle import Divergence, Outcome, OracleResult, StreamSpec, run_oracle
+from repro.difftest.kernel import Finding, HarnessBug
+from repro.difftest.oracle import Outcome, OracleResult, StreamSpec, run_oracle
 from repro.difftest.runner import GauntletStats, run_gauntlet
 from repro.difftest.shrink import shrink_case
 
@@ -36,11 +40,12 @@ __all__ = [
     "CompiledCheckResult",
     "CompiledGauntletStats",
     "CorpusEntry",
-    "Divergence",
+    "Finding",
     "GauntletStats",
     "check_compiled",
     "run_compiled_gauntlet",
     "GenProgram",
+    "HarnessBug",
     "Outcome",
     "OracleResult",
     "ProgramGenerator",

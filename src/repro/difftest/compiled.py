@@ -20,6 +20,10 @@ Two stages per program:
    classification, emitted port + bytes), final server state, switch
    registers and tables, and the full metrics registry.
 
+Stage 2 compares with the kernel's byte-exact observation; this module
+keeps stage 1 and the crash-identity rule — an exception both engines
+raise identically is agreement.
+
 Zero divergences over a large corpus is the acceptance gate for the
 fast path (the interpreter stays the oracle; the compiled engine never
 replaces it).
@@ -28,45 +32,37 @@ replaces it).
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, Optional
 
+from repro.difftest import kernel
 from repro.difftest.generator import GenProgram, generate_program
+from repro.difftest.kernel import STREAM_SALT, Finding
 from repro.difftest.oracle import StreamSpec
-from repro.difftest.runner import _STREAM_SALT, derive_seeds
 from repro.ir.compile import compile_function
 from repro.ir.interp import Interpreter, PacketView, StateStore
 from repro.ir.lowering import lower_program
 from repro.lang.parser import parse_program
 from repro.partition.constraints import SwitchResources
-from repro.partition.partitioner import PartitionError
-from repro.runtime.cache import CacheConfigurationError
 from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
-from repro.switchsim.program import SwitchProgramError
 
+_ENGINES = ("interp", "compiled")
+_REPRODUCE = kernel.cli_reproduce("difftest --compiled")
 
-@dataclass
-class CompiledDivergence:
-    stage: str  # "function" | "deployment"
-    kind: str  # "crash" | "verdict" | "egress" | "steps" | "ids" | "env"
-    #         | "packet" | "journal" | "state" | "journey" | "switch"
-    #         | "metrics"
-    packet_index: Optional[int]
-    detail: str
-
-    def __str__(self) -> str:
-        where = (
-            f"packet #{self.packet_index}"
-            if self.packet_index is not None else "final state"
-        )
-        return f"[{self.stage}/{self.kind}] {where}: {self.detail}"
+_ABORTED = {
+    kernel.DUT_CRASH: "crash",
+    kernel.REFERENCE_CRASH: "reference_crash",
+}
 
 
 @dataclass
 class CompiledCheckResult:
-    outcome: str  # "agree" | "diverge" | "crash"
-    divergence: Optional[CompiledDivergence] = None
+    outcome: str  # "agree" | "diverge" | "crash" | "reference_crash"
+    #: the first finding; ``where`` is the stage ("function" |
+    #: "deployment"), ``kind`` one of "crash" | "verdict" | "egress" |
+    #: "path" | "steps" | "ids" | "env" | "packet" | "journal" | "state" |
+    #: "metrics"
+    divergence: Optional[Finding] = None
     error: Optional[str] = None
     packets_run: int = 0
     #: True when the deployment stage also ran (the program partitioned).
@@ -82,22 +78,10 @@ class CompiledFailure:
     result: CompiledCheckResult
 
     def report(self) -> str:
-        lines = [
-            f"=== compiled gauntlet failure (run #{self.index}) ===",
-            f"program seed : {self.program_seed}",
-            f"stream       : seed={self.stream.seed}"
-            f" count={self.stream.count}",
-            f"outcome      : {self.result.outcome}",
-            "reproduce    : python -m repro difftest --compiled --runs 1"
-            f" --seed-override {self.program_seed}",
-        ]
-        if self.result.divergence is not None:
-            lines.append(f"divergence   : {self.result.divergence}")
-        if self.result.error:
-            lines.append(f"error        : {self.result.error.rstrip()}")
-        lines.append("--- program source ---")
-        lines.append(self.program.source().rstrip())
-        return "\n".join(lines)
+        return kernel.render_report(
+            "compiled gauntlet", self, self.result.outcome,
+            _REPRODUCE(self.program_seed), self.result.divergence,
+        )
 
 
 @dataclass
@@ -133,25 +117,36 @@ class CompiledGauntletStats:
         )
 
 
-def _run_engine(run_callable, packet_view):
+def _run_engine(run):
     """(result, crash) — crash is a (type-name, message) pair."""
     try:
-        return run_callable(packet_view), None
+        return run(), None
     except Exception as exc:  # noqa: BLE001 - crash identity is the oracle
         return None, (type(exc).__name__, str(exc))
 
 
-def _check_function_level(
-    lowered, stream_packets, divergences_into: CompiledCheckResult
-) -> Optional[CompiledDivergence]:
+def _crash_identity(index, c_interp, c_compiled, where) -> Iterator[Finding]:
+    """Crashes must match by exception type and message."""
+    if c_interp != c_compiled:
+        yield Finding(
+            "crash", index, f"interp={c_interp!r} compiled={c_compiled!r}",
+            where,
+        )
+
+
+def _function_level(
+    lowered, stream_packets, result: CompiledCheckResult
+) -> Iterator[Finding]:
     """Stage 1: both engines over the bare ``process`` function."""
     process = lowered.process
-    compiled = compile_function(process)
+    with kernel.dut("compile_function"):
+        compiled = compile_function(process)
     interp_state = StateStore(lowered.state)
     compiled_state = StateStore(lowered.state)
     if lowered.configure is not None:
-        Interpreter(lowered.configure, interp_state).run()
-        Interpreter(lowered.configure, compiled_state).run()
+        with kernel.reference("configure"):
+            Interpreter(lowered.configure, interp_state).run()
+            Interpreter(lowered.configure, compiled_state).run()
         interp_state.drain_journal()
         compiled_state.drain_journal()
 
@@ -161,141 +156,94 @@ def _check_function_level(
         p_interp.ingress_port = ingress
         p_compiled.ingress_port = ingress
         r_interp, c_interp = _run_engine(
-            lambda view: Interpreter(process, interp_state).run(
-                view, collect_ids=True
-            ),
-            PacketView(p_interp),
+            lambda: Interpreter(process, interp_state).run(
+                PacketView(p_interp), collect_ids=True
+            )
         )
         r_compiled, c_compiled = _run_engine(
-            lambda view: compiled.run(
-                compiled_state, packet=view, collect_ids=True
-            ),
-            PacketView(p_compiled),
-        )
-        divergences_into.packets_run = index + 1
-        if c_interp != c_compiled:
-            return CompiledDivergence(
-                "function", "crash", index,
-                f"interp={c_interp!r} compiled={c_compiled!r}",
+            lambda: compiled.run(
+                compiled_state, packet=PacketView(p_compiled),
+                collect_ids=True,
             )
-        if c_interp is not None:
+        )
+        result.packets_run = index + 1
+        yield from _crash_identity(index, c_interp, c_compiled, "function")
+        if c_interp is not None or c_compiled is not None:
             # Both engines crashed identically: agreement, but the state
             # after a partial run is not comparable — stop the stream.
-            return None
-        if r_interp.verdict != r_compiled.verdict:
-            return CompiledDivergence(
-                "function", "verdict", index,
-                f"interp={r_interp.verdict!r}"
-                f" compiled={r_compiled.verdict!r}",
-            )
-        if r_interp.egress_port != r_compiled.egress_port:
-            return CompiledDivergence(
-                "function", "egress", index,
-                f"interp={r_interp.egress_port!r}"
-                f" compiled={r_compiled.egress_port!r}",
-            )
-        if (r_interp.instructions_executed
-                != r_compiled.instructions_executed):
-            return CompiledDivergence(
-                "function", "steps", index,
-                f"interp={r_interp.instructions_executed}"
-                f" compiled={r_compiled.instructions_executed}",
-            )
-        if r_interp.executed_ids != r_compiled.executed_ids:
-            return CompiledDivergence(
-                "function", "ids", index, "executed instruction ids differ"
-            )
-        if r_interp.env != r_compiled.env:
-            keys = sorted(
-                key
-                for key in set(r_interp.env) | set(r_compiled.env)
-                if r_interp.env.get(key) != r_compiled.env.get(key)
-            )
-            return CompiledDivergence(
-                "function", "env", index, f"registers differ: {keys}"
-            )
-        if p_interp.pack() != p_compiled.pack():
-            return CompiledDivergence(
-                "function", "packet", index, "emitted packet bytes differ"
-            )
-        if interp_state.drain_journal() != compiled_state.drain_journal():
-            return CompiledDivergence(
-                "function", "journal", index, "mutation journals differ"
-            )
-        if interp_state.snapshot() != compiled_state.snapshot():
-            return CompiledDivergence(
-                "function", "state", index, "state snapshots differ"
-            )
-    return None
+            return
+        env_keys = sorted(
+            key
+            for key in set(r_interp.env) | set(r_compiled.env)
+            if r_interp.env.get(key) != r_compiled.env.get(key)
+        )
+        for kind, interp, compiled_, detail in (
+            ("verdict", r_interp.verdict, r_compiled.verdict, None),
+            ("egress", r_interp.egress_port, r_compiled.egress_port, None),
+            ("steps", r_interp.instructions_executed,
+             r_compiled.instructions_executed, None),
+            ("ids", r_interp.executed_ids, r_compiled.executed_ids,
+             "executed instruction ids differ"),
+            ("env", env_keys, [], f"registers differ: {env_keys}"),
+            ("packet", p_interp.pack(), p_compiled.pack(),
+             "emitted packet bytes differ"),
+            ("journal", interp_state.drain_journal(),
+             compiled_state.drain_journal(), "mutation journals differ"),
+            ("state", interp_state.snapshot(), compiled_state.snapshot(),
+             "state snapshots differ"),
+        ):
+            if interp != compiled_:
+                yield Finding(
+                    kind, index,
+                    detail or f"interp={interp!r} compiled={compiled_!r}",
+                    "function",
+                )
 
 
-def _journey_key(journey) -> tuple:
-    return (
-        journey.verdict,
-        journey.fast_path,
-        journey.punted,
-        journey.fallback,
-        tuple((port, bytes(pkt.pack())) for port, pkt in journey.emitted),
-    )
-
-
-def _check_deployment_level(
+def _deployment_level(
     lowered,
     stream_packets,
     limits: Optional[SwitchResources],
     deployment_seed: int,
-) -> Tuple[Optional[CompiledDivergence], bool]:
+    result: CompiledCheckResult,
+) -> Iterator[Finding]:
     """Stage 2: interpreted vs fast-path deployments, same seed."""
     try:
-        plan, program = compile_middlebox(lowered, limits)
-    except (PartitionError, SwitchProgramError, CacheConfigurationError):
+        plan, program = kernel.compile_step(compile_middlebox, lowered, limits)
+    except kernel.Abort as abort:
+        if abort.failure != kernel.REFUSED:
+            raise
         # The compiler legitimately refused the program; nothing to
         # compare at deployment level.
-        return None, False
-    interp_dut = GalliumMiddlebox(plan, program, seed=deployment_seed)
-    compiled_dut = GalliumMiddlebox(
-        plan, program, seed=deployment_seed, fast_path=True
-    )
-    interp_dut.install()
-    compiled_dut.install()
+        return
+    result.deployment_checked = True
+    with kernel.reference("deploy"):
+        interp_dut = GalliumMiddlebox(plan, program, seed=deployment_seed)
+        interp_dut.install()
+    with kernel.dut("deploy"):
+        compiled_dut = GalliumMiddlebox(
+            plan, program, seed=deployment_seed, fast_path=True
+        )
+        compiled_dut.install()
     for index, (packet, ingress) in enumerate(stream_packets):
         j_interp, c_interp = _run_engine(
-            lambda _p: interp_dut.process_packet(packet.copy(), ingress),
-            None,
+            lambda: interp_dut.process_packet(packet.copy(), ingress)
         )
         j_compiled, c_compiled = _run_engine(
-            lambda _p: compiled_dut.process_packet(packet.copy(), ingress),
-            None,
+            lambda: compiled_dut.process_packet(packet.copy(), ingress)
         )
-        if c_interp != c_compiled:
-            return CompiledDivergence(
-                "deployment", "crash", index,
-                f"interp={c_interp!r} compiled={c_compiled!r}",
-            ), True
-        if c_interp is not None:
-            return None, True  # identical crash: stop, like stage 1
-        if _journey_key(j_interp) != _journey_key(j_compiled):
-            return CompiledDivergence(
-                "deployment", "journey", index,
-                f"interp={_journey_key(j_interp)!r}"
-                f" compiled={_journey_key(j_compiled)!r}",
-            ), True
-    if interp_dut.state.snapshot() != compiled_dut.state.snapshot():
-        return CompiledDivergence(
-            "deployment", "state", None, "server state snapshots differ"
-        ), True
-    for name, register in interp_dut.switch.registers.items():
-        if register.value != compiled_dut.switch.registers[name].value:
-            return CompiledDivergence(
-                "deployment", "switch", None,
-                f"register {name!r}: interp={register.value}"
-                f" compiled={compiled_dut.switch.registers[name].value}",
-            ), True
-    for name, table in interp_dut.switch.tables.items():
-        if table.snapshot() != compiled_dut.switch.tables[name].snapshot():
-            return CompiledDivergence(
-                "deployment", "switch", None, f"table {name!r} differs"
-            ), True
+        yield from _crash_identity(index, c_interp, c_compiled, "deployment")
+        if c_interp is not None or c_compiled is not None:
+            return  # identical crash: stop, like stage 1
+        yield from kernel.compare(
+            index, kernel.observe_exact(j_interp),
+            kernel.observe_exact(j_compiled), _ENGINES, where="deployment",
+            parts=kernel.EXACT_PARTS,
+        )
+    yield from kernel.diff_state(
+        kernel.end_state(interp_dut), kernel.end_state(compiled_dut),
+        _ENGINES, kernel.ALL_SECTIONS, where="deployment",
+    )
     interp_metrics = json.dumps(
         interp_dut.telemetry.metrics.to_dict(), sort_keys=True
     )
@@ -303,10 +251,9 @@ def _check_deployment_level(
         compiled_dut.telemetry.metrics.to_dict(), sort_keys=True
     )
     if interp_metrics != compiled_metrics:
-        return CompiledDivergence(
-            "deployment", "metrics", None, "metrics registries differ"
-        ), True
-    return None, True
+        yield Finding(
+            "metrics", None, "metrics registries differ", "deployment"
+        )
 
 
 def check_compiled(
@@ -318,25 +265,22 @@ def check_compiled(
     """Run one program through both engines at both levels."""
     result = CompiledCheckResult(outcome="agree")
     try:
-        lowered = lower_program(parse_program(source))
+        with kernel.dut("lower"):
+            lowered = lower_program(parse_program(source))
         stream_packets = stream.build()
-        divergence = _check_function_level(lowered, stream_packets, result)
-        if divergence is None:
-            divergence, checked = _check_deployment_level(
-                lowered, stream_packets, limits, deployment_seed
-            )
-            result.deployment_checked = checked
-    except Exception as exc:  # noqa: BLE001 - harness boundary
-        import traceback
-
-        result.outcome = "crash"
-        result.error = "".join(
-            traceback.format_exception(type(exc), exc, exc.__traceback__)
+        result.divergence = next(
+            _function_level(lowered, stream_packets, result), None
+        ) or next(
+            _deployment_level(
+                lowered, stream_packets, limits, deployment_seed, result
+            ), None
         )
+    except kernel.Abort as abort:
+        result.outcome = _ABORTED[abort.failure]
+        result.error = abort.error
         return result
-    if divergence is not None:
+    if result.divergence is not None:
         result.outcome = "diverge"
-        result.divergence = divergence
     return result
 
 
@@ -352,36 +296,23 @@ def run_compiled_gauntlet(
 ) -> tuple:
     """Drive the compiled-vs-interpreter gauntlet; ``(stats, failures)``."""
     stats = CompiledGauntletStats()
-    failures: List[CompiledFailure] = []
-    started = time.monotonic()
-    for index in range(runs):
-        if (time_budget_s is not None
-                and time.monotonic() - started > time_budget_s):
-            break
-        if seed_override is not None:
-            program_seed = seed_override + index
-            stream_seed = program_seed ^ _STREAM_SALT
-        else:
-            program_seed, stream_seed = derive_seeds(seed, index)
+
+    def scenario(index: int, program_seed: int) -> Optional[CompiledFailure]:
         program = generate_program(program_seed)
-        stream = StreamSpec(seed=stream_seed, count=packets)
+        stream = StreamSpec(seed=program_seed ^ STREAM_SALT, count=packets)
         result = check_compiled(
             program.source(), stream, limits=limits,
             deployment_seed=program_seed,
         )
         stats.record(result)
-        if result.outcome != "agree":
-            failure = CompiledFailure(
-                index, program_seed, stream, program, result
-            )
-            failures.append(failure)
-            if log is not None:
-                log(failure.report())
-            if len(failures) >= max_failures:
-                if log is not None:
-                    log(f"stopping after {max_failures} failures")
-                break
-        elif log is not None and (index + 1) % 100 == 0:
-            log(f"... {index + 1}/{runs} ({stats.summary()})")
-    stats.elapsed_s = time.monotonic() - started
+        if result.outcome == "agree":
+            return None
+        return CompiledFailure(index, program_seed, stream, program, result)
+
+    failures, stats.elapsed_s = kernel.drive(
+        runs, seed, scenario, _REPRODUCE,
+        seed_override=seed_override, time_budget_s=time_budget_s,
+        max_failures=max_failures, log=log,
+        progress=lambda: f"({stats.summary()})",
+    )
     return stats, failures

@@ -10,9 +10,9 @@ the full pre-shrink case can always be regenerated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import ClassVar, Optional
 
 from repro.difftest.oracle import Outcome, OracleResult, StreamSpec, run_oracle
 
@@ -20,26 +20,31 @@ from repro.difftest.oracle import Outcome, OracleResult, StreamSpec, run_oracle
 CORPUS_DIR = Path(__file__).resolve().parents[3] / "tests" / "difftest_corpus"
 
 
-@dataclass
-class CorpusEntry:
-    """One minimized reproducer plus its provenance."""
+@dataclass(kw_only=True)
+class ReproducerEntry:
+    """A minimized reproducer, the outcome expected of it, and its
+    provenance.  Subclasses add their scenario's fields (``own_dict`` /
+    ``own_kwargs``) and the ``DIRECTORY`` they are committed under."""
+
+    DIRECTORY: ClassVar[Path]
 
     name: str
     source: str
     stream: StreamSpec
-    expect: str = Outcome.AGREE.value
+    expect: str
     description: str = ""
     found_by_seed: Optional[int] = None
-    check_cached: bool = True
     #: serialized :class:`repro.telemetry.diff.TraceDiff` captured when
     #: the bug was found — the first divergent semantic event between the
-    #: baseline and the deployment, kept as historical provenance.
+    #: reference and the deployment, kept as historical provenance.
     trace_diff: Optional[dict] = None
-    #: extern config sections (serialized with string section keys) and a
-    #: serialized pre-state snapshot — set on translation-validation
-    #: counterexamples, which pin the exact world the prover disproved.
-    config: Optional[dict] = None
-    prestate: Optional[dict] = None
+
+    def own_dict(self) -> dict:
+        return {}
+
+    @staticmethod
+    def own_kwargs(data: dict) -> dict:
+        return {}
 
     def to_dict(self) -> dict:
         data = {
@@ -47,12 +52,51 @@ class CorpusEntry:
             "description": self.description,
             "found_by_seed": self.found_by_seed,
             "expect": self.expect,
-            "check_cached": self.check_cached,
+            **self.own_dict(),
             "stream": self.stream.to_dict(),
+            # a list of lines, so a diff of the JSON reads as a diff of
+            # the program
             "source": self.source.splitlines(),
         }
         if self.trace_diff is not None:
             data["trace_diff"] = self.trace_diff
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        source = data["source"]
+        if isinstance(source, list):
+            source = "\n".join(source) + "\n"
+        kwargs = cls.own_kwargs(data)
+        if "expect" in data:
+            kwargs["expect"] = data["expect"]
+        return cls(
+            name=data["name"],
+            source=source,
+            stream=StreamSpec.from_dict(data["stream"]),
+            description=data.get("description", ""),
+            found_by_seed=data.get("found_by_seed"),
+            trace_diff=data.get("trace_diff"),
+            **kwargs,
+        )
+
+
+@dataclass(kw_only=True)
+class CorpusEntry(ReproducerEntry):
+    """One minimized divergence."""
+
+    DIRECTORY: ClassVar[Path] = CORPUS_DIR
+
+    expect: str = Outcome.AGREE.value
+    check_cached: bool = True
+    #: extern config sections (serialized with string section keys) and a
+    #: serialized pre-state snapshot — set on translation-validation
+    #: counterexamples, which pin the exact world the prover disproved.
+    config: Optional[dict] = None
+    prestate: Optional[dict] = None
+
+    def own_dict(self) -> dict:
+        data: dict = {"check_cached": self.check_cached}
         if self.config is not None:
             data["config"] = {
                 str(section): list(values)
@@ -62,39 +106,31 @@ class CorpusEntry:
             data["prestate"] = self.prestate
         return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CorpusEntry":
-        source = data["source"]
-        if isinstance(source, list):
-            source = "\n".join(source) + "\n"
-        return cls(
-            name=data["name"],
-            source=source,
-            stream=StreamSpec.from_dict(data["stream"]),
-            expect=data.get("expect", Outcome.AGREE.value),
-            description=data.get("description", ""),
-            found_by_seed=data.get("found_by_seed"),
-            check_cached=data.get("check_cached", True),
-            trace_diff=data.get("trace_diff"),
-            config=data.get("config"),
-            prestate=data.get("prestate"),
-        )
+    @staticmethod
+    def own_kwargs(data: dict) -> dict:
+        return {
+            "check_cached": data.get("check_cached", True),
+            "config": data.get("config"),
+            "prestate": data.get("prestate"),
+        }
 
 
-def save_entry(entry: CorpusEntry, directory: Path = CORPUS_DIR) -> Path:
+def save_entry(entry: ReproducerEntry, directory: Optional[Path] = None) -> Path:
+    directory = directory if directory is not None else entry.DIRECTORY
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{entry.name}.json"
     path.write_text(json.dumps(entry.to_dict(), indent=2) + "\n")
     return path
 
 
-def load_corpus(directory: Path = CORPUS_DIR) -> List[CorpusEntry]:
+def load_corpus(directory: Optional[Path] = None, entry_type=CorpusEntry) -> list:
+    directory = directory if directory is not None else entry_type.DIRECTORY
     if not directory.is_dir():
         return []
-    entries = []
-    for path in sorted(directory.glob("*.json")):
-        entries.append(CorpusEntry.from_dict(json.loads(path.read_text())))
-    return entries
+    return [
+        entry_type.from_dict(json.loads(path.read_text()))
+        for path in sorted(directory.glob("*.json"))
+    ]
 
 
 def replay_entry(entry: CorpusEntry, fast_path: bool = False) -> OracleResult:

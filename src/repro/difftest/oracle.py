@@ -4,14 +4,15 @@ Each generated program runs over the same seeded packet stream on
 
 1. ``FastClickRuntime`` — the unpartitioned program (ground truth),
 2. ``GalliumMiddlebox`` — the deployed switch+server pair,
-3. ``CachedGalliumMiddlebox`` — the bounded-table cache deployment
-   (with a deliberately tiny cache so eviction/refill paths execute).
+3. the same with a :class:`~repro.runtime.cache.BoundedCache` state
+   policy (with a deliberately tiny cache so eviction/refill paths
+   execute).
 
-For every packet the oracle compares the verdict, the resolved egress
-port, and every mapped header field of the emitted packet; after the
-stream it compares final middlebox state (maps and scalars, with
-switch-resident registers read from the switch, as in the equivalence
-test-suite) and checks replicated-table convergence.
+This module is the *policy* — the three in lock-step, the baseline as
+reference — over :mod:`repro.difftest.kernel`, which owns what is
+compared: per packet the verdict, resolved egress port and every mapped
+header field; after the stream the final middlebox state and
+replicated-table convergence.
 
 Outcomes are classified so the gauntlet can tell signal from noise:
 
@@ -19,33 +20,29 @@ Outcomes are classified so the gauntlet can tell signal from noise:
 * ``DIVERGE`` — observable behaviour differed (a compiler bug),
 * ``PARTITION_REJECTED`` — the compiler legitimately refused the program
   (e.g. ``PartitionError`` under tiny resources),
-* ``CRASH`` — an unhandled exception anywhere in the pipeline.
+* ``CRASH`` — the compiler, the verifier or a deployment raised,
+* ``REFERENCE_CRASH`` — the unpartitioned baseline raised: the program
+  itself, or the interpreter, is broken, not the compiler.
+
+An exception anywhere else is a bug in this harness and propagates.
 """
 
 from __future__ import annotations
 
-import traceback
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.difftest.generator import FIELD_WIDTHS
-from repro.ir.interp import PacketView
+from repro.difftest import kernel
+from repro.difftest.kernel import DEFAULT_PORT_PAIRS, Finding
 from repro.net.packet import RawPacket
 from repro.partition.constraints import SwitchResources
-from repro.partition.partitioner import PartitionError
 from repro.runtime.baseline import FastClickRuntime
-from repro.runtime.cache import CacheConfigurationError, CachedGalliumMiddlebox
+from repro.runtime.cache import CacheConfigurationError
 from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
-from repro.switchsim.program import SwitchProgramError
+from repro.runtime.spec import DeploymentSpec
 from repro.workloads.packets import make_tcp_packet, make_udp_packet
-
-DEFAULT_PORT_PAIRS = {1: 2, 2: 1}
-
-#: Fields compared on every emitted packet.  ``PacketView`` reads absent
-#: headers as 0 identically in every runtime, so the full list is safe for
-#: both TCP and UDP packets.
-OBSERVED_FIELDS: List[Tuple[str, str]] = sorted(FIELD_WIDTHS)
 
 
 class Outcome(str, Enum):
@@ -53,27 +50,23 @@ class Outcome(str, Enum):
     DIVERGE = "diverge"
     PARTITION_REJECTED = "partition_rejected"
     CRASH = "crash"
+    REFERENCE_CRASH = "reference_crash"
 
 
-@dataclass
-class Divergence:
-    runtime: str  # "gallium" | "cached"
-    kind: str  # "verdict" | "egress" | "field" | "state" | "switch_state"
-    packet_index: Optional[int]
-    detail: str
-
-    def __str__(self) -> str:
-        where = (
-            f"packet #{self.packet_index}" if self.packet_index is not None
-            else "final state"
-        )
-        return f"[{self.runtime}/{self.kind}] {where}: {self.detail}"
+_ABORTED = {
+    kernel.REFUSED: Outcome.PARTITION_REJECTED,
+    kernel.DUT_CRASH: Outcome.CRASH,
+    kernel.REFERENCE_CRASH: Outcome.REFERENCE_CRASH,
+}
 
 
 @dataclass
 class OracleResult:
     outcome: Outcome
-    divergence: Optional[Divergence] = None
+    #: the first finding; ``where`` names the runtime ("gallium" |
+    #: "cached"), ``kind`` is "verdict" | "egress" | "field" | "state" |
+    #: "convergence"
+    divergence: Optional[Finding] = None
     error: Optional[str] = None
     cached_checked: bool = False
     packets_run: int = 0
@@ -81,20 +74,11 @@ class OracleResult:
     #: program verified clean or verification was disabled).  A program
     #: that AGREEs dynamically but fails verification — or vice versa — is
     #: a verifier/oracle disagreement, a bug class of its own.
-    verifier_errors: List[str] = None  # type: ignore[assignment]
-    #: side-by-side trace provenance for a DIVERGE outcome: both runtimes
-    #: re-ran with per-packet tracing and the first divergent semantic
-    #: event was pinpointed (:class:`repro.telemetry.diff.TraceDiff`).
-    #: ``None`` when provenance was disabled or collection failed.
+    verifier_errors: List[str] = field(default_factory=list)
+    #: first-divergent-event trace diff of a DIVERGE outcome, or why there
+    #: is none (see :func:`~repro.difftest.kernel.collect_provenance`);
+    #: ``None`` when provenance was disabled
     trace_diff: Optional[object] = None
-
-    def __post_init__(self):
-        if self.verifier_errors is None:
-            self.verifier_errors = []
-
-    @property
-    def diverged(self) -> bool:
-        return self.outcome is Outcome.DIVERGE
 
 
 @dataclass
@@ -170,93 +154,6 @@ class StreamSpec:
         return packets
 
 
-def _resolve_port(explicit: Optional[int], ingress: int, port_pairs: Dict[int, int]) -> int:
-    """The switch's egress rule (``SwitchModel._resolve_egress``)."""
-    return explicit if explicit else port_pairs.get(ingress, ingress)
-
-
-def _observe_fields(packet: RawPacket) -> Dict[str, int]:
-    view = PacketView(packet)
-    return {
-        f"{region}->{name}": view.get_field(region, name)
-        for region, name in OBSERVED_FIELDS
-    }
-
-
-def _journey_observation(journey) -> Tuple[str, Optional[int], Optional[Dict[str, int]]]:
-    if journey.verdict != "send":
-        return ("drop", None, None)
-    if not journey.emitted:
-        return ("send", None, None)
-    port, packet = journey.emitted[0]
-    return ("send", port, _observe_fields(packet))
-
-
-def _compare_packet(
-    runtime: str,
-    index: int,
-    base_obs: Tuple[str, Optional[int], Optional[Dict[str, int]]],
-    dut_obs: Tuple[str, Optional[int], Optional[Dict[str, int]]],
-) -> Optional[Divergence]:
-    base_verdict, base_port, base_fields = base_obs
-    dut_verdict, dut_port, dut_fields = dut_obs
-    if base_verdict != dut_verdict:
-        return Divergence(
-            runtime, "verdict", index,
-            f"baseline={base_verdict!r} {runtime}={dut_verdict!r}",
-        )
-    if base_verdict != "send":
-        return None
-    if base_port != dut_port:
-        return Divergence(
-            runtime, "egress", index,
-            f"baseline port={base_port} {runtime} port={dut_port}",
-        )
-    if base_fields != dut_fields:
-        diffs = [
-            f"{key}: baseline={base_fields[key]:#x} {runtime}={dut_fields[key]:#x}"
-            for key in base_fields
-            if base_fields[key] != dut_fields.get(key)
-        ]
-        return Divergence(runtime, "field", index, "; ".join(diffs) or "field sets differ")
-    return None
-
-
-def _compare_state(runtime: str, baseline: FastClickRuntime, dut: GalliumMiddlebox) -> Optional[Divergence]:
-    base_state = baseline.state.snapshot()
-    dut_state = dut.state.snapshot()
-    # Switch-resident registers are authoritative on the switch.
-    for name, register in dut.switch.registers.items():
-        placement = dut.plan.placements.get(name)
-        if placement is not None and placement.kind.value == "switch_register":
-            dut_state["scalars"][name] = register.value
-    if dut_state["maps"] != base_state["maps"]:
-        return Divergence(
-            runtime, "state", None,
-            f"maps: baseline={base_state['maps']!r} {runtime}={dut_state['maps']!r}",
-        )
-    if dut_state["scalars"] != base_state["scalars"]:
-        return Divergence(
-            runtime, "state", None,
-            f"scalars: baseline={base_state['scalars']!r} {runtime}={dut_state['scalars']!r}",
-        )
-    return None
-
-
-def _check_replication(dut: GalliumMiddlebox) -> Optional[Divergence]:
-    for name, placement in dut.plan.placements.items():
-        if placement.kind.value != "replicated_table":
-            continue
-        if dut.switch.tables[name].snapshot() != dut.state.maps[name]:
-            return Divergence(
-                "gallium", "switch_state", None,
-                f"replicated table {name!r}: switch copy"
-                f" {dut.switch.tables[name].snapshot()!r} !="
-                f" server {dut.state.maps[name]!r}",
-            )
-    return None
-
-
 def run_oracle(
     source: str,
     stream: StreamSpec,
@@ -270,7 +167,49 @@ def run_oracle(
     prestate: Optional[dict] = None,
     fast_path: bool = False,
 ) -> OracleResult:
-    """Compile ``source`` once and drive all runtimes over ``stream``.
+    """Compile ``source`` once and drive all runtimes over ``stream``
+    (see :func:`check_artifacts` for the run itself).
+
+    With ``verify`` the static verifier also runs over the compiled
+    artifacts; its error-severity diagnostics ride along on the result so
+    the gauntlet can cross-check them against the dynamic outcome.
+    """
+    try:
+        plan, program = kernel.compile_step(compile_middlebox, source, limits)
+        verifier_errors: List[str] = []
+        if verify:
+            from repro.verify import verify_artifacts
+
+            with kernel.dut("verify"):
+                report = verify_artifacts(
+                    plan, program.shim_to_server, program.shim_to_switch,
+                    program,
+                )
+            verifier_errors = [d.format() for d in report.errors]
+    except kernel.Abort as abort:
+        return OracleResult(_ABORTED[abort.failure], error=abort.error)
+    result = check_artifacts(
+        plan, program, stream, check_cached, cache_entries, deployment_seed,
+        provenance, config, prestate, fast_path,
+    )
+    result.verifier_errors = verifier_errors
+    return result
+
+
+def check_artifacts(
+    plan,
+    program,
+    stream: StreamSpec,
+    check_cached: bool = True,
+    cache_entries: int = 2,
+    deployment_seed: int = 0,
+    provenance: bool = True,
+    config: Optional[Dict[int, list]] = None,
+    prestate: Optional[dict] = None,
+    fast_path: bool = False,
+) -> OracleResult:
+    """Drive the baseline and the deployments of one compiled
+    ``(plan, program)`` over ``stream`` in lock-step.
 
     ``config`` and ``prestate`` replay a symbolic-prover counterexample
     faithfully: the extern config sections every runtime was installed
@@ -281,10 +220,7 @@ def run_oracle(
 
     ``deployment_seed`` threads into each deployment's control-plane
     jitter RNG (via ``GalliumMiddlebox(seed=...)``), so latency numbers
-    reproduce without reaching into private fields.  With ``verify`` the
-    static verifier also runs over the compiled artifacts; its
-    error-severity diagnostics ride along on the result so the gauntlet
-    can cross-check them against the dynamic outcome.
+    reproduce without reaching into private fields.
 
     With ``provenance`` (the default), a DIVERGE outcome re-runs the
     baseline and the diverging deployment with per-packet tracing enabled
@@ -292,204 +228,94 @@ def run_oracle(
     Shrinker predicates pass ``provenance=False``: they replay the oracle
     hundreds of times and only the final report needs the diff.
     """
+
+    def installed(runtime):
+        runtime.install()
+        if prestate is not None:
+            runtime.state.restore(prestate)
+            runtime.state.drain_journal()
+        return runtime
+
+    def make_baseline(telemetry=None) -> FastClickRuntime:
+        return installed(FastClickRuntime(
+            plan.middlebox, config=config, fast_path=fast_path,
+            telemetry=telemetry,
+        ))
+
+    def make_dut(spec: DeploymentSpec, telemetry=None) -> GalliumMiddlebox:
+        box = installed(GalliumMiddlebox(
+            plan, program, port_pairs=dict(DEFAULT_PORT_PAIRS),
+            seed=deployment_seed, config=config, fast_path=fast_path,
+            telemetry=telemetry, **spec.roles(),
+        ))
+        if prestate is not None:
+            box.sync_all_state()
+        return box
+
+    specs = {"gallium": DeploymentSpec()}
+    if check_cached and prestate is None:
+        specs["cached"] = DeploymentSpec(cache_entries=cache_entries)
+    packets = stream.build()
     try:
-        plan, program = compile_middlebox(source, limits)
-    except (PartitionError, SwitchProgramError) as exc:
-        # Both are deliberate refusals: the partitioner could not satisfy
-        # the resource constraints, or the generated switch program blew
-        # an architectural budget (e.g. the Constraint-5 shim limit).
-        return OracleResult(Outcome.PARTITION_REJECTED, error=str(exc))
-    except Exception:
-        return OracleResult(
-            Outcome.CRASH, error=f"compile:\n{traceback.format_exc()}"
-        )
-
-    verifier_errors: List[str] = []
-    if verify:
-        from repro.verify import verify_artifacts
-
-        try:
-            report = verify_artifacts(
-                plan, program.shim_to_server, program.shim_to_switch, program
-            )
-            verifier_errors = [d.format() for d in report.errors]
-        except Exception:
-            verifier_errors = [f"verifier crash:\n{traceback.format_exc()}"]
-
-    result = _drive_runtimes(
-        plan, program, stream, check_cached, cache_entries, deployment_seed,
-        config, prestate, fast_path,
+        with kernel.reference("deploy"):
+            baseline = make_baseline()
+        duts: Dict[str, GalliumMiddlebox] = {}
+        for name, spec in specs.items():
+            # A program the bounded cache cannot serve still runs the
+            # other two ways.
+            with kernel.dut("deploy"), suppress(CacheConfigurationError):
+                duts[name] = make_dut(spec)
+        divergence = next(_lockstep(baseline, duts, packets), None)
+    except kernel.Abort as abort:
+        return OracleResult(_ABORTED[abort.failure], error=abort.error)
+    result = OracleResult(
+        Outcome.AGREE if divergence is None else Outcome.DIVERGE,
+        divergence, cached_checked="cached" in duts,
+        packets_run=(
+            len(packets) if divergence is None
+            or divergence.packet_index is None
+            else divergence.packet_index + 1
+        ),
     )
-    result.verifier_errors = verifier_errors
-    if provenance and result.diverged and result.divergence is not None:
-        result.trace_diff = _collect_provenance(
-            plan, program, stream, result.divergence,
-            cache_entries, deployment_seed,
+    if provenance and divergence is not None:
+        only = divergence.packet_index
+        name = divergence.where or "gallium"
+        result.trace_diff = kernel.collect_provenance(
+            make_baseline,
+            lambda telemetry: make_dut(specs[name], telemetry),
+            lambda lhs, rhs: next(_lockstep(
+                lhs, {name: rhs},
+                packets if only is None else packets[: only + 1],
+            ), None),
+            ("baseline", name), only_packet=only,
         )
     return result
 
 
-def _collect_provenance(
-    plan,
-    program,
-    stream: StreamSpec,
-    divergence: Divergence,
-    cache_entries: int,
-    deployment_seed: int,
-):
-    """Re-run baseline + the diverging deployment with tracing enabled.
-
-    Deployments are deterministic, so the traced re-run reproduces the
-    divergence exactly; for a packet-indexed divergence the tracers
-    restrict recording to that packet.  Provenance is best-effort
-    diagnostics: any exception yields ``None`` rather than masking the
-    divergence itself.
-    """
-    from repro.telemetry import Telemetry
-    from repro.telemetry.diff import diff_traces
-
-    try:
-        runtime_name = divergence.runtime
-        only = divergence.packet_index
-        base_telemetry = Telemetry(tracing=True)
-        dut_telemetry = Telemetry(tracing=True)
-        if only is not None:
-            base_telemetry.tracer.only_packet = only
-            dut_telemetry.tracer.only_packet = only
-        baseline = FastClickRuntime(plan.middlebox, telemetry=base_telemetry)
-        baseline.install()
-        if runtime_name == "cached":
-            dut = CachedGalliumMiddlebox(
-                plan, program, cache_entries=cache_entries,
-                port_pairs=dict(DEFAULT_PORT_PAIRS), seed=deployment_seed,
-                telemetry=dut_telemetry,
-            )
-        else:
-            dut = GalliumMiddlebox(
-                plan, program, port_pairs=dict(DEFAULT_PORT_PAIRS),
-                seed=deployment_seed, telemetry=dut_telemetry,
-            )
-        dut.install()
-        packets = stream.build()
-        last = only if only is not None else len(packets) - 1
-        for packet, ingress in packets[: last + 1]:
-            baseline.process_packet(packet.copy(), ingress)
-            dut.process_packet(packet.copy(), ingress)
-        return diff_traces(
-            base_telemetry.tracer, dut_telemetry.tracer,
-            lhs_label="baseline", rhs_label=runtime_name,
-        )
-    except Exception:
-        return None
-
-
-def _drive_runtimes(
-    plan,
-    program,
-    stream: StreamSpec,
-    check_cached: bool,
-    cache_entries: int,
-    deployment_seed: int,
-    config: Optional[Dict[int, list]] = None,
-    prestate: Optional[dict] = None,
-    fast_path: bool = False,
-) -> OracleResult:
-    try:
-        baseline = FastClickRuntime(
-            plan.middlebox, config=config, fast_path=fast_path
-        )
-        baseline.install()
-        gallium = GalliumMiddlebox(
-            plan, program, port_pairs=dict(DEFAULT_PORT_PAIRS),
-            seed=deployment_seed, config=config, fast_path=fast_path,
-        )
-        gallium.install()
-        if prestate is not None:
-            baseline.state.restore(prestate)
-            baseline.state.drain_journal()
-            gallium.state.restore(prestate)
-            gallium.state.drain_journal()
-            gallium.sync_all_state()
-        cached: Optional[CachedGalliumMiddlebox] = None
-        if check_cached and prestate is None:
-            try:
-                cached = CachedGalliumMiddlebox(
-                    plan, program, cache_entries=cache_entries,
-                    port_pairs=dict(DEFAULT_PORT_PAIRS),
-                    seed=deployment_seed, config=config,
-                )
-                cached.install()
-            except CacheConfigurationError:
-                cached = None
-    except Exception:
-        return OracleResult(
-            Outcome.CRASH, error=f"deploy:\n{traceback.format_exc()}"
-        )
-
-    packets = stream.build()
+def _lockstep(
+    baseline: FastClickRuntime,
+    duts: Dict[str, GalliumMiddlebox],
+    packets: List[Tuple[RawPacket, int]],
+) -> Iterator[Finding]:
+    """Every finding of ``duts`` against ``baseline`` over ``packets``:
+    packet by packet, then end state and replicated-table convergence."""
     for index, (packet, ingress) in enumerate(packets):
         base_packet = packet.copy()
-        gallium_packet = packet.copy()
-        try:
-            base_result = baseline.process_packet(base_packet, ingress)
-        except Exception:
-            return OracleResult(
-                Outcome.CRASH, packets_run=index,
-                error=f"baseline packet #{index}:\n{traceback.format_exc()}",
+        with kernel.reference(f"baseline packet #{index}"):
+            base = baseline.process_packet(base_packet, ingress)
+        # The switch's egress rule (``SwitchModel._resolve_egress``).
+        port = base.egress_port or DEFAULT_PORT_PAIRS.get(ingress, ingress)
+        want = kernel.observe(base.verdict, [(port, base_packet)])
+        for name, box in duts.items():
+            with kernel.dut(f"{name} packet #{index}"):
+                journey = box.process_packet(packet.copy(), ingress)
+            yield from kernel.compare(
+                index, want, kernel.observe(journey.verdict, journey.emitted),
+                ("baseline", name), where=name,
             )
-        base_obs: Tuple[str, Optional[int], Optional[Dict[str, int]]]
-        if base_result.verdict != "send":
-            base_obs = ("drop", None, None)
-        else:
-            base_obs = (
-                "send",
-                _resolve_port(base_result.egress_port, ingress, DEFAULT_PORT_PAIRS),
-                _observe_fields(base_packet),
-            )
-        try:
-            journey = gallium.process_packet(gallium_packet, ingress)
-        except Exception:
-            return OracleResult(
-                Outcome.CRASH, packets_run=index,
-                error=f"gallium packet #{index}:\n{traceback.format_exc()}",
-            )
-        divergence = _compare_packet(
-            "gallium", index, base_obs, _journey_observation(journey)
+    base_state = kernel.end_state(baseline)
+    for name, box in duts.items():
+        yield from kernel.diff_state(
+            base_state, kernel.end_state(box), ("baseline", name), where=name
         )
-        if divergence:
-            return OracleResult(
-                Outcome.DIVERGE, divergence, packets_run=index + 1,
-                cached_checked=cached is not None,
-            )
-        if cached is not None:
-            cached_packet = packet.copy()
-            try:
-                cached_journey = cached.process_packet(cached_packet, ingress)
-            except Exception:
-                return OracleResult(
-                    Outcome.CRASH, packets_run=index,
-                    error=f"cached packet #{index}:\n{traceback.format_exc()}",
-                )
-            divergence = _compare_packet(
-                "cached", index, base_obs,
-                _journey_observation(cached_journey),
-            )
-            if divergence:
-                return OracleResult(
-                    Outcome.DIVERGE, divergence, packets_run=index + 1,
-                    cached_checked=True,
-                )
-
-    divergence = (
-        _compare_state("gallium", baseline, gallium)
-        or _check_replication(gallium)
-        or (_compare_state("cached", baseline, cached) if cached is not None else None)
-    )
-    if divergence:
-        return OracleResult(
-            Outcome.DIVERGE, divergence, packets_run=len(packets),
-            cached_checked=cached is not None,
-        )
-    return OracleResult(
-        Outcome.AGREE, packets_run=len(packets), cached_checked=cached is not None,
-    )
+        yield from kernel.check_convergence(box, where=name)

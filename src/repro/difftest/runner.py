@@ -7,25 +7,15 @@ produces a readable report that always embeds the reproducing seed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from repro.difftest import kernel
 from repro.difftest.generator import GenProgram, generate_program
+from repro.difftest.kernel import STREAM_SALT, derive_seeds  # noqa: F401
 from repro.difftest.oracle import Outcome, OracleResult, StreamSpec, run_oracle
 from repro.difftest.shrink import shrink_case
 from repro.partition.constraints import SwitchResources
-
-#: Multiplier decorrelating per-run program seeds from the master seed.
-_SEED_STRIDE = 1_000_003
-#: XOR'd into the program seed to derive the stream seed.
-_STREAM_SALT = 0x5EED
-
-
-def derive_seeds(master_seed: int, index: int) -> tuple:
-    """(program_seed, stream_seed) for run ``index`` under ``master_seed``."""
-    program_seed = master_seed * _SEED_STRIDE + index
-    return program_seed, program_seed ^ _STREAM_SALT
 
 
 @dataclass
@@ -50,47 +40,25 @@ class Failure:
     dissenters: Optional[List[str]] = None
 
     def report(self) -> str:
-        lines = [
-            f"=== gauntlet failure (run #{self.index}) ===",
-            f"program seed : {self.program_seed}",
-            f"stream       : seed={self.stream.seed} count={self.stream.count}"
-            f" udp_ratio={self.stream.udp_ratio}",
-            f"outcome      : {self.result.outcome.value}"
-            + (" (verifier disagreement)" if self.verifier_disagreement else ""),
-            "reproduce    : python -m repro difftest --runs 1"
-            f" --seed-override {self.program_seed}",
-        ]
+        verdict_rows = []
         if self.opinions is not None:
-            stances = " ".join(
+            verdict_rows.append(("opinions", " ".join(
                 f"{checker}={stance}"
                 for checker, stance in sorted(self.opinions.items())
-            )
-            lines.append(f"opinions     : {stances}")
+            )))
         if self.dissenters:
-            lines.append(f"dissenting   : {', '.join(self.dissenters)}")
-        if self.result.divergence is not None:
-            lines.append(f"divergence   : {self.result.divergence}")
-        for line in self.result.verifier_errors:
-            lines.append(f"verifier     : {line}")
-        if self.result.error:
-            lines.append(f"error        : {self.result.error.rstrip()}")
-        source = (
-            self.minimized_program.source()
-            if self.minimized_program is not None
-            else self.program.source()
+            verdict_rows.append(("dissenting", ", ".join(self.dissenters)))
+        verdict_rows.extend(
+            ("verifier", line) for line in self.result.verifier_errors
         )
-        label = "minimized" if self.minimized_program is not None else "program"
-        lines.append(f"--- {label} source ---")
-        lines.append(source.rstrip())
-        if self.minimized_stream is not None:
-            lines.append(
-                f"minimized stream: seed={self.minimized_stream.seed}"
-                f" count={self.minimized_stream.count}"
-            )
-        if self.result.trace_diff is not None:
-            lines.append("--- trace provenance ---")
-            lines.append(self.result.trace_diff.render().rstrip())
-        return "\n".join(lines)
+        return kernel.render_report(
+            "gauntlet", self,
+            self.result.outcome.value
+            + (" (verifier disagreement)" if self.verifier_disagreement
+               else ""),
+            _REPRODUCE(self.program_seed), self.result.divergence,
+            verdict_rows=verdict_rows,
+        )
 
 
 @dataclass
@@ -99,6 +67,7 @@ class GauntletStats:
     agree: int = 0
     diverge: int = 0
     crash: int = 0
+    reference_crash: int = 0
     partition_rejected: int = 0
     cached_checked: int = 0
     verifier_disagreements: int = 0
@@ -116,6 +85,8 @@ class GauntletStats:
             self.diverge += 1
         elif result.outcome is Outcome.CRASH:
             self.crash += 1
+        elif result.outcome is Outcome.REFERENCE_CRASH:
+            self.reference_crash += 1
         else:
             self.partition_rejected += 1
         if result.cached_checked:
@@ -123,8 +94,8 @@ class GauntletStats:
 
     @property
     def failures(self) -> int:
-        return (self.diverge + self.crash + self.verifier_disagreements
-                + self.symbolic_disagreements)
+        return (self.diverge + self.crash + self.reference_crash
+                + self.verifier_disagreements + self.symbolic_disagreements)
 
     def summary(self) -> str:
         symbolic = ""
@@ -135,7 +106,10 @@ class GauntletStats:
             )
         return (
             f"{self.runs} programs: {self.agree} agree, {self.diverge} diverge,"
-            f" {self.crash} crash, {self.partition_rejected} rejected,"
+            f" {self.crash} crash,"
+            + (f" {self.reference_crash} reference crash,"
+               if self.reference_crash else "")
+            + f" {self.partition_rejected} rejected,"
             f" {self.verifier_disagreements} verifier disagreements"
             f" ({self.cached_checked} also ran the cached deployment)"
             f"{symbolic}"
@@ -168,22 +142,19 @@ def run_gauntlet(
     is a failure whose report names the dissenter.
     """
     stats = GauntletStats()
-    failures: List[Failure] = []
-    started = time.monotonic()
-    for index in range(runs):
-        if time_budget_s is not None and time.monotonic() - started > time_budget_s:
-            break
-        if seed_override is not None:
-            program_seed = seed_override + index
-            stream_seed = program_seed ^ _STREAM_SALT
-        else:
-            program_seed, stream_seed = derive_seeds(seed, index)
+
+    def scenario(index: int, program_seed: int) -> Optional[Failure]:
         program = generate_program(program_seed)
-        stream = StreamSpec(seed=stream_seed, count=packets)
-        result = run_oracle(
-            program.source(), stream, limits=limits,
-            deployment_seed=program_seed,
-        )
+        stream = StreamSpec(seed=program_seed ^ STREAM_SALT, count=packets)
+
+        def run(candidate: GenProgram, candidate_stream: StreamSpec,
+                provenance: bool = True) -> OracleResult:
+            return run_oracle(
+                candidate.source(), candidate_stream, limits=limits,
+                deployment_seed=program_seed, provenance=provenance,
+            )
+
+        result = run(program, stream)
         stats.record(result)
         disagreement = (
             result.outcome is Outcome.AGREE and bool(result.verifier_errors)
@@ -201,36 +172,43 @@ def run_gauntlet(
                     # have passed: count and surface it.
                     stats.symbolic_disagreements += 1
                     disagreement = True
-        if result.outcome in (Outcome.DIVERGE, Outcome.CRASH) or disagreement:
-            failure = Failure(
-                index, program_seed, stream, program, result,
-                verifier_disagreement=disagreement,
-                opinions=opinions, dissenters=dissenters,
+        if not disagreement and result.outcome not in _FAILING:
+            return None
+        failure = Failure(
+            index, program_seed, stream, program, result,
+            verifier_disagreement=disagreement,
+            opinions=opinions, dissenters=dissenters,
+        )
+        if shrink_failures:
+            minimized = kernel.minimize(
+                shrink_case, (program, stream), result, run, _signature
             )
-            if shrink_failures:
-                failure.minimized_program, failure.minimized_stream = _shrink_failure(
-                    program, stream, result, limits
-                )
-                if failure.minimized_program is not None:
-                    # Re-collect provenance on the minimized case so the
-                    # trace diff matches the source the report shows.
-                    replay = run_oracle(
-                        failure.minimized_program.source(),
-                        failure.minimized_stream, limits=limits,
-                    )
-                    if replay.trace_diff is not None:
-                        failure.result.trace_diff = replay.trace_diff
-            failures.append(failure)
-            if log is not None:
-                log(failure.report())
-            if len(failures) >= max_failures:
-                if log is not None:
-                    log(f"stopping after {max_failures} failures")
-                break
-        elif log is not None and (index + 1) % 100 == 0:
-            log(f"... {index + 1}/{runs} ({stats.summary()})")
-    stats.elapsed_s = time.monotonic() - started
+            if minimized is not None:
+                failure.minimized_program, failure.minimized_stream = minimized
+        return failure
+
+    failures, stats.elapsed_s = kernel.drive(
+        runs, seed, scenario, _REPRODUCE,
+        seed_override=seed_override, time_budget_s=time_budget_s,
+        max_failures=max_failures, log=log,
+        progress=lambda: f"({stats.summary()})",
+    )
     return stats, failures
+
+
+_REPRODUCE = kernel.cli_reproduce("difftest")
+_FAILING = (Outcome.DIVERGE, Outcome.CRASH, Outcome.REFERENCE_CRASH)
+
+
+def _signature(result: OracleResult) -> tuple:
+    """What a shrunk case must preserve: the outcome class, the
+    divergence kind, and — for a verifier disagreement — that the
+    verifier still objects."""
+    return (
+        result.outcome,
+        result.divergence.kind if result.divergence else None,
+        result.outcome is Outcome.AGREE and bool(result.verifier_errors),
+    )
 
 
 def _symbolic_opinions(
@@ -271,42 +249,3 @@ def _dissenters(opinions: dict) -> List[str]:
         for checker, stance in sorted(opinions.items())
         if stance in ("agree", "diverge") and stance != reference
     ]
-
-
-def _shrink_failure(
-    program: GenProgram,
-    stream: StreamSpec,
-    result: OracleResult,
-    limits: Optional[SwitchResources],
-):
-    """Minimize preserving the outcome class (and divergence kind if any)."""
-    want_outcome = result.outcome
-    want_kind = result.divergence.kind if result.divergence else None
-    want_verifier = (
-        want_outcome is Outcome.AGREE and bool(result.verifier_errors)
-    )
-
-    def predicate(candidate: GenProgram, candidate_stream: StreamSpec) -> bool:
-        # No provenance in the shrink loop: it replays the oracle hundreds
-        # of times and only the surviving case's report needs a diff.
-        replay = run_oracle(
-            candidate.source(), candidate_stream, limits=limits,
-            provenance=False,
-        )
-        if replay.outcome is not want_outcome:
-            return False
-        if want_kind is not None and (
-            replay.divergence is None or replay.divergence.kind != want_kind
-        ):
-            return False
-        if want_verifier and not replay.verifier_errors:
-            return False
-        return True
-
-    try:
-        return shrink_case(program, stream, predicate,
-                           trace_diff=result.trace_diff)
-    except ValueError:
-        # Non-reproducible under re-run (should not happen: everything is
-        # seeded); keep the original case rather than lose the report.
-        return None, None

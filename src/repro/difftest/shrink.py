@@ -6,8 +6,10 @@ packet stream, drop statements, unwrap a conditional into one of its
 arms, drop unused class members, shrink numeric literals, simplify
 expressions — and keeps a mutation only while the caller's *divergence
 predicate* still holds.  Invalid mutants (e.g. a deleted ``Let`` whose
-name is still referenced) simply fail to compile, which makes the
-predicate return False, so validity never needs special-casing.
+name is still referenced) simply fail to compile, which the oracle
+classifies as a crash or refusal — a different outcome, so the predicate
+returns False and validity never needs special-casing.  A predicate that
+*raises* is a bug in the harness and propagates.
 
 The predicate contract: ``predicate(program, stream) -> bool``, True iff
 the interesting behaviour (usually "the oracle still reports the same
@@ -91,13 +93,6 @@ class ShrinkHints:
 _NO_HINTS = ShrinkHints()
 
 
-def _try(predicate: Predicate, program: GenProgram, stream: StreamSpec) -> bool:
-    try:
-        return bool(predicate(program, stream))
-    except Exception:
-        return False
-
-
 def _shrink_stream(program: GenProgram, stream: StreamSpec,
                    predicate: Predicate,
                    hints: ShrinkHints = _NO_HINTS) -> StreamSpec:
@@ -106,14 +101,14 @@ def _shrink_stream(program: GenProgram, stream: StreamSpec,
     if hints.packet is not None and hints.packet + 1 < stream.count:
         candidate = StreamSpec(stream.seed, hints.packet + 1,
                                stream.udp_ratio)
-        if _try(predicate, program, candidate):
+        if predicate(program, candidate):
             stream = candidate
     while stream.count > 1:
         for count in (1, stream.count // 2, stream.count - 1):
             if count < 1 or count >= stream.count:
                 continue
             candidate = StreamSpec(stream.seed, count, stream.udp_ratio)
-            if _try(predicate, program, candidate):
+            if predicate(program, candidate):
                 stream = candidate
                 break
         else:
@@ -140,7 +135,7 @@ def _drop_one_statement(program: GenProgram, stream: StreamSpec,
     for block_index, stmt_index in candidates:
         candidate = copy.deepcopy(program)
         del candidate.all_blocks()[block_index][stmt_index]
-        if _try(predicate, candidate, stream):
+        if predicate(candidate, stream):
             del blocks[block_index][stmt_index]
             return True
     return False
@@ -157,7 +152,7 @@ def _unwrap_one_branch(program: GenProgram, stream: StreamSpec, predicate: Predi
                 cand_block = candidate.all_blocks()[block_index]
                 cand_arm = cand_block[stmt_index].blocks()[arm_index]
                 cand_block[stmt_index:stmt_index + 1] = cand_arm
-                if _try(predicate, candidate, stream):
+                if predicate(candidate, stream):
                     block[stmt_index:stmt_index + 1] = stmt.blocks()[arm_index]
                     return True
     return False
@@ -171,7 +166,7 @@ def _drop_unused_members(program: GenProgram, stream: StreamSpec, predicate: Pre
             continue
         candidate = copy.deepcopy(program)
         candidate.maps = [m for m in candidate.maps if m.name != spec.name]
-        if _try(predicate, candidate, stream):
+        if predicate(candidate, stream):
             program.maps = [m for m in program.maps if m.name != spec.name]
             changed = True
     for scalar in list(program.scalars):
@@ -179,7 +174,7 @@ def _drop_unused_members(program: GenProgram, stream: StreamSpec, predicate: Pre
             continue
         candidate = copy.deepcopy(program)
         candidate.scalars = [s for s in candidate.scalars if s != scalar]
-        if _try(predicate, candidate, stream):
+        if predicate(candidate, stream):
             program.scalars = [s for s in program.scalars if s != scalar]
             changed = True
     return changed
@@ -207,7 +202,7 @@ def _shrink_one_literal(program: GenProgram, stream: StreamSpec, predicate: Pred
                     new_expr = expr[: match.start()] + str(repl) + expr[match.end():]
                     candidate = copy.deepcopy(program)
                     setattr(_all_stmts(candidate)[stmt_index], attr, new_expr)
-                    if _try(predicate, candidate, stream):
+                    if predicate(candidate, stream):
                         setattr(stmt, attr, new_expr)
                         return True
     return False
@@ -222,7 +217,7 @@ def _simplify_one_expr(program: GenProgram, stream: StreamSpec, predicate: Predi
                 continue
             candidate = copy.deepcopy(program)
             setattr(_all_stmts(candidate)[stmt_index], attr, "0")
-            if _try(predicate, candidate, stream):
+            if predicate(candidate, stream):
                 setattr(stmt, attr, "0")
                 return True
     return False
@@ -244,7 +239,7 @@ def shrink_case(
     """
     hints = ShrinkHints.from_trace_diff(trace_diff)
     program = copy.deepcopy(program)
-    if not _try(predicate, program, stream):
+    if not predicate(program, stream):
         raise ValueError("shrink_case: initial case does not satisfy the predicate")
     stream = _shrink_stream(program, stream, predicate, hints)
     for _ in range(max_rounds):

@@ -10,9 +10,10 @@ package stress-tests the parts the paper takes for granted:
   switch reprogramming windows, stale replication, punt reordering),
 * :mod:`repro.faults.injector` — deterministic seed-driven execution of a
   plan (same plan + seed → identical faults, so every run reproduces),
-* :mod:`repro.faults.oracle` — the fault-aware extension of the difftest
-  oracle: replays the deployment's effect log on a clean reference and
-  proves equivalence-or-declared-degradation, never silent divergence,
+* :mod:`repro.faults.oracle` — the fault-aware policy over the oracle
+  kernel (:mod:`repro.difftest.kernel`): replays the deployment's effect
+  log on a clean reference and proves equivalence-or-declared-degradation,
+  never silent divergence,
 * :mod:`repro.faults.campaign` — the randomized campaign runner behind
   ``python -m repro faults`` / ``make faults-smoke``,
 * :mod:`repro.faults.shrink` — delta-debugging of campaign failures over
@@ -33,7 +34,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.oracle import (
     FaultOracleResult,
     FaultOutcome,
-    FaultViolation,
+    FaultScenario,
     run_fault_oracle,
 )
 from repro.faults.shrink import shrink_fault_case, shrink_plan
@@ -67,7 +68,7 @@ __all__ = [
     "FaultOracleResult",
     "FaultOutcome",
     "FaultPlan",
-    "FaultViolation",
+    "FaultScenario",
     "LinkFault",
     "PrimarySwitchCrash",
     "PuntReorder",

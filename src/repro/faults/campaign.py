@@ -12,22 +12,25 @@ command exactly like the difftest gauntlet.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.difftest import kernel
 from repro.difftest.generator import GenProgram, generate_program
+from repro.difftest.kernel import STREAM_SALT, derive_seeds
 from repro.difftest.oracle import StreamSpec
-from repro.difftest.runner import _STREAM_SALT, derive_seeds
 from repro.faults.oracle import (
     FaultOracleResult,
     FaultOutcome,
+    require_plannable,
     run_fault_oracle,
 )
 from repro.faults.plan import ALL_FAULT_KINDS, FaultPlan, generate_plan
+from repro.faults.shrink import shrink_fault_case
 from repro.partition.constraints import SwitchResources
 from repro.runtime.degradation import DegradationPolicy
 from repro.runtime.pool import default_member_names
+from repro.runtime.spec import DeploymentSpec
 from repro.switchsim.control_plane import RetryPolicy
 
 #: XOR'd into the program seed to derive the fault-plan seed.
@@ -44,7 +47,7 @@ def seeds_for_program(program_seed: int) -> tuple:
     ``--seed-override`` reproduce regenerates the identical scenario."""
     return (
         program_seed,
-        program_seed ^ _STREAM_SALT,
+        program_seed ^ STREAM_SALT,
         program_seed ^ _PLAN_SALT,
         program_seed ^ _INJECT_SALT,
         program_seed ^ _DEPLOY_SALT,
@@ -79,62 +82,42 @@ class FaultFailure:
     injector_seed: int
     deployment_seed: int
     result: FaultOracleResult
-    cached: bool = False
-    failover: bool = False
-    pool_servers: int = 0
     minimized_program: Optional[GenProgram] = None
     minimized_stream: Optional[StreamSpec] = None
     minimized_plan: Optional[FaultPlan] = None
 
-    def report(self) -> str:
-        plan = (
+    @property
+    def deployment(self) -> DeploymentSpec:
+        return self.result.deployment
+
+    @property
+    def _plan(self) -> FaultPlan:
+        return (
             self.minimized_plan
             if self.minimized_plan is not None else self.fault_plan
         )
-        lines = [
-            f"=== fault-campaign failure (run #{self.index}) ===",
-            f"program seed : {self.program_seed}",
-            f"stream       : seed={self.stream.seed} count={self.stream.count}"
-            f" udp_ratio={self.stream.udp_ratio}",
-            f"fault plan   : {plan.describe()}"
-            + (" (minimized)" if self.minimized_plan is not None else ""),
-            f"policy       : fail_open={self.policy.fail_open}"
-            f" queue={self.policy.punt_queue_depth}"
-            f" retries={self.policy.retry.max_attempts}",
-            f"outcome      : {self.result.outcome.value}",
-            "reproduce    : python -m repro faults --runs 1"
-            f" --seed-override {self.program_seed}"
-            + (" --cached" if self.cached else "")
-            + (" --failover" if self.failover else "")
-            + (f" --servers {self.pool_servers}" if self.pool_servers else ""),
-        ]
-        if self.result.violation is not None:
-            lines.append(f"violation    : {self.result.violation}")
-        if self.result.error:
-            lines.append(f"error        : {self.result.error.rstrip()}")
+
+    def report(self) -> str:
+        verdict_rows = []
         if self.result.injected:
-            injected = ", ".join(
+            verdict_rows.append(("injected", ", ".join(
                 f"{label}={count}"
                 for label, count in sorted(self.result.injected.items())
-            )
-            lines.append(f"injected     : {injected}")
-        source = (
-            self.minimized_program.source()
-            if self.minimized_program is not None
-            else self.program.source()
+            )))
+        return kernel.render_report(
+            "fault-campaign", self, self.result.outcome.value,
+            _reproduce(self.deployment)(self.program_seed),
+            self.result.violation,
+            scenario_rows=[
+                ("fault plan", self._plan.describe()
+                 + (" (minimized)" if self.minimized_plan is not None
+                    else "")),
+                ("policy", f"fail_open={self.policy.fail_open}"
+                           f" queue={self.policy.punt_queue_depth}"
+                           f" retries={self.policy.retry.max_attempts}"),
+            ],
+            verdict_rows=verdict_rows,
         )
-        label = "minimized" if self.minimized_program is not None else "program"
-        lines.append(f"--- {label} source ---")
-        lines.append(source.rstrip())
-        if self.minimized_stream is not None:
-            lines.append(
-                f"minimized stream: seed={self.minimized_stream.seed}"
-                f" count={self.minimized_stream.count}"
-            )
-        if self.result.trace_diff is not None:
-            lines.append("--- trace provenance ---")
-            lines.append(self.result.trace_diff.render().rstrip())
-        return "\n".join(lines)
 
     def corpus_entry(self, name: str, description: str = ""):
         """Package this failure (minimized when available) as a
@@ -147,22 +130,22 @@ class FaultFailure:
             name=name,
             source=program.source(),
             stream=self.minimized_stream or self.stream,
-            fault_plan=(
-                self.minimized_plan
-                if self.minimized_plan is not None else self.fault_plan
-            ),
+            fault_plan=self._plan,
             policy=self.policy,
             injector_seed=self.injector_seed,
             deployment_seed=self.deployment_seed,
             description=description,
             found_by_seed=self.program_seed,
-            cached=self.cached,
-            failover=self.failover,
+            deployment=self.deployment,
             trace_diff=(
                 self.result.trace_diff.to_dict()
                 if self.result.trace_diff is not None else None
             ),
         )
+
+
+def _reproduce(deployment: DeploymentSpec) -> Callable[[int], str]:
+    return kernel.cli_reproduce("faults", deployment.cli_flags())
 
 
 #: spec attribute holding the fault's window length, per fault kind.
@@ -188,7 +171,11 @@ class CampaignStats:
     clean: int = 0
     degraded_ok: int = 0
     violations: int = 0
+    #: scenarios in which the compiler, the deployment under test *or*
+    #: the reference raised
     crashes: int = 0
+    #: of those, the ones where it was the reference
+    reference_crashes: int = 0
     rejected: int = 0
     #: scenarios per fault class that actually injected something
     coverage: Dict[str, int] = field(
@@ -234,6 +221,9 @@ class CampaignStats:
             self.violations += 1
         elif result.outcome is FaultOutcome.CRASH:
             self.crashes += 1
+        elif result.outcome is FaultOutcome.REFERENCE_CRASH:
+            self.crashes += 1
+            self.reference_crashes += 1
         else:
             self.rejected += 1
         if result.outcome in (FaultOutcome.CLEAN, FaultOutcome.DEGRADED_OK):
@@ -297,6 +287,7 @@ class CampaignStats:
                 "degraded_ok": self.degraded_ok,
                 "violations": self.violations,
                 "crashes": self.crashes,
+                "reference_crashes": self.reference_crashes,
                 "rejected": self.rejected,
             },
             "packets": {
@@ -322,8 +313,10 @@ class CampaignStats:
         return (
             f"{self.runs} scenarios: {self.degraded_ok} degraded-ok,"
             f" {self.clean} clean, {self.violations} violations,"
-            f" {self.crashes} crashes, {self.rejected} rejected"
-            f" in {self.elapsed_s:.1f}s\n"
+            f" {self.crashes} crashes"
+            + (f" ({self.reference_crashes} of the reference)"
+               if self.reference_crashes else "")
+            + f", {self.rejected} rejected in {self.elapsed_s:.1f}s\n"
             f"packets: {self.delivered_packets} delivered with full"
             f" semantics, {self.degraded_packets} degraded (all declared)\n"
             f"coverage: {covered}"
@@ -340,165 +333,92 @@ def run_campaign(
     seed_override: Optional[int] = None,
     log: Optional[Callable[[str], None]] = None,
     shrink_failures: bool = False,
-    cached: bool = False,
-    cache_entries: int = 2,
-    failover: bool = False,
-    pool_servers: int = 0,
+    deployment: DeploymentSpec = DeploymentSpec(),
 ) -> Tuple[CampaignStats, List[FaultFailure]]:
     """Run the fault campaign; returns ``(stats, failures)``.
 
-    ``cached`` drives every scenario with the bounded-cache switch state
-    policy instead of full replication (scenarios whose programs cannot
-    run in cache mode count as rejected); ``failover`` drives every
-    scenario on an active-standby switch pair under failover-specific
-    fault plans (primary crashes, stale standby replays);
-    ``pool_servers`` (≥2 to be interesting) punts into a server pool
-    under pool-specific fault plans (member crashes and drains with live
-    flow-state migration).  The three are independent deployment roles
-    and combine freely, except ``pool_servers`` with ``failover``, which
-    :func:`run_fault_oracle` refuses until a plan generator mixes their
-    fault kinds.
+    ``deployment`` picks the flavour every scenario runs on, and with it
+    the fault plans drawn: a bounded cache keeps the base plans
+    (scenarios whose programs cannot run in cache mode count as
+    rejected); an active-standby pair draws failover-specific plans
+    (primary crashes, stale standby replays); a server pool (≥2 members
+    to be interesting) draws pool-specific ones (member crashes and
+    drains with live flow-state migration).  The three are independent
+    deployment roles and combine freely, except a pool with an
+    active-standby pair, which the oracle refuses
+    (:func:`~repro.faults.oracle.require_plannable`) until a plan
+    generator mixes their fault kinds.
     ``shrink_failures`` delta-debugs each failure — fault plan, program,
     and stream — before it is reported or written to the corpus.
     """
+    require_plannable(deployment)
     stats = CampaignStats()
-    pool_names = default_member_names(pool_servers) if pool_servers else None
-    failures: List[FaultFailure] = []
-    started = time.monotonic()
-    for index in range(runs):
-        if (
-            time_budget_s is not None
-            and time.monotonic() - started > time_budget_s
-        ):
-            break
-        if seed_override is not None:
-            scenario_seeds = seeds_for_program(seed_override + index)
-        else:
-            scenario_seeds = derive_fault_seeds(seed, index)
-        (
-            program_seed, stream_seed, plan_seed, injector_seed, deploy_seed,
-        ) = scenario_seeds
+    pool_names = (
+        default_member_names(deployment.pool_servers)
+        if deployment.pool_servers else None
+    )
+
+    def scenario(index: int, program_seed: int) -> Optional[FaultFailure]:
+        _, stream_seed, plan_seed, injector_seed, deploy_seed = (
+            seeds_for_program(program_seed)
+        )
         program = generate_program(program_seed)
         stream = StreamSpec(seed=stream_seed, count=packets)
         scenario_rng = random.Random(plan_seed)
         fault_plan = generate_plan(
-            scenario_rng, packets, failover=failover,
+            scenario_rng, packets,
+            failover=deployment.standby_detection is not None,
             pool_members=pool_names,
         )
         policy = random_policy(scenario_rng)
-        result = run_fault_oracle(
-            program.source(),
-            stream,
-            fault_plan,
-            policy=policy,
-            injector_seed=injector_seed,
-            deployment_seed=deploy_seed,
-            limits=limits,
-            cached=cached,
-            cache_entries=cache_entries,
-            failover=failover,
-            pool=pool_servers,
-        )
-        stats.record(fault_plan, result)
-        if result.outcome in (FaultOutcome.VIOLATION, FaultOutcome.CRASH):
-            failure = FaultFailure(
-                index, program_seed, stream, program, fault_plan, policy,
-                injector_seed, deploy_seed, result, cached=cached,
-                failover=failover, pool_servers=pool_servers,
+
+        def run(candidate: GenProgram, candidate_stream: StreamSpec,
+                candidate_plan: FaultPlan,
+                provenance: bool = True) -> FaultOracleResult:
+            return run_fault_oracle(
+                candidate.source(), candidate_stream, candidate_plan,
+                policy=policy, injector_seed=injector_seed,
+                deployment_seed=deploy_seed, limits=limits,
+                deployment=deployment, provenance=provenance,
             )
-            if shrink_failures:
+
+        result = run(program, stream, fault_plan)
+        stats.record(fault_plan, result)
+        if result.outcome not in _FAILING:
+            return None
+        failure = FaultFailure(
+            index, program_seed, stream, program, fault_plan, policy,
+            injector_seed, deploy_seed, result,
+        )
+        if shrink_failures:
+            minimized = kernel.minimize(
+                shrink_fault_case, (program, stream, fault_plan), result,
+                run, _signature,
+            )
+            if minimized is not None:
                 (
                     failure.minimized_program,
                     failure.minimized_stream,
                     failure.minimized_plan,
-                ) = _shrink_failure(
-                    failure, limits, cached=cached,
-                    cache_entries=cache_entries, failover=failover,
-                    pool_servers=pool_servers,
-                )
-                if failure.minimized_program is not None:
-                    # Re-collect provenance on the minimized scenario so
-                    # the trace diff matches the source the report shows.
-                    replay = run_fault_oracle(
-                        failure.minimized_program.source(),
-                        failure.minimized_stream,
-                        failure.minimized_plan,
-                        policy=policy,
-                        injector_seed=injector_seed,
-                        deployment_seed=deploy_seed,
-                        limits=limits,
-                        cached=cached,
-                        cache_entries=cache_entries,
-                        failover=failover,
-                        pool=pool_servers,
-                    )
-                    if replay.trace_diff is not None:
-                        failure.result.trace_diff = replay.trace_diff
-            failures.append(failure)
-            if log is not None:
-                log(failure.report())
-            if len(failures) >= max_failures:
-                if log is not None:
-                    log(f"stopping after {max_failures} failures")
-                break
-        elif log is not None and (index + 1) % 100 == 0:
-            log(f"... {index + 1}/{runs}")
-    stats.elapsed_s = time.monotonic() - started
+                ) = minimized
+        return failure
+
+    failures, stats.elapsed_s = kernel.drive(
+        runs, seed, scenario, _reproduce(deployment),
+        seed_override=seed_override, time_budget_s=time_budget_s,
+        max_failures=max_failures, log=log,
+    )
     return stats, failures
 
 
-def _shrink_failure(
-    failure: FaultFailure,
-    limits: Optional[SwitchResources],
-    cached: bool = False,
-    cache_entries: int = 2,
-    failover: bool = False,
-    pool_servers: int = 0,
-):
-    """Minimize (fault plan, program, stream) preserving the outcome class
-    and, for violations, the violation kind."""
-    from repro.faults.shrink import shrink_fault_case
+_FAILING = (
+    FaultOutcome.VIOLATION, FaultOutcome.CRASH, FaultOutcome.REFERENCE_CRASH,
+)
 
-    want_outcome = failure.result.outcome
-    want_kind = (
-        failure.result.violation.kind
-        if failure.result.violation is not None else None
+
+def _signature(result: FaultOracleResult) -> tuple:
+    """What a shrunk scenario must preserve: the outcome class and, for
+    violations, the violation kind."""
+    return (
+        result.outcome, result.violation.kind if result.violation else None
     )
-
-    def predicate(
-        candidate: GenProgram, candidate_stream: StreamSpec,
-        candidate_plan: FaultPlan,
-    ) -> bool:
-        # No provenance in the shrink loop: it replays the oracle hundreds
-        # of times and only the surviving case's report needs a diff.
-        replay = run_fault_oracle(
-            candidate.source(),
-            candidate_stream,
-            candidate_plan,
-            policy=failure.policy,
-            injector_seed=failure.injector_seed,
-            deployment_seed=failure.deployment_seed,
-            limits=limits,
-            cached=cached,
-            cache_entries=cache_entries,
-            failover=failover,
-            pool=pool_servers,
-            provenance=False,
-        )
-        if replay.outcome is not want_outcome:
-            return False
-        if want_kind is not None and (
-            replay.violation is None or replay.violation.kind != want_kind
-        ):
-            return False
-        return True
-
-    try:
-        return shrink_fault_case(
-            failure.program, failure.stream, failure.fault_plan, predicate,
-            trace_diff=failure.result.trace_diff,
-        )
-    except ValueError:
-        # Non-reproducible under re-run (should not happen: everything is
-        # seeded); keep the original case rather than lose the report.
-        return None, None, None

@@ -10,12 +10,13 @@ fault oracle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import List, Optional
+from typing import ClassVar
 
-from repro.difftest.oracle import StreamSpec
+from repro.difftest import corpus as base
+from repro.difftest.corpus import save_entry  # noqa: F401 - one definition
 from repro.faults.oracle import (
     FaultOracleResult,
     FaultOutcome,
@@ -23,89 +24,55 @@ from repro.faults.oracle import (
 )
 from repro.faults.plan import FaultPlan
 from repro.runtime.degradation import DegradationPolicy
+from repro.runtime.spec import DeploymentSpec
 
 #: Default corpus location (checked into the repository).
 CORPUS_DIR = Path(__file__).resolve().parents[3] / "tests" / "faults_corpus"
 
 
-@dataclass
-class FaultCorpusEntry:
-    """One fault-scenario reproducer plus its provenance."""
+@dataclass(kw_only=True)
+class FaultCorpusEntry(base.ReproducerEntry):
+    """One fault-scenario reproducer."""
 
-    name: str
-    source: str
-    stream: StreamSpec
+    DIRECTORY: ClassVar[Path] = CORPUS_DIR
+
+    expect: str = FaultOutcome.DEGRADED_OK.value
     fault_plan: FaultPlan
     policy: DegradationPolicy
     injector_seed: int = 0
     deployment_seed: int = 0
-    expect: str = FaultOutcome.DEGRADED_OK.value
-    description: str = ""
-    found_by_seed: Optional[int] = None
-    #: replay on the bounded-cache deployment instead of full replication
-    cached: bool = False
-    #: replay on the active-standby failover deployment
-    failover: bool = False
-    #: serialized :class:`repro.telemetry.diff.TraceDiff` captured when
-    #: the bug was found — the first divergent semantic event between the
-    #: reference and the faulty deployment, kept as historical provenance.
-    trace_diff: Optional[dict] = None
+    #: the deployment flavour the scenario ran (and replays) on
+    deployment: DeploymentSpec = DeploymentSpec()
 
-    def to_dict(self) -> dict:
-        data = {
-            "name": self.name,
-            "description": self.description,
-            "found_by_seed": self.found_by_seed,
-            "expect": self.expect,
-            "cached": self.cached,
-            "failover": self.failover,
-            "stream": self.stream.to_dict(),
+    def own_dict(self) -> dict:
+        return {
+            "deployment": self.deployment.to_dict(),
             "fault_plan": self.fault_plan.to_dict(),
             "policy": self.policy.to_dict(),
             "injector_seed": self.injector_seed,
             "deployment_seed": self.deployment_seed,
-            "source": self.source.splitlines(),
         }
-        if self.trace_diff is not None:
-            data["trace_diff"] = self.trace_diff
-        return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultCorpusEntry":
-        source = data["source"]
-        if isinstance(source, list):
-            source = "\n".join(source) + "\n"
-        return cls(
-            name=data["name"],
-            source=source,
-            stream=StreamSpec.from_dict(data["stream"]),
-            fault_plan=FaultPlan.from_dict(data["fault_plan"]),
-            policy=DegradationPolicy.from_dict(data.get("policy", {})),
-            injector_seed=int(data.get("injector_seed", 0)),
-            deployment_seed=int(data.get("deployment_seed", 0)),
-            expect=data.get("expect", FaultOutcome.DEGRADED_OK.value),
-            description=data.get("description", ""),
-            found_by_seed=data.get("found_by_seed"),
-            cached=bool(data.get("cached", False)),
-            failover=bool(data.get("failover", False)),
-            trace_diff=data.get("trace_diff"),
-        )
+    @staticmethod
+    def own_kwargs(data: dict) -> dict:
+        if "deployment" in data:
+            deployment = DeploymentSpec.from_dict(data["deployment"])
+        else:
+            # Entries written before the flavour travelled as one value.
+            deployment = DeploymentSpec.from_flags(
+                cached=bool(data.get("cached", False)),
+                failover=bool(data.get("failover", False)),
+            )
+        return {
+            "fault_plan": FaultPlan.from_dict(data["fault_plan"]),
+            "policy": DegradationPolicy.from_dict(data.get("policy", {})),
+            "injector_seed": int(data.get("injector_seed", 0)),
+            "deployment_seed": int(data.get("deployment_seed", 0)),
+            "deployment": deployment,
+        }
 
 
-def save_entry(entry: FaultCorpusEntry, directory: Path = CORPUS_DIR) -> Path:
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{entry.name}.json"
-    path.write_text(json.dumps(entry.to_dict(), indent=2) + "\n")
-    return path
-
-
-def load_corpus(directory: Path = CORPUS_DIR) -> List[FaultCorpusEntry]:
-    if not directory.is_dir():
-        return []
-    return [
-        FaultCorpusEntry.from_dict(json.loads(path.read_text()))
-        for path in sorted(directory.glob("*.json"))
-    ]
+load_corpus = partial(base.load_corpus, entry_type=FaultCorpusEntry)
 
 
 def replay_entry(entry: FaultCorpusEntry) -> FaultOracleResult:
@@ -117,6 +84,5 @@ def replay_entry(entry: FaultCorpusEntry) -> FaultOracleResult:
         policy=entry.policy,
         injector_seed=entry.injector_seed,
         deployment_seed=entry.deployment_seed,
-        cached=entry.cached,
-        failover=entry.failover,
+        deployment=entry.deployment,
     )

@@ -35,28 +35,6 @@ _NO_HINTS = ShrinkHints()
 _MIN_PROBABILITY = 0.01
 
 
-def _try(
-    predicate: FaultPredicate,
-    program: GenProgram,
-    stream: StreamSpec,
-    plan: FaultPlan,
-) -> bool:
-    try:
-        return bool(predicate(program, stream, plan))
-    except Exception:
-        return False
-
-
-def _spec_covers(spec, packet: int) -> bool:
-    active = getattr(spec, "active", None)
-    if active is None:
-        return True
-    try:
-        return bool(active(packet))
-    except Exception:
-        return True
-
-
 def _drop_one_spec(
     program: GenProgram,
     stream: StreamSpec,
@@ -69,12 +47,12 @@ def _drop_one_spec(
         # Specs that were not even active at the divergent packet are the
         # likeliest dead weight — try dropping those first (stable sort
         # keeps the blind order within each class).
-        order.sort(key=lambda i: _spec_covers(plan.faults[i], hints.packet))
+        order.sort(key=lambda i: plan.faults[i].active(hints.packet))
     for index in order:
         candidate = FaultPlan(
             faults=plan.faults[:index] + plan.faults[index + 1:]
         )
-        if _try(predicate, program, stream, candidate):
+        if predicate(program, stream, candidate):
             return candidate, True
     return plan, False
 
@@ -167,7 +145,7 @@ def _shrink_one_spec(
                 faults=plan.faults[:index] + (variant,)
                 + plan.faults[index + 1:]
             )
-            if _try(predicate, program, stream, candidate):
+            if predicate(program, stream, candidate):
                 return candidate, True
     return plan, False
 
@@ -212,7 +190,7 @@ def shrink_fault_case(
     not satisfy the predicate (nothing to shrink).
     """
     program = copy.deepcopy(program)
-    if not _try(predicate, program, stream, plan):
+    if not predicate(program, stream, plan):
         raise ValueError(
             "shrink_fault_case: initial case does not satisfy the predicate"
         )
@@ -222,7 +200,7 @@ def shrink_fault_case(
                        trace_diff=trace_diff)
 
     def fixed_plan_predicate(p: GenProgram, s: StreamSpec) -> bool:
-        return _try(predicate, p, s, plan)
+        return predicate(p, s, plan)
 
     program, stream = shrink_case(
         program, stream, fixed_plan_predicate, max_rounds=max_rounds,

@@ -23,7 +23,8 @@ punt target        :class:`~repro.runtime.deployment.SingleServer`     :class:`~
 
 ``CachedGalliumMiddlebox``, ``FailoverDeployment`` and
 ``PooledDeployment`` are constructor-only shorthands for one
-non-default role each.
+non-default role each; :class:`~repro.runtime.spec.DeploymentSpec` names
+a combination as three plain values and builds fresh roles from it.
 """
 
 from repro.runtime.server import ServerRuntime, ServerResult
@@ -31,11 +32,13 @@ from repro.runtime.degradation import DegradationPolicy, DropAccounting
 from repro.runtime.deployment import GalliumMiddlebox, PacketJourney, compile_middlebox
 from repro.runtime.failover import FailoverDeployment
 from repro.runtime.baseline import FastClickRuntime, BaselineResult
+from repro.runtime.spec import DeploymentSpec
 
 __all__ = [
     "ServerRuntime",
     "ServerResult",
     "DegradationPolicy",
+    "DeploymentSpec",
     "DropAccounting",
     "FailoverDeployment",
     "GalliumMiddlebox",

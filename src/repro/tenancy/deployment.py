@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.difftest import kernel
 from repro.net.packet import RawPacket
 from repro.runtime.deployment import GalliumMiddlebox, PacketJourney
 from repro.switchsim.control_plane import RpcChannel
@@ -59,26 +60,6 @@ class TenantDispatchError(Exception):
     """A packet arrived that no admitted tenant owns."""
 
 
-def deployment_state_snapshot(middlebox: GalliumMiddlebox) -> dict:
-    """Final data-plane state of one deployment, byte-comparable.
-
-    The isolation oracle compares this between a tenant's multi-tenant
-    and solo runs; keys and entry order are canonical (sorted) so dict
-    equality is byte equality of the serialized form.
-    """
-    switch = middlebox.switch
-    return {
-        "registers": {
-            name: register.value
-            for name, register in sorted(switch.registers.items())
-        },
-        "tables": {
-            name: sorted(table.snapshot().items())
-            for name, table in sorted(switch.tables.items())
-        },
-    }
-
-
 @dataclass
 class TenantRuntime:
     """One admitted tenant's slice of the shared switch."""
@@ -93,8 +74,8 @@ class TenantRuntime:
         return self.spec.name
 
     def state_snapshot(self) -> dict:
-        """Final data-plane state, byte-comparable against a solo run."""
-        return deployment_state_snapshot(self.middlebox)
+        """Final state, byte-comparable against a solo run."""
+        return kernel.end_state(self.middlebox)
 
 
 class MultiTenantSwitchModel:

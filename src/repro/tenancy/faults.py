@@ -36,16 +36,11 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.difftest import kernel
 from repro.faults.plan import FaultPlan, TenantLinkFault
 from repro.tenancy.allocator import SharedSwitchBudget
-from repro.tenancy.deployment import MultiTenantDeployment
-from repro.tenancy.oracle import (
-    IsolationResult,
-    _compare_tenant,
-    build_tenant_specs,
-    run_solo,
-)
-from repro.workloads.iperf import IperfWorkload, middlebox_stream
+from repro.tenancy.oracle import IsolationResult, isolation_oracle
+from repro.workloads.iperf import IperfWorkload
 
 #: XOR'd into the campaign seed per scenario to derive the plan RNG.
 _PLAN_SALT = 0x7E2A27
@@ -125,50 +120,14 @@ def run_fault_isolation_oracle(
     # Short flows by default: a tenant-link fault only bites on the punt
     # path, so the default workload keeps new flows (and therefore punts)
     # coming instead of one long iperf connection that punts once.
-    workload = workload or IperfWorkload(
-        connections=32, packets_per_connection=3
-    )
-    specs = build_tenant_specs(list(names))
-    shared = MultiTenantDeployment(
-        specs, budget=budget, seed=seed, fast_path=fast_path,
+    return isolation_oracle(
+        names, packets_per_tenant, budget, seed, fast_path,
         fault_plan=fault_plan, injector_seed=injector_seed,
+        workload=workload or IperfWorkload(
+            connections=32, packets_per_connection=3
+        ),
+        series_window_us=None,
     )
-    shared.install()
-    streams = {
-        t.name: middlebox_stream(t.name, workload)
-        for t in shared.tenants
-    }
-    multi_journeys = shared.run_workload(streams, packets_per_tenant)
-    multi_state = shared.state_snapshots()
-    injected: Dict[str, int] = {}
-    for tenant in shared.tenants:
-        injector = tenant.middlebox.injector
-        if injector is not None:
-            for kind, count in injector.injected.items():
-                injected[kind] = injected.get(kind, 0) + count
-    result = IsolationResult(
-        admission=shared.admission,
-        channel=shared.channel_stats(),
-        counters=shared.switch.counters(),
-        injected=injected,
-    )
-    for tenant in shared.tenants:
-        tenant_plan = scoped_plan(fault_plan, tenant.name)
-        solo_journeys, solo_state = run_solo(
-            tenant.name, packets_per_tenant, seed=seed, fast_path=fast_path,
-            fault_plan=tenant_plan if tenant_plan.faults else None,
-            injector_seed=tenant_injector_seed(injector_seed, tenant.name),
-            workload=workload,
-        )
-        verdict = _compare_tenant(
-            tenant,
-            multi_journeys[tenant.name],
-            multi_state[tenant.name],
-            solo_journeys,
-            solo_state,
-        )
-        result.verdicts.append(verdict)
-    return result
 
 
 def generate_tenant_plan(
@@ -206,23 +165,30 @@ def run_tenancy_fault_campaign(
     against its solo reference.
     """
     results: List[TenancyFaultScenario] = []
-    for index in range(scenarios):
+
+    def scenario(index: int, _program_seed: int) -> None:
         rng = random.Random((seed ^ _PLAN_SALT) + index)
         plan = generate_tenant_plan(rng, names, packets_per_tenant)
-        faulted = plan.faults[0].tenant
         outcome = run_fault_isolation_oracle(
             names, plan,
             packets_per_tenant=packets_per_tenant,
             seed=seed, injector_seed=index, fast_path=fast_path,
         )
-        scenario = TenancyFaultScenario(
-            index=index, names=list(names), faulted=faulted, plan=plan,
-            ok=outcome.ok,
-        )
-        for verdict in outcome.verdicts:
-            scenario.mismatches.extend(
-                f"{verdict.name}: {m}" for m in verdict.mismatches
-            )
-        scenario.injected = dict(outcome.injected)
-        results.append(scenario)
+        results.append(TenancyFaultScenario(
+            index=index, names=list(names), faulted=plan.faults[0].tenant,
+            plan=plan, ok=outcome.ok, injected=dict(outcome.injected),
+            mismatches=[
+                f"{verdict.name}: {m}"
+                for verdict in outcome.verdicts for m in verdict.mismatches
+            ],
+        ))
+
+    kernel.drive(
+        scenarios, seed, scenario,
+        lambda _program_seed: (
+            f"run_tenancy_fault_campaign({list(names)!r},"
+            f" scenarios={scenarios},"
+            f" packets_per_tenant={packets_per_tenant}, seed={seed})"
+        ),
+    )
     return results

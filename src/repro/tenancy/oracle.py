@@ -14,15 +14,19 @@ equality on
 
 Shared-channel queue wait (``sync_wait_us``) is the one sanctioned
 difference; anything else is an isolation violation with the packet index
-and field named.
+and the register, table or field named.  Observation, comparison and
+end state are the oracle kernel's (:mod:`repro.difftest.kernel`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.difftest import kernel
+from repro.faults.plan import FaultPlan
 from repro.runtime.deployment import GalliumMiddlebox, PacketJourney
 from repro.telemetry import Telemetry
 from repro.tenancy.allocator import (
@@ -30,11 +34,7 @@ from repro.tenancy.allocator import (
     SharedSwitchBudget,
     build_tenant_specs,
 )
-from repro.tenancy.deployment import (
-    MultiTenantDeployment,
-    TenantRuntime,
-    deployment_state_snapshot,
-)
+from repro.tenancy.deployment import MultiTenantDeployment, TenantRuntime
 from repro.workloads.iperf import IperfWorkload, middlebox_stream
 
 #: How many mismatches to spell out per tenant before truncating.
@@ -157,7 +157,7 @@ def run_solo(
     )
     for packet, ingress_port in stream:
         journeys.append(middlebox.process_packet(packet, ingress_port))
-    return journeys, deployment_state_snapshot(middlebox)
+    return journeys, kernel.end_state(middlebox)
 
 
 def run_isolation_oracle(
@@ -175,37 +175,71 @@ def run_isolation_oracle(
     the multi-tenant run; the hubs land on
     :attr:`IsolationResult.series` keyed by tenant name.
     """
+    return isolation_oracle(
+        names, packets_per_tenant, budget, seed, fast_path,
+        fault_plan=None, injector_seed=0, workload=IperfWorkload(),
+        series_window_us=series_window_us,
+    )
+
+
+def isolation_oracle(
+    names: Sequence[str],
+    packets_per_tenant: int,
+    budget: Optional[SharedSwitchBudget],
+    seed: int,
+    fast_path: bool,
+    fault_plan: Optional[FaultPlan],
+    injector_seed: int,
+    workload: IperfWorkload,
+    series_window_us: Optional[float],
+) -> IsolationResult:
+    """The body of both entry points: every admitted tenant against its
+    solo reference under *its own* slice of ``fault_plan``."""
+    # Deferred: repro.tenancy.faults builds on this module.
+    from repro.tenancy.faults import scoped_plan, tenant_injector_seed
+
     specs = build_tenant_specs(list(names))
     shared = MultiTenantDeployment(
         specs, budget=budget, seed=seed, fast_path=fast_path,
+        fault_plan=fault_plan, injector_seed=injector_seed,
         series_window_us=series_window_us,
     )
     shared.install()
     streams = {
-        t.name: middlebox_stream(t.name, IperfWorkload())
-        for t in shared.tenants
+        t.name: middlebox_stream(t.name, workload) for t in shared.tenants
     }
     multi_journeys = shared.run_workload(streams, packets_per_tenant)
     multi_state = shared.state_snapshots()
+    injected: Counter = Counter()
+    for tenant in shared.tenants:
+        if tenant.middlebox.injector is not None:
+            injected.update(tenant.middlebox.injector.injected)
     result = IsolationResult(
         admission=shared.admission,
         channel=shared.channel_stats(),
         counters=shared.switch.counters(),
+        injected=dict(injected),
         series=shared.series_snapshots(),
     )
     for tenant in shared.tenants:
+        tenant_plan = scoped_plan(fault_plan or FaultPlan(), tenant.name)
         solo_journeys, solo_state = run_solo(
-            tenant.name, packets_per_tenant, seed=seed, fast_path=fast_path
+            tenant.name, packets_per_tenant, seed=seed, fast_path=fast_path,
+            fault_plan=tenant_plan if tenant_plan.faults else None,
+            injector_seed=tenant_injector_seed(injector_seed, tenant.name),
+            workload=workload,
         )
-        verdict = _compare_tenant(
+        result.verdicts.append(_compare_tenant(
             tenant,
             multi_journeys[tenant.name],
             multi_state[tenant.name],
             solo_journeys,
             solo_state,
-        )
-        result.verdicts.append(verdict)
+        ))
     return result
+
+
+_LABELS = ("multi", "solo")
 
 
 def _compare_tenant(
@@ -215,54 +249,32 @@ def _compare_tenant(
     solo: List[PacketJourney],
     solo_state: dict,
 ) -> TenantVerdict:
-    mismatches: List[str] = []
-
-    def note(message: str) -> None:
-        if len(mismatches) < _MISMATCH_LIMIT:
-            mismatches.append(message)
-        elif len(mismatches) == _MISMATCH_LIMIT:
-            mismatches.append("... (further mismatches truncated)")
-
-    if len(multi) != len(solo):
-        note(
-            f"packet count differs: multi={len(multi)} solo={len(solo)}"
-        )
     base = tenant.placement.port_base
-    extra_wait = 0.0
-    punts = 0
-    for index, (m, s) in enumerate(zip(multi, solo)):
-        if m.verdict != s.verdict:
-            note(
-                f"packet {index}: verdict {m.verdict!r} != solo"
-                f" {s.verdict!r}"
+
+    def findings() -> Iterator[kernel.Finding]:
+        if len(multi) != len(solo):
+            yield kernel.Finding(
+                "count", None,
+                f"packet count differs: multi={len(multi)} solo={len(solo)}",
             )
-        if (m.punted, m.fast_path) != (s.punted, s.fast_path):
-            note(
-                f"packet {index}: path (punted={m.punted},"
-                f" fast={m.fast_path}) != solo (punted={s.punted},"
-                f" fast={s.fast_path})"
+        for index, (m, s) in enumerate(zip(multi, solo)):
+            yield from kernel.compare(
+                index, kernel.observe_exact(m, port_base=base),
+                kernel.observe_exact(s), _LABELS, parts=kernel.EXACT_PARTS,
             )
-        m_egress = [(port - base, frame.pack()) for port, frame in m.emitted]
-        s_egress = [(port, frame.pack()) for port, frame in s.emitted]
-        if m_egress != s_egress:
-            note(f"packet {index}: egress bytes differ from solo")
-        if m.punted:
-            punts += 1
-            extra_wait += m.sync_wait_us - s.sync_wait_us
-    if multi_state != solo_state:
-        for kind in ("registers", "tables"):
-            m_kind, s_kind = multi_state[kind], solo_state[kind]
-            for key in sorted(set(m_kind) | set(s_kind)):
-                if m_kind.get(key) != s_kind.get(key):
-                    note(
-                        f"final {kind[:-1]} {key!r} differs:"
-                        f" multi={m_kind.get(key)!r}"
-                        f" solo={s_kind.get(key)!r}"
-                    )
+        yield from kernel.diff_state(
+            multi_state, solo_state, _LABELS, kernel.ALL_SECTIONS
+        )
+
+    mismatches = [str(f) for f in islice(findings(), _MISMATCH_LIMIT + 1)]
+    if len(mismatches) > _MISMATCH_LIMIT:
+        mismatches[-1] = "... (further mismatches truncated)"
+    punted = [(m, s) for m, s in zip(multi, solo) if m.punted]
+    extra_wait = sum(m.sync_wait_us - s.sync_wait_us for m, s in punted)
     return TenantVerdict(
         name=tenant.name,
         packets=len(multi),
-        punts=punts,
-        extra_sync_wait_us=extra_wait / punts if punts else 0.0,
+        punts=len(punted),
+        extra_sync_wait_us=extra_wait / len(punted) if punted else 0.0,
         mismatches=mismatches,
     )

@@ -48,7 +48,7 @@ from repro.codegen.headers import (
     FLAG_VERDICT_SEND,
 )
 from repro.difftest.generator import FIELD_WIDTHS
-from repro.difftest.oracle import DEFAULT_PORT_PAIRS
+from repro.difftest.kernel import DEFAULT_PORT_PAIRS, OBSERVED_FIELDS
 from repro.ir import instructions as irin
 from repro.ir.externs import ExternHost
 from repro.ir.interp import Interpreter, PacketView, StateStore
@@ -617,10 +617,6 @@ def _run_composition(plan, program, scenario: Scenario,
     return CompOutcome("drop", None, packet, server, switch)
 
 
-#: Fields compared on an emitted packet — the oracle's OBSERVED_FIELDS.
-_OBSERVED = sorted(FIELD_WIDTHS)
-
-
 def _first_unequal(pairs: Sequence[Tuple[str, Term, Term]],
                    kind: str) -> Optional[Mismatch]:
     """Compare term pairs; constant-fold equalities, return the first
@@ -661,7 +657,7 @@ def _compare_world(plan, source, src_packet: SymPacketView,
         if mismatch is not None:
             return mismatch
         field_pairs = []
-        for region, name in _OBSERVED:
+        for region, name in OBSERVED_FIELDS:
             field_pairs.append((
                 f"{region}->{name}",
                 src_packet.get_field(region, name),
@@ -672,8 +668,8 @@ def _compare_world(plan, source, src_packet: SymPacketView,
             return mismatch
 
     # Final state: maps and scalars, switch-resident registers read from
-    # the switch (exactly `oracle._compare_state`); vectors are not
-    # compared there and not here.
+    # the switch (as `kernel.end_state` overlays them).  The concrete
+    # oracle compares vectors too; the symbolic model does not.
     from repro.partition.plan import PlacementKind
 
     map_pairs = []
@@ -708,7 +704,7 @@ def _compare_world(plan, source, src_packet: SymPacketView,
     if mismatch is not None:
         return mismatch
 
-    # Replicated-table convergence (oracle `_check_replication`).
+    # Replicated-table convergence (`kernel.check_convergence`).
     repl_pairs = []
     for name, placement in plan.placements.items():
         if placement.kind is not PlacementKind.REPLICATED_TABLE:
@@ -846,67 +842,29 @@ def _packet_spec(scenario: Scenario, assignment: Dict[str, int]) -> dict:
 def replay_counterexample(plan, program, config, prestate: dict,
                           spec: dict) -> Tuple[bool, str]:
     """Ground truth: replay one packet + pre-state through the real
-    interpreter deployments; returns ``(diverged, detail)``."""
-    from repro.difftest.oracle import (
-        _check_replication,
-        _compare_packet,
-        _compare_state,
-        _journey_observation,
-        _observe_fields,
-        _resolve_port,
+    interpreter deployments — the differential oracle's one-packet,
+    ``prestate=`` case; returns ``(diverged, detail)``."""
+    from repro.difftest.oracle import Outcome, StreamSpec, check_artifacts
+
+    result = check_artifacts(
+        plan, program, StreamSpec(seed=0, packets=[spec]),
+        provenance=False, config=config, prestate=prestate,
     )
-    from repro.runtime.baseline import FastClickRuntime
-    from repro.runtime.deployment import GalliumMiddlebox
+    if result.outcome is Outcome.DIVERGE:
+        return True, str(result.divergence)
+    if result.outcome is Outcome.CRASH:
+        # The baseline accepts this packet and pre-state but the
+        # deployment cannot even run them: a real divergence of the
+        # compiled artifact.
+        return True, f"deployment crash: {_last_line(result.error)}"
+    if result.outcome is Outcome.REFERENCE_CRASH:
+        return False, f"baseline crash: {_last_line(result.error)}"
+    return False, "replay agrees"
 
-    packet = packet_from_spec(spec)
-    ingress = int(spec.get("ingress", 1))
 
-    baseline = FastClickRuntime(plan.middlebox, config=config)
-    baseline.install()
-    baseline.state.restore(prestate)
-    baseline.state.drain_journal()
-
-    try:
-        dut = GalliumMiddlebox(
-            plan, program, port_pairs=dict(DEFAULT_PORT_PAIRS), config=config
-        )
-        dut.install()
-        dut.state.restore(prestate)
-        dut.state.drain_journal()
-        dut.sync_all_state()
-    except Exception as exc:
-        # The baseline accepts this pre-state but the deployment cannot
-        # even install it: a real divergence of the compiled artifact.
-        return True, f"deployment setup crash: {type(exc).__name__}: {exc}"
-
-    base_packet = packet.copy()
-    try:
-        base_result = baseline.process_packet(base_packet, ingress)
-    except Exception as exc:
-        return False, f"baseline crash: {exc}"
-    if base_result.verdict != "send":
-        base_obs = ("drop", None, None)
-    else:
-        base_obs = (
-            "send",
-            _resolve_port(base_result.egress_port, ingress,
-                          DEFAULT_PORT_PAIRS),
-            _observe_fields(base_packet),
-        )
-    dut_packet = packet.copy()
-    try:
-        journey = dut.process_packet(dut_packet, ingress)
-    except Exception as exc:
-        return True, f"deployment crash: {type(exc).__name__}: {exc}"
-    divergence = _compare_packet(
-        "gallium", 0, base_obs, _journey_observation(journey)
-    )
-    if divergence is None:
-        divergence = (_compare_state("gallium", baseline, dut)
-                      or _check_replication(dut))
-    if divergence is None:
-        return False, "replay agrees"
-    return True, str(divergence)
+def _last_line(error: Optional[str]) -> str:
+    """``Type: message`` of a guard's ``phase:\\n<traceback>`` text."""
+    return (error or "?").rstrip().splitlines()[-1]
 
 
 def _minimize_spec(plan, program, config, prestate: dict, spec: dict,

@@ -39,7 +39,7 @@ from unittest import mock
 from repro.difftest.compiled import check_compiled
 from repro.difftest.corpus import load_corpus, replay_entry
 from repro.difftest.generator import generate_program
-from repro.difftest.oracle import StreamSpec, _drive_runtimes, run_oracle
+from repro.difftest.oracle import StreamSpec, check_artifacts, run_oracle
 from repro.difftest.runner import derive_seeds
 from repro.faults.campaign import random_policy, seeds_for_program
 from repro.faults import oracle as fault_oracle
@@ -51,6 +51,7 @@ from repro.partition.constraints import SwitchResources
 from repro.runtime.degradation import DegradationPolicy, DropAccounting
 from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
 from repro.runtime.pool import default_member_names
+from repro.runtime.spec import DeploymentSpec
 from repro.tenancy.faults import (
     generate_tenant_plan,
     run_fault_isolation_oracle,
@@ -65,12 +66,14 @@ PACKETS = 25
 TRIO = ["minilb", "mazunat", "lb"]
 #: the six role combinations the fault harness admits
 ROLE_COMBOS = {
-    "base": {},
-    "cached": {"cached": True},
-    "failover": {"failover": True},
-    "cached+failover": {"cached": True, "failover": True},
-    "pool": {"pool": 3},
-    "pool+cached": {"pool": 3, "cached": True},
+    "base": DeploymentSpec(),
+    "cached": DeploymentSpec(cache_entries=2),
+    "failover": DeploymentSpec(standby_detection="phi"),
+    "cached+failover": DeploymentSpec(
+        cache_entries=2, standby_detection="phi"
+    ),
+    "pool": DeploymentSpec(pool_servers=3),
+    "pool+cached": DeploymentSpec(pool_servers=3, cache_entries=2),
 }
 #: switch budgets no program fits: the partitioner's refusal and the
 #: switch program's (the Constraint-5 shim limit) must both pin "rejected"
@@ -115,16 +118,15 @@ def programs(master_seed: int, count: int, wide: bool) -> Iterator[tuple]:
         index += 1
 
 
-def _finding(finding, where_attr=None) -> list:
+def _finding(finding) -> list:
     if finding is None:
         return [None, None, None]
-    where = getattr(finding, where_attr) if where_attr else None
-    return [where, finding.kind, finding.packet_index]
+    return [finding.where, finding.kind, finding.packet_index]
 
 
 def _oracle_row(result) -> list:
     return [
-        result.outcome.value, *_finding(result.divergence, "runtime"),
+        result.outcome.value, *_finding(result.divergence),
         result.packets_run, result.cached_checked,
         len(result.verifier_errors),
     ]
@@ -178,21 +180,22 @@ def _fault_pins(count: int, wide: bool) -> Dict[str, list]:
         list(programs(PIN_SEED, count, wide)) if wide
         else [program_at(PIN_SEED, index) for index in NARROW_FAULT_PROGRAMS]
     )
-    for combo, roles in ROLE_COMBOS.items():
-        pool = roles.get("pool", 0)
+    for combo, deployment in ROLE_COMBOS.items():
+        pool = deployment.pool_servers
         for label, program_seed, stream_seed, source in scenarios:
             _, _, plan_seed, injector_seed, deploy_seed = (
                 seeds_for_program(program_seed)
             )
             rng = random.Random(plan_seed)
             plan = generate_plan(
-                rng, PACKETS, failover=roles.get("failover", False),
+                rng, PACKETS,
+                failover=deployment.standby_detection is not None,
                 pool_members=default_member_names(pool) if pool else None,
             )
             result = run_fault_oracle(
                 source, StreamSpec(seed=stream_seed, count=PACKETS), plan,
                 policy=random_policy(rng), injector_seed=injector_seed,
-                deployment_seed=deploy_seed, **roles,
+                deployment_seed=deploy_seed, deployment=deployment,
             )
             pins[f"{combo}/{label}"] = _fault_row(result)
     _, _, stream_seed, source = scenarios[0]
@@ -214,7 +217,7 @@ def compiled_pins(count: int, wide: bool) -> Dict[str, list]:
             deployment_seed=program_seed,
         )
         pins[label] = [
-            result.outcome, *_finding(result.divergence, "stage"),
+            result.outcome, *_finding(result.divergence),
             result.packets_run, result.deployment_checked,
         ]
     return pins
@@ -309,14 +312,11 @@ def _reintroduced(entry_name: str, instruction_type) -> list:
         for index, inst in enumerate(block.instructions):
             if isinstance(inst, instruction_type):
                 del block.instructions[index]
-                result = _drive_runtimes(
+                result = check_artifacts(
                     plan, program, entry.stream, check_cached=False,
-                    cache_entries=2, deployment_seed=0,
+                    provenance=False,
                 )
-                return [
-                    result.outcome.value,
-                    *_finding(result.divergence, "runtime"),
-                ]
+                return [result.outcome.value, *_finding(result.divergence)]
     raise AssertionError(f"no {instruction_type.__name__} in {entry_name}")
 
 

@@ -91,16 +91,18 @@ def test_initial_non_failure_raises():
         )
 
 
-def test_predicate_exception_is_failure():
-    """Invalid mutants raising inside the predicate are simply rejected."""
+def test_predicate_exception_propagates():
+    """An invalid mutant never makes the oracle raise — it comes back as
+    a classified crash or refusal — so a predicate that raises is a bug
+    in the harness, and the shrinker no longer hides it as "rejected"."""
 
     def predicate(program, stream):
         if "ip->ttl" not in program.source():
-            raise RuntimeError("mutant did not compile")
+            raise RuntimeError("the harness itself broke")
         return True
 
-    program, _ = shrink_case(_program(), StreamSpec(seed=1, count=2), predicate)
-    assert "ip->ttl" in program.source()
+    with pytest.raises(RuntimeError, match="harness itself broke"):
+        shrink_case(_program(), StreamSpec(seed=1, count=2), predicate)
 
 
 class TestTraceGuidedShrinking:

@@ -9,6 +9,8 @@ strict table equality.  These tests pin the cached oracle's outcome
 classes and the eviction/rollback corner cases.
 """
 
+import pytest
+
 from repro.difftest.oracle import StreamSpec
 from repro.faults import (
     BatchFault,
@@ -20,6 +22,7 @@ from repro.faults import (
 )
 from repro.faults.corpus import FaultCorpusEntry
 from repro.runtime.degradation import DegradationPolicy
+from repro.runtime.spec import DeploymentSpec
 
 #: Offloads a map find (replicated table + cache) with the insert on the
 #: server — the §7 cached-deployment shape.
@@ -57,23 +60,27 @@ REGISTER_SOURCE = """class Box {
 STREAM = StreamSpec(seed=7, count=30)
 
 
-def _run(source, plan, **kwargs):
-    kwargs.setdefault("cached", True)
-    kwargs.setdefault("cache_entries", 2)
-    return run_fault_oracle(source, STREAM, plan, **kwargs)
+CACHED = DeploymentSpec(cache_entries=2)
+
+
+def _run(source, plan, deployment=CACHED, **kwargs):
+    return run_fault_oracle(
+        source, STREAM, plan, deployment=deployment, **kwargs
+    )
 
 
 def test_cached_rejects_program_without_map_tables():
     result = _run(REGISTER_SOURCE, FaultPlan())
     assert result.outcome.value == "rejected"
-    assert result.cached_mode
+    # Early exits carry the flavour too (they used to report as base).
+    assert result.deployment == CACHED
     assert result.error
 
 
 def test_cached_clean_without_faults():
     result = _run(MAP_SOURCE, FaultPlan())
     assert result.outcome.value == "clean", result.violation or result.error
-    assert result.cached_mode
+    assert result.deployment == CACHED
     assert result.degraded == 0
 
 
@@ -85,7 +92,7 @@ def test_cached_converges_through_server_crash():
     assert result.outcome.value in ("clean", "degraded_ok"), (
         result.violation or result.error
     )
-    assert result.cached_mode
+    assert result.deployment == CACHED
 
 
 def test_cached_survives_link_loss_and_batch_failures():
@@ -109,7 +116,9 @@ def test_cached_eviction_bound_respected_under_faults():
     plan = FaultPlan(faults=(
         BatchFault(mode="timeout", probability=0.4),
     ))
-    result = _run(MAP_SOURCE, plan, cache_entries=1, injector_seed=3)
+    result = _run(
+        MAP_SOURCE, plan, DeploymentSpec(cache_entries=1), injector_seed=3
+    )
     assert result.outcome.value in ("clean", "degraded_ok"), (
         result.violation or result.error
     )
@@ -119,7 +128,7 @@ def test_cached_campaign_accepts_map_program():
     # program seed 3000011 offloads a map table and survives its fault
     # schedule on the cache deployment (found by the cached sweep)
     stats, failures = run_campaign(
-        runs=1, seed=0, packets=10, seed_override=3000011, cached=True,
+        runs=1, seed=0, packets=10, seed_override=3000011, deployment=CACHED,
     )
     assert failures == []
     assert stats.clean + stats.degraded_ok == 1
@@ -128,42 +137,70 @@ def test_cached_campaign_accepts_map_program():
 def test_cached_campaign_counts_rejections():
     # program seed 3000009 has no replicated map table: cache mode refuses
     stats, failures = run_campaign(
-        runs=1, seed=0, packets=10, seed_override=3000009, cached=True,
+        runs=1, seed=0, packets=10, seed_override=3000009, deployment=CACHED,
     )
     assert failures == []
     assert stats.rejected == 1
 
 
-def test_cached_corpus_entry_round_trips():
-    entry = FaultCorpusEntry(
-        name="t",
-        source=MAP_SOURCE,
-        stream=STREAM,
-        fault_plan=FaultPlan(),
+def test_legacy_corpus_keys_still_load():
+    """Entries written before the flavour travelled as one value carry
+    ``cached`` / ``failover`` booleans instead of a ``deployment`` key."""
+    data = FaultCorpusEntry(
+        name="t", source=MAP_SOURCE, stream=STREAM, fault_plan=FaultPlan(),
         policy=DegradationPolicy(),
-        cached=True,
+    ).to_dict()
+    del data["deployment"]
+    assert FaultCorpusEntry.from_dict(data).deployment == DeploymentSpec()
+    data.update(cached=True, failover=True)
+    assert FaultCorpusEntry.from_dict(data).deployment == DeploymentSpec(
+        cache_entries=2, standby_detection="phi"
     )
-    data = entry.to_dict()
-    assert data["cached"] is True
-    assert FaultCorpusEntry.from_dict(data).cached is True
 
 
-def test_campaign_failure_corpus_entry_preserves_cached():
+#: every role combination the fault harness admits
+LEGAL_DEPLOYMENTS = [
+    DeploymentSpec(),
+    CACHED,
+    DeploymentSpec(standby_detection="phi"),
+    DeploymentSpec(cache_entries=2, standby_detection="phi"),
+    DeploymentSpec(pool_servers=3),
+    DeploymentSpec(pool_servers=3, cache_entries=4),
+]
+
+
+@pytest.mark.parametrize(
+    "deployment", LEGAL_DEPLOYMENTS, ids=lambda d: d.cli_flags() or "base"
+)
+def test_failure_to_corpus_to_replay_keeps_the_roles(deployment, tmp_path):
+    """A failure found under ``--servers 3`` (or any other flavour) must
+    be saved, loaded and replayed as that flavour — pool size and cache
+    size used to be dropped on the way into the corpus."""
     from repro.difftest.generator import generate_program
     from repro.faults.campaign import FaultFailure
+    from repro.faults.corpus import load_corpus, replay_entry, save_entry
     from repro.faults.oracle import FaultOracleResult, FaultOutcome
 
     failure = FaultFailure(
         index=0,
-        program_seed=1,
-        stream=STREAM,
-        program=generate_program(1),
+        program_seed=3000011,
+        stream=StreamSpec(seed=7, count=10),
+        program=generate_program(3000011),  # offloads a map table
         fault_plan=FaultPlan(),
         policy=DegradationPolicy(),
         injector_seed=0,
         deployment_seed=0,
-        result=FaultOracleResult(FaultOutcome.VIOLATION, cached_mode=True),
-        cached=True,
+        result=FaultOracleResult(
+            FaultOutcome.VIOLATION, deployment=deployment
+        ),
     )
-    assert failure.corpus_entry("t").cached is True
-    assert "--cached" in failure.report()
+    assert (
+        f"--seed-override 3000011{deployment.cli_flags()}\n"
+        in failure.report()
+    )
+    save_entry(failure.corpus_entry("t"), tmp_path)
+    (entry,) = load_corpus(tmp_path)
+    assert entry.deployment == failure.deployment == deployment
+    replayed = replay_entry(entry)
+    assert replayed.deployment == failure.deployment
+    assert replayed.outcome.value == "clean", replayed.error

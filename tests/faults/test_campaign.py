@@ -1,7 +1,7 @@
 """Tests for the fault-campaign runner: determinism, seed derivation,
 and a zero-failure smoke slice."""
 
-from repro.difftest.runner import _STREAM_SALT, derive_seeds
+from repro.difftest.runner import STREAM_SALT, derive_seeds
 from repro.faults.campaign import (
     _DEPLOY_SALT,
     _INJECT_SALT,
@@ -23,7 +23,7 @@ class TestSeedDerivation:
         seeds = seeds_for_program(12345)
         assert seeds[0] == 12345
         assert len(set(seeds)) == len(seeds)
-        assert seeds[1] == 12345 ^ _STREAM_SALT
+        assert seeds[1] == 12345 ^ STREAM_SALT
         assert seeds[2] == 12345 ^ _PLAN_SALT
         assert seeds[3] == 12345 ^ _INJECT_SALT
         assert seeds[4] == 12345 ^ _DEPLOY_SALT

@@ -7,7 +7,7 @@ every fault interacts with real switch/server state.
 
 import pytest
 
-from repro.difftest.oracle import _observe_fields
+from repro.difftest.kernel import observe_fields
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     BatchFault,
@@ -133,7 +133,7 @@ class TestBatchFailure:
     def test_fail_open_forwards_pristine(self):
         middlebox = self.doomed(fail_open=True)
         original = packet(1)
-        want_fields = _observe_fields(original.copy())
+        want_fields = observe_fields(original.copy())
         journey = middlebox.process_packet(original, 1)
         assert journey.verdict == "send"
         assert journey.degraded_reason == "writeback_failed"
@@ -141,7 +141,7 @@ class TestBatchFailure:
         assert port == 2  # the 1<->2 bypass pair
         # The middlebox's rewrite (tos=2) must NOT appear: fail-open
         # forwards the packet as received.
-        assert _observe_fields(emitted) == want_fields
+        assert observe_fields(emitted) == want_fields
 
     def test_injected_overflow_reason(self):
         middlebox = deploy(FaultPlan((WritebackOverflow(probability=1.0),)))

@@ -182,10 +182,10 @@ class TestPostRecoveryVerification:
     def test_verification_stream_is_distinct(self):
         stream = StreamSpec(seed=5, count=10)
         verify = StreamSpec(seed=5 ^ VERIFY_SALT, count=10)
-        from repro.difftest.oracle import _observe_fields
+        from repro.difftest.kernel import observe_fields
 
-        first = [_observe_fields(p) for p, _ in stream.build()]
-        second = [_observe_fields(p) for p, _ in verify.build()]
+        first = [observe_fields(p) for p, _ in stream.build()]
+        second = [observe_fields(p) for p, _ in verify.build()]
         assert first != second
 
     def test_lingering_degradation_is_caught(self, monkeypatch):

@@ -8,6 +8,7 @@ full fallback never has an excuse to engage.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -23,11 +24,14 @@ from repro.faults.plan import (
     generate_plan,
 )
 from repro.runtime.pool import default_member_names
+from repro.runtime.spec import DeploymentSpec
 from repro.telemetry.schema import validate_named
 
 from tests.faults.test_degradation import FAULTBOX
 
 MEMBERS = default_member_names(3)
+POOLED = DeploymentSpec(pool_servers=3)
+POOLED_CACHED = replace(POOLED, cache_entries=2)
 
 
 class TestPlanGeneration:
@@ -82,10 +86,10 @@ class TestPlanGeneration:
 
 
 class TestPoolOracle:
-    def run(self, plan, pool=3, count=25, **kwargs):
+    def run(self, plan, deployment=POOLED, count=25, **kwargs):
         return run_fault_oracle(
             FAULTBOX, StreamSpec(seed=1, count=count), plan,
-            pool=pool, **kwargs,
+            deployment=deployment, **kwargs,
         )
 
     def test_member_crash_is_degraded_ok(self):
@@ -95,7 +99,7 @@ class TestPoolOracle:
         )))
         assert result.outcome is FaultOutcome.DEGRADED_OK
         assert result.violation is None
-        assert result.pool_mode and result.pool_servers == 3
+        assert result.deployment == POOLED
         assert result.migrations == 1
         assert result.injected == {"pool_member_crash[srv1]": 1}
 
@@ -131,10 +135,11 @@ class TestPoolOracle:
         from repro import cli
         from repro.faults import campaign
 
+        pool_and_failover = replace(POOLED, standby_detection="phi")
         with pytest.raises(ValueError, match="no plan generator mixing"):
-            self.run(FaultPlan(), failover=True)
+            self.run(FaultPlan(), deployment=pool_and_failover)
         with pytest.raises(ValueError, match="no plan generator mixing"):
-            run_campaign(1, seed=0, pool_servers=3, failover=True)
+            run_campaign(1, seed=0, deployment=pool_and_failover)
         with pytest.raises(SystemExit, match="no plan generator mixing"):
             cli.main(["faults", "--runs", "1", "--servers", "3",
                       "--failover"])
@@ -149,7 +154,7 @@ class TestPoolTimesCached:
 
     def test_seeded_campaign_slice_is_clean(self):
         stats, failures = run_campaign(
-            10, seed=4, pool_servers=3, cached=True
+            10, seed=4, deployment=POOLED_CACHED
         )
         assert failures == []
         assert stats.violations == 0 and stats.crashes == 0
@@ -220,12 +225,12 @@ class TestPoolTimesCached:
                 PoolMemberCrash(member="srv1", at_packet=12,
                                 migration_window=5),
             )),
-            pool=3, cached=True, cache_entries=2,
+            deployment=POOLED_CACHED,
         )
         assert result.outcome is FaultOutcome.DEGRADED_OK, (
             result.violation or result.error
         )
-        assert result.cached_mode and result.pool_mode
+        assert result.deployment == POOLED_CACHED
         assert result.migrations == 1
 
 
@@ -233,7 +238,7 @@ class TestPoolTimesCached:
 def pooled_campaign():
     """One 25-scenario pooled campaign shared by the assertions below
     (each run is ~2 s of the tier-1 wall time)."""
-    return run_campaign(25, seed=3, pool_servers=3)
+    return run_campaign(25, seed=3, deployment=POOLED)
 
 
 class TestPooledCampaign:
@@ -274,7 +279,7 @@ class TestPooledCampaign:
         failure = FaultFailure(
             0, 42, StreamSpec(seed=1, count=5), generate_program(42),
             FaultPlan(), DegradationPolicy(), 0, 0,
-            FaultOracleResult(FaultOutcome.VIOLATION), pool_servers=3,
+            FaultOracleResult(FaultOutcome.VIOLATION, deployment=POOLED),
         )
         assert "--servers 3" in failure.report()
 

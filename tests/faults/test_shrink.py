@@ -263,10 +263,11 @@ class TestTraceGuidedShrinking:
         assert tried[0] == ("batch",)
 
 
-def test_shrink_predicate_turning_flaky_raises_value_error():
-    """A predicate that stops reproducing mid-shrink surfaces as the same
-    ValueError as a non-reproducing initial case; the campaign catches it
-    and keeps the original reproducer rather than losing the report."""
+def test_shrink_predicate_exception_propagates():
+    """The fault oracle classifies every DUT and reference crash itself,
+    so a predicate that *raises* is a harness bug: it propagates instead
+    of being swallowed as "candidate rejected" (and, through the campaign
+    loop, surfaces as ``HarnessBug`` with the reproduce line)."""
     plan = FaultPlan(faults=(LinkFault(probability=0.4),))
     calls = []
 
@@ -276,5 +277,5 @@ def test_shrink_predicate_turning_flaky_raises_value_error():
             return True  # initial case holds
         raise RuntimeError("oracle blew up")
 
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError, match="oracle blew up"):
         shrink_fault_case(PROGRAM, STREAM, plan, explosive)

@@ -44,11 +44,10 @@ from repro.faults.plan import (
 )
 from repro.middleboxes import load
 from repro.net.addresses import ip
-from repro.runtime.cache import CacheConfigurationError, CachedGalliumMiddlebox
+from repro.runtime.cache import CacheConfigurationError
 from repro.runtime.degradation import DegradationPolicy
 from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
-from repro.runtime.failover import ActiveStandby, FailoverDeployment
-from repro.runtime.pool import PooledDeployment
+from repro.runtime.spec import DeploymentSpec
 from repro.workloads.iperf import EXTERNAL_SERVER, VIP
 from repro.workloads.packets import FlowSpec, flow_packets
 
@@ -57,10 +56,16 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 PACKETS = 2000
 CACHE_ENTRIES = 8
 MIDDLEBOXES = ("minilb", "mazunat", "lb", "trojan")
-FLAVOURS = (
-    "base", "cached", "failover-exact", "failover-phi",
-    "cached+failover", "pooled",
-)
+FLAVOURS: Dict[str, DeploymentSpec] = {
+    "base": DeploymentSpec(),
+    "cached": DeploymentSpec(cache_entries=CACHE_ENTRIES),
+    "failover-exact": DeploymentSpec(standby_detection="exact"),
+    "failover-phi": DeploymentSpec(standby_detection="phi"),
+    "cached+failover": DeploymentSpec(
+        cache_entries=CACHE_ENTRIES, standby_detection="phi"
+    ),
+    "pooled": DeploymentSpec(pool_servers=3),
+}
 
 _BENIGN = (
     BatchFault(mode="fail", probability=0.2, doom_probability=0.05),
@@ -133,29 +138,11 @@ def build(flavour: str, name: str, injector):
     """A fresh installed deployment of one flavour (compiled engine)."""
     bundle = load(name)
     plan, program = compiled(name)
-    common = dict(
-        config=bundle.config, seed=7, fast_path=True,
+    box = GalliumMiddlebox(
+        plan, program, config=bundle.config, seed=7, fast_path=True,
         policy=DegradationPolicy(), injector=injector,
+        **FLAVOURS[flavour].roles(),
     )
-    if flavour == "base":
-        box = GalliumMiddlebox(plan, program, **common)
-    elif flavour == "cached":
-        box = CachedGalliumMiddlebox(
-            plan, program, cache_entries=CACHE_ENTRIES, **common
-        )
-    elif flavour in ("failover-exact", "failover-phi"):
-        box = FailoverDeployment(
-            plan, program, detection=flavour.split("-")[1], **common
-        )
-    elif flavour == "cached+failover":
-        box = CachedGalliumMiddlebox(
-            plan, program, cache_entries=CACHE_ENTRIES,
-            redundancy=ActiveStandby(detection="phi"), **common,
-        )
-    elif flavour == "pooled":
-        box = PooledDeployment(plan, program, servers=3, **common)
-    else:
-        raise KeyError(flavour)
     box.install()
     if name == "minilb":
         # The registry config leaves minilb's backend vector empty.

@@ -22,6 +22,7 @@ from repro.runtime.cache import BoundedCache
 from repro.runtime.degradation import DegradationPolicy
 from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
 from repro.runtime.failover import ActiveStandby
+from repro.runtime.spec import DeploymentSpec
 from repro.workloads.packets import make_tcp_packet
 from tests.conftest import get_bundle
 from tests.faults.test_cached_faults import MAP_SOURCE
@@ -129,18 +130,21 @@ class TestComposition:
         assert box.redundancy.standby is not None
 
 
+CACHED_FAILOVER = DeploymentSpec(cache_entries=2, standby_detection="phi")
+
+
 class TestComposedOracle:
     STREAM = StreamSpec(seed=7, count=30)
 
     def test_oracle_accepts_cached_failover(self):
         result = run_fault_oracle(
             MAP_SOURCE, self.STREAM, FaultPlan(),
-            cached=True, failover=True, cache_entries=2,
+            deployment=CACHED_FAILOVER,
         )
         assert result.outcome.value == "clean", (
             result.violation or result.error
         )
-        assert result.cached_mode and result.failover_mode
+        assert result.deployment == CACHED_FAILOVER
 
     def test_oracle_converges_through_promotion(self):
         plan = FaultPlan(faults=(
@@ -148,7 +152,7 @@ class TestComposedOracle:
         ))
         result = run_fault_oracle(
             MAP_SOURCE, self.STREAM, plan,
-            cached=True, failover=True, cache_entries=2,
+            deployment=CACHED_FAILOVER,
         )
         assert result.outcome.value in ("clean", "degraded_ok"), (
             result.violation or result.error

@@ -6,6 +6,8 @@ mid-batch), stale-standby repair via the promotion resync, and the
 failover-aware fault oracle end to end.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.difftest.oracle import StreamSpec
@@ -20,6 +22,7 @@ from repro.faults.plan import (
 from repro.runtime.degradation import DegradationPolicy
 from repro.runtime.deployment import compile_middlebox
 from repro.runtime.failover import FailoverDeployment
+from repro.runtime.spec import DeploymentSpec
 from repro.workloads.packets import make_tcp_packet
 from tests.conftest import get_bundle
 from tests.faults.test_degradation import FAULTBOX
@@ -247,13 +250,16 @@ class TestCrashDuringBatch:
         assert len(box.state.maps["nat_out"]) == 3
 
 
+FAILOVER = DeploymentSpec(standby_detection="phi")
+
+
 class TestFailoverOracle:
     def test_switch_crash_degraded_ok(self):
         result = run_fault_oracle(
             FAULTBOX, StreamSpec(seed=1, count=20),
             FaultPlan((PrimarySwitchCrash(at_packet=4, promotion_window=3),)),
             policy=DegradationPolicy(),
-            failover=True,
+            deployment=FAILOVER,
         )
         assert result.outcome is FaultOutcome.DEGRADED_OK, result.violation
         assert result.violation is None
@@ -266,7 +272,7 @@ class TestFailoverOracle:
                 PrimarySwitchCrash(at_packet=6, promotion_window=3),
             )),
             policy=DegradationPolicy(),
-            failover=True,
+            deployment=FAILOVER,
         )
         assert result.outcome is FaultOutcome.DEGRADED_OK, result.violation
 
@@ -277,7 +283,7 @@ class TestFailoverOracle:
                 CrashDuringBatch(probability=0.6, promotion_window=3),
             )),
             policy=DegradationPolicy(),
-            failover=True,
+            deployment=FAILOVER,
         )
         assert result.outcome in (
             FaultOutcome.DEGRADED_OK, FaultOutcome.CLEAN
@@ -288,9 +294,9 @@ class TestFailoverOracle:
         # composition now handles both flags end to end.
         result = run_fault_oracle(
             FAULTBOX, StreamSpec(seed=1, count=5), FaultPlan(),
-            cached=True, failover=True,
+            deployment=replace(FAILOVER, cache_entries=2),
         )
         assert result.outcome == FaultOutcome.CLEAN, (
             result.violation or result.error
         )
-        assert result.cached_mode and result.failover_mode
+        assert result.deployment == replace(FAILOVER, cache_entries=2)

@@ -6,8 +6,22 @@ import pytest
 
 from repro.cli import main
 from repro.faults.corpus import load_corpus
-from repro.faults.oracle import run_fault_oracle
+from repro.faults.oracle import FaultScenario
+from repro.runtime.deployment import compile_middlebox
 from repro.telemetry import Telemetry
+
+
+def corpus_scenario() -> FaultScenario:
+    """The historical fault-corpus scenario on freshly compiled
+    artifacts: two deployment factories (each takes the telemetry bundle
+    its side reports into) and the check that drives them."""
+    entry = load_corpus()[0]
+    plan, program = compile_middlebox(entry.source)
+    return FaultScenario(
+        plan, program, entry.stream, entry.fault_plan, entry.policy,
+        entry.injector_seed, entry.deployment_seed,
+        deployment=entry.deployment,
+    )
 
 
 def capture(capsys, argv):
@@ -55,16 +69,14 @@ class TestFaultPlanDeterminism:
         same fault plan => the traced scenario replays event-for-event."""
         import json
 
-        entry = load_corpus()[0]
+        scenario = corpus_scenario()
 
         def run():
             telemetry = Telemetry(tracing=True)
             reference = Telemetry(tracing=True)
-            run_fault_oracle(
-                entry.source, entry.stream, entry.fault_plan,
-                policy=entry.policy, injector_seed=entry.injector_seed,
-                deployment_seed=entry.deployment_seed, cached=entry.cached,
-                provenance=False, _telemetry=(telemetry, reference),
+            scenario.check(
+                scenario.deploy_reference(reference),
+                scenario.deploy_dut(telemetry),
             )
             return (
                 json.dumps(telemetry.tracer.to_dicts(), sort_keys=True),

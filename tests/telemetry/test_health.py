@@ -10,6 +10,7 @@ from repro.difftest.oracle import StreamSpec
 from repro.faults.oracle import FaultOutcome, run_fault_oracle
 from repro.faults.plan import FaultPlan, PrimarySwitchCrash
 from repro.runtime.degradation import DegradationPolicy
+from repro.runtime.spec import DeploymentSpec
 from repro.telemetry.health import (
     HEARTBEAT_INTERVAL_US,
     HealthConfig,
@@ -159,8 +160,7 @@ class TestPrimaryCrashCampaign:
                     at_packet=crash_at, promotion_window=window,
                 ),)),
                 policy=DegradationPolicy(),
-                failover=True,
-                detection="phi",
+                deployment=DeploymentSpec(standby_detection="phi"),
                 provenance=False,
             )
             assert result.outcome in (

@@ -3,19 +3,15 @@
 Each difftest corpus entry is a minimized reproducer of a real compiler
 bug (now fixed).  These tests re-introduce two of those bugs by deleting
 the server-side instruction whose mishandling caused them, then assert
-the provenance machinery — the exact code path ``run_oracle`` uses on a
-DIVERGE outcome — re-runs the scenario with tracing and pinpoints the
-first divergent semantic event.
+the provenance machinery — ``check_artifacts``, the compiled-artifact
+entry ``run_oracle`` itself goes through — re-runs the scenario with
+tracing and pinpoints the first divergent semantic event.
 """
 
 import pytest
 
 from repro.difftest.corpus import CorpusEntry, load_corpus
-from repro.difftest.oracle import (
-    Outcome,
-    _collect_provenance,
-    _drive_runtimes,
-)
+from repro.difftest.oracle import Outcome, check_artifacts
 from repro.ir import instructions as irin
 from repro.runtime.deployment import compile_middlebox
 from repro.telemetry import TraceDiff
@@ -44,16 +40,10 @@ def reintroduce_bug(entry, instruction_type):
 
 
 def diverge_and_collect(entry, plan, program):
-    result = _drive_runtimes(
-        plan, program, entry.stream, check_cached=False,
-        cache_entries=2, deployment_seed=0,
-    )
+    result = check_artifacts(plan, program, entry.stream, check_cached=False)
     assert result.outcome is Outcome.DIVERGE, result.error
-    diff = _collect_provenance(
-        plan, program, entry.stream, result.divergence, 2, 0
-    )
-    assert diff is not None, "provenance collection failed"
-    return result, diff
+    assert isinstance(result.trace_diff, TraceDiff), result.trace_diff
+    return result, result.trace_diff
 
 
 class TestStrandedRegisterWrite:
@@ -154,18 +144,12 @@ class TestFaultProvenance:
             FaultCorpusEntry,
             load_corpus as load_fault_corpus,
         )
-        from repro.faults.oracle import _collect_fault_provenance
+        from tests.telemetry.test_determinism import corpus_scenario
 
         entries = load_fault_corpus()
         assert entries, "historical fault corpus missing"
         entry = entries[0]
-        diff = _collect_fault_provenance(
-            entry.source, entry.stream, entry.fault_plan,
-            policy=entry.policy,
-            injector_seed=entry.injector_seed,
-            deployment_seed=entry.deployment_seed,
-            cached=entry.cached,
-        )
+        diff = corpus_scenario().provenance()
         assert diff is not None
         assert not diff.divergent
         assert diff.lhs_events_total > 0

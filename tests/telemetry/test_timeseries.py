@@ -212,21 +212,18 @@ class TestDeterminism:
         """Mirror of the trace-determinism fault-plan test: same seeds +
         same fault plan => byte-identical windowed series on both the
         DUT and the reference deployment."""
-        from repro.faults.corpus import load_corpus
-        from repro.faults.oracle import run_fault_oracle
+        from tests.telemetry.test_determinism import corpus_scenario
 
-        entry = load_corpus()[0]
+        scenario = corpus_scenario()
 
         def run():
             telemetry = Telemetry(series_window_us=100.0)
             reference = Telemetry(series_window_us=100.0)
             for side in (telemetry, reference):
                 side.series.promote_defaults()
-            run_fault_oracle(
-                entry.source, entry.stream, entry.fault_plan,
-                policy=entry.policy, injector_seed=entry.injector_seed,
-                deployment_seed=entry.deployment_seed, cached=entry.cached,
-                provenance=False, _telemetry=(telemetry, reference),
+            scenario.check(
+                scenario.deploy_reference(reference),
+                scenario.deploy_dut(telemetry),
             )
             return (
                 json.dumps(telemetry.series.to_dict(), sort_keys=True),

@@ -54,6 +54,42 @@ class TestIsolationOracle:
             assert rpc["windows"], hub
 
 
+class TestLeakDetection:
+    """Break isolation on purpose; the oracle must name the victim."""
+
+    def test_cross_tenant_register_write_is_caught(self, monkeypatch):
+        """``lb``'s fifth packet bumps ``mazunat``'s port allocator — a
+        write through the namespace boundary.  Only the multi-tenant run
+        goes through ``MultiTenantDeployment.process_packet``, so the solo
+        references stay honest."""
+        from repro.tenancy.deployment import MultiTenantDeployment
+
+        original = MultiTenantDeployment.process_packet
+
+        def leaky(self, packet, global_port):
+            journey = original(self, packet, global_port)
+            tenants = {t.name: t for t in self.tenants}
+            if len(tenants["lb"].journeys) == 5 and not hasattr(self, "leaked"):
+                self.leaked = True
+                victim = tenants["mazunat"].middlebox.switch
+                victim.registers["port_counter"].value += 1
+            return journey
+
+        monkeypatch.setattr(MultiTenantDeployment, "process_packet", leaky)
+        result = run_isolation_oracle(TRIO, packets_per_tenant=20)
+        assert not result.ok
+        verdicts = {v.name: v for v in result.verdicts}
+        assert verdicts["lb"].isolated and verdicts["minilb"].isolated
+        victim = verdicts["mazunat"]
+        assert not victim.isolated
+        assert any(
+            "final state" in m and "register 'port_counter'" in m
+            and "multi=" in m and "solo=" in m
+            for m in victim.mismatches
+        ), victim.mismatches
+        assert "VIOLATION" in result.format()
+
+
 class TestCombinedLint:
     def test_trio_combined_artifact_is_clean(self):
         report = verify_combined(
