@@ -1,0 +1,216 @@
+"""Golden pins for the compile path: partition -> shims -> switch program
+-> emitted text -> static verification.
+
+Each pin is everything one compile decides — the outcome (compiled, or
+which refusal), the label assignment, every :class:`ConstraintReport`
+field, the state placements, both transfer sets and packed shim sizes,
+the emitted P4 / C++ text and the verifier's ``(code, severity)`` list —
+for the six bundled middleboxes and generated programs
+(``derive_seeds(0, i)``) under ``SwitchResources.tofino_like()`` and
+``.tiny()``.  It was recorded on the commit *before* the static checks of
+the compile path were folded into one layer, so "the refactor changed no
+partitioning decision, emitted byte or diagnostic code" is a comparison of
+two JSON files.
+
+The ``sensitivity`` group pins each P4L001-P4L009 mutation of
+``tests/verify/test_p4lint.py`` and each IR001-IR007 fixture of
+``tests/verify/test_ir_verifier.py`` to the codes it yields: a checker
+that checks nothing passes the compile pins and fails this one.
+
+The *narrow* sweep runs inside tier-1 (``test_compile_pins.py``): the
+bundled six plus the generated programs of at most
+:data:`NARROW_MAX_LINES` source lines (31 of the 40; compile time is
+heavy-tailed in program size, and the nine longer ones are 85 % of the
+wide sweep's ~60 s).  The *wide* one is ``make compile-pins``::
+
+    PYTHONPATH=src python -m tests.partition.compile_pins [--wide] [--write]
+
+Regenerate with ``--write`` only when a decision is meant to change, and
+say which pin moved and why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+from typing import Dict, Iterator, List, Tuple
+
+from repro.compiler import compile_source
+from repro.difftest.generator import generate_program
+from repro.difftest.runner import derive_seeds
+from repro.middleboxes import MIDDLEBOX_NAMES, load
+from repro.partition.constraints import SwitchResources
+from repro.partition.partitioner import PartitionError
+from repro.switchsim.program import SwitchProgramError
+from repro.verify import lint_switch_program, verify_compilation, verify_ir
+
+GOLDEN = Path(__file__).parent / "golden" / "compile_pins.json"
+
+PIN_SEED = 0
+GENERATED = 40
+#: the narrow sweep keeps to generated programs this short (see above)
+NARROW_MAX_LINES = 90
+
+
+def sources(wide: bool) -> Iterator[Tuple[str, str]]:
+    """``(label, source)`` of every program one sweep compiles."""
+    for name in MIDDLEBOX_NAMES:
+        yield name, load(name).source
+    for index in range(GENERATED):
+        program_seed, _ = derive_seeds(PIN_SEED, index)
+        source = generate_program(program_seed).source()
+        if wide or len(source.splitlines()) <= NARROW_MAX_LINES:
+            yield f"gen{index:03d}", source
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def compile_row(source: str, limits: SwitchResources) -> dict:
+    try:
+        result = compile_source(source, limits, verify=False)
+    except (PartitionError, SwitchProgramError) as refusal:
+        return {
+            "outcome": type(refusal).__name__,
+            "shim": "shim" in str(refusal),
+        }
+    plan = result.plan
+    # Instruction ids come from a process-wide counter; position in the
+    # source function is what is stable across runs.
+    assignment = ",".join(
+        plan.assignment[inst.id].name
+        for inst in plan.middlebox.process.instructions()
+    )
+    report = plan.report
+    return {
+        "outcome": "compiled",
+        "assignment": _sha(assignment),
+        "report": {
+            "memory_bytes": report.memory_bytes,
+            "pipeline_depth_pre": report.pipeline_depth_pre,
+            "pipeline_depth_post": report.pipeline_depth_post,
+            "metadata_bytes_pre": report.metadata_bytes_pre,
+            "metadata_bytes_post": report.metadata_bytes_post,
+            "transfer_bytes_to_server": report.transfer_bytes_to_server,
+            "transfer_bytes_to_switch": report.transfer_bytes_to_switch,
+            "state_access_sites": dict(
+                sorted(report.state_access_sites.items())
+            ),
+        },
+        "placements": {
+            name: [p.kind.value, p.entries, p.memory_bytes]
+            for name, p in sorted(plan.placements.items())
+        },
+        "to_server": plan.to_server.names(),
+        "to_switch": plan.to_switch.names(),
+        "shim_bytes": [
+            result.shim_to_server.byte_size, result.shim_to_switch.byte_size
+        ],
+        "p4": _sha(result.p4_source),
+        "cpp": _sha(result.cpp_source),
+        "verify": sorted(
+            [d.code, d.severity]
+            for d in verify_compilation(result).diagnostics
+        ),
+    }
+
+
+def compile_pins(wide: bool, limits: SwitchResources) -> Dict[str, dict]:
+    return {
+        label: compile_row(source, limits) for label, source in sources(wide)
+    }
+
+
+def sensitivity_pins() -> Dict[str, list]:
+    """Every lint / IR fixture, pinned to the sorted codes it yields."""
+    from tests.verify.test_ir_verifier import STRUCTURAL_FIXTURES
+    from tests.verify.test_p4lint import MUTATIONS, build_program
+
+    pins = {}
+    for code, mutate in sorted(MUTATIONS.items()):
+        program = build_program()
+        mutate(program)
+        pins[code] = sorted({d.code for d in lint_switch_program(program)})
+    for code, build in sorted(STRUCTURAL_FIXTURES.items()):
+        pins[code] = sorted({d.code for d in verify_ir(build())})
+    return pins
+
+
+#: group name -> ``pins(wide)``
+GROUPS = {
+    "tofino_like": lambda wide: compile_pins(
+        wide, SwitchResources.tofino_like()
+    ),
+    "tiny": lambda wide: compile_pins(wide, SwitchResources.tiny()),
+    "sensitivity": lambda wide: sensitivity_pins(),
+}
+
+
+def compute(wide: bool = False) -> Dict[str, dict]:
+    return json.loads(json.dumps(
+        {group: pins(wide) for group, pins in GROUPS.items()}
+    ))
+
+
+def moved(computed: dict, recorded: dict) -> List[str]:
+    """``group/pin/field`` names whose value differs from the recorded."""
+    lines = []
+    for group in recorded:
+        for name in sorted(set(recorded[group]) | set(computed[group])):
+            old, new = recorded[group].get(name), computed[group].get(name)
+            if old == new:
+                continue
+            if isinstance(old, dict) and isinstance(new, dict):
+                fields = [
+                    f"{key}: recorded {old.get(key)!r} now {new.get(key)!r}"
+                    for key in sorted(set(old) | set(new))
+                    if old.get(key) != new.get(key)
+                ]
+            else:
+                fields = [f"recorded {old!r} now {new!r}"]
+            lines.extend(f"{group}/{name}: {field}" for field in fields)
+    return lines
+
+
+def _dump(pins: dict) -> str:
+    lines = []
+    for sweep, groups in pins.items():
+        body = ",\n".join(
+            f"  {json.dumps(group)}: {{\n" + ",\n".join(
+                f"   {json.dumps(name)}: {json.dumps(row, sort_keys=True)}"
+                for name, row in rows.items()
+            ) + "\n  }"
+            for group, rows in groups.items()
+        )
+        lines.append(f" {json.dumps(sweep)}: {{\n{body}\n }}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def main(argv: List[str]) -> int:
+    sweeps = ["narrow", "wide"] if "--wide" in argv else ["narrow"]
+    computed = {sweep: compute(sweep == "wide") for sweep in sweeps}
+    if "--write" in argv:
+        recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+        recorded.update(computed)
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(_dump(recorded))
+        print(f"wrote {GOLDEN} ({', '.join(sweeps)})")
+        return 0
+    recorded = json.loads(GOLDEN.read_text())
+    differences = [
+        f"{sweep}/{line}"
+        for sweep in sweeps
+        for line in moved(computed[sweep], recorded[sweep])
+    ]
+    for line in differences:
+        print(line)
+    if not differences:
+        print(f"compile pins hold ({', '.join(sweeps)})")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

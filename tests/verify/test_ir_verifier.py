@@ -1,6 +1,10 @@
 """Stage 1 unit tests: each IR well-formedness code fires on a minimal
 hand-built function and stays silent on a clean one."""
 
+from typing import Callable, Dict
+
+import pytest
+
 from repro.ir import instructions as irin
 from repro.ir.function import BasicBlock, Function
 from repro.ir.values import const_int, Reg
@@ -43,37 +47,28 @@ def test_clean_function_has_no_diagnostics():
     assert verify_ir(function) == []
 
 
-def test_ir001_missing_entry():
-    function = Function("f", entry="nope")
-    assert _codes(verify_ir(function)) == {"IR001"}
+def _missing_entry():
+    return Function("f", entry="nope")
 
 
-def test_ir002_empty_block():
-    function = _function(
-        _block("entry", irin.Jump("other")), _block("other")
-    )
-    assert "IR002" in _codes(verify_ir(function))
+def _empty_block():
+    return _function(_block("entry", irin.Jump("other")), _block("other"))
 
 
-def test_ir003_missing_terminator():
-    function = _function(_block("entry", irin.Assign(_reg("x"), const_int(0))))
-    assert "IR003" in _codes(verify_ir(function))
+def _missing_terminator():
+    return _function(_block("entry", irin.Assign(_reg("x"), const_int(0))))
 
 
-def test_ir004_terminator_mid_block():
-    function = _function(
-        _block("entry", irin.Return(), irin.Return())
-    )
-    assert "IR004" in _codes(verify_ir(function))
+def _terminator_mid_block():
+    return _function(_block("entry", irin.Return(), irin.Return()))
 
 
-def test_ir005_jump_to_unknown_block():
-    function = _function(_block("entry", irin.Jump("missing")))
-    assert "IR005" in _codes(verify_ir(function))
+def _jump_to_unknown_block():
+    return _function(_block("entry", irin.Jump("missing")))
 
 
-def test_ir006_double_assigned_temp():
-    function = _function(
+def _double_assigned_temp():
+    return _function(
         _block(
             "entry",
             irin.Assign(_reg("t"), const_int(1)),
@@ -81,11 +76,10 @@ def test_ir006_double_assigned_temp():
             irin.Return(),
         )
     )
-    assert "IR006" in _codes(verify_ir(function))
 
 
-def test_ir007_use_before_definition():
-    function = _function(
+def _use_before_definition():
+    return _function(
         _block(
             "entry",
             irin.BinOp(
@@ -94,7 +88,28 @@ def test_ir007_use_before_definition():
             irin.Return(),
         )
     )
-    assert "IR007" in _codes(verify_ir(function))
+
+
+#: structural code -> a minimal function that must yield it (also pinned
+#: as sensitivity fixtures by ``tests/partition/compile_pins.py``)
+STRUCTURAL_FIXTURES: Dict[str, Callable[[], Function]] = {
+    "IR001": _missing_entry,
+    "IR002": _empty_block,
+    "IR003": _missing_terminator,
+    "IR004": _terminator_mid_block,
+    "IR005": _jump_to_unknown_block,
+    "IR006": _double_assigned_temp,
+    "IR007": _use_before_definition,
+}
+
+
+@pytest.mark.parametrize("code", sorted(STRUCTURAL_FIXTURES))
+def test_structural_fixture_yields_its_code(code):
+    assert code in _codes(verify_ir(STRUCTURAL_FIXTURES[code]()))
+
+
+def test_ir001_is_the_only_finding_without_an_entry():
+    assert _codes(verify_ir(_missing_entry())) == {"IR001"}
 
 
 def test_boundary_inputs_suppress_ir007():

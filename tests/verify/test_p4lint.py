@@ -3,10 +3,13 @@
 Each test compiles the cached_post_register_rmw reproducer (it offloads
 both a table and a register, so every lint has something to bite on),
 mutates the emitted :class:`SwitchProgram`, and asserts the expected
-constraint-1..5 code fires.
+constraint-1..5 code fires.  The mutations live in one table,
+:data:`MUTATIONS`, which ``tests/partition/compile_pins.py`` pins as
+sensitivity fixtures too.
 """
 
 import dataclasses
+from typing import Callable, Dict
 
 import pytest
 
@@ -15,13 +18,14 @@ from repro.difftest.corpus import load_corpus
 from repro.ir import instructions as irin
 from repro.ir.values import const_int, Reg
 from repro.lang.types import IntType
+from repro.switchsim.program import SwitchProgram
 from repro.verify import lint_switch_program
 
 U32 = IntType(32)
 
 
-@pytest.fixture()
-def program():
+def build_program() -> SwitchProgram:
+    """A fresh, lint-clean program every mutation below can bite on."""
     entries = {entry.name: entry for entry in load_corpus()}
     result = compile_source(
         entries["cached_post_register_rmw"].source, verify=False
@@ -32,6 +36,11 @@ def program():
     return switch_program
 
 
+@pytest.fixture()
+def program():
+    return build_program()
+
+
 def _codes(program):
     return {d.code for d in lint_switch_program(program)}
 
@@ -40,7 +49,7 @@ def _entry_block(function):
     return function.blocks[function.entry]
 
 
-def test_p4l001_non_p4_instruction(program):
+def _non_p4_instruction(program):
     _entry_block(program.pre).instructions.insert(
         0,
         irin.BinOp(
@@ -48,39 +57,34 @@ def test_p4l001_non_p4_instruction(program):
             const_int(5), const_int(3),
         ),
     )
-    assert "P4L001" in _codes(program)
 
 
-def test_p4l002_unbacked_state_access(program):
+def _unbacked_state_access(program):
     _entry_block(program.pre).instructions.insert(
         0, irin.LoadState(Reg("orphan", U32), "no_such_state")
     )
-    assert "P4L002" in _codes(program)
 
 
-def test_p4l003_table_applied_twice(program):
+def _table_applied_twice(program):
     block = _entry_block(program.pre)
     extra = [
         irin.LoadState(Reg("dup0", U32), "m0"),
         irin.LoadState(Reg("dup1", U32), "m0"),
     ]
     block.instructions[0:0] = extra
-    assert "P4L003" in _codes(program)
 
 
-def test_p4l004_pipeline_loop(program):
+def _pipeline_loop(program):
     block = _entry_block(program.post)
     block.instructions[-1] = irin.Jump(program.post.entry)
-    assert "P4L004" in _codes(program)
 
 
-def test_p4l005_table_memory_blowup(program):
+def _table_memory_blowup(program):
     name, spec = next(iter(program.tables.items()))
     program.tables[name] = dataclasses.replace(spec, size=1 << 30)
-    assert "P4L005" in _codes(program)
 
 
-def test_p4l006_dependency_chain_too_deep(program):
+def _dependency_chain_too_deep(program):
     block = _entry_block(program.pre)
     prev = const_int(1)
     chain = []
@@ -89,23 +93,39 @@ def test_p4l006_dependency_chain_too_deep(program):
         chain.append(irin.BinOp(reg, irin.BinOpKind.ADD, prev, const_int(1)))
         prev = reg
     block.instructions[0:0] = chain
-    assert "P4L006" in _codes(program)
 
 
-def test_p4l007_metadata_over_scratchpad(program):
+def _metadata_over_scratchpad(program):
     program.limits = dataclasses.replace(program.limits, metadata_bytes=0)
-    assert "P4L007" in _codes(program)
 
 
-def test_p4l008_register_too_wide(program):
+def _register_too_wide(program):
     name, spec = next(iter(program.registers.items()))
     program.registers[name] = dataclasses.replace(spec, width_bits=128)
-    assert "P4L008" in _codes(program)
 
 
-def test_p4l009_too_many_tables(program):
+def _too_many_tables(program):
     program.limits = dataclasses.replace(program.limits, pipeline_depth=0)
-    assert "P4L009" in _codes(program)
+
+
+#: error code -> the mutation of a clean program that must yield it
+MUTATIONS: Dict[str, Callable[[SwitchProgram], None]] = {
+    "P4L001": _non_p4_instruction,
+    "P4L002": _unbacked_state_access,
+    "P4L003": _table_applied_twice,
+    "P4L004": _pipeline_loop,
+    "P4L005": _table_memory_blowup,
+    "P4L006": _dependency_chain_too_deep,
+    "P4L007": _metadata_over_scratchpad,
+    "P4L008": _register_too_wide,
+    "P4L009": _too_many_tables,
+}
+
+
+@pytest.mark.parametrize("code", sorted(MUTATIONS))
+def test_error_mutation_yields_its_code(program, code):
+    MUTATIONS[code](program)
+    assert code in _codes(program)
 
 
 def test_p4l010_oversized_block_is_warning(program):
