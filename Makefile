@@ -2,8 +2,9 @@ PYTHON ?= python
 # Tier-1 convention: prepend src/ without clobbering a caller's PYTHONPATH.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: help test verify symbolic-smoke lint lint-verify difftest \
-	difftest-smoke difftest-compiled oracle-pins faults faults-smoke \
+.PHONY: help test verify compile-pins symbolic-smoke lint lint-verify \
+	difftest difftest-smoke difftest-compiled oracle-pins faults \
+	faults-smoke bench-smoke \
 	failover-smoke \
 	pool-smoke telemetry-smoke obs-smoke tenancy-smoke perf perf-smoke \
 	benchmarks
@@ -12,11 +13,14 @@ help:
 	@echo "Targets:"
 	@echo "  test            tier-1 test suite (pytest tests/)"
 	@echo "  verify          static verifier over all bundled middleboxes"
+	@echo "  compile-pins    every compile decision vs the golden file (wide sweep,"
+	@echo "                  ~1 min; the narrow one runs in tier-1)"
 	@echo "  symbolic-smoke  translation validation: prove all middleboxes,"
 	@echo "                  schema-check the JSON, disprove a seeded mutation"
 	@echo "  lint            ruff + mypy (skipped gracefully if not installed)"
-	@echo "  lint-verify     blocking ruff + mypy over src/repro/verify/ and"
-	@echo "                  the oracle kernel"
+	@echo "  lint-verify     blocking ruff + mypy over src/repro/verify/, the"
+	@echo "                  oracle kernel, the deployment spec and the constraint"
+	@echo "                  model"
 	@echo "  difftest        full differential gauntlet (1000 programs, --shrink)"
 	@echo "  difftest-smoke  fixed-seed ~60s gauntlet slice"
 	@echo "  difftest-compiled  compiled-engine-vs-interpreter gauntlet (200 programs)"
@@ -34,6 +38,8 @@ help:
 	@echo "  tenancy-smoke   admit 3 middleboxes onto one switch, prove isolation"
 	@echo "  perf            interpreter-vs-compiled timing -> BENCH_6.json"
 	@echo "  perf-smoke      small fixed-seed perf slice + schema + differential check"
+	@echo "  bench-smoke     the repo benchmark's smoke run (perfbench/, ~1 min):"
+	@echo "                  every workload's correctness checks, no timing gate"
 	@echo "  benchmarks      regenerate every paper table/figure"
 
 test:
@@ -44,6 +50,15 @@ test:
 verify:
 	$(PYTHON) -m repro verify all
 	$(PYTHON) -m repro verify minilb --json > /dev/null
+
+# Every compile decision — assignment, constraint report, placements,
+# shims, emitted text, verifier codes, refusals — of the six bundled
+# middleboxes and 40 generated programs under default and starved limits,
+# plus each lint / IR fixture and the code it must yield, against the
+# golden file recorded before the static checks became one layer.  Wide
+# sweep; tier-1 runs the narrow one (tests/partition/test_compile_pins.py).
+compile-pins:
+	$(PYTHON) -m tests.partition.compile_pins --wide
 
 # Translation validation smoke (blocking in CI): prove every bundled
 # middlebox at the default budget, validate every report against the
@@ -69,12 +84,13 @@ lint:
 		echo "lint: mypy not installed; skipping"; \
 	fi
 
-# Blocking lint: the verification layer (including the symbolic prover)
-# and the oracle kernel are held to zero ruff findings and a clean mypy
-# run; CI gates on this without continue-on-error.  The set grows one unit
-# per PR.  Still skips when the tools are absent so `make lint-verify`
-# stays runnable in the bare container.
-LINT_BLOCKING = src/repro/verify src/repro/difftest/kernel.py
+# Blocking lint: the verification layer (including the symbolic prover),
+# the oracle kernel, the deployment spec and the constraint model are held
+# to zero ruff findings and a clean mypy run; CI gates on this without
+# continue-on-error.  The set grows per PR.  Still skips when the tools are
+# absent so `make lint-verify` stays runnable in the bare container.
+LINT_BLOCKING = src/repro/verify src/repro/difftest/kernel.py \
+	src/repro/runtime/spec.py src/repro/partition/constraints.py
 
 lint-verify:
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
@@ -201,6 +217,14 @@ perf-smoke:
 		assert not errors, errors; print('BENCH_smoke.json: schema ok')"
 	$(PYTHON) -m repro difftest --compiled --runs 25 --seed 0
 	rm -f BENCH_smoke.json
+
+# The repo benchmark's own smoke run (perfbench/README.md): the harness
+# self-test, then every workload briefly with all correctness checks on
+# and no timing gate.  It drives the compiler and the runtime through the
+# names BENCHMARK.json's driver uses, so a refactor that breaks that
+# contract fails here and not in the benchmark.  ~1 min.
+bench-smoke:
+	$(PYTHON) perfbench/run.py --smoke
 
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

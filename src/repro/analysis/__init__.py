@@ -6,8 +6,8 @@
   (anti), control, and output-commit edges, plus its transitive closure
 * :mod:`repro.analysis.distance` — dependency-distance metrics used for the
   pipeline-depth constraint (§4.2.2)
-* :mod:`repro.analysis.liveness` — register liveness and cross-partition
-  transfer sets (§4.3.2)
+* :mod:`repro.analysis.liveness` — register liveness and the scratchpad
+  metadata peak (§4.3.1)
 """
 
 from repro.analysis.reachability import ReachabilityInfo, compute_reachability
@@ -17,11 +17,7 @@ from repro.analysis.depgraph import (
     build_dependency_graph,
 )
 from repro.analysis.distance import dependency_distances
-from repro.analysis.liveness import (
-    LivenessInfo,
-    compute_liveness,
-    transfer_variables,
-)
+from repro.analysis.liveness import LivenessInfo, compute_liveness
 
 __all__ = [
     "ReachabilityInfo",
@@ -32,5 +28,4 @@ __all__ = [
     "dependency_distances",
     "LivenessInfo",
     "compute_liveness",
-    "transfer_variables",
 ]

@@ -1,21 +1,17 @@
-"""Register liveness and cross-partition transfer sets.
+"""Register liveness.
 
-Two consumers:
-
-* the metadata allocator reuses scratchpad bytes of dead temporaries
-  (paper §4.3.1: "Gallium records when temporary variables are first and
-  last used ... reuses the memory consumed by variables that are no longer
-  useful"),
-* the partition splitter computes which variables must travel in the shim
-  header between the switch and the server (§4.3.2: "Gallium does a
-  variable liveness test on the partition boundary to decide what variables
-  need to be transferred").
+The metadata allocator reuses scratchpad bytes of dead temporaries (paper
+§4.3.1: "Gallium records when temporary variables are first and last used
+... reuses the memory consumed by variables that are no longer useful").
+The §4.3.2 liveness test on the partition boundary — which variables must
+travel in the shim header — is ``repro.ir.validate.unsatisfied_uses`` over
+each projection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
@@ -75,32 +71,6 @@ def compute_liveness(function: Function) -> LivenessInfo:
                 live_in[name] = new_in
                 changed = True
     return LivenessInfo(live_in=live_in, live_out=live_out)
-
-
-def transfer_variables(
-    producer_insts: Iterable[Instruction],
-    consumer_insts: Iterable[Instruction],
-) -> List[Reg]:
-    """Registers defined by ``producer_insts`` and used by ``consumer_insts``.
-
-    This is the (conservative) liveness test at a partition boundary: when
-    the producing partition hands the packet off, exactly these values must
-    ride in the shim header.  Returned in a deterministic order (by name).
-    """
-    defined: Dict[str, Reg] = {}
-    for inst in producer_insts:
-        result = inst.result()
-        if result is not None:
-            defined[result.name] = result
-        found = getattr(inst, "found", None)
-        if isinstance(found, Reg):
-            defined[found.name] = found
-    needed: Set[str] = set()
-    for inst in consumer_insts:
-        for op in inst.operands():
-            if isinstance(op, Reg) and op.name in defined:
-                needed.add(op.name)
-    return [defined[name] for name in sorted(needed)]
 
 
 def live_ranges(function: Function) -> Dict[str, Tuple[int, int]]:

@@ -58,6 +58,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -77,7 +78,11 @@ from repro.eval.experiments import (
     tenancy_sweep,
 )
 from repro.ir.printer import format_function
+from repro.lang.diagnostics import FrontendError
 from repro.middleboxes import MIDDLEBOX_NAMES, load_source
+from repro.partition.partitioner import PartitionError
+from repro.switchsim.program import SwitchProgramError
+from repro.verify import VerificationError
 
 
 def _read_source(target: str) -> tuple:
@@ -92,6 +97,34 @@ def _read_source(target: str) -> tuple:
     return path.read_text(), path.name, path.stem
 
 
+def _reports_refusals(command):
+    """Turn the compiler's refusals of the *input* into ``error:`` lines.
+
+    Out-of-subset source (``FrontendError``), an infeasible partitioning
+    (``PartitionError``), a switch program over its limits
+    (``SwitchProgramError``) and a failed verification
+    (``VerificationError``) are answers, not crashes: one line per
+    diagnostic on stderr, exit status 1.  Anything else — including
+    ``IRValidationError``, which means the compiler itself is wrong —
+    keeps its traceback.
+    """
+
+    @functools.wraps(command)
+    def run(args) -> int:
+        try:
+            return command(args)
+        except VerificationError as refusal:
+            lines = [d.format() for d in refusal.report.errors]
+        except (FrontendError, PartitionError, SwitchProgramError) as refusal:
+            lines = [str(refusal)]
+        for line in lines:
+            print(f"error: {line}", file=sys.stderr)
+        return 1
+
+    return run
+
+
+@_reports_refusals
 def cmd_compile(args) -> int:
     source, filename, stem = _read_source(args.target)
     result = compile_source(source, filename=filename,
@@ -110,6 +143,7 @@ def cmd_compile(args) -> int:
     return 0
 
 
+@_reports_refusals
 def cmd_partition(args) -> int:
     source, filename, _ = _read_source(args.target)
     result = compile_source(source, filename=filename)
@@ -129,6 +163,7 @@ def cmd_partition(args) -> int:
     return 0
 
 
+@_reports_refusals
 def cmd_verify(args) -> int:
     import json
 

@@ -12,13 +12,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.codegen.cpp import emit_cpp_program
-from repro.codegen.headers import ShimLayout, synthesize_shim_layouts
+from repro.codegen.headers import ShimLayout
 from repro.codegen.p4 import emit_p4_program
 from repro.ir.lowering import LoweredMiddlebox, lower_program
 from repro.lang.parser import parse_program
 from repro.partition.constraints import SwitchResources
-from repro.partition.partitioner import partition_middlebox
 from repro.partition.plan import PartitionPlan
+from repro.runtime.deployment import compile_middlebox
 from repro.switchsim.program import SwitchProgram
 
 
@@ -96,11 +96,9 @@ def compile_lowered(
     ``result.symbolic_report``.  ``source`` (original text) lets disproof
     counterexamples be appended to the difftest corpus.
     """
-    plan = partition_middlebox(lowered, limits)
-    shim_to_server, shim_to_switch = synthesize_shim_layouts(
-        plan.to_server, plan.to_switch
-    )
-    switch_program = SwitchProgram.from_plan(plan, shim_to_server, shim_to_switch)
+    plan, switch_program = compile_middlebox(lowered, limits)
+    shim_to_server = switch_program.shim_to_server
+    shim_to_switch = switch_program.shim_to_switch
     p4_source = emit_p4_program(switch_program)
     cpp_source = emit_cpp_program(plan, shim_to_server, shim_to_switch)
     result = CompilationResult(

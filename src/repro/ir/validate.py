@@ -1,18 +1,18 @@
 """IR structural validation.
 
-Run after lowering and after every transformation (partition projection,
-peephole passes) to catch compiler bugs early:
-
-* every block ends with exactly one terminator, which is the last instruction,
-* every branch/jump target exists,
-* temporaries are assigned exactly once (SSA for temps),
-* every register use is dominated by a definition (conservatively checked
-  via reachability of at least one def before use on every path).
+Run after lowering to catch compiler bugs early.  The checks themselves —
+block shape, branch targets, single assignment of temporaries, definition
+before use (codes IR001-IR007) — are stage 1 of the static verifier
+(:func:`repro.verify.ir_verifier.verify_structure`);
+:func:`validate_function` is the fail-fast view over it.  What lives here
+is the dataflow both share with the partition splitter: which registers
+are definitely defined when a block is entered, and which uses that
+leaves uncovered.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from repro.ir import instructions as ir
 from repro.ir.function import Function
@@ -23,43 +23,16 @@ class IRValidationError(Exception):
     """Raised when an IR function is structurally invalid."""
 
 
-def validate_function(function: Function, check_defs: bool = True) -> None:
-    """Raise :class:`IRValidationError` on the first violation found."""
-    if function.entry not in function.blocks:
-        raise IRValidationError(
-            f"{function.name}: entry block {function.entry!r} missing"
-        )
-    temp_defs: Dict[str, int] = {}
-    for name, block in function.blocks.items():
-        if not block.instructions:
-            raise IRValidationError(f"{function.name}/{name}: empty block")
-        term = block.instructions[-1]
-        if not term.is_terminator:
-            raise IRValidationError(
-                f"{function.name}/{name}: does not end with a terminator"
-            )
-        for inst in block.instructions[:-1]:
-            if inst.is_terminator:
-                raise IRValidationError(
-                    f"{function.name}/{name}: terminator in block body"
-                )
-        for target in block.successors():
-            if target not in function.blocks:
-                raise IRValidationError(
-                    f"{function.name}/{name}: branch to unknown block {target!r}"
-                )
-        for inst in block.instructions:
-            defined = _defined_regs(inst)
-            for reg in defined:
-                if reg.is_temp:
-                    temp_defs[reg.name] = temp_defs.get(reg.name, 0) + 1
-    for temp_name, count in temp_defs.items():
-        if count > 1:
-            raise IRValidationError(
-                f"{function.name}: temp %{temp_name} assigned {count} times"
-            )
-    if check_defs:
-        _check_defs_before_use(function)
+def validate_function(function: Function) -> None:
+    """Raise :class:`IRValidationError` on the first structural error."""
+    # Function-level: repro.verify's package init imports the partitioner
+    # and the switch model, which import this module.
+    from repro.verify.diagnostics import first_error
+    from repro.verify.ir_verifier import verify_structure
+
+    failure = first_error(verify_structure(function))
+    if failure is not None:
+        raise IRValidationError(failure.format())
 
 
 def _defined_regs(inst: ir.Instruction) -> List[Reg]:
@@ -77,103 +50,70 @@ def _used_regs(inst: ir.Instruction) -> List[Reg]:
     return [op for op in inst.operands() if isinstance(op, Reg)]
 
 
-def _check_defs_before_use(function: Function) -> None:
-    """Forward dataflow: the set of definitely-defined regs at block entry."""
+def defined_at_entry(
+    function: Function, seed: FrozenSet[str] = frozenset()
+) -> Dict[str, Set[str]]:
+    """Forward must-dataflow: registers definitely defined at block entry.
+
+    ``seed`` names registers defined before the function starts (the shim
+    fields a projected partition reads).  Blocks nothing jumps to are left
+    out: no use in them can be checked.
+    """
     preds = function.predecessors()
     order = function.block_order()
-    # Initialize to "all regs" (top) except the entry, and iterate to fixpoint.
-    all_regs: Set[str] = set()
-    for inst in function.instructions():
-        for reg in _defined_regs(inst):
-            all_regs.add(reg.name)
-    defined_in: Dict[str, Set[str]] = {
-        name: set(all_regs) for name in function.blocks
+    block_defs = {
+        name: {reg.name for inst in block.instructions
+               for reg in _defined_regs(inst)}
+        for name, block in function.blocks.items()
     }
-    defined_in[function.entry] = set()
+    # Initialize to "all regs" (top) except the entry, and iterate to fixpoint.
+    all_regs = set(seed).union(*block_defs.values())
+    defined_in = {name: set(all_regs) for name in function.blocks}
+    defined_in[function.entry] = set(seed)
     changed = True
     while changed:
         changed = False
         for name in order:
-            if name == function.entry:
-                incoming: Set[str] = set()
-            else:
-                pred_list = preds.get(name, [])
-                if not pred_list:
-                    # Unreachable block: skip def-before-use checking.
-                    continue
-                incoming = set(all_regs)
-                for pred in pred_list:
-                    incoming &= _defined_out(function, pred, defined_in[pred])
+            if name == function.entry or not preds.get(name):
+                continue
+            incoming = set(all_regs)
+            for pred in preds[name]:
+                incoming &= defined_in[pred] | block_defs[pred]
             if incoming != defined_in[name]:
                 defined_in[name] = incoming
                 changed = True
+    return {
+        name: regs for name, regs in defined_in.items()
+        if name == function.entry or preds.get(name)
+    }
+
+
+def undefined_uses(
+    function: Function, seed: FrozenSet[str] = frozenset()
+) -> Iterator[Tuple[str, ir.Instruction, Reg]]:
+    """Yield ``(block, inst, reg)`` for every use a definition may not
+    reach, block by block (one register can be yielded more than once)."""
+    defined_in = defined_at_entry(function, seed)
     for name, block in function.blocks.items():
-        if name != function.entry and not preds.get(name):
+        if name not in defined_in:
             continue
         defined = set(defined_in[name])
         for inst in block.instructions:
             for reg in _used_regs(inst):
                 if reg.name not in defined:
-                    raise IRValidationError(
-                        f"{function.name}/{name}: %{reg.name} used before"
-                        f" definition in '{inst!r}'"
-                    )
+                    yield name, inst, reg
             for reg in _defined_regs(inst):
                 defined.add(reg.name)
-
-
-def _defined_out(function: Function, block_name: str, defined_in: Set[str]) -> Set[str]:
-    defined = set(defined_in)
-    for inst in function.blocks[block_name].instructions:
-        for reg in _defined_regs(inst):
-            defined.add(reg.name)
-    return defined
 
 
 def unsatisfied_uses(function: Function) -> Dict[str, Reg]:
     """Registers that may be read before any definition in ``function``.
 
-    Uses the same forward definitely-defined dataflow as the def-before-use
-    check, but collects the offending registers instead of raising.  The
-    partition splitter uses this to compute shim transfer sets: a
+    The partition splitter uses this to compute shim transfer sets: a
     projection's unsatisfied uses are exactly the values earlier partitions
     must hand over.
     """
-    preds = function.predecessors()
-    order = function.block_order()
-    all_regs: Set[str] = set()
-    for inst in function.instructions():
-        for reg in _defined_regs(inst):
-            all_regs.add(reg.name)
-    defined_in: Dict[str, Set[str]] = {
-        name: set(all_regs) for name in function.blocks
-    }
-    defined_in[function.entry] = set()
-    changed = True
-    while changed:
-        changed = False
-        for name in order:
-            if name == function.entry:
-                incoming: Set[str] = set()
-            else:
-                pred_list = preds.get(name, [])
-                if not pred_list:
-                    continue
-                incoming = set(all_regs)
-                for pred in pred_list:
-                    incoming &= _defined_out(function, pred, defined_in[pred])
-            if incoming != defined_in[name]:
-                defined_in[name] = incoming
-                changed = True
     needs: Dict[str, Reg] = {}
-    for name, block in function.blocks.items():
-        if name != function.entry and not preds.get(name):
-            continue
-        defined = set(defined_in[name])
-        for inst in block.instructions:
-            for reg in _used_regs(inst):
-                if reg.name not in defined and reg.name not in needs:
-                    needs[reg.name] = reg
-            for reg in _defined_regs(inst):
-                defined.add(reg.name)
+    for _, _, reg in undefined_uses(function):
+        needs.setdefault(reg.name, reg)
     return needs

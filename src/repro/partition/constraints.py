@@ -5,12 +5,26 @@ MB of table memory, 10–20 pipeline stages (we default to the conservative
 12 the paper alludes to), under ~100 bytes of per-packet scratchpad
 metadata, and a 20-byte budget for the shim header that carries temporary
 state between switch and server.
+
+This module also owns the numbers those limits are held against:
+:func:`measure_pipeline` is the one measurement of a switch pipeline (the
+partitioner's budget search, its final :class:`ConstraintReport` and the
+P4 lint all read the same :class:`PipelineUsage`), :func:`co_reachable`
+the one constraint-3 collision test, and :meth:`ConstraintReport.violations`
+the one constraint 1–5 accounting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.analysis.depgraph import build_dependency_graph
+from repro.analysis.distance import dependency_distances
+from repro.analysis.liveness import peak_live_bytes
+from repro.analysis.reachability import ReachabilityInfo, compute_reachability
+from repro.ir import instructions as irin
+from repro.ir.function import Function
 
 
 @dataclass(frozen=True)
@@ -64,12 +78,118 @@ class ConstraintReport:
     state_access_sites: Dict[str, int] = field(default_factory=dict)
 
     def violations(self, limits: SwitchResources) -> List[str]:
-        # The accounting lives in the resource allocator (this is the
-        # one-tenant case of shared-switch admission); import lazily to
-        # keep partition importable without the tenancy package loaded.
-        from repro.tenancy.allocator import constraint_violations
-
-        return constraint_violations(self, limits)
+        """Constraint 1–5 violations of one measured partitioning."""
+        problems: List[str] = []
+        if self.memory_bytes > limits.memory_bytes:
+            problems.append(
+                f"constraint 1: switch memory {self.memory_bytes} >"
+                f" {limits.memory_bytes}"
+            )
+        depth = max(self.pipeline_depth_pre, self.pipeline_depth_post)
+        if depth > limits.pipeline_depth:
+            problems.append(
+                f"constraint 2: dependency chain {depth} >"
+                f" pipeline depth {limits.pipeline_depth}"
+            )
+        for state, sites in self.state_access_sites.items():
+            if sites > 1:
+                problems.append(
+                    f"constraint 3: state {state!r} has {sites} offloaded"
+                    " access sites"
+                )
+        metadata = max(self.metadata_bytes_pre, self.metadata_bytes_post)
+        if metadata > limits.metadata_bytes:
+            problems.append(
+                f"constraint 4: per-packet metadata {metadata} bytes >"
+                f" {limits.metadata_bytes}"
+            )
+        transfer = max(
+            self.transfer_bytes_to_server, self.transfer_bytes_to_switch
+        )
+        if transfer > limits.transfer_bytes:
+            problems.append(
+                f"constraint 5: shim transfer {transfer} bytes >"
+                f" {limits.transfer_bytes}"
+            )
+        return problems
 
     def satisfied(self, limits: SwitchResources) -> bool:
         return not self.violations(limits)
+
+
+#: IR instructions that access a switch table or register.
+SWITCH_STATE_OPS = (
+    irin.MapFind,
+    irin.VectorGet,
+    irin.LoadState,
+    irin.RegisterRMW,
+)
+
+#: Depth reported for a pipeline with a control-flow loop: no stage count
+#: fits it (the partitioner evicts, the lint reports P4L004).
+UNBOUNDED_DEPTH = 10**9
+
+
+@dataclass
+class PipelineUsage:
+    """What one switch pipeline (a projected pre or post function) uses."""
+
+    reachability: ReachabilityInfo
+    #: constraint 2 — longest stage-costing dependency chain
+    depth: int
+    #: constraint 4 — peak bytes of simultaneously live registers
+    metadata_bytes: int
+    #: constraint 3 — state name -> the instructions accessing it
+    sites: Dict[str, List[irin.Instruction]]
+    #: instructions no P4 pipeline can express
+    unsupported: List[irin.Instruction]
+
+
+def measure_pipeline(function: Function) -> PipelineUsage:
+    """Measure ``function`` as the switch would run it.
+
+    The only argument is the function, and it must be the *projection*:
+    CFG projection rematerializes pure slices into the pipeline (header
+    re-reads, ALU recomputation), so the emitted dependency chain can be
+    longer than the source function's distance metric accounts for.
+    """
+    info = compute_reachability(function)
+    if info.cyclic_blocks:
+        depth = UNBOUNDED_DEPTH
+    else:
+        from_entry, _ = dependency_distances(
+            build_dependency_graph(function, info)
+        )
+        depth = max(from_entry.values(), default=0)
+    sites: Dict[str, List[irin.Instruction]] = {}
+    unsupported: List[irin.Instruction] = []
+    for inst in function.instructions():
+        if isinstance(inst, SWITCH_STATE_OPS):
+            sites.setdefault(inst.state, []).append(inst)
+        elif not inst.p4_supported():
+            unsupported.append(inst)
+    return PipelineUsage(
+        reachability=info,
+        depth=depth,
+        metadata_bytes=peak_live_bytes(function),
+        sites=sites,
+        unsupported=unsupported,
+    )
+
+
+def co_reachable(
+    info: ReachabilityInfo, sites: Sequence[irin.Instruction]
+) -> Optional[Tuple[irin.Instruction, irin.Instruction]]:
+    """The first two of ``sites`` one traversal can both execute, if any.
+
+    Register accesses on mutually exclusive control paths — a NAT reading
+    its external-IP register on both the hit and the miss arm — share a
+    stage; only co-reachable ones collide (constraint 3).
+    """
+    for i, first in enumerate(sites):
+        for second in sites[i + 1:]:
+            if info.can_happen_after(first, second) or info.can_happen_after(
+                second, first
+            ):
+                return first, second
+    return None

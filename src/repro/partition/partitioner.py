@@ -25,11 +25,16 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.depgraph import DependencyGraph, build_dependency_graph
 from repro.analysis.distance import dependency_distances
-from repro.analysis.liveness import peak_live_bytes, transfer_variables
 from repro.ir import instructions as irin
 from repro.ir.function import Function
 from repro.ir.lowering import LoweredMiddlebox, StateMember
-from repro.partition.constraints import ConstraintReport, SwitchResources
+from repro.partition.constraints import (
+    ConstraintReport,
+    PipelineUsage,
+    SwitchResources,
+    co_reachable,
+    measure_pipeline,
+)
 from repro.partition.labels import (
     Label,
     LabelAssignment,
@@ -95,7 +100,7 @@ def partition_middlebox(
     # strand an offloaded write of the same state; re-check write locality
     # until both are stable (each pin strictly shrinks the offloaded set).
     while True:
-        assignment, projections, transfers = _enforce_budgets(
+        assignment, projections, transfers, usage = _enforce_budgets(
             lowered, graph, removed, assignment, limits, from_entry, to_exit
         )
         if not _pin_stranded_offloaded_writers(lowered, graph, removed, assignment):
@@ -105,9 +110,8 @@ def partition_middlebox(
     pre_projection, non_off_projection, post_projection = projections
     to_server, to_switch = transfers
     placements = _derive_placements(lowered, graph, assignment, limits)
-    report = _measure(
-        lowered, graph, assignment, placements,
-        pre_projection, post_projection, to_server, to_switch,
+    report = _report(
+        lowered, graph, assignment, placements, usage, to_server, to_switch
     )
     violations = report.violations(limits)
     if violations:
@@ -361,29 +365,22 @@ def _find_multi_access_state(
 ) -> Optional[Tuple[str, List[irin.Instruction]]]:
     """Find a state whose offloaded access sites violate constraint 3.
 
-    *Registers* (scalar globals) may be read on mutually exclusive control
-    paths — e.g. a NAT reading its external-IP register on both the hit and
-    the miss arm — because a register extern can appear in several exclusive
-    branches; only co-reachable register accesses collide.  *Tables*
-    (maps/vectors) follow the paper strictly: a match-action table can be
-    applied only once in the pipeline, so at most one access site may stay
-    on the switch regardless of path exclusivity.
+    *Registers* (scalar globals) collide only where two sites are
+    co-reachable (:func:`co_reachable`).  *Tables* (maps/vectors) follow the
+    paper strictly: a match-action table can be applied only once in the
+    pipeline, so at most one access site may stay on the switch regardless
+    of path exclusivity.
     """
-    info = graph.reachability
     states = _switch_states(lowered, graph, assignment)
     for name in sorted(states):
         sites = states[name]
         if len(sites) < 2:
             continue
-        member = lowered.state.get(name)
-        if member is not None and member.kind != "scalar":
+        if lowered.state[name].kind != "scalar":
             return name, sites
-        for i, first in enumerate(sites):
-            for second in sites[i + 1 :]:
-                if info.can_happen_after(first, second) or info.can_happen_after(
-                    second, first
-                ):
-                    return name, [first, second]
+        collision = co_reachable(graph.reachability, sites)
+        if collision is not None:
+            return name, list(collision)
     return None
 
 
@@ -418,8 +415,8 @@ def _build_transfers(pre, non_off, post) -> Tuple[TransferSpec, TransferSpec]:
     """
     from repro.ir.validate import unsatisfied_uses
 
-    pre_defs = _definitions(pre.function)
-    non_off_defs = _definitions(non_off.function)
+    pre_defs = pre.function.defined_regs()
+    non_off_defs = non_off.function.defined_regs()
     non_off_needs = unsatisfied_uses(non_off.function)
     post_needs = unsatisfied_uses(post.function)
     to_server_regs: Dict[str, object] = {}
@@ -443,38 +440,6 @@ def _build_transfers(pre, non_off, post) -> Tuple[TransferSpec, TransferSpec]:
     return to_server, to_switch
 
 
-def _definitions(function) -> Dict[str, object]:
-    defs: Dict[str, object] = {}
-    for inst in function.instructions():
-        result = inst.result()
-        if result is not None:
-            defs[result.name] = result
-        found = getattr(inst, "found", None)
-        if found is not None and hasattr(found, "name"):
-            defs[found.name] = found
-    return defs
-
-
-
-
-def _projected_depth(function: Function) -> int:
-    """Longest stage-costing dependency chain of a *projected* pipeline.
-
-    Constraint 2 must hold on the program the switch actually runs: CFG
-    projection rematerializes pure slices into the pipeline (header
-    re-reads, ALU recomputation), so the emitted chain can be longer than
-    the original function's distance metric accounts for.
-    """
-    from repro.analysis.reachability import compute_reachability
-
-    info = compute_reachability(function)
-    if info.cyclic_blocks:
-        return 10**9  # loops can never fit a pipeline; force eviction
-    projected_graph = build_dependency_graph(function, info)
-    from_entry, _ = dependency_distances(projected_graph)
-    return max(from_entry.values(), default=0)
-
-
 def _enforce_budgets(
     lowered: LoweredMiddlebox,
     graph: DependencyGraph,
@@ -491,27 +456,22 @@ def _enforce_budgets(
     re-run the label rules.  Terminates: each move strictly shrinks the
     offloaded set, and the all-server partitioning satisfies everything.
 
-    Also re-checks constraint 2 on the projections: rematerialized slices
-    can deepen the emitted pipeline beyond the pre-projection distance
-    bound (found by the static verifier's P4L006 lint).
+    Constraints 2 and 4 are measured on the projections — the pipelines
+    the switch runs — so remat-induced chains count.  Returns the
+    :class:`PipelineUsage` pair of the accepted iteration with it.
     """
     while True:
         pre, non_off, post = _build_projections(lowered, graph, assignment)
         to_server, to_switch = _build_transfers(pre, non_off, post)
-        meta_pre = peak_live_bytes(pre.function)
-        meta_post = peak_live_bytes(post.function)
-        over_pre = (
-            to_server.byte_size() > limits.transfer_bytes
-            or meta_pre > limits.metadata_bytes
-            or _projected_depth(pre.function) > limits.pipeline_depth
-        )
-        over_post = (
-            to_switch.byte_size() > limits.transfer_bytes
-            or meta_post > limits.metadata_bytes
-            or _projected_depth(post.function) > limits.pipeline_depth
-        )
+        over_pre, usage_pre = _over_budget(to_server, pre.function, limits)
+        over_post, usage_post = _over_budget(to_switch, post.function, limits)
         if not over_pre and not over_post:
-            return assignment, (pre, non_off, post), (to_server, to_switch)
+            return (
+                assignment,
+                (pre, non_off, post),
+                (to_server, to_switch),
+                (usage_pre, usage_post),
+            )
         moved = False
         if over_pre:
             candidate = _deepest(
@@ -535,6 +495,21 @@ def _enforce_budgets(
                 f"{lowered.name}: cannot satisfy metadata/transfer budgets"
             )
         assignment = run_label_removal(graph, removed)
+
+
+def _over_budget(
+    transfer: TransferSpec, function: Function, limits: SwitchResources
+) -> Tuple[bool, Optional[PipelineUsage]]:
+    """Does one switch pipeline break constraint 5, 4 or 2?  Also returns
+    its measured usage, unless the shim alone decided (the cheap test goes
+    first: measuring builds the projection's dependency graph)."""
+    if transfer.byte_size() > limits.transfer_bytes:
+        return True, None
+    usage = measure_pipeline(function)
+    return (
+        usage.metadata_bytes > limits.metadata_bytes
+        or usage.depth > limits.pipeline_depth
+    ), usage
 
 
 def _deepest(
@@ -573,7 +548,7 @@ def _deepest(
 
 
 # ---------------------------------------------------------------------------
-# Placement + measurement
+# Placement + the final report
 # ---------------------------------------------------------------------------
 
 
@@ -615,47 +590,31 @@ def _derive_placements(
     return placements
 
 
-def _measure(
+def _report(
     lowered: LoweredMiddlebox,
     graph: DependencyGraph,
     assignment: LabelAssignment,
     placements: Dict[str, StatePlacement],
-    pre, post, to_server: TransferSpec, to_switch: TransferSpec,
+    usage: Tuple[PipelineUsage, PipelineUsage],
+    to_server: TransferSpec,
+    to_switch: TransferSpec,
 ) -> ConstraintReport:
-    # Depth is measured on the projections — the pipelines the switch
-    # actually runs — so remat-induced chains count (see _projected_depth).
-    depth_pre = _projected_depth(pre.function)
-    depth_post = _projected_depth(post.function)
-    site_insts: Dict[str, List[irin.Instruction]] = {}
-    for inst in graph.instructions:
-        partition = assignment.partition_of(inst)
-        if partition is not Partition.NON_OFF:
-            for loc in inst.global_state_accesses():
-                if loc.name in lowered.state:
-                    site_insts.setdefault(loc.name, []).append(inst)
-    # Register reads on mutually exclusive paths share a stage; table
+    usage_pre, usage_post = usage
+    # Constraint 3 is a question about the *source* function's assignment:
+    # register reads on mutually exclusive paths share a stage; table
     # applications never do (Tofino applies a table at most once).
-    info = graph.reachability
     sites: Dict[str, int] = {}
-    for name, insts in site_insts.items():
-        member = lowered.state.get(name)
-        if member is not None and member.kind != "scalar":
+    for name, insts in _switch_states(lowered, graph, assignment).items():
+        if lowered.state[name].kind != "scalar":
             sites[name] = len(insts)
-            continue
-        conflict = 1
-        for i, first in enumerate(insts):
-            for second in insts[i + 1 :]:
-                if info.can_happen_after(first, second) or info.can_happen_after(
-                    second, first
-                ):
-                    conflict = max(conflict, 2)
-        sites[name] = conflict
+        else:
+            sites[name] = 2 if co_reachable(graph.reachability, insts) else 1
     return ConstraintReport(
         memory_bytes=sum(p.memory_bytes for p in placements.values()),
-        pipeline_depth_pre=depth_pre,
-        pipeline_depth_post=depth_post,
-        metadata_bytes_pre=peak_live_bytes(pre.function),
-        metadata_bytes_post=peak_live_bytes(post.function),
+        pipeline_depth_pre=usage_pre.depth,
+        pipeline_depth_post=usage_post.depth,
+        metadata_bytes_pre=usage_pre.metadata_bytes,
+        metadata_bytes_post=usage_post.metadata_bytes,
         transfer_bytes_to_server=to_server.byte_size(),
         transfer_bytes_to_switch=to_switch.byte_size(),
         state_access_sites=sites,

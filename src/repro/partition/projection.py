@@ -274,46 +274,6 @@ def _rematerialize_pure_slices(
     entry.instructions[insert_at:insert_at] = clones
 
 
-def _rematerializable_loads(
-    function: Function,
-    assignment: Dict[int, Partition],
-    partition: Partition,
-) -> List[irin.LoadPacketField]:
-    """Earlier-partition header loads this partition can safely re-execute.
-
-    Safe iff the loaded region is never written anywhere in the program
-    (conservative: any write to the region disables rematerialization for
-    all its loads) — then re-reading yields the same value the original
-    load produced.
-    """
-    if partition is Partition.PRE:
-        return []
-    written_regions = {
-        aliased_packet_region(inst.region)
-        for inst in function.instructions()
-        if isinstance(inst, irin.StorePacketField)
-    }
-    used_names: Set[str] = set()
-    for inst in function.instructions():
-        if assignment.get(inst.id, Partition.NON_OFF) is partition:
-            for op in inst.operands():
-                if isinstance(op, Reg):
-                    used_names.add(op.name)
-    loads: List[irin.LoadPacketField] = []
-    seen: Set[str] = set()
-    for inst in function.instructions():
-        if not isinstance(inst, irin.LoadPacketField):
-            continue
-        if assignment.get(inst.id, Partition.NON_OFF).value >= partition.value:
-            continue
-        if aliased_packet_region(inst.region) in written_regions:
-            continue
-        if inst.dst.name in used_names and inst.dst.name not in seen:
-            seen.add(inst.dst.name)
-            loads.append(inst)
-    return loads
-
-
 def _region_has_work(
     function: Function,
     assignment: Dict[int, Partition],

@@ -2,26 +2,18 @@
 
 A :class:`SwitchProgram` bundles the pre/post pipeline CFGs, the table and
 register specs derived from the partition plan's state placements, and the
-shim layouts.  ``validate()`` enforces the §2.2 architectural restrictions
-statically — the same checks a P4 compiler would run:
-
-* no loops in either pipeline,
-* every instruction is P4-expressible (table lookups, register ops, header
-  accesses, ALU ops the switch supports),
-* at most one access to each stateful element per pipeline,
-* the dependency-chain depth fits the physical stage count,
-* per-packet metadata fits the scratchpad.
+shim layouts.  ``validate()`` (run by ``from_plan``) refuses a program the
+static verifier's P4 resource lint or shim-budget check finds an error in
+— the §2.2 architectural restrictions a P4 compiler would enforce; see
+:mod:`repro.verify.p4lint` for the list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.analysis.liveness import peak_live_bytes
-from repro.analysis.reachability import compute_reachability
 from repro.codegen.headers import ShimLayout
-from repro.ir import instructions as irin
 from repro.ir.function import Function
 from repro.partition.constraints import SwitchResources
 from repro.partition.plan import PartitionPlan, PlacementKind
@@ -39,21 +31,17 @@ class TableSpec:
     size: int
     replicated: bool
 
+    @property
+    def memory_bytes(self) -> int:
+        """Switch memory the table's entries occupy (constraint 1)."""
+        return self.size * (sum(self.key_widths) + self.value_width + 7) // 8
+
 
 @dataclass(frozen=True)
 class RegisterSpec:
     name: str
     width_bits: int
     replicated: bool
-
-
-#: IR instructions a switch pipeline may execute, beyond pure ALU ops.
-_SWITCH_STATE_OPS = (
-    irin.MapFind,
-    irin.VectorGet,
-    irin.LoadState,
-    irin.RegisterRMW,
-)
 
 
 @dataclass
@@ -116,88 +104,19 @@ class SwitchProgram:
     # -- static validation ----------------------------------------------------
 
     def validate(self) -> None:
-        for label, function in (("pre", self.pre), ("post", self.post)):
-            self._validate_pipeline(label, function)
-        total_memory = sum(
-            spec.size * (sum(spec.key_widths) + spec.value_width + 7) // 8
-            for spec in self.tables.values()
-        )
-        if total_memory > self.limits.memory_bytes:
-            raise SwitchProgramError(
-                f"{self.name}: table memory {total_memory} exceeds"
-                f" {self.limits.memory_bytes}"
-            )
+        """Raise :class:`SwitchProgramError` on the first error the static
+        verifier finds in this program."""
+        # Function-level: repro.verify's package init imports this module.
+        from repro.verify.diagnostics import first_error
+        from repro.verify.invariants import shim_budget
+        from repro.verify.p4lint import lint_switch_program
+
+        found = lint_switch_program(self)
         for layout in (self.shim_to_server, self.shim_to_switch):
-            budget = self.limits.transfer_bytes + 2  # +2: verdict/port fields
-            if layout.byte_size > budget:
-                raise SwitchProgramError(
-                    f"{self.name}: shim {layout.direction} is"
-                    f" {layout.byte_size}B (> {budget}B)"
-                )
-
-    def _validate_pipeline(self, label: str, function: Function) -> None:
-        info = compute_reachability(function)
-        if info.cyclic_blocks:
-            raise SwitchProgramError(
-                f"{self.name}/{label}: loop through {sorted(info.cyclic_blocks)}"
-            )
-        state_access: Dict[str, int] = {}
-        for inst in function.instructions():
-            if isinstance(inst, _SWITCH_STATE_OPS):
-                state = inst.state
-                if state not in self.tables and state not in self.registers:
-                    raise SwitchProgramError(
-                        f"{self.name}/{label}: access to state {state!r}"
-                        " that is not on the switch"
-                    )
-                state_access[state] = state_access.get(state, 0) + 1
-            elif not inst.p4_supported():
-                raise SwitchProgramError(
-                    f"{self.name}/{label}: instruction not expressible in"
-                    f" P4: {inst!r}"
-                )
-        for state, count in state_access.items():
-            # Registers tolerate accesses on mutually exclusive paths; a
-            # match-action table may be applied only once per pipeline.
-            if count > 1 and not (
-                state in self.registers
-                and self._mutually_exclusive_accesses(function, state)
-            ):
-                raise SwitchProgramError(
-                    f"{self.name}/{label}: state {state!r} accessed"
-                    f" {count} times in one pipeline"
-                )
-        metadata = peak_live_bytes(function)
-        if metadata > self.limits.metadata_bytes:
-            raise SwitchProgramError(
-                f"{self.name}/{label}: metadata {metadata}B exceeds"
-                f" {self.limits.metadata_bytes}B"
-            )
-
-    def _mutually_exclusive_accesses(self, function: Function, state: str) -> bool:
-        """True when all access sites sit on mutually exclusive paths.
-
-        (The paper's constraint 3 is stricter — one site total — and the
-        partitioner enforces that; this runtime check only tolerates sites
-        that can provably never execute in the same traversal, which arises
-        when a single site is duplicated across exclusive projection arms.)
-        """
-        info = compute_reachability(function)
-        sites = [
-            inst
-            for inst in function.instructions()
-            if isinstance(inst, _SWITCH_STATE_OPS) and inst.state == state
-        ]
-        for i, first in enumerate(sites):
-            for second in sites[i + 1 :]:
-                if info.can_happen_after(first, second) or info.can_happen_after(
-                    second, first
-                ):
-                    return False
-        return True
+            found.extend(shim_budget(self.limits, layout))
+        failure = first_error(found)
+        if failure is not None:
+            raise SwitchProgramError(f"{self.name}: {failure.format()}")
 
     def memory_bytes(self) -> int:
-        return sum(
-            spec.size * (sum(spec.key_widths) + spec.value_width + 7) // 8
-            for spec in self.tables.values()
-        )
+        return sum(spec.memory_bytes for spec in self.tables.values())

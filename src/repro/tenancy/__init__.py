@@ -9,8 +9,7 @@ shape needs:
   compiled artifacts under one :class:`~repro.tenancy.allocator.\
 SharedSwitchBudget` (stage placement, SRAM carving, PHV arbitration),
   with deterministic admission order and actionable rejection
-  diagnostics.  It is also the single authority for the per-program
-  §4.2.2 constraint checks the partitioner runs.
+  diagnostics.
 * :mod:`repro.tenancy.deployment` — a
   :class:`~repro.tenancy.deployment.MultiTenantDeployment` installing all
   admitted programs on one simulated pipeline, dispatching packets by
@@ -32,7 +31,6 @@ from repro.tenancy.allocator import (
     TenantPlacement,
     TenantSpec,
     build_tenant_specs,
-    constraint_violations,
 )
 
 __all__ = [
@@ -43,5 +41,4 @@ __all__ = [
     "TenantPlacement",
     "TenantSpec",
     "build_tenant_specs",
-    "constraint_violations",
 ]

@@ -1,24 +1,19 @@
 """The switch resource allocator: N compiled middleboxes, one budget.
 
-Everything before this module checked resources *per program*: the
-partitioner measured one plan against one :class:`SwitchResources` and the
-P4 lint re-proved the same bounds on the emitted artifact.  A production
-switch fronts many services, and on an RMT pipeline (Bosshart et al.) the
+Everything before this module checks resources *per program*: the
+partitioner holds one plan to one :class:`SwitchResources` and the P4
+lint holds the emitted artifact to the same limits.  A production switch
+fronts many services, and on an RMT pipeline (Bosshart et al.) the
 stages, SRAM and PHV are a *shared* substrate — arbitrating them across
 programs is the central compiler problem at that scale (cf. the RMT
-backend paper).  This module makes that arbitration first-class:
-
-* :func:`constraint_violations` is the single authority for the paper's
-  §4.2.2 constraint 1–5 accounting.  The partitioner's final gate and
-  :meth:`ConstraintReport.violations <repro.partition.constraints.\
-ConstraintReport.violations>` both delegate here, so per-program admission
-  is just the one-tenant case of the shared problem.
-* :class:`SwitchResourceAllocator` admits N compiled artifacts under one
-  :class:`SharedSwitchBudget`: per-tenant stage placement (stage 0 is the
-  dispatch table, tenant tables pack from stage 1 with a bounded number of
-  table slots per stage), register/table memory carved into contiguous
-  per-tenant ranges, and PHV/header arbitration (every tenant's metadata
-  and shim fields coexist in the parser's static PHV layout, so they sum).
+backend paper).  :class:`SwitchResourceAllocator` makes that arbitration
+first-class: it admits N compiled artifacts under one
+:class:`SharedSwitchBudget`, reading each tenant's measured usage from
+its ``plan.report`` — per-tenant stage placement (stage 0 is the dispatch
+table, tenant tables pack from stage 1 with a bounded number of table
+slots per stage), register/table memory carved into contiguous
+per-tenant ranges, and PHV/header arbitration (every tenant's metadata
+and shim fields coexist in the parser's static PHV layout, so they sum).
 
 Admission is deterministic and order-independent: tenants are admitted in
 canonical order (sorted by name) regardless of submission order, so the
@@ -33,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.partition.constraints import ConstraintReport, SwitchResources
 from repro.partition.plan import PartitionPlan
 from repro.switchsim.program import SwitchProgram
 
@@ -46,63 +40,6 @@ VLAN_BASE = 100
 #: PHV bytes consumed by the shared dispatch machinery (tenant id + the
 #: original-VLAN scratch field), counted once, not per tenant.
 DISPATCH_PHV_BYTES = 4
-
-
-# ---------------------------------------------------------------------------
-# The per-program constraint authority (the one-tenant case)
-# ---------------------------------------------------------------------------
-
-
-def constraint_violations(
-    report: ConstraintReport, limits: SwitchResources
-) -> List[str]:
-    """Constraint 1–5 violations of one measured partitioning.
-
-    This is the accounting that used to live on
-    ``ConstraintReport.violations``; it moved here so the allocator is the
-    single authority for switch resource checks (the report method and the
-    partitioner's final gate both delegate to it).
-    """
-    problems: List[str] = []
-    if report.memory_bytes > limits.memory_bytes:
-        problems.append(
-            f"constraint 1: switch memory {report.memory_bytes} >"
-            f" {limits.memory_bytes}"
-        )
-    depth = max(report.pipeline_depth_pre, report.pipeline_depth_post)
-    if depth > limits.pipeline_depth:
-        problems.append(
-            f"constraint 2: dependency chain {depth} >"
-            f" pipeline depth {limits.pipeline_depth}"
-        )
-    for state, sites in report.state_access_sites.items():
-        if sites > 1:
-            problems.append(
-                f"constraint 3: state {state!r} has {sites} offloaded"
-                " access sites"
-            )
-    metadata = max(report.metadata_bytes_pre, report.metadata_bytes_post)
-    if metadata > limits.metadata_bytes:
-        problems.append(
-            f"constraint 4: per-packet metadata {metadata} bytes >"
-            f" {limits.metadata_bytes}"
-        )
-    transfer = max(
-        report.transfer_bytes_to_server, report.transfer_bytes_to_switch
-    )
-    if transfer > limits.transfer_bytes:
-        problems.append(
-            f"constraint 5: shim transfer {transfer} bytes >"
-            f" {limits.transfer_bytes}"
-        )
-    return problems
-
-
-def admit_single(
-    name: str, report: ConstraintReport, limits: SwitchResources
-) -> List[str]:
-    """The partitioner's final admission gate (one tenant, one budget)."""
-    return constraint_violations(report, limits)
 
 
 # ---------------------------------------------------------------------------

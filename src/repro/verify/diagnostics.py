@@ -4,15 +4,17 @@ Every check in :mod:`repro.verify` reports a :class:`Diagnostic` instead of
 raising: a stable machine-readable code (``IR007``, ``PART003``, ``P4L005``
 ...), a severity, the verification stage that produced it, and — whenever
 the offending IR instruction carries one — a source span, so a partitioner
-bug surfaces as ``fw.cc:12:4: error PART003: ...`` rather than a deploy-time
-``SwitchProgramError``.  A :class:`VerificationReport` aggregates the
-diagnostics for one program and serializes to the JSON schema CI consumes.
+bug surfaces as ``fw.cc:12:4: error PART003: ...``.  The fail-fast
+validators (``validate_function``, ``SwitchProgram.validate``) raise the
+:func:`first_error` of the same checks.  A :class:`VerificationReport`
+aggregates the diagnostics for one program and serializes to the JSON
+schema CI consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.lang.diagnostics import SourceLocation
 
@@ -164,6 +166,11 @@ class VerificationError(Exception):
     def __init__(self, report: VerificationReport):
         self.report = report
         super().__init__(report.format())
+
+
+def first_error(diagnostics: Iterable[Diagnostic]) -> Optional[Diagnostic]:
+    """The diagnostic a fail-fast validator raises, if there is one."""
+    return next((d for d in diagnostics if d.severity == "error"), None)
 
 
 def error(

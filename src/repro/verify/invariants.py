@@ -13,8 +13,8 @@ observe:
 * **Boundary liveness within budget** (PART004/PART005, §4.3.2): every
   value a projection reads from an earlier partition must appear in the
   generated shim header, and each direction's header must fit the
-  constraint-5 transfer budget (+2 bytes of verdict/port plumbing, matching
-  ``SwitchProgram.validate``).
+  constraint-5 transfer budget plus the verdict/port plumbing allowance
+  (:func:`shim_budget`, which ``SwitchProgram.validate`` raises from too).
 
 PART006 is the cached-deployment precondition (`CachedGalliumMiddlebox`
 rejects switch pipelines that RMW registers); it is only emitted when the
@@ -24,13 +24,13 @@ programs stay clean.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 from repro.analysis.depgraph import build_dependency_graph
 from repro.codegen.headers import ShimLayout
 from repro.ir import instructions as irin
-from repro.ir.function import Function
 from repro.ir.validate import unsatisfied_uses
+from repro.partition.constraints import SwitchResources
 from repro.partition.labels import Partition
 from repro.partition.plan import PartitionPlan
 
@@ -47,7 +47,10 @@ def verify_partition(
     out.extend(_check_write_locality(plan))
     out.extend(_check_run_to_completion(plan))
     out.extend(_check_boundary_liveness(plan, shim_to_server, shim_to_switch))
-    out.extend(_check_shim_budget(plan, shim_to_server, shim_to_switch))
+    for layout in (shim_to_server, shim_to_switch):
+        out.extend(
+            shim_budget(plan.limits, layout, plan.middlebox.process.name)
+        )
     if cache_mode:
         out.extend(_check_cache_compatibility(plan))
     return out
@@ -121,26 +124,14 @@ def _check_run_to_completion(plan: PartitionPlan) -> List[Diagnostic]:
     return out
 
 
-def _definitions(function: Function) -> Set[str]:
-    defs: Set[str] = set()
-    for inst in function.instructions():
-        result = inst.result()
-        if result is not None:
-            defs.add(result.name)
-        found = getattr(inst, "found", None)
-        if found is not None and hasattr(found, "name"):
-            defs.add(found.name)
-    return defs
-
-
 def _check_boundary_liveness(
     plan: PartitionPlan,
     shim_to_server: ShimLayout,
     shim_to_switch: ShimLayout,
 ) -> List[Diagnostic]:
     """Re-derive each projection's needs and compare against the shims."""
-    pre_defs = _definitions(plan.pre)
-    non_off_defs = _definitions(plan.non_offloaded)
+    pre_defs = plan.pre.defined_regs()
+    non_off_defs = plan.non_offloaded.defined_regs()
     out: List[Diagnostic] = []
     server_fields = set(shim_to_server.field_names())
     for name, reg in sorted(unsatisfied_uses(plan.non_offloaded).items()):
@@ -172,27 +163,29 @@ def _check_boundary_liveness(
     return out
 
 
-def _check_shim_budget(
-    plan: PartitionPlan,
-    shim_to_server: ShimLayout,
-    shim_to_switch: ShimLayout,
+def shim_budget(
+    limits: SwitchResources,
+    layout: ShimLayout,
+    function: Optional[str] = None,
 ) -> List[Diagnostic]:
-    # +2 bytes: the verdict/egress-port plumbing fields the runtime adds on
-    # top of the constraint-5 payload budget (mirrors SwitchProgram.validate).
-    budget = plan.limits.transfer_bytes + 2
-    out: List[Diagnostic] = []
-    for layout in (shim_to_server, shim_to_switch):
-        if layout.byte_size > budget:
-            out.append(
-                error(
-                    "PART005",
-                    STAGE_PARTITION,
-                    f"shim {layout.direction} is {layout.byte_size}B"
-                    f" (> {budget}B budget)",
-                    function=plan.middlebox.process.name,
-                )
-            )
-    return out
+    """PART005 when one direction's packed shim header is over budget.
+
+    The header is held to the constraint-5 payload budget plus 2 bytes: the
+    verdict/egress-port plumbing fields the runtime adds on top of the
+    values the partitioner counted.
+    """
+    budget = limits.transfer_bytes + 2
+    if layout.byte_size <= budget:
+        return []
+    return [
+        error(
+            "PART005",
+            STAGE_PARTITION,
+            f"shim {layout.direction} is {layout.byte_size}B"
+            f" (> {budget}B budget)",
+            function=function,
+        )
+    ]
 
 
 def _check_cache_compatibility(plan: PartitionPlan) -> List[Diagnostic]:

@@ -1,8 +1,9 @@
 """Stage 1 — structural well-formedness of IR functions (codes IR001-IR010).
 
-Re-implements the checks of :mod:`repro.ir.validate` as diagnostics instead
-of a fail-fast exception, and adds the checks validation never had: CFG
-reachability (no block silently dropped), conservative operand typing, and
+:func:`verify_structure` is the repo's one structural IR check (block
+shape, branch targets, single assignment, definition before use, CFG
+reachability); :func:`repro.ir.validate.validate_function` raises its
+first error.  :func:`verify_ir` adds conservative operand typing and
 extern signature conformance against :data:`repro.ir.externs.EXTERN_SPECS`.
 
 Projected partition functions read some registers from the shim header
@@ -18,35 +19,44 @@ from typing import Dict, FrozenSet, List, Optional, Set
 from repro.ir import instructions as irin
 from repro.ir.externs import EXTERN_SPECS
 from repro.ir.function import Function
-from repro.ir.validate import _defined_regs, _used_regs
+from repro.ir.validate import _defined_regs, undefined_uses
 from repro.ir.values import Reg
 from repro.lang.types import VOID
 
 from repro.verify.diagnostics import Diagnostic, STAGE_IR, error, warning
 
 
-def verify_ir(
+def verify_structure(
     function: Function,
     boundary_inputs: FrozenSet[str] = frozenset(),
 ) -> List[Diagnostic]:
-    """Run every structural check; return all diagnostics found."""
-    out: List[Diagnostic] = []
+    """IR001-IR008: is this a CFG whose every read has a definition?"""
     if function.entry not in function.blocks:
-        out.append(
+        return [
             error(
                 "IR001",
                 STAGE_IR,
                 f"entry block {function.entry!r} missing",
                 function=function.name,
             )
-        )
-        return out
+        ]
+    out: List[Diagnostic] = []
     out.extend(_check_blocks(function))
     out.extend(_check_ssa(function))
     out.extend(_check_reachability(function))
     out.extend(_check_defs_before_use(function, boundary_inputs))
-    out.extend(_check_types(function))
-    out.extend(_check_externs(function))
+    return out
+
+
+def verify_ir(
+    function: Function,
+    boundary_inputs: FrozenSet[str] = frozenset(),
+) -> List[Diagnostic]:
+    """Run every stage-1 check; return all diagnostics found."""
+    out = verify_structure(function, boundary_inputs)
+    if function.entry in function.blocks:
+        out.extend(_check_types(function))
+        out.extend(_check_externs(function))
     return out
 
 
@@ -151,65 +161,22 @@ def _check_reachability(function: Function) -> List[Diagnostic]:
 def _check_defs_before_use(
     function: Function, boundary_inputs: FrozenSet[str]
 ) -> List[Diagnostic]:
-    """Forward definitely-defined dataflow, seeded with the shim inputs."""
-    preds = function.predecessors()
-    order = function.block_order()
-    all_regs: Set[str] = set(boundary_inputs)
-    for inst in function.instructions():
-        for reg in _defined_regs(inst):
-            all_regs.add(reg.name)
-    defined_in: Dict[str, Set[str]] = {
-        name: set(all_regs) for name in function.blocks
-    }
-    defined_in[function.entry] = set(boundary_inputs)
-
-    def defined_out(block_name: str) -> Set[str]:
-        defined = set(defined_in[block_name])
-        for inst in function.blocks[block_name].instructions:
-            for reg in _defined_regs(inst):
-                defined.add(reg.name)
-        return defined
-
-    changed = True
-    while changed:
-        changed = False
-        for name in order:
-            if name == function.entry:
-                incoming: Set[str] = set(boundary_inputs)
-            else:
-                pred_list = preds.get(name, [])
-                if not pred_list:
-                    continue  # unreachable: IR008 already reported
-                incoming = set(all_regs)
-                for pred in pred_list:
-                    incoming &= defined_out(pred)
-            if incoming != defined_in[name]:
-                defined_in[name] = incoming
-                changed = True
-
     out: List[Diagnostic] = []
     seen: Set[str] = set()
-    for name, block in function.blocks.items():
-        if name != function.entry and not preds.get(name):
+    for block, inst, reg in undefined_uses(function, boundary_inputs):
+        if reg.name in seen:
             continue
-        defined = set(defined_in[name])
-        for inst in block.instructions:
-            for reg in _used_regs(inst):
-                if reg.name not in defined and reg.name not in seen:
-                    seen.add(reg.name)
-                    out.append(
-                        error(
-                            "IR007",
-                            STAGE_IR,
-                            f"%{reg.name} may be read before definition"
-                            f" in {inst!r}",
-                            function=function.name,
-                            block=name,
-                            location=inst.location,
-                        )
-                    )
-            for reg in _defined_regs(inst):
-                defined.add(reg.name)
+        seen.add(reg.name)
+        out.append(
+            error(
+                "IR007",
+                STAGE_IR,
+                f"%{reg.name} may be read before definition in {inst!r}",
+                function=function.name,
+                block=block,
+                location=inst.location,
+            )
+        )
     return out
 
 

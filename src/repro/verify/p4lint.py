@@ -1,23 +1,25 @@
 """Stage 3 — P4 resource lint (codes P4L001-P4L010).
 
-Walks the emitted switch program (pipeline CFGs + table/register specs, the
-structure the ``.p4`` text is printed from) and statically bounds it against
-the same constraint-1..5 limits :mod:`repro.switchsim` enforces when a
-program is loaded — so a resource violation becomes a compile error with a
-source span instead of a deploy-time ``SwitchProgramError``.
+Holds the finished switch program (pipeline CFGs + table/register specs,
+the structure the ``.p4`` text is printed from) to the constraint-1..5
+limits: no loops, only P4-expressible instructions, every state access
+backed and applied at most once, table memory, dependency depth, scratchpad
+metadata, register width, table count.  The numbers come from
+:func:`repro.partition.constraints.measure_pipeline` — the same function
+the partitioner's budget search reads — applied here to the artifact's own
+``pre`` / ``post``, after the partitioner has returned.  This is the only
+acceptability check a switch program gets: ``SwitchProgram.validate()``
+raises its first error.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from repro.analysis.depgraph import build_dependency_graph
-from repro.analysis.distance import dependency_distances
-from repro.analysis.liveness import peak_live_bytes
-from repro.analysis.reachability import compute_reachability
 from repro.ir import instructions as irin
 from repro.ir.function import Function
-from repro.switchsim.program import _SWITCH_STATE_OPS, SwitchProgram
+from repro.partition.constraints import co_reachable, measure_pipeline
+from repro.switchsim.program import SwitchProgram
 
 from repro.verify.diagnostics import Diagnostic, STAGE_P4LINT, error, warning
 
@@ -46,22 +48,30 @@ def _lint_pipeline(
     program: SwitchProgram, label: str, function: Function
 ) -> List[Diagnostic]:
     out: List[Diagnostic] = []
-    info = compute_reachability(function)
-    if info.cyclic_blocks:
+    usage = measure_pipeline(function)
+    cyclic = usage.reachability.cyclic_blocks
+    if cyclic:
         out.append(
             error(
                 "P4L004",
                 STAGE_P4LINT,
-                f"control-flow loop through blocks"
-                f" {sorted(info.cyclic_blocks)}",
+                f"control-flow loop through blocks {sorted(cyclic)}",
                 function=function.name,
             )
         )
-    state_sites: Dict[str, List[irin.Instruction]] = {}
-    for inst in function.instructions():
-        if isinstance(inst, _SWITCH_STATE_OPS):
-            state = inst.state
-            if state not in program.tables and state not in program.registers:
+    for inst in usage.unsupported:
+        out.append(
+            error(
+                "P4L001",
+                STAGE_P4LINT,
+                f"instruction not expressible in P4: {inst!r}",
+                function=function.name,
+                location=inst.location,
+            )
+        )
+    for state, sites in sorted(usage.sites.items()):
+        if state not in program.tables and state not in program.registers:
+            for inst in sites:
                 out.append(
                     error(
                         "P4L002",
@@ -72,21 +82,11 @@ def _lint_pipeline(
                         location=inst.location,
                     )
                 )
-            state_sites.setdefault(state, []).append(inst)
-        elif not inst.p4_supported():
-            out.append(
-                error(
-                    "P4L001",
-                    STAGE_P4LINT,
-                    f"instruction not expressible in P4: {inst!r}",
-                    function=function.name,
-                    location=inst.location,
-                )
-            )
-    for state, sites in sorted(state_sites.items()):
-        if len(sites) > 1 and not (
-            state in program.registers
-            and _mutually_exclusive(info, sites)
+        # Registers tolerate accesses on mutually exclusive paths; a
+        # match-action table may be applied only once per pipeline.
+        if len(sites) > 1 and (
+            state not in program.registers
+            or co_reachable(usage.reachability, sites)
         ):
             out.append(
                 error(
@@ -98,9 +98,7 @@ def _lint_pipeline(
                     location=sites[1].location,
                 )
             )
-    tables_applied = {
-        state for state in state_sites if state in program.tables
-    }
+    tables_applied = [state for state in usage.sites if state in program.tables]
     if len(tables_applied) > program.limits.pipeline_depth:
         out.append(
             error(
@@ -111,33 +109,27 @@ def _lint_pipeline(
                 function=function.name,
             )
         )
-    metadata = peak_live_bytes(function)
-    if metadata > program.limits.metadata_bytes:
+    if usage.metadata_bytes > program.limits.metadata_bytes:
         out.append(
             error(
                 "P4L007",
                 STAGE_P4LINT,
-                f"peak live metadata {metadata}B exceeds the"
+                f"peak live metadata {usage.metadata_bytes}B exceeds the"
                 f" {program.limits.metadata_bytes}B scratchpad",
                 function=function.name,
             )
         )
-    if not info.cyclic_blocks:
-        # Depth is the longest stage-costing dependency chain; undefined
-        # over cyclic pipelines (P4L004 already rejects those).
-        graph = build_dependency_graph(function, info)
-        from_entry, _ = dependency_distances(graph)
-        depth = max(from_entry.values(), default=0)
-        if depth > program.limits.pipeline_depth:
-            out.append(
-                error(
-                    "P4L006",
-                    STAGE_P4LINT,
-                    f"dependency chain of {depth} stages exceeds the"
-                    f" {program.limits.pipeline_depth}-stage pipeline",
-                    function=function.name,
-                )
+    # Depth is undefined over cyclic pipelines (P4L004 already rejects those).
+    if not cyclic and usage.depth > program.limits.pipeline_depth:
+        out.append(
+            error(
+                "P4L006",
+                STAGE_P4LINT,
+                f"dependency chain of {usage.depth} stages exceeds the"
+                f" {program.limits.pipeline_depth}-stage pipeline",
+                function=function.name,
             )
+        )
     for block_name, block in function.blocks.items():
         body = sum(
             1 for inst in block.body if not isinstance(inst, _FREE_OPS)
@@ -157,20 +149,8 @@ def _lint_pipeline(
     return out
 
 
-def _mutually_exclusive(info, sites: List[irin.Instruction]) -> bool:
-    for i, first in enumerate(sites):
-        for second in sites[i + 1 :]:
-            if info.can_happen_after(first, second) or info.can_happen_after(
-                second, first
-            ):
-                return False
-    return True
-
-
 def _lint_memory(program: SwitchProgram) -> List[Diagnostic]:
-    total = 0
-    for spec in program.tables.values():
-        total += spec.size * (sum(spec.key_widths) + spec.value_width + 7) // 8
+    total = program.memory_bytes()
     if total > program.limits.memory_bytes:
         return [
             error(

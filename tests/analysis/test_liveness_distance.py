@@ -1,4 +1,4 @@
-"""Tests for liveness, transfer sets, and dependency distances."""
+"""Tests for liveness and dependency distances."""
 
 from repro.analysis.depgraph import build_dependency_graph
 from repro.analysis.distance import dependency_distances
@@ -6,7 +6,6 @@ from repro.analysis.liveness import (
     compute_liveness,
     live_ranges,
     peak_live_bytes,
-    transfer_variables,
 )
 from repro.ir import lower_program
 from repro.ir import instructions as irin
@@ -54,28 +53,6 @@ class TestLiveness:
     def test_peak_live_bytes_positive(self):
         lowered = lower("uint32_t a = 1; uint32_t b = a; pkt->send();")
         assert peak_live_bytes(lowered.process) >= 4
-
-
-class TestTransferVariables:
-    def test_defs_intersect_uses(self):
-        lowered = lower(
-            "uint32_t a = 1; uint32_t b = a + 2; uint32_t c = b + 3;"
-            " pkt->send();"
-        )
-        insts = list(lowered.process.instructions())
-        first_half = insts[: len(insts) // 2]
-        second_half = insts[len(insts) // 2 :]
-        regs = transfer_variables(first_half, second_half)
-        produced = set()
-        for inst in first_half:
-            if inst.result() is not None:
-                produced.add(inst.result().name)
-        assert all(reg.name in produced for reg in regs)
-
-    def test_empty_when_no_overlap(self):
-        lowered = lower("uint32_t a = 1; pkt->send();")
-        insts = list(lowered.process.instructions())
-        assert transfer_variables(insts, []) == []
 
 
 class TestDependencyDistance:

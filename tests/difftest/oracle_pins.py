@@ -381,17 +381,20 @@ def _dump(pins: dict) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
-def main(argv: List[str]) -> int:
+def run(argv: List[str], golden: Path, compute, moved, what: str) -> int:
+    """The pin command line: recompute ``compute(wide)``, then print what
+    ``moved`` against ``golden`` (exit 1) or, with ``--write``, record it.
+    Shared with ``tests/partition/compile_pins.py``."""
     sweeps = ["narrow", "wide"] if "--wide" in argv else ["narrow"]
     computed = {sweep: compute(sweep == "wide") for sweep in sweeps}
     if "--write" in argv:
-        recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+        recorded = json.loads(golden.read_text()) if golden.exists() else {}
         recorded.update(computed)
-        GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_text(_dump(recorded))
-        print(f"wrote {GOLDEN} ({', '.join(sweeps)})")
+        golden.parent.mkdir(exist_ok=True)
+        golden.write_text(_dump(recorded))
+        print(f"wrote {golden} ({', '.join(sweeps)})")
         return 0
-    recorded = json.loads(GOLDEN.read_text())
+    recorded = json.loads(golden.read_text())
     differences = [
         f"{sweep}/{line}"
         for sweep in sweeps
@@ -400,8 +403,12 @@ def main(argv: List[str]) -> int:
     for line in differences:
         print(line)
     if not differences:
-        print(f"oracle pins hold ({', '.join(sweeps)})")
+        print(f"{what} hold ({', '.join(sweeps)})")
     return 1 if differences else 0
+
+
+def main(argv: List[str]) -> int:
+    return run(argv, GOLDEN, compute, moved, "oracle pins")
 
 
 if __name__ == "__main__":

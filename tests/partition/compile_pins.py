@@ -45,6 +45,7 @@ from repro.partition.constraints import SwitchResources
 from repro.partition.partitioner import PartitionError
 from repro.switchsim.program import SwitchProgramError
 from repro.verify import lint_switch_program, verify_compilation, verify_ir
+from tests.difftest.oracle_pins import run
 
 GOLDEN = Path(__file__).parent / "golden" / "compile_pins.json"
 
@@ -85,32 +86,33 @@ def compile_row(source: str, limits: SwitchResources) -> dict:
         for inst in plan.middlebox.process.instructions()
     )
     report = plan.report
+    # Keys in sorted order, as the golden file has them.
     return {
-        "outcome": "compiled",
         "assignment": _sha(assignment),
-        "report": {
-            "memory_bytes": report.memory_bytes,
-            "pipeline_depth_pre": report.pipeline_depth_pre,
-            "pipeline_depth_post": report.pipeline_depth_post,
-            "metadata_bytes_pre": report.metadata_bytes_pre,
-            "metadata_bytes_post": report.metadata_bytes_post,
-            "transfer_bytes_to_server": report.transfer_bytes_to_server,
-            "transfer_bytes_to_switch": report.transfer_bytes_to_switch,
-            "state_access_sites": dict(
-                sorted(report.state_access_sites.items())
-            ),
-        },
+        "cpp": _sha(result.cpp_source),
+        "outcome": "compiled",
+        "p4": _sha(result.p4_source),
         "placements": {
             name: [p.kind.value, p.entries, p.memory_bytes]
             for name, p in sorted(plan.placements.items())
         },
-        "to_server": plan.to_server.names(),
-        "to_switch": plan.to_switch.names(),
+        "report": {
+            "memory_bytes": report.memory_bytes,
+            "metadata_bytes_post": report.metadata_bytes_post,
+            "metadata_bytes_pre": report.metadata_bytes_pre,
+            "pipeline_depth_post": report.pipeline_depth_post,
+            "pipeline_depth_pre": report.pipeline_depth_pre,
+            "state_access_sites": dict(
+                sorted(report.state_access_sites.items())
+            ),
+            "transfer_bytes_to_server": report.transfer_bytes_to_server,
+            "transfer_bytes_to_switch": report.transfer_bytes_to_switch,
+        },
         "shim_bytes": [
             result.shim_to_server.byte_size, result.shim_to_switch.byte_size
         ],
-        "p4": _sha(result.p4_source),
-        "cpp": _sha(result.cpp_source),
+        "to_server": plan.to_server.names(),
+        "to_switch": plan.to_switch.names(),
         "verify": sorted(
             [d.code, d.severity]
             for d in verify_compilation(result).diagnostics
@@ -175,41 +177,8 @@ def moved(computed: dict, recorded: dict) -> List[str]:
     return lines
 
 
-def _dump(pins: dict) -> str:
-    lines = []
-    for sweep, groups in pins.items():
-        body = ",\n".join(
-            f"  {json.dumps(group)}: {{\n" + ",\n".join(
-                f"   {json.dumps(name)}: {json.dumps(row, sort_keys=True)}"
-                for name, row in rows.items()
-            ) + "\n  }"
-            for group, rows in groups.items()
-        )
-        lines.append(f" {json.dumps(sweep)}: {{\n{body}\n }}")
-    return "{\n" + ",\n".join(lines) + "\n}\n"
-
-
 def main(argv: List[str]) -> int:
-    sweeps = ["narrow", "wide"] if "--wide" in argv else ["narrow"]
-    computed = {sweep: compute(sweep == "wide") for sweep in sweeps}
-    if "--write" in argv:
-        recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-        recorded.update(computed)
-        GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_text(_dump(recorded))
-        print(f"wrote {GOLDEN} ({', '.join(sweeps)})")
-        return 0
-    recorded = json.loads(GOLDEN.read_text())
-    differences = [
-        f"{sweep}/{line}"
-        for sweep in sweeps
-        for line in moved(computed[sweep], recorded[sweep])
-    ]
-    for line in differences:
-        print(line)
-    if not differences:
-        print(f"compile pins hold ({', '.join(sweeps)})")
-    return 1 if differences else 0
+    return run(argv, GOLDEN, compute, moved, "compile pins")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Each test compiles the cached_post_register_rmw reproducer (it offloads
 both a table and a register, so every lint has something to bite on),
 mutates the emitted :class:`SwitchProgram`, and asserts the expected
-constraint-1..5 code fires.  The mutations live in one table,
+constraint-1..5 code fires — from the lint and, as a refusal, from
+``SwitchProgram.validate()``.  The mutations live in one table,
 :data:`MUTATIONS`, which ``tests/partition/compile_pins.py`` pins as
 sensitivity fixtures too.
 """
@@ -18,7 +19,7 @@ from repro.difftest.corpus import load_corpus
 from repro.ir import instructions as irin
 from repro.ir.values import const_int, Reg
 from repro.lang.types import IntType
-from repro.switchsim.program import SwitchProgram
+from repro.switchsim.program import SwitchProgram, SwitchProgramError
 from repro.verify import lint_switch_program
 
 U32 = IntType(32)
@@ -128,6 +129,23 @@ def test_error_mutation_yields_its_code(program, code):
     assert code in _codes(program)
 
 
+@pytest.mark.parametrize("code", sorted(MUTATIONS))
+def test_error_mutation_is_refused_by_validate(program, code):
+    """The no-verify path (``from_plan`` -> ``validate``) refuses whatever
+    the lint rejects, naming the lint's first error (the mutation's own
+    code, except that a zero-stage pipeline is too shallow — P4L006 —
+    before it is too short of stages for its tables — P4L009)."""
+    program.validate()
+    MUTATIONS[code](program)
+    errors = [
+        d.code for d in lint_switch_program(program) if d.severity == "error"
+    ]
+    assert code in errors
+    assert errors[0] == ("P4L006" if code == "P4L009" else code)
+    with pytest.raises(SwitchProgramError, match=errors[0]):
+        program.validate()
+
+
 def test_p4l010_oversized_block_is_warning(program):
     block = _entry_block(program.pre)
     filler = [
@@ -145,3 +163,4 @@ def test_p4l010_oversized_block_is_warning(program):
         for d in diagnostics
         if d.code == "P4L010"
     )
+    program.validate()  # a warning is not a refusal
