@@ -2,7 +2,8 @@ PYTHON ?= python
 # Tier-1 convention: prepend src/ without clobbering a caller's PYTHONPATH.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: help test verify compile-pins symbolic-smoke lint lint-verify \
+.PHONY: help test test-durations verify compile-pins symbolic-smoke lint \
+	lint-verify \
 	difftest difftest-smoke difftest-compiled oracle-pins faults \
 	faults-smoke bench-smoke \
 	failover-smoke \
@@ -12,6 +13,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 help:
 	@echo "Targets:"
 	@echo "  test            tier-1 test suite (pytest tests/)"
+	@echo "  test-durations  tier-1 wall time and its ten slowest tests (the"
+	@echo "                  numbers ROADMAP and EXPERIMENTS.md track)"
 	@echo "  verify          static verifier over all bundled middleboxes"
 	@echo "  compile-pins    every compile decision vs the golden file (wide sweep,"
 	@echo "                  ~1 min; the narrow one runs in tier-1)"
@@ -19,8 +22,8 @@ help:
 	@echo "                  schema-check the JSON, disprove a seeded mutation"
 	@echo "  lint            ruff + mypy (skipped gracefully if not installed)"
 	@echo "  lint-verify     blocking ruff + mypy over src/repro/verify/, the"
-	@echo "                  oracle kernel, the deployment spec and the constraint"
-	@echo "                  model"
+	@echo "                  oracle kernel, the deployment spec, the constraint"
+	@echo "                  model, the label engine and the switch program"
 	@echo "  difftest        full differential gauntlet (1000 programs, --shrink)"
 	@echo "  difftest-smoke  fixed-seed ~60s gauntlet slice"
 	@echo "  difftest-compiled  compiled-engine-vs-interpreter gauntlet (200 programs)"
@@ -44,6 +47,11 @@ help:
 
 test:
 	$(PYTHON) -m pytest -q tests/
+
+# Tier-1 wall time and where it goes: the suite's total plus its ten
+# slowest tests (the compile-bound ones ROADMAP names lead the list).
+test-durations:
+	$(PYTHON) -m pytest -q --durations=10 tests/ | tail -n 14
 
 # Static verification layer over every bundled middlebox, plus a JSON
 # smoke check (schema consumed by CI and external tooling).
@@ -85,12 +93,14 @@ lint:
 	fi
 
 # Blocking lint: the verification layer (including the symbolic prover),
-# the oracle kernel, the deployment spec and the constraint model are held
-# to zero ruff findings and a clean mypy run; CI gates on this without
-# continue-on-error.  The set grows per PR.  Still skips when the tools are
-# absent so `make lint-verify` stays runnable in the bare container.
+# the oracle kernel, the deployment spec, the constraint model, the label
+# engine and the switch program are held to zero ruff findings and a clean
+# mypy run; CI gates on this without continue-on-error.  The set grows per
+# PR.  Still skips when the tools are absent so `make lint-verify` stays
+# runnable in the bare container.
 LINT_BLOCKING = src/repro/verify src/repro/difftest/kernel.py \
-	src/repro/runtime/spec.py src/repro/partition/constraints.py
+	src/repro/runtime/spec.py src/repro/partition/constraints.py \
+	src/repro/partition/labels.py src/repro/switchsim/program.py
 
 lint-verify:
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.ir.function import Function
 from repro.ir.instructions import Branch, Instruction
@@ -45,7 +46,13 @@ class DependencyKind(enum.Enum):
 
 @dataclass
 class DependencyGraph:
-    """Instruction-level dependency graph with its transitive closure."""
+    """Instruction-level dependency graph with its transitive closure.
+
+    The closure is kept as one Python-int bitset per instruction, indexed
+    by :attr:`position`, and computed on first use: the label rules read
+    it on the source function's graph, the depth measurement of a
+    projected pipeline never does.  A graph is not modified once built.
+    """
 
     function: Function
     reachability: ReachabilityInfo
@@ -56,21 +63,68 @@ class DependencyGraph:
     dependents: Dict[int, Set[int]]
     #: predecessors: dst_id -> {src_id}
     dependencies: Dict[int, Set[int]]
-    #: transitive closure: src_id -> all ids depending on it transitively
-    closure: Dict[int, Set[int]]
+    #: what :mod:`repro.partition.labels` derives from this graph alone,
+    #: kept here so that it is built once per graph
+    label_statics: Optional[Any] = field(
+        default=None, repr=False, compare=False
+    )
 
     def by_id(self, inst_id: int) -> Instruction:
         return self._index[inst_id]
 
     def __post_init__(self):
         self._index = {inst.id: inst for inst in self.instructions}
+        #: instruction id -> its bit in every closure bitset (program order)
+        self.position: Dict[int, int] = {
+            inst.id: at for at, inst in enumerate(self.instructions)
+        }
+
+    @cached_property
+    def descendants(self) -> List[int]:
+        """Per position, the bitset of everything depending on it (⇝*)."""
+        return self._closure(self.dependents, last_first=True)
+
+    @cached_property
+    def ancestors(self) -> List[int]:
+        """Per position, the bitset of everything it depends on (⇝*)."""
+        return self._closure(self.dependencies, last_first=False)
+
+    def _closure(
+        self, neighbours: Dict[int, Set[int]], last_first: bool
+    ) -> List[int]:
+        """Per position, what one or more ``neighbours`` steps reach.
+
+        Swept to a fixpoint.  Dependency edges run forward in program
+        order except around loops, so a sweep that visits each node after
+        its neighbours settles an acyclic graph at once (one more sweep
+        confirms it).
+        """
+        position = self.position
+        steps = [
+            [position[other] for other in neighbours[inst.id]]
+            for inst in self.instructions
+        ]
+        rows = [sum(1 << other for other in step) for step in steps]
+        order = range(len(rows))
+        changed = True
+        while changed:
+            changed = False
+            for at in reversed(order) if last_first else order:
+                row = rows[at]
+                for other in steps[at]:
+                    row |= rows[other]
+                if row != rows[at]:
+                    rows[at] = row
+                    changed = True
+        return rows
 
     def depends_transitively(self, later: Instruction, earlier: Instruction) -> bool:
         """True if ``later`` depends on ``earlier`` via any chain (⇝*)."""
-        return later.id in self.closure.get(earlier.id, set())
+        row = self.descendants[self.position[earlier.id]]
+        return bool(row >> self.position[later.id] & 1)
 
     def self_dependent(self, inst: Instruction) -> bool:
-        return inst.id in self.closure.get(inst.id, set())
+        return self.depends_transitively(inst, inst)
 
     def edge_kinds(self, src: Instruction, dst: Instruction) -> Set[DependencyKind]:
         return self.edges.get((src.id, dst.id), set())
@@ -96,18 +150,26 @@ def build_dependency_graph(
     def add_edge(src: Instruction, dst: Instruction, kind: DependencyKind) -> None:
         edges.setdefault((src.id, dst.id), set()).add(kind)
 
-    # Data / anti dependencies from read-write set intersection.
-    reads = {inst.id: inst.reads() for inst in instructions}
-    writes = {inst.id: inst.writes() for inst in instructions}
-    for first in instructions:
-        for second in instructions:
-            if not info.can_happen_after(first, second):
-                continue
-            w1 = writes[first.id]
-            if w1 & (reads[second.id] | writes[second.id]):
-                add_edge(first, second, DependencyKind.DATA)
-            if reads[first.id] & writes[second.id]:
-                add_edge(first, second, DependencyKind.ANTI)
+    # Data / anti dependencies: two instructions are related only through
+    # a location both touch, so pair them per location.
+    readers: Dict[Location, List[Instruction]] = {}
+    writers: Dict[Location, List[Instruction]] = {}
+    for inst in instructions:
+        for loc in inst.reads():
+            readers.setdefault(loc, []).append(inst)
+        for loc in inst.writes():
+            writers.setdefault(loc, []).append(inst)
+    after = info.can_happen_after
+    for loc, loc_writers in writers.items():
+        loc_readers = readers.get(loc, [])
+        for first in loc_writers:
+            for second in loc_readers + loc_writers:
+                if after(first, second):
+                    add_edge(first, second, DependencyKind.DATA)
+        for first in loc_readers:
+            for second in loc_writers:
+                if after(first, second):
+                    add_edge(first, second, DependencyKind.ANTI)
 
     # Control dependencies: branch -> every instruction in dependent blocks.
     cdep = control_dependence_sources(function, info)
@@ -147,7 +209,6 @@ def build_dependency_graph(
         dependents[src_id].add(dst_id)
         dependencies[dst_id].add(src_id)
 
-    closure = _transitive_closure(dependents)
     return DependencyGraph(
         function=function,
         reachability=info,
@@ -155,21 +216,4 @@ def build_dependency_graph(
         edges=edges,
         dependents=dependents,
         dependencies=dependencies,
-        closure=closure,
     )
-
-
-def _transitive_closure(successors: Dict[int, Set[int]]) -> Dict[int, Set[int]]:
-    """Reachability closure over the dependency edges (DFS per node)."""
-    closure: Dict[int, Set[int]] = {}
-    for start in successors:
-        seen: Set[int] = set()
-        stack = list(successors[start])
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(successors.get(node, ()))
-        closure[start] = seen
-    return closure

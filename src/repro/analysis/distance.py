@@ -40,11 +40,16 @@ def dependency_distances(graph: DependencyGraph) -> Tuple[Dict[int, int], Dict[i
     longest chain starting at ``i``.  Instructions on dependency cycles get
     a large sentinel (they can never be offloaded anyway).
     """
-    cyclic = {
-        inst.id for inst in graph.instructions if graph.self_dependent(inst)
-    }
     cost = {inst.id: _stage_cost(inst) for inst in graph.instructions}
+    # Kahn's algorithm drains every node exactly when nothing is cyclic;
+    # only a graph with a dependency cycle has to consult the closure.
+    cyclic: Set[int] = set()
     order = _topological_order(graph, cyclic)
+    if len(order) != len(graph.instructions):
+        cyclic = {
+            inst.id for inst in graph.instructions if graph.self_dependent(inst)
+        }
+        order = _topological_order(graph, cyclic)
     from_entry: Dict[int, int] = {}
     sentinel = 10**9
     for inst in graph.instructions:
@@ -71,7 +76,12 @@ def dependency_distances(graph: DependencyGraph) -> Tuple[Dict[int, int], Dict[i
 
 
 def _topological_order(graph: DependencyGraph, cyclic: Set[int]):
-    """Topological order of the acyclic sub-graph (Kahn's algorithm)."""
+    """Kahn's algorithm over the nodes outside ``cyclic``.
+
+    Returns the nodes it could drain: all of them when the sub-graph is
+    acyclic (it is once every self-dependent node is excluded), fewer
+    when a cycle holds some back.
+    """
     indegree: Dict[int, int] = {}
     nodes = [inst.id for inst in graph.instructions if inst.id not in cyclic]
     node_set = set(nodes)
@@ -89,8 +99,4 @@ def _topological_order(graph: DependencyGraph, cyclic: Set[int]):
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
                     ready.append(succ)
-    # Any nodes left have cycles among themselves despite not being
-    # self-dependent via closure (shouldn't happen); append for stability.
-    if len(order) != len(nodes):
-        order.extend(node for node in nodes if node not in set(order))
     return order

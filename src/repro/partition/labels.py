@@ -1,7 +1,8 @@
 """The label-removing algorithm (paper §4.2.1).
 
-Each instruction starts with the label set ``{pre, post, non_off}`` if P4
-can express it, else ``{non_off}``.  Rules are applied to a fixpoint:
+**Specification.**  Each instruction starts with the label set
+``{pre, post, non_off}`` if P4 can express it, else ``{non_off}``.  Rules
+are applied to a fixpoint:
 
 1. ``S' ⇝* S  ∧  post ∉ L(S)   ⟹  post ∉ L(S')``
 2. ``S' ⇝* S  ∧  pre ∉ L(S')   ⟹  pre ∉ L(S)``
@@ -19,16 +20,33 @@ reading of the paper's assignment rule and reproduces Figure 4.)
 *Pins* let later passes force instructions into the non-offloaded
 partition (resource-constraint refinement re-runs the rules after each
 pin, as §4.2.2 prescribes).
+
+**Implementation.**  Nothing here iterates the rules: on a transitive
+``⇝*`` their fixpoint has a closed form (DESIGN.md, "Partitioner", has the
+argument).  Of two accesses to one global ordered by ``⇝*`` the later
+always loses ``pre`` and the earlier always loses ``post``, so::
+
+    no_pre  = seeds  ∪ descendants(seeds)
+    no_post = seeds' ∪ ancestors(seeds')
+
+with seeds = no P4 form ∪ rule 5 ∪ pinned ``pre`` ∪ every later access
+(seeds': pinned ``post``, every earlier access), over the per-instruction
+bitsets of :class:`DependencyGraph`.  All but the pins is built once per
+graph (:class:`LabelStatics`).  The rule-by-rule sweep lives on as the
+oracle of ``tests/partition/test_label_engine.py``, which holds this
+module to it label set by label set.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Set
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, List, Optional, Set
 
 from repro.analysis.depgraph import DependencyGraph
 from repro.ir.instructions import Instruction
+from repro.ir.values import Location
 
 
 class Label(enum.Enum):
@@ -45,122 +63,144 @@ class Partition(enum.Enum):
     POST = 2
 
 
-ALL_LABELS = frozenset({Label.PRE, Label.POST, Label.NON_OFF})
-NON_OFF_ONLY = frozenset({Label.NON_OFF})
-
-
 @dataclass
 class LabelAssignment:
-    """Result of the label-removing fixpoint."""
+    """Result of the label-removing algorithm.
 
-    labels: Dict[int, Set[Label]]
+    Held as two bitsets over ``graph.position``; the per-instruction label
+    sets and partitions are read off them on first use.
+    """
+
     graph: DependencyGraph
+    #: instructions that lost ``pre`` / ``post``
+    no_pre: int
+    no_post: int
+
+    @cached_property
+    def labels(self) -> Dict[int, Set[Label]]:
+        """Instruction id -> its final label set."""
+        position = self.graph.position
+        out: Dict[int, Set[Label]] = {}
+        for inst_id, at in position.items():
+            label_set = {Label.NON_OFF}
+            if not self.no_pre >> at & 1:
+                label_set.add(Label.PRE)
+            if not self.no_post >> at & 1:
+                label_set.add(Label.POST)
+            out[inst_id] = label_set
+        return out
+
+    @cached_property
+    def _partitions(self) -> Dict[int, Partition]:
+        return {
+            inst.id: (
+                Partition.PRE if not self.no_pre >> at & 1
+                else Partition.POST if not self.no_post >> at & 1
+                else Partition.NON_OFF
+            )
+            for at, inst in enumerate(self.graph.instructions)
+        }
 
     def partition_of(self, inst: Instruction) -> Partition:
-        label_set = self.labels[inst.id]
-        if Label.PRE in label_set:
-            return Partition.PRE
-        if Label.POST in label_set:
-            return Partition.POST
-        return Partition.NON_OFF
+        return self._partitions[inst.id]
 
     def assignment(self) -> Dict[int, Partition]:
+        return dict(self._partitions)
+
+    def members(self, partition: Partition) -> int:
+        """The instructions assigned to ``partition``, as a bitset."""
+        everything = (1 << len(self.graph.instructions)) - 1
         return {
-            inst.id: self.partition_of(inst) for inst in self.graph.instructions
-        }
+            Partition.PRE: everything & ~self.no_pre,
+            Partition.POST: self.no_pre & ~self.no_post,
+            Partition.NON_OFF: self.no_pre & self.no_post,
+        }[partition]
 
     def offloaded_count(self) -> int:
         """Number of instructions assigned to the switch."""
         return sum(
-            1
-            for inst in self.graph.instructions
-            if self.partition_of(inst) is not Partition.NON_OFF
+            partition is not Partition.NON_OFF
+            for partition in self._partitions.values()
         )
 
 
-def initial_labels(
-    graph: DependencyGraph,
-    removed: Optional[Dict[int, Set[Label]]] = None,
-) -> Dict[int, Set[Label]]:
-    """Initial label sets, minus any labels pinned away by ``removed``.
+@dataclass(frozen=True)
+class LabelStatics:
+    """What rules 1–5 settle from the graph alone, before any pin."""
 
-    The resource-refinement passes of §4.2.2 express "move this statement
-    to the non-offloaded partition" as removing its pre/post labels up
-    front and re-running the rules.
+    no_pre: int
+    no_post: int
+
+    @classmethod
+    def of(cls, graph: DependencyGraph) -> "LabelStatics":
+        if graph.label_statics is None:
+            graph.label_statics = cls.build(graph)
+        statics: LabelStatics = graph.label_statics
+        return statics
+
+    @classmethod
+    def build(cls, graph: DependencyGraph) -> "LabelStatics":
+        descendants = graph.descendants
+        # Never offloadable: no P4 form (the initial sets), or rule 5 — on
+        # a dependency cycle or a CFG cycle.
+        server_only = 0
+        sites: Dict[Location, List[int]] = {}
+        for at, inst in enumerate(graph.instructions):
+            bit = 1 << at
+            if (
+                not inst.p4_supported()
+                or descendants[at] & bit
+                or graph.reachability.in_cycle(inst)
+            ):
+                server_only |= bit
+            for loc in inst.global_state_accesses():
+                sites.setdefault(loc, []).append(at)
+        # Rules 3 and 4: of two accesses to one global ordered by ⇝*, the
+        # earlier is never post and the later never pre.
+        earlier = later = 0
+        for positions in sites.values():
+            accessors = sum(1 << at for at in positions)
+            for at in positions:
+                after = descendants[at] & accessors & ~(1 << at)
+                if after:
+                    earlier |= 1 << at
+                    later |= after
+        return cls(
+            no_pre=_spread(server_only | later, descendants),
+            no_post=_spread(server_only | earlier, graph.ancestors),
+        )
+
+
+def _spread(seeds: int, rows: List[int]) -> int:
+    """``seeds`` and everything their ``rows`` reach.
+
+    ``rows`` is a transitive closure, so a seed another seed's row covers
+    adds nothing of its own and is skipped.
     """
-    labels: Dict[int, Set[Label]] = {}
-    removed = removed or {}
-    for inst in graph.instructions:
-        if inst.p4_supported():
-            label_set = set(ALL_LABELS)
-        else:
-            label_set = set(NON_OFF_ONLY)
-        label_set -= removed.get(inst.id, set())
-        label_set.add(Label.NON_OFF)  # every statement can run on the server
-        labels[inst.id] = label_set
-    return labels
+    reached = seeds
+    while seeds:
+        low = seeds & -seeds
+        row = rows[low.bit_length() - 1]
+        reached |= row
+        seeds &= ~(row | low)
+    return reached
 
 
 def run_label_removal(
     graph: DependencyGraph,
     removed: Optional[Dict[int, Set[Label]]] = None,
 ) -> LabelAssignment:
-    """Apply rules 1–5 to a fixpoint and return the final label sets."""
-    labels = initial_labels(graph, removed)
-    instructions = graph.instructions
-
-    # Rule 5 first: any instruction that transitively depends on itself (or
-    # sits on a CFG cycle) can only be non-offloaded.
-    for inst in instructions:
-        if graph.self_dependent(inst) or graph.reachability.in_cycle(inst):
-            labels[inst.id] = set(NON_OFF_ONLY)
-
-    shares_global = _shared_global_matrix(graph)
-
-    changed = True
-    while changed:
-        changed = False
-        for src_id, dst_ids in graph.closure.items():
-            src_labels = labels[src_id]
-            for dst_id in dst_ids:
-                if dst_id == src_id:
-                    continue
-                dst_labels = labels[dst_id]
-                # Rule 1: downstream lost post -> upstream loses post.
-                if Label.POST not in dst_labels and Label.POST in src_labels:
-                    src_labels.discard(Label.POST)
-                    changed = True
-                # Rule 2: upstream lost pre -> downstream loses pre.
-                if Label.PRE not in src_labels and Label.PRE in dst_labels:
-                    dst_labels.discard(Label.PRE)
-                    changed = True
-                if (src_id, dst_id) in shares_global:
-                    # Rule 3: upstream access offloadable as pre -> the
-                    # downstream access to the same state cannot be pre.
-                    if Label.PRE in src_labels and Label.PRE in dst_labels:
-                        dst_labels.discard(Label.PRE)
-                        changed = True
-                    # Rule 4: downstream access may be post -> the upstream
-                    # access cannot be post.
-                    if Label.POST in dst_labels and Label.POST in src_labels:
-                        src_labels.discard(Label.POST)
-                        changed = True
-    return LabelAssignment(labels=labels, graph=graph)
-
-
-def _shared_global_matrix(graph: DependencyGraph) -> Set[tuple]:
-    """Pairs (src_id, dst_id) in the closure that access a common global."""
-    accesses = {
-        inst.id: inst.global_state_accesses() for inst in graph.instructions
-    }
-    shared: Set[tuple] = set()
-    for src_id, dst_ids in graph.closure.items():
-        src_access = accesses.get(src_id)
-        if not src_access:
-            continue
-        for dst_id in dst_ids:
-            if dst_id == src_id:
-                continue
-            if src_access & accesses.get(dst_id, set()):
-                shared.add((src_id, dst_id))
-    return shared
+    """The fixpoint of rules 1–5 over ``graph`` with ``removed`` pinned away."""
+    statics = LabelStatics.of(graph)
+    no_pre, no_post = statics.no_pre, statics.no_post
+    if removed:
+        position = graph.position
+        pinned_pre = pinned_post = 0
+        for inst_id, labels in removed.items():
+            if Label.PRE in labels:
+                pinned_pre |= 1 << position[inst_id]
+            if Label.POST in labels:
+                pinned_post |= 1 << position[inst_id]
+        no_pre |= _spread(pinned_pre & ~no_pre, graph.descendants)
+        no_post |= _spread(pinned_post & ~no_post, graph.ancestors)
+    return LabelAssignment(graph=graph, no_pre=no_pre, no_post=no_post)

@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.analysis.depgraph import DependencyGraph, build_dependency_graph
 from repro.analysis.distance import dependency_distances
 from repro.ir import instructions as irin
-from repro.ir.function import Function
 from repro.ir.lowering import LoweredMiddlebox, StateMember
 from repro.partition.constraints import (
     ConstraintReport,
@@ -47,7 +46,11 @@ from repro.partition.plan import (
     StatePlacement,
     TransferSpec,
 )
-from repro.partition.projection import NEEDS_SERVER, project_partition
+from repro.partition.projection import (
+    NEEDS_SERVER,
+    ProjectionResult,
+    project_partition,
+)
 
 
 class PartitionError(Exception):
@@ -257,23 +260,30 @@ def _enforce_single_access(
         else:
             keep_options = sites
         best_choice = None
+        best_trial = None
         best_count = -1
         for keep in keep_options:
-            trial_removed = {k: set(v) for k, v in removed.items()}
-            for site in sites:
-                if site.id != keep.id:
-                    trial_removed.setdefault(site.id, set()).update(
-                        _OFFLOAD_LABELS
-                    )
+            # A trial pins both labels, so whatever a site had pinned
+            # already is covered: overlay, do not copy.
+            trial_removed = {
+                **removed,
+                **{
+                    site.id: _OFFLOAD_LABELS
+                    for site in sites
+                    if site.id != keep.id
+                },
+            }
             trial = run_label_removal(graph, trial_removed)
             count = _placement_score(graph, trial)
             if count > best_count:
                 best_count = count
                 best_choice = keep
+                best_trial = trial
         for site in sites:
             if site.id != best_choice.id:
                 removed.setdefault(site.id, set()).update(_OFFLOAD_LABELS)
-        assignment = run_label_removal(graph, removed)
+        # ``removed`` now equals the winning trial's pins.
+        assignment = best_trial
 
 
 def _pin_stranded_offloaded_writers(
@@ -389,19 +399,54 @@ def _find_multi_access_state(
 # ---------------------------------------------------------------------------
 
 
-def _build_projections(lowered: LoweredMiddlebox, graph, assignment):
-    postdoms = graph.reachability.postdominators
-    mapping = assignment.assignment()
-    pre = project_partition(
-        lowered.process, mapping, Partition.PRE, postdoms
-    )
-    non_off = project_partition(
-        lowered.process, mapping, Partition.NON_OFF, postdoms
-    )
-    post = project_partition(
-        lowered.process, mapping, Partition.POST, postdoms
-    )
-    return pre, non_off, post
+class _SwitchSide:
+    """One switch pipeline (PRE or POST) across the budget search.
+
+    Its projection, and so its measured usage, is a pure function of the
+    *set* of instructions assigned to it — a post-side move cannot change
+    the pre pipeline — so an iteration that left that set alone reuses
+    both.  (The server projection depends on the whole assignment and is
+    rebuilt every time.)
+    """
+
+    def __init__(
+        self, lowered: LoweredMiddlebox, graph: DependencyGraph,
+        partition: Partition,
+    ):
+        self._function = lowered.process
+        self._postdominators = graph.reachability.postdominators
+        self._partition = partition
+        self._members: Optional[int] = None
+        self._usage: Optional[PipelineUsage] = None
+        self.projection: ProjectionResult
+
+    def project(
+        self, assignment: LabelAssignment, mapping: Dict[int, Partition]
+    ) -> ProjectionResult:
+        members = assignment.members(self._partition)
+        if members != self._members:
+            self.projection = project_partition(
+                self._function, mapping, self._partition, self._postdominators
+            )
+            self._members = members
+            self._usage = None
+        return self.projection
+
+    def over_budget(
+        self, transfer: TransferSpec, limits: SwitchResources
+    ) -> Tuple[bool, Optional[PipelineUsage]]:
+        """Does this pipeline break constraint 5, 4 or 2?  Also returns
+        its measured usage, unless the shim alone decided (the cheap test
+        goes first: measuring builds the projection's dependency graph)."""
+        if transfer.byte_size() > limits.transfer_bytes:
+            return True, None
+        if self._usage is None:
+            self._usage = measure_pipeline(self.projection.function)
+        usage = self._usage
+        return (
+            usage.metadata_bytes > limits.metadata_bytes
+            or usage.depth > limits.pipeline_depth
+        ), usage
 
 
 def _build_transfers(pre, non_off, post) -> Tuple[TransferSpec, TransferSpec]:
@@ -460,11 +505,19 @@ def _enforce_budgets(
     the switch runs — so remat-induced chains count.  Returns the
     :class:`PipelineUsage` pair of the accepted iteration with it.
     """
+    pre_side = _SwitchSide(lowered, graph, Partition.PRE)
+    post_side = _SwitchSide(lowered, graph, Partition.POST)
     while True:
-        pre, non_off, post = _build_projections(lowered, graph, assignment)
+        mapping = assignment.assignment()
+        pre = pre_side.project(assignment, mapping)
+        non_off = project_partition(
+            lowered.process, mapping, Partition.NON_OFF,
+            graph.reachability.postdominators,
+        )
+        post = post_side.project(assignment, mapping)
         to_server, to_switch = _build_transfers(pre, non_off, post)
-        over_pre, usage_pre = _over_budget(to_server, pre.function, limits)
-        over_post, usage_post = _over_budget(to_switch, post.function, limits)
+        over_pre, usage_pre = pre_side.over_budget(to_server, limits)
+        over_post, usage_post = post_side.over_budget(to_switch, limits)
         if not over_pre and not over_post:
             return (
                 assignment,
@@ -495,21 +548,6 @@ def _enforce_budgets(
                 f"{lowered.name}: cannot satisfy metadata/transfer budgets"
             )
         assignment = run_label_removal(graph, removed)
-
-
-def _over_budget(
-    transfer: TransferSpec, function: Function, limits: SwitchResources
-) -> Tuple[bool, Optional[PipelineUsage]]:
-    """Does one switch pipeline break constraint 5, 4 or 2?  Also returns
-    its measured usage, unless the shim alone decided (the cheap test goes
-    first: measuring builds the projection's dependency graph)."""
-    if transfer.byte_size() > limits.transfer_bytes:
-        return True, None
-    usage = measure_pipeline(function)
-    return (
-        usage.metadata_bytes > limits.metadata_bytes
-        or usage.depth > limits.pipeline_depth
-    ), usage
 
 
 def _deepest(

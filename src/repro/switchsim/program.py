@@ -16,7 +16,7 @@ from typing import Dict, List
 from repro.codegen.headers import ShimLayout
 from repro.ir.function import Function
 from repro.partition.constraints import SwitchResources
-from repro.partition.plan import PartitionPlan, PlacementKind
+from repro.partition.plan import PartitionPlan
 
 
 class SwitchProgramError(Exception):
@@ -57,7 +57,12 @@ class SwitchProgram:
     limits: SwitchResources = field(default_factory=SwitchResources)
 
     @classmethod
-    def from_plan(cls, plan: PartitionPlan, shim_to_server, shim_to_switch):
+    def from_plan(
+        cls,
+        plan: PartitionPlan,
+        shim_to_server: ShimLayout,
+        shim_to_switch: ShimLayout,
+    ) -> "SwitchProgram":
         tables: Dict[str, TableSpec] = {}
         registers: Dict[str, RegisterSpec] = {}
         for name, placement in plan.placements.items():
@@ -69,7 +74,7 @@ class SwitchProgram:
                 tables[name] = TableSpec(
                     name=name,
                     key_widths=key_widths,
-                    value_width=member.member_type.value.bit_width(),
+                    value_width=member.value_type().bit_width(),
                     size=placement.entries,
                     replicated=placement.replicated,
                 )
@@ -77,7 +82,7 @@ class SwitchProgram:
                 tables[name] = TableSpec(
                     name=name,
                     key_widths=[32],
-                    value_width=member.member_type.element.bit_width(),
+                    value_width=member.value_type().bit_width(),
                     size=placement.entries,
                     replicated=True,
                 )

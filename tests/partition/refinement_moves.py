@@ -1,0 +1,136 @@
+"""Golden pins for the partitioner's refinement *moves*, not just its result.
+
+``compile_pins`` shows that every compile still ends where it did; this
+shows it got there the same way.  Each pin is the ordered list of
+``"phase position label"`` the refinement passes of §4.2.2 pinned away
+while partitioning one program — ``phase`` the pass that pinned
+(``_enforce_memory``, ``_enforce_single_access``,
+``_enforce_write_locality``, ``_enforce_budgets``, or ``driver`` for the
+constraint-2 pruning and the stranded-writer re-check in
+``partition_middlebox`` itself), ``position`` the instruction's index in
+the source function (ids come from a process-wide counter), ``label`` the
+label removed.  It was recorded on the commit *before* the label engine
+went closed-form and ``_enforce_budgets`` started reusing its unchanged
+side, over the programs and limits of the narrow compile-pin sweep.
+
+Nothing in ``src/`` is instrumented: the recorder watches the ``removed``
+pin dictionary through the module globals the partitioner calls — at every
+``run_label_removal`` on the committed pins (trial dictionaries of the
+constraint-3 search are another object and are skipped) and at every
+pass's exit, so a pass that stops re-running the rules after its last pin
+records the same list.
+
+    PYTHONPATH=src python -m tests.partition.refinement_moves [--write]
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+from typing import Dict, List, Optional
+from unittest import mock
+
+from repro.ir import lower_program
+from repro.lang import parse_program
+from repro.partition import partitioner
+from repro.partition.constraints import SwitchResources
+from tests.difftest.oracle_pins import run
+from tests.partition import compile_pins
+
+GOLDEN = Path(__file__).parent / "golden" / "refinement_moves.json"
+
+PHASES = (
+    "_enforce_memory",
+    "_enforce_single_access",
+    "_enforce_write_locality",
+    "_enforce_budgets",
+)
+
+
+def record_moves(lowered, limits: SwitchResources) -> dict:
+    """Partition ``lowered`` and return its ordered pin list and outcome."""
+    position = {
+        inst.id: index
+        for index, inst in enumerate(lowered.process.instructions())
+    }
+    moves: List[str] = []
+    committed: Dict[int, set] = {}
+    state: Dict[str, Optional[object]] = {"removed": None, "phase": "driver"}
+
+    def flush(removed) -> None:
+        fresh = sorted(
+            (position[inst_id], label.value)
+            for inst_id, labels in removed.items()
+            for label in labels - committed.get(inst_id, set())
+        )
+        moves.extend(f"{state['phase']} {at} {label}" for at, label in fresh)
+        for inst_id, labels in removed.items():
+            committed[inst_id] = set(labels)
+
+    original = partitioner.run_label_removal
+
+    def watched_rules(graph, removed=None):
+        if state["removed"] is None:
+            state["removed"] = removed
+        if removed is state["removed"]:
+            flush(removed)
+        return original(graph, removed)
+
+    def watched_pass(name):
+        inner = getattr(partitioner, name)
+
+        def run_pass(lowered_, graph, removed, *rest):
+            flush(removed)  # pins the driver made since the last pass
+            state["phase"] = name
+            try:
+                return inner(lowered_, graph, removed, *rest)
+            finally:
+                flush(removed)
+                state["phase"] = "driver"
+
+        return run_pass
+
+    patches = [mock.patch.object(partitioner, "run_label_removal", watched_rules)]
+    patches += [
+        mock.patch.object(partitioner, name, watched_pass(name))
+        for name in PHASES
+    ]
+    for patch in patches:
+        patch.start()
+    try:
+        partitioner.partition_middlebox(lowered, limits)
+        outcome = "partitioned"
+    except partitioner.PartitionError:
+        outcome = "PartitionError"
+    finally:
+        for patch in patches:
+            patch.stop()
+    if state["removed"] is not None:
+        flush(state["removed"])
+    return {"moves": moves, "outcome": outcome}
+
+
+def move_pins(wide: bool, limits: SwitchResources) -> Dict[str, dict]:
+    return {
+        label: record_moves(lower_program(parse_program(source)), limits)
+        for label, source in compile_pins.sources(wide)
+    }
+
+
+#: group name -> ``pins(wide)``
+GROUPS = {
+    "tofino_like": lambda wide: move_pins(wide, SwitchResources.tofino_like()),
+    "tiny": lambda wide: move_pins(wide, SwitchResources.tiny()),
+}
+
+
+def compute(wide: bool = False) -> Dict[str, dict]:
+    return {group: pins(wide) for group, pins in GROUPS.items()}
+
+
+def main(argv: List[str]) -> int:
+    return run(argv, GOLDEN, compute, compile_pins.moved, "refinement moves")
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -6,12 +6,7 @@ from repro.analysis.depgraph import build_dependency_graph
 from repro.ir import instructions as irin
 from repro.ir import lower_program
 from repro.lang import parse_program
-from repro.partition.labels import (
-    Label,
-    Partition,
-    initial_labels,
-    run_label_removal,
-)
+from repro.partition.labels import Label, Partition, run_label_removal
 from tests.conftest import get_bundle
 
 
@@ -30,10 +25,12 @@ def labels_for(lowered, predicate):
 
 
 class TestInitialLabels:
+    """The starting sets, read off programs where no rule removes more."""
+
     def test_p4_supported_gets_all_labels(self):
         lowered = lower("uint32_t a = 1 + 2; pkt->send();")
         graph = build_dependency_graph(lowered.process)
-        labels = initial_labels(graph)
+        labels = run_label_removal(graph).labels
         add = next(
             i for i in graph.instructions if isinstance(i, irin.BinOp)
         )
@@ -42,7 +39,7 @@ class TestInitialLabels:
     def test_unsupported_op_non_off_only(self):
         lowered = lower("uint32_t a = 7 % 3; pkt->send();")
         graph = build_dependency_graph(lowered.process)
-        labels = initial_labels(graph)
+        labels = run_label_removal(graph).labels
         mod = next(
             i for i in graph.instructions
             if isinstance(i, irin.BinOp) and i.op is irin.BinOpKind.MOD
@@ -55,7 +52,7 @@ class TestInitialLabels:
             members="HashMap<uint16_t, uint32_t> t;",
         )
         graph = build_dependency_graph(lowered.process)
-        labels = initial_labels(graph)
+        labels = run_label_removal(graph).labels
         insert = next(
             i for i in graph.instructions if isinstance(i, irin.MapInsert)
         )
@@ -65,7 +62,8 @@ class TestInitialLabels:
         lowered = lower("uint32_t a = 1 + 2; pkt->send();")
         graph = build_dependency_graph(lowered.process)
         add = next(i for i in graph.instructions if isinstance(i, irin.BinOp))
-        labels = initial_labels(graph, {add.id: {Label.PRE, Label.POST}})
+        pins = {add.id: {Label.PRE, Label.POST}}
+        labels = run_label_removal(graph, pins).labels
         assert labels[add.id] == {Label.NON_OFF}
 
 
