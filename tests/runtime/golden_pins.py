@@ -11,6 +11,15 @@ The refactor left every pin byte-identical except the four trojan pins
 of the two cached flavours, which the bounded-cache miss fix moved on
 purpose (a miss the pre pipeline answers itself now punts).
 
+Two more files pin what those 44 cells do not reach and the switch
+specialization rewrites: ``fast_path.json`` (``firewall`` and ``proxy``,
+zero-punt — every packet is answered by the pre pipeline, half of the
+firewall's flows denied, half of the proxy's redirected) and
+``observed.json`` (tracer sampling every 16th packet, windowed series and
+INT on every 8th packet, with the trace, the series and the flow reports
+inside the hash).  Both were recorded on the commit before the switch
+model was specialized around the compiled closures.
+
 Regenerate (only when simulated behaviour is meant to change, and say
 which pin moved and why in CHANGES.md)::
 
@@ -48,6 +57,7 @@ from repro.runtime.cache import CacheConfigurationError
 from repro.runtime.degradation import DegradationPolicy
 from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
 from repro.runtime.spec import DeploymentSpec
+from repro.telemetry import DEFAULT_WINDOW_US, Telemetry
 from repro.workloads.iperf import EXTERNAL_SERVER, VIP
 from repro.workloads.packets import FlowSpec, flow_packets
 
@@ -66,6 +76,22 @@ FLAVOURS: Dict[str, DeploymentSpec] = {
     ),
     "pooled": DeploymentSpec(pool_servers=3),
 }
+
+#: cells beyond flavour x MIDDLEBOXES: golden file -> (flavour,
+#: middleboxes, telemetry on)
+EXTRA_CELLS: Dict[str, Tuple[str, Tuple[str, ...], bool]] = {
+    "fast_path": ("base", ("firewall", "proxy"), False),
+    "observed": ("base", ("mazunat", "firewall"), True),
+}
+
+
+def observed_telemetry() -> Telemetry:
+    """Every observer on at once (the benchmark's ``observed`` flavour)."""
+    return Telemetry(
+        tracing=True, sample_every=16, series_window_us=DEFAULT_WINDOW_US,
+        int_sample_every=8,
+    )
+
 
 _BENIGN = (
     BatchFault(mode="fail", probability=0.2, doom_probability=0.05),
@@ -109,11 +135,21 @@ def churn_stream(name: str) -> List[Tuple[object, int]]:
     def flows() -> Iterator[Iterator]:
         index = 0
         while True:
-            yield flow_packets(FlowSpec(
+            spec = FlowSpec(
                 saddr=f"192.168.{1 + index // 200}.{1 + index % 200}",
                 daddr=daddr, sport=10000 + index, dport=5001,
                 data_packets=rng.randint(2, 40), payload_size=64,
-            ))
+            )
+            if name == "firewall" and index % 2:
+                # Odd flows match whitelist rule ``index % 64``; the even
+                # ones keep the tuple no rule admits and are dropped.
+                rule = index % 64
+                spec.saddr = f"192.168.1.{rule + 1}"
+                spec.daddr = f"10.0.0.{rule + 1}"
+                spec.sport, spec.dport = 1000 + rule, 80
+            elif name == "proxy" and index % 2:
+                spec.dport = 80  # a redirected port
+            yield flow_packets(spec)
             index += 1
 
     source = flows()
@@ -134,13 +170,13 @@ def compiled(name: str):
     return compile_middlebox(load(name).lowered)
 
 
-def build(flavour: str, name: str, injector):
+def build(flavour: str, name: str, injector, telemetry=None):
     """A fresh installed deployment of one flavour (compiled engine)."""
     bundle = load(name)
     plan, program = compiled(name)
     box = GalliumMiddlebox(
         plan, program, config=bundle.config, seed=7, fast_path=True,
-        policy=DegradationPolicy(), injector=injector,
+        policy=DegradationPolicy(), injector=injector, telemetry=telemetry,
         **FLAVOURS[flavour].roles(),
     )
     box.install()
@@ -161,51 +197,57 @@ def _journey_row(journey) -> list:
     ]
 
 
-def pin(flavour: str, name: str, faulted: bool) -> str:
+def pin(flavour: str, name: str, faulted: bool,
+        observed: bool = False) -> str:
     injector = None
     if faulted:
         injector = FaultInjector(
             FAULT_PLANS[flavour], seed=3,
             max_attempts=DegradationPolicy().retry.max_attempts,
         )
-    box = build(flavour, name, injector)
+    telemetry = observed_telemetry() if observed else None
+    box = build(flavour, name, injector, telemetry)
     rows = []
     for packet, port in churn_stream(name):
         rows.append(_journey_row(box.process_packet(packet.copy(), port)))
         rows.extend(_journey_row(j) for j in box.drain_deferred())
     box.recover()
     rows.extend(_journey_row(j) for j in box.drain_deferred())
-    blob = json.dumps(
-        [rows, box.telemetry.metrics.to_dict(),
-         round(box.telemetry.clock.now_us, 6), box.fault_log],
-        sort_keys=True,
-    )
+    observable = [rows, box.telemetry.metrics.to_dict(),
+                  round(box.telemetry.clock.now_us, 6), box.fault_log]
+    if observed:
+        observable += [telemetry.tracer.to_dicts(), telemetry.series.to_dict(),
+                       telemetry.int_collector.to_dict()]
+    blob = json.dumps(observable, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def compute(flavour: str) -> Dict[str, Dict[str, str]]:
-    """``{middlebox: {"clean": sha, "faulted": sha}}`` for every
-    middlebox the flavour admits."""
+def compute(cell: str) -> Dict[str, Dict[str, str]]:
+    """``{middlebox: {"clean": sha, "faulted": sha}}`` for one golden
+    file: a flavour over every middlebox it admits, or an extra cell."""
+    flavour, names, observed = EXTRA_CELLS.get(
+        cell, (cell, MIDDLEBOXES, False)
+    )
     pins: Dict[str, Dict[str, str]] = {}
-    for name in MIDDLEBOXES:
+    for name in names:
         try:
             pins[name] = {
-                "clean": pin(flavour, name, False),
-                "faulted": pin(flavour, name, True),
+                "clean": pin(flavour, name, False, observed),
+                "faulted": pin(flavour, name, True, observed),
             }
         except CacheConfigurationError:
             continue  # not admitted in cache mode
     return pins
 
 
-def golden_path(flavour: str) -> Path:
-    return GOLDEN_DIR / f"{flavour.replace('+', '_')}.json"
+def golden_path(cell: str) -> Path:
+    return GOLDEN_DIR / f"{cell.replace('+', '_')}.json"
 
 
 def main(argv: List[str]) -> int:
     write = "--write" in argv
     status = 0
-    for flavour in FLAVOURS:
+    for flavour in (*FLAVOURS, *EXTRA_CELLS):
         pins = compute(flavour)
         path = golden_path(flavour)
         if write:
