@@ -7,7 +7,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 	difftest difftest-smoke difftest-compiled oracle-pins faults \
 	faults-smoke bench-smoke \
 	failover-smoke \
-	pool-smoke telemetry-smoke obs-smoke tenancy-smoke perf perf-smoke \
+	pool-smoke telemetry-smoke obs-smoke tenancy-smoke bench-record \
 	benchmarks
 
 help:
@@ -25,7 +25,8 @@ help:
 	@echo "                  oracle kernel, the deployment spec, the constraint"
 	@echo "                  model, the label engine and the switch program"
 	@echo "  difftest        full differential gauntlet (1000 programs, --shrink)"
-	@echo "  difftest-smoke  fixed-seed ~60s gauntlet slice"
+	@echo "  difftest-smoke  fixed-seed ~60s gauntlet slice, then 25 programs"
+	@echo "                  through the compiled-vs-interpreted differential"
 	@echo "  difftest-compiled  compiled-engine-vs-interpreter gauntlet (200 programs)"
 	@echo "  oracle-pins     every oracle's verdicts vs the golden file (wide sweep,"
 	@echo "                  ~3 min; the narrow one runs in tier-1)"
@@ -39,10 +40,11 @@ help:
 	@echo "  obs-smoke       windowed series + INT + health JSON, schema-checked,"
 	@echo "                  byte-identical across re-runs; phi-detector smoke"
 	@echo "  tenancy-smoke   admit 3 middleboxes onto one switch, prove isolation"
-	@echo "  perf            interpreter-vs-compiled timing -> BENCH_6.json"
-	@echo "  perf-smoke      small fixed-seed perf slice + schema + differential check"
 	@echo "  bench-smoke     the repo benchmark's smoke run (perfbench/, ~1 min):"
 	@echo "                  every workload's correctness checks, no timing gate"
+	@echo "  bench-record    N=<pr>: run the repo benchmark (3 untraced + 1 traced"
+	@echo "                  run per workload, ~10 min), compare with the previous"
+	@echo "                  record, time tier-1, write BENCH_<n>.json"
 	@echo "  benchmarks      regenerate every paper table/figure"
 
 test:
@@ -118,13 +120,16 @@ lint-verify:
 difftest:
 	$(PYTHON) -m repro difftest --runs 1000 --seed 0 --shrink
 
-# Fixed-seed smoke slice bounded to ~60 seconds of wall clock.
+# Fixed-seed smoke slice bounded to ~60 seconds of wall clock, then a
+# slice of the compiled-engine gate below.
 difftest-smoke:
 	$(PYTHON) -m repro difftest --runs 100000 --seed 0 --time-budget 60
+	$(PYTHON) -m repro difftest --compiled --runs 25 --seed 0
 
 # Compiled-engine equivalence gate: every generated program runs through
 # both the IR interpreter and the compiled fast path, demanding
-# byte-identical verdicts, environments, journals, and metrics.
+# byte-identical verdicts, environments, journals, metrics, simulated
+# clock and table counters — base, bounded-cache and pooled deployments.
 difftest-compiled:
 	$(PYTHON) -m repro difftest --compiled --runs 200 --seed 0
 
@@ -211,23 +216,6 @@ tenancy-smoke:
 	$(PYTHON) -m repro tenancy --packets 30 --json \
 		| $(PYTHON) -m repro.telemetry.schema tenancy -
 
-# The tracked perf trajectory: time interpreter vs. compiled engine on a
-# 20k-packet fixed-seed workload, write + schema-check BENCH_6.json.
-# Commit the result so the speedup is diffable PR-over-PR.
-perf:
-	$(PYTHON) -m repro perf --out BENCH_6.json
-
-# CI slice: smaller packet count (ratios are noisier, so the >=3x gate is
-# enforced only by the full `make perf` run), plus a compiled-engine
-# differential slice.  The payload is still schema-checked.
-perf-smoke:
-	$(PYTHON) -m repro perf --packets 2000 --out BENCH_smoke.json || true
-	$(PYTHON) -c "import json; from repro.eval.perf import validate_payload; \
-		errors = validate_payload(json.load(open('BENCH_smoke.json'))); \
-		assert not errors, errors; print('BENCH_smoke.json: schema ok')"
-	$(PYTHON) -m repro difftest --compiled --runs 25 --seed 0
-	rm -f BENCH_smoke.json
-
 # The repo benchmark's own smoke run (perfbench/README.md): the harness
 # self-test, then every workload briefly with all correctness checks on
 # and no timing gate.  It drives the compiler and the runtime through the
@@ -235,6 +223,16 @@ perf-smoke:
 # contract fails here and not in the benchmark.  ~1 min.
 bench-smoke:
 	$(PYTHON) perfbench/run.py --smoke
+
+# One perf record per PR: the benchmark on the working tree, compared
+# with the previous record, plus tier-1 seconds, trimmed into
+# BENCH_$(N).json — commit it.  Writes nothing under perfbench/ but its
+# git-ignored out/ directory.  (The first record had no previous one:
+# PREV=<results file of the parent commit> named its base.)
+N ?=
+bench-record:
+	@test -n "$(N)" || { echo "usage: make bench-record N=<pr>"; exit 64; }
+	$(PYTHON) benchmarks/bench_record.py $(N) $(if $(PREV),--prev $(PREV))
 
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -439,26 +439,6 @@ def cmd_tenancy(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_perf(args) -> int:
-    from repro.eval.perf import run_perf, validate_payload, write_payload
-
-    payload = run_perf(
-        middlebox=args.middlebox,
-        packets=args.packets,
-        seed=args.seed,
-        log=print,
-    )
-    errors = validate_payload(payload)
-    if errors:
-        for error in errors:
-            print(f"schema error: {error}", file=sys.stderr)
-        return 1
-    out_path = Path(args.out)
-    write_payload(payload, out_path)
-    print(f"wrote {out_path} (pass={'yes' if payload['pass'] else 'NO'})")
-    return 0 if payload["pass"] else 1
-
-
 def _build_observed_deployment(name, deployment, seed, cache_entries,
                                tracing, deep, sample_every=None,
                                punted_only=False, series_window_us=None,
@@ -844,19 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 metavar="BYTES",
                                 help="override shared PHV byte budget")
     tenancy_parser.set_defaults(func=cmd_tenancy)
-
-    perf_parser = sub.add_parser(
-        "perf", help="interpreter-vs-compiled perf trajectory (make perf)"
-    )
-    perf_parser.add_argument("--middlebox", default="mazunat",
-                             help="bundled middlebox to time")
-    perf_parser.add_argument("--packets", type=int, default=20_000,
-                             help="packets per (runtime, engine) cell")
-    perf_parser.add_argument("--seed", type=int, default=0,
-                             help="deployment seed")
-    perf_parser.add_argument("--out", default="BENCH_6.json",
-                             help="BENCH payload output path")
-    perf_parser.set_defaults(func=cmd_perf)
 
     def _add_observe_args(observe_parser):
         observe_parser.add_argument("target", help="bundled middlebox name")

@@ -15,10 +15,15 @@ Two stages per program:
    match by exception type and message.
 2. **Deployment-level** (when the program partitions): two
    :class:`~repro.runtime.deployment.GalliumMiddlebox` deployments with
-   the same seed — one interpreted, one ``fast_path=True`` — process the
-   same stream, comparing per-packet journeys (verdict, punt/fast-path
-   classification, emitted port + bytes), final server state, switch
-   registers and tables, and the full metrics registry.
+   the same seed — one interpreted, one ``fast_path=True``, the switch
+   specialized to its program — process the same stream, comparing
+   per-packet journeys (verdict, punt/fast-path classification, emitted
+   port + bytes), final server state, switch registers and tables, the
+   full metrics registry, the simulated clock and every table's
+   ``lookup_count`` / ``hit_count`` (the bounded cache's miss detector
+   reads them).  Once on the base roles, once behind a bounded cache and
+   once in front of a server pool (:data:`STAGE2_SPECS`); a program the
+   bounded cache refuses skips that one.
 
 Stage 2 compares with the kernel's byte-exact observation; this module
 keeps stage 1 and the crash-identity rule — an exception both engines
@@ -44,10 +49,19 @@ from repro.ir.interp import Interpreter, PacketView, StateStore
 from repro.ir.lowering import lower_program
 from repro.lang.parser import parse_program
 from repro.partition.constraints import SwitchResources
+from repro.runtime.cache import CacheConfigurationError
 from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
+from repro.runtime.spec import DeploymentSpec
 
 _ENGINES = ("interp", "compiled")
 _REPRODUCE = kernel.cli_reproduce("difftest --compiled")
+
+#: stage 2's role combinations, by the ``where`` their findings carry
+STAGE2_SPECS = {
+    "deployment": DeploymentSpec(),
+    "deployment/cached": DeploymentSpec.from_flags(cached=True),
+    "deployment/pooled": DeploymentSpec.from_flags(servers=3),
+}
 
 _ABORTED = {
     kernel.DUT_CRASH: "crash",
@@ -61,7 +75,7 @@ class CompiledCheckResult:
     #: the first finding; ``where`` is the stage ("function" |
     #: "deployment"), ``kind`` one of "crash" | "verdict" | "egress" |
     #: "path" | "steps" | "ids" | "env" | "packet" | "journal" | "state" |
-    #: "metrics"
+    #: "metrics" | "clock" | "lookups"
     divergence: Optional[Finding] = None
     error: Optional[str] = None
     packets_run: int = 0
@@ -217,14 +231,33 @@ def _deployment_level(
         # compare at deployment level.
         return
     result.deployment_checked = True
-    with kernel.reference("deploy"):
-        interp_dut = GalliumMiddlebox(plan, program, seed=deployment_seed)
-        interp_dut.install()
-    with kernel.dut("deploy"):
-        compiled_dut = GalliumMiddlebox(
-            plan, program, seed=deployment_seed, fast_path=True
+    for where, spec in STAGE2_SPECS.items():
+        yield from _both_engines(
+            plan, program, spec, where, stream_packets, deployment_seed
         )
-        compiled_dut.install()
+
+
+def _both_engines(
+    plan, program, spec: DeploymentSpec, where: str, stream_packets,
+    deployment_seed: int,
+) -> Iterator[Finding]:
+    """One role combination deployed interpreted and specialized."""
+    try:
+        with kernel.dut("deploy", refusals=(CacheConfigurationError,)):
+            compiled_dut = GalliumMiddlebox(
+                plan, program, seed=deployment_seed, fast_path=True,
+                **spec.roles(),
+            )
+            compiled_dut.install()
+    except kernel.Abort as abort:
+        if abort.failure != kernel.REFUSED:
+            raise
+        return  # not admitted in cache mode, by either engine
+    with kernel.reference("deploy"):
+        interp_dut = GalliumMiddlebox(
+            plan, program, seed=deployment_seed, **spec.roles()
+        )
+        interp_dut.install()
     for index, (packet, ingress) in enumerate(stream_packets):
         j_interp, c_interp = _run_engine(
             lambda: interp_dut.process_packet(packet.copy(), ingress)
@@ -232,28 +265,35 @@ def _deployment_level(
         j_compiled, c_compiled = _run_engine(
             lambda: compiled_dut.process_packet(packet.copy(), ingress)
         )
-        yield from _crash_identity(index, c_interp, c_compiled, "deployment")
+        yield from _crash_identity(index, c_interp, c_compiled, where)
         if c_interp is not None or c_compiled is not None:
             return  # identical crash: stop, like stage 1
         yield from kernel.compare(
             index, kernel.observe_exact(j_interp),
-            kernel.observe_exact(j_compiled), _ENGINES, where="deployment",
+            kernel.observe_exact(j_compiled), _ENGINES, where=where,
             parts=kernel.EXACT_PARTS,
         )
     yield from kernel.diff_state(
         kernel.end_state(interp_dut), kernel.end_state(compiled_dut),
-        _ENGINES, kernel.ALL_SECTIONS, where="deployment",
+        _ENGINES, kernel.ALL_SECTIONS, where=where,
     )
-    interp_metrics = json.dumps(
-        interp_dut.telemetry.metrics.to_dict(), sort_keys=True
-    )
-    compiled_metrics = json.dumps(
-        compiled_dut.telemetry.metrics.to_dict(), sort_keys=True
-    )
-    if interp_metrics != compiled_metrics:
-        yield Finding(
-            "metrics", None, "metrics registries differ", "deployment"
-        )
+    for kind, observe in (
+        ("metrics", lambda dut: json.dumps(
+            dut.telemetry.metrics.to_dict(), sort_keys=True)),
+        ("clock", lambda dut: dut.telemetry.clock.now_us),
+        ("lookups", lambda dut: {
+            name: (table.lookup_count, table.hit_count)
+            for name, table in dut.switch.tables.items()
+        }),
+    ):
+        interp, compiled_ = observe(interp_dut), observe(compiled_dut)
+        if interp != compiled_:
+            yield Finding(
+                kind, None,
+                "metrics registries differ" if kind == "metrics"
+                else f"interp={interp!r} compiled={compiled_!r}",
+                where,
+            )
 
 
 def check_compiled(

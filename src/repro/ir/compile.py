@@ -4,19 +4,36 @@ The :class:`~repro.ir.interp.Interpreter` re-dispatches every instruction
 on every packet: an ``isinstance`` ladder, operand boxing, field-map
 lookups, and width resolution all run per instruction executed.  This
 module removes that overhead the way the NetKAT compiler removes
-interpretation overhead from its pipeline: each basic block is compiled
-**once** into a specialized Python function in which
+interpretation overhead from its pipeline, and the way Druzhba generates
+a pipeline simulator specialized to one program: each function is
+compiled **once** into one specialized Python function in which
 
 * operand reads are inlined ``env['name']`` subscripts or literal ints,
 * result masks (``& 0xff`` ...) are resolved from the register types at
   compile time,
 * header field paths (``packet.raw.ip.saddr`` ...) are resolved from the
   field map at compile time, including the TCP/UDP port aliasing and the
-  absent-header semantics,
+  absent-header semantics, and a header is bound to a local once per
+  straight-line path instead of once per field,
 * state calls carry literal member names and RMW widths, and
-* terminators return the integer index of the successor block (or ``None``
-  when the function is done), so the driver loop is a tuple unpack and a
-  call per *block*, not per instruction.
+* control flow is Python control flow: a block with a single predecessor
+  is emitted *inside* the ``if`` arm (or after the jump) that reaches it,
+  so a loop-free pipeline is one nest of ``if``/``else`` and a packet
+  reaches its verdict without a dispatch; only join points and loop heads
+  go through the ``_i`` dispatch at the top of the driver loop.  Step
+  counts and executed-instruction ids are constants of each exit from
+  such a nest, added once when the exit is taken.
+
+The generated function is the *traversal entry*::
+
+    entry(state, externs, tracer, ids, packet, initial_env)
+        -> (verdict, egress_port, env, steps)
+
+:meth:`CompiledFunction.run` wraps it into an
+:class:`~repro.ir.interp.ExecutionResult` for the server runtimes and the
+bare-engine callers; the switch model calls the entry itself, through the
+rendition in :mod:`repro.switchsim.compiled` that inlines the data-plane
+restrictions (:class:`FunctionEmitter` is the one generator both share).
 
 The interpreter stays the oracle: ``difftest --compiled`` runs every
 generated program through both engines and demands byte-identical
@@ -26,11 +43,10 @@ against them).
 
 Equivalence caveats, by construction:
 
-* The step limit is enforced per *block* (the compiled engine counts a
-  block's instructions before running it), so a runaway program raises
-  the same :class:`InterpreterError` as the interpreter but may execute
-  up to one block fewer.  No terminating program is affected: a block's
-  instructions always execute atomically (terminators are last).
+* The step limit is checked once per dispatch (and once at the end), so a
+  runaway program raises the same :class:`InterpreterError` as the
+  interpreter but may execute up to one loop-free nest more before it
+  does.  No terminating program is affected.
 * Deep tracing (one event per executed instruction) falls back to the
   interpreter — specialization would have to emit a trace call per
   instruction, which is exactly the overhead being removed.
@@ -39,7 +55,7 @@ Equivalence caveats, by construction:
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.lang.types import BOOL, IntType
 from repro.ir import instructions as irin
@@ -55,6 +71,10 @@ from repro.ir.interp import (
 )
 from repro.ir.values import Const, Reg
 from repro.net.addresses import Ipv4Address, MacAddress
+
+#: ``if`` arms nested deeper than this go through the dispatch instead
+#: (the tokenizer refuses more than 100 indentation levels).
+_MAX_NESTING = 60
 
 
 def _no_packet():
@@ -85,17 +105,71 @@ _BINOP_SRC = {
     irin.BinOpKind.LOR: "(1 if ({a} or {b}) else 0)",
 }
 
+#: What a path has established so far: ``"packet"`` once the no-packet
+#: guard ran, plus the header locals (``_ip`` ...) already bound on it.
+Bound = FrozenSet[str]
+_NOTHING: Bound = frozenset()
+_VERDICTS = (irin.Send, irin.SendTo, irin.Drop, irin.Return)
 
-class _BlockCompiler:
-    """Emits the source of one specialized block function."""
 
-    def __init__(self, function: Function, block_index: Dict[str, int],
-                 reg_reads: Set[str]):
+class FunctionEmitter:
+    """Emits the source of one specialized function.
+
+    This class renders state operations as calls on a
+    :class:`~repro.ir.interp.StateStore`-shaped ``state`` and reads the
+    packet through a :class:`~repro.ir.interp.PacketView`; a rendition
+    for another executor overrides the five ``state_*`` hooks and the
+    class attributes below (see :mod:`repro.switchsim.compiled`).
+    """
+
+    #: expression of the ``RawPacket`` behind the ``packet`` argument
+    raw = "packet.raw"
+    #: ``packet`` may be ``None`` (guard the first access on each path)
+    packet_optional = True
+    #: expression of the packet handle an extern call receives
+    extern_packet = "packet"
+    #: locals the entry initializes besides ``env`` / verdict / steps
+    prologue: Tuple[str, ...] = ()
+
+    def __init__(self, function: Function):
         self.function = function
-        self.block_index = block_index
-        self.reg_reads = reg_reads
         self.lines: List[str] = []
-        self._packet_guarded = False
+        self.depth = 1
+        self.reg_reads: Set[str] = set()
+        #: names the generated code reads from its globals
+        self.namespace: Dict[str, object] = {
+            "InterpreterError": InterpreterError,
+            "Ipv4Address": Ipv4Address,
+            "MacAddress": MacAddress,
+            "ExternHost": ExternHost,
+            "_K": irin.BinOpKind,
+            "_no_packet": _no_packet,
+            "_limit": self._limit,
+            "_undefined": self._undefined,
+        }
+        self._preds: Dict[str, int] = {name: 0 for name in function.blocks}
+        for block in function.blocks.values():
+            for successor in block.successors():
+                if successor in self._preds:
+                    self._preds[successor] += 1
+        #: dispatch index per block that is entered through ``_i``
+        self._heads: Dict[str, int] = {function.entry: 0}
+
+    # -- what the generated code calls on the slow exits ----------------------
+
+    def _limit(self) -> None:
+        raise InterpreterError(
+            f"{self.function.name}: step limit exceeded (runaway loop?)"
+        )
+
+    def _undefined(self, exc: KeyError) -> None:
+        """Re-raise a failed ``env[...]`` read the interpreter's way; any
+        other ``KeyError`` is the caller's to re-raise as it is."""
+        if exc.args and exc.args[0] in self.reg_reads:
+            raise InterpreterError(
+                f"{self.function.name}: read of undefined register"
+                f" %{exc.args[0]}"
+            ) from None
 
     # -- expression fragments ------------------------------------------------
 
@@ -123,119 +197,155 @@ class _BlockCompiler:
             return f"({parts[0]},)"
         return "(" + ", ".join(parts) + ")"
 
-    # -- emission ------------------------------------------------------------
-
     def emit(self, line: str) -> None:
-        self.lines.append("    " + line)
+        self.lines.append("    " * self.depth + line)
 
-    def emit_guard(self) -> None:
-        # A superblock is straight-line code, so ``packet`` cannot change
-        # between its instructions: one guard at the first packet access
-        # raises at exactly the program point the interpreter would.
-        if self._packet_guarded:
-            return
-        self._packet_guarded = True
+    def assign(self, dst: Reg, expr: str) -> None:
+        self.emit(f"env[{dst.name!r}] = {self.wrap(expr, dst)}")
+
+    # -- state operations (the rendition hooks) ---------------------------------
+
+    def state_load(self, inst: irin.LoadState) -> None:
+        self.assign(inst.dst, f"state.load_scalar({inst.state!r})")
+
+    def state_rmw(self, inst: irin.RegisterRMW) -> None:
+        width = _width_of(inst.dst.type)
+        self.assign(
+            inst.dst,
+            f"state.rmw_scalar({inst.state!r}, _K.{inst.op.name},"
+            f" {self.operand(inst.operand)}, {width})",
+        )
+
+    def state_find(self, inst: irin.MapFind) -> None:
+        self.emit(f"_f, _v = state.map_find({inst.state!r},"
+                  f" {self.keys(inst.keys)})")
+
+    def state_vector_get(self, inst: irin.VectorGet) -> None:
+        self.emit(f"env[{inst.dst.name!r}] ="
+                  f" state.vector_get({inst.state!r},"
+                  f" {self.operand(inst.index)})")
+
+    def state_other(self, method: str, name: str, *args: str) -> str:
+        """Source of a store mutation or ``vector_len`` (operations a
+        data plane does not have)."""
+        return f"state.{method}({', '.join((repr(name),) + args)})"
+
+    # -- packet access -----------------------------------------------------------
+
+    def guard(self, bound: Bound) -> Bound:
+        # ``packet`` cannot change along a path, so one guard at the
+        # first packet access raises at exactly the program point the
+        # interpreter would.
+        if not self.packet_optional or "packet" in bound:
+            return bound
         self.emit("if packet is None:")
         self.emit("    _no_packet()")
+        return bound | {"packet"}
 
-    def emit_header(self, region: str, field: str) -> None:
-        """Bind ``_h`` to the region's header (or ``None`` when absent)."""
-        if region == "ip":
-            self.emit("_h = packet.raw.ip")
-        elif region == "udp":
-            self.emit("_h = packet.raw.udp")
+    def header(self, region: str, field: str, bound: Bound) -> Tuple[str, Bound]:
+        """The local holding the region's header (``None`` when absent),
+        bound on first use along the path."""
+        if region == "tcp" and field in ("sport", "dport"):
+            # Click's transport_header() aliases the TCP/UDP port fields
+            # (same offsets); other TCP fields read 0 / drop writes on UDP.
+            local = "_l4p"
         else:
-            # Inlined ``PacketView._header('tcp', ...)``: Click's
-            # transport_header() aliases the TCP/UDP port fields (same
-            # offsets); other TCP fields read 0 / drop writes on UDP.
-            self.emit("_h = packet.raw.tcp")
-            if field in ("sport", "dport"):
-                self.emit("if _h is None:")
-                self.emit("    _h = packet.raw.udp")
+            local = f"_{region}"
+        if local not in bound:
+            bound = bound | {local}
+            if local == "_l4p":
+                self.emit(f"_l4p = {self.raw}.tcp")
+                self.emit("if _l4p is None:")
+                self.emit(f"    _l4p = {self.raw}.udp")
+            else:
+                self.emit(f"{local} = {self.raw}.{region}")
+        return local, bound
 
-    def load_packet_field(self, inst: irin.LoadPacketField) -> None:
-        self.emit_guard()
+    def load_packet_field(self, inst: irin.LoadPacketField,
+                          bound: Bound) -> Bound:
+        bound = self.guard(bound)
         region, fname = inst.region, inst.field
-        dst = f"env[{inst.dst.name!r}]"
         if region == "meta":
             if fname != "ingress_port":
                 msg = f"unknown meta field {fname!r}"
                 self.emit(f"raise InterpreterError({msg!r})")
-                return
-            value = "packet.raw.ingress_port"
-            self.emit(f"{dst} = {self.wrap(value, inst.dst)}")
-            return
+                return bound
+            self.assign(inst.dst, f"{self.raw}.ingress_port")
+            return bound
         if region == "eth":
             if fname == "h_dest":
-                value = "int(packet.raw.eth.dst)"
+                value = f"int({self.raw}.eth.dst)"
             elif fname == "h_source":
-                value = "int(packet.raw.eth.src)"
+                value = f"int({self.raw}.eth.src)"
             elif fname == "h_proto":
-                value = "packet.raw.eth.ethertype"
+                value = f"{self.raw}.eth.ethertype"
             else:
                 msg = f"unknown eth field {fname!r}"
                 self.emit(f"raise InterpreterError({msg!r})")
-                return
-            self.emit(f"{dst} = {self.wrap(value, inst.dst)}")
-            return
+                return bound
+            self.assign(inst.dst, value)
+            return bound
         mapping = _FIELD_MAP.get((region, fname))
         if mapping is None:
             msg = f"unknown field {region}.{fname}"
             self.emit(f"raise InterpreterError({msg!r})")
-            return
+            return bound
         _, attr, is_addr = mapping
-        self.emit_header(region, fname)
-        access = f"int(_h.{attr})" if is_addr else f"_h.{attr}"
-        value = f"(0 if _h is None else {access})"
-        self.emit(f"{dst} = {self.wrap(value, inst.dst)}")
+        local, bound = self.header(region, fname, bound)
+        access = f"int({local}.{attr})" if is_addr else f"{local}.{attr}"
+        self.assign(inst.dst, f"(0 if {local} is None else {access})")
+        return bound
 
-    def store_packet_field(self, inst: irin.StorePacketField) -> None:
-        self.emit_guard()
+    def store_packet_field(self, inst: irin.StorePacketField,
+                           bound: Bound) -> Bound:
+        bound = self.guard(bound)
         region, fname = inst.region, inst.field
         self.emit(f"_v = {self.operand(inst.src)}")
         if region == "eth":
             if fname == "h_dest":
-                self.emit("packet.raw.eth.dst = MacAddress(_v &"
+                self.emit(f"{self.raw}.eth.dst = MacAddress(_v &"
                           " 0xFFFFFFFFFFFF)")
             elif fname == "h_source":
-                self.emit("packet.raw.eth.src = MacAddress(_v &"
+                self.emit(f"{self.raw}.eth.src = MacAddress(_v &"
                           " 0xFFFFFFFFFFFF)")
             elif fname == "h_proto":
-                self.emit("packet.raw.eth.ethertype = _v & 0xFFFF")
+                self.emit(f"{self.raw}.eth.ethertype = _v & 0xFFFF")
             else:
                 msg = f"unknown eth field {fname!r}"
                 self.emit(f"raise InterpreterError({msg!r})")
-                return
+                return bound
         else:
             mapping = _FIELD_MAP.get((region, fname))
             if mapping is None:
                 msg = f"unknown field {region}.{fname}"
                 self.emit(f"raise InterpreterError({msg!r})")
-                return
+                return bound
             _, attr, is_addr = mapping
-            self.emit_header(region, fname)
-            self.emit("if _h is not None:")
+            local, bound = self.header(region, fname, bound)
+            self.emit(f"if {local} is not None:")
             if is_addr:
-                self.emit(f"    _h.{attr} = Ipv4Address(_v & 0xFFFFFFFF)")
+                self.emit(f"    {local}.{attr} = Ipv4Address(_v & 0xFFFFFFFF)")
             else:
-                self.emit(f"    _h.{attr} = _v")
+                self.emit(f"    {local}.{attr} = _v")
         # The interpreter traces the write whether or not the header was
         # present (writes to absent headers drop silently but still trace).
         self.emit("if tracer is not None:")
         self.emit(f"    tracer.record('packet_write', region={region!r},"
                   f" field={fname!r}, value=_v)")
+        return bound
 
-    def instruction(self, inst) -> None:
-        if isinstance(inst, irin.Assign):
-            self.emit(f"env[{inst.dst.name!r}] ="
-                      f" {self.wrap(self.operand(inst.src), inst.dst)}")
+    # -- straight-line instructions -------------------------------------------------
+
+    def instruction(self, inst, bound: Bound) -> Bound:
+        """Emit one non-terminator; returns what the path now has bound."""
+        if isinstance(inst, (irin.Assign, irin.Cast)):
+            self.assign(inst.dst, self.operand(inst.src))
         elif isinstance(inst, irin.BinOp):
             src = _BINOP_SRC.get(inst.op)
             if src is None:
                 raise InterpreterError(f"unknown binop {inst.op}")
-            expr = src.format(a=self.operand(inst.lhs),
-                              b=self.operand(inst.rhs))
-            self.emit(f"env[{inst.dst.name!r}] = {self.wrap(expr, inst.dst)}")
+            self.assign(inst.dst, src.format(a=self.operand(inst.lhs),
+                                             b=self.operand(inst.rhs)))
         elif isinstance(inst, irin.UnOp):
             src = self.operand(inst.src)
             if inst.op is irin.UnOpKind.NEG:
@@ -244,184 +354,193 @@ class _BlockCompiler:
                 expr = f"(~{src})"
             else:  # LNOT
                 expr = f"(0 if {src} else 1)"
-            self.emit(f"env[{inst.dst.name!r}] = {self.wrap(expr, inst.dst)}")
-        elif isinstance(inst, irin.Cast):
-            self.emit(f"env[{inst.dst.name!r}] ="
-                      f" {self.wrap(self.operand(inst.src), inst.dst)}")
+            self.assign(inst.dst, expr)
         elif isinstance(inst, irin.LoadPacketField):
-            self.load_packet_field(inst)
+            return self.load_packet_field(inst, bound)
         elif isinstance(inst, irin.StorePacketField):
-            self.store_packet_field(inst)
+            return self.store_packet_field(inst, bound)
         elif isinstance(inst, irin.LoadState):
-            expr = f"state.load_scalar({inst.state!r})"
-            self.emit(f"env[{inst.dst.name!r}] = {self.wrap(expr, inst.dst)}")
-        elif isinstance(inst, irin.StoreState):
-            self.emit(f"state.store_scalar({inst.state!r},"
-                      f" {self.operand(inst.src)})")
+            self.state_load(inst)
         elif isinstance(inst, irin.RegisterRMW):
-            width = _width_of(inst.dst.type)
-            expr = (f"state.rmw_scalar({inst.state!r}, _K.{inst.op.name},"
-                    f" {self.operand(inst.operand)}, {width})")
-            self.emit(f"env[{inst.dst.name!r}] = {self.wrap(expr, inst.dst)}")
+            self.state_rmw(inst)
         elif isinstance(inst, irin.MapFind):
-            self.emit(f"_f, _v = state.map_find({inst.state!r},"
-                      f" {self.keys(inst.keys)})")
+            self.state_find(inst)
             self.emit(f"env[{inst.found.name!r}] = int(_f)")
             if inst.value is not None:
                 # Deliberately unwrapped, like the interpreter.
                 self.emit(f"env[{inst.value.name!r}] = _v")
-        elif isinstance(inst, irin.MapInsert):
-            self.emit(f"state.map_insert({inst.state!r},"
-                      f" {self.keys(inst.keys)},"
-                      f" {self.operand(inst.value)})")
-        elif isinstance(inst, irin.MapErase):
-            self.emit(f"state.map_erase({inst.state!r},"
-                      f" {self.keys(inst.keys)})")
         elif isinstance(inst, irin.VectorGet):
-            self.emit(f"env[{inst.dst.name!r}] ="
-                      f" state.vector_get({inst.state!r},"
-                      f" {self.operand(inst.index)})")
+            self.state_vector_get(inst)
+        elif isinstance(inst, irin.StoreState):
+            self.emit(self.state_other("store_scalar", inst.state,
+                                       self.operand(inst.src)))
+        elif isinstance(inst, irin.MapInsert):
+            self.emit(self.state_other("map_insert", inst.state,
+                                       self.keys(inst.keys),
+                                       self.operand(inst.value)))
+        elif isinstance(inst, irin.MapErase):
+            self.emit(self.state_other("map_erase", inst.state,
+                                       self.keys(inst.keys)))
         elif isinstance(inst, irin.VectorLen):
             self.emit(f"env[{inst.dst.name!r}] ="
-                      f" state.vector_len({inst.state!r})")
+                      f" {self.state_other('vector_len', inst.state)}")
         elif isinstance(inst, irin.VectorPush):
-            self.emit(f"state.vector_push({inst.state!r},"
-                      f" {self.operand(inst.value)})")
+            self.emit(self.state_other("vector_push", inst.state,
+                                       self.operand(inst.value)))
         elif isinstance(inst, irin.ExternCall):
             args = ", ".join(self.operand(a) for a in inst.args)
-            self.emit(f"_r = externs.call({inst.name!r}, [{args}], packet)")
+            self.emit("if externs is None:")
+            self.emit("    externs = ExternHost()")
+            self.emit(f"_r = externs.call({inst.name!r}, [{args}],"
+                      f" {self.extern_packet})")
             if inst.dst is not None:
-                self.emit(f"env[{inst.dst.name!r}] ="
-                          f" {self.wrap('_r', inst.dst)}")
-        elif isinstance(inst, irin.SendTo):
-            self.emit(f"_p = {self.operand(inst.port)}")
-            self.emit("out[0] = 'send'")
-            self.emit("out[1] = _p")
-            self.emit("if packet is not None:")
-            self.emit("    packet.send(_p)")
-            self.emit("return None")
-        elif isinstance(inst, irin.Send):
-            self.emit("out[0] = 'send'")
-            self.emit("if packet is not None:")
-            self.emit("    packet.send()")
-            self.emit("return None")
-        elif isinstance(inst, irin.Drop):
-            self.emit("out[0] = 'drop'")
-            self.emit("if packet is not None:")
-            self.emit("    packet.drop()")
-            self.emit("return None")
-        elif isinstance(inst, irin.Jump):
-            self.emit(f"return {self.block_index[inst.target]}")
-        elif isinstance(inst, irin.Branch):
-            cond = self.operand(inst.cond)
-            self.emit(f"return {self.block_index[inst.if_true]} if {cond}"
-                      f" else {self.block_index[inst.if_false]}")
-        elif isinstance(inst, irin.Return):
-            self.emit("return None")
+                self.assign(inst.dst, "_r")
+            # An extern sees the packet handle: rebind headers after it.
+            return bound & {"packet"}
         else:
             raise InterpreterError(
                 f"unhandled instruction {type(inst).__name__}"
             )
+        return bound
+
+    # -- control flow ---------------------------------------------------------------
+
+    def verdict(self, inst) -> None:
+        """Emit a packet-release terminator (``Return`` releases nothing)."""
+        if isinstance(inst, irin.SendTo):
+            self.emit(f"port = {self.operand(inst.port)}")
+            self.emit("verdict = 'send'")
+            mirror = "packet.send(port)"
+        elif isinstance(inst, irin.Send):
+            self.emit("verdict = 'send'")
+            mirror = "packet.send()"
+        elif isinstance(inst, irin.Drop):
+            self.emit("verdict = 'drop'")
+            mirror = "packet.drop()"
+        else:
+            return
+        if self.packet_optional:
+            self.emit("if packet is not None:")
+            self.emit(f"    {mirror}")
+
+    def leave(self, steps: int, ids: List[int], target: Optional[str]) -> None:
+        """One exit from the nest: account for the whole path in one
+        step, then dispatch to ``target`` or finish."""
+        self.emit(f"steps += {steps}")
+        constant = f"_ids{len(self.namespace)}"
+        self.namespace[constant] = tuple(ids)
+        self.emit("if ids is not None:")
+        self.emit(f"    ids.extend({constant})")
+        if target is None:
+            self.emit("break")
+            return
+        index = self._heads.setdefault(target, len(self._heads))
+        self.emit(f"_i = {index}")
+        self.emit("continue")
+
+    def inlinable(self, target: str, nesting: int) -> bool:
+        """``target`` is reached from here only, so it is emitted here."""
+        return (
+            self._preds.get(target) == 1
+            and target not in self._heads
+            and nesting < _MAX_NESTING
+        )
+
+    def arm(self, target: str, steps: int, ids: List[int], bound: Bound,
+            nesting: int) -> None:
+        self.depth += 1
+        if self.inlinable(target, nesting):
+            self.path(target, steps, list(ids), bound, nesting)
+        else:
+            self.leave(steps, ids, target)
+        self.depth -= 1
+
+    def path(self, name: str, steps: int, ids: List[int], bound: Bound,
+             nesting: int) -> None:
+        """Emit block ``name`` and everything only it reaches, counting
+        ``steps`` / ``ids`` the way the interpreter does: every executed
+        instruction, the jumps and branches included."""
+        while True:
+            last = None
+            for last in self.function.blocks[name].instructions:
+                steps += 1
+                ids.append(last.id)
+                if isinstance(last, irin.Terminator):
+                    break
+                bound = self.instruction(last, bound)
+            if isinstance(last, irin.Jump):
+                if self.inlinable(last.target, nesting):
+                    name = last.target
+                    continue
+                self.leave(steps, ids, last.target)
+            elif isinstance(last, irin.Branch):
+                self.emit(f"if {self.operand(last.cond)}:")
+                self.arm(last.if_true, steps, ids, bound, nesting + 1)
+                self.emit("else:")
+                self.arm(last.if_false, steps, ids, bound, nesting + 1)
+            else:
+                if isinstance(last, _VERDICTS):
+                    self.verdict(last)
+                elif isinstance(last, irin.Terminator):
+                    raise InterpreterError(
+                        f"unhandled instruction {type(last).__name__}"
+                    )
+                self.leave(steps, ids, None)
+            return
+
+    def source(self) -> str:
+        """The whole function: prologue, driver loop, one ``if _i ==``
+        arm per dispatch head (discovered while emitting), epilogue."""
+        head = [
+            "def _entry(state, externs, tracer, ids, packet, initial_env):",
+            "    env = dict(initial_env) if initial_env else {}",
+            "    verdict = port = None",
+            "    steps = _i = 0",
+            *(f"    {line}" for line in self.prologue),
+            "    try:",
+            "        while True:",
+            f"            if steps > {_MAX_STEPS}:",
+            "                _limit()",
+        ]
+        self.depth = 3
+        emitted = 0
+        while emitted < len(self._heads):
+            name = list(self._heads)[emitted]  # insertion order = index
+            self.emit(f"{'if' if emitted == 0 else 'elif'} _i == {emitted}:")
+            self.depth += 1
+            self.path(name, 0, [], _NOTHING, 0)
+            self.depth -= 1
+            emitted += 1
+        tail = [
+            "    except KeyError as exc:",
+            "        _undefined(exc)",
+            "        raise",
+            f"    if steps > {_MAX_STEPS}:",
+            "        _limit()",
+            "    return verdict, port, env, steps",
+            "",
+        ]
+        text = "\n".join(head + self.lines + tail)
+        self.lines.clear()  # the namespace keeps the emitter alive
+        return text
 
 
-def _superblocks(function: Function) -> List[List[str]]:
-    """Merge ``Jump`` chains into superblocks.
-
-    A block whose terminator is an unconditional ``Jump`` to a block with
-    exactly one predecessor is fused with its successor: the jump itself
-    is still *counted* (the interpreter executes it) but no dispatch
-    through the driver loop happens.  Entry blocks and join points keep
-    their own superblock, so every remaining Jump/Branch target is a
-    superblock head.
-    """
-    preds: Dict[str, int] = {name: 0 for name in function.blocks}
-    for block in function.blocks.values():
-        for inst in block.instructions:
-            if isinstance(inst, irin.Jump):
-                preds[inst.target] += 1
-            elif isinstance(inst, irin.Branch):
-                preds[inst.if_true] += 1
-                preds[inst.if_false] += 1
-
-    def merges_into(name: str) -> Optional[str]:
-        block = function.blocks[name]
-        if not block.instructions:
-            return None
-        last = block.instructions[-1]
-        if not isinstance(last, irin.Jump):
-            return None
-        target = last.target
-        if target == name or target == function.entry:
-            return None
-        return target if preds[target] == 1 else None
-
-    merged = {
-        target for name in function.blocks
-        if (target := merges_into(name)) is not None
-    }
-    chains: List[List[str]] = []
-    for name in function.blocks:
-        if name in merged and name != function.entry:
-            continue  # emitted inside its predecessor's chain
-        chain = [name]
-        while (target := merges_into(chain[-1])) is not None:
-            chain.append(target)
-        chains.append(chain)
-    return chains
+def load(emitter: FunctionEmitter) -> Tuple[str, Callable]:
+    """Generate the emitter's function and load it: ``(source, entry)``."""
+    source = emitter.source()
+    exec(compile(source, f"<compiled {emitter.function.name}>", "exec"),
+         emitter.namespace)
+    return source, emitter.namespace["_entry"]
 
 
 class CompiledFunction:
-    """One IR function compiled to per-superblock specialized Python."""
+    """One IR function compiled to one specialized Python function."""
 
     def __init__(self, function: Function):
         self.function = function
-        chains = _superblocks(function)
-        block_index = {chain[0]: i for i, chain in enumerate(chains)}
-        reg_reads: Set[str] = set()
-        lines: List[str] = []
-        for i, chain in enumerate(chains):
-            compiler = _BlockCompiler(function, block_index, reg_reads)
-            lines.append(
-                f"def _b{i}(env, packet, state, externs, tracer, out):"
-            )
-            for position, name in enumerate(chain):
-                instructions = function.blocks[name].instructions
-                for inst in instructions:
-                    if (position < len(chain) - 1
-                            and inst is instructions[-1]):
-                        break  # fused Jump: counted, not dispatched
-                    compiler.instruction(inst)
-            compiler.emit("return None")
-            lines.extend(compiler.lines)
-            lines.append("")
-        self.source = "\n".join(lines)
-        namespace = {
-            "InterpreterError": InterpreterError,
-            "Ipv4Address": Ipv4Address,
-            "MacAddress": MacAddress,
-            "_K": irin.BinOpKind,
-            "_no_packet": _no_packet,
-        }
-        exec(compile(self.source, f"<compiled {function.name}>", "exec"),
-             namespace)
-        #: (block_fn, instruction_count, instruction_ids) per superblock;
-        #: counts and ids include the fused jumps, matching the
-        #: interpreter's per-instruction accounting exactly.
-        self._blocks: List[Tuple] = []
-        for i, chain in enumerate(chains):
-            ids: List[int] = []
-            for name in chain:
-                ids.extend(
-                    inst.id for inst in function.blocks[name].instructions
-                )
-            self._blocks.append((namespace[f"_b{i}"], len(ids), ids))
-        self._entry = block_index[function.entry]
-        self._reg_reads = frozenset(reg_reads)
-        self._uses_externs = any(
-            isinstance(inst, irin.ExternCall)
-            for block in function.blocks.values()
-            for inst in block.instructions
-        )
+        #: the generated text, and the traversal entry it defines
+        #: (signature in the module docstring)
+        self.source, self.entry = load(FunctionEmitter(function))
 
     def run(
         self,
@@ -439,35 +558,14 @@ class CompiledFunction:
                 packet=packet, initial_env=initial_env,
                 collect_ids=collect_ids,
             )
-        if externs is None and self._uses_externs:
-            externs = ExternHost()
-        env: Dict[str, int] = dict(initial_env or {})
-        out: List = [None, None]
-        steps = 0
         executed: List[int] = []
-        blocks = self._blocks
-        index: Optional[int] = self._entry
-        name = self.function.name
-        try:
-            while index is not None:
-                fn, count, ids = blocks[index]
-                steps += count
-                if steps > _MAX_STEPS:
-                    raise InterpreterError(
-                        f"{name}: step limit exceeded (runaway loop?)"
-                    )
-                if collect_ids:
-                    executed.extend(ids)
-                index = fn(env, packet, state, externs, tracer, out)
-        except KeyError as exc:
-            if exc.args and exc.args[0] in self._reg_reads:
-                raise InterpreterError(
-                    f"{name}: read of undefined register %{exc.args[0]}"
-                ) from None
-            raise
+        verdict, egress_port, env, steps = self.entry(
+            state, externs, tracer, executed if collect_ids else None,
+            packet, initial_env,
+        )
         return ExecutionResult(
-            verdict=out[0],
-            egress_port=out[1],
+            verdict=verdict,
+            egress_port=egress_port,
             instructions_executed=steps,
             executed_ids=executed,
             env=env,

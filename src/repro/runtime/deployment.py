@@ -68,6 +68,8 @@ from repro.telemetry import LATENCY_BOUNDS_US, Telemetry
 from repro.switchsim.program import SwitchProgram
 from repro.switchsim.switch_model import SwitchModel
 
+_new = object.__new__
+
 
 @dataclass
 class PacketJourney:
@@ -176,13 +178,13 @@ class FullReplication(Role):
     def sync(self, switch: SwitchModel) -> None:
         self.box.install_full(switch)
 
+    #: called when the switch answered a packet itself; ``None`` = no-op
+    fast_path_taken = None
+
     def ingress(self, packet: RawPacket, ingress_port: int):
         """Run the pre pipeline; returns ``(output, punt frame | None)``."""
         first = self.box.switch.receive(packet, ingress_port)
         return first, first.emitted[0][1] if first.punted else None
-
-    def fast_path_taken(self) -> None:
-        pass
 
     def serve(self, runtime: ServerRuntime, frame: RawPacket):
         return runtime.handle(frame)
@@ -212,12 +214,9 @@ class SingleSwitch(Role):
     reprogramming — still readable, and resynced in place afterwards."""
 
     promoted = False
-
-    def before_packet(self) -> None:
-        pass
-
-    def after_packet(self) -> None:
-        pass
+    #: per-packet hooks around the loop body; ``None`` = no-op
+    before_packet = None
+    after_packet = None
 
     def apply_batch(self, updates):
         return self.box.switch.control_plane.apply_batch(updates)
@@ -310,6 +309,11 @@ class GalliumMiddlebox:
         # Time-resolved layer (None when off — same discipline as _tracer).
         self._series = self.telemetry.active_series
         self._int = self.telemetry.active_int
+        #: any per-packet observer on at all (settled here, once)
+        self._observed = not (
+            self._tracer is None and self._series is None
+            and self._int is None
+        )
         self.server_port = server_port
         self._port_pairs = port_pairs
         self.switch = self.build_switch(seed)
@@ -335,6 +339,9 @@ class GalliumMiddlebox:
         self._h_latency = self.telemetry.metrics.histogram(
             "latency.end_to_end_us", LATENCY_BOUNDS_US
         )
+        #: wire bytes -> the fast-path latency's histogram cell (the
+        #: model is a pure function of the frame size)
+        self._fast_latency: Dict[int, Tuple[float, int]] = {}
         #: ordered effect log the fault oracle replays (see module doc)
         self.fault_log: List[tuple] = []
         self._punt_queue: List[tuple] = []
@@ -456,31 +463,39 @@ class GalliumMiddlebox:
     # -- the packet path ----------------------------------------------------------
 
     def process_packet(self, packet: RawPacket, ingress_port: int = 1) -> PacketJourney:
-        self.redundancy.before_packet()
+        """One packet through the deployment.
+
+        For a packet the switch answers this is a short path: its journey
+        is the class defaults plus the four fields set below, the latency
+        cell is looked up by frame size, and the clock and histogram
+        updates are the operations ``SimClock.advance`` /
+        ``Histogram.observe`` perform, in the order the calls would come.
+        Role hooks are late-bound and ``None`` where the role has nothing
+        to do.
+        """
+        redundancy = self.redundancy
+        if redundancy.before_packet is not None:
+            redundancy.before_packet()
         index = self.packets_processed
-        self.packets_processed += 1
-        self.telemetry.clock.advance(PACKET_GAP_US)
-        if self._series is not None:
-            self._series.roll()
-        if self._tracer is not None:
-            self._tracer.begin_packet(index)
-        if self._int is not None:
-            self._int.begin_packet(index, packet)
+        self.packets_processed = index + 1
+        self.telemetry.clock.now_us += PACKET_GAP_US
+        if self._observed:
+            self._begin_observed(index, packet)
         wire_bytes = packet.wire_length()
-        if self.faults_armed:
+        if self.injector is not None:
             journey = self._process_with_faults(packet, ingress_port, index)
         else:
             first, punted = self.state_policy.ingress(packet, ingress_port)
             if punted is None:
                 # Booked on this path only: under faults a switch answer
                 # has never counted as a cache hit (golden pins hold it).
-                self.state_policy.fast_path_taken()
-                journey = PacketJourney(
-                    verdict="drop" if first.dropped else "send",
-                    emitted=first.emitted,
-                    fast_path=True,
-                    pre_instructions=first.pipeline_instructions,
-                )
+                if self.state_policy.fast_path_taken is not None:
+                    self.state_policy.fast_path_taken()
+                journey = _new(PacketJourney)
+                journey.verdict = "drop" if first.dropped else "send"
+                journey.emitted = first.emitted
+                journey.fast_path = True
+                journey.pre_instructions = first.pipeline_instructions
             else:
                 # Slow path: the server handles the punted packet.
                 completion = self.complete_punt(punted)
@@ -494,32 +509,46 @@ class GalliumMiddlebox:
                     sync_wait_us=completion.sync_wait_us,
                     sync_tables=completion.sync_tables,
                 )
-        self._finish_journey(journey, wire_bytes)
-        self.redundancy.after_packet()
-        return journey
-
-    def _finish_journey(self, journey: "PacketJourney",
-                        wire_bytes: int) -> None:
-        """Per-journey bookkeeping shared by every exit of
-        :meth:`process_packet`: latency observation plus the INT sink."""
-        self._observe_latency(journey, wire_bytes)
-        if self._int is not None:
-            self._int.collect(journey, queue_depth=len(self._punt_queue))
-
-    def _observe_latency(self, journey: "PacketJourney",
-                         wire_bytes: int) -> None:
-        """Record the journey's nominal end-to-end latency (sim latency
-        model composition, jitter-free so snapshots stay deterministic)."""
+        # Nominal end-to-end latency (sim latency model composition,
+        # jitter-free so snapshots stay deterministic), then the INT sink.
         if journey.fast_path:
-            latency = self._latency_model.fast_path_us(wire_bytes)
+            latency, bucket = (
+                self._fast_latency.get(wire_bytes)
+                or self._fast_latency_cell(wire_bytes)
+            )
+            histogram = self._h_latency
+            histogram.count += 1
+            histogram.sum += latency
+            if latency > histogram.max_observed:
+                histogram.max_observed = latency
+            histogram.bucket_counts[bucket] += 1
         else:
-            latency = self._latency_model.slow_path_us(
+            self._h_latency.observe(self._latency_model.slow_path_us(
                 journey.server_instructions,
                 wire_bytes,
                 sync_wait_us=journey.sync_wait_us,
                 shim_bytes=self.program.shim_to_server.byte_size,
-            )
-        self._h_latency.observe(latency)
+            ))
+        if self._int is not None:
+            self._int.collect(journey, queue_depth=len(self._punt_queue))
+        if redundancy.after_packet is not None:
+            redundancy.after_packet()
+        return journey
+
+    def _begin_observed(self, index: int, packet: RawPacket) -> None:
+        """Open packet ``index`` on whichever observers are on."""
+        if self._series is not None:
+            self._series.roll()
+        if self._tracer is not None:
+            self._tracer.begin_packet(index)
+        if self._int is not None:
+            self._int.begin_packet(index, packet)
+
+    def _fast_latency_cell(self, wire_bytes: int) -> Tuple[float, int]:
+        cell = self._fast_latency[wire_bytes] = self._h_latency.cell(
+            self._latency_model.fast_path_us(wire_bytes)
+        )
+        return cell
 
     def complete_punt(self, punted_packet: RawPacket) -> PuntCompletion:
         """Finish one punted packet: server run, state sync, return leg.

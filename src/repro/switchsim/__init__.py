@@ -12,7 +12,7 @@ write-back tables + a visibility bit (§4.3.3).
 from repro.switchsim.tables import ExactMatchTable, TableEntryLimit
 from repro.switchsim.registers import Register
 from repro.switchsim.program import SwitchProgram, SwitchProgramError, TableSpec, RegisterSpec
-from repro.switchsim.pipeline import PipelineExecutor, TraversalResult, SwitchStateAdapter
+from repro.switchsim.pipeline import PipelineExecutor, SwitchStateAdapter
 from repro.switchsim.control_plane import (
     ControlPlane,
     ControlPlaneFault,
@@ -31,7 +31,6 @@ __all__ = [
     "TableSpec",
     "RegisterSpec",
     "PipelineExecutor",
-    "TraversalResult",
     "SwitchStateAdapter",
     "ControlPlane",
     "ControlPlaneFault",

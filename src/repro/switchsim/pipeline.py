@@ -1,5 +1,10 @@
 """Pipeline execution: one traversal of the pre or post program.
 
+This is the interpreted engine — the oracle.  (The compiled one, selected
+with ``SwitchModel(..., fast_path=True)``, is the rendition in
+:mod:`repro.switchsim.compiled`; it raises the same violations, built by
+the functions below, and ``difftest --compiled`` holds the two equal.)
+
 The executor reuses the IR interpreter for evaluation semantics but backs
 all state accesses with the switch's tables and registers through
 :class:`SwitchStateAdapter`, which
@@ -15,18 +20,60 @@ all state accesses with the switch's tables and registers through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
-from repro.ir import instructions as irin
 from repro.ir.function import Function
-from repro.ir.interp import ExecutionResult, Interpreter, PacketView
+from repro.ir.interp import Interpreter, PacketView
+from repro.net.packet import RawPacket
 from repro.switchsim.registers import Register
 from repro.switchsim.tables import ExactMatchTable
+
+#: what one traversal yields: verdict ("send" | "drop" | None when it fell
+#: off the end), explicit egress port, final environment, instruction count
+Traversal = Tuple[Optional[str], Optional[int], Dict[str, int], int]
 
 
 class DataPlaneViolation(Exception):
     """A pipeline attempted an operation the data plane cannot perform."""
+
+
+def accessed_twice(state: str) -> DataPlaneViolation:
+    return DataPlaneViolation(
+        f"stateful element {state!r} accessed twice in one traversal"
+    )
+
+
+def unknown_member(access: str, name: str) -> DataPlaneViolation:
+    """``access`` is the phrase the violation opens with: ``"lookup on
+    unknown table"``, ``"read of unknown register"``, ``"RMW of unknown
+    register"``."""
+    return DataPlaneViolation(f"{access} {name!r}")
+
+
+def rmw_width_mismatch(name: str, width: int,
+                       register: Register) -> DataPlaneViolation:
+    # Uniform with StateStore.rmw_scalar: a caller-supplied width must
+    # agree with the cell's declared width, never silently re-mask (the
+    # stateful ALU wraps at width_bits, full stop).
+    return DataPlaneViolation(
+        f"RMW width {width} does not match register {name!r}"
+        f" width {register.width_bits}"
+    )
+
+
+#: operations the data plane cannot do -> what the violation says
+FORBIDDEN = {
+    "map_insert": "map_insert({name!r}) in a switch pipeline — table writes"
+                  " must go through the control plane",
+    "map_erase": "map_erase({name!r}) in a switch pipeline",
+    "store_scalar": "bare register write {name!r} in a switch pipeline",
+    "vector_len": "vector_len({name!r}) has no switch implementation",
+    "vector_push": "vector_push({name!r}) in a switch pipeline",
+}
+
+
+def forbidden(operation: str, name: str) -> DataPlaneViolation:
+    return DataPlaneViolation(FORBIDDEN[operation].format(name=name))
 
 
 class SwitchStateAdapter:
@@ -47,9 +94,7 @@ class SwitchStateAdapter:
     def _count(self, state: str) -> None:
         self._access_counts[state] = self._access_counts.get(state, 0) + 1
         if self._access_counts[state] > 1:
-            raise DataPlaneViolation(
-                f"stateful element {state!r} accessed twice in one traversal"
-            )
+            raise accessed_twice(state)
 
     # -- StateStore interface ------------------------------------------------
 
@@ -57,7 +102,7 @@ class SwitchStateAdapter:
         self._count(name)
         table = self.tables.get(name)
         if table is None:
-            raise DataPlaneViolation(f"lookup on unknown table {name!r}")
+            raise unknown_member("lookup on unknown table", name)
         found, value = table.lookup(keys)
         if self.tracer is not None:
             self.tracer.record("table_lookup", name=name, key=keys,
@@ -68,7 +113,7 @@ class SwitchStateAdapter:
         self._count(name)
         table = self.tables.get(name)
         if table is None:
-            raise DataPlaneViolation(f"lookup on unknown table {name!r}")
+            raise unknown_member("lookup on unknown table", name)
         found, value = table.lookup((index,))
         value = value if found else 0
         if self.tracer is not None:
@@ -80,7 +125,7 @@ class SwitchStateAdapter:
         self._count(name)
         register = self.registers.get(name)
         if register is None:
-            raise DataPlaneViolation(f"read of unknown register {name!r}")
+            raise unknown_member("read of unknown register", name)
         value = register.read()
         if self.tracer is not None:
             self.tracer.record("register_read", name=name, value=value)
@@ -91,15 +136,9 @@ class SwitchStateAdapter:
         self._count(name)
         register = self.registers.get(name)
         if register is None:
-            raise DataPlaneViolation(f"RMW of unknown register {name!r}")
+            raise unknown_member("RMW of unknown register", name)
         if width and width != register.width_bits:
-            # Uniform with StateStore.rmw_scalar: a caller-supplied width
-            # must agree with the cell's declared width, never silently
-            # re-mask (the stateful ALU wraps at width_bits, full stop).
-            raise DataPlaneViolation(
-                f"RMW width {width} does not match register {name!r}"
-                f" width {register.width_bits}"
-            )
+            raise rmw_width_mismatch(name, width, register)
         old = register.rmw(op, operand)
         if self.tracer is not None:
             self.tracer.record("register_rmw", name=name,
@@ -110,62 +149,32 @@ class SwitchStateAdapter:
     # -- operations the data plane cannot do -----------------------------------
 
     def map_insert(self, name: str, keys: tuple, value: int) -> None:
-        raise DataPlaneViolation(
-            f"map_insert({name!r}) in a switch pipeline — table writes must"
-            " go through the control plane"
-        )
+        raise forbidden("map_insert", name)
 
     def map_erase(self, name: str, keys: tuple) -> None:
-        raise DataPlaneViolation(f"map_erase({name!r}) in a switch pipeline")
+        raise forbidden("map_erase", name)
 
     def store_scalar(self, name: str, value: int) -> None:
-        raise DataPlaneViolation(
-            f"bare register write {name!r} in a switch pipeline"
-        )
+        raise forbidden("store_scalar", name)
 
     def vector_len(self, name: str) -> int:
-        raise DataPlaneViolation(
-            f"vector_len({name!r}) has no switch implementation"
-        )
+        raise forbidden("vector_len", name)
 
     def vector_push(self, name: str, value: int) -> None:
-        raise DataPlaneViolation(f"vector_push({name!r}) in a switch pipeline")
-
-
-@dataclass
-class TraversalResult:
-    """Outcome of one pipeline traversal."""
-
-    verdict: Optional[str]  # "send" | "drop" | None (fell off the end)
-    egress_port: Optional[int]
-    env: Dict[str, int]
-    needs_server: bool
-    instructions: int
-
-    @property
-    def fast_path(self) -> bool:
-        return self.verdict is not None
+        raise forbidden("vector_push", name)
 
 
 class PipelineExecutor:
     """Executes pre/post pipeline traversals against switch state."""
 
-    def __init__(self, function: Function, adapter: SwitchStateAdapter,
-                 needs_server_reg: str):
+    def __init__(self, function: Function, adapter: SwitchStateAdapter):
         self.function = function
         self.adapter = adapter
-        self.needs_server_reg = needs_server_reg
 
-    def run(self, packet: PacketView,
-            initial_env: Optional[Dict[str, int]] = None) -> TraversalResult:
+    def run(self, packet: RawPacket,
+            initial_env: Optional[Dict[str, int]] = None) -> Traversal:
         self.adapter.begin_traversal()
         interpreter = Interpreter(self.function, self.adapter)  # type: ignore[arg-type]
-        result = interpreter.run(packet, initial_env=initial_env)
-        needs_server = bool(result.env.get(self.needs_server_reg, 0))
-        return TraversalResult(
-            verdict=result.verdict,
-            egress_port=result.egress_port,
-            env=result.env,
-            needs_server=needs_server,
-            instructions=result.instructions_executed,
-        )
+        result = interpreter.run(PacketView(packet), initial_env=initial_env)
+        return (result.verdict, result.egress_port, result.env,
+                result.instructions_executed)

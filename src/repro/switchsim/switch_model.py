@@ -22,22 +22,19 @@ from repro.codegen.headers import (
     FLAG_VERDICT_NONE,
     FLAG_VERDICT_SEND,
 )
-from repro.ir.interp import PacketView
-from repro.net.headers import ETHERTYPE_GALLIUM, ETHERTYPE_IPV4
+from repro.net.headers import ETHERTYPE_GALLIUM
 from repro.net.packet import RawPacket
 from repro.sim.clock import PARSE_US, SWITCH_INSTR_US
 from repro.switchsim.control_plane import ControlPlane
-from repro.switchsim.pipeline import (
-    PipelineExecutor,
-    SwitchStateAdapter,
-    TraversalResult,
-)
+from repro.switchsim.pipeline import PipelineExecutor, SwitchStateAdapter
 from repro.switchsim.program import SwitchProgram
 from repro.switchsim.registers import Register
 from repro.switchsim.tables import ExactMatchTable
 
 SHIM_KEY = "gallium_shim"
 SHIM_DIR_KEY = "gallium_shim_dir"
+
+_new = object.__new__
 
 
 @dataclass
@@ -86,18 +83,26 @@ class SwitchModel:
         self.control_plane = ControlPlane(
             self.tables, self.registers, seed=seed, telemetry=self.telemetry
         )
-        self.adapter = SwitchStateAdapter(self.tables, self.registers)
-        self.adapter.tracer = self.telemetry.active_tracer
-        from repro.switchsim.compiled import make_pipeline_executor
+        # What is on or off for the life of the switch is settled here,
+        # once: the tracer and the INT source (``None`` when off), and
+        # the engine — ``run(packet, initial_env) -> (verdict, egress
+        # port, env, instructions)`` per pipeline.
+        self._tracer = tracer = self.telemetry.active_tracer
+        self._int = self.telemetry.active_int
+        if fast_path and not (tracer is not None and tracer.deep):
+            from repro.switchsim.compiled import specialize
 
-        self._pre = make_pipeline_executor(
-            program.pre, self.adapter, program.needs_server_reg,
-            fast_path=fast_path,
-        )
-        self._post = make_pipeline_executor(
-            program.post, self.adapter, program.needs_server_reg,
-            fast_path=fast_path,
-        )
+            self._pre = specialize(program.pre, self.tables, self.registers,
+                                   tracer)
+            self._post = specialize(program.post, self.tables,
+                                    self.registers, tracer)
+        else:
+            # The interpreter: the oracle, and the one engine that can
+            # give a deep trace its event per instruction.
+            adapter = SwitchStateAdapter(self.tables, self.registers)
+            adapter.tracer = tracer
+            self._pre = PipelineExecutor(program.pre, adapter).run
+            self._post = PipelineExecutor(program.post, adapter).run
         # Counters (views over the deployment's metrics registry).
         metrics = self.telemetry.metrics
         self._c_fast = metrics.counter("switch.fast_path_packets")
@@ -108,15 +113,16 @@ class SwitchModel:
                                         INSTRUCTION_BOUNDS)
         self._h_post = metrics.histogram("switch.post_instructions",
                                          INSTRUCTION_BOUNDS)
-        # In-band telemetry source (None when INT is off).
-        self._int = self.telemetry.active_int
+        #: pre-pipeline instruction count -> (simulated µs, histogram
+        #: cell); a pipeline has a handful of path lengths
+        self._pre_costs: Dict[int, Tuple[float, float, int]] = {}
 
-    def _int_stamp(self, packet: RawPacket, hop: str, instructions: int,
-                   latency_us: float, punted: bool = False) -> None:
-        """Append one INT record to a sampled packet (no-op otherwise)."""
-        if self._int is not None and self._int.stamping:
-            self._int.stamp(packet, hop, instructions, latency_us,
-                            punted=punted)
+    def _pre_cost(self, instructions: int) -> Tuple[float, float, int]:
+        cost = self._pre_costs[instructions] = (
+            instructions * SWITCH_INSTR_US,
+            *self._h_pre.cell(instructions),
+        )
+        return cost
 
     @property
     def fast_path_packets(self) -> int:
@@ -137,17 +143,18 @@ class SwitchModel:
     # -- packet handling -------------------------------------------------------
 
     def receive(self, packet: RawPacket, ingress_port: int) -> SwitchOutput:
+        """One packet in, from the network or back from the server.
+
+        The network side is the fast path and is written as one: the
+        clock, counter and histogram updates below are the operations
+        ``SimClock.advance`` / ``Counter.inc`` / ``Histogram.observe``
+        perform, in the order the calls used to come, without the calls.
+        """
         packet.ingress_port = ingress_port
         if ingress_port == self.server_port:
             return self._receive_from_server(packet)
-        return self._receive_from_network(packet, ingress_port)
-
-    def _receive_from_network(
-        self, packet: RawPacket, ingress_port: int
-    ) -> SwitchOutput:
-        tracer = self.adapter.tracer
+        tracer = self._tracer
         clock = self.telemetry.clock
-        view = PacketView(packet)
         if tracer is not None:
             tracer.set_component("switch.parser")
             tracer.record(
@@ -158,42 +165,56 @@ class SwitchModel:
                 proto=packet.ip.protocol if packet.ip else None,
             )
             tracer.set_component("switch.pre")
-        clock.advance(PARSE_US)
-        result = self._pre.run(view)
-        clock.advance(result.instructions * SWITCH_INSTR_US)
-        self._h_pre.observe(result.instructions)
-        self._int_stamp(
-            packet, "switch.pre", result.instructions,
-            PARSE_US + result.instructions * SWITCH_INSTR_US,
-            punted=result.verdict not in ("send", "drop"),
+        clock.now_us += PARSE_US
+        verdict, egress_port, env, instructions = self._pre(packet, None)
+        spent_us, observed, bucket = (
+            self._pre_costs.get(instructions) or self._pre_cost(instructions)
         )
-        if result.verdict == "send":
-            self._c_fast.inc()
-            port = self._resolve_egress(result.egress_port, ingress_port)
+        if spent_us > 0.0:
+            clock.now_us += spent_us
+        histogram = self._h_pre
+        histogram.count += 1
+        histogram.sum += observed
+        if observed > histogram.max_observed:
+            histogram.max_observed = observed
+        histogram.bucket_counts[bucket] += 1
+        if self._int is not None and self._int.stamping:
+            self._int.stamp(
+                packet, "switch.pre", instructions, PARSE_US + spent_us,
+                punted=verdict not in ("send", "drop"),
+            )
+        if verdict == "send":
+            self._c_fast.value += 1
             if tracer is not None:
                 tracer.record("verdict", verdict="send",
-                              port=result.egress_port or 0)
-            return SwitchOutput(
-                emitted=[(port, packet)],
-                fast_path=True,
-                pipeline_instructions=result.instructions,
-            )
-        if result.verdict == "drop":
-            self._c_fast.inc()
-            self._c_dropped.inc()
+                              port=egress_port or 0)
+            # A fast-path answer is the class defaults plus three fields.
+            output = _new(SwitchOutput)
+            output.emitted = [(
+                egress_port
+                or self.port_pairs.get(ingress_port, ingress_port),
+                packet,
+            )]
+            output.fast_path = True
+            output.pipeline_instructions = instructions
+            return output
+        if verdict == "drop":
+            self._c_fast.value += 1
+            self._c_dropped.value += 1
             if tracer is not None:
                 tracer.record("verdict", verdict="drop", port=0)
-            return SwitchOutput(
-                fast_path=True, dropped=True,
-                pipeline_instructions=result.instructions,
-            )
+            output = _new(SwitchOutput)
+            output.emitted = []
+            output.fast_path = output.dropped = True
+            output.pipeline_instructions = instructions
+            return output
         # Fell off the end: punt to the server with the to-server shim.
         self._c_punted.inc()
         values = {"__ingress_port": ingress_port}
         for shim_field in self.program.shim_to_server.fields:
             if shim_field.name.startswith("__"):
                 continue
-            values[shim_field.name] = result.env.get(shim_field.name, 0)
+            values[shim_field.name] = env.get(shim_field.name, 0)
         packet.metadata[SHIM_KEY] = self.program.shim_to_server.encode(values)
         packet.metadata[SHIM_DIR_KEY] = "to_server"
         if tracer is not None:
@@ -202,7 +223,7 @@ class SwitchModel:
         return SwitchOutput(
             emitted=[(self.server_port, packet)],
             punted=True,
-            pipeline_instructions=result.instructions,
+            pipeline_instructions=instructions,
         )
 
     def rebook_as_punt(self, answered: SwitchOutput) -> SwitchOutput:
@@ -216,21 +237,22 @@ class SwitchModel:
         if answered.dropped:
             self._c_dropped.inc(-1)
         self._c_punted.inc()
-        if self.adapter.tracer is not None:
-            self.adapter.tracer.record("punt", reason="partial_table")
+        if self._tracer is not None:
+            self._tracer.record("punt", reason="partial_table")
         return SwitchOutput(
             punted=True,
             pipeline_instructions=answered.pipeline_instructions,
         )
 
     def _receive_from_server(self, packet: RawPacket) -> SwitchOutput:
-        tracer = self.adapter.tracer
+        tracer = self._tracer
         shim_bytes = packet.metadata.pop(SHIM_KEY, b"")
         packet.metadata.pop(SHIM_DIR_KEY, None)
         values = self.program.shim_to_switch.decode(shim_bytes)
         self._c_post.inc()
         verdict_flag = values.get("__verdict", FLAG_VERDICT_NONE)
         original_ingress = values.get("__ingress_port", 1)
+        stamping = self._int is not None and self._int.stamping
         if tracer is not None:
             tracer.set_component("switch.post")
         if verdict_flag == FLAG_VERDICT_DROP:
@@ -239,7 +261,8 @@ class SwitchModel:
             # only applies it, so this is not a second semantic verdict.
             if tracer is not None:
                 tracer.record("apply_verdict", verdict="drop")
-            self._int_stamp(packet, "switch.post", 0, 0.0)
+            if stamping:
+                self._int.stamp(packet, "switch.post", 0, 0.0)
             return SwitchOutput(dropped=True)
         if verdict_flag == FLAG_VERDICT_SEND:
             port = self._resolve_egress(
@@ -247,46 +270,45 @@ class SwitchModel:
             )
             if tracer is not None:
                 tracer.record("apply_verdict", verdict="send", port=port)
-            self._int_stamp(packet, "switch.post", 0, 0.0)
+            if stamping:
+                self._int.stamp(packet, "switch.post", 0, 0.0)
             return SwitchOutput(emitted=[(port, packet)])
         # No verdict yet: run the post-processing pipeline with the
         # packet's original ingress annotation restored.
         packet.ingress_port = original_ingress
-        view = PacketView(packet)
         env = {
             name: value
             for name, value in values.items()
             if not name.startswith("__")
         }
-        result = self._post.run(view, initial_env=env)
-        self.telemetry.clock.advance(result.instructions * SWITCH_INSTR_US)
-        self._h_post.observe(result.instructions)
-        self._int_stamp(
-            packet, "switch.post", result.instructions,
-            result.instructions * SWITCH_INSTR_US,
-        )
-        if result.verdict == "drop":
+        verdict, egress_port, _, instructions = self._post(packet, env)
+        self.telemetry.clock.advance(instructions * SWITCH_INSTR_US)
+        self._h_post.observe(instructions)
+        if stamping:
+            self._int.stamp(packet, "switch.post", instructions,
+                            instructions * SWITCH_INSTR_US)
+        if verdict == "drop":
             self._c_dropped.inc()
             if tracer is not None:
                 tracer.record("verdict", verdict="drop", port=0)
             return SwitchOutput(
-                dropped=True, pipeline_instructions=result.instructions
+                dropped=True, pipeline_instructions=instructions
             )
-        if result.verdict == "send":
-            port = self._resolve_egress(result.egress_port, original_ingress)
+        if verdict == "send":
+            port = self._resolve_egress(egress_port, original_ingress)
             if tracer is not None:
                 tracer.record("verdict", verdict="send",
-                              port=result.egress_port or 0)
+                              port=egress_port or 0)
             return SwitchOutput(
                 emitted=[(port, packet)],
-                pipeline_instructions=result.instructions,
+                pipeline_instructions=instructions,
             )
         # Defensive: a packet with no verdict anywhere is dropped.
         self._c_dropped.inc()
         if tracer is not None:
             tracer.record("defensive_drop")
         return SwitchOutput(
-            dropped=True, pipeline_instructions=result.instructions
+            dropped=True, pipeline_instructions=instructions
         )
 
     def _resolve_egress(self, explicit: Optional[int], ingress: int) -> int:

@@ -85,6 +85,18 @@ class Histogram:
         # its true (negative) maximum, not a phantom zero.
         self.max_observed = float("-inf")
 
+    def cell(self, value: float) -> Tuple[float, int]:
+        """``(observed, bucket)``: the float :meth:`observe` would add to
+        ``sum`` and the bucket it would count it in.
+
+        A per-packet path that observes the same few values over and
+        over memoises this pair and applies :meth:`observe`'s four
+        updates itself — same operations, same order, so ``sum`` comes
+        out bit-identical.
+        """
+        value = float(value)
+        return value, bisect_left(self.bounds, value)
+
     def observe(self, value: float) -> None:
         value = float(value)
         self.count += 1

@@ -5,7 +5,7 @@ repo emits (the image has no ``jsonschema`` package; the subset
 implemented here — type/required/properties/items/enum/minimum — is all
 the checked-in schemas use).  Bundled schemas live in ``schemas/``
 (``trace``, ``metrics``, ``faults_summary``, ``tenancy``); external
-schema files (e.g. the perf harness's ``bench_schema.json``) go through
+schema files (e.g. the repo benchmark's ``results.schema.json``) go through
 :func:`validate_file`.  Producers call :func:`check` to fail loudly
 before writing an invalid document.
 

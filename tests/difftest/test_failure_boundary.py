@@ -185,3 +185,49 @@ class TestCompiledDeploymentStage:
         assert (result.divergence.kind, result.divergence.packet_index) == (
             "egress", 3
         )
+
+    @pytest.mark.parametrize("kind, skew", [
+        ("clock", lambda box: box.telemetry.clock.advance(0.25)),
+        ("lookups", lambda box: next(iter(
+            box.switch.tables.values())).lookup((0,))),
+    ])
+    def test_bookkeeping_only_the_specialized_switch_skews(
+            self, monkeypatch, kind, skew):
+        """Journeys, state and metrics agree; the specialized deployment
+        is off by a clock tick / one table lookup and stage 2 says so."""
+        original = GalliumMiddlebox.process_packet
+
+        def skewed(self, packet, ingress_port=1):
+            journey = original(self, packet, ingress_port)
+            if self.fast_path and self.packets_processed == 8:
+                skew(self)
+            return journey
+
+        monkeypatch.setattr(GalliumMiddlebox, "process_packet", skewed)
+        result = check_compiled(STATEFUL, StreamSpec(seed=3, count=8))
+        assert result.outcome == "diverge"
+        assert (result.divergence.where, result.divergence.kind) == (
+            "deployment", kind)
+
+    def test_stage_two_also_runs_cached_and_pooled(self, monkeypatch):
+        """A skew that only shows behind a server pool is attributed to
+        that role combination."""
+        from repro.difftest.compiled import STAGE2_SPECS
+        from repro.runtime.pool import ServerPool
+
+        assert list(STAGE2_SPECS) == [
+            "deployment", "deployment/cached", "deployment/pooled"]
+        original = GalliumMiddlebox.process_packet
+
+        def skewed(self, packet, ingress_port=1):
+            journey = original(self, packet, ingress_port)
+            if (self.fast_path and isinstance(self.punt_target, ServerPool)
+                    and self.packets_processed == 8):
+                self.telemetry.clock.advance(0.25)
+            return journey
+
+        monkeypatch.setattr(GalliumMiddlebox, "process_packet", skewed)
+        result = check_compiled(STATEFUL, StreamSpec(seed=3, count=8))
+        assert result.outcome == "diverge"
+        assert (result.divergence.where, result.divergence.kind) == (
+            "deployment/pooled", "clock")

@@ -1,17 +1,15 @@
-"""Compiled pipeline executor and fast-path deployments vs. the
-interpreted originals — same traversals, same journeys, same state."""
+"""The switch specialized to its program and fast-path deployments vs.
+the interpreted originals — same traversals, same journeys, same state."""
 
 from itertools import islice
 
 import pytest
 
 from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
-from repro.switchsim.compiled import (
-    CompiledPipelineExecutor,
-    make_pipeline_executor,
-)
+from repro.switchsim import compiled as switch_compiled
 from repro.switchsim.pipeline import PipelineExecutor
 from repro.switchsim.switch_model import SwitchModel
+from repro.telemetry import Telemetry
 from repro.workloads import IperfWorkload, middlebox_stream
 from tests.conftest import get_bundle
 
@@ -26,28 +24,56 @@ def _switch_pair(name):
 
 
 class TestFactory:
+    """Which engine a ``SwitchModel`` is built around."""
+
     def test_fast_path_selects_compiled_executor(self, middlebox_name):
         lowered = get_bundle(middlebox_name).lowered
         _, program = compile_middlebox(lowered)
         interpreted = SwitchModel(program, seed=0)
         compiled = SwitchModel(program, seed=0, fast_path=True)
-        assert isinstance(interpreted._pre, PipelineExecutor)
-        assert isinstance(compiled._pre, CompiledPipelineExecutor)
-        assert isinstance(compiled._post, CompiledPipelineExecutor)
+        assert isinstance(interpreted._pre.__self__, PipelineExecutor)
+        for run, function in ((compiled._pre, program.pre),
+                              (compiled._post, program.post)):
+            assert run.func is (
+                switch_compiled.compile_switch_function(function).entry
+            )
 
-    def test_make_pipeline_executor_dispatch(self):
+    def test_generated_code_is_shared_and_bound_per_switch(self):
         lowered = get_bundle("minilb").lowered
         _, program = compile_middlebox(lowered)
-        model = SwitchModel(program, seed=0)
-        for fast_path, cls in (
-            (False, PipelineExecutor),
-            (True, CompiledPipelineExecutor),
-        ):
-            executor = make_pipeline_executor(
-                program.pre, model.adapter, program.needs_server_reg,
-                fast_path=fast_path,
-            )
-            assert isinstance(executor, cls)
+        one = SwitchModel(program, seed=0, fast_path=True)
+        other = SwitchModel(program, seed=0, fast_path=True)
+        assert one._pre.func is other._pre.func
+        bound = list(one._pre.args[0])
+        assert bound and all(
+            any(element is mine for mine in
+                (*one.tables.values(), *one.registers.values()))
+            for element in bound
+        )
+        assert not any(
+            element is theirs for element in bound for theirs in
+            (*other.tables.values(), *other.registers.values())
+        )
+
+    def test_interpreted_switch_compiles_nothing(self):
+        lowered = get_bundle("firewall").lowered
+        _, program = compile_middlebox(lowered)
+        from repro.ir import compile as ir_compile
+
+        for cache in (ir_compile._CACHE, switch_compiled._CACHE):
+            cache.pop(program.pre, None)
+        SwitchModel(program, seed=0)
+        assert program.pre not in ir_compile._CACHE
+        assert program.pre not in switch_compiled._CACHE
+
+    def test_deep_trace_keeps_the_interpreter(self):
+        lowered = get_bundle("minilb").lowered
+        _, program = compile_middlebox(lowered)
+        model = SwitchModel(
+            program, seed=0, fast_path=True,
+            telemetry=Telemetry(tracing=True, deep=True),
+        )
+        assert isinstance(model._pre.__self__, PipelineExecutor)
 
 
 class TestSwitchTraversalEquivalence:

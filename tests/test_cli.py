@@ -67,18 +67,6 @@ class TestCli:
         assert "promotion_windows" in summary
         assert "rollbacks" in summary
 
-    def test_perf_writes_valid_bench(self, tmp_path, capsys):
-        import json
-
-        from repro.eval.perf import validate_payload
-
-        out_path = tmp_path / "BENCH_test.json"
-        main(["perf", "--middlebox", "minilb", "--packets", "300",
-              "--out", str(out_path)])
-        payload = json.loads(out_path.read_text())
-        assert validate_payload(payload) == []
-        assert capsys.readouterr().out.count("pps") == 6
-
 
 class TestCompileRefusals:
     """A source the compiler refuses ends in ``error:`` lines and exit
