@@ -35,7 +35,7 @@ help:
 	@echo "  failover-smoke  fixed-seed ~60s active-standby failover campaign"
 	@echo "  pool-smoke      fixed-seed punt-path server-pool campaign"
 	@echo "                  (member crash/drain + live flow-state migration;"
-	@echo "                  second slice behind a bounded-cache switch)"
+	@echo "                  then slices with --cached, --failover and both)"
 	@echo "  telemetry-smoke trace/metrics JSON on two middleboxes + schema check"
 	@echo "  obs-smoke       windowed series + INT + health JSON, schema-checked,"
 	@echo "                  byte-identical across re-runs; phi-detector smoke"
@@ -160,9 +160,16 @@ failover-smoke:
 # radius limited to owned flows, full fallback forbidden while a member
 # survives).  The summary rollup — per-member crash/drain counts and
 # migration-window distributions — is schema-checked before it is
-# written.  A second, shorter slice runs the same pool behind a
-# bounded-cache switch (`--cached`: the pool checkpoints the tables the
-# switch no longer holds in full).  Fixed seed, ~60 + ~30 seconds.
+# written.  Three shorter slices run the same pool beside the other
+# roles: behind a bounded-cache switch (`--cached`: the pool checkpoints
+# the tables the switch no longer holds in full), behind an
+# active-standby pair (`--failover`: plans mix member and primary
+# crashes; the rollup must show both roles' windows), and behind both.
+# Fixed seed, ~60 + 3 x ~30 seconds.
+BOTH_ROLES_ROLLED_UP = $(PYTHON) -c "import json; \
+	s = json.load(open('pool_summary.json')); w = set(s['promotion_windows']); \
+	assert s['pool']['migrations'] and w & {'switch_crash', 'crash_batch'} \
+	and w & {'pool_member_crash', 'pool_member_drain'}, s"
 pool-smoke:
 	$(PYTHON) -m repro faults --runs 100000 --seed 0 --time-budget 60 \
 		--servers 3 --summary-json pool_summary.json
@@ -170,6 +177,14 @@ pool-smoke:
 	$(PYTHON) -m repro faults --runs 100000 --seed 0 --time-budget 30 \
 		--servers 3 --cached --summary-json pool_summary.json
 	$(PYTHON) -m repro.telemetry.schema faults_summary pool_summary.json
+	$(PYTHON) -m repro faults --runs 100000 --seed 0 --time-budget 30 \
+		--servers 3 --failover --summary-json pool_summary.json
+	$(PYTHON) -m repro.telemetry.schema faults_summary pool_summary.json
+	$(BOTH_ROLES_ROLLED_UP)
+	$(PYTHON) -m repro faults --runs 100000 --seed 0 --time-budget 30 \
+		--servers 3 --failover --cached --summary-json pool_summary.json
+	$(PYTHON) -m repro.telemetry.schema faults_summary pool_summary.json
+	$(BOTH_ROLES_ROLLED_UP)
 	rm -f pool_summary.json
 
 # Telemetry smoke: trace + metrics JSON on two example middleboxes, each

@@ -317,17 +317,16 @@ def cmd_faults(args) -> int:
     from repro.runtime import DeploymentSpec
 
     try:
-        stats, _failures = run_campaign(
-            shrink_failures=args.shrink,
-            deployment=DeploymentSpec.from_flags(
-                cached=args.cached, cache_entries=args.cache_entries,
-                failover=args.failover, servers=args.servers,
-            ),
-            **_campaign_args(args),
+        deployment = DeploymentSpec.from_flags(
+            cached=args.cached, cache_entries=args.cache_entries,
+            failover=args.failover, servers=args.servers,
         )
-    except ValueError as exc:
-        # A pool size below 1, or a pairing the oracle refuses.
+    except ValueError as exc:  # a pool size below 1
         raise SystemExit(f"error: {exc}")
+    stats, _failures = run_campaign(
+        shrink_failures=args.shrink, deployment=deployment,
+        **_campaign_args(args),
+    )
     print(stats.summary())
     if args.summary_json is not None:
         import json
@@ -779,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
                                " server pool of N members under pool fault"
                                " plans (member crashes/drains with live"
                                " flow-state migration); composes with"
-                               " --cached, not yet with --failover")
+                               " --cached and --failover")
     faults_parser.add_argument("--summary-json", default=None, metavar="PATH",
                                help="write the cross-scenario rollup"
                                " (window-length distributions, rollback"

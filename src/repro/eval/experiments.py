@@ -667,9 +667,7 @@ def pool_recovery(
     def pooled_run(fault_plan=None):
         injector = None
         if fault_plan is not None:
-            injector = FaultInjector(
-                fault_plan, seed=0, max_attempts=policy.retry.max_attempts
-            )
+            injector = FaultInjector(fault_plan, seed=0)
         deployment = PooledDeployment(
             plan, program, servers=3, config=bundle.config, seed=0,
             policy=policy, injector=injector, telemetry=Telemetry(),

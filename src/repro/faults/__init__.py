@@ -40,8 +40,6 @@ from repro.faults.oracle import (
 from repro.faults.shrink import shrink_fault_case, shrink_plan
 from repro.faults.plan import (
     ALL_FAULT_KINDS,
-    BASE_FAULT_KINDS,
-    FAILOVER_FAULT_KINDS,
     BatchFault,
     CrashDuringBatch,
     FaultPlan,
@@ -58,8 +56,6 @@ from repro.faults.plan import (
 
 __all__ = [
     "ALL_FAULT_KINDS",
-    "BASE_FAULT_KINDS",
-    "FAILOVER_FAULT_KINDS",
     "BatchFault",
     "CampaignStats",
     "CrashDuringBatch",

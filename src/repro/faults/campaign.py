@@ -22,14 +22,17 @@ from repro.difftest.oracle import StreamSpec
 from repro.faults.oracle import (
     FaultOracleResult,
     FaultOutcome,
-    require_plannable,
     run_fault_oracle,
 )
-from repro.faults.plan import ALL_FAULT_KINDS, FaultPlan, generate_plan
+from repro.faults.plan import (
+    ALL_FAULT_KINDS,
+    FaultPlan,
+    generate_plan,
+    window_length,
+)
 from repro.faults.shrink import shrink_fault_case
 from repro.partition.constraints import SwitchResources
 from repro.runtime.degradation import DegradationPolicy
-from repro.runtime.pool import default_member_names
 from repro.runtime.spec import DeploymentSpec
 from repro.switchsim.control_plane import RetryPolicy
 
@@ -148,23 +151,6 @@ def _reproduce(deployment: DeploymentSpec) -> Callable[[int], str]:
     return kernel.cli_reproduce("faults", deployment.cli_flags())
 
 
-#: spec attribute holding the fault's window length, per fault kind.
-#: Kinds absent here are probabilistic (no bounded window to measure).
-_WINDOW_ATTRS = {
-    "crash": "outage",
-    "reprogram": "duration",
-    "switch_crash": "promotion_window",
-    "crash_batch": "promotion_window",
-    "pool_member_crash": "migration_window",
-    "pool_member_drain": "drain_window",
-}
-
-
-def _window_length(spec) -> Optional[int]:
-    attr = _WINDOW_ATTRS.get(spec.kind)
-    return getattr(spec, attr) if attr is not None else None
-
-
 @dataclass
 class CampaignStats:
     runs: int = 0
@@ -210,7 +196,7 @@ class CampaignStats:
                     self.rollback_scenarios_by_kind.get(kind, 0) + 1
                 )
         for spec in plan.faults:
-            length = _window_length(spec)
+            length = window_length(spec)
             if length is not None:
                 self.window_lengths.setdefault(spec.kind, []).append(length)
         if result.outcome is FaultOutcome.CLEAN:
@@ -344,19 +330,12 @@ def run_campaign(
     (primary crashes, stale standby replays); a server pool (≥2 members
     to be interesting) draws pool-specific ones (member crashes and
     drains with live flow-state migration).  The three are independent
-    deployment roles and combine freely, except a pool with an
-    active-standby pair, which the oracle refuses
-    (:func:`~repro.faults.oracle.require_plannable`) until a plan
-    generator mixes their fault kinds.
+    deployment roles and combine freely: a pool behind an active-standby
+    pair draws both roles' kinds (:func:`~repro.faults.plan.generate_plan`).
     ``shrink_failures`` delta-debugs each failure — fault plan, program,
     and stream — before it is reported or written to the corpus.
     """
-    require_plannable(deployment)
     stats = CampaignStats()
-    pool_names = (
-        default_member_names(deployment.pool_servers)
-        if deployment.pool_servers else None
-    )
 
     def scenario(index: int, program_seed: int) -> Optional[FaultFailure]:
         _, stream_seed, plan_seed, injector_seed, deploy_seed = (
@@ -365,11 +344,7 @@ def run_campaign(
         program = generate_program(program_seed)
         stream = StreamSpec(seed=stream_seed, count=packets)
         scenario_rng = random.Random(plan_seed)
-        fault_plan = generate_plan(
-            scenario_rng, packets,
-            failover=deployment.standby_detection is not None,
-            pool_members=pool_names,
-        )
+        fault_plan = generate_plan(scenario_rng, packets, deployment)
         policy = random_policy(scenario_rng)
 
         def run(candidate: GenProgram, candidate_stream: StreamSpec,

@@ -29,25 +29,15 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
-from repro.faults.plan import (
-    BatchFault,
-    FaultPlan,
-    LinkFault,
-    PuntReorder,
-    ServerCrash,
-    StaleReplication,
-    SwitchReprogram,
-    WritebackOverflow,
-)
+from repro.faults.plan import POOL_FAULT_KINDS, FaultPlan
 
 
 class FaultInjector:
     """Executes one fault plan deterministically under a seed."""
 
-    def __init__(self, plan: FaultPlan, seed: int = 0, max_attempts: int = 4):
+    def __init__(self, plan: FaultPlan, seed: int = 0):
         self.plan = plan
         self.seed = seed
-        self.max_attempts = max_attempts
         self._rng = random.Random(seed)
         self._index = 0
         self._cleared = False
@@ -112,7 +102,7 @@ class FaultInjector:
             return False
         return any(
             spec.member == member and spec.active(index)
-            for kind in ("pool_member_crash", "pool_member_drain")
+            for kind in POOL_FAULT_KINDS
             for spec in self.plan.by_kind(kind)
         )
 

@@ -41,7 +41,7 @@ from repro.difftest import kernel
 from repro.difftest.kernel import DEFAULT_PORT_PAIRS, Finding, Observation
 from repro.difftest.oracle import StreamSpec
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import POOL_FAULT_KINDS, FaultPlan, window_length
 from repro.net.packet import RawPacket
 from repro.partition.constraints import SwitchResources
 from repro.partition.plan import PartitionPlan
@@ -150,20 +150,6 @@ def _record(journey: PacketJourney) -> PacketRecord:
     )
 
 
-def require_plannable(deployment: DeploymentSpec) -> None:
-    """The one role pairing the fault harness refuses (a caller's
-    argument error, raised before anything runs).  The runtime composes
-    the two; what is missing is a fault-plan generator that mixes member
-    crashes with primary crashes, and a pool plan alone would leave the
-    standby untested."""
-    if deployment.pool_servers and deployment.standby_detection:
-        raise ValueError(
-            "the fault harness has no plan generator mixing pool and"
-            " failover fault kinds yet — run --servers and --failover"
-            " campaigns separately"
-        )
-
-
 def run_fault_oracle(
     source_or_lowered,
     stream: StreamSpec,
@@ -196,7 +182,6 @@ def run_fault_oracle(
     pinpointing the first divergent semantic event.  Shrinker predicates
     pass ``provenance=False``.
     """
-    require_plannable(deployment)
     try:
         # Resolved through this module on every call: the benchmark's
         # traced run rebinds the name to attribute compile time.
@@ -251,10 +236,7 @@ class FaultScenario:
         """The deployment under test: every role, the policy, the faults."""
         return self._deploy(
             self.deployment, telemetry, policy=self.policy,
-            injector=FaultInjector(
-                self.fault_plan, seed=self.injector_seed,
-                max_attempts=self.policy.retry.max_attempts,
-            ),
+            injector=FaultInjector(self.fault_plan, seed=self.injector_seed),
         )
 
     def deploy_reference(self, telemetry=None) -> GalliumMiddlebox:
@@ -395,27 +377,40 @@ def _check_pool(
     """Pool-specific guarantees, checked against an independent rebuild.
 
     A member outage must degrade only the flows that member owns — never
-    the whole punt path — so: (1) full fallback never engages while at
-    least one member survives (generated pool plans always leave one),
-    (2) every stalled packet was attributed to a member that really was
-    down at that index, and whose slot the oracle's own reconstruction
-    of the member table (a pure function of names, seed, and slots)
-    assigns to that member, (3) every queue/degrade event with a pool
-    reason maps back to an attributed packet and vice versa, and (4)
-    each membership-change spec ran exactly one migration.
+    the whole punt path — so: (1) a member outage never opens a fallback
+    window: every window in the effect log opens on a packet where the
+    plan puts a *switch* outage (a reprogram, a primary crash under a
+    standby), whatever the members are doing, (2) every stalled packet
+    was attributed to a member that really was down at that index, and
+    whose slot the oracle's own reconstruction of the member table (a
+    pure function of names, seed, and slots) assigns to that member, (3)
+    every queue/degrade event with a pool reason maps back to an
+    attributed packet and vice versa, and (4) each membership-change
+    spec ran exactly one migration.
     """
     pool_specs = [
-        spec
-        for kind in ("pool_member_crash", "pool_member_drain")
-        for spec in fault_plan.by_kind(kind)
+        spec for kind in POOL_FAULT_KINDS for spec in fault_plan.by_kind(kind)
     ]
+    in_window = False
     for event in dut.fault_log:
-        if event[0] == "fallback":
-            yield Finding(
-                "pool", event[1],
-                "full fallback engaged while pool members survived"
-                f" (live: {sorted(dut.pool.members)})",
-            )
+        if event[0] in ("resync", "promote"):
+            in_window = False
+        elif event[0] == "fallback" and not in_window:
+            in_window = True
+            index = event[1]
+            if not any(
+                # a mid-batch crash opens its window on the next packet
+                spec.active(index - 1) if spec.kind == "crash_batch"
+                else spec.active(index)
+                for kind in ("reprogram", "switch_crash", "crash_batch")
+                for spec in fault_plan.by_kind(kind)
+            ):
+                yield Finding(
+                    "pool", index,
+                    "full fallback engaged with no switch outage to open"
+                    " it — a member outage must stall only the flows the"
+                    f" member owns (live: {sorted(dut.pool.members)})",
+                )
     migrations = dut.telemetry.metrics.counter_value("pool.migrations")
     if migrations != len(pool_specs):
         yield Finding(
@@ -427,7 +422,7 @@ def _check_pool(
     def members_at(index: int) -> List[str]:
         gone = {
             spec.member for spec in pool_specs
-            if spec.at_packet + spec.window_length <= index
+            if spec.at_packet + window_length(spec) <= index
         }
         return [name for name in pool_members if name not in gone]
 

@@ -50,10 +50,6 @@ Failover fault classes (active-standby deployments only)
     path to the standby, so promotion must repair a stale standby via
     the bulk resync.
 
-Failover plans are generated with ``generate_plan(..., failover=True)``
-and never mix in server crashes, switch reprogramming, or punt
-reordering — those assume a single-switch deployment.
-
 Pool fault classes (punt-path server pools only)
 ------------------------------------------------
 :class:`PoolMemberCrash`
@@ -67,11 +63,6 @@ Pool fault classes (punt-path server pools only)
     drain window, then hands its flow state off gracefully — same
     migration mechanics, zero reconstruction.
 
-Pool plans are generated with ``generate_plan(..., pool_members=[...])``
-and guarantee at least one surviving member; they never mix in
-single-server crash/reprogram kinds (a member outage must *not* trigger
-full switch-side fallback — that is the property under test).
-
 Tenancy fault classes (multi-tenant deployments only)
 -----------------------------------------------------
 :class:`TenantLinkFault`
@@ -80,17 +71,51 @@ Tenancy fault classes (multi-tenant deployments only)
     tenant's punt-path frames are at risk.  The isolation oracle pins
     that the faulted tenant degrades exactly as it would solo under the
     same faults, while every co-resident tenant stays byte-exact clean.
+
+A fault that stays open for a bounded number of packets names the field
+holding that number once, as its class's ``window_field``
+(:func:`window_length` reads it).  :func:`generate_plan` draws a schedule
+for whatever roles a :class:`~repro.runtime.spec.DeploymentSpec` names.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Dict, List, Optional, Tuple, Type
+from dataclasses import dataclass, fields as dataclass_fields
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
+
+from repro.runtime.pool import default_member_names
+
+if TYPE_CHECKING:
+    from repro.runtime.spec import DeploymentSpec
+
+
+def window_length(spec) -> Optional[int]:
+    """Packets ``spec``'s window stays open once it opens; ``None`` for a
+    kind without a bounded window."""
+    name = getattr(spec, "window_field", None)
+    return None if name is None else getattr(spec, name)
+
+
+class _Ranged:
+    """At risk on every packet of ``[start, stop)``; open-ended when
+    ``stop`` is ``None``."""
+
+    def active(self, index: int) -> bool:
+        return index >= self.start and (
+            self.stop is None or index < self.stop
+        )
+
+
+class _Placed:
+    """Opens at ``at_packet`` and owns the packets of its window."""
+
+    def active(self, index: int) -> bool:
+        return self.at_packet <= index < self.at_packet + window_length(self)
 
 
 @dataclass(frozen=True)
-class LinkFault:
+class LinkFault(_Ranged):
     kind = "link"
     direction: str = "to_server"  # "to_server" | "to_switch"
     mode: str = "loss"  # "loss" | "corrupt"
@@ -98,12 +123,9 @@ class LinkFault:
     start: int = 0
     stop: Optional[int] = None
 
-    def active(self, index: int) -> bool:
-        return _in_window(index, self.start, self.stop)
-
 
 @dataclass(frozen=True)
-class BatchFault:
+class BatchFault(_Ranged):
     kind = "batch"
     mode: str = "fail"  # "fail" | "timeout"
     probability: float = 0.2
@@ -111,52 +133,39 @@ class BatchFault:
     start: int = 0
     stop: Optional[int] = None
 
-    def active(self, index: int) -> bool:
-        return _in_window(index, self.start, self.stop)
-
 
 @dataclass(frozen=True)
-class WritebackOverflow:
+class WritebackOverflow(_Ranged):
     kind = "overflow"
     probability: float = 0.1
     start: int = 0
     stop: Optional[int] = None
 
-    def active(self, index: int) -> bool:
-        return _in_window(index, self.start, self.stop)
-
 
 @dataclass(frozen=True)
-class ServerCrash:
+class ServerCrash(_Placed):
     kind = "crash"
+    window_field = "outage"
     at_packet: int = 5
     outage: int = 5
     lose_state: bool = True
 
-    def active(self, index: int) -> bool:
-        return self.at_packet <= index < self.at_packet + self.outage
-
 
 @dataclass(frozen=True)
-class SwitchReprogram:
+class SwitchReprogram(_Placed):
     kind = "reprogram"
+    window_field = "duration"
     at_packet: int = 5
     duration: int = 5
 
-    def active(self, index: int) -> bool:
-        return self.at_packet <= index < self.at_packet + self.duration
-
 
 @dataclass(frozen=True)
-class StaleReplication:
+class StaleReplication(_Ranged):
     kind = "stale"
     extra_us: float = 2_000.0
     probability: float = 0.5
     start: int = 0
     stop: Optional[int] = None
-
-    def active(self, index: int) -> bool:
-        return _in_window(index, self.start, self.stop)
 
 
 @dataclass(frozen=True)
@@ -168,41 +177,35 @@ class PuntReorder:
 
 
 @dataclass(frozen=True)
-class PrimarySwitchCrash:
+class PrimarySwitchCrash(_Placed):
     kind = "switch_crash"
+    window_field = "promotion_window"
     at_packet: int = 5
     #: packets served on the server before the standby is promoted
     promotion_window: int = 3
 
-    def active(self, index: int) -> bool:
-        return self.at_packet <= index < self.at_packet + self.promotion_window
-
 
 @dataclass(frozen=True)
-class CrashDuringBatch:
+class CrashDuringBatch(_Ranged):
     kind = "crash_batch"
+    #: the window opens when the crash fires, anywhere in [start, stop)
+    window_field = "promotion_window"
     probability: float = 0.5
     promotion_window: int = 3
     start: int = 0
     stop: Optional[int] = None
 
-    def active(self, index: int) -> bool:
-        return _in_window(index, self.start, self.stop)
-
 
 @dataclass(frozen=True)
-class StandbyStaleReplay:
+class StandbyStaleReplay(_Ranged):
     kind = "standby_stale"
     probability: float = 0.3
     start: int = 0
     stop: Optional[int] = None
 
-    def active(self, index: int) -> bool:
-        return _in_window(index, self.start, self.stop)
-
 
 @dataclass(frozen=True)
-class TenantLinkFault:
+class TenantLinkFault(_Ranged):
     kind = "tenant_link"
     tenant: str = ""
     direction: str = "to_server"  # "to_server" | "to_switch"
@@ -210,9 +213,6 @@ class TenantLinkFault:
     probability: float = 0.1
     start: int = 0
     stop: Optional[int] = None
-
-    def active(self, index: int) -> bool:
-        return _in_window(index, self.start, self.stop)
 
     def as_link_fault(self) -> "LinkFault":
         """The equivalent unscoped fault, for the tenant's own injector
@@ -224,42 +224,24 @@ class TenantLinkFault:
 
 
 @dataclass(frozen=True)
-class PoolMemberCrash:
+class PoolMemberCrash(_Placed):
     kind = "pool_member_crash"
+    window_field = "migration_window"
     member: str = "srv0"
     at_packet: int = 5
     #: packets before the crash migration completes (flows the member
     #: owned queue or degrade per policy while it is open)
     migration_window: int = 3
 
-    def active(self, index: int) -> bool:
-        return (
-            self.at_packet <= index < self.at_packet + self.migration_window
-        )
-
-    @property
-    def window_length(self) -> int:
-        return self.migration_window
-
 
 @dataclass(frozen=True)
-class PoolMemberDrain:
+class PoolMemberDrain(_Placed):
     kind = "pool_member_drain"
+    window_field = "drain_window"
     member: str = "srv0"
     at_packet: int = 5
     #: packets the member quiesces for before the graceful handoff
     drain_window: int = 3
-
-    def active(self, index: int) -> bool:
-        return self.at_packet <= index < self.at_packet + self.drain_window
-
-    @property
-    def window_length(self) -> int:
-        return self.drain_window
-
-
-def _in_window(index: int, start: int, stop: Optional[int]) -> bool:
-    return index >= start and (stop is None or index < stop)
 
 
 #: kind tag -> spec class, for (de)serialization.  Append-only: new
@@ -278,34 +260,9 @@ FAULT_KINDS: Dict[str, Type] = {
 #: every fault-class tag, in campaign-coverage order.
 ALL_FAULT_KINDS: Tuple[str, ...] = tuple(FAULT_KINDS)
 
-#: kinds the single-switch campaign draws from.  Kept separate from
-#: ``ALL_FAULT_KINDS`` so registering the failover kinds did not change
-#: the shuffle below — base-campaign scenarios stay seed-stable.
-BASE_FAULT_KINDS: Tuple[str, ...] = (
-    "link", "batch", "overflow", "crash", "reprogram", "stale", "reorder",
-)
-
-#: kinds exclusive to active-standby failover plans.
-FAILOVER_FAULT_KINDS: Tuple[str, ...] = (
-    "switch_crash", "crash_batch", "standby_stale",
-)
-
-#: base kinds a failover plan may additionally mix in.  Server crashes,
-#: reprogramming windows, and punt reordering are excluded: they assume a
-#: single-switch deployment (and the reference replay models them so).
-FAILOVER_EXTRA_KINDS: Tuple[str, ...] = ("link", "batch", "stale", "overflow")
-
-#: kinds exclusive to multi-tenant deployments (tenant-scoped faults).
-TENANCY_FAULT_KINDS: Tuple[str, ...] = ("tenant_link",)
-
-#: kinds exclusive to punt-path server pools (membership changes).
+#: the kinds a server pool adds: membership changes, each ending in a
+#: flow-state migration.
 POOL_FAULT_KINDS: Tuple[str, ...] = ("pool_member_crash", "pool_member_drain")
-
-#: base kinds a pool plan may additionally mix in — the same benign set
-#: as failover plans; single-server crash/reprogram kinds are excluded
-#: because a member outage must never look like a full server or switch
-#: outage.
-POOL_EXTRA_KINDS: Tuple[str, ...] = FAILOVER_EXTRA_KINDS
 
 
 @dataclass(frozen=True)
@@ -419,209 +376,195 @@ def _describe(spec) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _draw_link(rng: random.Random, stream_len: int) -> LinkFault:
+class _Schedule:
+    """A plan under construction: the specs drawn so far and the packet
+    windows they own."""
+
+    def __init__(self, rng: random.Random, stream_len: int):
+        self.rng = rng
+        self.stream_len = stream_len
+        self.specs: List = []
+        #: [lo, hi) packet ranges already owned by a placed window
+        self.reserved: List[Tuple[int, int]] = []
+
+    def draw_length(self) -> int:
+        return self.rng.randint(2, max(3, self.stream_len // 4))
+
+    def place(self, length: int) -> Optional[int]:
+        """Where a window of ``length`` packets opens, clear of every
+        window placed before it; ``None`` after eight collisions.
+        (Overlap is the degenerate total-outage case, exercised by the
+        runtime's defensive path, not worth most of the budget.)"""
+        for _ in range(8):
+            at = self.rng.randrange(0, max(1, self.stream_len - 1))
+            if all(
+                at + length <= lo or at >= hi for lo, hi in self.reserved
+            ):
+                self.reserved.append((at, at + length))
+                return at
+        return None
+
+
+def _draw_link(schedule: _Schedule) -> None:
+    rng, stream_len = schedule.rng, schedule.stream_len
     start = rng.randrange(0, max(1, stream_len // 2))
-    return LinkFault(
+    schedule.specs.append(LinkFault(
         direction=rng.choice(["to_server", "to_switch"]),
         mode=rng.choice(["loss", "loss", "corrupt"]),
         probability=rng.choice([0.05, 0.15, 0.3]),
         start=start,
         stop=rng.choice([None, start + rng.randint(3, stream_len)]),
-    )
+    ))
 
 
-def _draw_batch(rng: random.Random) -> BatchFault:
-    return BatchFault(
+def _draw_batch(schedule: _Schedule) -> None:
+    rng = schedule.rng
+    schedule.specs.append(BatchFault(
         mode=rng.choice(["fail", "timeout"]),
         probability=rng.choice([0.1, 0.25, 0.5]),
         doom_probability=rng.choice([0.0, 0.0, 0.1]),
+    ))
+
+
+def _draw_overflow(schedule: _Schedule) -> None:
+    schedule.specs.append(
+        WritebackOverflow(probability=schedule.rng.choice([0.05, 0.15]))
     )
 
 
-def _draw_overflow(rng: random.Random) -> WritebackOverflow:
-    return WritebackOverflow(probability=rng.choice([0.05, 0.15]))
+def _draw_crash(schedule: _Schedule, lose_state_odds: float = 0.75) -> None:
+    outage = schedule.draw_length()
+    at = schedule.place(outage)
+    if at is not None:
+        schedule.specs.append(ServerCrash(
+            at_packet=at, outage=outage,
+            lose_state=schedule.rng.random() < lose_state_odds,
+        ))
 
 
-def _draw_stale(rng: random.Random) -> StaleReplication:
-    return StaleReplication(
+def _draw_reprogram(schedule: _Schedule) -> None:
+    duration = schedule.draw_length()
+    at = schedule.place(duration)
+    if at is not None:
+        schedule.specs.append(SwitchReprogram(at_packet=at, duration=duration))
+
+
+def _draw_stale(schedule: _Schedule) -> None:
+    rng = schedule.rng
+    schedule.specs.append(StaleReplication(
         extra_us=rng.choice([500.0, 2_000.0, 10_000.0]),
         probability=rng.choice([0.25, 0.75]),
-    )
+    ))
 
 
-def generate_plan(
-    rng: random.Random,
-    stream_len: int,
-    failover: bool = False,
-    pool_members: Optional[List[str]] = None,
-) -> FaultPlan:
-    """Draw a random, internally consistent fault schedule.
-
-    Picks 1–3 fault classes.  Crash and reprogram windows are placed
-    inside the stream and never overlap each other (overlap is the
-    degenerate total-outage case, exercised separately by the runtime's
-    defensive path, not worth most of the budget).
-
-    With ``failover=True`` the plan targets an active-standby pair:
-    exactly one primary-crash kind (clean boundary crash or mid-batch
-    connection crash), an optional stale-standby replay fault, and up to
-    two extra kinds from :data:`FAILOVER_EXTRA_KINDS`.
-
-    With ``pool_members`` the plan targets a punt-path server pool:
-    member crashes and/or drains of *distinct* members with windows
-    placed inside the stream, always leaving at least one survivor, plus
-    up to two extras from :data:`POOL_EXTRA_KINDS`.
-    """
-    if pool_members is not None:
-        return _generate_pool_plan(rng, stream_len, pool_members)
-    if failover:
-        return _generate_failover_plan(rng, stream_len)
-    choices = list(BASE_FAULT_KINDS)
-    rng.shuffle(choices)
-    picked = choices[: rng.randint(1, 3)]
-    specs: List = []
-    #: packet indices already owned by an outage window
-    reserved: List[Tuple[int, int]] = []
-
-    def place_window(length: int) -> Optional[int]:
-        for _ in range(8):
-            at = rng.randrange(0, max(1, stream_len - 1))
-            if all(at + length <= lo or at >= hi for lo, hi in reserved):
-                reserved.append((at, at + length))
-                return at
-        return None
-
-    for kind in picked:
-        if kind == "link":
-            specs.append(_draw_link(rng, stream_len))
-        elif kind == "batch":
-            specs.append(_draw_batch(rng))
-        elif kind == "overflow":
-            specs.append(_draw_overflow(rng))
-        elif kind == "crash":
-            outage = rng.randint(2, max(3, stream_len // 4))
-            at = place_window(outage)
-            if at is not None:
-                specs.append(ServerCrash(
-                    at_packet=at, outage=outage,
-                    lose_state=rng.random() < 0.75,
-                ))
-        elif kind == "reprogram":
-            duration = rng.randint(2, max(3, stream_len // 4))
-            at = place_window(duration)
-            if at is not None:
-                specs.append(SwitchReprogram(at_packet=at, duration=duration))
-        elif kind == "stale":
-            specs.append(_draw_stale(rng))
-        elif kind == "reorder":
-            specs.append(PuntReorder())
-            # Reorder only matters when something queues punts: pair it
-            # with a crash window if none was drawn.
-            if not any(isinstance(s, ServerCrash) for s in specs):
-                outage = rng.randint(2, max(3, stream_len // 4))
-                at = place_window(outage)
-                if at is not None:
-                    specs.append(ServerCrash(
-                        at_packet=at, outage=outage,
-                        lose_state=rng.random() < 0.5,
-                    ))
-    return FaultPlan(faults=tuple(specs))
+def _draw_reorder(schedule: _Schedule) -> None:
+    schedule.specs.append(PuntReorder())
+    # Reorder only matters when something queues punts: pair it with a
+    # crash window if none was drawn.
+    if not any(isinstance(spec, ServerCrash) for spec in schedule.specs):
+        _draw_crash(schedule, lose_state_odds=0.5)
 
 
-def _generate_pool_plan(
-    rng: random.Random, stream_len: int, pool_members: List[str],
-) -> FaultPlan:
-    """Pool schedule: membership changes of distinct members (≥1 survivor
-    always) plus up to two benign extras.
+#: base kind -> its draw, in the order the base campaign shuffles them.
+#: The order is part of every scenario's seed: append only.
+_DRAW = {
+    "link": _draw_link,
+    "batch": _draw_batch,
+    "overflow": _draw_overflow,
+    "crash": _draw_crash,
+    "reprogram": _draw_reprogram,
+    "stale": _draw_stale,
+    "reorder": _draw_reorder,
+}
 
-    With a single member there is nothing to safely remove, so the plan
-    degenerates to extras only — the campaign still exercises the pooled
-    punt path under link/batch/stale pressure.
-    """
-    specs: List = []
-    members = list(pool_members)
-    reserved: List[Tuple[int, int]] = []
-
-    def place_window(length: int) -> Optional[int]:
-        for _ in range(8):
-            at = rng.randrange(0, max(1, stream_len - 1))
-            if all(at + length <= lo or at >= hi for lo, hi in reserved):
-                reserved.append((at, at + length))
-                return at
-        return None
-
-    removable = len(members) - 1
-    if removable >= 1:
-        pick = rng.randrange(3)  # 0: crash, 1: drain, 2: both
-        if pick == 2 and removable < 2:
-            pick = rng.randrange(2)
-        kinds = []
-        if pick in (0, 2):
-            kinds.append("pool_member_crash")
-        if pick in (1, 2):
-            kinds.append("pool_member_drain")
-        shuffled = members[:]
-        rng.shuffle(shuffled)
-        for position, kind in enumerate(kinds):
-            member = shuffled[position]
-            window = rng.randint(2, max(3, stream_len // 4))
-            at = place_window(window)
-            if at is None:
-                continue
-            if kind == "pool_member_crash":
-                specs.append(PoolMemberCrash(
-                    member=member, at_packet=at, migration_window=window,
-                ))
-            else:
-                specs.append(PoolMemberDrain(
-                    member=member, at_packet=at, drain_window=window,
-                ))
-    extras = list(POOL_EXTRA_KINDS)
-    rng.shuffle(extras)
-    for kind in extras[: rng.randint(0, 2)]:
-        if kind == "link":
-            specs.append(_draw_link(rng, stream_len))
-        elif kind == "batch":
-            specs.append(_draw_batch(rng))
-        elif kind == "stale":
-            specs.append(_draw_stale(rng))
-        elif kind == "overflow":
-            specs.append(_draw_overflow(rng))
-    return FaultPlan(faults=tuple(specs))
+#: what is left of that menu under a standby or a pool, in the order
+#: *their* campaigns shuffle it.  Both roles strike ``crash``,
+#: ``reprogram`` and ``reorder``: those assume one switch and one server,
+#: the reference replay models them so, and a member or primary outage
+#: must never look like a whole-server or a reprogram outage.
+_HOSTED_BESIDE_A_ROLE = ("link", "batch", "stale", "overflow")
 
 
-def _generate_failover_plan(rng: random.Random, stream_len: int) -> FaultPlan:
-    """Failover schedule: exactly one primary-crash kind, plus optional
-    stale-standby replay and up to two benign extras."""
-    specs: List = []
-    window = rng.randint(2, max(3, stream_len // 4))
+def _draw_primary_crash(schedule: _Schedule) -> None:
+    """A standby's kinds: exactly one primary crash — at a packet
+    boundary, or mid-batch on the first punted batch the probability
+    hits — and, more often than not, a lossy replay path to the standby
+    for the promotion resync to repair."""
+    rng, stream_len = schedule.rng, schedule.stream_len
+    window = schedule.draw_length()
     if rng.random() < 0.5:
-        # Clean packet-boundary crash with a placed promotion window.
         at = rng.randrange(1, max(2, stream_len - 1))
-        specs.append(PrimarySwitchCrash(at_packet=at, promotion_window=window))
+        schedule.reserved.append((at, at + window))
+        schedule.specs.append(
+            PrimarySwitchCrash(at_packet=at, promotion_window=window)
+        )
     else:
-        # Mid-batch control-plane connection crash; fires on the first
-        # punted batch the probability hits inside the window.
         start = rng.randrange(0, max(1, stream_len // 2))
-        specs.append(CrashDuringBatch(
+        schedule.specs.append(CrashDuringBatch(
             probability=rng.choice([0.25, 0.5, 1.0]),
             promotion_window=window,
             start=start,
             stop=rng.choice([None, start + rng.randint(3, stream_len)]),
         ))
     if rng.random() < 0.6:
-        specs.append(StandbyStaleReplay(
+        schedule.specs.append(StandbyStaleReplay(
             probability=rng.choice([0.25, 0.5, 1.0]),
         ))
-    extras = list(FAILOVER_EXTRA_KINDS)
-    rng.shuffle(extras)
-    for kind in extras[: rng.randint(0, 2)]:
-        if kind == "link":
-            specs.append(_draw_link(rng, stream_len))
-        elif kind == "batch":
-            specs.append(_draw_batch(rng))
-        elif kind == "stale":
-            specs.append(_draw_stale(rng))
-        elif kind == "overflow":
-            specs.append(_draw_overflow(rng))
-    return FaultPlan(faults=tuple(specs))
+
+
+def _draw_membership_changes(schedule: _Schedule, members: List[str]) -> None:
+    """A pool's kinds: a crash, a drain, or one of each, of distinct
+    members, always leaving a survivor.  A pool of one has nobody to
+    remove and keeps the shared draws only."""
+    rng = schedule.rng
+    removable = len(members) - 1
+    if removable < 1:
+        return
+    pick = rng.randrange(3)  # 0: crash, 1: drain, 2: both
+    if pick == 2 and removable < 2:
+        pick = rng.randrange(2)
+    changes: List[Type] = []
+    if pick in (0, 2):
+        changes.append(PoolMemberCrash)
+    if pick in (1, 2):
+        changes.append(PoolMemberDrain)
+    shuffled = members[:]
+    rng.shuffle(shuffled)
+    for member, change in zip(shuffled, changes):
+        window = schedule.draw_length()
+        at = schedule.place(window)
+        if at is not None:
+            schedule.specs.append(change(
+                member=member, at_packet=at,
+                **{change.window_field: window},
+            ))
+
+
+def generate_plan(
+    rng: random.Random, stream_len: int, spec: "DeploymentSpec"
+) -> FaultPlan:
+    """Draw a random, internally consistent fault schedule for a
+    deployment of ``spec``'s roles.
+
+    The paper's base deployment draws one to three kinds from the whole
+    base menu.  Each non-default role first adds its own kinds, and what
+    the roles leave of the base menu is drawn once, zero to two kinds.
+    Every placed window — outage, reprogram, boundary crash, migration,
+    drain — goes through one reservation list, so no two overlap.  (A
+    bounded cache changes no schedule.)
+    """
+    schedule = _Schedule(rng, stream_len)
+    if spec.standby_detection is not None:
+        _draw_primary_crash(schedule)
+    if spec.pool_servers:
+        _draw_membership_changes(
+            schedule, default_member_names(spec.pool_servers)
+        )
+    if spec.standby_detection is None and not spec.pool_servers:
+        menu, fewest = list(_DRAW), 1
+    else:
+        menu, fewest = list(_HOSTED_BESIDE_A_ROLE), 0
+    rng.shuffle(menu)
+    for kind in menu[: rng.randint(fewest, fewest + 2)]:
+        _DRAW[kind](schedule)
+    return FaultPlan(faults=tuple(schedule.specs))

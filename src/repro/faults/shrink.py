@@ -23,7 +23,7 @@ from typing import Callable, List, Tuple
 from repro.difftest.generator import GenProgram
 from repro.difftest.oracle import StreamSpec
 from repro.difftest.shrink import ShrinkHints, shrink_case
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, window_length
 
 FaultPredicate = Callable[[GenProgram, StreamSpec, FaultPlan], bool]
 
@@ -79,10 +79,9 @@ def _spec_variants(spec, stream_len: int) -> List:
             mid = (start + stop + 1) // 2
             replace(stop=mid)
             replace(start=(start + stop) // 2)
-    for name in ("outage", "duration"):
-        value = getattr(spec, name, None)
-        if value is not None and value > 1:
-            replace(**{name: value // 2})
+    length = window_length(spec)
+    if length is not None and length > 1:
+        replace(**{spec.window_field: length // 2})
     return variants
 
 
@@ -121,10 +120,9 @@ def _hint_variants(spec, hints: ShrinkHints, stream_len: int) -> List:
     if at_packet is not None and at_packet <= packet:
         # One-shot specs: shorten the effect to just cover the divergence.
         needed = packet - at_packet + 1
-        for name in ("outage", "duration"):
-            value = getattr(spec, name, None)
-            if value is not None and needed < value:
-                replace(**{name: needed})
+        length = window_length(spec)
+        if length is not None and needed < length:
+            replace(**{spec.window_field: needed})
     return variants
 
 

@@ -269,7 +269,8 @@ class SingleServer(Role):
         pass
 
     def rebase(self) -> None:
-        """The authoritative store was (re)built: install, crash resync."""
+        """The authoritative store was (re)built, or written without a
+        punt: install, crash resync, the close of a fallback window."""
         self.box.server.state = self.box.state
 
 
@@ -611,10 +612,7 @@ class GalliumMiddlebox:
         injector.begin_packet(index)
         self._advance_windows(index)
         pristine = packet.copy()
-        # A still-active fallback window (the redundancy role hasn't let
-        # it close yet) keeps packets on the server path even after the
-        # injected outage itself has ended.
-        if self._fallback_active or injector.switch_down(index):
+        if self.switch_unavailable(index):
             if injector.server_down(index):
                 return self._degrade(
                     pristine, ingress_port, index, "total_outage"
@@ -822,11 +820,20 @@ class GalliumMiddlebox:
             packet_index=index,
         )
 
+    def switch_unavailable(self, index: int) -> bool:
+        """Whether packet ``index`` falls in a fallback window: an
+        injected switch outage covers it, or the redundancy role has not
+        let the last one close yet (which keeps packets on the server
+        path after the outage itself has ended)."""
+        return self._fallback_active or self.injector.switch_down(index)
+
     def _exit_fallback(self) -> None:
         """End a fallback window: the redundancy role brings the switch
         side back (resync in place, or promote the standby and resync
-        that), then the effect log and the ledger record it."""
+        that), the punt target re-baselines on the store the window
+        wrote without it, then the effect log and the ledger record it."""
         tag = self.redundancy.close_window()
+        self.punt_target.rebase()
         self.fault_log.append((tag,))
         self.accounting.switch_resyncs += 1
         self._fallback_active = False

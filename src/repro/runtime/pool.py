@@ -243,8 +243,11 @@ class ServerPool(Role):
 
     def rebase(self) -> None:
         """Re-point every member at the deployment's (re)built store and
-        re-baseline the checkpoint (install time / after a crash
-        resync)."""
+        re-baseline the checkpoint: install time, after a crash resync,
+        and at the close of a fallback window — its packets ran the
+        complete program with no punt to commit, so neither the
+        per-punt checkpoint nor the switch copy saw their writes until
+        the bulk resync this call follows."""
         state = self.box.state
         for member in (*self.members.values(), *self.retired.values()):
             member.runtime.state = state
@@ -379,8 +382,14 @@ class ServerPool(Role):
                         "pool_member_down", component="deployment",
                         member=spec.member, fault=spec.kind,
                     )
-            if injector.pool_member_down(spec.member, index):
-                continue  # migration window still open
+            if injector.pool_member_down(
+                spec.member, index
+            ) or box.switch_unavailable(index):
+                # Migration window still open — or a fallback window is:
+                # both sources a migration rebuilds from are stale until
+                # it closes, and the punts it releases need a live
+                # switch.  The migration runs at that close instead.
+                continue
             self._windows_done.add(spec)
             entries = self._migrate(
                 spec.member, crash=spec.kind == "pool_member_crash"

@@ -185,7 +185,6 @@ class MultiTenantDeployment:
         for placement in self.admission.admitted:
             spec = by_name[placement.name]
             injector = None
-            tenant_policy = policy
             if fault_plan is not None:
                 # Tenant-scoped faults: only the named tenant gets an
                 # injector at all — isolation of the *unfaulted* tenants
@@ -199,13 +198,9 @@ class MultiTenantDeployment:
                 scoped = scoped_plan(fault_plan, spec.name)
                 if scoped.faults:
                     from repro.faults.injector import FaultInjector
-                    from repro.runtime.degradation import DegradationPolicy
 
-                    tenant_policy = policy or DegradationPolicy()
                     injector = FaultInjector(
-                        scoped,
-                        seed=tenant_injector_seed(injector_seed, spec.name),
-                        max_attempts=tenant_policy.retry.max_attempts,
+                        scoped, tenant_injector_seed(injector_seed, spec.name)
                     )
             middlebox = GalliumMiddlebox(
                 spec.plan,
@@ -218,7 +213,7 @@ class MultiTenantDeployment:
                     series_tenant=spec.name,
                 ),
                 fast_path=fast_path,
-                policy=tenant_policy,
+                policy=policy,
                 injector=injector,
             )
             # Share the RPC pipe; everything else stays per-tenant.

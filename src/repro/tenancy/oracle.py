@@ -133,13 +133,8 @@ def run_solo(
     injector = None
     if fault_plan is not None:
         from repro.faults.injector import FaultInjector
-        from repro.runtime.degradation import DegradationPolicy
 
-        policy = policy or DegradationPolicy()
-        injector = FaultInjector(
-            fault_plan, seed=injector_seed,
-            max_attempts=policy.retry.max_attempts,
-        )
+        injector = FaultInjector(fault_plan, seed=injector_seed)
     middlebox = GalliumMiddlebox(
         spec.plan,
         spec.program,

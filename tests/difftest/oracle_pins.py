@@ -8,7 +8,7 @@ comparison of two JSON files.  Five groups:
 
 * ``difftest`` — ``run_oracle`` on generated programs + the corpus,
 * ``faults`` — ``run_fault_oracle`` on campaign scenarios under each of
-  the six role combinations the harness admits,
+  the eight role combinations,
 * ``compiled`` — ``check_compiled`` on generated programs,
 * ``tenancy`` — the isolation oracle on the bundled trio, clean and
   under tenant-scoped fault plans,
@@ -45,12 +45,17 @@ from repro.faults.campaign import random_policy, seeds_for_program
 from repro.faults import oracle as fault_oracle
 from repro.faults.injector import FaultInjector
 from repro.faults.oracle import run_fault_oracle
-from repro.faults.plan import BatchFault, FaultPlan, LinkFault, generate_plan
+from repro.faults.plan import (
+    BatchFault,
+    FaultPlan,
+    LinkFault,
+    PoolMemberCrash,
+    generate_plan,
+)
 from repro.ir import instructions as irin
 from repro.partition.constraints import SwitchResources
 from repro.runtime.degradation import DegradationPolicy, DropAccounting
 from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
-from repro.runtime.pool import default_member_names
 from repro.runtime.spec import DeploymentSpec
 from repro.tenancy.faults import (
     generate_tenant_plan,
@@ -64,7 +69,8 @@ GOLDEN = Path(__file__).parent / "golden" / "oracle_pins.json"
 PIN_SEED = 13
 PACKETS = 25
 TRIO = ["minilb", "mazunat", "lb"]
-#: the six role combinations the fault harness admits
+#: all eight role combinations (the last two since the plan generator
+#: follows the ``DeploymentSpec``)
 ROLE_COMBOS = {
     "base": DeploymentSpec(),
     "cached": DeploymentSpec(cache_entries=2),
@@ -74,6 +80,12 @@ ROLE_COMBOS = {
     ),
     "pool": DeploymentSpec(pool_servers=3),
     "pool+cached": DeploymentSpec(pool_servers=3, cache_entries=2),
+    "pool+failover": DeploymentSpec(
+        pool_servers=3, standby_detection="phi"
+    ),
+    "pool+cached+failover": DeploymentSpec(
+        pool_servers=3, cache_entries=2, standby_detection="phi"
+    ),
 }
 #: switch budgets no program fits: the partitioner's refusal and the
 #: switch program's (the Constraint-5 shim limit) must both pin "rejected"
@@ -181,17 +193,12 @@ def _fault_pins(count: int, wide: bool) -> Dict[str, list]:
         else [program_at(PIN_SEED, index) for index in NARROW_FAULT_PROGRAMS]
     )
     for combo, deployment in ROLE_COMBOS.items():
-        pool = deployment.pool_servers
         for label, program_seed, stream_seed, source in scenarios:
             _, _, plan_seed, injector_seed, deploy_seed = (
                 seeds_for_program(program_seed)
             )
             rng = random.Random(plan_seed)
-            plan = generate_plan(
-                rng, PACKETS,
-                failover=deployment.standby_detection is not None,
-                pool_members=default_member_names(pool) if pool else None,
-            )
+            plan = generate_plan(rng, PACKETS, deployment)
             result = run_fault_oracle(
                 source, StreamSpec(seed=stream_seed, count=PACKETS), plan,
                 policy=random_policy(rng), injector_seed=injector_seed,
@@ -302,6 +309,26 @@ def _lingering_degradation() -> list:
         return _faultbox(FaultPlan((LinkFault(probability=1.0),)))
 
 
+def _member_outage_opens_fallback(combo: str) -> list:
+    """A pool that answers a member outage with full switch-side
+    fallback — what the pool oracle's rule (1) forbids, with or without
+    a standby whose own outages may open one."""
+
+    def switch_down(self, index):
+        return not self._cleared and any(
+            spec.active(index)
+            for spec in self.plan.by_kind("pool_member_crash")
+        )
+
+    with mock.patch.object(FaultInjector, "switch_down", switch_down):
+        return _faultbox(
+            FaultPlan((
+                PoolMemberCrash("srv1", at_packet=4, migration_window=4),
+            )),
+            deployment=ROLE_COMBOS[combo], provenance=False,
+        )
+
+
 def _reintroduced(entry_name: str, instruction_type) -> list:
     """A historical compiler bug brought back by deleting the server-side
     instruction whose mishandling caused it (as in
@@ -330,6 +357,12 @@ SENSITIVITY: Dict[str, Callable[[], list]] = {
     ),
     "l4_alias_hoist": lambda: _reintroduced(
         "l4_alias_hoist", irin.StorePacketField
+    ),
+    "member_outage_opens_fallback/pool": lambda: (
+        _member_outage_opens_fallback("pool")
+    ),
+    "member_outage_opens_fallback/pool+failover": lambda: (
+        _member_outage_opens_fallback("pool+failover")
     ),
 }
 

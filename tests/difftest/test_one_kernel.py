@@ -136,8 +136,7 @@ ROLE_KEYWORDS = {"cached", "failover", "pool", "pool_servers", "detection"}
 def test_role_flags_travel_as_one_deployment_spec():
     """The five role keywords appear in the harnesses and the CLI only
     where a ``DeploymentSpec`` is built from flags (CLI arguments, legacy
-    corpus keys) — or in ``generate_plan``, whose ``failover=`` selects a
-    fault *vocabulary*, not a deployment."""
+    corpus keys); ``generate_plan`` takes the spec like everyone else."""
     offenders = []
     for module, tree in modules():
         if not (module == "cli.py" or module.split("/")[0] in
@@ -146,12 +145,10 @@ def test_role_flags_travel_as_one_deployment_spec():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 callee = ast.unparse(node.func)
-                if callee in ("DeploymentSpec.from_flags", "generate_plan"):
+                if callee == "DeploymentSpec.from_flags":
                     continue
                 used = {k.arg for k in node.keywords} & ROLE_KEYWORDS
             elif isinstance(node, ast.FunctionDef):
-                if node.name == "generate_plan":
-                    continue
                 args = node.args
                 used = {
                     a.arg for a in args.args + args.kwonlyargs

@@ -57,10 +57,7 @@ def deploy(plan=FaultPlan(), policy=None, injector_seed=0, seed=0):
     middlebox = GalliumMiddlebox(
         partition, program, port_pairs={1: 2, 2: 1}, seed=seed,
         policy=policy,
-        injector=FaultInjector(
-            plan, seed=injector_seed,
-            max_attempts=policy.retry.max_attempts,
-        ),
+        injector=FaultInjector(plan, seed=injector_seed),
     )
     middlebox.install()
     return middlebox

@@ -70,7 +70,7 @@ class TestClear:
 class TestBatchFaults:
     def test_doomed_batch_fails_every_attempt(self):
         plan = FaultPlan((BatchFault(probability=0.0, doom_probability=1.0),))
-        injector = FaultInjector(plan, seed=0, max_attempts=4)
+        injector = FaultInjector(plan, seed=0)
         injector.begin_packet(0)
         assert [injector.batch_fault(a) for a in (1, 2, 3, 4)] == ["fail"] * 4
 
@@ -79,7 +79,7 @@ class TestBatchFaults:
         rolls forward from the high-water mark), so the injector no
         longer spares a batch's final permitted attempt."""
         plan = FaultPlan((BatchFault(mode="timeout", probability=1.0),))
-        injector = FaultInjector(plan, seed=0, max_attempts=3)
+        injector = FaultInjector(plan, seed=0)
         injector.begin_packet(0)
         assert injector.batch_fault(1) == "timeout"
         assert injector.batch_fault(2) == "timeout"

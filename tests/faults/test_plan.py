@@ -1,20 +1,29 @@
 """Tests for the fault-plan DSL: windows, serialization, generation."""
 
 import random
+from dataclasses import replace
+
+import pytest
 
 from repro.faults.plan import (
+    _DRAW,
     ALL_FAULT_KINDS,
     BatchFault,
     FAULT_KINDS,
     FaultPlan,
     LinkFault,
+    POOL_FAULT_KINDS,
+    PoolMemberCrash,
+    PoolMemberDrain,
     PuntReorder,
     ServerCrash,
     StaleReplication,
     SwitchReprogram,
     WritebackOverflow,
     generate_plan,
+    window_length,
 )
+from repro.runtime.spec import DeploymentSpec
 
 
 def full_plan() -> FaultPlan:
@@ -56,6 +65,20 @@ class TestWindows:
         assert PuntReorder().active(0)
         assert PuntReorder().active(999)
 
+    def test_pool_windows_are_inclusive_exclusive(self):
+        spec = PoolMemberCrash(member="a", at_packet=5, migration_window=3)
+        assert not spec.active(4)
+        assert spec.active(5) and spec.active(7)
+        assert not spec.active(8)
+        assert window_length(spec) == 3
+
+    def test_every_windowed_kind_names_a_field_it_has(self):
+        for cls in FAULT_KINDS.values():
+            spec = cls()
+            if window_length(spec) is not None:
+                assert getattr(spec, cls.window_field) == window_length(spec)
+        assert window_length(LinkFault()) is None
+
 
 class TestSerialization:
     def test_roundtrip_every_kind(self):
@@ -70,9 +93,15 @@ class TestSerialization:
         restored = FaultPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
         assert restored == plan
 
-    def test_unknown_kind_rejected(self):
-        import pytest
+    def test_pool_kinds_round_trip(self):
+        plan = FaultPlan((
+            PoolMemberCrash(member="srv1", at_packet=4, migration_window=3),
+            PoolMemberDrain(member="srv2", at_packet=12, drain_window=5),
+        ))
+        assert FaultPlan.from_dict(plan.to_dict()) == plan
+        assert "pool member 'srv1' crash" in plan.describe()
 
+    def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             FaultPlan.from_dict({"faults": [{"kind": "gamma_ray"}]})
 
@@ -96,40 +125,133 @@ class TestDescribe:
         assert FaultPlan().describe() == "no faults"
 
 
-class TestGeneratePlan:
-    def test_deterministic(self):
-        plans = [generate_plan(random.Random(11), 25) for _ in range(2)]
-        assert plans[0] == plans[1]
+#: all eight role combinations a ``DeploymentSpec`` names
+ROLE_COMBOS = [
+    DeploymentSpec(
+        cache_entries=cache, standby_detection=standby, pool_servers=servers
+    )
+    for cache in (None, 2)
+    for standby in (None, "phi")
+    for servers in (0, 3)
+]
+STREAM_LEN = 25
+PRIMARY_CRASHES = ("switch_crash", "crash_batch")
+SINGLE_SWITCH_ONLY = {"crash", "reprogram", "reorder"}
 
-    def test_draws_one_to_three_kinds(self):
-        for seed in range(40):
-            plan = generate_plan(random.Random(seed), 25)
-            assert 1 <= len(plan.kinds()) <= 4  # reorder may add a crash
 
-    def test_outage_windows_never_overlap(self):
-        for seed in range(200):
-            plan = generate_plan(random.Random(seed), 25)
-            windows = []
-            for spec in plan.faults:
-                if isinstance(spec, ServerCrash):
-                    windows.append((spec.at_packet, spec.at_packet + spec.outage))
-                elif isinstance(spec, SwitchReprogram):
-                    windows.append((spec.at_packet, spec.at_packet + spec.duration))
+def generated(spec: DeploymentSpec, seeds: int = 200):
+    return [
+        (seed, generate_plan(random.Random(seed), STREAM_LEN, spec))
+        for seed in range(seeds)
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec", ROLE_COMBOS, ids=lambda spec: spec.cli_flags().strip() or "base"
+)
+class TestGeneratedPlans:
+    """What every schedule holds, whatever roles it was drawn for."""
+
+    def test_deterministic_and_blind_to_the_cache(self, spec):
+        uncached = replace(spec, cache_entries=None)
+        assert generated(spec, 20) == generated(spec, 20)
+        assert generated(spec, 20) == generated(uncached, 20)
+
+    def test_placed_windows_are_inside_the_stream_and_disjoint(self, spec):
+        for seed, plan in generated(spec):
+            windows = [
+                (fault.at_packet, fault.at_packet + window_length(fault))
+                for fault in plan.faults if hasattr(fault, "at_packet")
+            ]
+            for lo, hi in windows:
+                assert 0 <= lo < STREAM_LEN and hi - lo >= 2, (seed, windows)
             for i, (lo_a, hi_a) in enumerate(windows):
                 for lo_b, hi_b in windows[i + 1:]:
                     assert hi_a <= lo_b or hi_b <= lo_a, (seed, windows)
 
-    def test_reorder_always_paired_with_queueing_fault(self):
-        for seed in range(200):
-            plan = generate_plan(random.Random(seed), 25)
-            if plan.by_kind("reorder") and not plan.by_kind("crash"):
-                # The pairing can only fail when window placement failed
-                # 8 times in a row, which a 25-packet stream never does.
-                raise AssertionError(f"unpaired reorder at seed {seed}")
+    def test_a_survivor_is_always_left(self, spec):
+        for seed, plan in generated(spec):
+            removed = [
+                fault.member for fault in plan.faults
+                if fault.kind in POOL_FAULT_KINDS
+            ]
+            assert len(set(removed)) == len(removed), (seed, removed)
+            assert len(removed) <= max(0, spec.pool_servers - 1)
+        if spec.pool_servers:
+            kinds = {k for _, plan in generated(spec) for k in plan.kinds()}
+            assert set(POOL_FAULT_KINDS) <= kinds
 
-    def test_windows_inside_stream(self):
-        for seed in range(100):
-            plan = generate_plan(random.Random(seed), 25)
-            for spec in plan.faults:
-                if isinstance(spec, (ServerCrash, SwitchReprogram)):
-                    assert 0 <= spec.at_packet < 25
+    def test_exactly_one_primary_crash_iff_standby(self, spec):
+        for seed, plan in generated(spec):
+            crashes = [
+                fault for fault in plan.faults
+                if fault.kind in PRIMARY_CRASHES
+            ]
+            standby_kinds = len(crashes) + len(plan.by_kind("standby_stale"))
+            if spec.standby_detection is None:
+                assert standby_kinds == 0, seed
+            else:
+                assert len(crashes) == 1, seed
+                assert len(plan.by_kind("standby_stale")) <= 1, seed
+
+    def test_each_benign_kind_at_most_once(self, spec):
+        fewest = 1 if spec in (DeploymentSpec(), DeploymentSpec(2)) else 0
+        for seed, plan in generated(spec):
+            shared = [
+                fault.kind for fault in plan.faults if fault.kind in _DRAW
+            ]
+            for kind in ("link", "batch", "overflow", "stale"):
+                assert shared.count(kind) <= 1, (seed, shared)
+            # reorder may bring a crash window of its own along
+            assert fewest <= len(set(shared)) <= fewest + 2 + (
+                "reorder" in shared
+            ), (seed, shared)
+
+    def test_single_switch_kinds_only_on_the_base_deployment(self, spec):
+        kinds = {k for _, plan in generated(spec) for k in plan.kinds()}
+        if spec.standby_detection is None and not spec.pool_servers:
+            assert SINGLE_SWITCH_ONLY <= kinds
+        else:
+            assert not SINGLE_SWITCH_ONLY & kinds
+
+    def test_round_trips_through_dict(self, spec):
+        for _, plan in generated(spec, 50):
+            assert FaultPlan.from_dict(plan.to_dict()) == plan
+
+
+def test_reorder_always_paired_with_queueing_fault():
+    for seed, plan in generated(DeploymentSpec()):
+        if plan.by_kind("reorder") and not plan.by_kind("crash"):
+            # The pairing can only fail when window placement failed
+            # 8 times in a row, which a 25-packet stream never does.
+            raise AssertionError(f"unpaired reorder at seed {seed}")
+
+
+def test_a_pool_of_one_gets_no_membership_changes():
+    for _, plan in generated(DeploymentSpec(pool_servers=1), 50):
+        assert not set(plan.kinds()) & set(POOL_FAULT_KINDS)
+
+
+def test_one_generator_and_one_definition_of_a_window():
+    """The forks this module used to hold are gone, not wrapped."""
+    import inspect
+    from pathlib import Path
+
+    import repro
+    from repro.faults.injector import FaultInjector
+
+    assert list(inspect.signature(generate_plan).parameters) == [
+        "rng", "stream_len", "spec"
+    ]
+    assert list(inspect.signature(FaultInjector).parameters) == [
+        "plan", "seed"
+    ]
+    source = "".join(
+        path.read_text() for path in Path(repro.__file__).parent.rglob("*.py")
+    )
+    for retired in (
+        "require_plannable", "_generate_pool_plan", "_generate_failover_plan",
+        "_WINDOW_ATTRS", "FAILOVER_EXTRA_KINDS", "POOL_EXTRA_KINDS",
+    ):
+        assert retired not in source, retired
+    assert source.count("def window_length") == 1

@@ -23,7 +23,6 @@ from typing import Dict, List
 
 from repro.faults.campaign import random_policy
 from repro.faults.plan import generate_plan
-from repro.runtime.pool import default_member_names
 from repro.runtime.spec import DeploymentSpec
 
 from tests.difftest import oracle_pins
@@ -44,14 +43,7 @@ SPECS = {
 
 def draws(spec: DeploymentSpec, plan_seed: int) -> list:
     rng = random.Random(plan_seed)
-    plan = generate_plan(
-        rng, STREAM_LEN,
-        failover=spec.standby_detection is not None,
-        pool_members=(
-            default_member_names(spec.pool_servers)
-            if spec.pool_servers else None
-        ),
-    )
+    plan = generate_plan(rng, STREAM_LEN, spec)
     policy = random_policy(rng)
     return [
         plan.to_dict(),

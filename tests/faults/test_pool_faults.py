@@ -7,7 +7,6 @@ the member table — and generated pool plans always leave a survivor so
 full fallback never has an excuse to engage.
 """
 
-import random
 from dataclasses import replace
 
 import pytest
@@ -17,11 +16,9 @@ from repro.faults.campaign import run_campaign
 from repro.faults.oracle import FaultOutcome, run_fault_oracle
 from repro.faults.plan import (
     FaultPlan,
-    POOL_EXTRA_KINDS,
     POOL_FAULT_KINDS,
     PoolMemberCrash,
     PoolMemberDrain,
-    generate_plan,
 )
 from repro.runtime.pool import default_member_names
 from repro.runtime.spec import DeploymentSpec
@@ -32,57 +29,8 @@ from tests.faults.test_degradation import FAULTBOX
 MEMBERS = default_member_names(3)
 POOLED = DeploymentSpec(pool_servers=3)
 POOLED_CACHED = replace(POOLED, cache_entries=2)
-
-
-class TestPlanGeneration:
-    def test_always_leaves_a_survivor(self):
-        for seed in range(200):
-            plan = generate_plan(
-                random.Random(seed), 25, pool_members=MEMBERS
-            )
-            removed = {
-                spec.member
-                for spec in plan.faults
-                if spec.kind in POOL_FAULT_KINDS
-            }
-            assert len(removed) < len(MEMBERS)
-            assert len(removed) == sum(
-                1 for spec in plan.faults if spec.kind in POOL_FAULT_KINDS
-            ), "pool kinds must target distinct members"
-
-    def test_single_member_pool_gets_no_membership_changes(self):
-        for seed in range(50):
-            plan = generate_plan(
-                random.Random(seed), 25, pool_members=["solo"]
-            )
-            assert not any(
-                spec.kind in POOL_FAULT_KINDS for span in [plan]
-                for spec in span.faults
-            )
-
-    def test_only_pool_and_benign_extras(self):
-        allowed = set(POOL_FAULT_KINDS) | set(POOL_EXTRA_KINDS)
-        for seed in range(100):
-            plan = generate_plan(
-                random.Random(seed), 25, pool_members=MEMBERS
-            )
-            assert set(plan.kinds()) <= allowed
-
-    def test_round_trips_through_dict(self):
-        plan = FaultPlan((
-            PoolMemberCrash(member="srv1", at_packet=4, migration_window=3),
-            PoolMemberDrain(member="srv2", at_packet=12, drain_window=5),
-        ))
-        clone = FaultPlan.from_dict(plan.to_dict())
-        assert clone == plan
-        assert "pool member 'srv1' crash" in plan.describe()
-
-    def test_windows_are_inclusive_exclusive(self):
-        spec = PoolMemberCrash(member="a", at_packet=5, migration_window=3)
-        assert not spec.active(4)
-        assert spec.active(5) and spec.active(7)
-        assert not spec.active(8)
-        assert spec.window_length == 3
+POOLED_STANDBY = replace(POOLED, standby_detection="phi")
+POOLED_CACHED_STANDBY = replace(POOLED_CACHED, standby_detection="phi")
 
 
 class TestPoolOracle:
@@ -126,26 +74,95 @@ class TestPoolOracle:
         assert result.outcome is FaultOutcome.CRASH
         assert "unknown" in result.error
 
-    def test_pool_times_failover_is_refused_once_by_the_oracle(self):
-        """The runtime composes every pair of roles; the harness refuses
-        the one pair no fault-plan generator covers — here, and nowhere
-        else (``cmd_faults`` only surfaces this error)."""
-        import inspect
+    def test_switch_outage_under_a_standby_may_open_fallback(self):
+        """Rule (1) forbids a *member* outage opening a fallback window
+        (pinned as ``member_outage_opens_fallback`` in
+        ``tests/difftest/oracle_pins.py``), not a switch outage."""
+        from repro.faults.plan import CrashDuringBatch, PrimarySwitchCrash
 
-        from repro import cli
-        from repro.faults import campaign
+        for crash in (
+            PrimarySwitchCrash(at_packet=6, promotion_window=3),
+            CrashDuringBatch(probability=1.0, promotion_window=3),
+        ):
+            result = self.run(FaultPlan((
+                crash,
+                PoolMemberCrash(member="srv1", at_packet=12,
+                                migration_window=3),
+            )), deployment=POOLED_STANDBY)
+            assert result.outcome is FaultOutcome.DEGRADED_OK, (
+                result.violation or result.error
+            )
+            assert result.promoted and result.migrations == 1
 
-        pool_and_failover = replace(POOLED, standby_detection="phi")
-        with pytest.raises(ValueError, match="no plan generator mixing"):
-            self.run(FaultPlan(), deployment=pool_and_failover)
-        with pytest.raises(ValueError, match="no plan generator mixing"):
-            run_campaign(1, seed=0, deployment=pool_and_failover)
-        with pytest.raises(SystemExit, match="no plan generator mixing"):
-            cli.main(["faults", "--runs", "1", "--servers", "3",
-                      "--failover"])
-        for harness in (cli.cmd_faults, campaign.run_campaign):
-            assert "raise ValueError" not in inspect.getsource(harness)
-            assert "does not compose" not in inspect.getsource(harness)
+
+class TestPoolTimesStandby:
+    """The last pairing the harness used to refuse: a pool behind an
+    active-standby pair draws both roles' fault kinds."""
+
+    @pytest.mark.parametrize(
+        "deployment", [POOLED_STANDBY, POOLED_CACHED_STANDBY],
+        ids=["pool+failover", "pool+cached+failover"],
+    )
+    def test_seeded_campaign_slice_is_clean(self, deployment):
+        stats, failures = run_campaign(30, seed=2, deployment=deployment)
+        assert failures == []
+        assert stats.violations == 0 and stats.crashes == 0
+        assert stats.runs == 30
+        assert stats.rejected < (25 if deployment.cache_entries else 1)
+        assert stats.pool_migrations > 0
+        summary = stats.summary_dict()
+        assert validate_named(summary, "faults_summary") == []
+        assert set(summary["promotion_windows"]) & set(POOL_FAULT_KINDS)
+        assert set(summary["promotion_windows"]) & {
+            "switch_crash", "crash_batch"
+        }
+
+    def test_a_due_migration_waits_for_the_fallback_window_to_close(self):
+        """Inside a window the switch copy is the dead primary's and the
+        checkpoint predates the window: the migration runs at the close,
+        after the resync and the re-baseline."""
+        from repro.faults.injector import FaultInjector
+        from repro.faults.plan import PrimarySwitchCrash
+        from repro.runtime.deployment import GalliumMiddlebox
+
+        box = GalliumMiddlebox.from_source(
+            FAULTBOX, **POOLED_STANDBY.roles(),
+            injector=FaultInjector(FaultPlan((
+                PrimarySwitchCrash(at_packet=4, promotion_window=8),
+                PoolMemberCrash(member="srv1", at_packet=5,
+                                migration_window=2),
+            )), seed=0),
+        )
+        box.install()
+        for packet, ingress in StreamSpec(seed=1, count=25).build():
+            box.process_packet(packet.copy(), ingress)
+            box.drain_deferred()
+        box.recover()
+        tags = [event[0] for event in box.fault_log]
+        assert tags.index("promote") < tags.index("pool_migrate")
+        assert tags.index("pool_down") < tags.index("promote")
+
+    def test_checkpoint_reproducer_bites_when_the_close_does_not_rebase(
+        self, monkeypatch
+    ):
+        """The committed reproducer is not vacuous: with the checkpoint
+        re-baselined only at install, as before the fix, it diverges."""
+        from repro.faults.corpus import load_corpus, replay_entry
+        from repro.runtime.pool import ServerPool
+
+        (entry,) = [
+            entry for entry in load_corpus()
+            if entry.name == "pool_checkpoint_stale_after_promotion"
+        ]
+        assert replay_entry(entry).outcome is FaultOutcome.DEGRADED_OK
+        rebase = ServerPool.rebase
+        monkeypatch.setattr(
+            ServerPool, "rebase",
+            lambda pool: None if pool.box.fault_log else rebase(pool),
+        )
+        result = replay_entry(entry)
+        assert result.outcome is FaultOutcome.VIOLATION
+        assert result.violation.kind == "convergence"
 
 
 class TestPoolTimesCached:

@@ -77,11 +77,7 @@ def _audit_rollbacks(box):
 
 def _run(entry, fault_plan, cached):
     plan, program = compile_middlebox(entry.source)
-    injector = FaultInjector(
-        fault_plan,
-        seed=entry.injector_seed,
-        max_attempts=entry.policy.retry.max_attempts,
-    )
+    injector = FaultInjector(fault_plan, seed=entry.injector_seed)
     cls = CachedGalliumMiddlebox if cached else GalliumMiddlebox
     try:
         box = cls(

@@ -12,6 +12,13 @@ from repro.faults import (
     shrink_fault_case,
     shrink_plan,
 )
+from repro.faults.plan import (
+    CrashDuringBatch,
+    PoolMemberCrash,
+    PoolMemberDrain,
+    PrimarySwitchCrash,
+    window_length,
+)
 from repro.faults.shrink import _spec_variants
 
 PROGRAM = generate_program(1)
@@ -45,6 +52,37 @@ def test_spec_variants_halve_outage():
     spec = ServerCrash(at_packet=4, outage=8)
     variants = _spec_variants(spec, STREAM.count)
     assert any(v.outage == 4 for v in variants)
+
+
+WINDOWED = [
+    PrimarySwitchCrash(at_packet=4, promotion_window=8),
+    CrashDuringBatch(promotion_window=8),
+    PoolMemberCrash(member="srv1", at_packet=4, migration_window=8),
+    PoolMemberDrain(member="srv1", at_packet=4, drain_window=8),
+]
+
+
+@pytest.mark.parametrize("spec", WINDOWED, ids=lambda spec: spec.kind)
+def test_every_windowed_kind_shrinks(spec):
+    """Promotion, migration and drain windows used to be invisible to
+    both passes (they knew ``outage`` / ``duration`` by name)."""
+    from repro.difftest.shrink import ShrinkHints
+    from repro.faults.shrink import _hint_variants
+
+    assert any(
+        window_length(v) == 4 for v in _spec_variants(spec, STREAM.count)
+    )
+    if hasattr(spec, "at_packet"):
+        hinted = _hint_variants(spec, ShrinkHints(packet=5), STREAM.count)
+        assert any(window_length(v) == 2 for v in hinted)
+    # ... and a whole shrink halves an oversized window down to the
+    # shortest one the predicate still accepts.
+    plan = shrink_plan(
+        PROGRAM, STREAM, FaultPlan((spec,)),
+        lambda _p, _s, plan: bool(plan.faults)
+        and window_length(plan.faults[0]) >= 2,
+    )
+    assert window_length(plan.faults[0]) == 2
 
 
 def test_hint_variants_snap_window_to_divergent_packet():

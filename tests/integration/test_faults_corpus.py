@@ -19,6 +19,8 @@ def test_corpus_present():
     names = {entry.name for entry in ENTRIES}
     assert {
         "timeout_then_fail_exhaustion",
+        "pool_checkpoint_stale_after_promotion",
+        "pool_migration_inside_promotion_window",
     } <= names, f"missing corpus entries in {CORPUS_DIR}"
 
 

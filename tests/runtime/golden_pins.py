@@ -201,10 +201,7 @@ def pin(flavour: str, name: str, faulted: bool,
         observed: bool = False) -> str:
     injector = None
     if faulted:
-        injector = FaultInjector(
-            FAULT_PLANS[flavour], seed=3,
-            max_attempts=DegradationPolicy().retry.max_attempts,
-        )
+        injector = FaultInjector(FAULT_PLANS[flavour], seed=3)
     telemetry = observed_telemetry() if observed else None
     box = build(flavour, name, injector, telemetry)
     rows = []

@@ -34,10 +34,7 @@ def build(cache_entries=2, plan=None, injector_seed=0, detection="phi"):
     policy = DegradationPolicy()
     injector = None
     if plan is not None:
-        injector = FaultInjector(
-            plan, seed=injector_seed,
-            max_attempts=policy.retry.max_attempts,
-        )
+        injector = FaultInjector(plan, seed=injector_seed)
     box = GalliumMiddlebox(
         partition_plan, program, state_policy=BoundedCache(cache_entries),
         redundancy=ActiveStandby(detection),

@@ -35,10 +35,7 @@ def build_failover(name="mazunat", plan=None, seed=0, injector_seed=0,
     policy = DegradationPolicy()
     injector = None
     if plan is not None:
-        injector = FaultInjector(
-            plan, seed=injector_seed,
-            max_attempts=policy.retry.max_attempts,
-        )
+        injector = FaultInjector(plan, seed=injector_seed)
     box = FailoverDeployment(
         partition_plan, program, config=bundle.config, seed=seed,
         policy=policy, injector=injector, detection=detection,

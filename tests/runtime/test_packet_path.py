@@ -16,7 +16,6 @@ import pytest
 
 from repro.faults.injector import FaultInjector
 from repro.runtime.deployment import PacketJourney
-from repro.runtime.degradation import DegradationPolicy
 from repro.switchsim.switch_model import SwitchOutput
 from repro.telemetry.metrics import Histogram
 from tests.runtime import golden_pins
@@ -143,8 +142,7 @@ class TestJourneysAreWholeAndPrivate:
         exits = set()
         for faulted in (False, True):
             injector = FaultInjector(
-                golden_pins.FAULT_PLANS[flavour], seed=3,
-                max_attempts=DegradationPolicy().retry.max_attempts,
+                golden_pins.FAULT_PLANS[flavour], seed=3
             ) if faulted else None
             box = build(flavour, name, injector)
             journeys = []

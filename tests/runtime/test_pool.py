@@ -35,9 +35,7 @@ def deploy_pool(servers=3, plan=None, policy=None, seed=0, **kwargs):
     policy = policy or DegradationPolicy()
     injector = None
     if plan is not None:
-        injector = FaultInjector(
-            plan, seed=0, max_attempts=policy.retry.max_attempts
-        )
+        injector = FaultInjector(plan, seed=0)
     middlebox = PooledDeployment(
         partition, program, servers=servers, port_pairs={1: 2, 2: 1},
         seed=seed, policy=policy, injector=injector, **kwargs,

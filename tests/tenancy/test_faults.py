@@ -11,9 +11,9 @@ its clean solo run.
 import pytest
 
 from repro.faults.plan import (
+    FAULT_KINDS,
     FaultPlan,
     LinkFault,
-    TENANCY_FAULT_KINDS,
     TenantLinkFault,
 )
 from repro.tenancy.deployment import MultiTenantDeployment
@@ -42,7 +42,7 @@ class TestPlanScoping:
         restored = FaultPlan.from_dict(plan.to_dict())
         assert restored == plan
         assert restored.faults[0].tenant == "mazunat"
-        assert "tenant_link" in TENANCY_FAULT_KINDS
+        assert FAULT_KINDS["tenant_link"] is TenantLinkFault
         assert "mazunat" in plan.describe()
 
     def test_scoped_plan_projects_one_tenant(self):
