@@ -2,7 +2,8 @@ PYTHON ?= python
 # Tier-1 convention: prepend src/ without clobbering a caller's PYTHONPATH.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: help test test-durations verify compile-pins symbolic-smoke lint \
+.PHONY: help test test-durations verify compile-pins prover-pins \
+	symbolic-smoke lint \
 	lint-verify \
 	difftest difftest-smoke difftest-compiled oracle-pins faults \
 	faults-smoke bench-smoke \
@@ -18,6 +19,8 @@ help:
 	@echo "  verify          static verifier over all bundled middleboxes"
 	@echo "  compile-pins    every compile decision vs the golden file (wide sweep,"
 	@echo "                  ~1 min; the narrow one runs in tier-1)"
+	@echo "  prover-pins     every world the prover explores vs the golden file"
+	@echo "                  (wide sweep, ~40 s; the narrow one runs in tier-1)"
 	@echo "  symbolic-smoke  translation validation: prove all middleboxes,"
 	@echo "                  schema-check the JSON, disprove a seeded mutation"
 	@echo "  lint            ruff + mypy (skipped gracefully if not installed)"
@@ -69,6 +72,16 @@ verify:
 # sweep; tier-1 runs the narrow one (tests/partition/test_compile_pins.py).
 compile-pins:
 	$(PYTHON) -m tests.partition.compile_pins --wide
+
+# Every world the symbolic prover explores — status, decision trace,
+# path condition, mismatch, in exploration order — for the six bundled
+# proofs at the default budget and 200 generated programs at the smoke
+# budget, plus the counterexample of each SYM001-SYM006 mutation, against
+# the golden file recorded before the prover's evaluator became the
+# interpreter's.  Wide sweep; tier-1 runs the narrow one
+# (tests/verify/test_prover_pins.py).
+prover-pins:
+	$(PYTHON) -m tests.verify.prover_pins --wide
 
 # Translation validation smoke (blocking in CI): prove every bundled
 # middlebox at the default budget, validate every report against the
