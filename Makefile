@@ -3,7 +3,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: help test test-durations verify compile-pins prover-pins \
-	symbolic-smoke lint \
+	mirror-lockstep symbolic-smoke lint \
 	lint-verify \
 	difftest difftest-smoke difftest-compiled oracle-pins faults \
 	faults-smoke bench-smoke \
@@ -21,12 +21,15 @@ help:
 	@echo "                  ~1 min; the narrow one runs in tier-1)"
 	@echo "  prover-pins     every world the prover explores vs the golden file"
 	@echo "                  (wide sweep, ~40 s; the narrow one runs in tier-1)"
+	@echo "  mirror-lockstep every symbolic mirror against its concrete twin,"
+	@echo "                  concolically (wide slice, ~30 s; narrow in tier-1)"
 	@echo "  symbolic-smoke  translation validation: prove all middleboxes,"
 	@echo "                  schema-check the JSON, disprove a seeded mutation"
 	@echo "  lint            ruff + mypy (skipped gracefully if not installed)"
 	@echo "  lint-verify     blocking ruff + mypy over src/repro/verify/, the"
 	@echo "                  oracle kernel, the deployment spec, the constraint"
-	@echo "                  model, the label engine and the switch program"
+	@echo "                  model, the label engine, the switch program and the"
+	@echo "                  IR interpreter (stdlib fallback scan without ruff)"
 	@echo "  difftest        full differential gauntlet (1000 programs, --shrink)"
 	@echo "  difftest-smoke  fixed-seed ~60s gauntlet slice, then 25 programs"
 	@echo "                  through the compiled-vs-interpreted differential"
@@ -83,6 +86,13 @@ compile-pins:
 prover-pins:
 	$(PYTHON) -m tests.verify.prover_pins --wide
 
+# What the prover does not share with the runtime it mirrors; this runs
+# each mirror against its twin on 200 generated programs x 25 packets and
+# the bundled middleboxes, source side and composition side.  Wide slice;
+# tier-1 runs 100 / 40 (tests/verify/test_mirror_lockstep.py).
+mirror-lockstep:
+	$(PYTHON) -m tests.verify.test_mirror_lockstep --wide
+
 # Translation validation smoke (blocking in CI): prove every bundled
 # middlebox at the default budget, validate every report against the
 # checked-in `symbolic` schema, and disprove one seeded semantic
@@ -109,24 +119,27 @@ lint:
 
 # Blocking lint: the verification layer (including the symbolic prover),
 # the oracle kernel, the deployment spec, the constraint model, the label
-# engine and the switch program are held to zero ruff findings and a clean
-# mypy run; CI gates on this without continue-on-error.  The set grows per
-# PR.  Still skips when the tools are absent so `make lint-verify` stays
-# runnable in the bare container.
+# engine, the switch program and the IR interpreter are held to zero ruff
+# findings and a clean mypy run; CI gates on this without
+# continue-on-error.  The set grows per PR.  Where ruff is absent (the
+# bare build container) the stdlib-only scan beside bench_record.py checks
+# the pyflakes subset the set is held to, so an addition is never shipped
+# unchecked; mypy has no fallback and is skipped there.
 LINT_BLOCKING = src/repro/verify src/repro/difftest/kernel.py \
 	src/repro/runtime/spec.py src/repro/partition/constraints.py \
-	src/repro/partition/labels.py src/repro/switchsim/program.py
+	src/repro/partition/labels.py src/repro/switchsim/program.py \
+	src/repro/ir/interp.py
 
 lint-verify:
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
 		$(PYTHON) -m ruff check $(LINT_BLOCKING); \
 	else \
-		echo "lint-verify: ruff not installed; skipping"; \
+		$(PYTHON) benchmarks/lint_fallback.py $(LINT_BLOCKING); \
 	fi
 	@if $(PYTHON) -m mypy --version >/dev/null 2>&1; then \
 		$(PYTHON) -m mypy $(LINT_BLOCKING); \
 	else \
-		echo "lint-verify: mypy not installed; skipping"; \
+		echo "lint-verify: mypy not installed; skipping (no fallback)"; \
 	fi
 
 # The full gauntlet: 1000 programs, shrink failures to minimal reproducers.

@@ -207,8 +207,3 @@ CLICK_API_ANNOTATIONS: Dict[str, ApiAnnotation] = {
 def annotation_for(qualified_name: str) -> Optional[ApiAnnotation]:
     """Look up the annotation for ``Class::method``; None if unannotated."""
     return CLICK_API_ANNOTATIONS.get(qualified_name)
-
-
-def register_annotation(annotation: ApiAnnotation) -> None:
-    """Register a custom API annotation (used by tests and extensions)."""
-    CLICK_API_ANNOTATIONS[annotation.name] = annotation

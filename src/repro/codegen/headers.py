@@ -37,10 +37,6 @@ class ShimField:
     name: str
     width_bits: int
 
-    @property
-    def is_flag(self) -> bool:
-        return self.width_bits == 1
-
 
 @dataclass
 class ShimLayout:

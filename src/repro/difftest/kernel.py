@@ -277,12 +277,15 @@ def reference(phase: str) -> _Guard:
     return _Guard(REFERENCE_CRASH, phase)
 
 
+#: The compiler's deliberate refusals: the partitioner could not satisfy
+#: the resource constraints, or the generated switch program blew an
+#: architectural budget (e.g. the Constraint-5 shim limit).
+COMPILE_REFUSALS = (PartitionError, SwitchProgramError)
+
+
 def compile_step(compile_fn: Callable, source, limits):
-    """Compile under the DUT guard.  Both exceptions are deliberate
-    refusals: the partitioner could not satisfy the resource constraints,
-    or the generated switch program blew an architectural budget (e.g.
-    the Constraint-5 shim limit)."""
-    with dut("compile", refusals=(PartitionError, SwitchProgramError)):
+    """Compile under the DUT guard."""
+    with dut("compile", refusals=COMPILE_REFUSALS):
         return compile_fn(source, limits)
 
 

@@ -217,15 +217,17 @@ def _symbolic_opinions(
     limits: Optional[SwitchResources],
 ) -> Optional[dict]:
     """Stances of the three checkers on one run (``None``: not provable —
-    e.g. the recompile failed, which the oracle already classified)."""
+    the recompile was refused, which the oracle already classified).
+    Anything the prover itself raises is a harness bug and propagates to
+    ``kernel.drive``: a crashed checker has no opinion to count."""
     from repro.runtime.deployment import compile_middlebox
     from repro.verify.symbolic import SMOKE_BUDGET, verify_symbolic
 
     try:
         plan, switch_program = compile_middlebox(source, limits)
-        report = verify_symbolic(plan, switch_program, budget=SMOKE_BUDGET)
-    except Exception:
+    except kernel.COMPILE_REFUSALS:
         return None
+    report = verify_symbolic(plan, switch_program, budget=SMOKE_BUDGET)
     if report.proved:
         symbolic = "agree"
     elif any(d.code != "SYM008" for d in report.errors):

@@ -76,10 +76,6 @@ class MiddleboxProfile:
     def sync_wait_avg_us(self) -> float:
         return self.sync_wait_total_us / max(1, self.sync_events)
 
-    @property
-    def sync_fraction(self) -> float:
-        return self.sync_events / max(1, self.packets)
-
 
 def profile_middlebox(
     name: str,

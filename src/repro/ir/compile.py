@@ -57,7 +57,7 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.lang.types import BOOL, IntType
+from repro.lang.types import BOOL, IntType, bit_width_of
 from repro.ir import instructions as irin
 from repro.ir.externs import ExternHost
 from repro.ir.function import Function
@@ -67,7 +67,6 @@ from repro.ir.interp import (
     InterpreterError,
     _FIELD_MAP,
     _MAX_STEPS,
-    _width_of,
 )
 from repro.ir.values import Const, Reg
 from repro.net.addresses import Ipv4Address, MacAddress
@@ -209,7 +208,7 @@ class FunctionEmitter:
         self.assign(inst.dst, f"state.load_scalar({inst.state!r})")
 
     def state_rmw(self, inst: irin.RegisterRMW) -> None:
-        width = _width_of(inst.dst.type)
+        width = bit_width_of(inst.dst.type, 32)
         self.assign(
             inst.dst,
             f"state.rmw_scalar({inst.state!r}, _K.{inst.op.name},"

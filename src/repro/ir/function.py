@@ -99,17 +99,19 @@ class Function:
     def instruction_count(self) -> int:
         return sum(len(b.instructions) for b in self.blocks.values())
 
-    def find_instruction(self, inst_id: int) -> Optional[Instruction]:
-        for inst in self.instructions():
-            if inst.id == inst_id:
-                return inst
-        return None
-
-    def block_of(self, instruction: Instruction) -> Optional[str]:
-        for name, block in self.blocks.items():
-            if any(inst.id == instruction.id for inst in block.instructions):
-                return name
-        return None
+    def prune_unreachable(self) -> None:
+        """Remove blocks unreachable from the entry."""
+        reachable: Set[str] = set()
+        stack = [self.entry]
+        while stack:
+            name = stack.pop()
+            if name in reachable or name not in self.blocks:
+                continue
+            reachable.add(name)
+            stack.extend(self.blocks[name].successors())
+        for name in list(self.blocks):
+            if name not in reachable:
+                del self.blocks[name]
 
     # -- derived info -----------------------------------------------------------
 
@@ -125,15 +127,6 @@ class Function:
             if isinstance(found, Reg):
                 regs[found.name] = found
         return regs
-
-    def global_states(self) -> Set[str]:
-        """Names of element-state members the function touches."""
-        out: Set[str] = set()
-        for inst in self.instructions():
-            for loc in inst.reads() | inst.writes():
-                if loc.is_global:
-                    out.add(loc.name)
-        return out
 
     def __repr__(self) -> str:
         return (

@@ -1,6 +1,6 @@
 """IR interpreter.
 
-Gives the IR executable semantics.  Three consumers:
+Gives the IR executable semantics.  Four consumers:
 
 * the **baseline** (FastClick-style) runner executes the whole ``process``
   function per packet on the simulated middlebox server,
@@ -8,7 +8,10 @@ Gives the IR executable semantics.  Three consumers:
   partition, seeded with the shim-header values the switch forwarded,
 * **differential tests** compare the unpartitioned interpretation against
   the deployed switch+server pipeline packet by packet (the paper's
-  functional-equivalence goal).
+  functional-equivalence goal),
+* the **translation validator** runs this same instruction ladder over
+  symbolic terms (a value domain, see :class:`IntDomain`) to prove that
+  equivalence per compilation.
 
 The interpreter also counts executed instructions, which the performance
 model converts to CPU cycles.
@@ -17,16 +20,16 @@ model converts to CPU cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import and_
 from typing import Dict, List, Optional, Tuple
 
-from repro.lang.types import BOOL, IntType
+from repro.lang.types import BOOL, IntType, bit_width_of
 from repro.ir import instructions as irin
 from repro.ir.externs import ExternHost
 from repro.ir.function import Function
 from repro.ir.lowering import StateMember
 from repro.ir.values import Const, Operand, Reg
 from repro.net.addresses import Ipv4Address, MacAddress
-from repro.net.headers import TcpHeader, UdpHeader
 
 
 class InterpreterError(Exception):
@@ -182,10 +185,7 @@ class StateStore:
                 self.vectors[name] = []
             else:
                 self.scalars[name] = 0
-                try:
-                    width = member.member_type.bit_width()
-                except Exception:
-                    width = 0
+                width = bit_width_of(member.member_type, 0)
                 if width > 0:
                     self._scalar_masks[name] = (1 << width) - 1
         #: Mutation journal: (op, member, keys, value) tuples appended by
@@ -398,25 +398,67 @@ def _apply_binop(op: irin.BinOpKind, a: int, b: int) -> int:
     raise InterpreterError(f"unknown binop {op}")
 
 
-def _width_of(type_) -> int:
-    try:
-        return type_.bit_width()
-    except Exception:
-        return 32
+def _apply_unop(op: irin.UnOpKind, a: int) -> int:
+    if op is irin.UnOpKind.NEG:
+        return -a
+    if op is irin.UnOpKind.NOT:
+        return ~a
+    return int(not a)  # LNOT
+
+
+#: Mask of the default (non-IntType, non-bool) register wrap.
+MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+class IntDomain:
+    """The values :class:`Interpreter` computes with, as the six operations
+    its instruction ladder applies to them and the failures it raises.
+
+    This is the concrete domain: a value is a Python int.  The translation
+    validator runs the same ladder over symbolic terms by supplying its own
+    (:class:`repro.verify.symbolic.engine.TermDomain`).
+    """
+
+    #: constant -> value; ``None``: a constant is its own value
+    lift = None
+    #: value -> the side a branch takes; ``None``: a value is its own truth
+    decide = None
+    binop = staticmethod(_apply_binop)
+    unop = staticmethod(_apply_unop)
+    #: ``wrap(value, mask)``: a result as a ``mask``-wide register holds it
+    wrap = staticmethod(and_)
+
+    @staticmethod
+    def boolify(value: int) -> int:
+        """A result as a ``bool`` register holds it."""
+        return 1 if value else 0
+
+    #: raised on bad IR (undefined register, packet access without one...)
+    error = InterpreterError
+    #: raised when one run exceeds ``max_steps`` instructions
+    step_limit = InterpreterError
+    max_steps = _MAX_STEPS
 
 
 class Interpreter:
-    """Executes one IR function against a packet view and state store."""
+    """Executes one IR function against a packet view and state store.
+
+    This ladder is the only evaluator of the IR: ``domain`` says what a
+    value is (ints here; the prover passes terms), and ``state`` /
+    ``packet`` / ``externs`` need only speak that domain's values.
+    """
 
     def __init__(
         self,
         function: Function,
         state: StateStore,
         externs: Optional[ExternHost] = None,
+        domain=IntDomain,
     ):
         self.function = function
         self.state = state
         self.externs = externs or ExternHost()
+        self.domain = domain
 
     def run(
         self,
@@ -430,28 +472,43 @@ class Interpreter:
         executed: List[int] = []
         verdict: Optional[str] = None
         egress: Optional[int] = None
-        tracer = getattr(self.state, "tracer", None)
+        state = self.state
+        tracer = getattr(state, "tracer", None)
         deep = tracer is not None and tracer.deep
+        domain = self.domain
+        lift, decide = domain.lift, domain.decide
+        binop, unop = domain.binop, domain.unop
+        wrap, boolify = domain.wrap, domain.boolify
+        error, max_steps = domain.error, domain.max_steps
 
-        def value_of(operand: Operand) -> int:
+        def value_of(operand: Operand):
             if isinstance(operand, Const):
-                return operand.value
+                return operand.value if lift is None else lift(operand.value)
             if isinstance(operand, Reg):
                 try:
                     return env[operand.name]
                 except KeyError:
-                    raise InterpreterError(
+                    raise error(
                         f"{self.function.name}: read of undefined register"
                         f" %{operand.name}"
                     ) from None
-            raise InterpreterError(f"bad operand {operand!r}")
+            raise error(f"bad operand {operand!r}")
+
+        def wrapped(value, reg: Reg):
+            """``value`` as register ``reg`` holds it."""
+            type_ = reg.type
+            if type_ is BOOL:
+                return boolify(value)
+            if isinstance(type_, IntType):
+                return wrap(value, type_.mask)
+            return wrap(value, MASK64)
 
         while True:
             next_block: Optional[str] = None
             for position, inst in enumerate(block.instructions):
                 steps += 1
-                if steps > _MAX_STEPS:
-                    raise InterpreterError(
+                if steps > max_steps:
+                    raise domain.step_limit(
                         f"{self.function.name}: step limit exceeded"
                         " (runaway loop?)"
                     )
@@ -465,76 +522,73 @@ class Interpreter:
                                   block=block.name, position=position,
                                   op=type(inst).__name__)
                 if isinstance(inst, irin.Assign):
-                    env[inst.dst.name] = self._wrap(value_of(inst.src), inst.dst)
+                    env[inst.dst.name] = wrapped(value_of(inst.src), inst.dst)
                 elif isinstance(inst, irin.BinOp):
-                    result = _apply_binop(
+                    result = binop(
                         inst.op, value_of(inst.lhs), value_of(inst.rhs)
                     )
-                    env[inst.dst.name] = self._wrap(result, inst.dst)
+                    env[inst.dst.name] = wrapped(result, inst.dst)
                 elif isinstance(inst, irin.UnOp):
-                    src = value_of(inst.src)
-                    if inst.op is irin.UnOpKind.NEG:
-                        result = -src
-                    elif inst.op is irin.UnOpKind.NOT:
-                        result = ~src
-                    else:  # LNOT
-                        result = int(not src)
-                    env[inst.dst.name] = self._wrap(result, inst.dst)
+                    env[inst.dst.name] = wrapped(
+                        unop(inst.op, value_of(inst.src)), inst.dst
+                    )
                 elif isinstance(inst, irin.Cast):
-                    env[inst.dst.name] = self._wrap(value_of(inst.src), inst.dst)
+                    env[inst.dst.name] = wrapped(value_of(inst.src), inst.dst)
                 elif isinstance(inst, irin.LoadPacketField):
                     if packet is None:
-                        raise InterpreterError("packet access without a packet")
-                    env[inst.dst.name] = self._wrap(
+                        raise error("packet access without a packet")
+                    env[inst.dst.name] = wrapped(
                         packet.get_field(inst.region, inst.field), inst.dst
                     )
                 elif isinstance(inst, irin.StorePacketField):
                     if packet is None:
-                        raise InterpreterError("packet access without a packet")
+                        raise error("packet access without a packet")
                     value = value_of(inst.src)
                     packet.set_field(inst.region, inst.field, value)
                     if tracer is not None:
                         tracer.record("packet_write", region=inst.region,
                                       field=inst.field, value=value)
                 elif isinstance(inst, irin.LoadState):
-                    env[inst.dst.name] = self._wrap(
-                        self.state.load_scalar(inst.state), inst.dst
+                    env[inst.dst.name] = wrapped(
+                        state.load_scalar(inst.state), inst.dst
                     )
                 elif isinstance(inst, irin.StoreState):
-                    self.state.store_scalar(inst.state, value_of(inst.src))
+                    state.store_scalar(inst.state, value_of(inst.src))
                 elif isinstance(inst, irin.RegisterRMW):
-                    old = self.state.rmw_scalar(
+                    old = state.rmw_scalar(
                         inst.state,
                         inst.op,
                         value_of(inst.operand),
-                        _width_of(inst.dst.type),
+                        bit_width_of(inst.dst.type, 32),
                     )
-                    env[inst.dst.name] = self._wrap(old, inst.dst)
+                    env[inst.dst.name] = wrapped(old, inst.dst)
                 elif isinstance(inst, irin.MapFind):
                     keys = tuple(value_of(k) for k in inst.keys)
-                    found, value = self.state.map_find(inst.state, keys)
-                    env[inst.found.name] = int(found)
+                    found, value = state.map_find(inst.state, keys)
+                    env[inst.found.name] = (
+                        int(found) if lift is None else lift(int(found))
+                    )
                     if inst.value is not None:
                         env[inst.value.name] = value
                 elif isinstance(inst, irin.MapInsert):
                     keys = tuple(value_of(k) for k in inst.keys)
-                    self.state.map_insert(inst.state, keys, value_of(inst.value))
+                    state.map_insert(inst.state, keys, value_of(inst.value))
                 elif isinstance(inst, irin.MapErase):
                     keys = tuple(value_of(k) for k in inst.keys)
-                    self.state.map_erase(inst.state, keys)
+                    state.map_erase(inst.state, keys)
                 elif isinstance(inst, irin.VectorGet):
-                    env[inst.dst.name] = self.state.vector_get(
+                    env[inst.dst.name] = state.vector_get(
                         inst.state, value_of(inst.index)
                     )
                 elif isinstance(inst, irin.VectorLen):
-                    env[inst.dst.name] = self.state.vector_len(inst.state)
+                    env[inst.dst.name] = state.vector_len(inst.state)
                 elif isinstance(inst, irin.VectorPush):
-                    self.state.vector_push(inst.state, value_of(inst.value))
+                    state.vector_push(inst.state, value_of(inst.value))
                 elif isinstance(inst, irin.ExternCall):
                     args = [value_of(a) for a in inst.args]
                     result = self.externs.call(inst.name, args, packet)
                     if inst.dst is not None:
-                        env[inst.dst.name] = self._wrap(result, inst.dst)
+                        env[inst.dst.name] = wrapped(result, inst.dst)
                 elif isinstance(inst, irin.SendTo):
                     verdict = "send"
                     egress = value_of(inst.port)
@@ -558,15 +612,16 @@ class Interpreter:
                     next_block = inst.target
                     break
                 elif isinstance(inst, irin.Branch):
-                    next_block = (
-                        inst.if_true if value_of(inst.cond) else inst.if_false
-                    )
+                    taken = value_of(inst.cond)
+                    if decide is not None:
+                        taken = decide(taken)
+                    next_block = inst.if_true if taken else inst.if_false
                     break
                 elif isinstance(inst, irin.Return):
                     next_block = None
                     break
                 else:
-                    raise InterpreterError(
+                    raise error(
                         f"unhandled instruction {type(inst).__name__}"
                     )
             if next_block is None:
@@ -579,11 +634,12 @@ class Interpreter:
                 )
             block = self.function.blocks[next_block]
 
-    @staticmethod
-    def _wrap(value: int, reg: Reg) -> int:
-        type_ = reg.type
-        if type_ is BOOL:
-            return 1 if value else 0
-        if isinstance(type_, IntType):
-            return value & type_.mask
-        return value & 0xFFFFFFFFFFFFFFFF
+
+def interpreted(function: Function):
+    """``function`` on this engine in a compiled function's calling shape,
+    ``run(state, externs, packet=, initial_env=)`` — what a runtime holds
+    when it was not asked for the fast path (the state store is passed per
+    call: crash recovery swaps it)."""
+    def run(state, externs=None, packet=None, initial_env=None):
+        return Interpreter(function, state, externs).run(packet, initial_env)
+    return run

@@ -159,9 +159,6 @@ class LoweredMiddlebox:
     state: Dict[str, StateMember]
     program: ast.Program
 
-    def state_member(self, name: str) -> StateMember:
-        return self.state[name]
-
 
 # ---------------------------------------------------------------------------
 # Scopes
@@ -231,7 +228,7 @@ class _MethodLowering:
             self.builder.emit(irin.Return())
         function = self.builder.function
         _peephole_register_rmw(function)
-        _prune_unreachable(function)
+        function.prune_unreachable()
         validate_function(function)
         return function
 
@@ -1216,21 +1213,6 @@ def _find_mergeable_rmw(insts, start: int, load: irin.LoadState, all_insts):
         if state in state_locs:
             return None
     return None
-
-
-def _prune_unreachable(function: Function) -> None:
-    """Remove blocks unreachable from the entry."""
-    reachable = set()
-    stack = [function.entry]
-    while stack:
-        name = stack.pop()
-        if name in reachable or name not in function.blocks:
-            continue
-        reachable.add(name)
-        stack.extend(function.blocks[name].successors())
-    for name in list(function.blocks):
-        if name not in reachable:
-            del function.blocks[name]
 
 
 # ---------------------------------------------------------------------------

@@ -110,10 +110,6 @@ class Reg(Operand):
         return f"%{self.name}"
 
 
-def const_bool(value: bool) -> Const:
-    return Const(1 if value else 0, BOOL)
-
-
 def const_int(value: int, bits: int = 32) -> Const:
     int_type = IntType(bits)
     return Const(int_type.wrap(value), int_type)

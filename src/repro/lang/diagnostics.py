@@ -36,7 +36,3 @@ class LexError(FrontendError):
 
 class ParseError(FrontendError):
     """Raised on malformed syntax."""
-
-
-class SemanticError(FrontendError):
-    """Raised on type errors and other semantic violations."""

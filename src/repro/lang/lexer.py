@@ -122,11 +122,6 @@ class Token:
     def is_keyword(self, text: str) -> bool:
         return self.kind is TokenKind.KEYWORD and self.text == text
 
-    def is_ident(self, text: Optional[str] = None) -> bool:
-        if self.kind is not TokenKind.IDENT:
-            return False
-        return text is None or self.text == text
-
     def __repr__(self) -> str:
         return f"Token({self.kind.value}, {self.text!r}, {self.location})"
 

@@ -14,6 +14,7 @@ The subset's types mirror what Gallium can reason about:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 
@@ -30,9 +31,17 @@ class Type:
     def is_integer(self) -> bool:
         return isinstance(self, (IntType, BoolType))
 
-    @property
-    def is_pointer(self) -> bool:
-        return isinstance(self, PointerType)
+
+def bit_width_of(type_, default: int) -> int:
+    """``type_.bit_width()``, or ``default`` where there is none to resolve:
+    the bare :class:`Type` has no size (``NotImplementedError``) and a
+    register built without a type has no method (``AttributeError``).
+    Every engine sizes a state member or an RMW through this, so two of
+    them cannot disagree on a fallback."""
+    try:
+        return type_.bit_width()
+    except (NotImplementedError, AttributeError):
+        return default
 
 
 @dataclass(frozen=True)
@@ -47,7 +56,7 @@ class IntType(Type):
     def bit_width(self) -> int:
         return self.bits
 
-    @property
+    @cached_property
     def mask(self) -> int:
         return (1 << self.bits) - 1
 
@@ -274,12 +283,4 @@ def lookup_named_type(name: str) -> Optional[Type]:
         return PACKET
     if name in BUILTIN_HEADER_TYPES:
         return BUILTIN_HEADER_TYPES[name]
-    return None
-
-
-def region_header_type(region: str) -> Optional[HeaderType]:
-    """Map an abstract packet region back to its header record type."""
-    for header in BUILTIN_HEADER_TYPES.values():
-        if header.region == region:
-            return header
     return None

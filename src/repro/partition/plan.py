@@ -100,13 +100,6 @@ class PartitionPlan:
     def partition_of(self, inst: Instruction) -> Partition:
         return self.assignment[inst.id]
 
-    def instructions_in(self, partition: Partition) -> List[Instruction]:
-        return [
-            inst
-            for inst in self.middlebox.process.instructions()
-            if self.assignment.get(inst.id) is partition
-        ]
-
     def offloaded_fraction(self) -> float:
         total = len(self.assignment)
         if not total:

@@ -150,7 +150,7 @@ def project_partition(
         else:  # pragma: no cover - exhaustive above
             raise TypeError(f"unknown terminator {terminator!r}")
 
-    _prune_unreachable(projected)
+    projected.prune_unreachable()
     _simplify_empty_blocks(projected)
     if partition is not Partition.PRE:
         _rematerialize_pure_slices(function, projected, partition)
@@ -342,20 +342,6 @@ def _undefined_uses(function: Function) -> Set[str]:
     return used - defined
 
 
-def _prune_unreachable(function: Function) -> None:
-    reachable: Set[str] = set()
-    stack = [function.entry]
-    while stack:
-        name = stack.pop()
-        if name in reachable or name not in function.blocks:
-            continue
-        reachable.add(name)
-        stack.extend(function.blocks[name].successors())
-    for name in list(function.blocks):
-        if name not in reachable:
-            del function.blocks[name]
-
-
 def _simplify_empty_blocks(function: Function) -> None:
     """Forward jumps through blocks that contain only a Jump."""
     forward: Dict[str, str] = {}
@@ -387,4 +373,4 @@ def _simplify_empty_blocks(function: Function) -> None:
                 block.instructions[-1] = irin.Branch(
                     term.cond, new_true, new_false, stmt_id=term.stmt_id
                 )
-    _prune_unreachable(function)
+    function.prune_unreachable()

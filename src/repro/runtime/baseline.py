@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.ir.externs import ExternHost
-from repro.ir.interp import Interpreter, PacketView, StateStore
+from repro.ir.interp import Interpreter, PacketView, StateStore, interpreted
 from repro.ir.lowering import LoweredMiddlebox, lower_program
 from repro.lang.parser import parse_program
 from repro.net.packet import RawPacket
@@ -43,11 +43,12 @@ class FastClickRuntime:
         self.state = StateStore(lowered.state)
         self.externs = ExternHost(config=config, clock=clock)
         self.fast_path = fast_path
-        self._engine = None
         if fast_path:
-            from repro.runtime.compiled import CompiledServerExecutor
+            from repro.ir.compile import compile_function
 
-            self._engine = CompiledServerExecutor(lowered.process)
+            self._run = compile_function(lowered.process).run
+        else:
+            self._run = interpreted(lowered.process)
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.state.tracer = self.telemetry.active_tracer
         self.packets_processed = 0
@@ -93,13 +94,9 @@ class FastClickRuntime:
         if self._int is not None:
             self._int.begin_packet(self.packets_processed, packet)
         packet.ingress_port = ingress_port
-        view = PacketView(packet)
-        if self._engine is not None:
-            result = self._engine.run(self.state, self.externs, packet=view)
-        else:
-            result = Interpreter(
-                self.lowered.process, self.state, self.externs
-            ).run(view)
+        result = self._run(
+            self.state, self.externs, packet=PacketView(packet)
+        )
         self.packets_processed += 1
         self.instructions_total += result.instructions_executed
         self._c_packets.inc()

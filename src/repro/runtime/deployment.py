@@ -104,10 +104,6 @@ class PacketJourney:
     stale_wait_us: float = 0.0
 
     @property
-    def server_involved(self) -> bool:
-        return self.punted
-
-    @property
     def delivered(self) -> bool:
         """Full middlebox semantics were applied to this packet."""
         return not self.degraded and not self.queued

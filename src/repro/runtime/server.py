@@ -16,8 +16,8 @@ bounded-cache punt both need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set
 
 from repro.codegen.headers import (
     FLAG_VERDICT_DROP,
@@ -26,12 +26,55 @@ from repro.codegen.headers import (
     ShimLayout,
 )
 from repro.ir.externs import ExternHost
-from repro.ir.function import Function
-from repro.ir.interp import Interpreter, PacketView, StateStore
+from repro.ir.interp import PacketView, StateStore, interpreted
 from repro.net.packet import RawPacket
 from repro.partition.plan import PartitionPlan, PlacementKind
 from repro.switchsim.control_plane import StateUpdate
 from repro.switchsim.switch_model import SHIM_DIR_KEY, SHIM_KEY
+
+
+# ---------------------------------------------------------------------------
+# The replication rule (§4.3.3): which of a punt's writes the switch must
+# see before the packet is released, and how the verdict travels back.
+# Plain functions over journal entries ``(op, member, keys, value)`` that
+# never look at a value — the translation validator composes its symbolic
+# deployment with these same three, so a proof is about the rule the
+# deployment runs.
+# ---------------------------------------------------------------------------
+
+
+def replicated_members(plan: PartitionPlan) -> Set[str]:
+    """State members whose server-side writes are replicated to the switch."""
+    return {
+        name
+        for name, placement in plan.placements.items()
+        if placement.replicated or placement.kind is PlacementKind.SWITCH_TABLE
+    }
+
+
+def updates_from_journal(plan: PartitionPlan, replicated: Set[str],
+                         journal) -> List[StateUpdate]:
+    """Convert journal entries on replicated state to switch updates."""
+    updates: List[StateUpdate] = []
+    for op, member, keys, value in journal:
+        if member not in replicated:
+            continue
+        if plan.placements[member].member.kind == "scalar" or op == "store":
+            updates.append(StateUpdate("register", member, (), value))
+        elif op in ("insert", "push"):
+            updates.append(StateUpdate("insert", member, keys, value))
+        elif op == "erase":
+            updates.append(StateUpdate("delete", member, keys, None))
+    return updates
+
+
+def verdict_flag(verdict: Optional[str]) -> int:
+    """The return shim's ``__verdict`` field for a server-side verdict."""
+    if verdict == "send":
+        return FLAG_VERDICT_SEND
+    if verdict == "drop":
+        return FLAG_VERDICT_DROP
+    return FLAG_VERDICT_NONE
 
 
 @dataclass
@@ -66,21 +109,18 @@ class ServerRuntime:
         self.shim_to_switch = shim_to_switch
         self.externs = externs or ExternHost()
         self.fast_path = fast_path
-        self._engine = None
-        self._complete_engine = None
+        #: ``run(state, externs, packet=, initial_env=)`` of the punt
+        #: partition and of the complete program, on the chosen engine
         if fast_path:
-            from repro.runtime.compiled import CompiledServerExecutor
+            from repro.ir.compile import compile_function
 
-            self._engine = CompiledServerExecutor(plan.non_offloaded)
-            self._complete_engine = CompiledServerExecutor(
-                plan.middlebox.process
-            )
+            self._run_partition = compile_function(plan.non_offloaded).run
+            self._run_program = compile_function(plan.middlebox.process).run
+        else:
+            self._run_partition = interpreted(plan.non_offloaded)
+            self._run_program = interpreted(plan.middlebox.process)
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self._replicated = {
-            name
-            for name, placement in plan.placements.items()
-            if placement.replicated or placement.kind is PlacementKind.SWITCH_TABLE
-        }
+        self._replicated = replicated_members(plan)
         self.packets_handled = 0
         self.instructions_total = 0
         #: full write journal of the most recent punt this runtime served
@@ -109,15 +149,10 @@ class ServerRuntime:
         tracer = self.telemetry.active_tracer
         if tracer is not None:
             tracer.set_component("server")
-        view = PacketView(packet)
-        if self._engine is not None:
-            result = self._engine.run(
-                self.state, self.externs, packet=view, initial_env=env
-            )
-        else:
-            result = Interpreter(
-                self.plan.non_offloaded, self.state, self.externs
-            ).run(view, initial_env=env)
+        result = self._run_partition(
+            self.state, self.externs, packet=PacketView(packet),
+            initial_env=env,
+        )
         self.packets_handled += 1
         self.instructions_total += result.instructions_executed
         self._c_punts.inc()
@@ -128,7 +163,7 @@ class ServerRuntime:
 
         journal = self.state.drain_journal()
         self.last_journal = journal
-        updates = self._updates_from_journal(journal)
+        updates = updates_from_journal(self.plan, self._replicated, journal)
         if tracer is not None:
             tracer.record(
                 "server_exec",
@@ -144,7 +179,7 @@ class ServerRuntime:
                     if result.verdict == "send" else 0,
                 )
         out_values: Dict[str, int] = {
-            "__verdict": _verdict_flag(result.verdict),
+            "__verdict": verdict_flag(result.verdict),
             "__egress_port": result.egress_port or 0,
             "__ingress_port": ingress,
         }
@@ -173,15 +208,9 @@ class ServerRuntime:
         from repro.sim.clock import SERVER_INSTR_US
 
         self.state.drain_journal()  # discard any stale entries
-        view = PacketView(packet)
-        if self._complete_engine is not None:
-            result = self._complete_engine.run(
-                self.state, self.externs, packet=view
-            )
-        else:
-            result = Interpreter(
-                self.plan.middlebox.process, self.state, self.externs
-            ).run(view)
+        result = self._run_program(
+            self.state, self.externs, packet=PacketView(packet)
+        )
         self.telemetry.clock.advance(
             result.instructions_executed * SERVER_INSTR_US
         )
@@ -190,35 +219,8 @@ class ServerRuntime:
             packet=packet,
             verdict=result.verdict,
             egress_port=result.egress_port,
-            updates=self._updates_from_journal(self.last_journal),
+            updates=updates_from_journal(
+                self.plan, self._replicated, self.last_journal
+            ),
             instructions=result.instructions_executed,
         )
-
-    def _updates_from_journal(self, journal) -> List[StateUpdate]:
-        """Convert journal entries on replicated state to switch updates."""
-        updates: List[StateUpdate] = []
-        for op, member, keys, value in journal:
-            if member not in self._replicated:
-                continue
-            placement = self.plan.placements[member]
-            if placement.member.kind == "scalar":
-                updates.append(
-                    StateUpdate("register", member, (), value)
-                )
-            elif op == "insert":
-                updates.append(StateUpdate("insert", member, keys, value))
-            elif op == "erase":
-                updates.append(StateUpdate("delete", member, keys, None))
-            elif op == "push":
-                updates.append(StateUpdate("insert", member, keys, value))
-            elif op == "store":
-                updates.append(StateUpdate("register", member, (), value))
-        return updates
-
-
-def _verdict_flag(verdict: Optional[str]) -> int:
-    if verdict == "send":
-        return FLAG_VERDICT_SEND
-    if verdict == "drop":
-        return FLAG_VERDICT_DROP
-    return FLAG_VERDICT_NONE

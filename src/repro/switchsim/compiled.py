@@ -39,7 +39,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.ir import instructions as irin
 from repro.ir.compile import FunctionEmitter, load
 from repro.ir.function import Function
-from repro.ir.interp import PacketView, _width_of
+from repro.ir.interp import PacketView
+from repro.lang.types import bit_width_of
 from repro.net.packet import RawPacket
 from repro.switchsim.pipeline import (
     Traversal,
@@ -115,7 +116,8 @@ class SwitchEmitter(FunctionEmitter):
 
     def state_rmw(self, inst: irin.RegisterRMW) -> None:
         self.emit(f"_k = {self.operand(inst.operand)}")
-        register = self.element(inst.state, "rmw", _width_of(inst.dst.type))
+        register = self.element(inst.state, "rmw",
+                                bit_width_of(inst.dst.type, 32))
         self.emit(f"_v = {register}.rmw(_K.{inst.op.name}, _k)")
         self.emit("if tracer is not None:")
         self.emit(f"    tracer.record('register_rmw', name={inst.state!r},"

@@ -20,7 +20,7 @@ all state accesses with the switch's tables and registers through
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple, Type
 
 from repro.ir.function import Function
 from repro.ir.interp import Interpreter, PacketView
@@ -37,25 +37,32 @@ class DataPlaneViolation(Exception):
     """A pipeline attempted an operation the data plane cannot perform."""
 
 
-def accessed_twice(state: str) -> DataPlaneViolation:
-    return DataPlaneViolation(
+#: The builders below spell each violation once; an engine with its own
+#: exception class for them (the prover's symbolic switch) names it.
+Violation = Type[Exception]
+
+
+def accessed_twice(state: str,
+                   violation: Violation = DataPlaneViolation) -> Exception:
+    return violation(
         f"stateful element {state!r} accessed twice in one traversal"
     )
 
 
-def unknown_member(access: str, name: str) -> DataPlaneViolation:
+def unknown_member(access: str, name: str,
+                   violation: Violation = DataPlaneViolation) -> Exception:
     """``access`` is the phrase the violation opens with: ``"lookup on
     unknown table"``, ``"read of unknown register"``, ``"RMW of unknown
     register"``."""
-    return DataPlaneViolation(f"{access} {name!r}")
+    return violation(f"{access} {name!r}")
 
 
-def rmw_width_mismatch(name: str, width: int,
-                       register: Register) -> DataPlaneViolation:
+def rmw_width_mismatch(name: str, width: int, register,
+                       violation: Violation = DataPlaneViolation) -> Exception:
     # Uniform with StateStore.rmw_scalar: a caller-supplied width must
     # agree with the cell's declared width, never silently re-mask (the
     # stateful ALU wraps at width_bits, full stop).
-    return DataPlaneViolation(
+    return violation(
         f"RMW width {width} does not match register {name!r}"
         f" width {register.width_bits}"
     )
@@ -72,49 +79,94 @@ FORBIDDEN = {
 }
 
 
-def forbidden(operation: str, name: str) -> DataPlaneViolation:
-    return DataPlaneViolation(FORBIDDEN[operation].format(name=name))
+def forbidden(operation: str, name: str,
+              violation: Violation = DataPlaneViolation) -> Exception:
+    return violation(FORBIDDEN[operation].format(name=name))
 
 
-class SwitchStateAdapter:
+class AccessRules:
+    """What one traversal may do to ``tables`` and ``registers``, whatever
+    a value in them is: one access per stateful element, none to an
+    element the switch does not hold, an RMW only at the register's
+    declared width, none of the five mutations.  The interpreted adapter
+    below and the prover's symbolic switch state are this plus their own
+    lookups; the compiled rendition emits the same builders in place."""
+
+    tables: Mapping[str, Any]
+    registers: Mapping[str, Any]
+    #: the exception a refused access raises
+    violation: Violation = DataPlaneViolation
+
+    def begin_traversal(self) -> None:
+        self._accessed: set = set()
+
+    def _count(self, state: str) -> None:
+        if state in self._accessed:
+            raise accessed_twice(state, self.violation)
+        self._accessed.add(state)
+
+    def _table(self, name: str):
+        """The table behind this traversal's one lookup on ``name``."""
+        self._count(name)
+        table = self.tables.get(name)
+        if table is None:
+            raise unknown_member("lookup on unknown table", name,
+                                 self.violation)
+        return table
+
+    def _register(self, name: str, access: str, width: Optional[int] = None):
+        """The register behind this traversal's one ``access`` (``"read"``
+        | ``"RMW"``) of ``name``."""
+        self._count(name)
+        register = self.registers.get(name)
+        if register is None:
+            raise unknown_member(f"{access} of unknown register", name,
+                                 self.violation)
+        if width and width != register.width_bits:
+            raise rmw_width_mismatch(name, width, register, self.violation)
+        return register
+
+    # -- operations the data plane cannot do -----------------------------------
+
+    def map_insert(self, name: str, keys, value) -> None:
+        raise forbidden("map_insert", name, self.violation)
+
+    def map_erase(self, name: str, keys) -> None:
+        raise forbidden("map_erase", name, self.violation)
+
+    def store_scalar(self, name: str, value) -> None:
+        raise forbidden("store_scalar", name, self.violation)
+
+    def vector_len(self, name: str):
+        raise forbidden("vector_len", name, self.violation)
+
+    def vector_push(self, name: str, value) -> None:
+        raise forbidden("vector_push", name, self.violation)
+
+
+class SwitchStateAdapter(AccessRules):
     """StateStore-compatible facade over switch tables and registers."""
 
     def __init__(self, tables: Dict[str, ExactMatchTable],
                  registers: Dict[str, Register]):
         self.tables = tables
         self.registers = registers
-        self._access_counts: Dict[str, int] = {}
+        self.begin_traversal()
         #: Optional :class:`repro.telemetry.PacketTracer` (``None`` when
         #: tracing is off; the interpreter picks it up via ``state.tracer``).
         self.tracer = None
 
-    def begin_traversal(self) -> None:
-        self._access_counts = {}
-
-    def _count(self, state: str) -> None:
-        self._access_counts[state] = self._access_counts.get(state, 0) + 1
-        if self._access_counts[state] > 1:
-            raise accessed_twice(state)
-
     # -- StateStore interface ------------------------------------------------
 
     def map_find(self, name: str, keys: tuple):
-        self._count(name)
-        table = self.tables.get(name)
-        if table is None:
-            raise unknown_member("lookup on unknown table", name)
-        found, value = table.lookup(keys)
+        found, value = self._table(name).lookup(keys)
         if self.tracer is not None:
             self.tracer.record("table_lookup", name=name, key=keys,
                                hit=found, value=value)
         return found, value
 
     def vector_get(self, name: str, index: int) -> int:
-        self._count(name)
-        table = self.tables.get(name)
-        if table is None:
-            raise unknown_member("lookup on unknown table", name)
-        found, value = table.lookup((index,))
+        found, value = self._table(name).lookup((index,))
         value = value if found else 0
         if self.tracer is not None:
             self.tracer.record("vector_get", name=name, index=index,
@@ -122,46 +174,20 @@ class SwitchStateAdapter:
         return value
 
     def load_scalar(self, name: str) -> int:
-        self._count(name)
-        register = self.registers.get(name)
-        if register is None:
-            raise unknown_member("read of unknown register", name)
-        value = register.read()
+        value = self._register(name, "read").read()
         if self.tracer is not None:
             self.tracer.record("register_read", name=name, value=value)
         return value
 
     def rmw_scalar(self, name: str, op, operand: int,
                    width: Optional[int] = None) -> int:
-        self._count(name)
-        register = self.registers.get(name)
-        if register is None:
-            raise unknown_member("RMW of unknown register", name)
-        if width and width != register.width_bits:
-            raise rmw_width_mismatch(name, width, register)
+        register = self._register(name, "RMW", width)
         old = register.rmw(op, operand)
         if self.tracer is not None:
             self.tracer.record("register_rmw", name=name,
                                op=getattr(op, "name", str(op)).lower(),
                                old=old, new=register.value)
         return old
-
-    # -- operations the data plane cannot do -----------------------------------
-
-    def map_insert(self, name: str, keys: tuple, value: int) -> None:
-        raise forbidden("map_insert", name)
-
-    def map_erase(self, name: str, keys: tuple) -> None:
-        raise forbidden("map_erase", name)
-
-    def store_scalar(self, name: str, value: int) -> None:
-        raise forbidden("store_scalar", name)
-
-    def vector_len(self, name: str) -> int:
-        raise forbidden("vector_len", name)
-
-    def vector_push(self, name: str, value: int) -> None:
-        raise forbidden("vector_push", name)
 
 
 class PipelineExecutor:

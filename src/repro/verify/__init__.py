@@ -26,7 +26,7 @@ vice versa) is a new bug class and gets its own failure report.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List
+from typing import FrozenSet
 
 from repro.codegen.headers import ShimLayout
 from repro.partition.plan import PartitionPlan

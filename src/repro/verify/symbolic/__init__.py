@@ -1,7 +1,8 @@
 """Translation validation: symbolic equivalence proving per compilation.
 
 See :mod:`repro.verify.symbolic.prover` for the prover itself,
-:mod:`repro.verify.symbolic.engine` for the symbolic interpreter, and
+:mod:`repro.verify.symbolic.engine` for the value domain and symbolic
+stores the IR interpreter's ladder runs over, and
 :mod:`repro.verify.symbolic.terms` for the bit-vector term language.
 """
 

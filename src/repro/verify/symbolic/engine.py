@@ -1,4 +1,4 @@
-"""Symbolic execution engine mirroring the IR interpreter.
+"""The translation validator's symbolic deployment model.
 
 One **world** is a single control-flow path through a function (or a
 composed switch⊕server journey), identified by the sequence of boolean
@@ -8,22 +8,40 @@ standard script-DFS: run with a decision prefix, then enqueue every
 one-bit flip of the fresh suffix, until no unexplored flip remains or
 the world budget is exhausted.
 
-Everything here mirrors a concrete twin line by line:
+What the model never needs a value for is not modelled here — the prover
+runs the deployment's own definition of it:
 
-========================  ========================================
-symbolic class            concrete twin
-========================  ========================================
-``sym_run``               ``repro.ir.interp.Interpreter.run``
-``SymPacketView``         ``repro.ir.interp.PacketView``
-``SymStateStore``         ``repro.ir.interp.StateStore``
-``SymSwitchState``        ``repro.switchsim.pipeline.SwitchStateAdapter``
-                          + ``ExactMatchTable`` + ``Register``
-``SymExternHost``         ``repro.ir.externs.ExternHost``
-========================  ========================================
+==============================  ======================================
+shared                          the one definition
+==============================  ======================================
+instruction ladder              ``repro.ir.interp.Interpreter.run``
+                                over :class:`TermDomain`
+replication rule                ``repro.runtime.server``:
+                                ``replicated_members``,
+                                ``updates_from_journal``, ``verdict_flag``
+data-plane access rules         ``repro.switchsim.pipeline.AccessRules``
+member and RMW bit widths       ``repro.lang.types.bit_width_of``
+==============================  ======================================
 
-The mirrors take :class:`~repro.verify.symbolic.terms.Term` values where
-the twins take ints; a deliberate divergence anywhere between a mirror
-and its twin is a soundness hole, so keep them in lockstep.
+What does look at a value is mirrored over
+:class:`~repro.verify.symbolic.terms.Term`:
+
+==============================  ======================================
+mirror                          concrete twin
+==============================  ======================================
+``terms`` (the algebra)         ``repro.ir.interp.IntDomain``
+``SymPacketView``               ``repro.ir.interp.PacketView``
+``SymStateStore``               ``repro.ir.interp.StateStore``
+``SymTable`` / ``SymRegister``  ``ExactMatchTable`` / ``Register`` and a
+and ``apply_updates``           fault-free ``ControlPlane.apply_batch``
+``SymExternHost``               ``repro.ir.externs.ExternHost``
+``prover._shim_pack``           ``ShimLayout.encode`` then ``decode``
+``prover._resolve_egress_sym``  ``SwitchModel._resolve_egress``
+==============================  ======================================
+
+A divergence between a mirror and its twin is a soundness hole;
+``tests/verify/test_mirror_lockstep.py`` runs every row against its twin,
+concolically, on generated programs and the bundled middleboxes.
 """
 
 from __future__ import annotations
@@ -31,13 +49,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.ir import instructions as irin
-from repro.ir.function import Function
-from repro.ir.interp import _FIELD_MAP, _MAX_STEPS, _width_of
+from repro.ir.interp import _FIELD_MAP
 from repro.ir.lowering import StateMember
-from repro.ir.values import Const, Operand, Reg
-from repro.lang.types import BOOL, IntType
+from repro.lang.types import bit_width_of
+from repro.switchsim.pipeline import AccessRules
 from repro.verify.symbolic.terms import (
-    MASK64,
     Term,
     binop,
     boolify,
@@ -110,6 +126,25 @@ class Chooser:
         return choice
 
 
+class TermDomain:
+    """What a value is when :class:`repro.ir.interp.Interpreter` runs a
+    function symbolically: the term algebra's constructors, branches
+    decided by the world's chooser, the budget's step bound."""
+
+    lift = staticmethod(const)
+    binop = staticmethod(binop)
+    unop = staticmethod(unop)
+    wrap = staticmethod(wrap)
+    boolify = staticmethod(boolify)
+    error = SymExecError
+    step_limit = BudgetExhausted
+
+    def __init__(self, chooser: Chooser, max_steps: int):
+        self.chooser = chooser
+        self.decide = chooser.decide
+        self.max_steps = max_steps
+
+
 # ---------------------------------------------------------------------------
 # Packet adapter
 # ---------------------------------------------------------------------------
@@ -133,6 +168,8 @@ class SymPacketView:
         self.has_udp = has_udp
         self.payload_bytes = payload
         self.ingress_port = ingress_port
+        self.verdict: Optional[str] = None
+        self.egress_port: Optional[Term] = None
 
     def copy(self) -> "SymPacketView":
         return SymPacketView(dict(self.fields), self.has_ip, self.has_tcp,
@@ -195,6 +232,13 @@ class SymPacketView:
     def payload(self) -> bytes:
         return self.payload_bytes
 
+    def send(self, port: Optional[Term] = None) -> None:
+        self.verdict = "send"
+        self.egress_port = port
+
+    def drop(self) -> None:
+        self.verdict = "drop"
+
 
 # ---------------------------------------------------------------------------
 # Server-side state
@@ -239,10 +283,7 @@ class SymStateStore:
                 self.scalars[name] = const(
                     snapshot.get("scalars", {}).get(name, 0)
                 )
-                try:
-                    width = member.member_type.bit_width()
-                except Exception:
-                    width = 0
+                width = bit_width_of(member.member_type, 0)
                 if width > 0:
                     self._scalar_masks[name] = (1 << width) - 1
         self.journal: List[tuple] = []
@@ -385,10 +426,12 @@ class SymRegister:
         self.value = wrap(value, self.mask)
 
 
-class SymSwitchState:
-    """Symbolic mirror of the switch's tables/registers plus the
-    :class:`SwitchStateAdapter` access rules (the run-time shadow of
-    constraint 3) and the fault-free control-plane update path."""
+class SymSwitchState(AccessRules):
+    """The switch's tables and registers over terms: the data plane's
+    :class:`AccessRules` (the run-time shadow of constraint 3) with
+    symbolic lookups, plus the fault-free control-plane update path."""
+
+    violation = CompositionViolation
 
     def __init__(self, program, prestate: dict, chooser: Chooser):
         self.chooser = chooser
@@ -407,87 +450,36 @@ class SymSwitchState:
             )
             for name, spec in program.registers.items()
         }
-        self._access_counts: Dict[str, int] = {}
-
-    def begin_traversal(self) -> None:
-        self._access_counts = {}
-
-    def _count(self, state: str) -> None:
-        self._access_counts[state] = self._access_counts.get(state, 0) + 1
-        if self._access_counts[state] > 1:
-            raise CompositionViolation(
-                f"stateful element {state!r} accessed twice in one traversal"
-            )
+        self.begin_traversal()
 
     # -- StateStore interface (data plane) ------------------------------------
 
     def map_find(self, name: str, keys: Tuple[Term, ...]) -> Tuple[bool, Term]:
-        self._count(name)
-        table = self.tables.get(name)
-        if table is None:
-            raise CompositionViolation(f"lookup on unknown table {name!r}")
-        return table.lookup(keys, self.chooser)
+        return self._table(name).lookup(keys, self.chooser)
 
     def vector_get(self, name: str, index: Term) -> Term:
-        self._count(name)
-        table = self.tables.get(name)
-        if table is None:
-            raise CompositionViolation(f"lookup on unknown table {name!r}")
-        found, value = table.lookup((index,), self.chooser)
+        found, value = self._table(name).lookup((index,), self.chooser)
         return value if found else const(0)
 
     def load_scalar(self, name: str) -> Term:
-        self._count(name)
-        register = self.registers.get(name)
-        if register is None:
-            raise CompositionViolation(f"read of unknown register {name!r}")
-        return register.value
+        return self._register(name, "read").value
 
     def rmw_scalar(self, name: str, op, operand: Term,
                    width: Optional[int] = None) -> Term:
-        self._count(name)
-        register = self.registers.get(name)
-        if register is None:
-            raise CompositionViolation(f"RMW of unknown register {name!r}")
-        if width and width != register.width_bits:
-            raise CompositionViolation(
-                f"RMW width {width} does not match register {name!r}"
-                f" width {register.width_bits}"
-            )
+        register = self._register(name, "RMW", width)
         old = register.value
         register.value = wrap(binop(op, old, operand), register.mask)
         return old
 
-    # -- operations the data plane cannot do -----------------------------------
-
-    def map_insert(self, name: str, keys, value) -> None:
-        raise CompositionViolation(
-            f"map_insert({name!r}) in a switch pipeline — table writes must"
-            " go through the control plane"
-        )
-
-    def map_erase(self, name: str, keys) -> None:
-        raise CompositionViolation(f"map_erase({name!r}) in a switch pipeline")
-
-    def store_scalar(self, name: str, value) -> None:
-        raise CompositionViolation(
-            f"bare register write {name!r} in a switch pipeline"
-        )
-
-    def vector_len(self, name: str) -> Term:
-        raise CompositionViolation(
-            f"vector_len({name!r}) has no switch implementation"
-        )
-
-    def vector_push(self, name: str, value) -> None:
-        raise CompositionViolation(f"vector_push({name!r}) in a switch pipeline")
-
     # -- control plane (replication batch, fault-free) --------------------------
 
     def apply_updates(self, updates) -> None:
-        """Apply one punt's replication batch (``kind, member, keys,
-        value`` tuples) the way a fault-free ``apply_batch`` commit does."""
-        for kind, member, keys, value in updates:
+        """Apply one punt's replication batch (``StateUpdate``s over
+        terms) the way a fault-free ``apply_batch`` commit does."""
+        for update in updates:
+            kind, member, keys, value = (
+                update.op, update.target, update.key, update.value
+            )
             if kind == "register":
                 register = self.registers.get(member)
                 if register is None:
@@ -571,164 +563,3 @@ class SymExternHost:
 
     def _index_bytes(self, payload: bytes, index: Term) -> Term:
         return self._index_seq(payload, index)
-
-
-# ---------------------------------------------------------------------------
-# Execution
-# ---------------------------------------------------------------------------
-
-
-class SymResult:
-    """Mirror of :class:`ExecutionResult` with Term-valued egress/env."""
-
-    __slots__ = ("verdict", "egress", "env", "steps")
-
-    def __init__(self, verdict: Optional[str], egress: Optional[Term],
-                 env: Dict[str, Term], steps: int):
-        self.verdict = verdict
-        self.egress = egress
-        self.env = env
-        self.steps = steps
-
-
-def _wrap_reg(value: Term, reg: Reg) -> Term:
-    type_ = reg.type
-    if type_ is BOOL:
-        return boolify(value)
-    if isinstance(type_, IntType):
-        return wrap(value, type_.mask)
-    return wrap(value, MASK64)
-
-
-def sym_run(
-    function: Function,
-    state,
-    chooser: Chooser,
-    packet: Optional[SymPacketView] = None,
-    externs: Optional[SymExternHost] = None,
-    initial_env: Optional[Dict[str, Term]] = None,
-    max_steps: int = _MAX_STEPS,
-) -> SymResult:
-    """Symbolically execute one IR function — ``Interpreter.run``'s mirror.
-
-    ``state`` is a :class:`SymStateStore` or :class:`SymSwitchState`; both
-    expose the StateStore surface the interpreter calls.
-    """
-    externs = externs or SymExternHost(chooser=chooser)
-    env: Dict[str, Term] = dict(initial_env or {})
-    block = function.blocks[function.entry]
-    steps = 0
-    verdict: Optional[str] = None
-    egress: Optional[Term] = None
-
-    def value_of(operand: Operand) -> Term:
-        if isinstance(operand, Const):
-            return const(operand.value)
-        if isinstance(operand, Reg):
-            try:
-                return env[operand.name]
-            except KeyError:
-                raise SymExecError(
-                    f"{function.name}: read of undefined register"
-                    f" %{operand.name}"
-                ) from None
-        raise SymExecError(f"bad operand {operand!r}")
-
-    while True:
-        next_block: Optional[str] = None
-        for inst in block.instructions:
-            steps += 1
-            if steps > max_steps:
-                raise BudgetExhausted(
-                    f"{function.name}: symbolic step limit exceeded"
-                )
-            if isinstance(inst, irin.Assign):
-                env[inst.dst.name] = _wrap_reg(value_of(inst.src), inst.dst)
-            elif isinstance(inst, irin.BinOp):
-                result = binop(inst.op, value_of(inst.lhs), value_of(inst.rhs))
-                env[inst.dst.name] = _wrap_reg(result, inst.dst)
-            elif isinstance(inst, irin.UnOp):
-                env[inst.dst.name] = _wrap_reg(
-                    unop(inst.op, value_of(inst.src)), inst.dst
-                )
-            elif isinstance(inst, irin.Cast):
-                env[inst.dst.name] = _wrap_reg(value_of(inst.src), inst.dst)
-            elif isinstance(inst, irin.LoadPacketField):
-                if packet is None:
-                    raise SymExecError("packet access without a packet")
-                env[inst.dst.name] = _wrap_reg(
-                    packet.get_field(inst.region, inst.field), inst.dst
-                )
-            elif isinstance(inst, irin.StorePacketField):
-                if packet is None:
-                    raise SymExecError("packet access without a packet")
-                packet.set_field(inst.region, inst.field, value_of(inst.src))
-            elif isinstance(inst, irin.LoadState):
-                env[inst.dst.name] = _wrap_reg(
-                    state.load_scalar(inst.state), inst.dst
-                )
-            elif isinstance(inst, irin.StoreState):
-                state.store_scalar(inst.state, value_of(inst.src))
-            elif isinstance(inst, irin.RegisterRMW):
-                old = state.rmw_scalar(
-                    inst.state,
-                    inst.op,
-                    value_of(inst.operand),
-                    _width_of(inst.dst.type),
-                )
-                env[inst.dst.name] = _wrap_reg(old, inst.dst)
-            elif isinstance(inst, irin.MapFind):
-                keys = tuple(value_of(k) for k in inst.keys)
-                found, value = state.map_find(inst.state, keys)
-                env[inst.found.name] = const(int(found))
-                if inst.value is not None:
-                    env[inst.value.name] = value
-            elif isinstance(inst, irin.MapInsert):
-                keys = tuple(value_of(k) for k in inst.keys)
-                state.map_insert(inst.state, keys, value_of(inst.value))
-            elif isinstance(inst, irin.MapErase):
-                keys = tuple(value_of(k) for k in inst.keys)
-                state.map_erase(inst.state, keys)
-            elif isinstance(inst, irin.VectorGet):
-                env[inst.dst.name] = state.vector_get(
-                    inst.state, value_of(inst.index)
-                )
-            elif isinstance(inst, irin.VectorLen):
-                env[inst.dst.name] = state.vector_len(inst.state)
-            elif isinstance(inst, irin.VectorPush):
-                state.vector_push(inst.state, value_of(inst.value))
-            elif isinstance(inst, irin.ExternCall):
-                args = [value_of(a) for a in inst.args]
-                result = externs.call(inst.name, args, packet)
-                if inst.dst is not None:
-                    env[inst.dst.name] = _wrap_reg(result, inst.dst)
-            elif isinstance(inst, irin.SendTo):
-                verdict = "send"
-                egress = value_of(inst.port)
-                next_block = None
-                break
-            elif isinstance(inst, irin.Send):
-                verdict = "send"
-                next_block = None
-                break
-            elif isinstance(inst, irin.Drop):
-                verdict = "drop"
-                next_block = None
-                break
-            elif isinstance(inst, irin.Jump):
-                next_block = inst.target
-                break
-            elif isinstance(inst, irin.Branch):
-                taken = chooser.decide(value_of(inst.cond))
-                next_block = inst.if_true if taken else inst.if_false
-                break
-            elif isinstance(inst, irin.Return):
-                next_block = None
-                break
-            else:
-                raise SymExecError(
-                    f"unhandled instruction {type(inst).__name__}"
-                )
-        if next_block is None:
-            return SymResult(verdict, egress, env, steps)
-        block = function.blocks[next_block]

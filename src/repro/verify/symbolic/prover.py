@@ -42,21 +42,22 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.codegen.headers import (
-    FLAG_VERDICT_DROP,
-    FLAG_VERDICT_NONE,
-    FLAG_VERDICT_SEND,
-)
+from repro.codegen.headers import FLAG_VERDICT_DROP, FLAG_VERDICT_SEND
 from repro.difftest.generator import FIELD_WIDTHS
 from repro.difftest.kernel import DEFAULT_PORT_PAIRS, OBSERVED_FIELDS
 from repro.ir import instructions as irin
 from repro.ir.externs import ExternHost
 from repro.ir.interp import Interpreter, PacketView, StateStore
+from repro.lang.types import bit_width_of
+from repro.runtime.server import (
+    replicated_members,
+    updates_from_journal,
+    verdict_flag,
+)
 from repro.verify.diagnostics import (
     STAGE_SYMBOLIC,
     Diagnostic,
     error,
-    warning,
 )
 from repro.verify.symbolic.engine import (
     BudgetExhausted,
@@ -67,7 +68,7 @@ from repro.verify.symbolic.engine import (
     SymPacketView,
     SymStateStore,
     SymSwitchState,
-    sym_run,
+    TermDomain,
 )
 from repro.verify.symbolic.terms import (
     Term,
@@ -273,14 +274,6 @@ def _base_prestate(plan, config) -> dict:
     return state.snapshot()
 
 
-def _member_width(type_, default: int = 32) -> int:
-    try:
-        width = type_.bit_width()
-    except Exception:
-        return default
-    return width if width and width > 0 else default
-
-
 def _sample_prestates(plan, base: dict, variants: int,
                       rng: random.Random) -> List[dict]:
     """The base post-configure state plus seeded randomized variants.
@@ -303,9 +296,9 @@ def _sample_prestates(plan, base: dict, variants: int,
         for name, member in members.items():
             if member.kind == "map":
                 key_masks = [
-                    (1 << _member_width(t)) - 1 for t in member.key_types()
+                    (1 << bit_width_of(t, 32)) - 1 for t in member.key_types()
                 ]
-                value_mask = (1 << _member_width(member.value_type())) - 1
+                value_mask = (1 << bit_width_of(member.value_type(), 32)) - 1
                 table = snap["maps"][name]
                 cap = member.max_entries
                 for _entry in range(2):
@@ -318,7 +311,7 @@ def _sample_prestates(plan, base: dict, variants: int,
                     table[keys] = rng.randrange(1 << 16) & value_mask
                     changed = True
             elif member.kind == "scalar":
-                mask = (1 << _member_width(member.member_type)) - 1
+                mask = (1 << bit_width_of(member.member_type, 32)) - 1
                 snap["scalars"][name] = rng.randrange(1 << 16) & mask
                 changed = True
         if changed:
@@ -469,14 +462,6 @@ class WorldResult:
     detail: str = ""
 
 
-def _verdict_flag(verdict: Optional[str]) -> int:
-    if verdict == "send":
-        return FLAG_VERDICT_SEND
-    if verdict == "drop":
-        return FLAG_VERDICT_DROP
-    return FLAG_VERDICT_NONE
-
-
 def _resolve_egress_sym(egress: Optional[Term], ingress: int,
                         chooser: Chooser) -> Term:
     """Mirror of ``SwitchModel._resolve_egress`` (and the baseline's
@@ -498,37 +483,6 @@ def _shim_pack(layout, values: Dict[str, Term]) -> Dict[str, Term]:
     }
 
 
-def _replicated_members(plan) -> set:
-    from repro.partition.plan import PlacementKind
-
-    return {
-        name
-        for name, placement in plan.placements.items()
-        if placement.replicated
-        or placement.kind is PlacementKind.SWITCH_TABLE
-    }
-
-
-def _sym_updates(plan, replicated: set, journal: List[tuple]) -> List[tuple]:
-    """Mirror of ``ServerRuntime._updates_from_journal``."""
-    updates: List[tuple] = []
-    for op, member, keys, value in journal:
-        if member not in replicated:
-            continue
-        placement = plan.placements[member]
-        if placement.member.kind == "scalar":
-            updates.append(("register", member, (), value))
-        elif op == "insert":
-            updates.append(("insert", member, keys, value))
-        elif op == "erase":
-            updates.append(("delete", member, keys, None))
-        elif op == "push":
-            updates.append(("insert", member, keys, value))
-        elif op == "store":
-            updates.append(("register", member, (), value))
-    return updates
-
-
 @dataclass
 class CompOutcome:
     verdict: str  # "send" | "drop"
@@ -539,8 +493,9 @@ class CompOutcome:
 
 
 def _run_composition(plan, program, scenario: Scenario,
-                     base_packet: SymPacketView, chooser: Chooser,
-                     config, max_steps: int) -> CompOutcome:
+                     base_packet: SymPacketView, domain: TermDomain,
+                     config) -> CompOutcome:
+    chooser = domain.chooser
     packet = base_packet.copy()
     switch = SymSwitchState(program, scenario.switch_prestate, chooser)
     server = SymStateStore(plan.middlebox.state, scenario.prestate, chooser)
@@ -550,10 +505,9 @@ def _run_composition(plan, program, scenario: Scenario,
     server_externs = SymExternHost(config, chooser)
 
     switch.begin_traversal()
-    pre = sym_run(plan.pre, switch, chooser, packet=packet,
-                  externs=switch_externs, max_steps=max_steps)
+    pre = Interpreter(plan.pre, switch, switch_externs, domain).run(packet)
     if pre.verdict == "send":
-        egress = _resolve_egress_sym(pre.egress, scenario.ingress, chooser)
+        egress = _resolve_egress_sym(pre.egress_port, scenario.ingress, chooser)
         return CompOutcome("send", egress, packet, server, switch)
     if pre.verdict == "drop":
         return CompOutcome("drop", None, packet, server, switch)
@@ -568,18 +522,19 @@ def _run_composition(plan, program, scenario: Scenario,
     values.pop("__ingress_port", None)
     env = {k: v for k, v in values.items() if not k.startswith("__")}
     server.drain_journal()
-    server_result = sym_run(
-        plan.non_offloaded, server, chooser, packet=packet,
-        externs=server_externs, initial_env=env, max_steps=max_steps,
-    )
-    updates = _sym_updates(
-        plan, _replicated_members(plan), server.drain_journal()
+    server_result = Interpreter(
+        plan.non_offloaded, server, server_externs, domain
+    ).run(packet, initial_env=env)
+    # The deployment's own replication rule, over term-valued entries.
+    updates = updates_from_journal(
+        plan, replicated_members(plan), server.drain_journal()
     )
 
     out_values: Dict[str, Term] = {
-        "__verdict": const(_verdict_flag(server_result.verdict)),
-        "__egress_port": (server_result.egress
-                          if server_result.egress is not None else const(0)),
+        "__verdict": const(verdict_flag(server_result.verdict)),
+        "__egress_port": (server_result.egress_port
+                          if server_result.egress_port is not None
+                          else const(0)),
         "__ingress_port": const(scenario.ingress),
     }
     for shim_field in program.shim_to_switch.fields:
@@ -607,11 +562,11 @@ def _run_composition(plan, program, scenario: Scenario,
     # No server verdict: the post-processing pipeline decides.
     env2 = {k: v for k, v in values2.items() if not k.startswith("__")}
     switch.begin_traversal()
-    post = sym_run(plan.post, switch, chooser, packet=packet,
-                   externs=switch_externs, initial_env=env2,
-                   max_steps=max_steps)
+    post = Interpreter(plan.post, switch, switch_externs, domain).run(
+        packet, initial_env=env2
+    )
     if post.verdict == "send":
-        egress = _resolve_egress_sym(post.egress, scenario.ingress, chooser)
+        egress = _resolve_egress_sym(post.egress_port, scenario.ingress, chooser)
         return CompOutcome("send", egress, packet, server, switch)
     # post drop, or no verdict anywhere: the switch drops defensively.
     return CompOutcome("drop", None, packet, server, switch)
@@ -649,7 +604,7 @@ def _compare_world(plan, source, src_packet: SymPacketView,
         )
     if src_verdict == "send":
         src_egress = _resolve_egress_sym(
-            source.egress, _ingress_of(src_packet), chooser,
+            source.egress_port, _ingress_of(src_packet), chooser,
         )
         mismatch = _first_unequal(
             [("egress port", src_egress, comp.egress)], "egress"
@@ -740,25 +695,24 @@ def _ingress_of(packet: SymPacketView) -> int:
 def _run_world(plan, program, scenario: Scenario, script: Tuple[bool, ...],
                config, budget: SymbolicBudget) -> WorldResult:
     chooser = Chooser(script, max_decisions=budget.max_decisions)
+    domain = TermDomain(chooser, budget.max_steps)
     base_packet = make_symbolic_packet(scenario)
     src_packet = base_packet.copy()
     src_store = SymStateStore(
         plan.middlebox.state, scenario.prestate, chooser
     )
-    src_externs = SymExternHost(config, chooser)
     try:
-        source = sym_run(
-            plan.middlebox.process, src_store, chooser, packet=src_packet,
-            externs=src_externs, max_steps=budget.max_steps,
-        )
+        source = Interpreter(
+            plan.middlebox.process, src_store,
+            SymExternHost(config, chooser), domain,
+        ).run(src_packet)
     except SymExecError as exc:
         # The *source program* fails on this path: the oracle would
         # classify the run as CRASH, not a compiler divergence.
         return WorldResult("source_error", chooser, detail=str(exc))
     try:
         comp = _run_composition(
-            plan, program, scenario, base_packet, chooser, config,
-            budget.max_steps,
+            plan, program, scenario, base_packet, domain, config
         )
     except (CompositionViolation, SymExecError) as exc:
         # Only the composition fails: a deployment-side crash candidate.

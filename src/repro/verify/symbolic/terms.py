@@ -1,9 +1,10 @@
 """Bit-vector terms for the translation validator (no external solver).
 
 A :class:`Term` is a constant, an atom (one symbolic packet input), or an
-operation node mirroring the IR interpreter's evaluation semantics
-(:func:`repro.ir.interp._apply_binop` / ``Interpreter._wrap``) over
-unbounded Python integers.  Every node carries an unsigned interval
+operation node over unbounded Python integers with the meaning the IR
+interpreter's concrete domain gives it (:class:`repro.ir.interp.IntDomain`:
+constants fold through its ``binop`` / ``unop``, and :func:`evaluate` maps
+any term back onto it).  Every node carries an unsigned interval
 ``[lo, hi]`` computed at construction — the only "theory" the prover
 needs, because all runtime values are wrapped to their register width
 immediately after every operation, so interval reasoning decides most
@@ -24,10 +25,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.ir.instructions import BinOpKind, UnOpKind
-from repro.ir.interp import _apply_binop
-
-#: Mask mirroring the interpreter's default (non-IntType, non-bool) wrap.
-MASK64 = 0xFFFFFFFFFFFFFFFF
+from repro.ir.interp import _apply_binop, _apply_unop
 
 _COMPARISONS = {
     BinOpKind.EQ, BinOpKind.NE, BinOpKind.LT, BinOpKind.LE,
@@ -253,11 +251,7 @@ def _decide_comparison(op: BinOpKind, a: Term, b: Term) -> Optional[int]:
 
 def unop(op: UnOpKind, a: Term) -> Term:
     if a.is_const:
-        if op is UnOpKind.NEG:
-            return const(-a.value)
-        if op is UnOpKind.NOT:
-            return const(~a.value)
-        return const(int(not a.value))
+        return const(_apply_unop(op, a.value))
     if op is UnOpKind.NEG:
         return _mk_op(op, (a,), -a.hi, -a.lo)
     if op is UnOpKind.NOT:
@@ -270,7 +264,7 @@ def unop(op: UnOpKind, a: Term) -> Term:
 
 
 def wrap(a: Term, mask: int) -> Term:
-    """``a & mask`` mirroring ``Interpreter._wrap`` for integer types."""
+    """``a & mask``: a result as a ``mask``-wide register holds it."""
     if a.is_const:
         return const(a.value & mask)
     if 0 <= a.lo and a.hi <= mask:
@@ -279,7 +273,7 @@ def wrap(a: Term, mask: int) -> Term:
 
 
 def boolify(a: Term) -> Term:
-    """``1 if a else 0`` mirroring the interpreter's BOOL wrap."""
+    """``1 if a else 0``: a result as a ``bool`` register holds it."""
     tv = truth(a)
     if tv is not None:
         return const(int(tv))
@@ -307,12 +301,7 @@ def evaluate(term: Term, assignment: Dict[str, int],
         elif op == "bool":
             result = 1 if args[0] else 0
         elif isinstance(op, UnOpKind):
-            if op is UnOpKind.NEG:
-                result = -args[0]
-            elif op is UnOpKind.NOT:
-                result = ~args[0]
-            else:
-                result = int(not args[0])
+            result = _apply_unop(op, args[0])
         else:
             result = _apply_binop(op, args[0], args[1])
     memo[term.key] = result

@@ -102,6 +102,24 @@ class TestHarnessBug:
         with pytest.raises(kernel.HarnessBug, match="--seed-override 5"):
             run_gauntlet(1, seed=0, packets=3, seed_override=5)
 
+    def test_a_crashing_prover_is_not_an_agreeing_one(self, monkeypatch):
+        """``--symbolic`` used to swallow anything ``verify_symbolic``
+        raised with the recompile's refusals: the run counted as checked
+        by nobody and passed."""
+        import repro.verify.symbolic
+
+        monkeypatch.setattr(repro.verify.symbolic, "verify_symbolic", boom)
+        with pytest.raises(kernel.HarnessBug, match="--seed-override 5") as caught:
+            run_gauntlet(1, seed=0, packets=3, seed_override=5, symbolic=True)
+        assert isinstance(caught.value.__cause__, RuntimeError)
+
+    def test_a_refused_recompile_still_has_no_symbolic_opinion(self):
+        from repro.difftest.runner import _symbolic_opinions
+        from repro.partition.constraints import SwitchResources
+
+        starved = SwitchResources(transfer_bytes=0)
+        assert _symbolic_opinions(STATEFUL, None, starved) is None
+
 
 class TestProvenanceUnavailable:
     def test_failed_trace_diff_says_why(self, monkeypatch):

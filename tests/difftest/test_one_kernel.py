@@ -109,15 +109,16 @@ def broad_handlers():
 def test_broad_exception_handlers_are_the_classifying_ones():
     """19 before the kernel.  Left: the provenance guard (best-effort
     diagnostics must not mask the verdict), the campaign loop (re-raises
-    as ``HarnessBug``), the compiled gauntlet's crash-identity rule (the
-    exception *is* the observation there) and the symbolic third opinion
-    (a checker that crashes abstains).  The two guards classify in
-    ``_Guard.__exit__`` — the only ``__exit__`` in the harnesses."""
+    as ``HarnessBug``) and the compiled gauntlet's crash-identity rule
+    (the exception *is* the observation there).  The symbolic third
+    opinion used to be the fourth — a checker that crashed abstained, so
+    a prover bug read as agreement; it now catches the compile refusals
+    by name.  The two guards classify in ``_Guard.__exit__`` — the only
+    ``__exit__`` in the harnesses."""
     assert sorted(broad_handlers()) == [
         ("difftest/compiled.py", "_run_engine"),
         ("difftest/kernel.py", "collect_provenance"),
         ("difftest/kernel.py", "drive"),
-        ("difftest/runner.py", "_symbolic_opinions"),
     ]
     exits = [
         module for module, tree in harness_modules()
