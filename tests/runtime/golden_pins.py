@@ -20,6 +20,16 @@ INT on every 8th packet, with the trace, the series and the flow reports
 inside the hash).  Both were recorded on the commit before the switch
 model was specialized around the compiled closures.
 
+``punt_path.json`` pins the *inside* of a punt, which the hashes above
+only see the outside of: per punt the to-server and to-switch shim bytes,
+the update batch, the control plane's answer to it (latencies, attempts,
+decision, undo log), the server's full write journal, and all 17 fields
+of every journey — for the four punting middleboxes, base and pooled,
+clean, faulted, and under lost batch confirmations (the fixed plans have
+no ``timeout`` fault, so no batch of theirs retries after landing or
+rolls forward from its undo log) (:func:`punt_path`).  Recorded on the
+commit before the switch ↔ server round trip was specialized per program.
+
 Regenerate (only when simulated behaviour is meant to change, and say
 which pin moved and why in CHANGES.md)::
 
@@ -28,6 +38,7 @@ which pin moved and why in CHANGES.md)::
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -55,8 +66,14 @@ from repro.middleboxes import load
 from repro.net.addresses import ip
 from repro.runtime.cache import CacheConfigurationError
 from repro.runtime.degradation import DegradationPolicy
-from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
+from repro.runtime.deployment import (
+    GalliumMiddlebox,
+    PacketJourney,
+    compile_middlebox,
+)
 from repro.runtime.spec import DeploymentSpec
+from repro.switchsim.control_plane import UpdateBatchError
+from repro.switchsim.switch_model import SHIM_KEY
 from repro.telemetry import DEFAULT_WINDOW_US, Telemetry
 from repro.workloads.iperf import EXTERNAL_SERVER, VIP
 from repro.workloads.packets import FlowSpec, flow_packets
@@ -237,6 +254,118 @@ def compute(cell: str) -> Dict[str, Dict[str, str]]:
     return pins
 
 
+# -- the inside of a punt -----------------------------------------------------
+
+#: flavours ``punt_path.json`` covers (one server, and the HRW pool)
+PUNT_PATH_FLAVOURS = ("base", "pooled")
+PUNT_PATH = "punt_path"
+_JOURNEY_FIELDS = tuple(f.name for f in dataclasses.fields(PacketJourney))
+_BATCH_FIELDS = (
+    "visibility_latency_us", "total_latency_us", "tables_touched",
+    "updates_applied", "attempts", "retry_wait_us", "queue_wait_us",
+    "decision",
+)
+
+
+def _full_journey_row(journey) -> list:
+    """All 17 fields (``getattr``: a journey built without the
+    constructor must still carry every one)."""
+    row = [getattr(journey, name) for name in _JOURNEY_FIELDS]
+    emitted = _JOURNEY_FIELDS.index("emitted")
+    row[emitted] = [[port, frame.pack().hex()] for port, frame in row[emitted]]
+    return row
+
+
+def _update_rows(updates) -> list:
+    return [[u.op, u.target, list(u.key), u.value] for u in updates]
+
+
+def watch_punts(box) -> Dict[str, list]:
+    """Record what crosses the two boundaries inside a punt by wrapping
+    *instance* attributes of ``box`` (as ``perfbench/spans.py`` does):
+    the state policy's ``serve`` — whichever runtime the punt target
+    routed to — and the active control plane's ``apply_batch``."""
+    log: Dict[str, list] = {"shims": [], "journals": [], "batches": []}
+    serve = box.state_policy.serve
+    apply_batch = box.switch.control_plane.apply_batch
+
+    def watched_serve(runtime, frame):
+        to_server = frame.metadata.get(SHIM_KEY, b"")
+        served = serve(runtime, frame)
+        to_switch = served.packet.metadata.get(SHIM_KEY, b"")
+        log["shims"].append([to_server.hex(), to_switch.hex()])
+        log["journals"].append([
+            [[op, member, list(keys), value]
+             for op, member, keys, value in runtime.last_journal],
+            _update_rows(served.updates), served.verdict,
+            served.egress_port, served.instructions,
+        ])
+        return served
+
+    def watched_apply_batch(updates):
+        row = [_update_rows(updates)]
+        try:
+            result = apply_batch(updates)
+        except UpdateBatchError as exc:
+            row += ["error", str(exc), exc.kind, exc.attempts,
+                    exc.retry_wait_us, exc.applied, exc.decision,
+                    exc.undo.to_dict()]
+            raise
+        else:
+            row += [getattr(result, name) for name in _BATCH_FIELDS]
+            row.append(result.undo.to_dict())
+            return result
+        finally:
+            log["batches"].append(row)
+
+    box.state_policy.serve = watched_serve
+    box.switch.control_plane.apply_batch = watched_apply_batch
+    return log
+
+
+#: what each ``punt_path.json`` cell runs under
+PUNT_PATH_PLANS = {
+    "clean": lambda flavour: None,
+    "faulted": FAULT_PLANS.__getitem__,
+    "timeouts": lambda flavour: FaultPlan((
+        BatchFault(mode="timeout", probability=0.5),
+        BatchFault(mode="fail", probability=0.1),
+        StaleReplication(probability=0.3),
+    )),
+}
+
+
+def punt_path(flavour: str, name: str, state: str) -> Dict[str, object]:
+    """One ``punt_path.json`` cell: a sha256 per boundary, so a move says
+    which side of the round trip it is on, and the punt count."""
+    plan = PUNT_PATH_PLANS[state](flavour)
+    injector = FaultInjector(plan, seed=3) if plan is not None else None
+    box = build(flavour, name, injector)
+    log = watch_punts(box)
+    journeys = log["journeys"] = []
+    for packet, port in churn_stream(name):
+        journeys.append(
+            _full_journey_row(box.process_packet(packet.copy(), port)))
+        journeys.extend(_full_journey_row(j) for j in box.drain_deferred())
+    box.recover()
+    journeys.extend(_full_journey_row(j) for j in box.drain_deferred())
+    cell: Dict[str, object] = {
+        key: hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        for key, rows in log.items()
+    }
+    cell["punts"] = len(log["shims"])
+    cell["batch_calls"] = len(log["batches"])
+    return cell
+
+
+def compute_punt_path(flavour: str) -> Dict[str, Dict[str, dict]]:
+    return {
+        name: {state: punt_path(flavour, name, state)
+               for state in PUNT_PATH_PLANS}
+        for name in MIDDLEBOXES
+    }
+
+
 def golden_path(cell: str) -> Path:
     return GOLDEN_DIR / f"{cell.replace('+', '_')}.json"
 
@@ -244,6 +373,25 @@ def golden_path(cell: str) -> Path:
 def main(argv: List[str]) -> int:
     write = "--write" in argv
     status = 0
+    punt_pins = {
+        flavour: compute_punt_path(flavour) for flavour in PUNT_PATH_FLAVOURS
+    }
+    path = golden_path(PUNT_PATH)
+    if write:
+        GOLDEN_DIR.mkdir(exist_ok=True)
+        path.write_text(json.dumps(punt_pins, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {path}")
+    else:
+        recorded = json.loads(path.read_text())
+        for flavour, pins in punt_pins.items():
+            for name, cells in pins.items():
+                for state, cell in cells.items():
+                    moved = [key for key, value in cell.items()
+                             if recorded[flavour][name][state][key] != value]
+                    if moved:
+                        print(f"{PUNT_PATH}: {flavour}/{name}/{state}"
+                              f" moved: {', '.join(moved)}")
+                        status = 1
     for flavour in (*FLAVOURS, *EXTRA_CELLS):
         pins = compute(flavour)
         path = golden_path(flavour)
