@@ -28,8 +28,9 @@ help:
 	@echo "  lint            ruff + mypy (skipped gracefully if not installed)"
 	@echo "  lint-verify     blocking ruff + mypy over src/repro/verify/, the"
 	@echo "                  oracle kernel, the deployment spec, the constraint"
-	@echo "                  model, the label engine, the switch program and the"
-	@echo "                  IR interpreter (stdlib fallback scan without ruff)"
+	@echo "                  model, the label engine, the switch program, the IR"
+	@echo "                  interpreter and the punt path's five modules (stdlib"
+	@echo "                  fallback scan without ruff)"
 	@echo "  difftest        full differential gauntlet (1000 programs, --shrink)"
 	@echo "  difftest-smoke  fixed-seed ~60s gauntlet slice, then 25 programs"
 	@echo "                  through the compiled-vs-interpreted differential"
@@ -128,7 +129,9 @@ lint:
 LINT_BLOCKING = src/repro/verify src/repro/difftest/kernel.py \
 	src/repro/runtime/spec.py src/repro/partition/constraints.py \
 	src/repro/partition/labels.py src/repro/switchsim/program.py \
-	src/repro/ir/interp.py
+	src/repro/ir/interp.py src/repro/codegen/headers.py \
+	src/repro/switchsim/tables.py src/repro/switchsim/control_plane.py \
+	src/repro/switchsim/switch_model.py src/repro/runtime/server.py
 
 lint-verify:
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \

@@ -20,7 +20,7 @@ declaration would lay them out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.ir.values import Reg
 from repro.partition.plan import TransferSpec
@@ -28,6 +28,24 @@ from repro.partition.plan import TransferSpec
 FLAG_VERDICT_NONE = 0
 FLAG_VERDICT_SEND = 1
 FLAG_VERDICT_DROP = 2
+
+
+class ShimDecodeError(ValueError):
+    """A shim with fewer bytes than its layout: truncated on the wire, or
+    absent altogether where the layout has fields.
+
+    Raised by :meth:`ShimLayout.decode` — so at the two places a shim is
+    received, ``ServerRuntime.handle`` (``to_server``) and
+    ``SwitchModel.receive`` on the server port (``to_switch``).
+    """
+
+    def __init__(self, direction: str, expected: int, received: int):
+        super().__init__(
+            f"{direction} shim too short: {received} < {expected} bytes"
+        )
+        self.direction = direction
+        self.expected = expected
+        self.received = received
 
 
 @dataclass(frozen=True)
@@ -38,56 +56,72 @@ class ShimField:
     width_bits: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShimLayout:
-    """A bit-packed shim header layout for one direction."""
+    """A bit-packed shim header layout for one direction.
+
+    Like the P4 header declaration it stands for, a layout *is* its
+    offsets: the sizes and each field's position and mask are settled
+    when it is built, and a punt only moves a packet's values through
+    them.
+    """
 
     direction: str  # "to_server" | "to_switch"
-    fields: List[ShimField]
+    fields: Tuple[ShimField, ...]
+    total_bits: int = field(init=False, compare=False)
+    byte_size: int = field(init=False, compare=False)
+    #: ``(name, shift, mask)`` per field: where its bits sit in the
+    #: padded ``byte_size``-byte big-endian integer, and the wrap to its
+    #: width (the one definition of it — the prover reads these masks)
+    slots: Tuple[Tuple[str, int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
-    @property
-    def total_bits(self) -> int:
-        return sum(f.width_bits for f in self.fields)
-
-    @property
-    def byte_size(self) -> int:
-        return (self.total_bits + 7) // 8
+    def __post_init__(self):
+        fields = tuple(self.fields)
+        total_bits = sum(f.width_bits for f in fields)
+        byte_size = (total_bits + 7) // 8
+        slots = []
+        shift = byte_size * 8
+        for shim_field in fields:
+            shift -= shim_field.width_bits
+            slots.append(
+                (shim_field.name, shift, (1 << shim_field.width_bits) - 1)
+            )
+        for name, value in (
+            ("fields", fields),
+            ("total_bits", total_bits),
+            ("byte_size", byte_size),
+            ("slots", tuple(slots)),
+        ):
+            object.__setattr__(self, name, value)
 
     def field_names(self) -> List[str]:
         return [f.name for f in self.fields]
 
     # -- encode/decode ------------------------------------------------------
 
-    def encode(self, values: Dict[str, int]) -> bytes:
-        """Pack ``values`` (missing fields encode as 0) into bytes."""
+    def encode(self, values: Mapping[str, int]) -> bytes:
+        """Pack ``values`` into ``byte_size`` bytes: a missing field
+        encodes as 0, a value is masked to its field's width, names the
+        layout does not have are ignored."""
+        get = values.get
         accumulator = 0
-        bits = 0
-        for shim_field in self.fields:
-            width = shim_field.width_bits
-            value = values.get(shim_field.name, 0) & ((1 << width) - 1)
-            accumulator = (accumulator << width) | value
-            bits += width
-        pad = self.byte_size * 8 - bits
-        accumulator <<= pad
-        return accumulator.to_bytes(self.byte_size, "big") if self.byte_size else b""
+        for name, shift, mask in self.slots:
+            accumulator |= (get(name, 0) & mask) << shift
+        return accumulator.to_bytes(self.byte_size, "big")
 
     def decode(self, data: bytes) -> Dict[str, int]:
-        if len(data) < self.byte_size:
-            raise ValueError(
-                f"shim too short: {len(data)} < {self.byte_size} bytes"
-            )
-        accumulator = int.from_bytes(data[: self.byte_size], "big")
-        pad = self.byte_size * 8 - self.total_bits
-        accumulator >>= pad
-        values: Dict[str, int] = {}
-        remaining = self.total_bits
-        for shim_field in self.fields:
-            width = shim_field.width_bits
-            remaining -= width
-            values[shim_field.name] = (accumulator >> remaining) & (
-                (1 << width) - 1
-            )
-        return values
+        """Field values, in layout order, from the first ``byte_size``
+        bytes of ``data``; fewer is a :class:`ShimDecodeError`."""
+        byte_size = self.byte_size
+        if len(data) < byte_size:
+            raise ShimDecodeError(self.direction, byte_size, len(data))
+        accumulator = int.from_bytes(data[:byte_size], "big")
+        return {
+            name: (accumulator >> shift) & mask
+            for name, shift, mask in self.slots
+        }
 
 
 def _reg_bits(reg: Reg) -> int:
@@ -114,6 +148,6 @@ def synthesize_shim_layouts(
     for reg in sorted(to_switch.regs, key=lambda r: (_reg_bits(r), r.name)):
         switch_fields.append(ShimField(reg.name, _reg_bits(reg)))
     return (
-        ShimLayout("to_server", server_fields),
-        ShimLayout("to_switch", switch_fields),
+        ShimLayout("to_server", tuple(server_fields)),
+        ShimLayout("to_switch", tuple(switch_fields)),
     )

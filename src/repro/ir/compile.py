@@ -29,10 +29,13 @@ The generated function is the *traversal entry*::
     entry(state, externs, tracer, ids, packet, initial_env)
         -> (verdict, egress_port, env, steps)
 
-:meth:`CompiledFunction.run` wraps it into an
-:class:`~repro.ir.interp.ExecutionResult` for the server runtimes and the
-bare-engine callers; the switch model calls the entry itself, through the
-rendition in :mod:`repro.switchsim.compiled` that inlines the data-plane
+:func:`repro.ir.interp.interpreted` gives the interpreter the same shape,
+so a runtime holds one kind of callable whichever engine it was built
+for.  The server runtimes call :meth:`CompiledFunction.traverse` (the
+entry, unless the trace is deep); :meth:`CompiledFunction.run` wraps that
+into an :class:`~repro.ir.interp.ExecutionResult` for the bare-engine
+callers; the switch model calls the entry itself, through the rendition
+in :mod:`repro.switchsim.compiled` that inlines the data-plane
 restrictions (:class:`FunctionEmitter` is the one generator both share).
 
 The interpreter stays the oracle: ``difftest --compiled`` runs every
@@ -63,10 +66,10 @@ from repro.ir.externs import ExternHost
 from repro.ir.function import Function
 from repro.ir.interp import (
     ExecutionResult,
-    Interpreter,
     InterpreterError,
     _FIELD_MAP,
     _MAX_STEPS,
+    interpreted,
 )
 from repro.ir.values import Const, Reg
 from repro.net.addresses import Ipv4Address, MacAddress
@@ -540,6 +543,17 @@ class CompiledFunction:
         #: the generated text, and the traversal entry it defines
         #: (signature in the module docstring)
         self.source, self.entry = load(FunctionEmitter(function))
+        self._interpreted = interpreted(function)
+
+    def traverse(self, state, externs, tracer, ids, packet, initial_env):
+        """``entry`` for a caller whose tracer may be deep: one event per
+        executed instruction is what only the interpreter provides, so
+        under a deep trace that engine runs instead."""
+        if tracer is not None and tracer.deep:
+            return self._interpreted(
+                state, externs, tracer, ids, packet, initial_env
+            )
+        return self.entry(state, externs, tracer, ids, packet, initial_env)
 
     def run(
         self,
@@ -549,18 +563,12 @@ class CompiledFunction:
         initial_env: Optional[Dict[str, int]] = None,
         collect_ids: bool = False,
     ) -> ExecutionResult:
-        tracer = getattr(state, "tracer", None)
-        if tracer is not None and getattr(tracer, "deep", False):
-            # Deep tracing wants one event per executed instruction; the
-            # interpreter is the engine that can provide it.
-            return Interpreter(self.function, state, externs).run(
-                packet=packet, initial_env=initial_env,
-                collect_ids=collect_ids,
-            )
+        """:meth:`traverse` as an :class:`ExecutionResult`, for the
+        bare-engine callers."""
         executed: List[int] = []
-        verdict, egress_port, env, steps = self.entry(
-            state, externs, tracer, executed if collect_ids else None,
-            packet, initial_env,
+        verdict, egress_port, env, steps = self.traverse(
+            state, externs, getattr(state, "tracer", None),
+            executed if collect_ids else None, packet, initial_env,
         )
         return ExecutionResult(
             verdict=verdict,

@@ -178,9 +178,13 @@ class StateStore:
         #: masks to ``width_bits`` on every write — the two sides must wrap
         #: identically or replication diverges.
         self._scalar_masks: Dict[str, int] = {}
+        #: Map member -> its ``max_entries`` cap (``None``: unbounded),
+        #: resolved once like the masks.
+        self._map_caps: Dict[str, Optional[int]] = {}
         for name, member in members.items():
             if member.kind == "map":
                 self.maps[name] = {}
+                self._map_caps[name] = member.max_entries
             elif member.kind == "vector":
                 self.vectors[name] = []
             else:
@@ -214,13 +218,9 @@ class StateStore:
         return found, value
 
     def map_insert(self, name: str, keys: tuple, value: int) -> None:
-        member = self.members[name]
         table = self.maps[name]
-        if (
-            member.max_entries is not None
-            and keys not in table
-            and len(table) >= member.max_entries
-        ):
+        cap = self._map_caps[name]
+        if cap is not None and keys not in table and len(table) >= cap:
             # Full table: drop the update (same observable behaviour as a
             # switch table rejecting an insert); record it for diagnostics.
             self.journal.append(("insert_failed", name, keys, value))
@@ -636,10 +636,19 @@ class Interpreter:
 
 
 def interpreted(function: Function):
-    """``function`` on this engine in a compiled function's calling shape,
-    ``run(state, externs, packet=, initial_env=)`` — what a runtime holds
-    when it was not asked for the fast path (the state store is passed per
-    call: crash recovery swaps it)."""
-    def run(state, externs=None, packet=None, initial_env=None):
-        return Interpreter(function, state, externs).run(packet, initial_env)
-    return run
+    """``function`` on this engine as a *traversal entry* — the calling
+    shape of a compiled function's ``entry`` (:mod:`repro.ir.compile`):
+    ``entry(state, externs, tracer, ids, packet, initial_env) ->
+    (verdict, egress_port, env, steps)``.  What a runtime holds when it
+    was not asked for the fast path, and what a deep trace runs on (the
+    state store is passed per call: crash recovery swaps it; the
+    interpreter finds the tracer on it)."""
+    def entry(state, externs, tracer, ids, packet, initial_env):
+        result = Interpreter(function, state, externs).run(
+            packet, initial_env, collect_ids=ids is not None
+        )
+        if ids is not None:
+            ids.extend(result.executed_ids)
+        return (result.verdict, result.egress_port, result.env,
+                result.instructions_executed)
+    return entry

@@ -43,12 +43,14 @@ class FastClickRuntime:
         self.state = StateStore(lowered.state)
         self.externs = ExternHost(config=config, clock=clock)
         self.fast_path = fast_path
+        #: ``process`` as a traversal entry (:mod:`repro.ir.compile` has
+        #: the signature), on the chosen engine
         if fast_path:
             from repro.ir.compile import compile_function
 
-            self._run = compile_function(lowered.process).run
+            self._process = compile_function(lowered.process).traverse
         else:
-            self._run = interpreted(lowered.process)
+            self._process = interpreted(lowered.process)
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.state.tracer = self.telemetry.active_tracer
         self.packets_processed = 0
@@ -94,35 +96,34 @@ class FastClickRuntime:
         if self._int is not None:
             self._int.begin_packet(self.packets_processed, packet)
         packet.ingress_port = ingress_port
-        result = self._run(
-            self.state, self.externs, packet=PacketView(packet)
+        state = self.state
+        verdict, egress_port, _, instructions = self._process(
+            state, self.externs, state.tracer, None, PacketView(packet), None
         )
         self.packets_processed += 1
-        self.instructions_total += result.instructions_executed
+        self.instructions_total += instructions
         self._c_packets.inc()
-        self._h_instructions.observe(result.instructions_executed)
-        self.telemetry.clock.advance(
-            result.instructions_executed * SERVER_INSTR_US
-        )
+        self._h_instructions.observe(instructions)
+        self.telemetry.clock.advance(instructions * SERVER_INSTR_US)
         self._h_latency.observe(self._latency_model.baseline_us(
-            result.instructions_executed, packet.wire_length()
+            instructions, packet.wire_length()
         ))
-        verdict = result.verdict or "drop"
+        verdict = verdict or "drop"
         if tracer is not None:
             tracer.record(
                 "verdict", verdict=verdict,
-                port=(result.egress_port or 0) if verdict == "send" else 0,
+                port=(egress_port or 0) if verdict == "send" else 0,
             )
         baseline_result = BaselineResult(
             verdict=verdict,
-            egress_port=result.egress_port,
-            instructions=result.instructions_executed,
+            egress_port=egress_port,
+            instructions=instructions,
         )
         if self._int is not None:
             # The whole program ran on the server: one hop.
             self._int.stamp(
-                packet, "server", result.instructions_executed,
-                result.instructions_executed * SERVER_INSTR_US,
+                packet, "server", instructions,
+                instructions * SERVER_INSTR_US,
             )
             self._int.collect(baseline_result)
         return baseline_result

@@ -339,6 +339,8 @@ class GalliumMiddlebox:
         #: wire bytes -> the fast-path latency's histogram cell (the
         #: model is a pure function of the frame size)
         self._fast_latency: Dict[int, Tuple[float, int]] = {}
+        #: what the punt link adds to a punted frame: a program constant
+        self._punt_shim_bytes = program.shim_to_server.byte_size
         #: ordered effect log the fault oracle replays (see module doc)
         self.fault_log: List[tuple] = []
         self._punt_queue: List[tuple] = []
@@ -462,13 +464,13 @@ class GalliumMiddlebox:
     def process_packet(self, packet: RawPacket, ingress_port: int = 1) -> PacketJourney:
         """One packet through the deployment.
 
-        For a packet the switch answers this is a short path: its journey
-        is the class defaults plus the four fields set below, the latency
+        A journey is the class defaults plus the fields its exit sets.
+        For a packet the switch answers this is a short path: the latency
         cell is looked up by frame size, and the clock and histogram
         updates are the operations ``SimClock.advance`` /
-        ``Histogram.observe`` perform, in the order the calls would come.
-        Role hooks are late-bound and ``None`` where the role has nothing
-        to do.
+        ``Histogram.observe`` perform, in the order the calls would come
+        (a punt's go through the methods).  Role hooks are late-bound and
+        ``None`` where the role has nothing to do.
         """
         redundancy = self.redundancy
         if redundancy.before_packet is not None:
@@ -496,16 +498,15 @@ class GalliumMiddlebox:
             else:
                 # Slow path: the server handles the punted packet.
                 completion = self.complete_punt(punted)
-                journey = PacketJourney(
-                    verdict=completion.verdict,
-                    emitted=completion.emitted,
-                    punted=True,
-                    pre_instructions=first.pipeline_instructions,
-                    server_instructions=completion.server_instructions,
-                    post_instructions=completion.post_instructions,
-                    sync_wait_us=completion.sync_wait_us,
-                    sync_tables=completion.sync_tables,
-                )
+                journey = _new(PacketJourney)
+                journey.verdict = completion.verdict
+                journey.emitted = completion.emitted
+                journey.punted = True
+                journey.pre_instructions = first.pipeline_instructions
+                journey.server_instructions = completion.server_instructions
+                journey.post_instructions = completion.post_instructions
+                journey.sync_wait_us = completion.sync_wait_us
+                journey.sync_tables = completion.sync_tables
         # Nominal end-to-end latency (sim latency model composition,
         # jitter-free so snapshots stay deterministic), then the INT sink.
         if journey.fast_path:
@@ -524,7 +525,7 @@ class GalliumMiddlebox:
                 journey.server_instructions,
                 wire_bytes,
                 sync_wait_us=journey.sync_wait_us,
-                shim_bytes=self.program.shim_to_server.byte_size,
+                shim_bytes=self._punt_shim_bytes,
             ))
         if self._int is not None:
             self._int.collect(journey, queue_depth=len(self._punt_queue))
@@ -558,13 +559,18 @@ class GalliumMiddlebox:
         the packet after the state committed.
         """
         runtime, ticket = self.punt_target.route(punted_packet)
-        self.telemetry.clock.advance(PUNT_LINK_US)
-        served = self.state_policy.serve(runtime, punted_packet)
-        completion = PuntCompletion(
-            verdict="drop", emitted=[],
-            server_instructions=served.instructions,
-            post_instructions=0, sync_wait_us=0.0, sync_tables=0,
-        )
+        clock = self.telemetry.clock
+        state_policy = self.state_policy
+        clock.advance(PUNT_LINK_US)
+        served = state_policy.serve(runtime, punted_packet)
+        # The class defaults plus the six bare fields.
+        completion = _new(PuntCompletion)
+        completion.verdict = "drop"
+        completion.emitted = []
+        completion.server_instructions = served.instructions
+        completion.post_instructions = 0
+        completion.sync_wait_us = 0.0
+        completion.sync_tables = 0
         if served.updates:
             # Transactional: apply_batch either commits (possibly rolling
             # forward from the undo log when the final attempt's
@@ -574,20 +580,20 @@ class GalliumMiddlebox:
             try:
                 batch = self.redundancy.apply_batch(served.updates)
             except UpdateBatchError:
-                self.state_policy.batch_aborted()
+                state_policy.batch_aborted()
                 raise
             # Output commit: the packet is held until visibility.
             completion.sync_wait_us = batch.visibility_latency_us
             completion.sync_tables = batch.tables_touched
             completion.retries = batch.attempts - 1
             completion.retry_wait_us = batch.retry_wait_us
-            if self.faults_armed:
+            if self.injector is not None:
                 completion.stale_wait_us = self.injector.stale_extra_us()
                 completion.sync_wait_us += completion.stale_wait_us
-        self.state_policy.committed(completion.sync_wait_us)
+        state_policy.committed(completion.sync_wait_us)
         self.punt_target.committed(runtime, ticket)
-        self.telemetry.clock.advance(PUNT_LINK_US)
-        if self.faults_armed:
+        clock.advance(PUNT_LINK_US)
+        if self.injector is not None:
             # A return frame that vanishes after the state committed
             # leaves switch and server consistent; the packet is gone.
             completion.lost_reason = self.injector.return_frame_fate()
@@ -596,7 +602,7 @@ class GalliumMiddlebox:
                 completion.verdict,
                 completion.emitted,
                 completion.post_instructions,
-            ) = self.state_policy.release(served)
+            ) = state_policy.release(served)
         return completion
 
     # -- the packet path under faults ----------------------------------------

@@ -17,7 +17,7 @@ bounded-cache punt both need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.codegen.headers import (
     FLAG_VERDICT_DROP,
@@ -29,6 +29,7 @@ from repro.ir.externs import ExternHost
 from repro.ir.interp import PacketView, StateStore, interpreted
 from repro.net.packet import RawPacket
 from repro.partition.plan import PartitionPlan, PlacementKind
+from repro.sim.clock import SERVER_INSTR_US
 from repro.switchsim.control_plane import StateUpdate
 from repro.switchsim.switch_model import SHIM_DIR_KEY, SHIM_KEY
 
@@ -43,23 +44,26 @@ from repro.switchsim.switch_model import SHIM_DIR_KEY, SHIM_KEY
 # ---------------------------------------------------------------------------
 
 
-def replicated_members(plan: PartitionPlan) -> Set[str]:
-    """State members whose server-side writes are replicated to the switch."""
+def replicated_members(plan: PartitionPlan) -> Dict[str, bool]:
+    """The plan's half of the rule, built once per plan: the state members
+    whose server-side writes are replicated to the switch, each mapped to
+    whether it is a scalar (a register on the switch, not a table)."""
     return {
-        name
+        name: placement.member.kind == "scalar"
         for name, placement in plan.placements.items()
         if placement.replicated or placement.kind is PlacementKind.SWITCH_TABLE
     }
 
 
-def updates_from_journal(plan: PartitionPlan, replicated: Set[str],
+def updates_from_journal(replicated: Dict[str, bool],
                          journal) -> List[StateUpdate]:
     """Convert journal entries on replicated state to switch updates."""
     updates: List[StateUpdate] = []
     for op, member, keys, value in journal:
-        if member not in replicated:
+        scalar = replicated.get(member)
+        if scalar is None:
             continue
-        if plan.placements[member].member.kind == "scalar" or op == "store":
+        if scalar or op == "store":
             updates.append(StateUpdate("register", member, (), value))
         elif op in ("insert", "push"):
             updates.append(StateUpdate("insert", member, keys, value))
@@ -109,18 +113,23 @@ class ServerRuntime:
         self.shim_to_switch = shim_to_switch
         self.externs = externs or ExternHost()
         self.fast_path = fast_path
-        #: ``run(state, externs, packet=, initial_env=)`` of the punt
-        #: partition and of the complete program, on the chosen engine
+        #: the punt partition and the complete program as traversal
+        #: entries (:mod:`repro.ir.compile` has the signature), on the
+        #: chosen engine
         if fast_path:
             from repro.ir.compile import compile_function
 
-            self._run_partition = compile_function(plan.non_offloaded).run
-            self._run_program = compile_function(plan.middlebox.process).run
+            self._partition = compile_function(plan.non_offloaded).traverse
+            self._program = compile_function(plan.middlebox.process).traverse
         else:
-            self._run_partition = interpreted(plan.non_offloaded)
-            self._run_program = interpreted(plan.middlebox.process)
+            self._partition = interpreted(plan.non_offloaded)
+            self._program = interpreted(plan.middlebox.process)
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._replicated = replicated_members(plan)
+        # The two shim legs this runtime terminates.  The codec is a
+        # function of the program, so it is bound here, once.
+        self._decode_shim = shim_to_server.decode
+        self._encode_shim = shim_to_switch.encode
         self.packets_handled = 0
         self.instructions_total = 0
         #: full write journal of the most recent punt this runtime served
@@ -134,67 +143,56 @@ class ServerRuntime:
 
     def handle(self, packet: RawPacket) -> ServerResult:
         """Run the non-offloaded partition for one punted packet."""
-        from repro.sim.clock import SERVER_INSTR_US
-
-        shim_bytes = packet.metadata.pop(SHIM_KEY, b"")
-        packet.metadata.pop(SHIM_DIR_KEY, None)
-        values = self.shim_to_server.decode(shim_bytes)
-        ingress = values.pop("__ingress_port", 1)
+        metadata = packet.metadata
+        shim = metadata.pop(SHIM_KEY, b"")
+        metadata.pop(SHIM_DIR_KEY, None)
+        # An absent shim decodes like a truncated one: ShimDecodeError.
+        # What is left of the decoded fields after the reserved one is
+        # the partition's initial environment.
+        env = self._decode_shim(shim)
+        ingress = env.pop("__ingress_port", 1)
         # Restore the packet's original ingress annotation: the partition
         # may re-read it (Click semantics), and it must not observe the
         # switch→server hop.
         packet.ingress_port = ingress
-        env = {k: v for k, v in values.items() if not k.startswith("__")}
-        self.state.drain_journal()  # discard any stale entries
+        state = self.state
+        state.drain_journal()  # discard any stale entries
         tracer = self.telemetry.active_tracer
         if tracer is not None:
             tracer.set_component("server")
-        result = self._run_partition(
-            self.state, self.externs, packet=PacketView(packet),
-            initial_env=env,
+        verdict, egress_port, env, instructions = self._partition(
+            state, self.externs, state.tracer, None, PacketView(packet), env
         )
         self.packets_handled += 1
-        self.instructions_total += result.instructions_executed
-        self._c_punts.inc()
-        self._h_instructions.observe(result.instructions_executed)
-        self.telemetry.clock.advance(
-            result.instructions_executed * SERVER_INSTR_US
-        )
+        self.instructions_total += instructions
+        self._c_punts.value += 1
+        self._h_instructions.observe(instructions)
+        self.telemetry.clock.advance(instructions * SERVER_INSTR_US)
 
-        journal = self.state.drain_journal()
-        self.last_journal = journal
-        updates = updates_from_journal(self.plan, self._replicated, journal)
+        self.last_journal = journal = state.drain_journal()
+        updates = updates_from_journal(self._replicated, journal)
         if tracer is not None:
             tracer.record(
-                "server_exec",
-                instructions=result.instructions_executed,
+                "server_exec", instructions=instructions,
                 updates=len(updates),
             )
-            if result.verdict is not None:
+            if verdict is not None:
                 # The server decided this packet's fate; the switch will
                 # only *apply* the verdict flag on the return leg.
                 tracer.record(
-                    "verdict", verdict=result.verdict,
-                    port=(result.egress_port or 0)
-                    if result.verdict == "send" else 0,
+                    "verdict", verdict=verdict,
+                    port=(egress_port or 0) if verdict == "send" else 0,
                 )
-        out_values: Dict[str, int] = {
-            "__verdict": verdict_flag(result.verdict),
-            "__egress_port": result.egress_port or 0,
-            "__ingress_port": ingress,
-        }
-        for shim_field in self.shim_to_switch.fields:
-            if shim_field.name.startswith("__"):
-                continue
-            out_values[shim_field.name] = result.env.get(shim_field.name, 0)
-        packet.metadata[SHIM_KEY] = self.shim_to_switch.encode(out_values)
-        packet.metadata[SHIM_DIR_KEY] = "to_switch"
+        # The partition's environment is ours and finished with, so the
+        # reserved fields join it on the way to the codec, which reads
+        # the names of its layout and no others.
+        env["__verdict"] = verdict_flag(verdict)
+        env["__egress_port"] = egress_port or 0
+        env["__ingress_port"] = ingress
+        metadata[SHIM_KEY] = self._encode_shim(env)
+        metadata[SHIM_DIR_KEY] = "to_switch"
         return ServerResult(
-            packet=packet,
-            verdict=result.verdict,
-            egress_port=result.egress_port,
-            updates=updates,
-            instructions=result.instructions_executed,
+            packet, verdict, egress_port, updates, instructions
         )
 
     def run_complete(self, packet: RawPacket) -> ServerResult:
@@ -205,22 +203,14 @@ class ServerRuntime:
         bulk resync).  Not a shim punt, so it books neither
         ``server.punts_handled`` nor ``server.instructions_per_punt``.
         """
-        from repro.sim.clock import SERVER_INSTR_US
-
-        self.state.drain_journal()  # discard any stale entries
-        result = self._run_program(
-            self.state, self.externs, packet=PacketView(packet)
+        state = self.state
+        state.drain_journal()  # discard any stale entries
+        verdict, egress_port, _, instructions = self._program(
+            state, self.externs, state.tracer, None, PacketView(packet), None
         )
-        self.telemetry.clock.advance(
-            result.instructions_executed * SERVER_INSTR_US
-        )
-        self.last_journal = self.state.drain_journal()
+        self.telemetry.clock.advance(instructions * SERVER_INSTR_US)
+        self.last_journal = journal = state.drain_journal()
         return ServerResult(
-            packet=packet,
-            verdict=result.verdict,
-            egress_port=result.egress_port,
-            updates=updates_from_journal(
-                self.plan, self._replicated, self.last_journal
-            ),
-            instructions=result.instructions_executed,
+            packet, verdict, egress_port,
+            updates_from_journal(self._replicated, journal), instructions,
         )

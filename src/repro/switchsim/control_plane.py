@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.switchsim.registers import Register
 from repro.switchsim.tables import ExactMatchTable, TableEntryLimit
@@ -62,9 +62,9 @@ JITTER_FRACTION = 0.15
 TIMEOUT_MULTIPLE = 3.0
 
 
-@dataclass(frozen=True)
-class StateUpdate:
-    """One staged state mutation from the server."""
+class StateUpdate(NamedTuple):
+    """One staged state mutation from the server (an immutable record;
+    several are built per punt)."""
 
     op: str  # "insert" | "modify" | "delete" | "register"
     target: str
@@ -176,9 +176,9 @@ class ControlPlaneFault(Exception):
         self.applied_updates = applied_updates
 
 
-@dataclass(frozen=True)
-class UndoRecord:
-    """Byte-exact pre-image of one slot touched by an update batch."""
+class UndoRecord(NamedTuple):
+    """Byte-exact pre-image of one slot touched by an update batch (an
+    immutable record; one is built per slot per batch)."""
 
     kind: str  # "table" | "register"
     target: str
@@ -262,6 +262,28 @@ class UpdateBatchResult:
     decision: str = "committed"
     #: the batch's undo log (pre-images + high-water mark)
     undo: Optional[UndoLog] = None
+
+
+class _BatchShape(NamedTuple):
+    """What one pass over a batch's updates settles for all its attempts
+    (:meth:`ControlPlane._open`)."""
+
+    #: per touched table, its ``(key, value to stage | None to delete)``
+    #: entries in batch order; tables in first-touch order — the order
+    #: they are staged, flipped and folded in
+    staged: List[Tuple[ExactMatchTable, List[Tuple[tuple, Optional[int]]]]]
+    #: ``(register, value to write)`` per register update, in batch order
+    registers: List[Tuple[Register, int]]
+    #: updates in the batch (what a whole application durably applies)
+    updates: int
+    #: tables touched, the register file counting as one table program,
+    #: and the most frequent table op (first seen wins a tie; "modify"
+    #: for a register-only batch): the latency model's two inputs
+    tables_touched: int
+    op_kind: str
+
+
+_new = object.__new__
 
 
 class ControlPlane:
@@ -387,6 +409,7 @@ class ControlPlane:
         queue_wait = 0.0
         attempts = 0
         tracer = self.telemetry.active_tracer
+        shape, undo = self._open(updates)
         if tracer is not None:
             tracer.record(
                 "batch_begin", component="control_plane",
@@ -394,21 +417,20 @@ class ControlPlane:
                 tables=sorted({u.target for u in updates}),
             )
         last_fault: Optional[ControlPlaneFault] = None
-        undo = self._capture_undo(updates)
         while attempts < max_attempts:
             attempts += 1
-            self._c_attempts.inc()
+            self._c_attempts.value += 1
             # The simulated clock only advances at batch completion, so the
             # channel sees this attempt at now + wall clock already burned.
             wait, start = self._rpc_submit(retry_wait + queue_wait)
             queue_wait += wait
             fault = self.fault_hook(attempts) if self.fault_hook else None
             try:
-                result = self._apply_once(updates, fault)
+                result = self._apply_once(shape, fault)
             except ControlPlaneFault as exc:
                 last_fault = exc
                 undo.high_water = max(undo.high_water, exc.applied_updates)
-                cost = self._attempt_cost_us(updates, exc.kind)
+                cost = self._attempt_cost_us(shape, exc.kind)
                 self.channel.complete(start + cost)
                 retry_wait += cost
                 if tracer is not None:
@@ -422,7 +444,7 @@ class ControlPlane:
             except TableEntryLimit as exc:
                 self._c_failed.inc()
                 self._c_rolled_back.inc()
-                self._rollback(undo, updates)
+                self._rollback(undo, shape)
                 if tracer is not None:
                     tracer.record("batch_abort", component="control_plane",
                                   fault="overflow", attempts=attempts,
@@ -440,8 +462,8 @@ class ControlPlane:
             result.undo = undo
             result.visibility_latency_us += retry_wait + queue_wait
             result.total_latency_us += retry_wait + queue_wait
-            self._c_applied.inc()
-            self._c_updates.inc(len(updates))
+            self._c_applied.value += 1
+            self._c_updates.value += len(updates)
             self._h_visibility.observe(result.visibility_latency_us)
             self.telemetry.clock.advance(result.visibility_latency_us)
             if tracer is not None:
@@ -474,7 +496,7 @@ class ControlPlane:
             return UpdateBatchResult(
                 visibility_latency_us=wall_us,
                 total_latency_us=wall_us,
-                tables_touched=self._tables_touched(updates),
+                tables_touched=shape.tables_touched,
                 updates_applied=len(updates),
                 attempts=attempts,
                 retry_wait_us=retry_wait,
@@ -486,7 +508,7 @@ class ControlPlane:
         # the batch exactly where it started, whatever prefix landed.
         self._c_failed.inc()
         self._c_rolled_back.inc()
-        self._rollback(undo, updates)
+        self._rollback(undo, shape)
         self.telemetry.clock.advance(wall_us)
         if tracer is not None:
             tracer.record("batch_abort", component="control_plane",
@@ -504,39 +526,46 @@ class ControlPlane:
 
     # -- the undo log ----------------------------------------------------------
 
-    def _capture_undo(self, updates: List[StateUpdate]) -> UndoLog:
-        """Snapshot the pre-image of every slot the batch touches."""
-        log = UndoLog()
-        seen = set()
-        for update in updates:
-            if update.op == "register":
-                slot = ("register", update.target, None)
-                if slot in seen:
-                    continue
-                seen.add(slot)
-                log.records.append(UndoRecord(
-                    kind="register", target=update.target, key=None,
-                    existed=True,
-                    value=self.registers[update.target].preimage(),
-                ))
-            else:
-                slot = ("table", update.target, update.key)
-                if slot in seen:
-                    continue
-                seen.add(slot)
-                existed, value = self.tables[update.target].entry_preimage(
-                    update.key
+    def _open(
+        self, updates: List[StateUpdate]
+    ) -> Tuple[_BatchShape, UndoLog]:
+        """The one pass over a batch, before its first mutation: its
+        shape, and the undo log — the pre-image of every slot it touches,
+        in first-touch order."""
+        touched: Dict[str, tuple] = {}
+        registers: list = []
+        op_counts: Dict[str, int] = {}
+        preimages: Dict[object, UndoRecord] = {}
+        for op, target, key, value in updates:
+            if op == "register":
+                register = self.registers[target]
+                registers.append((register, value or 0))
+                if target not in preimages:
+                    preimages[target] = UndoRecord(
+                        "register", target, None, True, register.preimage()
+                    )
+                continue
+            table_entries = touched.get(target)
+            if table_entries is None:
+                table_entries = touched[target] = (self.tables[target], [])
+            table, entries = table_entries
+            entries.append((key, None if op == "delete" else value))
+            op_counts[op] = op_counts.get(op, 0) + 1
+            if (target, key) not in preimages:
+                preimages[target, key] = UndoRecord(
+                    "table", target, key, *table.entry_preimage(key)
                 )
-                log.records.append(UndoRecord(
-                    kind="table", target=update.target, key=update.key,
-                    existed=existed, value=value,
-                ))
-        return log
+        shape = _BatchShape(
+            list(touched.values()), registers, len(updates),
+            len(touched) + (1 if registers else 0),
+            max(op_counts, key=op_counts.get) if op_counts else "modify",
+        )
+        return shape, UndoLog(list(preimages.values()))
 
-    def _rollback(self, undo: UndoLog, updates: List[StateUpdate]) -> None:
+    def _rollback(self, undo: UndoLog, shape: _BatchShape) -> None:
         """Byte-exact restore of every touched slot from the undo log."""
-        for name in {u.target for u in updates if u.op != "register"}:
-            self.tables[name].discard_writeback()
+        for table, _ in shape.staged:
+            table.discard_writeback()
         for record in undo.records:
             if record.kind == "table":
                 self.tables[record.target].restore_entry(
@@ -563,13 +592,8 @@ class ControlPlane:
         self._h_queue_wait.observe(wait)
         return wait, start
 
-    def _tables_touched(self, updates: List[StateUpdate]) -> int:
-        table_updates = [u for u in updates if u.op != "register"]
-        n_tables = len({u.target for u in table_updates})
-        return n_tables + (1 if len(table_updates) < len(updates) else 0)
-
     def _apply_once(
-        self, updates: List[StateUpdate], fault: Optional[str]
+        self, shape: _BatchShape, fault: Optional[str]
     ) -> UpdateBatchResult:
         """One attempt at the three-step protocol.
 
@@ -587,32 +611,24 @@ class ControlPlane:
             raise TableEntryLimit(
                 "injected write-back overflow (fault harness)"
             )
-        table_updates = [u for u in updates if u.op != "register"]
-        register_updates = [u for u in updates if u.op == "register"]
-        touched: Dict[str, List[StateUpdate]] = {}
-        for update in table_updates:
-            touched.setdefault(update.target, []).append(update)
+        staged = shape.staged
 
         if fault == "crash":
             # The connection dies after the first touched table folded
             # (or after the first register write when the batch is
             # register-only): a genuinely partial application.
             applied = 0
-            if touched:
-                first_name, first_ops = next(iter(touched.items()))
-                table = self.tables[first_name]
-                for update in first_ops:
-                    table.stage(
-                        update.key,
-                        None if update.op == "delete" else update.value,
-                    )
+            if staged:
+                table, entries = staged[0]
+                for key, value in entries:
+                    table.stage(key, value)
                 table.set_visibility(True)
                 table.fold_writeback()
                 table.set_visibility(False)
-                applied = len(first_ops)
-            elif register_updates:
-                first = register_updates[0]
-                self.registers[first.target].control_write(first.value or 0)
+                applied = len(entries)
+            elif shape.registers:
+                register, value = shape.registers[0]
+                register.control_write(value)
                 applied = 1
             raise ControlPlaneFault("crash", applied_updates=applied)
 
@@ -620,26 +636,22 @@ class ControlPlane:
         # failure aborts the whole batch: discard any staged residue so the
         # next batch's fold cannot observe it.
         try:
-            for table_name, table_ops in touched.items():
-                table = self.tables[table_name]
-                for update in table_ops:
-                    table.stage(
-                        update.key, None if update.op == "delete" else update.value
-                    )
+            for table, entries in staged:
+                for key, value in entries:
+                    table.stage(key, value)
         except TableEntryLimit:
-            for table_name in touched:
-                self.tables[table_name].discard_writeback()
+            for table, _ in staged:
+                table.discard_writeback()
             raise
-        for update in register_updates:
-            self.registers[update.target].control_write(update.value or 0)
+        for register, value in shape.registers:
+            register.control_write(value)
 
         # Step 2: flip the visibility bit — updates become visible.
-        for table_name in touched:
-            self.tables[table_name].set_visibility(True)
+        for table, _ in staged:
+            table.set_visibility(True)
 
         # Step 3: fold into the main tables, then clear the bit.
-        for table_name in touched:
-            table = self.tables[table_name]
+        for table, _ in staged:
             table.fold_writeback()
             table.set_visibility(False)
 
@@ -647,38 +659,30 @@ class ControlPlane:
             # The batch landed but the confirmation never arrived; the
             # caller cannot tell and must retry (idempotently).  The undo
             # log's high-water mark records the full batch as durable.
-            raise ControlPlaneFault("timeout", applied_updates=len(updates))
+            raise ControlPlaneFault("timeout", applied_updates=shape.updates)
 
-        n_tables = len(touched) + (1 if register_updates else 0)
-        op_kind = _dominant_op(table_updates) if table_updates else "modify"
-        visibility = _batch_latency_us(n_tables, op_kind, self._rng)
-        total = visibility * 1.35  # folding runs after visibility
-        return UpdateBatchResult(
-            visibility_latency_us=visibility,
-            total_latency_us=total,
-            tables_touched=n_tables,
-            updates_applied=len(updates),
+        visibility = _batch_latency_us(
+            shape.tables_touched, shape.op_kind, self._rng
         )
+        # Class defaults plus the four fields an attempt knows;
+        # ``apply_batch`` fills in the rest.
+        result = _new(UpdateBatchResult)
+        result.visibility_latency_us = visibility
+        result.total_latency_us = visibility * 1.35  # folding runs after visibility
+        result.tables_touched = shape.tables_touched
+        result.updates_applied = shape.updates
+        return result
 
-    def _attempt_cost_us(self, updates: List[StateUpdate], kind: str) -> float:
+    def _attempt_cost_us(self, shape: _BatchShape, kind: str) -> float:
         """Wall-clock burned by one failed attempt."""
-        table_updates = [u for u in updates if u.op != "register"]
-        n_tables = len({u.target for u in table_updates})
-        n_tables += 1 if len(table_updates) < len(updates) else 0
-        op_kind = _dominant_op(table_updates) if table_updates else "modify"
-        nominal = _batch_latency_us(n_tables, op_kind, self._rng)
+        nominal = _batch_latency_us(
+            shape.tables_touched, shape.op_kind, self._rng
+        )
         timeout_multiple = (
             self.retry.timeout_multiple if self.retry is not None
             else TIMEOUT_MULTIPLE
         )
         return nominal * (timeout_multiple if kind == "timeout" else 1.0)
-
-
-def _dominant_op(updates: List[StateUpdate]) -> str:
-    counts: Dict[str, int] = {}
-    for update in updates:
-        counts[update.op] = counts.get(update.op, 0) + 1
-    return max(counts, key=counts.get)
 
 
 def expected_batch_latency_us(n_tables: int, op: str) -> float:

@@ -116,6 +116,10 @@ class SwitchModel:
         #: pre-pipeline instruction count -> (simulated µs, histogram
         #: cell); a pipeline has a handful of path lengths
         self._pre_costs: Dict[int, Tuple[float, float, int]] = {}
+        # The two shim legs this switch terminates.  The codec is a
+        # function of the program, so it is bound here, once.
+        self._encode_shim = program.shim_to_server.encode
+        self._decode_shim = program.shim_to_switch.decode
 
     def _pre_cost(self, instructions: int) -> Tuple[float, float, int]:
         cost = self._pre_costs[instructions] = (
@@ -209,22 +213,22 @@ class SwitchModel:
             output.pipeline_instructions = instructions
             return output
         # Fell off the end: punt to the server with the to-server shim.
-        self._c_punted.inc()
-        values = {"__ingress_port": ingress_port}
-        for shim_field in self.program.shim_to_server.fields:
-            if shim_field.name.startswith("__"):
-                continue
-            values[shim_field.name] = env.get(shim_field.name, 0)
-        packet.metadata[SHIM_KEY] = self.program.shim_to_server.encode(values)
-        packet.metadata[SHIM_DIR_KEY] = "to_server"
+        # The traversal's environment is ours and finished with, so the
+        # reserved field joins it on the way to the codec, which reads
+        # the names of its layout and no others.
+        self._c_punted.value += 1
+        env["__ingress_port"] = ingress_port
+        metadata = packet.metadata
+        metadata[SHIM_KEY] = shim = self._encode_shim(env)
+        metadata[SHIM_DIR_KEY] = "to_server"
         if tracer is not None:
             tracer.record("punt", reason="needs_server",
-                          shim_bytes=len(packet.metadata[SHIM_KEY]))
-        return SwitchOutput(
-            emitted=[(self.server_port, packet)],
-            punted=True,
-            pipeline_instructions=instructions,
-        )
+                          shim_bytes=len(shim))
+        output = _new(SwitchOutput)
+        output.emitted = [(self.server_port, packet)]
+        output.punted = True
+        output.pipeline_instructions = instructions
+        return output
 
     def rebook_as_punt(self, answered: SwitchOutput) -> SwitchOutput:
         """Turn a packet the pre pipeline just answered into a punt.
@@ -233,83 +237,88 @@ class SwitchModel:
         table: the verdict is void, the server decides.  The packet moves
         from the fast-path (and dropped) counters to the punted one.
         """
-        self._c_fast.inc(-1)
+        self._c_fast.value -= 1
         if answered.dropped:
-            self._c_dropped.inc(-1)
-        self._c_punted.inc()
+            self._c_dropped.value -= 1
+        self._c_punted.value += 1
         if self._tracer is not None:
             self._tracer.record("punt", reason="partial_table")
-        return SwitchOutput(
-            punted=True,
-            pipeline_instructions=answered.pipeline_instructions,
-        )
+        output = _new(SwitchOutput)
+        output.emitted = []
+        output.punted = True
+        output.pipeline_instructions = answered.pipeline_instructions
+        return output
 
     def _receive_from_server(self, packet: RawPacket) -> SwitchOutput:
+        """The return leg: apply the server's verdict, or run the post
+        pipeline.  Every exit answers with the class defaults plus the
+        fields it sets; clock and histogram go through their methods."""
         tracer = self._tracer
-        shim_bytes = packet.metadata.pop(SHIM_KEY, b"")
-        packet.metadata.pop(SHIM_DIR_KEY, None)
-        values = self.program.shim_to_switch.decode(shim_bytes)
-        self._c_post.inc()
-        verdict_flag = values.get("__verdict", FLAG_VERDICT_NONE)
-        original_ingress = values.get("__ingress_port", 1)
+        metadata = packet.metadata
+        shim = metadata.pop(SHIM_KEY, b"")
+        metadata.pop(SHIM_DIR_KEY, None)
+        # An absent shim decodes like a truncated one: ShimDecodeError.
+        values = self._decode_shim(shim)
+        self._c_post.value += 1
+        # What is left of ``values`` after the three reserved fields is
+        # the post pipeline's environment.
+        verdict_flag = values.pop("__verdict", FLAG_VERDICT_NONE)
+        original_ingress = values.pop("__ingress_port", 1)
+        explicit_port = values.pop("__egress_port", 0)
         stamping = self._int is not None and self._int.stamping
         if tracer is not None:
             tracer.set_component("switch.post")
+        output = _new(SwitchOutput)
         if verdict_flag == FLAG_VERDICT_DROP:
-            self._c_dropped.inc()
+            self._c_dropped.value += 1
             # The verdict was decided (and traced) server-side; the switch
             # only applies it, so this is not a second semantic verdict.
             if tracer is not None:
                 tracer.record("apply_verdict", verdict="drop")
             if stamping:
                 self._int.stamp(packet, "switch.post", 0, 0.0)
-            return SwitchOutput(dropped=True)
+            output.emitted = []
+            output.dropped = True
+            return output
         if verdict_flag == FLAG_VERDICT_SEND:
-            port = self._resolve_egress(
-                values.get("__egress_port") or None, original_ingress
-            )
+            port = self._resolve_egress(explicit_port, original_ingress)
             if tracer is not None:
                 tracer.record("apply_verdict", verdict="send", port=port)
             if stamping:
                 self._int.stamp(packet, "switch.post", 0, 0.0)
-            return SwitchOutput(emitted=[(port, packet)])
+            output.emitted = [(port, packet)]
+            return output
         # No verdict yet: run the post-processing pipeline with the
         # packet's original ingress annotation restored.
         packet.ingress_port = original_ingress
-        env = {
-            name: value
-            for name, value in values.items()
-            if not name.startswith("__")
-        }
-        verdict, egress_port, _, instructions = self._post(packet, env)
+        verdict, egress_port, _, instructions = self._post(packet, values)
         self.telemetry.clock.advance(instructions * SWITCH_INSTR_US)
         self._h_post.observe(instructions)
         if stamping:
             self._int.stamp(packet, "switch.post", instructions,
                             instructions * SWITCH_INSTR_US)
+        output.pipeline_instructions = instructions
         if verdict == "drop":
-            self._c_dropped.inc()
+            self._c_dropped.value += 1
             if tracer is not None:
                 tracer.record("verdict", verdict="drop", port=0)
-            return SwitchOutput(
-                dropped=True, pipeline_instructions=instructions
-            )
+            output.emitted = []
+            output.dropped = True
+            return output
         if verdict == "send":
             port = self._resolve_egress(egress_port, original_ingress)
             if tracer is not None:
                 tracer.record("verdict", verdict="send",
                               port=egress_port or 0)
-            return SwitchOutput(
-                emitted=[(port, packet)],
-                pipeline_instructions=instructions,
-            )
+            output.emitted = [(port, packet)]
+            return output
         # Defensive: a packet with no verdict anywhere is dropped.
-        self._c_dropped.inc()
+        self._c_dropped.value += 1
         if tracer is not None:
             tracer.record("defensive_drop")
-        return SwitchOutput(
-            dropped=True, pipeline_instructions=instructions
-        )
+        output.emitted = []
+        output.dropped = True
+        return output
 
     def _resolve_egress(self, explicit: Optional[int], ingress: int) -> int:
         if explicit:

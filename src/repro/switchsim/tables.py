@@ -13,8 +13,7 @@ deletion").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 Key = Tuple[int, ...]
 
@@ -36,6 +35,10 @@ class ExactMatchTable:
         self.size = size
         self._main: Dict[Key, int] = {}
         self._writeback: Dict[Key, object] = {}
+        #: what folding the stage would add to ``len(_main)``: the sum of
+        #: :meth:`_staged_delta` over ``_writeback``, kept as entries are
+        #: staged (the main table only changes under an empty stage)
+        self._staged_growth = 0
         self._writeback_visible = False
         self.lookup_count = 0
         self.hit_count = 0
@@ -67,24 +70,27 @@ class ExactMatchTable:
         the authoritative ``StateStore``, which applied the same journal
         sequentially).
         """
-        if value is not None:
-            occupancy = len(self._main) + sum(
-                self._staged_delta(staged_key, staged)
-                for staged_key, staged in self._writeback.items()
-                if staged_key != key
+        present = key in self._main
+        growth = self._staged_growth
+        if key in self._writeback:
+            # Re-staging a key replaces its entry: take the old share out.
+            growth -= self._staged_delta(present, self._writeback[key])
+        staged = _TOMBSTONE if value is None else value
+        growth += self._staged_delta(present, staged)
+        if value is not None and len(self._main) + growth > self.size:
+            raise TableEntryLimit(
+                f"table {self.name!r} full ({self.size} entries)"
             )
-            occupancy += self._staged_delta(key, value)
-            if occupancy > self.size:
-                raise TableEntryLimit(
-                    f"table {self.name!r} full ({self.size} entries)"
-                )
-        self._writeback[key] = _TOMBSTONE if value is None else value
+        self._writeback[key] = staged
+        self._staged_growth = growth
 
-    def _staged_delta(self, key: Key, staged: object) -> int:
-        """Occupancy change a staged entry causes once folded."""
+    @staticmethod
+    def _staged_delta(present: bool, staged: object) -> int:
+        """Occupancy change a staged entry causes once folded, given
+        whether the main table holds its key."""
         if staged is _TOMBSTONE:
-            return -1 if key in self._main else 0
-        return 0 if key in self._main else 1
+            return -1 if present else 0
+        return 0 if present else 1
 
     def set_visibility(self, visible: bool) -> None:
         self._writeback_visible = visible
@@ -102,6 +108,7 @@ class ExactMatchTable:
         the next batch's fold and break atomicity.
         """
         self._writeback.clear()
+        self._staged_growth = 0
         self._writeback_visible = False
 
     def fold_writeback(self) -> None:
@@ -112,6 +119,7 @@ class ExactMatchTable:
             else:
                 self._main[key] = value  # type: ignore[assignment]
         self._writeback.clear()
+        self._staged_growth = 0
 
     def entry_preimage(self, key: Key) -> Tuple[bool, int]:
         """Committed pre-image of one slot, ignoring any staged entry.

@@ -476,10 +476,11 @@ def _resolve_egress_sym(egress: Optional[Term], ingress: int,
 
 
 def _shim_pack(layout, values: Dict[str, Term]) -> Dict[str, Term]:
-    """encode ∘ decode through a shim layout: wrap each field to width."""
+    """encode ∘ decode through a shim layout: wrap each field to width
+    (the masks are the codec's own)."""
     return {
-        f.name: wrap(values.get(f.name, const(0)), (1 << f.width_bits) - 1)
-        for f in layout.fields
+        name: wrap(values.get(name, const(0)), mask)
+        for name, _, mask in layout.slots
     }
 
 
@@ -513,57 +514,52 @@ def _run_composition(plan, program, scenario: Scenario,
         return CompOutcome("drop", None, packet, server, switch)
 
     # Punt: shim to the server (encode ∘ decode wraps to field widths).
-    to_server = {"__ingress_port": const(scenario.ingress)}
-    for shim_field in program.shim_to_server.fields:
-        if shim_field.name.startswith("__"):
-            continue
-        to_server[shim_field.name] = pre.env.get(shim_field.name, const(0))
-    values = _shim_pack(program.shim_to_server, to_server)
-    values.pop("__ingress_port", None)
-    env = {k: v for k, v in values.items() if not k.startswith("__")}
+    # As on the switch, the reserved field joins the finished traversal's
+    # environment; as on the server, what is left of the decoded fields
+    # after it is the partition's environment.
+    pre.env["__ingress_port"] = const(scenario.ingress)
+    env = _shim_pack(program.shim_to_server, pre.env)
+    env.pop("__ingress_port", None)
     server.drain_journal()
     server_result = Interpreter(
         plan.non_offloaded, server, server_externs, domain
     ).run(packet, initial_env=env)
     # The deployment's own replication rule, over term-valued entries.
     updates = updates_from_journal(
-        plan, replicated_members(plan), server.drain_journal()
+        replicated_members(plan), server.drain_journal()
     )
 
-    out_values: Dict[str, Term] = {
-        "__verdict": const(verdict_flag(server_result.verdict)),
-        "__egress_port": (server_result.egress_port
-                          if server_result.egress_port is not None
-                          else const(0)),
-        "__ingress_port": const(scenario.ingress),
-    }
-    for shim_field in program.shim_to_switch.fields:
-        if shim_field.name.startswith("__"):
-            continue
-        out_values[shim_field.name] = server_result.env.get(
-            shim_field.name, const(0)
-        )
+    out_values = server_result.env
+    out_values["__verdict"] = const(verdict_flag(server_result.verdict))
+    out_values["__egress_port"] = (
+        server_result.egress_port
+        if server_result.egress_port is not None else const(0)
+    )
+    out_values["__ingress_port"] = const(scenario.ingress)
     values2 = _shim_pack(program.shim_to_switch, out_values)
 
     # Replication batch commits before the return leg (output commit).
     if updates:
         switch.apply_updates(updates)
 
-    flag = values2.get("__verdict", const(0))
+    # What is left of the decoded fields after the three reserved ones is
+    # the post pipeline's environment.
+    flag = values2.pop("__verdict", const(0))
+    values2.pop("__ingress_port", None)
+    explicit_egress = values2.pop("__egress_port", None)
     assert flag.is_const  # verdicts are path-concrete by construction
     if flag.value == FLAG_VERDICT_DROP:
         return CompOutcome("drop", None, packet, server, switch)
     if flag.value == FLAG_VERDICT_SEND:
         egress = _resolve_egress_sym(
-            values2.get("__egress_port"), scenario.ingress, chooser
+            explicit_egress, scenario.ingress, chooser
         )
         return CompOutcome("send", egress, packet, server, switch)
 
     # No server verdict: the post-processing pipeline decides.
-    env2 = {k: v for k, v in values2.items() if not k.startswith("__")}
     switch.begin_traversal()
     post = Interpreter(plan.post, switch, switch_externs, domain).run(
-        packet, initial_env=env2
+        packet, initial_env=values2
     )
     if post.verdict == "send":
         egress = _resolve_egress_sym(post.egress_port, scenario.ingress, chooser)

@@ -200,3 +200,47 @@ class TestBaselineRuntime:
         assert result.verdict == "send"
         assert result.instructions > 5
         assert baseline.instructions_total == result.instructions
+
+
+class TestReplicationRule:
+    """One definition of which writes reach the switch: the runtime holds
+    the per-plan table, the prover builds the same one, and both hand it
+    to the same function."""
+
+    def test_runtime_and_prover_share_it(self, middlebox_name):
+        from repro.partition.plan import PlacementKind
+        from repro.runtime import server
+        from repro.switchsim.control_plane import StateUpdate
+        from repro.verify.symbolic import prover
+
+        assert prover.updates_from_journal is server.updates_from_journal
+        assert prover.replicated_members is server.replicated_members
+        gallium = build_gallium(middlebox_name)
+        plan = gallium.plan
+        table = server.replicated_members(plan)
+        assert gallium.server._replicated == table
+        # The table is the rule's plan half, spelled out per member...
+        assert table == {
+            name: placement.member.kind == "scalar"
+            for name, placement in plan.placements.items()
+            if placement.replicated
+            or placement.kind is PlacementKind.SWITCH_TABLE
+        }
+        # ...and the journal half, per entry, is what it was when the
+        # plan was consulted for every entry.
+        journal = [
+            (op, name, (1, 2), 3)
+            for name in plan.placements
+            for op in ("insert", "push", "erase", "store", "insert_failed")
+        ]
+        expected = []
+        for op, name, keys, value in journal:
+            if name not in table:
+                continue
+            if plan.placements[name].member.kind == "scalar" or op == "store":
+                expected.append(StateUpdate("register", name, (), value))
+            elif op in ("insert", "push"):
+                expected.append(StateUpdate("insert", name, keys, value))
+            elif op == "erase":
+                expected.append(StateUpdate("delete", name, keys, None))
+        assert server.updates_from_journal(table, journal) == expected

@@ -14,9 +14,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.codegen.headers import ShimDecodeError
 from repro.faults.injector import FaultInjector
-from repro.runtime.deployment import PacketJourney
-from repro.switchsim.switch_model import SwitchOutput
+from repro.runtime.deployment import PacketJourney, PuntCompletion
+from repro.runtime.server import ServerResult
+from repro.switchsim.control_plane import UpdateBatchResult
+from repro.switchsim.switch_model import SHIM_KEY, SwitchOutput
 from repro.telemetry.metrics import Histogram
 from tests.runtime import golden_pins
 from tests.runtime.golden_pins import build, churn_stream
@@ -101,6 +104,70 @@ class TestJourneysAreWholeAndPrivate:
             assert bare  # ``emitted`` at least: a default_factory
             for answer in answers:
                 assert bare <= set(vars(answer))
+
+    def test_punt_answers_set_every_bare_field(self):
+        """The punt path's answers skip the constructor too: the switch's
+        punt exit and return leg (``test_specialization.py`` walks all
+        five of its exits), the batch result, the punt completion, the
+        journey; the server's result is whole too."""
+        seen = {kind: [] for kind in (
+            SwitchOutput, ServerResult, UpdateBatchResult, PuntCompletion,
+            PacketJourney,
+        )}
+        for name in ("mazunat", "trojan", "lb"):
+            box = build("base", name, None)
+            for owner, attribute in (
+                (box.switch, "receive"), (box.server, "handle"),
+                (box.switch.control_plane, "apply_batch"),
+                (box, "complete_punt"), (box, "process_packet"),
+            ):
+                def watched(*args, _call=getattr(owner, attribute)):
+                    answer = _call(*args)
+                    seen[type(answer)].append(answer)
+                    return answer
+                setattr(owner, attribute, watched)
+            for packet, port in churn_stream(name)[:600]:
+                box.process_packet(packet.copy(), port)
+        # Answered, punted, and back from the server.
+        assert {(output.fast_path, output.punted)
+                for output in seen[SwitchOutput]} == {
+            (True, False), (False, True), (False, False)}
+        for kind, answers in seen.items():
+            assert answers, kind
+            bare = {field.name for field in dataclasses.fields(kind)
+                    if field.name not in vars(kind)}
+            for answer in answers:
+                assert bare <= set(vars(answer)), kind
+                assert answer == kind(**{
+                    field.name: getattr(answer, field.name)
+                    for field in dataclasses.fields(kind)
+                })
+
+    def test_consecutive_punts_share_nothing(self):
+        box = build("base", "mazunat", None)
+        first, second = [
+            journey for journey in (
+                box.process_packet(packet.copy(), port)
+                for packet, port in churn_stream("mazunat")[:200]
+            ) if journey.punted
+        ][:2]
+        assert first is not second
+        assert first.emitted is not second.emitted
+        assert first.emitted[0] is not second.emitted[0]
+        expected = rebuilt(second)
+        expected.emitted = list(second.emitted)
+        first.emitted.clear()
+        first.verdict, first.sync_tables, first.retries = "drop", 9, 9
+        assert second == expected
+        third = next(
+            journey for journey in (
+                box.process_packet(packet.copy(), port)
+                for packet, port in churn_stream("mazunat")[200:400]
+            ) if journey.punted
+        )
+        assert third == rebuilt(third)
+        assert (third.verdict, third.retries, len(third.emitted)) == (
+            "send", 0, 1)
 
     def test_inlined_histogram_updates_are_observe(self):
         """``receive`` and ``process_packet`` apply ``Histogram.observe``'s
@@ -240,6 +307,31 @@ class TestSpanRecorderStillSeesTheLayers:
         assert 0 < calls["telemetry.histogram.observe"] <= 8 * punts
         assert summary["closure_error"] <= 0.05
 
+    def test_each_punt_fires_its_wrappers(self, perfbench):
+        """Per punt: both legs through ``receive``, one ``handle``, at
+        most one ``apply_batch`` — the wrappers sit on instance
+        attributes, so each boundary is still a lookup at call time."""
+        packet_path, spans = perfbench
+        box = build("base", "lb", None)
+        recorder = spans.SpanRecorder(packet_path.ROOT_SPAN)
+        packet_path.instrument(recorder, box)
+        punts = 0
+        for packet, port in churn_stream("lb")[:300]:
+            before = len(recorder.names)
+            journey = box.process_packet(packet.copy(), port)
+            fired = recorder.names[before:]
+            if not journey.punted:
+                assert fired.count("switchsim.receive") == 1
+                assert "runtime.server.handle" not in fired
+                continue
+            punts += 1
+            assert fired.count("switchsim.receive") == 2
+            assert fired.count("runtime.server.handle") == 1
+            assert fired.count("switchsim.control_plane.apply_batch") == (
+                1 if journey.sync_tables else 0)
+        recorder.unwrap_all()
+        assert punts > 10
+
     def test_a_pure_fast_path_crosses_two_boundaries(self, perfbench):
         packets = 200
         box, summary, calls = spanned_run(perfbench, "firewall", packets)
@@ -249,3 +341,46 @@ class TestSpanRecorderStillSeesTheLayers:
             "switchsim.receive": packets,
         }
         assert summary["closure_error"] <= 0.05
+
+
+class TestShortShimsEndInADiagnostic:
+    """A truncated or absent shim at either receiver is a
+    ``ShimDecodeError`` naming the leg, never a bare error from inside."""
+
+    def punt(self, name="mazunat"):
+        box = build("base", name, None)
+        for packet, port in churn_stream(name):
+            output = box.switch.receive(packet.copy(), port)
+            if output.punted:
+                return box, output.emitted[0][1]
+        raise AssertionError("no punt in the stream")
+
+    @pytest.mark.parametrize("keep", [None, 0, 1])
+    def test_server_side(self, keep):
+        box, frame = self.punt()
+        expected = box.program.shim_to_server.byte_size
+        assert expected > 1
+        if keep is None:
+            del frame.metadata[SHIM_KEY]
+        else:
+            frame.metadata[SHIM_KEY] = frame.metadata[SHIM_KEY][:keep]
+        with pytest.raises(ShimDecodeError) as caught:
+            box.server.handle(frame)
+        assert (caught.value.direction, caught.value.expected,
+                caught.value.received) == ("to_server", expected, keep or 0)
+
+    @pytest.mark.parametrize("keep", [None, 0, 2])
+    def test_switch_side(self, keep):
+        box, frame = self.punt()
+        served = box.server.handle(frame)
+        expected = box.program.shim_to_switch.byte_size
+        assert expected > 2
+        if keep is None:
+            del served.packet.metadata[SHIM_KEY]
+        else:
+            served.packet.metadata[SHIM_KEY] = (
+                served.packet.metadata[SHIM_KEY][:keep])
+        with pytest.raises(ShimDecodeError) as caught:
+            box.switch.receive(served.packet, box.server_port)
+        assert (caught.value.direction, caught.value.expected,
+                caught.value.received) == ("to_switch", expected, keep or 0)

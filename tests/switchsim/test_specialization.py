@@ -11,7 +11,13 @@ tell the engines apart.
 
 import pytest
 
-from repro.codegen.headers import ShimLayout
+from repro.codegen.headers import (
+    FLAG_VERDICT_DROP,
+    FLAG_VERDICT_NONE,
+    FLAG_VERDICT_SEND,
+    ShimLayout,
+    synthesize_shim_layouts,
+)
 from repro.ir import instructions as irin
 from repro.ir.builder import FunctionBuilder
 from repro.ir.interp import InterpreterError
@@ -19,7 +25,8 @@ from repro.ir.values import Const
 from repro.lang.types import UINT16, UINT32
 from repro.switchsim.pipeline import DataPlaneViolation
 from repro.switchsim.program import RegisterSpec, SwitchProgram, TableSpec
-from repro.switchsim.switch_model import SwitchModel
+from repro.partition.plan import TransferSpec
+from repro.switchsim.switch_model import SHIM_KEY, SwitchModel, SwitchOutput
 from repro.workloads.packets import make_tcp_packet
 
 ENGINES = pytest.mark.parametrize("fast_path", [False, True],
@@ -188,3 +195,61 @@ class TestSameBookkeepingFromBothEngines:
         outputs, lookups, hits, reads = seen[0][:4]
         assert outputs == [(True, True, 3, []), (False, True, 4, [2])]
         assert (lookups, hits, reads) == (2, 1, 1)
+
+
+class TestReturnLegExits:
+    """``receive`` on the server port leaves through five exits, each an
+    answer built without the constructor; both engines, every field."""
+
+    POSTS = {"send": irin.Send(), "send_to": irin.SendTo(Const(9, UINT32)),
+             "drop": irin.Drop(), "none": irin.Return()}
+
+    def switch(self, post_kind, fast_path):
+        pre, post = FunctionBuilder("pre"), FunctionBuilder("post")
+        pre.emit(irin.Return())  # every packet punts
+        post.emit(self.POSTS[post_kind])
+        to_server, to_switch = synthesize_shim_layouts(
+            TransferSpec([]), TransferSpec([])
+        )
+        program = SwitchProgram(
+            name="handbuilt", pre=pre.function, post=post.function,
+            tables={}, registers={}, shim_to_server=to_server,
+            shim_to_switch=to_switch, needs_server_reg="__needs_server",
+        )
+        return SwitchModel(program, fast_path=fast_path)
+
+    @ENGINES
+    @pytest.mark.parametrize("flag, egress, post_kind, port, dropped, ran", [
+        (FLAG_VERDICT_DROP, 0, "send", None, True, 0),
+        (FLAG_VERDICT_SEND, 0, "drop", 2, False, 0),  # the port pair's
+        (FLAG_VERDICT_SEND, 7, "drop", 7, False, 0),  # the server's
+        (FLAG_VERDICT_NONE, 0, "send", 2, False, 1),
+        (FLAG_VERDICT_NONE, 0, "send_to", 9, False, 1),
+        (FLAG_VERDICT_NONE, 0, "drop", None, True, 1),
+        (FLAG_VERDICT_NONE, 0, "none", None, True, 1),  # defensive
+    ])
+    def test_every_exit_is_whole(self, fast_path, flag, egress, post_kind,
+                                 port, dropped, ran):
+        switch = self.switch(post_kind, fast_path)
+        packet = make_tcp_packet("10.0.0.1", "10.0.0.2", 1, 2)
+        punt = switch.receive(packet, 1)
+        assert punt == SwitchOutput(
+            emitted=[(switch.server_port, packet)], punted=True,
+            pipeline_instructions=1,
+        )
+        assert packet.metadata[SHIM_KEY] == b"\x01"  # the ingress port
+        packet.metadata[SHIM_KEY] = switch.program.shim_to_switch.encode({
+            "__verdict": flag, "__egress_port": egress, "__ingress_port": 1,
+        })
+        answer = switch.receive(packet, switch.server_port)
+        assert answer == SwitchOutput(
+            emitted=[] if dropped else [(port, packet)], dropped=dropped,
+            pipeline_instructions=ran,
+        )
+        assert SHIM_KEY not in packet.metadata
+        assert switch.counters() == {
+            "fast_path": 0, "punted": 1, "post": 1, "dropped": int(dropped),
+        }
+        again = switch.receive(
+            make_tcp_packet("10.0.0.1", "10.0.0.2", 1, 2), 1)
+        assert again.emitted is not punt.emitted

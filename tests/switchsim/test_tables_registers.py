@@ -1,11 +1,18 @@
 """Tests for switch tables, write-back atomic updates, and registers."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.ir.instructions import BinOpKind
 from repro.switchsim.registers import Register
-from repro.switchsim.tables import ExactMatchTable, TableEntryLimit
+from repro.switchsim.control_plane import ControlPlane
+from repro.switchsim.tables import (
+    _TOMBSTONE,
+    ExactMatchTable,
+    TableEntryLimit,
+)
 
 
 class TestExactMatchTable:
@@ -126,6 +133,119 @@ class TestExactMatchTable:
         table.set_visibility(False)
         for key, value in entries.items():
             assert table.lookup((key,)) == (True, value)
+
+
+def recomputed_growth(table: ExactMatchTable, writeback=None) -> int:
+    """What ``stage`` summed over the whole write-back stage (or a
+    prospective one) on every call before it kept a running count: the
+    reference for that count."""
+    writeback = table._writeback if writeback is None else writeback
+    return sum(
+        (-1 if key in table._main else 0) if staged is _TOMBSTONE
+        else (0 if key in table._main else 1)
+        for key, staged in writeback.items()
+    )
+
+
+class TestStagedOccupancyCount:
+    """The post-fold occupancy delta of the write-back stage is a running
+    count; it must equal the recomputed sum after every operation, and
+    refuse exactly the stagings the recomputed sum refuses."""
+
+    def stage(self, table, key, value):
+        """``stage`` next to the reference's verdict on the same call."""
+        prospective = dict(table._writeback)
+        prospective[key] = _TOMBSTONE if value is None else value
+        refuses = (
+            value is not None and len(table._main)
+            + recomputed_growth(table, prospective) > table.size
+        )
+        before = dict(table._writeback), table._staged_growth
+        if refuses:
+            with pytest.raises(TableEntryLimit, match=r"table 't' full \(6"):
+                table.stage(key, value)
+            assert (dict(table._writeback), table._staged_growth) == before
+        else:
+            table.stage(key, value)
+        assert table._staged_growth == recomputed_growth(table)
+        return not refuses
+
+    def test_seeded_sequences(self):
+        rng = random.Random(0x57A6E)
+        refused = staged = 0
+        for _ in range(60):
+            table = ExactMatchTable("t", [32], 32, 6)
+            for _ in range(rng.randint(1, 8)):  # batches
+                for _ in range(rng.randint(1, 7)):
+                    key = (rng.randrange(12),)  # 12 keys, 6 slots: it fills
+                    value = None if rng.random() < 0.3 else rng.randrange(99)
+                    if self.stage(table, key, value):
+                        staged += 1
+                    else:
+                        refused += 1
+                outcome = rng.random()
+                if outcome < 0.7:
+                    table.set_visibility(True)
+                    table.fold_writeback()
+                    table.set_visibility(False)
+                elif outcome < 0.9:
+                    table.discard_writeback()
+                else:
+                    table.clear()
+                assert table._staged_growth == recomputed_growth(table) == 0
+                assert table.entry_count <= table.size
+        assert refused > 20 and staged > 500
+
+    def test_erase_then_insert_of_one_key_in_a_full_table(self):
+        table = ExactMatchTable("t", [32], 32, 6)
+        for key in range(6):
+            assert self.stage(table, (key,), key)
+        table.fold_writeback()
+        assert not self.stage(table, (6,), 6)  # full
+        assert self.stage(table, (2,), None)  # tombstone frees a slot...
+        assert table._staged_growth == -1
+        assert self.stage(table, (2,), 22)  # ...re-staged as a modify
+        assert table._staged_growth == 0
+        assert not self.stage(table, (6,), 6)  # full again
+        assert self.stage(table, (3,), None)
+        assert self.stage(table, (6,), 6)  # now it fits
+        table.fold_writeback()
+        assert table.snapshot() == {
+            (0,): 0, (1,): 1, (2,): 22, (4,): 4, (5,): 5, (6,): 6}
+
+    def test_tombstone_of_an_absent_key_frees_nothing(self):
+        table = ExactMatchTable("t", [32], 32, 6)
+        for key in range(6):
+            assert self.stage(table, (key,), key)
+        assert self.stage(table, (8,), None)
+        assert table._staged_growth == 6
+        assert not self.stage(table, (7,), 7)
+        assert self.stage(table, (5,), None)  # staged, never folded: frees
+        assert self.stage(table, (7,), 7)
+
+    def test_bulk_install_is_linear(self):
+        """``install_entries`` stages everything before it folds; the
+        capacity check used to re-sum the stage per entry (4 000 entries:
+        8 million deltas, 1.1 s).  Counted in deltas, not seconds."""
+        deltas = 0
+
+        class Counting(ExactMatchTable):
+            @staticmethod
+            def _staged_delta(present, staged):
+                nonlocal deltas
+                deltas += 1
+                return ExactMatchTable._staged_delta(present, staged)
+
+        entries = 4000
+        table = Counting("t", [32], 32, entries)
+        control = ControlPlane({"t": table}, {})
+        control.install_entries("t", {(key,): key for key in range(entries)})
+        assert table.entry_count == entries
+        assert deltas <= 2 * entries
+        with pytest.raises(TableEntryLimit):
+            control.install_entries("t", {(entries,): 0})
+        table.discard_writeback()
+        control.install_entries("t", {(0,): 1})  # a modify still fits
 
 
 class TestRegister:

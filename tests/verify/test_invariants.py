@@ -12,6 +12,7 @@ import dataclasses
 
 import pytest
 
+from repro.codegen.headers import ShimLayout
 from repro.compiler import compile_source
 from repro.ir import instructions as irin
 from repro.partition.labels import Partition
@@ -128,7 +129,10 @@ def test_part004_shim_field_dropped():
         if not f.name.startswith("__")
     ]
     assert crossing, "expected a value crossing the pre->server boundary"
-    result.shim_to_server.fields.remove(crossing[0])
+    # A layout is immutable: the mutation is a layout built without the field.
+    result.shim_to_server = ShimLayout("to_server", tuple(
+        f for f in result.shim_to_server.fields if f is not crossing[0]
+    ))
     assert "PART004" in _codes(result)
 
 
