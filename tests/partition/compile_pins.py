@@ -4,7 +4,8 @@
 Each pin is everything one compile decides — the outcome (compiled, or
 which refusal), the label assignment, every :class:`ConstraintReport`
 field, the state placements, both transfer sets and packed shim sizes,
-the emitted P4 / C++ text and the verifier's ``(code, severity)`` list —
+the emitted P4 / C++ text, the Python the two engines generate for the
+four functions, and the verifier's ``(code, severity)`` list —
 for the six bundled middleboxes and generated programs
 (``derive_seeds(0, i)``) under ``SwitchResources.tofino_like()`` and
 ``.tiny()``.  It was recorded on the commit *before* the static checks of
@@ -40,9 +41,11 @@ from typing import Dict, Iterator, List, Tuple
 from repro.compiler import compile_source
 from repro.difftest.generator import generate_program
 from repro.difftest.runner import derive_seeds
+from repro.ir.compile import compile_function
 from repro.middleboxes import MIDDLEBOX_NAMES, load
 from repro.partition.constraints import SwitchResources
 from repro.partition.partitioner import PartitionError
+from repro.switchsim.compiled import compile_switch_function
 from repro.switchsim.program import SwitchProgramError
 from repro.verify import lint_switch_program, verify_compilation, verify_ir
 from tests.difftest.oracle_pins import run
@@ -95,6 +98,18 @@ def compile_row(source: str, limits: SwitchResources) -> dict:
         "placements": {
             name: [p.kind.value, p.entries, p.memory_bytes]
             for name, p in sorted(plan.placements.items())
+        },
+        # What a server (``compile_function``) and a switch
+        # (``compile_switch_function``) run: the generated source.
+        "python": {
+            "non_offloaded": _sha(compile_function(plan.non_offloaded).source),
+            "post": _sha(
+                compile_switch_function(result.switch_program.post).source
+            ),
+            "pre": _sha(
+                compile_switch_function(result.switch_program.pre).source
+            ),
+            "process": _sha(compile_function(plan.middlebox.process).source),
         },
         "report": {
             "memory_bytes": report.memory_bytes,
