@@ -29,8 +29,9 @@ help:
 	@echo "  lint-verify     blocking ruff + mypy over src/repro/verify/, the"
 	@echo "                  oracle kernel, the deployment spec, the constraint"
 	@echo "                  model, the label engine, the switch program, the IR"
-	@echo "                  interpreter and the punt path's five modules (stdlib"
-	@echo "                  fallback scan without ruff)"
+	@echo "                  interpreter, the punt path's five modules, liveness,"
+	@echo "                  the metadata allocator, both emitters and the field"
+	@echo "                  table (stdlib fallback scan without ruff)"
 	@echo "  difftest        full differential gauntlet (1000 programs, --shrink)"
 	@echo "  difftest-smoke  fixed-seed ~60s gauntlet slice, then 25 programs"
 	@echo "                  through the compiled-vs-interpreted differential"
@@ -131,7 +132,10 @@ LINT_BLOCKING = src/repro/verify src/repro/difftest/kernel.py \
 	src/repro/partition/labels.py src/repro/switchsim/program.py \
 	src/repro/ir/interp.py src/repro/codegen/headers.py \
 	src/repro/switchsim/tables.py src/repro/switchsim/control_plane.py \
-	src/repro/switchsim/switch_model.py src/repro/runtime/server.py
+	src/repro/switchsim/switch_model.py src/repro/runtime/server.py \
+	src/repro/analysis/liveness.py src/repro/codegen/metadata.py \
+	src/repro/codegen/p4/emit.py src/repro/codegen/cpp/emit.py \
+	src/repro/net/fields.py
 
 lint-verify:
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \

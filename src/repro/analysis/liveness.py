@@ -14,23 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, Set, Tuple
 
 from repro.ir.function import Function
-from repro.ir.instructions import Instruction
-from repro.ir.values import Reg
-
-
-def _defs(inst: Instruction) -> Set[str]:
-    out: Set[str] = set()
-    result = inst.result()
-    if result is not None:
-        out.add(result.name)
-    found = getattr(inst, "found", None)
-    if isinstance(found, Reg):
-        out.add(found.name)
-    return out
-
-
-def _uses(inst: Instruction) -> Set[str]:
-    return {op.name for op in inst.operands() if isinstance(op, Reg)}
 
 
 @dataclass
@@ -52,8 +35,8 @@ def compute_liveness(function: Function) -> LivenessInfo:
         block_use: Set[str] = set()
         block_def: Set[str] = set()
         for inst in block.instructions:
-            block_use |= _uses(inst) - block_def
-            block_def |= _defs(inst)
+            block_use |= {reg.name for reg in inst.uses()} - block_def
+            block_def |= {reg.name for reg in inst.defs()}
         use[name] = block_use
         define[name] = block_def
     live_in: Dict[str, Set[str]] = {name: set() for name in function.blocks}
@@ -83,12 +66,9 @@ def live_ranges(function: Function) -> Dict[str, Tuple[int, int]]:
     """
     ranges: Dict[str, Tuple[int, int]] = {}
     for position, inst in enumerate(function.instructions()):
-        for name in _defs(inst) | _uses(inst):
-            if name in ranges:
-                first, _ = ranges[name]
-                ranges[name] = (first, position)
-            else:
-                ranges[name] = (position, position)
+        for reg in inst.defs() + inst.uses():
+            first, _ = ranges.get(reg.name, (position, position))
+            ranges[reg.name] = (first, position)
     return ranges
 
 
@@ -98,19 +78,10 @@ def peak_live_bytes(function: Function) -> int:
     This is the metadata footprint of the partition after live-range reuse
     (constraint 4): positions where many registers overlap set the peak.
     """
-    ranges = live_ranges(function)
-    widths: Dict[str, int] = {}
-    for inst in function.instructions():
-        for op in list(inst.operands()) + [inst.result()]:
-            if isinstance(op, Reg):
-                bits = op.type.bit_width() if hasattr(op.type, "bit_width") else 32
-                widths[op.name] = max(1, (bits + 7) // 8)
-        found = getattr(inst, "found", None)
-        if isinstance(found, Reg):
-            widths[found.name] = 1
+    registers = function.registers()
     events: Dict[int, int] = {}
-    for name, (first, last) in ranges.items():
-        size = widths.get(name, 4)
+    for name, (first, last) in live_ranges(function).items():
+        size = registers[name].bytes
         events[first] = events.get(first, 0) + size
         events[last + 1] = events.get(last + 1, 0) - size
     current = 0

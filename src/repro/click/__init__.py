@@ -1,4 +1,4 @@
-"""Click substrate: an executable, annotated Click-like runtime.
+"""Click substrate: an executable Click-like runtime.
 
 Gallium's input programs are Click elements written in C++.  This package
 provides the Python equivalent of the runtime those elements link against:
@@ -9,25 +9,18 @@ provides the Python equivalent of the runtime those elements link against:
   :class:`~repro.click.vector.Vector` — the two data structures Gallium
   knows how to offload (paper §7)
 * :class:`~repro.click.element.Element` — base class for middlebox elements
-* :mod:`~repro.click.annotations` — the read/write-set annotations on the
-  Click APIs that dependency extraction consumes (paper §4.1)
 
-The substrate has *two* consumers: middlebox programs execute directly
-against it (the FastClick-style baseline and differential tests), and the
-compiler reads its annotations to build read/write sets for statements that
-call into the API.
+Middlebox programs execute directly against it.  The paper's read/write
+annotations on these APIs (§4.1) are not kept here: the compiler consults
+``reads()`` / ``writes()`` / ``p4_supported()`` of the IR instruction each
+API lowers to (:mod:`repro.ir.instructions`) and, for host functions,
+``EXTERN_SPECS`` (:mod:`repro.ir.externs`); DESIGN.md has the table.
 """
 
 from repro.click.packet import Packet, PacketAction
 from repro.click.hashmap import HashMap
 from repro.click.vector import Vector
 from repro.click.element import Element, PortSpec
-from repro.click.annotations import (
-    ApiAnnotation,
-    AccessEffect,
-    CLICK_API_ANNOTATIONS,
-    annotation_for,
-)
 
 __all__ = [
     "Packet",
@@ -36,8 +29,4 @@ __all__ = [
     "Vector",
     "Element",
     "PortSpec",
-    "ApiAnnotation",
-    "AccessEffect",
-    "CLICK_API_ANNOTATIONS",
-    "annotation_for",
 ]

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
-from repro.ir.values import Reg
 from repro.partition.plan import TransferSpec
 
 FLAG_VERDICT_NONE = 0
@@ -124,11 +123,6 @@ class ShimLayout:
         }
 
 
-def _reg_bits(reg: Reg) -> int:
-    bits = reg.type.bit_width() if hasattr(reg.type, "bit_width") else 32
-    return max(1, bits)
-
-
 def synthesize_shim_layouts(
     to_server: TransferSpec, to_switch: TransferSpec
 ) -> Tuple[ShimLayout, ShimLayout]:
@@ -138,15 +132,15 @@ def synthesize_shim_layouts(
     server_fields: List[ShimField] = [ShimField("__ingress_port", 8)]
     # Flags (1-bit values) first, then wider variables — mirrors Figure 5
     # where the bk_addr==NULL bit precedes the 32-bit payload fields.
-    for reg in sorted(to_server.regs, key=lambda r: (_reg_bits(r), r.name)):
-        server_fields.append(ShimField(reg.name, _reg_bits(reg)))
+    for reg in sorted(to_server.regs, key=lambda r: (r.bits, r.name)):
+        server_fields.append(ShimField(reg.name, reg.bits))
     switch_fields: List[ShimField] = [
         ShimField("__verdict", 2),
         ShimField("__egress_port", 8),
         ShimField("__ingress_port", 8),
     ]
-    for reg in sorted(to_switch.regs, key=lambda r: (_reg_bits(r), r.name)):
-        switch_fields.append(ShimField(reg.name, _reg_bits(reg)))
+    for reg in sorted(to_switch.regs, key=lambda r: (r.bits, r.name)):
+        switch_fields.append(ShimField(reg.name, reg.bits))
     return (
         ShimLayout("to_server", tuple(server_fields)),
         ShimLayout("to_switch", tuple(switch_fields)),

@@ -12,12 +12,11 @@ occupant's range has ended.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.liveness import live_ranges
 from repro.ir.function import Function
-from repro.ir.values import Reg
 
 
 @dataclass
@@ -37,24 +36,6 @@ class MetadataAllocation:
         return self.naive_bytes - self.total_bytes
 
 
-def _register_widths(function: Function) -> Dict[str, int]:
-    widths: Dict[str, int] = {}
-    for inst in function.instructions():
-        candidates: List[Reg] = [
-            op for op in inst.operands() if isinstance(op, Reg)
-        ]
-        result = inst.result()
-        if result is not None:
-            candidates.append(result)
-        found = getattr(inst, "found", None)
-        if isinstance(found, Reg):
-            candidates.append(found)
-        for reg in candidates:
-            bits = reg.type.bit_width() if hasattr(reg.type, "bit_width") else 32
-            widths[reg.name] = max(1, (bits + 7) // 8)
-    return widths
-
-
 def allocate_metadata(
     function: Function, reuse: bool = True
 ) -> MetadataAllocation:
@@ -64,14 +45,14 @@ def allocate_metadata(
     dedicated slot); the ablation benchmark compares both modes.
     """
     ranges = live_ranges(function)
-    widths = _register_widths(function)
+    widths = {name: reg.bytes for name, reg in function.registers().items()}
     order = sorted(ranges, key=lambda name: ranges[name][0])
-    naive_bytes = sum(widths.get(name, 4) for name in ranges)
+    naive_bytes = sum(widths[name] for name in ranges)
     offsets: Dict[str, Tuple[int, int]] = {}
     if not reuse:
         cursor = 0
         for name in order:
-            size = widths.get(name, 4)
+            size = widths[name]
             offsets[name] = (cursor, size)
             cursor += size
         return MetadataAllocation(offsets, cursor, naive_bytes)
@@ -82,7 +63,7 @@ def allocate_metadata(
     total = 0
     for name in order:
         start, end = ranges[name]
-        size = widths.get(name, 4)
+        size = widths[name]
         # Expire dead intervals.
         active = [entry for entry in active if entry[0] >= start]
         # Find the lowest offset where [offset, offset+size) is free.

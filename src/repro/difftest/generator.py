@@ -23,41 +23,30 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.net.fields import FIELD_WIDTHS
+
 # -- the field universe ------------------------------------------------------
 
-# (region, field) -> bit width, mirroring repro.lang.types declarations.
-FIELD_WIDTHS = {
-    ("ip", "saddr"): 32,
-    ("ip", "daddr"): 32,
-    ("ip", "ttl"): 8,
-    ("ip", "tos"): 8,
-    ("ip", "protocol"): 8,
-    ("ip", "tot_len"): 16,
-    ("ip", "id"): 16,
-    ("ip", "frag_off"): 16,
-    ("ip", "check"): 16,
-    ("tcp", "sport"): 16,
-    ("tcp", "dport"): 16,
-    ("tcp", "seq"): 32,
-    ("tcp", "ack_seq"): 32,
-    ("tcp", "flags"): 8,
-    ("tcp", "window"): 16,
-    ("tcp", "urg_ptr"): 16,
-    ("tcp", "check"): 16,
-    ("udp", "sport"): 16,
-    ("udp", "dport"): 16,
-    ("udp", "len"): 16,
-    ("udp", "check"): 16,
-}
+# FIELD_WIDTHS ((region, field) -> bit width) leaves out the 4-bit fields
+# (version/ihl/doff): the subset has no masked sub-byte stores, so writing
+# them is not meaningful middlebox code.  The lists below keep its order —
+# the seeded draws index them.
 
-IP_READ = ["saddr", "daddr", "ttl", "tos", "protocol", "tot_len", "id", "frag_off", "check"]
-# 4-bit fields (version/ihl/doff) are excluded everywhere: the subset has no
-# masked sub-byte stores, so writing them is not meaningful middlebox code.
-IP_WRITE = ["saddr", "daddr", "ttl", "tos", "id", "frag_off", "check"]
-TCP_READ = ["sport", "dport", "seq", "ack_seq", "flags", "window", "urg_ptr", "check"]
-TCP_WRITE = TCP_READ
-UDP_READ = ["sport", "dport", "len", "check"]
-UDP_WRITE = ["sport", "dport", "check"]
+
+def _fields(region: str, *unwritten: str) -> List[str]:
+    return [
+        name for field_region, name in FIELD_WIDTHS
+        if field_region == region and name not in unwritten
+    ]
+
+
+IP_READ = _fields("ip")
+# What fixes the packet's shape (its L4 protocol, its lengths) is read,
+# never written.
+IP_WRITE = _fields("ip", "protocol", "tot_len")
+TCP_READ = TCP_WRITE = _fields("tcp")
+UDP_READ = _fields("udp")
+UDP_WRITE = _fields("udp", "len")
 
 # Boundary-heavy constant pool; wider-than-16-bit values included on purpose.
 INTERESTING_CONSTANTS = [

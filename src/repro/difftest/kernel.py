@@ -18,8 +18,8 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.difftest.generator import FIELD_WIDTHS
 from repro.ir.interp import PacketView
+from repro.net.fields import FIELD_WIDTHS
 from repro.net.packet import RawPacket
 from repro.partition.partitioner import PartitionError
 from repro.partition.plan import PlacementKind

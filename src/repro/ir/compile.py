@@ -67,12 +67,12 @@ from repro.ir.function import Function
 from repro.ir.interp import (
     ExecutionResult,
     InterpreterError,
-    _FIELD_MAP,
     _MAX_STEPS,
     interpreted,
 )
 from repro.ir.values import Const, Reg
 from repro.net.addresses import Ipv4Address, MacAddress
+from repro.net.fields import HeaderField, header_field
 
 #: ``if`` arms nested deeper than this go through the dispatch instead
 #: (the tokenizer refuses more than 100 indentation levels).
@@ -244,96 +244,65 @@ class FunctionEmitter:
         self.emit("    _no_packet()")
         return bound | {"packet"}
 
-    def header(self, region: str, field: str, bound: Bound) -> Tuple[str, Bound]:
-        """The local holding the region's header (``None`` when absent),
-        bound on first use along the path."""
-        if region == "tcp" and field in ("sport", "dport"):
-            # Click's transport_header() aliases the TCP/UDP port fields
-            # (same offsets); other TCP fields read 0 / drop writes on UDP.
-            local = "_l4p"
-        else:
-            local = f"_{region}"
+    def header(self, row: HeaderField, bound: Bound) -> Tuple[str, Bound]:
+        """The local holding the header ``row`` is a field of (``None``
+        when absent), bound on first use along the path."""
+        # An aliased field has its own local: it falls back to the other
+        # L4 header where the rest of its region reads 0 / drops writes.
+        local = "_l4p" if row.alias else f"_{row.region}"
         if local not in bound:
             bound = bound | {local}
-            if local == "_l4p":
-                self.emit(f"_l4p = {self.raw}.tcp")
-                self.emit("if _l4p is None:")
-                self.emit(f"    _l4p = {self.raw}.udp")
-            else:
-                self.emit(f"{local} = {self.raw}.{region}")
+            self.emit(f"{local} = {self.raw}.{row.region}")
+            if row.alias:
+                self.emit(f"if {local} is None:")
+                self.emit(f"    {local} = {self.raw}.{row.alias}")
         return local, bound
+
+    def field(self, inst, store: bool = False) -> Optional[HeaderField]:
+        """The row of the field ``inst`` accesses; for one the table does
+        not have, the interpreter's error is emitted in place of the
+        access."""
+        try:
+            return header_field(inst.region, inst.field, InterpreterError,
+                                store)
+        except InterpreterError as unknown:
+            self.emit(f"raise InterpreterError({str(unknown)!r})")
+            return None
 
     def load_packet_field(self, inst: irin.LoadPacketField,
                           bound: Bound) -> Bound:
         bound = self.guard(bound)
-        region, fname = inst.region, inst.field
-        if region == "meta":
-            if fname != "ingress_port":
-                msg = f"unknown meta field {fname!r}"
-                self.emit(f"raise InterpreterError({msg!r})")
-                return bound
-            self.assign(inst.dst, f"{self.raw}.ingress_port")
+        row = self.field(inst)
+        if row is None:
             return bound
-        if region == "eth":
-            if fname == "h_dest":
-                value = f"int({self.raw}.eth.dst)"
-            elif fname == "h_source":
-                value = f"int({self.raw}.eth.src)"
-            elif fname == "h_proto":
-                value = f"{self.raw}.eth.ethertype"
-            else:
-                msg = f"unknown eth field {fname!r}"
-                self.emit(f"raise InterpreterError({msg!r})")
-                return bound
-            self.assign(inst.dst, value)
+        if row.region == "meta":
+            self.assign(inst.dst, f"{self.raw}.{row.attr}")
             return bound
-        mapping = _FIELD_MAP.get((region, fname))
-        if mapping is None:
-            msg = f"unknown field {region}.{fname}"
-            self.emit(f"raise InterpreterError({msg!r})")
-            return bound
-        _, attr, is_addr = mapping
-        local, bound = self.header(region, fname, bound)
-        access = f"int({local}.{attr})" if is_addr else f"{local}.{attr}"
+        local, bound = self.header(row, bound)
+        access = f"{local}.{row.attr}"
+        if row.wrapper:
+            access = f"int({access})"
         self.assign(inst.dst, f"(0 if {local} is None else {access})")
         return bound
 
     def store_packet_field(self, inst: irin.StorePacketField,
                            bound: Bound) -> Bound:
         bound = self.guard(bound)
-        region, fname = inst.region, inst.field
         self.emit(f"_v = {self.operand(inst.src)}")
-        if region == "eth":
-            if fname == "h_dest":
-                self.emit(f"{self.raw}.eth.dst = MacAddress(_v &"
-                          " 0xFFFFFFFFFFFF)")
-            elif fname == "h_source":
-                self.emit(f"{self.raw}.eth.src = MacAddress(_v &"
-                          " 0xFFFFFFFFFFFF)")
-            elif fname == "h_proto":
-                self.emit(f"{self.raw}.eth.ethertype = _v & 0xFFFF")
-            else:
-                msg = f"unknown eth field {fname!r}"
-                self.emit(f"raise InterpreterError({msg!r})")
-                return bound
-        else:
-            mapping = _FIELD_MAP.get((region, fname))
-            if mapping is None:
-                msg = f"unknown field {region}.{fname}"
-                self.emit(f"raise InterpreterError({msg!r})")
-                return bound
-            _, attr, is_addr = mapping
-            local, bound = self.header(region, fname, bound)
-            self.emit(f"if {local} is not None:")
-            if is_addr:
-                self.emit(f"    {local}.{attr} = Ipv4Address(_v & 0xFFFFFFFF)")
-            else:
-                self.emit(f"    {local}.{attr} = _v")
+        row = self.field(inst, store=True)
+        if row is None:
+            return bound
+        local, bound = self.header(row, bound)
+        value = f"_v & 0x{row.mask:X}" if row.masked else "_v"
+        if row.wrapper:
+            value = f"{row.wrapper.__name__}({value})"
+        self.emit(f"if {local} is not None:")
+        self.emit(f"    {local}.{row.attr} = {value}")
         # The interpreter traces the write whether or not the header was
         # present (writes to absent headers drop silently but still trace).
         self.emit("if tracer is not None:")
-        self.emit(f"    tracer.record('packet_write', region={region!r},"
-                  f" field={fname!r}, value=_v)")
+        self.emit(f"    tracer.record('packet_write', region={inst.region!r},"
+                  f" field={inst.field!r}, value=_v)")
         return bound
 
     # -- straight-line instructions -------------------------------------------------

@@ -6,8 +6,9 @@ inspection (deep packet inspection reads past the header region a switch can
 access, §2.2), wall-clock time (connection timeouts), configuration reads,
 and logging.
 
-Each extern declares its effects the same way Click API annotations do, so
-dependency extraction needs no special cases.
+Each extern declares the locations it reads and writes, which is what an
+instruction's ``reads()`` / ``writes()`` return, so dependency extraction
+needs no special cases.
 """
 
 from __future__ import annotations

@@ -117,15 +117,19 @@ class Function:
 
     def defined_regs(self) -> Dict[str, Reg]:
         """All registers defined anywhere in the function, by name."""
+        return {
+            reg.name: reg for inst in self.instructions() for reg in inst.defs()
+        }
+
+    def registers(self) -> Dict[str, Reg]:
+        """Every register the function names, defined or only read (a
+        projection reads its shim inputs), by name: the population the
+        scratchpad estimate, the metadata allocator, the P4 ``metadata_t``
+        and the C++ declarations each size."""
         regs: Dict[str, Reg] = {}
         for inst in self.instructions():
-            result = inst.result()
-            if result is not None:
-                regs[result.name] = result
-            # MapFind defines `found` too.
-            found = getattr(inst, "found", None)
-            if isinstance(found, Reg):
-                regs[found.name] = found
+            for reg in inst.defs() + inst.uses():
+                regs.setdefault(reg.name, reg)
         return regs
 
     def __repr__(self) -> str:

@@ -127,8 +127,18 @@ class Instruction:
         return []
 
     def result(self) -> Optional[Reg]:
-        """The register defined, if any."""
+        """The register the value lands in, if any."""
         return None
+
+    def defs(self) -> List[Reg]:
+        """Every register defined, the result first (:class:`MapFind`
+        defines two)."""
+        result = self.result()
+        return [] if result is None else [result]
+
+    def uses(self) -> List[Reg]:
+        """Every register among the operands."""
+        return [op for op in self.operands() if isinstance(op, Reg)]
 
     # -- classification ------------------------------------------------------
 
@@ -449,6 +459,9 @@ class MapFind(Instruction):
 
     def result(self):
         return self.value
+
+    def defs(self):
+        return [self.found] if self.value is None else [self.value, self.found]
 
     def p4_supported(self):
         return True

@@ -29,7 +29,7 @@ from repro.ir.externs import ExternHost
 from repro.ir.function import Function
 from repro.ir.lowering import StateMember
 from repro.ir.values import Const, Operand, Reg
-from repro.net.addresses import Ipv4Address, MacAddress
+from repro.net.fields import HeaderField, header_field
 
 
 class InterpreterError(Exception):
@@ -43,35 +43,6 @@ _MAX_STEPS = 1_000_000
 # Packet adapter
 # ---------------------------------------------------------------------------
 
-# (region, field) -> (RawPacket header attribute, field attribute name,
-#                      is-address flag: convert via Ipv4Address on get/set)
-_FIELD_MAP = {
-    ("ip", "saddr"): ("ip", "saddr", True),
-    ("ip", "daddr"): ("ip", "daddr", True),
-    ("ip", "protocol"): ("ip", "protocol", False),
-    ("ip", "ttl"): ("ip", "ttl", False),
-    ("ip", "tos"): ("ip", "tos", False),
-    ("ip", "tot_len"): ("ip", "total_length", False),
-    ("ip", "id"): ("ip", "identification", False),
-    ("ip", "frag_off"): ("ip", "frag_offset", False),
-    ("ip", "check"): ("ip", "checksum", False),
-    ("ip", "version"): ("ip", "version", False),
-    ("ip", "ihl"): ("ip", "ihl", False),
-    ("tcp", "sport"): ("tcp", "sport", False),
-    ("tcp", "dport"): ("tcp", "dport", False),
-    ("tcp", "seq"): ("tcp", "seq", False),
-    ("tcp", "ack_seq"): ("tcp", "ack", False),
-    ("tcp", "doff"): ("tcp", "data_offset", False),
-    ("tcp", "flags"): ("tcp", "flags", False),
-    ("tcp", "window"): ("tcp", "window", False),
-    ("tcp", "check"): ("tcp", "checksum", False),
-    ("tcp", "urg_ptr"): ("tcp", "urgent", False),
-    ("udp", "sport"): ("udp", "sport", False),
-    ("udp", "dport"): ("udp", "dport", False),
-    ("udp", "len"): ("udp", "length", False),
-    ("udp", "check"): ("udp", "checksum", False),
-}
-
 
 class PacketView:
     """Adapter exposing (region, field) get/set over a RawPacket."""
@@ -84,67 +55,34 @@ class PacketView:
     # -- header fields -----------------------------------------------------
 
     def get_field(self, region: str, field_name: str) -> int:
-        if region == "meta":
-            if field_name == "ingress_port":
-                return self.raw.ingress_port
-            raise InterpreterError(f"unknown meta field {field_name!r}")
-        if region == "eth":
-            eth = self.raw.eth
-            if field_name == "h_dest":
-                return int(eth.dst)
-            if field_name == "h_source":
-                return int(eth.src)
-            if field_name == "h_proto":
-                return eth.ethertype
-            raise InterpreterError(f"unknown eth field {field_name!r}")
-        mapping = _FIELD_MAP.get((region, field_name))
-        if mapping is None:
-            raise InterpreterError(f"unknown field {region}.{field_name}")
-        header_attr, attr, is_addr = mapping
-        header = self._header(region, field_name)
+        row = header_field(region, field_name, InterpreterError)
+        header = self._header(row)
         if header is None:
             return 0  # absent header: reads yield 0 (guarded by protocol checks)
-        value = getattr(header, attr)
-        return int(value) if is_addr else value
+        value = getattr(header, row.attr)
+        return int(value) if row.wrapper else value
 
     def set_field(self, region: str, field_name: str, value: int) -> None:
-        if region == "eth":
-            eth = self.raw.eth
-            if field_name == "h_dest":
-                eth.dst = MacAddress(value & ((1 << 48) - 1))
-            elif field_name == "h_source":
-                eth.src = MacAddress(value & ((1 << 48) - 1))
-            elif field_name == "h_proto":
-                eth.ethertype = value & 0xFFFF
-            else:
-                raise InterpreterError(f"unknown eth field {field_name!r}")
-            return
-        mapping = _FIELD_MAP.get((region, field_name))
-        if mapping is None:
-            raise InterpreterError(f"unknown field {region}.{field_name}")
-        header_attr, attr, is_addr = mapping
-        header = self._header(region, field_name)
+        row = header_field(region, field_name, InterpreterError, store=True)
+        header = self._header(row)
         if header is None:
             return  # writes to absent headers are dropped
-        if is_addr:
-            setattr(header, attr, Ipv4Address(value & 0xFFFFFFFF))
-        else:
-            setattr(header, attr, value)
+        if row.masked:
+            value &= row.mask
+        if row.wrapper:
+            value = row.wrapper(value)
+        setattr(header, row.attr, value)
 
-    def _header(self, region: str, field_name: str = ""):
-        if region == "ip":
-            return self.raw.ip
-        if region == "tcp":
-            if self.raw.tcp is not None:
-                return self.raw.tcp
-            # Click's transport_header() aliases the TCP/UDP port fields
-            # (same offsets); other TCP fields read 0 on UDP packets.
-            if self.raw.udp is not None and field_name in ("sport", "dport"):
-                return self.raw.udp
-            return None
-        if region == "udp":
-            return self.raw.udp
-        return None
+    def _header(self, row: HeaderField):
+        """The record holding ``row``'s field, ``None`` when the packet
+        has none (``meta`` lives on the packet itself)."""
+        raw = self.raw
+        if row.region == "meta":
+            return raw
+        header = getattr(raw, row.region)
+        if header is None and row.alias:
+            return getattr(raw, row.alias)
+        return header
 
     def payload(self) -> bytes:
         return self.raw.payload

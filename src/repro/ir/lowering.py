@@ -39,6 +39,7 @@ from repro.lang.types import (
     UINT32,
     VectorType,
     VOID,
+    bit_width_of,
 )
 from repro.ir import instructions as irin
 from repro.ir.builder import FunctionBuilder
@@ -1173,11 +1174,10 @@ def _find_rmw_tail(insts, start: int, load: irin.LoadState):
             and inst.src.name == binop.dst.name
         ):
             # Check the binop result isn't used anywhere else.
-            uses = 0
-            for other in insts:
-                for op in other.operands():
-                    if isinstance(op, Reg) and op.name == binop.dst.name:
-                        uses += 1
+            uses = sum(
+                reg.name == binop.dst.name
+                for other in insts for reg in other.uses()
+            )
             if uses == 1:
                 return binop_index, j, binop
             return None
@@ -1199,14 +1199,11 @@ def _find_mergeable_rmw(insts, start: int, load: irin.LoadState, all_insts):
             # must not depend on anything defined in between.
             if not isinstance(inst.operand, Const):
                 return None
-            uses = 0
-            for other in all_insts:
-                for op in other.operands():
-                    if isinstance(op, Reg) and op.name == inst.dst.name:
-                        uses += 1
-            if uses == 0:
-                return j, inst
-            return None
+            used = any(
+                reg.name == inst.dst.name
+                for other in all_insts for reg in other.uses()
+            )
+            return None if used else (j, inst)
         state_locs = {
             loc.name for loc in (inst.reads() | inst.writes()) if loc.is_global
         }
@@ -1255,9 +1252,7 @@ def _literal_type(value: int) -> IntType:
 
 
 def _wider_type(a: Type, b: Type) -> Type:
-    wa = a.bit_width() if hasattr(a, "bit_width") else 32
-    wb = b.bit_width() if hasattr(b, "bit_width") else 32
-    width = max(wa, wb, 8)
+    width = max(bit_width_of(a, 32), bit_width_of(b, 32), 8)
     # Normalize bool arithmetic to 8-bit.
     for candidate in (8, 16, 32, 64):
         if width <= candidate:

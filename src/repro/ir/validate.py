@@ -12,7 +12,7 @@ leaves uncovered.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, Set, Tuple
 
 from repro.ir import instructions as ir
 from repro.ir.function import Function
@@ -35,21 +35,6 @@ def validate_function(function: Function) -> None:
         raise IRValidationError(failure.format())
 
 
-def _defined_regs(inst: ir.Instruction) -> List[Reg]:
-    regs: List[Reg] = []
-    result = inst.result()
-    if result is not None:
-        regs.append(result)
-    found = getattr(inst, "found", None)
-    if isinstance(found, Reg) and (result is None or found.name != result.name):
-        regs.append(found)
-    return regs
-
-
-def _used_regs(inst: ir.Instruction) -> List[Reg]:
-    return [op for op in inst.operands() if isinstance(op, Reg)]
-
-
 def defined_at_entry(
     function: Function, seed: FrozenSet[str] = frozenset()
 ) -> Dict[str, Set[str]]:
@@ -63,7 +48,7 @@ def defined_at_entry(
     order = function.block_order()
     block_defs = {
         name: {reg.name for inst in block.instructions
-               for reg in _defined_regs(inst)}
+               for reg in inst.defs()}
         for name, block in function.blocks.items()
     }
     # Initialize to "all regs" (top) except the entry, and iterate to fixpoint.
@@ -99,11 +84,10 @@ def undefined_uses(
             continue
         defined = set(defined_in[name])
         for inst in block.instructions:
-            for reg in _used_regs(inst):
+            for reg in inst.uses():
                 if reg.name not in defined:
                     yield name, inst, reg
-            for reg in _defined_regs(inst):
-                defined.add(reg.name)
+            defined.update(reg.name for reg in inst.defs())
 
 
 def unsatisfied_uses(function: Function) -> Dict[str, Reg]:

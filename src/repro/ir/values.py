@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.lang.types import BOOL, IntType, Type
+from repro.lang.types import BOOL, IntType, Type, bit_width_of
 
 
 class LocKind(enum.Enum):
@@ -79,6 +79,17 @@ class Operand:
     """Base class for instruction operands."""
 
     type: Type
+
+    @property
+    def bits(self) -> int:
+        """Width as P4 declares it: the type's, 32 where the type has none
+        to resolve, never less than one bit."""
+        return max(1, bit_width_of(self.type, 32))
+
+    @property
+    def bytes(self) -> int:
+        """Whole bytes one scratchpad or shim slot for it takes."""
+        return (self.bits + 7) // 8
 
 
 @dataclass(frozen=True)

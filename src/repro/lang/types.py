@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Optional, Tuple
 
+from repro.net.fields import FIELDS
+
 
 class Type:
     """Base class for all types in the subset."""
@@ -189,63 +191,26 @@ VOID = VoidType()
 PACKET = PacketType()
 
 # -- builtin packet header record types ------------------------------------
-# Field layouts match repro.net.headers; names match what middlebox sources
-# use (Linux-flavoured: saddr/daddr on iphdr, sport/dport on tcphdr).
+# Declared in repro.net.fields; names match what middlebox sources use
+# (Linux-flavoured: saddr/daddr on iphdr, sport/dport on tcphdr).
 
-IPHDR = HeaderType(
-    name="iphdr",
-    region="packet.ip",
-    fields=(
-        ("version", 0, 4),
-        ("ihl", 4, 4),
-        ("tos", 8, 8),
-        ("tot_len", 16, 16),
-        ("id", 32, 16),
-        ("frag_off", 48, 16),
-        ("ttl", 64, 8),
-        ("protocol", 72, 8),
-        ("check", 80, 16),
-        ("saddr", 96, 32),
-        ("daddr", 128, 32),
-    ),
-)
 
-TCPHDR = HeaderType(
-    name="tcphdr",
-    region="packet.tcp",
-    fields=(
-        ("sport", 0, 16),
-        ("dport", 16, 16),
-        ("seq", 32, 32),
-        ("ack_seq", 64, 32),
-        ("doff", 96, 4),
-        ("flags", 104, 8),
-        ("window", 112, 16),
-        ("check", 128, 16),
-        ("urg_ptr", 144, 16),
-    ),
-)
+def _header_type(name: str, region: str) -> HeaderType:
+    rows = sorted(
+        (row for row in FIELDS if row.region == region),
+        key=lambda row: row.offset,
+    )
+    return HeaderType(
+        name=name,
+        region=f"packet.{region}",
+        fields=tuple((row.name, row.offset, row.width) for row in rows),
+    )
 
-UDPHDR = HeaderType(
-    name="udphdr",
-    region="packet.udp",
-    fields=(
-        ("sport", 0, 16),
-        ("dport", 16, 16),
-        ("len", 32, 16),
-        ("check", 48, 16),
-    ),
-)
 
-ETHHDR = HeaderType(
-    name="ethhdr",
-    region="packet.eth",
-    fields=(
-        ("h_dest", 0, 48),
-        ("h_source", 48, 48),
-        ("h_proto", 96, 16),
-    ),
-)
+IPHDR = _header_type("iphdr", "ip")
+TCPHDR = _header_type("tcphdr", "tcp")
+UDPHDR = _header_type("udphdr", "udp")
+ETHHDR = _header_type("ethhdr", "eth")
 
 BUILTIN_HEADER_TYPES: Dict[str, HeaderType] = {
     "iphdr": IPHDR,

@@ -65,15 +65,10 @@ class TransferSpec:
     regs: List[Reg] = field(default_factory=list)
 
     def byte_size(self) -> int:
-        return sum(_reg_bytes(reg) for reg in self.regs)
+        return sum(reg.bytes for reg in self.regs)
 
     def names(self) -> List[str]:
         return [reg.name for reg in self.regs]
-
-
-def _reg_bytes(reg: Reg) -> int:
-    bits = reg.type.bit_width() if hasattr(reg.type, "bit_width") else 32
-    return max(1, (bits + 7) // 8)
 
 
 @dataclass

@@ -195,26 +195,14 @@ def _rematerialize_pure_slices(
     def_count: Dict[str, int] = {}
     def_inst: Dict[str, irin.Instruction] = {}
     for inst in original.instructions():
-        result = inst.result()
-        regs = [result] if result is not None else []
-        found = getattr(inst, "found", None)
-        if isinstance(found, Reg):
-            regs.append(found)
-        for reg in regs:
+        for reg in inst.defs():
             def_count[reg.name] = def_count.get(reg.name, 0) + 1
             def_inst[reg.name] = inst
 
     # Names already defined inside the projection must not be re-defined by
     # a remat slice (and cannot be read at the entry point), so any slice
     # touching them is ineligible.
-    proj_defs: set = set()
-    for inst in projected.instructions():
-        result = inst.result()
-        if result is not None:
-            proj_defs.add(result.name)
-        found = getattr(inst, "found", None)
-        if isinstance(found, Reg):
-            proj_defs.add(found.name)
+    proj_defs = projected.defined_regs()
 
     pure_cache: Dict[str, bool] = {}
 
@@ -234,11 +222,7 @@ def _rematerialize_pure_slices(
                 inst.region == "meta" and inst.field == "ingress_port"
             )
         elif isinstance(inst, (irin.Assign, irin.Cast, irin.BinOp, irin.UnOp)):
-            ok = all(
-                is_pure(op.name)
-                for op in inst.operands()
-                if isinstance(op, Reg)
-            )
+            ok = all(is_pure(reg.name) for reg in inst.uses())
         else:
             ok = False
         pure_cache[name] = ok
@@ -252,10 +236,8 @@ def _rematerialize_pure_slices(
         if name in seen:
             return
         seen.add(name)
-        inst = def_inst[name]
-        for op in inst.operands():
-            if isinstance(op, Reg):
-                collect(op.name)
+        for reg in def_inst[name].uses():
+            collect(reg.name)
         slice_names.append(name)
 
     for name in sorted(needed):
@@ -327,19 +309,8 @@ def _region_effectful(
 
 
 def _undefined_uses(function: Function) -> Set[str]:
-    defined: Set[str] = set()
-    used: Set[str] = set()
-    for inst in function.instructions():
-        for op in inst.operands():
-            if isinstance(op, Reg):
-                used.add(op.name)
-        result = inst.result()
-        if result is not None:
-            defined.add(result.name)
-        found = getattr(inst, "found", None)
-        if isinstance(found, Reg):
-            defined.add(found.name)
-    return used - defined
+    used = {reg.name for inst in function.instructions() for reg in inst.uses()}
+    return used - set(function.defined_regs())
 
 
 def _simplify_empty_blocks(function: Function) -> None:

@@ -19,9 +19,9 @@ from typing import Dict, FrozenSet, List, Optional, Set
 from repro.ir import instructions as irin
 from repro.ir.externs import EXTERN_SPECS
 from repro.ir.function import Function
-from repro.ir.validate import _defined_regs, undefined_uses
+from repro.ir.validate import undefined_uses
 from repro.ir.values import Reg
-from repro.lang.types import VOID
+from repro.lang.types import VOID, bit_width_of
 
 from repro.verify.diagnostics import Diagnostic, STAGE_IR, error, warning
 
@@ -117,7 +117,7 @@ def _check_ssa(function: Function) -> List[Diagnostic]:
     out: List[Diagnostic] = []
     temp_defs: Dict[str, List[irin.Instruction]] = {}
     for inst in function.instructions():
-        for reg in _defined_regs(inst):
+        for reg in inst.defs():
             if reg.is_temp:
                 temp_defs.setdefault(reg.name, []).append(inst)
     for name, sites in temp_defs.items():
@@ -181,13 +181,9 @@ def _check_defs_before_use(
 
 
 def _width(reg_or_const: object) -> Optional[int]:
-    type_ = getattr(reg_or_const, "type", None)
-    if type_ is None or not hasattr(type_, "bit_width"):
-        return None
-    try:
-        return int(type_.bit_width())
-    except (TypeError, ValueError):
-        return None
+    """Bits, or ``None`` where the operand has no type to ask."""
+    width = bit_width_of(getattr(reg_or_const, "type", None), -1)
+    return None if width < 0 else width
 
 
 def _check_types(function: Function) -> List[Diagnostic]:

@@ -49,9 +49,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.ir import instructions as irin
-from repro.ir.interp import _FIELD_MAP
 from repro.ir.lowering import StateMember
 from repro.lang.types import bit_width_of
+from repro.net.fields import BY_KEY, header_field
 from repro.switchsim.pipeline import AccessRules
 from repro.verify.symbolic.terms import (
     Term,
@@ -178,56 +178,30 @@ class SymPacketView:
 
     def _resolve(self, region: str, field_name: str) -> Optional[Tuple[str, str]]:
         """The storage key for (region, field), or None if absent."""
-        if region == "ip":
-            return ("ip", field_name) if self.has_ip else None
-        if region == "tcp":
-            if self.has_tcp:
-                return ("tcp", field_name)
-            if self.has_udp and field_name in ("sport", "dport"):
-                return ("udp", field_name)
-            return None
-        if region == "udp":
-            return ("udp", field_name) if self.has_udp else None
-        return None
+        present = {"eth": True, "ip": self.has_ip, "tcp": self.has_tcp,
+                   "udp": self.has_udp}
+        if present[region]:
+            return (region, field_name)
+        alias = BY_KEY[(region, field_name)].alias
+        return (alias, field_name) if alias and present[alias] else None
 
     def get_field(self, region: str, field_name: str) -> Term:
+        header_field(region, field_name, SymExecError)
         if region == "meta":
-            if field_name == "ingress_port":
-                return self.ingress_port
-            raise SymExecError(f"unknown meta field {field_name!r}")
-        if region == "eth":
-            try:
-                return self.fields[("eth", field_name)]
-            except KeyError:
-                raise SymExecError(f"unknown eth field {field_name!r}") from None
-        if (region, field_name) not in _FIELD_MAP:
-            raise SymExecError(f"unknown field {region}.{field_name}")
+            return self.ingress_port
         key = self._resolve(region, field_name)
         if key is None:
             return const(0)
         return self.fields.get(key, const(0))
 
     def set_field(self, region: str, field_name: str, value: Term) -> None:
-        if region == "eth":
-            if field_name in ("h_dest", "h_source"):
-                self.fields[("eth", field_name)] = wrap(value, (1 << 48) - 1)
-            elif field_name == "h_proto":
-                self.fields[("eth", field_name)] = wrap(value, 0xFFFF)
-            else:
-                raise SymExecError(f"unknown eth field {field_name!r}")
-            return
-        mapping = _FIELD_MAP.get((region, field_name))
-        if mapping is None:
-            raise SymExecError(f"unknown field {region}.{field_name}")
+        row = header_field(region, field_name, SymExecError, store=True)
         key = self._resolve(region, field_name)
         if key is None:
             return  # writes to absent headers are dropped
-        is_addr = mapping[2]
-        if is_addr:
-            value = wrap(value, 0xFFFFFFFF)
-        # Non-address fields store the raw value, exactly like the
-        # concrete view's bare setattr.
-        self.fields[key] = value
+        # Unmasked fields store the raw value, exactly like the concrete
+        # view's bare setattr.
+        self.fields[key] = wrap(value, row.mask) if row.masked else value
 
     def payload(self) -> bytes:
         return self.payload_bytes

@@ -43,12 +43,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.codegen.headers import FLAG_VERDICT_DROP, FLAG_VERDICT_SEND
-from repro.difftest.generator import FIELD_WIDTHS
 from repro.difftest.kernel import DEFAULT_PORT_PAIRS, OBSERVED_FIELDS
 from repro.ir import instructions as irin
 from repro.ir.externs import ExternHost
 from repro.ir.interp import Interpreter, PacketView, StateStore
 from repro.lang.types import bit_width_of
+from repro.net.fields import BY_KEY
+from repro.net.packet import RawPacket
 from repro.runtime.server import (
     replicated_members,
     updates_from_journal,
@@ -191,24 +192,25 @@ class SymbolicReport:
 # ---------------------------------------------------------------------------
 
 
+def _template_packet(kind: Optional[str], payload: bytes = b"",
+                     ingress: int = 1) -> RawPacket:
+    """The packet of shape ``kind`` every field the prover keeps concrete
+    is read from."""
+    make = make_udp_packet if kind == "udp" else make_tcp_packet
+    return make("10.0.0.1", "10.9.0.1", 1, 1, payload=payload,
+                ingress_port=ingress)
+
+
 def packet_from_spec(spec: dict):
     """Materialize a serialized counterexample packet.
 
     The spec pins every symbolic header field; unspecified fields keep the
     template defaults (which is exactly what the symbolic run assumed —
     absent atoms evaluate to their concrete template value or 0)."""
-    payload = bytes.fromhex(spec.get("payload", ""))
-    ingress = int(spec.get("ingress", 1))
-    if spec.get("kind") == "udp":
-        packet = make_udp_packet(
-            "10.0.0.1", "10.9.0.1", 1, 1, payload=payload,
-            ingress_port=ingress,
-        )
-    else:
-        packet = make_tcp_packet(
-            "10.0.0.1", "10.9.0.1", 1, 1, payload=payload,
-            ingress_port=ingress,
-        )
+    packet = _template_packet(
+        spec.get("kind"), bytes.fromhex(spec.get("payload", "")),
+        int(spec.get("ingress", 1)),
+    )
     view = PacketView(packet)
     for key, value in spec.get("fields", {}).items():
         region, field_name = key.split(".", 1)
@@ -360,11 +362,9 @@ def _function_traits(function) -> Tuple[bool, bool]:
 #: ``ip.protocol``, which stays concrete per packet shape (the two shapes
 #: cover both protocol branches; a protocol value contradicting the
 #: header shape is not a packet the workloads can build).
-_SYMBOLIC_FIELDS = sorted(
-    key for key in FIELD_WIDTHS if key != ("ip", "protocol")
-)
-
-_IPPROTO = {"tcp": 6, "udp": 17}
+_SYMBOLIC_FIELDS = [
+    key for key in OBSERVED_FIELDS if key != ("ip", "protocol")
+]
 
 
 def enumerate_scenarios(plan, config, budget: SymbolicBudget) -> List[Scenario]:
@@ -392,18 +392,6 @@ def enumerate_scenarios(plan, config, budget: SymbolicBudget) -> List[Scenario]:
     return scenarios
 
 
-def _template_eth(kind: str) -> Dict[Tuple[str, str], int]:
-    packet = (make_udp_packet if kind == "udp" else make_tcp_packet)(
-        "10.0.0.1", "10.9.0.1", 1, 1
-    )
-    eth = packet.eth
-    return {
-        ("eth", "h_dest"): int(eth.dst),
-        ("eth", "h_source"): int(eth.src),
-        ("eth", "h_proto"): eth.ethertype,
-    }
-
-
 def make_symbolic_packet(scenario: Scenario):
     """Fresh :class:`SymPacketView` + atom registry for one scenario.
 
@@ -412,31 +400,27 @@ def make_symbolic_packet(scenario: Scenario):
     meaningful."""
     from repro.verify.symbolic.terms import atom
 
+    template = PacketView(_template_packet(scenario.kind))
+    raw = template.raw
     fields: Dict[Tuple[str, str], Term] = {}
-    for key, value in _template_eth(scenario.kind).items():
-        fields[key] = const(value)
-    has_tcp = scenario.kind == "tcp"
-    has_udp = scenario.kind == "udp"
-    # Concrete structural fields the subset can read but the oracle does
-    # not observe (writes to them are raw stores, faithfully mirrored).
-    fields[("ip", "version")] = const(4)
-    fields[("ip", "ihl")] = const(5)
-    fields[("ip", "protocol")] = const(_IPPROTO[scenario.kind])
-    if has_tcp:
-        fields[("tcp", "doff")] = const(5)
     atoms: Dict[str, Tuple[str, str, int]] = {}
-    for region, name in _SYMBOLIC_FIELDS:
-        if region == "tcp" and not has_tcp:
+    for region, name in sorted(BY_KEY):
+        if region == "meta" or getattr(raw, region) is None:
             continue
-        if region == "udp" and not has_udp:
-            continue
-        width = FIELD_WIDTHS[(region, name)]
-        atom_name = f"{region}.{name}"
-        fields[(region, name)] = atom(atom_name, width)
-        atoms[atom_name] = (region, name, width)
+        if (region, name) in _SYMBOLIC_FIELDS:
+            width = BY_KEY[(region, name)].width
+            atom_name = f"{region}.{name}"
+            fields[(region, name)] = atom(atom_name, width)
+            atoms[atom_name] = (region, name, width)
+        else:
+            # Concrete: the frame, ``ip.protocol``, and the structural
+            # fields the subset can read but the oracle does not observe
+            # (writes to them are raw stores, faithfully mirrored).
+            fields[(region, name)] = const(template.get_field(region, name))
     scenario.atoms = atoms
     return SymPacketView(
-        fields, has_ip=True, has_tcp=has_tcp, has_udp=has_udp,
+        fields, has_ip=True, has_tcp=raw.tcp is not None,
+        has_udp=raw.udp is not None,
         payload=scenario.payload, ingress_port=const(scenario.ingress),
     )
 

@@ -50,6 +50,26 @@ class TestLiveness:
         first, last = ranges[a_name]
         assert first < last
 
+    def test_live_ranges_list_registers_in_program_order(self):
+        """Definitions before operands, instruction by instruction — the
+        allocator breaks ties on this order, which was string-hash order
+        (and so ``PYTHONHASHSEED``'s) while it came from a set."""
+        lowered = lower(
+            "uint16_t k = 1; uint32_t *p = m.find(&k);"
+            " if (p != NULL) { pkt->send(); } else { pkt->drop(); }",
+            members="HashMap<uint16_t, uint32_t> m;",
+        )
+        find = next(inst for inst in lowered.process.instructions()
+                    if isinstance(inst, irin.MapFind))
+        assert find.defs() == [find.value, find.found]
+        assert find.uses() == list(find.keys)
+        order = list(live_ranges(lowered.process))
+        value, found, key = (order.index(reg.name) for reg in
+                             (find.value, find.found, find.keys[0]))
+        assert key < value < found
+        assert set(lowered.process.registers()) == set(order)
+        assert set(lowered.process.defined_regs()) <= set(order)
+
     def test_peak_live_bytes_positive(self):
         lowered = lower("uint32_t a = 1; uint32_t b = a; pkt->send();")
         assert peak_live_bytes(lowered.process) >= 4

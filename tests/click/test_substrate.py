@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.click import Element, HashMap, Packet, PacketAction, Vector
-from repro.click.annotations import annotation_for
 from repro.net.addresses import ip
 from repro.net.headers import EthernetHeader, Ipv4Header, TcpHeader
 from repro.net.packet import RawPacket
@@ -162,26 +161,3 @@ class TestElement:
         element.push(make_packet())
         element.reset_counters()
         assert element.packets_seen == 0
-
-
-class TestAnnotations:
-    def test_find_is_table_lookup(self):
-        ann = annotation_for("HashMap::find")
-        assert ann.p4_impl == "table_lookup"
-        assert not ann.mutates_global
-
-    def test_insert_is_server_side(self):
-        ann = annotation_for("HashMap::insert")
-        assert ann.p4_impl is None
-        assert ann.mutates_global
-        assert "self" in ann.effect.writes
-
-    def test_header_accessor_returns_pointer(self):
-        ann = annotation_for("Packet::network_header")
-        assert ann.effect.returns_pointer_to == "packet.ip"
-
-    def test_payload_not_offloadable(self):
-        assert annotation_for("Packet::payload").p4_impl is None
-
-    def test_unknown_api_is_none(self):
-        assert annotation_for("Packet::frobnicate") is None

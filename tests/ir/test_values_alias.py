@@ -36,3 +36,20 @@ def test_location_kind_preserved():
 def test_header_regions_still_name_both_protocols():
     """The raw region list is unchanged — only dependency locations fold."""
     assert "tcp" in HEADER_REGIONS and "udp" in HEADER_REGIONS
+
+
+def test_an_operand_knows_its_width():
+    """``bits`` / ``bytes`` are what every sizing site (shim fields,
+    transfer bytes, scratchpad slots, P4 ``bit<N>``, C types) reads: the
+    type's width, 32 where there is none to resolve, at least one bit,
+    whole bytes rounded up."""
+    from repro.ir.values import Const, Reg
+    from repro.lang.types import BOOL, VOID, IntType, Type
+
+    for type_, bits, size in [
+        (BOOL, 1, 1), (IntType(8), 8, 1), (IntType(16), 16, 2),
+        (IntType(48), 48, 6), (IntType(64), 64, 8),
+        (VOID, 1, 1), (Type(), 32, 4), (None, 32, 4),
+    ]:
+        for operand in (Reg("r", type_), Const(0, type_)):
+            assert (operand.bits, operand.bytes) == (bits, size), type_

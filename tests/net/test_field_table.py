@@ -4,15 +4,18 @@ These are the tables every layer kept its own copy of before the field
 table (``repro.net.fields``) existed — written out here on the commit
 before it did, so "the derived values equal the hand-kept ones" is a
 comparison with text nobody generated.  The literals live only in this
-file; what is compared against them is whatever the code reads today.
+file; what is compared against them is what the code reads today: the
+names that survived (the generator's, the kernel's, the prover's, the
+header record types) and, for the three tables the packet views and the
+emitters now read straight off the rows, the same shape rebuilt from the
+columns they read.
 """
 
-from repro.codegen.cpp.emit import _CPP_FIELDS
-from repro.codegen.p4.emit import _HEADER_FIELDS
 from repro.difftest import generator
 from repro.difftest.kernel import OBSERVED_FIELDS
-from repro.ir.interp import _FIELD_MAP
 from repro.lang.types import ETHHDR, IPHDR, TCPHDR, UDPHDR
+from repro.net.addresses import Ipv4Address
+from repro.net.fields import BY_KEY, FIELDS
 from repro.verify.symbolic.prover import _SYMBOLIC_FIELDS
 
 #: (region, field) -> (RawPacket header, attribute, is an Ipv4Address)
@@ -179,12 +182,23 @@ HEADER_TYPES = {
 }
 
 
+def _by_region(column: str) -> dict:
+    paths: dict = {}
+    for row in FIELDS:
+        paths.setdefault(row.region, {})[row.name] = getattr(row, column)
+    return paths
+
+
 def test_packet_view_map():
-    assert _FIELD_MAP == FIELD_MAP
+    assert {
+        row.key: (row.region, row.attr, row.wrapper is Ipv4Address)
+        for row in FIELDS if row.region in ("ip", "tcp", "udp")
+    } == FIELD_MAP
+    assert len(BY_KEY) == len(FIELDS)
 
 
 def test_generator_universe_in_draw_order():
-    assert generator.FIELD_WIDTHS == FIELD_WIDTHS
+    assert list(generator.FIELD_WIDTHS.items()) == list(FIELD_WIDTHS.items())
     assert generator.IP_READ == IP_READ
     assert generator.IP_WRITE == IP_WRITE
     assert generator.TCP_READ == TCP_READ
@@ -199,11 +213,28 @@ def test_observed_and_symbolic_fields():
 
 
 def test_emitter_paths():
-    assert _HEADER_FIELDS == P4_PATHS
-    assert _CPP_FIELDS == CPP_PATHS
+    assert _by_region("p4") == P4_PATHS
+    assert _by_region("cpp") == CPP_PATHS
 
 
 def test_header_record_types():
     for header in (IPHDR, TCPHDR, UDPHDR, ETHHDR):
         assert header.fields == HEADER_TYPES[header.name]
         assert header.region == "packet." + header.name[:-3]
+
+
+def test_store_and_alias_quirks():
+    """What the three hand-written ``eth`` chains and ``_header`` did:
+    only addresses and ``eth.h_proto`` mask a stored value, only the TCP
+    ports fall back to the UDP header."""
+    assert {row.key for row in FIELDS if row.masked} == {
+        ("ip", "saddr"), ("ip", "daddr"),
+        ("eth", "h_dest"), ("eth", "h_source"), ("eth", "h_proto"),
+    }
+    assert {row.key: row.alias for row in FIELDS if row.alias} == {
+        ("tcp", "sport"): "udp", ("tcp", "dport"): "udp",
+    }
+    assert {row.key: row.wrapper.__name__ for row in FIELDS if row.wrapper} == {
+        ("ip", "saddr"): "Ipv4Address", ("ip", "daddr"): "Ipv4Address",
+        ("eth", "h_dest"): "MacAddress", ("eth", "h_source"): "MacAddress",
+    }

@@ -29,6 +29,14 @@ compile, composition side too) on their 25-packet ``StreamSpec`` and the
 six bundled middleboxes on an iperf stream; the wide slice is
 ``python -m tests.verify.test_mirror_lockstep --wide`` (200, both sides).
 Two seeded mirror bugs must make it fail.
+
+The generator never names ``eth.*``, ``ip.version``, ``ip.ihl`` or
+``tcp.doff``, so none of the above reaches them.  The last section takes
+the three packet views — ``PacketView``, the accessors ``FunctionEmitter``
+generates, ``SymPacketView`` over constants — through every row of the
+field table (``repro.net.fields``) instead: a store of an in-range and an
+over-wide value and a load of every field, on a TCP, a UDP and a non-IP
+packet.
 """
 
 from __future__ import annotations
@@ -50,6 +58,8 @@ from repro.difftest.kernel import (
 from repro.difftest.oracle import StreamSpec
 from repro.ir import instructions as irin
 from repro.ir import lower_program
+from repro.ir.builder import FunctionBuilder
+from repro.ir.compile import compile_function
 from repro.ir.externs import ExternHost
 from repro.ir.interp import (
     IntDomain,
@@ -58,8 +68,13 @@ from repro.ir.interp import (
     PacketView,
     StateStore,
 )
+from repro.ir.values import Reg
 from repro.lang import parse_program
+from repro.lang.types import UINT64
 from repro.middleboxes import MIDDLEBOX_NAMES, load
+from repro.net.headers import ETHERTYPE_ARP, EthernetHeader
+from repro.net.packet import RawPacket
+from repro.net.fields import FIELDS
 from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
 from repro.switchsim.control_plane import UpdateBatchError
 from repro.switchsim.pipeline import DataPlaneViolation
@@ -75,6 +90,7 @@ from repro.verify.symbolic.engine import (
 )
 from repro.verify.symbolic.terms import Term, const, evaluate, truth
 from repro.workloads.iperf import IperfWorkload, middlebox_stream
+from repro.workloads.packets import make_tcp_packet, make_udp_packet
 from tests.verify.prover_pins import PIN_SEED, compiled_generated
 
 Packets = List[Tuple[object, int]]
@@ -435,6 +451,141 @@ def test_a_narrow_address_mask_is_caught(monkeypatch):
         run_source_side(range(NARROW))
     with pytest.raises(Disagreement):
         run_composition_side(range(40))
+
+
+# ---------------------------------------------------------------------------
+# Every row of the field table through all three packet views
+# ---------------------------------------------------------------------------
+
+SHAPES = {
+    "tcp": lambda: make_tcp_packet("10.0.0.1", "10.9.0.1", 1111, 2222),
+    "udp": lambda: make_udp_packet("10.0.0.1", "10.9.0.1", 3333, 4444),
+    "non-ip": lambda: RawPacket(EthernetHeader(ethertype=ETHERTYPE_ARP)),
+}
+
+
+def field_probe(store=None, load=None):
+    """``store`` (a ``(region, field)``) written from ``%v``, then ``load``
+    — or, without one, every row of the table — read into a register
+    wide enough to wrap nothing."""
+    builder = FunctionBuilder("probe")
+    if store is not None:
+        builder.emit(irin.StorePacketField(*store, Reg("v", UINT64)))
+    for region, name in [load] if load else [row.key for row in FIELDS]:
+        builder.emit(irin.LoadPacketField(
+            Reg(f"{region}.{name}", UINT64), region, name
+        ))
+    builder.emit(irin.Return())
+    return builder.function
+
+
+def constant_view(packet) -> SymPacketView:
+    """The prover's view of exactly ``packet``: every field a constant."""
+    concrete = PacketView(packet)
+    return SymPacketView(
+        {
+            row.key: const(concrete.get_field(*row.key)) for row in FIELDS
+            if row.region != "meta" and getattr(packet, row.region) is not None
+        },
+        has_ip=packet.ip is not None, has_tcp=packet.tcp is not None,
+        has_udp=packet.udp is not None, payload=packet.payload,
+        ingress_port=const(packet.ingress_port),
+    )
+
+
+def through_all_three_views(function, packet, value: int = 0):
+    """``(env, None)`` or ``(None, error text)`` of ``function`` with
+    ``%v = value`` on ``packet`` — from the interpreter over
+    ``PacketView``, demanded equal from the generated code and from the
+    ladder over ``SymPacketView``."""
+    chooser = Chooser()
+    twin = attempt(
+        lambda: Interpreter(function, StateStore({})).run(
+            PacketView(packet.copy()), {"v": value}
+        ).env,
+        (InterpreterError,),
+    )
+    generated = attempt(
+        lambda: compile_function(function).run(
+            StateStore({}), packet=PacketView(packet.copy()),
+            initial_env={"v": value},
+        ).env,
+        (InterpreterError,),
+    )
+    mirror = attempt(
+        lambda: {
+            name: evaluate(term, {})
+            for name, term in Interpreter(
+                function, SymStateStore({}, {}, chooser),
+                SymExternHost(None, chooser),
+                TermDomain(chooser, IntDomain.max_steps),
+            ).run(constant_view(packet), {"v": const(value)}).env.items()
+        },
+        (SymExecError,),
+    )
+    require_equal("generated accessor", generated, twin)
+    require_equal("symbolic view", mirror, twin)
+    return twin
+
+
+def holder(row, packet) -> Optional[str]:
+    """The header of ``packet`` that holds ``row``'s field, if any
+    (``meta`` is not one)."""
+    return next((
+        region for region in (row.region, row.alias)
+        if region and getattr(packet, region, None) is not None
+    ), None)
+
+
+@pytest.mark.parametrize(
+    "row", [row for row in FIELDS if row.region != "meta"],
+    ids=lambda row: f"{row.region}.{row.name}",
+)
+def test_every_field_through_all_three_views(row):
+    read_all = field_probe()
+    for shape, make in SHAPES.items():
+        packet = make()
+        before, error = through_all_three_views(read_all, packet)
+        assert error is None
+        held_by = holder(row, packet)
+        if held_by is None:
+            assert before[f"{row.region}.{row.name}"] == 0, shape
+        for value in (row.mask >> 1, row.mask + 2):  # in range, over-wide
+            after, error = through_all_three_views(
+                field_probe(store=row.key), packet, value
+            )
+            assert error is None
+            # Read back from every name the bytes go by (``tcp->sport``
+            # of a UDP packet is its ``udp->sport``), masked where the
+            # row says so; nothing else moved, and nothing at all when
+            # the packet has no such header.
+            kept = value & row.mask if row.masked else value
+            want = {"v": value, **{
+                f"{other.region}.{other.name}": kept
+                if held_by and (holder(other, packet), other.name)
+                == (held_by, row.name)
+                else before[f"{other.region}.{other.name}"]
+                for other in FIELDS
+            }}
+            assert after == want, (shape, value)
+
+
+def test_no_view_knows_a_field_the_table_does_not_have():
+    """One error text, whichever view is asked — also for a store to
+    ``meta``, which is readable only."""
+    packet = SHAPES["tcp"]()
+    for store, load in [
+        (None, ("ip", "nope")), (("ip", "nope"), None),
+        (None, ("eth", "nope")), (("eth", "nope"), None),
+        (None, ("meta", "nope")), (("meta", "ingress_port"), None),
+        (None, ("payload", "byte")), (("payload", "byte"), None),
+    ]:
+        env, error = through_all_three_views(
+            field_probe(store, load or ("ip", "ttl")), packet
+        )
+        region, name = store or load
+        assert env is None and error.startswith("unknown ")
+        assert region in error and name in error
 
 
 def main(argv: List[str]) -> int:

@@ -123,6 +123,17 @@ def test_partition_does_not_load_tenancy():
     ).returncode == 0
 
 
+def test_kernel_and_prover_do_not_read_the_program_generator():
+    """The observed and the symbolic field sets come from the field table
+    (``repro.net.fields``), not from the generator of test programs."""
+    for module in ("difftest/kernel.py", "verify/symbolic/prover.py"):
+        text = next(text for name, text, _ in modules() if name == module)
+        assert not re.search(
+            r"^\s*(from|import)\s+repro\.difftest(\.generator\b|\s+import"
+            r"[^\n]*\bgenerator\b)", text, re.MULTILINE
+        ), module
+
+
 def test_the_validators_check_nothing_themselves():
     """Each is: ask the verifier, raise its first error."""
     for view in (
