@@ -4,7 +4,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: help test test-durations verify compile-pins prover-pins \
 	mirror-lockstep symbolic-smoke lint \
-	lint-verify \
+	lint-verify option-census \
 	difftest difftest-smoke difftest-compiled oracle-pins faults \
 	faults-smoke bench-smoke \
 	failover-smoke \
@@ -16,7 +16,8 @@ help:
 	@echo "  test            tier-1 test suite (pytest tests/)"
 	@echo "  test-durations  tier-1 wall time and its ten slowest tests (the"
 	@echo "                  numbers ROADMAP and EXPERIMENTS.md track)"
-	@echo "  verify          static verifier over all bundled middleboxes"
+	@echo "  verify          static verifier over all bundled middleboxes, after"
+	@echo "                  the option census"
 	@echo "  compile-pins    every compile decision vs the golden file (wide sweep,"
 	@echo "                  ~1 min; the narrow one runs in tier-1)"
 	@echo "  prover-pins     every world the prover explores vs the golden file"
@@ -26,12 +27,11 @@ help:
 	@echo "  symbolic-smoke  translation validation: prove all middleboxes,"
 	@echo "                  schema-check the JSON, disprove a seeded mutation"
 	@echo "  lint            ruff + mypy (skipped gracefully if not installed)"
-	@echo "  lint-verify     blocking ruff + mypy over src/repro/verify/, the"
-	@echo "                  oracle kernel, the deployment spec, the constraint"
-	@echo "                  model, the label engine, the switch program, the IR"
-	@echo "                  interpreter, the punt path's five modules, liveness,"
-	@echo "                  the metadata allocator, both emitters and the field"
-	@echo "                  table (stdlib fallback scan without ruff)"
+	@echo "  lint-verify     blocking ruff over all of src/repro (stdlib fallback"
+	@echo "                  scan without ruff) + mypy over the 17 paths of"
+	@echo "                  LINT_MYPY (skipped where mypy is absent)"
+	@echo "  option-census   who sets each defaulted parameter of src/repro; exit 1"
+	@echo "                  on one nobody sets outside the allow-list"
 	@echo "  difftest        full differential gauntlet (1000 programs, --shrink)"
 	@echo "  difftest-smoke  fixed-seed ~60s gauntlet slice, then 25 programs"
 	@echo "                  through the compiled-vs-interpreted differential"
@@ -64,8 +64,9 @@ test-durations:
 	$(PYTHON) -m pytest -q --durations=10 tests/ | tail -n 14
 
 # Static verification layer over every bundled middlebox, plus a JSON
-# smoke check (schema consumed by CI and external tooling).
-verify:
+# smoke check (schema consumed by CI and external tooling) — and, first,
+# the one check on the code base itself that is as cheap.
+verify: option-census
 	$(PYTHON) -m repro verify all
 	$(PYTHON) -m repro verify minilb --json > /dev/null
 
@@ -119,15 +120,17 @@ lint:
 		echo "lint: mypy not installed; skipping"; \
 	fi
 
-# Blocking lint: the verification layer (including the symbolic prover),
-# the oracle kernel, the deployment spec, the constraint model, the label
-# engine, the switch program and the IR interpreter are held to zero ruff
-# findings and a clean mypy run; CI gates on this without
-# continue-on-error.  The set grows per PR.  Where ruff is absent (the
-# bare build container) the stdlib-only scan beside bench_record.py checks
-# the pyflakes subset the set is held to, so an addition is never shipped
-# unchecked; mypy has no fallback and is skipped there.
-LINT_BLOCKING = src/repro/verify src/repro/difftest/kernel.py \
+# Blocking lint: all of src/repro is held to zero ruff findings, and the
+# 17 paths of LINT_MYPY — the verification layer (including the symbolic
+# prover), the oracle kernel, the deployment spec, the constraint model,
+# the label engine, the switch program, the IR interpreter, the punt path
+# — to a clean mypy run; CI gates on this without continue-on-error.
+# Where ruff is absent (the bare build container) the stdlib-only scan
+# beside bench_record.py checks the pyflakes subset the code is held to;
+# mypy has no fallback, is skipped there, and has never run in that
+# container.
+LINT_BLOCKING = src/repro
+LINT_MYPY = src/repro/verify src/repro/difftest/kernel.py \
 	src/repro/runtime/spec.py src/repro/partition/constraints.py \
 	src/repro/partition/labels.py src/repro/switchsim/program.py \
 	src/repro/ir/interp.py src/repro/codegen/headers.py \
@@ -144,10 +147,17 @@ lint-verify:
 		$(PYTHON) benchmarks/lint_fallback.py $(LINT_BLOCKING); \
 	fi
 	@if $(PYTHON) -m mypy --version >/dev/null 2>&1; then \
-		$(PYTHON) -m mypy $(LINT_BLOCKING); \
+		$(PYTHON) -m mypy $(LINT_MYPY); \
 	else \
 		echo "lint-verify: mypy not installed; skipping (no fallback)"; \
 	fi
+
+# Every defaulted parameter of a callable under src/repro and the distinct
+# values its callers pass, by tree (benchmarks/option_census.py has the
+# rules).  Exit 1 when one has no second value in use anywhere and is not
+# in benchmarks/option_census_allow.json with its reason.
+option-census:
+	$(PYTHON) benchmarks/option_census.py
 
 # The full gauntlet: 1000 programs, shrink failures to minimal reproducers.
 difftest:

@@ -112,19 +112,26 @@ class Call:
         self.star_from = star_from  # index of a ``*args``, if any
 
 
-def _decorators(node: ast.AST) -> Set[str]:
-    found = set()
-    for decorator in getattr(node, "decorator_list", []):
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        found.add(getattr(target, "attr", getattr(target, "id", "")))
-    return found
+def _name_of(node: ast.AST) -> Optional[str]:
+    """``f`` of ``f`` / ``obj.f``: the name a reference ends in."""
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def _decorators(node: ast.AST) -> Set[Optional[str]]:
+    return {
+        _name_of(d.func if isinstance(d, ast.Call) else d)
+        for d in getattr(node, "decorator_list", [])
+    }
 
 
 def _base_names(node: ast.ClassDef) -> List[str]:
-    return [getattr(b, "attr", getattr(b, "id", "")) for b in node.bases]
+    return [_name_of(base) or "" for base in node.bases]
 
 
 class Census:
+    """Every definition and call site under ``root``'s five trees, bound to
+    each other; :meth:`rows` is the table."""
+
     def __init__(self, root: Path):
         self.root = root
         #: name -> functions and methods under src/repro that calls can reach
@@ -455,8 +462,7 @@ class _CallScan(ast.NodeVisitor):
         elif isinstance(node, ast.Call) and literal is None:
             # A helper whose every ``return`` is a dict literal; its values
             # are another scope's expressions, so they stay text.
-            name = getattr(node.func, "attr", getattr(node.func, "id", None))
-            returned = self.census.dict_returns.get(name)
+            returned = self.census.dict_returns.get(_name_of(node.func))
             return {
                 key: ast.unparse(value)
                 for one in returned for key, value in one.items()
@@ -468,11 +474,10 @@ class _CallScan(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         self.generic_visit(node)
         func, args = node.func, list(node.args)
-        name = getattr(func, "attr", getattr(func, "id", None))
-        name = self.aliases.get(name, name)
+        name = self.aliases.get(_name_of(func), _name_of(func))
         if name == "partial" and args:
             func, args = args[0], args[1:]
-            name = getattr(func, "attr", getattr(func, "id", None))
+            name = _name_of(func)
         if name is None:
             return
         names = [name]
@@ -480,7 +485,7 @@ class _CallScan(ast.NodeVisitor):
             names = sorted(self.census.subclasses(self.owners[-1].name))
         elif (name == "__init__" and isinstance(func, ast.Attribute)
               and isinstance(func.value, ast.Call)
-              and getattr(func.value.func, "id", "") == "super"
+              and _name_of(func.value.func) == "super"
               and self.owners):
             names = _base_names(self.owners[-1])
         elif name in ("replace", "_replace"):

@@ -93,9 +93,7 @@ def test_ablation_fast_path_sensitivity(benchmark):
     def sweep():
         rows = []
         for slow_fraction in (0.0, 0.001, 0.01, 0.05, 0.2, 1.0):
-            estimate = model.gallium_throughput(
-                slow_fraction, 60, 1500, cores=1
-            )
+            estimate = model.gallium_throughput(slow_fraction, 60, 1500)
             rows.append([f"{slow_fraction:.3f}", round(estimate.gbps, 1),
                          estimate.bottleneck])
         return rows

@@ -25,11 +25,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.ir.function import Function
 from repro.ir.instructions import Branch, Instruction
-from repro.ir.values import LocKind, Location
+from repro.ir.values import Location
 from repro.analysis.reachability import (
     ReachabilityInfo,
     compute_reachability,

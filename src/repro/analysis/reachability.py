@@ -12,8 +12,8 @@ blocks on cycles (for the paper's loop rule 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set
+from dataclasses import dataclass
+from typing import Dict, Set
 
 from repro.ir.function import Function
 from repro.ir.instructions import Branch, Instruction

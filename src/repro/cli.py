@@ -1,58 +1,10 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
-``compile <name|file.cc>``
-    Run the Gallium pipeline; print the partition summary and write the
-    ``.p4`` / ``_server.cc`` artifacts.  ``--no-verify`` skips the static
-    verification layer.
-``verify <name|file.cc|all> [--json] [--cached]``
-    Run the three-stage static verifier (IR well-formedness, partition
-    invariants, P4 resource lint) and print human-readable or JSON
-    diagnostics without writing artifacts.
-``partition <name|file.cc>``
-    Print the three projected partition CFGs (paper Figure 4).
-``experiments [table1|table2|table3|fig7|fig8|fig9|all]``
-    Regenerate the paper's tables/figures.
-``list``
-    List the bundled middleboxes.
-``difftest --runs N --seed S [--shrink] [--compiled]``
-    Differential-testing gauntlet: generate random middleboxes and compare
-    the FastClick baseline against the Gallium (and cached) deployments.
-    ``--compiled`` instead runs every generated program through both the
-    IR interpreter and the compiled fast-path engine, demanding
-    byte-identical verdicts, environments, journals, and metrics.
-``perf [--middlebox M] [--packets N] [--out BENCH_6.json]``
-    Time the interpreter vs. the compiled engine across the bare-engine,
-    FastClick-baseline, and Gallium deployments on a fixed-seed workload;
-    write and schema-check the BENCH payload.
-``trace <middlebox> [--deployment D] [--packets N] [--deep] [--json]``
-    Drive a traffic stream through one deployment with per-packet tracing
-    enabled and print the event trace (or the schema-checked JSON payload).
-``metrics <middlebox> [--deployment D] [--packets N] [--json]``
-    Same drive with tracing off; print the metrics-registry snapshot.
-``obs <middlebox> [--deployment D] [--packets N] [--window-us W]
-[--sample-every K] [--json]``
-    Time-resolved observability: the same drive with windowed time
-    series (fixed ``W``-microsecond windows on the simulated clock),
-    in-band per-hop telemetry stamped onto every ``K``-th packet and
-    aggregated into per-flow reports, and — on the failover deployment —
-    the φ-accrual health monitor's heartbeat/detection summary.  JSON
-    output is byte-deterministic and schema-checked (``obs`` schema).
-``faults --runs N --seed S [--summary-json PATH]``
-    Fault-injection campaign: replay generated middleboxes under random
-    fault schedules and verify, via the fault-aware oracle, that the
-    deployment converges back to equivalence or degrades exactly per its
-    declared policy — never diverging silently.  ``--summary-json``
-    additionally writes a cross-scenario rollup (promotion-window length
-    distributions, rollback rates by fault kind).
-``tenancy [tenant ...] [--packets N] [--admit-only] [--json]``
-    Multi-tenant switch: admit the named middleboxes (default: minilb,
-    mazunat, lb) under one shared resource budget, lint the combined
-    artifact against constraints 1–5, run them together on one pipeline
-    with a shared control-plane RPC channel, and prove per-tenant
-    isolation byte-exactly against solo deployments.  Exits non-zero on
-    a rejected tenant or an isolation violation.
+``python -m repro --help`` lists the commands and ``<command> --help`` each
+one's flags: argparse (:func:`build_parser`) is the one place both are
+kept.  A command is a ``cmd_<name>(args) -> exit status`` function; the
+compiler's refusals of its *input* print ``error:`` lines and exit 1
+instead of a traceback (:func:`_reports_refusals`).
 """
 
 from __future__ import annotations

@@ -33,9 +33,6 @@ class CompilationResult:
     shim_to_switch: ShimLayout
     p4_source: str
     cpp_source: str
-    #: translation-validation report when the compile ran with
-    #: ``symbolic=True`` (:class:`repro.verify.symbolic.SymbolicReport`).
-    symbolic_report: Optional[object] = None
 
     @property
     def name(self) -> str:
@@ -67,34 +64,22 @@ def compile_source(
     limits: Optional[SwitchResources] = None,
     filename: str = "<middlebox>",
     verify: bool = True,
-    symbolic: bool = False,
 ) -> CompilationResult:
     """Run the full Gallium pipeline on middlebox source text."""
     lowered = lower_program(parse_program(source, filename))
-    return compile_lowered(lowered, limits, verify=verify, symbolic=symbolic,
-                           source=source)
+    return compile_lowered(lowered, limits, verify=verify)
 
 
 def compile_lowered(
     lowered: LoweredMiddlebox,
     limits: Optional[SwitchResources] = None,
     verify: bool = True,
-    symbolic: bool = False,
-    source: Optional[str] = None,
 ) -> CompilationResult:
     """Run the pipeline from an already-lowered middlebox.
 
     With ``verify`` (the default) the static verification layer runs over
     the compiled artifacts and any error-severity diagnostic aborts the
     compilation with a :class:`repro.verify.VerificationError`.
-
-    With ``symbolic`` the translation validator additionally proves the
-    compiled composition equivalent to the source function on the bounded
-    symbolic packet space; a disproof or an inconclusive proof aborts the
-    same way (``SYM00x`` diagnostics), and the full
-    :class:`~repro.verify.symbolic.SymbolicReport` lands on
-    ``result.symbolic_report``.  ``source`` (original text) lets disproof
-    counterexamples be appended to the difftest corpus.
     """
     plan, switch_program = compile_middlebox(lowered, limits)
     shim_to_server = switch_program.shim_to_server
@@ -110,16 +95,10 @@ def compile_lowered(
         p4_source=p4_source,
         cpp_source=cpp_source,
     )
-    if verify or symbolic:
+    if verify:
         from repro.verify import VerificationError, verify_compilation
 
         report = verify_compilation(result)
-        if symbolic:
-            from repro.verify.symbolic import verify_symbolic
-
-            sym = verify_symbolic(plan, switch_program, source=source)
-            result.symbolic_report = sym
-            report.extend(sym.diagnostics)
-        if verify and not report.ok:
+        if not report.ok:
             raise VerificationError(report)
     return result

@@ -48,7 +48,6 @@ from repro.ir.compile import compile_function
 from repro.ir.interp import Interpreter, PacketView, StateStore
 from repro.ir.lowering import lower_program
 from repro.lang.parser import parse_program
-from repro.partition.constraints import SwitchResources
 from repro.runtime.cache import CacheConfigurationError
 from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
 from repro.runtime.spec import DeploymentSpec
@@ -217,13 +216,12 @@ def _function_level(
 def _deployment_level(
     lowered,
     stream_packets,
-    limits: Optional[SwitchResources],
     deployment_seed: int,
     result: CompiledCheckResult,
 ) -> Iterator[Finding]:
     """Stage 2: interpreted vs fast-path deployments, same seed."""
     try:
-        plan, program = kernel.compile_step(compile_middlebox, lowered, limits)
+        plan, program = kernel.compile_step(compile_middlebox, lowered, None)
     except kernel.Abort as abort:
         if abort.failure != kernel.REFUSED:
             raise
@@ -299,7 +297,6 @@ def _both_engines(
 def check_compiled(
     source: str,
     stream: StreamSpec,
-    limits: Optional[SwitchResources] = None,
     deployment_seed: int = 0,
 ) -> CompiledCheckResult:
     """Run one program through both engines at both levels."""
@@ -312,7 +309,7 @@ def check_compiled(
             _function_level(lowered, stream_packets, result), None
         ) or next(
             _deployment_level(
-                lowered, stream_packets, limits, deployment_seed, result
+                lowered, stream_packets, deployment_seed, result
             ), None
         )
     except kernel.Abort as abort:
@@ -328,7 +325,6 @@ def run_compiled_gauntlet(
     runs: int,
     seed: int,
     packets: int = 25,
-    limits: Optional[SwitchResources] = None,
     max_failures: int = 10,
     time_budget_s: Optional[float] = None,
     seed_override: Optional[int] = None,
@@ -341,8 +337,7 @@ def run_compiled_gauntlet(
         program = generate_program(program_seed)
         stream = StreamSpec(seed=program_seed ^ STREAM_SALT, count=packets)
         result = check_compiled(
-            program.source(), stream, limits=limits,
-            deployment_seed=program_seed,
+            program.source(), stream, deployment_seed=program_seed
         )
         stats.record(result)
         if result.outcome == "agree":

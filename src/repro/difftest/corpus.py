@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import ClassVar, Optional
 
 from repro.difftest.oracle import Outcome, OracleResult, StreamSpec, run_oracle
+from repro.telemetry.schema import CorpusFormatError, fields_from
 
 #: Default corpus location (checked into the repository).
 CORPUS_DIR = Path(__file__).resolve().parents[3] / "tests" / "difftest_corpus"
@@ -23,10 +24,13 @@ CORPUS_DIR = Path(__file__).resolve().parents[3] / "tests" / "difftest_corpus"
 @dataclass(kw_only=True)
 class ReproducerEntry:
     """A minimized reproducer, the outcome expected of it, and its
-    provenance.  Subclasses add their scenario's fields (``own_dict`` /
-    ``own_kwargs``) and the ``DIRECTORY`` they are committed under."""
+    provenance.  Subclasses add their scenario's fields (``own_dict``;
+    ``NESTED`` for the ones that are objects of their own) and the
+    ``DIRECTORY`` they are committed under."""
 
     DIRECTORY: ClassVar[Path]
+    #: field -> the ``from_dict`` that loads its JSON object
+    NESTED: ClassVar[dict] = {"stream": StreamSpec.from_dict}
 
     name: str
     source: str
@@ -40,10 +44,6 @@ class ReproducerEntry:
     trace_diff: Optional[dict] = None
 
     def own_dict(self) -> dict:
-        return {}
-
-    @staticmethod
-    def own_kwargs(data: dict) -> dict:
         return {}
 
     def to_dict(self) -> dict:
@@ -64,21 +64,17 @@ class ReproducerEntry:
 
     @classmethod
     def from_dict(cls, data: dict):
-        source = data["source"]
-        if isinstance(source, list):
-            source = "\n".join(source) + "\n"
-        kwargs = cls.own_kwargs(data)
-        if "expect" in data:
-            kwargs["expect"] = data["expect"]
-        return cls(
-            name=data["name"],
-            source=source,
-            stream=StreamSpec.from_dict(data["stream"]),
-            description=data.get("description", ""),
-            found_by_seed=data.get("found_by_seed"),
-            trace_diff=data.get("trace_diff"),
-            **kwargs,
+        """Raises :class:`~repro.telemetry.schema.CorpusFormatError` for
+        JSON that is not an entry (as do the ``NESTED`` loaders)."""
+        kwargs = fields_from(
+            data, cls, "entry",
+            source={"type": ["array", "string"], "items": {"type": "string"}},
         )
+        if isinstance(kwargs["source"], list):
+            kwargs["source"] = "\n".join(kwargs["source"]) + "\n"
+        for name in cls.NESTED.keys() & kwargs.keys():
+            kwargs[name] = cls.NESTED[name](kwargs[name])
+        return cls(**kwargs)
 
 
 @dataclass(kw_only=True)
@@ -106,14 +102,6 @@ class CorpusEntry(ReproducerEntry):
             data["prestate"] = self.prestate
         return data
 
-    @staticmethod
-    def own_kwargs(data: dict) -> dict:
-        return {
-            "check_cached": data.get("check_cached", True),
-            "config": data.get("config"),
-            "prestate": data.get("prestate"),
-        }
-
 
 def save_entry(entry: ReproducerEntry, directory: Optional[Path] = None) -> Path:
     directory = directory if directory is not None else entry.DIRECTORY
@@ -127,10 +115,13 @@ def load_corpus(directory: Optional[Path] = None, entry_type=CorpusEntry) -> lis
     directory = directory if directory is not None else entry_type.DIRECTORY
     if not directory.is_dir():
         return []
-    return [
-        entry_type.from_dict(json.loads(path.read_text()))
-        for path in sorted(directory.glob("*.json"))
-    ]
+    entries = []
+    for path in sorted(directory.glob("*.json")):
+        try:
+            entries.append(entry_type.from_dict(json.loads(path.read_text())))
+        except ValueError as exc:  # not JSON, or not an entry: say which file
+            raise CorpusFormatError(f"{path}: {exc}") from exc
+    return entries
 
 
 def replay_entry(entry: CorpusEntry, fast_path: bool = False) -> OracleResult:

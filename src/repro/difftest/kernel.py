@@ -25,8 +25,6 @@ from repro.partition.partitioner import PartitionError
 from repro.partition.plan import PlacementKind
 from repro.switchsim.program import SwitchProgramError
 
-DEFAULT_PORT_PAIRS = {1: 2, 2: 1}
-
 #: Fields compared on every emitted packet.  ``PacketView`` reads absent
 #: headers as 0 identically in every runtime, so the full list is safe for
 #: both TCP and UDP packets.

@@ -35,13 +35,15 @@ from enum import Enum
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.difftest import kernel
-from repro.difftest.kernel import DEFAULT_PORT_PAIRS, Finding
+from repro.difftest.kernel import Finding
 from repro.net.packet import RawPacket
 from repro.partition.constraints import SwitchResources
 from repro.runtime.baseline import FastClickRuntime
 from repro.runtime.cache import CacheConfigurationError
 from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
 from repro.runtime.spec import DeploymentSpec
+from repro.switchsim.program import bypass_port
+from repro.telemetry.schema import fields_from
 from repro.workloads.packets import make_tcp_packet, make_udp_packet
 
 
@@ -71,9 +73,9 @@ class OracleResult:
     cached_checked: bool = False
     packets_run: int = 0
     #: error-severity diagnostics from the static verifier (empty when the
-    #: program verified clean or verification was disabled).  A program
-    #: that AGREEs dynamically but fails verification — or vice versa — is
-    #: a verifier/oracle disagreement, a bug class of its own.
+    #: program verified clean).  A program that AGREEs dynamically but
+    #: fails verification — or vice versa — is a verifier/oracle
+    #: disagreement, a bug class of its own.
     verifier_errors: List[str] = field(default_factory=list)
     #: first-divergent-event trace diff of a DIVERGE outcome, or why there
     #: is none (see :func:`~repro.difftest.kernel.collect_provenance`);
@@ -107,12 +109,8 @@ class StreamSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StreamSpec":
-        return cls(
-            seed=int(data["seed"]),
-            count=int(data.get("count", 25)),
-            udp_ratio=float(data.get("udp_ratio", 0.35)),
-            packets=data.get("packets"),
-        )
+        packets = {"type": ["array", "null"], "items": {"type": "object"}}
+        return cls(**fields_from(data, cls, "stream", packets=packets))
 
     def build(self) -> List[Tuple[RawPacket, int]]:
         import random
@@ -159,9 +157,7 @@ def run_oracle(
     stream: StreamSpec,
     limits: Optional[SwitchResources] = None,
     check_cached: bool = True,
-    cache_entries: int = 2,
     deployment_seed: int = 0,
-    verify: bool = True,
     provenance: bool = True,
     config: Optional[Dict[int, list]] = None,
     prestate: Optional[dict] = None,
@@ -170,29 +166,26 @@ def run_oracle(
     """Compile ``source`` once and drive all runtimes over ``stream``
     (see :func:`check_artifacts` for the run itself).
 
-    With ``verify`` the static verifier also runs over the compiled
-    artifacts; its error-severity diagnostics ride along on the result so
-    the gauntlet can cross-check them against the dynamic outcome.
+    The static verifier also runs over the compiled artifacts; its
+    error-severity diagnostics ride along on the result so the gauntlet
+    can cross-check them against the dynamic outcome.
     """
+    from repro.verify import verify_artifacts
+
     try:
         plan, program = kernel.compile_step(compile_middlebox, source, limits)
-        verifier_errors: List[str] = []
-        if verify:
-            from repro.verify import verify_artifacts
-
-            with kernel.dut("verify"):
-                report = verify_artifacts(
-                    plan, program.shim_to_server, program.shim_to_switch,
-                    program,
-                )
-            verifier_errors = [d.format() for d in report.errors]
+        with kernel.dut("verify"):
+            report = verify_artifacts(
+                plan, program.shim_to_server, program.shim_to_switch,
+                program,
+            )
     except kernel.Abort as abort:
         return OracleResult(_ABORTED[abort.failure], error=abort.error)
     result = check_artifacts(
-        plan, program, stream, check_cached, cache_entries, deployment_seed,
+        plan, program, stream, check_cached, deployment_seed,
         provenance, config, prestate, fast_path,
     )
-    result.verifier_errors = verifier_errors
+    result.verifier_errors = [d.format() for d in report.errors]
     return result
 
 
@@ -201,7 +194,6 @@ def check_artifacts(
     program,
     stream: StreamSpec,
     check_cached: bool = True,
-    cache_entries: int = 2,
     deployment_seed: int = 0,
     provenance: bool = True,
     config: Optional[Dict[int, list]] = None,
@@ -244,9 +236,8 @@ def check_artifacts(
 
     def make_dut(spec: DeploymentSpec, telemetry=None) -> GalliumMiddlebox:
         box = installed(GalliumMiddlebox(
-            plan, program, port_pairs=dict(DEFAULT_PORT_PAIRS),
-            seed=deployment_seed, config=config, fast_path=fast_path,
-            telemetry=telemetry, **spec.roles(),
+            plan, program, seed=deployment_seed, config=config,
+            fast_path=fast_path, telemetry=telemetry, **spec.roles(),
         ))
         if prestate is not None:
             box.sync_all_state()
@@ -254,7 +245,8 @@ def check_artifacts(
 
     specs = {"gallium": DeploymentSpec()}
     if check_cached and prestate is None:
-        specs["cached"] = DeploymentSpec(cache_entries=cache_entries)
+        # Two entries per table: every stream of a few flows evicts.
+        specs["cached"] = DeploymentSpec(cache_entries=2)
     packets = stream.build()
     try:
         with kernel.reference("deploy"):
@@ -303,8 +295,7 @@ def _lockstep(
         base_packet = packet.copy()
         with kernel.reference(f"baseline packet #{index}"):
             base = baseline.process_packet(base_packet, ingress)
-        # The switch's egress rule (``SwitchModel._resolve_egress``).
-        port = base.egress_port or DEFAULT_PORT_PAIRS.get(ingress, ingress)
+        port = base.egress_port or bypass_port(ingress)
         want = kernel.observe(base.verdict, [(port, base_packet)])
         for name, box in duts.items():
             with kernel.dut(f"{name} packet #{index}"):

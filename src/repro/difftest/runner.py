@@ -122,7 +122,6 @@ def run_gauntlet(
     seed: int,
     packets: int = 25,
     shrink_failures: bool = False,
-    limits: Optional[SwitchResources] = None,
     max_failures: int = 10,
     time_budget_s: Optional[float] = None,
     seed_override: Optional[int] = None,
@@ -150,7 +149,7 @@ def run_gauntlet(
         def run(candidate: GenProgram, candidate_stream: StreamSpec,
                 provenance: bool = True) -> OracleResult:
             return run_oracle(
-                candidate.source(), candidate_stream, limits=limits,
+                candidate.source(), candidate_stream,
                 deployment_seed=program_seed, provenance=provenance,
             )
 
@@ -162,7 +161,7 @@ def run_gauntlet(
         opinions: Optional[dict] = None
         dissenters: Optional[List[str]] = None
         if symbolic and result.outcome in (Outcome.AGREE, Outcome.DIVERGE):
-            opinions = _symbolic_opinions(program.source(), result, limits)
+            opinions = _symbolic_opinions(program.source(), result, None)
             if opinions is not None:
                 stats.symbolic_checked += 1
                 dissenters = _dissenters(opinions)

@@ -227,7 +227,6 @@ def shrink_case(
     program: GenProgram,
     stream: StreamSpec,
     predicate: Predicate,
-    max_rounds: int = 500,
     trace_diff=None,
 ) -> Tuple[GenProgram, StreamSpec]:
     """Reduce ``(program, stream)`` while ``predicate`` keeps holding.
@@ -242,7 +241,7 @@ def shrink_case(
     if not predicate(program, stream):
         raise ValueError("shrink_case: initial case does not satisfy the predicate")
     stream = _shrink_stream(program, stream, predicate, hints)
-    for _ in range(max_rounds):
+    for _ in range(500):  # every round shrinks; the bound caps wall time
         if _drop_one_statement(program, stream, predicate, hints):
             continue
         if _unwrap_one_branch(program, stream, predicate):

@@ -8,7 +8,7 @@ rows/series the paper reports.
 from __future__ import annotations
 
 import statistics
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.compiler import compile_lowered
 from repro.eval.profiles import (
@@ -17,13 +17,11 @@ from repro.eval.profiles import (
     build_gallium,
     profile_middlebox,
 )
-from repro.middleboxes import MIDDLEBOX_NAMES, load
+from repro.middleboxes import load
 from repro.sim.capacity import CapacityModel
-from repro.sim.costs import CostModel
 from repro.sim.fluid import FluidFlowSimulator
 from repro.sim.latency import LatencyModel
 from repro.switchsim.control_plane import ControlPlane, StateUpdate
-from repro.switchsim.registers import Register
 from repro.switchsim.tables import ExactMatchTable
 from repro.workloads.conga import (
     DISTRIBUTIONS,
@@ -41,6 +39,13 @@ EVAL_MIDDLEBOXES = ("mazunat", "lb", "firewall", "proxy", "trojan")
 
 PACKET_SIZES = (100, 500, 1500)
 CORE_COUNTS = (1, 2, 4)
+#: §6.3 iperf's MTU-sized packets: what the iso-throughput CPU saving and
+#: the recovery tables are priced at.
+MTU_PACKET_SIZE = 1500
+#: The recovery tables' subject, and the incident they time-weight a
+#: degraded window against.
+RECOVERY_MIDDLEBOX = "mazunat"
+INCIDENT_WINDOW_S = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -48,10 +53,10 @@ CORE_COUNTS = (1, 2, 4)
 # ---------------------------------------------------------------------------
 
 
-def table1_loc(middleboxes=EVAL_MIDDLEBOXES) -> Tuple[List[str], List[List]]:
+def table1_loc() -> Tuple[List[str], List[List]]:
     header = ["Middlebox", "Input (C++)", "Output (P4)", "Output (C++)"]
     rows = []
-    for name in middleboxes:
+    for name in EVAL_MIDDLEBOXES:
         bundle = load(name)
         result = compile_lowered(bundle.lowered)
         rows.append(
@@ -66,16 +71,12 @@ def table1_loc(middleboxes=EVAL_MIDDLEBOXES) -> Tuple[List[str], List[List]]:
 # ---------------------------------------------------------------------------
 
 
-def table2_latency(
-    middleboxes=EVAL_MIDDLEBOXES,
-    samples: int = 200,
-    costs: Optional[CostModel] = None,
-) -> Tuple[List[str], List[List]]:
+def table2_latency(samples: int = 200) -> Tuple[List[str], List[List]]:
     """Nptcp-style latency of established-flow packets (paper Table 2)."""
     header = ["Middlebox", "FastClick (µs)", "Gallium (µs)", "Reduction"]
-    model = LatencyModel(costs)
+    model = LatencyModel()
     rows = []
-    for name in middleboxes:
+    for name in EVAL_MIDDLEBOXES:
         profile = _established_profile(name, packets=samples)
         wire_bytes = 100  # Nptcp-style small messages
         baseline_mean = model.baseline_us(
@@ -106,8 +107,6 @@ def _established_profile(name: str, packets: int = 200) -> MiddleboxProfile:
     gallium = build_gallium(name)
     baseline = build_baseline(name)
     # Establish the flow on both (SYN).
-    from repro.workloads.iperf import middlebox_stream
-
     warmup = list(middlebox_stream(name, IperfWorkload(connections=1,
                                                        packets_per_connection=1)))
     for packet, ingress in warmup[:2]:
@@ -133,17 +132,15 @@ def _established_profile(name: str, packets: int = 200) -> MiddleboxProfile:
 # ---------------------------------------------------------------------------
 
 
-def table3_state_sync(
-    table_counts=(1, 2, 4), trials: int = 50, seed: int = 0
-) -> Tuple[List[str], List[List]]:
+def table3_state_sync(trials: int = 50) -> Tuple[List[str], List[List]]:
     header = ["# tables", "Insert (µs)", "Modify (µs)", "Delete (µs)"]
     rows = []
-    for count in table_counts:
+    for count in (1, 2, 4):
         tables = {
             f"t{i}": ExactMatchTable(f"t{i}", [32], 32, 65536)
             for i in range(count)
         }
-        control = ControlPlane(tables, {}, seed=seed)
+        control = ControlPlane(tables, {})
         cells = [count]
         for op in ("insert", "modify", "delete"):
             latencies = []
@@ -178,34 +175,26 @@ def table3_state_sync(
 
 
 def figure7_throughput(
-    name: str,
-    packet_sizes=PACKET_SIZES,
-    cores=CORE_COUNTS,
-    connections: int = 10,
-    packets_per_connection: int = 40,
-    costs: Optional[CostModel] = None,
+    name: str, packets_per_connection: int = 40
 ) -> Tuple[List[str], List[List]]:
     header = ["Packet size", "Offloaded (1c)"] + [
-        f"Click-{n}c" for n in cores
+        f"Click-{n}c" for n in CORE_COUNTS
     ]
-    capacity = CapacityModel(costs)
+    capacity = CapacityModel()
     rows = []
-    for size in packet_sizes:
+    for size in PACKET_SIZES:
         workload = IperfWorkload(
-            connections=connections,
-            packets_per_connection=packets_per_connection,
-            packet_size=size,
+            packets_per_connection=packets_per_connection, packet_size=size
         )
         profile = profile_middlebox(name, middlebox_stream(name, workload))
         offloaded = capacity.gallium_throughput(
             profile.slow_fraction,
             profile.server_instructions_per_punt,
             size,
-            cores=1,
             shim_bytes=profile.shim_to_server_bytes,
         )
         row = [f"{size}B", round(offloaded.gbps, 1)]
-        for core_count in cores:
+        for core_count in CORE_COUNTS:
             baseline = capacity.baseline_throughput(
                 profile.baseline_instructions_per_packet, size, core_count
             )
@@ -214,8 +203,9 @@ def figure7_throughput(
     return header, rows
 
 
-def cpu_savings(name: str, packet_size: int = 1500) -> float:
+def cpu_savings(name: str) -> float:
     """Cycles saved at iso-throughput (§6.3: 21–79 %)."""
+    packet_size = MTU_PACKET_SIZE
     workload = IperfWorkload(packet_size=packet_size)
     profile = profile_middlebox(name, middlebox_stream(name, workload))
     capacity = CapacityModel()
@@ -234,14 +224,13 @@ def cpu_savings(name: str, packet_size: int = 1500) -> float:
 FCT_BIN_EDGES = [100_000, 10_000_000]  # 0-100K, 100K-10M, >10M bytes
 
 
-def _workload_profiles(
-    name: str, flow_sizes: List[int], costs: CostModel
-) -> Dict[str, Dict]:
+def _workload_profiles(name: str, flow_sizes: List[int]) -> Dict[str, Dict]:
     """Derive fluid-simulation parameters from a measured profile."""
     # Measure with a small representative stream.
     workload = IperfWorkload(connections=8, packets_per_connection=30)
     profile = profile_middlebox(name, middlebox_stream(name, workload))
-    latency = LatencyModel(costs)
+    latency = LatencyModel()
+    costs = latency.costs
 
     total_packets = sum(packets_in_flow(size) + 2 for size in flow_sizes)
     # Slow-path packets per flow: what the measured per-flow punt count was.
@@ -285,23 +274,20 @@ def _workload_profiles(
 
 
 def figure8_workloads(
-    name: str,
-    flows: int = 2000,
-    cores=CORE_COUNTS,
-    seed: int = 42,
-    costs: Optional[CostModel] = None,
+    name: str, flows: int = 2000
 ) -> Tuple[List[str], List[List]]:
     """Average throughput on the enterprise / data-mining workloads."""
-    costs = costs or CostModel()
-    header = ["Workload", "Offloaded (1c)"] + [f"Click-{n}c" for n in cores]
+    header = ["Workload", "Offloaded (1c)"] + [
+        f"Click-{n}c" for n in CORE_COUNTS
+    ]
     rows = []
     for workload_name in ("enterprise", "datamining"):
-        sizes = sample_flow_sizes(DISTRIBUTIONS[workload_name], flows, seed)
-        params = _workload_profiles(name, sizes, costs)
+        sizes = sample_flow_sizes(DISTRIBUTIONS[workload_name], flows)
+        params = _workload_profiles(name, sizes)
         sim = FluidFlowSimulator(sizes, **params["gallium"])
         sim.run()
         row = [workload_name, round(sim.average_throughput_gbps(), 1)]
-        for core_count in cores:
+        for core_count in CORE_COUNTS:
             base_params = dict(params["baseline"])
             base_params["server_pps_budget"] *= core_count
             base_sim = FluidFlowSimulator(sizes, **base_params)
@@ -311,19 +297,13 @@ def figure8_workloads(
     return header, rows
 
 
-def figure9_fct(
-    name: str,
-    flows: int = 2000,
-    seed: int = 42,
-    costs: Optional[CostModel] = None,
-) -> Tuple[List[str], List[List]]:
+def figure9_fct(name: str, flows: int = 2000) -> Tuple[List[str], List[List]]:
     """Average flow completion time by flow-size bin (µs)."""
-    costs = costs or CostModel()
     header = ["Flow size", "Click(E)", "Offloaded(E)", "Click(D)", "Offloaded(D)"]
     columns: Dict[str, Dict[str, float]] = {}
     for workload_name, letter in (("enterprise", "E"), ("datamining", "D")):
-        sizes = sample_flow_sizes(DISTRIBUTIONS[workload_name], flows, seed)
-        params = _workload_profiles(name, sizes, costs)
+        sizes = sample_flow_sizes(DISTRIBUTIONS[workload_name], flows)
+        params = _workload_profiles(name, sizes)
         base_params = dict(params["baseline"])
         base_params["server_pps_budget"] *= 4  # Click-4c
         for system, system_params in (
@@ -349,12 +329,28 @@ def figure9_fct(
 # ---------------------------------------------------------------------------
 
 
+def _recovery_rates() -> Tuple[MiddleboxProfile, CapacityModel, float, float]:
+    """What every recovery table prices a degraded window against: the
+    recovery middlebox's measured profile on MTU-sized iperf traffic, the
+    capacity model, its fault-free Gallium Gbps, and the fallback Gbps —
+    with the slow path down, punts are queued or dropped and only the
+    fast-path share of the traffic gets through the switch at line rate."""
+    name, size = RECOVERY_MIDDLEBOX, MTU_PACKET_SIZE
+    workload = IperfWorkload(packet_size=size)
+    profile = profile_middlebox(name, middlebox_stream(name, workload))
+    capacity = CapacityModel()
+    normal = capacity.gallium_throughput(
+        profile.slow_fraction,
+        profile.server_instructions_per_punt,
+        size,
+        shim_bytes=profile.shim_to_server_bytes,
+    ).gbps
+    line_gbps = capacity.line_rate_pps(size) * size * 8 / 1e9
+    return profile, capacity, normal, line_gbps * (1.0 - profile.slow_fraction)
+
+
 def fault_recovery(
-    arrival_interval_us: float = 200.0,
-    punts: int = 2000,
-    name: str = "mazunat",
-    packet_size: int = 1500,
-    metrics=None,
+    punts: int = 2000, metrics=None
 ) -> Tuple[List[str], List[List]]:
     """Recovery behaviour of the bounded punt queue across outage lengths.
 
@@ -374,20 +370,8 @@ def fault_recovery(
     """
     from repro.faults.timeline import OutageScenario, simulate_outage
 
-    workload = IperfWorkload(packet_size=packet_size)
-    profile = profile_middlebox(name, middlebox_stream(name, workload))
-    capacity = CapacityModel()
-    normal = capacity.gallium_throughput(
-        profile.slow_fraction,
-        profile.server_instructions_per_punt,
-        packet_size,
-        shim_bytes=profile.shim_to_server_bytes,
-    ).gbps
-    # Fallback mode: the slow path is unavailable, punts are queued or
-    # dropped, and only the fast-path fraction of the traffic gets
-    # through the switch at line rate.
-    line_gbps = capacity.line_rate_pps(packet_size) * packet_size * 8 / 1e9
-    fallback = line_gbps * (1.0 - profile.slow_fraction)
+    arrival_interval_us = 200.0
+    _profile, _capacity, normal, fallback = _recovery_rates()
     if metrics is not None:
         metrics.gauge("recovery.normal_gbps").set(round(normal, 3))
         metrics.gauge("recovery.fallback_gbps").set(round(fallback, 3))
@@ -439,12 +423,7 @@ def fault_recovery(
     return header, rows
 
 
-def failover_recovery(
-    name: str = "mazunat",
-    packet_size: int = 1500,
-    incident_window_s: float = 1.0,
-    metrics=None,
-) -> Tuple[List[str], List[List]]:
+def failover_recovery() -> Tuple[List[str], List[List]]:
     """Throughput cost of promoting the standby after a primary crash.
 
     The failover deployment (:mod:`repro.runtime.failover`) keeps a warm
@@ -465,55 +444,38 @@ def failover_recovery(
     the exact-boundary reference.  The resync cost comes from the
     Table-3 batch-latency model over the program's actual
     switch-resident tables.  *Effective Gbps* time-weights the degraded
-    window against the normal rate over a ``incident_window_s`` incident,
+    window against the normal rate over an ``INCIDENT_WINDOW_S`` incident,
     and *Shed Gbps·ms* is the capacity lost while the window is open —
     the traffic the server either queues or drops.
-
-    Pass a :class:`repro.telemetry.MetricsRegistry` as ``metrics`` to
-    additionally publish the cells as ``failover.detect_<ms>ms.*``.
     """
     from repro.runtime.deployment import compile_middlebox
     from repro.switchsim.control_plane import expected_batch_latency_us
 
-    bundle = load(name)
-    plan, _program = compile_middlebox(bundle.lowered)
+    plan, _program = compile_middlebox(load(RECOVERY_MIDDLEBOX).lowered)
     switch_tables = sum(
         1
         for placement in plan.placements.values()
         if placement.on_switch and placement.member.kind in ("map", "vector")
     )
 
-    workload = IperfWorkload(packet_size=packet_size)
-    profile = profile_middlebox(name, middlebox_stream(name, workload))
-    capacity = CapacityModel()
-    normal = capacity.gallium_throughput(
-        profile.slow_fraction,
-        profile.server_instructions_per_punt,
-        packet_size,
-        shim_bytes=profile.shim_to_server_bytes,
-    ).gbps
+    profile, capacity, normal, _fallback = _recovery_rates()
     # Promotion window: the full program runs on one server core (the
     # fallback interpreter), exactly as in a punt-everything deployment.
     window = capacity.baseline_throughput(
-        profile.baseline_instructions_per_packet, packet_size, cores=1
+        profile.baseline_instructions_per_packet, MTU_PACKET_SIZE, cores=1
     ).gbps
     # Resync = clear + re-install every switch-resident table from the
     # server's authoritative copy, one bulk insert batch.
     resync_us = expected_batch_latency_us(switch_tables, "insert")
-
-    if metrics is not None:
-        metrics.gauge("failover.normal_gbps").set(round(normal, 3))
-        metrics.gauge("failover.window_gbps").set(round(window, 3))
-        metrics.gauge("failover.resync_us").set(round(resync_us, 3))
 
     header = [
         "Scenario", "Resync (µs)", "Window (ms)",
         "Normal Gbps", "Window Gbps", "Shed Gbps·ms", "Effective Gbps",
     ]
     rows = []
-    incident_ms = incident_window_s * 1000.0
+    incident_ms = INCIDENT_WINDOW_S * 1000.0
 
-    def price(label: str, detect_ms: float, metric_prefix: str) -> None:
+    def price(label: str, detect_ms: float) -> None:
         window_ms = detect_ms + resync_us / 1000.0
         shed = max(0.0, normal - window) * window_ms
         effective = normal - (normal - window) * min(
@@ -528,46 +490,26 @@ def failover_recovery(
             round(shed, 2),
             round(effective, 2),
         ])
-        if metrics is not None:
-            metrics.gauge(f"{metric_prefix}.window_ms").set(
-                round(window_ms, 4)
-            )
-            metrics.gauge(f"{metric_prefix}.effective_gbps").set(
-                round(effective, 3)
-            )
-            metrics.gauge(f"{metric_prefix}.shed_gbps_ms").set(
-                round(shed, 3)
-            )
 
     # Measured detection: the φ-accrual monitor on a seeded crash run.
     from repro.telemetry.health import measure_detection_latency
 
-    measured = measure_detection_latency(name=name)
-    measured_ms = measured["detection_latency_us"] / 1000.0
+    measured = measure_detection_latency()
     price(
         f"measured φ detect={measured['detection_latency_us']:g}µs"
         f" tables={switch_tables}",
-        measured_ms, "failover.detect_measured",
+        measured["detection_latency_us"] / 1000.0,
     )
-    if metrics is not None:
-        metrics.gauge("failover.detect_measured.latency_us").set(
-            round(measured["detection_latency_us"], 3)
-        )
     # Exact-boundary reference sweep: coarser supervisor heartbeats.
     for detect_ms in (1.0, 10.0, 50.0):
         price(
             f"detect={detect_ms:g}ms tables={switch_tables} (reference)",
-            detect_ms, f"failover.detect_{detect_ms:g}ms",
+            detect_ms,
         )
     return header, rows
 
 
-def pool_recovery(
-    name: str = "mazunat",
-    packet_size: int = 1500,
-    incident_window_s: float = 1.0,
-    metrics=None,
-) -> Tuple[List[str], List[List]]:
+def pool_recovery() -> Tuple[List[str], List[List]]:
     """Throughput cost of losing one punt-path pool member.
 
     The pooled deployment (:mod:`repro.runtime.pool`) spreads punted
@@ -588,11 +530,8 @@ def pool_recovery(
     migration window is open (the affected share of punted traffic
     falls back to fast-path-only delivery, cf. the fallback rate in the
     punt-queue table); *Effective Gbps* time-weights that window
-    against an ``incident_window_s`` incident — compare with the
+    against an ``INCIDENT_WINDOW_S`` incident — compare with the
     switch-failover table above, where the whole punt path degrades.
-
-    Pass a :class:`repro.telemetry.MetricsRegistry` as ``metrics`` to
-    additionally publish the cells as ``pool.<scenario>.*`` gauges.
     """
     from itertools import islice
 
@@ -602,32 +541,22 @@ def pool_recovery(
     from repro.runtime.deployment import compile_middlebox
     from repro.runtime.pool import PooledDeployment
     from repro.sim.clock import MIGRATION_BASE_US, MIGRATION_ENTRY_US
-    from repro.telemetry import Telemetry
 
-    workload = IperfWorkload(packet_size=packet_size)
-    profile = profile_middlebox(name, middlebox_stream(name, workload))
-    capacity = CapacityModel()
-    normal = capacity.gallium_throughput(
-        profile.slow_fraction,
-        profile.server_instructions_per_punt,
-        packet_size,
-        shim_bytes=profile.shim_to_server_bytes,
-    ).gbps
-    line_gbps = capacity.line_rate_pps(packet_size) * packet_size * 8 / 1e9
+    name, packet_size = RECOVERY_MIDDLEBOX, MTU_PACKET_SIZE
     # A downed member's flows see fast-path-only delivery (the same
     # fallback rate as a full punt-path outage) — but only for the 1/N
     # share of flows the member owns.
-    fallback = line_gbps * (1.0 - profile.slow_fraction)
+    _profile, _capacity, normal, fallback = _recovery_rates()
 
     header = [
         "Scenario", "Entries", "Window (ms)", "Affected",
         "Normal Gbps", "Degraded Gbps", "Effective Gbps",
     ]
     rows = []
-    incident_ms = incident_window_s * 1000.0
+    incident_ms = INCIDENT_WINDOW_S * 1000.0
 
-    def price(label: str, servers: int, entries: int, window_ms: float,
-              metric_prefix: str) -> None:
+    def price(label: str, servers: int, entries: int,
+              window_ms: float) -> None:
         share = 1.0 / servers
         degraded = normal - (normal - fallback) * share
         effective = normal - (normal - degraded) * min(
@@ -642,16 +571,6 @@ def pool_recovery(
             round(degraded, 2),
             round(effective, 2),
         ])
-        if metrics is not None:
-            metrics.gauge(f"{metric_prefix}.window_ms").set(
-                round(window_ms, 4)
-            )
-            metrics.gauge(f"{metric_prefix}.degraded_gbps").set(
-                round(degraded, 3)
-            )
-            metrics.gauge(f"{metric_prefix}.effective_gbps").set(
-                round(effective, 3)
-            )
 
     # Measured migration: a seeded pooled run with one member crash.
     # Many short connections make the punt path (flow setup) do real
@@ -670,7 +589,7 @@ def pool_recovery(
             injector = FaultInjector(fault_plan, seed=0)
         deployment = PooledDeployment(
             plan, program, servers=3, config=bundle.config, seed=0,
-            policy=policy, injector=injector, telemetry=Telemetry(),
+            policy=policy, injector=injector,
         )
         deployment.install()
         for packet, ingress_port in islice(
@@ -701,10 +620,8 @@ def pool_recovery(
     measured_ms = measured.histogram("pool.migration_us").sum / 1000.0
     price(
         f"measured crash servers=3 entries={entries}",
-        3, entries, measured_ms, "pool.measured",
+        3, entries, measured_ms,
     )
-    if metrics is not None:
-        metrics.gauge("pool.measured.migrated_entries").set(entries)
     # Reference sweep: pool size × migrated-state size.
     for servers in (2, 4, 8):
         for ref_entries in (256, 1024):
@@ -714,7 +631,6 @@ def pool_recovery(
             price(
                 f"servers={servers} entries={ref_entries} (reference)",
                 servers, ref_entries, window_ms,
-                f"pool.s{servers}_e{ref_entries}",
             )
     return header, rows
 

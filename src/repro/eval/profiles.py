@@ -8,35 +8,27 @@ the Gallium deployment, and how often punts trigger state synchronization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Tuple
 
 from repro.middleboxes import load
 from repro.net.packet import RawPacket
-from repro.partition.constraints import SwitchResources
 from repro.runtime.baseline import FastClickRuntime
 from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
 
 
-def build_gallium(
-    name: str,
-    limits: Optional[SwitchResources] = None,
-    seed: int = 0,
-    clock=None,
-) -> GalliumMiddlebox:
+def build_gallium(name: str) -> GalliumMiddlebox:
     """Compile, deploy, and install one middlebox by short name."""
     bundle = load(name)
-    plan, program = compile_middlebox(bundle.lowered, limits)
-    middlebox = GalliumMiddlebox(
-        plan, program, config=bundle.config, seed=seed, clock=clock
-    )
+    plan, program = compile_middlebox(bundle.lowered)
+    middlebox = GalliumMiddlebox(plan, program, config=bundle.config)
     middlebox.install()
     return middlebox
 
 
-def build_baseline(name: str, clock=None) -> FastClickRuntime:
+def build_baseline(name: str) -> FastClickRuntime:
     bundle = load(name)
-    runtime = FastClickRuntime(bundle.lowered, config=bundle.config, clock=clock)
+    runtime = FastClickRuntime(bundle.lowered, config=bundle.config)
     runtime.install()
     return runtime
 
@@ -80,8 +72,6 @@ class MiddleboxProfile:
 def profile_middlebox(
     name: str,
     stream: Iterable[Tuple[RawPacket, int]],
-    limits: Optional[SwitchResources] = None,
-    clock=None,
 ) -> MiddleboxProfile:
     """Run one packet stream through both deployments and measure.
 
@@ -89,8 +79,8 @@ def profile_middlebox(
     identical traffic; verdict mismatches are counted (and should be zero —
     the functional-equivalence tests assert that).
     """
-    gallium = build_gallium(name, limits=limits, clock=clock)
-    baseline = build_baseline(name, clock=clock)
+    gallium = build_gallium(name)
+    baseline = build_baseline(name)
     profile = MiddleboxProfile(name=name)
     profile.shim_to_server_bytes = gallium.program.shim_to_server.byte_size
     profile.shim_to_switch_bytes = gallium.program.shim_to_switch.byte_size

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 
 def render_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:

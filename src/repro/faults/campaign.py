@@ -31,7 +31,6 @@ from repro.faults.plan import (
     window_length,
 )
 from repro.faults.shrink import shrink_fault_case
-from repro.partition.constraints import SwitchResources
 from repro.runtime.degradation import DegradationPolicy
 from repro.runtime.spec import DeploymentSpec
 from repro.switchsim.control_plane import RetryPolicy
@@ -122,7 +121,7 @@ class FaultFailure:
             verdict_rows=verdict_rows,
         )
 
-    def corpus_entry(self, name: str, description: str = ""):
+    def corpus_entry(self, name: str):
         """Package this failure (minimized when available) as a
         :class:`~repro.faults.corpus.FaultCorpusEntry` ready for
         ``tests/faults_corpus/``."""
@@ -137,7 +136,6 @@ class FaultFailure:
             policy=self.policy,
             injector_seed=self.injector_seed,
             deployment_seed=self.deployment_seed,
-            description=description,
             found_by_seed=self.program_seed,
             deployment=self.deployment,
             trace_diff=(
@@ -313,7 +311,6 @@ def run_campaign(
     runs: int,
     seed: int,
     packets: int = 25,
-    limits: Optional[SwitchResources] = None,
     max_failures: int = 10,
     time_budget_s: Optional[float] = None,
     seed_override: Optional[int] = None,
@@ -353,8 +350,8 @@ def run_campaign(
             return run_fault_oracle(
                 candidate.source(), candidate_stream, candidate_plan,
                 policy=policy, injector_seed=injector_seed,
-                deployment_seed=deploy_seed, limits=limits,
-                deployment=deployment, provenance=provenance,
+                deployment_seed=deploy_seed, deployment=deployment,
+                provenance=provenance,
             )
 
         result = run(program, stream, fault_plan)

@@ -35,6 +35,12 @@ class FaultCorpusEntry(base.ReproducerEntry):
     """One fault-scenario reproducer."""
 
     DIRECTORY: ClassVar[Path] = CORPUS_DIR
+    NESTED: ClassVar[dict] = {
+        **base.ReproducerEntry.NESTED,
+        "fault_plan": FaultPlan.from_dict,
+        "policy": DegradationPolicy.from_dict,
+        "deployment": DeploymentSpec.from_dict,
+    }
 
     expect: str = FaultOutcome.DEGRADED_OK.value
     fault_plan: FaultPlan
@@ -51,24 +57,6 @@ class FaultCorpusEntry(base.ReproducerEntry):
             "policy": self.policy.to_dict(),
             "injector_seed": self.injector_seed,
             "deployment_seed": self.deployment_seed,
-        }
-
-    @staticmethod
-    def own_kwargs(data: dict) -> dict:
-        if "deployment" in data:
-            deployment = DeploymentSpec.from_dict(data["deployment"])
-        else:
-            # Entries written before the flavour travelled as one value.
-            deployment = DeploymentSpec.from_flags(
-                cached=bool(data.get("cached", False)),
-                failover=bool(data.get("failover", False)),
-            )
-        return {
-            "fault_plan": FaultPlan.from_dict(data["fault_plan"]),
-            "policy": DegradationPolicy.from_dict(data.get("policy", {})),
-            "injector_seed": int(data.get("injector_seed", 0)),
-            "deployment_seed": int(data.get("deployment_seed", 0)),
-            "deployment": deployment,
         }
 
 

@@ -38,7 +38,7 @@ from enum import Enum
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.difftest import kernel
-from repro.difftest.kernel import DEFAULT_PORT_PAIRS, Finding, Observation
+from repro.difftest.kernel import Finding, Observation
 from repro.difftest.oracle import StreamSpec
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import POOL_FAULT_KINDS, FaultPlan, window_length
@@ -57,7 +57,7 @@ from repro.runtime.deployment import (
 )
 from repro.runtime.pool import build_selector, default_member_names
 from repro.runtime.spec import DeploymentSpec
-from repro.switchsim.program import SwitchProgram
+from repro.switchsim.program import SwitchProgram, bypass_port
 
 #: XOR'd into the stream seed to derive the post-recovery verification
 #: stream (must differ from the fault-phase stream).
@@ -158,7 +158,6 @@ def run_fault_oracle(
     injector_seed: int = 0,
     deployment_seed: int = 0,
     limits: Optional[SwitchResources] = None,
-    config: Optional[Dict[int, list]] = None,
     verify_packets: int = 12,
     deployment: DeploymentSpec = DeploymentSpec(),
     provenance: bool = True,
@@ -190,8 +189,7 @@ def run_fault_oracle(
         )
         scenario = FaultScenario(
             plan, program, stream, fault_plan, policy or DegradationPolicy(),
-            injector_seed, deployment_seed, config, verify_packets,
-            deployment,
+            injector_seed, deployment_seed, verify_packets, deployment,
         )
         with kernel.dut("deploy", refusals=(CacheConfigurationError,)):
             dut = scenario.deploy_dut()
@@ -219,14 +217,12 @@ class FaultScenario:
     policy: DegradationPolicy = field(default_factory=DegradationPolicy)
     injector_seed: int = 0
     deployment_seed: int = 0
-    config: Optional[Dict[int, list]] = None
     verify_packets: int = 12
     deployment: DeploymentSpec = DeploymentSpec()
 
     def _deploy(self, spec: DeploymentSpec, telemetry, **faults):
         box = GalliumMiddlebox(
-            self.plan, self.program, port_pairs=dict(DEFAULT_PORT_PAIRS),
-            config=self.config, seed=self.deployment_seed,
+            self.plan, self.program, seed=self.deployment_seed,
             telemetry=telemetry, **spec.roles(), **faults,
         )
         box.install()
@@ -437,10 +433,7 @@ def _check_pool(
                 f"packet stalled on member {member!r} outside any"
                 " membership-change window",
             )
-        selector = build_selector(
-            members_at(index), deployment_seed,
-            slots=dut.pool.selector.slots,
-        )
+        selector = build_selector(members_at(index), deployment_seed)
         if selector.member_table()[slot] != member:
             yield Finding(
                 "pool", index,
@@ -659,8 +652,7 @@ def _replay_reference(
                     f" ({record.reason})",
                 )
             packet, ingress = packets[index]
-            bypass = DEFAULT_PORT_PAIRS.get(ingress, ingress)
-            want = kernel.observe("send", [(bypass, packet)])
+            want = kernel.observe("send", [(bypass_port(ingress), packet)])
             if record.observation != want:
                 yield Finding(
                     "policy", index,

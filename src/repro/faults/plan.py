@@ -85,6 +85,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
 
 from repro.runtime.pool import default_member_names
+from repro.telemetry.schema import CorpusFormatError, fields_from
 
 if TYPE_CHECKING:
     from repro.runtime.spec import DeploymentSpec
@@ -289,11 +290,8 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        return cls(
-            faults=tuple(
-                _spec_from_dict(item) for item in data.get("faults", [])
-            )
-        )
+        faults = fields_from(data, cls, "fault_plan").get("faults", ())
+        return cls(faults=tuple(_spec_from_dict(item) for item in faults))
 
 
 def _spec_to_dict(spec) -> dict:
@@ -304,16 +302,15 @@ def _spec_to_dict(spec) -> dict:
 
 
 def _spec_from_dict(data: dict) -> object:
-    kind = data["kind"]
+    kind = data.get("kind") if isinstance(data, dict) else None
     cls = FAULT_KINDS.get(kind)
     if cls is None:
-        raise ValueError(f"unknown fault kind {kind!r}")
-    kwargs = {
-        spec_field.name: data[spec_field.name]
-        for spec_field in dataclass_fields(cls)
-        if spec_field.name in data
-    }
-    return cls(**kwargs)
+        raise CorpusFormatError(
+            f"fault_plan.faults: unknown fault kind {kind!r}"
+            f" (known: {', '.join(FAULT_KINDS)})"
+        )
+    fields = {key: value for key, value in data.items() if key != "kind"}
+    return cls(**fields_from(fields, cls, f"{kind} fault"))
 
 
 def _describe(spec) -> str:

@@ -153,12 +153,11 @@ def shrink_plan(
     stream: StreamSpec,
     plan: FaultPlan,
     predicate: FaultPredicate,
-    max_rounds: int = 200,
     trace_diff=None,
 ) -> FaultPlan:
     """Minimize the fault plan alone, program and stream held fixed."""
     hints = ShrinkHints.from_trace_diff(trace_diff)
-    for _ in range(max_rounds):
+    for _ in range(200):  # every round shrinks; the bound caps wall time
         plan, dropped = _drop_one_spec(program, stream, plan, predicate,
                                        hints)
         if dropped:
@@ -175,7 +174,6 @@ def shrink_fault_case(
     stream: StreamSpec,
     plan: FaultPlan,
     predicate: FaultPredicate,
-    max_rounds: int = 500,
     trace_diff=None,
 ) -> Tuple[GenProgram, StreamSpec, FaultPlan]:
     """Reduce ``(program, stream, fault_plan)`` while ``predicate`` holds.
@@ -201,8 +199,7 @@ def shrink_fault_case(
         return predicate(p, s, plan)
 
     program, stream = shrink_case(
-        program, stream, fixed_plan_predicate, max_rounds=max_rounds,
-        trace_diff=trace_diff,
+        program, stream, fixed_plan_predicate, trace_diff=trace_diff
     )
     # A shorter stream may admit narrower windows; one more plan pass.
     plan = shrink_plan(program, stream, plan, predicate,

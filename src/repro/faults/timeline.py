@@ -146,16 +146,13 @@ def simulate_outage(scenario: OutageScenario) -> RecoveryTimeline:
 
 
 def retry_latency_us(
-    failed_attempts: int,
-    policy: Optional[RetryPolicy] = None,
-    n_tables: int = 1,
-    op: str = "modify",
+    failed_attempts: int, policy: Optional[RetryPolicy] = None
 ) -> float:
     """Nominal extra output-commit wait after ``failed_attempts`` vetoed
-    batch attempts (jitter-free; the worst case the fault harness charges
-    a packet that eventually commits)."""
+    one-table modify batches (jitter-free; the worst case the fault
+    harness charges a packet that eventually commits)."""
     policy = policy or RetryPolicy()
-    base = expected_batch_latency_us(n_tables, op)
+    base = expected_batch_latency_us(1, "modify")
     wait = 0.0
     nominal_backoff = policy.base_backoff_us
     for _ in range(failed_attempts):

@@ -5,10 +5,9 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from repro.lang.diagnostics import SourceLocation
 from repro.lang.types import BOOL, Type, UINT32
 from repro.ir.function import BasicBlock, Function
-from repro.ir.instructions import Instruction, Jump, Terminator
+from repro.ir.instructions import Instruction, Jump
 from repro.ir.values import Reg
 
 

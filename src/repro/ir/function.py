@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
-from repro.ir.instructions import Branch, Instruction, Jump, Terminator
-from repro.ir.values import Location, Reg
+from repro.ir.instructions import Instruction, Terminator
+from repro.ir.values import Reg
 
 
 class BasicBlock:

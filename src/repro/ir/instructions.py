@@ -23,19 +23,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set
 
 from repro.lang.diagnostics import SourceLocation
-from repro.lang.types import BOOL, IntType, Type
-from repro.ir.values import (
-    Const,
-    HEADER_REGIONS,
-    LocKind,
-    Location,
-    Operand,
-    Reg,
-)
+from repro.lang.types import Type
+from repro.ir.values import HEADER_REGIONS, Location, Operand, Reg
 
 _instruction_ids = itertools.count()
 

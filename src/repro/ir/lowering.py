@@ -23,7 +23,7 @@ Lowering also:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 from repro.lang import ast_nodes as ast
 from repro.lang.diagnostics import FrontendError, SourceLocation

@@ -63,14 +63,11 @@ def format_instruction(inst: ir.Instruction) -> str:
     return f"<unknown {type(inst).__name__}>"
 
 
-def format_function(function: Function, show_stmt_ids: bool = False) -> str:
+def format_function(function: Function) -> str:
     lines = [f"function {function.name} (entry={function.entry}):"]
     for block_name in function.block_order():
         block = function.blocks[block_name]
         lines.append(f"{block_name}:")
         for inst in block.instructions:
-            text = format_instruction(inst)
-            if show_stmt_ids and inst.stmt_id >= 0:
-                text = f"{text:<50} ; stmt {inst.stmt_id}"
-            lines.append(f"  {text}")
+            lines.append(f"  {format_instruction(inst)}")
     return "\n".join(lines)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.lang.types import BOOL, IntType, Type, bit_width_of
 
@@ -121,6 +120,6 @@ class Reg(Operand):
         return f"%{self.name}"
 
 
-def const_int(value: int, bits: int = 32) -> Const:
-    int_type = IntType(bits)
+def const_int(value: int) -> Const:
+    int_type = IntType(32)
     return Const(int_type.wrap(value), int_type)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.lang import ast_nodes as ast
-from repro.lang.diagnostics import ParseError, SourceLocation
+from repro.lang.diagnostics import ParseError
 from repro.lang.lexer import Token, TokenKind, tokenize
 from repro.lang.types import (
     HashMapType,
@@ -70,9 +70,8 @@ class Parser:
 
     # -- token plumbing ------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+    def _peek(self) -> Token:
+        return self.tokens[self.index]
 
     def _advance(self) -> Token:
         token = self.tokens[self.index]

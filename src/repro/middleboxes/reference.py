@@ -107,13 +107,12 @@ class MazuNATReference(Element):
 class L4LoadBalancerReference(Element):
     """Reference L4 LB with five-tuple consistency and FIN/RST teardown."""
 
-    def __init__(self, backends: List[int], timeout_sec: int, clock=None):
+    def __init__(self, backends: List[int], timeout_sec: int):
         super().__init__()
         self.conn_map: HashMap = HashMap(max_entries=65536)
         self.conn_ts: HashMap = HashMap(max_entries=65536)
         self.backends: Vector = Vector(backends)
         self.timeout_sec = timeout_sec
-        self.clock = clock or (lambda: 0)
 
     def process(self, packet: Packet) -> None:
         ip_header = packet.network_header()
@@ -139,7 +138,7 @@ class L4LoadBalancerReference(Element):
             hash32 &= 0xFFFFFFFF
             backend = self.backends[hash32 % self.backends.size()]
             self.conn_map.insert(key, backend)
-            self.conn_ts.insert(key, int(self.clock()) & 0xFFFFFFFF)
+            self.conn_ts.insert(key, 0)  # now_sec(): the clock stands still
         ip_header.daddr = Ipv4Address(backend)
         packet.send()
 

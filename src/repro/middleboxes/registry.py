@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
@@ -24,7 +24,7 @@ PROXY_PORT = 3128
 PROXY_REDIRECT_PORTS = [80, 8080]
 
 
-def _firewall_rules(count: int = 64) -> List[int]:
+def _firewall_rules(count: int) -> List[int]:
     """Synthesize ``count`` allow rules as a flat list of 5-tuples."""
     flat: List[int] = []
     for index in range(count):

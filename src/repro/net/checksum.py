@@ -9,13 +9,9 @@ same).
 from __future__ import annotations
 
 
-def internet_checksum(data: bytes, initial: int = 0) -> int:
-    """Compute the 16-bit ones-complement Internet checksum of ``data``.
-
-    ``initial`` lets callers chain partial sums (e.g. a TCP pseudo-header
-    followed by the segment body).
-    """
-    total = initial
+def internet_checksum(data: bytes) -> int:
+    """Compute the 16-bit ones-complement Internet checksum of ``data``."""
+    total = 0
     length = len(data)
     # Sum 16-bit words; pad the final odd byte with a zero low byte.
     for i in range(0, length - 1, 2):

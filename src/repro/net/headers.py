@@ -94,7 +94,8 @@ class Ipv4Header:
 
     SIZE = 20
 
-    def pack(self, *, fill_checksum: bool = True) -> bytes:
+    def pack(self) -> bytes:
+        """The wire bytes, header checksum computed."""
         header = struct.pack(
             "!BBHHHBBH4s4s",
             (self.version << 4) | self.ihl,
@@ -104,14 +105,12 @@ class Ipv4Header:
             (self.flags << 13) | self.frag_offset,
             self.ttl,
             self.protocol,
-            0 if fill_checksum else self.checksum,
+            0,
             self.saddr.to_bytes(),
             self.daddr.to_bytes(),
         )
-        if fill_checksum:
-            csum = internet_checksum(header)
-            header = header[:10] + struct.pack("!H", csum) + header[12:]
-        return header
+        csum = internet_checksum(header)
+        return header[:10] + struct.pack("!H", csum) + header[12:]
 
     @classmethod
     def unpack(cls, data: bytes) -> "Ipv4Header":

@@ -20,7 +20,6 @@ to ensure that the dependency constraints are met").
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.depgraph import DependencyGraph, build_dependency_graph

@@ -19,11 +19,11 @@ end without a verdict, the switch punts the packet to the middlebox server
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.lang.types import BOOL
 from repro.ir import instructions as irin
-from repro.ir.function import BasicBlock, Function
+from repro.ir.function import Function
 from repro.ir.values import Const, Reg, aliased_packet_region
 from repro.partition.labels import Partition
 

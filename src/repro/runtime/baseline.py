@@ -14,8 +14,7 @@ from typing import Dict, Optional
 
 from repro.ir.externs import ExternHost
 from repro.ir.interp import Interpreter, PacketView, StateStore, interpreted
-from repro.ir.lowering import LoweredMiddlebox, lower_program
-from repro.lang.parser import parse_program
+from repro.ir.lowering import LoweredMiddlebox
 from repro.net.packet import RawPacket
 
 
@@ -33,7 +32,6 @@ class FastClickRuntime:
         self,
         lowered: LoweredMiddlebox,
         config: Optional[Dict[int, list]] = None,
-        clock=None,
         telemetry=None,
         fast_path: bool = False,
     ):
@@ -41,7 +39,7 @@ class FastClickRuntime:
 
         self.lowered = lowered
         self.state = StateStore(lowered.state)
-        self.externs = ExternHost(config=config, clock=clock)
+        self.externs = ExternHost(config=config)
         self.fast_path = fast_path
         #: ``process`` as a traversal entry (:mod:`repro.ir.compile` has
         #: the signature), on the chosen engine
@@ -72,10 +70,6 @@ class FastClickRuntime:
         # Time-resolved layer (None when off — same discipline as tracer).
         self._series = self.telemetry.active_series
         self._int = self.telemetry.active_int
-
-    @classmethod
-    def from_source(cls, source: str, **kwargs) -> "FastClickRuntime":
-        return cls(lower_program(parse_program(source)), **kwargs)
 
     def install(self) -> None:
         configure = self.lowered.configure

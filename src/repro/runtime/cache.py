@@ -32,7 +32,7 @@ from repro.net.packet import RawPacket
 from repro.partition.plan import PartitionPlan, PlacementKind
 from repro.runtime.deployment import GalliumMiddlebox, Role
 from repro.switchsim.control_plane import StateUpdate
-from repro.switchsim.program import SwitchProgram
+from repro.switchsim.program import SwitchProgram, bypass_port
 
 
 class CacheConfigurationError(ValueError):
@@ -288,9 +288,8 @@ class BoundedCache(Role):
             )
         emitted: List[Tuple[int, RawPacket]] = []
         if verdict == "send":
-            ingress_port = served.packet.ingress_port
-            port = served.egress_port or self.box.switch.port_pairs.get(
-                ingress_port, ingress_port
+            port = served.egress_port or bypass_port(
+                served.packet.ingress_port
             )
             emitted = [(port, served.packet)]
         return verdict, emitted, 0
@@ -320,8 +319,6 @@ class CachedGalliumMiddlebox(GalliumMiddlebox):
 def build_cached(
     name: str,
     cache_entries: int,
-    seed: int = 0,
-    clock=None,
     telemetry=None,
 ) -> CachedGalliumMiddlebox:
     """Compile + deploy one middlebox in table-cache mode."""
@@ -332,8 +329,7 @@ def build_cached(
     plan, program = compile_middlebox(bundle.lowered)
     middlebox = CachedGalliumMiddlebox(
         plan, program, cache_entries=cache_entries,
-        config=bundle.config, seed=seed, clock=clock,
-        telemetry=telemetry,
+        config=bundle.config, telemetry=telemetry,
     )
     middlebox.install()
     return middlebox

@@ -33,9 +33,10 @@ Degradation reasons
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.switchsim.control_plane import RetryPolicy
+from repro.telemetry.schema import fields_from
 
 #: Reasons where the packet is physically gone: policy cannot save it.
 UNSALVAGEABLE_REASONS = frozenset({
@@ -76,11 +77,10 @@ class DegradationPolicy:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DegradationPolicy":
-        return cls(
-            fail_open=bool(data.get("fail_open", False)),
-            punt_queue_depth=int(data.get("punt_queue_depth", 32)),
-            retry=RetryPolicy.from_dict(data.get("retry", {})),
-        )
+        kwargs = fields_from(data, cls, "policy")
+        if "retry" in kwargs:
+            kwargs["retry"] = RetryPolicy.from_dict(kwargs["retry"])
+        return cls(**kwargs)
 
 
 class DropAccounting:

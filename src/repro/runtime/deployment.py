@@ -65,7 +65,7 @@ from repro.runtime.server import ServerRuntime
 from repro.sim.clock import PACKET_GAP_US, PUNT_LINK_US
 from repro.switchsim.control_plane import UpdateBatchError
 from repro.telemetry import LATENCY_BOUNDS_US, Telemetry
-from repro.switchsim.program import SwitchProgram
+from repro.switchsim.program import SERVER_PORT, SwitchProgram, bypass_port
 from repro.switchsim.switch_model import SwitchModel
 
 _new = object.__new__
@@ -129,7 +129,6 @@ class PuntCompletion:
 def compile_middlebox(
     source_or_lowered,
     limits: Optional[SwitchResources] = None,
-    filename: str = "<middlebox>",
 ):
     """Compile middlebox source (or an already-lowered program).
 
@@ -138,7 +137,9 @@ def compile_middlebox(
     if isinstance(source_or_lowered, LoweredMiddlebox):
         lowered = source_or_lowered
     else:
-        lowered = lower_program(parse_program(source_or_lowered, filename))
+        lowered = lower_program(
+            parse_program(source_or_lowered, "<middlebox>")
+        )
     plan = partition_middlebox(lowered, limits)
     shim_to_server, shim_to_switch = synthesize_shim_layouts(
         plan.to_server, plan.to_switch
@@ -194,7 +195,7 @@ class FullReplication(Role):
 
     def release(self, served):
         """Return leg; ``(verdict, emitted, post instructions)``."""
-        second = self.box.switch.receive(served.packet, self.box.server_port)
+        second = self.box.switch.receive(served.packet, SERVER_PORT)
         return (
             "drop" if second.dropped else "send",
             second.emitted,
@@ -277,10 +278,7 @@ class GalliumMiddlebox:
         self,
         plan: PartitionPlan,
         program: SwitchProgram,
-        server_port: int = 3,
-        port_pairs: Optional[Dict[int, int]] = None,
         config: Optional[Dict[int, list]] = None,
-        clock=None,
         seed: int = 0,
         policy: Optional[DegradationPolicy] = None,
         injector=None,
@@ -311,12 +309,10 @@ class GalliumMiddlebox:
             self._tracer is None and self._series is None
             and self._int is None
         )
-        self.server_port = server_port
-        self._port_pairs = port_pairs
         self.switch = self.build_switch(seed)
         self.state = StateStore(plan.middlebox.state)
         self.state.tracer = self._tracer
-        self.externs = ExternHost(config=config, clock=clock)
+        self.externs = ExternHost(config=config)
         self.packets_processed = 0
         # -- graceful degradation (active when an injector is attached) ----
         self.policy = policy or DegradationPolicy()
@@ -357,13 +353,8 @@ class GalliumMiddlebox:
             role.bind(self)
 
     @classmethod
-    def from_source(
-        cls,
-        source: str,
-        limits: Optional[SwitchResources] = None,
-        **kwargs,
-    ) -> "GalliumMiddlebox":
-        plan, program = compile_middlebox(source, limits)
+    def from_source(cls, source: str, **kwargs) -> "GalliumMiddlebox":
+        plan, program = compile_middlebox(source)
         return cls(plan, program, **kwargs)
 
     @property
@@ -385,9 +376,8 @@ class GalliumMiddlebox:
     def build_switch(self, seed: int) -> SwitchModel:
         """One more switch running this deployment's program."""
         return SwitchModel(
-            self.program, server_port=self.server_port,
-            port_pairs=dict(self._port_pairs) if self._port_pairs else None,
-            seed=seed, telemetry=self.telemetry, fast_path=self.fast_path,
+            self.program, seed=seed, telemetry=self.telemetry,
+            fast_path=self.fast_path,
         )
 
     def arm_switch(self, switch: SwitchModel) -> None:
@@ -769,9 +759,9 @@ class GalliumMiddlebox:
             )
         if self.policy.fail_open:
             self.accounting.failed_open += 1
-            port = self.switch.port_pairs.get(ingress_port, ingress_port)
             return PacketJourney(
-                verdict="send", emitted=[(port, pristine)],
+                verdict="send",
+                emitted=[(bypass_port(ingress_port), pristine)],
                 punted=punted, degraded=True, degraded_reason=reason,
                 pre_instructions=pre_instructions,
                 retries=retries, retry_wait_us=retry_wait_us,
@@ -810,10 +800,9 @@ class GalliumMiddlebox:
         verdict = result.verdict or "drop"
         emitted: List[Tuple[int, RawPacket]] = []
         if verdict == "send":
-            port = result.egress_port or self.switch.port_pairs.get(
-                ingress_port, ingress_port
-            )
-            emitted = [(port, packet)]
+            emitted = [
+                (result.egress_port or bypass_port(ingress_port), packet)
+            ]
         return PacketJourney(
             verdict=verdict,
             emitted=emitted,

@@ -40,7 +40,7 @@ from typing import Dict, Optional
 from repro.partition.plan import PlacementKind
 from repro.runtime.deployment import GalliumMiddlebox, Role
 from repro.switchsim.control_plane import UpdateBatchError
-from repro.telemetry.health import HealthConfig, HealthMonitor
+from repro.telemetry.health import HealthMonitor
 
 #: XOR'd into the deployment seed to derive the standby's jitter seed.
 _STANDBY_SALT = 0x57B1
@@ -64,22 +64,19 @@ class ActiveStandby(Role):
     the experiments keep as the oracle reference.
     """
 
-    def __init__(self, detection: str = "phi",
-                 health_config: Optional[HealthConfig] = None):
+    def __init__(self, detection: str = "phi"):
         if detection not in DETECTION_MODES:
             raise ValueError(
                 f"detection must be one of {DETECTION_MODES}, got"
                 f" {detection!r}"
             )
         self.detection = detection
-        self._health_config = health_config
 
     def bind(self, box: GalliumMiddlebox) -> None:
         self.box = box
         metrics = box.telemetry.metrics
         self.health: Optional[HealthMonitor] = (
-            HealthMonitor(metrics, self._health_config or HealthConfig())
-            if self.detection == "phi" else None
+            HealthMonitor(metrics) if self.detection == "phi" else None
         )
         self.standby = box.build_switch(box.seed ^ _STANDBY_SALT)
         #: the crashed primary, kept for post-mortem introspection
@@ -242,9 +239,7 @@ class ActiveStandby(Role):
 class FailoverDeployment(GalliumMiddlebox):
     """Gallium deployment over an active-standby switch pair."""
 
-    def __init__(self, plan, program, detection: str = "phi",
-                 health_config: Optional[HealthConfig] = None, **kwargs):
+    def __init__(self, plan, program, detection: str = "phi", **kwargs):
         super().__init__(
-            plan, program,
-            redundancy=ActiveStandby(detection, health_config), **kwargs
+            plan, program, redundancy=ActiveStandby(detection), **kwargs
         )

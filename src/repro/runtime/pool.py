@@ -54,7 +54,7 @@ from repro.partition.plan import PartitionPlan
 from repro.runtime.deployment import GalliumMiddlebox, Role
 from repro.runtime.server import ServerRuntime
 from repro.sim.clock import MIGRATION_BASE_US, MIGRATION_ENTRY_US
-from repro.switchsim.selector import DEFAULT_SELECTOR_SLOTS, FlowSelector
+from repro.switchsim.selector import FlowSelector
 from repro.telemetry import LATENCY_BOUNDS_US
 
 #: XOR'd into the deployment seed to derive the selector's hash seed
@@ -111,15 +111,11 @@ class PoolMember:
 
 
 def build_selector(
-    member_names: Sequence[str],
-    deployment_seed: int,
-    slots: int = DEFAULT_SELECTOR_SLOTS,
+    member_names: Sequence[str], deployment_seed: int
 ) -> FlowSelector:
-    """The member table is a pure function of (names, seed, slots);
-    the fault oracle rebuilds it independently to check blast radius."""
-    return FlowSelector(
-        member_names, seed=deployment_seed ^ _SELECTOR_SALT, slots=slots
-    )
+    """The member table is a pure function of (names, seed); the fault
+    oracle rebuilds it independently to check blast radius."""
+    return FlowSelector(member_names, seed=deployment_seed ^ _SELECTOR_SALT)
 
 
 class ServerPool(Role):
@@ -130,7 +126,6 @@ class ServerPool(Role):
         self,
         servers: int = 2,
         member_names: Optional[Sequence[str]] = None,
-        selector_slots: int = DEFAULT_SELECTOR_SLOTS,
     ):
         # Validate the pool shape before any deployment machinery spins up
         # — a bad --servers value must fail here, loudly, not deep inside
@@ -139,14 +134,11 @@ class ServerPool(Role):
             self._names = validate_member_names(member_names)
         else:
             self._names = default_member_names(servers)
-        self._selector_slots = selector_slots
 
     def bind(self, box: GalliumMiddlebox) -> None:
         self.box = box
         self.plan = box.plan
-        self.selector = build_selector(
-            self._names, box.seed, slots=self._selector_slots
-        )
+        self.selector = build_selector(self._names, box.seed)
         self.members: Dict[str, PoolMember] = {
             name: PoolMember(name=name, runtime=box.build_server_runtime())
             for name in self._names
@@ -494,11 +486,9 @@ class PooledDeployment(GalliumMiddlebox):
         program,
         servers: int = 2,
         member_names: Optional[Sequence[str]] = None,
-        selector_slots: int = DEFAULT_SELECTOR_SLOTS,
         **kwargs,
     ):
         super().__init__(
-            plan, program,
-            punt_target=ServerPool(servers, member_names, selector_slots),
+            plan, program, punt_target=ServerPool(servers, member_names),
             **kwargs,
         )

@@ -14,6 +14,7 @@ from typing import Any, Dict, Optional
 from repro.runtime.cache import BoundedCache
 from repro.runtime.failover import ActiveStandby
 from repro.runtime.pool import ServerPool, default_member_names
+from repro.telemetry.schema import fields_from
 
 
 @dataclass(frozen=True)
@@ -33,16 +34,15 @@ class DeploymentSpec:
         cached: bool = False,
         cache_entries: int = 2,
         failover: bool = False,
-        detection: str = "phi",
         servers: Optional[int] = None,
     ) -> "DeploymentSpec":
-        """From the CLI's flags, which legacy corpus entries share."""
+        """From the CLI's flags."""
         if servers is not None:
             # A bad pool size fails here, before any scenario runs.
             default_member_names(servers)
         return cls(
             cache_entries if cached else None,
-            detection if failover else None,
+            "phi" if failover else None,
             servers or 0,
         )
 
@@ -78,4 +78,4 @@ class DeploymentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DeploymentSpec":
-        return cls(**data)
+        return cls(**fields_from(data, cls, "deployment"))

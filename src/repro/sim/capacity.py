@@ -18,7 +18,6 @@ processing cycles by 21-79%").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.sim.costs import CostModel
 
@@ -37,8 +36,8 @@ class ThroughputEstimate:
 
 
 class CapacityModel:
-    def __init__(self, costs: Optional[CostModel] = None):
-        self.costs = costs or CostModel()
+    def __init__(self):
+        self.costs = CostModel()
 
     def line_rate_pps(self, wire_bytes: int) -> float:
         # 20 bytes of Ethernet preamble+IPG+FCS overhead per frame.
@@ -66,10 +65,11 @@ class CapacityModel:
         slow_fraction: float,
         slow_instructions_per_packet: float,
         wire_bytes: int,
-        cores: int = 1,
         shim_bytes: int = 0,
     ) -> ThroughputEstimate:
-        """Gallium with the given measured slow-path fraction and cost."""
+        """Gallium, its slow path on one server core (the paper's
+        "Offloaded (1c)"), with the given measured slow-path fraction and
+        cost."""
         line_rate = self.line_rate_pps(wire_bytes)
         if slow_fraction <= 0:
             return ThroughputEstimate(
@@ -81,9 +81,9 @@ class CapacityModel:
         per_core = self.costs.packets_per_second_per_core(
             slow_instructions_per_packet, wire_bytes + shim_bytes
         )
-        server_limited = per_core * cores / slow_fraction
+        server_limited = per_core / slow_fraction
         rate = min(server_limited, line_rate)
-        utilization = rate * slow_fraction / (per_core * cores)
+        utilization = rate * slow_fraction / per_core
         return ThroughputEstimate(
             gbps=rate * wire_bytes * 8 / 1e9,
             packet_rate_pps=rate,

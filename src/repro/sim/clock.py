@@ -39,17 +39,14 @@ class SimClock:
     from running backwards.
     """
 
-    def __init__(self, start_us: float = 0.0):
-        self.now_us = float(start_us)
+    def __init__(self):
+        self.now_us = 0.0
 
     def advance(self, delta_us: float) -> float:
         """Advance by ``delta_us`` (negative deltas are clamped to 0)."""
         if delta_us > 0.0:
             self.now_us += delta_us
         return self.now_us
-
-    def reset(self, start_us: float = 0.0) -> None:
-        self.now_us = float(start_us)
 
     def __repr__(self) -> str:
         return f"<SimClock t={self.now_us:.3f}us>"

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 

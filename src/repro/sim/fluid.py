@@ -19,10 +19,8 @@ such in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
-
-from repro.sim.costs import CostModel
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 
 @dataclass

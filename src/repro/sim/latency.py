@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.sim.costs import CostModel
 
@@ -40,8 +40,8 @@ class LatencySample:
 class LatencyModel:
     """Composes per-packet latency from path components."""
 
-    def __init__(self, costs: Optional[CostModel] = None, seed: int = 0):
-        self.costs = costs or CostModel()
+    def __init__(self, seed: int = 0):
+        self.costs = CostModel()
         self._rng = random.Random(seed)
 
     # -- path compositions -------------------------------------------------

@@ -51,6 +51,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.switchsim.registers import Register
 from repro.switchsim.tables import ExactMatchTable, TableEntryLimit
+from repro.telemetry.schema import fields_from
 
 #: Calibrated per-op costs in microseconds (see Table 3 reproduction).
 BASE_PER_TABLE_US = {"insert": 135.2, "modify": 128.6, "delete": 131.3}
@@ -111,16 +112,7 @@ class RetryPolicy:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RetryPolicy":
-        return cls(
-            max_attempts=int(data.get("max_attempts", 4)),
-            base_backoff_us=float(data.get("base_backoff_us", 200.0)),
-            backoff_multiplier=float(data.get("backoff_multiplier", 2.0)),
-            max_backoff_us=float(data.get("max_backoff_us", 5_000.0)),
-            jitter_fraction=float(data.get("jitter_fraction", 0.1)),
-            timeout_multiple=float(
-                data.get("timeout_multiple", TIMEOUT_MULTIPLE)
-            ),
-        )
+        return cls(**fields_from(data, cls, "retry"))
 
 
 class RpcChannel:
@@ -228,16 +220,15 @@ class UpdateBatchError(Exception):
     switch/server divergence possible.
     """
 
+    applied = False
+    decision = "rolled_back"
+
     def __init__(self, message: str, kind: str, attempts: int,
-                 retry_wait_us: float, applied: bool = False,
-                 decision: str = "rolled_back",
-                 undo: Optional[UndoLog] = None):
+                 retry_wait_us: float, undo: Optional[UndoLog] = None):
         super().__init__(message)
         self.kind = kind
         self.attempts = attempts
         self.retry_wait_us = retry_wait_us
-        self.applied = applied
-        self.decision = decision
         self.undo = undo
 
 
@@ -294,17 +285,16 @@ class ControlPlane:
         tables: Dict[str, ExactMatchTable],
         registers: Dict[str, Register],
         seed: Optional[int] = 0,
-        retry: Optional[RetryPolicy] = None,
         telemetry=None,
-        channel: Optional[RpcChannel] = None,
     ):
         from repro.telemetry import LATENCY_BOUNDS_US, Telemetry
 
         self.tables = tables
         self.registers = registers
         self._rng = random.Random(seed)
-        #: retry policy for failed batches (None = single attempt)
-        self.retry = retry
+        #: retry policy for failed batches (None = single attempt); the
+        #: deployment sets it when it arms the switch
+        self.retry: Optional[RetryPolicy] = None
         #: fault-harness hook: called with the 1-based attempt number,
         #: returns None (healthy) or "fail" / "timeout" / "overflow"
         self.fault_hook: Optional[Callable[[int], Optional[str]]] = None
@@ -330,8 +320,8 @@ class ControlPlane:
             "control_plane.rpc_queue_wait_us", LATENCY_BOUNDS_US
         )
         self._g_outstanding = metrics.gauge("control_plane.rpc_outstanding")
-        #: the FIFO RPC pipe (private unless a shared one is injected)
-        self.channel = channel if channel is not None else RpcChannel()
+        #: the FIFO RPC pipe (private until :meth:`attach_channel`)
+        self.channel = RpcChannel()
 
     @property
     def _rpc_inflight(self) -> List[float]:
@@ -520,7 +510,6 @@ class ControlPlane:
             kind=last_fault.kind,
             attempts=attempts,
             retry_wait_us=wall_us,
-            applied=False,
             undo=undo,
         )
 

@@ -19,6 +19,21 @@ from repro.partition.constraints import SwitchResources
 from repro.partition.plan import PartitionPlan
 
 
+#: The testbed's one wiring (PAPER.md's substitution table; §4.3.1: "the
+#: first table matches the ingress interface"): two network-facing ports,
+#: each the other's default egress, and the middlebox server on its own.
+#: Every reader — switch model, P4 emitter, oracles, prover, tenancy's port
+#: blocks — takes it from here.
+SERVER_PORT = 3
+PORT_PAIRS = {1: 2, 2: 1}
+
+
+def bypass_port(ingress: int) -> int:
+    """Where a SEND that names no port leaves: the far side of the wire
+    pair (an unwired port reflects)."""
+    return PORT_PAIRS.get(ingress, ingress)
+
+
 class SwitchProgramError(Exception):
     """The program violates a switch architectural restriction."""
 

@@ -25,7 +25,7 @@ member table in every interpreter.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 #: Default selector table size.  64 slots over ≤8 members keeps the
 #: per-member load imbalance small while the table stays one cache line

@@ -15,7 +15,7 @@ exact on-wire encoding and the test suite round-trips it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.codegen.headers import (
     FLAG_VERDICT_DROP,
@@ -27,7 +27,7 @@ from repro.net.packet import RawPacket
 from repro.sim.clock import PARSE_US, SWITCH_INSTR_US
 from repro.switchsim.control_plane import ControlPlane
 from repro.switchsim.pipeline import PipelineExecutor, SwitchStateAdapter
-from repro.switchsim.program import SwitchProgram
+from repro.switchsim.program import SERVER_PORT, SwitchProgram, bypass_port
 from repro.switchsim.registers import Register
 from repro.switchsim.tables import ExactMatchTable
 
@@ -57,8 +57,6 @@ class SwitchModel:
     def __init__(
         self,
         program: SwitchProgram,
-        server_port: int = 3,
-        port_pairs: Optional[Dict[int, int]] = None,
         seed: int = 0,
         telemetry=None,
         fast_path: bool = False,
@@ -66,9 +64,6 @@ class SwitchModel:
         from repro.telemetry import INSTRUCTION_BOUNDS, Telemetry
 
         self.program = program
-        self.server_port = server_port
-        #: middlebox wiring: ingress side -> default egress side
-        self.port_pairs = port_pairs or {1: 2, 2: 1}
         self.fast_path = fast_path
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.tables: Dict[str, ExactMatchTable] = {
@@ -155,7 +150,7 @@ class SwitchModel:
         perform, in the order the calls used to come, without the calls.
         """
         packet.ingress_port = ingress_port
-        if ingress_port == self.server_port:
+        if ingress_port == SERVER_PORT:
             return self._receive_from_server(packet)
         tracer = self._tracer
         clock = self.telemetry.clock
@@ -194,11 +189,9 @@ class SwitchModel:
                               port=egress_port or 0)
             # A fast-path answer is the class defaults plus three fields.
             output = _new(SwitchOutput)
-            output.emitted = [(
-                egress_port
-                or self.port_pairs.get(ingress_port, ingress_port),
-                packet,
-            )]
+            output.emitted = [
+                (egress_port or bypass_port(ingress_port), packet)
+            ]
             output.fast_path = True
             output.pipeline_instructions = instructions
             return output
@@ -225,7 +218,7 @@ class SwitchModel:
             tracer.record("punt", reason="needs_server",
                           shim_bytes=len(shim))
         output = _new(SwitchOutput)
-        output.emitted = [(self.server_port, packet)]
+        output.emitted = [(SERVER_PORT, packet)]
         output.punted = True
         output.pipeline_instructions = instructions
         return output
@@ -281,7 +274,7 @@ class SwitchModel:
             output.dropped = True
             return output
         if verdict_flag == FLAG_VERDICT_SEND:
-            port = self._resolve_egress(explicit_port, original_ingress)
+            port = explicit_port or bypass_port(original_ingress)
             if tracer is not None:
                 tracer.record("apply_verdict", verdict="send", port=port)
             if stamping:
@@ -306,7 +299,7 @@ class SwitchModel:
             output.dropped = True
             return output
         if verdict == "send":
-            port = self._resolve_egress(egress_port, original_ingress)
+            port = egress_port or bypass_port(original_ingress)
             if tracer is not None:
                 tracer.record("verdict", verdict="send",
                               port=egress_port or 0)
@@ -319,11 +312,6 @@ class SwitchModel:
         output.emitted = []
         output.dropped = True
         return output
-
-    def _resolve_egress(self, explicit: Optional[int], ingress: int) -> int:
-        if explicit:
-            return explicit
-        return self.port_pairs.get(ingress, ingress)
 
     # -- wire-format helpers (for byte-level tests / pcap export) ---------------
 

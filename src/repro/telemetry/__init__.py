@@ -81,15 +81,13 @@ class Telemetry:
     """Clock + metrics + tracer bundle for one deployment side."""
 
     def __init__(self, tracing: bool = False, deep: bool = False,
-                 clock: Optional[SimClock] = None,
-                 metrics: Optional[MetricsRegistry] = None,
                  sample_every: Optional[int] = None,
                  punted_only: bool = False,
                  series_window_us: Optional[float] = None,
                  series_tenant: Optional[str] = None,
                  int_sample_every: Optional[int] = None):
-        self.clock = clock if clock is not None else SimClock()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.clock = SimClock()
+        self.metrics = MetricsRegistry()
         self.tracer = PacketTracer(self.clock, enabled=tracing, deep=deep,
                                    sample_every=sample_every,
                                    punted_only=punted_only)

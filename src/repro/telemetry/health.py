@@ -73,8 +73,8 @@ class HealthConfig:
 class PhiAccrualDetector:
     """φ-accrual suspicion over heartbeat inter-arrival times."""
 
-    def __init__(self, config: HealthConfig = HealthConfig()):
-        self.config = config
+    def __init__(self):
+        self.config = config = HealthConfig()
         self._samples: Deque[float] = deque(maxlen=config.window)
         self._last_beat: Optional[float] = None
         # Pre-seed with the nominal cadence so the very first crash is
@@ -156,10 +156,9 @@ class HealthMonitor:
     ``health.detection_latency_us``.
     """
 
-    def __init__(self, metrics: MetricsRegistry,
-                 config: HealthConfig = HealthConfig()):
-        self.config = config
-        self.detector = PhiAccrualDetector(config)
+    def __init__(self, metrics: MetricsRegistry):
+        self.detector = PhiAccrualDetector()
+        self.config = self.detector.config
         self._alive = True
         self._crash_at: Optional[float] = None
         self._detected = False
@@ -230,7 +229,7 @@ class HealthMonitor:
         self._crash_at = None
         self._detected = False
         self._g_phi.set(0.0)
-        self.detector = PhiAccrualDetector(self.config)
+        self.detector = PhiAccrualDetector()
         self.detector.heartbeat(now_us)
         self._next_beat_us = now_us + self.config.interval_us
 
@@ -249,12 +248,11 @@ class HealthMonitor:
         return self._crash_at is not None and not self._detected
 
 
-def measure_detection_latency(name: str = "mazunat", packets: int = 40,
-                              crash_at: int = 8, window: int = 2,
-                              seed: int = 0) -> dict:
-    """Drive a seeded primary-crash scenario and report the measured
-    φ-accrual detection latency (the ``experiments recovery`` probe and
-    the ``make obs-smoke`` detector check share this)."""
+def measure_detection_latency() -> dict:
+    """Drive the seeded primary-crash scenario — mazunat, 40 iperf
+    packets, the primary dead at packet 8 for a window of 2 — and report
+    the measured φ-accrual detection latency (the ``experiments recovery``
+    probe and the ``make obs-smoke`` detector check share this)."""
     from itertools import islice
 
     from repro.faults.plan import FaultPlan, PrimarySwitchCrash
@@ -264,6 +262,7 @@ def measure_detection_latency(name: str = "mazunat", packets: int = 40,
     from repro.middleboxes import load
     from repro.workloads import IperfWorkload, middlebox_stream
 
+    name, packets, crash_at, window, seed = "mazunat", 40, 8, 2, 0
     lowered = load(name).lowered
     plan, program = compile_middlebox(lowered)
     fault_plan = FaultPlan((
@@ -281,7 +280,7 @@ def measure_detection_latency(name: str = "mazunat", packets: int = 40,
     deployment.recover()
     deployment.drain_deferred()
     metrics = deployment.telemetry.metrics
-    monitor = deployment.redundancy.health
+    monitor = deployment.redundancy.health  # detection is "phi": never None
     return {
         "middlebox": name,
         "crash_at_packet": crash_at,
@@ -293,13 +292,10 @@ def measure_detection_latency(name: str = "mazunat", packets: int = 40,
         ),
         "detection_latency_us": (
             round(monitor.detection_latency_us, 3)
-            if monitor is not None
-            and monitor.detection_latency_us is not None else None
+            if monitor.detection_latency_us is not None else None
         ),
         "expected_bound_us": round(
-            expected_detection_latency_us(
-                monitor.config if monitor is not None else HealthConfig()
-            ), 3,
+            expected_detection_latency_us(monitor.config), 3
         ),
         "promotions": metrics.counter_value("failover.promotions"),
     }

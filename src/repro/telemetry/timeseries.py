@@ -42,10 +42,10 @@ path is one ``is not None`` test.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim.clock import SimClock
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry
 
 #: Default window width: 100 µs of simulated time — fine enough to
 #: separate punt bursts from fast-path cruising on the default workloads,
@@ -206,11 +206,10 @@ class TimeSeriesHub:
             pass
         return resolved
 
-    def promote_defaults(self,
-                         names: Sequence[str] = DEFAULT_SERIES) -> List[str]:
+    def promote_defaults(self) -> List[str]:
         """Promote the default name set; returns the immediately-resolved
         subset (deployment-flavour-deterministic)."""
-        return [name for name in names if self.promote(name, required=False)]
+        return [n for n in DEFAULT_SERIES if self.promote(n, required=False)]
 
     @property
     def promoted(self) -> Tuple[str, ...]:

@@ -28,10 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.partition.constraints import SwitchResources
 from repro.partition.plan import PartitionPlan
-from repro.switchsim.program import SwitchProgram
+from repro.switchsim.program import SERVER_PORT, SwitchProgram
 
-#: Local port numbering inside one tenant's slice: 1/2 network, 3 server.
+#: Local port numbering inside one tenant's slice: the one wiring's.
 PORTS_PER_TENANT = 4
 
 #: VLAN ids assigned to admitted tenants start here (100, 101, ...).
@@ -60,9 +61,9 @@ class SharedSwitchBudget:
     """
 
     #: Total match-table SRAM shared by every tenant, in bytes.
-    memory_bytes: int = 16 * 1024 * 1024
+    memory_bytes: int = SwitchResources.memory_bytes
     #: Physical match-action stages, including the dispatch stage.
-    pipeline_depth: int = 20
+    pipeline_depth: int = SwitchResources.pipeline_depth
     #: Match-table slots available per stage (RMT: a handful of parallel
     #: tables per stage; tenants' tables share stages).
     table_slots_per_stage: int = 4
@@ -164,7 +165,7 @@ class TenantPlacement:
 
     @property
     def server_port(self) -> int:
-        return self.port_base + 3
+        return self.port_base + SERVER_PORT
 
     def to_dict(self) -> dict:
         return {

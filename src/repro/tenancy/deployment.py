@@ -45,7 +45,6 @@ from repro.switchsim.control_plane import RpcChannel
 from repro.telemetry import Telemetry
 from repro.tenancy.allocator import (
     PORTS_PER_TENANT,
-    AdmissionReport,
     SharedSwitchBudget,
     SwitchResourceAllocator,
     TenantPlacement,
@@ -167,11 +166,9 @@ class MultiTenantDeployment:
         specs: List[TenantSpec],
         budget: Optional[SharedSwitchBudget] = None,
         seed: int = 0,
-        tracing: bool = False,
         fast_path: bool = False,
         fault_plan=None,
         injector_seed: int = 0,
-        policy=None,
         series_window_us: Optional[float] = None,
     ):
         self.allocator = SwitchResourceAllocator(budget)
@@ -208,12 +205,10 @@ class MultiTenantDeployment:
                 config=spec.config,
                 seed=seed,
                 telemetry=Telemetry(
-                    tracing=tracing,
                     series_window_us=series_window_us,
                     series_tenant=spec.name,
                 ),
                 fast_path=fast_path,
-                policy=policy,
                 injector=injector,
             )
             # Share the RPC pipe; everything else stays per-tenant.

@@ -34,11 +34,10 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.difftest import kernel
 from repro.faults.plan import FaultPlan, TenantLinkFault
-from repro.tenancy.allocator import SharedSwitchBudget
 from repro.tenancy.oracle import IsolationResult, isolation_oracle
 from repro.workloads.iperf import IperfWorkload
 
@@ -102,11 +101,8 @@ def run_fault_isolation_oracle(
     names: Sequence[str],
     fault_plan: FaultPlan,
     packets_per_tenant: int = 60,
-    budget: Optional[SharedSwitchBudget] = None,
     seed: int = 0,
     injector_seed: int = 0,
-    fast_path: bool = False,
-    workload: Optional[IperfWorkload] = None,
 ) -> IsolationResult:
     """Prove fault isolation for one tenant set under one scoped plan.
 
@@ -117,15 +113,13 @@ def run_fault_isolation_oracle(
     co-residency leaked nothing), and each unfaulted tenant's reference
     is the plain clean solo run.
     """
-    # Short flows by default: a tenant-link fault only bites on the punt
-    # path, so the default workload keeps new flows (and therefore punts)
-    # coming instead of one long iperf connection that punts once.
+    # Short flows: a tenant-link fault only bites on the punt path, so
+    # the workload keeps new flows (and therefore punts) coming instead of
+    # one long iperf connection that punts once.
     return isolation_oracle(
-        names, packets_per_tenant, budget, seed, fast_path,
+        names, packets_per_tenant, budget=None, seed=seed, fast_path=False,
         fault_plan=fault_plan, injector_seed=injector_seed,
-        workload=workload or IperfWorkload(
-            connections=32, packets_per_connection=3
-        ),
+        workload=IperfWorkload(connections=32, packets_per_connection=3),
         series_window_us=None,
     )
 
@@ -155,7 +149,6 @@ def run_tenancy_fault_campaign(
     scenarios: int = 20,
     packets_per_tenant: int = 40,
     seed: int = 0,
-    fast_path: bool = False,
 ) -> List[TenancyFaultScenario]:
     """Sweep seeded random tenant-scoped fault schedules.
 
@@ -172,7 +165,7 @@ def run_tenancy_fault_campaign(
         outcome = run_fault_isolation_oracle(
             names, plan,
             packets_per_tenant=packets_per_tenant,
-            seed=seed, injector_seed=index, fast_path=fast_path,
+            seed=seed, injector_seed=index,
         )
         results.append(TenancyFaultScenario(
             index=index, names=list(names), faulted=plan.faults[0].tenant,

@@ -28,7 +28,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.difftest import kernel
 from repro.faults.plan import FaultPlan
 from repro.runtime.deployment import GalliumMiddlebox, PacketJourney
-from repro.telemetry import Telemetry
 from repro.tenancy.allocator import (
     AdmissionReport,
     SharedSwitchBudget,
@@ -115,7 +114,6 @@ def run_solo(
     fast_path: bool = False,
     fault_plan=None,
     injector_seed: int = 0,
-    policy=None,
     workload: Optional[IperfWorkload] = None,
 ) -> Tuple[List[PacketJourney], dict]:
     """One tenant's reference run: alone on its own switch.
@@ -140,9 +138,7 @@ def run_solo(
         spec.program,
         config=spec.config,
         seed=seed,
-        telemetry=Telemetry(),
         fast_path=fast_path,
-        policy=policy,
         injector=injector,
     )
     middlebox.install()

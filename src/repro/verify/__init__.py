@@ -14,8 +14,8 @@ gates on them by default; ``--no-verify`` opts out) and standalone via
 A fourth, opt-in stage — :mod:`repro.verify.symbolic`, translation
 validation (SYM001-SYM008) — symbolically proves the composed deployment
 equivalent to the source function per compilation; it runs behind
-``compile_lowered(symbolic=True)`` and ``verify --symbolic`` rather than
-on every compile (it costs seconds, not milliseconds).  Import
+``verify --symbolic`` and ``difftest --symbolic`` rather than on every
+compile (it costs seconds, not milliseconds).  Import
 :func:`verify_symbolic` lazily from here; the submodule pulls in the
 runtime/difftest stack for counterexample replay.
 

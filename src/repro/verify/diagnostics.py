@@ -191,7 +191,6 @@ def warning(
     message: str,
     function: Optional[str] = None,
     block: Optional[str] = None,
-    location: Optional[SourceLocation] = None,
 ) -> Diagnostic:
     assert code in DIAGNOSTIC_CODES, code
-    return Diagnostic(code, "warning", stage, message, function, block, location)
+    return Diagnostic(code, "warning", stage, message, function, block)

@@ -36,7 +36,7 @@ mirror                          concrete twin
 and ``apply_updates``           fault-free ``ControlPlane.apply_batch``
 ``SymExternHost``               ``repro.ir.externs.ExternHost``
 ``prover._shim_pack``           ``ShimLayout.encode`` then ``decode``
-``prover._resolve_egress_sym``  ``SwitchModel._resolve_egress``
+``prover._resolve_egress_sym``  ``explicit or bypass_port(ingress)``
 ==============================  ======================================
 
 A divergence between a mirror and its twin is a soundness hole;

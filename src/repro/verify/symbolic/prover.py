@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.codegen.headers import FLAG_VERDICT_DROP, FLAG_VERDICT_SEND
-from repro.difftest.kernel import DEFAULT_PORT_PAIRS, OBSERVED_FIELDS
+from repro.difftest.kernel import OBSERVED_FIELDS
 from repro.ir import instructions as irin
 from repro.ir.externs import ExternHost
 from repro.ir.interp import Interpreter, PacketView, StateStore
@@ -55,6 +55,7 @@ from repro.runtime.server import (
     updates_from_journal,
     verdict_flag,
 )
+from repro.switchsim.program import bypass_port
 from repro.verify.diagnostics import (
     STAGE_SYMBOLIC,
     Diagnostic,
@@ -448,10 +449,9 @@ class WorldResult:
 
 def _resolve_egress_sym(egress: Optional[Term], ingress: int,
                         chooser: Chooser) -> Term:
-    """Mirror of ``SwitchModel._resolve_egress`` (and the baseline's
-    ``explicit if explicit else port_pairs`` rule): an explicit port of 0
-    falls through to the port-pair map."""
-    fallback = const(DEFAULT_PORT_PAIRS.get(ingress, ingress))
+    """Mirror of the switch's and the baseline's ``explicit or
+    bypass_port(ingress)``: a port of 0 falls through to the wire pair."""
+    fallback = const(bypass_port(ingress))
     if egress is None:
         return fallback
     if chooser.decide(binop(irin.BinOpKind.NE, egress, const(0))):

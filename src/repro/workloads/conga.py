@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ class CongaDistribution:
             previous_size, previous_cdf = size, cdf
         return self.knots[-1][0]
 
-    def mean_estimate(self, samples: int = 20000, seed: int = 7) -> float:
-        rng = random.Random(seed)
+    def mean_estimate(self, samples: int = 20000) -> float:
+        rng = random.Random(7)
         total = sum(self.sample(rng) for _ in range(samples))
         return total / samples
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
-from repro.net.headers import IPPROTO_TCP, TcpFlags
 from repro.net.packet import RawPacket
 from repro.workloads.packets import FlowSpec, flow_packets, make_tcp_packet
 

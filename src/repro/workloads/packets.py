@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Iterator
 
-from repro.net.addresses import Ipv4Address, MacAddress, ip, mac
+from repro.net.addresses import ip, mac
 from repro.net.headers import (
     EthernetHeader,
     IPPROTO_TCP,
-    IPPROTO_UDP,
     Ipv4Header,
     TcpFlags,
     TcpHeader,

@@ -76,6 +76,62 @@ class TestP4Emission:
         assert not re.search(r"\bfor\s*\(", compiled.p4_source)
 
 
+class TestEmittedConstants:
+    """The P4 text prints the constants it means: move one, the text
+    follows (``compile_pins.json`` holds the bytes they print today)."""
+
+    CONSTANTS = [
+        # (module global of the emitter, moved value, text then expected)
+        ("SERVER_PORT", 7, [
+            "if (standard_metadata.ingress_port == 7)",
+            "standard_metadata.egress_spec = 7;",
+        ]),
+        ("PORT_PAIRS", {4: 5, 5: 4}, [
+            "(standard_metadata.ingress_port == 4) ? 9w5 : 9w4;",
+        ]),
+        ("ETHERTYPE_GALLIUM", 0x88B6, [
+            "0x88B6: parse_shim;", "hdr.ethernet.etherType = 0x88B6;",
+        ]),
+        ("FLAG_VERDICT_DROP", 3, ["hdr.shim_to_switch.__verdict == 3)"]),
+        ("FLAG_VERDICT_SEND", 2, [
+            "else if (hdr.shim_to_switch.__verdict == 2)",
+        ]),
+    ]
+
+    @pytest.mark.parametrize("name,moved,expected",
+                             CONSTANTS, ids=[c[0] for c in CONSTANTS])
+    def test_the_text_follows_the_constant(self, monkeypatch, name, moved,
+                                           expected):
+        from repro.codegen.p4 import emit
+
+        program = get_compiled("minilb").switch_program  # punts and sends
+        before = emit.emit_p4_program(program)
+        assert before == get_compiled("minilb").p4_source
+        monkeypatch.setattr(emit, name, moved)
+        after = emit.emit_p4_program(program)
+        for text in expected:
+            assert text in after and text not in before
+        changed = [
+            now for was, now
+            in zip(before.splitlines(), after.splitlines()) if was != now
+        ]
+        assert changed and all(
+            any(text in line for text in expected) for line in changed
+        )
+
+    def test_a_tenants_punt_port_is_its_base_plus_the_server_port(
+            self, monkeypatch):
+        from repro.tenancy import allocator
+
+        placement = allocator.TenantPlacement(
+            name="t", index=1, memory_offset=0, memory_bytes=0,
+            stage_first=2, stage_last=2, phv_bytes=0, vlan=101, port_base=4,
+        )
+        assert placement.server_port == 7
+        monkeypatch.setattr(allocator, "SERVER_PORT", 2)
+        assert placement.server_port == 6
+
+
 class TestCppEmission:
     def test_braces_balanced(self, middlebox_name, compiled):
         assert balanced_braces(compiled.cpp_source)

@@ -87,16 +87,13 @@ class Box {
 def test_deployment_seed_threads_into_jitter():
     """One deployment-level seed fully determines control-plane jitter:
     same seed, same sync waits — no private-field poking required."""
-    from repro.difftest.oracle import DEFAULT_PORT_PAIRS
     from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
 
     plan, program = compile_middlebox(STATEFUL)
     stream = StreamSpec(seed=3, count=8).build()
 
     def waits(seed):
-        box = GalliumMiddlebox(
-            plan, program, port_pairs=dict(DEFAULT_PORT_PAIRS), seed=seed
-        )
+        box = GalliumMiddlebox(plan, program, seed=seed)
         box.install()
         return tuple(
             box.process_packet(p.copy(), ingress).sync_wait_us

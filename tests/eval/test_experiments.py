@@ -77,9 +77,7 @@ class TestFigure7:
     @pytest.mark.parametrize("name", EVAL_MIDDLEBOXES)
     def test_offloaded_beats_click4c_at_1500(self, name):
         """Paper: Gallium on one core outperforms 4-core FastClick."""
-        header, rows = figure7_throughput(
-            name, packets_per_connection=60, connections=10
-        )
+        header, rows = figure7_throughput(name, packets_per_connection=60)
         row_1500 = next(r for r in rows if r[0] == "1500B")
         offloaded, click4c = row_1500[1], row_1500[4]
         assert offloaded > click4c, f"{name}: {row_1500}"

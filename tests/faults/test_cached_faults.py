@@ -143,9 +143,10 @@ def test_cached_campaign_counts_rejections():
     assert stats.rejected == 1
 
 
-def test_legacy_corpus_keys_still_load():
-    """Entries written before the flavour travelled as one value carry
-    ``cached`` / ``failover`` booleans instead of a ``deployment`` key."""
+def test_an_entry_without_a_deployment_ran_on_the_base_flavour():
+    """... and the ``cached`` / ``failover`` booleans entries carried before
+    the flavour travelled as one value are no longer read (no committed
+    entry has them): they are rejected, not ignored."""
     data = FaultCorpusEntry(
         name="t", source=MAP_SOURCE, stream=STREAM, fault_plan=FaultPlan(),
         policy=DegradationPolicy(),
@@ -153,9 +154,8 @@ def test_legacy_corpus_keys_still_load():
     del data["deployment"]
     assert FaultCorpusEntry.from_dict(data).deployment == DeploymentSpec()
     data.update(cached=True, failover=True)
-    assert FaultCorpusEntry.from_dict(data).deployment == DeploymentSpec(
-        cache_entries=2, standby_detection="phi"
-    )
+    with pytest.raises(ValueError, match="unknown key 'cached'"):
+        FaultCorpusEntry.from_dict(data)
 
 
 #: every role combination the fault harness admits

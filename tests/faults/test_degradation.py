@@ -55,7 +55,7 @@ def deploy(plan=FaultPlan(), policy=None, injector_seed=0, seed=0):
     partition, program = COMPILED
     policy = policy or DegradationPolicy()
     middlebox = GalliumMiddlebox(
-        partition, program, port_pairs={1: 2, 2: 1}, seed=seed,
+        partition, program, seed=seed,
         policy=policy,
         injector=FaultInjector(plan, seed=injector_seed),
     )

@@ -12,7 +12,6 @@ deployment.
 
 import pytest
 
-from repro.difftest.oracle import DEFAULT_PORT_PAIRS
 from repro.faults.corpus import load_corpus
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import BatchFault, FaultPlan
@@ -81,8 +80,7 @@ def _run(entry, fault_plan, cached):
     cls = CachedGalliumMiddlebox if cached else GalliumMiddlebox
     try:
         box = cls(
-            plan, program, port_pairs=dict(DEFAULT_PORT_PAIRS),
-            seed=entry.deployment_seed, policy=entry.policy,
+            plan, program, seed=entry.deployment_seed, policy=entry.policy,
             injector=injector,
         )
     except CacheConfigurationError as exc:

@@ -19,6 +19,7 @@ from repro.faults.injector import FaultInjector
 from repro.runtime.deployment import PacketJourney, PuntCompletion
 from repro.runtime.server import ServerResult
 from repro.switchsim.control_plane import UpdateBatchResult
+from repro.switchsim.program import SERVER_PORT
 from repro.switchsim.switch_model import SHIM_KEY, SwitchOutput
 from repro.telemetry.metrics import Histogram
 from tests.runtime import golden_pins
@@ -381,6 +382,6 @@ class TestShortShimsEndInADiagnostic:
             served.packet.metadata[SHIM_KEY] = (
                 served.packet.metadata[SHIM_KEY][:keep])
         with pytest.raises(ShimDecodeError) as caught:
-            box.switch.receive(served.packet, box.server_port)
+            box.switch.receive(served.packet, SERVER_PORT)
         assert (caught.value.direction, caught.value.expected,
                 caught.value.received) == ("to_switch", expected, keep or 0)

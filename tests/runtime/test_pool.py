@@ -37,7 +37,7 @@ def deploy_pool(servers=3, plan=None, policy=None, seed=0, **kwargs):
     if plan is not None:
         injector = FaultInjector(plan, seed=0)
     middlebox = PooledDeployment(
-        partition, program, servers=servers, port_pairs={1: 2, 2: 1},
+        partition, program, servers=servers,
         seed=seed, policy=policy, injector=injector, **kwargs,
     )
     middlebox.install()
@@ -47,7 +47,7 @@ def deploy_pool(servers=3, plan=None, policy=None, seed=0, **kwargs):
 def deploy_single(seed=0):
     partition, program = COMPILED
     middlebox = GalliumMiddlebox(
-        partition, program, port_pairs={1: 2, 2: 1}, seed=seed,
+        partition, program, seed=seed,
         policy=DegradationPolicy(),
     )
     middlebox.install()
@@ -82,12 +82,10 @@ class TestValidation:
     def test_deployment_rejects_bad_pool_before_install(self):
         partition, program = COMPILED
         with pytest.raises(ValueError):
-            PooledDeployment(partition, program, servers=0,
-                             port_pairs={1: 2, 2: 1})
+            PooledDeployment(partition, program, servers=0)
         with pytest.raises(ValueError):
             PooledDeployment(partition, program,
-                             member_names=["a", "a"],
-                             port_pairs={1: 2, 2: 1})
+                             member_names=["a", "a"])
 
 
 class TestFaultFreeEquivalence:

@@ -10,7 +10,11 @@ from repro.net.packet import RawPacket
 from repro.partition.constraints import SwitchResources
 from repro.runtime.deployment import compile_middlebox
 from repro.switchsim.pipeline import DataPlaneViolation, SwitchStateAdapter
-from repro.switchsim.program import SwitchProgram, SwitchProgramError
+from repro.switchsim.program import (
+    SERVER_PORT,
+    SwitchProgram,
+    SwitchProgramError,
+)
 from repro.switchsim.registers import Register
 from repro.switchsim.switch_model import SHIM_KEY, SwitchModel
 from repro.switchsim.tables import ExactMatchTable
@@ -158,7 +162,7 @@ class TestSwitchModel:
         output = switch.receive(packet, 1)
         assert output.punted
         port, punted = output.emitted[0]
-        assert port == switch.server_port
+        assert port == SERVER_PORT
         assert SHIM_KEY in punted.metadata
         decoded = program.shim_to_server.decode(punted.metadata[SHIM_KEY])
         assert decoded["__ingress_port"] == 1

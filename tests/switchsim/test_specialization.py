@@ -24,7 +24,12 @@ from repro.ir.interp import InterpreterError
 from repro.ir.values import Const
 from repro.lang.types import UINT16, UINT32
 from repro.switchsim.pipeline import DataPlaneViolation
-from repro.switchsim.program import RegisterSpec, SwitchProgram, TableSpec
+from repro.switchsim.program import (
+    SERVER_PORT,
+    RegisterSpec,
+    SwitchProgram,
+    TableSpec,
+)
 from repro.partition.plan import TransferSpec
 from repro.switchsim.switch_model import SHIM_KEY, SwitchModel, SwitchOutput
 from repro.workloads.packets import make_tcp_packet
@@ -234,14 +239,14 @@ class TestReturnLegExits:
         packet = make_tcp_packet("10.0.0.1", "10.0.0.2", 1, 2)
         punt = switch.receive(packet, 1)
         assert punt == SwitchOutput(
-            emitted=[(switch.server_port, packet)], punted=True,
+            emitted=[(SERVER_PORT, packet)], punted=True,
             pipeline_instructions=1,
         )
         assert packet.metadata[SHIM_KEY] == b"\x01"  # the ingress port
         packet.metadata[SHIM_KEY] = switch.program.shim_to_switch.encode({
             "__verdict": flag, "__egress_port": egress, "__ingress_port": 1,
         })
-        answer = switch.receive(packet, switch.server_port)
+        answer = switch.receive(packet, SERVER_PORT)
         assert answer == SwitchOutput(
             emitted=[] if dropped else [(port, packet)], dropped=dropped,
             pipeline_instructions=ran,

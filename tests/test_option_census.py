@@ -166,3 +166,9 @@ def test_the_allow_list_needs_a_reason_and_a_never_set_option(tmp_path, capsys):
         {"option": "repro.pkg.f.used", "reason": "stale"},
     ])
     assert code == 1 and "not a never-set option: repro.pkg.f.used" in out
+
+
+def test_the_repo_has_no_never_set_option_outside_its_allow_list(capsys):
+    assert option_census.main([]) == 0, capsys.readouterr().out
+    allowed, faults = option_census.load_allow_list(option_census.ALLOW_FILE)
+    assert not faults and len(allowed) <= 12

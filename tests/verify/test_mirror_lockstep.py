@@ -49,7 +49,6 @@ import pytest
 
 from repro.difftest.generator import generate_program
 from repro.difftest.kernel import (
-    DEFAULT_PORT_PAIRS,
     OBSERVED_FIELDS,
     STREAM_SALT,
     derive_seeds,
@@ -280,9 +279,7 @@ def switch_state(box: GalliumMiddlebox) -> dict:
 
 def composition_lockstep(plan, program, config, packets: Packets,
                          counts: Counts) -> None:
-    box = GalliumMiddlebox(
-        plan, program, port_pairs=dict(DEFAULT_PORT_PAIRS), config=config
-    )
+    box = GalliumMiddlebox(plan, program, config=config)
     box.install()
     # The prover's derivation of the switch pre-state is install()'s.
     require_equal("switch pre-state",
