@@ -30,7 +30,7 @@ through a variable — goes in the allow-list beside this file, each entry
 with its reason; an entry without one, or one that names no never-set
 option, fails the run like a never-set option outside the list does.
 
-    python benchmarks/option_census.py [--all] [--root DIR] [--allow FILE]
+    python benchmarks/option_census.py [--root DIR] [--allow FILE]
 
 Exit 1 when a never-set option is not allow-listed (or the allow-list is
 at fault); the table is printed either way.
@@ -569,8 +569,7 @@ def load_allow_list(path: Path) -> Tuple[Dict[str, str], List[str]]:
     return allowed, faults
 
 
-def report(rows: List[Row], allowed: Dict[str, str],
-           show_all: bool) -> Iterator[str]:
+def report(rows: List[Row], allowed: Dict[str, str]) -> Iterator[str]:
     kinds = ("option", "field")
     yield f"{'':<12}{'options':>8}{'dataclass fields':>18}"
     for status in ("total",) + STATUSES[::-1]:
@@ -582,7 +581,7 @@ def report(rows: List[Row], allowed: Dict[str, str],
         yield f"{status:<12}{counts[0]:>8}{counts[1]:>18}"
     yield ""
     for row in rows:
-        if show_all or row.status != "live":
+        if row.status != "live":
             note = allowed.get(row.option)
             yield row.render() + (f"  [allowed: {note}]" if note else "")
 
@@ -592,12 +591,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--allow", type=Path, default=ALLOW_FILE)
-    parser.add_argument("--all", action="store_true",
-                        help="list live options too")
     args = parser.parse_args(argv)
     rows = Census(args.root).rows()
     allowed, faults = load_allow_list(args.allow)
-    for line in report(rows, allowed, args.all):
+    for line in report(rows, allowed):
         print(line)
     never_set = {r.option for r in rows
                  if r.status == "never-set" and r.kind == "option"}

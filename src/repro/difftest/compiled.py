@@ -221,7 +221,7 @@ def _deployment_level(
 ) -> Iterator[Finding]:
     """Stage 2: interpreted vs fast-path deployments, same seed."""
     try:
-        plan, program = kernel.compile_step(compile_middlebox, lowered, None)
+        plan, program = kernel.compile_step(compile_middlebox, lowered)
     except kernel.Abort as abort:
         if abort.failure != kernel.REFUSED:
             raise

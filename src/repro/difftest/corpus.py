@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar, Optional
+from typing import ClassVar, List, Optional, Union
 
+from repro.corpus_format import CorpusFormatError, fields_from
 from repro.difftest.oracle import Outcome, OracleResult, StreamSpec, run_oracle
-from repro.telemetry.schema import CorpusFormatError, fields_from
 
 #: Default corpus location (checked into the repository).
 CORPUS_DIR = Path(__file__).resolve().parents[3] / "tests" / "difftest_corpus"
@@ -64,12 +64,9 @@ class ReproducerEntry:
 
     @classmethod
     def from_dict(cls, data: dict):
-        """Raises :class:`~repro.telemetry.schema.CorpusFormatError` for
+        """Raises :class:`~repro.corpus_format.CorpusFormatError` for
         JSON that is not an entry (as do the ``NESTED`` loaders)."""
-        kwargs = fields_from(
-            data, cls, "entry",
-            source={"type": ["array", "string"], "items": {"type": "string"}},
-        )
+        kwargs = fields_from(data, cls, "entry", source=Union[str, List[str]])
         if isinstance(kwargs["source"], list):
             kwargs["source"] = "\n".join(kwargs["source"]) + "\n"
         for name in cls.NESTED.keys() & kwargs.keys():

@@ -281,10 +281,10 @@ def reference(phase: str) -> _Guard:
 COMPILE_REFUSALS = (PartitionError, SwitchProgramError)
 
 
-def compile_step(compile_fn: Callable, source, limits):
+def compile_step(compile_fn: Callable, *args):
     """Compile under the DUT guard."""
     with dut("compile", refusals=COMPILE_REFUSALS):
-        return compile_fn(source, limits)
+        return compile_fn(*args)
 
 
 @dataclass

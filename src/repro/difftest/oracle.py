@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.corpus_format import fields_from
 from repro.difftest import kernel
 from repro.difftest.kernel import Finding
 from repro.net.packet import RawPacket
@@ -43,7 +44,6 @@ from repro.runtime.cache import CacheConfigurationError
 from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
 from repro.runtime.spec import DeploymentSpec
 from repro.switchsim.program import bypass_port
-from repro.telemetry.schema import fields_from
 from repro.workloads.packets import make_tcp_packet, make_udp_packet
 
 
@@ -109,8 +109,7 @@ class StreamSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StreamSpec":
-        packets = {"type": ["array", "null"], "items": {"type": "object"}}
-        return cls(**fields_from(data, cls, "stream", packets=packets))
+        return cls(**fields_from(data, cls, "stream"))
 
     def build(self) -> List[Tuple[RawPacket, int]]:
         import random

@@ -15,7 +15,6 @@ from repro.difftest.generator import GenProgram, generate_program
 from repro.difftest.kernel import STREAM_SALT, derive_seeds  # noqa: F401
 from repro.difftest.oracle import Outcome, OracleResult, StreamSpec, run_oracle
 from repro.difftest.shrink import shrink_case
-from repro.partition.constraints import SwitchResources
 
 
 @dataclass
@@ -161,7 +160,7 @@ def run_gauntlet(
         opinions: Optional[dict] = None
         dissenters: Optional[List[str]] = None
         if symbolic and result.outcome in (Outcome.AGREE, Outcome.DIVERGE):
-            opinions = _symbolic_opinions(program.source(), result, None)
+            opinions = _symbolic_opinions(program.source(), result)
             if opinions is not None:
                 stats.symbolic_checked += 1
                 dissenters = _dissenters(opinions)
@@ -210,11 +209,7 @@ def _signature(result: OracleResult) -> tuple:
     )
 
 
-def _symbolic_opinions(
-    source: str,
-    result: OracleResult,
-    limits: Optional[SwitchResources],
-) -> Optional[dict]:
+def _symbolic_opinions(source: str, result: OracleResult) -> Optional[dict]:
     """Stances of the three checkers on one run (``None``: not provable —
     the recompile was refused, which the oracle already classified).
     Anything the prover itself raises is a harness bug and propagates to
@@ -223,7 +218,7 @@ def _symbolic_opinions(
     from repro.verify.symbolic import SMOKE_BUDGET, verify_symbolic
 
     try:
-        plan, switch_program = compile_middlebox(source, limits)
+        plan, switch_program = compile_middlebox(source)
     except kernel.COMPILE_REFUSALS:
         return None
     report = verify_symbolic(plan, switch_program, budget=SMOKE_BUDGET)

@@ -23,6 +23,10 @@ from repro.sim.fluid import FluidFlowSimulator
 from repro.sim.latency import LatencyModel
 from repro.switchsim.control_plane import ControlPlane, StateUpdate
 from repro.switchsim.tables import ExactMatchTable
+from repro.telemetry.health import (
+    RECOVERY_MIDDLEBOX,
+    measure_detection_latency,
+)
 from repro.workloads.conga import (
     DISTRIBUTIONS,
     packets_in_flow,
@@ -42,9 +46,7 @@ CORE_COUNTS = (1, 2, 4)
 #: §6.3 iperf's MTU-sized packets: what the iso-throughput CPU saving and
 #: the recovery tables are priced at.
 MTU_PACKET_SIZE = 1500
-#: The recovery tables' subject, and the incident they time-weight a
-#: degraded window against.
-RECOVERY_MIDDLEBOX = "mazunat"
+#: The incident the recovery tables time-weight a degraded window against.
 INCIDENT_WINDOW_S = 1.0
 
 
@@ -492,8 +494,6 @@ def failover_recovery() -> Tuple[List[str], List[List]]:
         ])
 
     # Measured detection: the φ-accrual monitor on a seeded crash run.
-    from repro.telemetry.health import measure_detection_latency
-
     measured = measure_detection_latency()
     price(
         f"measured φ detect={measured['detection_latency_us']:g}µs"

@@ -10,7 +10,7 @@ fault oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import ClassVar
@@ -44,7 +44,7 @@ class FaultCorpusEntry(base.ReproducerEntry):
 
     expect: str = FaultOutcome.DEGRADED_OK.value
     fault_plan: FaultPlan
-    policy: DegradationPolicy
+    policy: DegradationPolicy = field(default_factory=DegradationPolicy)
     injector_seed: int = 0
     deployment_seed: int = 0
     #: the deployment flavour the scenario ran (and replays) on

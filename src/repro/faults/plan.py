@@ -84,8 +84,8 @@ import random
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
 
+from repro.corpus_format import CorpusFormatError, fields_from
 from repro.runtime.pool import default_member_names
-from repro.telemetry.schema import CorpusFormatError, fields_from
 
 if TYPE_CHECKING:
     from repro.runtime.spec import DeploymentSpec

@@ -35,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from repro.corpus_format import fields_from
 from repro.switchsim.control_plane import RetryPolicy
-from repro.telemetry.schema import fields_from
 
 #: Reasons where the packet is physically gone: policy cannot save it.
 UNSALVAGEABLE_REASONS = frozenset({

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional
 
+from repro.corpus_format import fields_from
 from repro.runtime.cache import BoundedCache
 from repro.runtime.failover import ActiveStandby
 from repro.runtime.pool import ServerPool, default_member_names
-from repro.telemetry.schema import fields_from
 
 
 @dataclass(frozen=True)

@@ -49,9 +49,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.corpus_format import fields_from
 from repro.switchsim.registers import Register
 from repro.switchsim.tables import ExactMatchTable, TableEntryLimit
-from repro.telemetry.schema import fields_from
 
 #: Calibrated per-op costs in microseconds (see Table 3 reproduction).
 BASE_PER_TABLE_US = {"insert": 135.2, "modify": 128.6, "delete": 131.3}

@@ -58,6 +58,8 @@ DETECTION_BOUNDS_US: Tuple[float, ...] = (
 
 #: φ saturates here (P floored at 1e-12) so late evaluations stay finite.
 _PHI_CEILING = 12.0
+#: Subject of the seeded crash probe and of the recovery tables built on it.
+RECOVERY_MIDDLEBOX = "mazunat"
 
 
 @dataclass(frozen=True)
@@ -262,7 +264,7 @@ def measure_detection_latency() -> dict:
     from repro.middleboxes import load
     from repro.workloads import IperfWorkload, middlebox_stream
 
-    name, packets, crash_at, window, seed = "mazunat", 40, 8, 2, 0
+    name, packets, crash_at, window, seed = RECOVERY_MIDDLEBOX, 40, 8, 2, 0
     lowered = load(name).lowered
     plan, program = compile_middlebox(lowered)
     fault_plan = FaultPlan((

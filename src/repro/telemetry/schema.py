@@ -3,9 +3,7 @@
 This module is the single schema authority for every JSON artifact the
 repo emits (the image has no ``jsonschema`` package; the subset
 implemented here — type/required/properties/items/enum/minimum — is all
-the checked-in schemas use, plus ``additionalProperties: false`` for the
-corpus loaders, whose schemas :func:`fields_from` reads off their
-dataclasses).  Bundled schemas live in ``schemas/``
+the checked-in schemas use).  Bundled schemas live in ``schemas/``
 (``trace``, ``metrics``, ``faults_summary``, ``tenancy``); external
 schema files (e.g. the repo benchmark's ``results.schema.json``) go through
 :func:`validate_file`.  Producers call :func:`check` to fail loudly
@@ -19,11 +17,10 @@ CI smoke usage::
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Any, List, Union, get_args, get_origin, get_type_hints
+from typing import Any, List
 
 SCHEMA_DIR = Path(__file__).resolve().parent / "schemas"
 
@@ -34,46 +31,6 @@ _TYPES = {
     "boolean": bool,
     "null": type(None),
 }
-
-
-class CorpusFormatError(ValueError):
-    """A reproducer entry, fault plan, packet stream or deployment spec
-    whose JSON is not the object its ``from_dict`` reads: a missing or
-    unknown key, a value of the wrong type, an unknown fault kind.  The
-    message names the key and, from ``load_corpus``, the file; malformed
-    input gets nothing else out of those loaders."""
-
-
-_JSON_NAMES = {
-    int: "integer", float: "number", str: "string", bool: "boolean",
-    type(None): "null", list: "array", tuple: "array",
-}
-
-
-def fields_from(data: Any, cls, what: str, **properties: dict) -> dict:
-    """``data`` as the keyword arguments of dataclass ``cls``: an object
-    with a key per field — typed by the field's annotation (a class of our
-    own is a nested object; ``properties`` overrides an entry), required
-    unless defaulted — and no other key.  Anything else is a
-    :class:`CorpusFormatError` naming ``what`` and the key at fault."""
-    hints = get_type_hints(cls)
-    schema: dict = {"type": "object", "properties": {}, "required": [],
-                    "additionalProperties": False}
-    for spec in dataclasses.fields(cls):
-        hint = hints[spec.name]
-        options = get_args(hint) if get_origin(hint) is Union else (hint,)
-        schema["properties"][spec.name] = {"type": [
-            _JSON_NAMES.get(get_origin(option) or option, "object")
-            for option in options
-        ]}
-        if (spec.default is dataclasses.MISSING
-                and spec.default_factory is dataclasses.MISSING):
-            schema["required"].append(spec.name)
-    schema["properties"].update(properties)
-    errors = validate(data, schema, what)
-    if errors:
-        raise CorpusFormatError("; ".join(errors[:5]))
-    return dict(data)
 
 
 def bundled_schemas() -> List[str]:
@@ -126,11 +83,6 @@ def validate(instance: Any, schema: dict, path: str = "$") -> List[str]:
         for name in schema.get("required", []):
             if name not in instance:
                 errors.append(f"{path}: missing required key {name!r}")
-        if schema.get("additionalProperties") is False:
-            errors.extend(
-                f"{path}: unknown key {name!r}" for name in instance
-                if name not in schema.get("properties", {})
-            )
         for name, subschema in schema.get("properties", {}).items():
             if name in instance:
                 errors.extend(

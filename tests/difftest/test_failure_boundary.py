@@ -8,6 +8,8 @@ scenario's reproduce line.  On the code before the kernel all three were
 filed as a crash of the deployment.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.difftest import kernel
@@ -113,12 +115,18 @@ class TestHarnessBug:
             run_gauntlet(1, seed=0, packets=3, seed_override=5, symbolic=True)
         assert isinstance(caught.value.__cause__, RuntimeError)
 
-    def test_a_refused_recompile_still_has_no_symbolic_opinion(self):
+    def test_a_refused_recompile_still_has_no_symbolic_opinion(
+            self, monkeypatch):
         from repro.difftest.runner import _symbolic_opinions
         from repro.partition.constraints import SwitchResources
+        from repro.runtime import deployment
 
-        starved = SwitchResources(transfer_bytes=0)
-        assert _symbolic_opinions(STATEFUL, None, starved) is None
+        starved = partial(
+            deployment.compile_middlebox,
+            limits=SwitchResources(transfer_bytes=0),
+        )
+        monkeypatch.setattr(deployment, "compile_middlebox", starved)
+        assert _symbolic_opinions(STATEFUL, None) is None
 
 
 class TestProvenanceUnavailable:

@@ -17,7 +17,7 @@ from repro.difftest.oracle import StreamSpec
 from repro.faults import corpus as faults_corpus
 from repro.faults.plan import FaultPlan
 from repro.runtime.spec import DeploymentSpec
-from repro.telemetry.schema import CorpusFormatError
+from repro.corpus_format import CorpusFormatError
 
 COMMITTED = [
     (entry_type, path)
@@ -31,6 +31,7 @@ COMMITTED = [
 OPTIONAL = {
     "description", "found_by_seed", "trace_diff", "expect", "check_cached",
     "config", "prestate", "injector_seed", "deployment_seed", "deployment",
+    "policy",
 }
 
 
@@ -71,7 +72,7 @@ def _fault_entry():
     (lambda d: d["stream"].update(seed="six"), "stream.seed"),
     (lambda d: d["stream"].update(count=None), "stream.count"),
     (lambda d: d["stream"].update(burst=3), "stream: unknown key 'burst'"),
-    (lambda d: d["stream"].update(packets=["syn"]), "stream.packets[0]"),
+    (lambda d: d["stream"].update(packets=["syn"]), "stream.packets"),
     (lambda d: d.update(source=[1, 2]), "entry.source"),
     (lambda d: d.update(name=7), "entry.name"),
     (lambda d: d.update(fault_plan=3), "entry.fault_plan"),
@@ -103,6 +104,15 @@ def test_a_wrong_type_or_an_unknown_name_is_named(mutate, names):
         faults_corpus.FaultCorpusEntry.from_dict(data)
     assert names in str(caught.value)
     assert isinstance(caught.value, ValueError)
+
+
+def test_a_json_integer_in_a_float_field_loads_as_a_float():
+    data = _fault_entry()
+    data["stream"]["udp_ratio"] = 1
+    data["policy"]["retry"]["max_backoff_us"] = 5000
+    saved = faults_corpus.FaultCorpusEntry.from_dict(data).to_dict()
+    assert json.dumps(saved["stream"]["udp_ratio"]) == "1.0"
+    assert json.dumps(saved["policy"]["retry"]["max_backoff_us"]) == "5000.0"
 
 
 def test_each_loader_rejects_a_non_object():
