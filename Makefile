@@ -16,16 +16,17 @@ help:
 	@echo "  test            tier-1 test suite (pytest tests/)"
 	@echo "  test-durations  tier-1 wall time and its ten slowest tests (the"
 	@echo "                  numbers ROADMAP and EXPERIMENTS.md track)"
-	@echo "  verify          static verifier over all bundled middleboxes, after"
-	@echo "                  the option census"
+	@echo "  verify          static verifier and translation validation over all"
+	@echo "                  bundled middleboxes (~1 s), after the option census"
 	@echo "  compile-pins    every compile decision vs the golden file (wide sweep,"
 	@echo "                  ~1 min; the narrow one runs in tier-1)"
 	@echo "  prover-pins     every world the prover explores vs the golden file"
-	@echo "                  (wide sweep, ~40 s; the narrow one runs in tier-1)"
+	@echo "                  (wide sweep, ~27 s; the narrow one, ~7 s, runs in tier-1)"
 	@echo "  mirror-lockstep every symbolic mirror against its concrete twin,"
 	@echo "                  concolically (wide slice, ~30 s; narrow in tier-1)"
 	@echo "  symbolic-smoke  translation validation: prove all middleboxes,"
 	@echo "                  schema-check the JSON, disprove a seeded mutation"
+	@echo "                  (~1.5 s)"
 	@echo "  lint            ruff + mypy (skipped gracefully if not installed)"
 	@echo "  lint-verify     blocking ruff over all of src/repro (stdlib fallback"
 	@echo "                  scan without ruff) + mypy over the 17 paths of"
@@ -63,11 +64,13 @@ test:
 test-durations:
 	$(PYTHON) -m pytest -q --durations=10 tests/ | tail -n 14
 
-# Static verification layer over every bundled middlebox, plus a JSON
-# smoke check (schema consumed by CI and external tooling) — and, first,
-# the one check on the code base itself that is as cheap.
+# Static verification layer and translation validation (all six proofs
+# take ~0.3 s, so the default local gate does not skip them) over every
+# bundled middlebox, plus a JSON smoke check (schema consumed by CI and
+# external tooling) — and, first, the one check on the code base itself
+# that is as cheap.
 verify: option-census
-	$(PYTHON) -m repro verify all
+	$(PYTHON) -m repro verify all --symbolic
 	$(PYTHON) -m repro verify minilb --json > /dev/null
 
 # Every compile decision — assignment, constraint report, placements,

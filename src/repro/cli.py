@@ -152,10 +152,14 @@ def cmd_verify(args) -> int:
             failed = failed or not sym.proved
             if not args.json:
                 verdict = "PROVED" if sym.proved else "NOT PROVED"
+                costliest = max(sym.per_scenario,
+                                key=lambda row: row["elapsed_s"])
                 print(
                     f"{sym.program}: translation validation {verdict}"
                     f" ({sym.scenarios} scenarios, {sym.worlds} worlds,"
-                    f" {sym.elapsed_s:.2f}s)"
+                    f" {sym.elapsed_s:.2f}s; costliest"
+                    f" {costliest['label']}: {costliest['worlds']} worlds,"
+                    f" {costliest['elapsed_s'] * 1e3:.0f} ms)"
                 )
                 for diagnostic in sym.diagnostics:
                     print(diagnostic.format())

@@ -46,7 +46,7 @@ concolically, on generated programs and the bundled middleboxes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.ir import instructions as irin
 from repro.ir.lowering import StateMember
@@ -219,6 +219,11 @@ class SymPacketView:
 # ---------------------------------------------------------------------------
 
 
+#: One stored map / table entry.  Never written to: an update replaces
+#: the entry in its list, so any number of lists may hold one.
+Entry = Tuple[Tuple[Term, ...], Term]
+
+
 def _keys_equal(entry_keys: Tuple[Term, ...], keys: Tuple[Term, ...]) -> Term:
     if len(entry_keys) != len(keys):
         return const(0)
@@ -229,44 +234,102 @@ def _keys_equal(entry_keys: Tuple[Term, ...], keys: Tuple[Term, ...]) -> Term:
     return cond
 
 
-class SymStateStore:
-    """Symbolic mirror of :class:`StateStore` seeded from a concrete
-    pre-state snapshot.  Maps are ordered entry lists because keys may
-    become symbolic mid-run (an insert under a symbolic header field)."""
+def _entries(table: dict) -> Tuple[Entry, ...]:
+    return tuple(
+        (tuple(const(k) for k in keys), const(value))
+        for keys, value in table.items()
+    )
+
+
+class SymPrestate:
+    """One concrete pre-state in term form: what every world of a
+    scenario starts from, built once.
+
+    Terms are immutable and so are the ``(keys, value)`` entries made of
+    them; a store enters a world with a copy of the entry *lists*, so
+    worlds share terms and nothing they can write to.  The switch's copy
+    (derived the way ``sync_all_state`` installs it) holds the very entry
+    objects of the server maps it mirrors: an entry no world touched is
+    one object on every side of the final comparison.
+
+    The key test of a stored entry against a lookup key is a pure
+    function of two term tuples, so it is computed once here and is a
+    table hit in every later world (:meth:`keys_equal`); the table goes
+    when the scenario does.
+    """
 
     def __init__(self, members: Dict[str, StateMember], snapshot: dict,
-                 chooser: Chooser):
+                 on_switch: Iterable[str]):
         self.members = members
-        self.chooser = chooser
-        self.maps: Dict[str, List[Tuple[Tuple[Term, ...], Term]]] = {}
-        self.vectors: Dict[str, List[Term]] = {}
+        self.maps: Dict[str, Tuple[Entry, ...]] = {}
+        self.vectors: Dict[str, Tuple[Term, ...]] = {}
         self.scalars: Dict[str, Term] = {}
-        self._scalar_masks: Dict[str, int] = {}
+        self.scalar_masks: Dict[str, int] = {}
         for name, member in members.items():
             if member.kind == "map":
-                self.maps[name] = [
-                    (tuple(const(k) for k in keys), const(value))
-                    for keys, value in snapshot.get("maps", {}).get(name, {}).items()
-                ]
+                self.maps[name] = _entries(
+                    snapshot.get("maps", {}).get(name, {})
+                )
             elif member.kind == "vector":
-                self.vectors[name] = [
+                self.vectors[name] = tuple(
                     const(value)
                     for value in snapshot.get("vectors", {}).get(name, [])
-                ]
+                )
             else:
                 self.scalars[name] = const(
                     snapshot.get("scalars", {}).get(name, 0)
                 )
                 width = bit_width_of(member.member_type, 0)
                 if width > 0:
-                    self._scalar_masks[name] = (1 << width) - 1
+                    self.scalar_masks[name] = (1 << width) - 1
+        self.tables: Dict[str, Tuple[Entry, ...]] = {}
+        self.registers: Dict[str, Term] = {}
+        for name in on_switch:
+            kind = members[name].kind
+            if kind == "map":
+                self.tables[name] = self.maps[name]
+            elif kind == "vector":
+                self.tables[name] = tuple(
+                    ((const(index),), value)
+                    for index, value in enumerate(self.vectors[name])
+                )
+            else:
+                self.registers[name] = self.scalars[name]
+        self._key_tests: Dict[tuple, Term] = {}
+
+    def keys_equal(self, entry_keys: Tuple[Term, ...],
+                   keys: Tuple[Term, ...]) -> Term:
+        pair = (entry_keys, keys)
+        test = self._key_tests.get(pair)
+        if test is None:
+            test = self._key_tests[pair] = _keys_equal(entry_keys, keys)
+        return test
+
+
+class SymStateStore:
+    """Symbolic mirror of :class:`StateStore`, entered at a scenario's
+    pre-state.  Maps are ordered entry lists because keys may become
+    symbolic mid-run (an insert under a symbolic header field)."""
+
+    def __init__(self, prestate: SymPrestate, chooser: Chooser):
+        self.members = prestate.members
+        self.chooser = chooser
+        self._keys_equal = prestate.keys_equal
+        self.maps: Dict[str, List[Entry]] = {
+            name: list(entries) for name, entries in prestate.maps.items()
+        }
+        self.vectors: Dict[str, List[Term]] = {
+            name: list(values) for name, values in prestate.vectors.items()
+        }
+        self.scalars: Dict[str, Term] = dict(prestate.scalars)
+        self._scalar_masks = prestate.scalar_masks
         self.journal: List[tuple] = []
 
     # -- maps ----------------------------------------------------------------
 
     def _find_entry(self, name: str, keys: Tuple[Term, ...]) -> Optional[int]:
         for index, (entry_keys, _value) in enumerate(self.maps[name]):
-            if self.chooser.decide(_keys_equal(entry_keys, keys)):
+            if self.chooser.decide(self._keys_equal(entry_keys, keys)):
                 return index
         return None
 
@@ -371,14 +434,15 @@ class SymTable:
     """One exact-match table's committed contents (fault-free, so the
     write-back stage is always folded — a plain ordered entry list)."""
 
-    def __init__(self, name: str, size: int):
+    def __init__(self, name: str, size: int, prestate: SymPrestate):
         self.name = name
         self.size = size
-        self.entries: List[Tuple[Tuple[Term, ...], Term]] = []
+        self.entries: List[Entry] = list(prestate.tables.get(name, ()))
+        self._keys_equal = prestate.keys_equal
 
     def _find(self, keys: Tuple[Term, ...], chooser: Chooser) -> Optional[int]:
         for index, (entry_keys, _value) in enumerate(self.entries):
-            if chooser.decide(_keys_equal(entry_keys, keys)):
+            if chooser.decide(self._keys_equal(entry_keys, keys)):
                 return index
         return None
 
@@ -407,20 +471,15 @@ class SymSwitchState(AccessRules):
 
     violation = CompositionViolation
 
-    def __init__(self, program, prestate: dict, chooser: Chooser):
+    def __init__(self, program, prestate: SymPrestate, chooser: Chooser):
         self.chooser = chooser
-        self.tables: Dict[str, SymTable] = {}
-        for name, spec in program.tables.items():
-            table = SymTable(name, spec.size)
-            for keys, value in prestate.get("tables", {}).get(name, {}).items():
-                table.entries.append(
-                    (tuple(const(k) for k in keys), const(value))
-                )
-            self.tables[name] = table
+        self.tables: Dict[str, SymTable] = {
+            name: SymTable(name, spec.size, prestate)
+            for name, spec in program.tables.items()
+        }
         self.registers: Dict[str, SymRegister] = {
             name: SymRegister(
-                name, spec.width_bits,
-                const(prestate.get("registers", {}).get(name, 0)),
+                name, spec.width_bits, prestate.registers.get(name, const(0))
             )
             for name, spec in program.registers.items()
         }

@@ -40,7 +40,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.codegen.headers import FLAG_VERDICT_DROP, FLAG_VERDICT_SEND
 from repro.difftest.kernel import OBSERVED_FIELDS
@@ -50,6 +50,7 @@ from repro.ir.interp import Interpreter, PacketView, StateStore
 from repro.lang.types import bit_width_of
 from repro.net.fields import BY_KEY
 from repro.net.packet import RawPacket
+from repro.partition.plan import PlacementKind
 from repro.runtime.server import (
     replicated_members,
     updates_from_journal,
@@ -68,12 +69,14 @@ from repro.verify.symbolic.engine import (
     SymExecError,
     SymExternHost,
     SymPacketView,
+    SymPrestate,
     SymStateStore,
     SymSwitchState,
     TermDomain,
 )
 from repro.verify.symbolic.terms import (
     Term,
+    atom,
     atoms_of,
     binop,
     const,
@@ -163,6 +166,11 @@ class SymbolicReport:
     decisions: int = 0
     source_crash_worlds: int = 0
     elapsed_s: float = 0.0
+    #: where the time went: label, worlds, decisions, elapsed_s of each
+    #: scenario entered, in order
+    per_scenario: List[dict] = field(default_factory=list)
+    #: what "proved" is qualified by (:meth:`Bound.to_dict`)
+    bound: dict = field(default_factory=dict)
 
     @property
     def errors(self) -> List[Diagnostic]:
@@ -182,6 +190,8 @@ class SymbolicReport:
             "decisions": self.decisions,
             "source_crash_worlds": self.source_crash_worlds,
             "elapsed_s": round(self.elapsed_s, 3),
+            "per_scenario": list(self.per_scenario),
+            "bound": self.bound,
             "diagnostics": [d.to_dict() for d in self.diagnostics],
             "counterexamples": [c.to_dict() for c in self.counterexamples],
             "inconclusive": list(self.inconclusive),
@@ -254,18 +264,26 @@ def deserialize_prestate(data: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Scenario:
-    """One concrete slice of the bounded packet/state space."""
+PACKET_SHAPES = ("tcp", "udp")
 
-    label: str
-    kind: str  # "tcp" | "udp"
-    ingress: int
-    payload: bytes
-    prestate: dict  # server StateStore snapshot (concrete)
-    switch_prestate: dict  # derived: {"tables": ..., "registers": ...}
-    #: atom name -> (region, field, width)
-    atoms: Dict[str, Tuple[str, str, int]] = field(default_factory=dict)
+
+class Scenario:
+    """One concrete slice of the bounded packet/state space, and what
+    every world of it starts from, built once: the pre-state in term form
+    and the base packet view.  A world copies both on entry (terms are
+    immutable, so a copy is pointers) and writes to neither."""
+
+    def __init__(self, label: str, kind: str, ingress: int, payload: bytes,
+                 prestate: dict, members, on_switch):
+        self.label = label
+        self.kind = kind  # one of PACKET_SHAPES
+        self.ingress = ingress
+        self.payload = payload
+        #: concrete server StateStore snapshot, what a witness replays on
+        self.prestate = prestate
+        #: the same in term form, with the switch's copy of ``on_switch``
+        self.state = SymPrestate(members, prestate, on_switch)
+        self.packet, self.atoms = make_symbolic_packet(kind, payload, ingress)
 
 
 def _base_prestate(plan, config) -> dict:
@@ -322,28 +340,6 @@ def _sample_prestates(plan, base: dict, variants: int,
     return prestates
 
 
-def _switch_prestate(plan, server_snapshot: dict) -> dict:
-    """Derive the switch's pre-state exactly like ``sync_all_state``."""
-    tables: Dict[str, dict] = {}
-    registers: Dict[str, int] = {}
-    for name, placement in plan.placements.items():
-        if not placement.on_switch:
-            continue
-        member = placement.member
-        if member.kind == "map":
-            tables[name] = dict(server_snapshot["maps"][name])
-        elif member.kind == "vector":
-            tables[name] = {
-                (index,): value
-                for index, value in enumerate(
-                    server_snapshot["vectors"][name]
-                )
-            }
-        else:
-            registers[name] = server_snapshot["scalars"][name]
-    return {"tables": tables, "registers": registers}
-
-
 def _function_traits(function) -> Tuple[bool, bool]:
     """(reads meta.ingress_port, calls payload externs) for ``function``."""
     reads_ingress = False
@@ -368,40 +364,72 @@ _SYMBOLIC_FIELDS = [
 ]
 
 
-def enumerate_scenarios(plan, config, budget: SymbolicBudget) -> List[Scenario]:
+@dataclass
+class Bound:
+    """The space one proof covers — what "proved" is qualified by: both
+    packet shapes times these ingress ports, payloads and pre-states,
+    every other observed header field symbolic, the clock frozen at 0."""
+
+    #: ``[0]`` is the post-``configure()`` state, the rest seeded variants
+    prestates: List[dict]
+    ingresses: List[int]
+    payloads: List[bytes]
+
+    def __len__(self) -> int:
+        return (len(PACKET_SHAPES) * len(self.ingresses) * len(self.payloads)
+                * len(self.prestates))
+
+    def scenarios(self, plan) -> Iterator[Scenario]:
+        """Each scenario as the prover reaches it — nothing holds the
+        last one's terms once the next is built."""
+        members = plan.middlebox.state
+        on_switch = [
+            name for name, placement in plan.placements.items()
+            if placement.on_switch
+        ]
+        for kind, ingress, payload, (index, prestate) in itertools.product(
+                PACKET_SHAPES, self.ingresses, self.payloads,
+                enumerate(self.prestates)):
+            yield Scenario(
+                f"{kind}/in{ingress}/pay{len(payload)}/state{index}",
+                kind, ingress, payload, prestate, members, on_switch,
+            )
+
+    def to_dict(self) -> dict:
+        return {
+            "prestate_variants": len(self.prestates) - 1,
+            "ingress_ports": list(self.ingresses),
+            "payloads": [payload.hex() for payload in self.payloads],
+            "symbolic_fields": {
+                kind: len(make_symbolic_packet(kind, b"", 1)[1])
+                for kind in PACKET_SHAPES
+            },
+            "frozen_clock_s": 0,
+        }
+
+
+def proof_bound(plan, config, budget: SymbolicBudget) -> Bound:
     rng = random.Random(budget.seed)
     base = _base_prestate(plan, config)
     variants = budget.prestate_variants if plan.middlebox.state else 0
-    prestates = _sample_prestates(plan, base, variants, rng)
     reads_ingress, reads_payload = _function_traits(plan.middlebox.process)
-    ingresses = [1, 2] if reads_ingress else [1]
-    payloads = [b"", b"AB\x00\x07"] if reads_payload else [b""]
-    scenarios: List[Scenario] = []
-    for kind in ("tcp", "udp"):
-        for ingress in ingresses:
-            for payload in payloads:
-                for index, prestate in enumerate(prestates):
-                    scenarios.append(Scenario(
-                        label=(f"{kind}/in{ingress}/pay{len(payload)}"
-                               f"/state{index}"),
-                        kind=kind,
-                        ingress=ingress,
-                        payload=payload,
-                        prestate=prestate,
-                        switch_prestate=_switch_prestate(plan, prestate),
-                    ))
-    return scenarios
+    return Bound(
+        prestates=_sample_prestates(plan, base, variants, rng),
+        ingresses=[1, 2] if reads_ingress else [1],
+        payloads=[b"", b"AB\x00\x07"] if reads_payload else [b""],
+    )
 
 
-def make_symbolic_packet(scenario: Scenario):
-    """Fresh :class:`SymPacketView` + atom registry for one scenario.
+def make_symbolic_packet(
+    kind: str, payload: bytes, ingress: int,
+) -> Tuple[SymPacketView, Dict[str, Tuple[str, str, int]]]:
+    """The base :class:`SymPacketView` of one packet shape and its atom
+    registry (atom name -> (region, field, width)).
 
     Atoms are shared by name across the source and composition runs (both
     copy the same base view), which is what makes structural term identity
     meaningful."""
-    from repro.verify.symbolic.terms import atom
-
-    template = PacketView(_template_packet(scenario.kind))
+    template = PacketView(_template_packet(kind))
     raw = template.raw
     fields: Dict[Tuple[str, str], Term] = {}
     atoms: Dict[str, Tuple[str, str, int]] = {}
@@ -418,12 +446,12 @@ def make_symbolic_packet(scenario: Scenario):
             # fields the subset can read but the oracle does not observe
             # (writes to them are raw stores, faithfully mirrored).
             fields[(region, name)] = const(template.get_field(region, name))
-    scenario.atoms = atoms
-    return SymPacketView(
+    view = SymPacketView(
         fields, has_ip=True, has_tcp=raw.tcp is not None,
         has_udp=raw.udp is not None,
-        payload=scenario.payload, ingress_port=const(scenario.ingress),
+        payload=payload, ingress_port=const(ingress),
     )
+    return view, atoms
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +510,8 @@ def _run_composition(plan, program, scenario: Scenario,
                      config) -> CompOutcome:
     chooser = domain.chooser
     packet = base_packet.copy()
-    switch = SymSwitchState(program, scenario.switch_prestate, chooser)
-    server = SymStateStore(plan.middlebox.state, scenario.prestate, chooser)
+    switch = SymSwitchState(program, scenario.state, chooser)
+    server = SymStateStore(scenario.state, chooser)
     # The switch pipelines run with a bare ExternHost (no deployment
     # config); only the server's interpreter sees the config sections.
     switch_externs = SymExternHost(None, chooser)
@@ -552,12 +580,26 @@ def _run_composition(plan, program, scenario: Scenario,
     return CompOutcome("drop", None, packet, server, switch)
 
 
+def _entry_pairs(what: str, ours, theirs) -> Iterator[Tuple[str, Term, Term]]:
+    """Key and value term pairs of two equally long entry lists.  An entry
+    no run touched is the scenario's own object on both sides and
+    contributes nothing, so a comparison costs what the world wrote."""
+    for index, (mine, yours) in enumerate(zip(ours, theirs)):
+        if mine is yours:
+            continue
+        for position, (key, other) in enumerate(zip(mine[0], yours[0])):
+            yield f"{what}[{index}].key{position}", key, other
+        yield f"{what}[{index}].value", mine[1], yours[1]
+
+
 def _first_unequal(pairs: Sequence[Tuple[str, Term, Term]],
                    kind: str) -> Optional[Mismatch]:
     """Compare term pairs; constant-fold equalities, return the first
     that is definitely or possibly unequal."""
     candidate: Optional[Mismatch] = None
     for label, lhs, rhs in pairs:
+        if lhs is rhs:
+            continue  # one term, whatever it evaluates to
         eq = binop(irin.BinOpKind.EQ, lhs, rhs)
         decided = truth(eq)
         if decided is True:
@@ -605,8 +647,6 @@ def _compare_world(plan, source, src_packet: SymPacketView,
     # Final state: maps and scalars, switch-resident registers read from
     # the switch (as `kernel.end_state` overlays them).  The concrete
     # oracle compares vectors too; the symbolic model does not.
-    from repro.partition.plan import PlacementKind
-
     map_pairs = []
     for name, entries in src_store.maps.items():
         comp_entries = comp.server.maps[name]
@@ -616,12 +656,7 @@ def _compare_world(plan, source, src_packet: SymPacketView,
                 f"map {name!r}: source has {len(entries)} entries,"
                 f" composition has {len(comp_entries)}",
             )
-        for index, ((src_keys, src_value), (dut_keys, dut_value)) in (
-                enumerate(zip(entries, comp_entries))):
-            for position, (a, b) in enumerate(zip(src_keys, dut_keys)):
-                map_pairs.append((f"map {name}[{index}].key{position}", a, b))
-            map_pairs.append((f"map {name}[{index}].value",
-                              src_value, dut_value))
+        map_pairs.extend(_entry_pairs(f"map {name}", entries, comp_entries))
     mismatch = _first_unequal(map_pairs, "state")
     if mismatch is not None:
         return mismatch
@@ -655,15 +690,9 @@ def _compare_world(plan, source, src_packet: SymPacketView,
                 f" {len(switch_entries)} entries, server has"
                 f" {len(server_entries)}",
             )
-        for index, ((s_keys, s_value), (m_keys, m_value)) in (
-                enumerate(zip(switch_entries, server_entries))):
-            for position, (a, b) in enumerate(zip(s_keys, m_keys)):
-                repl_pairs.append(
-                    (f"replicated {name}[{index}].key{position}", a, b)
-                )
-            repl_pairs.append(
-                (f"replicated {name}[{index}].value", s_value, m_value)
-            )
+        repl_pairs.extend(_entry_pairs(
+            f"replicated {name}", switch_entries, server_entries
+        ))
     return _first_unequal(repl_pairs, "switch_state")
 
 
@@ -676,11 +705,8 @@ def _run_world(plan, program, scenario: Scenario, script: Tuple[bool, ...],
                config, budget: SymbolicBudget) -> WorldResult:
     chooser = Chooser(script, max_decisions=budget.max_decisions)
     domain = TermDomain(chooser, budget.max_steps)
-    base_packet = make_symbolic_packet(scenario)
-    src_packet = base_packet.copy()
-    src_store = SymStateStore(
-        plan.middlebox.state, scenario.prestate, chooser
-    )
+    src_packet = scenario.packet.copy()
+    src_store = SymStateStore(scenario.state, chooser)
     try:
         source = Interpreter(
             plan.middlebox.process, src_store,
@@ -692,7 +718,7 @@ def _run_world(plan, program, scenario: Scenario, script: Tuple[bool, ...],
         return WorldResult("source_error", chooser, detail=str(exc))
     try:
         comp = _run_composition(
-            plan, program, scenario, base_packet, domain, config
+            plan, program, scenario, scenario.packet, domain, config
         )
     except (CompositionViolation, SymExecError) as exc:
         # Only the composition fails: a deployment-side crash candidate.
@@ -848,12 +874,13 @@ def verify_symbolic(
     report = SymbolicReport(program=plan.middlebox.name)
     rng = random.Random(budget.seed ^ 0xC0FFEE)
     started = time.perf_counter()
-    scenarios = enumerate_scenarios(plan, config, budget)
-    report.scenarios = len(scenarios)
+    bound = proof_bound(plan, config, budget)
+    report.bound = bound.to_dict()
+    report.scenarios = len(bound)
 
-    for scenario in scenarios:
-        if report.counterexamples:
-            break  # first confirmed disproof ends the run
+    entered = time.perf_counter()
+    for scenario in bound.scenarios(plan):
+        worlds, decisions = report.worlds, report.decisions
         pending: List[Tuple[bool, ...]] = [()]
         explored = 0
         while pending:
@@ -887,12 +914,20 @@ def verify_symbolic(
                 continue
             handled = _handle_suspect(
                 plan, program, source, config, scenario, world,
-                budget, rng, report, corpus_dir,
+                budget, rng, report, corpus_dir, bound.prestates[0],
             )
             if handled:
                 break  # confirmed disproof: stop this scenario
+        left = time.perf_counter()
+        report.per_scenario.append({
+            "label": scenario.label,
+            "worlds": report.worlds - worlds,
+            "decisions": report.decisions - decisions,
+            "elapsed_s": round(left - entered, 4),
+        })
+        entered = left
         if report.counterexamples:
-            break
+            break  # first confirmed disproof ends the run
 
     report.elapsed_s = time.perf_counter() - started
     if report.inconclusive and not report.counterexamples:
@@ -910,7 +945,7 @@ def verify_symbolic(
 def _handle_suspect(plan, program, source, config, scenario: Scenario,
                     world: WorldResult, budget: SymbolicBudget,
                     rng: random.Random, report: SymbolicReport,
-                    corpus_dir) -> bool:
+                    corpus_dir, base_prestate: dict) -> bool:
     """Search a witness for one suspicious world, confirm it by replay,
     and record the resulting diagnostic.  Returns True when a confirmed
     counterexample was produced (the scenario can stop)."""
@@ -937,9 +972,8 @@ def _handle_suspect(plan, program, source, config, scenario: Scenario,
         if not diverged:
             unsound += 1
             continue
-        base = _base_prestate(plan, config)
         spec, prestate = _minimize_spec(
-            plan, program, config, scenario.prestate, spec, base
+            plan, program, config, scenario.prestate, spec, base_prestate
         )
         counterexample = Counterexample(
             code=code, detail=detail, packet=spec, prestate=prestate,

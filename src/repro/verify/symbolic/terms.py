@@ -177,8 +177,7 @@ def binop(op: BinOpKind, a: Term, b: Term) -> Term:
             shift = b.value & 63
             if shift == 0:
                 return a
-            return _mk_op(op, (a, b), a.lo << shift if a.lo >= 0 else a.lo << shift,
-                          a.hi << shift)
+            return _mk_op(op, (a, b), a.lo << shift, a.hi << shift)
         if a.lo >= 0:
             return _mk_op(op, (a, b), 0, a.hi << 63)
         return _mk_op(op, (a, b), a.lo << 63, max(a.hi, 0) << 63)
@@ -227,7 +226,7 @@ def _decide_comparison(op: BinOpKind, a: Term, b: Term) -> Optional[int]:
     elif op is kind.GT:
         if b.hi < a.lo:
             return 1
-        if b.lo >= a.hi:
+        if same or b.lo >= a.hi:
             return 0
     elif op is kind.GE:
         if same or b.hi <= a.lo:

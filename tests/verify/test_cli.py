@@ -7,6 +7,7 @@ unless ``verify=False`` opts out.
 """
 
 import json
+import re
 
 import pytest
 
@@ -103,3 +104,54 @@ def test_every_emitted_code_is_registered():
     assert used <= set(DIAGNOSTIC_CODES)
     # and the registry has no dead codes either
     assert set(DIAGNOSTIC_CODES) <= used
+
+
+def test_symbolic_report_says_what_proved_is_bounded_by(capsys):
+    """``per_scenario`` adds up to the totals and ``bound`` is the space
+    the scenarios enumerate; the CLI has schema-checked both."""
+    from repro.verify.symbolic import prover
+
+    assert main(["verify", "trojan", "--symbolic", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)["symbolic"]
+    assert report["version"] == 1 and report["proved"]
+    rows = report["per_scenario"]
+    assert len(rows) == report["scenarios"]
+    assert sum(row["worlds"] for row in rows) == report["worlds"]
+    assert sum(row["decisions"] for row in rows) == report["decisions"]
+    bound = report["bound"]
+    # trojan reads the payload and keeps state, and never asks its port
+    assert bound["payloads"] == ["", "41420007"]
+    assert bound["ingress_ports"] == [1]
+    assert bound["prestate_variants"] == 2
+    assert bound["frozen_clock_s"] == 0
+    assert [row["label"] for row in rows] == [
+        f"{kind}/in1/pay{size}/state{index}"
+        for kind in prover.PACKET_SHAPES for size in (0, 4)
+        for index in range(3)
+    ]
+    # every observed field of the shape's headers but ``ip.protocol``
+    assert bound["symbolic_fields"] == {"tcp": 16, "udp": 12}
+
+
+def test_symbolic_schema_knows_the_new_keys():
+    from repro.telemetry.schema import validate_named
+    from repro.verify.symbolic import SymbolicReport
+
+    report = SymbolicReport(program="p").to_dict()
+    report["bound"] = {"prestate_variants": 0, "ingress_ports": [1],
+                       "payloads": [""], "frozen_clock_s": 0,
+                       "symbolic_fields": {"tcp": 1, "udp": 1}}
+    assert validate_named(report, "symbolic") == []
+    report["per_scenario"] = [{"label": "tcp/in1/pay0/state0", "worlds": 1}]
+    del report["bound"]["payloads"]
+    assert len(validate_named(report, "symbolic")) == 3
+
+
+def test_verify_symbolic_names_the_costliest_scenario(capsys):
+    assert main(["verify", "firewall", "--symbolic"]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert "translation validation PROVED (12 scenarios, 396 worlds" in summary
+    assert re.search(
+        r"; costliest (tcp|udp)/in[12]/pay0/state[0-2]: \d+ worlds, \d+ ms\)$",
+        summary,
+    )

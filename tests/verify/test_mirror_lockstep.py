@@ -142,15 +142,25 @@ class ConcolicChooser(Chooser):
         return implied
 
 
-def symbolic_world(packet, ingress: int, prestate: dict, switch_prestate: dict):
+def symbolic_world(packet, ingress: int, prestate: dict, members,
+                   switch_prestate: dict):
     """The prover's scenario, view and chooser for one concrete packet:
-    atoms where the prover has atoms, this packet's values elsewhere."""
+    atoms where the prover has atoms, this packet's values elsewhere, and
+    the switch holding what its twin holds (not what a fresh install of
+    ``prestate`` would give it)."""
     scenario = prover.Scenario(
-        label="lockstep", kind="udp" if packet.udp is not None else "tcp",
-        ingress=ingress, payload=packet.payload, prestate=prestate,
-        switch_prestate=switch_prestate,
+        "lockstep", "udp" if packet.udp is not None else "tcp",
+        ingress, packet.payload, prestate, members, on_switch=(),
     )
-    view = prover.make_symbolic_packet(scenario)
+    scenario.state.tables = {
+        name: engine._entries(entries)
+        for name, entries in switch_prestate.get("tables", {}).items()
+    }
+    scenario.state.registers = {
+        name: const(value)
+        for name, value in switch_prestate.get("registers", {}).items()
+    }
+    view = scenario.packet.copy()
     concrete = PacketView(packet)
     for key, term in view.fields.items():
         if term.is_const:
@@ -221,9 +231,9 @@ def source_lockstep(lowered, config, packets: Packets, counts: Counts) -> None:
         packet = packet.copy()
         packet.ingress_port = ingress
         scenario, sym_view, chooser = symbolic_world(
-            packet, ingress, state.snapshot(), {}
+            packet, ingress, state.snapshot(), lowered.state, {}
         )
-        store = SymStateStore(lowered.state, scenario.prestate, chooser)
+        store = SymStateStore(scenario.state, chooser)
         mirror, mirror_error = attempt(
             lambda: Interpreter(
                 lowered.process, store, SymExternHost(config, chooser),
@@ -281,14 +291,27 @@ def composition_lockstep(plan, program, config, packets: Packets,
                          counts: Counts) -> None:
     box = GalliumMiddlebox(plan, program, config=config)
     box.install()
-    # The prover's derivation of the switch pre-state is install()'s.
-    require_equal("switch pre-state",
-                  prover._switch_prestate(plan, box.state.snapshot()),
-                  switch_state(box))
+    # The prover's derivation of the switch pre-state is install()'s,
+    # out of the server's own entries where a table mirrors a map.
+    members = plan.middlebox.state
+    derived = engine.SymPrestate(members, box.state.snapshot(), [
+        name for name, placement in plan.placements.items()
+        if placement.on_switch
+    ])
+    require_equal("switch pre-state", {
+        "tables": {name: {tuple(key.value for key in keys): value.value
+                          for keys, value in entries}
+                   for name, entries in derived.tables.items()},
+        "registers": {name: term.value
+                      for name, term in derived.registers.items()},
+    }, switch_state(box))
+    for name, entries in derived.tables.items():
+        if members[name].kind == "map":
+            assert entries is derived.maps[name], name
     counts.programs += 1
     for packet, ingress in packets:
         scenario, sym_view, chooser = symbolic_world(
-            packet, ingress, box.state.snapshot(), switch_state(box)
+            packet, ingress, box.state.snapshot(), members, switch_state(box)
         )
         mirror, mirror_error = attempt(
             lambda: prover._run_composition(
@@ -513,7 +536,8 @@ def through_all_three_views(function, packet, value: int = 0):
         lambda: {
             name: evaluate(term, {})
             for name, term in Interpreter(
-                function, SymStateStore({}, {}, chooser),
+                function,
+                SymStateStore(engine.SymPrestate({}, {}, ()), chooser),
                 SymExternHost(None, chooser),
                 TermDomain(chooser, IntDomain.max_steps),
             ).run(constant_view(packet), {"v": const(value)}).env.items()
