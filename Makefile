@@ -18,8 +18,8 @@ help:
 	@echo "                  numbers ROADMAP and EXPERIMENTS.md track)"
 	@echo "  verify          static verifier and translation validation over all"
 	@echo "                  bundled middleboxes (~1 s), after the option census"
-	@echo "  compile-pins    every compile decision vs the golden file (wide sweep,"
-	@echo "                  ~1 min; the narrow one runs in tier-1)"
+	@echo "  compile-pins    every compile decision, then every refinement move, vs"
+	@echo "                  the golden files (wide sweeps, ~20 s; narrow in tier-1)"
 	@echo "  prover-pins     every world the prover explores vs the golden file"
 	@echo "                  (wide sweep, ~27 s; the narrow one, ~7 s, runs in tier-1)"
 	@echo "  mirror-lockstep every symbolic mirror against its concrete twin,"
@@ -79,8 +79,11 @@ verify: option-census
 # plus each lint / IR fixture and the code it must yield, against the
 # golden file recorded before the static checks became one layer.  Wide
 # sweep; tier-1 runs the narrow one (tests/partition/test_compile_pins.py).
+# Then the ordered refinement moves that led to each of them, over the
+# same programs (tests/partition/refinement_moves.py).
 compile-pins:
 	$(PYTHON) -m tests.partition.compile_pins --wide
+	$(PYTHON) -m tests.partition.refinement_moves --wide
 
 # Every world the symbolic prover explores — status, decision trace,
 # path condition, mismatch, in exploration order — for the six bundled

@@ -428,6 +428,11 @@ def run(argv: List[str], golden: Path, compute, moved, what: str) -> int:
         print(f"wrote {golden} ({', '.join(sweeps)})")
         return 0
     recorded = json.loads(golden.read_text())
+    missing = [sweep for sweep in sweeps if sweep not in recorded]
+    if missing:
+        print(f"{golden.name} has no {', '.join(missing)} group recorded"
+              " (record one with --write)")
+        return 1
     differences = [
         f"{sweep}/{line}"
         for sweep in sweeps

@@ -20,7 +20,12 @@ constraint-3 search are another object and are skipped) and at every
 pass's exit, so a pass that stops re-running the rules after its last pin
 records the same list.
 
-    PYTHONPATH=src python -m tests.partition.refinement_moves [--write]
+The ``wide`` group adds the nine longest generated programs — the ones
+that do most of the budget search — and was recorded on the commit before
+that search stopped projecting every iteration (``make compile-pins``
+runs it).
+
+    PYTHONPATH=src python -m tests.partition.refinement_moves [--wide] [--write]
 """
 
 from __future__ import annotations

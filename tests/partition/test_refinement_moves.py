@@ -32,3 +32,15 @@ def test_every_refinement_pass_is_pinned(recorded):
         for move in row["moves"]
     }
     assert phases == set(refinement_moves.PHASES) | {"driver"}
+
+
+def test_an_unrecorded_group_is_one_line_not_a_traceback(tmp_path, capsys):
+    golden = tmp_path / "pins.json"
+    golden.write_text(json.dumps({"narrow": {}}))
+    status = refinement_moves.run(
+        ["--wide"], golden, lambda wide: {}, compile_pins.moved, "pins"
+    )
+    assert status == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "pins.json has no wide group recorded (record one with --write)"
+    ]
