@@ -19,7 +19,7 @@ help:
 	@echo "  verify          static verifier and translation validation over all"
 	@echo "                  bundled middleboxes (~1 s), after the option census"
 	@echo "  compile-pins    every compile decision, then every refinement move, vs"
-	@echo "                  the golden files (wide sweeps, ~20 s; narrow in tier-1)"
+	@echo "                  the golden files (wide sweeps, ~11 s; narrow in tier-1)"
 	@echo "  prover-pins     every world the prover explores vs the golden file"
 	@echo "                  (wide sweep, ~27 s; the narrow one, ~7 s, runs in tier-1)"
 	@echo "  mirror-lockstep every symbolic mirror against its concrete twin,"

@@ -68,6 +68,10 @@ class DependencyGraph:
     label_statics: Optional[Any] = field(
         default=None, repr=False, compare=False
     )
+    #: likewise what :mod:`repro.partition.projection` derives from it
+    projection_statics: Optional[Any] = field(
+        default=None, repr=False, compare=False
+    )
 
     def by_id(self, inst_id: int) -> Instruction:
         return self._index[inst_id]

@@ -4,8 +4,9 @@ The metadata allocator reuses scratchpad bytes of dead temporaries (paper
 §4.3.1: "Gallium records when temporary variables are first and last used
 ... reuses the memory consumed by variables that are no longer useful").
 The §4.3.2 liveness test on the partition boundary — which variables must
-travel in the shim header — is ``repro.ir.validate.unsatisfied_uses`` over
-each projection.
+travel in the shim header — is ``ProjectionStatics.decide`` in
+``repro.partition.projection``, checked after the fact by
+``repro.ir.validate.unsatisfied_uses`` over each built projection.
 """
 
 from __future__ import annotations

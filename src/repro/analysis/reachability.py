@@ -13,7 +13,7 @@ blocks on cycles (for the paper's loop rule 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Set
+from typing import Dict, Optional, Set
 
 from repro.ir.function import Function
 from repro.ir.instructions import Branch, Instruction
@@ -49,6 +49,15 @@ class ReachabilityInfo:
 
     def in_cycle(self, inst: Instruction) -> bool:
         return self.inst_block[inst.id] in self.cyclic_blocks
+
+    def immediate_postdominator(self, block: str) -> Optional[str]:
+        """The nearest strict postdominator of ``block`` (None if it exits):
+        the one every other strict postdominator postdominates."""
+        strict = self.postdominators.get(block, set()) - {block}
+        for candidate in strict:
+            if strict - {candidate} <= self.postdominators.get(candidate, set()):
+                return candidate
+        return None
 
 
 def compute_reachability(function: Function) -> ReachabilityInfo:

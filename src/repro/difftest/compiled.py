@@ -105,6 +105,8 @@ class CompiledGauntletStats:
     crash: int = 0
     deployment_checked: int = 0
     elapsed_s: float = 0.0
+    #: of that, inside ``kernel.compile_step``
+    compile_s: float = 0.0
 
     def record(self, result: CompiledCheckResult) -> None:
         self.runs += 1
@@ -126,7 +128,7 @@ class CompiledGauntletStats:
             f"{self.runs} programs both ways: {self.agree} agree,"
             f" {self.diverge} diverge, {self.crash} crash"
             f" ({self.deployment_checked} also compared full deployments)"
-            f" in {self.elapsed_s:.1f}s"
+            f" in {kernel.Elapsed(self.elapsed_s, self.compile_s)}"
         )
 
 
@@ -344,7 +346,7 @@ def run_compiled_gauntlet(
             return None
         return CompiledFailure(index, program_seed, stream, program, result)
 
-    failures, stats.elapsed_s = kernel.drive(
+    failures, (stats.elapsed_s, stats.compile_s) = kernel.drive(
         runs, seed, scenario, _REPRODUCE,
         seed_override=seed_override, time_budget_s=time_budget_s,
         max_failures=max_failures, log=log,

@@ -16,7 +16,9 @@ from __future__ import annotations
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.ir.interp import PacketView
 from repro.net.fields import FIELD_WIDTHS
@@ -281,10 +283,30 @@ def reference(phase: str) -> _Guard:
 COMPILE_REFUSALS = (PartitionError, SwitchProgramError)
 
 
+#: seconds spent inside :func:`compile_step` so far, process-wide;
+#: :func:`drive` reports the part that fell inside its own campaign
+_compile_s = 0.0
+
+
 def compile_step(compile_fn: Callable, *args):
-    """Compile under the DUT guard."""
-    with dut("compile", refusals=COMPILE_REFUSALS):
-        return compile_fn(*args)
+    """Compile under the DUT guard, on the clock every summary reports."""
+    global _compile_s
+    started = time.monotonic()
+    try:
+        with dut("compile", refusals=COMPILE_REFUSALS):
+            return compile_fn(*args)
+    finally:
+        _compile_s += time.monotonic() - started
+
+
+class Elapsed(NamedTuple):
+    """A campaign's wall time, and how much of it was compiling."""
+
+    total_s: float
+    compile_s: float
+
+    def __str__(self) -> str:
+        return f"{self.total_s:.1f}s (compile {self.compile_s:.1f}s)"
 
 
 @dataclass
@@ -360,8 +382,8 @@ def drive(
     max_failures: Optional[int] = 10,
     log: Optional[Callable[[str], None]] = None,
     progress: Callable[[], str] = str,
-) -> Tuple[list, float]:
-    """The seeded campaign loop; returns ``(failures, elapsed_s)``.
+) -> Tuple[list, Elapsed]:
+    """The seeded campaign loop; returns ``(failures, elapsed)``.
 
     ``scenario(index, program_seed)`` returns the run's failure (anything
     with a ``report()``) or ``None``.  ``seed_override`` pins the program
@@ -371,7 +393,7 @@ def drive(
     :class:`HarnessBug` naming ``reproduce(program_seed)``.
     """
     failures: list = []
-    started = time.monotonic()
+    started, compiling = time.monotonic(), _compile_s
     for index in range(runs):
         if (time_budget_s is not None
                 and time.monotonic() - started > time_budget_s):
@@ -398,7 +420,9 @@ def drive(
                 break
         elif log is not None and (index + 1) % 100 == 0:
             log(f"... {index + 1}/{runs} {progress()}".rstrip())
-    return failures, time.monotonic() - started
+    return failures, Elapsed(
+        time.monotonic() - started, _compile_s - compiling
+    )
 
 
 def minimize(

@@ -73,6 +73,8 @@ class GauntletStats:
     symbolic_checked: int = 0
     symbolic_disagreements: int = 0
     elapsed_s: float = 0.0
+    #: of that, inside ``kernel.compile_step``
+    compile_s: float = 0.0
 
     def record(self, result: OracleResult) -> None:
         self.runs += 1
@@ -112,7 +114,7 @@ class GauntletStats:
             f" {self.verifier_disagreements} verifier disagreements"
             f" ({self.cached_checked} also ran the cached deployment)"
             f"{symbolic}"
-            f" in {self.elapsed_s:.1f}s"
+            f" in {kernel.Elapsed(self.elapsed_s, self.compile_s)}"
         )
 
 
@@ -185,7 +187,7 @@ def run_gauntlet(
                 failure.minimized_program, failure.minimized_stream = minimized
         return failure
 
-    failures, stats.elapsed_s = kernel.drive(
+    failures, (stats.elapsed_s, stats.compile_s) = kernel.drive(
         runs, seed, scenario, _REPRODUCE,
         seed_override=seed_override, time_budget_s=time_budget_s,
         max_failures=max_failures, log=log,

@@ -170,6 +170,8 @@ class CampaignStats:
     degraded_packets: int = 0
     delivered_packets: int = 0
     elapsed_s: float = 0.0
+    #: of that, inside ``kernel.compile_step``
+    compile_s: float = 0.0
     #: scenarios whose plan contained the kind (regardless of outcome)
     scenarios_by_kind: Dict[str, int] = field(default_factory=dict)
     #: control-plane batches rolled back, campaign-wide
@@ -288,6 +290,7 @@ class CampaignStats:
                 "by_kind": rollback_rates,
             },
             "elapsed_s": round(self.elapsed_s, 3),
+            "compile_s": round(self.compile_s, 3),
         }
 
     def summary(self) -> str:
@@ -300,7 +303,8 @@ class CampaignStats:
             f" {self.crashes} crashes"
             + (f" ({self.reference_crashes} of the reference)"
                if self.reference_crashes else "")
-            + f", {self.rejected} rejected in {self.elapsed_s:.1f}s\n"
+            + f", {self.rejected} rejected in"
+            f" {kernel.Elapsed(self.elapsed_s, self.compile_s)}\n"
             f"packets: {self.delivered_packets} delivered with full"
             f" semantics, {self.degraded_packets} degraded (all declared)\n"
             f"coverage: {covered}"
@@ -375,7 +379,7 @@ def run_campaign(
                 ) = minimized
         return failure
 
-    failures, stats.elapsed_s = kernel.drive(
+    failures, (stats.elapsed_s, stats.compile_s) = kernel.drive(
         runs, seed, scenario, _reproduce(deployment),
         seed_override=seed_override, time_budget_s=time_budget_s,
         max_failures=max_failures, log=log,

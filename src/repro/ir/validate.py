@@ -5,7 +5,7 @@ block shape, branch targets, single assignment of temporaries, definition
 before use (codes IR001-IR007) — are stage 1 of the static verifier
 (:func:`repro.verify.ir_verifier.verify_structure`);
 :func:`validate_function` is the fail-fast view over it.  What lives here
-is the dataflow both share with the partition splitter: which registers
+is the dataflow both share with the partition verifier: which registers
 are definitely defined when a block is entered, and which uses that
 leaves uncovered.
 """
@@ -93,9 +93,10 @@ def undefined_uses(
 def unsatisfied_uses(function: Function) -> Dict[str, Reg]:
     """Registers that may be read before any definition in ``function``.
 
-    The partition splitter uses this to compute shim transfer sets: a
-    projection's unsatisfied uses are exactly the values earlier partitions
-    must hand over.
+    A projection's unsatisfied uses are exactly the values earlier
+    partitions must hand over: PART004 holds the shims to this, over the
+    built projections (the partitioner sizes them beforehand, on the
+    source function: ``ProjectionStatics.decide``).
     """
     needs: Dict[str, Reg] = {}
     for _, _, reg in undefined_uses(function):

@@ -25,7 +25,11 @@ from repro.partition.plan import (
     PlacementKind,
 )
 from repro.partition.partitioner import partition_middlebox, PartitionError
-from repro.partition.projection import project_partition, ProjectionResult
+from repro.partition.projection import (
+    Boundary,
+    ProjectionStatics,
+    project_partition,
+)
 
 __all__ = [
     "Label",
@@ -40,5 +44,6 @@ __all__ = [
     "partition_middlebox",
     "PartitionError",
     "project_partition",
-    "ProjectionResult",
+    "ProjectionStatics",
+    "Boundary",
 ]

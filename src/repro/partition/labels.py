@@ -116,6 +116,14 @@ class LabelAssignment:
             Partition.NON_OFF: self.no_pre & self.no_post,
         }[partition]
 
+    def through(self, partition: Partition) -> int:
+        """The instructions assigned to ``partition`` or an earlier one."""
+        mask = 0
+        for other in Partition:
+            if other.value <= partition.value:
+                mask |= self.members(other)
+        return mask
+
     def offloaded_count(self) -> int:
         """Number of instructions assigned to the switch."""
         return sum(

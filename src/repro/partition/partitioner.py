@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.analysis.depgraph import DependencyGraph, build_dependency_graph
 from repro.analysis.distance import dependency_distances
 from repro.ir import instructions as irin
+from repro.ir.function import Function
 from repro.ir.lowering import LoweredMiddlebox, StateMember
 from repro.partition.constraints import (
     ConstraintReport,
@@ -47,7 +48,8 @@ from repro.partition.plan import (
 )
 from repro.partition.projection import (
     NEEDS_SERVER,
-    ProjectionResult,
+    Boundary,
+    ProjectionStatics,
     project_partition,
 )
 
@@ -109,7 +111,7 @@ def partition_middlebox(
             break
         assignment = run_label_removal(graph, removed)
 
-    pre_projection, non_off_projection, post_projection = projections
+    pre, non_offloaded, post = projections
     to_server, to_switch = transfers
     placements = _derive_placements(lowered, graph, assignment, limits)
     report = _report(
@@ -124,9 +126,9 @@ def partition_middlebox(
         middlebox=lowered,
         limits=limits,
         assignment=assignment.assignment(),
-        pre=pre_projection.function,
-        non_offloaded=non_off_projection.function,
-        post=post_projection.function,
+        pre=pre,
+        non_offloaded=non_offloaded,
+        post=post,
         to_server=to_server,
         to_switch=to_switch,
         placements=placements,
@@ -398,49 +400,53 @@ def _find_multi_access_state(
 # ---------------------------------------------------------------------------
 
 
-class _SwitchSide:
-    """One switch pipeline (PRE or POST) across the budget search.
+class _Side:
+    """One partition across the budget search.
 
-    Its projection, and so its measured usage, is a pure function of the
-    *set* of instructions assigned to it — a post-side move cannot change
-    the pre pipeline — so an iteration that left that set alone reuses
-    both.  (The server projection depends on the whole assignment and is
-    rebuilt every time.)
+    What its projection needs and defines (its :class:`Boundary`) is a pure
+    function of which instructions are its own and which are earlier — for
+    a switch pipeline, of its member set alone: a post-side move cannot
+    change the pre pipeline — so an iteration that left those alone reuses
+    the boundary and, where one was built, the projection and its measured
+    usage.  Only the boundary is needed to size a shim; the projection is
+    built when a pipeline must be measured, or the plan is accepted.
     """
 
-    def __init__(
-        self, lowered: LoweredMiddlebox, graph: DependencyGraph,
-        partition: Partition,
-    ):
-        self._function = lowered.process
-        self._postdominators = graph.reachability.postdominators
+    def __init__(self, statics: ProjectionStatics, partition: Partition):
+        self._statics = statics
         self._partition = partition
-        self._members: Optional[int] = None
+        self._key: Optional[Tuple[int, int]] = None
+        self._function: Optional[Function] = None
         self._usage: Optional[PipelineUsage] = None
-        self.projection: ProjectionResult
+        self.boundary: Boundary
 
-    def project(
-        self, assignment: LabelAssignment, mapping: Dict[int, Partition]
-    ) -> ProjectionResult:
-        members = assignment.members(self._partition)
-        if members != self._members:
-            self.projection = project_partition(
-                self._function, mapping, self._partition, self._postdominators
-            )
-            self._members = members
-            self._usage = None
-        return self.projection
+    def decide(self, assignment: LabelAssignment) -> Boundary:
+        key = (
+            assignment.members(self._partition),
+            assignment.through(self._partition),
+        )
+        if key != self._key:
+            self.boundary = self._statics.decide(assignment, self._partition)
+            self._key = key
+            self._function = self._usage = None
+        return self.boundary
+
+    def function(self) -> Function:
+        if self._function is None:
+            self._function = project_partition(self._statics, self.boundary)
+        return self._function
 
     def over_budget(
         self, transfer: TransferSpec, limits: SwitchResources
     ) -> Tuple[bool, Optional[PipelineUsage]]:
         """Does this pipeline break constraint 5, 4 or 2?  Also returns
         its measured usage, unless the shim alone decided (the cheap test
-        goes first: measuring builds the projection's dependency graph)."""
+        goes first: measuring builds the projection and its dependency
+        graph)."""
         if transfer.byte_size() > limits.transfer_bytes:
             return True, None
         if self._usage is None:
-            self._usage = measure_pipeline(self.projection.function)
+            self._usage = measure_pipeline(self.function())
         usage = self._usage
         return (
             usage.metadata_bytes > limits.metadata_bytes
@@ -448,40 +454,25 @@ class _SwitchSide:
         ), usage
 
 
-def _build_transfers(pre, non_off, post) -> Tuple[TransferSpec, TransferSpec]:
+def _build_transfers(
+    statics: ProjectionStatics, pre: Boundary, non_off: Boundary, post: Boundary
+) -> Tuple[TransferSpec, TransferSpec]:
     """Shim contents from the projections' unsatisfied uses.
 
-    A projection's *undefined uses* are exactly the values it needs from
-    earlier partitions (local rematerialization already removed everything
-    the partition can recompute itself).  A value the post partition needs
+    A projection's *needs* are exactly the values it must get from earlier
+    partitions (local rematerialization already removed everything the
+    partition can recompute itself).  A value the post partition needs
     but the server partition does not still flows through the server, so it
     appears in both shims.
     """
-    from repro.ir.validate import unsatisfied_uses
-
-    pre_defs = pre.function.defined_regs()
-    non_off_defs = non_off.function.defined_regs()
-    non_off_needs = unsatisfied_uses(non_off.function)
-    post_needs = unsatisfied_uses(post.function)
-    to_server_regs: Dict[str, object] = {}
-    for name, reg in non_off_needs.items():
-        if name in pre_defs:
-            to_server_regs[name] = reg
-    for name, reg in post_needs.items():
-        if name in pre_defs and name not in non_off_defs:
-            to_server_regs[name] = reg
-    to_switch_regs = {
-        name: reg
-        for name, reg in post_needs.items()
-        if name in pre_defs or name in non_off_defs
-    }
-    to_server = TransferSpec(
-        [to_server_regs[name] for name in sorted(to_server_regs)]
+    to_server = (
+        non_off.needs & pre.defs | post.needs & pre.defs & ~non_off.defs
     )
-    to_switch = TransferSpec(
-        [to_switch_regs[name] for name in sorted(to_switch_regs)]
+    to_switch = post.needs & (pre.defs | non_off.defs)
+    return (
+        TransferSpec(statics.registers(to_server)),
+        TransferSpec(statics.registers(to_switch)),
     )
-    return to_server, to_switch
 
 
 def _enforce_budgets(
@@ -500,27 +491,26 @@ def _enforce_budgets(
     re-run the label rules.  Terminates: each move strictly shrinks the
     offloaded set, and the all-server partitioning satisfies everything.
 
-    Constraints 2 and 4 are measured on the projections — the pipelines
-    the switch runs — so remat-induced chains count.  Returns the
-    :class:`PipelineUsage` pair of the accepted iteration with it.
+    Constraint 5 is read off the source function (:class:`_Side`);
+    constraints 2 and 4 are measured on the projections — the pipelines
+    the switch runs — so remat-induced chains count.  Returns the three
+    projections, the transfer sets and the :class:`PipelineUsage` pair of
+    the accepted iteration with the assignment.
     """
-    pre_side = _SwitchSide(lowered, graph, Partition.PRE)
-    post_side = _SwitchSide(lowered, graph, Partition.POST)
+    statics = ProjectionStatics.of(graph)
+    pre_side, _, post_side = sides = [
+        _Side(statics, partition) for partition in Partition
+    ]
     while True:
-        mapping = assignment.assignment()
-        pre = pre_side.project(assignment, mapping)
-        non_off = project_partition(
-            lowered.process, mapping, Partition.NON_OFF,
-            graph.reachability.postdominators,
+        to_server, to_switch = _build_transfers(
+            statics, *(side.decide(assignment) for side in sides)
         )
-        post = post_side.project(assignment, mapping)
-        to_server, to_switch = _build_transfers(pre, non_off, post)
         over_pre, usage_pre = pre_side.over_budget(to_server, limits)
         over_post, usage_post = post_side.over_budget(to_switch, limits)
         if not over_pre and not over_post:
             return (
                 assignment,
-                (pre, non_off, post),
+                tuple(side.function() for side in sides),
                 (to_server, to_switch),
                 (usage_pre, usage_post),
             )

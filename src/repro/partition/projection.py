@@ -14,31 +14,33 @@ set whenever the projection skips *effectful* foreign work (global-state
 mutation, extern side effect, verdict).  When the PRE program falls off the
 end without a verdict, the switch punts the packet to the middlebox server
 — the fast-path / slow-path decision of Figure 1.
+
+**Deciding before building.**  What a projection keeps, and so which
+registers it needs from earlier partitions and which it defines, is a
+question about the *source* function and one bitset, the partition's
+members: :meth:`ProjectionStatics.decide` answers it with a dataflow pass
+over the source blocks along the edges the projection would have, and
+allocates nothing.  :func:`project_partition` builds the ``Function`` from
+that same answer, so the budget search of §4.2.2 can reject a move on its
+shim bytes without a CFG and build only what it accepts (DESIGN.md,
+"What a move costs", has the argument that the two agree).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.depgraph import DependencyGraph
 from repro.lang.types import BOOL
 from repro.ir import instructions as irin
 from repro.ir.function import Function
 from repro.ir.values import Const, Reg, aliased_packet_region
-from repro.partition.labels import Partition
+from repro.partition.labels import LabelAssignment, Partition
 
 NEEDS_SERVER = "__needs_server"
 
 EXIT_BLOCK = "__exit"
-
-
-@dataclass
-class ProjectionResult:
-    function: Function
-    partition: Partition
-    #: registers this projection reads that it never defines (must be
-    #: seeded from the shim header / earlier partitions)
-    undefined_uses: Set[str]
 
 
 def _effectful(inst: irin.Instruction) -> bool:
@@ -55,262 +57,439 @@ def _effectful(inst: irin.Instruction) -> bool:
     return False
 
 
-def _immediate_postdominator(
-    function: Function, postdominators: Dict[str, Set[str]], block: str
-) -> Optional[str]:
-    """The nearest strict postdominator of ``block`` (None if it exits)."""
-    strict = postdominators.get(block, set()) - {block}
-    if not strict:
-        return None
-    # The immediate postdominator is the strict postdominator that is
-    # postdominated by every other strict postdominator.
-    for candidate in strict:
-        others = strict - {candidate}
-        candidate_post = postdominators.get(candidate, set())
-        if others <= candidate_post:
-            return candidate
-    return None
+def _bits(mask: int):
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def project_partition(
-    function: Function,
-    assignment: Dict[int, Partition],
-    partition: Partition,
-    postdominators: Dict[str, Set[str]],
-) -> ProjectionResult:
-    """Project ``function`` onto one partition (see module docstring)."""
+@dataclass
+class _Block:
+    """One source block, as far as no assignment can change it."""
+
+    name: str
+    #: index in ``ProjectionStatics.order`` (reverse post-order)
+    index: int
+    #: ``(bit, instruction, used registers, defined registers)`` in order
+    instructions: List[Tuple[int, irin.Instruction, int, int]]
+    #: successors in the source CFG
+    successors: Tuple[int, ...] = ()
+    #: for a block ending in a ``Branch``: the branch's bit, where a
+    #: projection that skips it jumps (its immediate postdominator; empty
+    #: when that is the exit), and every instruction but the jumps of the
+    #: region it guards (the blocks between it and that join)
+    branch: int = 0
+    skip: Tuple[int, ...] = ()
+    region: int = 0
+
+
+@dataclass(frozen=True)
+class Boundary:
+    """What one partition's projection keeps, needs and defines.
+
+    Decided on the source function (:meth:`ProjectionStatics.decide`);
+    instruction sets are bitsets over ``DependencyGraph.position``, block
+    sets over ``ProjectionStatics.order``, register sets over
+    ``ProjectionStatics.regs``.
+    """
+
+    partition: Partition
+    #: the partition's instructions, and those of it and earlier ones
+    members: int
+    not_later: int
+    #: the branches the projection keeps (the others jump to their join)
+    kept: int
+    #: the source blocks the projection can reach
+    reachable: int
+    #: needed registers recomputed at the entry instead of shipped
+    remat_roots: int
+    #: registers read before any definition / defined, the slices included
+    needs: int
+    defs: int
+
+
+@dataclass(eq=False)
+class ProjectionStatics:
+    """What every projection of one source function shares.
+
+    Built once per dependency graph (:meth:`of`): the blocks in reverse
+    post-order with their joins and guarded regions, per-instruction
+    register bitsets, and the single-definition pure slices a destination
+    partition may recompute (see :meth:`pure_slice`).
+    """
+
+    function: Function
+    #: every register the function names, sorted by name (so a register
+    #: bitset read lowest bit first is in shim order), and name -> index
+    regs: List[Reg]
+    reg_index: Dict[str, int]
+    #: the blocks, in reverse post-order
+    order: List[_Block]
+    #: the instructions a projection takes over as they are when they are
+    #: its own: all but ``Jump`` / ``Branch`` / ``Return``
+    carried: int
+    effectful: int
+    #: register -> its defining instruction, where there is exactly one
+    single_def: Dict[int, irin.Instruction]
+    #: destination partition -> pure register -> its slice
+    closures: Dict[Partition, Dict[int, int]]
+
+    @classmethod
+    def of(cls, graph: DependencyGraph) -> "ProjectionStatics":
+        if graph.projection_statics is None:
+            graph.projection_statics = cls.build(graph)
+        statics: ProjectionStatics = graph.projection_statics
+        return statics
+
+    @classmethod
+    def build(cls, graph: DependencyGraph) -> "ProjectionStatics":
+        function = graph.function
+        position = graph.position
+        regs = sorted(function.registers().values(), key=lambda reg: reg.name)
+        reg_index = {reg.name: at for at, reg in enumerate(regs)}
+
+        def mask(registers: List[Reg]) -> int:
+            return sum({1 << reg_index[reg.name] for reg in registers})
+
+        names = function.block_order()
+        index = {name: at for at, name in enumerate(names)}
+        order: List[_Block] = []
+        carried = effectful = 0
+        def_count: Dict[int, int] = {}
+        single_def: Dict[int, irin.Instruction] = {}
+        written_regions = set()
+        for name in names:
+            block = function.blocks[name]
+            rows = []
+            for inst in block.instructions:
+                bit = 1 << position[inst.id]
+                rows.append((bit, inst, mask(inst.uses()), mask(inst.defs())))
+                if not isinstance(inst, (irin.Jump, irin.Branch, irin.Return)):
+                    carried |= bit
+                if _effectful(inst):
+                    effectful |= bit
+                if isinstance(inst, irin.StorePacketField):
+                    written_regions.add(aliased_packet_region(inst.region))
+                for reg in inst.defs():
+                    at = reg_index[reg.name]
+                    def_count[at] = def_count.get(at, 0) + 1
+                    single_def[at] = inst
+            order.append(_Block(
+                name, index[name], rows,
+                tuple(index[s] for s in block.successors() if s in index),
+            ))
+        for at, count in def_count.items():
+            if count != 1:
+                del single_def[at]
+
+        for block in order:
+            terminator = function.blocks[block.name].terminator
+            if not isinstance(terminator, irin.Branch):
+                continue
+            join = graph.reachability.immediate_postdominator(block.name)
+            block.branch = 1 << position[terminator.id]
+            block.skip = () if join is None else (index[join],)
+            seen = set(block.skip)
+            stack = list(block.successors)
+            while stack:
+                current = stack.pop()
+                if current in seen:
+                    continue
+                seen.add(current)
+                for bit, inst, _, _ in order[current].instructions:
+                    if not isinstance(inst, irin.Jump):
+                        block.region |= bit
+                stack.extend(order[current].successors)
+
+        closures = {
+            destination: _pure_closures(
+                single_def, reg_index, written_regions,
+                p4_only=destination is Partition.POST,
+            )
+            for destination in (Partition.NON_OFF, Partition.POST)
+        }
+        return cls(
+            function, regs, reg_index, order, carried, effectful, single_def,
+            closures,
+        )
+
+    # -- the decisions, one definition each -----------------------------------
+
+    def kept_branches(self, members: int, not_later: int) -> int:
+        """The branches a projection keeps: those of its own or an earlier
+        partition whose guarded region holds something of its own.
+
+        Any other guards no instruction of this partition (always true of a
+        later partition's branch, and of a loop whose body lives elsewhere)
+        and is skipped to its join, which also keeps foreign loop skeletons
+        out of switch pipelines, which cannot loop.
+        """
+        kept = 0
+        for block in self.order:
+            if block.branch & not_later and block.region & members:
+                kept |= block.branch
+        return kept
+
+    def pure_slice(
+        self, destination: Partition, needs: int, defined: int
+    ) -> Tuple[int, int]:
+        """Recompute pure values locally instead of shipping them in the shim.
+
+        A value the projection needs from an earlier partition can be
+        recomputed locally when its defining slice is *pure*: header loads
+        of regions the program never rewrites, ALU ops, casts and copies
+        over other pure values or constants, each defined exactly once.
+        The packet itself carries the header bytes, so re-reading them is
+        free — this is what keeps the 5-tuple out of the shim and the
+        constraint-5 budget honest (paper §4.3.2's 20-byte budget assumes
+        exactly this).
+
+        Table lookups, register reads, externs, and multiply-assigned
+        locals stay in the shim: recomputing a lookup would double the
+        table access (constraint 3) and multiply-assigned values are
+        path-dependent.  Names ``defined`` inside the projection must not
+        be re-defined by a slice (and cannot be read at the entry point),
+        so any slice touching them is ineligible.
+
+        When the destination partition is a switch pipeline (POST), the
+        slice must additionally be P4-expressible — rematerializing a
+        multiply or division there would synthesize an instruction the
+        switch cannot run (caught by ``SwitchProgram.validate``); such
+        values ride the shim instead.
+
+        Returns the needed registers that are recomputed and the registers
+        of their whole slices.
+        """
+        closures = self.closures[destination]
+        roots = whole = 0
+        for at in _bits(needs):
+            closure = closures.get(at)
+            if closure is not None and not closure & defined:
+                roots |= 1 << at
+                whole |= closure
+        return roots, whole
+
+    def decide(
+        self, assignment: LabelAssignment, partition: Partition
+    ) -> Boundary:
+        """What projecting onto ``partition`` would keep, need and define.
+
+        The projection's blocks are the source's, so its must-defined
+        dataflow runs here over the source blocks along the projection's
+        edges (a skipped branch's region holds nothing of the partition and
+        drops out as unreachable); the slices land at the entry, so they
+        are defined everywhere and leave ``needs − slices`` to the shim.
+        """
+        members = assignment.members(partition)
+        not_later = assignment.through(partition)
+        kept = self.kept_branches(members, not_later)
+        present = members & self.carried | kept
+
+        order = self.order
+        edges = [
+            block.skip if block.branch & ~kept else block.successors
+            for block in order
+        ]
+        reachable = 0
+        stack = [0]
+        while stack:
+            current = stack.pop()
+            if reachable >> current & 1:
+                continue
+            reachable |= 1 << current
+            stack.extend(edges[current])
+        live = list(_bits(reachable))  # reverse post-order of the source
+
+        # Per block: registers read before a definition in it, and defined.
+        exposed = [0] * len(order)
+        defined = [0] * len(order)
+        predecessors: List[List[int]] = [[] for _ in order]
+        for at in live:
+            reads = writes = 0
+            for bit, _, uses, defs in order[at].instructions:
+                if present & bit:
+                    reads |= uses & ~writes
+                    writes |= defs
+            exposed[at], defined[at] = reads, writes
+            for successor in edges[at]:
+                predecessors[successor].append(at)
+
+        # Forward must-dataflow to the greatest fixpoint; nothing is
+        # defined at the entry, whatever jumps back to it.
+        top = (1 << len(self.regs)) - 1
+        at_entry = [top] * len(order)
+        at_exit = [top] * len(order)
+        at_entry[0] = 0
+        changed = True
+        while changed:
+            changed = False
+            for at in live:
+                if at:
+                    incoming = top
+                    for predecessor in predecessors[at]:
+                        incoming &= at_exit[predecessor]
+                    at_entry[at] = incoming
+                outgoing = at_entry[at] | defined[at]
+                if outgoing != at_exit[at]:
+                    at_exit[at] = outgoing
+                    changed = True
+
+        needs = defs = 0
+        for at in live:
+            needs |= exposed[at] & ~at_entry[at]
+            defs |= defined[at]
+        roots = whole = 0
+        if partition is not Partition.PRE:
+            roots, whole = self.pure_slice(partition, needs, defs)
+        return Boundary(
+            partition=partition,
+            members=members,
+            not_later=not_later,
+            kept=kept,
+            reachable=reachable,
+            remat_roots=roots,
+            needs=needs & ~whole,
+            defs=defs | whole,
+        )
+
+    def registers(self, mask: int) -> List[Reg]:
+        """The registers of a bitset, sorted by name."""
+        return [self.regs[at] for at in _bits(mask)]
+
+
+def _pure_closures(
+    single_def: Dict[int, irin.Instruction],
+    reg_index: Dict[str, int],
+    written_regions: set,
+    p4_only: bool,
+) -> Dict[int, int]:
+    """Register -> its slice, for every register with a pure one (the
+    static half of :meth:`ProjectionStatics.pure_slice`)."""
+    memo: Dict[int, Optional[int]] = {}
+
+    def closure_of(at: int) -> Optional[int]:
+        if at in memo:
+            return memo[at]
+        memo[at] = None  # break cycles conservatively
+        inst = single_def.get(at)
+        if inst is None or (p4_only and not inst.p4_supported()):
+            return None
+        if isinstance(inst, irin.LoadPacketField):
+            if aliased_packet_region(inst.region) in written_regions and not (
+                inst.region == "meta" and inst.field == "ingress_port"
+            ):
+                return None
+        elif not isinstance(
+            inst, (irin.Assign, irin.Cast, irin.BinOp, irin.UnOp)
+        ):
+            return None
+        closure = 1 << at
+        for reg in inst.uses():
+            operand = closure_of(reg_index[reg.name])
+            if operand is None:
+                return None
+            closure |= operand
+        memo[at] = closure
+        return closure
+
+    closures = {}
+    for at in single_def:
+        closure = closure_of(at)
+        if closure is not None:
+            closures[at] = closure
+    return closures
+
+
+def project_partition(statics: ProjectionStatics, boundary: Boundary) -> Function:
+    """Build the projection ``boundary`` decided (see module docstring)."""
+    function = statics.function
+    partition = boundary.partition
+    members, kept = boundary.members, boundary.kept
     projected = Function(f"{function.name}.{partition.name.lower()}", function.entry)
     needs_server = Reg(NEEDS_SERVER, BOOL, is_temp=False)
-    track_flag = partition is Partition.PRE
+    # Later partitions' effectful work, which the PRE projection flags.
+    flagged = 0
+    if partition is Partition.PRE:
+        flagged = statics.effectful & ~boundary.not_later
 
-    for name in function.blocks:
-        projected.add_block(name)
-    exit_block = projected.add_block(EXIT_BLOCK)
-    exit_block.append(irin.Return())
+    by_name = {block.name: block for block in statics.order}
+    live = [  # in the source's dictionary order
+        by_name[name] for name in function.blocks
+        if boundary.reachable >> by_name[name].index & 1
+    ]
+    for block in live:
+        projected.add_block(block.name)
+    projected.add_block(EXIT_BLOCK).append(irin.Return())
 
-    for name, block in function.blocks.items():
-        new_block = projected.blocks[name]
-        if track_flag and name == function.entry:
+    for block in live:
+        new_block = projected.blocks[block.name]
+        if partition is Partition.PRE and not block.index:
             new_block.append(irin.Assign(needs_server, Const(0, BOOL)))
         flagged_here = False
-        for inst in block.body:
-            inst_partition = assignment.get(inst.id, Partition.NON_OFF)
-            if inst_partition is partition:
+        rows = block.instructions
+        terminator = function.blocks[block.name].terminator
+        for bit, inst, _, _ in rows if terminator is None else rows[:-1]:
+            if members & bit:
                 new_block.append(inst)
-            elif (
-                inst_partition.value > partition.value
-                and track_flag
-                and not flagged_here
-                and _effectful(inst)
-            ):
+            elif flagged & bit and not flagged_here:
                 new_block.append(irin.Assign(needs_server, Const(1, BOOL)))
                 flagged_here = True
-        terminator = block.terminator
-        if terminator is None:
-            new_block.append(irin.Jump(EXIT_BLOCK))
-            continue
-        term_partition = assignment.get(terminator.id, Partition.NON_OFF)
         if isinstance(terminator, irin.Jump):
             new_block.append(irin.Jump(terminator.target,
                                        stmt_id=terminator.stmt_id))
         elif isinstance(terminator, irin.Branch):
-            if term_partition.value <= partition.value and _region_has_work(
-                function, assignment, partition, name, postdominators
-            ):
+            if kept & block.branch:
                 new_block.append(
                     irin.Branch(terminator.cond, terminator.if_true,
                                 terminator.if_false,
                                 stmt_id=terminator.stmt_id)
                 )
             else:
-                # The guarded region holds no instructions of this
-                # partition (always true for later-partition branches, and
-                # for loops whose body lives elsewhere): skip to the join.
-                # This also keeps foreign loop skeletons out of switch
-                # pipelines, which cannot loop.
-                if track_flag and _region_effectful(
-                    function, assignment, partition, name, postdominators
-                ):
+                if flagged & block.region:
                     new_block.append(irin.Assign(needs_server, Const(1, BOOL)))
-                join = _immediate_postdominator(function, postdominators, name)
-                new_block.append(irin.Jump(join if join else EXIT_BLOCK))
-        elif terminator.is_verdict:
-            if term_partition is partition:
+                new_block.append(irin.Jump(
+                    statics.order[block.skip[0]].name if block.skip
+                    else EXIT_BLOCK
+                ))
+        elif terminator is not None and terminator.is_verdict:
+            bit = rows[-1][0]
+            if members & bit:
                 new_block.append(terminator)
             else:
-                if (
-                    track_flag
-                    and term_partition.value > partition.value
-                    and not flagged_here
-                ):
+                if flagged & bit and not flagged_here:
                     new_block.append(irin.Assign(needs_server, Const(1, BOOL)))
                 new_block.append(irin.Jump(EXIT_BLOCK))
-        elif isinstance(terminator, irin.Return):
+        else:  # a Return, or no terminator at all
             new_block.append(irin.Jump(EXIT_BLOCK))
-        else:  # pragma: no cover - exhaustive above
-            raise TypeError(f"unknown terminator {terminator!r}")
 
-    projected.prune_unreachable()
     _simplify_empty_blocks(projected)
-    if partition is not Partition.PRE:
-        _rematerialize_pure_slices(function, projected, partition)
-    return ProjectionResult(
-        function=projected,
-        partition=partition,
-        undefined_uses=_undefined_uses(projected),
+    projected.blocks[projected.entry].instructions[0:0] = _slice_order(
+        statics, boundary.remat_roots
     )
+    return projected
 
 
-def _rematerialize_pure_slices(
-    original: Function, projected: Function, partition: Partition
-) -> None:
-    """Recompute pure values locally instead of shipping them in the shim.
+def _slice_order(
+    statics: ProjectionStatics, roots: int
+) -> List[irin.Instruction]:
+    """The defining instructions of ``roots``' slices, operands first."""
+    ordered: List[irin.Instruction] = []
+    seen = set()
 
-    A value the projection needs from an earlier partition can be
-    recomputed locally when its defining slice is *pure*: header loads of
-    regions the program never rewrites, ALU ops, casts and copies over
-    other pure values or constants.  The packet itself carries the header
-    bytes, so re-reading them is free — this is what keeps the 5-tuple out
-    of the shim and the constraint-5 budget honest (paper §4.3.2's 20-byte
-    budget assumes exactly this).
-
-    Table lookups, register reads, externs, and multiply-assigned locals
-    stay in the shim: recomputing a lookup would double the table access
-    (constraint 3) and multiply-assigned values are path-dependent.
-
-    When the destination partition is a switch pipeline (POST), the slice
-    must additionally be P4-expressible — rematerializing a multiply or
-    division there would synthesize an instruction the switch cannot run
-    (caught by ``SwitchProgram.validate``); such values ride the shim
-    instead.
-    """
-    from repro.ir.validate import unsatisfied_uses
-
-    written_regions = {
-        aliased_packet_region(inst.region)
-        for inst in original.instructions()
-        if isinstance(inst, irin.StorePacketField)
-    }
-    # Single-definition pure instructions of the original program.
-    def_count: Dict[str, int] = {}
-    def_inst: Dict[str, irin.Instruction] = {}
-    for inst in original.instructions():
-        for reg in inst.defs():
-            def_count[reg.name] = def_count.get(reg.name, 0) + 1
-            def_inst[reg.name] = inst
-
-    # Names already defined inside the projection must not be re-defined by
-    # a remat slice (and cannot be read at the entry point), so any slice
-    # touching them is ineligible.
-    proj_defs = projected.defined_regs()
-
-    pure_cache: Dict[str, bool] = {}
-
-    def is_pure(name: str) -> bool:
-        if name in pure_cache:
-            return pure_cache[name]
-        pure_cache[name] = False  # break cycles conservatively
-        if name in proj_defs:
-            return False
-        if def_count.get(name, 0) != 1:
-            return False
-        inst = def_inst[name]
-        if partition is Partition.POST and not inst.p4_supported():
-            ok = False
-        elif isinstance(inst, irin.LoadPacketField):
-            ok = aliased_packet_region(inst.region) not in written_regions or (
-                inst.region == "meta" and inst.field == "ingress_port"
-            )
-        elif isinstance(inst, (irin.Assign, irin.Cast, irin.BinOp, irin.UnOp)):
-            ok = all(is_pure(reg.name) for reg in inst.uses())
-        else:
-            ok = False
-        pure_cache[name] = ok
-        return ok
-
-    needed = unsatisfied_uses(projected)
-    slice_names: List[str] = []
-    seen: set = set()
-
-    def collect(name: str) -> None:
-        if name in seen:
+    def collect(at: int) -> None:
+        if at in seen:
             return
-        seen.add(name)
-        for reg in def_inst[name].uses():
-            collect(reg.name)
-        slice_names.append(name)
+        seen.add(at)
+        inst = statics.single_def[at]
+        for reg in inst.uses():
+            collect(statics.reg_index[reg.name])
+        ordered.append(inst)
 
-    for name in sorted(needed):
-        if is_pure(name):
-            collect(name)
-    if not slice_names:
-        return
-    entry = projected.blocks[projected.entry]
-    insert_at = 0
-    # Keep the needs-server flag initialization first if present.
-    if entry.instructions and isinstance(entry.instructions[0], irin.Assign):
-        first = entry.instructions[0]
-        if first.dst.name == NEEDS_SERVER:
-            insert_at = 1
-    clones = [def_inst[name] for name in slice_names]
-    entry.instructions[insert_at:insert_at] = clones
-
-
-def _region_has_work(
-    function: Function,
-    assignment: Dict[int, Partition],
-    partition: Partition,
-    branch_block: str,
-    postdominators: Dict[str, Set[str]],
-) -> bool:
-    """Does the branch's guarded region (or the branch's own verdict arms)
-    contain any instruction assigned to ``partition``?"""
-    join = _immediate_postdominator(function, postdominators, branch_block)
-    seen: Set[str] = set()
-    stack = list(function.blocks[branch_block].successors())
-    while stack:
-        current = stack.pop()
-        if current in seen or current == join or current not in function.blocks:
-            continue
-        seen.add(current)
-        block = function.blocks[current]
-        for inst in block.instructions:
-            if isinstance(inst, (irin.Jump,)):
-                continue
-            if assignment.get(inst.id, Partition.NON_OFF) is partition:
-                return True
-        stack.extend(block.successors())
-    return False
-
-
-def _region_effectful(
-    function: Function,
-    assignment: Dict[int, Partition],
-    partition: Partition,
-    branch_block: str,
-    postdominators: Dict[str, Set[str]],
-) -> bool:
-    """Does the region guarded by ``branch_block``'s branch do foreign work?"""
-    join = _immediate_postdominator(function, postdominators, branch_block)
-    seen: Set[str] = set()
-    stack = list(function.blocks[branch_block].successors())
-    while stack:
-        current = stack.pop()
-        if current in seen or current == join or current not in function.blocks:
-            continue
-        seen.add(current)
-        block = function.blocks[current]
-        for inst in block.instructions:
-            inst_partition = assignment.get(inst.id, Partition.NON_OFF)
-            if inst_partition.value > partition.value and _effectful(inst):
-                return True
-        stack.extend(block.successors())
-    return False
-
-
-def _undefined_uses(function: Function) -> Set[str]:
-    used = {reg.name for inst in function.instructions() for reg in inst.uses()}
-    return used - set(function.defined_regs())
+    for root in _bits(roots):
+        collect(root)
+    return ordered
 
 
 def _simplify_empty_blocks(function: Function) -> None:

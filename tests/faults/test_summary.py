@@ -110,3 +110,36 @@ class TestRollbackWiring:
             injector_seed=0, deployment_seed=0,
         )
         assert result.rollbacks == 0
+
+
+class TestWhereTheTimeWent:
+    """Every campaign reports how much of its wall time was compiling:
+    ``kernel.compile_step`` is timed in one place and ``drive`` reports
+    the part that fell inside its own campaign."""
+
+    def test_campaign_reports_its_compile_share(self):
+        from repro.faults.campaign import run_campaign
+
+        stats, failures = run_campaign(runs=3, seed=0, packets=10)
+        assert failures == []
+        assert 0 < stats.compile_s < stats.elapsed_s
+        assert stats.summary_dict()["compile_s"] == round(stats.compile_s, 3)
+        first_line = stats.summary().splitlines()[0]
+        assert first_line.endswith(
+            f"rejected in {stats.elapsed_s:.1f}s"
+            f" (compile {stats.compile_s:.1f}s)"
+        )
+        # A second campaign counts only its own compiles.
+        again, _ = run_campaign(runs=1, seed=0, packets=10)
+        assert 0 < again.compile_s < again.elapsed_s
+
+    def test_both_gauntlets_print_it(self):
+        from repro.difftest.compiled import run_compiled_gauntlet
+        from repro.difftest.runner import run_gauntlet
+
+        for run in (run_gauntlet, run_compiled_gauntlet):
+            stats, _ = run(runs=2, seed=0)
+            assert 0 < stats.compile_s < stats.elapsed_s
+            assert stats.summary().endswith(
+                f" in {stats.elapsed_s:.1f}s (compile {stats.compile_s:.1f}s)"
+            )

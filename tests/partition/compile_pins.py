@@ -20,9 +20,12 @@ that checks nothing passes the compile pins and fails this one.
 
 The *narrow* sweep runs inside tier-1 (``test_compile_pins.py``): the
 bundled six plus the generated programs of at most
-:data:`NARROW_MAX_LINES` source lines (31 of the 40; compile time is
-heavy-tailed in program size, and the nine longer ones are 85 % of the
-wide sweep's ~60 s).  The *wide* one is ``make compile-pins``::
+:data:`NARROW_MAX_LINES` source lines (31 of the 40).  The split dates
+from when compile time was heavy-tailed in program size and the nine
+longer ones were 85 % of a ~60 s wide sweep; since the budget search
+stopped projecting every move the narrow sweep takes 2.6 s and the wide
+one 3.8 s, so it has little left to buy (ROADMAP, "Tier-1 wall time").
+The *wide* one is ``make compile-pins``::
 
     PYTHONPATH=src python -m tests.partition.compile_pins [--wide] [--write]
 

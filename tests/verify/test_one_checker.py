@@ -81,7 +81,14 @@ def sites(needle: str, outside: str = ""):
 
 
 def test_each_fact_is_written_once():
-    assert sites("incoming &=") == [("ir/validate.py", "defined_at_entry")]
+    # The must-defined equations: over a built function's name sets (what
+    # the verifier reads), and over the source function's bitsets (what the
+    # budget search decides on before it builds one) —
+    # tests/partition/test_transfer_model.py holds the second to the first.
+    assert sites("incoming &=") == [
+        ("ir/validate.py", "defined_at_entry"),
+        ("partition/projection.py", "decide"),
+    ]
     assert sites("can_happen_after(", outside="analysis/") == [
         ("partition/constraints.py", "co_reachable")
     ]
