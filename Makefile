@@ -2,7 +2,7 @@ PYTHON ?= python
 # Tier-1 convention: prepend src/ without clobbering a caller's PYTHONPATH.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: help test test-durations verify compile-pins prover-pins \
+.PHONY: help test test-durations verify prover-pins \
 	mirror-lockstep symbolic-smoke lint \
 	lint-verify option-census \
 	difftest difftest-smoke difftest-compiled oracle-pins faults \
@@ -18,8 +18,6 @@ help:
 	@echo "                  numbers ROADMAP and EXPERIMENTS.md track)"
 	@echo "  verify          static verifier and translation validation over all"
 	@echo "                  bundled middleboxes (~1 s), after the option census"
-	@echo "  compile-pins    every compile decision, then every refinement move, vs"
-	@echo "                  the golden files (wide sweeps, ~11 s; narrow in tier-1)"
 	@echo "  prover-pins     every world the prover explores vs the golden file"
 	@echo "                  (wide sweep, ~27 s; the narrow one, ~7 s, runs in tier-1)"
 	@echo "  mirror-lockstep every symbolic mirror against its concrete twin,"
@@ -72,18 +70,6 @@ test-durations:
 verify: option-census
 	$(PYTHON) -m repro verify all --symbolic
 	$(PYTHON) -m repro verify minilb --json > /dev/null
-
-# Every compile decision — assignment, constraint report, placements,
-# shims, emitted text, verifier codes, refusals — of the six bundled
-# middleboxes and 40 generated programs under default and starved limits,
-# plus each lint / IR fixture and the code it must yield, against the
-# golden file recorded before the static checks became one layer.  Wide
-# sweep; tier-1 runs the narrow one (tests/partition/test_compile_pins.py).
-# Then the ordered refinement moves that led to each of them, over the
-# same programs (tests/partition/refinement_moves.py).
-compile-pins:
-	$(PYTHON) -m tests.partition.compile_pins --wide
-	$(PYTHON) -m tests.partition.refinement_moves --wide
 
 # Every world the symbolic prover explores — status, decision trace,
 # path condition, mismatch, in exploration order — for the six bundled

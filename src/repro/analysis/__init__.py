@@ -15,6 +15,7 @@ from repro.analysis.depgraph import (
     DependencyGraph,
     DependencyKind,
     build_dependency_graph,
+    dependency_graph,
 )
 from repro.analysis.distance import dependency_distances
 from repro.analysis.liveness import LivenessInfo, compute_liveness
@@ -25,6 +26,7 @@ __all__ = [
     "DependencyGraph",
     "DependencyKind",
     "build_dependency_graph",
+    "dependency_graph",
     "dependency_distances",
     "LivenessInfo",
     "compute_liveness",

@@ -23,11 +23,11 @@ Edges only exist where "S2 can happen after S1" holds (CFG reachability).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Set, Tuple
 
-from repro.ir.function import Function
+from repro.ir.function import Function, per_shape
 from repro.ir.instructions import Branch, Instruction
 from repro.ir.values import Location
 from repro.analysis.reachability import (
@@ -44,6 +44,17 @@ class DependencyKind(enum.Enum):
     OUTPUT_COMMIT = "output_commit"
 
 
+#: One bit per kind while a graph is built, and the set each combination
+#: stands for: an edge holds one of these sixteen, not a set of its own.
+_DATA, _ANTI, _CONTROL, _OUTPUT_COMMIT = (1 << at for at in range(4))
+_KIND_SETS = [
+    frozenset(
+        kind for at, kind in enumerate(DependencyKind) if mask >> at & 1
+    )
+    for mask in range(16)
+]
+
+
 @dataclass
 class DependencyGraph:
     """Instruction-level dependency graph with its transitive closure.
@@ -51,32 +62,33 @@ class DependencyGraph:
     The closure is kept as one Python-int bitset per instruction, indexed
     by :attr:`position`, and computed on first use: the label rules read
     it on the source function's graph, the depth measurement of a
-    projected pipeline never does.  A graph is not modified once built.
+    projected pipeline never does.  A graph is not modified once built;
+    a function keeps its own (:func:`dependency_graph`), so a graph does
+    not point back at the function.
     """
 
-    function: Function
     reachability: ReachabilityInfo
     instructions: List[Instruction]
     #: (src_id, dst_id) -> set of kinds; edge means dst depends on src
-    edges: Dict[Tuple[int, int], Set[DependencyKind]]
+    edges: Dict[Tuple[int, int], FrozenSet[DependencyKind]]
     #: successors in the dependency graph: src_id -> {dst_id}
     dependents: Dict[int, Set[int]]
     #: predecessors: dst_id -> {src_id}
     dependencies: Dict[int, Set[int]]
-    #: what :mod:`repro.partition.labels` derives from this graph alone,
-    #: kept here so that it is built once per graph
-    label_statics: Optional[Any] = field(
-        default=None, repr=False, compare=False
-    )
-    #: likewise what :mod:`repro.partition.projection` derives from it
-    projection_statics: Optional[Any] = field(
-        default=None, repr=False, compare=False
-    )
+    def once(self, derive: Callable[["DependencyGraph"], Any]) -> Any:
+        """``derive(self)``, computed once per graph: what other modules
+        (the label rules) derive from the graph alone."""
+        try:
+            return self._derived[derive]
+        except KeyError:
+            derived = self._derived[derive] = derive(self)
+            return derived
 
     def by_id(self, inst_id: int) -> Instruction:
         return self._index[inst_id]
 
     def __post_init__(self):
+        self._derived: Dict[Callable[..., Any], Any] = {}
         self._index = {inst.id: inst for inst in self.instructions}
         #: instruction id -> its bit in every closure bitset (program order)
         self.position: Dict[int, int] = {
@@ -130,8 +142,10 @@ class DependencyGraph:
     def self_dependent(self, inst: Instruction) -> bool:
         return self.depends_transitively(inst, inst)
 
-    def edge_kinds(self, src: Instruction, dst: Instruction) -> Set[DependencyKind]:
-        return self.edges.get((src.id, dst.id), set())
+    def edge_kinds(
+        self, src: Instruction, dst: Instruction
+    ) -> FrozenSet[DependencyKind]:
+        return self.edges.get((src.id, dst.id), _KIND_SETS[0])
 
     def statement_edges(self) -> Set[Tuple[int, int]]:
         """Edges lifted to source-statement granularity (for Figure 3)."""
@@ -144,15 +158,16 @@ class DependencyGraph:
         return out
 
 
-def build_dependency_graph(
-    function: Function, reachability: Optional[ReachabilityInfo] = None
-) -> DependencyGraph:
-    info = reachability or compute_reachability(function)
+def build_dependency_graph(function: Function) -> DependencyGraph:
+    """Build the graph of ``function`` as it is now, for a caller that
+    reads it once; :func:`dependency_graph` is the one a function keeps."""
+    info = compute_reachability(function)
     instructions = list(function.instructions())
-    edges: Dict[Tuple[int, int], Set[DependencyKind]] = {}
+    kinds: Dict[Tuple[int, int], int] = {}
 
-    def add_edge(src: Instruction, dst: Instruction, kind: DependencyKind) -> None:
-        edges.setdefault((src.id, dst.id), set()).add(kind)
+    def add_edge(src: Instruction, dst: Instruction, kind: int) -> None:
+        pair = (src.id, dst.id)
+        kinds[pair] = kinds.get(pair, 0) | kind
 
     # Data / anti dependencies: two instructions are related only through
     # a location both touch, so pair them per location.
@@ -169,11 +184,11 @@ def build_dependency_graph(
         for first in loc_writers:
             for second in loc_readers + loc_writers:
                 if after(first, second):
-                    add_edge(first, second, DependencyKind.DATA)
+                    add_edge(first, second, _DATA)
         for first in loc_readers:
             for second in loc_writers:
                 if after(first, second):
-                    add_edge(first, second, DependencyKind.ANTI)
+                    add_edge(first, second, _ANTI)
 
     # Control dependencies: branch -> every instruction in dependent blocks.
     cdep = control_dependence_sources(function, info)
@@ -190,10 +205,10 @@ def build_dependency_graph(
                 continue
             for inst in block.instructions:
                 if inst.id != branch.id:
-                    add_edge(branch, inst, DependencyKind.CONTROL)
+                    add_edge(branch, inst, _CONTROL)
                 elif info.in_cycle(inst):
                     # A loop-header branch controls its own re-execution.
-                    add_edge(branch, inst, DependencyKind.CONTROL)
+                    add_edge(branch, inst, _CONTROL)
 
     # Output-commit edges: global-state mutation -> reachable verdicts.
     mutators = [
@@ -205,19 +220,27 @@ def build_dependency_graph(
     for mutator in mutators:
         for verdict in verdicts:
             if info.can_happen_after(mutator, verdict):
-                add_edge(mutator, verdict, DependencyKind.OUTPUT_COMMIT)
+                add_edge(mutator, verdict, _OUTPUT_COMMIT)
 
     dependents: Dict[int, Set[int]] = {inst.id: set() for inst in instructions}
     dependencies: Dict[int, Set[int]] = {inst.id: set() for inst in instructions}
+    edges = {pair: _KIND_SETS[mask] for pair, mask in kinds.items()}
     for (src_id, dst_id) in edges:
         dependents[src_id].add(dst_id)
         dependencies[dst_id].add(src_id)
 
     return DependencyGraph(
-        function=function,
         reachability=info,
         instructions=instructions,
         edges=edges,
         dependents=dependents,
         dependencies=dependencies,
     )
+
+
+@per_shape
+def dependency_graph(function: Function) -> DependencyGraph:
+    """The graph of ``function``, built once per shape of it and kept by
+    it — for the source function, whose graph the partitioner, the
+    projection and the partition verifier all read."""
+    return build_dependency_graph(function)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Set, Tuple
 
-from repro.ir.function import Function
+from repro.ir.function import Function, per_shape
 
 
 @dataclass
@@ -57,6 +57,7 @@ def compute_liveness(function: Function) -> LivenessInfo:
     return LivenessInfo(live_in=live_in, live_out=live_out)
 
 
+@per_shape
 def live_ranges(function: Function) -> Dict[str, Tuple[int, int]]:
     """First/last use positions of each register in linearized order.
 

@@ -15,15 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
-from repro.ir.function import Function
+from repro.ir.function import Function, per_shape
 from repro.ir.instructions import Branch, Instruction
 
 
 @dataclass
 class ReachabilityInfo:
-    """Precomputed reachability facts for one function."""
+    """Precomputed reachability facts for one function (of one shape:
+    :func:`compute_reachability`)."""
 
-    function: Function
     #: block -> set of blocks reachable from it (excluding itself unless on
     #: a cycle through it)
     block_reachable: Dict[str, Set[str]]
@@ -60,19 +60,21 @@ class ReachabilityInfo:
         return None
 
 
+@per_shape
 def compute_reachability(function: Function) -> ReachabilityInfo:
     blocks = function.blocks
+    successors = function.successors()
     # Forward reachability via DFS from each block's successors.
     block_reachable: Dict[str, Set[str]] = {}
     for name in blocks:
         seen: Set[str] = set()
-        stack = list(blocks[name].successors())
+        stack = list(successors[name])
         while stack:
             current = stack.pop()
             if current in seen or current not in blocks:
                 continue
             seen.add(current)
-            stack.extend(blocks[current].successors())
+            stack.extend(successors[current])
         block_reachable[name] = seen
     cyclic_blocks = {name for name in blocks if name in block_reachable[name]}
     postdominators = _compute_postdominators(function)
@@ -83,7 +85,6 @@ def compute_reachability(function: Function) -> ReachabilityInfo:
             inst_block[inst.id] = name
             inst_index[inst.id] = index
     return ReachabilityInfo(
-        function=function,
         block_reachable=block_reachable,
         cyclic_blocks=cyclic_blocks,
         postdominators=postdominators,
@@ -100,19 +101,19 @@ def _compute_postdominators(function: Function) -> Dict[str, Set[str]]:
     full set, which conservatively suppresses control-dependence pruning —
     loops are forced off the switch by rule 5 anyway.
     """
-    blocks = function.blocks
-    exits = [name for name, b in blocks.items() if not b.successors()]
-    all_blocks: Set[str] = set(blocks)
+    successors = function.successors()
+    exits = [name for name, targets in successors.items() if not targets]
+    all_blocks: Set[str] = set(successors)
     post: Dict[str, Set[str]] = {}
-    for name in blocks:
+    for name in successors:
         post[name] = {name} if name in exits else set(all_blocks)
     changed = True
     while changed:
         changed = False
-        for name, block in blocks.items():
+        for name, targets in successors.items():
             if name in exits:
                 continue
-            succs = [s for s in block.successors() if s in post]
+            succs = [s for s in targets if s in post]
             if not succs:
                 continue
             meet: Set[str] = set(all_blocks)

@@ -57,7 +57,6 @@ Equivalence caveats, by construction:
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.lang.types import BOOL, IntType, bit_width_of
@@ -548,15 +547,7 @@ class CompiledFunction:
         )
 
 
-_CACHE: "weakref.WeakKeyDictionary[Function, CompiledFunction]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def compile_function(function: Function) -> CompiledFunction:
-    """Compile (or fetch the cached compilation of) one IR function."""
-    compiled = _CACHE.get(function)
-    if compiled is None:
-        compiled = CompiledFunction(function)
-        _CACHE[function] = compiled
+    """Compile (or fetch the kept compilation of) one IR function."""
+    compiled: CompiledFunction = function.once(CompiledFunction)
     return compiled

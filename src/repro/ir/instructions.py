@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import List, Optional, Sequence, Set
+from functools import cached_property
+from typing import FrozenSet, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from repro.lang.diagnostics import SourceLocation
 from repro.lang.types import Type
@@ -92,8 +93,46 @@ class UnOpKind(enum.Enum):
     LNOT = "!"
 
 
+#: The one empty location set every instruction that reads, writes or
+#: touches nothing shares.
+_NOTHING: FrozenSet[Location] = frozenset()
+
+def _shared(locations: Iterable[Location]) -> FrozenSet[Location]:
+    """``locations`` as a set; the empty set and a set of one are each one
+    object however many instructions hold them."""
+    found = frozenset(locations)
+    if not found:
+        return _NOTHING
+    if len(found) == 1:
+        (only,) = found
+        return only.alone
+    return found
+
+
+#: The non-register locations read and written (``Instruction._memory``).
+Memory = Tuple[Iterable[Location], Iterable[Location]]
+
+
+class Facts(NamedTuple):
+    """What the analyses ask of one instruction, derived once (§4.1)."""
+
+    reads: FrozenSet[Location]
+    writes: FrozenSet[Location]
+    #: the global-state locations among them
+    global_state: FrozenSet[Location]
+    uses: Tuple[Reg, ...]
+    defs: Tuple[Reg, ...]
+
+
 class Instruction:
-    """Base class for all IR instructions."""
+    """Base class for all IR instructions.
+
+    An instruction does not change after ``__init__``: a pass that wants
+    another operand builds another instruction and puts it in the block
+    (``tests/ir/test_computed_once.py`` scans ``src/`` and ``tests/`` for an
+    assignment that would break this).  So what the analyses ask of it —
+    :class:`Facts` — is derived on the first question and kept.
+    """
 
     #: Source statement this instruction was lowered from (-1 = synthetic).
     stmt_id: int
@@ -104,33 +143,66 @@ class Instruction:
         self.stmt_id = stmt_id
         self.location = location or SourceLocation.unknown()
 
-    # -- dependency interface ----------------------------------------------
+    # -- what a subclass states --------------------------------------------
 
-    def reads(self) -> Set[Location]:
-        """Abstract locations this instruction may read."""
-        return set()
-
-    def writes(self) -> Set[Location]:
-        """Abstract locations this instruction may write."""
-        return set()
-
-    def operands(self) -> List[Operand]:
+    def operands(self) -> Sequence[Operand]:
         """Value operands consumed (for liveness/codegen)."""
-        return []
+        return ()
 
     def result(self) -> Optional[Reg]:
         """The register the value lands in, if any."""
         return None
 
-    def defs(self) -> List[Reg]:
+    def _defined(self) -> Tuple[Reg, ...]:
+        result = self.result()
+        return () if result is None else (result,)
+
+    def _memory(self) -> Memory:
+        """The packet regions and element state read and written; the
+        registers follow from :meth:`operands` and :meth:`_defined`."""
+        return (), ()
+
+    # -- dependency interface ----------------------------------------------
+
+    @cached_property
+    def facts(self) -> Facts:
+        uses = tuple(op for op in self.operands() if isinstance(op, Reg))
+        defs = self._defined()
+        memory_reads, memory_writes = self._memory()
+        return Facts(
+            _shared([reg.location for reg in uses] + list(memory_reads)),
+            _shared([reg.location for reg in defs] + list(memory_writes)),
+            # A register is never global state.
+            _shared(
+                loc for loc in (*memory_reads, *memory_writes) if loc.is_global
+            ),
+            uses, defs,
+        )
+
+    def reads(self) -> FrozenSet[Location]:
+        """Abstract locations this instruction may read."""
+        return self.facts.reads
+
+    def writes(self) -> FrozenSet[Location]:
+        """Abstract locations this instruction may write."""
+        return self.facts.writes
+
+    def global_state_accesses(self) -> FrozenSet[Location]:
+        """Global-state locations touched *as data* (for constraint 3).
+
+        Only real table/register accesses count; synthetic ordering reads do
+        not (there are none in the base IR, but subclasses could add them).
+        """
+        return self.facts.global_state
+
+    def defs(self) -> Tuple[Reg, ...]:
         """Every register defined, the result first (:class:`MapFind`
         defines two)."""
-        result = self.result()
-        return [] if result is None else [result]
+        return self.facts.defs
 
-    def uses(self) -> List[Reg]:
+    def uses(self) -> Tuple[Reg, ...]:
         """Every register among the operands."""
-        return [op for op in self.operands() if isinstance(op, Reg)]
+        return self.facts.uses
 
     # -- classification ------------------------------------------------------
 
@@ -152,21 +224,6 @@ class Instruction:
         """True if skipping this instruction could change observable state."""
         return bool(self.writes()) or self.is_verdict
 
-    def global_state_accesses(self) -> Set[Location]:
-        """Global-state locations touched *as data* (for constraint 3).
-
-        Only real table/register accesses count; synthetic ordering reads do
-        not (there are none in the base IR, but subclasses could add them).
-        """
-        return {loc for loc in (self.reads() | self.writes()) if loc.is_global}
-
-    def _regs(self, *operands: Optional[Operand]) -> Set[Location]:
-        return {
-            op.location
-            for op in operands
-            if isinstance(op, Reg)
-        }
-
     def __repr__(self) -> str:
         from repro.ir.printer import format_instruction
 
@@ -186,14 +243,8 @@ class Assign(Instruction):
         self.dst = dst
         self.src = src
 
-    def reads(self):
-        return self._regs(self.src)
-
-    def writes(self):
-        return {self.dst.location}
-
     def operands(self):
-        return [self.src]
+        return (self.src,)
 
     def result(self):
         return self.dst
@@ -212,14 +263,8 @@ class BinOp(Instruction):
         self.lhs = lhs
         self.rhs = rhs
 
-    def reads(self):
-        return self._regs(self.lhs, self.rhs)
-
-    def writes(self):
-        return {self.dst.location}
-
     def operands(self):
-        return [self.lhs, self.rhs]
+        return (self.lhs, self.rhs)
 
     def result(self):
         return self.dst
@@ -237,14 +282,8 @@ class UnOp(Instruction):
         self.op = op
         self.src = src
 
-    def reads(self):
-        return self._regs(self.src)
-
-    def writes(self):
-        return {self.dst.location}
-
     def operands(self):
-        return [self.src]
+        return (self.src,)
 
     def result(self):
         return self.dst
@@ -262,14 +301,8 @@ class Cast(Instruction):
         self.src = src
         self.to_type = to_type
 
-    def reads(self):
-        return self._regs(self.src)
-
-    def writes(self):
-        return {self.dst.location}
-
     def operands(self):
-        return [self.src]
+        return (self.src,)
 
     def result(self):
         return self.dst
@@ -292,11 +325,8 @@ class LoadPacketField(Instruction):
         self.region = region
         self.field = field
 
-    def reads(self):
-        return {Location.packet(self.region)}
-
-    def writes(self):
-        return {self.dst.location}
+    def _memory(self):
+        return (Location.packet(self.region),), ()
 
     def result(self):
         return self.dst
@@ -318,14 +348,12 @@ class StorePacketField(Instruction):
         self.field = field
         self.src = src
 
-    def reads(self):
-        return self._regs(self.src) | {Location.packet(self.region)}
-
-    def writes(self):
-        return {Location.packet(self.region)}
+    def _memory(self):
+        region = Location.packet(self.region)
+        return (region,), (region,)
 
     def operands(self):
-        return [self.src]
+        return (self.src,)
 
     def p4_supported(self):
         return self.region in HEADER_REGIONS
@@ -344,11 +372,8 @@ class LoadState(Instruction):
         self.dst = dst
         self.state = state
 
-    def reads(self):
-        return {Location.state(self.state)}
-
-    def writes(self):
-        return {self.dst.location}
+    def _memory(self):
+        return (Location.state(self.state),), ()
 
     def result(self):
         return self.dst
@@ -371,14 +396,11 @@ class StoreState(Instruction):
         self.state = state
         self.src = src
 
-    def reads(self):
-        return self._regs(self.src)
-
-    def writes(self):
-        return {Location.state(self.state)}
+    def _memory(self):
+        return (), (Location.state(self.state),)
 
     def operands(self):
-        return [self.src]
+        return (self.src,)
 
     def p4_supported(self):
         return False
@@ -399,14 +421,12 @@ class RegisterRMW(Instruction):
         self.op = op
         self.operand = operand
 
-    def reads(self):
-        return self._regs(self.operand) | {Location.state(self.state)}
-
-    def writes(self):
-        return {self.dst.location, Location.state(self.state)}
+    def _memory(self):
+        state = Location.state(self.state)
+        return (state,), (state,)
 
     def operands(self):
-        return [self.operand]
+        return (self.operand,)
 
     def result(self):
         return self.dst
@@ -435,25 +455,19 @@ class MapFind(Instruction):
         self.found = found
         self.value = value
         self.state = state
-        self.keys = list(keys)
+        self.keys = tuple(keys)
 
-    def reads(self):
-        return self._regs(*self.keys) | {Location.state(self.state)}
-
-    def writes(self):
-        out = {self.found.location}
-        if self.value is not None:
-            out.add(self.value.location)
-        return out
+    def _memory(self):
+        return (Location.state(self.state),), ()
 
     def operands(self):
-        return list(self.keys)
+        return self.keys
 
     def result(self):
         return self.value
 
-    def defs(self):
-        return [self.found] if self.value is None else [self.value, self.found]
+    def _defined(self):
+        return (self.found,) if self.value is None else (self.value, self.found)
 
     def p4_supported(self):
         return True
@@ -465,17 +479,14 @@ class MapInsert(Instruction):
     def __init__(self, state: str, keys: Sequence[Operand], value: Operand, **kw):
         super().__init__(**kw)
         self.state = state
-        self.keys = list(keys)
+        self.keys = tuple(keys)
         self.value = value
 
-    def reads(self):
-        return self._regs(*self.keys, self.value)
-
-    def writes(self):
-        return {Location.state(self.state)}
+    def _memory(self):
+        return (), (Location.state(self.state),)
 
     def operands(self):
-        return list(self.keys) + [self.value]
+        return self.keys + (self.value,)
 
     def p4_supported(self):
         return False
@@ -487,16 +498,13 @@ class MapErase(Instruction):
     def __init__(self, state: str, keys: Sequence[Operand], **kw):
         super().__init__(**kw)
         self.state = state
-        self.keys = list(keys)
+        self.keys = tuple(keys)
 
-    def reads(self):
-        return self._regs(*self.keys)
-
-    def writes(self):
-        return {Location.state(self.state)}
+    def _memory(self):
+        return (), (Location.state(self.state),)
 
     def operands(self):
-        return list(self.keys)
+        return self.keys
 
     def p4_supported(self):
         return False
@@ -511,14 +519,11 @@ class VectorGet(Instruction):
         self.state = state
         self.index = index
 
-    def reads(self):
-        return self._regs(self.index) | {Location.state(self.state)}
-
-    def writes(self):
-        return {self.dst.location}
+    def _memory(self):
+        return (Location.state(self.state),), ()
 
     def operands(self):
-        return [self.index]
+        return (self.index,)
 
     def result(self):
         return self.dst
@@ -536,11 +541,8 @@ class VectorLen(Instruction):
         self.dst = dst
         self.state = state
 
-    def reads(self):
-        return {Location.state(self.state)}
-
-    def writes(self):
-        return {self.dst.location}
+    def _memory(self):
+        return (Location.state(self.state),), ()
 
     def result(self):
         return self.dst
@@ -557,14 +559,11 @@ class VectorPush(Instruction):
         self.state = state
         self.value = value
 
-    def reads(self):
-        return self._regs(self.value)
-
-    def writes(self):
-        return {Location.state(self.state)}
+    def _memory(self):
+        return (), (Location.state(self.state),)
 
     def operands(self):
-        return [self.value]
+        return (self.value,)
 
     def p4_supported(self):
         return False
@@ -590,21 +589,15 @@ class ExternCall(Instruction):
         super().__init__(**kw)
         self.dst = dst
         self.name = name
-        self.args = list(args)
-        self.extra_reads = set(extra_reads)
-        self.extra_writes = set(extra_writes)
+        self.args = tuple(args)
+        self.extra_reads = frozenset(extra_reads)
+        self.extra_writes = frozenset(extra_writes)
 
-    def reads(self):
-        return self._regs(*self.args) | self.extra_reads
-
-    def writes(self):
-        out = set(self.extra_writes)
-        if self.dst is not None:
-            out.add(self.dst.location)
-        return out
+    def _memory(self):
+        return self.extra_reads, self.extra_writes
 
     def operands(self):
-        return list(self.args)
+        return self.args
 
     def result(self):
         return self.dst
@@ -627,27 +620,29 @@ class Terminator(Instruction):
     def is_terminator(self):
         return True
 
-    def successors(self) -> List[str]:
-        return []
+    def successors(self) -> Tuple[str, ...]:
+        return ()
 
 
 class _VerdictBase(Terminator):
     """Common behaviour for packet-release instructions."""
 
+    # Releasing the packet observes its final header bytes, so a verdict
+    # reads every header region (plus payload for transmission).
+    _MEMORY = (
+        tuple(
+            Location.packet(region)
+            for region in HEADER_REGIONS + ("payload", "meta")
+        ),
+        (Location.packet("meta"),),
+    )
+
     @property
     def is_verdict(self):
         return True
 
-    def reads(self):
-        # Releasing the packet observes its final header bytes, so a verdict
-        # reads every header region (plus payload for transmission).
-        return {Location.packet(region) for region in HEADER_REGIONS} | {
-            Location.packet("payload"),
-            Location.packet("meta"),
-        }
-
-    def writes(self):
-        return {Location.packet("meta")}
+    def _memory(self):
+        return self._MEMORY
 
     def p4_supported(self):
         return True
@@ -664,11 +659,8 @@ class SendTo(_VerdictBase):
         super().__init__(**kw)
         self.port = port
 
-    def reads(self):
-        return super().reads() | self._regs(self.port)
-
     def operands(self):
-        return [self.port]
+        return (self.port,)
 
 
 class Drop(_VerdictBase):
@@ -687,7 +679,7 @@ class Jump(Terminator):
         self.target = target
 
     def successors(self):
-        return [self.target]
+        return (self.target,)
 
     def p4_supported(self):
         return True
@@ -702,14 +694,11 @@ class Branch(Terminator):
         self.if_true = if_true
         self.if_false = if_false
 
-    def reads(self):
-        return self._regs(self.cond)
-
     def operands(self):
-        return [self.cond]
+        return (self.cond,)
 
     def successors(self):
-        return [self.if_true, self.if_false]
+        return (self.if_true, self.if_false)
 
     def p4_supported(self):
         return True
@@ -725,11 +714,8 @@ class Return(Terminator):
         super().__init__(**kw)
         self.value = value
 
-    def reads(self):
-        return self._regs(self.value) if self.value is not None else set()
-
     def operands(self):
-        return [self.value] if self.value is not None else []
+        return () if self.value is None else (self.value,)
 
     def p4_supported(self):
         return True

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.lang.types import BOOL, IntType, Type, bit_width_of
 
@@ -22,12 +23,35 @@ class LocKind(enum.Enum):
     PACKET = "packet"  # a packet region: ip / tcp / udp / eth / payload / meta
 
 
-@dataclass(frozen=True)
 class Location:
-    """An abstract memory location used in read/write sets."""
+    """An abstract memory location used in read/write sets.
 
-    kind: LocKind
-    name: str
+    Interned: there is one object per ``(kind, name)``, so two locations
+    are equal exactly when they are one object, and a set of them hashes
+    by identity — no Python-level ``__hash__`` (a value hash runs
+    ``enum.__hash__`` on every lookup), nothing recomputed.
+    """
+
+    __slots__ = ("kind", "name", "alone")
+    _interned: Dict[Tuple[LocKind, str], "Location"] = {}
+
+    def __new__(cls, kind: LocKind, name: str) -> "Location":
+        found = cls._interned.get((kind, name))
+        if found is None:
+            found = cls._interned[kind, name] = super().__new__(cls)
+            found.kind = kind
+            found.name = name
+            #: the set of just this location, for every instruction that
+            #: reads or writes nothing else to share
+            found.alone = frozenset((found,))
+        return found
+
+    def __reduce__(self):
+        # Copies and unpickled values are the interned object too.
+        return Location, (self.kind, self.name)
+
+    def __repr__(self) -> str:
+        return f"Location(kind={self.kind!r}, name={self.name!r})"
 
     @classmethod
     def var(cls, name: str) -> "Location":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -100,9 +101,25 @@ _PUNCTUATORS = [
     ":",
 ]
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_HEX_RE = re.compile(r"0[xX][0-9a-fA-F]+")
-_DEC_RE = re.compile(r"[0-9]+")
+#: One token, comment or run of blanks per match, the alternatives in the
+#: order a hand-written scanner would try them.  Hex and decimal literals
+#: take the C integer suffixes (``10UL``, ``0xFFu``); a literal that runs
+#: straight into an identifier character is ``badnumber``, a comment or a
+#: string that never closes ``unclosed``.
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<blank>[ \t\r\n]+)
+    | (?P<line>//[^\n]*)
+    | (?P<block>/\*.*?\*/)
+    | (?P<number>(?:0[xX][0-9a-fA-F]+|[0-9]+)[uUlL]*(?![A-Za-z0-9_]))
+    | (?P<badnumber>[0-9][A-Za-z0-9_]*)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<string>"(?:\\.|[^"\\])*")
+    | (?P<unclosed>/\*|")
+    | (?P<punct>%s)
+    """ % "|".join(re.escape(punct) for punct in _PUNCTUATORS),
+    re.VERBOSE | re.DOTALL,
+)
 _ANNOTATION_RE = re.compile(r"//\s*@gallium:\s*(.*)")
 
 
@@ -147,121 +164,77 @@ def _parse_annotation_comment(body: str) -> dict:
 
 
 class Lexer:
-    """Single-pass tokenizer."""
+    """Single-pass tokenizer: one :data:`_TOKEN_RE` match per token."""
 
     def __init__(self, source: str, filename: str = "<input>"):
         self.source = source
         self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+        #: offset of the first character of each line
+        self._line_starts = [0]
+        self._line_starts.extend(
+            match.end() for match in re.finditer("\n", source)
+        )
 
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self.line, self.column, self.filename)
-
-    def _advance(self, count: int) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source) and self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
+    def _location(self, offset: int) -> SourceLocation:
+        line = bisect_right(self._line_starts, offset)
+        return SourceLocation(
+            line, offset - self._line_starts[line - 1] + 1, self.filename
+        )
 
     def tokens(self) -> List[Token]:
         out: List[Token] = []
         pending_annotations: dict = {}
         src = self.source
-        while self.pos < len(src):
-            ch = src[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
+        match_at = _TOKEN_RE.match
+        pos = 0
+        while pos < len(src):
+            match = match_at(src, pos)
+            if match is None:
+                raise LexError(
+                    f"unexpected character {src[pos]!r}", self._location(pos)
+                )
+            kind = match.lastgroup
+            text = match.group()
+            pos = match.end()
+            if kind == "blank" or kind == "block":
                 continue
-            # Comments.
-            if src.startswith("//", self.pos):
-                end = src.find("\n", self.pos)
-                if end == -1:
-                    end = len(src)
-                comment = src[self.pos : end]
-                match = _ANNOTATION_RE.match(comment)
-                if match:
+            if kind == "line":
+                annotation = _ANNOTATION_RE.match(text)
+                if annotation:
                     pending_annotations.update(
-                        _parse_annotation_comment(match.group(1))
+                        _parse_annotation_comment(annotation.group(1))
                     )
-                self._advance(end - self.pos)
                 continue
-            if src.startswith("/*", self.pos):
-                end = src.find("*/", self.pos + 2)
-                if end == -1:
-                    raise LexError("unterminated block comment", self._location())
-                self._advance(end + 2 - self.pos)
-                continue
-            location = self._location()
-            # Numbers.
-            match = _HEX_RE.match(src, self.pos)
-            if match:
-                text = match.group(0)
-                token = Token(TokenKind.NUMBER, text, location, int(text, 16))
-                self._advance(len(text))
-                out.append(self._attach(token, pending_annotations))
-                pending_annotations = {}
-                continue
-            match = _DEC_RE.match(src, self.pos)
-            if match:
-                text = match.group(0)
-                # Swallow C integer suffixes (10U, 10UL ...).
-                end = self.pos + len(text)
-                suffix = 0
-                while end + suffix < len(src) and src[end + suffix] in "uUlL":
-                    suffix += 1
-                token = Token(TokenKind.NUMBER, text, location, int(text, 10))
-                self._advance(len(text) + suffix)
-                out.append(self._attach(token, pending_annotations))
-                pending_annotations = {}
-                continue
-            # Identifiers / keywords.
-            match = _IDENT_RE.match(src, self.pos)
-            if match:
-                text = match.group(0)
-                kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-                token = Token(kind, text, location)
-                self._advance(len(text))
-                out.append(self._attach(token, pending_annotations))
-                pending_annotations = {}
-                continue
-            # Strings (only used in config snippets).
-            if ch == '"':
-                end = self.pos + 1
-                while end < len(src) and src[end] != '"':
-                    if src[end] == "\\":
-                        end += 1
-                    end += 1
-                if end >= len(src):
-                    raise LexError("unterminated string literal", location)
-                text = src[self.pos + 1 : end]
-                token = Token(TokenKind.STRING, text, location)
-                self._advance(end + 1 - self.pos)
-                out.append(self._attach(token, pending_annotations))
-                pending_annotations = {}
-                continue
-            # Punctuators.
-            for punct in _PUNCTUATORS:
-                if src.startswith(punct, self.pos):
-                    token = Token(TokenKind.PUNCT, punct, location)
-                    self._advance(len(punct))
-                    out.append(self._attach(token, pending_annotations))
-                    pending_annotations = {}
-                    break
+            location = self._location(match.start())
+            if kind == "ident":
+                token = Token(
+                    TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT,
+                    text, location,
+                )
+            elif kind == "punct":
+                token = Token(TokenKind.PUNCT, text, location)
+            elif kind == "number":
+                text = text.rstrip("uUlL")
+                base = 16 if text[1:2] in ("x", "X") else 10
+                token = Token(TokenKind.NUMBER, text, location, int(text, base))
+            elif kind == "string":
+                # Only used in config snippets.
+                token = Token(TokenKind.STRING, text[1:-1], location)
+            elif kind == "badnumber":
+                raise LexError(
+                    f"identifier character directly after an integer"
+                    f" literal: {text!r}", location,
+                )
+            elif text == '"':
+                raise LexError("unterminated string literal", location)
             else:
-                raise LexError(f"unexpected character {ch!r}", location)
-        out.append(Token(TokenKind.EOF, "", self._location()))
+                raise LexError("unterminated block comment", location)
+            if pending_annotations:
+                token.annotations = pending_annotations
+                pending_annotations = {}
+            out.append(token)
+        out.append(Token(TokenKind.EOF, "", self._location(len(src))))
         return out
-
-    @staticmethod
-    def _attach(token: Token, annotations: dict) -> Token:
-        if annotations:
-            token.annotations = dict(annotations)
-        return token
 
 
 def tokenize(source: str, filename: str = "<input>") -> List[Token]:

@@ -532,4 +532,10 @@ def parse_program(source: str, filename: str = "<input>") -> ast.Program:
     """Parse a middlebox source string into an AST."""
     tokens = tokenize(source, filename)
     parser = Parser(tokens, filename)
-    return parser.parse_program(source)
+    try:
+        return parser.parse_program(source)
+    except RecursionError:
+        # Recursive descent: hostile nesting runs out of stack, not grammar.
+        raise ParseError(
+            "nesting too deep to parse", parser._peek().location
+        ) from None

@@ -24,7 +24,7 @@ from repro.analysis.distance import dependency_distances
 from repro.analysis.liveness import peak_live_bytes
 from repro.analysis.reachability import ReachabilityInfo, compute_reachability
 from repro.ir import instructions as irin
-from repro.ir.function import Function
+from repro.ir.function import Function, per_shape
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,7 @@ class PipelineUsage:
     unsupported: List[irin.Instruction]
 
 
+@per_shape
 def measure_pipeline(function: Function) -> PipelineUsage:
     """Measure ``function`` as the switch would run it.
 
@@ -152,14 +153,16 @@ def measure_pipeline(function: Function) -> PipelineUsage:
     CFG projection rematerializes pure slices into the pipeline (header
     re-reads, ALU recomputation), so the emitted dependency chain can be
     longer than the source function's distance metric accounts for.
+    Measured once per shape of it: the budget search, the program's lint
+    and the verify stage read one :class:`PipelineUsage`.
     """
     info = compute_reachability(function)
     if info.cyclic_blocks:
         depth = UNBOUNDED_DEPTH
     else:
-        from_entry, _ = dependency_distances(
-            build_dependency_graph(function, info)
-        )
+        # Built, measured and dropped: nothing reads a projection's graph
+        # twice, and a kept one would sit in memory while packets run.
+        from_entry, _ = dependency_distances(build_dependency_graph(function))
         depth = max(from_entry.values(), default=0)
     sites: Dict[str, List[irin.Instruction]] = {}
     unsupported: List[irin.Instruction] = []

@@ -141,9 +141,7 @@ class LabelStatics:
 
     @classmethod
     def of(cls, graph: DependencyGraph) -> "LabelStatics":
-        if graph.label_statics is None:
-            graph.label_statics = cls.build(graph)
-        statics: LabelStatics = graph.label_statics
+        statics: LabelStatics = graph.once(cls.build)
         return statics
 
     @classmethod

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.depgraph import DependencyGraph, build_dependency_graph
+from repro.analysis.depgraph import DependencyGraph, dependency_graph
 from repro.analysis.distance import dependency_distances
 from repro.ir import instructions as irin
 from repro.ir.function import Function
@@ -69,7 +69,7 @@ def partition_middlebox(
     limits: Optional[SwitchResources] = None,
 ) -> PartitionPlan:
     limits = limits or SwitchResources.tofino_like()
-    graph = build_dependency_graph(lowered.process)
+    graph = dependency_graph(lowered.process)
     removed: Dict[int, Set[Label]] = {}
 
     assignment = run_label_removal(graph, removed)
@@ -407,9 +407,10 @@ class _Side:
     function of which instructions are its own and which are earlier — for
     a switch pipeline, of its member set alone: a post-side move cannot
     change the pre pipeline — so an iteration that left those alone reuses
-    the boundary and, where one was built, the projection and its measured
-    usage.  Only the boundary is needed to size a shim; the projection is
-    built when a pipeline must be measured, or the plan is accepted.
+    the boundary and, where one was built, the projection (which keeps
+    its measured usage).  Only the boundary is needed to size a shim; the
+    projection is built when a pipeline must be measured, or the plan is
+    accepted.
     """
 
     def __init__(self, statics: ProjectionStatics, partition: Partition):
@@ -417,7 +418,6 @@ class _Side:
         self._partition = partition
         self._key: Optional[Tuple[int, int]] = None
         self._function: Optional[Function] = None
-        self._usage: Optional[PipelineUsage] = None
         self.boundary: Boundary
 
     def decide(self, assignment: LabelAssignment) -> Boundary:
@@ -428,7 +428,7 @@ class _Side:
         if key != self._key:
             self.boundary = self._statics.decide(assignment, self._partition)
             self._key = key
-            self._function = self._usage = None
+            self._function = None
         return self.boundary
 
     def function(self) -> Function:
@@ -445,9 +445,7 @@ class _Side:
         graph)."""
         if transfer.byte_size() > limits.transfer_bytes:
             return True, None
-        if self._usage is None:
-            self._usage = measure_pipeline(self.function())
-        usage = self._usage
+        usage = measure_pipeline(self.function())
         return (
             usage.metadata_bytes > limits.metadata_bytes
             or usage.depth > limits.pipeline_depth
@@ -497,7 +495,7 @@ def _enforce_budgets(
     projections, the transfer sets and the :class:`PipelineUsage` pair of
     the accepted iteration with the assignment.
     """
-    statics = ProjectionStatics.of(graph)
+    statics = ProjectionStatics.of(lowered.process)
     pre_side, _, post_side = sides = [
         _Side(statics, partition) for partition in Partition
     ]

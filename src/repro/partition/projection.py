@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.depgraph import DependencyGraph
+from repro.analysis.depgraph import dependency_graph
 from repro.lang.types import BOOL
 from repro.ir import instructions as irin
 from repro.ir.function import Function
@@ -76,6 +76,7 @@ class _Block:
     instructions: List[Tuple[int, irin.Instruction, int, int]]
     #: successors in the source CFG
     successors: Tuple[int, ...] = ()
+    terminator: Optional[irin.Terminator] = None
     #: for a block ending in a ``Branch``: the branch's bit, where a
     #: projection that skips it jumps (its immediate postdominator; empty
     #: when that is the exit), and every instruction but the jumps of the
@@ -114,19 +115,23 @@ class Boundary:
 class ProjectionStatics:
     """What every projection of one source function shares.
 
-    Built once per dependency graph (:meth:`of`): the blocks in reverse
-    post-order with their joins and guarded regions, per-instruction
-    register bitsets, and the single-definition pure slices a destination
-    partition may recompute (see :meth:`pure_slice`).
+    Built once per shape of it (:meth:`of`) and kept by it, so like the
+    dependency graph it does not point back at the function: the blocks in
+    reverse post-order with their joins and guarded regions,
+    per-instruction register bitsets, and the single-definition pure slices
+    a destination partition may recompute (see :meth:`pure_slice`).
     """
 
-    function: Function
+    #: the source function's name and entry
+    name: str
+    entry: str
     #: every register the function names, sorted by name (so a register
     #: bitset read lowest bit first is in shim order), and name -> index
     regs: List[Reg]
     reg_index: Dict[str, int]
-    #: the blocks, in reverse post-order
+    #: the blocks, in reverse post-order, and as the source lists them
     order: List[_Block]
+    layout: List[_Block]
     #: the instructions a projection takes over as they are when they are
     #: its own: all but ``Jump`` / ``Branch`` / ``Return``
     carried: int
@@ -137,15 +142,13 @@ class ProjectionStatics:
     closures: Dict[Partition, Dict[int, int]]
 
     @classmethod
-    def of(cls, graph: DependencyGraph) -> "ProjectionStatics":
-        if graph.projection_statics is None:
-            graph.projection_statics = cls.build(graph)
-        statics: ProjectionStatics = graph.projection_statics
+    def of(cls, function: Function) -> "ProjectionStatics":
+        statics: ProjectionStatics = function.once(cls.build)
         return statics
 
     @classmethod
-    def build(cls, graph: DependencyGraph) -> "ProjectionStatics":
-        function = graph.function
+    def build(cls, function: Function) -> "ProjectionStatics":
+        graph = dependency_graph(function)
         position = graph.position
         regs = sorted(function.registers().values(), key=lambda reg: reg.name)
         reg_index = {reg.name: at for at, reg in enumerate(regs)}
@@ -179,17 +182,17 @@ class ProjectionStatics:
             order.append(_Block(
                 name, index[name], rows,
                 tuple(index[s] for s in block.successors() if s in index),
+                block.terminator,
             ))
         for at, count in def_count.items():
             if count != 1:
                 del single_def[at]
 
         for block in order:
-            terminator = function.blocks[block.name].terminator
-            if not isinstance(terminator, irin.Branch):
+            if not isinstance(block.terminator, irin.Branch):
                 continue
             join = graph.reachability.immediate_postdominator(block.name)
-            block.branch = 1 << position[terminator.id]
+            block.branch = 1 << position[block.terminator.id]
             block.skip = () if join is None else (index[join],)
             seen = set(block.skip)
             stack = list(block.successors)
@@ -211,8 +214,9 @@ class ProjectionStatics:
             for destination in (Partition.NON_OFF, Partition.POST)
         }
         return cls(
-            function, regs, reg_index, order, carried, effectful, single_def,
-            closures,
+            function.name, function.entry, regs, reg_index, order,
+            [order[index[name]] for name in function.blocks],
+            carried, effectful, single_def, closures,
         )
 
     # -- the decisions, one definition each -----------------------------------
@@ -367,57 +371,70 @@ def _pure_closures(
 ) -> Dict[int, int]:
     """Register -> its slice, for every register with a pure one (the
     static half of :meth:`ProjectionStatics.pure_slice`)."""
-    memo: Dict[int, Optional[int]] = {}
 
-    def closure_of(at: int) -> Optional[int]:
-        if at in memo:
-            return memo[at]
-        memo[at] = None  # break cycles conservatively
-        inst = single_def.get(at)
-        if inst is None or (p4_only and not inst.p4_supported()):
-            return None
+    def pure(inst: irin.Instruction) -> bool:
+        if p4_only and not inst.p4_supported():
+            return False
         if isinstance(inst, irin.LoadPacketField):
-            if aliased_packet_region(inst.region) in written_regions and not (
+            return aliased_packet_region(
+                inst.region
+            ) not in written_regions or (
                 inst.region == "meta" and inst.field == "ingress_port"
-            ):
-                return None
-        elif not isinstance(
-            inst, (irin.Assign, irin.Cast, irin.BinOp, irin.UnOp)
-        ):
-            return None
-        closure = 1 << at
-        for reg in inst.uses():
-            operand = closure_of(reg_index[reg.name])
-            if operand is None:
-                return None
-            closure |= operand
-        memo[at] = closure
-        return closure
+            )
+        return isinstance(inst, (irin.Assign, irin.Cast, irin.BinOp, irin.UnOp))
 
+    pure_def = {at: inst for at, inst in single_def.items() if pure(inst)}
+    memo: Dict[int, Optional[int]] = {}
     closures = {}
     for at in single_def:
-        closure = closure_of(at)
+        closure = _closure_of(at, pure_def, reg_index, memo)
         if closure is not None:
             closures[at] = closure
     return closures
 
 
+def _closure_of(
+    at: int,
+    pure_def: Dict[int, irin.Instruction],
+    reg_index: Dict[str, int],
+    memo: Dict[int, Optional[int]],
+) -> Optional[int]:
+    """The slice of register ``at``: itself and the slices of what its one,
+    pure definition reads, or None where one of them has no such
+    definition.  (A module-level function: one that recursed through its
+    own closure would be a reference cycle holding the statics.)"""
+    if at in memo:
+        return memo[at]
+    memo[at] = None  # break cycles conservatively
+    inst = pure_def.get(at)
+    if inst is None:
+        return None
+    closure = 1 << at
+    for reg in inst.uses():
+        operand = _closure_of(reg_index[reg.name], pure_def, reg_index, memo)
+        if operand is None:
+            return None
+        closure |= operand
+    memo[at] = closure
+    return closure
+
+
 def project_partition(statics: ProjectionStatics, boundary: Boundary) -> Function:
     """Build the projection ``boundary`` decided (see module docstring)."""
-    function = statics.function
     partition = boundary.partition
     members, kept = boundary.members, boundary.kept
-    projected = Function(f"{function.name}.{partition.name.lower()}", function.entry)
+    projected = Function(
+        f"{statics.name}.{partition.name.lower()}", statics.entry
+    )
     needs_server = Reg(NEEDS_SERVER, BOOL, is_temp=False)
     # Later partitions' effectful work, which the PRE projection flags.
     flagged = 0
     if partition is Partition.PRE:
         flagged = statics.effectful & ~boundary.not_later
 
-    by_name = {block.name: block for block in statics.order}
-    live = [  # in the source's dictionary order
-        by_name[name] for name in function.blocks
-        if boundary.reachable >> by_name[name].index & 1
+    live = [
+        block for block in statics.layout
+        if boundary.reachable >> block.index & 1
     ]
     for block in live:
         projected.add_block(block.name)
@@ -429,7 +446,7 @@ def project_partition(statics: ProjectionStatics, boundary: Boundary) -> Functio
             new_block.append(irin.Assign(needs_server, Const(0, BOOL)))
         flagged_here = False
         rows = block.instructions
-        terminator = function.blocks[block.name].terminator
+        terminator = block.terminator
         for bit, inst, _, _ in rows if terminator is None else rows[:-1]:
             if members & bit:
                 new_block.append(inst)
@@ -476,20 +493,25 @@ def _slice_order(
 ) -> List[irin.Instruction]:
     """The defining instructions of ``roots``' slices, operands first."""
     ordered: List[irin.Instruction] = []
-    seen = set()
-
-    def collect(at: int) -> None:
-        if at in seen:
-            return
-        seen.add(at)
-        inst = statics.single_def[at]
-        for reg in inst.uses():
-            collect(statics.reg_index[reg.name])
-        ordered.append(inst)
-
+    seen: set = set()
     for root in _bits(roots):
-        collect(root)
+        _collect_slice(statics, root, seen, ordered)
     return ordered
+
+
+def _collect_slice(
+    statics: ProjectionStatics,
+    at: int,
+    seen: set,
+    ordered: List[irin.Instruction],
+) -> None:
+    if at in seen:
+        return
+    seen.add(at)
+    inst = statics.single_def[at]
+    for reg in inst.uses():
+        _collect_slice(statics, statics.reg_index[reg.name], seen, ordered)
+    ordered.append(inst)
 
 
 def _simplify_empty_blocks(function: Function) -> None:

@@ -32,7 +32,6 @@ The interpreter stays the oracle; ``difftest --compiled`` is the gate.
 
 from __future__ import annotations
 
-import weakref
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -159,16 +158,9 @@ class SwitchFunction:
         self.slots: Tuple[Slot, ...] = tuple(emitter.slots)
 
 
-_CACHE: "weakref.WeakKeyDictionary[Function, SwitchFunction]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def compile_switch_function(function: Function) -> SwitchFunction:
-    """Generate (or fetch the cached generation of) one pipeline."""
-    compiled = _CACHE.get(function)
-    if compiled is None:
-        compiled = _CACHE[function] = SwitchFunction(function)
+    """Generate (or fetch the kept generation of) one pipeline."""
+    compiled: SwitchFunction = function.once(SwitchFunction)
     return compiled
 
 

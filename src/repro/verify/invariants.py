@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from repro.analysis.depgraph import build_dependency_graph
+from repro.analysis.depgraph import dependency_graph
 from repro.codegen.headers import ShimLayout
 from repro.ir import instructions as irin
 from repro.ir.validate import unsatisfied_uses
@@ -101,7 +101,7 @@ def _check_write_locality(plan: PartitionPlan) -> List[Diagnostic]:
 
 
 def _check_run_to_completion(plan: PartitionPlan) -> List[Diagnostic]:
-    graph = build_dependency_graph(plan.middlebox.process)
+    graph = dependency_graph(plan.middlebox.process)
     out: List[Diagnostic] = []
     for (src_id, dst_id), kinds in sorted(graph.edges.items()):
         src = graph.by_id(src_id)

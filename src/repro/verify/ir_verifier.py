@@ -14,7 +14,7 @@ on entry instead of reporting false IR007s.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.ir import instructions as irin
 from repro.ir.externs import EXTERN_SPECS
@@ -29,23 +29,33 @@ from repro.verify.diagnostics import Diagnostic, STAGE_IR, error, warning
 def verify_structure(
     function: Function,
     boundary_inputs: FrozenSet[str] = frozenset(),
-) -> List[Diagnostic]:
-    """IR001-IR008: is this a CFG whose every read has a definition?"""
+) -> Tuple[Diagnostic, ...]:
+    """IR001-IR008: is this a CFG whose every read has a definition?
+    Answered once per shape of ``function`` and set of inputs."""
+    found: Tuple[Diagnostic, ...] = function.once(
+        _verify_structure, boundary_inputs
+    )
+    return found
+
+
+def _verify_structure(
+    function: Function, boundary_inputs: FrozenSet[str]
+) -> Tuple[Diagnostic, ...]:
     if function.entry not in function.blocks:
-        return [
+        return (
             error(
                 "IR001",
                 STAGE_IR,
                 f"entry block {function.entry!r} missing",
                 function=function.name,
-            )
-        ]
-    out: List[Diagnostic] = []
-    out.extend(_check_blocks(function))
-    out.extend(_check_ssa(function))
-    out.extend(_check_reachability(function))
-    out.extend(_check_defs_before_use(function, boundary_inputs))
-    return out
+            ),
+        )
+    return (
+        *_check_blocks(function),
+        *_check_ssa(function),
+        *_check_reachability(function),
+        *_check_defs_before_use(function, boundary_inputs),
+    )
 
 
 def verify_ir(
@@ -53,7 +63,7 @@ def verify_ir(
     boundary_inputs: FrozenSet[str] = frozenset(),
 ) -> List[Diagnostic]:
     """Run every stage-1 check; return all diagnostics found."""
-    out = verify_structure(function, boundary_inputs)
+    out = list(verify_structure(function, boundary_inputs))
     if function.entry in function.blocks:
         out.extend(_check_types(function))
         out.extend(_check_externs(function))
@@ -135,14 +145,15 @@ def _check_ssa(function: Function) -> List[Diagnostic]:
 
 
 def _check_reachability(function: Function) -> List[Diagnostic]:
+    successors = function.successors()
     reachable: Set[str] = set()
     stack = [function.entry]
     while stack:
         name = stack.pop()
-        if name in reachable or name not in function.blocks:
+        if name in reachable or name not in successors:
             continue
         reachable.add(name)
-        stack.extend(function.blocks[name].successors())
+        stack.extend(successors[name])
     out: List[Diagnostic] = []
     for name in function.blocks:
         if name not in reachable:

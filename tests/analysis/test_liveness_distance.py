@@ -61,8 +61,8 @@ class TestLiveness:
         )
         find = next(inst for inst in lowered.process.instructions()
                     if isinstance(inst, irin.MapFind))
-        assert find.defs() == [find.value, find.found]
-        assert find.uses() == list(find.keys)
+        assert find.defs() == (find.value, find.found)
+        assert find.uses() == find.keys
         order = list(live_ranges(lowered.process))
         value, found, key = (order.index(reg.name) for reg in
                              (find.value, find.found, find.keys[0]))

@@ -417,7 +417,7 @@ def _dump(pins: dict) -> str:
 def run(argv: List[str], golden: Path, compute, moved, what: str) -> int:
     """The pin command line: recompute ``compute(wide)``, then print what
     ``moved`` against ``golden`` (exit 1) or, with ``--write``, record it.
-    Shared with ``tests/partition/compile_pins.py``."""
+    Shared with ``tests/verify/prover_pins.py``."""
     sweeps = ["narrow", "wide"] if "--wide" in argv else ["narrow"]
     computed = {sweep: compute(sweep == "wide") for sweep in sweeps}
     if "--write" in argv:

@@ -28,3 +28,15 @@ def test_every_sensitivity_pin_is_a_finding(recorded):
     for name, (outcome, _where, kind, _index) in recorded["sensitivity"].items():
         assert outcome in ("violation", "diverge"), name
         assert kind is not None, name
+
+
+def test_an_unrecorded_group_is_one_line_not_a_traceback(tmp_path, capsys):
+    golden = tmp_path / "pins.json"
+    golden.write_text(json.dumps({"narrow": {}}))
+    status = oracle_pins.run(
+        ["--wide"], golden, lambda wide: {}, oracle_pins.moved, "pins"
+    )
+    assert status == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "pins.json has no wide group recorded (record one with --write)"
+    ]

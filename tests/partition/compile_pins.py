@@ -18,16 +18,12 @@ The ``sensitivity`` group pins each P4L001-P4L009 mutation of
 ``tests/verify/test_ir_verifier.py`` to the codes it yields: a checker
 that checks nothing passes the compile pins and fails this one.
 
-The *narrow* sweep runs inside tier-1 (``test_compile_pins.py``): the
-bundled six plus the generated programs of at most
-:data:`NARROW_MAX_LINES` source lines (31 of the 40).  The split dates
-from when compile time was heavy-tailed in program size and the nine
-longer ones were 85 % of a ~60 s wide sweep; since the budget search
-stopped projecting every move the narrow sweep takes 2.6 s and the wide
-one 3.8 s, so it has little left to buy (ROADMAP, "Tier-1 wall time").
-The *wide* one is ``make compile-pins``::
+One sweep, and tier-1 runs it (``test_compile_pins.py``, ~4 s): there was
+a *narrow* one beside it while compile time was heavy-tailed in program
+size and the nine longest generated programs were 85 % of a ~60 s sweep.
+To see which pins moved, or to record them::
 
-    PYTHONPATH=src python -m tests.partition.compile_pins [--wide] [--write]
+    PYTHONPATH=src python -m tests.partition.compile_pins [--write]
 
 Regenerate with ``--write`` only when a decision is meant to change, and
 say which pin moved and why in CHANGES.md.
@@ -51,25 +47,20 @@ from repro.partition.partitioner import PartitionError
 from repro.switchsim.compiled import compile_switch_function
 from repro.switchsim.program import SwitchProgramError
 from repro.verify import lint_switch_program, verify_compilation, verify_ir
-from tests.difftest.oracle_pins import run
 
 GOLDEN = Path(__file__).parent / "golden" / "compile_pins.json"
 
 PIN_SEED = 0
 GENERATED = 40
-#: the narrow sweep keeps to generated programs this short (see above)
-NARROW_MAX_LINES = 90
 
 
-def sources(wide: bool) -> Iterator[Tuple[str, str]]:
-    """``(label, source)`` of every program one sweep compiles."""
+def sources() -> Iterator[Tuple[str, str]]:
+    """``(label, source)`` of every program the sweep compiles."""
     for name in MIDDLEBOX_NAMES:
         yield name, load(name).source
     for index in range(GENERATED):
         program_seed, _ = derive_seeds(PIN_SEED, index)
-        source = generate_program(program_seed).source()
-        if wide or len(source.splitlines()) <= NARROW_MAX_LINES:
-            yield f"gen{index:03d}", source
+        yield f"gen{index:03d}", generate_program(program_seed).source()
 
 
 def _sha(text: str) -> str:
@@ -138,9 +129,9 @@ def compile_row(source: str, limits: SwitchResources) -> dict:
     }
 
 
-def compile_pins(wide: bool, limits: SwitchResources) -> Dict[str, dict]:
+def compile_pins(limits: SwitchResources) -> Dict[str, dict]:
     return {
-        label: compile_row(source, limits) for label, source in sources(wide)
+        label: compile_row(source, limits) for label, source in sources()
     }
 
 
@@ -159,19 +150,17 @@ def sensitivity_pins() -> Dict[str, list]:
     return pins
 
 
-#: group name -> ``pins(wide)``
+#: group name -> ``pins()``
 GROUPS = {
-    "tofino_like": lambda wide: compile_pins(
-        wide, SwitchResources.tofino_like()
-    ),
-    "tiny": lambda wide: compile_pins(wide, SwitchResources.tiny()),
-    "sensitivity": lambda wide: sensitivity_pins(),
+    "tofino_like": lambda: compile_pins(SwitchResources.tofino_like()),
+    "tiny": lambda: compile_pins(SwitchResources.tiny()),
+    "sensitivity": sensitivity_pins,
 }
 
 
-def compute(wide: bool = False) -> Dict[str, dict]:
+def compute() -> Dict[str, dict]:
     return json.loads(json.dumps(
-        {group: pins(wide) for group, pins in GROUPS.items()}
+        {group: pins() for group, pins in GROUPS.items()}
     ))
 
 
@@ -195,8 +184,37 @@ def moved(computed: dict, recorded: dict) -> List[str]:
     return lines
 
 
+def _dump(pins: dict) -> str:
+    """One pin per line, so a moved pin is a one-line diff."""
+    groups = ",\n".join(
+        f" {json.dumps(group)}: {{\n" + ",\n".join(
+            f"  {json.dumps(name)}: {json.dumps(row)}"
+            for name, row in rows.items()
+        ) + "\n }"
+        for group, rows in pins.items()
+    )
+    return "{\n" + groups + "\n}\n"
+
+
+def run(argv: List[str], golden: Path, compute, what: str) -> int:
+    """The pin command line: recompute, then print what :func:`moved`
+    against ``golden`` (exit 1) or, with ``--write``, record it.  Shared
+    with ``refinement_moves.py``."""
+    computed = compute()
+    if "--write" in argv:
+        golden.write_text(_dump(computed))
+        print(f"wrote {golden}")
+        return 0
+    differences = moved(computed, json.loads(golden.read_text()))
+    for line in differences:
+        print(line)
+    if not differences:
+        print(f"{what} hold")
+    return 1 if differences else 0
+
+
 def main(argv: List[str]) -> int:
-    return run(argv, GOLDEN, compute, moved, "compile pins")
+    return run(argv, GOLDEN, compute, "compile pins")
 
 
 if __name__ == "__main__":

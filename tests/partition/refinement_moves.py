@@ -11,7 +11,7 @@ constraint-2 pruning and the stranded-writer re-check in
 the source function (ids come from a process-wide counter), ``label`` the
 label removed.  It was recorded on the commit *before* the label engine
 went closed-form and ``_enforce_budgets`` started reusing its unchanged
-side, over the programs and limits of the narrow compile-pin sweep.
+side, over the programs and limits of the compile-pin sweep.
 
 Nothing in ``src/`` is instrumented: the recorder watches the ``removed``
 pin dictionary through the module globals the partitioner calls — at every
@@ -20,12 +20,12 @@ constraint-3 search are another object and are skipped) and at every
 pass's exit, so a pass that stops re-running the rules after its last pin
 records the same list.
 
-The ``wide`` group adds the nine longest generated programs — the ones
-that do most of the budget search — and was recorded on the commit before
-that search stopped projecting every iteration (``make compile-pins``
-runs it).
+The nine longest generated programs — the ones that do most of the
+budget search — were recorded on the commit before that search stopped
+projecting every iteration.  Tier-1 runs the whole sweep
+(``test_refinement_moves.py``, ~3 s).
 
-    PYTHONPATH=src python -m tests.partition.refinement_moves [--wide] [--write]
+    PYTHONPATH=src python -m tests.partition.refinement_moves [--write]
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.ir import lower_program
 from repro.lang import parse_program
 from repro.partition import partitioner
 from repro.partition.constraints import SwitchResources
-from tests.difftest.oracle_pins import run
 from tests.partition import compile_pins
 
 GOLDEN = Path(__file__).parent / "golden" / "refinement_moves.json"
@@ -115,26 +114,26 @@ def record_moves(lowered, limits: SwitchResources) -> dict:
     return {"moves": moves, "outcome": outcome}
 
 
-def move_pins(wide: bool, limits: SwitchResources) -> Dict[str, dict]:
+def move_pins(limits: SwitchResources) -> Dict[str, dict]:
     return {
         label: record_moves(lower_program(parse_program(source)), limits)
-        for label, source in compile_pins.sources(wide)
+        for label, source in compile_pins.sources()
     }
 
 
-#: group name -> ``pins(wide)``
+#: group name -> ``pins()``
 GROUPS = {
-    "tofino_like": lambda wide: move_pins(wide, SwitchResources.tofino_like()),
-    "tiny": lambda wide: move_pins(wide, SwitchResources.tiny()),
+    "tofino_like": lambda: move_pins(SwitchResources.tofino_like()),
+    "tiny": lambda: move_pins(SwitchResources.tiny()),
 }
 
 
-def compute(wide: bool = False) -> Dict[str, dict]:
-    return {group: pins(wide) for group, pins in GROUPS.items()}
+def compute() -> Dict[str, dict]:
+    return {group: pins() for group, pins in GROUPS.items()}
 
 
 def main(argv: List[str]) -> int:
-    return run(argv, GOLDEN, compute, compile_pins.moved, "refinement moves")
+    return compile_pins.run(argv, GOLDEN, compute, "refinement moves")
 
 
 if __name__ == "__main__":

@@ -13,12 +13,12 @@ from tests.partition import compile_pins, refinement_moves
 
 @pytest.fixture(scope="module")
 def recorded():
-    return json.loads(refinement_moves.GOLDEN.read_text())["narrow"]
+    return json.loads(refinement_moves.GOLDEN.read_text())
 
 
 @pytest.mark.parametrize("group", sorted(refinement_moves.GROUPS))
 def test_group_makes_the_recorded_moves(group, recorded):
-    computed = refinement_moves.GROUPS[group](False)
+    computed = refinement_moves.GROUPS[group]()
     assert compile_pins.moved({group: computed}, {group: recorded[group]}) == []
 
 
@@ -32,15 +32,3 @@ def test_every_refinement_pass_is_pinned(recorded):
         for move in row["moves"]
     }
     assert phases == set(refinement_moves.PHASES) | {"driver"}
-
-
-def test_an_unrecorded_group_is_one_line_not_a_traceback(tmp_path, capsys):
-    golden = tmp_path / "pins.json"
-    golden.write_text(json.dumps({"narrow": {}}))
-    status = refinement_moves.run(
-        ["--wide"], golden, lambda wide: {}, compile_pins.moved, "pins"
-    )
-    assert status == 1
-    assert capsys.readouterr().out.splitlines() == [
-        "pins.json has no wide group recorded (record one with --write)"
-    ]

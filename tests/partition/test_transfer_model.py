@@ -54,7 +54,7 @@ LIMITS = (SwitchResources.tofino_like, SwitchResources.tiny)
 
 
 def sources() -> Iterator[Tuple[str, str]]:
-    yield from compile_pins.sources(wide=True)
+    yield from compile_pins.sources()
     master, count = CAMPAIGN_POOL
     for index in range(count):
         program_seed, _ = derive_seeds(master, index)
@@ -106,9 +106,9 @@ class Oracle:
     answer, as the old search's ``_SwitchSide`` reused it.
     """
 
-    def __init__(self, statics):
+    def __init__(self, statics, function):
         self.statics = statics
-        self.function = statics.function
+        self.function = function
         self.instructions = list(self.function.instructions())
         self.postdominators = compute_reachability(self.function).postdominators
         self.built: dict = {}
@@ -167,7 +167,7 @@ def search(label: str, limits: SwitchResources) -> int:
         iterations += 1
         specs = real(statics, *boundaries)
         if statics not in oracles:
-            oracles[statics] = Oracle(statics)
+            oracles[statics] = Oracle(statics, lowered(label).process)
         oracles[statics].compare(
             boundaries, specs, f"{label} iteration {iterations}"
         )
@@ -186,8 +186,9 @@ def forged(label: str, seeds: range) -> None:
     every instruction in a partition drawn at random — where a partition
     can define what an earlier one reads: the decision is exact for any
     member sets, not only for those the rules allow."""
-    graph = build_dependency_graph(lowered(label).process)
-    statics = projection.ProjectionStatics.of(graph)
+    function = lowered(label).process
+    graph = build_dependency_graph(function)
+    statics = projection.ProjectionStatics.of(function)
     everything = (1 << len(graph.instructions)) - 1
     for seed in seeds:
         rng = random.Random(seed)
@@ -199,7 +200,7 @@ def forged(label: str, seeds: range) -> None:
         boundaries = [
             statics.decide(assignment, partition) for partition in Partition
         ]
-        Oracle(statics).compare(
+        Oracle(statics, function).compare(
             boundaries, partitioner._build_transfers(statics, *boundaries),
             f"{label} forged assignment {seed}",
         )
@@ -234,8 +235,8 @@ def mutated_build(mutate):
     """``ProjectionStatics.build`` with ``mutate`` applied to what it built."""
     build = projection.ProjectionStatics.build
 
-    def mutant(graph):
-        statics = build(graph)
+    def mutant(function):
+        statics = build(function)
         mutate(statics)
         return statics
 
@@ -304,9 +305,9 @@ def test_statics_once_and_functions_only_for_what_fits(label):
     #: per iteration: how many shims fit, and the partitions projected in it
     iterations: List[Tuple[int, List[Partition]]] = []
 
-    def counted_build(graph):
-        builds.append(graph)
-        return build(graph)
+    def counted_build(function):
+        builds.append(function)
+        return build(function)
 
     def counted_transfers(statics, *boundaries):
         specs = real_transfers(statics, *boundaries)

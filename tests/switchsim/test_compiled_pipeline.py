@@ -2,6 +2,7 @@
 the interpreted originals — same traversals, same journeys, same state."""
 
 from itertools import islice
+from unittest import mock
 
 import pytest
 
@@ -60,11 +61,13 @@ class TestFactory:
         _, program = compile_middlebox(lowered)
         from repro.ir import compile as ir_compile
 
-        for cache in (ir_compile._CACHE, switch_compiled._CACHE):
-            cache.pop(program.pre, None)
-        SwitchModel(program, seed=0)
-        assert program.pre not in ir_compile._CACHE
-        assert program.pre not in switch_compiled._CACHE
+        with mock.patch.object(
+            ir_compile, "CompiledFunction"
+        ) as server_side, mock.patch.object(
+            switch_compiled, "SwitchFunction"
+        ) as switch_side:
+            SwitchModel(program, seed=0)
+        assert not server_side.called and not switch_side.called
 
     def test_deep_trace_keeps_the_interpreter(self):
         lowered = get_bundle("minilb").lowered

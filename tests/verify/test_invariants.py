@@ -143,16 +143,21 @@ def test_part005_shim_over_budget():
     assert "PART005" in _codes(result)
 
 
+def force_rmw_into_post(result):
+    """Legal for the full deployment, a lost update under the cache."""
+    plan = result.plan
+    (rmw,) = _rmws(plan)
+    plan.post.blocks[plan.post.entry].instructions.insert(0, rmw)
+
+
 def test_part006_only_in_cache_mode():
     result = _compile(COUNTER_SOURCE)
     assert _rmws(result.plan, Partition.NON_OFF), "RMW stays server-side"
     # Clean in both modes: the RMW is not offloaded.
     assert "PART006" not in _codes(result, cache_mode=True)
-    # Force the RMW into the post pipeline: legal for the full deployment
-    # but a lost update under the cache, so only cache_mode objects.
+    # With the RMW in the post pipeline only cache_mode objects.
+    force_rmw_into_post(result)
     plan = result.plan
-    (rmw,) = _rmws(plan)
-    plan.post.blocks[plan.post.entry].instructions.insert(0, rmw)
     diagnostics = verify_partition(
         plan, result.shim_to_server, result.shim_to_switch, cache_mode=True
     )

@@ -52,10 +52,9 @@ def _compile(corpus, name):
     return result
 
 
-def test_remat_nonp4_into_post_rejected_p4l001(corpus):
+def plant_mod_in_post(result):
     """Bug 1: a pure-but-non-P4 slice (``%``) rematerialized into the post
     pipeline.  Mutation: plant a MOD instruction in the post entry block."""
-    result = _compile(corpus, "remat_nonp4_into_post")
     post = result.switch_program.post
     bad = irin.BinOp(
         Reg("mutant_mod", IntType(32)),
@@ -64,15 +63,11 @@ def test_remat_nonp4_into_post_rejected_p4l001(corpus):
         const_int(3),
     )
     post.blocks[post.entry].instructions.insert(0, bad)
-    report = verify_compilation(result)
-    assert not report.ok
-    assert "P4L001" in report.codes()
 
 
-def test_stranded_register_write_rejected_part001(corpus):
+def offload_one_of_two_rmws(result):
     """Bug 2: one RMW of a register offloaded while its sibling stayed on
     the server.  Mutation: flip the first server-side RMW to PRE."""
-    result = _compile(corpus, "stranded_offloaded_register_write")
     plan = result.plan
     rmws = [
         inst
@@ -82,18 +77,14 @@ def test_stranded_register_write_rejected_part001(corpus):
     ]
     assert len(rmws) >= 2, "expected both RMWs on the server after the fix"
     plan.assignment[rmws[0].id] = Partition.PRE
-    report = verify_compilation(result)
-    assert not report.ok
-    assert "PART001" in report.codes()
 
 
-def test_l4_alias_hoist_rejected_part003(corpus):
+def hoist_a_dependency_sink(result):
     """Bug 3: an aliased L4 store was hoisted above the load it feeds.
     Mutation: move a dependency *sink* into PRE while its server-side
     source stays put, so the dep edge flows backward across partitions."""
     from repro.analysis.depgraph import build_dependency_graph
 
-    result = _compile(corpus, "l4_alias_hoist")
     plan = result.plan
     graph = build_dependency_graph(plan.middlebox.process)
     victim = None
@@ -109,23 +100,36 @@ def test_l4_alias_hoist_rejected_part003(corpus):
             break
     assert victim is not None, "no server-side dependency edge to invert"
     plan.assignment[victim.id] = Partition.PRE
-    report = verify_compilation(result)
-    assert not report.ok
-    assert "PART003" in report.codes()
 
 
-def test_table_blowup_rejected_p4l005(corpus):
+def size_a_table_past_switch_memory(result):
     """Bug 4: erase+insert through a full table.  The capacity half of
     that bug class: a table sized past switch SRAM must be a lint error,
     not a deploy-time ``SwitchProgramError``."""
-    result = _compile(corpus, "table_stage_erase_insert")
     program = result.switch_program
     assert program.tables, "expected an offloaded table"
     name, spec = next(iter(program.tables.items()))
     program.tables[name] = dataclasses.replace(spec, size=1 << 30)
+
+
+#: corpus entry -> (the code its bug maps to, the mutation that brings the
+#: bug back); ``test_stale_answers.py`` re-runs each on verified artifacts
+HISTORICAL_BUGS = {
+    "remat_nonp4_into_post": ("P4L001", plant_mod_in_post),
+    "stranded_offloaded_register_write": ("PART001", offload_one_of_two_rmws),
+    "l4_alias_hoist": ("PART003", hoist_a_dependency_sink),
+    "table_stage_erase_insert": ("P4L005", size_a_table_past_switch_memory),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HISTORICAL_BUGS))
+def test_historical_bug_is_rejected_with_its_code(corpus, name):
+    code, mutate = HISTORICAL_BUGS[name]
+    result = _compile(corpus, name)
+    mutate(result)
     report = verify_compilation(result)
     assert not report.ok
-    assert "P4L005" in report.codes()
+    assert code in report.codes()
 
 
 def test_cached_post_rmw_rejected_part006(corpus):
