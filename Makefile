@@ -32,14 +32,14 @@ help:
 	@echo "  option-census   who sets each defaulted parameter of src/repro; exit 1"
 	@echo "                  on one nobody sets outside the allow-list"
 	@echo "  difftest        full differential gauntlet (1000 programs, --shrink)"
-	@echo "  difftest-smoke  fixed-seed ~60s gauntlet slice, then 25 programs"
+	@echo "  difftest-smoke  fixed-seed 1991-program gauntlet slice, then 25 programs"
 	@echo "                  through the compiled-vs-interpreted differential"
 	@echo "  difftest-compiled  compiled-engine-vs-interpreter gauntlet (200 programs)"
 	@echo "  oracle-pins     every oracle's verdicts vs the golden file (wide sweep,"
 	@echo "                  ~3 min; the narrow one runs in tier-1)"
 	@echo "  faults          full fault campaign (500 scenarios)"
-	@echo "  faults-smoke    fixed-seed ~60s campaign slice"
-	@echo "  failover-smoke  fixed-seed ~60s active-standby failover campaign"
+	@echo "  faults-smoke    fixed-seed 2013-scenario campaign slice"
+	@echo "  failover-smoke  fixed-seed 1905-scenario active-standby failover campaign"
 	@echo "  pool-smoke      fixed-seed punt-path server-pool campaign"
 	@echo "                  (member crash/drain + live flow-state migration;"
 	@echo "                  then slices with --cached, --failover and both)"
@@ -155,10 +155,12 @@ option-census:
 difftest:
 	$(PYTHON) -m repro difftest --runs 1000 --seed 0 --shrink
 
-# Fixed-seed smoke slice bounded to ~60 seconds of wall clock, then a
-# slice of the compiled-engine gate below.
+# Fixed-seed smoke slice, then a slice of the compiled-engine gate below.
+# The campaign smokes pin their scenario counts (what a 60 / 30 s budget
+# reached on a 2-core x86 host) so a faster compile cannot change what
+# they cover; the time budget, twice that, is only a ceiling.
 difftest-smoke:
-	$(PYTHON) -m repro difftest --runs 100000 --seed 0 --time-budget 60
+	$(PYTHON) -m repro difftest --runs 1991 --seed 0 --time-budget 120
 	$(PYTHON) -m repro difftest --compiled --runs 25 --seed 0
 
 # Compiled-engine equivalence gate: every generated program runs through
@@ -179,15 +181,17 @@ oracle-pins:
 faults:
 	$(PYTHON) -m repro faults --runs 500 --seed 0
 
-# Fixed-seed smoke slice bounded to ~60 seconds of wall clock.
+# Fixed-seed smoke slice (red: runs #823 and #956 end `violation`, the
+# open item in ROADMAP.md).
 faults-smoke:
-	$(PYTHON) -m repro faults --runs 100000 --seed 0 --time-budget 60
+	$(PYTHON) -m repro faults --runs 2013 --seed 0 --time-budget 120
 
 # Active-standby failover campaign: switch crashes (packet-boundary and
 # mid-batch), stale standbys, and the base fault mix, replayed against
-# the failover-aware oracle.  Fixed seed, ~60 seconds.
+# the failover-aware oracle.  Fixed seed, ~60 seconds (red: run #1660 is
+# the faults-smoke open item again).
 failover-smoke:
-	$(PYTHON) -m repro faults --runs 100000 --seed 0 --time-budget 60 \
+	$(PYTHON) -m repro faults --runs 1905 --seed 0 --time-budget 120 \
 		--failover
 
 # Punt-path server-pool campaign: member crashes and drains with live
@@ -206,17 +210,17 @@ BOTH_ROLES_ROLLED_UP = $(PYTHON) -c "import json; \
 	assert s['pool']['migrations'] and w & {'switch_crash', 'crash_batch'} \
 	and w & {'pool_member_crash', 'pool_member_drain'}, s"
 pool-smoke:
-	$(PYTHON) -m repro faults --runs 100000 --seed 0 --time-budget 60 \
+	$(PYTHON) -m repro faults --runs 1588 --seed 0 --time-budget 120 \
 		--servers 3 --summary-json pool_summary.json
 	$(PYTHON) -m repro.telemetry.schema faults_summary pool_summary.json
-	$(PYTHON) -m repro faults --runs 100000 --seed 0 --time-budget 30 \
+	$(PYTHON) -m repro faults --runs 1194 --seed 0 --time-budget 60 \
 		--servers 3 --cached --summary-json pool_summary.json
 	$(PYTHON) -m repro.telemetry.schema faults_summary pool_summary.json
-	$(PYTHON) -m repro faults --runs 100000 --seed 0 --time-budget 30 \
+	$(PYTHON) -m repro faults --runs 869 --seed 0 --time-budget 60 \
 		--servers 3 --failover --summary-json pool_summary.json
 	$(PYTHON) -m repro.telemetry.schema faults_summary pool_summary.json
 	$(BOTH_ROLES_ROLLED_UP)
-	$(PYTHON) -m repro faults --runs 100000 --seed 0 --time-budget 30 \
+	$(PYTHON) -m repro faults --runs 1128 --seed 0 --time-budget 60 \
 		--servers 3 --failover --cached --summary-json pool_summary.json
 	$(PYTHON) -m repro.telemetry.schema faults_summary pool_summary.json
 	$(BOTH_ROLES_ROLLED_UP)

@@ -42,11 +42,6 @@ class SwitchResources:
     metadata_bytes: int = 96
     #: Constraint 5 — per-direction shim-header budget, in bytes.
     transfer_bytes: int = 20
-    #: Default table size assumed for offloaded maps with no annotation
-    #: (None = an unannotated map cannot be placed on the switch).
-    default_map_entries: Optional[int] = None
-    #: Default table size for offloaded read-only vectors.
-    default_vector_entries: int = 1024
 
     @classmethod
     def tofino_like(cls) -> "SwitchResources":

@@ -19,7 +19,9 @@ reading of the paper's assignment rule and reproduces Figure 4.)
 
 *Pins* let later passes force instructions into the non-offloaded
 partition (resource-constraint refinement re-runs the rules after each
-pin, as §4.2.2 prescribes).
+pin, as §4.2.2 prescribes).  A pin is a bit: ``pinned_pre`` /
+``pinned_post`` are bitsets over the graph's positions, and a
+:class:`LabelAssignment` carries the pins it was computed from.
 
 **Implementation.**  Nothing here iterates the rules: on a transitive
 ``⇝*`` their fixpoint has a closed form (DESIGN.md, "Partitioner", has the
@@ -41,18 +43,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterator, List
 
 from repro.analysis.depgraph import DependencyGraph
-from repro.ir.instructions import Instruction
 from repro.ir.values import Location
-
-
-class Label(enum.Enum):
-    PRE = "pre"
-    POST = "post"
-    NON_OFF = "non_off"
 
 
 class Partition(enum.Enum):
@@ -65,33 +59,19 @@ class Partition(enum.Enum):
 
 @dataclass
 class LabelAssignment:
-    """Result of the label-removing algorithm.
-
-    Held as two bitsets over ``graph.position``; the per-instruction label
-    sets and partitions are read off them on first use.
-    """
+    """Result of the label-removing algorithm, as bitsets over
+    ``graph.position``."""
 
     graph: DependencyGraph
+    #: instructions whose ``pre`` / ``post`` a refinement pass pinned away
+    pinned_pre: int
+    pinned_post: int
     #: instructions that lost ``pre`` / ``post``
     no_pre: int
     no_post: int
 
-    @cached_property
-    def labels(self) -> Dict[int, Set[Label]]:
-        """Instruction id -> its final label set."""
-        position = self.graph.position
-        out: Dict[int, Set[Label]] = {}
-        for inst_id, at in position.items():
-            label_set = {Label.NON_OFF}
-            if not self.no_pre >> at & 1:
-                label_set.add(Label.PRE)
-            if not self.no_post >> at & 1:
-                label_set.add(Label.POST)
-            out[inst_id] = label_set
-        return out
-
-    @cached_property
-    def _partitions(self) -> Dict[int, Partition]:
+    def assignment(self) -> Dict[int, Partition]:
+        """Instruction id -> its partition (what a plan records)."""
         return {
             inst.id: (
                 Partition.PRE if not self.no_pre >> at & 1
@@ -101,20 +81,18 @@ class LabelAssignment:
             for at, inst in enumerate(self.graph.instructions)
         }
 
-    def partition_of(self, inst: Instruction) -> Partition:
-        return self._partitions[inst.id]
-
-    def assignment(self) -> Dict[int, Partition]:
-        return dict(self._partitions)
+    @property
+    def offloaded(self) -> int:
+        """The instructions assigned to the switch."""
+        return self.members(Partition.PRE) | self.members(Partition.POST)
 
     def members(self, partition: Partition) -> int:
         """The instructions assigned to ``partition``, as a bitset."""
-        everything = (1 << len(self.graph.instructions)) - 1
-        return {
-            Partition.PRE: everything & ~self.no_pre,
-            Partition.POST: self.no_pre & ~self.no_post,
-            Partition.NON_OFF: self.no_pre & self.no_post,
-        }[partition]
+        if partition is Partition.PRE:
+            return ~self.no_pre & (1 << len(self.graph.instructions)) - 1
+        if partition is Partition.POST:
+            return self.no_pre & ~self.no_post
+        return self.no_pre & self.no_post
 
     def through(self, partition: Partition) -> int:
         """The instructions assigned to ``partition`` or an earlier one."""
@@ -123,13 +101,6 @@ class LabelAssignment:
             if other.value <= partition.value:
                 mask |= self.members(other)
         return mask
-
-    def offloaded_count(self) -> int:
-        """Number of instructions assigned to the switch."""
-        return sum(
-            partition is not Partition.NON_OFF
-            for partition in self._partitions.values()
-        )
 
 
 @dataclass(frozen=True)
@@ -177,6 +148,14 @@ class LabelStatics:
         )
 
 
+def set_bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _spread(seeds: int, rows: List[int]) -> int:
     """``seeds`` and everything their ``rows`` reach.
 
@@ -193,20 +172,14 @@ def _spread(seeds: int, rows: List[int]) -> int:
 
 
 def run_label_removal(
-    graph: DependencyGraph,
-    removed: Optional[Dict[int, Set[Label]]] = None,
+    graph: DependencyGraph, pinned_pre: int, pinned_post: int
 ) -> LabelAssignment:
-    """The fixpoint of rules 1–5 over ``graph`` with ``removed`` pinned away."""
+    """The fixpoint of rules 1–5 over ``graph`` with the ``pinned_pre``
+    instructions' ``pre`` and the ``pinned_post`` ones' ``post`` removed."""
     statics = LabelStatics.of(graph)
     no_pre, no_post = statics.no_pre, statics.no_post
-    if removed:
-        position = graph.position
-        pinned_pre = pinned_post = 0
-        for inst_id, labels in removed.items():
-            if Label.PRE in labels:
-                pinned_pre |= 1 << position[inst_id]
-            if Label.POST in labels:
-                pinned_post |= 1 << position[inst_id]
-        no_pre |= _spread(pinned_pre & ~no_pre, graph.descendants)
-        no_post |= _spread(pinned_post & ~no_post, graph.ancestors)
-    return LabelAssignment(graph=graph, no_pre=no_pre, no_post=no_post)
+    return LabelAssignment(
+        graph, pinned_pre, pinned_post,
+        no_pre=no_pre | _spread(pinned_pre & ~no_pre, graph.descendants),
+        no_post=no_post | _spread(pinned_post & ~no_post, graph.ancestors),
+    )

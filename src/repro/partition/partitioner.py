@@ -20,7 +20,7 @@ to ensure that the dependency constraints are met").
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.depgraph import DependencyGraph, dependency_graph
 from repro.analysis.distance import dependency_distances
@@ -35,10 +35,10 @@ from repro.partition.constraints import (
     measure_pipeline,
 )
 from repro.partition.labels import (
-    Label,
     LabelAssignment,
     Partition,
     run_label_removal,
+    set_bits,
 )
 from repro.partition.plan import (
     PartitionPlan,
@@ -60,8 +60,14 @@ class PartitionError(Exception):
     unannotated structure the caller must fix)."""
 
 
-_OFFLOAD_LABELS = {Label.PRE, Label.POST}
 _MAX_ENUM_SITES = 8
+
+#: Table size assumed for an offloaded map with no size annotation: none —
+#: the paper requires the developer's annotation before a map can be
+#: offloaded.
+DEFAULT_MAP_ENTRIES: Optional[int] = None
+#: Table size assumed for an offloaded read-only vector with no annotation.
+DEFAULT_VECTOR_ENTRIES = 1024
 
 
 def partition_middlebox(
@@ -70,34 +76,31 @@ def partition_middlebox(
 ) -> PartitionPlan:
     limits = limits or SwitchResources.tofino_like()
     graph = dependency_graph(lowered.process)
-    removed: Dict[int, Set[Label]] = {}
-
-    assignment = run_label_removal(graph, removed)
+    assignment = run_label_removal(graph, 0, 0)
 
     # -- constraint 2: pipeline depth ------------------------------------
     from_entry, to_exit = dependency_distances(graph)
+    masks = _Masks(lowered, graph, from_entry, to_exit)
     depth = limits.pipeline_depth
-    changed = False
-    for inst in graph.instructions:
+    too_far_pre = too_far_post = 0
+    for at, inst in enumerate(graph.instructions):
         if from_entry[inst.id] > depth:
-            removed.setdefault(inst.id, set()).add(Label.PRE)
-            changed = True
+            too_far_pre |= 1 << at
         if to_exit[inst.id] > depth:
-            removed.setdefault(inst.id, set()).add(Label.POST)
-            changed = True
-    if changed:
-        assignment = run_label_removal(graph, removed)
+            too_far_post |= 1 << at
+    if too_far_pre | too_far_post:
+        assignment = _pin(assignment, too_far_pre, too_far_post)
 
     # -- constraint 1: switch memory ---------------------------------------
-    assignment = _enforce_memory(lowered, graph, removed, assignment, limits)
+    assignment = _enforce_memory(lowered, masks, assignment, limits)
 
     # -- constraint 3: one offloaded access site per global state -----------
-    assignment = _enforce_single_access(lowered, graph, removed, assignment)
+    assignment = _enforce_single_access(lowered, masks, assignment)
 
     # -- one-directional replication: state written on the switch must not
     # also be accessed on the server (write-back only flows server->switch,
     # so a server access would observe a stale copy) -------------------------
-    assignment = _enforce_write_locality(lowered, graph, removed, assignment)
+    assignment = _enforce_write_locality(masks, assignment)
 
     # -- constraints 4 & 5: metadata + shim budgets -------------------------
     # Budget refinement can move a state access to the server, which may
@@ -105,17 +108,18 @@ def partition_middlebox(
     # until both are stable (each pin strictly shrinks the offloaded set).
     while True:
         assignment, projections, transfers, usage = _enforce_budgets(
-            lowered, graph, removed, assignment, limits, from_entry, to_exit
+            lowered, masks, assignment, limits
         )
-        if not _pin_stranded_offloaded_writers(lowered, graph, removed, assignment):
+        stranded = _stranded_writers(masks, assignment)
+        if not stranded:
             break
-        assignment = run_label_removal(graph, removed)
+        assignment = _pin(assignment, stranded, stranded)
 
     pre, non_offloaded, post = projections
     to_server, to_switch = transfers
-    placements = _derive_placements(lowered, graph, assignment, limits)
+    placements = _derive_placements(lowered, masks, assignment)
     report = _report(
-        lowered, graph, assignment, placements, usage, to_server, to_switch
+        lowered, masks, assignment, placements, usage, to_server, to_switch
     )
     violations = report.violations(limits)
     if violations:
@@ -137,49 +141,99 @@ def partition_middlebox(
     )
 
 
+class _Masks:
+    """What the refinement passes ask of an instruction, as bitsets over
+    ``graph.position`` (program order), built once per source function."""
+
+    def __init__(
+        self,
+        lowered: LoweredMiddlebox,
+        graph: DependencyGraph,
+        from_entry: Dict[int, int],
+        to_exit: Dict[int, int],
+    ):
+        self.graph = graph
+        state = lowered.state
+        #: state member -> the instructions accessing it as data / reading
+        #: it / writing it
+        self.accessors = dict.fromkeys(state, 0)
+        self.readers = dict.fromkeys(state, 0)
+        self.writers = dict.fromkeys(state, 0)
+        #: instructions accessing any global state as data
+        self.stateful = 0
+        self.verdicts = self.branches = self.jumps = 0
+        for at, inst in enumerate(graph.instructions):
+            bit = 1 << at
+            accesses = inst.global_state_accesses()
+            if accesses:
+                self.stateful |= bit
+            for loc in accesses:
+                if loc.name in state:
+                    self.accessors[loc.name] |= bit
+            for locations, members in (
+                (inst.reads(), self.readers), (inst.writes(), self.writers)
+            ):
+                for loc in locations:
+                    if loc.is_global and loc.name in state:
+                        members[loc.name] |= bit
+            if inst.is_verdict:
+                self.verdicts |= bit
+            if isinstance(inst, irin.Branch):
+                self.branches |= bit
+            if isinstance(inst, (irin.Jump, irin.Return)):
+                self.jumps |= bit
+        #: positions farthest from the entry / exit first, program order
+        #: among equals: where the budget search looks for its next move
+        self.pre_order = self._by_distance(from_entry)
+        self.post_order = self._by_distance(to_exit)
+
+    def _by_distance(self, distance: Dict[int, int]) -> List[int]:
+        far = [-distance[inst.id] for inst in self.graph.instructions]
+        return sorted(range(len(far)), key=far.__getitem__)
+
+    def instructions(self, mask: int) -> List[irin.Instruction]:
+        """The instructions of ``mask``, in program order."""
+        return [self.graph.instructions[at] for at in set_bits(mask)]
+
+
+def _pin(assignment: LabelAssignment, pre: int, post: int) -> LabelAssignment:
+    """Re-run the label rules with ``pre`` / ``post`` pinned away as well."""
+    return run_label_removal(
+        assignment.graph,
+        assignment.pinned_pre | pre,
+        assignment.pinned_post | post,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Constraint 1 — switch memory
 # ---------------------------------------------------------------------------
 
 
-def _state_entries(member: StateMember, limits: SwitchResources) -> Optional[int]:
+def _state_entries(member: StateMember) -> Optional[int]:
     """Capacity for switch accounting; None = cannot be placed on switch."""
-    if member.kind == "map":
-        if member.max_entries is not None:
-            return member.max_entries
-        return limits.default_map_entries
-    if member.kind == "vector":
-        if member.max_entries is not None:
-            return member.max_entries
-        return limits.default_vector_entries
-    return 1
+    if member.kind == "scalar":
+        return 1
+    if member.max_entries is not None:
+        return member.max_entries
+    return DEFAULT_MAP_ENTRIES if member.kind == "map" else DEFAULT_VECTOR_ENTRIES
 
 
-def _switch_states(
-    lowered: LoweredMiddlebox,
-    graph: DependencyGraph,
-    assignment: LabelAssignment,
-) -> Dict[str, List[irin.Instruction]]:
-    """Global states with at least one offloaded access site."""
-    out: Dict[str, List[irin.Instruction]] = {}
-    for inst in graph.instructions:
-        if assignment.partition_of(inst) is Partition.NON_OFF:
-            continue
-        for loc in inst.global_state_accesses():
-            if loc.name in lowered.state:
-                out.setdefault(loc.name, []).append(inst)
-    return out
+def _switch_states(masks: _Masks, assignment: LabelAssignment) -> Dict[str, int]:
+    """Global states with at least one offloaded access site -> those sites."""
+    offloaded = assignment.offloaded
+    return {
+        name: accessors & offloaded
+        for name, accessors in masks.accessors.items()
+        if accessors & offloaded
+    }
 
 
-def _memory_usage(
-    lowered: LoweredMiddlebox,
-    states: Dict[str, List[irin.Instruction]],
-    limits: SwitchResources,
-) -> int:
+def _memory_usage(lowered: LoweredMiddlebox, states: Dict[str, int]) -> int:
     total = 0
     for name in states:
         member = lowered.state[name]
-        entries = _state_entries(member, limits)
+        entries = _state_entries(member)
         if entries is None:
             continue  # handled by the annotation pinning pass
         total += entries * member.byte_cost_per_entry()
@@ -188,55 +242,34 @@ def _memory_usage(
 
 def _enforce_memory(
     lowered: LoweredMiddlebox,
-    graph: DependencyGraph,
-    removed: Dict[int, Set[Label]],
+    masks: _Masks,
     assignment: LabelAssignment,
     limits: SwitchResources,
 ) -> LabelAssignment:
     # First pin away accesses to maps that carry no size annotation: the
     # paper requires the developer annotation before a map can be offloaded.
-    changed = False
-    for inst in graph.instructions:
-        for loc in inst.global_state_accesses():
-            member = lowered.state.get(loc.name)
-            if member is None:
-                continue
-            if _state_entries(member, limits) is None:
-                if removed.setdefault(inst.id, set()) >= _OFFLOAD_LABELS:
-                    continue
-                removed[inst.id] |= _OFFLOAD_LABELS
-                changed = True
-    if changed:
-        assignment = run_label_removal(graph, removed)
+    unsized = 0
+    for name, member in lowered.state.items():
+        if _state_entries(member) is None:
+            unsized |= masks.accessors[name]
+    if unsized & ~(assignment.pinned_pre & assignment.pinned_post):
+        assignment = _pin(assignment, unsized, unsized)
 
     # Evict state until memory fits: remove "pre" labels in reverse program
     # order and "post" labels in program order (paper §4.2.2).
-    program_order = list(lowered.process.instructions())
-    while True:
-        states = _switch_states(lowered, graph, assignment)
-        if _memory_usage(lowered, states, limits) <= limits.memory_bytes:
-            return assignment
-        evicted = False
-        for inst in reversed(program_order):
-            if (
-                assignment.partition_of(inst) is Partition.PRE
-                and inst.global_state_accesses()
-            ):
-                removed.setdefault(inst.id, set()).add(Label.PRE)
-                evicted = True
-                break
-        if not evicted:
-            for inst in program_order:
-                if (
-                    assignment.partition_of(inst) is Partition.POST
-                    and inst.global_state_accesses()
-                ):
-                    removed.setdefault(inst.id, set()).add(Label.POST)
-                    evicted = True
-                    break
-        if not evicted:
-            return assignment  # nothing left on the switch
-        assignment = run_label_removal(graph, removed)
+    while (
+        _memory_usage(lowered, _switch_states(masks, assignment))
+        > limits.memory_bytes
+    ):
+        pre = assignment.members(Partition.PRE) & masks.stateful
+        post = assignment.members(Partition.POST) & masks.stateful
+        if pre:
+            assignment = _pin(assignment, 1 << (pre.bit_length() - 1), 0)
+        elif post:
+            assignment = _pin(assignment, 0, post & -post)
+        else:
+            break  # nothing left on the switch
+    return assignment
 
 
 # ---------------------------------------------------------------------------
@@ -246,54 +279,34 @@ def _enforce_memory(
 
 def _enforce_single_access(
     lowered: LoweredMiddlebox,
-    graph: DependencyGraph,
-    removed: Dict[int, Set[Label]],
+    masks: _Masks,
     assignment: LabelAssignment,
 ) -> LabelAssignment:
     while True:
-        conflict = _find_multi_access_state(lowered, graph, assignment)
-        if conflict is None:
+        sites = _find_multi_access_state(lowered, masks, assignment)
+        if sites is None:
             return assignment
-        state_name, sites = conflict
         if len(sites) > _MAX_ENUM_SITES:
             # Far too many sites to enumerate: keep the first site only.
-            keep_options = [sites[0]]
+            keep_options = sites[:1]
         else:
             keep_options = sites
-        best_choice = None
-        best_trial = None
+        every_site = sum(sites)
+        best_trial = assignment
         best_count = -1
         for keep in keep_options:
-            # A trial pins both labels, so whatever a site had pinned
-            # already is covered: overlay, do not copy.
-            trial_removed = {
-                **removed,
-                **{
-                    site.id: _OFFLOAD_LABELS
-                    for site in sites
-                    if site.id != keep.id
-                },
-            }
-            trial = run_label_removal(graph, trial_removed)
-            count = _placement_score(graph, trial)
+            # A trial pins both labels on every other site.
+            others = every_site & ~keep
+            trial = _pin(assignment, others, others)
+            count = _placement_score(masks, trial)
             if count > best_count:
                 best_count = count
-                best_choice = keep
                 best_trial = trial
-        for site in sites:
-            if site.id != best_choice.id:
-                removed.setdefault(site.id, set()).update(_OFFLOAD_LABELS)
-        # ``removed`` now equals the winning trial's pins.
         assignment = best_trial
 
 
-def _pin_stranded_offloaded_writers(
-    lowered: LoweredMiddlebox,
-    graph: DependencyGraph,
-    removed: Dict[int, Set[Label]],
-    assignment: LabelAssignment,
-) -> bool:
-    """Pin offloaded writes of server-accessed state to the server.
+def _stranded_writers(masks: _Masks, assignment: LabelAssignment) -> int:
+    """Offloaded writes of server-accessed state, to be pinned to the server.
 
     State replication is one-directional: the server's write journal is
     folded into switch tables/registers, but a switch-side write (a
@@ -301,51 +314,33 @@ def _pin_stranded_offloaded_writers(
     server's ``StateStore``.  If the server also reads or writes that
     state, it would observe a stale copy — so any state member with both
     an offloaded write site and a non-offloaded access site must have its
-    offloaded write sites moved to the server.  Returns True if anything
-    was pinned (caller re-runs label removal).
+    offloaded write sites moved to the server.
     """
-    offloaded_writers: Dict[str, List[irin.Instruction]] = {}
-    server_accessed: Set[str] = set()
-    for inst in graph.instructions:
-        partition = assignment.partition_of(inst)
-        for loc in inst.writes():
-            if loc.is_global and loc.name in lowered.state:
-                if partition is Partition.NON_OFF:
-                    server_accessed.add(loc.name)
-                else:
-                    offloaded_writers.setdefault(loc.name, []).append(inst)
-        if partition is Partition.NON_OFF:
-            for loc in inst.reads():
-                if loc.is_global and loc.name in lowered.state:
-                    server_accessed.add(loc.name)
-    pinned = False
-    for name, writers in offloaded_writers.items():
-        if name not in server_accessed:
-            continue
-        for inst in writers:
-            removed.setdefault(inst.id, set()).update(_OFFLOAD_LABELS)
-            pinned = True
-    return pinned
+    server = assignment.members(Partition.NON_OFF)
+    stranded = 0
+    for name, writers in masks.writers.items():
+        if (writers | masks.readers[name]) & server:
+            stranded |= writers & ~server
+    return stranded
 
 
 def _enforce_write_locality(
-    lowered: LoweredMiddlebox,
-    graph: DependencyGraph,
-    removed: Dict[int, Set[Label]],
-    assignment: LabelAssignment,
+    masks: _Masks, assignment: LabelAssignment
 ) -> LabelAssignment:
-    """Fixpoint of :func:`_pin_stranded_offloaded_writers`.
+    """Fixpoint of :func:`_stranded_writers`.
 
     Pinning a write site turns it into a server access site, which can in
     turn strand another offloaded writer of the same state, so iterate;
     the offloaded set shrinks monotonically, guaranteeing termination.
     """
-    while _pin_stranded_offloaded_writers(lowered, graph, removed, assignment):
-        assignment = run_label_removal(graph, removed)
+    stranded = _stranded_writers(masks, assignment)
+    while stranded:
+        assignment = _pin(assignment, stranded, stranded)
+        stranded = _stranded_writers(masks, assignment)
     return assignment
 
 
-def _placement_score(graph: DependencyGraph, trial: LabelAssignment) -> int:
+def _placement_score(masks: _Masks, trial: LabelAssignment) -> int:
     """Objective for the constraint-3 placement search.
 
     The paper maximizes the number of offloaded statements and notes (§7)
@@ -353,28 +348,21 @@ def _placement_score(graph: DependencyGraph, trial: LabelAssignment) -> int:
     an integer addition as much as a table lookup.  We keep the statement
     count but weight offloaded *verdicts* heavily: a verdict on the switch
     is what creates a fast path (packets complete without the server), and
-    that dominates any constant number of offloaded ALU ops.
+    that dominates any constant number of offloaded ALU ops.  A verdict in
+    the PRE partition — the fast path itself — counts 10, any other
+    offloaded statement 1.
     """
-    score = 0
-    for inst in graph.instructions:
-        partition = trial.partition_of(inst)
-        if partition is Partition.NON_OFF:
-            continue
-        # A verdict in the PRE partition completes packets on the switch
-        # without any server involvement — that is the fast path itself.
-        if inst.is_verdict and partition is Partition.PRE:
-            score += 10
-        else:
-            score += 1
-    return score
+    fast_path = trial.members(Partition.PRE) & masks.verdicts
+    return trial.offloaded.bit_count() + 9 * fast_path.bit_count()
 
 
 def _find_multi_access_state(
     lowered: LoweredMiddlebox,
-    graph: DependencyGraph,
+    masks: _Masks,
     assignment: LabelAssignment,
-) -> Optional[Tuple[str, List[irin.Instruction]]]:
-    """Find a state whose offloaded access sites violate constraint 3.
+) -> Optional[List[int]]:
+    """The offloaded access sites (one bit each) of a state that violates
+    constraint 3.
 
     *Registers* (scalar globals) collide only where two sites are
     co-reachable (:func:`co_reachable`).  *Tables* (maps/vectors) follow the
@@ -382,16 +370,19 @@ def _find_multi_access_state(
     pipeline, so at most one access site may stay on the switch regardless
     of path exclusivity.
     """
-    states = _switch_states(lowered, graph, assignment)
+    states = _switch_states(masks, assignment)
     for name in sorted(states):
         sites = states[name]
-        if len(sites) < 2:
-            continue
+        if not sites & (sites - 1):
+            continue  # a single site
         if lowered.state[name].kind != "scalar":
-            return name, sites
-        collision = co_reachable(graph.reachability, sites)
+            return [1 << at for at in set_bits(sites)]
+        collision = co_reachable(
+            masks.graph.reachability, masks.instructions(sites)
+        )
         if collision is not None:
-            return name, list(collision)
+            position = masks.graph.position
+            return [1 << position[inst.id] for inst in collision]
     return None
 
 
@@ -475,12 +466,9 @@ def _build_transfers(
 
 def _enforce_budgets(
     lowered: LoweredMiddlebox,
-    graph: DependencyGraph,
-    removed: Dict[int, Set[Label]],
+    masks: _Masks,
     assignment: LabelAssignment,
     limits: SwitchResources,
-    from_entry: Dict[int, int],
-    to_exit: Dict[int, int],
 ):
     """Greedy boundary movement (paper's single linear scan, generalized).
 
@@ -512,64 +500,39 @@ def _enforce_budgets(
                 (to_server, to_switch),
                 (usage_pre, usage_post),
             )
-        moved = False
-        if over_pre:
-            candidate = _deepest(
-                graph, assignment, Partition.PRE, from_entry
-            )
-            if candidate is not None:
-                removed.setdefault(candidate.id, set()).add(Label.PRE)
-                moved = True
-        if over_post and not moved:
-            candidate = _deepest(
-                graph, assignment, Partition.POST, to_exit
-            )
-            if candidate is not None:
-                removed.setdefault(candidate.id, set()).add(Label.POST)
-                moved = True
-        if not moved:
+        if over_pre and (moved := _deepest(
+            masks, masks.pre_order, assignment.members(Partition.PRE)
+        )):
+            assignment = _pin(assignment, moved, 0)
+        elif over_post and (moved := _deepest(
+            masks, masks.post_order, assignment.members(Partition.POST)
+        )):
+            assignment = _pin(assignment, 0, moved)
+        else:
             # Nothing left to move yet a budget is still violated — the
             # projections are effectively empty, so this cannot happen
             # unless the limits are inconsistent.
             raise PartitionError(
                 f"{lowered.name}: cannot satisfy metadata/transfer budgets"
             )
-        assignment = run_label_removal(graph, removed)
 
 
-def _deepest(
-    graph: DependencyGraph,
-    assignment: LabelAssignment,
-    partition: Partition,
-    distance: Dict[int, int],
-) -> Optional[irin.Instruction]:
+def _deepest(masks: _Masks, order: List[int], members: int) -> int:
     """The offloaded instruction farthest along the dependency order
-    (closest to the partition boundary).
+    (closest to the partition boundary), as a bit; 0 if there is none.
 
     Prefers compute/state instructions (moving control flow alone rarely
     frees budget), but falls back to branches and verdicts when nothing
     else is left — the all-server partition trivially satisfies every
     budget, so the refinement loop must always be able to make progress.
     """
-    best = None
-    best_distance = -1
-    fallback = None
-    fallback_distance = -1
-    for inst in graph.instructions:
-        if assignment.partition_of(inst) is not partition:
-            continue
-        if isinstance(inst, (irin.Jump, irin.Return)):
-            continue
-        inst_distance = distance.get(inst.id, 0)
-        if inst.is_verdict or isinstance(inst, irin.Branch):
-            if inst_distance > fallback_distance:
-                fallback_distance = inst_distance
-                fallback = inst
-            continue
-        if inst_distance > best_distance:
-            best_distance = inst_distance
-            best = inst
-    return best if best is not None else fallback
+    movable = members & ~masks.jumps
+    control = masks.verdicts | masks.branches
+    for candidates in (movable & ~control, movable & control):
+        for at in order:
+            if candidates >> at & 1:
+                return 1 << at
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -579,25 +542,18 @@ def _deepest(
 
 def _derive_placements(
     lowered: LoweredMiddlebox,
-    graph: DependencyGraph,
+    masks: _Masks,
     assignment: LabelAssignment,
-    limits: SwitchResources,
 ) -> Dict[str, StatePlacement]:
     placements: Dict[str, StatePlacement] = {}
-    switch_states = _switch_states(lowered, graph, assignment)
-    server_writers: Dict[str, bool] = {}
-    for inst in graph.instructions:
-        if assignment.partition_of(inst) is Partition.NON_OFF:
-            for loc in inst.writes():
-                if loc.is_global and loc.name in lowered.state:
-                    server_writers[loc.name] = True
+    switch_states = _switch_states(masks, assignment)
+    server = assignment.members(Partition.NON_OFF)
     for name, member in lowered.state.items():
-        on_switch = name in switch_states
-        written_on_server = server_writers.get(name, False)
-        if not on_switch:
+        if name not in switch_states:
             placements[name] = StatePlacement(member, PlacementKind.SERVER_ONLY)
             continue
-        entries = _state_entries(member, limits) or 0
+        written_on_server = bool(masks.writers[name] & server)
+        entries = _state_entries(member) or 0
         memory = entries * member.byte_cost_per_entry()
         if member.kind == "scalar":
             kind = (
@@ -617,7 +573,7 @@ def _derive_placements(
 
 def _report(
     lowered: LoweredMiddlebox,
-    graph: DependencyGraph,
+    masks: _Masks,
     assignment: LabelAssignment,
     placements: Dict[str, StatePlacement],
     usage: Tuple[PipelineUsage, PipelineUsage],
@@ -629,11 +585,13 @@ def _report(
     # register reads on mutually exclusive paths share a stage; table
     # applications never do (Tofino applies a table at most once).
     sites: Dict[str, int] = {}
-    for name, insts in _switch_states(lowered, graph, assignment).items():
+    for name, mask in _switch_states(masks, assignment).items():
         if lowered.state[name].kind != "scalar":
-            sites[name] = len(insts)
+            sites[name] = mask.bit_count()
         else:
-            sites[name] = 2 if co_reachable(graph.reachability, insts) else 1
+            sites[name] = 2 if co_reachable(
+                masks.graph.reachability, masks.instructions(mask)
+            ) else 1
     return ConstraintReport(
         memory_bytes=sum(p.memory_bytes for p in placements.values()),
         pipeline_depth_pre=usage_pre.depth,

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.ir.function import Function
-from repro.ir.instructions import Instruction
 from repro.ir.lowering import LoweredMiddlebox, StateMember
 from repro.ir.values import Reg
 from repro.partition.constraints import ConstraintReport, SwitchResources
@@ -91,9 +90,6 @@ class PartitionPlan:
     report: ConstraintReport
     #: name of the synthetic needs-server flag register in the pre function
     needs_server_reg: Optional[str] = None
-
-    def partition_of(self, inst: Instruction) -> Partition:
-        return self.assignment[inst.id]
 
     def offloaded_fraction(self) -> float:
         total = len(self.assignment)

@@ -36,7 +36,7 @@ from repro.lang.types import BOOL
 from repro.ir import instructions as irin
 from repro.ir.function import Function
 from repro.ir.values import Const, Reg, aliased_packet_region
-from repro.partition.labels import LabelAssignment, Partition
+from repro.partition.labels import LabelAssignment, Partition, set_bits
 
 NEEDS_SERVER = "__needs_server"
 
@@ -55,14 +55,6 @@ def _effectful(inst: irin.Instruction) -> bool:
     if isinstance(inst, irin.ExternCall) and inst.extra_writes:
         return True
     return False
-
-
-def _bits(mask: int):
-    """The set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass
@@ -268,7 +260,7 @@ class ProjectionStatics:
         """
         closures = self.closures[destination]
         roots = whole = 0
-        for at in _bits(needs):
+        for at in set_bits(needs):
             closure = closures.get(at)
             if closure is not None and not closure & defined:
                 roots |= 1 << at
@@ -304,7 +296,7 @@ class ProjectionStatics:
                 continue
             reachable |= 1 << current
             stack.extend(edges[current])
-        live = list(_bits(reachable))  # reverse post-order of the source
+        live = list(set_bits(reachable))  # reverse post-order of the source
 
         # Per block: registers read before a definition in it, and defined.
         exposed = [0] * len(order)
@@ -360,7 +352,7 @@ class ProjectionStatics:
 
     def registers(self, mask: int) -> List[Reg]:
         """The registers of a bitset, sorted by name."""
-        return [self.regs[at] for at in _bits(mask)]
+        return [self.regs[at] for at in set_bits(mask)]
 
 
 def _pure_closures(
@@ -494,7 +486,7 @@ def _slice_order(
     """The defining instructions of ``roots``' slices, operands first."""
     ordered: List[irin.Instruction] = []
     seen: set = set()
-    for root in _bits(roots):
+    for root in set_bits(roots):
         _collect_slice(statics, root, seen, ordered)
     return ordered
 

@@ -47,20 +47,19 @@ class CostModel:
 
     # -- derived helpers ---------------------------------------------------------
 
-    def server_packet_us(self, instructions: int, wire_bytes: int = 0) -> float:
-        """Service time of one packet on one server core, in µs."""
-        cycles = (
-            self.server_overhead_cycles
-            + instructions * self.cycles_per_instruction
-            + wire_bytes * self.server_cycles_per_byte
-        )
-        return cycles / self.server_hz * 1e6
-
     def server_packet_cycles(self, instructions: int, wire_bytes: int = 0) -> float:
+        """Cycles one packet costs on one server core."""
         return (
             self.server_overhead_cycles
             + instructions * self.cycles_per_instruction
             + wire_bytes * self.server_cycles_per_byte
+        )
+
+    def server_packet_us(self, instructions: int, wire_bytes: int = 0) -> float:
+        """Service time of one packet on one server core, in µs."""
+        return (
+            self.server_packet_cycles(instructions, wire_bytes)
+            / self.server_hz * 1e6
         )
 
     def serialization_us(self, wire_bytes: int) -> float:
@@ -70,9 +69,6 @@ class CostModel:
     def packets_per_second_per_core(
         self, instructions: float, wire_bytes: float = 0.0
     ) -> float:
-        cycles = (
-            self.server_overhead_cycles
-            + instructions * self.cycles_per_instruction
-            + wire_bytes * self.server_cycles_per_byte
+        return self.server_hz / self.server_packet_cycles(
+            instructions, wire_bytes
         )
-        return self.server_hz / cycles

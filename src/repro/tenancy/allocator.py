@@ -222,8 +222,12 @@ class AdmissionReport:
             "memory_bytes": sum(p.memory_bytes for p in self.admitted),
             "phv_bytes": DISPATCH_PHV_BYTES
             + sum(p.phv_bytes for p in self.admitted),
-            "stages": self.budget.dispatch_stages
-            + max((p.stage_last for p in self.admitted), default=0),
+            # A placement's stages are numbered after the dispatch stage's,
+            # so the deepest one already counts it.
+            "stages": max(
+                (p.stage_last for p in self.admitted),
+                default=self.budget.dispatch_stages,
+            ),
         }
 
     def to_dict(self) -> dict:

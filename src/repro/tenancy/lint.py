@@ -108,6 +108,9 @@ def _lint_budget(
     namespacing keeps every tenant's elements private, so co-residency
     cannot add access sites — only the shared budget axes (1, 2, 4/5 as
     PHV) need re-proving, which is exactly the allocator's admission.
+    Admission holds each tenant to what the dispatch machinery leaves, so
+    the totals re-proved here (TEN002) fail only on a budget the dispatch
+    stage or its PHV bytes overflow by themselves.
     """
     allocator = SwitchResourceAllocator(budget)
     unique = {spec.name: spec for spec in specs}

@@ -13,12 +13,11 @@ label removed.  It was recorded on the commit *before* the label engine
 went closed-form and ``_enforce_budgets`` started reusing its unchanged
 side, over the programs and limits of the compile-pin sweep.
 
-Nothing in ``src/`` is instrumented: the recorder watches the ``removed``
-pin dictionary through the module globals the partitioner calls — at every
-``run_label_removal`` on the committed pins (trial dictionaries of the
-constraint-3 search are another object and are skipped) and at every
-pass's exit, so a pass that stops re-running the rules after its last pin
-records the same list.
+Nothing in ``src/`` is instrumented: the recorder watches the two pin
+bitsets through the module globals the partitioner calls — at every
+``run_label_removal`` (except inside ``_enforce_single_access``, whose rule
+runs are trials) and at every pass's exit, on the pins of the assignment
+the pass returns — and records the bits it has not seen yet.
 
 The nine longest generated programs — the ones that do most of the
 budget search — were recorded on the commit before that search stopped
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 from unittest import mock
 
 from repro.ir import lower_program
@@ -58,39 +57,42 @@ def record_moves(lowered, limits: SwitchResources) -> dict:
         for index, inst in enumerate(lowered.process.instructions())
     }
     moves: List[str] = []
-    committed: Dict[int, set] = {}
-    state: Dict[str, Optional[object]] = {"removed": None, "phase": "driver"}
+    #: the pins already recorded, per label
+    committed = {"pre": 0, "post": 0}
+    phase = ["driver"]
 
-    def flush(removed) -> None:
-        fresh = sorted(
-            (position[inst_id], label.value)
-            for inst_id, labels in removed.items()
-            for label in labels - committed.get(inst_id, set())
-        )
-        moves.extend(f"{state['phase']} {at} {label}" for at, label in fresh)
-        for inst_id, labels in removed.items():
-            committed[inst_id] = set(labels)
+    def flush(graph, pinned_pre: int, pinned_post: int) -> None:
+        fresh = []
+        for label, pins in (("pre", pinned_pre), ("post", pinned_post)):
+            new = pins & ~committed[label]
+            committed[label] |= pins
+            fresh += [
+                (position[inst.id], label)
+                for at, inst in enumerate(graph.instructions) if new >> at & 1
+            ]
+        moves.extend(f"{phase[0]} {at} {label}" for at, label in sorted(fresh))
 
     original = partitioner.run_label_removal
 
-    def watched_rules(graph, removed=None):
-        if state["removed"] is None:
-            state["removed"] = removed
-        if removed is state["removed"]:
-            flush(removed)
-        return original(graph, removed)
+    def watched_rules(graph, pinned_pre, pinned_post):
+        if phase[0] != "_enforce_single_access":
+            flush(graph, pinned_pre, pinned_post)
+        return original(graph, pinned_pre, pinned_post)
 
     def watched_pass(name):
         inner = getattr(partitioner, name)
 
-        def run_pass(lowered_, graph, removed, *rest):
-            flush(removed)  # pins the driver made since the last pass
-            state["phase"] = name
+        def run_pass(*args):
+            phase[0] = name
             try:
-                return inner(lowered_, graph, removed, *rest)
+                result = inner(*args)
+                # _enforce_budgets returns it with its projections
+                assignment = result[0] if isinstance(result, tuple) else result
+                flush(assignment.graph, assignment.pinned_pre,
+                      assignment.pinned_post)
+                return result
             finally:
-                flush(removed)
-                state["phase"] = "driver"
+                phase[0] = "driver"
 
         return run_pass
 
@@ -109,8 +111,6 @@ def record_moves(lowered, limits: SwitchResources) -> dict:
     finally:
         for patch in patches:
             patch.stop()
-    if state["removed"] is not None:
-        flush(state["removed"])
     return {"moves": moves, "outcome": outcome}
 
 

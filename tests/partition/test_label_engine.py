@@ -2,11 +2,12 @@
 
 ``repro.partition.labels`` computes the fixpoint of the paper's rules as
 two unions of bitsets.  The oracle here is the rule-by-rule sweep it
-replaced, kept literal — ``set[Label]`` per instruction, every closure
-pair visited until nothing changes — over a closure it computes itself
-(a DFS per node, not the graph's bitsets).  Every comparison is of whole
-label sets, over the six bundled middleboxes, 64 generated programs and
-three hand-written ones, each under seeded random pin sets.
+replaced, kept literal — a label set per instruction, every closure pair
+visited until nothing changes — over a closure it computes itself (a DFS
+per node, not the graph's bitsets).  Every comparison is of whole label
+sets, turned into the engine's two bitsets, over the six bundled
+middleboxes, 64 generated programs and three hand-written ones, each
+under seeded random pin sets.
 """
 
 import random
@@ -23,10 +24,10 @@ from repro.ir import lower_program
 from repro.lang import parse_program
 from repro.middleboxes import MIDDLEBOX_NAMES
 from repro.partition import labels as labels_module
-from repro.partition.labels import Label, run_label_removal
+from repro.partition.labels import Partition, run_label_removal
 from repro.partition.partitioner import partition_middlebox
 from tests.conftest import get_bundle
-from tests.partition.test_labels import lower
+from tests.partition.test_labels import NON_OFF, POST, PRE, labels_of, lower
 
 GENERATED = 64
 PIN_SETS_PER_SHAPE = 3
@@ -51,36 +52,38 @@ def closure_by_dfs(graph) -> Dict[int, Set[int]]:
     return closure
 
 
-def initial_labels(graph, removed=None) -> Dict[int, Set[Label]]:
-    """Initial label sets, minus any labels pinned away by ``removed``.
+def initial_labels(graph, pinned_pre, pinned_post) -> Dict[int, Set[str]]:
+    """Initial label sets, minus the labels pinned away.
 
     The resource-refinement passes of §4.2.2 express "move this statement
     to the non-offloaded partition" as removing its pre/post labels up
-    front and re-running the rules.
+    front and re-running the rules; ``non_off`` stays (every statement can
+    run on the server).
     """
-    labels: Dict[int, Set[Label]] = {}
-    removed = removed or {}
-    for inst in graph.instructions:
+    labels: Dict[int, Set[str]] = {}
+    for at, inst in enumerate(graph.instructions):
         if inst.p4_supported():
-            label_set = {Label.PRE, Label.POST, Label.NON_OFF}
+            label_set = {PRE, POST, NON_OFF}
         else:
-            label_set = {Label.NON_OFF}
-        label_set -= removed.get(inst.id, set())
-        label_set.add(Label.NON_OFF)  # every statement can run on the server
+            label_set = {NON_OFF}
+        if pinned_pre >> at & 1:
+            label_set.discard(PRE)
+        if pinned_post >> at & 1:
+            label_set.discard(POST)
         labels[inst.id] = label_set
     return labels
 
 
-def sweep_rules(graph, removed=None) -> Dict[int, Set[Label]]:
+def sweep_rules(graph, pinned_pre, pinned_post) -> Dict[int, Set[str]]:
     """Apply rules 1–5 to a fixpoint, one rule at a time."""
     closure = closure_by_dfs(graph)
-    labels = initial_labels(graph, removed)
+    labels = initial_labels(graph, pinned_pre, pinned_post)
 
     # Rule 5 first: any instruction that transitively depends on itself (or
     # sits on a CFG cycle) can only be non-offloaded.
     for inst in graph.instructions:
         if inst.id in closure[inst.id] or graph.reachability.in_cycle(inst):
-            labels[inst.id] = {Label.NON_OFF}
+            labels[inst.id] = {NON_OFF}
 
     accesses = {
         inst.id: inst.global_state_accesses() for inst in graph.instructions
@@ -96,23 +99,23 @@ def sweep_rules(graph, removed=None) -> Dict[int, Set[Label]]:
                     continue
                 dst_labels = labels[dst_id]
                 # Rule 1: downstream lost post -> upstream loses post.
-                if Label.POST not in dst_labels and Label.POST in src_labels:
-                    src_labels.discard(Label.POST)
+                if POST not in dst_labels and POST in src_labels:
+                    src_labels.discard(POST)
                     changed = True
                 # Rule 2: upstream lost pre -> downstream loses pre.
-                if Label.PRE not in src_labels and Label.PRE in dst_labels:
-                    dst_labels.discard(Label.PRE)
+                if PRE not in src_labels and PRE in dst_labels:
+                    dst_labels.discard(PRE)
                     changed = True
                 if accesses[src_id] & accesses[dst_id]:
                     # Rule 3: upstream access offloadable as pre -> the
                     # downstream access to the same state cannot be pre.
-                    if Label.PRE in src_labels and Label.PRE in dst_labels:
-                        dst_labels.discard(Label.PRE)
+                    if PRE in src_labels and PRE in dst_labels:
+                        dst_labels.discard(PRE)
                         changed = True
                     # Rule 4: downstream access may be post -> the upstream
                     # access cannot be post.
-                    if Label.POST in dst_labels and Label.POST in src_labels:
-                        src_labels.discard(Label.POST)
+                    if POST in dst_labels and POST in src_labels:
+                        src_labels.discard(POST)
                         changed = True
     return labels
 
@@ -171,25 +174,34 @@ PROGRAMS = (
 )
 
 
+def lost(graph, labels: Dict[int, Set[str]], label: str) -> int:
+    """The instructions whose label set lacks ``label``, as a bitset."""
+    return sum(
+        1 << at
+        for at, inst in enumerate(graph.instructions)
+        if label not in labels[inst.id]
+    )
+
+
 def pin_sets(graph, rng: random.Random):
-    """No pins, then seeded random ones: pre-only, post-only and both."""
-    yield "none", None
-    ids = [inst.id for inst in graph.instructions]
+    """No pins, then seeded random ones: pre-only, post-only and both, as
+    ``(name, pinned_pre, pinned_post)``."""
+    yield "none", 0, 0
+    positions = range(len(graph.instructions))
     shapes = {
-        "pre": lambda: {Label.PRE},
-        "post": lambda: {Label.POST},
-        "both": lambda: set(
-            rng.choice(
-                [{Label.PRE}, {Label.POST}, {Label.PRE, Label.POST}]
-            )
-        ),
+        "pre": lambda: (1, 0),
+        "post": lambda: (0, 1),
+        "both": lambda: rng.choice([(1, 0), (0, 1), (1, 1)]),
     }
     for shape, draw in shapes.items():
         for round_ in range(PIN_SETS_PER_SHAPE):
-            count = rng.randint(1, max(1, len(ids) // 4))
-            yield f"{shape}{round_}", {
-                inst_id: draw() for inst_id in rng.sample(ids, count)
-            }
+            count = rng.randint(1, max(1, len(positions) // 4))
+            pinned_pre = pinned_post = 0
+            for at in rng.sample(positions, count):
+                pre, post = draw()
+                pinned_pre |= pre << at
+                pinned_post |= post << at
+            yield f"{shape}{round_}", pinned_pre, pinned_post
 
 
 # -- the tests ----------------------------------------------------------------
@@ -199,13 +211,18 @@ def pin_sets(graph, rng: random.Random):
 def test_engine_matches_the_rule_sweep(label):
     graph = build_dependency_graph(_lowered(label).process)
     rng = random.Random(f"label-engine/{label}")
-    for name, removed in pin_sets(graph, rng):
-        expected = sweep_rules(graph, removed)
-        result = run_label_removal(graph, removed)
-        assert result.labels == expected, f"{label}/{name}"
-        assert result.assignment() == {
-            inst.id: result.partition_of(inst) for inst in graph.instructions
-        }
+    for name, pinned_pre, pinned_post in pin_sets(graph, rng):
+        expected = sweep_rules(graph, pinned_pre, pinned_post)
+        result = run_label_removal(graph, pinned_pre, pinned_post)
+        assert (result.no_pre, result.no_post) == (
+            lost(graph, expected, PRE), lost(graph, expected, POST)
+        ), f"{label}/{name}"
+        partitions = result.assignment()
+        for partition in Partition:
+            assert result.members(partition) == sum(
+                1 << at for at, inst in enumerate(graph.instructions)
+                if partitions[inst.id] is partition
+            ), f"{label}/{name}/{partition.name}"
 
 
 def test_the_hand_written_programs_hit_their_case():
@@ -224,10 +241,10 @@ def test_the_hand_written_programs_hit_their_case():
     ]
     assert chain.depends_transitively(second, first)
     assert chain.depends_transitively(third, second)
-    labels = run_label_removal(chain).labels
-    assert Label.PRE in labels[first.id] and Label.POST not in labels[first.id]
-    assert labels[second.id] == {Label.NON_OFF}
-    assert Label.POST in labels[third.id] and Label.PRE not in labels[third.id]
+    assignment = run_label_removal(chain, 0, 0)
+    assert labels_of(assignment, first) == {PRE, NON_OFF}
+    assert labels_of(assignment, second) == {NON_OFF}
+    assert labels_of(assignment, third) == {POST, NON_OFF}
 
 
 @pytest.mark.parametrize("label", PROGRAMS[:12])
@@ -264,9 +281,9 @@ def test_static_part_is_built_once_per_graph(name):
         builds.append(graph)
         return build(graph)
 
-    def counted_run(graph, removed=None):
+    def counted_run(graph, pinned_pre, pinned_post):
         runs.append(graph)
-        return run_label_removal(graph, removed)
+        return run_label_removal(graph, pinned_pre, pinned_post)
 
     from repro.partition import partitioner
 

@@ -1,13 +1,17 @@
 """Tests for the label-removing algorithm (paper §4.2.1)."""
 
+from typing import Set
+
 import pytest
 
 from repro.analysis.depgraph import build_dependency_graph
 from repro.ir import instructions as irin
 from repro.ir import lower_program
 from repro.lang import parse_program
-from repro.partition.labels import Label, Partition, run_label_removal
+from repro.partition.labels import Partition, run_label_removal
 from tests.conftest import get_bundle
+
+PRE, POST, NON_OFF = "pre", "post", "non_off"
 
 
 def lower(statements: str, members: str = ""):
@@ -17,11 +21,26 @@ def lower(statements: str, members: str = ""):
     return lower_program(parse_program(source))
 
 
+def labels_of(assignment, inst) -> Set[str]:
+    """The label set the rules left ``inst``: ``non_off`` always, ``pre`` /
+    ``post`` unless its bit is in ``no_pre`` / ``no_post``."""
+    at = assignment.graph.position[inst.id]
+    return {NON_OFF} | {
+        label
+        for label, lost in ((PRE, assignment.no_pre), (POST, assignment.no_post))
+        if not lost >> at & 1
+    }
+
+
+def partition_of(assignment, inst) -> Partition:
+    return assignment.assignment()[inst.id]
+
+
 def labels_for(lowered, predicate):
     graph = build_dependency_graph(lowered.process)
-    assignment = run_label_removal(graph)
+    assignment = run_label_removal(graph, 0, 0)
     inst = next(i for i in graph.instructions if predicate(i))
-    return assignment.labels[inst.id], assignment, inst
+    return labels_of(assignment, inst), assignment, inst
 
 
 class TestInitialLabels:
@@ -30,21 +49,21 @@ class TestInitialLabels:
     def test_p4_supported_gets_all_labels(self):
         lowered = lower("uint32_t a = 1 + 2; pkt->send();")
         graph = build_dependency_graph(lowered.process)
-        labels = run_label_removal(graph).labels
+        assignment = run_label_removal(graph, 0, 0)
         add = next(
             i for i in graph.instructions if isinstance(i, irin.BinOp)
         )
-        assert labels[add.id] == {Label.PRE, Label.POST, Label.NON_OFF}
+        assert labels_of(assignment, add) == {PRE, POST, NON_OFF}
 
     def test_unsupported_op_non_off_only(self):
         lowered = lower("uint32_t a = 7 % 3; pkt->send();")
         graph = build_dependency_graph(lowered.process)
-        labels = run_label_removal(graph).labels
+        assignment = run_label_removal(graph, 0, 0)
         mod = next(
             i for i in graph.instructions
             if isinstance(i, irin.BinOp) and i.op is irin.BinOpKind.MOD
         )
-        assert labels[mod.id] == {Label.NON_OFF}
+        assert labels_of(assignment, mod) == {NON_OFF}
 
     def test_map_insert_non_off_only(self):
         lowered = lower(
@@ -52,19 +71,22 @@ class TestInitialLabels:
             members="HashMap<uint16_t, uint32_t> t;",
         )
         graph = build_dependency_graph(lowered.process)
-        labels = run_label_removal(graph).labels
+        assignment = run_label_removal(graph, 0, 0)
         insert = next(
             i for i in graph.instructions if isinstance(i, irin.MapInsert)
         )
-        assert labels[insert.id] == {Label.NON_OFF}
+        assert labels_of(assignment, insert) == {NON_OFF}
 
-    def test_removed_pins_apply(self):
+    def test_pins_apply_and_are_kept(self):
         lowered = lower("uint32_t a = 1 + 2; pkt->send();")
         graph = build_dependency_graph(lowered.process)
         add = next(i for i in graph.instructions if isinstance(i, irin.BinOp))
-        pins = {add.id: {Label.PRE, Label.POST}}
-        labels = run_label_removal(graph, pins).labels
-        assert labels[add.id] == {Label.NON_OFF}
+        pin = 1 << graph.position[add.id]
+        assignment = run_label_removal(graph, pin, pin)
+        assert labels_of(assignment, add) == {NON_OFF}
+        assert (assignment.pinned_pre, assignment.pinned_post) == (pin, pin)
+        pre_only = run_label_removal(graph, pin, 0)
+        assert labels_of(pre_only, add) == {POST, NON_OFF}
 
 
 class TestRules:
@@ -80,7 +102,7 @@ class TestRules:
             lambda i: isinstance(i, irin.BinOp)
             and i.op is irin.BinOpKind.ADD,
         )
-        assert Label.PRE not in label_set
+        assert PRE not in label_set
 
     def test_rule1_post_removal_propagates_upstream(self):
         """Upstream of a server-only statement loses post."""
@@ -94,7 +116,7 @@ class TestRules:
             lambda i: isinstance(i, irin.BinOp)
             and i.op is irin.BinOpKind.ADD,
         )
-        assert Label.POST not in label_set
+        assert POST not in label_set
 
     def test_rule5_loops_non_off(self):
         lowered = lower(
@@ -103,7 +125,7 @@ class TestRules:
             " pkt->send();"
         )
         graph = build_dependency_graph(lowered.process)
-        assignment = run_label_removal(graph)
+        assignment = run_label_removal(graph, 0, 0)
         loop_add = next(
             i for i in graph.instructions
             if isinstance(i, irin.RegisterRMW) or (
@@ -111,7 +133,7 @@ class TestRules:
                 and graph.self_dependent(i)
             )
         )
-        assert assignment.labels[loop_add.id] == {Label.NON_OFF}
+        assert labels_of(assignment, loop_add) == {NON_OFF}
 
     def test_verdict_after_insert_not_pre(self):
         """Output-commit edges keep state-installing paths off the fast path."""
@@ -120,8 +142,8 @@ class TestRules:
             members="HashMap<uint16_t, uint32_t> t;",
         )
         label_set, _, _ = labels_for(lowered, lambda i: isinstance(i, irin.Send))
-        assert Label.PRE not in label_set
-        assert Label.POST in label_set  # released by the post partition
+        assert PRE not in label_set
+        assert POST in label_set  # released by the post partition
 
     def test_pure_filter_drop_stays_pre(self):
         lowered = lower(
@@ -130,34 +152,31 @@ class TestRules:
             members="HashMap<uint16_t, uint32_t> t;",
         )
         label_set, _, _ = labels_for(lowered, lambda i: isinstance(i, irin.Drop))
-        assert Label.PRE in label_set
+        assert PRE in label_set
 
 
 class TestPartitionAssignment:
     def test_pre_wins_over_post(self):
         lowered = lower("uint32_t a = 1 + 1; pkt->send();")
         graph = build_dependency_graph(lowered.process)
-        assignment = run_label_removal(graph)
+        assignment = run_label_removal(graph, 0, 0)
         add = next(i for i in graph.instructions if isinstance(i, irin.BinOp))
-        assert assignment.partition_of(add) is Partition.PRE
+        assert partition_of(assignment, add) is Partition.PRE
 
     def test_partition_order_respected_along_edges(self, middlebox_name, bundle):
         """For every dependency edge, partition(src) <= partition(dst)."""
         graph = build_dependency_graph(bundle.lowered.process)
-        assignment = run_label_removal(graph)
+        partitions = run_label_removal(graph, 0, 0).assignment()
         for (src_id, dst_id) in graph.edges:
-            src = graph.by_id(src_id)
-            dst = graph.by_id(dst_id)
             assert (
-                assignment.partition_of(src).value
-                <= assignment.partition_of(dst).value
-            ), f"{middlebox_name}: edge {src!r} -> {dst!r} violates order"
+                partitions[src_id].value <= partitions[dst_id].value
+            ), f"{middlebox_name}: edge {src_id} -> {dst_id} violates order"
 
-    def test_offloaded_count(self):
+    def test_everything_offloadable_is_offloaded(self):
         lowered = lower("uint32_t a = 1 + 1; pkt->send();")
         graph = build_dependency_graph(lowered.process)
-        assignment = run_label_removal(graph)
-        assert assignment.offloaded_count() == len(graph.instructions)
+        assignment = run_label_removal(graph, 0, 0)
+        assert assignment.offloaded.bit_count() == len(graph.instructions)
 
 
 class TestMiniLBFigure4Labels:
@@ -167,13 +186,13 @@ class TestMiniLBFigure4Labels:
     def assignment(self):
         lowered = get_bundle("minilb").lowered
         graph = build_dependency_graph(lowered.process)
-        return run_label_removal(graph)
+        return run_label_removal(graph, 0, 0)
 
     def _partition(self, assignment, predicate):
         inst = next(
             i for i in assignment.graph.instructions if predicate(i)
         )
-        return assignment.partition_of(inst)
+        return partition_of(assignment, inst)
 
     def test_find_is_pre(self, assignment):
         assert self._partition(
@@ -203,7 +222,7 @@ class TestMiniLBFigure4Labels:
             if isinstance(i, irin.Send)
         ]
         partitions = sorted(
-            assignment.partition_of(send).name for send in sends
+            partition_of(assignment, send).name for send in sends
         )
         assert partitions == ["POST", "PRE"]
 
@@ -213,7 +232,7 @@ class TestMiniLBFigure4Labels:
             if isinstance(i, irin.StorePacketField) and i.field == "daddr"
         ]
         partitions = sorted(
-            assignment.partition_of(store).name for store in stores
+            partition_of(assignment, store).name for store in stores
         )
         assert partitions == ["POST", "PRE"]
 

@@ -194,7 +194,7 @@ def forged(label: str, seeds: range) -> None:
         rng = random.Random(seed)
         no_pre = rng.getrandbits(len(graph.instructions))
         assignment = LabelAssignment(
-            graph, no_pre=no_pre,
+            graph, pinned_pre=0, pinned_post=0, no_pre=no_pre,
             no_post=rng.getrandbits(len(graph.instructions)) & everything,
         )
         boundaries = [

@@ -116,6 +116,7 @@ class TestOrderIndependence:
         assert totals["phv_bytes"] >= max(
             p.phv_bytes for p in report.admitted
         )
+        assert totals["stages"] == max(p.stage_last for p in report.admitted)
 
 
 class TestBudget:

@@ -3,7 +3,7 @@
 import dataclasses
 
 from repro.tenancy import SharedSwitchBudget, build_tenant_specs
-from repro.tenancy.allocator import SwitchResourceAllocator
+from repro.tenancy.allocator import DISPATCH_PHV_BYTES, SwitchResourceAllocator
 from repro.tenancy.lint import verify_combined
 from repro.tenancy.oracle import run_isolation_oracle
 
@@ -118,23 +118,34 @@ class TestCombinedLint:
         assert not report.ok
         assert any(d.code == "TEN004" for d in report.diagnostics)
 
-    def test_combined_depth_overrun_surfaces_as_ten002(self):
-        """The dispatch stage is free at admission time but not in the
-        re-proof of the combined totals: a budget one stage short of the
-        trio's dispatch-inclusive depth passes admission (no TEN001) yet
-        fails the combined check."""
+    def test_admission_and_lint_agree_at_the_depth_boundary(self):
+        """Admission and the re-proof of the totals count the dispatch
+        stage once: a budget exactly as deep as the trio's deepest
+        placement admits it and lints clean; one stage fewer rejects a
+        tenant (TEN001) and leaves the totals within budget."""
         specs = build_tenant_specs(TRIO)
-        baseline = SwitchResourceAllocator(SharedSwitchBudget()).admit(specs)
-        squeezed = dataclasses.replace(
-            SharedSwitchBudget(),
-            pipeline_depth=baseline.totals()["stages"] - 1,
-        )
-        report = verify_combined(specs, squeezed)
-        assert not report.ok
-        codes = [d.code for d in report.diagnostics]
-        assert "TEN001" not in codes
-        diag = next(d for d in report.diagnostics if d.code == "TEN002")
-        assert "pipeline depth" in diag.message
+        used = SwitchResourceAllocator(SharedSwitchBudget()).admit(specs)
+        depth = used.totals()["stages"]
+        exact = dataclasses.replace(SharedSwitchBudget(), pipeline_depth=depth)
+        assert verify_combined(specs, exact).ok
+        short = dataclasses.replace(exact, pipeline_depth=depth - 1)
+        codes = [d.code for d in verify_combined(specs, short).diagnostics]
+        assert "TEN001" in codes and "TEN002" not in codes
+
+    def test_a_budget_its_dispatch_overflows_surfaces_as_ten002(self):
+        """Admission proves each tenant fits what the dispatch machinery
+        leaves; only the re-proof of the totals sees a budget the dispatch
+        alone overflows."""
+        specs = build_tenant_specs(["minilb"])
+        for axis, what in (
+            (dict(pipeline_depth=0), "pipeline depth incl. dispatch 1 > 0"),
+            (dict(phv_bytes=DISPATCH_PHV_BYTES - 1), "combined PHV"),
+        ):
+            budget = dataclasses.replace(SharedSwitchBudget(), **axis)
+            report = verify_combined(specs, budget)
+            codes = [d.code for d in report.diagnostics]
+            assert codes == ["TEN001", "TEN002"], (axis, codes)
+            assert what in report.diagnostics[1].message
 
     def test_broken_tenant_artifact_surfaces_as_ten003(self):
         """A tenant whose artifact fails the solo resource lint is
