@@ -181,15 +181,13 @@ oracle-pins:
 faults:
 	$(PYTHON) -m repro faults --runs 500 --seed 0
 
-# Fixed-seed smoke slice (red: runs #823 and #956 end `violation`, the
-# open item in ROADMAP.md).
+# Fixed-seed smoke slice.
 faults-smoke:
 	$(PYTHON) -m repro faults --runs 2013 --seed 0 --time-budget 120
 
 # Active-standby failover campaign: switch crashes (packet-boundary and
 # mid-batch), stale standbys, and the base fault mix, replayed against
-# the failover-aware oracle.  Fixed seed, ~60 seconds (red: run #1660 is
-# the faults-smoke open item again).
+# the failover-aware oracle.  Fixed seed, ~60 seconds.
 failover-smoke:
 	$(PYTHON) -m repro faults --runs 1905 --seed 0 --time-budget 120 \
 		--failover

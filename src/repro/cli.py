@@ -560,14 +560,14 @@ def cmd_obs(args) -> int:
         getattr(middlebox, "redundancy", None), "health", None
     )
     if monitor is not None:
-        from repro.telemetry.health import expected_detection_latency_us
+        from repro.telemetry import health as calibration
 
         latency = monitor.detection_latency_us
         health = {
-            "interval_us": round(monitor.config.interval_us, 6),
-            "threshold": round(monitor.config.threshold, 6),
-            "min_std_us": round(monitor.config.min_std_us, 6),
-            "window": monitor.config.window,
+            "interval_us": round(calibration.HEARTBEAT_INTERVAL_US, 6),
+            "threshold": round(calibration.PHI_THRESHOLD, 6),
+            "min_std_us": round(calibration.MIN_STD_US, 6),
+            "window": calibration.SAMPLE_WINDOW,
             "heartbeats": telemetry.metrics.counter_value(
                 "health.heartbeats"
             ),
@@ -578,7 +578,7 @@ def cmd_obs(args) -> int:
                 "health.forced_detections"
             ),
             "expected_bound_us": round(
-                expected_detection_latency_us(monitor.config), 3
+                calibration.expected_detection_latency_us(), 3
             ),
             "detection_latency_us": (
                 round(latency, 3) if latency is not None else None

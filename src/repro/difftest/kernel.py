@@ -25,6 +25,7 @@ from repro.net.fields import FIELD_WIDTHS
 from repro.net.packet import RawPacket
 from repro.partition.partitioner import PartitionError
 from repro.partition.plan import PlacementKind
+from repro.runtime import state_image
 from repro.switchsim.program import SwitchProgramError
 
 #: Fields compared on every emitted packet.  ``PacketView`` reads absent
@@ -138,11 +139,10 @@ def end_state(runtime) -> dict:
     switch = getattr(runtime, "switch", None)
     if switch is None:
         return state
-    for name, placement in runtime.plan.placements.items():
-        if placement.kind in (
-            PlacementKind.SWITCH_REGISTER, PlacementKind.REPLICATED_REGISTER
-        ):
-            state["scalars"][name] = switch.registers[name].value
+    state_image.from_switch(switch, (
+        placement for placement in runtime.plan.placements.values()
+        if placement.on_switch and placement.member.kind == "scalar"
+    ), state["scalars"])
     state["registers"] = {n: r.value for n, r in switch.registers.items()}
     state["tables"] = {n: t.snapshot() for n, t in switch.tables.items()}
     return state
@@ -182,11 +182,11 @@ def check_convergence(
     for name, placement in deployment.plan.placements.items():
         if placement.kind is not PlacementKind.REPLICATED_TABLE:
             continue
-        snapshot = deployment.switch.tables[name].snapshot()
+        switch_copy = state_image.read(deployment.switch, placement)
         if name in policy.bounded_tables:
             server_map = deployment.state.maps[name]
             stale = {
-                keys: value for keys, value in snapshot.items()
+                keys: value for keys, value in switch_copy.items()
                 if server_map.get(keys) != value
             }
             if stale:
@@ -195,26 +195,14 @@ def check_convergence(
                     f"cached table {name!r} holds entries with no"
                     f" authoritative backing: {stale!r}", where,
                 )
-            if len(snapshot) > policy.cache_entries:
+            if len(switch_copy) > policy.cache_entries:
                 yield Finding(
                     "convergence", None,
-                    f"cached table {name!r} holds {len(snapshot)} entries"
+                    f"cached table {name!r} holds {len(switch_copy)} entries"
                     f" (bound is {policy.cache_entries})", where,
                 )
             continue
-        if placement.member.kind == "map":
-            switch_copy = dict(snapshot)
-            server_copy = dict(deployment.state.maps[name])
-        else:
-            # Vectors replicate as index-keyed entries; zero-valued slots
-            # may or may not be materialized on the switch, so compare the
-            # non-zero support.
-            switch_copy = {k: v for k, v in snapshot.items() if v}
-            server_copy = {
-                (index,): value
-                for index, value in enumerate(deployment.state.vectors[name])
-                if value
-            }
+        server_copy = state_image.stored(deployment.state, placement)
         if switch_copy != server_copy:
             yield Finding(
                 "convergence", None,

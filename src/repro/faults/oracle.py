@@ -48,6 +48,7 @@ from repro.partition.plan import PartitionPlan
 from repro.runtime.cache import CacheConfigurationError
 from repro.runtime.degradation import (
     DegradationPolicy,
+    RETURN_LEG_REASONS,
     UNSALVAGEABLE_REASONS,
 )
 from repro.runtime.deployment import (
@@ -568,7 +569,14 @@ def _replay_reference(
                     "deployment served a punt the reference never emitted",
                 )
                 return
-            expected[index] = complete(held.pop(index))
+            if records[index].reason in RETURN_LEG_REASONS:
+                # The return frame died on the wire: the reference runs
+                # the server leg and loses what the wire lost — a switch
+                # cannot run post for a frame it never receives.
+                with guard:
+                    reference.server_leg(held.pop(index))
+            else:
+                expected[index] = complete(held.pop(index))
         elif tag == "drop_punt":
             held.pop(event[1], None)
         elif tag == "fallback":

@@ -30,6 +30,7 @@ from typing import Dict, List, Tuple
 
 from repro.net.packet import RawPacket
 from repro.partition.plan import PartitionPlan, PlacementKind
+from repro.runtime import state_image
 from repro.runtime.deployment import GalliumMiddlebox, Role
 from repro.switchsim.control_plane import StateUpdate
 from repro.switchsim.program import SwitchProgram, bypass_port
@@ -134,25 +135,22 @@ class BoundedCache(Role):
     def sync(self, switch) -> None:
         """Full install, then bound each cached table to its newest
         authoritative entries and rebuild the FIFO to match."""
-        self.box.install_full(switch)
+        box = self.box
+        state_image.to_switch(switch, box.plan, box.state)
         for name in self.bounded_tables:
-            entries = list(
-                self.box.state.maps[name].items()
-            )[-self.cache_entries:]
-            table = switch.tables[name]
-            table._main.clear()
-            self._fifo[name].clear()
-            for keys, value in entries:
-                table._main[keys] = value
-                self._fifo[name][keys] = True
+            newest = dict(
+                list(box.state.maps[name].items())[-self.cache_entries:]
+            )
+            state_image.write(switch, box.plan.placements[name], newest)
+            self._fifo[name] = OrderedDict.fromkeys(newest, True)
 
     def state_recovered(self) -> None:
         """A crash resync recovered only the cached subset; rebuild the
         FIFO from the surviving switch entries in their table order."""
+        box = self.box
         for name in self.bounded_tables:
-            self._fifo[name] = OrderedDict(
-                (keys, True)
-                for keys in self.box.switch.tables[name].snapshot()
+            self._fifo[name] = OrderedDict.fromkeys(
+                state_image.read(box.switch, box.plan.placements[name]), True
             )
 
     # -- the punt decision ---------------------------------------------------

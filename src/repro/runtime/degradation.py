@@ -42,6 +42,8 @@ from repro.switchsim.control_plane import RetryPolicy
 UNSALVAGEABLE_REASONS = frozenset({
     "punt_lost", "punt_corrupted", "return_lost", "return_corrupted",
 })
+#: Of those, a punt whose state committed but whose post never ran.
+RETURN_LEG_REASONS = frozenset({"return_lost", "return_corrupted"})
 
 #: Reasons the fail-open/fail-closed policy arbitrates.
 POLICY_REASONS = frozenset({

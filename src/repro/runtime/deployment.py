@@ -59,7 +59,8 @@ from repro.lang.parser import parse_program
 from repro.net.packet import RawPacket
 from repro.partition.constraints import SwitchResources
 from repro.partition.partitioner import partition_middlebox
-from repro.partition.plan import PartitionPlan, PlacementKind
+from repro.partition.plan import PartitionPlan
+from repro.runtime import state_image
 from repro.runtime.degradation import DegradationPolicy, DropAccounting
 from repro.runtime.server import ServerRuntime
 from repro.sim.clock import PACKET_GAP_US, PUNT_LINK_US
@@ -173,7 +174,7 @@ class FullReplication(Role):
     bounded_tables: Tuple[str, ...] = ()
 
     def sync(self, switch: SwitchModel) -> None:
-        self.box.install_full(switch)
+        state_image.to_switch(switch, self.box.plan, self.box.state)
 
     #: called when the switch answered a packet itself; ``None`` = no-op
     fast_path_taken = None
@@ -223,7 +224,13 @@ class SingleSwitch(Role):
 
     def fallback_packet(self, opening: bool) -> None:
         if opening:
-            self.box.pull_switch_registers()
+            # The switch is reprogramming, not dead: the registers it
+            # holds the authority for are read back into the store.
+            box = self.box
+            held = state_image.authoritative(box.plan)
+            state_image.to_store(
+                box.state, held, state_image.from_switch(box.switch, held, {})
+            )
 
     def may_exit_fallback(self) -> bool:
         return True
@@ -424,31 +431,6 @@ class GalliumMiddlebox:
         self.state_policy.sync(self.switch)
         self.redundancy.sync_standby()
 
-    def install_full(self, switch: SwitchModel) -> None:
-        """Rebuild one switch's state from the server's authoritative
-        copy.  Each table is cleared first: a stale switch entry the
-        server deleted meanwhile must not survive the resync."""
-        for name, placement in self.plan.placements.items():
-            if not placement.on_switch:
-                continue
-            member = placement.member
-            if member.kind == "map":
-                switch.control_plane.clear_table(name)
-                switch.control_plane.install_entries(
-                    name, dict(self.state.maps[name])
-                )
-            elif member.kind == "vector":
-                entries = {
-                    (index,): value
-                    for index, value in enumerate(self.state.vectors[name])
-                }
-                switch.control_plane.clear_table(name)
-                switch.control_plane.install_entries(name, entries)
-            else:
-                switch.control_plane.write_register(
-                    name, self.state.scalars[name]
-                )
-
     # -- the packet path ----------------------------------------------------------
 
     def process_packet(self, packet: RawPacket, ingress_port: int = 1) -> PacketJourney:
@@ -539,15 +521,30 @@ class GalliumMiddlebox:
         return cell
 
     def complete_punt(self, punted_packet: RawPacket) -> PuntCompletion:
-        """Finish one punted packet: server run, state sync, return leg.
+        """Finish one punted packet: its server leg, then its return leg.
 
         This is the slow-path tail of :meth:`process_packet`, exposed so
         the fault harness can replay punt completions independently of
         ingress (queued punts complete after the server recovers).  An
         update batch that never lands raises ``UpdateBatchError`` (the
         caller rolls the server state back); a lost return frame drops
-        the packet after the state committed.
+        the packet, and its post writes, after the state committed.
         """
+        completion, served = self.server_leg(punted_packet)
+        if self.injector is not None:
+            completion.lost_reason = self.injector.return_frame_fate()
+            if completion.lost_reason is not None:
+                return completion
+        (
+            completion.verdict,
+            completion.emitted,
+            completion.post_instructions,
+        ) = self.state_policy.release(served)
+        return completion
+
+    def server_leg(self, punted_packet: RawPacket):
+        """Punt link, server run, state sync; ``(completion, served)``
+        with the return leg still to run (``state_policy.release``)."""
         runtime, ticket = self.punt_target.route(punted_packet)
         clock = self.telemetry.clock
         state_policy = self.state_policy
@@ -583,17 +580,7 @@ class GalliumMiddlebox:
         state_policy.committed(completion.sync_wait_us)
         self.punt_target.committed(runtime, ticket)
         clock.advance(PUNT_LINK_US)
-        if self.injector is not None:
-            # A return frame that vanishes after the state committed
-            # leaves switch and server consistent; the packet is gone.
-            completion.lost_reason = self.injector.return_frame_fate()
-        if completion.lost_reason is None:
-            (
-                completion.verdict,
-                completion.emitted,
-                completion.post_instructions,
-            ) = state_policy.release(served)
-        return completion
+        return completion, served
 
     # -- the packet path under faults ----------------------------------------
 
@@ -829,13 +816,6 @@ class GalliumMiddlebox:
         self.accounting.switch_resyncs += 1
         self._fallback_active = False
 
-    def pull_switch_registers(self) -> None:
-        """Copy switch-authoritative register values into server state
-        (entering a reprogram window)."""
-        for name, placement in self.plan.placements.items():
-            if placement.kind is PlacementKind.SWITCH_REGISTER:
-                self.state.scalars[name] = self.switch.registers[name].value
-
     # -- crash recovery ---------------------------------------------------------
 
     def crash_resync(self) -> None:
@@ -863,23 +843,11 @@ class GalliumMiddlebox:
         # bookkeeping is not packet provenance (and the reference side of
         # a fault diff replays the crash without rerunning configure).
         fresh.tracer = self.state.tracer
-        for name, placement in self.plan.placements.items():
-            member = placement.member
-            if placement.kind is PlacementKind.REPLICATED_TABLE:
-                entries = self.switch.tables[name].snapshot()
-                if member.kind == "map":
-                    fresh.maps[name] = dict(entries)
-                else:  # vector stored as an index-keyed table
-                    length = 1 + max((k[0] for k in entries), default=-1)
-                    vector = [0] * length
-                    for (position,), value in entries.items():
-                        vector[position] = value
-                    fresh.vectors[name] = vector
-            elif placement.kind in (
-                PlacementKind.SWITCH_REGISTER,
-                PlacementKind.REPLICATED_REGISTER,
-            ):
-                fresh.scalars[name] = self.switch.registers[name].value
+        held = [p for p in self.plan.placements.values() if p.replicated]
+        held += state_image.authoritative(self.plan)
+        state_image.to_store(
+            fresh, held, state_image.from_switch(self.switch, held, {})
+        )
         self.state = fresh
         self.punt_target.rebase()
         self.state_policy.state_recovered()

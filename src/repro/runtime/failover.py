@@ -35,9 +35,9 @@ and tracer.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.partition.plan import PlacementKind
+from repro.runtime import state_image
 from repro.runtime.deployment import GalliumMiddlebox, Role
 from repro.switchsim.control_plane import UpdateBatchError
 from repro.telemetry.health import HealthMonitor
@@ -82,8 +82,10 @@ class ActiveStandby(Role):
         #: the crashed primary, kept for post-mortem introspection
         self.failed_primary = None
         self.promoted = False
-        #: per-packet checkpoint of switch-authoritative register values
-        self._register_checkpoint: Dict[str, int] = {}
+        #: the registers the switch holds the authority for, and their
+        #: image as of the last completed packet
+        self._authoritative = state_image.authoritative(box.plan)
+        self._checkpoint: state_image.Image = {}
         self._c_promotions = metrics.counter("failover.promotions")
         self._c_replayed = metrics.counter(
             "failover.standby_batches_replayed"
@@ -100,7 +102,7 @@ class ActiveStandby(Role):
         # the active switch's state policy bounds — after any bulk resync
         # (install time; there is no reprogram resync in failover plans).
         if self.standby is not None:
-            self.box.install_full(self.standby)
+            state_image.to_switch(self.standby, self.box.plan, self.box.state)
 
     # -- per packet ------------------------------------------------------------
 
@@ -116,14 +118,9 @@ class ActiveStandby(Role):
         # plane keeps forwarding until the supervisor declares the
         # primary dead at the next packet boundary.
         if not self.box._fallback_active:
-            self.checkpoint_registers()
-
-    def checkpoint_registers(self) -> None:
-        for name, placement in self.box.plan.placements.items():
-            if placement.kind is PlacementKind.SWITCH_REGISTER:
-                self._register_checkpoint[name] = (
-                    self.box.switch.registers[name].value
-                )
+            state_image.from_switch(
+                self.box.switch, self._authoritative, self._checkpoint
+            )
 
     # -- batch replication -----------------------------------------------------
 
@@ -180,7 +177,7 @@ class ActiveStandby(Role):
             return
         # The primary is gone: recover its data-plane registers from the
         # continuous checkpoint (a dead switch cannot be pulled).
-        box.state.scalars.update(self._register_checkpoint)
+        state_image.to_store(box.state, self._authoritative, self._checkpoint)
         if self.health is not None:
             # Ground truth for the detector's latency measurement; the
             # detector itself only learns of it through missing beats.
@@ -233,7 +230,7 @@ class ActiveStandby(Role):
         # The promoted switch inherits the deployment's control-plane
         # policy and fault exposure; the checkpoint now tracks it.
         box.arm_switch(box.switch)
-        self.checkpoint_registers()
+        state_image.from_switch(box.switch, self._authoritative, self._checkpoint)
 
 
 class FailoverDeployment(GalliumMiddlebox):

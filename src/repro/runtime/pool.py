@@ -51,6 +51,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.net.packet import RawPacket
 from repro.partition.plan import PartitionPlan
+from repro.runtime import state_image
 from repro.runtime.deployment import GalliumMiddlebox, Role
 from repro.runtime.server import ServerRuntime
 from repro.sim.clock import MIGRATION_BASE_US, MIGRATION_ENTRY_US
@@ -155,9 +156,8 @@ class ServerPool(Role):
         #: fault oracle rebuilds the member table independently and
         #: checks this blast-radius attribution entry by entry
         self.affected: Dict[int, Tuple[str, int]] = {}
-        self._chk_maps: Dict[str, dict] = {}
-        self._chk_vectors: Dict[str, list] = {}
-        self._chk_scalars: Dict[str, int] = {}
+        #: image of the members the switch holds no complete copy of
+        self._checkpoint: state_image.Image = {}
         metrics = box.telemetry.metrics
         self._c_migrations = metrics.counter("pool.migrations")
         self._c_migrated_entries = metrics.counter("pool.migrated_entries")
@@ -206,7 +206,7 @@ class ServerPool(Role):
         """
         member, slot = ticket
         member.punts_served += 1
-        touched_unbacked = set()
+        touched_unbacked = {}
         for op, name, keys, _value in runtime.last_journal:
             placement = self.plan.placements.get(name)
             if placement is None:
@@ -220,9 +220,11 @@ class ServerPool(Role):
             else:
                 self.state_owner[name] = slot
             if not self._switch_backed(name):
-                touched_unbacked.add(name)
-        for name in touched_unbacked:
-            self._checkpoint_one(name)
+                touched_unbacked[name] = placement
+        if touched_unbacked:
+            state_image.from_store(
+                self.box.state, touched_unbacked.values(), self._checkpoint
+            )
 
     def _switch_backed(self, name: str) -> bool:
         """Whether the switch holds a *complete* copy of ``name`` a crash
@@ -243,22 +245,10 @@ class ServerPool(Role):
         state = self.box.state
         for member in (*self.members.values(), *self.retired.values()):
             member.runtime.state = state
-        self._chk_maps.clear()
-        self._chk_vectors.clear()
-        self._chk_scalars.clear()
-        for name in self.plan.placements:
-            if not self._switch_backed(name):
-                self._checkpoint_one(name)
-
-    def _checkpoint_one(self, name: str) -> None:
-        state = self.box.state
-        kind = self.plan.placements[name].member.kind
-        if kind == "map":
-            self._chk_maps[name] = dict(state.maps[name])
-        elif kind == "vector":
-            self._chk_vectors[name] = list(state.vectors[name])
-        else:
-            self._chk_scalars[name] = state.scalars[name]
+        self._checkpoint = state_image.from_store(state, (
+            placement for name, placement in self.plan.placements.items()
+            if not self._switch_backed(name)
+        ), {})
 
     # -- migration -----------------------------------------------------------
 
@@ -292,56 +282,36 @@ class ServerPool(Role):
         tracking) surfaces as an oracle violation instead of hiding
         behind shared memory.
         """
-        state, switch = self.box.state, self.box.switch
+        state = self.box.state
         entries = 0
         for name, placement in self.plan.placements.items():
             kind = placement.member.kind
-            backed = self._switch_backed(name)
             if kind == "map":
                 owners = self.map_owner.get(name, {})
                 keys = [k for k, slot in owners.items() if slot in slots]
                 if not keys:
                     continue
-                if backed:
-                    source = switch.tables[name].snapshot()
-                else:
-                    source = self._chk_maps.get(name, {})
+                source = self._authority(placement)[name]
                 table = state.maps[name]
                 for key in keys:
-                    entries += 1
                     if key in source:
                         table[key] = source[key]
                     else:
                         table.pop(key, None)
-            elif kind == "vector":
-                if self.state_owner.get(name) not in slots:
-                    continue
-                vector = state.vectors[name]
-                entries += len(vector)
-                if backed:
-                    snapshot = switch.tables[name].snapshot()
-                    length = 1 + max(
-                        (key[0] for key in snapshot), default=-1
-                    )
-                    if length > len(vector):
-                        vector.extend([0] * (length - len(vector)))
-                    for (position,), value in snapshot.items():
-                        vector[position] = value
-                else:
-                    state.vectors[name] = list(
-                        self._chk_vectors.get(name, vector)
-                    )
-            else:  # scalar
-                if self.state_owner.get(name) not in slots:
-                    continue
-                entries += 1
-                if backed:
-                    state.scalars[name] = switch.registers[name].value
-                else:
-                    state.scalars[name] = self._chk_scalars.get(
-                        name, state.scalars[name]
-                    )
+                entries += len(keys)
+            elif self.state_owner.get(name) in slots:
+                entries += len(state.vectors[name]) if kind == "vector" else 1
+                state_image.to_store(
+                    state, (placement,), self._authority(placement)
+                )
         return entries
+
+    def _authority(self, placement) -> state_image.Image:
+        """The image a crash migration rebuilds a member from: the
+        switch's, when it holds a complete copy, else the checkpoint."""
+        if self._switch_backed(placement.member.name):
+            return state_image.from_switch(self.box.switch, (placement,), {})
+        return self._checkpoint
 
     # -- membership-change windows -------------------------------------------
 

@@ -11,7 +11,7 @@ inter-arrival samples, and suspicion is the continuous quantity
 
 under a normal model of the inter-arrival distribution.  The
 :class:`FailoverDeployment` promotes its standby only once φ crosses
-:attr:`HealthConfig.threshold` — so the promotion window now lasts
+:data:`PHI_THRESHOLD` — so the promotion window now lasts
 ``max(exact window, detection latency)`` and ``experiments recovery``
 prices a measured number instead of sweeping a hypothetical one.  The
 old exact packet-boundary detection remains available
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Optional, Tuple
 
 from repro.telemetry.metrics import MetricsRegistry
@@ -62,28 +61,17 @@ _PHI_CEILING = 12.0
 RECOVERY_MIDDLEBOX = "mazunat"
 
 
-@dataclass(frozen=True)
-class HealthConfig:
-    """Tunable detector calibration (see DESIGN.md for the reasoning)."""
-
-    interval_us: float = HEARTBEAT_INTERVAL_US
-    threshold: float = PHI_THRESHOLD
-    min_std_us: float = MIN_STD_US
-    window: int = SAMPLE_WINDOW
-
-
 class PhiAccrualDetector:
     """φ-accrual suspicion over heartbeat inter-arrival times."""
 
     def __init__(self):
-        self.config = config = HealthConfig()
-        self._samples: Deque[float] = deque(maxlen=config.window)
+        self._samples: Deque[float] = deque(maxlen=SAMPLE_WINDOW)
         self._last_beat: Optional[float] = None
         # Pre-seed with the nominal cadence so the very first crash is
         # detectable — a cold detector has no distribution to suspect
         # against (standard φ-accrual bootstrap).
-        for _ in range(config.window):
-            self._samples.append(config.interval_us)
+        for _ in range(SAMPLE_WINDOW):
+            self._samples.append(HEARTBEAT_INTERVAL_US)
 
     def heartbeat(self, now_us: float) -> None:
         if self._last_beat is not None:
@@ -98,7 +86,7 @@ class PhiAccrualDetector:
         samples = self._samples
         mean = sum(samples) / len(samples)
         variance = sum((s - mean) ** 2 for s in samples) / len(samples)
-        std = max(math.sqrt(variance), self.config.min_std_us)
+        std = max(math.sqrt(variance), MIN_STD_US)
         return mean, std
 
     def phi(self, now_us: float) -> float:
@@ -133,15 +121,11 @@ def phi_inverse_z(threshold: float) -> float:
     return (lo + hi) / 2.0
 
 
-def expected_detection_latency_us(
-    config: HealthConfig = HealthConfig(),
-) -> float:
+def expected_detection_latency_us() -> float:
     """Closed-form worst-case detection latency from the last heartbeat:
     the elapsed time at which φ reaches the threshold under the nominal
     calibration (mean = interval, std = the floor)."""
-    return config.interval_us + phi_inverse_z(config.threshold) * (
-        config.min_std_us
-    )
+    return HEARTBEAT_INTERVAL_US + phi_inverse_z(PHI_THRESHOLD) * MIN_STD_US
 
 
 class HealthMonitor:
@@ -160,7 +144,6 @@ class HealthMonitor:
 
     def __init__(self, metrics: MetricsRegistry):
         self.detector = PhiAccrualDetector()
-        self.config = self.detector.config
         self._alive = True
         self._crash_at: Optional[float] = None
         self._detected = False
@@ -183,7 +166,7 @@ class HealthMonitor:
         while self._next_beat_us <= now_us:
             self.detector.heartbeat(self._next_beat_us)
             self._c_beats.inc()
-            self._next_beat_us += self.config.interval_us
+            self._next_beat_us += HEARTBEAT_INTERVAL_US
 
     # -- crash lifecycle --------------------------------------------------
 
@@ -208,7 +191,7 @@ class HealthMonitor:
             return True
         phi = self.detector.phi(now_us)
         self._g_phi.set(phi)
-        if phi < self.config.threshold:
+        if phi < PHI_THRESHOLD:
             return False
         self._detected = True
         self._record_latency(now_us)
@@ -233,7 +216,7 @@ class HealthMonitor:
         self._g_phi.set(0.0)
         self.detector = PhiAccrualDetector()
         self.detector.heartbeat(now_us)
-        self._next_beat_us = now_us + self.config.interval_us
+        self._next_beat_us = now_us + HEARTBEAT_INTERVAL_US
 
     def _record_latency(self, now_us: float) -> None:
         latency = max(now_us - self._crash_at, 0.0)
@@ -297,7 +280,7 @@ def measure_detection_latency() -> dict:
             if monitor.detection_latency_us is not None else None
         ),
         "expected_bound_us": round(
-            expected_detection_latency_us(monitor.config), 3
+            expected_detection_latency_us(), 3
         ),
         "promotions": metrics.counter_value("failover.promotions"),
     }

@@ -217,3 +217,54 @@ class TestShimBudgetRefusal:
         result = run(limits=SwitchResources(transfer_bytes=0))
         assert result.outcome is FaultOutcome.REJECTED
         assert "shim" in result.error
+
+
+class TestLostReturnLeg:
+    """A punt whose return frame dies after its server leg committed never
+    runs the switch's post pipeline: the reference must lose exactly the
+    post writes the wire lost, no more and no fewer.  Each seeded mutant
+    of that rule turns the corpus reproducer into a final-state finding."""
+
+    @staticmethod
+    def replay(name):
+        from repro.faults.corpus import load_corpus, replay_entry
+
+        (entry,) = [e for e in load_corpus() if e.name == name]
+        return replay_entry(entry)
+
+    @pytest.mark.parametrize("name", [
+        "lost_return_leg_post_write_823",
+        "lost_return_leg_post_write_956",
+    ])
+    def test_post_run_for_a_lost_leg_is_caught(self, monkeypatch, name):
+        import repro.faults.oracle as oracle
+
+        monkeypatch.setattr(oracle, "RETURN_LEG_REASONS", frozenset())
+        result = self.replay(name)
+        assert result.outcome is FaultOutcome.VIOLATION
+        assert result.violation.kind == "state"
+
+    def test_post_skipped_for_a_delivered_packet_is_caught(self, monkeypatch):
+        original = GalliumMiddlebox.complete_punt
+
+        def forgetful(self, punted):
+            # The reference (no injector) delivers the packet but keeps
+            # none of its post pipeline's register writes.
+            if self.injector is not None:
+                return original(self, punted)
+            completion, served = self.server_leg(punted)
+            registers = self.switch.registers
+            before = {name: reg.value for name, reg in registers.items()}
+            (
+                completion.verdict,
+                completion.emitted,
+                completion.post_instructions,
+            ) = self.state_policy.release(served)
+            for name, value in before.items():
+                registers[name].value = value
+            return completion
+
+        monkeypatch.setattr(GalliumMiddlebox, "complete_punt", forgetful)
+        result = self.replay("lost_return_leg_post_write_956")
+        assert result.outcome is FaultOutcome.VIOLATION
+        assert result.violation.kind == "state"

@@ -76,6 +76,8 @@ def _audit_rollbacks(box):
 
 def _run(entry, fault_plan, cached):
     plan, program = compile_middlebox(entry.source)
+    if not any(placement.replicated for placement in plan.placements.values()):
+        pytest.skip(f"{entry.name}: no replicated state, no update batch")
     injector = FaultInjector(fault_plan, seed=entry.injector_seed)
     cls = CachedGalliumMiddlebox if cached else GalliumMiddlebox
     try:

@@ -21,6 +21,9 @@ def test_corpus_present():
         "timeout_then_fail_exhaustion",
         "pool_checkpoint_stale_after_promotion",
         "pool_migration_inside_promotion_window",
+        "lost_return_leg_post_write_823",
+        "lost_return_leg_post_write_956",
+        "lost_return_leg_post_write_failover_1660",
     } <= names, f"missing corpus entries in {CORPUS_DIR}"
 
 

@@ -45,6 +45,7 @@ NOT_AN_INSTRUCTION = {
     ("src/repro/runtime/pool.py", "member.runtime.state"),
     ("src/repro/verify/symbolic/engine.py", "register.value"),
     ("tests/tenancy/test_oracle.py", "victim.registers['port_counter'].value"),
+    ("tests/faults/test_oracle.py", "registers[name].value"),
 }
 
 

@@ -18,6 +18,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.oracle import run_fault_oracle
 from repro.faults.plan import FaultPlan, PrimarySwitchCrash
 from repro.net.addresses import ip
+from repro.runtime import state_image
 from repro.runtime.cache import BoundedCache
 from repro.runtime.degradation import DegradationPolicy
 from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
@@ -74,10 +75,14 @@ class TestComposition:
     def test_register_checkpoint_runs_per_packet(self, monkeypatch):
         box = build(cache_entries=4)
         calls = []
-        monkeypatch.setattr(
-            box.redundancy, "checkpoint_registers",
-            lambda: calls.append(1),
-        )
+        read = state_image.from_switch
+
+        def counted(switch, placements, image):
+            if image is box.redundancy._checkpoint:
+                calls.append(1)
+            return read(switch, placements, image)
+
+        monkeypatch.setattr(state_image, "from_switch", counted)
         drive(box, 3)
         assert len(calls) >= 3
 

@@ -85,7 +85,7 @@ class TestWarmStandby:
         # mazunat's port allocator is switch-authoritative; the checkpoint
         # must hold its value as of the last completed packet.
         assert (
-            box.redundancy._register_checkpoint["port_counter"]
+            box.redundancy._checkpoint["port_counter"]
             == box.switch.registers["port_counter"].value
         )
 
@@ -121,9 +121,7 @@ class TestPromotion:
 
         latency = box.redundancy.health.detection_latency_us
         assert latency is not None
-        assert 0.0 < latency <= expected_detection_latency_us(
-            box.redundancy.health.config
-        )
+        assert 0.0 < latency <= expected_detection_latency_us()
 
     def test_exact_mode_keeps_free_boundary_detection(self):
         """``detection="exact"`` is the oracle reference: promotion at

@@ -13,7 +13,8 @@ from repro.runtime.degradation import DegradationPolicy
 from repro.runtime.spec import DeploymentSpec
 from repro.telemetry.health import (
     HEARTBEAT_INTERVAL_US,
-    HealthConfig,
+    MIN_STD_US,
+    PHI_THRESHOLD,
     HealthMonitor,
     PhiAccrualDetector,
     expected_detection_latency_us,
@@ -46,7 +47,7 @@ class TestDetectorMath:
         for t in (0.0, 4.0, 8.0, 12.0):
             detector.heartbeat(t)
         _, std = detector.mean_std()
-        assert std == HealthConfig().min_std_us
+        assert std == MIN_STD_US
 
     def test_phi_saturates_finite(self):
         detector = PhiAccrualDetector()
@@ -61,11 +62,9 @@ class TestDetectorMath:
                                                          abs=1e-6)
 
     def test_expected_bound_is_interval_plus_z_sigma(self):
-        config = HealthConfig()
-        bound = expected_detection_latency_us(config)
+        bound = expected_detection_latency_us()
         assert bound == pytest.approx(
-            config.interval_us
-            + phi_inverse_z(config.threshold) * config.min_std_us
+            HEARTBEAT_INTERVAL_US + phi_inverse_z(PHI_THRESHOLD) * MIN_STD_US
         )
         # Default calibration: ~7.09 µs — a handful of fallback packets.
         assert 6.0 < bound < 8.0
@@ -91,7 +90,7 @@ class TestHealthMonitor:
         assert monitor.crash_pending
         assert monitor.crash_detected(11.0) is False
         assert metrics.counter_value("health.detections") == 0
-        bound = expected_detection_latency_us(monitor.config)
+        bound = expected_detection_latency_us()
         assert monitor.crash_detected(10.0 + bound + 1.0) is True
         assert metrics.counter_value("health.detections") == 1
         assert metrics.counter_value("health.forced_detections") == 0
