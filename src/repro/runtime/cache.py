@@ -126,7 +126,10 @@ class BoundedCache(Role):
         self._fifo: Dict[str, OrderedDict] = {
             name: OrderedDict() for name in self.bounded_tables
         }
-        self._fifo_before_batch: Dict[str, List[tuple]] = {}
+        #: the served punt's FIFO moves, held until its batch lands:
+        #: ``(table, key) -> cached after it``, in the order the FIFO
+        #: takes them (a key moved again goes to the end, as in the FIFO)
+        self._moves: Dict[Tuple[str, tuple], bool] = {}
         self.stats = CacheStats(metrics=box.telemetry.metrics)
         box.state.track_reads = True
 
@@ -194,7 +197,10 @@ class BoundedCache(Role):
 
     def serve(self, runtime, frame: RawPacket):
         """Run the complete program; writes replicate as usual and
-        successful reads of bounded tables refill the cache."""
+        successful reads of bounded tables refill the cache.  The FIFO
+        moves the batch implies — its inserts and deletes of cached keys,
+        then the refills — are noted, not made: the FIFO follows the
+        switch only once the batch lands (:meth:`committed`)."""
         box = self.box
         self.stats.misses += 1
         if box._tracer is not None:
@@ -202,53 +208,37 @@ class BoundedCache(Role):
             box._tracer.set_component("server")
         box.state.read_log.clear()
         served = runtime.run_complete(frame)
-        self._fifo_before_batch = {
-            name: list(fifo) for name, fifo in self._fifo.items()
-        }
-        erased: set = set()
-        for update in served.updates:
-            fifo = self._fifo.get(update.target)
-            if update.op == "insert":
-                if fifo is not None:
-                    self._note_insert(update.target, update.key)
-                erased.discard((update.target, update.key))
-            elif update.op == "delete":
-                if fifo is not None:
-                    fifo.pop(update.key, None)
-                erased.add((update.target, update.key))
+        fifos = self._fifo
+        moves = self._moves = {}
+        for op, name, keys, _ in served.updates:
+            if name in fifos:
+                moves.pop((name, keys), None)
+                moves[name, keys] = op == "insert"
         for name, keys, found, value in box.state.read_log:
-            if not found or name not in self._fifo:
+            if not found or name not in fifos:
                 continue
-            if (name, keys) in erased:
-                # The run read the entry and then deleted it (e.g. a FIN
-                # steering lookup before teardown): refilling would leave a
-                # stale cache entry with no authoritative backing.
+            # A key the batch deletes is not refilled: the run read the
+            # entry and then deleted it (e.g. a FIN steering lookup
+            # before teardown), and refilling would leave a stale cache
+            # entry with no authoritative backing.
+            if (name, keys) in moves or keys in fifos[name]:
                 continue
-            if keys not in self._fifo[name]:
-                served.updates.append(StateUpdate("insert", name, keys, value))
-                self._note_insert(name, keys)
-                self.stats.refills += 1
-                if box._tracer is not None:
-                    box._tracer.record("cache_refill", component="cache",
-                                       table=name, key=keys)
+            served.updates.append(StateUpdate("insert", name, keys, value))
+            moves[name, keys] = True
+            self.stats.refills += 1
+            if box._tracer is not None:
+                box._tracer.record("cache_refill", component="cache",
+                                   table=name, key=keys)
         box.state.read_log.clear()
         return served
 
-    def _note_insert(self, table: str, keys: tuple) -> None:
-        fifo = self._fifo[table]
-        fifo.pop(keys, None)
-        fifo[keys] = True
-
     def batch_aborted(self) -> None:
-        """The update batch never landed, so neither did any noted
-        insert: roll the FIFO back with the switch."""
-        for name, keys_in_order in self._fifo_before_batch.items():
-            self._fifo[name] = OrderedDict(
-                (keys, True) for keys in keys_in_order
-            )
+        """The update batch never landed, so the FIFO stays as it was."""
+        self._moves = {}
 
     def committed(self, sync_wait_us: float) -> None:
-        """Evict oldest entries beyond the cache size.
+        """Make the landed batch's FIFO moves, then evict the oldest
+        entries beyond the cache size.
 
         Evictions are issued by the switch's *local* control plane — cache
         management, not server→switch write-back RPCs — so no output-commit
@@ -256,9 +246,16 @@ class BoundedCache(Role):
         RPC trouble on the write-back path) do not apply, and a warm
         standby never sees them.
         """
+        fifos = self._fifo
+        for (name, keys), inserted in self._moves.items():
+            fifo = fifos[name]
+            fifo.pop(keys, None)
+            if inserted:
+                fifo[keys] = True
+        self._moves = {}
         tracer = self.box._tracer
         for name in self.bounded_tables:
-            fifo = self._fifo[name]
+            fifo = fifos[name]
             evictions: List[StateUpdate] = []
             while len(fifo) > self.cache_entries:
                 keys, _ = fifo.popitem(last=False)

@@ -458,8 +458,6 @@ class GalliumMiddlebox:
         else:
             first, punted = self.state_policy.ingress(packet, ingress_port)
             if punted is None:
-                # Booked on this path only: under faults a switch answer
-                # has never counted as a cache hit (golden pins hold it).
                 if self.state_policy.fast_path_taken is not None:
                     self.state_policy.fast_path_taken()
                 journey = _new(PacketJourney)
@@ -600,6 +598,8 @@ class GalliumMiddlebox:
         first, punted = self.state_policy.ingress(packet, ingress_port)
         self.fault_log.append(("ingress", index, ingress_port))
         if punted is None:
+            if self.state_policy.fast_path_taken is not None:
+                self.state_policy.fast_path_taken()
             return PacketJourney(
                 verdict="drop" if first.dropped else "send",
                 emitted=first.emitted,

@@ -197,8 +197,8 @@ class ServerPool(Role):
     # -- ownership + checkpoint ----------------------------------------------
 
     def committed(self, runtime: ServerRuntime, ticket) -> None:
-        """Pin the punt's committed writes to its slot and refresh the
-        checkpoint for the switch-unbacked members it touched.
+        """Pin the punt's committed writes to its slot and move the
+        checkpoint of the switch-unbacked members by the same writes.
 
         Called only after the update batch landed — a rolled-back punt
         never reaches this, so ledger and checkpoint always describe the
@@ -206,8 +206,8 @@ class ServerPool(Role):
         """
         member, slot = ticket
         member.punts_served += 1
-        touched_unbacked = {}
-        for op, name, keys, _value in runtime.last_journal:
+        journal = runtime.last_journal
+        for op, name, keys, _value in journal:
             placement = self.plan.placements.get(name)
             if placement is None:
                 continue
@@ -219,12 +219,7 @@ class ServerPool(Role):
                     owners[tuple(keys)] = slot
             else:
                 self.state_owner[name] = slot
-            if not self._switch_backed(name):
-                touched_unbacked[name] = placement
-        if touched_unbacked:
-            state_image.from_store(
-                self.box.state, touched_unbacked.values(), self._checkpoint
-            )
+        state_image.replay(self._checkpoint, journal)
 
     def _switch_backed(self, name: str) -> bool:
         """Whether the switch holds a *complete* copy of ``name`` a crash

@@ -85,6 +85,23 @@ def from_store(state, placements, image: Image) -> Image:
     return image
 
 
+def replay(image: Image, journal) -> None:
+    """Apply a store's write journal to the members ``image`` holds: an
+    image equal to the store before the writes equals it after them, at
+    the cost of the writes rather than of the members."""
+    for op, name, keys, value in journal:
+        if name not in image:
+            continue
+        if op == "store":
+            image[name] = value
+        elif op == "insert":
+            image[name][keys] = value
+        elif op == "erase":
+            image[name].pop(keys, None)
+        elif op == "push":
+            image[name].append(value)
+
+
 def to_store(state, placements, image: Image) -> None:
     """Put a copy of each member the image holds into the store."""
     for placement in placements:

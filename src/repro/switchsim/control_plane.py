@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.corpus_format import fields_from
@@ -140,8 +141,13 @@ class RpcChannel:
     def submit(self, now_us: float) -> Tuple[float, float]:
         """Prune drained RPCs; return ``(wait_us, start_us)`` for an
         attempt submitted at ``now_us``."""
-        self.inflight = [t for t in self.inflight if t > now_us]
-        start = max(self.inflight) if self.inflight else now_us
+        inflight = self.inflight
+        if not inflight or max(inflight) <= now_us:
+            # Everything drained — a serial caller's every batch.
+            inflight.clear()
+            return 0.0, now_us
+        self.inflight = inflight = [t for t in inflight if t > now_us]
+        start = max(inflight)
         return start - now_us, start
 
     def complete(self, finish_us: float) -> None:
@@ -255,26 +261,36 @@ class UpdateBatchResult:
     undo: Optional[UndoLog] = None
 
 
-class _BatchShape(NamedTuple):
-    """What one pass over a batch's updates settles for all its attempts
-    (:meth:`ControlPlane._open`)."""
-
-    #: per touched table, its ``(key, value to stage | None to delete)``
-    #: entries in batch order; tables in first-touch order — the order
-    #: they are staged, flipped and folded in
-    staged: List[Tuple[ExactMatchTable, List[Tuple[tuple, Optional[int]]]]]
-    #: ``(register, value to write)`` per register update, in batch order
-    registers: List[Tuple[Register, int]]
-    #: updates in the batch (what a whole application durably applies)
-    updates: int
-    #: tables touched, the register file counting as one table program,
-    #: and the most frequent table op (first seen wins a tie; "modify"
-    #: for a register-only batch): the latency model's two inputs
-    tables_touched: int
-    op_kind: str
-
+#: per touched table in first-touch order (the order they are staged,
+#: flipped and folded in), its ``(key, value | None to delete)`` entries
+_Staged = List[Tuple[ExactMatchTable, List[Tuple[tuple, Optional[int]]]]]
+#: ``(register, value to write)`` per register update, in batch order
+_Writes = List[Tuple[Register, int]]
 
 _new = object.__new__
+#: a NamedTuple built from its field tuple in one C call
+_record = tuple.__new__
+
+
+def _land(staged: _Staged, registers: _Writes) -> None:
+    """The three steps once: stage (a capacity failure discards the whole
+    stage and raises before anything changed) and write the registers,
+    flip the visibility bit, fold into the main tables."""
+    try:
+        for table, entries in staged:
+            for key, value in entries:
+                table.stage(key, value)
+    except TableEntryLimit:
+        for table, _ in staged:
+            table.discard_writeback()
+        raise
+    for register, value in registers:
+        register.control_write(value)
+    for table, _ in staged:
+        table.set_visibility(True)
+    for table, _ in staged:
+        table.fold_writeback()
+        table.set_visibility(False)
 
 
 class ControlPlane:
@@ -319,6 +335,7 @@ class ControlPlane:
         self._h_queue_wait = metrics.histogram(
             "control_plane.rpc_queue_wait_us", LATENCY_BOUNDS_US
         )
+        _, self._zero_wait_bucket = self._h_queue_wait.cell(0.0)
         self._g_outstanding = metrics.gauge("control_plane.rpc_outstanding")
         #: the FIFO RPC pipe (private until :meth:`attach_channel`)
         self.channel = RpcChannel()
@@ -393,13 +410,65 @@ class ControlPlane:
         ``decision == "rolled_forward"``) when the high-water mark covers
         the whole batch, roll *back* byte-exactly and raise
         :class:`UpdateBatchError` otherwise.
+
+        With no fault hook armed and no tracer on, nothing can fault the
+        batch, so it makes the retry loop's first attempt in one straight
+        pass: the same jitter draw, channel entry, counters, histogram
+        observations, clock advance and undo log.
         """
+        telemetry = self.telemetry
+        if self.fault_hook is not None or telemetry.active_tracer is not None:
+            return self._apply_with_retries(updates)
+        staged, registers, undo, tables, op = self._open(updates)
+        self._c_attempts.value += 1
+        clock = telemetry.clock
+        channel = self.channel
+        queue_wait, start = channel.submit(clock.now_us)
+        self._g_outstanding.value = float(len(channel.inflight))
+        histogram = self._h_queue_wait
+        if queue_wait:
+            histogram.observe(queue_wait)
+        else:
+            # observe(0.0)'s four updates on its memoised cell: a serial
+            # caller never queues behind itself
+            histogram.count += 1
+            histogram.sum += 0.0
+            if 0.0 > histogram.max_observed:
+                histogram.max_observed = 0.0
+            histogram.bucket_counts[self._zero_wait_bucket] += 1
+        try:
+            _land(staged, registers)
+        except TableEntryLimit as exc:
+            raise self._overflow(exc, staged, undo, 1, queue_wait) from exc
+        visibility = _batch_latency_us(tables, op, self._rng)
+        channel.complete(start + visibility)
+        undo.high_water = len(updates)
+        # The class defaults (one attempt, no retry wait, committed) plus
+        # what this batch knows; folding runs after visibility.
+        result = _new(UpdateBatchResult)
+        result.total_latency_us = visibility * 1.35 + queue_wait
+        result.visibility_latency_us = visibility = visibility + queue_wait
+        result.tables_touched = tables
+        result.updates_applied = len(updates)
+        result.queue_wait_us = queue_wait
+        result.undo = undo
+        self._c_applied.value += 1
+        self._c_updates.value += len(updates)
+        self._h_visibility.observe(visibility)
+        clock.now_us += visibility  # SimClock.advance: it is never negative
+        return result
+
+    def _apply_with_retries(
+        self, updates: List[StateUpdate]
+    ) -> UpdateBatchResult:
+        """:meth:`apply_batch` for a batch a fault hook or a tracer sees:
+        attempts until one confirms or the retry policy runs out."""
         max_attempts = self.retry.max_attempts if self.retry else 1
         retry_wait = 0.0
         queue_wait = 0.0
         attempts = 0
         tracer = self.telemetry.active_tracer
-        shape, undo = self._open(updates)
+        staged, registers, undo, tables, op = self._open(updates)
         if tracer is not None:
             tracer.record(
                 "batch_begin", component="control_plane",
@@ -416,11 +485,11 @@ class ControlPlane:
             queue_wait += wait
             fault = self.fault_hook(attempts) if self.fault_hook else None
             try:
-                result = self._apply_once(shape, fault)
+                self._apply_once(staged, registers, len(updates), fault)
             except ControlPlaneFault as exc:
                 last_fault = exc
                 undo.high_water = max(undo.high_water, exc.applied_updates)
-                cost = self._attempt_cost_us(shape, exc.kind)
+                cost = self._attempt_cost_us(tables, op, exc.kind)
                 self.channel.complete(start + cost)
                 retry_wait += cost
                 if tracer is not None:
@@ -432,26 +501,26 @@ class ControlPlane:
                     retry_wait += self.retry.backoff_us(attempts, self._rng)
                 continue
             except TableEntryLimit as exc:
-                self._c_failed.inc()
-                self._c_rolled_back.inc()
-                self._rollback(undo, shape)
+                error = self._overflow(
+                    exc, staged, undo, attempts, retry_wait + queue_wait
+                )
                 if tracer is not None:
                     tracer.record("batch_abort", component="control_plane",
                                   fault="overflow", attempts=attempts,
                                   decision="rolled_back")
-                raise UpdateBatchError(
-                    str(exc), kind="overflow", attempts=attempts,
-                    retry_wait_us=retry_wait + queue_wait,
-                    undo=undo,
-                ) from exc
+                raise error from exc
+            visibility = _batch_latency_us(tables, op, self._rng)
             undo.high_water = len(updates)
-            self.channel.complete(start + result.visibility_latency_us)
-            result.attempts = attempts
-            result.retry_wait_us = retry_wait
-            result.queue_wait_us = queue_wait
-            result.undo = undo
-            result.visibility_latency_us += retry_wait + queue_wait
-            result.total_latency_us += retry_wait + queue_wait
+            self.channel.complete(start + visibility)
+            wall_us = retry_wait + queue_wait
+            result = UpdateBatchResult(
+                visibility_latency_us=visibility + wall_us,
+                # folding runs after visibility
+                total_latency_us=visibility * 1.35 + wall_us,
+                tables_touched=tables, updates_applied=len(updates),
+                attempts=attempts, retry_wait_us=retry_wait,
+                queue_wait_us=queue_wait, undo=undo,
+            )
             self._c_applied.value += 1
             self._c_updates.value += len(updates)
             self._h_visibility.observe(result.visibility_latency_us)
@@ -486,7 +555,7 @@ class ControlPlane:
             return UpdateBatchResult(
                 visibility_latency_us=wall_us,
                 total_latency_us=wall_us,
-                tables_touched=shape.tables_touched,
+                tables_touched=tables,
                 updates_applied=len(updates),
                 attempts=attempts,
                 retry_wait_us=retry_wait,
@@ -498,7 +567,7 @@ class ControlPlane:
         # the batch exactly where it started, whatever prefix landed.
         self._c_failed.inc()
         self._c_rolled_back.inc()
-        self._rollback(undo, shape)
+        self._rollback(undo, staged)
         self.telemetry.clock.advance(wall_us)
         if tracer is not None:
             tracer.record("batch_abort", component="control_plane",
@@ -513,16 +582,31 @@ class ControlPlane:
             undo=undo,
         )
 
+    def _overflow(self, exc: TableEntryLimit, staged: _Staged, undo: UndoLog,
+                  attempts: int, wall_us: float) -> UpdateBatchError:
+        """Roll back a batch write-back capacity refused; the error to
+        raise."""
+        self._c_failed.inc()
+        self._c_rolled_back.inc()
+        self._rollback(undo, staged)
+        return UpdateBatchError(
+            str(exc), kind="overflow", attempts=attempts,
+            retry_wait_us=wall_us, undo=undo,
+        )
+
     # -- the undo log ----------------------------------------------------------
 
     def _open(
         self, updates: List[StateUpdate]
-    ) -> Tuple[_BatchShape, UndoLog]:
-        """The one pass over a batch, before its first mutation: its
-        shape, and the undo log — the pre-image of every slot it touches,
-        in first-touch order."""
+    ) -> Tuple[_Staged, _Writes, UndoLog, int, str]:
+        """The one pass over a batch, before its first mutation: what it
+        stages and writes, the undo log — the pre-image of every slot it
+        touches, in first-touch order — and the latency model's two
+        inputs: tables touched, the register file counting as one table
+        program, and the most frequent table op (first seen wins a tie;
+        "modify" for a register-only batch)."""
         touched: Dict[str, tuple] = {}
-        registers: list = []
+        registers: _Writes = []
         op_counts: Dict[str, int] = {}
         preimages: Dict[object, UndoRecord] = {}
         for op, target, key, value in updates:
@@ -530,9 +614,9 @@ class ControlPlane:
                 register = self.registers[target]
                 registers.append((register, value or 0))
                 if target not in preimages:
-                    preimages[target] = UndoRecord(
+                    preimages[target] = _record(UndoRecord, (
                         "register", target, None, True, register.preimage()
-                    )
+                    ))
                 continue
             table_entries = touched.get(target)
             if table_entries is None:
@@ -540,20 +624,27 @@ class ControlPlane:
             table, entries = table_entries
             entries.append((key, None if op == "delete" else value))
             op_counts[op] = op_counts.get(op, 0) + 1
-            if (target, key) not in preimages:
-                preimages[target, key] = UndoRecord(
-                    "table", target, key, *table.entry_preimage(key)
-                )
-        shape = _BatchShape(
-            list(touched.values()), registers, len(updates),
-            len(touched) + (1 if registers else 0),
-            max(op_counts, key=op_counts.get) if op_counts else "modify",
+            slot = (target, key)
+            if slot not in preimages:
+                existed, preimage = table.entry_preimage(key)
+                preimages[slot] = _record(UndoRecord, (
+                    "table", target, key, existed, preimage
+                ))
+        undo = _new(UndoLog)
+        undo.records = list(preimages.values())
+        undo.high_water = 0
+        if len(op_counts) == 1:
+            (op_kind,) = op_counts
+        else:
+            op_kind = max(op_counts, key=op_counts.get) if op_counts else "modify"
+        return (
+            list(touched.values()), registers, undo,
+            len(touched) + (1 if registers else 0), op_kind,
         )
-        return shape, UndoLog(list(preimages.values()))
 
-    def _rollback(self, undo: UndoLog, shape: _BatchShape) -> None:
+    def _rollback(self, undo: UndoLog, staged: _Staged) -> None:
         """Byte-exact restore of every touched slot from the undo log."""
-        for table, _ in shape.staged:
+        for table, _ in staged:
             table.discard_writeback()
         for record in undo.records:
             if record.kind == "table":
@@ -581,10 +672,9 @@ class ControlPlane:
         self._h_queue_wait.observe(wait)
         return wait, start
 
-    def _apply_once(
-        self, shape: _BatchShape, fault: Optional[str]
-    ) -> UpdateBatchResult:
-        """One attempt at the three-step protocol.
+    def _apply_once(self, staged: _Staged, registers: _Writes, count: int,
+                    fault: Optional[str]) -> None:
+        """One attempt at the three-step protocol, under ``fault``.
 
         ``fault == "fail"`` vetoes the RPC before any switch mutation;
         ``fault == "overflow"`` models write-back capacity exhaustion (also
@@ -600,73 +690,28 @@ class ControlPlane:
             raise TableEntryLimit(
                 "injected write-back overflow (fault harness)"
             )
-        staged = shape.staged
-
         if fault == "crash":
             # The connection dies after the first touched table folded
             # (or after the first register write when the batch is
             # register-only): a genuinely partial application.
-            applied = 0
             if staged:
-                table, entries = staged[0]
-                for key, value in entries:
-                    table.stage(key, value)
-                table.set_visibility(True)
-                table.fold_writeback()
-                table.set_visibility(False)
-                applied = len(entries)
-            elif shape.registers:
-                register, value = shape.registers[0]
-                register.control_write(value)
-                applied = 1
+                staged, registers = staged[:1], []
+                applied = len(staged[0][1])
+            else:
+                registers = registers[:1]
+                applied = len(registers)
+            _land(staged, registers)
             raise ControlPlaneFault("crash", applied_updates=applied)
-
-        # Step 1: stage every update in the write-back tables.  A capacity
-        # failure aborts the whole batch: discard any staged residue so the
-        # next batch's fold cannot observe it.
-        try:
-            for table, entries in staged:
-                for key, value in entries:
-                    table.stage(key, value)
-        except TableEntryLimit:
-            for table, _ in staged:
-                table.discard_writeback()
-            raise
-        for register, value in shape.registers:
-            register.control_write(value)
-
-        # Step 2: flip the visibility bit — updates become visible.
-        for table, _ in staged:
-            table.set_visibility(True)
-
-        # Step 3: fold into the main tables, then clear the bit.
-        for table, _ in staged:
-            table.fold_writeback()
-            table.set_visibility(False)
-
+        _land(staged, registers)
         if fault == "timeout":
             # The batch landed but the confirmation never arrived; the
             # caller cannot tell and must retry (idempotently).  The undo
             # log's high-water mark records the full batch as durable.
-            raise ControlPlaneFault("timeout", applied_updates=shape.updates)
+            raise ControlPlaneFault("timeout", applied_updates=count)
 
-        visibility = _batch_latency_us(
-            shape.tables_touched, shape.op_kind, self._rng
-        )
-        # Class defaults plus the four fields an attempt knows;
-        # ``apply_batch`` fills in the rest.
-        result = _new(UpdateBatchResult)
-        result.visibility_latency_us = visibility
-        result.total_latency_us = visibility * 1.35  # folding runs after visibility
-        result.tables_touched = shape.tables_touched
-        result.updates_applied = shape.updates
-        return result
-
-    def _attempt_cost_us(self, shape: _BatchShape, kind: str) -> float:
+    def _attempt_cost_us(self, tables: int, op: str, kind: str) -> float:
         """Wall-clock burned by one failed attempt."""
-        nominal = _batch_latency_us(
-            shape.tables_touched, shape.op_kind, self._rng
-        )
+        nominal = _batch_latency_us(tables, op, self._rng)
         timeout_multiple = (
             self.retry.timeout_multiple if self.retry is not None
             else TIMEOUT_MULTIPLE
@@ -674,6 +719,7 @@ class ControlPlane:
         return nominal * (timeout_multiple if kind == "timeout" else 1.0)
 
 
+@lru_cache(maxsize=None)
 def expected_batch_latency_us(n_tables: int, op: str) -> float:
     """The calibrated (jitter-free) batch latency — the Table 3 model."""
     if n_tables <= 0:

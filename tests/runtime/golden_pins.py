@@ -9,7 +9,10 @@ the runtime was refactored to one packet loop with composable roles, so
 "the refactor changed no simulated behaviour" is a byte comparison.
 The refactor left every pin byte-identical except the four trojan pins
 of the two cached flavours, which the bounded-cache miss fix moved on
-purpose (a miss the pre pipeline answers itself now punts).
+purpose (a miss the pre pipeline answers itself now punts).  The
+``faulted`` lb and minilb pins of the same two flavours moved once more
+when a switch answer under faults began to count as a cache hit, as it
+always had without them (``cache.hits``).
 
 Two more files pin what those 44 cells do not reach and the switch
 specialization rewrites: ``fast_path.json`` (``firewall`` and ``proxy``,
@@ -29,6 +32,10 @@ clean, faulted, and under lost batch confirmations (the fixed plans have
 no ``timeout`` fault, so no batch of theirs retries after landing or
 rolls forward from its undo log) (:func:`punt_path`).  Recorded on the
 commit before the switch ↔ server round trip was specialized per program.
+The ``cached`` cells (every middlebox cache mode admits; the batches
+include each refill and each local eviction batch with its undo log)
+were recorded on the commit before a fault-free batch became one pass
+and the cache's FIFO began to move at commit.
 
 Regenerate (only when simulated behaviour is meant to change, and say
 which pin moved and why in CHANGES.md)::
@@ -187,14 +194,16 @@ def compiled(name: str):
     return compile_middlebox(load(name).lowered)
 
 
-def build(flavour: str, name: str, injector, telemetry=None):
-    """A fresh installed deployment of one flavour (compiled engine)."""
+def build(flavour, name: str, injector, telemetry=None):
+    """A fresh installed deployment of one flavour — a name in
+    :data:`FLAVOURS`, or a :class:`DeploymentSpec` — (compiled engine)."""
+    spec = FLAVOURS[flavour] if isinstance(flavour, str) else flavour
     bundle = load(name)
     plan, program = compiled(name)
     box = GalliumMiddlebox(
         plan, program, config=bundle.config, seed=7, fast_path=True,
         policy=DegradationPolicy(), injector=injector, telemetry=telemetry,
-        **FLAVOURS[flavour].roles(),
+        **spec.roles(),
     )
     box.install()
     if name == "minilb":
@@ -256,8 +265,9 @@ def compute(cell: str) -> Dict[str, Dict[str, str]]:
 
 # -- the inside of a punt -----------------------------------------------------
 
-#: flavours ``punt_path.json`` covers (one server, and the HRW pool)
-PUNT_PATH_FLAVOURS = ("base", "pooled")
+#: flavours ``punt_path.json`` covers (one server, the HRW pool, and a
+#: bounded cache, whose batches include its refills and evictions)
+PUNT_PATH_FLAVOURS = ("base", "pooled", "cached")
 PUNT_PATH = "punt_path"
 _JOURNEY_FIELDS = tuple(f.name for f in dataclasses.fields(PacketJourney))
 _BATCH_FIELDS = (
@@ -359,11 +369,14 @@ def punt_path(flavour: str, name: str, state: str) -> Dict[str, object]:
 
 
 def compute_punt_path(flavour: str) -> Dict[str, Dict[str, dict]]:
-    return {
-        name: {state: punt_path(flavour, name, state)
-               for state in PUNT_PATH_PLANS}
-        for name in MIDDLEBOXES
-    }
+    cells: Dict[str, Dict[str, dict]] = {}
+    for name in MIDDLEBOXES:
+        try:
+            cells[name] = {state: punt_path(flavour, name, state)
+                           for state in PUNT_PATH_PLANS}
+        except CacheConfigurationError:
+            continue  # not admitted in cache mode
+    return cells
 
 
 def golden_path(cell: str) -> Path:

@@ -303,7 +303,8 @@ class TestSpanRecorderStillSeesTheLayers:
             "control_plane.batches_applied")
         assert calls["switchsim.control_plane.apply_batch"] == batches > 0
         # The punt path still advances the clock and observes through
-        # the methods; the fast path folds both into the loop.
+        # the methods; the fast path folds both into the loop, and a
+        # fault-free batch its clock advance and zero queue wait.
         assert 0 < calls["sim.clock.advance"] <= 8 * punts
         assert 0 < calls["telemetry.histogram.observe"] <= 8 * punts
         assert summary["closure_error"] <= 0.05
