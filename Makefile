@@ -18,6 +18,7 @@ help:
 	@echo "                  numbers ROADMAP and EXPERIMENTS.md track)"
 	@echo "  verify          static verifier and translation validation over all"
 	@echo "                  bundled middleboxes (~1 s), after the option census"
+	@echo "                  and the one-definition structural test"
 	@echo "  prover-pins     every world the prover explores vs the golden file"
 	@echo "                  (wide sweep, ~27 s; the narrow one, ~7 s, runs in tier-1)"
 	@echo "  mirror-lockstep every symbolic mirror against its concrete twin,"
@@ -30,7 +31,7 @@ help:
 	@echo "                  (~1.5 s)"
 	@echo "  lint            ruff + mypy (skipped gracefully if not installed)"
 	@echo "  lint-verify     blocking ruff over all of src/repro (stdlib fallback"
-	@echo "                  scan without ruff) + mypy over the 17 paths of"
+	@echo "                  scan without ruff) + mypy over the 20 paths of"
 	@echo "                  LINT_MYPY (skipped where mypy is absent)"
 	@echo "  option-census   who sets each defaulted parameter of src/repro; exit 1"
 	@echo "                  on one nobody sets outside the allow-list"
@@ -68,9 +69,12 @@ test-durations:
 # Static verification layer and translation validation (all six proofs
 # take ~0.3 s, so the default local gate does not skip them) over every
 # bundled middlebox, plus a JSON smoke check (schema consumed by CI and
-# external tooling) — and, first, the one check on the code base itself
-# that is as cheap.
+# external tooling) — and, first, the two checks on the code base itself
+# that are as cheap: the option census, and that each modelled quantity
+# (stage cost, state bytes, cost constants, degraded-window pricing,
+# migration cost, retry backoff) is defined once.
 verify: option-census
+	$(PYTHON) -m pytest -q tests/test_one_definition.py
 	$(PYTHON) -m repro verify all --symbolic
 	$(PYTHON) -m repro verify minilb --json > /dev/null
 
@@ -125,10 +129,11 @@ lint:
 	fi
 
 # Blocking lint: all of src/repro is held to zero ruff findings, and the
-# 17 paths of LINT_MYPY — the verification layer (including the symbolic
+# 20 paths of LINT_MYPY — the verification layer (including the symbolic
 # prover), the oracle kernel, the deployment spec, the constraint model,
-# the label engine, the switch program, the IR interpreter, the punt path
-# — to a clean mypy run; CI gates on this without continue-on-error.
+# the label engine, the switch program, the IR interpreter, the punt path,
+# the testbed cost model and the two models over it — to a clean mypy
+# run; CI gates on this without continue-on-error.
 # Where ruff is absent (the bare build container) the stdlib-only scan
 # beside bench_record.py checks the pyflakes subset the code is held to;
 # mypy has no fallback, is skipped there, and has never run in that
@@ -142,7 +147,8 @@ LINT_MYPY = src/repro/verify src/repro/difftest/kernel.py \
 	src/repro/switchsim/switch_model.py src/repro/runtime/server.py \
 	src/repro/analysis/liveness.py src/repro/codegen/metadata.py \
 	src/repro/codegen/p4/emit.py src/repro/codegen/cpp/emit.py \
-	src/repro/net/fields.py
+	src/repro/net/fields.py src/repro/sim/costs.py \
+	src/repro/sim/capacity.py src/repro/sim/latency.py
 
 lint-verify:
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \

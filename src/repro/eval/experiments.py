@@ -18,7 +18,9 @@ from repro.eval.profiles import (
     profile_middlebox,
 )
 from repro.middleboxes import load
+from repro.sim import costs
 from repro.sim.capacity import CapacityModel
+from repro.sim.clock import migration_us
 from repro.sim.fluid import FluidFlowSimulator
 from repro.sim.latency import LatencyModel
 from repro.switchsim.control_plane import ControlPlane, StateUpdate
@@ -41,11 +43,8 @@ from repro.workloads.iperf import (
 #: Middleboxes evaluated in the paper's §6 (MiniLB is the running example).
 EVAL_MIDDLEBOXES = ("mazunat", "lb", "firewall", "proxy", "trojan")
 
-PACKET_SIZES = (100, 500, 1500)
+PACKET_SIZES = (100, 500, costs.MTU)
 CORE_COUNTS = (1, 2, 4)
-#: §6.3 iperf's MTU-sized packets: what the iso-throughput CPU saving and
-#: the recovery tables are priced at.
-MTU_PACKET_SIZE = 1500
 #: The incident the recovery tables time-weight a degraded window against.
 INCIDENT_WINDOW_S = 1.0
 
@@ -207,7 +206,7 @@ def figure7_throughput(
 
 def cpu_savings(name: str) -> float:
     """Cycles saved at iso-throughput (§6.3: 21–79 %)."""
-    packet_size = MTU_PACKET_SIZE
+    packet_size = costs.MTU
     workload = IperfWorkload(packet_size=packet_size)
     profile = profile_middlebox(name, middlebox_stream(name, workload))
     capacity = CapacityModel()
@@ -232,7 +231,6 @@ def _workload_profiles(name: str, flow_sizes: List[int]) -> Dict[str, Dict]:
     workload = IperfWorkload(connections=8, packets_per_connection=30)
     profile = profile_middlebox(name, middlebox_stream(name, workload))
     latency = LatencyModel()
-    costs = latency.costs
 
     total_packets = sum(packets_in_flow(size) + 2 for size in flow_sizes)
     # Slow-path packets per flow: what the measured per-flow punt count was.
@@ -242,10 +240,10 @@ def _workload_profiles(name: str, flow_sizes: List[int]) -> Dict[str, Dict]:
     gallium_slow_fraction = min(1.0, slow_packets / max(1, total_packets))
 
     baseline_pps = costs.packets_per_second_per_core(
-        profile.baseline_instructions_per_packet, 1500
+        profile.baseline_instructions_per_packet, costs.MTU
     )
     server_pps = costs.packets_per_second_per_core(
-        max(profile.server_instructions_per_punt, 1.0), 1500
+        max(profile.server_instructions_per_punt, 1.0), costs.MTU
     )
     setup_gallium = latency.slow_path_us(
         int(profile.server_instructions_per_punt),
@@ -262,14 +260,14 @@ def _workload_profiles(name: str, flow_sizes: List[int]) -> Dict[str, Dict]:
             "server_pps_budget": server_pps if gallium_slow_fraction > 0 else None,
             "server_packet_fraction": gallium_slow_fraction,
             "setup_latency_us": setup_gallium,
-            "per_packet_latency_us": latency.fast_path_us(1500),
+            "per_packet_latency_us": latency.fast_path_us(costs.MTU),
         },
         "baseline": {
             "server_pps_budget": baseline_pps,  # scaled by cores at call site
             "server_packet_fraction": 1.0,
             "setup_latency_us": setup_baseline,
             "per_packet_latency_us": latency.baseline_us(
-                int(profile.baseline_instructions_per_packet), 1500
+                int(profile.baseline_instructions_per_packet), costs.MTU
             ),
         },
     }
@@ -337,7 +335,7 @@ def _recovery_rates() -> Tuple[MiddleboxProfile, CapacityModel, float, float]:
     capacity model, its fault-free Gallium Gbps, and the fallback Gbps —
     with the slow path down, punts are queued or dropped and only the
     fast-path share of the traffic gets through the switch at line rate."""
-    name, size = RECOVERY_MIDDLEBOX, MTU_PACKET_SIZE
+    name, size = RECOVERY_MIDDLEBOX, costs.MTU
     workload = IperfWorkload(packet_size=size)
     profile = profile_middlebox(name, middlebox_stream(name, workload))
     capacity = CapacityModel()
@@ -349,6 +347,13 @@ def _recovery_rates() -> Tuple[MiddleboxProfile, CapacityModel, float, float]:
     ).gbps
     line_gbps = capacity.line_rate_pps(size) * size * 8 / 1e9
     return profile, capacity, normal, line_gbps * (1.0 - profile.slow_fraction)
+
+
+def _priced_gbps(normal: float, degraded: float, share: float) -> float:
+    """The rate when ``share`` (at most all) of the time or traffic runs
+    at ``degraded`` Gbps instead of ``normal``: every recovery table
+    prices its degraded window through this."""
+    return normal - (normal - degraded) * min(1.0, share)
 
 
 def fault_recovery(
@@ -394,12 +399,12 @@ def fault_recovery(
             )
             timeline = simulate_outage(scenario)
             # Time spent in fallback mode: the outage itself plus the
-            # backlog drain, bounded by the run's total duration.
+            # backlog drain, out of the run's total duration.
             run_us = punts * arrival_interval_us
-            degraded_us = min(
-                run_us, scenario.outage_us + timeline.recovery_us
+            effective = _priced_gbps(
+                normal, fallback,
+                (scenario.outage_us + timeline.recovery_us) / run_us,
             )
-            effective = normal - (normal - fallback) * (degraded_us / run_us)
             rows.append([
                 scenario.describe(),
                 timeline.served,
@@ -464,7 +469,7 @@ def failover_recovery() -> Tuple[List[str], List[List]]:
     # Promotion window: the full program runs on one server core (the
     # fallback interpreter), exactly as in a punt-everything deployment.
     window = capacity.baseline_throughput(
-        profile.baseline_instructions_per_packet, MTU_PACKET_SIZE, cores=1
+        profile.baseline_instructions_per_packet, costs.MTU, cores=1
     ).gbps
     # Resync = clear + re-install every switch-resident table from the
     # server's authoritative copy, one bulk insert batch.
@@ -480,9 +485,7 @@ def failover_recovery() -> Tuple[List[str], List[List]]:
     def price(label: str, detect_ms: float) -> None:
         window_ms = detect_ms + resync_us / 1000.0
         shed = max(0.0, normal - window) * window_ms
-        effective = normal - (normal - window) * min(
-            1.0, window_ms / incident_ms
-        )
+        effective = _priced_gbps(normal, window, window_ms / incident_ms)
         rows.append([
             label,
             round(resync_us, 1),
@@ -519,8 +522,8 @@ def pool_recovery() -> Tuple[List[str], List[List]]:
     flow-state migration: the crashed member's slots re-home to the
     survivors and the state they own is rebuilt from the switch's
     replicated copies (or the server-side checkpoint for server-only
-    state), priced at ``MIGRATION_BASE_US + entries ×
-    MIGRATION_ENTRY_US`` on the simulated clock.
+    state), priced by :func:`repro.sim.clock.migration_us` on the
+    simulated clock.
 
     The first row is **measured**: a seeded pooled run of this
     middlebox with an injected member crash, reporting the entry count
@@ -540,9 +543,8 @@ def pool_recovery() -> Tuple[List[str], List[List]]:
     from repro.runtime.degradation import DegradationPolicy
     from repro.runtime.deployment import compile_middlebox
     from repro.runtime.pool import PooledDeployment
-    from repro.sim.clock import MIGRATION_BASE_US, MIGRATION_ENTRY_US
 
-    name, packet_size = RECOVERY_MIDDLEBOX, MTU_PACKET_SIZE
+    name, packet_size = RECOVERY_MIDDLEBOX, costs.MTU
     # A downed member's flows see fast-path-only delivery (the same
     # fallback rate as a full punt-path outage) — but only for the 1/N
     # share of flows the member owns.
@@ -557,11 +559,8 @@ def pool_recovery() -> Tuple[List[str], List[List]]:
 
     def price(label: str, servers: int, entries: int,
               window_ms: float) -> None:
-        share = 1.0 / servers
-        degraded = normal - (normal - fallback) * share
-        effective = normal - (normal - degraded) * min(
-            1.0, window_ms / incident_ms
-        )
+        degraded = _priced_gbps(normal, fallback, 1.0 / servers)
+        effective = _priced_gbps(normal, degraded, window_ms / incident_ms)
         rows.append([
             label,
             entries,
@@ -625,9 +624,7 @@ def pool_recovery() -> Tuple[List[str], List[List]]:
     # Reference sweep: pool size × migrated-state size.
     for servers in (2, 4, 8):
         for ref_entries in (256, 1024):
-            window_ms = (
-                MIGRATION_BASE_US + ref_entries * MIGRATION_ENTRY_US
-            ) / 1000.0
+            window_ms = migration_us(ref_entries) / 1000.0
             price(
                 f"servers={servers} entries={ref_entries} (reference)",
                 servers, ref_entries, window_ms,

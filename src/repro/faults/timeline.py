@@ -152,11 +152,9 @@ def retry_latency_us(
     one-table modify batches (jitter-free; the worst case the fault
     harness charges a packet that eventually commits)."""
     policy = policy or RetryPolicy()
+    # Each failed attempt burns its RPC time, then waits out its backoff.
     base = expected_batch_latency_us(1, "modify")
-    wait = 0.0
-    nominal_backoff = policy.base_backoff_us
-    for _ in range(failed_attempts):
-        wait += base  # the failed attempt burns its RPC time
-        wait += min(policy.max_backoff_us, nominal_backoff)
-        nominal_backoff *= policy.backoff_multiplier
-    return wait
+    return sum(
+        base + policy.nominal_backoff_us(attempt)
+        for attempt in range(1, failed_attempts + 1)
+    )

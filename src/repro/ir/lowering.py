@@ -140,14 +140,14 @@ class StateMember:
             return self.member_type.element
         return self.member_type
 
-    def byte_cost_per_entry(self) -> int:
-        """Approximate switch memory per entry (key + value bytes)."""
-        if isinstance(self.member_type, HashMapType):
-            key_bytes = sum(t.byte_size() for t in self.key_types())
-            return key_bytes + self.member_type.value.byte_size()
-        if isinstance(self.member_type, VectorType):
-            return 4 + self.member_type.element.byte_size()
-        return self.member_type.byte_size()
+    def field_widths(self) -> List[int]:
+        """Bit widths of one switch entry: the key fields, then the value.
+        A vector is keyed by its 32-bit index; a scalar is its value alone.
+        :func:`repro.partition.constraints.entry_bytes` prices them."""
+        if self.kind == "scalar":
+            return [self.member_type.bit_width()]
+        keys = self.key_types() if self.kind == "map" else [UINT32]
+        return [t.bit_width() for t in keys] + [self.value_type().bit_width()]
 
 
 @dataclass

@@ -30,6 +30,17 @@ class PacketBuildError(ValueError):
     """Raised when a packet cannot be constructed or parsed."""
 
 
+def _header(data: bytes, offset: int, size: int) -> bytes:
+    """The ``size`` header bytes at ``offset``, or a refusal when the
+    header runs past the frame."""
+    if len(data) < offset + size:
+        raise PacketBuildError(
+            f"{size}-byte header at offset {offset} runs past the"
+            f" {len(data)}-byte frame"
+        )
+    return data[offset:offset + size]
+
+
 class RawPacket:
     """A wire packet: Ethernet frame bytes with lazily parsed header views."""
 
@@ -88,25 +99,37 @@ class RawPacket:
 
     @classmethod
     def parse(cls, data: bytes, ingress_port: int = 0) -> "RawPacket":
-        """Parse an Ethernet frame into header views."""
-        eth = EthernetHeader.unpack(data)
+        """Parse an Ethernet frame into header views.
+
+        Only what the header records represent is accepted — IPv4 and TCP
+        without options (``ihl`` and ``doff`` 5), every header whole inside
+        the frame — so a parsed frame re-packs to its own length.  Anything
+        else raises :class:`PacketBuildError`.
+        """
+        eth = EthernetHeader.unpack(_header(data, 0, EthernetHeader.SIZE))
         offset = EthernetHeader.SIZE
         ip_header = None
         l4 = None
-        payload = b""
         if eth.ethertype == ETHERTYPE_IPV4:
-            ip_header = Ipv4Header.unpack(data[offset:])
-            offset += ip_header.ihl * 4
+            ip_header = Ipv4Header.unpack(_header(data, offset, Ipv4Header.SIZE))
+            if ip_header.ihl != 5:
+                raise PacketBuildError(
+                    f"IPv4 ihl {ip_header.ihl}: only option-free headers"
+                    " (ihl 5) are modelled"
+                )
+            offset += Ipv4Header.SIZE
             if ip_header.protocol == IPPROTO_TCP:
-                l4 = TcpHeader.unpack(data[offset:])
-                offset += l4.data_offset * 4
+                l4 = TcpHeader.unpack(_header(data, offset, TcpHeader.SIZE))
+                if l4.data_offset != 5:
+                    raise PacketBuildError(
+                        f"TCP doff {l4.data_offset}: only option-free headers"
+                        " (doff 5) are modelled"
+                    )
+                offset += TcpHeader.SIZE
             elif ip_header.protocol == IPPROTO_UDP:
-                l4 = UdpHeader.unpack(data[offset:])
+                l4 = UdpHeader.unpack(_header(data, offset, UdpHeader.SIZE))
                 offset += UdpHeader.SIZE
-            payload = data[offset:]
-        else:
-            payload = data[offset:]
-        return cls(eth, ip_header, l4, payload, ingress_port)
+        return cls(eth, ip_header, l4, data[offset:], ingress_port)
 
     # -- header views ------------------------------------------------------
 

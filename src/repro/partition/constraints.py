@@ -10,8 +10,9 @@ This module also owns the numbers those limits are held against:
 :func:`measure_pipeline` is the one measurement of a switch pipeline (the
 partitioner's budget search, its final :class:`ConstraintReport` and the
 P4 lint all read the same :class:`PipelineUsage`), :func:`co_reachable`
-the one constraint-3 collision test, and :meth:`ConstraintReport.violations`
-the one constraint 1–5 accounting.
+the one constraint-3 collision test, :func:`entry_bytes` the one
+constraint-1 memory formula, and :meth:`ConstraintReport.violations` the
+one constraint 1–5 accounting.
 """
 
 from __future__ import annotations
@@ -56,6 +57,14 @@ class SwitchResources:
             metadata_bytes=16,
             transfer_bytes=8,
         )
+
+
+def entry_bytes(widths: Sequence[int]) -> int:
+    """Constraint 1's one memory formula: the switch bytes one table entry
+    or register holds, each field rounded up to whole bytes.  The
+    partitioner's placements, the program's lint (P4L005) and tenancy's
+    SRAM carve all price state through it."""
+    return sum((width + 7) // 8 for width in widths)
 
 
 @dataclass

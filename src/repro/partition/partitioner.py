@@ -32,6 +32,7 @@ from repro.partition.constraints import (
     PipelineUsage,
     SwitchResources,
     co_reachable,
+    entry_bytes,
     measure_pipeline,
 )
 from repro.partition.labels import (
@@ -236,7 +237,7 @@ def _memory_usage(lowered: LoweredMiddlebox, states: Dict[str, int]) -> int:
         entries = _state_entries(member)
         if entries is None:
             continue  # handled by the annotation pinning pass
-        total += entries * member.byte_cost_per_entry()
+        total += entries * entry_bytes(member.field_widths())
     return total
 
 
@@ -554,7 +555,7 @@ def _derive_placements(
             continue
         written_on_server = bool(masks.writers[name] & server)
         entries = _state_entries(member) or 0
-        memory = entries * member.byte_cost_per_entry()
+        memory = entries * entry_bytes(member.field_widths())
         if member.kind == "scalar":
             kind = (
                 PlacementKind.REPLICATED_REGISTER

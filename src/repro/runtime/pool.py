@@ -36,12 +36,12 @@ During the bounded migration window (``at_packet`` until the window
 closes) punts owned by the down member queue in the deployment's bounded
 punt queue — overflow degrades with the dedicated ``pool_member_down``
 reason — while every other member keeps serving; the migration itself
-advances the simulated clock by ``MIGRATION_BASE_US + entries *
-MIGRATION_ENTRY_US`` so ``experiments recovery`` can price it next to
-switch-failover cost.  A member outage must never trip full switch-side
-fallback while at least one member survives; the pool-aware fault oracle
-asserts exactly that, plus that every stalled packet's flow was owned by
-a then-down member (the blast radius).
+advances the simulated clock by :func:`repro.sim.clock.migration_us` so
+``experiments recovery`` can price it next to switch-failover cost.  A
+member outage must never trip full switch-side fallback while at least
+one member survives; the pool-aware fault oracle asserts exactly that,
+plus that every stalled packet's flow was owned by a then-down member
+(the blast radius).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from repro.partition.plan import PartitionPlan
 from repro.runtime import state_image
 from repro.runtime.deployment import GalliumMiddlebox, Role
 from repro.runtime.server import ServerRuntime
-from repro.sim.clock import MIGRATION_BASE_US, MIGRATION_ENTRY_US
+from repro.sim.clock import migration_us
 from repro.switchsim.selector import FlowSelector
 from repro.telemetry import LATENCY_BOUNDS_US
 
@@ -355,7 +355,7 @@ class ServerPool(Role):
             box.drain_punt_queue()
 
     def _price_migration(self, entries: int) -> None:
-        cost_us = MIGRATION_BASE_US + entries * MIGRATION_ENTRY_US
+        cost_us = migration_us(entries)
         self.box.telemetry.clock.advance(cost_us)
         self._c_migrations.inc()
         self._c_migrated_entries.inc(entries)

@@ -14,14 +14,12 @@ links.  This package models it:
   CONGA workloads (Figures 8 and 9).
 """
 
-from repro.sim.costs import CostModel
 from repro.sim.events import EventQueue, SimulationError, Simulator
 from repro.sim.latency import LatencyModel, LatencySample
 from repro.sim.capacity import CapacityModel, ThroughputEstimate
 from repro.sim.fluid import FluidFlowSimulator, FlowRecord
 
 __all__ = [
-    "CostModel",
     "EventQueue",
     "SimulationError",
     "Simulator",

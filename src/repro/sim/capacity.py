@@ -3,7 +3,7 @@
 Bottleneck model over measured per-packet costs:
 
 * the switch forwards at line rate (the Tofino is never the bottleneck),
-* a server core sustains ``server_hz / cycles_per_packet`` packets/s,
+* a server core sustains ``SERVER_HZ / cycles_per_packet`` packets/s,
 * the baseline pushes *every* packet through ``cores`` server cores,
 * Gallium pushes only the punted fraction through one core, so its
   sustainable ingest rate is ``core_rate / slow_fraction`` (line rate when
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.costs import CostModel
+from repro.sim import costs
 
 
 @dataclass
@@ -36,18 +36,15 @@ class ThroughputEstimate:
 
 
 class CapacityModel:
-    def __init__(self):
-        self.costs = CostModel()
-
     def line_rate_pps(self, wire_bytes: int) -> float:
         # 20 bytes of Ethernet preamble+IPG+FCS overhead per frame.
-        return self.costs.line_rate_gbps * 1e9 / ((wire_bytes + 20) * 8)
+        return costs.LINE_RATE_GBPS * 1e9 / ((wire_bytes + 20) * 8)
 
     def baseline_throughput(
         self, instructions_per_packet: float, wire_bytes: int, cores: int
     ) -> ThroughputEstimate:
         """FastClick on ``cores`` server cores."""
-        per_core = self.costs.packets_per_second_per_core(
+        per_core = costs.packets_per_second_per_core(
             instructions_per_packet, wire_bytes
         )
         server_rate = per_core * cores
@@ -78,7 +75,7 @@ class CapacityModel:
                 bottleneck="line_rate",
                 server_core_utilization=0.0,
             )
-        per_core = self.costs.packets_per_second_per_core(
+        per_core = costs.packets_per_second_per_core(
             slow_instructions_per_packet, wire_bytes + shim_bytes
         )
         server_limited = per_core / slow_fraction
@@ -101,10 +98,10 @@ class CapacityModel:
         wire_bytes: int,
     ) -> float:
         """Fraction of server cycles Gallium saves at the same throughput."""
-        baseline_cycles = self.costs.server_packet_cycles(
+        baseline_cycles = costs.server_packet_cycles(
             baseline_instructions, wire_bytes
         )
-        gallium_cycles = slow_fraction * self.costs.server_packet_cycles(
+        gallium_cycles = slow_fraction * costs.server_packet_cycles(
             slow_instructions, wire_bytes
         )
         if baseline_cycles <= 0:

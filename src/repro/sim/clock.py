@@ -29,6 +29,12 @@ MIGRATION_BASE_US = 50.0
 MIGRATION_ENTRY_US = 0.5
 
 
+def migration_us(entries: int) -> float:
+    """What migrating ``entries`` flow-state entries between pool members
+    costs: the pool charges it, the recovery table prices it."""
+    return MIGRATION_BASE_US + entries * MIGRATION_ENTRY_US
+
+
 class SimClock:
     """A monotonically advancing simulated microsecond counter.
 

@@ -12,63 +12,57 @@ Calibration sources:
 * links: 100 Gbps, directly attached (sub-µs propagation),
 * endhosts use the Linux kernel stack (the bulk of the 22 µs baseline),
 * the middlebox server runs DPDK (a few µs of NIC/PCIe/driver overhead).
+
+Every timing model (:mod:`~repro.sim.latency`, :mod:`~repro.sim.capacity`,
+:mod:`~repro.sim.fluid`, :mod:`repro.eval.experiments`) reads these names;
+none restates a number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+# -- CPU ----------------------------------------------------------------------
+SERVER_HZ = 2.5e9
+#: cycles one interpreted IR instruction costs as compiled C++ on the server
+#: (includes average memory-access costs)
+CYCLES_PER_INSTRUCTION = 30.0
+#: fixed DPDK rx+tx+dispatch cycles per packet on the server
+SERVER_OVERHEAD_CYCLES = 800.0
+#: extra cycles per byte touched (payload copies at larger MTUs)
+SERVER_CYCLES_PER_BYTE = 0.45
+
+# -- propagation / fixed latencies (µs) ---------------------------------------
+ENDHOST_TX_US = 6.9
+ENDHOST_RX_US = 7.65
+LINK_US = 0.35
+#: switch pipeline traversal at line rate
+SWITCH_US = 0.65
+#: NIC+PCIe on the middlebox server, each direction
+SERVER_NIC_US = 2.2
+
+# -- wire ---------------------------------------------------------------------
+LINE_RATE_GBPS = 100.0
+#: wire bytes of a full-sized packet (§6.3 iperf)
+MTU = 1500
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """All timing/cost constants used by the performance models."""
+def server_packet_cycles(instructions: float, wire_bytes: float) -> float:
+    """Cycles one packet costs on one server core."""
+    return (
+        SERVER_OVERHEAD_CYCLES
+        + instructions * CYCLES_PER_INSTRUCTION
+        + wire_bytes * SERVER_CYCLES_PER_BYTE
+    )
 
-    # -- CPU ------------------------------------------------------------
-    server_hz: float = 2.5e9
-    #: cycles one interpreted IR instruction costs as compiled C++ on the
-    #: server (includes average memory-access costs)
-    cycles_per_instruction: float = 30.0
-    #: fixed DPDK rx+tx+dispatch cycles per packet on the server
-    server_overhead_cycles: float = 800.0
-    #: extra cycles per byte touched (payload copies at larger MTUs)
-    server_cycles_per_byte: float = 0.45
 
-    # -- propagation / fixed latencies (µs) --------------------------------
-    endhost_tx_us: float = 6.9
-    endhost_rx_us: float = 7.65
-    link_us: float = 0.35
-    #: switch pipeline traversal at line rate
-    switch_us: float = 0.65
-    #: NIC+PCIe on the middlebox server, each direction
-    server_nic_us: float = 2.2
+def server_packet_us(instructions: float, wire_bytes: float) -> float:
+    """Service time of one packet on one server core, in µs."""
+    return server_packet_cycles(instructions, wire_bytes) / SERVER_HZ * 1e6
 
-    # -- line rates -----------------------------------------------------------
-    line_rate_gbps: float = 100.0
 
-    # -- derived helpers ---------------------------------------------------------
+def serialization_us(wire_bytes: float) -> float:
+    """Time to put a packet on the wire, in µs."""
+    return wire_bytes * 8 / (LINE_RATE_GBPS * 1e3)
 
-    def server_packet_cycles(self, instructions: int, wire_bytes: int = 0) -> float:
-        """Cycles one packet costs on one server core."""
-        return (
-            self.server_overhead_cycles
-            + instructions * self.cycles_per_instruction
-            + wire_bytes * self.server_cycles_per_byte
-        )
 
-    def server_packet_us(self, instructions: int, wire_bytes: int = 0) -> float:
-        """Service time of one packet on one server core, in µs."""
-        return (
-            self.server_packet_cycles(instructions, wire_bytes)
-            / self.server_hz * 1e6
-        )
-
-    def serialization_us(self, wire_bytes: int) -> float:
-        """Time to put a packet on a 100 Gbps wire, in µs."""
-        return wire_bytes * 8 / (self.line_rate_gbps * 1e3)
-
-    def packets_per_second_per_core(
-        self, instructions: float, wire_bytes: float = 0.0
-    ) -> float:
-        return self.server_hz / self.server_packet_cycles(
-            instructions, wire_bytes
-        )
+def packets_per_second_per_core(instructions: float, wire_bytes: float) -> float:
+    return SERVER_HZ / server_packet_cycles(instructions, wire_bytes)

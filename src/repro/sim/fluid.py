@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.sim.costs import LINE_RATE_GBPS, MTU
+
 
 @dataclass
 class FlowRecord:
@@ -68,20 +70,17 @@ class FluidFlowSimulator:
         self,
         flow_sizes: List[int],
         workers: int = 100,
-        mtu: int = 1500,
         setup_latency_us: float = 0.0,
         server_pps_budget: Optional[float] = None,
         server_packet_fraction: float = 1.0,
-        line_rate_gbps: float = 100.0,
         per_packet_latency_us: float = 16.0,
     ):
         self.flow_sizes = list(flow_sizes)
         self.workers = workers
-        self.mtu = mtu
         self.setup_latency_us = setup_latency_us
         self.server_pps_budget = server_pps_budget
         self.server_packet_fraction = server_packet_fraction
-        self.line_rate_Bps_us = line_rate_gbps * 1e9 / 8 / 1e6  # bytes per µs
+        self.line_rate_Bps_us = LINE_RATE_GBPS * 1e9 / 8 / 1e6  # bytes per µs
         self.per_packet_latency_us = per_packet_latency_us
         self.records: List[FlowRecord] = []
 
@@ -97,7 +96,7 @@ class FluidFlowSimulator:
         # Server budget in bytes/µs across all active flows, scaled by how
         # many of each flow's packets actually touch the server.
         server_bytes_per_us = (
-            self.server_pps_budget * self.mtu / 1e6 / self.server_packet_fraction
+            self.server_pps_budget * MTU / 1e6 / self.server_packet_fraction
         )
         server_share = server_bytes_per_us / active_count
         return min(wire_share, server_share)

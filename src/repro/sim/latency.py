@@ -12,8 +12,7 @@ One-way latency of a packet through the testbed:
   triggered updates.
 
 Per-packet instruction counts come from actually running the compiled
-artifacts; only the constants in :class:`~repro.sim.costs.CostModel` are
-calibrated.
+artifacts; only the constants in :mod:`repro.sim.costs` are calibrated.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import List
 
-from repro.sim.costs import CostModel
+from repro.sim import costs as c
 
 
 @dataclass
@@ -41,37 +40,34 @@ class LatencyModel:
     """Composes per-packet latency from path components."""
 
     def __init__(self, seed: int = 0):
-        self.costs = CostModel()
         self._rng = random.Random(seed)
 
     # -- path compositions -------------------------------------------------
 
     def baseline_us(self, instructions: int, wire_bytes: int) -> float:
         """Endhost→endhost through the server-based middlebox."""
-        c = self.costs
         return (
-            c.endhost_tx_us
-            + c.link_us
-            + c.switch_us
-            + c.link_us
-            + 2 * c.server_nic_us
+            c.ENDHOST_TX_US
+            + c.LINK_US
+            + c.SWITCH_US
+            + c.LINK_US
+            + 2 * c.SERVER_NIC_US
             + c.server_packet_us(instructions, wire_bytes)
-            + c.link_us
-            + c.switch_us
-            + c.link_us
-            + c.endhost_rx_us
+            + c.LINK_US
+            + c.SWITCH_US
+            + c.LINK_US
+            + c.ENDHOST_RX_US
             + 2 * c.serialization_us(wire_bytes)
         )
 
     def fast_path_us(self, wire_bytes: int) -> float:
         """Endhost→endhost with the switch handling the packet alone."""
-        c = self.costs
         return (
-            c.endhost_tx_us
-            + c.link_us
-            + c.switch_us
-            + c.link_us
-            + c.endhost_rx_us
+            c.ENDHOST_TX_US
+            + c.LINK_US
+            + c.SWITCH_US
+            + c.LINK_US
+            + c.ENDHOST_RX_US
             + c.serialization_us(wire_bytes)
         )
 
@@ -83,19 +79,18 @@ class LatencyModel:
         shim_bytes: int = 0,
     ) -> float:
         """Endhost→endhost for a punted packet (plus output-commit wait)."""
-        c = self.costs
         return (
-            c.endhost_tx_us
-            + c.link_us
-            + c.switch_us  # pre pipeline
-            + c.link_us
-            + 2 * c.server_nic_us
+            c.ENDHOST_TX_US
+            + c.LINK_US
+            + c.SWITCH_US  # pre pipeline
+            + c.LINK_US
+            + 2 * c.SERVER_NIC_US
             + c.server_packet_us(server_instructions, wire_bytes + shim_bytes)
             + sync_wait_us
-            + c.link_us
-            + c.switch_us  # post pipeline
-            + c.link_us
-            + c.endhost_rx_us
+            + c.LINK_US
+            + c.SWITCH_US  # post pipeline
+            + c.LINK_US
+            + c.ENDHOST_RX_US
             + 2 * c.serialization_us(wire_bytes + shim_bytes)
         )
 

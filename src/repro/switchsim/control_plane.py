@@ -78,10 +78,8 @@ class StateUpdate(NamedTuple):
 class RetryPolicy:
     """Capped exponential backoff for failed update batches.
 
-    Every backoff constant — and the timed-out-RPC cost multiple that
-    used to be the module-level :data:`TIMEOUT_MULTIPLE` — is
-    constructor-configurable per deployment; the module constant remains
-    only as the documented default.
+    Every backoff constant and the timed-out-RPC cost multiple is
+    constructor-configurable per deployment.
     """
 
     max_attempts: int = 4
@@ -92,14 +90,17 @@ class RetryPolicy:
     #: A timed-out batch RPC costs this multiple of its nominal latency.
     timeout_multiple: float = TIMEOUT_MULTIPLE
 
-    def backoff_us(self, attempt: int, rng: random.Random) -> float:
-        """Wait before retry number ``attempt`` (1-based), with jitter."""
-        nominal = min(
+    def nominal_backoff_us(self, attempt: int) -> float:
+        """Jitter-free wait before retry number ``attempt`` (1-based)."""
+        return min(
             self.max_backoff_us,
             self.base_backoff_us * self.backoff_multiplier ** (attempt - 1),
         )
+
+    def backoff_us(self, attempt: int, rng: random.Random) -> float:
+        """Wait before retry number ``attempt`` (1-based), with jitter."""
         jitter = 1.0 + rng.uniform(-self.jitter_fraction, self.jitter_fraction)
-        return nominal * jitter
+        return self.nominal_backoff_us(attempt) * jitter
 
     def to_dict(self) -> dict:
         return {
@@ -339,17 +340,6 @@ class ControlPlane:
         self._g_outstanding = metrics.gauge("control_plane.rpc_outstanding")
         #: the FIFO RPC pipe (private until :meth:`attach_channel`)
         self.channel = RpcChannel()
-
-    @property
-    def _rpc_inflight(self) -> List[float]:
-        """Completion times of RPCs still on the channel (a live view of
-        ``self.channel.inflight``, kept for callers that poke the list
-        directly)."""
-        return self.channel.inflight
-
-    @_rpc_inflight.setter
-    def _rpc_inflight(self, value: List[float]) -> None:
-        self.channel.inflight = list(value)
 
     def attach_channel(self, channel: RpcChannel) -> None:
         """Move this control plane onto a (possibly shared) RPC channel."""

@@ -15,7 +15,7 @@ from typing import Dict, List
 
 from repro.codegen.headers import ShimLayout
 from repro.ir.function import Function
-from repro.partition.constraints import SwitchResources
+from repro.partition.constraints import SwitchResources, entry_bytes
 from repro.partition.plan import PartitionPlan
 
 
@@ -45,11 +45,6 @@ class TableSpec:
     value_width: int
     size: int
     replicated: bool
-
-    @property
-    def memory_bytes(self) -> int:
-        """Switch memory the table's entries occupy (constraint 1)."""
-        return self.size * (sum(self.key_widths) + self.value_width + 7) // 8
 
 
 @dataclass(frozen=True)
@@ -84,28 +79,20 @@ class SwitchProgram:
             if not placement.on_switch:
                 continue
             member = placement.member
-            if member.kind == "map":
-                key_widths = [t.bit_width() for t in member.key_types()]
+            *key_widths, value_width = member.field_widths()
+            if member.kind == "scalar":
+                registers[name] = RegisterSpec(
+                    name=name,
+                    width_bits=value_width,
+                    replicated=placement.replicated,
+                )
+            else:
                 tables[name] = TableSpec(
                     name=name,
                     key_widths=key_widths,
-                    value_width=member.value_type().bit_width(),
+                    value_width=value_width,
                     size=placement.entries,
-                    replicated=placement.replicated,
-                )
-            elif member.kind == "vector":
-                tables[name] = TableSpec(
-                    name=name,
-                    key_widths=[32],
-                    value_width=member.value_type().bit_width(),
-                    size=placement.entries,
-                    replicated=True,
-                )
-            else:
-                registers[name] = RegisterSpec(
-                    name=name,
-                    width_bits=member.member_type.bit_width(),
-                    replicated=placement.replicated,
+                    replicated=placement.replicated or member.kind == "vector",
                 )
         program = cls(
             name=plan.middlebox.name,
@@ -139,4 +126,12 @@ class SwitchProgram:
             raise SwitchProgramError(f"{self.name}: {failure.format()}")
 
     def memory_bytes(self) -> int:
-        return sum(spec.memory_bytes for spec in self.tables.values())
+        """Constraint 1: every table entry and register, each priced by
+        :func:`entry_bytes` — the partitioner's number for the same state."""
+        tables = sum(
+            spec.size * entry_bytes([*spec.key_widths, spec.value_width])
+            for spec in self.tables.values()
+        )
+        return tables + sum(
+            entry_bytes([spec.width_bits]) for spec in self.registers.values()
+        )

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.net.addresses import Ipv4Address
 from repro.sim.clock import SERVER_INSTR_US, SimClock
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -48,10 +49,6 @@ HOP_LATENCY_BOUNDS_US: Tuple[float, ...] = (
 )
 #: Bucket bounds for punt-queue depth samples.
 QUEUE_DEPTH_BOUNDS: Tuple[float, ...] = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-
-
-def _format_addr(addr: int) -> str:
-    return ".".join(str((addr >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
 
 class FlowAggregate:
@@ -87,8 +84,8 @@ class FlowAggregate:
         if self.key is None:
             return "non-ip"
         saddr, daddr, sport, dport, proto = self.key
-        return (f"{_format_addr(saddr)}:{sport}"
-                f"->{_format_addr(daddr)}:{dport}/{proto}")
+        return (f"{Ipv4Address(saddr)}:{sport}"
+                f"->{Ipv4Address(daddr)}:{dport}/{proto}")
 
     def to_dict(self) -> dict:
         return {

@@ -108,12 +108,9 @@ class TenantSpec:
 
     @property
     def memory_bytes(self) -> int:
-        """Table SRAM plus register file bytes this tenant needs."""
-        registers = sum(
-            (spec.width_bits + 7) // 8
-            for spec in self.program.registers.values()
-        )
-        return self.program.memory_bytes() + registers
+        """Table and register SRAM this tenant needs: its program's
+        constraint-1 number."""
+        return self.program.memory_bytes()
 
     @property
     def stage_depth(self) -> int:

@@ -3,7 +3,7 @@
 Holds the finished switch program (pipeline CFGs + table/register specs,
 the structure the ``.p4`` text is printed from) to the constraint-1..5
 limits: no loops, only P4-expressible instructions, every state access
-backed and applied at most once, table memory, dependency depth, scratchpad
+backed and applied at most once, switch memory, dependency depth, scratchpad
 metadata, register width, table count.  The numbers come from
 :func:`repro.partition.constraints.measure_pipeline` — the same function
 the partitioner's budget search reads — applied here to the artifact's own
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.ir import instructions as irin
+from repro.analysis.distance import _stage_cost
 from repro.ir.function import Function
 from repro.partition.constraints import co_reachable, measure_pipeline
 from repro.switchsim.program import SwitchProgram
@@ -27,12 +27,9 @@ from repro.verify.diagnostics import Diagnostic, STAGE_P4LINT, error, warning
 REGISTER_WIDTH_LIMIT = 64
 
 #: Stage-costing instructions per block beyond which a compiled action is
-#: unlikely to fit a single stage's VLIW budget (lint warning only).  Pure
-#: copies and casts are free — the same accounting as
-#: ``analysis.distance._stage_cost``.
+#: unlikely to fit a single stage's VLIW budget (lint warning only), counted
+#: by constraint 2's own ``_stage_cost``.
 ACTION_COMPLEXITY_LIMIT = 32
-
-_FREE_OPS = (irin.Assign, irin.Cast, irin.Jump, irin.Return)
 
 
 def lint_switch_program(program: SwitchProgram) -> List[Diagnostic]:
@@ -131,9 +128,7 @@ def _lint_pipeline(
             )
         )
     for block_name, block in function.blocks.items():
-        body = sum(
-            1 for inst in block.body if not isinstance(inst, _FREE_OPS)
-        )
+        body = sum(_stage_cost(inst) for inst in block.body)
         if body > ACTION_COMPLEXITY_LIMIT:
             out.append(
                 warning(
@@ -156,7 +151,7 @@ def _lint_memory(program: SwitchProgram) -> List[Diagnostic]:
             error(
                 "P4L005",
                 STAGE_P4LINT,
-                f"tables need {total}B of switch memory"
+                f"tables and registers need {total}B of switch memory"
                 f" (> {program.limits.memory_bytes}B, constraint 1)",
             )
         ]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 from repro.net.packet import RawPacket
+from repro.sim.costs import MTU
 from repro.workloads.packets import FlowSpec, flow_packets, make_tcp_packet
 
 VIP = "10.0.0.100"
@@ -25,7 +26,7 @@ class IperfWorkload:
 
     connections: int = 10
     packets_per_connection: int = 50
-    packet_size: int = 1500  # wire bytes incl. headers
+    packet_size: int = MTU  # wire bytes incl. headers
 
     @property
     def payload_size(self) -> int:
@@ -90,7 +91,7 @@ def middlebox_stream(
 
 
 def established_flow_packets(
-    name: str, count: int, packet_size: int = 1500
+    name: str, count: int, packet_size: int
 ) -> Iterator[Tuple[RawPacket, int]]:
     """Data packets of one pre-established flow (for latency tests).
 

@@ -4,8 +4,8 @@ fluid flows."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.sim import costs
 from repro.sim.capacity import CapacityModel
-from repro.sim.costs import CostModel
 from repro.sim.events import EventQueue, Simulator
 from repro.sim.fluid import FluidFlowSimulator
 from repro.sim.latency import LatencyModel
@@ -76,19 +76,18 @@ class TestSimulator:
 
 class TestCostModel:
     def test_server_packet_us_monotone_in_instructions(self):
-        costs = CostModel()
-        assert costs.server_packet_us(100) < costs.server_packet_us(1000)
+        assert costs.server_packet_us(100, 0) < costs.server_packet_us(1000, 0)
 
     def test_serialization_scales_with_bytes(self):
-        costs = CostModel()
         assert costs.serialization_us(1500) == pytest.approx(
             1500 * 8 / 100e3
         )
 
     def test_pps_inverse_of_cycles(self):
-        costs = CostModel()
         pps = costs.packets_per_second_per_core(0, 0)
-        assert pps == pytest.approx(costs.server_hz / costs.server_overhead_cycles)
+        assert pps == pytest.approx(
+            costs.SERVER_HZ / costs.SERVER_OVERHEAD_CYCLES
+        )
 
 
 class TestLatencyModel:

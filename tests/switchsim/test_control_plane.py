@@ -384,7 +384,7 @@ class TestRpcQueueing:
         deterministic M/M/1 FIFO term."""
         control, _, _ = make_control()
         now = control.telemetry.clock.now_us
-        control._rpc_inflight = [now + 500.0]
+        control.channel.inflight = [now + 500.0]
         result = control.apply_batch([StateUpdate("insert", "t0", (1,), 1)])
         assert result.queue_wait_us == pytest.approx(500.0)
         # The wall-clock result prices the queueing in.
@@ -398,7 +398,7 @@ class TestRpcQueueing:
         for backlog in ([], [200.0], [200.0, 900.0], [200.0, 900.0, 2_500.0]):
             control, _, _ = make_control()
             now = control.telemetry.clock.now_us
-            control._rpc_inflight = [now + t for t in backlog]
+            control.channel.inflight = [now + t for t in backlog]
             result = control.apply_batch(
                 [StateUpdate("insert", "t0", (1,), 1)]
             )
@@ -411,7 +411,7 @@ class TestRpcQueueing:
         control, _, _ = make_control()
         control.telemetry.clock.advance(1_000.0)
         now = control.telemetry.clock.now_us
-        control._rpc_inflight = [now - 400.0, now]  # both already done
+        control.channel.inflight = [now - 400.0, now]  # both already done
         result = control.apply_batch([StateUpdate("insert", "t0", (1,), 1)])
         assert result.queue_wait_us == 0.0
 

@@ -94,9 +94,7 @@ def test_each_fact_is_written_once():
     assert sites("can_happen_after(", outside="analysis/") == [
         ("partition/constraints.py", "co_reachable")
     ]
-    assert sites("value_width + 7") == [
-        ("switchsim/program.py", "memory_bytes")
-    ]
+    # Constraint 1's state bytes: tests/test_one_definition.py.
     assert sites("transfer_bytes + 2") == [
         ("verify/invariants.py", "shim_budget")
     ]
