@@ -33,8 +33,8 @@ help:
 	@echo "  lint-verify     blocking ruff over all of src/repro (stdlib fallback"
 	@echo "                  scan without ruff) + mypy over the 20 paths of"
 	@echo "                  LINT_MYPY (skipped where mypy is absent)"
-	@echo "  option-census   who sets each defaulted parameter of src/repro; exit 1"
-	@echo "                  on one nobody sets outside the allow-list"
+	@echo "  option-census   who uses each option and entry point of src/repro;"
+	@echo "                  exit 1 on one only tests/ use, outside the allow-list"
 	@echo "  difftest        full differential gauntlet (1000 programs, --shrink)"
 	@echo "  difftest-smoke  fixed-seed 1991-program gauntlet slice, then 25 programs"
 	@echo "                  through the compiled-vs-interpreted differential"
@@ -163,9 +163,10 @@ lint-verify:
 	fi
 
 # Every defaulted parameter of a callable under src/repro and the distinct
-# values its callers pass, by tree (benchmarks/option_census.py has the
-# rules).  Exit 1 when one has no second value in use anywhere and is not
-# in benchmarks/option_census_allow.json with its reason.
+# values its callers pass, by tree, and who uses each public callable
+# (benchmarks/option_census.py has the rules).  Exit 1 on an option, a
+# config field or an entry point nothing outside tests/ uses, unless
+# benchmarks/option_census_allow.json lists it with one of four reasons.
 option-census:
 	$(PYTHON) benchmarks/option_census.py
 

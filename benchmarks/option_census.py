@@ -1,39 +1,59 @@
 #!/usr/bin/env python3
-"""``make option-census``: which defaulted parameters does anybody set?
+"""``make option-census``: does anything outside ``tests/`` use each knob?
 
 Each independent option doubles what an oracle has to cover, so a
-defaulted parameter earns its place in a signature by having a second
-value in use.  This is a stdlib-``ast`` scan for the ones that do not:
-for every defaulted parameter of a module- or class-level callable under
-``src/repro`` it collects the distinct values callers pass, by tree
-(``src``, ``tests``, ``benchmarks``, ``examples``, ``perfbench``), and
-files the parameter as
+defaulted parameter, a config field or a public entry point earns its
+place in ``src/repro`` by having a user outside the test suite.  This is
+a stdlib-``ast`` scan for the ones that do not.  For every defaulted
+parameter of a module- or class-level callable under ``src/repro`` it
+collects the distinct values callers pass, by tree (``src``, ``tests``,
+``benchmarks``, ``examples``, ``perfbench``), and files the parameter as
 
 * ``never-set``   no caller anywhere passes anything but the default,
 * ``tests-only``  only callers under ``tests/`` pass a second value,
 * ``live``        otherwise (an ``args.flag`` from argparse is a value).
 
-Calls resolve by name: ``f(...)``, ``obj.f(...)`` and ``Class(...)`` reach
-every callable under ``src/repro`` of that name (a name two callables
-share pools their callers, which can only keep an option alive), plus
-definitions of the calling file.  It follows what plain call syntax
-hides: ``**{...}`` / ``**name`` / ``**helper()`` where the dict is a
-literal, a callable's own ``**kwargs`` handed on to another call,
-``super().__init__`` / ``cls(...)``, ``functools.partial`` and a
-parameter passed straight through (``g(clock=clock)`` inherits whatever
-``clock`` ever receives).  A ``**`` it cannot read counts as setting
-everything.  Fields of dataclass / NamedTuple configs are counted in a
-column of their own and never fail the run.
+Both of the first two fail the run.  Calls resolve by name: ``f(...)``,
+``obj.f(...)`` and ``Class(...)`` reach every callable under ``src/repro``
+of that name (a name two callables share pools their callers, which can
+only keep an option alive), plus definitions of the calling file.  It
+follows what plain call syntax hides: ``**{...}`` / ``**name`` /
+``**helper()`` where the dict is a literal, a callable's own ``**kwargs``
+handed on to another call, ``super().__init__`` / ``cls(...)``,
+``functools.partial``, ``X = Callable`` aliases and a parameter passed
+straight through (``g(clock=clock)`` inherits whatever ``clock`` ever
+receives).  A ``**`` it cannot read counts as setting everything.
 
-What no scan sees — a keyword the benchmark spells, a callable reached
-through a variable — goes in the allow-list beside this file, each entry
-with its reason; an entry without one, or one that names no never-set
-option, fails the run like a never-set option outside the list does.
+Fields of dataclass / NamedTuple types are counted in a column of their
+own.  A never-set field is filed by this rule:
+
+* ``record``  its default is where an instance starts filling in — a zero
+  (``0``, ``0.0``, ``False``, ``None``, ``''``, ``()``, ``[]``, ``{}``),
+  a ``default_factory`` (a fresh container per instance) or
+  ``init=False`` — or code under ``src/`` assigns the attribute after
+  construction.  Records are listed apart and never fail the run;
+* ``config``  anything else: a value nobody overrides and nothing
+  updates, which is a constant wearing a field.  It fails the run.
+
+A third column lists the public callables under ``src/repro`` — module-
+and class-level functions, methods and classes whose dotted name has no
+``_``-prefixed part — by who *uses* them: any spelling of the name
+outside an annotation, the callable's own body and an ``import`` counts,
+so a function handed around as a value is used where it is handed.  One
+used only under ``tests/``, or only from inside callables that are
+themselves tests-only, is ``tests-only`` and fails the run; one nothing
+spells is ``never-set`` and is listed.
+
+What no scan can see goes in the allow-list beside this file.  Every
+entry names one finding and gives its ``kind``, which must be one of
+:data:`ALLOW_KINDS`, and a ``reason``.  An entry with another kind,
+without a reason, or naming nothing the run would fail on, fails the
+run itself.
 
     python benchmarks/option_census.py [--root DIR] [--allow FILE]
 
-Exit 1 when a never-set option is not allow-listed (or the allow-list is
-at fault); the table is printed either way.
+Exit 1 on any finding outside the allow-list (or a fault in the list);
+the table is printed either way.
 """
 
 from __future__ import annotations
@@ -50,8 +70,23 @@ SUBJECT = ("src", "repro")
 ALLOW_FILE = Path(__file__).with_name("option_census_allow.json")
 
 STATUSES = ("never-set", "tests-only", "live")
+KINDS = ("option", "field", "entry")
 UNREADABLE = "**?"  # a ``**`` / ``*`` the scan could not resolve
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: The four reasons an allow-list entry may give.
+ALLOW_KINDS = {
+    "deployment-setting": "a value a deployment picks: a target's"
+                          " SwitchResources, a corpus directory",
+    "through-a-variable": "a callable reached through a variable",
+    "test-seam": "where a test substitutes a fake, or runs one engine"
+                 " against the reference it is held to",
+    "spelled-outside": "a name perfbench/, benchmarks/ or examples/ spells"
+                       " in a way the scan cannot read",
+}
+
+#: Defaults a record starts from (see the module docstring).
+_ZEROS = {"0", "0.0", "False", "None", "''", "()", "[]", "{}"}
 
 
 class Callable:
@@ -143,6 +178,12 @@ class Census:
         #: function name -> keyword dicts its ``return`` statements build
         #: (``None``: some return is not a readable dict)
         self.dict_returns: Dict[str, Optional[List[Dict[str, ast.AST]]]] = {}
+        #: public callables under src/repro: (qualname, name)
+        self.entry_points: List[Tuple[str, str]] = []
+        #: name -> (tree, qualnames of the defs around it) per spelling
+        self.references: Dict[str, List[Tuple[str, Tuple[str, ...]]]] = {}
+        #: attribute names something under src/ assigns
+        self.written: Set[str] = set()
         files = [
             (tree, path) for tree in TREES
             for path in sorted((root / tree).rglob("*.py"))
@@ -179,9 +220,14 @@ class Census:
         def walk(parent: ast.AST, prefix: str,
                  owner: Optional[ast.ClassDef], depth: int) -> None:
             for node in ast.iter_child_nodes(parent):
+                if isinstance(node, _DEFS + (ast.ClassDef,)):
+                    qualname = f"{prefix}.{node.name}"
+                    if (in_subject and depth == 0 and not any(
+                            part.startswith("_")
+                            for part in qualname.split("."))):
+                        self.entry_points.append((qualname, node.name))
                 if isinstance(node, _DEFS):
                     self._note_dict_returns(node)
-                    qualname = f"{prefix}.{node.name}"
                     if owner is None or node.name != "__init__":
                         public = in_subject and depth == 0
                         dunder = node.name.startswith("__")
@@ -349,16 +395,47 @@ class Census:
     # -- the table -----------------------------------------------------------
 
     def rows(self) -> List["Row"]:
-        """Options before fields, what nobody sets first."""
-        return sorted(
-            (Row(c, p) for c in self.callables if c.subject for p in c.defaults),
-            key=lambda row: (row.kind != "option", STATUSES.index(row.status),
-                             row.option),
-        )
+        """Options, fields, then entry points; what nobody sets first."""
+        rows = [
+            Row(c, p, self.written)
+            for c in self.callables if c.subject for p in c.defaults
+        ] + self._entry_rows()
+        return sorted(rows, key=lambda row: (
+            KINDS.index(row.kind), STATUSES.index(row.status), row.option,
+        ))
+
+    def _entry_rows(self) -> List["Row"]:
+        """Each public callable by the trees that use it; a use from inside
+        a tests-only callable is a test's use (to a fixed point)."""
+        def uses(qualname: str, name: str) -> List[Tuple[str, Tuple[str, ...]]]:
+            prefix = qualname + "."
+            return [
+                (tree, around) for tree, around in self.references.get(name, ())
+                if not any(q == qualname or q.startswith(prefix) for q in around)
+            ]
+
+        spelled = {q: uses(q, name) for q, name in self.entry_points}
+        tests_only: Set[str] = set()
+        grew = True
+        while grew:
+            grew = False
+            for qualname, found in spelled.items():
+                if found and qualname not in tests_only and all(
+                    tree == "tests" or tests_only.intersection(around)
+                    for tree, around in found
+                ):
+                    tests_only.add(qualname)
+                    grew = True
+        return [
+            EntryRow(qualname, found, qualname in tests_only)
+            for qualname, found in spelled.items()
+        ]
 
 
 class Row:
-    def __init__(self, callable_: Callable, param: str):
+    """One defaulted parameter (``kind`` "option") or field ("field")."""
+
+    def __init__(self, callable_: Callable, param: str, written: Set[str]):
         self.option = f"{callable_.qualname}.{param}"
         self.kind = callable_.kind
         self.default = callable_.defaults[param]
@@ -372,14 +449,71 @@ class Row:
         }
         self.status = ("never-set" if not setters
                        else "tests-only" if setters == {"tests"} else "live")
+        #: a never-set field is "config" or "record" (module docstring)
+        self.role = ""
+        if self.kind == "field" and self.status == "never-set":
+            self.role = ("record" if _starts_a_record(self.default)
+                         or param in written else "config")
 
-    def render(self) -> str:
-        passed = "  ".join(
+    @property
+    def fails(self) -> bool:
+        """Outside the allow-list, this row fails the run."""
+        if self.kind == "field":
+            return self.role == "config"
+        return self.status != "live"
+
+    def passed(self) -> str:
+        return "  ".join(
             f"{tree}{{{_clip(', '.join(values), 60)}}}"
             for tree, values in self.values.items()
         ) or "(never passed)"
+
+    def render(self) -> str:
+        return (f"{self.status:<10} {self.role or self.kind:<6} {self.option}"
+                f" = {_clip(self.default, 32)}  <-  {self.passed()}")
+
+
+class EntryRow(Row):
+    """One public callable, by how many spellings each tree has of it;
+    ``never-set`` here means nothing spells it."""
+
+    def __init__(self, qualname: str,
+                 uses: List[Tuple[str, Tuple[str, ...]]], tests_only: bool):
+        self.option, self.kind, self.default, self.role = (
+            qualname, "entry", "", ""
+        )
+        trees: Dict[str, int] = {}
+        for tree, _around in uses:
+            trees[tree] = trees.get(tree, 0) + 1
+        self.values = {
+            tree: [f"{count} uses"] for tree, count in sorted(trees.items())
+        }
+        self.status = ("never-set" if not uses
+                       else "tests-only" if tests_only else "live")
+
+    @property
+    def fails(self) -> bool:
+        return self.status == "tests-only"
+
+    def render(self) -> str:
         return (f"{self.status:<10} {self.kind:<6} {self.option}"
-                f" = {_clip(self.default, 32)}  <-  {passed}")
+                f"  <-  {self.passed()}")
+
+
+def _starts_a_record(default: str) -> bool:
+    """A zero, a ``default_factory``, ``init=False`` or a zero
+    ``default=`` (the record rule of the module docstring)."""
+    if default in _ZEROS:
+        return True
+    node = ast.parse(default, mode="eval").body
+    if isinstance(node, ast.Call) and _name_of(node.func) == "field":
+        keywords = {k.arg: k.value for k in node.keywords}
+        init = keywords.get("init")
+        given = keywords.get("default")
+        return ("default_factory" in keywords
+                or (isinstance(init, ast.Constant) and init.value is False)
+                or (given is not None and ast.unparse(given) in _ZEROS))
+    return False
 
 
 def _clip(text: str, width: int) -> str:
@@ -419,6 +553,9 @@ class _CallScan(ast.NodeVisitor):
 
     def visit_Module(self, node: ast.Module) -> None:
         self.assigned = [_assignments(node)]
+        for name, values in self.assigned[0].items():  # ``_F = HeaderField``
+            if len(values) == 1 and isinstance(values[0], ast.Name):
+                self.aliases[name] = values[0].id
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -434,11 +571,38 @@ class _CallScan(ast.NodeVisitor):
     def _visit_def(self, node: ast.AST) -> None:
         self.scopes.append(self.by_node[id(node)])
         self.assigned.append(_assignments(node))
-        self.generic_visit(node)
+        for child in node.decorator_list + [node.args] + node.body:
+            self.visit(child)  # not ``returns``: an annotation uses nothing
         self.assigned.pop()
         self.scopes.pop()
 
     visit_FunctionDef = visit_AsyncFunctionDef = _visit_def
+
+    def visit_arg(self, node: ast.arg) -> None:
+        pass  # only its annotation is below it
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self.visit(node.target)
+        if node.value is not None:
+            self.visit(node.value)
+
+    def _use(self, name: str) -> None:
+        around = tuple(scope.qualname for scope in self.scopes)
+        for spelled in {name, self.aliases.get(name, name)}:
+            self.census.references.setdefault(spelled, []).append(
+                (self.tree, around)
+            )
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if isinstance(node.ctx, ast.Load):
+            self._use(node.id)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if isinstance(node.ctx, ast.Load):
+            self._use(node.attr)
+        elif self.tree == "src":
+            self.census.written.add(node.attr)
+        self.generic_visit(node)
 
     def _value(self, node: ast.AST) -> object:
         """A parameter handed straight on is a reference to it; anything
@@ -475,6 +639,13 @@ class _CallScan(ast.NodeVisitor):
         self.generic_visit(node)
         func, args = node.func, list(node.args)
         name = self.aliases.get(_name_of(func), _name_of(func))
+        if (name in ("getattr", "setattr", "__setattr__") and len(args) > 1
+                and isinstance(args[1], ast.Constant)
+                and isinstance(args[1].value, str)):
+            if name == "getattr":
+                self._use(args[1].value)
+            elif self.tree == "src":
+                self.census.written.add(args[1].value)
         if name == "partial" and args:
             func, args = args[0], args[1:]
             name = _name_of(func)
@@ -551,34 +722,46 @@ def _assignments(scope: ast.AST) -> Dict[str, List[ast.AST]]:
 
 
 def load_allow_list(path: Path) -> Tuple[Dict[str, str], List[str]]:
-    """``option -> reason`` and what is wrong with the file."""
+    """``name -> "kind: reason"`` and what is wrong with the file."""
     if not path.exists():
         return {}, []
     entries = json.loads(path.read_text())
     allowed: Dict[str, str] = {}
     faults: List[str] = []
     for entry in entries:
-        option = entry.get("option", "")
+        name = entry.get("name", "")
+        kind = entry.get("kind", "")
         reason = str(entry.get("reason", "")).strip()
-        if not option:
-            faults.append(f"allow-list entry without an option: {entry!r}")
+        if not name:
+            faults.append(f"allow-list entry without a name: {entry!r}")
+        elif kind not in ALLOW_KINDS:
+            faults.append(f"allow-list entry of kind {kind!r}, not one of"
+                          f" {', '.join(ALLOW_KINDS)}: {name}")
         elif not reason:
-            faults.append(f"allow-list entry without a reason: {option}")
+            faults.append(f"allow-list entry without a reason: {name}")
         else:
-            allowed[option] = reason
+            allowed[name] = f"{kind}: {reason}"
     return allowed, faults
 
 
+_COLUMNS = (("option", "options", 8), ("field", "dataclass fields", 18),
+            ("entry", "entry points", 14))
+_ROLES = ("config", "record")  # how never-set fields split
+
+
 def report(rows: List[Row], allowed: Dict[str, str]) -> Iterator[str]:
-    kinds = ("option", "field")
-    yield f"{'':<12}{'options':>8}{'dataclass fields':>18}"
-    for status in ("total",) + STATUSES[::-1]:
-        counts = [
-            sum(1 for r in rows if r.kind == kind
-                and status in ("total", r.status))
-            for kind in kinds
-        ]
-        yield f"{status:<12}{counts[0]:>8}{counts[1]:>18}"
+    yield f"{'':<12}" + "".join(f"{title:>{w}}" for _k, title, w in _COLUMNS)
+    for status in ("total",) + STATUSES[::-1] + _ROLES:
+        cells = []
+        for kind, _title, width in _COLUMNS:
+            if status in _ROLES and kind != "field":
+                cells.append(" " * width)
+                continue
+            count = sum(1 for r in rows if r.kind == kind
+                        and status in ("total", r.status, r.role))
+            cells.append(f"{count:>{width}}")
+        label = f"  {status}" if status in _ROLES else status
+        yield f"{label:<12}" + "".join(cells)
     yield ""
     for row in rows:
         if row.status != "live":
@@ -596,18 +779,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     allowed, faults = load_allow_list(args.allow)
     for line in report(rows, allowed):
         print(line)
-    never_set = {r.option for r in rows
-                 if r.status == "never-set" and r.kind == "option"}
-    faults += [f"never set, not allow-listed: {o}"
-               for o in sorted(never_set - set(allowed))]
-    faults += [f"allow-listed, but not a never-set option: {o}"
-               for o in sorted(set(allowed) - never_set)]
+    failing = {r.option: r for r in rows if r.fails}
+    faults += [
+        f"{row.status} {row.role or row.kind}, not allow-listed: {name}"
+        for name, row in sorted(failing.items()) if name not in allowed
+    ]
+    faults += [f"allow-listed, but nothing the run fails on: {name}"
+               for name in sorted(set(allowed) - set(failing))]
     print()
     for fault in faults:
         print(f"option-census: {fault}")
     if not faults:
-        print(f"option-census: every option has a second value in use"
-              f" ({len(allowed)} allow-listed)")
+        print(f"option-census: every option, config field and entry point"
+              f" has a use outside tests/ ({len(allowed)} allow-listed)")
     return 1 if faults else 0
 
 

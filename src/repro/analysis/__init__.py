@@ -6,8 +6,8 @@
   (anti), control, and output-commit edges, plus its transitive closure
 * :mod:`repro.analysis.distance` — dependency-distance metrics used for the
   pipeline-depth constraint (§4.2.2)
-* :mod:`repro.analysis.liveness` — register liveness and the scratchpad
-  metadata peak (§4.3.1)
+* :mod:`repro.analysis.liveness` — register live ranges and the
+  scratchpad metadata peak (§4.3.1)
 """
 
 from repro.analysis.reachability import ReachabilityInfo, compute_reachability
@@ -18,7 +18,6 @@ from repro.analysis.depgraph import (
     dependency_graph,
 )
 from repro.analysis.distance import dependency_distances
-from repro.analysis.liveness import LivenessInfo, compute_liveness
 
 __all__ = [
     "ReachabilityInfo",
@@ -28,6 +27,4 @@ __all__ = [
     "build_dependency_graph",
     "dependency_graph",
     "dependency_distances",
-    "LivenessInfo",
-    "compute_liveness",
 ]

@@ -142,21 +142,6 @@ class DependencyGraph:
     def self_dependent(self, inst: Instruction) -> bool:
         return self.depends_transitively(inst, inst)
 
-    def edge_kinds(
-        self, src: Instruction, dst: Instruction
-    ) -> FrozenSet[DependencyKind]:
-        return self.edges.get((src.id, dst.id), _KIND_SETS[0])
-
-    def statement_edges(self) -> Set[Tuple[int, int]]:
-        """Edges lifted to source-statement granularity (for Figure 3)."""
-        out: Set[Tuple[int, int]] = set()
-        for (src_id, dst_id) in self.edges:
-            src_stmt = self._index[src_id].stmt_id
-            dst_stmt = self._index[dst_id].stmt_id
-            if src_stmt >= 0 and dst_stmt >= 0 and src_stmt != dst_stmt:
-                out.add((src_stmt, dst_stmt))
-        return out
-
 
 def build_dependency_graph(function: Function) -> DependencyGraph:
     """Build the graph of ``function`` as it is now, for a caller that

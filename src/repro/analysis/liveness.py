@@ -11,50 +11,9 @@ travel in the shim header — is ``ProjectionStatics.decide`` in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Set, Tuple
+from typing import Dict, Tuple
 
 from repro.ir.function import Function, per_shape
-
-
-@dataclass
-class LivenessInfo:
-    """Per-block live-in/live-out register-name sets."""
-
-    live_in: Dict[str, Set[str]]
-    live_out: Dict[str, Set[str]]
-
-    def live_at_entry(self, block_name: str) -> Set[str]:
-        return self.live_in.get(block_name, set())
-
-
-def compute_liveness(function: Function) -> LivenessInfo:
-    """Standard backward may-liveness over register names."""
-    use: Dict[str, Set[str]] = {}
-    define: Dict[str, Set[str]] = {}
-    for name, block in function.blocks.items():
-        block_use: Set[str] = set()
-        block_def: Set[str] = set()
-        for inst in block.instructions:
-            block_use |= {reg.name for reg in inst.uses()} - block_def
-            block_def |= {reg.name for reg in inst.defs()}
-        use[name] = block_use
-        define[name] = block_def
-    live_in: Dict[str, Set[str]] = {name: set() for name in function.blocks}
-    live_out: Dict[str, Set[str]] = {name: set() for name in function.blocks}
-    changed = True
-    while changed:
-        changed = False
-        for name, block in function.blocks.items():
-            out: Set[str] = set()
-            for succ in block.successors():
-                out |= live_in.get(succ, set())
-            new_in = use[name] | (out - define[name])
-            if out != live_out[name] or new_in != live_in[name]:
-                live_out[name] = out
-                live_in[name] = new_in
-                changed = True
-    return LivenessInfo(live_in=live_in, live_out=live_out)
 
 
 @per_shape

@@ -323,6 +323,12 @@ def cmd_tenancy(args) -> int:
                 f"error: {name!r} is not a bundled middlebox"
                 f" ({', '.join(MIDDLEBOX_NAMES)})"
             )
+    twice = sorted({name for name in names if names.count(name) > 1})
+    if twice:
+        raise SystemExit(
+            f"error: TEN004: tenant named twice: {', '.join(twice)}"
+            " (its namespaced state would collide)"
+        )
     defaults = SharedSwitchBudget()
     budget = SharedSwitchBudget(
         memory_bytes=args.budget_memory or defaults.memory_bytes,

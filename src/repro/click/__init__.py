@@ -20,7 +20,7 @@ API lowers to (:mod:`repro.ir.instructions`) and, for host functions,
 from repro.click.packet import Packet, PacketAction
 from repro.click.hashmap import HashMap
 from repro.click.vector import Vector
-from repro.click.element import Element, PortSpec
+from repro.click.element import Element
 
 __all__ = [
     "Packet",
@@ -28,5 +28,4 @@ __all__ = [
     "HashMap",
     "Vector",
     "Element",
-    "PortSpec",
 ]

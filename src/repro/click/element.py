@@ -8,18 +8,9 @@ but differential tests compare the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.click.packet import Packet, PacketAction
-
-
-@dataclass(frozen=True)
-class PortSpec:
-    """Input/output port counts for an element."""
-
-    inputs: int = 1
-    outputs: int = 1
 
 
 class Element:
@@ -27,8 +18,6 @@ class Element:
 
     #: Human-readable element class name (defaults to the Python class name).
     name: Optional[str] = None
-
-    ports = PortSpec()
 
     def __init__(self):
         self.packets_seen = 0
@@ -55,11 +44,6 @@ class Element:
                 f"{self.class_name()}.process() returned without a verdict"
             )
         return packet.action
-
-    def reset_counters(self) -> None:
-        self.packets_seen = 0
-        self.packets_sent = 0
-        self.packets_dropped = 0
 
     def state_snapshot(self) -> dict:
         """Return a snapshot of the element's global state.

@@ -50,9 +50,6 @@ class HashMap(Generic[K, V]):
         """Remove ``key``; return True if it was present."""
         return self._data.pop(key, None) is not None
 
-    def contains(self, key: K) -> bool:
-        return key in self._data
-
     def size(self) -> int:
         return len(self._data)
 

@@ -6,7 +6,8 @@ Click elements (and the C++-subset middlebox sources) use:
 * ``network_header()`` / ``transport_header()`` return header views, as the
   annotated Click APIs do in the paper (§4.1: "return pointers to the IP and
   TCP headers").
-* ``send()`` / ``send_to(port)`` / ``drop()`` record the element's verdict.
+* ``send()`` / ``drop()`` record the element's verdict; ``egress_port``
+  stays ``None`` (the default output port), as no element picks one.
 
 The verdict model is deliberately explicit: processing a packet yields a
 :class:`PacketAction` that downstream machinery (baseline runner, runtime,
@@ -18,7 +19,7 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-from repro.net.headers import Ipv4Header, TcpHeader, UdpHeader
+from repro.net.headers import Ipv4Header
 from repro.net.packet import RawPacket
 
 
@@ -53,15 +54,6 @@ class Packet:
         """Return the L4 header view (Click's ``transport_header()``)."""
         return self.raw.l4
 
-    def tcp_header(self) -> Optional[TcpHeader]:
-        return self.raw.tcp
-
-    def udp_header(self) -> Optional[UdpHeader]:
-        return self.raw.udp
-
-    def ether_header(self):
-        return self.raw.eth
-
     def length(self) -> int:
         return self.raw.wire_length()
 
@@ -74,12 +66,6 @@ class Packet:
         """Forward the packet (on the default output port)."""
         self._assert_pending()
         self._action = PacketAction.SEND
-
-    def send_to(self, port: int) -> None:
-        """Forward the packet on an explicit output port."""
-        self._assert_pending()
-        self._action = PacketAction.SEND
-        self._egress_port = port
 
     def drop(self) -> None:
         """Discard the packet."""

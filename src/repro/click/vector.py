@@ -18,14 +18,6 @@ class Vector(Generic[T]):
     def __init__(self, items: Optional[Iterable[T]] = None):
         self._items: List[T] = list(items) if items is not None else []
 
-    def push_back(self, item: T) -> None:
-        self._items.append(item)
-
-    def pop_back(self) -> T:
-        if not self._items:
-            raise IndexError("pop_back on empty Vector")
-        return self._items.pop()
-
     def at(self, index: int) -> T:
         """Bounds-checked access (Click's ``operator[]`` is annotated as a
         read of both the index and the vector)."""

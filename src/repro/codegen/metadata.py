@@ -13,7 +13,7 @@ occupant's range has ended.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.liveness import live_ranges
 from repro.ir.function import Function
@@ -26,14 +26,6 @@ class MetadataAllocation:
     offsets: Dict[str, Tuple[int, int]]  # name -> (offset, size)
     total_bytes: int
     naive_bytes: int  # without live-range reuse, for the ablation bench
-
-    def offset_of(self, name: str) -> Optional[int]:
-        entry = self.offsets.get(name)
-        return entry[0] if entry else None
-
-    @property
-    def savings(self) -> int:
-        return self.naive_bytes - self.total_bytes
 
 
 def allocate_metadata(

@@ -190,10 +190,6 @@ class MapLookup(Stmt):
 
     EXPR_ATTRS = ("key_expr",)
 
-    @property
-    def deref(self) -> str:
-        return f"(*h{self.uid})"
-
     def lines(self, indent: int) -> List[str]:
         pad = _INDENT * indent
         out = [
@@ -633,6 +629,3 @@ def generate_program(seed: int) -> GenProgram:
     program.seed = seed
     return program
 
-
-def generate_source(seed: int) -> str:
-    return generate_program(seed).source()

@@ -175,9 +175,11 @@ def table3_state_sync(trials: int = 50) -> Tuple[List[str], List[List]]:
 # ---------------------------------------------------------------------------
 
 
-def figure7_throughput(
-    name: str, packets_per_connection: int = 40
-) -> Tuple[List[str], List[List]]:
+#: iperf packets per connection behind each Figure 7 cell
+FIGURE7_PACKETS_PER_CONNECTION = 40
+
+
+def figure7_throughput(name: str) -> Tuple[List[str], List[List]]:
     header = ["Packet size", "Offloaded (1c)"] + [
         f"Click-{n}c" for n in CORE_COUNTS
     ]
@@ -185,7 +187,8 @@ def figure7_throughput(
     rows = []
     for size in PACKET_SIZES:
         workload = IperfWorkload(
-            packets_per_connection=packets_per_connection, packet_size=size
+            packets_per_connection=FIGURE7_PACKETS_PER_CONNECTION,
+            packet_size=size,
         )
         profile = profile_middlebox(name, middlebox_stream(name, workload))
         offloaded = capacity.gallium_throughput(
@@ -356,9 +359,7 @@ def _priced_gbps(normal: float, degraded: float, share: float) -> float:
     return normal - (normal - degraded) * min(1.0, share)
 
 
-def fault_recovery(
-    punts: int = 2000, metrics=None
-) -> Tuple[List[str], List[List]]:
+def fault_recovery() -> Tuple[List[str], List[List]]:
     """Recovery behaviour of the bounded punt queue across outage lengths.
 
     The paper's testbed never kills the middlebox server; this table
@@ -370,18 +371,11 @@ def fault_recovery(
     packets, so the deployment runs at the fallback rate for the outage
     plus the backlog-drain window; *Effective Gbps* time-weights that
     against the fault-free (normal) rate over the whole run.
-
-    Pass a :class:`repro.telemetry.MetricsRegistry` as ``metrics`` to
-    additionally publish every cell as
-    ``recovery.outage_<ms>ms.queue_<depth>.*`` gauges.
     """
     from repro.faults.timeline import OutageScenario, simulate_outage
 
     arrival_interval_us = 200.0
     _profile, _capacity, normal, fallback = _recovery_rates()
-    if metrics is not None:
-        metrics.gauge("recovery.normal_gbps").set(round(normal, 3))
-        metrics.gauge("recovery.fallback_gbps").set(round(fallback, 3))
 
     header = [
         "Scenario", "Served", "Dropped", "Max queue",
@@ -395,12 +389,11 @@ def fault_recovery(
                 arrival_interval_us=arrival_interval_us,
                 outage_us=outage_ms * 1000.0,
                 queue_depth=queue_depth,
-                punts=punts,
             )
             timeline = simulate_outage(scenario)
             # Time spent in fallback mode: the outage itself plus the
             # backlog drain, out of the run's total duration.
-            run_us = punts * arrival_interval_us
+            run_us = scenario.punts * arrival_interval_us
             effective = _priced_gbps(
                 normal, fallback,
                 (scenario.outage_us + timeline.recovery_us) / run_us,
@@ -416,17 +409,6 @@ def fault_recovery(
                 round(fallback, 2),
                 round(effective, 2),
             ])
-            if metrics is not None:
-                prefix = (
-                    f"recovery.outage_{outage_ms:g}ms.queue_{queue_depth}"
-                )
-                metrics.gauge(f"{prefix}.effective_gbps").set(
-                    round(effective, 3)
-                )
-                metrics.gauge(f"{prefix}.recovery_ms").set(
-                    round(timeline.recovery_us / 1000.0, 3)
-                )
-                metrics.counter(f"{prefix}.dropped").inc(timeline.dropped)
     return header, rows
 
 
@@ -632,27 +614,25 @@ def pool_recovery() -> Tuple[List[str], List[List]]:
     return header, rows
 
 
-def tenancy_sweep(
-    names: Tuple[str, ...] = ("minilb", "mazunat", "lb", "firewall"),
-    packets_per_tenant: int = 60,
-    metrics=None,
-) -> Tuple[List[str], List[List]]:
+#: the tenants the sweep admits, in order, and each one's packet count
+TENANCY_SWEEP_NAMES = ("minilb", "mazunat", "lb", "firewall")
+TENANCY_SWEEP_PACKETS = 60
+
+
+def tenancy_sweep() -> Tuple[List[str], List[List]]:
     """Shared-channel queueing cost as tenant count grows (no paper
     analogue — Gallium deploys one middlebox per switch).
 
-    For N = 1..len(names), the first N middleboxes are admitted onto one
-    switch and driven with identical per-tenant workloads, round-robin
-    interleaved.  The only shared resource with dynamic contention is
-    the control plane's FIFO RPC channel, so the sweep reports where
-    cross-tenant queueing starts to dominate a write-back batch's
-    latency: *Queue share* is mean queue wait over mean total visibility
+    For N = 1..4, the first N of :data:`TENANCY_SWEEP_NAMES` are admitted
+    onto one switch and driven with identical per-tenant workloads,
+    round-robin interleaved.  The only shared resource with dynamic
+    contention is the control plane's FIFO RPC channel, so the sweep
+    reports where cross-tenant queueing starts to dominate a write-back
+    batch's latency: *Queue share* is mean queue wait over mean total visibility
     latency (queue wait included).  At N=1 the share is exactly zero —
     a serial submitter never queues behind itself — and it grows with N
     while verdicts, egress bytes, and final state stay byte-identical to
     solo runs (the isolation oracle's guarantee).
-
-    Pass a :class:`repro.telemetry.MetricsRegistry` as ``metrics`` to
-    additionally publish ``tenancy.n_<N>.*`` gauges.
     """
     from repro.tenancy import build_tenant_specs
     from repro.tenancy.deployment import MultiTenantDeployment
@@ -662,15 +642,15 @@ def tenancy_sweep(
         "Mean queue wait (µs)", "Mean visibility (µs)", "Queue share",
     ]
     rows = []
-    for count in range(1, len(names) + 1):
-        subset = list(names[:count])
+    for count in range(1, len(TENANCY_SWEEP_NAMES) + 1):
+        subset = list(TENANCY_SWEEP_NAMES[:count])
         deployment = MultiTenantDeployment(build_tenant_specs(subset))
         deployment.install()
         streams = {
             tenant.name: middlebox_stream(tenant.name, IperfWorkload())
             for tenant in deployment.tenants
         }
-        journeys = deployment.run_workload(streams, packets_per_tenant)
+        journeys = deployment.run_workload(streams, TENANCY_SWEEP_PACKETS)
         punts = sum(
             1 for js in journeys.values() for j in js if j.punted
         )
@@ -699,11 +679,4 @@ def tenancy_sweep(
             round(mean_visibility, 1),
             round(share, 3),
         ])
-        if metrics is not None:
-            prefix = f"tenancy.n_{count}"
-            metrics.gauge(f"{prefix}.mean_queue_wait_us").set(
-                round(mean_wait, 3)
-            )
-            metrics.gauge(f"{prefix}.queue_share").set(round(share, 4))
-            metrics.counter(f"{prefix}.punts").inc(punts)
     return header, rows

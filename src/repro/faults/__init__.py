@@ -27,7 +27,6 @@ package stress-tests the parts the paper takes for granted:
 from repro.faults.campaign import (
     CampaignStats,
     FaultFailure,
-    derive_fault_seeds,
     run_campaign,
 )
 from repro.faults.injector import FaultInjector
@@ -73,7 +72,6 @@ __all__ = [
     "StandbyStaleReplay",
     "SwitchReprogram",
     "WritebackOverflow",
-    "derive_fault_seeds",
     "generate_plan",
     "run_campaign",
     "run_fault_oracle",

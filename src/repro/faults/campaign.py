@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.difftest import kernel
 from repro.difftest.generator import GenProgram, generate_program
-from repro.difftest.kernel import STREAM_SALT, derive_seeds
+from repro.difftest.kernel import STREAM_SALT
 from repro.difftest.oracle import StreamSpec
 from repro.faults.oracle import (
     FaultOracleResult,
@@ -54,12 +54,6 @@ def seeds_for_program(program_seed: int) -> tuple:
         program_seed ^ _INJECT_SALT,
         program_seed ^ _DEPLOY_SALT,
     )
-
-
-def derive_fault_seeds(master_seed: int, index: int) -> tuple:
-    """Scenario seeds for run ``index`` under ``master_seed``."""
-    program_seed, _ = derive_seeds(master_seed, index)
-    return seeds_for_program(program_seed)
 
 
 def random_policy(rng: random.Random) -> DegradationPolicy:
@@ -119,29 +113,6 @@ class FaultFailure:
                            f" retries={self.policy.retry.max_attempts}"),
             ],
             verdict_rows=verdict_rows,
-        )
-
-    def corpus_entry(self, name: str):
-        """Package this failure (minimized when available) as a
-        :class:`~repro.faults.corpus.FaultCorpusEntry` ready for
-        ``tests/faults_corpus/``."""
-        from repro.faults.corpus import FaultCorpusEntry
-
-        program = self.minimized_program or self.program
-        return FaultCorpusEntry(
-            name=name,
-            source=program.source(),
-            stream=self.minimized_stream or self.stream,
-            fault_plan=self._plan,
-            policy=self.policy,
-            injector_seed=self.injector_seed,
-            deployment_seed=self.deployment_seed,
-            found_by_seed=self.program_seed,
-            deployment=self.deployment,
-            trace_diff=(
-                self.result.trace_diff.to_dict()
-                if self.result.trace_diff is not None else None
-            ),
         )
 
 

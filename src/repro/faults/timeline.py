@@ -18,13 +18,10 @@ keep arriving.  Recovery is complete when the queue first empties.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.sim.events import Simulator
-from repro.switchsim.control_plane import (
-    RetryPolicy,
-    expected_batch_latency_us,
-)
+from repro.switchsim.control_plane import expected_batch_latency_us
 from repro.telemetry.metrics import Histogram
 
 #: Bucket bounds (µs) for the outage-latency histogram — punt latencies
@@ -34,6 +31,12 @@ TIMELINE_BOUNDS_US = (
     100.0, 200.0, 500.0, 1_000.0, 2_000.0, 5_000.0,
     10_000.0, 20_000.0, 50_000.0, 100_000.0,
 )
+
+
+#: per-punt service time (µs): server run + replication batch
+SERVICE_US = expected_batch_latency_us(1, "modify")
+#: when the server goes down (µs into the run)
+OUTAGE_START_US = 1_000.0
 
 
 def _latency_histogram() -> Histogram:
@@ -46,10 +49,6 @@ class OutageScenario:
 
     #: punt inter-arrival time (µs) — the slow-path load
     arrival_interval_us: float = 50.0
-    #: per-punt service time (µs): server run + replication batch
-    service_us: float = expected_batch_latency_us(1, "modify")
-    #: when the server goes down (µs into the run)
-    outage_start_us: float = 1_000.0
     #: how long it stays down (µs)
     outage_us: float = 10_000.0
     #: bounded punt-queue depth (DegradationPolicy.punt_queue_depth)
@@ -83,7 +82,7 @@ class RecoveryTimeline:
     @property
     def baseline_latency_us(self) -> float:
         """Fault-free punt latency (service only, no queueing)."""
-        return self.scenario.service_us
+        return SERVICE_US
 
     def added_p99_us(self) -> float:
         return max(0.0, self.latency.percentile(0.99) - self.baseline_latency_us)
@@ -93,12 +92,12 @@ def simulate_outage(scenario: OutageScenario) -> RecoveryTimeline:
     """Run one outage scenario on the discrete-event engine."""
     sim = Simulator()
     timeline = RecoveryTimeline(scenario)
-    outage_end = scenario.outage_start_us + scenario.outage_us
+    outage_end = OUTAGE_START_US + scenario.outage_us
     queue: List[float] = []  # arrival times of waiting punts
     state = {"busy": False, "recovered_at": None}
 
     def server_up(now: float) -> bool:
-        return not (scenario.outage_start_us <= now < outage_end)
+        return not (OUTAGE_START_US <= now < outage_end)
 
     def start_service(arrival_time: float) -> None:
         state["busy"] = True
@@ -109,7 +108,7 @@ def simulate_outage(scenario: OutageScenario) -> RecoveryTimeline:
             state["busy"] = False
             pump()
 
-        sim.schedule(scenario.service_us, complete)
+        sim.schedule(SERVICE_US, complete)
 
     def pump() -> None:
         """Serve the head of the queue if the server is free."""
@@ -144,17 +143,3 @@ def simulate_outage(scenario: OutageScenario) -> RecoveryTimeline:
         timeline.recovery_us = max(0.0, sim.now - outage_end)
     return timeline
 
-
-def retry_latency_us(
-    failed_attempts: int, policy: Optional[RetryPolicy] = None
-) -> float:
-    """Nominal extra output-commit wait after ``failed_attempts`` vetoed
-    one-table modify batches (jitter-free; the worst case the fault
-    harness charges a packet that eventually commits)."""
-    policy = policy or RetryPolicy()
-    # Each failed attempt burns its RPC time, then waits out its backoff.
-    base = expected_batch_latency_us(1, "modify")
-    return sum(
-        base + policy.nominal_backoff_us(attempt)
-        for attempt in range(1, failed_attempts + 1)
-    )

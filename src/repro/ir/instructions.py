@@ -219,11 +219,6 @@ class Instruction:
         """True for Send/SendTo/Drop — packet-release points."""
         return False
 
-    @property
-    def has_side_effects(self) -> bool:
-        """True if skipping this instruction could change observable state."""
-        return bool(self.writes()) or self.is_verdict
-
     def __repr__(self) -> str:
         from repro.ir.printer import format_instruction
 
@@ -604,10 +599,6 @@ class ExternCall(Instruction):
 
     def p4_supported(self):
         return False
-
-    @property
-    def has_side_effects(self):
-        return bool(self.extra_writes) or self.dst is None
 
 
 # ---------------------------------------------------------------------------

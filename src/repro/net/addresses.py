@@ -40,24 +40,12 @@ class MacAddress:
             raise ValueError(f"MAC address needs 6 bytes, got {len(data)}")
         return cls(int.from_bytes(data, "big"))
 
-    @classmethod
-    def broadcast(cls) -> "MacAddress":
-        return cls((1 << 48) - 1)
-
     def to_bytes(self) -> bytes:
         return self._value.to_bytes(6, "big")
 
     @property
     def value(self) -> int:
         return self._value
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self._value == (1 << 48) - 1
-
-    @property
-    def is_multicast(self) -> bool:
-        return bool((self._value >> 40) & 0x01)
 
     def __int__(self) -> int:
         return self._value
@@ -113,15 +101,6 @@ class Ipv4Address:
     @property
     def value(self) -> int:
         return self._value
-
-    def in_subnet(self, network: "Ipv4Address", prefix_len: int) -> bool:
-        """Return True if this address falls in ``network/prefix_len``."""
-        if not 0 <= prefix_len <= 32:
-            raise ValueError(f"prefix length out of range: {prefix_len}")
-        if prefix_len == 0:
-            return True
-        mask = ((1 << prefix_len) - 1) << (32 - prefix_len)
-        return (self._value & mask) == (network._value & mask)
 
     def __int__(self) -> int:
         return self._value

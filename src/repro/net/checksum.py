@@ -23,11 +23,3 @@ def internet_checksum(data: bytes) -> int:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF
 
-
-def verify_checksum(data: bytes) -> bool:
-    """Return True if ``data`` (including its checksum field) sums to zero.
-
-    Valid data ones-complement-sums to 0xFFFF, so its computed checksum
-    (the complement of that sum) is exactly zero.
-    """
-    return internet_checksum(data) == 0

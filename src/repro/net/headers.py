@@ -217,24 +217,6 @@ class TcpHeader:
             urgent=urgent,
         )
 
-    @property
-    def is_syn(self) -> bool:
-        return bool(self.flags & TcpFlags.SYN) and not bool(
-            self.flags & TcpFlags.ACK
-        )
-
-    @property
-    def is_synack(self) -> bool:
-        return bool(self.flags & TcpFlags.SYN) and bool(self.flags & TcpFlags.ACK)
-
-    @property
-    def is_fin(self) -> bool:
-        return bool(self.flags & TcpFlags.FIN)
-
-    @property
-    def is_rst(self) -> bool:
-        return bool(self.flags & TcpFlags.RST)
-
     def copy(self) -> "TcpHeader":
         return TcpHeader(
             self.sport,

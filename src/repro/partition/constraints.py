@@ -117,9 +117,6 @@ class ConstraintReport:
             )
         return problems
 
-    def satisfied(self, limits: SwitchResources) -> bool:
-        return not self.violations(limits)
-
 
 #: IR instructions that access a switch table or register.
 SWITCH_STATE_OPS = (

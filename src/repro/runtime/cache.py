@@ -289,12 +289,6 @@ class BoundedCache(Role):
             emitted = [(port, served.packet)]
         return verdict, emitted, 0
 
-    def occupancy(self) -> Dict[str, int]:
-        return {
-            name: self.box.switch.tables[name].entry_count
-            for name in self.bounded_tables
-        }
-
 
 class CachedGalliumMiddlebox(GalliumMiddlebox):
     """A Gallium deployment whose switch tables are bounded caches."""
@@ -311,11 +305,7 @@ class CachedGalliumMiddlebox(GalliumMiddlebox):
         )
 
 
-def build_cached(
-    name: str,
-    cache_entries: int,
-    telemetry=None,
-) -> CachedGalliumMiddlebox:
+def build_cached(name: str, cache_entries: int) -> CachedGalliumMiddlebox:
     """Compile + deploy one middlebox in table-cache mode."""
     from repro.middleboxes import load
     from repro.runtime.deployment import compile_middlebox
@@ -324,7 +314,7 @@ def build_cached(
     plan, program = compile_middlebox(bundle.lowered)
     middlebox = CachedGalliumMiddlebox(
         plan, program, cache_entries=cache_entries,
-        config=bundle.config, telemetry=telemetry,
+        config=bundle.config,
     )
     middlebox.install()
     return middlebox

@@ -359,11 +359,6 @@ class GalliumMiddlebox:
         for role in (self.punt_target, self.redundancy, self.state_policy):
             role.bind(self)
 
-    @classmethod
-    def from_source(cls, source: str, **kwargs) -> "GalliumMiddlebox":
-        plan, program = compile_middlebox(source)
-        return cls(plan, program, **kwargs)
-
     @property
     def faults_armed(self) -> bool:
         return self.injector is not None

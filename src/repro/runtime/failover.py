@@ -35,8 +35,6 @@ and tracer.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.runtime import state_image
 from repro.runtime.deployment import GalliumMiddlebox, Role
 from repro.switchsim.control_plane import UpdateBatchError
@@ -45,39 +43,21 @@ from repro.telemetry.health import HealthMonitor
 #: XOR'd into the deployment seed to derive the standby's jitter seed.
 _STANDBY_SALT = 0x57B1
 
-#: Supported detection modes: ``"phi"`` (measured, heartbeat-driven) and
-#: ``"exact"`` (the legacy free-and-exact window boundary, kept as the
-#: oracle reference).
-DETECTION_MODES = ("phi", "exact")
-
 
 class ActiveStandby(Role):
     """Switch redundancy: an active switch plus a warm standby.
 
-    ``detection`` selects how a primary crash is *noticed*: ``"phi"``
-    (the default) runs a heartbeat-driven φ-accrual detector
-    (:class:`~repro.telemetry.health.HealthMonitor`) so the promotion
-    window lasts until the detector actually declares the primary dead —
-    detection latency becomes a measured metric
-    (``health.detection_latency_us``); ``"exact"`` promotes at the fault
-    window's packet boundary exactly as before (detection is free), which
-    the experiments keep as the oracle reference.
+    A primary crash is *noticed* by a heartbeat-driven φ-accrual detector
+    (:class:`~repro.telemetry.health.HealthMonitor`): the promotion
+    window lasts until the detector actually declares the primary dead,
+    so detection latency is a measured metric
+    (``health.detection_latency_us``).
     """
-
-    def __init__(self, detection: str = "phi"):
-        if detection not in DETECTION_MODES:
-            raise ValueError(
-                f"detection must be one of {DETECTION_MODES}, got"
-                f" {detection!r}"
-            )
-        self.detection = detection
 
     def bind(self, box: GalliumMiddlebox) -> None:
         self.box = box
         metrics = box.telemetry.metrics
-        self.health: Optional[HealthMonitor] = (
-            HealthMonitor(metrics) if self.detection == "phi" else None
-        )
+        self.health = HealthMonitor(metrics)
         self.standby = box.build_switch(box.seed ^ _STANDBY_SALT)
         #: the crashed primary, kept for post-mortem introspection
         self.failed_primary = None
@@ -107,10 +87,9 @@ class ActiveStandby(Role):
     # -- per packet ------------------------------------------------------------
 
     def before_packet(self) -> None:
-        """Synthesize the control-channel heartbeats due by now (no-op in
-        ``"exact"`` mode and while the primary is crashed)."""
-        if self.health is not None:
-            self.health.beat_until(self.box.telemetry.clock.now_us)
+        """Synthesize the control-channel heartbeats due by now (no-op
+        while the primary is crashed)."""
+        self.health.beat_until(self.box.telemetry.clock.now_us)
 
     def after_packet(self) -> None:
         # Checkpoint the active switch's data-plane registers after every
@@ -178,29 +157,24 @@ class ActiveStandby(Role):
         # The primary is gone: recover its data-plane registers from the
         # continuous checkpoint (a dead switch cannot be pulled).
         state_image.to_store(box.state, self._authoritative, self._checkpoint)
-        if self.health is not None:
-            # Ground truth for the detector's latency measurement; the
-            # detector itself only learns of it through missing beats.
-            self.health.mark_crashed(box.telemetry.clock.now_us)
+        # Ground truth for the detector's latency measurement; the
+        # detector itself only learns of it through missing beats.
+        self.health.mark_crashed(box.telemetry.clock.now_us)
         if box._tracer is not None:
             box._tracer.record("failover_window_open", component="failover")
 
     def may_exit_fallback(self) -> bool:
-        # φ mode: promotion waits for the detector to actually declare the
-        # primary dead — the window extends past the injected outage by
-        # the measured detection latency.  Exact mode: free detection at
-        # the window boundary.
-        if self.health is None:
-            return True
+        # Promotion waits for the detector to actually declare the
+        # primary dead: the window extends past the injected outage by the
+        # measured detection latency.
         return self.health.crash_detected(self.box.telemetry.clock.now_us)
 
     def close_window(self) -> str:
         box = self.box
         self.promote()
         box.sync_all_state()
-        if self.health is not None:
-            # The promoted standby takes over the heartbeat stream.
-            self.health.revive(box.telemetry.clock.now_us)
+        # The promoted standby takes over the heartbeat stream.
+        self.health.revive(box.telemetry.clock.now_us)
         if box._tracer is not None:
             box._tracer.record(
                 "failover_promote", component="failover",
@@ -214,7 +188,7 @@ class ActiveStandby(Role):
         force the detection (booked separately as
         ``health.forced_detections``) so the promotion still happens and
         post-recovery equivalence can be checked."""
-        if self.health is not None and self.box._fallback_active:
+        if self.box._fallback_active:
             self.health.force_detect(self.box.telemetry.clock.now_us)
 
     def promote(self) -> None:
@@ -236,7 +210,5 @@ class ActiveStandby(Role):
 class FailoverDeployment(GalliumMiddlebox):
     """Gallium deployment over an active-standby switch pair."""
 
-    def __init__(self, plan, program, detection: str = "phi", **kwargs):
-        super().__init__(
-            plan, program, redundancy=ActiveStandby(detection), **kwargs
-        )
+    def __init__(self, plan, program, **kwargs):
+        super().__init__(plan, program, redundancy=ActiveStandby(), **kwargs)

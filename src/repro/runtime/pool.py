@@ -29,8 +29,11 @@ own to the surviving members:
   the transactional write-back protocol) and the controller's per-punt
   checkpoint for server-only state.  Byte-exact, and a real recovery
   path the fault oracle can catch bugs in.
-* drain / join — the member is alive, so the transfer is lossless; the
-  entries are counted and priced but nothing needs reconstruction.
+* drain — the member is alive, so the transfer is lossless; the entries
+  are counted and priced but nothing needs reconstruction.
+
+Membership changes only through the fault plan (``pool_member_crash`` /
+``pool_member_drain``); nothing adds a member after install.
 
 During the bounded migration window (``at_packet`` until the window
 closes) punts owned by the down member queue in the deployment's bounded
@@ -81,24 +84,6 @@ def default_member_names(servers: int) -> List[str]:
     return [f"srv{i}" for i in range(servers)]
 
 
-def validate_member_names(names: Sequence[str]) -> List[str]:
-    """Validate explicit member names before any deployment is built."""
-    out = list(names)
-    if not out:
-        raise ValueError(
-            "a server pool needs at least one member (member_names is empty)"
-        )
-    for name in out:
-        if not isinstance(name, str) or not name:
-            raise ValueError(
-                f"pool member names must be non-empty strings, got {name!r}"
-            )
-    dupes = sorted({name for name in out if out.count(name) > 1})
-    if dupes:
-        raise ValueError(f"duplicate pool member names: {dupes}")
-    return out
-
-
 @dataclass
 class PoolMember:
     """One simulated server in the pool."""
@@ -123,18 +108,11 @@ class ServerPool(Role):
     """Punt target: members + selector + ownership ledger + checkpoint of
     the state a crash migration cannot read back from the switch."""
 
-    def __init__(
-        self,
-        servers: int = 2,
-        member_names: Optional[Sequence[str]] = None,
-    ):
+    def __init__(self, servers: int = 2):
         # Validate the pool shape before any deployment machinery spins up
         # — a bad --servers value must fail here, loudly, not deep inside
         # install().
-        if member_names is not None:
-            self._names = validate_member_names(member_names)
-        else:
-            self._names = default_member_names(servers)
+        self._names = default_member_names(servers)
 
     def bind(self, box: GalliumMiddlebox) -> None:
         self.box = box
@@ -163,7 +141,9 @@ class ServerPool(Role):
         self._c_migrated_entries = metrics.counter("pool.migrated_entries")
         self._c_member_crashes = metrics.counter("pool.member_crashes")
         self._c_member_drains = metrics.counter("pool.member_drains")
-        self._c_member_joins = metrics.counter("pool.member_joins")
+        # Membership changes only through the fault plan, which never
+        # joins a member; the counter stays registered at 0.
+        metrics.counter("pool.member_joins")
         self._h_migration_us = metrics.histogram(
             "pool.migration_us", LATENCY_BOUNDS_US
         )
@@ -387,40 +367,6 @@ class ServerPool(Role):
             )
         return entries
 
-    # -- programmatic membership (no fault plan needed) -----------------------
-
-    def drain_member(self, name: str) -> int:
-        """Gracefully retire a live member now; returns migrated entries."""
-        if name not in self.members:
-            raise ValueError(
-                f"cannot drain unknown member {name!r}"
-                f" (live: {sorted(self.members)})"
-            )
-        if len(self.members) == 1:
-            raise ValueError("cannot drain the last pool member")
-        self._c_member_drains.inc()
-        entries = self._migrate(name, crash=False)
-        if self.box.faults_armed:
-            self.box.fault_log.append(("pool_migrate", name, entries))
-        return entries
-
-    def join_member(self, name: str) -> int:
-        """Add a member; flows on its re-homed slots migrate *to* it."""
-        if name in self.members or name in self.retired:
-            raise ValueError(f"pool member {name!r} already registered")
-        validate_member_names([name])
-        self.selector.add_member(name)
-        self.members[name] = PoolMember(
-            name=name, runtime=self.box.build_server_runtime()
-        )
-        gained = frozenset(self.selector.slots_owned(name))
-        entries = self.count_owned(gained)
-        self._c_member_joins.inc()
-        self._price_migration(entries)
-        if self.box.faults_armed:
-            self.box.fault_log.append(("pool_migrate", name, entries))
-        return entries
-
     # -- stats ---------------------------------------------------------------
 
     def stats(self) -> dict:
@@ -445,15 +391,8 @@ class ServerPool(Role):
 class PooledDeployment(GalliumMiddlebox):
     """A :class:`GalliumMiddlebox` whose punt path fans out over a pool."""
 
-    def __init__(
-        self,
-        plan: PartitionPlan,
-        program,
-        servers: int = 2,
-        member_names: Optional[Sequence[str]] = None,
-        **kwargs,
-    ):
+    def __init__(self, plan: PartitionPlan, program, servers: int = 2,
+                 **kwargs):
         super().__init__(
-            plan, program, punt_target=ServerPool(servers, member_names),
-            **kwargs,
+            plan, program, punt_target=ServerPool(servers), **kwargs
         )

@@ -22,8 +22,8 @@ class DeploymentSpec:
     #: bounded-cache switch state policy of this many entries per table
     #: (``None``: full replication)
     cache_entries: Optional[int] = None
-    #: active-standby switch pair with this crash detector, ``"phi"`` or
-    #: ``"exact"`` (``None``: single switch)
+    #: active-standby switch pair with this crash detector, ``"phi"``
+    #: (``None``: single switch)
     standby_detection: Optional[str] = None
     #: punt into a server pool of this many members (0: single server)
     pool_servers: int = 0
@@ -54,7 +54,7 @@ class DeploymentSpec:
                 if self.cache_entries is not None else None
             ),
             "redundancy": (
-                ActiveStandby(self.standby_detection)
+                ActiveStandby()
                 if self.standby_detection is not None else None
             ),
             "punt_target": (

@@ -23,6 +23,11 @@ from typing import List
 
 from repro.sim import costs as c
 
+#: endhost jitter (kernel stack noise) as a fraction of the mean latency
+JITTER_FRACTION = 0.02
+#: seed of every model's jitter draws
+LATENCY_SEED = 0
+
 
 @dataclass
 class LatencySample:
@@ -39,8 +44,8 @@ class LatencySample:
 class LatencyModel:
     """Composes per-packet latency from path components."""
 
-    def __init__(self, seed: int = 0):
-        self._rng = random.Random(seed)
+    def __init__(self):
+        self._rng = random.Random(LATENCY_SEED)
 
     # -- path compositions -------------------------------------------------
 
@@ -96,14 +101,12 @@ class LatencyModel:
 
     # -- sampling ---------------------------------------------------------------
 
-    def sample(self, mean_us: float, jitter_fraction: float = 0.02) -> float:
+    def sample(self, mean_us: float) -> float:
         """One measured latency with endhost jitter (kernel stack noise)."""
-        return max(0.0, self._rng.gauss(mean_us, mean_us * jitter_fraction))
+        return max(0.0, self._rng.gauss(mean_us, mean_us * JITTER_FRACTION))
 
-    def population(
-        self, mean_us_iter, jitter_fraction: float = 0.02
-    ) -> LatencySample:
-        samples = [self.sample(m, jitter_fraction) for m in mean_us_iter]
+    def population(self, mean_us_iter) -> LatencySample:
+        samples = [self.sample(m) for m in mean_us_iter]
         if not samples:
             return LatencySample(0.0, 0.0, [])
         mean = sum(samples) / len(samples)

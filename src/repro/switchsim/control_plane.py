@@ -345,31 +345,6 @@ class ControlPlane:
         """Move this control plane onto a (possibly shared) RPC channel."""
         self.channel = channel
 
-    # Legacy counter attributes, now views over the metrics registry.
-    @property
-    def batches_applied(self) -> int:
-        return self._c_applied.value
-
-    @property
-    def updates_applied(self) -> int:
-        return self._c_updates.value
-
-    @property
-    def batch_attempts(self) -> int:
-        return self._c_attempts.value
-
-    @property
-    def batches_retried(self) -> int:
-        return self._c_retried.value
-
-    @property
-    def batches_failed(self) -> int:
-        return self._c_failed.value
-
-    def reseed(self, seed: int) -> None:
-        """Reset the jitter/backoff RNG (public reproducibility knob)."""
-        self._rng = random.Random(seed)
-
     # -- bulk install (deployment time, not on the packet path) ---------------
 
     def install_entries(self, table: str, entries: Dict[tuple, int]) -> None:

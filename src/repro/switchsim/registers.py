@@ -13,11 +13,11 @@ from repro.ir.interp import _apply_binop
 class Register:
     """One register cell (Gallium maps each scalar global to one cell)."""
 
-    def __init__(self, name: str, width_bits: int = 32, initial: int = 0):
+    def __init__(self, name: str, width_bits: int = 32):
         self.name = name
         self.width_bits = width_bits
         self._mask = (1 << width_bits) - 1
-        self.value = initial & self._mask
+        self.value = 0  # a register powers up at 0
         self.read_count = 0
         self.write_count = 0
 

@@ -27,10 +27,10 @@ from __future__ import annotations
 import hashlib
 from typing import List, Sequence, Tuple
 
-#: Default selector table size.  64 slots over ≤8 members keeps the
-#: per-member load imbalance small while the table stays one cache line
-#: of real switch SRAM per 16 members.
-DEFAULT_SELECTOR_SLOTS = 64
+#: Selector table size.  64 slots over ≤8 members keeps the per-member
+#: load imbalance small while the table stays one cache line of real
+#: switch SRAM per 16 members.
+SELECTOR_SLOTS = 64
 
 
 def _hash64(seed: int, *parts) -> int:
@@ -65,14 +65,10 @@ def canonical_flow_key(packet) -> Tuple:
 class FlowSelector:
     """ActionSelector-style slot table: flow hash → slot → member."""
 
-    def __init__(
-        self,
-        members: Sequence[str],
-        seed: int = 0,
-        slots: int = DEFAULT_SELECTOR_SLOTS,
-    ):
-        if slots < 1:
-            raise ValueError(f"selector needs at least 1 slot, got {slots}")
+    #: slot-table size, one for every selector
+    slots = SELECTOR_SLOTS
+
+    def __init__(self, members: Sequence[str], seed: int = 0):
         names = list(members)
         if not names:
             raise ValueError("selector needs at least one member")
@@ -80,7 +76,6 @@ class FlowSelector:
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate pool member names: {dupes}")
         self.seed = seed
-        self.slots = slots
         self._members = sorted(names)
         self._table: List[str] = []
         self._rebuild()
@@ -94,12 +89,6 @@ class FlowSelector:
     def member_table(self) -> Tuple[str, ...]:
         """The slot table itself (slot index → owning member)."""
         return tuple(self._table)
-
-    def add_member(self, name: str) -> None:
-        if name in self._members:
-            raise ValueError(f"pool member {name!r} already registered")
-        self._members = sorted(self._members + [name])
-        self._rebuild()
 
     def remove_member(self, name: str) -> None:
         if name not in self._members:
@@ -126,9 +115,6 @@ class FlowSelector:
     def slot_for_packet(self, packet) -> int:
         return _hash64(self.seed, "flow", *canonical_flow_key(packet)) \
             % self.slots
-
-    def member_for_packet(self, packet) -> str:
-        return self._table[self.slot_for_packet(packet)]
 
     def slots_owned(self, member: str) -> Tuple[int, ...]:
         return tuple(

@@ -7,9 +7,9 @@ pre-processing partition.
 
 Shim headers ride between the Ethernet and IP headers on the switch↔server
 link.  In the simulator the shim travels as packet metadata (the structured
-``RawPacket`` stays intact for the inner headers), but the byte layout is
-the real synthesized one — :meth:`SwitchModel.shim_wire_bytes` produces the
-exact on-wire encoding and the test suite round-trips it.
+``RawPacket`` stays intact for the inner headers), but its bytes are the
+real synthesized layout, encoded and decoded by
+:mod:`repro.codegen.headers`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.codegen.headers import (
     FLAG_VERDICT_NONE,
     FLAG_VERDICT_SEND,
 )
-from repro.net.headers import ETHERTYPE_GALLIUM
 from repro.net.packet import RawPacket
 from repro.sim.clock import PARSE_US, SWITCH_INSTR_US
 from repro.switchsim.control_plane import ControlPlane
@@ -312,24 +311,6 @@ class SwitchModel:
         output.emitted = []
         output.dropped = True
         return output
-
-    # -- wire-format helpers (for byte-level tests / pcap export) ---------------
-
-    def shim_wire_bytes(self, packet: RawPacket) -> bytes:
-        """The exact on-wire frame for a shim-carrying packet.
-
-        Layout: Ethernet header (EtherType = Gallium) | shim | original
-        EtherType | rest of packet — the receiver restores the inner
-        EtherType after stripping the shim.
-        """
-        shim = packet.metadata.get(SHIM_KEY, b"")
-        eth = packet.eth.copy()
-        inner_ethertype = eth.ethertype
-        eth.ethertype = ETHERTYPE_GALLIUM
-        inner = packet.pack()[14:]
-        import struct
-
-        return eth.pack() + shim + struct.pack("!H", inner_ethertype) + inner
 
     # -- stats -------------------------------------------------------------------
 

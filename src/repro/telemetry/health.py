@@ -78,10 +78,6 @@ class PhiAccrualDetector:
             self._samples.append(now_us - self._last_beat)
         self._last_beat = now_us
 
-    @property
-    def last_beat_us(self) -> Optional[float]:
-        return self._last_beat
-
     def mean_std(self) -> Tuple[float, float]:
         samples = self._samples
         mean = sum(samples) / len(samples)
@@ -227,10 +223,6 @@ class HealthMonitor:
     def detection_latency_us(self) -> Optional[float]:
         """Latency of the most recent detection (measured), if any."""
         return self._last_latency
-
-    @property
-    def crash_pending(self) -> bool:
-        return self._crash_at is not None and not self._detected
 
 
 def measure_detection_latency() -> dict:

@@ -184,8 +184,9 @@ def isolation_oracle(
     workload: IperfWorkload,
     series_window_us: Optional[float],
 ) -> IsolationResult:
-    """The body of both entry points: every admitted tenant against its
-    solo reference under *its own* slice of ``fault_plan``."""
+    """Every admitted tenant against its solo reference under *its own*
+    slice of ``fault_plan`` (a plan of tenant-scoped faults, see
+    :mod:`repro.tenancy.faults`, or ``None``)."""
     # Deferred: repro.tenancy.faults builds on this module.
     from repro.tenancy.faults import scoped_plan, tenant_injector_seed
 

@@ -135,9 +135,6 @@ class VerificationReport:
     def ok(self) -> bool:
         return not self.errors
 
-    def codes(self) -> List[str]:
-        return [d.code for d in self.diagnostics]
-
     def extend(self, diagnostics: List[Diagnostic]) -> None:
         self.diagnostics.extend(diagnostics)
 

@@ -97,26 +97,28 @@ KIND_TO_CODE = {
 }
 
 
+#: fresh boolean decisions per world (source + composition combined)
+MAX_DECISIONS = 192
+#: symbolic interpreter steps per function run
+MAX_STEPS = 200_000
+#: witnesses replayed per mismatch before giving up
+CONFIRM_ATTEMPTS = 8
+#: seed for the pre-state sampler and the random witness draws
+BUDGET_SEED = 0
+
+
 @dataclass(frozen=True)
 class SymbolicBudget:
     """Deterministic exploration bounds (no wall-clock cutoffs)."""
 
     #: worlds (decision vectors) explored per scenario
     max_worlds: int = 4096
-    #: fresh boolean decisions per world (source + composition combined)
-    max_decisions: int = 192
-    #: symbolic interpreter steps per function run
-    max_steps: int = 200_000
     #: exhaustive witness search cap (product of candidate pool sizes)
     witness_limit: int = 20_000
     #: random witness draws when the pool product exceeds the cap
     random_tries: int = 4_000
     #: randomized pre-state variants beyond the post-configure base
     prestate_variants: int = 2
-    #: witnesses replayed per mismatch before giving up
-    confirm_attempts: int = 8
-    #: seed for the pre-state sampler and the random witness draws
-    seed: int = 0
 
 
 #: Small bounds for per-test and difftest cross-check use.
@@ -409,7 +411,7 @@ class Bound:
 
 
 def proof_bound(plan, config, budget: SymbolicBudget) -> Bound:
-    rng = random.Random(budget.seed)
+    rng = random.Random(BUDGET_SEED)
     base = _base_prestate(plan, config)
     variants = budget.prestate_variants if plan.middlebox.state else 0
     reads_ingress, reads_payload = _function_traits(plan.middlebox.process)
@@ -703,8 +705,8 @@ def _ingress_of(packet: SymPacketView) -> int:
 
 def _run_world(plan, program, scenario: Scenario, script: Tuple[bool, ...],
                config, budget: SymbolicBudget) -> WorldResult:
-    chooser = Chooser(script, max_decisions=budget.max_decisions)
-    domain = TermDomain(chooser, budget.max_steps)
+    chooser = Chooser(script, max_decisions=MAX_DECISIONS)
+    domain = TermDomain(chooser, MAX_STEPS)
     src_packet = scenario.packet.copy()
     src_store = SymStateStore(scenario.state, chooser)
     try:
@@ -872,7 +874,7 @@ def verify_symbolic(
     :class:`SymbolicReport`; callers decide whether errors abort."""
     budget = budget or SymbolicBudget()
     report = SymbolicReport(program=plan.middlebox.name)
-    rng = random.Random(budget.seed ^ 0xC0FFEE)
+    rng = random.Random(BUDGET_SEED ^ 0xC0FFEE)
     started = time.perf_counter()
     bound = proof_bound(plan, config, budget)
     report.bound = bound.to_dict()
@@ -963,7 +965,7 @@ def _handle_suspect(plan, program, source, config, scenario: Scenario,
     for assignment in _witness_candidates(
             scenario, world.chooser, obligation, budget, rng):
         attempts += 1
-        if attempts > budget.confirm_attempts:
+        if attempts > CONFIRM_ATTEMPTS:
             break
         spec = _packet_spec(scenario, assignment)
         diverged, replay_detail = replay_counterexample(

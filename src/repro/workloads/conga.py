@@ -45,11 +45,6 @@ class CongaDistribution:
             previous_size, previous_cdf = size, cdf
         return self.knots[-1][0]
 
-    def mean_estimate(self, samples: int = 20000) -> float:
-        rng = random.Random(7)
-        total = sum(self.sample(rng) for _ in range(samples))
-        return total / samples
-
 
 #: Enterprise workload: mostly small request/response flows, tail to ~100 MB.
 ENTERPRISE = CongaDistribution(
@@ -87,11 +82,13 @@ DATA_MINING = CongaDistribution(
 DISTRIBUTIONS = {"enterprise": ENTERPRISE, "datamining": DATA_MINING}
 
 
-def sample_flow_sizes(
-    distribution: CongaDistribution, count: int, seed: int = 42
-) -> List[int]:
+#: seed of every flow-size draw
+FLOW_SIZE_SEED = 42
+
+
+def sample_flow_sizes(distribution: CongaDistribution, count: int) -> List[int]:
     """Draw ``count`` flow sizes (paper: "We draw 100000 flow sizes")."""
-    rng = random.Random(seed)
+    rng = random.Random(FLOW_SIZE_SEED)
     return [distribution.sample(rng) for _ in range(count)]
 
 

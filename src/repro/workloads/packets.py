@@ -71,12 +71,6 @@ class FlowSpec:
     ingress_port: int = 1
     protocol: int = IPPROTO_TCP
 
-    def packet_count(self) -> int:
-        """SYN + data + FIN for TCP; data only for UDP."""
-        if self.protocol == IPPROTO_TCP:
-            return self.data_packets + 2
-        return self.data_packets
-
 
 def flow_packets(spec: FlowSpec) -> Iterator[RawPacket]:
     """Emit a flow's packets in order: SYN, data..., FIN (TCP only)."""

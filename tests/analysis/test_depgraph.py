@@ -21,6 +21,20 @@ def find_inst(graph, predicate):
     return next(i for i in graph.instructions if predicate(i))
 
 
+def kinds(graph, src, dst):
+    """The dependency kinds on the edge ``src`` -> ``dst`` (maybe none)."""
+    return graph.edges.get((src.id, dst.id), frozenset())
+
+
+def statement_edges(graph):
+    """The graph's edges lifted to source statements (Figure 3's view)."""
+    stmt = {inst.id: inst.stmt_id for inst in graph.instructions}
+    return {
+        (stmt[a], stmt[b]) for a, b in graph.edges
+        if stmt[a] >= 0 and stmt[b] >= 0 and stmt[a] != stmt[b]
+    }
+
+
 class TestCanHappenAfter:
     def test_straight_line_order(self):
         lowered = lower(
@@ -76,7 +90,7 @@ class TestDependencyKinds:
             graph,
             lambda i: isinstance(i, irin.BinOp) and i.op is irin.BinOpKind.ADD,
         )
-        assert DependencyKind.DATA in graph.edge_kinds(assign_a, add)
+        assert DependencyKind.DATA in kinds(graph, assign_a, add)
 
     def test_anti_dependency_war(self):
         """find reads the map, insert writes it: insert depends on find."""
@@ -89,7 +103,7 @@ class TestDependencyKinds:
         graph = build_dependency_graph(lowered.process)
         find = find_inst(graph, lambda i: isinstance(i, irin.MapFind))
         insert = find_inst(graph, lambda i: isinstance(i, irin.MapInsert))
-        assert DependencyKind.ANTI in graph.edge_kinds(find, insert)
+        assert DependencyKind.ANTI in kinds(graph, find, insert)
 
     def test_control_dependency(self):
         lowered = lower(
@@ -103,7 +117,7 @@ class TestDependencyKinds:
             lambda i: isinstance(i, irin.Assign)
             and i.dst.name.startswith("b."),
         )
-        assert DependencyKind.CONTROL in graph.edge_kinds(branch, guarded)
+        assert DependencyKind.CONTROL in kinds(graph, branch, guarded)
 
     def test_output_commit_edge(self):
         """A global-state mutation orders before every reachable verdict."""
@@ -114,7 +128,7 @@ class TestDependencyKinds:
         graph = build_dependency_graph(lowered.process)
         insert = find_inst(graph, lambda i: isinstance(i, irin.MapInsert))
         send = find_inst(graph, lambda i: isinstance(i, irin.Send))
-        assert DependencyKind.OUTPUT_COMMIT in graph.edge_kinds(insert, send)
+        assert DependencyKind.OUTPUT_COMMIT in kinds(graph, insert, send)
 
     def test_no_output_commit_to_unreachable_verdict(self):
         lowered = lower(
@@ -128,7 +142,7 @@ class TestDependencyKinds:
         insert = find_inst(graph, lambda i: isinstance(i, irin.MapInsert))
         sends = [i for i in graph.instructions if isinstance(i, irin.Send)]
         reachable_edges = [
-            graph.edge_kinds(insert, send) for send in sends
+            kinds(graph, insert, send) for send in sends
         ]
         with_edge = [
             kinds for kinds in reachable_edges
@@ -143,7 +157,7 @@ class TestDependencyKinds:
         graph = build_dependency_graph(lowered.process)
         store = find_inst(graph, lambda i: isinstance(i, irin.StorePacketField))
         send = find_inst(graph, lambda i: isinstance(i, irin.Send))
-        assert DependencyKind.DATA in graph.edge_kinds(store, send)
+        assert DependencyKind.DATA in kinds(graph, store, send)
 
 
 class TestMiniLBFigure3:
@@ -162,7 +176,7 @@ class TestMiniLBFigure3:
         4 daddr=*bk, 5 send(hit), 6 idx, 7 bk2, 8 daddr=bk2, 9 insert,
         10 send(miss), 11 the if itself.
         """
-        edges = graph.statement_edges()
+        edges = statement_edges(graph)
         assert (1, 2) in edges  # hash32 -> key
         assert (2, 3) in edges  # key -> find
         assert (1, 6) in edges  # hash32 -> idx (miss path)
@@ -176,7 +190,7 @@ class TestMiniLBFigure3:
         insert = find_inst(graph, lambda i: isinstance(i, irin.MapInsert))
         sends = [i for i in graph.instructions if isinstance(i, irin.Send)]
         assert any(
-            DependencyKind.OUTPUT_COMMIT in graph.edge_kinds(insert, send)
+            DependencyKind.OUTPUT_COMMIT in kinds(graph, insert, send)
             for send in sends
         )
 

@@ -2,11 +2,7 @@
 
 from repro.analysis.depgraph import build_dependency_graph
 from repro.analysis.distance import dependency_distances
-from repro.analysis.liveness import (
-    compute_liveness,
-    live_ranges,
-    peak_live_bytes,
-)
+from repro.analysis.liveness import live_ranges, peak_live_bytes
 from repro.ir import lower_program
 from repro.ir import instructions as irin
 from repro.lang import parse_program
@@ -20,27 +16,6 @@ def lower(statements: str, members: str = ""):
 
 
 class TestLiveness:
-    def test_straight_line_live_in_empty_at_entry(self):
-        lowered = lower("uint32_t a = 1; uint32_t b = a; pkt->send();")
-        info = compute_liveness(lowered.process)
-        assert info.live_at_entry(lowered.process.entry) == set()
-
-    def test_branch_condition_live_into_blocks(self):
-        lowered = lower(
-            "uint32_t a = 1;"
-            " if (a) { uint32_t b = a + 1; pkt->send(); } else { pkt->drop(); }"
-        )
-        info = compute_liveness(lowered.process)
-        function = lowered.process
-        then_blocks = [
-            name for name in function.blocks if name.startswith("then")
-        ]
-        # `a` is used inside the then block, so it is live into it.
-        assert any(
-            any(n.startswith("a.") for n in info.live_in[name])
-            for name in then_blocks
-        )
-
     def test_live_ranges_cover_first_to_last_use(self):
         lowered = lower(
             "uint32_t a = 1; uint32_t b = 2; uint32_t c = a + b; pkt->send();"
@@ -73,6 +48,47 @@ class TestLiveness:
     def test_peak_live_bytes_positive(self):
         lowered = lower("uint32_t a = 1; uint32_t b = a; pkt->send();")
         assert peak_live_bytes(lowered.process) >= 4
+
+    def test_straight_line_ranges_open_at_their_definition(self):
+        """Nothing is live into a straight-line function: every
+        register's range opens at the instruction that defines it."""
+        lowered = lower("uint32_t a = 1; uint32_t b = a; pkt->send();")
+        instructions = list(lowered.process.instructions())
+        for name, (first, last) in live_ranges(lowered.process).items():
+            assert 0 <= first <= last < len(instructions), name
+            assert name in {reg.name for reg in instructions[first].defs()}
+
+    def test_branch_condition_range_reaches_its_use_in_the_branch(self):
+        lowered = lower(
+            "uint32_t a = 1;"
+            " if (a) { uint32_t b = a + 1; pkt->send(); } else { pkt->drop(); }"
+        )
+        function = lowered.process
+        instructions = list(function.instructions())
+        a_name = next(n for n in live_ranges(function) if n.startswith("a."))
+        uses = [
+            position for position, inst in enumerate(instructions)
+            if a_name in {reg.name for reg in inst.uses()}
+        ]
+        # `a` is read by the branch and again inside the then block.
+        assert len(uses) >= 2
+        first, last = live_ranges(function)[a_name]
+        assert first < min(uses) and last == max(uses)
+
+    def test_dead_temporaries_give_their_bytes_back(self):
+        """Three values that never overlap need one value's bytes, not
+        three (the §4.3.1 reuse the allocator relies on)."""
+        lowered = lower(
+            "iphdr *ip = pkt->network_header();"
+            " uint32_t a = 1; ip->saddr = a;"
+            " uint32_t b = 2; ip->daddr = b;"
+            " uint32_t c = 3; ip->id = c; pkt->send();"
+        )
+        function = lowered.process
+        registers = function.registers()
+        total = sum(registers[name].bytes for name in live_ranges(function))
+        peak = peak_live_bytes(function)
+        assert max(reg.bytes for reg in registers.values()) <= peak < total
 
 
 class TestDependencyDistance:

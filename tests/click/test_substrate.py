@@ -24,8 +24,6 @@ class TestPacket:
         packet = make_packet()
         assert packet.network_header().saddr == ip("1.1.1.1")
         assert packet.transport_header().sport == 5
-        assert packet.tcp_header().dport == 6
-        assert packet.udp_header() is None
         assert packet.payload() == b"pp"
         assert packet.length() == 14 + 20 + 20 + 2
 
@@ -33,11 +31,6 @@ class TestPacket:
         packet = make_packet()
         packet.send()
         assert packet.action is PacketAction.SEND
-
-    def test_send_to_records_port(self):
-        packet = make_packet()
-        packet.send_to(4)
-        assert packet.egress_port == 4
 
     def test_drop_sets_action(self):
         packet = make_packet()
@@ -88,7 +81,6 @@ class TestHashMap:
         table = HashMap()
         table.insert("x", 0)
         assert "x" in table
-        assert table.contains("x")
         assert len(table) == 1
 
     @given(st.dictionaries(st.integers(), st.integers(), max_size=50))
@@ -103,9 +95,8 @@ class TestHashMap:
 
 
 class TestVector:
-    def test_push_and_index(self):
-        vector = Vector([1, 2])
-        vector.push_back(3)
+    def test_index_and_size(self):
+        vector = Vector([1, 2, 3])
         assert vector[2] == 3
         assert vector.size() == 3
 
@@ -120,12 +111,6 @@ class TestVector:
         vector = Vector([1, 2])
         vector[1] = 9
         assert vector.snapshot() == [1, 9]
-
-    def test_pop_back(self):
-        vector = Vector([1, 2])
-        assert vector.pop_back() == 2
-        with pytest.raises(IndexError):
-            Vector().pop_back()
 
     def test_empty_and_clear(self):
         vector = Vector([1])
@@ -155,9 +140,3 @@ class TestElement:
 
         with pytest.raises(RuntimeError):
             Lazy().push(make_packet())
-
-    def test_reset_counters(self):
-        element = _CountingElement()
-        element.push(make_packet())
-        element.reset_counters()
-        assert element.packets_seen == 0

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from repro.net.fields import FIELDS
 from tests.conftest import get_compiled
 
 
@@ -74,6 +75,45 @@ class TestP4Emission:
     def test_no_loops_in_p4(self, middlebox_name, compiled):
         assert "while" not in compiled.p4_source
         assert not re.search(r"\bfor\s*\(", compiled.p4_source)
+
+
+#: field-table rows whose ``hdr.`` path the emitted headers declare at
+#: another width: the IR's 16-bit ``ip.frag_off`` is ``flags`` (3 bits)
+#: plus ``fragOffset`` (13 bits) in ``ipv4_t``
+KNOWN_WIDTH_DISAGREEMENTS = {("ip", "frag_off"): (16, 13)}
+
+
+def declared_header_fields(p4_source):
+    """``hdr.<member>.<field>`` -> width, read off ``headers_t`` and the
+    ``header`` types the emitted program declares."""
+    types = {
+        name: dict(
+            (field, int(width))
+            for width, field in re.findall(r"bit<(\d+)>\s+(\w+);", body)
+        )
+        for name, body in re.findall(r"header (\w+) \{([^}]*)\}", p4_source)
+    }
+    (members,) = re.findall(r"struct headers_t \{([^}]*)\}", p4_source)
+    return {
+        f"hdr.{member}.{field}": width
+        for type_name, member in re.findall(r"(\w+) (\w+);", members)
+        for field, width in types[type_name].items()
+    }
+
+
+def test_every_field_path_is_declared_at_its_width():
+    """Every ``hdr.`` path of the field table names a field the emitted
+    ``headers_t`` declares, at the row's width; the one disagreement
+    already known is the only one allowed."""
+    declared = declared_header_fields(get_compiled("minilb").p4_source)
+    disagreements = {}
+    for row in FIELDS:
+        if not row.p4.startswith("hdr."):
+            continue
+        assert row.p4 in declared, f"{row.key}: {row.p4} is not declared"
+        if declared[row.p4] != row.width:
+            disagreements[row.key] = (row.width, declared[row.p4])
+    assert disagreements == KNOWN_WIDTH_DISAGREEMENTS
 
 
 class TestEmittedConstants:

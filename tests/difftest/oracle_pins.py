@@ -57,11 +57,8 @@ from repro.partition.constraints import SwitchResources
 from repro.runtime.degradation import DegradationPolicy, DropAccounting
 from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
 from repro.runtime.spec import DeploymentSpec
-from repro.tenancy.faults import (
-    generate_tenant_plan,
-    run_fault_isolation_oracle,
-)
 from repro.tenancy.oracle import run_isolation_oracle
+from tests.tenancy.fault_isolation import fault_isolation, generate_tenant_plan
 
 GOLDEN = Path(__file__).parent / "golden" / "oracle_pins.json"
 
@@ -246,7 +243,7 @@ def tenancy_pins(plans: int) -> Dict[str, list]:
         plan = generate_tenant_plan(
             random.Random(PIN_SEED + index), TRIO, 40
         )
-        pins[f"plan{index:02d}"] = _isolation_row(run_fault_isolation_oracle(
+        pins[f"plan{index:02d}"] = _isolation_row(fault_isolation(
             TRIO, plan, packets_per_tenant=40, injector_seed=index,
         ))
     return pins

@@ -1,6 +1,10 @@
 """The seeded program generator: determinism, validity, coverage."""
 
-from repro.difftest.generator import generate_program, generate_source
+from repro.difftest.generator import generate_program
+
+
+def generate_source(seed):
+    return generate_program(seed).source()
 from repro.ir.lowering import lower_program
 from repro.lang.parser import parse_program
 

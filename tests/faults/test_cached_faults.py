@@ -178,7 +178,12 @@ def test_failure_to_corpus_to_replay_keeps_the_roles(deployment, tmp_path):
     size used to be dropped on the way into the corpus."""
     from repro.difftest.generator import generate_program
     from repro.faults.campaign import FaultFailure
-    from repro.faults.corpus import load_corpus, replay_entry, save_entry
+    from repro.faults.corpus import (
+        FaultCorpusEntry,
+        load_corpus,
+        replay_entry,
+        save_entry,
+    )
     from repro.faults.oracle import FaultOracleResult, FaultOutcome
 
     failure = FaultFailure(
@@ -198,7 +203,12 @@ def test_failure_to_corpus_to_replay_keeps_the_roles(deployment, tmp_path):
         f"--seed-override 3000011{deployment.cli_flags()}\n"
         in failure.report()
     )
-    save_entry(failure.corpus_entry("t"), tmp_path)
+    save_entry(FaultCorpusEntry(
+        name="t", source=failure.program.source(), stream=failure.stream,
+        fault_plan=failure.fault_plan, policy=failure.policy,
+        injector_seed=0, deployment_seed=0, found_by_seed=3000011,
+        deployment=failure.deployment,
+    ), tmp_path)
     (entry,) = load_corpus(tmp_path)
     assert entry.deployment == failure.deployment == deployment
     replayed = replay_entry(entry)

@@ -6,19 +6,17 @@ from repro.faults.campaign import (
     _DEPLOY_SALT,
     _INJECT_SALT,
     _PLAN_SALT,
-    derive_fault_seeds,
     run_campaign,
     seeds_for_program,
 )
 
 
-class TestSeedDerivation:
-    def test_pure_function_of_program_seed(self):
-        program_seed = derive_seeds(0, 17)[0]
-        direct = seeds_for_program(program_seed)
-        via_index = derive_fault_seeds(0, 17)
-        assert direct == via_index
+def derive_fault_seeds(master_seed, index):
+    """Scenario seeds for run ``index`` under ``master_seed``."""
+    return seeds_for_program(derive_seeds(master_seed, index)[0])
 
+
+class TestSeedDerivation:
     def test_salts_are_distinct(self):
         seeds = seeds_for_program(12345)
         assert seeds[0] == 12345

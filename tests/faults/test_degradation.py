@@ -157,7 +157,9 @@ class TestBatchFailure:
                 assert journey.retry_wait_us > 0
                 assert journey.sync_wait_us >= journey.retry_wait_us
         assert retried > 0
-        assert middlebox.switch.control_plane.batches_retried > 0
+        assert middlebox.telemetry.metrics.counter_value(
+            "control_plane.batches_retried"
+        ) > 0
 
 
 class TestServerCrash:
@@ -326,11 +328,3 @@ class TestSeedThreading:
             waits.add(middlebox.process_packet(packet(1), 1).sync_wait_us)
         assert len(waits) > 1
 
-    def test_reseed_is_public_and_sufficient(self):
-        # Reproducibility without touching private fields: reseeding the
-        # control plane replays the same jitter sequence.
-        middlebox = deploy(seed=7)
-        first = middlebox.process_packet(packet(1), 1).sync_wait_us
-        middlebox.switch.control_plane.reseed(7)
-        second = middlebox.process_packet(packet(2), 1).sync_wait_us
-        assert first == second

@@ -123,10 +123,13 @@ class TestPoolTimesStandby:
         after the resync and the re-baseline."""
         from repro.faults.injector import FaultInjector
         from repro.faults.plan import PrimarySwitchCrash
-        from repro.runtime.deployment import GalliumMiddlebox
+        from repro.runtime.deployment import (
+            GalliumMiddlebox,
+            compile_middlebox,
+        )
 
-        box = GalliumMiddlebox.from_source(
-            FAULTBOX, **POOLED_STANDBY.roles(),
+        box = GalliumMiddlebox(
+            *compile_middlebox(FAULTBOX), **POOLED_STANDBY.roles(),
             injector=FaultInjector(FaultPlan((
                 PrimarySwitchCrash(at_packet=4, promotion_window=8),
                 PoolMemberCrash(member="srv1", at_packet=5,
@@ -190,14 +193,17 @@ class TestPoolTimesCached:
         every evicted entry the victim owned is deleted."""
         from repro.faults.injector import FaultInjector
         from repro.runtime.cache import BoundedCache
-        from repro.runtime.deployment import GalliumMiddlebox
+        from repro.runtime.deployment import (
+            GalliumMiddlebox,
+            compile_middlebox,
+        )
         from repro.runtime.pool import ServerPool
         from repro.workloads.packets import make_tcp_packet
         from tests.faults.test_cached_faults import MAP_SOURCE
 
         def build(injector=None):
-            box = GalliumMiddlebox.from_source(
-                MAP_SOURCE, state_policy=BoundedCache(2),
+            box = GalliumMiddlebox(
+                *compile_middlebox(MAP_SOURCE), state_policy=BoundedCache(2),
                 punt_target=ServerPool(3), injector=injector,
             )
             box.install()

@@ -3,14 +3,10 @@
 import pytest
 
 from repro.faults.timeline import (
+    SERVICE_US,
     OutageScenario,
     RecoveryTimeline,
-    retry_latency_us,
     simulate_outage,
-)
-from repro.switchsim.control_plane import (
-    RetryPolicy,
-    expected_batch_latency_us,
 )
 
 
@@ -25,9 +21,7 @@ class TestSimulateOutage:
         # An unloaded, fault-free punt costs exactly one service slot —
         # the histogram percentile clamps to the observed maximum, so a
         # constant population reports its true value.
-        assert timeline.latency.percentile(0.99) == pytest.approx(
-            scenario.service_us
-        )
+        assert timeline.latency.percentile(0.99) == pytest.approx(SERVICE_US)
         assert timeline.added_p99_us() == pytest.approx(0.0)
 
     def test_conservation(self):
@@ -67,28 +61,6 @@ class TestSimulateOutage:
         assert runs[0].served == runs[1].served
         assert runs[0].latency.to_dict() == runs[1].latency.to_dict()
         assert runs[0].recovery_us == runs[1].recovery_us
-
-
-class TestRetryLatency:
-    def test_zero_failures_free(self):
-        assert retry_latency_us(0) == 0.0
-
-    def test_each_failure_adds_rpc_plus_backoff(self):
-        policy = RetryPolicy(base_backoff_us=100.0, backoff_multiplier=2.0,
-                             max_backoff_us=10_000.0)
-        base = expected_batch_latency_us(1, "modify")
-        assert retry_latency_us(1, policy) == pytest.approx(base + 100.0)
-        assert retry_latency_us(2, policy) == pytest.approx(
-            2 * base + 100.0 + 200.0
-        )
-
-    def test_backoff_caps(self):
-        policy = RetryPolicy(base_backoff_us=100.0, backoff_multiplier=10.0,
-                             max_backoff_us=150.0)
-        base = expected_batch_latency_us(1, "modify")
-        assert retry_latency_us(3, policy) == pytest.approx(
-            3 * base + 100.0 + 150.0 + 150.0
-        )
 
 
 class TestPercentiles:

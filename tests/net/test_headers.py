@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.addresses import ip, mac
-from repro.net.checksum import verify_checksum
+from repro.net.checksum import internet_checksum
 from repro.net.headers import (
     ETHERTYPE_IPV4,
     EthernetHeader,
@@ -44,7 +44,7 @@ class TestIpv4Header:
 
     def test_checksum_filled_and_valid(self):
         packed = Ipv4Header(saddr=ip("9.9.9.9"), daddr=ip("8.8.8.8")).pack()
-        assert verify_checksum(packed)
+        assert internet_checksum(packed) == 0
 
     def test_checksum_changes_with_rewrite(self):
         header = Ipv4Header(saddr=ip("1.1.1.1"), daddr=ip("2.2.2.2"))
@@ -82,13 +82,6 @@ class TestTcpHeader:
         )
         unpacked = TcpHeader.unpack(header.pack())
         assert unpacked == header
-
-    def test_flag_predicates(self):
-        assert TcpHeader(flags=TcpFlags.SYN).is_syn
-        assert not TcpHeader(flags=TcpFlags.SYN | TcpFlags.ACK).is_syn
-        assert TcpHeader(flags=TcpFlags.SYN | TcpFlags.ACK).is_synack
-        assert TcpHeader(flags=TcpFlags.FIN).is_fin
-        assert TcpHeader(flags=TcpFlags.RST).is_rst
 
     def test_describe_flags(self):
         assert TcpFlags.describe(TcpFlags.SYN | TcpFlags.ACK) == "SYN|ACK"

@@ -34,7 +34,6 @@ class TestConstraintReport:
             transfer_bytes_to_server=8, transfer_bytes_to_switch=4,
             state_access_sites={"m": 1},
         )
-        assert report.satisfied(SwitchResources())
         assert report.violations(SwitchResources()) == []
 
     def test_each_constraint_reported(self):
@@ -63,4 +62,4 @@ class TestConstraintReport:
 
     def test_single_access_site_not_a_violation(self):
         report = ConstraintReport(state_access_sites={"a": 1, "b": 1})
-        assert report.satisfied(SwitchResources())
+        assert not report.violations(SwitchResources())

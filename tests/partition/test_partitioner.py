@@ -168,7 +168,7 @@ class TestConstraints45Budgets:
             transfer_bytes=2,
         )
         plan = partition_middlebox(bundle.lowered, limits)
-        assert plan.report.satisfied(limits)
+        assert not plan.report.violations(limits)
 
     def test_tighter_budget_offloads_less(self):
         bundle = get_bundle("lb")

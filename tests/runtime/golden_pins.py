@@ -93,7 +93,6 @@ MIDDLEBOXES = ("minilb", "mazunat", "lb", "trojan")
 FLAVOURS: Dict[str, DeploymentSpec] = {
     "base": DeploymentSpec(),
     "cached": DeploymentSpec(cache_entries=CACHE_ENTRIES),
-    "failover-exact": DeploymentSpec(standby_detection="exact"),
     "failover-phi": DeploymentSpec(standby_detection="phi"),
     "cached+failover": DeploymentSpec(
         cache_entries=CACHE_ENTRIES, standby_detection="phi"
@@ -142,7 +141,6 @@ _POOL = FaultPlan(_BENIGN + (
 FAULT_PLANS: Dict[str, FaultPlan] = {
     "base": _SINGLE_SWITCH,
     "cached": _SINGLE_SWITCH,
-    "failover-exact": _FAILOVER,
     "failover-phi": _FAILOVER,
     "cached+failover": _FAILOVER,
     "pooled": _POOL,

@@ -41,7 +41,7 @@ class TestCacheBasics:
             middlebox.process_packet(
                 make_tcp_packet(f"10.9.0.{client + 1}", "10.0.0.100", 5, 80), 1
             )
-        occupancy = middlebox.state_policy.occupancy()["map"]
+        occupancy = middlebox.switch.tables["map"].entry_count
         assert occupancy <= 4
         assert middlebox.stats.evictions > 0
         # The authoritative server map still holds everything.

@@ -29,7 +29,7 @@ from tests.conftest import get_bundle
 from tests.faults.test_cached_faults import MAP_SOURCE
 
 
-def build(cache_entries=2, plan=None, injector_seed=0, detection="phi"):
+def build(cache_entries=2, plan=None, injector_seed=0):
     bundle = get_bundle("minilb")
     partition_plan, program = compile_middlebox(bundle.lowered)
     policy = DegradationPolicy()
@@ -38,7 +38,7 @@ def build(cache_entries=2, plan=None, injector_seed=0, detection="phi"):
         injector = FaultInjector(plan, seed=injector_seed)
     box = GalliumMiddlebox(
         partition_plan, program, state_policy=BoundedCache(cache_entries),
-        redundancy=ActiveStandby(detection),
+        redundancy=ActiveStandby(),
         config=bundle.config, policy=policy, injector=injector,
     )
     box.install()
@@ -64,7 +64,7 @@ class TestComposition:
     def test_install_bounds_active_and_replicates_standby_in_full(self):
         box = build(cache_entries=2)
         drive(box, 10)
-        assert box.state_policy.occupancy()["map"] <= 2
+        assert box.switch.tables["map"].entry_count <= 2
         assert box.stats.evictions > 0
         # Evictions are switch-local maintenance: the standby keeps the
         # full replicated copy, ready to be bounded at promotion.
@@ -95,7 +95,7 @@ class TestComposition:
         # The promoted switch carries a well-formed bounded cache: within
         # bound, FIFO tracking exactly the installed entries, every entry
         # backed by the authoritative map.
-        occupancy = box.state_policy.occupancy()["map"]
+        occupancy = box.switch.tables["map"].entry_count
         assert occupancy <= 2
         installed = box.switch.tables["map"].snapshot()
         assert set(box.state_policy._fifo["map"]) == set(installed)
@@ -109,7 +109,7 @@ class TestComposition:
         assert box.redundancy.promoted
         evictions_at_promotion = box.stats.evictions
         drive(box, 8, start=12)
-        assert box.state_policy.occupancy()["map"] <= 2
+        assert box.switch.tables["map"].entry_count <= 2
         assert box.stats.evictions > evictions_at_promotion
 
     def test_hot_flow_hits_cache_after_promotion(self):

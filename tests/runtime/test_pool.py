@@ -1,13 +1,16 @@
-"""The punt-path server pool: validation, equivalence, blast radius.
+"""The punt-path server pool: validation, equivalence, membership,
+blast radius.
 
-Three layers of guarantees:
+Four layers of guarantees:
 
 * construction fails loudly on a bad pool shape (``--servers N`` with
-  ``N < 1``, duplicate member names) — before any deployment machinery
-  spins up;
+  ``N < 1``) — before any deployment machinery spins up;
 * with no faults, a pooled deployment is byte-identical to the
   single-server one (the pool only spreads punts, it never changes
   semantics);
+* a planned drain retires its member, re-homes only its slots and
+  moves (and prices) exactly the entries it owned — and never retires
+  the last member;
 * a member crash stalls exactly the flows that member owns, live
   migration re-homes them, and full fallback never engages while a
   member survives.
@@ -19,11 +22,8 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, PoolMemberCrash, PoolMemberDrain
 from repro.runtime.degradation import DegradationPolicy
 from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
-from repro.runtime.pool import (
-    PooledDeployment,
-    default_member_names,
-    validate_member_names,
-)
+from repro.runtime.pool import PooledDeployment, default_member_names
+from repro.sim.clock import migration_us
 from tests.faults.test_degradation import FAULTBOX
 from repro.workloads.packets import make_tcp_packet
 
@@ -71,21 +71,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             default_member_names(True)
 
-    def test_duplicate_member_names_rejected(self):
-        with pytest.raises(ValueError, match="srv1"):
-            validate_member_names(["srv0", "srv1", "srv1"])
-
-    def test_empty_member_name_rejected(self):
-        with pytest.raises(ValueError):
-            validate_member_names(["srv0", ""])
-
     def test_deployment_rejects_bad_pool_before_install(self):
         partition, program = COMPILED
         with pytest.raises(ValueError):
             PooledDeployment(partition, program, servers=0)
-        with pytest.raises(ValueError):
-            PooledDeployment(partition, program,
-                             member_names=["a", "a"])
 
 
 class TestFaultFreeEquivalence:
@@ -118,59 +107,125 @@ class TestFaultFreeEquivalence:
         assert sum(1 for count in served if count > 0) >= 2
 
 
-class TestMembershipChanges:
-    def test_drain_unknown_member_rejected(self):
-        pooled = deploy_pool(servers=2)
-        with pytest.raises(ValueError, match="unknown member"):
-            pooled.pool.drain_member("ghost")
+class TestMembershipThroughThePlan:
+    """Membership changes only through the fault plan: a drain quiesces
+    its member for ``drain_window`` packets, then hands its slots and
+    the state they own to the survivors."""
 
-    def test_drain_last_member_rejected(self):
-        pooled = deploy_pool(servers=2)
-        pooled.pool.drain_member("srv0")
-        with pytest.raises(ValueError, match="last pool member"):
-            pooled.pool.drain_member("srv1")
+    QUEUE = DegradationPolicy(punt_queue_depth=64)
 
-    def test_join_duplicate_rejected(self):
-        pooled = deploy_pool(servers=2)
-        with pytest.raises(ValueError, match="already registered"):
-            pooled.pool.join_member("srv1")
-        pooled.pool.drain_member("srv0")
-        with pytest.raises(ValueError, match="already registered"):
-            pooled.pool.join_member("srv0")
+    def drained(self, *drains, servers=3):
+        return deploy_pool(servers=servers, plan=FaultPlan(drains),
+                           policy=self.QUEUE)
 
-    def test_drain_migrates_and_serving_continues(self):
-        pooled = deploy_pool(servers=3)
+    def test_drain_of_an_unknown_member_is_refused(self):
+        pooled = self.drained(PoolMemberDrain(member="ghost", at_packet=0))
+        with pytest.raises(ValueError, match="unknown member 'ghost'"):
+            pooled.process_packet(packet(1), 1)
+
+    def test_drain_retires_the_member_and_serving_continues(self):
+        pooled = self.drained(
+            PoolMemberDrain(member="srv1", at_packet=29, drain_window=3)
+        )
         for host in range(1, 30):
             pooled.process_packet(packet(host), 1)
-        drained = pooled.pool.drain_member("srv1")
-        assert drained >= 0
-        stats = pooled.pool.stats()
-        assert stats["retired"] == ["srv1"]
-        assert stats["migrations"] == 1
-        # Repeat packets for every flow fast-path; new flows still punt.
+        # Repeats fast-path, new flows punt to whoever owns them now.
         for host in range(1, 35):
             journey = pooled.process_packet(packet(host), 1)
-            assert not journey.degraded
+            assert not journey.degraded, f"host {host}"
+        pooled.recover()
+        stats = pooled.pool.stats()
+        assert stats["retired"] == ["srv1"]
+        assert sorted(stats["members"]) == ["srv0", "srv2"]
+        assert stats["migrations"] == 1
         metrics = pooled.telemetry.metrics
         assert metrics.counter_value("pool.member_drains") == 1
+        assert metrics.counter_value("pool.member_crashes") == 0
+        assert metrics.counter_value("pool.member_joins") == 0
+        assert pooled.accounting.fallback_packets == 0
 
-    def test_join_prices_migration_and_rebalances(self):
-        pooled = deploy_pool(servers=2)
-        for host in range(1, 20):
-            pooled.process_packet(packet(host), 1)
-        before_us = pooled.telemetry.clock.now_us
-        pooled.pool.join_member("srv9")
-        assert pooled.telemetry.clock.now_us > before_us
-        stats = pooled.pool.stats()
-        assert "srv9" in stats["members"]
-        assert stats["members"]["srv9"]["slots"] > 0
-        assert (
-            pooled.telemetry.metrics.counter_value("pool.member_joins") == 1
+    def test_drain_moves_exactly_the_entries_its_member_owned(self):
+        pooled = self.drained(
+            PoolMemberDrain(member="srv1", at_packet=29, drain_window=3)
         )
-        # Semantics survive the rebalance: repeats stay consistent.
-        for host in range(1, 25):
+        for host in range(1, 30):
+            pooled.process_packet(packet(host), 1)
+        pool = pooled.pool
+        owned = pool.count_owned(frozenset(pool.selector.slots_owned("srv1")))
+        assert owned > 0
+        # Repeats only: nothing new is committed while the window is open.
+        for host in range(1, 11):
+            assert pooled.process_packet(packet(host), 1).fast_path
+        assert pool.stats()["migrated_entries"] == owned
+
+    def test_drain_prices_its_migration_once(self):
+        pooled = self.drained(
+            PoolMemberDrain(member="srv2", at_packet=20, drain_window=2)
+        )
+        for host in range(1, 21):
+            pooled.process_packet(packet(host), 1)
+        pool = pooled.pool
+        owned = pool.count_owned(frozenset(pool.selector.slots_owned("srv2")))
+        for host in range(1, 6):
+            pooled.process_packet(packet(host), 1)
+        histogram = pooled.telemetry.metrics.histogram("pool.migration_us")
+        assert histogram.count == 1
+        assert histogram.sum == pytest.approx(migration_us(owned))
+
+    def test_drain_keeps_every_flow_exactly_once(self):
+        pooled = self.drained(
+            PoolMemberDrain(member="srv0", at_packet=10, drain_window=5)
+        )
+        hosts = [index % 17 + 1 for index in range(40)]
+        for host in hosts:
+            pooled.process_packet(packet(host), 1)
+        pooled.recover()
+        # Punts queued during the window are served after the handoff,
+        # so counter values may follow another order than arrival's.
+        unique = set(hosts)
+        assert len(pooled.state.maps["conn"]) == len(unique)
+        assert sorted(pooled.state.maps["conn"].values()) == list(
+            range(1, len(unique) + 1)
+        )
+        assert (
+            pooled.switch.tables["conn"].snapshot()
+            == pooled.state.maps["conn"]
+        )
+        for host in sorted(unique):
             journey = pooled.process_packet(packet(host), 1)
-            assert not journey.degraded
+            assert journey.fast_path and not journey.degraded
+
+    def test_drain_rehomes_only_the_drained_members_slots(self):
+        pooled = self.drained(
+            PoolMemberDrain(member="srv1", at_packet=5, drain_window=2)
+        )
+        before = list(pooled.pool.selector.member_table())
+        for host in range(1, 12):
+            pooled.process_packet(packet(host), 1)
+        after = pooled.pool.selector.member_table()
+        assert "srv1" not in after
+        for slot, owner in enumerate(before):
+            if owner != "srv1":
+                assert after[slot] == owner, f"slot {slot} moved"
+
+    def test_draining_the_last_member_keeps_it_serving(self):
+        pooled = self.drained(
+            PoolMemberDrain(member="srv0", at_packet=0, drain_window=2),
+            PoolMemberDrain(member="srv1", at_packet=6, drain_window=2),
+            servers=2,
+        )
+        for host in range(1, 21):
+            journey = pooled.process_packet(packet(host), 1)
+            assert not journey.degraded, f"host {host}"
+        pooled.recover()
+        stats = pooled.pool.stats()
+        assert stats["retired"] == ["srv0"]
+        assert list(stats["members"]) == ["srv1"]
+        assert stats["migrations"] == 1
+        assert (
+            pooled.telemetry.metrics.counter_value("pool.member_drains") == 2
+        )
+        assert pooled.accounting.fallback_packets == 0
 
 
 class TestCrashBlastRadius:

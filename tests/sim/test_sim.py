@@ -115,8 +115,8 @@ class TestLatencyModel:
         assert slow > model.baseline_us(60, 100)
 
     def test_population_statistics(self):
-        model = LatencyModel(seed=3)
-        sample = model.population([20.0] * 500, jitter_fraction=0.05)
+        model = LatencyModel()
+        sample = model.population([20.0] * 500)
         assert 19.0 <= sample.mean_us <= 21.0
         assert sample.std_us > 0
 

@@ -22,6 +22,11 @@ def make_control(tables=2):
     return ControlPlane(table_map, registers, seed=1), table_map, registers
 
 
+def count(control, name):
+    """One of the control plane's ``control_plane.*`` counters."""
+    return control.telemetry.metrics.counter_value(f"control_plane.{name}")
+
+
 class TestApplyBatch:
     def test_insert_visible_after_batch(self):
         control, tables, _ = make_control()
@@ -64,8 +69,8 @@ class TestApplyBatch:
         control, _, _ = make_control()
         control.apply_batch([StateUpdate("insert", "t0", (1,), 1)])
         control.apply_batch([StateUpdate("insert", "t0", (2,), 2)])
-        assert control.batches_applied == 2
-        assert control.updates_applied == 2
+        assert count(control, "batches_applied") == 2
+        assert count(control, "updates_applied") == 2
 
     def test_install_entries_bulk(self):
         control, tables, _ = make_control()
@@ -152,17 +157,6 @@ class TestLatencyCalibration:
             assert two == pytest.approx(2 * one)
             assert four < 2 * two  # incremental tables cost less
 
-    def test_reseed_reproduces_jitter(self):
-        control, _, _ = make_control()
-        control.reseed(42)
-        first = control.apply_batch(
-            [StateUpdate("insert", "t0", (1,), 1)]
-        ).visibility_latency_us
-        control.reseed(42)
-        second = control.apply_batch(
-            [StateUpdate("insert", "t0", (2,), 2)]
-        ).visibility_latency_us
-        assert first == second
 
 
 class TestRetryMachinery:
@@ -181,8 +175,8 @@ class TestRetryMachinery:
         assert result.attempts == 3
         assert result.retry_wait_us > 0
         assert tables["t0"].lookup((1,)) == (True, 5)
-        assert control.batches_retried == 2
-        assert control.batches_applied == 1
+        assert count(control, "batches_retried") == 2
+        assert count(control, "batches_applied") == 1
 
     def test_all_fail_exhaustion_not_applied(self):
         from repro.switchsim.control_plane import UpdateBatchError
@@ -193,7 +187,7 @@ class TestRetryMachinery:
         assert excinfo.value.applied is False
         assert excinfo.value.attempts == 4
         assert tables["t0"].lookup((1,)) == (False, 0)
-        assert control.batches_failed == 1
+        assert count(control, "batches_failed") == 1
 
     def test_timeout_then_fail_exhaustion_rolls_forward(self):
         """An early timed-out attempt lands the batch on the switch; if
@@ -207,8 +201,8 @@ class TestRetryMachinery:
         assert result.updates_applied == 1
         # The switch indeed kept the batch from the timed-out attempt.
         assert tables["t0"].lookup((1,)) == (True, 5)
-        assert control.batches_applied == 1
-        assert control.batches_failed == 0
+        assert count(control, "batches_applied") == 1
+        assert count(control, "batches_failed") == 0
 
     def test_timeout_retry_is_idempotent(self):
         control, tables = self.make_retrying(["timeout", None])
@@ -220,8 +214,6 @@ class TestRetryMachinery:
     def test_timeout_costs_more_than_fail(self):
         fail_control, _ = self.make_retrying(["fail", None])
         timeout_control, _ = self.make_retrying(["timeout", None])
-        fail_control.reseed(0)
-        timeout_control.reseed(0)
         update = [StateUpdate("insert", "t0", (1,), 5)]
         fail_wait = fail_control.apply_batch(update).retry_wait_us
         timeout_wait = timeout_control.apply_batch(update).retry_wait_us

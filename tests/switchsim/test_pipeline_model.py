@@ -23,7 +23,8 @@ from tests.conftest import get_bundle, get_compiled
 
 def make_adapter():
     tables = {"t": ExactMatchTable("t", [32], 32, 16)}
-    registers = {"r": Register("r", 32, initial=5)}
+    registers = {"r": Register("r", 32)}
+    registers["r"].control_write(5)
     return SwitchStateAdapter(tables, registers), tables, registers
 
 
@@ -168,24 +169,3 @@ class TestSwitchModel:
         assert decoded["__ingress_port"] == 1
         assert decoded["found5"] == 0
 
-    def test_shim_wire_bytes_round_trip(self):
-        bundle = get_bundle("minilb")
-        plan, program = compile_middlebox(bundle.lowered)
-        switch = SwitchModel(program)
-        packet = RawPacket.make_tcp(
-            EthernetHeader(),
-            Ipv4Header(saddr=ip("1.2.3.4"), daddr=ip("10.0.0.100")),
-            TcpHeader(sport=7, dport=80),
-        )
-        output = switch.receive(packet, 1)
-        punted = output.emitted[0][1]
-        wire = switch.shim_wire_bytes(punted)
-        # Ethernet (14) + shim + inner ethertype (2) + ip...
-        from repro.net.headers import ETHERTYPE_GALLIUM
-
-        assert int.from_bytes(wire[12:14], "big") == ETHERTYPE_GALLIUM
-        shim_len = program.shim_to_server.byte_size
-        inner_ethertype = int.from_bytes(
-            wire[14 + shim_len : 16 + shim_len], "big"
-        )
-        assert inner_ethertype == 0x0800

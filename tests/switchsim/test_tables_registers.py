@@ -253,12 +253,14 @@ class TestRegister:
         assert Register("r").read() == 0
 
     def test_rmw_returns_old_value(self):
-        register = Register("r", 32, initial=10)
+        register = Register("r", 32)
+        register.control_write(10)
         assert register.rmw(BinOpKind.ADD, 5) == 10
         assert register.read() == 15
 
     def test_width_wraps(self):
-        register = Register("r", 16, initial=0xFFFF)
+        register = Register("r", 16)
+        register.control_write(0xFFFF)
         register.rmw(BinOpKind.ADD, 1)
         assert register.value == 0
 

@@ -94,13 +94,19 @@ class TestCachedTrace:
     def churned(self):
         """A tiny cache under key churn: evictions, then a refill."""
         from repro.net.addresses import ip as ip_addr
-        from repro.runtime.cache import build_cached
+        from repro.runtime.cache import CachedGalliumMiddlebox
+        from repro.runtime.deployment import compile_middlebox
         from repro.telemetry import Telemetry
         from repro.workloads.packets import make_tcp_packet
+        from tests.conftest import get_bundle
 
+        bundle = get_bundle("minilb")
         telemetry = Telemetry(tracing=True)
-        middlebox = build_cached("minilb", cache_entries=2,
-                                 telemetry=telemetry)
+        middlebox = CachedGalliumMiddlebox(
+            *compile_middlebox(bundle.lowered), cache_entries=2,
+            config=bundle.config, telemetry=telemetry,
+        )
+        middlebox.install()
         middlebox.state.vectors["backends"] = [
             int(ip_addr("10.0.1.1")), int(ip_addr("10.0.1.2")),
         ]

@@ -4,51 +4,31 @@
 import pytest
 
 from repro.eval.experiments import fault_recovery
-from repro.telemetry import MetricsRegistry
 
 
 @pytest.fixture(scope="module")
 def table():
-    registry = MetricsRegistry()
-    header, rows = fault_recovery(punts=400, metrics=registry)
-    return header, rows, registry
+    return fault_recovery()
 
 
 class TestRecoveryGbps:
     def test_throughput_columns_present(self, table):
-        header, rows, _ = table
+        header, rows = table
         assert header[-3:] == [
             "Normal Gbps", "Fallback Gbps", "Effective Gbps"
         ]
         assert len(rows) == 9
 
     def test_fallback_costs_throughput(self, table):
-        _, rows, _ = table
+        _, rows = table
         for row in rows:
             normal, fallback, effective = row[-3:]
             assert fallback < normal
             assert fallback <= effective <= normal
 
     def test_longer_outages_cost_more(self, table):
-        _, rows, _ = table
+        _, rows = table
         # Same queue depth (32), growing outage: effective Gbps shrinks.
         by_outage = [row[-1] for row in rows if "queue=32" in row[0]]
         assert by_outage == sorted(by_outage, reverse=True)
         assert by_outage[0] > by_outage[-1]
-
-    def test_metrics_registry_surfaces_the_cost(self, table):
-        _, rows, registry = table
-        snapshot = registry.to_dict()
-        assert snapshot["gauges"]["recovery.normal_gbps"] > 0
-        key = "recovery.outage_50ms.queue_32.effective_gbps"
-        assert snapshot["gauges"][key] == pytest.approx(
-            [row[-1] for row in rows if "outage=50ms" in row[0]
-             and "queue=32" in row[0]][0],
-            abs=0.01,
-        )
-        dropped = "recovery.outage_50ms.queue_8.dropped"
-        assert snapshot["counters"][dropped] > 0
-
-    def test_metrics_argument_is_optional(self):
-        header, rows = fault_recovery(punts=100)
-        assert rows and len(header) == 9

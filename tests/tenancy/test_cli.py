@@ -63,6 +63,13 @@ class TestTenancyCommand:
         out = capsys.readouterr().out
         assert "memory_bytes" in out
 
+    @pytest.mark.parametrize("flags", [[], ["--admit-only"]])
+    def test_duplicate_tenant_refused_without_a_traceback(self, flags):
+        with pytest.raises(SystemExit) as refused:
+            main(["tenancy", "minilb", "minilb", *flags])
+        assert str(refused.value).startswith("error: TEN004:")
+        assert "minilb" in str(refused.value)
+
     def test_unknown_tenant_rejected(self):
         with pytest.raises(SystemExit, match="not a bundled"):
             main(["tenancy", "nope"])

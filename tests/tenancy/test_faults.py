@@ -1,5 +1,5 @@
 """Tenant-scoped fault injection: plan scoping, per-tenant injector
-seeds, the fault-isolation oracle, and the tenancy fault campaign.
+seeds, and the fault-isolation oracle.
 
 The property under test is the multi-tenant switch's blast-radius
 promise: a punt-link fault carved to one tenant degrades that tenant
@@ -17,14 +17,9 @@ from repro.faults.plan import (
     TenantLinkFault,
 )
 from repro.tenancy.deployment import MultiTenantDeployment
-from repro.tenancy.faults import (
-    generate_tenant_plan,
-    run_fault_isolation_oracle,
-    run_tenancy_fault_campaign,
-    scoped_plan,
-    tenant_injector_seed,
-)
+from repro.tenancy.faults import scoped_plan, tenant_injector_seed
 from repro.tenancy.oracle import build_tenant_specs
+from tests.tenancy.fault_isolation import fault_isolation, generate_tenant_plan
 
 NAMES = ["minilb", "mazunat", "lb"]
 
@@ -97,7 +92,7 @@ class TestDeploymentWiring:
 
 class TestIsolationOracle:
     def test_faulted_tenant_isolated_byte_exactly(self):
-        result = run_fault_isolation_oracle(
+        result = fault_isolation(
             NAMES, tenant_plan("mazunat", probability=0.6),
             packets_per_tenant=40, injector_seed=1,
         )
@@ -108,14 +103,14 @@ class TestIsolationOracle:
         assert sum(result.injected.values()) > 0
 
     def test_clean_plan_still_isolates(self):
-        result = run_fault_isolation_oracle(
+        result = fault_isolation(
             NAMES, FaultPlan(), packets_per_tenant=30,
         )
         assert result.ok
         assert result.injected == {}
 
 
-class TestCampaign:
+class TestPlanGenerator:
     def test_generated_plans_target_one_tenant(self):
         import random
 
@@ -127,23 +122,33 @@ class TestCampaign:
             assert targets <= set(NAMES)
             assert all(f.kind == "tenant_link" for f in plan.faults)
 
-    def test_campaign_scenarios_all_isolate(self):
-        scenarios = run_tenancy_fault_campaign(
-            NAMES, scenarios=4, packets_per_tenant=40, seed=0,
-        )
-        assert len(scenarios) == 4
-        assert all(s.ok for s in scenarios), [
-            (s.index, s.mismatches) for s in scenarios
-        ]
-        # Across the sweep the injectors must have fired somewhere.
-        assert any(sum(s.injected.values()) > 0 for s in scenarios)
+    def test_generated_plans_all_isolate(self):
+        import random
 
-    def test_campaign_is_deterministic(self):
+        rng = random.Random(0)
+        results = [
+            fault_isolation(
+                NAMES, generate_tenant_plan(rng, NAMES, 40),
+                packets_per_tenant=40, injector_seed=index,
+            )
+            for index in range(3)
+        ]
+        assert all(r.ok for r in results), [
+            [(v.name, v.mismatches) for v in r.verdicts] for r in results
+        ]
+        # Across the plans the injectors must have fired somewhere.
+        assert any(sum(r.injected.values()) > 0 for r in results)
+
+    def test_isolation_verdict_is_deterministic(self):
+        import random
+
         def run():
-            return [
-                s.to_dict() for s in run_tenancy_fault_campaign(
-                    NAMES, scenarios=2, packets_per_tenant=30, seed=9,
-                )
-            ]
+            plan = generate_tenant_plan(random.Random(9), NAMES, 30)
+            result = fault_isolation(NAMES, plan, packets_per_tenant=30,
+                                     injector_seed=9)
+            return (
+                result.ok, result.injected,
+                [(v.name, v.mismatches) for v in result.verdicts],
+            )
 
         assert run() == run()

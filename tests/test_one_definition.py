@@ -138,7 +138,7 @@ def test_migration_cost():
 
 def test_retry_backoff():
     """The nominal backoff is ``RetryPolicy.nominal_backoff_us``; the
-    jittered wait and the timeline's worst case both read it."""
+    jittered wait reads it."""
     assert matching(
         r"\.(base_backoff_us|backoff_multiplier|max_backoff_us)\b"
     ) == [
@@ -146,7 +146,6 @@ def test_retry_backoff():
         ("switchsim/control_plane.py", "to_dict"),
     ]
     assert sites("nominal_backoff_us(") == [
-        ("faults/timeline.py", "retry_latency_us"),
         ("switchsim/control_plane.py", "backoff_us"),
         ("switchsim/control_plane.py", "nominal_backoff_us"),
     ]

@@ -59,7 +59,8 @@ def _compile(source):
 
 
 def _codes(result, cache_mode=False):
-    return verify_compilation(result, cache_mode=cache_mode).codes()
+    report = verify_compilation(result, cache_mode=cache_mode)
+    return [d.code for d in report.diagnostics]
 
 
 def _rmws(plan, partition=None):

@@ -33,9 +33,6 @@ class TestFlowPackets:
         assert len(packets) == 3
         assert all(p.udp is not None for p in packets)
 
-    def test_packet_count_helper(self):
-        assert FlowSpec("a", "b", 1, 2, data_packets=5).packet_count() == 7
-
     def test_payload_size(self):
         spec = FlowSpec("1.1.1.1", "2.2.2.2", 10, 20, data_packets=1,
                         payload_size=100)
@@ -70,22 +67,22 @@ class TestCongaDistributions:
     def test_ninety_percent_small(self):
         """Paper: 90% of flows in both workloads are < 10 packets."""
         for distribution in (ENTERPRISE, DATA_MINING):
-            sizes = sample_flow_sizes(distribution, 5000, seed=1)
+            sizes = sample_flow_sizes(distribution, 5000)
             small = sum(1 for s in sizes if packets_in_flow(s) <= 10)
             assert small / len(sizes) >= 0.85, distribution.name
 
     def test_datamining_tail_heavier(self):
         """Paper §6.3: the data-mining workload's long flows are longer."""
-        enterprise = sample_flow_sizes(ENTERPRISE, 20000, seed=2)
-        datamining = sample_flow_sizes(DATA_MINING, 20000, seed=2)
+        enterprise = sample_flow_sizes(ENTERPRISE, 20000)
+        datamining = sample_flow_sizes(DATA_MINING, 20000)
         assert max(datamining) > max(enterprise)
         top_e = sorted(enterprise)[-100:]
         top_d = sorted(datamining)[-100:]
         assert sum(top_d) > sum(top_e)
 
     def test_sampling_deterministic_by_seed(self):
-        a = sample_flow_sizes(ENTERPRISE, 100, seed=5)
-        b = sample_flow_sizes(ENTERPRISE, 100, seed=5)
+        a = sample_flow_sizes(ENTERPRISE, 100)
+        b = sample_flow_sizes(ENTERPRISE, 100)
         assert a == b
 
     def test_sample_within_knot_bounds(self):
@@ -98,9 +95,6 @@ class TestCongaDistributions:
     @settings(max_examples=50)
     def test_packets_in_flow_positive(self, size):
         assert packets_in_flow(size) >= 1
-
-    def test_mean_estimate_sane(self):
-        assert DATA_MINING.mean_estimate(2000) > ENTERPRISE.mean_estimate(2000)
 
     def test_distribution_registry(self):
         assert set(DISTRIBUTIONS) == {"enterprise", "datamining"}
