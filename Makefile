@@ -282,10 +282,22 @@ obs-smoke:
 # shared switch, run the interleaved workload, and require byte-exact
 # per-tenant isolation against solo runs (exit 1 on any mismatch or lint
 # error).  The JSON report is validated against the checked-in schema.
+# Then the two refusals: an over-budget set exits 1 naming the rejected
+# tenant and the exhausted resource, and a duplicate tenant name exits 1
+# with one `error: TEN004:` line and no traceback.
 tenancy-smoke:
 	$(PYTHON) -m repro tenancy --packets 60
 	$(PYTHON) -m repro tenancy --packets 30 --json \
 		| $(PYTHON) -m repro.telemetry.schema tenancy -
+	$(PYTHON) -m repro tenancy minilb mazunat lb firewall proxy \
+		--admit-only > tenancy_refusal.txt; test $$? -eq 1
+	grep -q proxy tenancy_refusal.txt
+	grep -q table_slots tenancy_refusal.txt
+	$(PYTHON) -m repro tenancy minilb minilb --admit-only \
+		2> tenancy_refusal.txt; test $$? -eq 1
+	grep -q "^error: TEN004:" tenancy_refusal.txt
+	! grep -q Traceback tenancy_refusal.txt
+	rm -f tenancy_refusal.txt
 
 # The repo benchmark's own smoke run (perfbench/README.md): the harness
 # self-test, then every workload briefly with all correctness checks on

@@ -309,11 +309,11 @@ def cmd_tenancy(args) -> int:
 
     from repro.telemetry.schema import check
     from repro.tenancy import (
+        DuplicateTenantError,
         SharedSwitchBudget,
         SwitchResourceAllocator,
         build_tenant_specs,
     )
-    from repro.tenancy.lint import verify_combined
     from repro.tenancy.oracle import run_isolation_oracle
 
     names = list(args.tenants) if args.tenants else list(DEFAULT_TENANTS)
@@ -323,39 +323,36 @@ def cmd_tenancy(args) -> int:
                 f"error: {name!r} is not a bundled middlebox"
                 f" ({', '.join(MIDDLEBOX_NAMES)})"
             )
-    twice = sorted({name for name in names if names.count(name) > 1})
-    if twice:
-        raise SystemExit(
-            f"error: TEN004: tenant named twice: {', '.join(twice)}"
-            " (its namespaced state would collide)"
-        )
-    defaults = SharedSwitchBudget()
-    budget = SharedSwitchBudget(
-        memory_bytes=args.budget_memory or defaults.memory_bytes,
-        pipeline_depth=args.budget_stages or defaults.pipeline_depth,
-        table_slots_per_stage=(
-            args.budget_table_slots or defaults.table_slots_per_stage
-        ),
-        phv_bytes=args.budget_phv or defaults.phv_bytes,
-    )
+    overrides = {
+        axis: value for axis, value in (
+            ("memory_bytes", args.budget_memory),
+            ("pipeline_depth", args.budget_stages),
+            ("table_slots_per_stage", args.budget_table_slots),
+            ("phv_bytes", args.budget_phv),
+        ) if value is not None
+    }
+    budget = SharedSwitchBudget(**overrides)
     specs = build_tenant_specs(names)
-    lint_report = verify_combined(specs, budget)
     isolation = None
     series_window = (
         args.series_window if args.series_window > 0 else None
     )
-    if args.admit_only:
-        admission = SwitchResourceAllocator(budget).admit(specs)
-    else:
-        isolation = run_isolation_oracle(
-            names,
-            packets_per_tenant=args.packets,
-            budget=budget,
-            seed=args.seed,
-            fast_path=args.fast_path,
-            series_window_us=series_window,
-        )
-        admission = isolation.admission
+    try:
+        if args.admit_only:
+            admission = SwitchResourceAllocator(budget).admit(specs)
+        else:
+            isolation = run_isolation_oracle(
+                specs,
+                packets_per_tenant=args.packets,
+                budget=budget,
+                seed=args.seed,
+                fast_path=args.fast_path,
+                series_window_us=series_window,
+            )
+            admission = isolation.admission
+    except DuplicateTenantError as exc:
+        raise SystemExit(f"error: {exc}")
+    lint_report = admission.lint()
     if args.json:
         payload = {
             "version": 1,

@@ -63,15 +63,6 @@ Pool fault classes (punt-path server pools only)
     drain window, then hands its flow state off gracefully — same
     migration mechanics, zero reconstruction.
 
-Tenancy fault classes (multi-tenant deployments only)
------------------------------------------------------
-:class:`TenantLinkFault`
-    A :class:`LinkFault` scoped to one named tenant of a
-    :class:`~repro.tenancy.deployment.MultiTenantDeployment`: only that
-    tenant's punt-path frames are at risk.  The isolation oracle pins
-    that the faulted tenant degrades exactly as it would solo under the
-    same faults, while every co-resident tenant stays byte-exact clean.
-
 A fault that stays open for a bounded number of packets names the field
 holding that number once, as its class's ``window_field``
 (:func:`window_length` reads it).  :func:`generate_plan` draws a schedule
@@ -206,25 +197,6 @@ class StandbyStaleReplay(_Ranged):
 
 
 @dataclass(frozen=True)
-class TenantLinkFault(_Ranged):
-    kind = "tenant_link"
-    tenant: str = ""
-    direction: str = "to_server"  # "to_server" | "to_switch"
-    mode: str = "loss"  # "loss" | "corrupt"
-    probability: float = 0.1
-    start: int = 0
-    stop: Optional[int] = None
-
-    def as_link_fault(self) -> "LinkFault":
-        """The equivalent unscoped fault, for the tenant's own injector
-        (and for replaying the tenant solo under identical conditions)."""
-        return LinkFault(
-            direction=self.direction, mode=self.mode,
-            probability=self.probability, start=self.start, stop=self.stop,
-        )
-
-
-@dataclass(frozen=True)
 class PoolMemberCrash(_Placed):
     kind = "pool_member_crash"
     window_field = "migration_window"
@@ -254,7 +226,7 @@ FAULT_KINDS: Dict[str, Type] = {
         LinkFault, BatchFault, WritebackOverflow, ServerCrash,
         SwitchReprogram, StaleReplication, PuntReorder,
         PrimarySwitchCrash, CrashDuringBatch, StandbyStaleReplay,
-        TenantLinkFault, PoolMemberCrash, PoolMemberDrain,
+        PoolMemberCrash, PoolMemberDrain,
     )
 }
 
@@ -349,11 +321,6 @@ def _describe(spec) -> str:
         return (
             f"standby stale replay p={spec.probability}"
             f" [{spec.start},{spec.stop})"
-        )
-    if isinstance(spec, TenantLinkFault):
-        return (
-            f"tenant {spec.tenant!r} link {spec.mode} {spec.direction}"
-            f" p={spec.probability} [{spec.start},{spec.stop})"
         )
     if isinstance(spec, PoolMemberCrash):
         return (

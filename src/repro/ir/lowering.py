@@ -195,6 +195,14 @@ class _MethodLowering:
         self.middlebox = middlebox
         self.method = method
         self.builder = FunctionBuilder(f"{middlebox.name}.{method.name}")
+        for member in middlebox.members:
+            entries = member.annotations.get("max_entries")
+            if entries is not None and not isinstance(entries, int):
+                raise LoweringError(
+                    f"member {member.name!r}: max_entries must be an"
+                    f" integer, got {entries!r}",
+                    member.location,
+                )
         self.state: Dict[str, StateMember] = {
             m.name: StateMember(m.name, m.member_type, m.annotations)
             for m in middlebox.members
@@ -813,6 +821,11 @@ class _MethodLowering:
             self.builder.emit(irin.Send(stmt_id=stmt_id, location=loc))
             return None
         if name == "send_to":
+            if len(expr.args) != 1:
+                raise LoweringError(
+                    f"Packet.send_to expects 1 argument, got {len(expr.args)}",
+                    loc,
+                )
             port = self._as_operand(
                 self._lower_expr(expr.args[0], scope, stmt_id), loc, stmt_id
             )

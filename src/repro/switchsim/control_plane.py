@@ -78,8 +78,9 @@ class StateUpdate(NamedTuple):
 class RetryPolicy:
     """Capped exponential backoff for failed update batches.
 
-    Every backoff constant and the timed-out-RPC cost multiple is
-    constructor-configurable per deployment.
+    Every backoff constant is constructor-configurable per deployment; a
+    timed-out attempt costs :data:`TIMEOUT_MULTIPLE` of its nominal
+    latency.
     """
 
     max_attempts: int = 4
@@ -87,8 +88,6 @@ class RetryPolicy:
     backoff_multiplier: float = 2.0
     max_backoff_us: float = 5_000.0
     jitter_fraction: float = 0.1
-    #: A timed-out batch RPC costs this multiple of its nominal latency.
-    timeout_multiple: float = TIMEOUT_MULTIPLE
 
     def nominal_backoff_us(self, attempt: int) -> float:
         """Jitter-free wait before retry number ``attempt`` (1-based)."""
@@ -109,7 +108,6 @@ class RetryPolicy:
             "backoff_multiplier": self.backoff_multiplier,
             "max_backoff_us": self.max_backoff_us,
             "jitter_fraction": self.jitter_fraction,
-            "timeout_multiple": self.timeout_multiple,
         }
 
     @classmethod
@@ -677,11 +675,7 @@ class ControlPlane:
     def _attempt_cost_us(self, tables: int, op: str, kind: str) -> float:
         """Wall-clock burned by one failed attempt."""
         nominal = _batch_latency_us(tables, op, self._rng)
-        timeout_multiple = (
-            self.retry.timeout_multiple if self.retry is not None
-            else TIMEOUT_MULTIPLE
-        )
-        return nominal * (timeout_multiple if kind == "timeout" else 1.0)
+        return nominal * (TIMEOUT_MULTIPLE if kind == "timeout" else 1.0)
 
 
 @lru_cache(maxsize=None)

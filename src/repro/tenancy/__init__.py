@@ -9,23 +9,23 @@ shape needs:
   compiled artifacts under one :class:`~repro.tenancy.allocator.\
 SharedSwitchBudget` (stage placement, SRAM carving, PHV arbitration),
   with deterministic admission order and actionable rejection
-  diagnostics.
+  diagnostics; the admission report is also the combined artifact's
+  lint (:meth:`~repro.tenancy.allocator.AdmissionReport.lint`).
 * :mod:`repro.tenancy.deployment` — a
   :class:`~repro.tenancy.deployment.MultiTenantDeployment` installing all
   admitted programs on one simulated pipeline, dispatching packets by
-  ingress port or VLAN, isolating per-tenant state namespaces, and
-  running every tenant's control plane as a concurrent submitter on one
-  shared FIFO RPC channel.
+  ingress-port block, keeping each tenant's state its own, and running
+  every tenant's control plane as a concurrent submitter on one shared
+  FIFO RPC channel.
 * :mod:`repro.tenancy.oracle` — the tenant-isolation oracle: each
   tenant's multi-tenant run must be byte-identical (verdicts, egress
   bytes, final register/table state) to its solo deployment.
-* :mod:`repro.tenancy.lint` — P4-lint of the *combined* artifact against
-  constraints 1–5.
 """
 
 from repro.tenancy.allocator import (
     AdmissionRejection,
     AdmissionReport,
+    DuplicateTenantError,
     SharedSwitchBudget,
     SwitchResourceAllocator,
     TenantPlacement,
@@ -36,6 +36,7 @@ from repro.tenancy.allocator import (
 __all__ = [
     "AdmissionRejection",
     "AdmissionReport",
+    "DuplicateTenantError",
     "SharedSwitchBudget",
     "SwitchResourceAllocator",
     "TenantPlacement",

@@ -31,16 +31,22 @@ from typing import Dict, List, Optional, Sequence
 from repro.partition.constraints import SwitchResources
 from repro.partition.plan import PartitionPlan
 from repro.switchsim.program import SERVER_PORT, SwitchProgram
+from repro.verify.diagnostics import STAGE_TENANCY, VerificationReport, error
 
 #: Local port numbering inside one tenant's slice: the one wiring's.
 PORTS_PER_TENANT = 4
 
-#: VLAN ids assigned to admitted tenants start here (100, 101, ...).
-VLAN_BASE = 100
+#: Stages reserved at the front of the pipeline for tenant dispatch.
+DISPATCH_STAGES = 1
 
-#: PHV bytes consumed by the shared dispatch machinery (tenant id + the
-#: original-VLAN scratch field), counted once, not per tenant.
+#: PHV bytes consumed by the shared dispatch machinery, counted once, not
+#: per tenant.
 DISPATCH_PHV_BYTES = 4
+
+
+class DuplicateTenantError(ValueError):
+    """Two specs share a tenant name, so their state would share one
+    namespace."""
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +75,6 @@ class SharedSwitchBudget:
     table_slots_per_stage: int = 4
     #: PHV bytes available to tenant metadata + shim fields combined.
     phv_bytes: int = 128
-    #: Stages reserved at the front of the pipeline for tenant dispatch.
-    dispatch_stages: int = 1
 
     @classmethod
     def tofino_like(cls) -> "SharedSwitchBudget":
@@ -92,7 +96,7 @@ class SharedSwitchBudget:
             "pipeline_depth": self.pipeline_depth,
             "table_slots_per_stage": self.table_slots_per_stage,
             "phv_bytes": self.phv_bytes,
-            "dispatch_stages": self.dispatch_stages,
+            "dispatch_stages": DISPATCH_STAGES,
         }
 
 
@@ -148,7 +152,7 @@ class TenantPlacement:
     """Where an admitted tenant landed on the shared switch."""
 
     name: str
-    #: order among admitted tenants (drives port base and VLAN id)
+    #: order among admitted tenants (drives the port base)
     index: int
     #: contiguous SRAM carve [offset, offset + memory_bytes)
     memory_offset: int
@@ -157,7 +161,6 @@ class TenantPlacement:
     stage_first: int
     stage_last: int
     phv_bytes: int
-    vlan: int
     port_base: int
 
     @property
@@ -173,7 +176,6 @@ class TenantPlacement:
             "stage_first": self.stage_first,
             "stage_last": self.stage_last,
             "phv_bytes": self.phv_bytes,
-            "vlan": self.vlan,
             "port_base": self.port_base,
         }
 
@@ -223,9 +225,58 @@ class AdmissionReport:
             # so the deepest one already counts it.
             "stages": max(
                 (p.stage_last for p in self.admitted),
-                default=self.budget.dispatch_stages,
+                default=DISPATCH_STAGES,
             ),
         }
+
+    def lint(self) -> VerificationReport:
+        """The combined artifact's verification report: ``TEN001`` for
+        each rejection, ``TEN002`` for each budget axis the admitted
+        totals overflow (constraints 1, 2 and 4+5 as PHV).
+
+        Constraint 3 (single access site per stateful element) is
+        inherited: each tenant's elements stay its own, so co-residency
+        cannot add access sites.  Admission holds each tenant to what the
+        dispatch machinery leaves, so the totals fail only on a budget
+        the dispatch stage or its PHV bytes overflow by themselves.
+        """
+        names = sorted(
+            [p.name for p in self.admitted] + [r.name for r in self.rejected]
+        )
+        report = VerificationReport(program=f"tenancy[{'+'.join(names)}]")
+        report.extend([
+            error("TEN001", STAGE_TENANCY, rejection.message,
+                  function=rejection.name)
+            for rejection in self.rejected
+        ])
+        totals = self.totals()
+        checks = (
+            (
+                totals["memory_bytes"],
+                self.budget.memory_bytes,
+                "combined table+register memory",
+                "B (constraint 1)",
+            ),
+            (
+                totals["stages"],
+                self.budget.pipeline_depth,
+                "combined pipeline depth incl. dispatch",
+                "stages (constraint 2)",
+            ),
+            (
+                totals["phv_bytes"],
+                self.budget.phv_bytes,
+                "combined PHV (metadata + shim headers + dispatch"
+                f" {DISPATCH_PHV_BYTES} B)",
+                "B (constraints 4+5)",
+            ),
+        )
+        report.extend([
+            error("TEN002", STAGE_TENANCY, f"{what} {used} > {limit} {unit}")
+            for used, limit, what, unit in checks
+            if used > limit
+        ])
+        return report
 
     def to_dict(self) -> dict:
         return {
@@ -241,7 +292,7 @@ class AdmissionReport:
         lines.append(
             f"budget: {self.budget.memory_bytes} B SRAM,"
             f" {self.budget.pipeline_depth} stages"
-            f" ({self.budget.dispatch_stages} dispatch),"
+            f" ({DISPATCH_STAGES} dispatch),"
             f" {self.budget.table_slots_per_stage} table slots/stage,"
             f" {self.budget.phv_bytes} B PHV"
         )
@@ -251,7 +302,7 @@ class AdmissionReport:
                 f" [{placement.memory_offset},"
                 f" {placement.memory_offset + placement.memory_bytes}),"
                 f" stages {placement.stage_first}-{placement.stage_last},"
-                f" {placement.phv_bytes} B PHV, vlan {placement.vlan},"
+                f" {placement.phv_bytes} B PHV,"
                 f" ports {placement.port_base + 1}-{placement.server_port}"
             )
         for rejection in self.rejected:
@@ -276,22 +327,20 @@ class SwitchResourceAllocator:
         admit/reject verdict set never depends on submission order.  A
         tenant that does not fit is rejected and admission continues —
         one oversized tenant must not shadow-reject everything sorted
-        after it.
+        after it.  Two specs with one name are refused before anything
+        is placed: their state would share one namespace.
         """
         names = [spec.name for spec in tenants]
-        if len(set(names)) != len(names):
-            duplicates = sorted(
-                {name for name in names if names.count(name) > 1}
-            )
-            raise ValueError(
-                f"duplicate tenant name(s): {', '.join(duplicates)}"
+        duplicates = sorted({name for name in names if names.count(name) > 1})
+        if duplicates:
+            raise DuplicateTenantError(
+                f"TEN004: duplicate tenant name(s): {', '.join(duplicates)}"
+                " (their namespaced state would collide)"
             )
         report = AdmissionReport(budget=self.budget)
         memory_offset = 0
         phv_used = DISPATCH_PHV_BYTES
-        tenant_stages = (
-            self.budget.pipeline_depth - self.budget.dispatch_stages
-        )
+        tenant_stages = self.budget.pipeline_depth - DISPATCH_STAGES
         slot_usage = [0] * (tenant_stages + 1)  # 1-based tenant stages
         for spec in sorted(tenants, key=lambda s: s.name):
             rejection = self._check(
@@ -307,10 +356,9 @@ class SwitchResourceAllocator:
                 index=index,
                 memory_offset=memory_offset,
                 memory_bytes=spec.memory_bytes,
-                stage_first=self.budget.dispatch_stages + 1,
-                stage_last=self.budget.dispatch_stages + spec.stage_depth,
+                stage_first=DISPATCH_STAGES + 1,
+                stage_last=DISPATCH_STAGES + spec.stage_depth,
                 phv_bytes=spec.phv_bytes,
-                vlan=VLAN_BASE + index,
                 port_base=index * PORTS_PER_TENANT,
             )
             report.admitted.append(placement)
@@ -336,7 +384,7 @@ class SwitchResourceAllocator:
                 f"tenant {spec.name!r} rejected: pipeline_depth exhausted —"
                 f" needs {spec.stage_depth} stages but only"
                 f" {tenant_stages} remain after the"
-                f" {self.budget.dispatch_stages}-stage dispatch"
+                f" {DISPATCH_STAGES}-stage dispatch"
                 f" (budget {self.budget.pipeline_depth})",
             )
         remaining = self.budget.memory_bytes - memory_offset
@@ -366,7 +414,7 @@ class SwitchResourceAllocator:
                 return AdmissionRejection(
                     spec.name, "table_slots",
                     f"tenant {spec.name!r} rejected: table_slots exhausted"
-                    f" at stage {self.budget.dispatch_stages + stage} —"
+                    f" at stage {DISPATCH_STAGES + stage} —"
                     f" needs {needed} slot(s), {free} of"
                     f" {self.budget.table_slots_per_stage} remain"
                     f" (held by {holders})",

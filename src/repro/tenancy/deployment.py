@@ -1,12 +1,12 @@
 """The multi-tenant switch: all admitted programs on one pipeline.
 
 One physical switch fronts N admitted middleboxes (§4.3.1 generalized):
-the combined program's first table matches the ingress port (and the VLAN
-tag, when present) to pick the owning tenant, then jumps into that
-tenant's pre/post pipelines.  In the simulator each tenant's pipelines,
-tables, and registers are its solo-compiled artifacts installed side by
-side — the dispatch stage and the per-tenant port/SRAM/PHV carve come
-from the :class:`~repro.tenancy.allocator.AdmissionReport`.
+the combined program's first table matches the ingress port to pick the
+owning tenant, then jumps into that tenant's pre/post pipelines.  In the
+simulator each tenant's pipelines, tables, and registers are its
+solo-compiled artifacts installed side by side — the dispatch stage and
+the per-tenant port/SRAM/PHV carve come from the one
+:class:`~repro.tenancy.allocator.AdmissionReport` the deployment makes.
 
 Isolation model
 ---------------
@@ -27,9 +27,7 @@ Dispatch
 Global ingress ports are carved in blocks of
 :data:`~repro.tenancy.allocator.PORTS_PER_TENANT` per tenant (tenant *i*
 owns ``base = i * 4``: ``base+1``/``base+2`` network, ``base+3`` its punt
-port).  A packet carrying a ``vlan`` metadata tag is dispatched by the
-tenant's admitted VLAN id instead, arriving on the tenant's local port 1.
-Egress ports in every emitted pair are translated back to global.
+port).  Egress ports in every emitted pair are translated back to global.
 """
 
 from __future__ import annotations
@@ -50,9 +48,6 @@ from repro.tenancy.allocator import (
     TenantPlacement,
     TenantSpec,
 )
-
-#: Metadata key carrying a packet's VLAN tag (dispatch alternative to port).
-VLAN_KEY = "vlan"
 
 
 class TenantDispatchError(Exception):
@@ -77,87 +72,6 @@ class TenantRuntime:
         return kernel.end_state(self.middlebox)
 
 
-class MultiTenantSwitchModel:
-    """The shared-pipeline view over all admitted tenants.
-
-    Presents the combined switch the way the emitted P4 artifact would:
-    one dispatch function from (ingress port, VLAN) to the owning tenant,
-    and tenant-namespaced ``tables``/``registers`` views over the carved
-    state (the underlying objects *are* each tenant's — the namespace
-    prefix is the isolation boundary made visible).
-    """
-
-    def __init__(self, tenants: List[TenantRuntime]):
-        self._tenants = tenants
-        self._by_name = {t.name: t for t in tenants}
-        self._by_vlan = {t.placement.vlan: t for t in tenants}
-
-    @property
-    def tenants(self) -> List[TenantRuntime]:
-        return list(self._tenants)
-
-    @property
-    def tables(self) -> Dict[str, object]:
-        return {
-            f"{tenant.name}.{name}": table
-            for tenant in self._tenants
-            for name, table in tenant.middlebox.switch.tables.items()
-        }
-
-    @property
-    def registers(self) -> Dict[str, object]:
-        return {
-            f"{tenant.name}.{name}": register
-            for tenant in self._tenants
-            for name, register in tenant.middlebox.switch.registers.items()
-        }
-
-    def tenant(self, name: str) -> TenantRuntime:
-        return self._by_name[name]
-
-    def dispatch(
-        self, packet: RawPacket, ingress_port: Optional[int]
-    ) -> Tuple[TenantRuntime, int]:
-        """Resolve a packet to (owning tenant, tenant-local ingress port).
-
-        VLAN tag wins when present; otherwise the global port's carve
-        block decides.
-        """
-        vlan = packet.metadata.get(VLAN_KEY)
-        if vlan is not None:
-            tenant = self._by_vlan.get(vlan)
-            if tenant is None:
-                raise TenantDispatchError(
-                    f"no tenant owns vlan {vlan}"
-                    f" (admitted: {sorted(self._by_vlan)})"
-                )
-            local = 1
-            if ingress_port is not None:
-                base = tenant.placement.port_base
-                if base < ingress_port <= base + PORTS_PER_TENANT:
-                    local = ingress_port - base
-            return tenant, local
-        if ingress_port is None:
-            raise TenantDispatchError(
-                "packet has neither a vlan tag nor an ingress port"
-            )
-        index, local = divmod(ingress_port - 1, PORTS_PER_TENANT)
-        local += 1
-        if not 0 <= index < len(self._tenants):
-            raise TenantDispatchError(
-                f"ingress port {ingress_port} is outside every tenant's"
-                f" carve (tenants occupy ports 1-"
-                f"{len(self._tenants) * PORTS_PER_TENANT})"
-            )
-        return self._tenants[index], local
-
-    def counters(self) -> Dict[str, Dict[str, int]]:
-        return {
-            tenant.name: tenant.middlebox.switch.counters()
-            for tenant in self._tenants
-        }
-
-
 class MultiTenantDeployment:
     """All admitted middleboxes running on one switch + shared channel."""
 
@@ -167,38 +81,16 @@ class MultiTenantDeployment:
         budget: Optional[SharedSwitchBudget] = None,
         seed: int = 0,
         fast_path: bool = False,
-        fault_plan=None,
-        injector_seed: int = 0,
         series_window_us: Optional[float] = None,
     ):
-        self.allocator = SwitchResourceAllocator(budget)
-        self.admission = self.allocator.admit(specs)
-        self.seed = seed
-        self.fault_plan = fault_plan
+        self.admission = SwitchResourceAllocator(budget).admit(specs)
         #: the one shared control-plane pipe (the M/M/1 FIFO)
         self.channel = RpcChannel()
         by_name = {spec.name: spec for spec in specs}
-        tenants: List[TenantRuntime] = []
+        #: admitted tenants in placement order (tenant *i* owns port block *i*)
+        self.tenants: List[TenantRuntime] = []
         for placement in self.admission.admitted:
             spec = by_name[placement.name]
-            injector = None
-            if fault_plan is not None:
-                # Tenant-scoped faults: only the named tenant gets an
-                # injector at all — isolation of the *unfaulted* tenants
-                # is by construction, and the oracle then proves the
-                # byte-level consequence.
-                from repro.tenancy.faults import (
-                    scoped_plan,
-                    tenant_injector_seed,
-                )
-
-                scoped = scoped_plan(fault_plan, spec.name)
-                if scoped.faults:
-                    from repro.faults.injector import FaultInjector
-
-                    injector = FaultInjector(
-                        scoped, tenant_injector_seed(injector_seed, spec.name)
-                    )
             middlebox = GalliumMiddlebox(
                 spec.plan,
                 spec.program,
@@ -209,7 +101,6 @@ class MultiTenantDeployment:
                     series_tenant=spec.name,
                 ),
                 fast_path=fast_path,
-                injector=injector,
             )
             # Share the RPC pipe; everything else stays per-tenant.
             middlebox.switch.control_plane.attach_channel(self.channel)
@@ -218,12 +109,7 @@ class MultiTenantDeployment:
                 # any traffic, so window 0 starts at the epoch for every
                 # tenant and the per-tenant hubs line up.
                 middlebox.telemetry.series.promote_defaults()
-            tenants.append(TenantRuntime(spec, placement, middlebox))
-        self.switch = MultiTenantSwitchModel(tenants)
-
-    @property
-    def tenants(self) -> List[TenantRuntime]:
-        return self.switch.tenants
+            self.tenants.append(TenantRuntime(spec, placement, middlebox))
 
     def install(self) -> None:
         """Configure every tenant and push its state to the switch."""
@@ -232,8 +118,20 @@ class MultiTenantDeployment:
 
     # -- the packet path ----------------------------------------------------
 
+    def dispatch(self, ingress_port: int) -> Tuple[TenantRuntime, int]:
+        """Resolve a global ingress port to (owning tenant, tenant-local
+        ingress port) by the port block it falls in."""
+        index, local = divmod(ingress_port - 1, PORTS_PER_TENANT)
+        if not 0 <= index < len(self.tenants):
+            raise TenantDispatchError(
+                f"ingress port {ingress_port} is outside every tenant's"
+                f" carve (tenants occupy ports 1-"
+                f"{len(self.tenants) * PORTS_PER_TENANT})"
+            )
+        return self.tenants[index], local + 1
+
     def process_packet(
-        self, packet: RawPacket, ingress_port: Optional[int] = None
+        self, packet: RawPacket, ingress_port: int
     ) -> Tuple[str, PacketJourney]:
         """Dispatch one packet to its tenant; returns (tenant, journey).
 
@@ -241,8 +139,7 @@ class MultiTenantDeployment:
         port and the journey's emitted pairs are translated back to
         global ports.
         """
-        tenant, local_port = self.switch.dispatch(packet, ingress_port)
-        packet.metadata.pop(VLAN_KEY, None)
+        tenant, local_port = self.dispatch(ingress_port)
         journey = tenant.middlebox.process_packet(packet, local_port)
         base = tenant.placement.port_base
         journey.emitted = [
@@ -285,6 +182,13 @@ class MultiTenantDeployment:
         return {t.name: list(t.journeys) for t in active}
 
     # -- observability -------------------------------------------------------
+
+    def counters(self) -> Dict[str, Dict[str, int]]:
+        """Per-tenant switch counters, tagged by tenant name."""
+        return {
+            tenant.name: tenant.middlebox.switch.counters()
+            for tenant in self.tenants
+        }
 
     def metrics_snapshots(self) -> Dict[str, dict]:
         """Per-tenant metrics, tagged by tenant name."""

@@ -20,17 +20,16 @@ end state are the oracle kernel's (:mod:`repro.difftest.kernel`).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.difftest import kernel
-from repro.faults.plan import FaultPlan
 from repro.runtime.deployment import GalliumMiddlebox, PacketJourney
 from repro.tenancy.allocator import (
     AdmissionReport,
     SharedSwitchBudget,
+    TenantSpec,
     build_tenant_specs,
 )
 from repro.tenancy.deployment import MultiTenantDeployment, TenantRuntime
@@ -76,8 +75,6 @@ class IsolationResult:
     channel: Dict[str, dict] = field(default_factory=dict)
     #: per-tenant switch counters from the multi-tenant run
     counters: Dict[str, dict] = field(default_factory=dict)
-    #: faults actually injected, by kind (tenant-scoped runs only)
-    injected: Dict[str, int] = field(default_factory=dict)
     #: per-tenant windowed time series (``series_window_us`` runs only)
     series: Dict[str, dict] = field(default_factory=dict)
 
@@ -108,118 +105,65 @@ class IsolationResult:
 
 
 def run_solo(
-    name: str,
-    packets: int,
-    seed: int = 0,
-    fast_path: bool = False,
-    fault_plan=None,
-    injector_seed: int = 0,
-    workload: Optional[IperfWorkload] = None,
+    name: str, packets: int, seed: int, fast_path: bool
 ) -> Tuple[List[PacketJourney], dict]:
     """One tenant's reference run: alone on its own switch.
 
     Compiles fresh (compilation is deterministic, and sharing compiled
     objects with the multi-tenant run could let one side's mutations
     leak into the other — the exact thing the oracle must not assume).
-
-    With ``fault_plan`` the solo run executes the given (already
-    unscoped) plan under ``injector_seed`` — the fault-isolation
-    oracle's reference for a faulted tenant, which must degrade
-    *identically* to the tenant's multi-tenant run.
     """
     (spec,) = build_tenant_specs([name])
-    injector = None
-    if fault_plan is not None:
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(fault_plan, seed=injector_seed)
     middlebox = GalliumMiddlebox(
-        spec.plan,
-        spec.program,
-        config=spec.config,
-        seed=seed,
+        spec.plan, spec.program, config=spec.config, seed=seed,
         fast_path=fast_path,
-        injector=injector,
     )
     middlebox.install()
-    journeys = []
-    stream = islice(
-        middlebox_stream(name, workload or IperfWorkload()), packets
-    )
-    for packet, ingress_port in stream:
-        journeys.append(middlebox.process_packet(packet, ingress_port))
+    stream = islice(middlebox_stream(name, IperfWorkload()), packets)
+    journeys = [
+        middlebox.process_packet(packet, ingress_port)
+        for packet, ingress_port in stream
+    ]
     return journeys, kernel.end_state(middlebox)
 
 
 def run_isolation_oracle(
-    names: Sequence[str],
+    specs: Sequence[TenantSpec],
     packets_per_tenant: int = 100,
     budget: Optional[SharedSwitchBudget] = None,
     seed: int = 0,
     fast_path: bool = False,
     series_window_us: Optional[float] = None,
 ) -> IsolationResult:
-    """Run the multi-tenant deployment and compare every admitted tenant
-    against its solo reference.
+    """Deploy ``specs`` on one shared switch and compare every admitted
+    tenant against its solo reference.
 
-    ``series_window_us`` turns on per-tenant windowed time series for
-    the multi-tenant run; the hubs land on
+    The shared run uses the caller's compiled specs under the deployment's
+    one admission (:attr:`IsolationResult.admission`); each solo reference
+    compiles its tenant afresh.  ``series_window_us`` turns on per-tenant
+    windowed time series for the multi-tenant run; the hubs land on
     :attr:`IsolationResult.series` keyed by tenant name.
     """
-    return isolation_oracle(
-        names, packets_per_tenant, budget, seed, fast_path,
-        fault_plan=None, injector_seed=0, workload=IperfWorkload(),
-        series_window_us=series_window_us,
-    )
-
-
-def isolation_oracle(
-    names: Sequence[str],
-    packets_per_tenant: int,
-    budget: Optional[SharedSwitchBudget],
-    seed: int,
-    fast_path: bool,
-    fault_plan: Optional[FaultPlan],
-    injector_seed: int,
-    workload: IperfWorkload,
-    series_window_us: Optional[float],
-) -> IsolationResult:
-    """Every admitted tenant against its solo reference under *its own*
-    slice of ``fault_plan`` (a plan of tenant-scoped faults, see
-    :mod:`repro.tenancy.faults`, or ``None``)."""
-    # Deferred: repro.tenancy.faults builds on this module.
-    from repro.tenancy.faults import scoped_plan, tenant_injector_seed
-
-    specs = build_tenant_specs(list(names))
     shared = MultiTenantDeployment(
-        specs, budget=budget, seed=seed, fast_path=fast_path,
-        fault_plan=fault_plan, injector_seed=injector_seed,
+        list(specs), budget=budget, seed=seed, fast_path=fast_path,
         series_window_us=series_window_us,
     )
     shared.install()
     streams = {
-        t.name: middlebox_stream(t.name, workload) for t in shared.tenants
+        t.name: middlebox_stream(t.name, IperfWorkload())
+        for t in shared.tenants
     }
     multi_journeys = shared.run_workload(streams, packets_per_tenant)
     multi_state = shared.state_snapshots()
-    injected: Counter = Counter()
-    for tenant in shared.tenants:
-        if tenant.middlebox.injector is not None:
-            injected.update(tenant.middlebox.injector.injected)
     result = IsolationResult(
         admission=shared.admission,
         channel=shared.channel_stats(),
-        counters=shared.switch.counters(),
-        injected=dict(injected),
+        counters=shared.counters(),
         series=shared.series_snapshots(),
     )
     for tenant in shared.tenants:
-        tenant_plan = scoped_plan(fault_plan or FaultPlan(), tenant.name)
         solo_journeys, solo_state = run_solo(
-            tenant.name, packets_per_tenant, seed=seed, fast_path=fast_path,
-            fault_plan=tenant_plan if tenant_plan.faults else None,
-            injector_seed=tenant_injector_seed(injector_seed, tenant.name),
-            workload=workload,
+            tenant.name, packets_per_tenant, seed, fast_path
         )
         result.verdicts.append(_compare_tenant(
             tenant,

@@ -60,7 +60,6 @@ DIAGNOSTIC_CODES: Dict[str, str] = {
     # admission, repro.tenancy).
     "TEN001": "tenant rejected by the shared-switch resource allocator",
     "TEN002": "combined artifact exceeds a shared-switch budget axis",
-    "TEN003": "per-tenant artifact failed the P4 resource lint",
     "TEN004": "tenant namespaces collide on the shared switch",
     # Stage 5 — translation validation (symbolic equivalence prover,
     # repro.verify.symbolic).

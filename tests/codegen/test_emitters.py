@@ -165,7 +165,7 @@ class TestEmittedConstants:
 
         placement = allocator.TenantPlacement(
             name="t", index=1, memory_offset=0, memory_bytes=0,
-            stage_first=2, stage_last=2, phv_bytes=0, vlan=101, port_base=4,
+            stage_first=2, stage_last=2, phv_bytes=0, port_base=4,
         )
         assert placement.server_port == 7
         monkeypatch.setattr(allocator, "SERVER_PORT", 2)

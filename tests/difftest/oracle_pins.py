@@ -10,8 +10,7 @@ comparison of two JSON files.  Five groups:
 * ``faults`` — ``run_fault_oracle`` on campaign scenarios under each of
   the eight role combinations,
 * ``compiled`` — ``check_compiled`` on generated programs,
-* ``tenancy`` — the isolation oracle on the bundled trio, clean and
-  under tenant-scoped fault plans,
+* ``tenancy`` — the isolation oracle on the bundled trio,
 * ``sensitivity`` — deliberately broken deployments and two reintroduced
   historical compiler bugs, each pinned to the finding that catches it:
   an oracle that compares nothing passes the first four groups and fails
@@ -57,8 +56,8 @@ from repro.partition.constraints import SwitchResources
 from repro.runtime.degradation import DegradationPolicy, DropAccounting
 from repro.runtime.deployment import GalliumMiddlebox, compile_middlebox
 from repro.runtime.spec import DeploymentSpec
+from repro.tenancy import build_tenant_specs
 from repro.tenancy.oracle import run_isolation_oracle
-from tests.tenancy.fault_isolation import fault_isolation, generate_tenant_plan
 
 GOLDEN = Path(__file__).parent / "golden" / "oracle_pins.json"
 
@@ -104,7 +103,6 @@ SIZES = {
     "difftest": (30, 100),
     "faults": (len(NARROW_FAULT_PROGRAMS), 30),
     "compiled": (15, 40),
-    "tenancy_plans": (3, 10),
 }
 
 
@@ -227,26 +225,15 @@ def compiled_pins(count: int, wide: bool) -> Dict[str, list]:
     return pins
 
 
-def _isolation_row(result) -> list:
-    return [
-        result.ok, sorted(result.injected.items()),
+def tenancy_pins() -> Dict[str, list]:
+    result = run_isolation_oracle(
+        build_tenant_specs(TRIO), packets_per_tenant=40
+    )
+    return {"clean": [
+        result.ok,
         [[v.name, v.packets, v.punts, round(v.extra_sync_wait_us, 3),
           v.mismatches] for v in result.verdicts],
-    ]
-
-
-def tenancy_pins(plans: int) -> Dict[str, list]:
-    pins = {"clean": _isolation_row(
-        run_isolation_oracle(TRIO, packets_per_tenant=40)
-    )}
-    for index in range(plans):
-        plan = generate_tenant_plan(
-            random.Random(PIN_SEED + index), TRIO, 40
-        )
-        pins[f"plan{index:02d}"] = _isolation_row(fault_isolation(
-            TRIO, plan, packets_per_tenant=40, injector_seed=index,
-        ))
-    return pins
+    ]}
 
 
 # -- sensitivity: each injected bug, and the finding that must catch it ------
@@ -373,7 +360,7 @@ GROUPS: Dict[str, Callable[[bool], Dict[str, list]]] = {
     "difftest": _sized("difftest", difftest_pins),
     "faults": _sized("faults", fault_pins),
     "compiled": _sized("compiled", compiled_pins),
-    "tenancy": lambda wide: tenancy_pins(SIZES["tenancy_plans"][wide]),
+    "tenancy": lambda wide: tenancy_pins(),
     "sensitivity": lambda wide: {
         name: bug() for name, bug in SENSITIVITY.items()
     },

@@ -318,3 +318,32 @@ class TestLoweringErrors:
     def test_uninitialized_pointer_rejected(self):
         with pytest.raises(LoweringError):
             lower("iphdr *ip; pkt->send();")
+
+
+class TestHostileSource:
+    """One-byte mutants of a bundled source end in a located
+    ``LoweringError``, never an exception from inside the lowering."""
+
+    @staticmethod
+    def mutant(old: str, new: str) -> str:
+        from repro.middleboxes.registry import load_source
+
+        source = load_source("minilb")
+        assert old in source
+        return source.replace(old, new, 1)
+
+    def test_send_to_without_a_port(self):
+        from repro.compiler import compile_source
+
+        source = self.mutant("pkt->send();", "pkt->send_to();")
+        with pytest.raises(LoweringError, match="send_to expects 1") as err:
+            compile_source(source)
+        assert err.value.location.line > 0
+
+    def test_malformed_max_entries(self):
+        from repro.compiler import compile_source
+
+        source = self.mutant("max_entries=65536", "max_entries=10485f6")
+        with pytest.raises(LoweringError, match="max_entries") as err:
+            compile_source(source)
+        assert err.value.location.line > 0

@@ -470,7 +470,7 @@ class TestRpcQueueing:
         assert policy.backoff_multiplier == 2.0
         assert policy.max_backoff_us == 5_000.0
         assert policy.jitter_fraction == 0.1
-        assert policy.timeout_multiple == TIMEOUT_MULTIPLE == 3.0
+        assert TIMEOUT_MULTIPLE == 3.0
         assert JITTER_FRACTION == 0.15
         assert BASE_PER_TABLE_US == {
             "insert": 135.2, "modify": 128.6, "delete": 131.3,
