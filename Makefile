@@ -145,7 +145,7 @@ LINT_MYPY = src/repro/verify src/repro/difftest/kernel.py \
 	src/repro/ir/interp.py src/repro/codegen/headers.py \
 	src/repro/switchsim/tables.py src/repro/switchsim/control_plane.py \
 	src/repro/switchsim/switch_model.py src/repro/runtime/server.py \
-	src/repro/analysis/liveness.py src/repro/codegen/metadata.py \
+	src/repro/analysis/liveness.py src/repro/tenancy/allocator.py \
 	src/repro/codegen/p4/emit.py src/repro/codegen/cpp/emit.py \
 	src/repro/net/fields.py src/repro/sim/costs.py \
 	src/repro/sim/capacity.py src/repro/sim/latency.py

@@ -1,8 +1,12 @@
-"""Register liveness.
+"""Register liveness and the scratchpad metadata allocation (paper §4.3.1).
 
-The metadata allocator reuses scratchpad bytes of dead temporaries (paper
-§4.3.1: "Gallium records when temporary variables are first and last used
-... reuses the memory consumed by variables that are no longer useful").
+*"Gallium records when temporary variables are first and last used.
+Gallium reuses the memory consumed by variables that are no longer
+useful."*  :func:`allocate_metadata` is that allocation and constraint 4's
+one answer: the budget search, the P4 lint and the emitted ``metadata_t``
+read it.  A register the shim carries is held live to where it is copied:
+from post's entry (to-switch) or to pre's exit (to-server).
+
 The §4.3.2 liveness test on the partition boundary — which variables must
 travel in the shim header — is ``ProjectionStatics.decide`` in
 ``repro.partition.projection``, checked after the fact by
@@ -11,7 +15,8 @@ travel in the shim header — is ``ProjectionStatics.decide`` in
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.ir.function import Function, per_shape
 
@@ -20,8 +25,7 @@ from repro.ir.function import Function, per_shape
 def live_ranges(function: Function) -> Dict[str, Tuple[int, int]]:
     """First/last use positions of each register in linearized order.
 
-    Used by the scratchpad metadata allocator to reuse bytes of dead
-    temporaries.  Positions index the instruction sequence produced by
+    Positions index the instruction sequence produced by
     ``function.instructions()``.  For registers live across block
     boundaries the range conservatively covers all their occurrences.
     """
@@ -33,21 +37,57 @@ def live_ranges(function: Function) -> Dict[str, Tuple[int, int]]:
     return ranges
 
 
-def peak_live_bytes(function: Function) -> int:
-    """Peak bytes of simultaneously-live registers (scratchpad estimate).
+@dataclass(frozen=True)
+class MetadataAllocation:
+    """Byte offsets assigned to each register in the scratchpad."""
 
-    This is the metadata footprint of the partition after live-range reuse
-    (constraint 4): positions where many registers overlap set the peak.
-    """
+    offsets: Dict[str, Tuple[int, int]]  # name -> (offset, size)
+    total_bytes: int
+
+
+def allocate_metadata(
+    function: Function,
+    held_from_entry: Iterable[str],
+    held_to_exit: Iterable[str],
+) -> MetadataAllocation:
+    """Scratchpad byte offsets for every register of the pipeline
+    ``function``, once per shape and boundary: ``held_from_entry`` are
+    copied in before its first instruction, ``held_to_exit`` copied out
+    after its last (names the function does not use are ignored)."""
+    return function.once(
+        _linear_scan, frozenset(held_from_entry), frozenset(held_to_exit)
+    )
+
+
+def _linear_scan(
+    function: Function,
+    held_from_entry: FrozenSet[str],
+    held_to_exit: FrozenSet[str],
+) -> MetadataAllocation:
+    """A linear-scan register allocator over bytes: registers sorted by
+    live-range start each take the lowest byte offset whose previous
+    occupant's range has ended.  Ranges are inclusive, so the operands and
+    the results of one instruction never share a byte."""
+    ranges = dict(live_ranges(function))
+    for name in held_from_entry & ranges.keys():
+        ranges[name] = (-1, ranges[name][1])
+    exit_position = len(function.instructions())
+    for name in held_to_exit & ranges.keys():
+        ranges[name] = (ranges[name][0], exit_position)
     registers = function.registers()
-    events: Dict[int, int] = {}
-    for name, (first, last) in live_ranges(function).items():
+    offsets: Dict[str, Tuple[int, int]] = {}
+    active: List[Tuple[int, int, int]] = []  # (end, offset, size)
+    total = 0
+    for name in sorted(ranges, key=lambda name: ranges[name][0]):
+        start, end = ranges[name]
         size = registers[name].bytes
-        events[first] = events.get(first, 0) + size
-        events[last + 1] = events.get(last + 1, 0) - size
-    current = 0
-    peak = 0
-    for position in sorted(events):
-        current += events[position]
-        peak = max(peak, current)
-    return peak
+        active = [entry for entry in active if entry[0] >= start]
+        offset = 0
+        for lo, hi in sorted((at, at + sz) for _, at, sz in active):
+            if offset + size <= lo:
+                break
+            offset = max(offset, hi)
+        offsets[name] = (offset, size)
+        active.append((end, offset, size))
+        total = max(total, offset + size)
+    return MetadataAllocation(offsets, total)

@@ -1,7 +1,5 @@
 """Code generation (paper §4.3).
 
-* :mod:`repro.codegen.metadata` — scratchpad metadata allocation with
-  live-range reuse (§4.3.1),
 * :mod:`repro.codegen.headers` — shim packet-format synthesis (§4.3.2,
   Figure 5) and its bit-level encoder/decoder,
 * :mod:`repro.codegen.p4` — mapping the pre/post CFGs to a structured
@@ -10,7 +8,6 @@
   C++ DPDK-style server program.
 """
 
-from repro.codegen.metadata import MetadataAllocation, allocate_metadata
 from repro.codegen.headers import (
     ShimField,
     ShimLayout,
@@ -21,8 +18,6 @@ from repro.codegen.headers import (
 )
 
 __all__ = [
-    "MetadataAllocation",
-    "allocate_metadata",
     "ShimField",
     "ShimLayout",
     "synthesize_shim_layouts",

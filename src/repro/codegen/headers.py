@@ -98,6 +98,11 @@ class ShimLayout:
     def field_names(self) -> List[str]:
         return [f.name for f in self.fields]
 
+    def carried(self) -> List[str]:
+        """The registers this shim carries across the boundary: every
+        field but the ``__`` verdict and port plumbing."""
+        return [f.name for f in self.fields if not f.name.startswith("__")]
+
     # -- encode/decode ------------------------------------------------------
 
     def encode(self, values: Mapping[str, int]) -> bytes:

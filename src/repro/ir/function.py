@@ -140,8 +140,8 @@ class Function:
     def registers(self) -> Dict[str, Reg]:
         """Every register the function names, defined or only read (a
         projection reads its shim inputs), by name: the population the
-        scratchpad estimate, the metadata allocator, the P4 ``metadata_t``
-        and the C++ declarations each size."""
+        metadata allocation (constraint 4, and the slices of the P4
+        ``metadata_t``) and the C++ declarations each size."""
         return self.once(_registers)
 
     def __repr__(self) -> str:

@@ -7,9 +7,10 @@ metadata, and a 20-byte budget for the shim header that carries temporary
 state between switch and server.
 
 This module also owns the numbers those limits are held against:
-:func:`measure_pipeline` is the one measurement of a switch pipeline (the
-partitioner's budget search, its final :class:`ConstraintReport` and the
-P4 lint all read the same :class:`PipelineUsage`), :func:`co_reachable`
+:func:`measure_pipeline` is the one measurement of a switch pipeline and
+its stage schedule (the partitioner's budget search, its final
+:class:`ConstraintReport`, the P4 lint and tenancy's table slots all read
+the same :class:`PipelineUsage`), :func:`co_reachable`
 the one constraint-3 collision test, :func:`entry_bytes` the one
 constraint-1 memory formula, and :meth:`ConstraintReport.violations` the
 one constraint 1–5 accounting.
@@ -22,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.depgraph import build_dependency_graph
 from repro.analysis.distance import dependency_distances
-from repro.analysis.liveness import peak_live_bytes
 from repro.analysis.reachability import ReachabilityInfo, compute_reachability
 from repro.ir import instructions as irin
 from repro.ir.function import Function, per_shape
@@ -136,10 +136,12 @@ class PipelineUsage:
     """What one switch pipeline (a projected pre or post function) uses."""
 
     reachability: ReachabilityInfo
-    #: constraint 2 — longest stage-costing dependency chain
+    #: instruction id -> the stage it runs in: the longest stage-costing
+    #: dependency chain ending at it (0 for a free copy nothing costly
+    #: precedes); empty for a pipeline with a control-flow loop
+    schedule: Dict[int, int]
+    #: constraint 2 — the stages it occupies, its schedule's deepest
     depth: int
-    #: constraint 4 — peak bytes of simultaneously live registers
-    metadata_bytes: int
     #: constraint 3 — state name -> the instructions accessing it
     sites: Dict[str, List[irin.Instruction]]
     #: instructions no P4 pipeline can express
@@ -154,17 +156,18 @@ def measure_pipeline(function: Function) -> PipelineUsage:
     CFG projection rematerializes pure slices into the pipeline (header
     re-reads, ALU recomputation), so the emitted dependency chain can be
     longer than the source function's distance metric accounts for.
-    Measured once per shape of it: the budget search, the program's lint
-    and the verify stage read one :class:`PipelineUsage`.
+    Measured once per shape of it: the budget search, the program's lint,
+    the verify stage and tenancy's table slots read one
+    :class:`PipelineUsage`.
     """
     info = compute_reachability(function)
-    if info.cyclic_blocks:
-        depth = UNBOUNDED_DEPTH
-    else:
-        # Built, measured and dropped: nothing reads a projection's graph
+    schedule: Dict[int, int] = {}
+    depth = UNBOUNDED_DEPTH
+    if not info.cyclic_blocks:
+        # Built, scheduled and dropped: nothing reads a projection's graph
         # twice, and a kept one would sit in memory while packets run.
-        from_entry, _ = dependency_distances(build_dependency_graph(function))
-        depth = max(from_entry.values(), default=0)
+        schedule, _ = dependency_distances(build_dependency_graph(function))
+        depth = max(schedule.values(), default=0)
     sites: Dict[str, List[irin.Instruction]] = {}
     unsupported: List[irin.Instruction] = []
     for inst in function.instructions():
@@ -174,8 +177,8 @@ def measure_pipeline(function: Function) -> PipelineUsage:
             unsupported.append(inst)
     return PipelineUsage(
         reachability=info,
+        schedule=schedule,
         depth=depth,
-        metadata_bytes=peak_live_bytes(function),
         sites=sites,
         unsupported=unsupported,
     )

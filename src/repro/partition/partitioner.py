@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.depgraph import DependencyGraph, dependency_graph
 from repro.analysis.distance import dependency_distances
+from repro.analysis.liveness import allocate_metadata
 from repro.ir import instructions as irin
 from repro.ir.function import Function
 from repro.ir.lowering import LoweredMiddlebox, StateMember
@@ -108,7 +109,7 @@ def partition_middlebox(
     # strand an offloaded write of the same state; re-check write locality
     # until both are stable (each pin strictly shrinks the offloaded set).
     while True:
-        assignment, projections, transfers, usage = _enforce_budgets(
+        assignment, projections, transfers, measured = _enforce_budgets(
             lowered, masks, assignment, limits
         )
         stranded = _stranded_writers(masks, assignment)
@@ -120,7 +121,7 @@ def partition_middlebox(
     to_server, to_switch = transfers
     placements = _derive_placements(lowered, masks, assignment)
     report = _report(
-        lowered, masks, assignment, placements, usage, to_server, to_switch
+        lowered, masks, assignment, placements, measured, *transfers
     )
     violations = report.violations(limits)
     if violations:
@@ -430,18 +431,24 @@ class _Side:
 
     def over_budget(
         self, transfer: TransferSpec, limits: SwitchResources
-    ) -> Tuple[bool, Optional[PipelineUsage]]:
+    ) -> Tuple[bool, Optional[Tuple[PipelineUsage, int]]]:
         """Does this pipeline break constraint 5, 4 or 2?  Also returns
-        its measured usage, unless the shim alone decided (the cheap test
-        goes first: measuring builds the projection and its dependency
-        graph)."""
+        its measured usage and metadata bytes — its allocation with
+        ``transfer`` held to pre's exit or from post's entry — unless the
+        shim alone decided (the cheap test goes first: measuring builds
+        the projection and its dependency graph)."""
         if transfer.byte_size() > limits.transfer_bytes:
             return True, None
-        usage = measure_pipeline(self.function())
+        function, held = self.function(), transfer.names()
+        pre = self._partition is Partition.PRE
+        metadata = allocate_metadata(
+            function, () if pre else held, held if pre else ()
+        ).total_bytes
+        usage = measure_pipeline(function)
         return (
-            usage.metadata_bytes > limits.metadata_bytes
+            metadata > limits.metadata_bytes
             or usage.depth > limits.pipeline_depth
-        ), usage
+        ), (usage, metadata)
 
 
 def _build_transfers(
@@ -481,8 +488,8 @@ def _enforce_budgets(
     Constraint 5 is read off the source function (:class:`_Side`);
     constraints 2 and 4 are measured on the projections — the pipelines
     the switch runs — so remat-induced chains count.  Returns the three
-    projections, the transfer sets and the :class:`PipelineUsage` pair of
-    the accepted iteration with the assignment.
+    projections, the transfer sets and each side's measured usage and
+    metadata bytes of the accepted iteration with the assignment.
     """
     statics = ProjectionStatics.of(lowered.process)
     pre_side, _, post_side = sides = [
@@ -492,14 +499,14 @@ def _enforce_budgets(
         to_server, to_switch = _build_transfers(
             statics, *(side.decide(assignment) for side in sides)
         )
-        over_pre, usage_pre = pre_side.over_budget(to_server, limits)
-        over_post, usage_post = post_side.over_budget(to_switch, limits)
+        over_pre, measured_pre = pre_side.over_budget(to_server, limits)
+        over_post, measured_post = post_side.over_budget(to_switch, limits)
         if not over_pre and not over_post:
             return (
                 assignment,
                 tuple(side.function() for side in sides),
                 (to_server, to_switch),
-                (usage_pre, usage_post),
+                (measured_pre, measured_post),
             )
         if over_pre and (moved := _deepest(
             masks, masks.pre_order, assignment.members(Partition.PRE)
@@ -577,11 +584,11 @@ def _report(
     masks: _Masks,
     assignment: LabelAssignment,
     placements: Dict[str, StatePlacement],
-    usage: Tuple[PipelineUsage, PipelineUsage],
+    measured: Tuple[Tuple[PipelineUsage, int], Tuple[PipelineUsage, int]],
     to_server: TransferSpec,
     to_switch: TransferSpec,
 ) -> ConstraintReport:
-    usage_pre, usage_post = usage
+    (usage_pre, metadata_pre), (usage_post, metadata_post) = measured
     # Constraint 3 is a question about the *source* function's assignment:
     # register reads on mutually exclusive paths share a stage; table
     # applications never do (Tofino applies a table at most once).
@@ -597,8 +604,8 @@ def _report(
         memory_bytes=sum(p.memory_bytes for p in placements.values()),
         pipeline_depth_pre=usage_pre.depth,
         pipeline_depth_post=usage_post.depth,
-        metadata_bytes_pre=usage_pre.metadata_bytes,
-        metadata_bytes_post=usage_post.metadata_bytes,
+        metadata_bytes_pre=metadata_pre,
+        metadata_bytes_post=metadata_post,
         transfer_bytes_to_server=to_server.byte_size(),
         transfer_bytes_to_switch=to_switch.byte_size(),
         state_access_sites=sites,

@@ -11,8 +11,9 @@ static verifier's P4 resource lint or shim-budget check finds an error in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
+from repro.analysis.liveness import MetadataAllocation, allocate_metadata
 from repro.codegen.headers import ShimLayout
 from repro.ir.function import Function
 from repro.partition.constraints import SwitchResources, entry_bytes
@@ -124,6 +125,15 @@ class SwitchProgram:
         failure = first_error(found)
         if failure is not None:
             raise SwitchProgramError(f"{self.name}: {failure.format()}")
+
+    def metadata(self) -> Tuple[MetadataAllocation, MetadataAllocation]:
+        """Constraint 4: the allocation of ``pre`` (its punt copies the
+        to-server shim out at its exit) and of ``post`` (the to-switch shim
+        is copied in at its entry), read by the lint and ``metadata_t``."""
+        return (
+            allocate_metadata(self.pre, (), self.shim_to_server.carried()),
+            allocate_metadata(self.post, self.shim_to_switch.carried(), ()),
+        )
 
     def memory_bytes(self) -> int:
         """Constraint 1: every table entry and register, each priced by

@@ -7,7 +7,8 @@ shape needs:
 * :mod:`repro.tenancy.allocator` — a first-class
   :class:`~repro.tenancy.allocator.SwitchResourceAllocator` admitting N
   compiled artifacts under one :class:`~repro.tenancy.allocator.\
-SharedSwitchBudget` (stage placement, SRAM carving, PHV arbitration),
+SharedSwitchBudget` (table slots by each pipeline's stage schedule,
+  SRAM carving, PHV arbitration),
   with deterministic admission order and actionable rejection
   diagnostics; the admission report is also the combined artifact's
   lint (:meth:`~repro.tenancy.allocator.AdmissionReport.lint`).

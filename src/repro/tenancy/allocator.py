@@ -9,11 +9,13 @@ programs is the central compiler problem at that scale (cf. the RMT
 backend paper).  :class:`SwitchResourceAllocator` makes that arbitration
 first-class: it admits N compiled artifacts under one
 :class:`SharedSwitchBudget`, reading each tenant's measured usage from
-its ``plan.report`` — per-tenant stage placement (stage 0 is the dispatch
-table, tenant tables pack from stage 1 with a bounded number of table
-slots per stage), register/table memory carved into contiguous
-per-tenant ranges, and PHV/header arbitration (every tenant's metadata
-and shim fields coexist in the parser's static PHV layout, so they sum).
+its ``plan.report`` and its pipelines' stage schedules — per-tenant stage
+placement (stage 0 is the dispatch table; each table a tenant applies
+takes a slot in the stage ``measure_pipeline`` schedules it in, and a
+stage has a bounded number of slots), register/table memory carved into
+contiguous per-tenant ranges, and PHV/header arbitration (every tenant's
+metadata and shim fields coexist in the parser's static PHV layout, so they
+sum).
 
 Admission is deterministic and order-independent: tenants are admitted in
 canonical order (sorted by name) regardless of submission order, so the
@@ -25,10 +27,11 @@ not a boolean.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.partition.constraints import SwitchResources
+from repro.partition.constraints import SwitchResources, measure_pipeline
 from repro.partition.plan import PartitionPlan
 from repro.switchsim.program import SERVER_PORT, SwitchProgram
 from repro.verify.diagnostics import STAGE_TENANCY, VerificationReport, error
@@ -71,9 +74,11 @@ class SharedSwitchBudget:
     #: Physical match-action stages, including the dispatch stage.
     pipeline_depth: int = SwitchResources.pipeline_depth
     #: Match-table slots available per stage (RMT: a handful of parallel
-    #: tables per stage; tenants' tables share stages).
+    #: tables per stage).  Tenants' tables share stages: each takes a slot
+    #: in the stage its pipeline's ``measure_pipeline`` schedule puts it.
     table_slots_per_stage: int = 4
-    #: PHV bytes available to tenant metadata + shim fields combined.
+    #: PHV bytes available to tenant metadata (each tenant's constraint-4
+    #: allocation) + shim fields combined.
     phv_bytes: int = 128
 
     @classmethod
@@ -118,20 +123,15 @@ class TenantSpec:
 
     @property
     def stage_depth(self) -> int:
-        """Stages this tenant's deepest pipeline occupies (its tables are
-        applied at most once each, so they never need more stages than
-        the table count either)."""
+        """Stages this tenant's deepest pipeline occupies (constraint 2)."""
         report = self.plan.report
-        return max(
-            report.pipeline_depth_pre,
-            report.pipeline_depth_post,
-            len(self.program.tables),
-        )
+        return max(report.pipeline_depth_pre, report.pipeline_depth_post)
 
     @property
     def phv_bytes(self) -> int:
         """PHV bytes this tenant's fields pin in the shared layout: its
-        scratchpad peak plus the wider of its two shim headers."""
+        scratchpad allocation (constraint 4) plus the wider of its two
+        shim headers."""
         report = self.plan.report
         metadata = max(report.metadata_bytes_pre, report.metadata_bytes_post)
         shim = max(
@@ -140,11 +140,19 @@ class TenantSpec:
         )
         return metadata + shim
 
-    def table_slots(self, stage: int) -> int:
-        """Table slots this tenant occupies in (tenant-relative) ``stage``
-        (1-based, after dispatch).  Tables pack from stage 1, one slot
-        each — the pessimistic packing the admission check bounds."""
-        return 1 if 1 <= stage <= len(self.program.tables) else 0
+    @property
+    def table_slots(self) -> Dict[int, int]:
+        """Tenant-relative stage (1-based, after dispatch) -> the table
+        slots this tenant occupies there: a slot per table application,
+        in the stage its pipeline's schedule puts it, pre's and post's
+        summed (both are laid out in the one ingress pipeline)."""
+        slots: Counter[int] = Counter()
+        for function in (self.program.pre, self.program.post):
+            usage = measure_pipeline(function)
+            for state, sites in usage.sites.items():
+                if state in self.program.tables:
+                    slots.update(usage.schedule[inst.id] for inst in sites)
+        return dict(slots)
 
 
 @dataclass
@@ -364,8 +372,8 @@ class SwitchResourceAllocator:
             report.admitted.append(placement)
             memory_offset += spec.memory_bytes
             phv_used += spec.phv_bytes
-            for stage in range(1, tenant_stages + 1):
-                slot_usage[stage] += spec.table_slots(stage)
+            for stage, needed in spec.table_slots.items():
+                slot_usage[stage] += needed
         return report
 
     def _check(
@@ -405,10 +413,7 @@ class SwitchResourceAllocator:
                 f" {self.budget.phv_bytes} B remain"
                 f" ({phv_used} B held by dispatch + {holders})",
             )
-        for stage in range(1, tenant_stages + 1):
-            needed = spec.table_slots(stage)
-            if not needed:
-                break
+        for stage, needed in sorted(spec.table_slots.items()):
             free = self.budget.table_slots_per_stage - slot_usage[stage]
             if needed > free:
                 return AdmissionRejection(

@@ -5,9 +5,10 @@ the structure the ``.p4`` text is printed from) to the constraint-1..5
 limits: no loops, only P4-expressible instructions, every state access
 backed and applied at most once, switch memory, dependency depth, scratchpad
 metadata, register width, table count.  The numbers come from
-:func:`repro.partition.constraints.measure_pipeline` — the same function
-the partitioner's budget search reads — applied here to the artifact's own
-``pre`` / ``post``, after the partitioner has returned.  This is the only
+:func:`repro.partition.constraints.measure_pipeline` and
+:meth:`SwitchProgram.metadata` — what the partitioner's budget search
+reads — applied here to the artifact's own ``pre`` / ``post``, after the
+partitioner has returned.  This is the only
 acceptability check a switch program gets: ``SwitchProgram.validate()``
 raises its first error.
 """
@@ -34,15 +35,20 @@ ACTION_COMPLEXITY_LIMIT = 32
 
 def lint_switch_program(program: SwitchProgram) -> List[Diagnostic]:
     out: List[Diagnostic] = []
-    for label, function in (("pre", program.pre), ("post", program.post)):
-        out.extend(_lint_pipeline(program, label, function))
+    for label, function, allocation in zip(
+        ("pre", "post"), (program.pre, program.post), program.metadata()
+    ):
+        out.extend(
+            _lint_pipeline(program, label, function, allocation.total_bytes)
+        )
     out.extend(_lint_memory(program))
     out.extend(_lint_registers(program))
     return out
 
 
 def _lint_pipeline(
-    program: SwitchProgram, label: str, function: Function
+    program: SwitchProgram, label: str, function: Function,
+    metadata_bytes: int,
 ) -> List[Diagnostic]:
     out: List[Diagnostic] = []
     usage = measure_pipeline(function)
@@ -106,12 +112,12 @@ def _lint_pipeline(
                 function=function.name,
             )
         )
-    if usage.metadata_bytes > program.limits.metadata_bytes:
+    if metadata_bytes > program.limits.metadata_bytes:
         out.append(
             error(
                 "P4L007",
                 STAGE_P4LINT,
-                f"peak live metadata {usage.metadata_bytes}B exceeds the"
+                f"allocated metadata {metadata_bytes}B exceeds the"
                 f" {program.limits.metadata_bytes}B scratchpad",
                 function=function.name,
             )

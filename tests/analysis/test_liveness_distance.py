@@ -2,7 +2,7 @@
 
 from repro.analysis.depgraph import build_dependency_graph
 from repro.analysis.distance import dependency_distances
-from repro.analysis.liveness import live_ranges, peak_live_bytes
+from repro.analysis.liveness import allocate_metadata, live_ranges
 from repro.ir import lower_program
 from repro.ir import instructions as irin
 from repro.lang import parse_program
@@ -45,10 +45,6 @@ class TestLiveness:
         assert set(lowered.process.registers()) == set(order)
         assert set(lowered.process.defined_regs()) <= set(order)
 
-    def test_peak_live_bytes_positive(self):
-        lowered = lower("uint32_t a = 1; uint32_t b = a; pkt->send();")
-        assert peak_live_bytes(lowered.process) >= 4
-
     def test_straight_line_ranges_open_at_their_definition(self):
         """Nothing is live into a straight-line function: every
         register's range opens at the instruction that defines it."""
@@ -87,8 +83,9 @@ class TestLiveness:
         function = lowered.process
         registers = function.registers()
         total = sum(registers[name].bytes for name in live_ranges(function))
-        peak = peak_live_bytes(function)
-        assert max(reg.bytes for reg in registers.values()) <= peak < total
+        allocated = allocate_metadata(function, (), ()).total_bytes
+        assert max(reg.bytes for reg in registers.values()) <= allocated
+        assert allocated < total
 
 
 class TestDependencyDistance:

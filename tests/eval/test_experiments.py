@@ -163,6 +163,6 @@ class TestTenancySweep:
         assert shares[0] == 0.0  # a serial submitter never queues
         assert shares[1] > 0.0  # co-residency queues immediately
         assert shares[2] >= shares[1]
-        # firewall is fully offloaded (slow_fraction == 0): a pure
-        # fast-path tenant adds zero shared-channel pressure.
+        # proxy punts nothing on this workload (slow_fraction == 0): a
+        # pure fast-path tenant adds zero shared-channel pressure.
         assert rows[3][2] == rows[2][2]

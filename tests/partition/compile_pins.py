@@ -13,6 +13,13 @@ the compile path were folded into one layer, so "the refactor changed no
 partitioning decision, emitted byte or diagnostic code" is a comparison of
 two JSON files.
 
+Every compiled row is also held to constraint 4's one definition
+(:func:`allocation_problems`): the bytes the emitted ``metadata_t``
+declares are the bytes the partitioner enforced, within the budget, and a
+liveness computed here, independently of the allocator, finds no two
+registers sharing a scratch byte while both hold a value.  A row that
+fails raises :class:`AllocationError`.
+
 The ``sensitivity`` group pins each P4L001-P4L009 mutation of
 ``tests/verify/test_p4lint.py`` and each IR001-IR007 fixture of
 ``tests/verify/test_ir_verifier.py`` to the codes it yields: a checker
@@ -33,14 +40,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 from repro.compiler import compile_source
 from repro.difftest.generator import generate_program
 from repro.difftest.runner import derive_seeds
+from repro.ir import instructions as irin
 from repro.ir.compile import compile_function
+from repro.ir.function import Function
 from repro.middleboxes import MIDDLEBOX_NAMES, load
 from repro.partition.constraints import SwitchResources
 from repro.partition.partitioner import PartitionError
@@ -67,6 +77,124 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+class AllocationError(AssertionError):
+    """A compiled row whose scratchpad allocation breaks constraint 4."""
+
+
+def declared_metadata_bytes(p4_source: str) -> int:
+    """The bytes the emitted ``struct metadata_t`` declares."""
+    struct = re.search(r"struct metadata_t \{(.*?)\n\}", p4_source, re.S)
+    bits = sum(int(width) for width in re.findall(r"bit<(\d+)>", struct[1]))
+    return (bits + 7) // 8
+
+
+def clobbers(
+    function: Function,
+    offsets: Dict[str, Tuple[int, int]],
+    held_from_entry: Iterable[str],
+    held_to_exit: Iterable[str],
+) -> List[str]:
+    """Registers of ``function`` that share a byte of ``offsets`` at a
+    point where both hold a value.
+
+    Written without the allocator's linear ranges, over the CFG: a
+    register holds a value at a point when a definition of it may reach
+    the point (``held_from_entry`` are defined before the entry) and a
+    use may follow it (every ``Return`` uses ``held_to_exit``).  The
+    copy-in at the entry holds ``held_from_entry`` at once, and an
+    instruction holds its operands and results.
+    """
+    held_in, held_out = set(held_from_entry), set(held_to_exit)
+    blocks = function.blocks
+    successors = function.successors()
+
+    def names(regs) -> Set[str]:
+        return {reg.name for reg in regs}
+
+    defined_in: Dict[str, Set[str]] = {name: set() for name in blocks}
+    defined_in[function.entry] |= held_in
+    live_out: Dict[str, Set[str]] = {name: set() for name in blocks}
+    changed = True
+    while changed:
+        changed = False
+        for name, block in blocks.items():
+            defined = defined_in[name].union(
+                *(names(inst.defs()) for inst in block.instructions)
+            )
+            live = set(held_out) if isinstance(
+                block.terminator, irin.Return
+            ) else set()
+            for successor in successors[name]:
+                changed |= not defined <= defined_in[successor]
+                defined_in[successor] |= defined
+                live |= _live_in(blocks[successor], live_out[successor])
+            changed |= live != live_out[name]
+            live_out[name] = live
+    points = [held_in]
+    for name, block in blocks.items():
+        live = set(live_out[name])
+        after: List[Set[str]] = []
+        for inst in reversed(block.instructions):
+            after.append(set(live))
+            live = live - names(inst.defs()) | names(inst.uses())
+        defined = set(defined_in[name])
+        for inst, live_after in zip(block.instructions, reversed(after)):
+            results = names(inst.defs())
+            defined |= results
+            points.append(
+                results | names(inst.uses()) | live_after & defined
+            )
+    problems = set()
+    for point in points:
+        owner: Dict[int, str] = {}
+        for reg in sorted(point):
+            offset, size = offsets[reg]
+            for byte in range(offset, offset + size):
+                other = owner.setdefault(byte, reg)
+                if other != reg:
+                    problems.add(
+                        f"{function.name}: {other} and {reg} share"
+                        f" scratch byte {byte}"
+                    )
+    return sorted(problems)
+
+
+def _live_in(block, live_out: Set[str]) -> Set[str]:
+    live = set(live_out)
+    for inst in reversed(block.instructions):
+        live = live - {r.name for r in inst.defs()} | {
+            r.name for r in inst.uses()
+        }
+    return live
+
+
+def allocation_problems(result, limits: SwitchResources) -> List[str]:
+    """Constraint 4 of one compiled row: the emitted ``metadata_t``
+    declares the bytes the partitioner enforced, they fit ``limits``, and
+    :func:`clobbers` finds nothing in either pipeline."""
+    program = result.switch_program
+    report = result.plan.report
+    enforced = max(report.metadata_bytes_pre, report.metadata_bytes_post)
+    declared = declared_metadata_bytes(result.p4_source)
+    problems = []
+    if declared != enforced:
+        problems.append(
+            f"metadata_t declares {declared} B, constraint 4 enforced"
+            f" {enforced} B"
+        )
+    if enforced > limits.metadata_bytes:
+        problems.append(
+            f"{enforced} B of metadata over the {limits.metadata_bytes} B"
+            " budget"
+        )
+    pre, post = program.metadata()
+    carried_out = program.shim_to_server.carried()
+    carried_in = program.shim_to_switch.carried()
+    problems += clobbers(program.pre, pre.offsets, (), carried_out)
+    problems += clobbers(program.post, post.offsets, carried_in, ())
+    return problems
+
+
 def compile_row(source: str, limits: SwitchResources) -> dict:
     try:
         result = compile_source(source, limits, verify=False)
@@ -75,6 +203,9 @@ def compile_row(source: str, limits: SwitchResources) -> dict:
             "outcome": type(refusal).__name__,
             "shim": "shim" in str(refusal),
         }
+    problems = allocation_problems(result, limits)
+    if problems:
+        raise AllocationError("; ".join(problems))
     plan = result.plan
     # Instruction ids come from a process-wide counter; position in the
     # source function is what is stable across runs.

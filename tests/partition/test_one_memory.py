@@ -59,7 +59,7 @@ def test_report_program_and_tenant_agree(limits):
             == program.memory_bytes()
             == tenant.memory_bytes
         ), label
-    assert compiled == {"tofino_like": 66, "tiny": 64}[limits]
+    assert compiled == {"tofino_like": 66, "tiny": 65}[limits]
 
 
 def test_registers_are_counted():

@@ -55,7 +55,13 @@ class TestAdmission:
         report = admit(ALL_SIX)
         assert not report.ok
         rejected = {r.name: r for r in report.rejected}
-        assert "proxy" in rejected and "trojan" in rejected
+        assert {
+            name: rejection.resource for name, rejection in rejected.items()
+        } == {
+            "minilb": "table_slots",
+            "proxy": "table_slots",
+            "trojan": "phv_bytes",
+        }
         for rejection in rejected.values():
             assert rejection.name in rejection.message
             assert rejection.resource in rejection.message
@@ -64,10 +70,28 @@ class TestAdmission:
     def test_rejection_does_not_block_later_tenants(self):
         # Admission is by sorted name; rejecting one tenant must not
         # poison tenants after it in the canonical order.
-        report = admit(ALL_SIX)
+        report = admit([name for name in ALL_SIX if name != "lb"])
         admitted = {p.name for p in report.admitted}
-        assert "trojan" not in admitted  # sorts last, rejected on PHV
-        assert admitted == {"firewall", "lb", "mazunat", "minilb"}
+        assert "trojan" in admitted  # sorts last, after two rejections
+        assert admitted == {"firewall", "mazunat", "trojan"}
+        assert {r.name for r in report.rejected} == {"minilb", "proxy"}
+
+    def test_table_slots_are_the_pipelines_schedules(self):
+        """Each table takes a slot in the stage its pipeline schedules it
+        in, not in a packing from stage 1: firewall and mazunat each apply
+        two tables at tenant stage 4, which fills it, so minilb and proxy,
+        whose one table is scheduled there too, are refused — every stage
+        is checked, the first a tenant uses included."""
+        specs = build_tenant_specs(["firewall", "mazunat", "minilb", "proxy"])
+        slots = {spec.name: spec.table_slots for spec in specs}
+        assert slots["firewall"][4] == slots["mazunat"][4] == 2
+        assert slots["minilb"] == slots["proxy"] == {4: 1}
+        report = SwitchResourceAllocator(SharedSwitchBudget()).admit(specs)
+        assert [p.name for p in report.admitted] == ["firewall", "mazunat"]
+        assert [r.name for r in report.rejected] == ["minilb", "proxy"]
+        for rejection in report.rejected:
+            assert rejection.resource == "table_slots"
+            assert f"at stage {DISPATCH_STAGES + 4} " in rejection.message
 
     def test_duplicate_tenant_names_refused(self):
         specs = build_tenant_specs(["minilb"])

@@ -158,5 +158,5 @@ class TestWorkload:
         )
         names = {t.name for t in deployment.tenants}
         assert "proxy" not in names
-        assert names == {"firewall", "lb", "mazunat", "minilb"}
+        assert names == {"firewall", "lb", "mazunat"}
         assert not deployment.admission.ok

@@ -152,11 +152,11 @@ class TestCombinedLint:
         assert not report.ok
         codes = [d.code for d in report.diagnostics]
         assert "TEN001" in codes
-        rejection = next(
-            d for d in report.diagnostics if d.code == "TEN001"
-        )
-        assert "proxy" in rejection.message
-        assert "table_slots" in rejection.message
+        rejections = [d for d in report.diagnostics if d.code == "TEN001"]
+        assert [d.function for d in rejections] == ["minilb", "proxy"]
+        for rejection in rejections:
+            assert rejection.function in rejection.message
+            assert "table_slots" in rejection.message
 
     def test_duplicate_tenants_surface_as_ten004(self):
         specs = build_tenant_specs(["minilb"])

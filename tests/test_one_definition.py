@@ -3,9 +3,9 @@
 Structural guard, in the manner of ``tests/verify/test_one_checker.py``:
 each number the switch model and the testbed cost model price is written
 in one place, and every reader calls that place.  A second definition of
-any of them — stage cost, state bytes, a cost constant (line rate and MTU
-among them), degraded-window pricing, migration cost, retry backoff —
-fails here.  ``make verify`` runs this file.
+any of them — stage cost, the stage schedule, state bytes, metadata
+bytes, a cost constant (line rate and MTU among them), degraded-window
+pricing, migration cost, retry backoff — fails here.  ``make verify`` runs this file.
 """
 
 import ast
@@ -58,6 +58,39 @@ def test_stage_cost():
         ("analysis/distance.py", "_stage_cost"),
         ("analysis/distance.py", "dependency_distances"),
         ("verify/p4lint.py", "_lint_pipeline"),
+    ]
+
+
+def test_stage_schedule():
+    """Which stage an instruction runs in is ``measure_pipeline``'s
+    schedule: tenancy's table slots read it, and ``tenancy/`` has no
+    stage rule of its own (it once packed tables from stage 1)."""
+    assert matching(r"\.schedule\b(?!\()") == [
+        ("tenancy/allocator.py", "table_slots"),
+    ]
+    assert sites("measure_pipeline(", outside="partition/") == [
+        ("tenancy/allocator.py", "table_slots"),
+        ("verify/p4lint.py", "_lint_pipeline"),
+    ]
+    rules = [
+        (module, function) for module, function in matching(
+            r"\.tables\)|_stage_cost|dependency_distances|from_entry"
+            r"|range\(1,"
+        ) if module.startswith("tenancy/")
+    ]
+    assert rules == []
+
+
+def test_metadata_bytes():
+    """Constraint 4: one function sizes a pipeline's scratchpad — the
+    §4.3.1 allocation with the shim boundary held — and a register's
+    bytes are summed into a scratchpad nowhere else."""
+    assert matching(r"def \w*(allocat|live_bytes)\w*\(") == [
+        ("analysis/liveness.py", "allocate_metadata"),
+    ]
+    assert matching(r"\.bytes\b") == [
+        ("analysis/liveness.py", "_linear_scan"),
+        ("partition/plan.py", "byte_size"),
     ]
 
 

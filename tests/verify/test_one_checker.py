@@ -41,6 +41,7 @@ RETIRED = {
     "_mutually_exclusive_accesses", "_mutually_exclusive",
     "constraint_violations", "admit_single", "_definitions",
     "_check_shim_budget", "transfer_variables", "_rematerializable_loads",
+    "peak_live_bytes", "_collect_metadata",
 }
 
 
@@ -102,9 +103,13 @@ def test_each_fact_is_written_once():
 
 def test_pipelines_are_measured_in_one_function():
     """``measure_pipeline`` for the projections; ``partition_middlebox``
-    keeps the constraint-2 pruning over the *source* function."""
-    assert sites("peak_live_bytes(", outside="analysis/") == [
-        ("partition/constraints.py", "measure_pipeline")
+    keeps the constraint-2 pruning over the *source* function.  Constraint
+    4 is the allocation the budget search asks for with the transfer set
+    it holds, and the program — its lint and its emitted ``metadata_t`` —
+    with its shim layouts."""
+    assert sites("allocate_metadata(", outside="analysis/") == [
+        ("partition/partitioner.py", "over_budget"),
+        ("switchsim/program.py", "metadata"),
     ]
     assert sites("dependency_distances(", outside="analysis/") == [
         ("partition/constraints.py", "measure_pipeline"),
@@ -208,12 +213,13 @@ def test_program_validate_refuses_each_mutation(code):
 
 
 def _count_calls(action) -> Counter:
-    """Calls of the two expensive analyses, through every name they are
-    bound to under ``repro``."""
+    """Calls of the two expensive analyses — the dependency graph and the
+    metadata allocation's linear scan — through every name they are bound
+    to under ``repro``."""
     counts: Counter = Counter()
     patches = []
     for original in (
-        depgraph.build_dependency_graph, liveness.peak_live_bytes
+        depgraph.build_dependency_graph, liveness._linear_scan
     ):
         def counted(*args, _original=original, **kwargs):
             counts[_original.__name__] += 1
@@ -236,16 +242,16 @@ def _count_calls(action) -> Counter:
 
 
 def test_a_compile_measures_each_pipeline_once(bundle):
-    """One graph for the source function, one measurement — a graph and a
-    liveness pass — per accepted pipeline: the partitioner, the program's
-    lint and the verify stage read the same answers (5 / 4 and 8 / 6
-    before a function kept them; a budget search that measures a side it
-    then rejects adds that side's).  Lowered afresh: the bundle's own
-    function has been asked already."""
+    """One graph for the source function, one measurement — a graph and an
+    allocation — per accepted pipeline: the partitioner, the program's
+    lint, the P4 emitter and the verify stage read the same answers (5 / 4
+    and 8 / 6 before a function kept them; a budget search that measures a
+    side it then rejects adds that side's).  Lowered afresh: the bundle's
+    own function has been asked already."""
     lowered = lower_program(parse_program(bundle.source))
     front = _count_calls(lambda: compile_middlebox(lowered))
-    assert front["peak_live_bytes"] <= 2
+    assert front["_linear_scan"] <= 2
     assert front["build_dependency_graph"] <= 3
     whole = _count_calls(lambda: compile_source(bundle.source, verify=True))
-    assert whole["peak_live_bytes"] == 2
+    assert whole["_linear_scan"] == 2
     assert whole["build_dependency_graph"] == 3
