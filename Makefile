@@ -5,7 +5,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: help test test-durations verify prover-pins \
 	mirror-lockstep punt-lockstep symbolic-smoke lint \
 	lint-verify option-census \
-	difftest difftest-smoke difftest-compiled oracle-pins faults \
+	difftest difftest-smoke difftest-compiled cpp-check oracle-pins faults \
 	faults-smoke bench-smoke \
 	failover-smoke \
 	pool-smoke telemetry-smoke obs-smoke tenancy-smoke bench-record \
@@ -39,6 +39,9 @@ help:
 	@echo "  difftest-smoke  fixed-seed 1991-program gauntlet slice, then 25 programs"
 	@echo "                  through the compiled-vs-interpreted differential"
 	@echo "  difftest-compiled  compiled-engine-vs-interpreter gauntlet (200 programs)"
+	@echo "  cpp-check       the emitted C++ of the six bundled and 60 generated"
+	@echo "                  programs through g++ -fsyntax-only against"
+	@echo "                  gallium_runtime.h (~15 s; the bundled six run in tier-1)"
 	@echo "  oracle-pins     every oracle's verdicts vs the golden file (wide sweep,"
 	@echo "                  ~3 min; the narrow one runs in tier-1)"
 	@echo "  faults          full fault campaign (500 scenarios)"
@@ -188,6 +191,15 @@ difftest-smoke:
 # clock and table counters — base, bounded-cache and pooled deployments.
 difftest-compiled:
 	$(PYTHON) -m repro difftest --compiled --runs 200 --seed 0
+
+# Every emitted server program against the header it is written to
+# (src/repro/codegen/cpp/gallium_runtime.h): the six bundled middleboxes
+# and the generated programs derive_seeds(0, i), i < 60, each through
+# g++ -std=c++17 -fsyntax-only.  Exit 1 on a program that does not
+# compile; without g++ on PATH it says so and passes.  Tier-1 compiles the
+# bundled six (tests/codegen/test_cpp_contract.py).
+cpp-check:
+	$(PYTHON) -m tests.codegen.cpp_check
 
 # Every oracle's verdict on a fixed set of seeded scenarios — the four
 # oracles plus the injected bugs each must catch — against the golden

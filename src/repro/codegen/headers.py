@@ -28,6 +28,14 @@ FLAG_VERDICT_NONE = 0
 FLAG_VERDICT_SEND = 1
 FLAG_VERDICT_DROP = 2
 
+#: The shim's reserved fields, the only names no register carries: the
+#: port the switch received the packet on (both directions), and the
+#: server's verdict and egress port (the return leg).
+INGRESS_PORT_FIELD = "__ingress_port"
+VERDICT_FIELD = "__verdict"
+EGRESS_PORT_FIELD = "__egress_port"
+RESERVED_FIELDS = frozenset((INGRESS_PORT_FIELD, VERDICT_FIELD, EGRESS_PORT_FIELD))
+
 
 class ShimDecodeError(ValueError):
     """A shim with fewer bytes than its layout: truncated on the wire, or
@@ -100,8 +108,8 @@ class ShimLayout:
 
     def carried(self) -> List[str]:
         """The registers this shim carries across the boundary: every
-        field but the ``__`` verdict and port plumbing."""
-        return [f.name for f in self.fields if not f.name.startswith("__")]
+        field but the reserved verdict and ports."""
+        return [f.name for f in self.fields if f.name not in RESERVED_FIELDS]
 
     # -- encode/decode ------------------------------------------------------
 
@@ -134,15 +142,15 @@ def synthesize_shim_layouts(
     """Build both shim layouts from the partition plan's transfer sets."""
     # Both directions carry the original ingress port so the post pipeline
     # can resolve the egress side.
-    server_fields: List[ShimField] = [ShimField("__ingress_port", 8)]
+    server_fields: List[ShimField] = [ShimField(INGRESS_PORT_FIELD, 8)]
     # Flags (1-bit values) first, then wider variables — mirrors Figure 5
     # where the bk_addr==NULL bit precedes the 32-bit payload fields.
     for reg in sorted(to_server.regs, key=lambda r: (r.bits, r.name)):
         server_fields.append(ShimField(reg.name, reg.bits))
     switch_fields: List[ShimField] = [
-        ShimField("__verdict", 2),
-        ShimField("__egress_port", 8),
-        ShimField("__ingress_port", 8),
+        ShimField(VERDICT_FIELD, 2),
+        ShimField(EGRESS_PORT_FIELD, 8),
+        ShimField(INGRESS_PORT_FIELD, 8),
     ]
     for reg in sorted(to_switch.regs, key=lambda r: (r.bits, r.name)):
         switch_fields.append(ShimField(reg.name, reg.bits))

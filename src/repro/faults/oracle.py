@@ -603,10 +603,10 @@ def _replay_reference(
             # switch held.  A cached reference must mirror the resync: it
             # rebuilt the DUT's bounded cache and FIFO order
             # deterministically, and the two caches have to re-converge at
-            # the same log point.  (Which detector ended the window, "phi"
-            # or "exact", does not matter here: the reference replays the
-            # DUT's own log, so a φ-extended window simply contributes more
-            # ("fallback", ...) entries.)
+            # the same log point.  (How long φ took to end the window does
+            # not matter here: the reference replays the DUT's own log, so
+            # a longer window simply contributes more ("fallback", ...)
+            # entries.)
             if cached:
                 with guard:
                     reference.sync_all_state()

@@ -17,12 +17,15 @@ bounded-cache punt both need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.codegen.headers import (
+    EGRESS_PORT_FIELD,
     FLAG_VERDICT_DROP,
     FLAG_VERDICT_NONE,
     FLAG_VERDICT_SEND,
+    INGRESS_PORT_FIELD,
+    VERDICT_FIELD,
     ShimLayout,
 )
 from repro.ir.externs import ExternHost
@@ -44,36 +47,41 @@ from repro.switchsim.switch_model import SHIM_DIR_KEY, SHIM_KEY
 # ---------------------------------------------------------------------------
 
 
-def replicated_members(plan: PartitionPlan) -> Dict[str, bool]:
+def replicated_members(plan: PartitionPlan) -> FrozenSet[str]:
     """The plan's half of the rule, built once per plan: the state members
-    whose server-side writes are replicated to the switch, each mapped to
-    whether it is a scalar (a register on the switch, not a table)."""
-    return {
-        name: placement.member.kind == "scalar"
+    whose server-side writes are replicated to the switch."""
+    return frozenset(
+        name
         for name, placement in plan.placements.items()
         if placement.replicated or placement.kind is PlacementKind.SWITCH_TABLE
-    }
+    )
 
 
-def updates_from_journal(replicated: Dict[str, bool],
+#: The journal's half: the ``StateUpdate.op`` each journalled write
+#: replicates as.  A scalar's store is a register write, a vector push an
+#: insert at its index; an ``insert_failed`` changed nothing and has none.
+#: The emitted C++ batch spells its ``UpdateOp`` from these values.
+UPDATE_OPS: Dict[str, str] = {
+    "store": "register",
+    "insert": "insert",
+    "push": "insert",
+    "erase": "delete",
+}
+
+
+def updates_from_journal(replicated: FrozenSet[str],
                          journal) -> List[StateUpdate]:
     """Convert journal entries on replicated state to switch updates."""
     updates: List[StateUpdate] = []
     for op, member, keys, value in journal:
-        scalar = replicated.get(member)
-        if scalar is None:
-            continue
-        if scalar or op == "store":
-            updates.append(StateUpdate("register", member, (), value))
-        elif op in ("insert", "push"):
-            updates.append(StateUpdate("insert", member, keys, value))
-        elif op == "erase":
-            updates.append(StateUpdate("delete", member, keys, None))
+        update_op = UPDATE_OPS.get(op)
+        if update_op is not None and member in replicated:
+            updates.append(StateUpdate(update_op, member, keys, value))
     return updates
 
 
 def verdict_flag(verdict: Optional[str]) -> int:
-    """The return shim's ``__verdict`` field for a server-side verdict."""
+    """The return shim's verdict field for a server-side verdict."""
     if verdict == "send":
         return FLAG_VERDICT_SEND
     if verdict == "drop":
@@ -150,7 +158,7 @@ class ServerRuntime:
         # What is left of the decoded fields after the reserved one is
         # the partition's initial environment.
         env = self._decode_shim(shim)
-        ingress = env.pop("__ingress_port", 1)
+        ingress = env.pop(INGRESS_PORT_FIELD, 1)
         # Restore the packet's original ingress annotation: the partition
         # may re-read it (Click semantics), and it must not observe the
         # switch→server hop.
@@ -186,9 +194,9 @@ class ServerRuntime:
         # The partition's environment is ours and finished with, so the
         # reserved fields join it on the way to the codec, which reads
         # the names of its layout and no others.
-        env["__verdict"] = verdict_flag(verdict)
-        env["__egress_port"] = egress_port or 0
-        env["__ingress_port"] = ingress
+        env[VERDICT_FIELD] = verdict_flag(verdict)
+        env[EGRESS_PORT_FIELD] = egress_port or 0
+        env[INGRESS_PORT_FIELD] = ingress
         metadata[SHIM_KEY] = self._encode_shim(env)
         metadata[SHIM_DIR_KEY] = "to_switch"
         return ServerResult(

@@ -18,9 +18,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.codegen.headers import (
+    EGRESS_PORT_FIELD,
     FLAG_VERDICT_DROP,
     FLAG_VERDICT_NONE,
     FLAG_VERDICT_SEND,
+    INGRESS_PORT_FIELD,
+    VERDICT_FIELD,
 )
 from repro.net.packet import RawPacket
 from repro.sim.clock import PARSE_US, SWITCH_INSTR_US
@@ -209,7 +212,7 @@ class SwitchModel:
         # reserved field joins it on the way to the codec, which reads
         # the names of its layout and no others.
         self._c_punted.value += 1
-        env["__ingress_port"] = ingress_port
+        env[INGRESS_PORT_FIELD] = ingress_port
         metadata = packet.metadata
         metadata[SHIM_KEY] = shim = self._encode_shim(env)
         metadata[SHIM_DIR_KEY] = "to_server"
@@ -254,9 +257,9 @@ class SwitchModel:
         self._c_post.value += 1
         # What is left of ``values`` after the three reserved fields is
         # the post pipeline's environment.
-        verdict_flag = values.pop("__verdict", FLAG_VERDICT_NONE)
-        original_ingress = values.pop("__ingress_port", 1)
-        explicit_port = values.pop("__egress_port", 0)
+        verdict_flag = values.pop(VERDICT_FIELD, FLAG_VERDICT_NONE)
+        original_ingress = values.pop(INGRESS_PORT_FIELD, 1)
+        explicit_port = values.pop(EGRESS_PORT_FIELD, 0)
         stamping = self._int is not None and self._int.stamping
         if tracer is not None:
             tracer.set_component("switch.post")

@@ -13,9 +13,8 @@ under a normal model of the inter-arrival distribution.  The
 :class:`FailoverDeployment` promotes its standby only once φ crosses
 :data:`PHI_THRESHOLD` — so the promotion window now lasts
 ``max(exact window, detection latency)`` and ``experiments recovery``
-prices a measured number instead of sweeping a hypothetical one.  The
-old exact packet-boundary detection remains available
-(``detection="exact"``) as the oracle reference.
+prices a measured number instead of sweeping a hypothetical one.  φ is
+the one detector: the exact packet-boundary detection is gone.
 
 Heartbeats and detections flow through the metrics registry
 (``health.*``), so the time-series layer can window them like any other

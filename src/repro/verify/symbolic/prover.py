@@ -42,7 +42,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.codegen.headers import FLAG_VERDICT_DROP, FLAG_VERDICT_SEND
+from repro.codegen.headers import (
+    EGRESS_PORT_FIELD,
+    FLAG_VERDICT_DROP,
+    FLAG_VERDICT_SEND,
+    INGRESS_PORT_FIELD,
+    VERDICT_FIELD,
+)
 from repro.difftest.kernel import OBSERVED_FIELDS
 from repro.ir import instructions as irin
 from repro.ir.externs import ExternHost
@@ -531,9 +537,9 @@ def _run_composition(plan, program, scenario: Scenario,
     # As on the switch, the reserved field joins the finished traversal's
     # environment; as on the server, what is left of the decoded fields
     # after it is the partition's environment.
-    pre.env["__ingress_port"] = const(scenario.ingress)
+    pre.env[INGRESS_PORT_FIELD] = const(scenario.ingress)
     env = _shim_pack(program.shim_to_server, pre.env)
-    env.pop("__ingress_port", None)
+    env.pop(INGRESS_PORT_FIELD, None)
     server.drain_journal()
     server_result = Interpreter(
         plan.non_offloaded, server, server_externs, domain
@@ -544,12 +550,12 @@ def _run_composition(plan, program, scenario: Scenario,
     )
 
     out_values = server_result.env
-    out_values["__verdict"] = const(verdict_flag(server_result.verdict))
-    out_values["__egress_port"] = (
+    out_values[VERDICT_FIELD] = const(verdict_flag(server_result.verdict))
+    out_values[EGRESS_PORT_FIELD] = (
         server_result.egress_port
         if server_result.egress_port is not None else const(0)
     )
-    out_values["__ingress_port"] = const(scenario.ingress)
+    out_values[INGRESS_PORT_FIELD] = const(scenario.ingress)
     values2 = _shim_pack(program.shim_to_switch, out_values)
 
     # Replication batch commits before the return leg (output commit).
@@ -558,9 +564,9 @@ def _run_composition(plan, program, scenario: Scenario,
 
     # What is left of the decoded fields after the three reserved ones is
     # the post pipeline's environment.
-    flag = values2.pop("__verdict", const(0))
-    values2.pop("__ingress_port", None)
-    explicit_egress = values2.pop("__egress_port", None)
+    flag = values2.pop(VERDICT_FIELD, const(0))
+    values2.pop(INGRESS_PORT_FIELD, None)
+    explicit_egress = values2.pop(EGRESS_PORT_FIELD, None)
     assert flag.is_const  # verdicts are path-concrete by construction
     if flag.value == FLAG_VERDICT_DROP:
         return CompOutcome("drop", None, packet, server, switch)

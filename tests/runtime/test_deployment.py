@@ -221,26 +221,28 @@ class TestReplicationRule:
         assert gallium.server._replicated == table
         # The table is the rule's plan half, spelled out per member...
         assert table == {
-            name: placement.member.kind == "scalar"
-            for name, placement in plan.placements.items()
+            name for name, placement in plan.placements.items()
             if placement.replicated
             or placement.kind is PlacementKind.SWITCH_TABLE
         }
-        # ...and the journal half, per entry, is what it was when the
-        # plan was consulted for every entry.
+        # ...and the journal half, per entry in the shapes StateStore
+        # journals, is one update op per journal op.
         journal = [
-            (op, name, (1, 2), 3)
-            for name in plan.placements
-            for op in ("insert", "push", "erase", "store", "insert_failed")
+            entry for name in plan.placements for entry in (
+                ("store", name, (), 3),
+                ("insert", name, (1, 2), 3),
+                ("push", name, (4,), 3),
+                ("erase", name, (1, 2), None),
+                ("insert_failed", name, (1, 2), 3),
+            )
         ]
-        expected = []
-        for op, name, keys, value in journal:
-            if name not in table:
-                continue
-            if plan.placements[name].member.kind == "scalar" or op == "store":
-                expected.append(StateUpdate("register", name, (), value))
-            elif op in ("insert", "push"):
-                expected.append(StateUpdate("insert", name, keys, value))
-            elif op == "erase":
-                expected.append(StateUpdate("delete", name, keys, None))
+        expected = [
+            update for name in plan.placements if name in table
+            for update in (
+                StateUpdate("register", name, (), 3),
+                StateUpdate("insert", name, (1, 2), 3),
+                StateUpdate("insert", name, (4,), 3),
+                StateUpdate("delete", name, (1, 2), None),
+            )
+        ]
         assert server.updates_from_journal(table, journal) == expected

@@ -182,3 +182,58 @@ def test_retry_backoff():
         ("switchsim/control_plane.py", "backoff_us"),
         ("switchsim/control_plane.py", "nominal_backoff_us"),
     ]
+
+
+def _literals(tree: ast.AST):
+    """Every string constant of ``tree`` but its docstrings, f-string
+    pieces included."""
+    docstrings = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+    }
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in docstrings):
+            yield node.value
+
+
+def test_reserved_shim_fields():
+    """The shim's reserved field names are spelled once, as the constants
+    of ``codegen/headers.py``: the server, the switch model, the prover and
+    both emitters read those."""
+    spelled = sorted({
+        module for module, tree in trees()
+        for text in _literals(tree)
+        if re.search(r"__(ingress_port|verdict|egress_port)\b", text)
+    })
+    assert spelled == ["codegen/headers.py"]
+
+
+def test_replication_ops():
+    """Which update op a journalled write replicates as is one table,
+    ``UPDATE_OPS``; the server's rule and the C++ emitter read it, and no
+    scope anywhere else names both a journal op and an update op."""
+    journal_ops = {"store", "push", "erase"}
+    update_ops = {"register", "delete"}
+    both = []
+    for module, tree in trees():
+        top = [
+            node for node in tree.body
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        ]
+        scopes = [ast.Module(body=top, type_ignores=[])] + [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+        ]
+        for scope in scopes:
+            texts = set(_literals(scope))
+            if texts & journal_ops and texts & update_ops:
+                both.append((module, getattr(scope, "name", "")))
+    assert both == [("runtime/server.py", "")]
+    assert matching(r"\bUPDATE_OPS\b") == [
+        ("codegen/cpp/emit.py", ""),
+        ("codegen/cpp/emit.py", "_replicate"),
+        ("runtime/server.py", ""),
+        ("runtime/server.py", "updates_from_journal"),
+    ]
