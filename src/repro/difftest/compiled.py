@@ -350,6 +350,6 @@ def run_compiled_gauntlet(
         runs, seed, scenario, _REPRODUCE,
         seed_override=seed_override, time_budget_s=time_budget_s,
         max_failures=max_failures, log=log,
-        progress=lambda: f"({stats.summary()})",
+        progress=kernel.progress_of(stats),
     )
     return stats, failures

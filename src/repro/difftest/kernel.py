@@ -369,19 +369,24 @@ def drive(
     time_budget_s: Optional[float] = None,
     max_failures: Optional[int] = 10,
     log: Optional[Callable[[str], None]] = None,
-    progress: Callable[[], str] = str,
+    progress: Callable[[Elapsed], str] = lambda elapsed: "",
 ) -> Tuple[list, Elapsed]:
     """The seeded campaign loop; returns ``(failures, elapsed)``.
 
     ``scenario(index, program_seed)`` returns the run's failure (anything
     with a ``report()``) or ``None``.  ``seed_override`` pins the program
     seed of run 0 (the reproduce path); ``time_budget_s`` stops early.
+    Every hundredth run logs ``progress`` of the time spent so far.
     An exception escaping ``scenario`` was raised outside every guard —
     by the harness, not by what it tests — and is re-raised as
     :class:`HarnessBug` naming ``reproduce(program_seed)``.
     """
     failures: list = []
     started, compiling = time.monotonic(), _compile_s
+
+    def elapsed() -> Elapsed:
+        return Elapsed(time.monotonic() - started, _compile_s - compiling)
+
     for index in range(runs):
         if (time_budget_s is not None
                 and time.monotonic() - started > time_budget_s):
@@ -407,10 +412,16 @@ def drive(
                     log(f"stopping after {max_failures} failures")
                 break
         elif log is not None and (index + 1) % 100 == 0:
-            log(f"... {index + 1}/{runs} {progress()}".rstrip())
-    return failures, Elapsed(
-        time.monotonic() - started, _compile_s - compiling
-    )
+            log(f"... {index + 1}/{runs} {progress(elapsed())}".rstrip())
+    return failures, elapsed()
+
+
+def progress_of(stats) -> Callable[[Elapsed], str]:
+    """A progress line: ``stats.summary()`` as of the running clock."""
+    def line(elapsed: Elapsed) -> str:
+        stats.elapsed_s, stats.compile_s = elapsed
+        return f"({stats.summary()})"
+    return line
 
 
 def minimize(

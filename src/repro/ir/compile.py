@@ -8,13 +8,26 @@ interpretation overhead from its pipeline, and the way Druzhba generates
 a pipeline simulator specialized to one program: each function is
 compiled **once** into one specialized Python function in which
 
-* operand reads are inlined ``env['name']`` subscripts or literal ints,
+* every IR register is one Python local (``r_<name>``); only the
+  function's live-ins (:func:`~repro.ir.validate.unsatisfied_uses`) are
+  copied in from ``initial_env``, and a read of one the caller did not
+  give raises the interpreter's ``read of undefined register`` error,
+* ``env`` is built only at the exits whose caller reads it (every exit
+  here; the switch rendition only the punt): the caller's environment
+  plus every register the path taken bound,
 * result masks (``& 0xff`` ...) are resolved from the register types at
-  compile time,
-* header field paths (``packet.raw.ip.saddr`` ...) are resolved from the
-  field map at compile time, including the TCP/UDP port aliasing and the
-  absent-header semantics, and a header is bound to a local once per
-  straight-line path instead of once per field,
+  compile time and left out where the value already fits the
+  destination — a 0/1 result, an ``&`` with a non-negative literal, an
+  address field, a copy from a register every definition of which is
+  wrapped to at most the destination's width (never a ``MapFind``
+  value, ``VectorGet``, ``VectorLen``, extern result or live-in);
+  literal operands and shift amounts are folded,
+* header field paths are resolved from the field map at compile time,
+  including the TCP/UDP port aliasing and the absent-header semantics; a
+  header is bound to a local once per straight-line path from the
+  packet's slot (:data:`~repro.net.packet.HEADER_SLOTS`, with the class
+  test the property runs), and an address field reads the wrapper's
+  integer directly,
 * state calls carry literal member names and RMW widths, and
 * control flow is Python control flow: a block with a single predecessor
   is emitted *inside* the ``if`` arm (or after the jump) that reaches it,
@@ -57,6 +70,8 @@ Equivalence caveats, by construction:
 
 from __future__ import annotations
 
+import re
+from types import MappingProxyType
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.lang.types import BOOL, IntType, bit_width_of
@@ -64,14 +79,17 @@ from repro.ir import instructions as irin
 from repro.ir.externs import ExternHost
 from repro.ir.function import Function
 from repro.ir.interp import (
+    MASK64,
     ExecutionResult,
     InterpreterError,
     _MAX_STEPS,
     interpreted,
 )
+from repro.ir.validate import defined_at_entry, unsatisfied_uses
 from repro.ir.values import Const, Reg
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.fields import HeaderField, header_field
+from repro.net.packet import HEADER_SLOTS
 
 #: ``if`` arms nested deeper than this go through the dispatch instead
 #: (the tokenizer refuses more than 100 indentation levels).
@@ -83,8 +101,8 @@ def _no_packet():
 
 
 #: Binary operators as inline source templates, mirroring ``_apply_binop``
-#: exactly (division by zero yields 0, shifts mask the amount to 6 bits,
-#: comparisons and logicals produce 0/1).
+#: exactly (division by zero yields 0, comparisons and logicals produce
+#: 0/1).  A shift's ``{b}`` is its amount already masked to 6 bits.
 _BINOP_SRC = {
     irin.BinOpKind.ADD: "({a} + {b})",
     irin.BinOpKind.SUB: "({a} - {b})",
@@ -94,8 +112,8 @@ _BINOP_SRC = {
     irin.BinOpKind.AND: "({a} & {b})",
     irin.BinOpKind.OR: "({a} | {b})",
     irin.BinOpKind.XOR: "({a} ^ {b})",
-    irin.BinOpKind.SHL: "({a} << ({b} & 63))",
-    irin.BinOpKind.SHR: "({a} >> ({b} & 63))",
+    irin.BinOpKind.SHL: "({a} << {b})",
+    irin.BinOpKind.SHR: "({a} >> {b})",
     irin.BinOpKind.EQ: "(1 if {a} == {b} else 0)",
     irin.BinOpKind.NE: "(1 if {a} != {b} else 0)",
     irin.BinOpKind.LT: "(1 if {a} < {b} else 0)",
@@ -105,12 +123,53 @@ _BINOP_SRC = {
     irin.BinOpKind.LAND: "(1 if ({a} and {b}) else 0)",
     irin.BinOpKind.LOR: "(1 if ({a} or {b}) else 0)",
 }
+_SHIFTS = (irin.BinOpKind.SHL, irin.BinOpKind.SHR)
+#: the operators whose template yields 0 or 1
+_ZERO_ONE = frozenset(
+    op for op, src in _BINOP_SRC.items() if src.startswith("(1 if")
+)
+
+#: Definitions the emitted code leaves within their destination's width:
+#: it wraps them, or leaves a wrap out only where the value already fits.
+#: A ``MapFind`` value, a ``VectorGet`` and a ``VectorLen`` are kept as
+#: the call returned them, and an extern's result does not count either
+#: (its host is outside the program), so a register one of these defines
+#: has no known width.
+_WRAPPED = (irin.Assign, irin.Cast, irin.BinOp, irin.UnOp,
+            irin.LoadPacketField, irin.LoadState, irin.RegisterRMW)
+
+#: the caller gave no environment (never written: an exit copies it)
+_NO_ENV = MappingProxyType({})
+#: a register no definition has reached yet
+_UNSET = object()
+#: the name a ``NameError`` message quotes
+_QUOTED = re.compile(r"'(\w+)'")
+
+
+def _width(reg: Reg) -> int:
+    """Bits ``reg`` holds after the interpreter's wrap."""
+    if reg.type is BOOL:
+        return 1
+    if isinstance(reg.type, IntType):
+        return reg.type.bits
+    return 64
+
+
+def _wrapped(value: int, reg: Reg) -> int:
+    """The interpreter's wrap of a literal, done now."""
+    if reg.type is BOOL:
+        return 1 if value else 0
+    if isinstance(reg.type, IntType):
+        return value & reg.type.mask
+    return value & MASK64
+
 
 #: What a path has established so far: ``"packet"`` once the no-packet
 #: guard ran, plus the header locals (``_ip`` ...) already bound on it.
 Bound = FrozenSet[str]
 _NOTHING: Bound = frozenset()
 _VERDICTS = (irin.Send, irin.SendTo, irin.Drop, irin.Return)
+_RELEASES = (irin.Send, irin.SendTo, irin.Drop)
 
 
 class FunctionEmitter:
@@ -129,14 +188,19 @@ class FunctionEmitter:
     packet_optional = True
     #: expression of the packet handle an extern call receives
     extern_packet = "packet"
-    #: locals the entry initializes besides ``env`` / verdict / steps
+    #: locals the entry initializes besides verdict / steps
     prologue: Tuple[str, ...] = ()
+    #: every exit builds ``env``; ``False``: only the exits that release
+    #: no packet do (the others return ``env`` as the prologue left it)
+    env_on_verdict = True
 
     def __init__(self, function: Function):
         self.function = function
         self.lines: List[str] = []
         self.depth = 1
-        self.reg_reads: Set[str] = set()
+        #: register name -> the local holding it, and back
+        self._locals: Dict[str, str] = {}
+        self._registers: Dict[str, str] = {}
         #: names the generated code reads from its globals
         self.namespace: Dict[str, object] = {
             "InterpreterError": InterpreterError,
@@ -144,9 +208,12 @@ class FunctionEmitter:
             "MacAddress": MacAddress,
             "ExternHost": ExternHost,
             "_K": irin.BinOpKind,
+            "_NO_ENV": _NO_ENV,
+            "_UNSET": _UNSET,
             "_no_packet": _no_packet,
             "_limit": self._limit,
             "_undefined": self._undefined,
+            **{cls.__name__: cls for _, cls in HEADER_SLOTS.values() if cls},
         }
         self._preds: Dict[str, int] = {name: 0 for name in function.blocks}
         for block in function.blocks.values():
@@ -155,6 +222,34 @@ class FunctionEmitter:
                     self._preds[successor] += 1
         #: dispatch index per block that is entered through ``_i``
         self._heads: Dict[str, int] = {function.entry: 0}
+        #: registers a read may reach before any definition: the only
+        #: ones copied in from ``initial_env``
+        self.live_in: Tuple[str, ...] = tuple(unsatisfied_uses(function))
+        #: register -> the most bits a definition leaves in it (``None``:
+        #: unknown), and the order registers are first defined in
+        self._fits: Dict[str, Optional[int]] = {}
+        self._rank: Dict[str, int] = {}
+        for block in function.blocks.values():
+            for inst in block.instructions:
+                for reg in inst.defs():
+                    fits = self._fits.get(reg.name, 0)
+                    self._rank.setdefault(reg.name, len(self._rank))
+                    wrapped = isinstance(inst, _WRAPPED) or (
+                        isinstance(inst, irin.MapFind)
+                        and reg.name == inst.found.name  # int() of a bool
+                    )
+                    self._fits[reg.name] = (
+                        max(fits, _width(reg))
+                        if wrapped and fits is not None else None
+                    )
+        for name in self.live_in:
+            self._fits[name] = None
+        #: registers bound on every path into a block, and those only
+        #: some path into the dispatch head being emitted binds
+        self._must = defined_at_entry(function)
+        self._maybe: Tuple[str, ...] = ()
+        self._unset: Dict[str, None] = {}
+        self._builds_env = False
 
     # -- what the generated code calls on the slow exits ----------------------
 
@@ -163,23 +258,38 @@ class FunctionEmitter:
             f"{self.function.name}: step limit exceeded (runaway loop?)"
         )
 
-    def _undefined(self, exc: KeyError) -> None:
-        """Re-raise a failed ``env[...]`` read the interpreter's way; any
-        other ``KeyError`` is the caller's to re-raise as it is."""
-        if exc.args and exc.args[0] in self.reg_reads:
+    def _undefined(self, exc: NameError) -> None:
+        """Re-raise a read of an unbound register local the interpreter's
+        way; any other ``NameError`` (one raised by a callee, say) is the
+        caller's to re-raise as it is."""
+        if exc.__traceback__ is None or exc.__traceback__.tb_next is not None:
+            return
+        quoted = _QUOTED.search(str(exc))
+        name = quoted and self._registers.get(quoted[1])
+        if name is not None:
             raise InterpreterError(
-                f"{self.function.name}: read of undefined register"
-                f" %{exc.args[0]}"
+                f"{self.function.name}: read of undefined register %{name}"
             ) from None
 
     # -- expression fragments ------------------------------------------------
+
+    def local(self, name: str) -> str:
+        """The Python local register ``name`` lives in."""
+        local = self._locals.get(name)
+        if local is None:
+            local = base = "r_" + re.sub(r"\W", "_", name)
+            suffix = 0
+            while local in self._registers:
+                suffix += 1
+                local = f"{base}_{suffix}"
+            self._locals[name], self._registers[local] = local, name
+        return local
 
     def operand(self, operand) -> str:
         if isinstance(operand, Const):
             return repr(int(operand.value))
         if isinstance(operand, Reg):
-            self.reg_reads.add(operand.name)
-            return f"env[{operand.name!r}]"
+            return self.local(operand.name)
         raise InterpreterError(f"bad operand {operand!r}")
 
     @staticmethod
@@ -201,8 +311,45 @@ class FunctionEmitter:
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.depth + line)
 
-    def assign(self, dst: Reg, expr: str) -> None:
-        self.emit(f"env[{dst.name!r}] = {self.wrap(expr, dst)}")
+    def store(self, dst: Reg, expr: str) -> None:
+        self.emit(f"{self.local(dst.name)} = {expr}")
+
+    def assign(self, dst: Reg, expr: str, fits: Optional[int] = None) -> None:
+        """``dst = expr`` wrapped as the interpreter wraps it; the wrap
+        is left out when ``expr`` is known to take at most ``fits`` bits
+        and ``dst`` holds at least that many (a 0/1 result in a
+        ``bool``, too: ``1 if v else 0`` is ``v``)."""
+        if fits is None or fits > _width(dst):
+            expr = self.wrap(expr, dst)
+        self.store(dst, expr)
+
+    def copy(self, inst) -> None:
+        """An ``Assign`` / ``Cast``: a literal is wrapped now; a register
+        whose every definition fits the destination is copied bare."""
+        if isinstance(inst.src, Const):
+            self.store(inst.dst, repr(_wrapped(int(inst.src.value), inst.dst)))
+            return
+        fits = self._fits.get(inst.src.name) if isinstance(inst.src, Reg) else None
+        self.assign(inst.dst, self.operand(inst.src), fits)
+
+    def binop(self, inst: irin.BinOp) -> None:
+        src = _BINOP_SRC.get(inst.op)
+        if src is None:
+            raise InterpreterError(f"unknown binop {inst.op}")
+        a, b = self.operand(inst.lhs), self.operand(inst.rhs)
+        fits = None
+        if inst.op in _ZERO_ONE:
+            fits = 1
+        elif inst.op in _SHIFTS:
+            b = (repr(int(inst.rhs.value) & 63)
+                 if isinstance(inst.rhs, Const) else f"({b} & 63)")
+        elif inst.op is irin.BinOpKind.AND:
+            # ``x & c`` with ``c >= 0`` lies in ``[0, c]`` whatever ``x`` is.
+            masks = [int(o.value) for o in (inst.lhs, inst.rhs)
+                     if isinstance(o, Const) and int(o.value) >= 0]
+            if masks:
+                fits = min(masks).bit_length()
+        self.assign(inst.dst, src.format(a=a, b=b), fits)
 
     # -- state operations (the rendition hooks) ---------------------------------
 
@@ -222,9 +369,8 @@ class FunctionEmitter:
                   f" {self.keys(inst.keys)})")
 
     def state_vector_get(self, inst: irin.VectorGet) -> None:
-        self.emit(f"env[{inst.dst.name!r}] ="
-                  f" state.vector_get({inst.state!r},"
-                  f" {self.operand(inst.index)})")
+        self.store(inst.dst, f"state.vector_get({inst.state!r},"
+                             f" {self.operand(inst.index)})")
 
     def state_other(self, method: str, name: str, *args: str) -> str:
         """Source of a store mutation or ``vector_len`` (operations a
@@ -245,16 +391,22 @@ class FunctionEmitter:
 
     def header(self, row: HeaderField, bound: Bound) -> Tuple[str, Bound]:
         """The local holding the header ``row`` is a field of (``None``
-        when absent), bound on first use along the path."""
+        when absent), bound on first use along the path from the
+        packet's slot, with the class test the header property runs."""
         # An aliased field has its own local: it falls back to the other
-        # L4 header where the rest of its region reads 0 / drops writes.
+        # L4 header (kept in the same slot) where the rest of its region
+        # reads 0 / drops writes.
         local = "_l4p" if row.alias else f"_{row.region}"
         if local not in bound:
             bound = bound | {local}
-            self.emit(f"{local} = {self.raw}.{row.region}")
-            if row.alias:
-                self.emit(f"if {local} is None:")
-                self.emit(f"    {local} = {self.raw}.{row.alias}")
+            slot, cls = HEADER_SLOTS[row.region]
+            self.emit(f"{local} = {self.raw}.{slot}")
+            if cls is not None:
+                test = cls.__name__
+                if row.alias:
+                    test = f"({test}, {HEADER_SLOTS[row.alias][1].__name__})"
+                self.emit(f"if not isinstance({local}, {test}):")
+                self.emit(f"    {local} = None")
         return local, bound
 
     def field(self, inst, store: bool = False) -> Optional[HeaderField]:
@@ -280,8 +432,10 @@ class FunctionEmitter:
         local, bound = self.header(row, bound)
         access = f"{local}.{row.attr}"
         if row.wrapper:
-            access = f"int({access})"
-        self.assign(inst.dst, f"(0 if {local} is None else {access})")
+            # The address classes keep their integer, range-checked, here.
+            access += "._value"
+        self.assign(inst.dst, f"(0 if {local} is None else {access})",
+                    row.width if row.wrapper else None)
         return bound
 
     def store_packet_field(self, inst: irin.StorePacketField,
@@ -309,22 +463,17 @@ class FunctionEmitter:
     def instruction(self, inst, bound: Bound) -> Bound:
         """Emit one non-terminator; returns what the path now has bound."""
         if isinstance(inst, (irin.Assign, irin.Cast)):
-            self.assign(inst.dst, self.operand(inst.src))
+            self.copy(inst)
         elif isinstance(inst, irin.BinOp):
-            src = _BINOP_SRC.get(inst.op)
-            if src is None:
-                raise InterpreterError(f"unknown binop {inst.op}")
-            self.assign(inst.dst, src.format(a=self.operand(inst.lhs),
-                                             b=self.operand(inst.rhs)))
+            self.binop(inst)
         elif isinstance(inst, irin.UnOp):
             src = self.operand(inst.src)
             if inst.op is irin.UnOpKind.NEG:
-                expr = f"(-{src})"
+                self.assign(inst.dst, f"(-{src})")
             elif inst.op is irin.UnOpKind.NOT:
-                expr = f"(~{src})"
+                self.assign(inst.dst, f"(~{src})")
             else:  # LNOT
-                expr = f"(0 if {src} else 1)"
-            self.assign(inst.dst, expr)
+                self.assign(inst.dst, f"(0 if {src} else 1)", 1)
         elif isinstance(inst, irin.LoadPacketField):
             return self.load_packet_field(inst, bound)
         elif isinstance(inst, irin.StorePacketField):
@@ -335,10 +484,10 @@ class FunctionEmitter:
             self.state_rmw(inst)
         elif isinstance(inst, irin.MapFind):
             self.state_find(inst)
-            self.emit(f"env[{inst.found.name!r}] = int(_f)")
+            self.store(inst.found, "int(_f)")
             if inst.value is not None:
                 # Deliberately unwrapped, like the interpreter.
-                self.emit(f"env[{inst.value.name!r}] = _v")
+                self.store(inst.value, "_v")
         elif isinstance(inst, irin.VectorGet):
             self.state_vector_get(inst)
         elif isinstance(inst, irin.StoreState):
@@ -352,8 +501,7 @@ class FunctionEmitter:
             self.emit(self.state_other("map_erase", inst.state,
                                        self.keys(inst.keys)))
         elif isinstance(inst, irin.VectorLen):
-            self.emit(f"env[{inst.dst.name!r}] ="
-                      f" {self.state_other('vector_len', inst.state)}")
+            self.store(inst.dst, self.state_other("vector_len", inst.state))
         elif isinstance(inst, irin.VectorPush):
             self.emit(self.state_other("vector_push", inst.state,
                                        self.operand(inst.value)))
@@ -393,6 +541,32 @@ class FunctionEmitter:
             self.emit("if packet is not None:")
             self.emit(f"    {mirror}")
 
+    def build_env(self, defined: Tuple[str, ...]) -> None:
+        """``env`` as the interpreter leaves it: the caller's environment
+        plus every register bound on the path taken — ``defined`` surely,
+        ``self._maybe`` where an earlier pass through the dispatch did.
+        One of those starts out ``_UNSET`` (nothing reads it before a
+        definition), a live-in unbound (a read must fail)."""
+        self._builds_env = True
+        # A copy and one store per register: a ``{**initial_env, ...}``
+        # literal merges two dicts and takes twice as long.
+        self.emit("env = initial_env.copy()")
+        for name in defined:
+            self.emit(f"env[{name!r}] = {self.local(name)}")
+        for name in self._maybe:
+            if name in defined:
+                continue
+            local = self.local(name)
+            if name in self.live_in:
+                self.emit("try:")
+                self.emit(f"    env[{name!r}] = {local}")
+                self.emit("except NameError:")
+                self.emit("    pass")
+            else:
+                self._unset.setdefault(local)
+                self.emit(f"if {local} is not _UNSET:")
+                self.emit(f"    env[{name!r}] = {local}")
+
     def leave(self, steps: int, ids: List[int], target: Optional[str]) -> None:
         """One exit from the nest: account for the whole path in one
         step, then dispatch to ``target`` or finish."""
@@ -417,19 +591,20 @@ class FunctionEmitter:
         )
 
     def arm(self, target: str, steps: int, ids: List[int], bound: Bound,
-            nesting: int) -> None:
+            defined: Tuple[str, ...], nesting: int) -> None:
         self.depth += 1
         if self.inlinable(target, nesting):
-            self.path(target, steps, list(ids), bound, nesting)
+            self.path(target, steps, list(ids), bound, defined, nesting)
         else:
             self.leave(steps, ids, target)
         self.depth -= 1
 
     def path(self, name: str, steps: int, ids: List[int], bound: Bound,
-             nesting: int) -> None:
+             defined: Tuple[str, ...], nesting: int) -> None:
         """Emit block ``name`` and everything only it reaches, counting
         ``steps`` / ``ids`` the way the interpreter does: every executed
-        instruction, the jumps and branches included."""
+        instruction, the jumps and branches included.  ``defined`` are
+        the registers bound on every way here, in binding order."""
         while True:
             last = None
             for last in self.function.blocks[name].instructions:
@@ -438,6 +613,8 @@ class FunctionEmitter:
                 if isinstance(last, irin.Terminator):
                     break
                 bound = self.instruction(last, bound)
+                defined += tuple(reg.name for reg in last.defs()
+                                 if reg.name not in defined)
             if isinstance(last, irin.Jump):
                 if self.inlinable(last.target, nesting):
                     name = last.target
@@ -445,9 +622,11 @@ class FunctionEmitter:
                 self.leave(steps, ids, last.target)
             elif isinstance(last, irin.Branch):
                 self.emit(f"if {self.operand(last.cond)}:")
-                self.arm(last.if_true, steps, ids, bound, nesting + 1)
+                self.arm(last.if_true, steps, ids, bound, defined,
+                         nesting + 1)
                 self.emit("else:")
-                self.arm(last.if_false, steps, ids, bound, nesting + 1)
+                self.arm(last.if_false, steps, ids, bound, defined,
+                         nesting + 1)
             else:
                 if isinstance(last, _VERDICTS):
                     self.verdict(last)
@@ -455,34 +634,67 @@ class FunctionEmitter:
                     raise InterpreterError(
                         f"unhandled instruction {type(last).__name__}"
                     )
+                if self.env_on_verdict or not isinstance(last, _RELEASES):
+                    self.build_env(defined)
                 self.leave(steps, ids, None)
             return
 
+    def bound_at(self, head: str) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """The registers bound on every way into dispatch head ``head``,
+        and those bound on only some, each in first-definition order."""
+        preds = self.function.predecessors()
+        before: Set[str] = set()
+        stack = list(preds.get(head, ()))
+        while stack:
+            name = stack.pop()
+            if name not in before:
+                before.add(name)
+                stack.extend(preds.get(name, ()))
+        must = self._must.get(head, set())
+        maybe = {
+            reg.name for name in before
+            for inst in self.function.blocks[name].instructions
+            for reg in inst.defs()
+        } - must
+        return (tuple(sorted(must, key=self._rank.__getitem__)),
+                tuple(sorted(maybe, key=self._rank.__getitem__)))
+
     def source(self) -> str:
-        """The whole function: prologue, driver loop, one ``if _i ==``
-        arm per dispatch head (discovered while emitting), epilogue."""
-        head = [
-            "def _entry(state, externs, tracer, ids, packet, initial_env):",
-            "    env = dict(initial_env) if initial_env else {}",
-            "    verdict = port = None",
-            "    steps = _i = 0",
-            *(f"    {line}" for line in self.prologue),
-            "    try:",
-            "        while True:",
-            f"            if steps > {_MAX_STEPS}:",
-            "                _limit()",
-        ]
+        """The whole function: prologue, live-in copies, dispatch loop, one
+        ``if _i ==`` arm per dispatch head (discovered while emitting),
+        epilogue."""
         self.depth = 3
         emitted = 0
         while emitted < len(self._heads):
             name = list(self._heads)[emitted]  # insertion order = index
             self.emit(f"{'if' if emitted == 0 else 'elif'} _i == {emitted}:")
             self.depth += 1
-            self.path(name, 0, [], _NOTHING, 0)
+            defined, self._maybe = self.bound_at(name)
+            self.path(name, 0, [], _NOTHING, defined, 0)
             self.depth -= 1
             emitted += 1
+        head = [
+            "def _entry(state, externs, tracer, ids, packet, initial_env):",
+            "    verdict = port = None",
+            "    steps = _i = 0",
+            *(f"    {line}" for line in self.prologue),
+        ]
+        if self._unset:
+            head.append(f"    {' = '.join(self._unset)} = _UNSET")
+        if self.live_in or self._builds_env:
+            head += ["    if initial_env is None:",
+                     "        initial_env = _NO_ENV"]
+        for name in self.live_in:
+            head += [f"    if {name!r} in initial_env:",
+                     f"        {self.local(name)} = initial_env[{name!r}]"]
+        head += [
+            "    try:",
+            "        while True:",
+            f"            if steps > {_MAX_STEPS}:",
+            "                _limit()",
+        ]
         tail = [
-            "    except KeyError as exc:",
+            "    except NameError as exc:",
             "        _undefined(exc)",
             "        raise",
             f"    if steps > {_MAX_STEPS}:",

@@ -12,7 +12,8 @@ paths both emitters print.
 What is peculiar about a field is a column, not a branch somewhere:
 
 * ``wrapper`` — the address class the :mod:`repro.net.headers` record
-  keeps the field in; a load takes ``int()`` of it, a store builds one;
+  keeps the field in; a load takes ``int()`` of it (generated code reads
+  its range-checked ``_value``), a store builds one;
 * ``masked`` — a store keeps only the field's ``width`` bits.  Only the
   address fields and ``eth.h_proto`` do; every other store writes the
   value as it is (a register is already wrapped to its declared width);

@@ -30,6 +30,17 @@ class PacketBuildError(ValueError):
     """Raised when a packet cannot be constructed or parsed."""
 
 
+#: Header property of :class:`RawPacket` -> the slot it reads and the
+#: class the slot's record must be for the property to return it (``None``:
+#: returned as it is).  Generated code reads the slots, not the properties.
+HEADER_SLOTS = {
+    "eth": ("_eth", None),
+    "ip": ("_ip", None),
+    "tcp": ("_l4", TcpHeader),
+    "udp": ("_l4", UdpHeader),
+}
+
+
 def _header(data: bytes, offset: int, size: int) -> bytes:
     """The ``size`` header bytes at ``offset``, or a refusal when the
     header runs past the frame."""

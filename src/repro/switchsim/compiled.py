@@ -8,9 +8,13 @@ generates for the pipeline in the rendition below — once per
 ``Function`` (:func:`compile_switch_function`), shared by every switch
 running the program — bound to *this* switch's tables and registers.
 
-What the rendition changes against the server one is the five state
-operations and nothing else.  Each access to a stateful element is
-emitted in place as
+Registers are Python locals, the packet is the ``RawPacket`` itself
+(headers bind from its slots), and ``env`` is built only on the exit
+that releases no packet: ``SwitchModel.receive`` reads it to encode the
+punt's shim and nowhere else, so an answered traversal returns ``None``
+there, and the post pipeline's is discarded.  Otherwise what the
+rendition changes against the server one is the five state operations.
+Each access to a stateful element is emitted in place as
 
 * the one-access-per-traversal guard: a bit per element in the local
   ``acc``, fresh with every traversal; a second access raises the same
@@ -82,7 +86,9 @@ class SwitchEmitter(FunctionEmitter):
     raw = "packet"
     packet_optional = False
     extern_packet = "PacketView(packet)"
-    prologue = ("acc = 0",)
+    prologue = ("acc = 0", "env = None")
+    #: ``SwitchModel.receive`` reads ``env`` only to punt
+    env_on_verdict = False
 
     def __init__(self, function: Function):
         super().__init__(function)
@@ -141,7 +147,7 @@ class SwitchEmitter(FunctionEmitter):
         self.emit("if tracer is not None:")
         self.emit(f"    tracer.record('vector_get', name={inst.state!r},"
                   " index=_k, value=_v)")
-        self.emit(f"env[{inst.dst.name!r}] = _v")
+        self.store(inst.dst, "_v")
 
     def state_other(self, method: str, name: str, *args: str) -> str:
         operands = "".join(f", {arg}" for arg in args)

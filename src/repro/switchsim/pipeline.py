@@ -29,8 +29,11 @@ from repro.switchsim.registers import Register
 from repro.switchsim.tables import ExactMatchTable
 
 #: what one traversal yields: verdict ("send" | "drop" | None when it fell
-#: off the end), explicit egress port, final environment, instruction count
-Traversal = Tuple[Optional[str], Optional[int], Dict[str, int], int]
+#: off the end), explicit egress port, final environment (the compiled
+#: switch builds it only when there is no verdict: ``None`` otherwise),
+#: instruction count
+Traversal = Tuple[Optional[str], Optional[int], Optional[Dict[str, int]],
+                  int]
 
 
 class DataPlaneViolation(Exception):

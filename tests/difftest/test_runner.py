@@ -62,3 +62,27 @@ def test_seed_override_pins_run_zero():
 def test_time_budget_stops_early():
     stats, _ = run_gauntlet(runs=10**6, seed=0, packets=3, time_budget_s=0.0)
     assert stats.runs < 10**6
+
+
+def test_progress_lines_carry_the_running_clock():
+    """Each ``... n/N`` line reports the seconds spent so far, not the
+    zeros the stats hold until the campaign returns."""
+    import re
+    import time
+
+    from repro.difftest import kernel
+    from repro.difftest.compiled import CompiledGauntletStats
+
+    stats, lines = CompiledGauntletStats(), []
+
+    def scenario(index, program_seed):
+        kernel.compile_step(time.sleep, 0.0015)
+        return None
+
+    kernel.drive(200, 0, scenario, str, log=lines.append,
+                 progress=kernel.progress_of(stats))
+    assert len(lines) == 2
+    for line in lines:
+        total, compiling = map(float, re.search(
+            r"in (\d+\.\d)s \(compile (\d+\.\d)s\)\)$", line).groups())
+        assert total > 0 and compiling > 0

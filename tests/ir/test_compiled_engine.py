@@ -21,7 +21,7 @@ from repro.ir.interp import (
     StateStore,
 )
 from repro.ir.values import Const, Reg
-from repro.lang.types import UINT32
+from repro.lang.types import UINT16, UINT32
 from repro.workloads import IperfWorkload, middlebox_stream
 from tests.conftest import get_bundle
 from tests.ir.test_interp import lower
@@ -157,3 +157,191 @@ class TestGeneratedProgramEquivalence:
         assert stats.diverge == 0
         assert stats.crash == 0
         assert stats.agree == 12
+
+
+def hand_built(build):
+    """A function ``build(builder)`` fills, with blocks ``entry`` .. as
+    the builder names them (nothing validates it)."""
+    builder = FunctionBuilder("hand")
+    build(builder)
+    return builder.function
+
+
+def outcome(run):
+    """``("ok", env, verdict)`` or ``("raised", type, message)``."""
+    try:
+        result = run()
+    except Exception as exc:  # noqa: BLE001 - the identity is compared
+        return ("raised", type(exc), str(exc))
+    return ("ok", result.env, result.verdict)
+
+
+def both_outcomes(function, initial_env=None, externs=None):
+    state = StateStore({})
+    interpreted = outcome(lambda: Interpreter(function, state, externs).run(
+        None, initial_env))
+    compiled = outcome(lambda: compile_function(function).run(
+        StateStore({}), externs, None, initial_env))
+    return interpreted, compiled
+
+
+X = Reg("x", UINT32)
+Y = Reg("y", UINT32)
+
+
+def one_armed(taken):
+    """``if (taken) x = 5;`` then ``y = x`` after the join."""
+    def build(builder):
+        arm, join = builder.fresh_block("arm"), builder.fresh_block("join")
+        builder.emit(irin.Branch(Const(taken, UINT32), arm.name, join.name))
+        builder.enter_block(arm)
+        builder.emit(irin.Assign(X, Const(5, UINT32)))
+        builder.emit(irin.Jump(join.name))
+        builder.enter_block(join)
+        builder.emit(irin.Assign(Y, X))
+        builder.emit(irin.Send())
+    return hand_built(build)
+
+
+def defined_in_the_loop():
+    """A loop head reading ``x``, which only the loop body (entered after
+    the head) defines: the first pass reads it unbound."""
+    def build(builder):
+        head, body = builder.fresh_block("head"), builder.fresh_block("body")
+        builder.emit(irin.Assign(Y, Const(0, UINT32)))
+        builder.emit(irin.Jump(head.name))
+        builder.enter_block(head)
+        builder.emit(irin.BinOp(Y, irin.BinOpKind.ADD, Y, X))
+        builder.emit(irin.Jump(body.name))
+        builder.enter_block(body)
+        builder.emit(irin.Assign(X, Const(1, UINT32)))
+        builder.emit(irin.Jump(head.name))
+    return hand_built(build)
+
+
+class TestRegistersAreLocals:
+    """What moving registers from a dict into Python locals could change,
+    each held to the interpreter's message or value."""
+
+    def test_read_after_a_one_armed_join(self):
+        interpreted, compiled = both_outcomes(one_armed(0))
+        assert interpreted[0] == "raised"
+        assert compiled == interpreted
+        assert "read of undefined register %x" in interpreted[2]
+        interpreted, compiled = both_outcomes(one_armed(1))
+        assert compiled == interpreted == ("ok", {"x": 5, "y": 5}, "send")
+
+    def test_read_at_a_loop_head_before_the_body_defines_it(self):
+        interpreted, compiled = both_outcomes(defined_in_the_loop())
+        assert interpreted[0] == "raised"
+        assert compiled == interpreted
+
+    def test_live_in_comes_from_the_environment(self):
+        interpreted, compiled = both_outcomes(one_armed(0), {"x": 9})
+        assert compiled == interpreted == (
+            "ok", {"x": 9, "y": 9}, "send")
+
+    def test_names_the_function_never_reads_come_back(self):
+        initial = {"x": 7, "unread": 3, "__ingress_port": 2}
+        interpreted, compiled = both_outcomes(one_armed(1), initial)
+        assert compiled == interpreted
+        assert compiled[1] == {"x": 5, "unread": 3, "__ingress_port": 2,
+                               "y": 5}
+
+    def test_an_externs_name_error_is_not_relabelled(self):
+        class Raising(ExternHost):
+            def call(self, name, args, packet=None):
+                # Quotes the local the generated code keeps ``x`` in.
+                raise NameError("name 'r_x' is not defined")
+
+        def build(builder):
+            builder.emit(irin.Assign(X, Const(1, UINT32)))
+            builder.emit(irin.ExternCall(Y, "now_sec", []))
+            builder.emit(irin.Send())
+
+        interpreted, compiled = both_outcomes(hand_built(build),
+                                              externs=Raising())
+        assert compiled == interpreted == (
+            "raised", NameError, "name 'r_x' is not defined")
+
+
+class TestNoDeadMasks:
+    """A copy keeps its mask unless every definition of its source fits
+    the destination; either way the value is the interpreter's."""
+
+    @staticmethod
+    def copy_of(define, dst_type):
+        dst = Reg("dst", dst_type)
+
+        def build(builder):
+            define(builder)
+            builder.emit(irin.Assign(dst, Reg("src", UINT32)))
+            builder.emit(irin.Send())
+        return hand_built(build)
+
+    def test_copy_from_a_narrower_wrapped_register_is_bare(self):
+        function = self.copy_of(lambda b: b.emit(irin.Assign(
+            Reg("src", UINT16), Const(0x1234, UINT16))), UINT32)
+        assert "r_dst = r_src\n" in compile_function(function).source
+        interpreted, compiled = both_outcomes(function)
+        assert compiled == interpreted
+
+    def test_narrowing_copy_keeps_its_mask(self):
+        function = self.copy_of(lambda b: b.emit(irin.Assign(
+            Reg("src", UINT32), Const(0x12345, UINT32))), UINT16)
+        assert "r_dst = (r_src & 0xffff)" in compile_function(
+            function).source
+        interpreted, compiled = both_outcomes(function)
+        assert compiled == interpreted
+        assert compiled[1]["dst"] == 0x2345
+
+    @pytest.mark.parametrize("initial", [{"src": 1 << 40}, {"src": -1}])
+    def test_live_in_source_keeps_its_mask(self, initial):
+        # ``src`` is read before any definition: it comes from the caller,
+        # who may hand over any integer.
+        function = self.copy_of(lambda b: None, UINT16)
+        interpreted, compiled = both_outcomes(function, initial)
+        assert compiled == interpreted
+        assert 0 <= compiled[1]["dst"] <= 0xFFFF
+
+    def test_map_value_source_keeps_its_mask(self):
+        state = StateStore({})
+        state.maps["m"] = {(1,): 1 << 40}
+
+        def define(builder):
+            builder.emit(irin.MapFind(builder.fresh_bool("f"),
+                                      Reg("src", UINT16), "m",
+                                      [Const(1, UINT32)]))
+        function = self.copy_of(define, UINT16)
+        assert "r_dst = (r_src & 0xffff)" in compile_function(
+            function).source
+        a = Interpreter(function, state).run()
+        b = compile_function(function).run(state)
+        assert a.env == b.env and b.env["dst"] == 0
+
+    def test_comparison_into_a_bool_is_wrapped_once(self):
+        def build(builder):
+            builder.emit(irin.BinOp(builder.fresh_bool("c"),
+                                    irin.BinOpKind.LT, Const(1, UINT32),
+                                    Const(2, UINT32)))
+            builder.emit(irin.Send())
+        function = hand_built(build)
+        assert "r_c0 = (1 if 1 < 2 else 0)\n" in compile_function(
+            function).source
+        interpreted, compiled = both_outcomes(function)
+        assert compiled == interpreted == ("ok", {"c0": 1}, "send")
+
+    def test_literals_fold(self):
+        def build(builder):
+            builder.emit(irin.Assign(Reg("small", UINT16),
+                                     Const(0x12345, UINT32)))
+            builder.emit(irin.BinOp(Reg("shifted", UINT32),
+                                    irin.BinOpKind.SHL, Const(1, UINT32),
+                                    Const(65, UINT32)))
+            builder.emit(irin.Send())
+        function = hand_built(build)
+        source = compile_function(function).source
+        assert "r_small = 9029\n" in source
+        assert "(1 << 1)" in source
+        interpreted, compiled = both_outcomes(function)
+        assert compiled == interpreted

@@ -11,7 +11,7 @@ from repro.net.headers import (
     TcpHeader,
     UdpHeader,
 )
-from repro.net.packet import RawPacket
+from repro.net.packet import HEADER_SLOTS, RawPacket
 
 
 def make_tcp(payload=b"hello"):
@@ -95,3 +95,22 @@ class TestRawPacketWireFormat:
         )
         assert packet.tcp is None
         assert packet.udp is not None
+
+
+@pytest.mark.parametrize("kind", ["tcp", "udp", "ip only", "non-ip"])
+def test_header_slots_are_what_the_properties_return(kind):
+    """Generated code reads :data:`HEADER_SLOTS` instead of the header
+    properties: slot plus class test must give the property's answer."""
+    eth = EthernetHeader(mac("02:00:00:00:00:02"), mac("02:00:00:00:00:01"))
+    ipv4 = Ipv4Header(saddr=ip("10.0.0.1"), daddr=ip("10.0.0.2"))
+    packet = {
+        "tcp": lambda: RawPacket.make_tcp(eth, ipv4, TcpHeader(sport=1)),
+        "udp": lambda: RawPacket.make_udp(eth, ipv4, UdpHeader(sport=1)),
+        "ip only": lambda: RawPacket(eth, ipv4),
+        "non-ip": lambda: RawPacket(eth),
+    }[kind]()
+    for region, (slot, cls) in HEADER_SLOTS.items():
+        header = getattr(packet, slot)
+        if cls is not None and not isinstance(header, cls):
+            header = None
+        assert header is getattr(packet, region), region
