@@ -2,7 +2,7 @@ PYTHON ?= python
 # Tier-1 convention: prepend src/ without clobbering a caller's PYTHONPATH.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: help test test-durations verify prover-pins \
+.PHONY: help test test-durations verify prover-pins replication-mutants \
 	mirror-lockstep punt-lockstep symbolic-smoke lint \
 	lint-verify option-census \
 	difftest difftest-smoke difftest-compiled cpp-check oracle-pins faults \
@@ -21,6 +21,10 @@ help:
 	@echo "                  and the one-definition structural test"
 	@echo "  prover-pins     every world the prover explores vs the golden file"
 	@echo "                  (wide sweep, ~27 s; the narrow one, ~7 s, runs in tier-1)"
+	@echo "  replication-mutants  register replication deleted from the rule:"
+	@echo "                  every generated program with a replicated register"
+	@echo "                  disproved by a confirmed SYM005, or proved for a"
+	@echo "                  recorded reason (~2 s; gen004 runs in tier-1)"
 	@echo "  mirror-lockstep every symbolic mirror against its concrete twin,"
 	@echo "                  concolically (wide slice, ~30 s; narrow in tier-1)"
 	@echo "  punt-lockstep   a fault-free batch's one pass against the retry loop,"
@@ -90,6 +94,14 @@ verify: option-census
 # (tests/verify/test_prover_pins.py).
 prover-pins:
 	$(PYTHON) -m tests.verify.prover_pins --wide
+
+# The replication rule with register writes deleted from UPDATE_OPS, over
+# every derive_seeds(0, i), i < 60, program with a replicated register:
+# each must be disproved by one replay-confirmed SYM005, or stay proved for
+# the reason tests/verify/replication_mutants.py records.  Tier-1 runs
+# gen004 (tests/verify/test_mutations.py).
+replication-mutants:
+	$(PYTHON) -m tests.verify.replication_mutants --wide
 
 # What the prover does not share with the runtime it mirrors; this runs
 # each mirror against its twin on 200 generated programs x 25 packets and

@@ -24,7 +24,6 @@ from repro.ir.interp import PacketView
 from repro.net.fields import FIELD_WIDTHS
 from repro.net.packet import RawPacket
 from repro.partition.partitioner import PartitionError
-from repro.partition.plan import PlacementKind
 from repro.runtime import state_image
 from repro.switchsim.program import SwitchProgramError
 
@@ -132,17 +131,18 @@ ALL_SECTIONS = SERVER_SECTIONS + ("registers", "tables")
 
 
 def end_state(runtime) -> dict:
-    """Server maps, scalars and vectors, with every register the data
-    plane reads from the switch overlaid by the switch's (authoritative)
-    value; for a deployment also raw switch registers and tables."""
+    """Server maps, scalars and vectors, with every register the switch
+    holds the authority for (``state_image.authoritative``) read from the
+    switch; for a deployment also raw switch registers and tables.  A
+    replicated member stays the server's copy: :func:`check_convergence`
+    holds its switch copy to it."""
     state = runtime.state.snapshot()
     switch = getattr(runtime, "switch", None)
     if switch is None:
         return state
-    state_image.from_switch(switch, (
-        placement for placement in runtime.plan.placements.values()
-        if placement.on_switch and placement.member.kind == "scalar"
-    ), state["scalars"])
+    state_image.from_switch(
+        switch, state_image.authoritative(runtime.plan), state["scalars"]
+    )
     state["registers"] = {n: r.value for n, r in switch.registers.items()}
     state["tables"] = {n: t.snapshot() for n, t in switch.tables.items()}
     return state
@@ -171,17 +171,17 @@ def diff_state(
 def check_convergence(
     deployment, where: Optional[str] = None
 ) -> Iterator[Finding]:
-    """The switch's replicated copies must equal the server's
-    authoritative state — the no-silent-divergence guarantee.
+    """The switch's copy of every replicated member, table or register
+    (``state_image.replicated``), must equal the server's authoritative
+    state — the no-silent-divergence guarantee.
 
     Bounded cache tables hold a *subset* by design, so for them the check
     weakens to coherence: every cached entry must match the authoritative
     value, and the cache must respect its size bound.
     """
     policy = deployment.state_policy
-    for name, placement in deployment.plan.placements.items():
-        if placement.kind is not PlacementKind.REPLICATED_TABLE:
-            continue
+    for placement in state_image.replicated(deployment.plan):
+        name = placement.member.name
         switch_copy = state_image.read(deployment.switch, placement)
         if name in policy.bounded_tables:
             server_map = deployment.state.maps[name]
@@ -204,9 +204,10 @@ def check_convergence(
             continue
         server_copy = state_image.stored(deployment.state, placement)
         if switch_copy != server_copy:
+            what = "register" if placement.member.kind == "scalar" else "table"
             yield Finding(
                 "convergence", None,
-                f"replicated table {name!r} diverged:"
+                f"replicated {what} {name!r} diverged:"
                 f" switch={switch_copy!r} server={server_copy!r}", where,
             )
 

@@ -440,12 +440,8 @@ def failover_recovery() -> Tuple[List[str], List[List]]:
     from repro.runtime.deployment import compile_middlebox
     from repro.switchsim.control_plane import expected_batch_latency_us
 
-    plan, _program = compile_middlebox(load(RECOVERY_MIDDLEBOX).lowered)
-    switch_tables = sum(
-        1
-        for placement in plan.placements.values()
-        if placement.on_switch and placement.member.kind in ("map", "vector")
-    )
+    _plan, program = compile_middlebox(load(RECOVERY_MIDDLEBOX).lowered)
+    switch_tables = len(program.tables)
 
     profile, capacity, normal, _fallback = _recovery_rates()
     # Promotion window: the full program runs on one server core (the

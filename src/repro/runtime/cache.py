@@ -29,7 +29,7 @@ from collections import OrderedDict
 from typing import Dict, List, Tuple
 
 from repro.net.packet import RawPacket
-from repro.partition.plan import PartitionPlan, PlacementKind
+from repro.partition.plan import PartitionPlan
 from repro.runtime import state_image
 from repro.runtime.deployment import GalliumMiddlebox, Role
 from repro.switchsim.control_plane import StateUpdate
@@ -98,10 +98,9 @@ class BoundedCache(Role):
         self.box = box
         plan = box.plan
         self.bounded_tables = tuple(
-            name
-            for name, placement in plan.placements.items()
-            if placement.kind is PlacementKind.REPLICATED_TABLE
-            and placement.member.kind == "map"
+            placement.member.name
+            for placement in state_image.replicated(plan)
+            if placement.member.kind == "map"
         )
         if not self.bounded_tables:
             raise CacheConfigurationError(

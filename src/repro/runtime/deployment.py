@@ -838,7 +838,7 @@ class GalliumMiddlebox:
         # bookkeeping is not packet provenance (and the reference side of
         # a fault diff replays the crash without rerunning configure).
         fresh.tracer = self.state.tracer
-        held = [p for p in self.plan.placements.values() if p.replicated]
+        held = state_image.replicated(self.plan)
         held += state_image.authoritative(self.plan)
         state_image.to_store(
             fresh, held, state_image.from_switch(self.switch, held, {})

@@ -31,7 +31,8 @@ from repro.codegen.headers import (
 from repro.ir.externs import ExternHost
 from repro.ir.interp import PacketView, StateStore, interpreted
 from repro.net.packet import RawPacket
-from repro.partition.plan import PartitionPlan, PlacementKind
+from repro.partition.plan import PartitionPlan
+from repro.runtime import state_image
 from repro.sim.clock import SERVER_INSTR_US
 from repro.switchsim.control_plane import StateUpdate
 from repro.switchsim.switch_model import SHIM_DIR_KEY, SHIM_KEY
@@ -51,9 +52,7 @@ def replicated_members(plan: PartitionPlan) -> FrozenSet[str]:
     """The plan's half of the rule, built once per plan: the state members
     whose server-side writes are replicated to the switch."""
     return frozenset(
-        name
-        for name, placement in plan.placements.items()
-        if placement.replicated or placement.kind is PlacementKind.SWITCH_TABLE
+        placement.member.name for placement in state_image.replicated(plan)
     )
 
 

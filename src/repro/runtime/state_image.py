@@ -4,9 +4,9 @@ An offloaded member has two homes: the server's authoritative
 :class:`~repro.ir.interp.StateStore` and the switch.  This module alone
 decides how a member looks on the switch — a map is its entries, a
 vector a table keyed ``(index,)``, a scalar a register — and which
-members the switch holds the authority for.  Every copy between a store
-and a switch goes through it.  An *image* is a ``{name: server form}``
-dict.
+members the switch owns or replicates.  Every copy between a store and
+a switch, and every checker's choice of what to compare, goes through
+it.  An *image* is a ``{name: server form}`` dict.
 """
 
 from __future__ import annotations
@@ -19,11 +19,16 @@ Image = Dict[str, object]
 
 
 def authoritative(plan) -> tuple:
-    """The registers the data plane writes; the rest replicate the server."""
+    """The registers the data plane writes: the switch copy is the state."""
     return tuple(
         placement for placement in plan.placements.values()
         if placement.kind is PlacementKind.SWITCH_REGISTER
     )
+
+
+def replicated(plan) -> tuple:
+    """What a server write updates on the switch, and convergence checks."""
+    return tuple(p for p in plan.placements.values() if p.replicated)
 
 
 def _section(state, placement) -> dict:

@@ -5,7 +5,7 @@ links.  This package models it:
 
 * :mod:`repro.sim.costs` — the calibrated cost model (CPU cycles per IR
   instruction, per-packet DPDK overhead, link/switch/endhost latencies),
-* :mod:`repro.sim.events` — a generic discrete-event engine,
+* :mod:`repro.sim.events` — a discrete-event engine (the outage timeline's),
 * :mod:`repro.sim.latency` — packet-level latency composition for the
   Nptcp-style measurements (Table 2),
 * :mod:`repro.sim.capacity` — sustainable-throughput analysis from

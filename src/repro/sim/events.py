@@ -1,8 +1,7 @@
 """A small discrete-event simulation engine.
 
-Deterministic: ties break by insertion order.  Used by the latency model
-(queueing at the server) and the fluid flow simulator (flow arrival /
-completion events).
+Deterministic: ties break by insertion order.  Used by the punt-path
+outage timeline (:mod:`repro.faults.timeline`).
 """
 
 from __future__ import annotations

@@ -52,7 +52,6 @@ class TableSpec:
 class RegisterSpec:
     name: str
     width_bits: int
-    replicated: bool
 
 
 @dataclass
@@ -83,9 +82,7 @@ class SwitchProgram:
             *key_widths, value_width = member.field_widths()
             if member.kind == "scalar":
                 registers[name] = RegisterSpec(
-                    name=name,
-                    width_bits=value_width,
-                    replicated=placement.replicated,
+                    name=name, width_bits=value_width
                 )
             else:
                 tables[name] = TableSpec(
@@ -93,7 +90,7 @@ class SwitchProgram:
                     key_widths=key_widths,
                     value_width=value_width,
                     size=placement.entries,
-                    replicated=placement.replicated or member.kind == "vector",
+                    replicated=placement.replicated,
                 )
         program = cls(
             name=plan.middlebox.name,

@@ -19,6 +19,8 @@ instruction ladder              ``repro.ir.interp.Interpreter.run``
 replication rule                ``repro.runtime.server``:
                                 ``replicated_members``,
                                 ``updates_from_journal``, ``verdict_flag``
+which members are compared      ``repro.runtime.state_image``:
+                                ``authoritative``, ``replicated``
 data-plane access rules         ``repro.switchsim.pipeline.AccessRules``
 member and RMW bit widths       ``repro.lang.types.bit_width_of``
 ==============================  ======================================

@@ -20,9 +20,9 @@ Within one scenario the prover runs the standard script-DFS over worlds
 executing the source function and the full composition under one shared
 chooser so corresponding branches take corresponding sides.  Observables
 are compared exactly the way ``repro.difftest.oracle`` compares runtimes:
-verdict, resolved egress port, the observed header fields, final maps and
-scalars (switch-resident registers read from the switch), and
-replicated-table convergence.
+verdict, resolved egress port, the observed header fields, the end state
+and convergence, over the members ``repro.runtime.state_image`` names
+(DESIGN.md, "Translation validation", lists what is compared).
 
 A symbolic mismatch is never reported directly: the prover first searches
 the path condition for a concrete witness packet + pre-state, replays it
@@ -49,14 +49,14 @@ from repro.codegen.headers import (
     INGRESS_PORT_FIELD,
     VERDICT_FIELD,
 )
-from repro.difftest.kernel import OBSERVED_FIELDS
+from repro.difftest.kernel import OBSERVED_FIELDS, SERVER_SECTIONS
 from repro.ir import instructions as irin
 from repro.ir.externs import ExternHost
 from repro.ir.interp import Interpreter, PacketView, StateStore
 from repro.lang.types import bit_width_of
 from repro.net.fields import BY_KEY
 from repro.net.packet import RawPacket
-from repro.partition.plan import PlacementKind
+from repro.runtime import state_image
 from repro.runtime.server import (
     replicated_members,
     updates_from_journal,
@@ -589,11 +589,15 @@ def _run_composition(plan, program, scenario: Scenario,
 
 
 def _entry_pairs(what: str, ours, theirs) -> Iterator[Tuple[str, Term, Term]]:
-    """Key and value term pairs of two equally long entry lists.  An entry
-    no run touched is the scenario's own object on both sides and
-    contributes nothing, so a comparison costs what the world wrote."""
+    """Key and value term pairs of two equally long entry lists (cell
+    pairs of two vectors).  An entry no run touched is the scenario's own
+    object on both sides and contributes nothing, so a comparison costs
+    what the world wrote."""
     for index, (mine, yours) in enumerate(zip(ours, theirs)):
         if mine is yours:
+            continue
+        if isinstance(mine, Term):
+            yield f"{what}[{index}]", mine, yours
             continue
         for position, (key, other) in enumerate(zip(mine[0], yours[0])):
             yield f"{what}[{index}].key{position}", key, other
@@ -652,56 +656,57 @@ def _compare_world(plan, source, src_packet: SymPacketView,
         if mismatch is not None:
             return mismatch
 
-    # Final state: maps and scalars, switch-resident registers read from
-    # the switch (as `kernel.end_state` overlays them).  The concrete
-    # oracle compares vectors too; the symbolic model does not.
-    map_pairs = []
-    for name, entries in src_store.maps.items():
-        comp_entries = comp.server.maps[name]
-        if len(entries) != len(comp_entries):
-            return Mismatch(
-                "state",
-                f"map {name!r}: source has {len(entries)} entries,"
-                f" composition has {len(comp_entries)}",
-            )
-        map_pairs.extend(_entry_pairs(f"map {name}", entries, comp_entries))
-    mismatch = _first_unequal(map_pairs, "state")
-    if mismatch is not None:
-        return mismatch
-
-    scalar_pairs = []
-    for name, value in src_store.scalars.items():
-        placement = plan.placements.get(name)
-        if (placement is not None
-                and placement.kind is PlacementKind.SWITCH_REGISTER):
-            dut_value = comp.switch.registers[name].value
-        else:
-            dut_value = comp.server.scalars[name]
-        scalar_pairs.append((f"scalar {name}", value, dut_value))
-    mismatch = _first_unequal(scalar_pairs, "state")
-    if mismatch is not None:
-        return mismatch
-
-    # Replicated-table convergence (`kernel.check_convergence`).
-    repl_pairs = []
-    for name, placement in plan.placements.items():
-        if placement.kind is not PlacementKind.REPLICATED_TABLE:
+    # Final state, compared where the concrete oracle compares it: the
+    # server sections of `kernel.end_state`, a register the switch holds
+    # the authority for read from the switch; then every replicated
+    # member's switch copy against the server's (`kernel.check_convergence`).
+    owned = {
+        p.member.name: comp.switch.registers[p.member.name].value
+        for p in state_image.authoritative(plan)
+    }
+    for section in SERVER_SECTIONS:
+        theirs = getattr(comp.server, section)
+        mismatch = _copies_unequal("state", ("source", "composition"), [
+            (section[:-1], name, value, owned.get(name, theirs[name]))
+            for name, value in getattr(src_store, section).items()
+        ])
+        if mismatch is not None:
+            return mismatch
+    copies = []
+    for placement in state_image.replicated(plan):
+        name, kind = placement.member.name, placement.member.kind
+        if kind == "scalar":
+            copies.append(("replicated register", name,
+                           comp.switch.registers[name].value,
+                           comp.server.scalars[name]))
             continue
-        if placement.member.kind != "map":
+        server_copy = comp.server.maps[name] if kind == "map" else [
+            ((const(index),), value)
+            for index, value in enumerate(comp.server.vectors[name])
+        ]
+        copies.append(("replicated table", name,
+                       comp.switch.tables[name].entries, server_copy))
+    return _copies_unequal("switch_state", ("switch", "server"), copies)
+
+
+def _copies_unequal(kind: str, sides: Tuple[str, str],
+                    copies) -> Optional[Mismatch]:
+    """Compare members' two copies, ``(what, name, ours, theirs)`` each:
+    a term, a vector or an entry list.  Copies of unequal length differ
+    outright; the rest are compared term by term."""
+    pairs = []
+    for what, name, ours, theirs in copies:
+        if isinstance(ours, Term):
+            pairs.append((f"{what} {name}", ours, theirs))
             continue
-        switch_entries = comp.switch.tables[name].entries
-        server_entries = comp.server.maps[name]
-        if len(switch_entries) != len(server_entries):
+        if len(ours) != len(theirs):
             return Mismatch(
-                "switch_state",
-                f"replicated table {name!r}: switch has"
-                f" {len(switch_entries)} entries, server has"
-                f" {len(server_entries)}",
+                kind,
+                f"{what} {name!r}: {sides[0]} has {len(ours)} entries,"
+                f" {sides[1]} has {len(theirs)}",
             )
-        repl_pairs.extend(_entry_pairs(
-            f"replicated {name}", switch_entries, server_entries
-        ))
-    return _first_unequal(repl_pairs, "switch_state")
+        pairs.extend(_entry_pairs(f"{what} {name}", ours, theirs))
+    return _first_unequal(pairs, kind)
 
 
 def _ingress_of(packet: SymPacketView) -> int:

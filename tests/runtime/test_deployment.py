@@ -208,7 +208,6 @@ class TestReplicationRule:
     to the same function."""
 
     def test_runtime_and_prover_share_it(self, middlebox_name):
-        from repro.partition.plan import PlacementKind
         from repro.runtime import server
         from repro.switchsim.control_plane import StateUpdate
         from repro.verify.symbolic import prover
@@ -223,7 +222,6 @@ class TestReplicationRule:
         assert table == {
             name for name, placement in plan.placements.items()
             if placement.replicated
-            or placement.kind is PlacementKind.SWITCH_TABLE
         }
         # ...and the journal half, per entry in the shapes StateStore
         # journals, is one update op per journal op.

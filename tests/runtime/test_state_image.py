@@ -13,7 +13,9 @@ bounded cache and a 3-server pool, after a seeded stream,
 And the structural guard, in the manner of
 ``tests/verify/test_one_checker.py``: outside ``runtime/state_image.py``
 no runtime module, and not the difftest kernel, converts between the
-store and the switch on its own.
+store and the switch on its own, and no module outside ``partition/``
+names a placement kind — the runtime, the oracle kernel and the prover
+ask the image which members the switch holds, owns and replicates.
 """
 
 import re
@@ -164,12 +166,27 @@ CONVERSIONS = {
 }
 
 
+#: where a placement kind may be named: where the kinds are derived, and
+#: the one module every other reader asks
+KINDS_NAMED_IN = ("partition/", "runtime/state_image.py")
+
+
 def test_the_image_is_the_only_conversion():
     found = [
         (path.relative_to(SRC).as_posix(), what)
         for path in GUARDED if path.name != "state_image.py"
         for what, pattern in CONVERSIONS.items()
         if re.search(pattern, path.read_text())
+    ]
+    # Which members the switch holds, owns and replicates is the image's
+    # to say: no other module tests a placement's kind.
+    found += [
+        (where, "a placement kind named")
+        for where in (
+            path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")
+        )
+        if not where.startswith(KINDS_NAMED_IN)
+        and re.search(r"PlacementKind\.[A-Z]", (SRC / where).read_text())
     ]
     assert found == []
 

@@ -48,7 +48,7 @@ def program_of(build) -> SwitchProgram:
     return SwitchProgram(
         name="handbuilt", pre=pre.function, post=post.function,
         tables={"t": TableSpec("t", [32], 32, 16, replicated=False)},
-        registers={"r": RegisterSpec("r", 16, replicated=False)},
+        registers={"r": RegisterSpec("r", 16)},
         shim_to_server=ShimLayout("to_server", []),
         shim_to_switch=ShimLayout("to_switch", []),
         needs_server_reg="__needs_server",

@@ -24,6 +24,7 @@ cached_post_register_rmw            PART006    the compiled program itself,
 ==================================  =========  ==============================
 """
 
+import copy
 import dataclasses
 
 import pytest
@@ -174,10 +175,14 @@ def test_five_bugs_map_to_distinct_codes():
 #                                              working set
 # ==================================  =======  ============================
 #
-# SYM005 (replication skew) cannot be reached by mutating the artifacts
-# alone — the data plane rejects table writes outright (SYM006) before a
-# copy can silently drift — so it is calibrated by skewing the symbolic
-# switch copy behind the composition's back instead.
+# SYM005 (replication skew) is calibrated twice: by skewing the symbolic
+# switch copy of a table behind the composition's back (the data plane
+# rejects table writes outright, SYM006, so no artifact mutation makes a
+# table drift), and by mutants of the replication rule itself — register
+# writes or vector pushes left out of ``UPDATE_OPS`` — which let a
+# register or a replicated vector drift.  A wrong value pushed to a
+# vector is a SYM004: the prover compares vectors as the concrete oracle
+# does.
 # ---------------------------------------------------------------------------
 
 
@@ -283,6 +288,77 @@ def test_symbolic_replication_skew_disproved_sym005(corpus, monkeypatch):
     cx = report.counterexamples[0]
     assert cx.code == "SYM005"
     assert cx.confirmed
+
+
+def test_register_replication_mutant_disproved_sym005(monkeypatch):
+    """Replication-class bug in the rule: the server's register writes
+    never reach the switch.  Generated program 4 replicates ``ctr0 |= 17``;
+    the prover disproves the mutant and the concrete kernel's convergence
+    check is what replay sees.  ``make replication-mutants`` runs the same
+    mutant over every generated program with a replicated register."""
+    from repro.difftest.generator import generate_program
+    from repro.difftest.kernel import derive_seeds
+    from repro.difftest.oracle import StreamSpec, check_artifacts
+    from repro.runtime import server
+    from repro.runtime.deployment import compile_middlebox
+
+    program_seed, stream_seed = derive_seeds(0, 4)
+    plan, program = compile_middlebox(generate_program(program_seed).source())
+    monkeypatch.delitem(server.UPDATE_OPS, "store")
+    cx = _sole_confirmed(verify_symbolic(plan, program), "SYM005")
+    assert "ctr0" in cx.detail
+    result = check_artifacts(
+        plan, program, StreamSpec(seed=stream_seed, count=10),
+        provenance=False,
+    )
+    assert result.divergence is not None
+    assert result.divergence.kind == "convergence"
+    assert "ctr0" in result.divergence.detail
+
+
+def test_vector_replication_mutant_disproved_sym005(monkeypatch):
+    """The same bug for a vector the switch reads: the server's pushes
+    never reach the switch's table."""
+    from repro.runtime import server
+    from tests.runtime.test_state_image import vecbox
+
+    plan, program = vecbox()
+    monkeypatch.delitem(server.UPDATE_OPS, "push")
+    cx = _sole_confirmed(verify_symbolic(plan, program), "SYM005")
+    assert "replicated table 'seen'" in cx.detail
+
+
+#: one server write, to a vector the switch never reads
+LOG = """
+class Log {
+  Vector<uint32_t> seen;
+
+  void process(Packet *pkt) {
+    iphdr *ip = pkt->network_header();
+    seen.push_back(ip->saddr);
+    pkt->send();
+  }
+};
+"""
+
+
+def test_symbolic_vector_write_disproved_sym004():
+    """State-class bug on a vector: the server partition pushes a constant
+    where the source pushes ``ip->saddr``."""
+    result = compile_source(LOG, verify=False)
+    plan = result.plan
+    assert verify_symbolic(plan, result.switch_program).proved
+    # The partition's instructions are the source's own objects.
+    plan.non_offloaded = copy.deepcopy(plan.non_offloaded)
+    block = _block_with(plan.non_offloaded, irin.VectorPush)
+    idx = _index_of(block, irin.VectorPush)
+    block.instructions[idx] = irin.VectorPush(
+        block.instructions[idx].state, const_int(7)
+    )
+    cx = _sole_confirmed(
+        verify_symbolic(plan, result.switch_program), "SYM004"
+    )
+    assert "vector seen" in cx.detail
 
 
 def test_symbolic_composition_crash_disproved_sym006(corpus, tmp_path):
