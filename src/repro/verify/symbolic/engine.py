@@ -48,7 +48,8 @@ concolically, on generated programs and the bundled middleboxes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.ir import instructions as irin
 from repro.ir.lowering import StateMember
@@ -60,7 +61,6 @@ from repro.verify.symbolic.terms import (
     binop,
     boolify,
     const,
-    truth,
     unop,
     wrap,
 )
@@ -87,6 +87,16 @@ class BudgetExhausted(Exception):
 # ---------------------------------------------------------------------------
 
 
+#: One stored map / table entry.  Never written to: an update replaces
+#: the entry in its list, so any number of lists may hold one.
+Entry = Tuple[Tuple[Term, ...], Term]
+
+#: lookup key -> stored entry's keys -> the test that the two are equal.
+#: Terms are interned, so a lookup key is one object in every scenario of
+#: a proof and one memo serves them all; it goes when the proof does.
+KeyTests = Dict[Tuple[Term, ...], Dict[Tuple[Term, ...], Term]]
+
+
 class Chooser:
     """Resolves undecided boolean terms along one world.
 
@@ -97,35 +107,78 @@ class Chooser:
     same header-field terms.  Fresh decisions consume the ``script``
     (the DFS prefix); beyond it the default is True, and every fresh
     decision is recorded in ``trace`` so the driver can enqueue flips.
+    A map's or a table's scan is one call (:meth:`find`) deciding its
+    entries' key tests by that same rule.
     """
 
-    def __init__(self, script: Tuple[bool, ...] = (),
+    def __init__(self, key_tests: KeyTests, script: Tuple[bool, ...] = (),
                  max_decisions: int = 192):
+        self.key_tests = key_tests
         self.script = script
         self.max_decisions = max_decisions
-        self.decided: Dict[tuple, bool] = {}
+        self.decided: Dict[Term, bool] = {}
         self.trace: List[bool] = []
         #: (term, outcome) pairs for every fresh decision — the world's
         #: path condition, used by the counterexample search.
         self.conditions: List[Tuple[Term, bool]] = []
 
     def decide(self, term: Term) -> bool:
-        tv = truth(term)
-        if tv is not None:
-            return tv
-        cached = self.decided.get(term.key)
-        if cached is not None:
-            return cached
-        index = len(self.trace)
-        if index >= self.max_decisions:
-            raise BudgetExhausted(
-                f"decision budget exhausted ({self.max_decisions})"
-            )
-        choice = self.script[index] if index < len(self.script) else True
-        self.trace.append(choice)
-        self.decided[term.key] = choice
-        self.conditions.append((term, choice))
-        return choice
+        return self._first((term,)) == 0
+
+    def find(self, entries: Iterable[Entry],
+             keys: Tuple[Term, ...]) -> Optional[int]:
+        """The index of the first entry whose keys this world makes equal
+        to ``keys``, or None: a map's or a table's scan, as one call."""
+        tests = self.key_tests.get(keys)
+        if tests is None:
+            tests = self.key_tests[keys] = {}
+        return self._first(_key_tests(tests, entries, keys))
+
+    def _first(self, tests: Iterable[Term]) -> Optional[int]:
+        """The position of the first of ``tests`` that holds, deciding
+        each in order until one does: by its interval, else by this
+        world's earlier answer, else by the script (then True), within
+        the decision budget."""
+        decided = self.decided
+        for position, term in enumerate(tests):
+            choice = term.known  # the interval's verdict, terms.truth
+            if choice is None:
+                choice = decided.get(term)
+            if choice is None:
+                index = len(self.trace)
+                if index >= self.max_decisions:
+                    raise BudgetExhausted(
+                        f"decision budget exhausted ({self.max_decisions})"
+                    )
+                choice = (self.script[index] if index < len(self.script)
+                          else True)
+                self.trace.append(choice)
+                decided[term] = choice
+                self.conditions.append((term, choice))
+            if choice:
+                return position
+        return None
+
+
+def _key_tests(tests: Dict[Tuple[Term, ...], Term], entries: Iterable[Entry],
+               keys: Tuple[Term, ...]) -> Iterator[Term]:
+    """Each entry's key test against ``keys``, from ``tests`` (the memo
+    row of ``keys``) or built into it."""
+    for entry_keys, _value in entries:
+        test = tests.get(entry_keys)
+        if test is None:
+            test = tests[entry_keys] = _keys_equal(entry_keys, keys)
+        yield test
+
+
+def _keys_equal(entry_keys: Tuple[Term, ...], keys: Tuple[Term, ...]) -> Term:
+    if len(entry_keys) != len(keys):
+        return const(0)
+    cond = const(1)
+    for have, want in zip(entry_keys, keys):
+        cond = binop(irin.BinOpKind.LAND, cond,
+                     binop(irin.BinOpKind.EQ, want, have))
+    return cond
 
 
 class TermDomain:
@@ -152,6 +205,27 @@ class TermDomain:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _storage_keys(has_ip: bool, has_tcp: bool, has_udp: bool
+                  ) -> Dict[Tuple[str, str], Optional[Tuple[str, str]]]:
+    """Where each header field of one packet shape is stored: its own
+    header's key, the aliased header's (TCP→UDP ports), or None when
+    neither header is present.  ``meta`` is not a header.  One table per
+    shape, shared by every view of it and written by none."""
+    present = {"eth": True, "ip": has_ip, "tcp": has_tcp, "udp": has_udp}
+    keys: Dict[Tuple[str, str], Optional[Tuple[str, str]]] = {}
+    for (region, name), row in BY_KEY.items():
+        if region == "meta":
+            continue
+        if present[region]:
+            keys[region, name] = (region, name)
+        elif row.alias and present[row.alias]:
+            keys[region, name] = (row.alias, name)
+        else:
+            keys[region, name] = None
+    return keys
+
+
 class SymPacketView:
     """Symbolic mirror of :class:`PacketView` over a packet *shape*.
 
@@ -172,33 +246,24 @@ class SymPacketView:
         self.ingress_port = ingress_port
         self.verdict: Optional[str] = None
         self.egress_port: Optional[Term] = None
+        self._keys = _storage_keys(has_ip, has_tcp, has_udp)
 
     def copy(self) -> "SymPacketView":
         return SymPacketView(dict(self.fields), self.has_ip, self.has_tcp,
                              self.has_udp, self.payload_bytes,
                              self.ingress_port)
 
-    def _resolve(self, region: str, field_name: str) -> Optional[Tuple[str, str]]:
-        """The storage key for (region, field), or None if absent."""
-        present = {"eth": True, "ip": self.has_ip, "tcp": self.has_tcp,
-                   "udp": self.has_udp}
-        if present[region]:
-            return (region, field_name)
-        alias = BY_KEY[(region, field_name)].alias
-        return (alias, field_name) if alias and present[alias] else None
-
     def get_field(self, region: str, field_name: str) -> Term:
         header_field(region, field_name, SymExecError)
         if region == "meta":
             return self.ingress_port
-        key = self._resolve(region, field_name)
-        if key is None:
-            return const(0)
-        return self.fields.get(key, const(0))
+        # An absent header's key is None, which no field is stored under.
+        term = self.fields.get(self._keys[region, field_name])
+        return const(0) if term is None else term
 
     def set_field(self, region: str, field_name: str, value: Term) -> None:
         row = header_field(region, field_name, SymExecError, store=True)
-        key = self._resolve(region, field_name)
+        key = self._keys[region, field_name]
         if key is None:
             return  # writes to absent headers are dropped
         # Unmasked fields store the raw value, exactly like the concrete
@@ -221,21 +286,6 @@ class SymPacketView:
 # ---------------------------------------------------------------------------
 
 
-#: One stored map / table entry.  Never written to: an update replaces
-#: the entry in its list, so any number of lists may hold one.
-Entry = Tuple[Tuple[Term, ...], Term]
-
-
-def _keys_equal(entry_keys: Tuple[Term, ...], keys: Tuple[Term, ...]) -> Term:
-    if len(entry_keys) != len(keys):
-        return const(0)
-    cond = const(1)
-    for have, want in zip(entry_keys, keys):
-        cond = binop(irin.BinOpKind.LAND, cond,
-                     binop(irin.BinOpKind.EQ, want, have))
-    return cond
-
-
 def _entries(table: dict) -> Tuple[Entry, ...]:
     return tuple(
         (tuple(const(k) for k in keys), const(value))
@@ -253,11 +303,6 @@ class SymPrestate:
     (derived the way ``sync_all_state`` installs it) holds the very entry
     objects of the server maps it mirrors: an entry no world touched is
     one object on every side of the final comparison.
-
-    The key test of a stored entry against a lookup key is a pure
-    function of two term tuples, so it is computed once here and is a
-    table hit in every later world (:meth:`keys_equal`); the table goes
-    when the scenario does.
     """
 
     def __init__(self, members: Dict[str, StateMember], snapshot: dict,
@@ -297,15 +342,6 @@ class SymPrestate:
                 )
             else:
                 self.registers[name] = self.scalars[name]
-        self._key_tests: Dict[tuple, Term] = {}
-
-    def keys_equal(self, entry_keys: Tuple[Term, ...],
-                   keys: Tuple[Term, ...]) -> Term:
-        pair = (entry_keys, keys)
-        test = self._key_tests.get(pair)
-        if test is None:
-            test = self._key_tests[pair] = _keys_equal(entry_keys, keys)
-        return test
 
 
 class SymStateStore:
@@ -316,7 +352,6 @@ class SymStateStore:
     def __init__(self, prestate: SymPrestate, chooser: Chooser):
         self.members = prestate.members
         self.chooser = chooser
-        self._keys_equal = prestate.keys_equal
         self.maps: Dict[str, List[Entry]] = {
             name: list(entries) for name, entries in prestate.maps.items()
         }
@@ -329,14 +364,8 @@ class SymStateStore:
 
     # -- maps ----------------------------------------------------------------
 
-    def _find_entry(self, name: str, keys: Tuple[Term, ...]) -> Optional[int]:
-        for index, (entry_keys, _value) in enumerate(self.maps[name]):
-            if self.chooser.decide(self._keys_equal(entry_keys, keys)):
-                return index
-        return None
-
     def map_find(self, name: str, keys: Tuple[Term, ...]) -> Tuple[bool, Term]:
-        index = self._find_entry(name, keys)
+        index = self.chooser.find(self.maps[name], keys)
         if index is None:
             return False, const(0)
         return True, self.maps[name][index][1]
@@ -344,7 +373,7 @@ class SymStateStore:
     def map_insert(self, name: str, keys: Tuple[Term, ...], value: Term) -> None:
         member = self.members[name]
         table = self.maps[name]
-        index = self._find_entry(name, keys)
+        index = self.chooser.find(table, keys)
         if (
             member.max_entries is not None
             and index is None
@@ -359,7 +388,7 @@ class SymStateStore:
         self.journal.append(("insert", name, keys, value))
 
     def map_erase(self, name: str, keys: Tuple[Term, ...]) -> None:
-        index = self._find_entry(name, keys)
+        index = self.chooser.find(self.maps[name], keys)
         if index is not None:
             del self.maps[name][index]
         self.journal.append(("erase", name, keys, None))
@@ -440,16 +469,9 @@ class SymTable:
         self.name = name
         self.size = size
         self.entries: List[Entry] = list(prestate.tables.get(name, ()))
-        self._keys_equal = prestate.keys_equal
-
-    def _find(self, keys: Tuple[Term, ...], chooser: Chooser) -> Optional[int]:
-        for index, (entry_keys, _value) in enumerate(self.entries):
-            if chooser.decide(self._keys_equal(entry_keys, keys)):
-                return index
-        return None
 
     def lookup(self, keys: Tuple[Term, ...], chooser: Chooser) -> Tuple[bool, Term]:
-        index = self._find(keys, chooser)
+        index = chooser.find(self.entries, keys)
         if index is None:
             return False, const(0)
         return True, self.entries[index][1]
@@ -528,7 +550,7 @@ class SymSwitchState(AccessRules):
                 raise CompositionViolation(
                     f"table update for unknown table {member!r}"
                 )
-            index = table._find(keys, self.chooser)
+            index = self.chooser.find(table.entries, keys)
             if kind == "insert":
                 if index is None:
                     if len(table.entries) >= table.size:

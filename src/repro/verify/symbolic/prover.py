@@ -72,6 +72,7 @@ from repro.verify.symbolic.engine import (
     BudgetExhausted,
     Chooser,
     CompositionViolation,
+    KeyTests,
     SymExecError,
     SymExternHost,
     SymPacketView,
@@ -279,10 +280,12 @@ class Scenario:
     """One concrete slice of the bounded packet/state space, and what
     every world of it starts from, built once: the pre-state in term form
     and the base packet view.  A world copies both on entry (terms are
-    immutable, so a copy is pointers) and writes to neither."""
+    immutable, so a copy is pointers) and writes to neither.  The key
+    tests its worlds' table scans ask are the proof's (``key_tests``,
+    shared by every scenario of it)."""
 
     def __init__(self, label: str, kind: str, ingress: int, payload: bytes,
-                 prestate: dict, members, on_switch):
+                 prestate: dict, members, on_switch, key_tests: KeyTests):
         self.label = label
         self.kind = kind  # one of PACKET_SHAPES
         self.ingress = ingress
@@ -292,6 +295,7 @@ class Scenario:
         #: the same in term form, with the switch's copy of ``on_switch``
         self.state = SymPrestate(members, prestate, on_switch)
         self.packet, self.atoms = make_symbolic_packet(kind, payload, ingress)
+        self.key_tests = key_tests
 
 
 def _base_prestate(plan, config) -> dict:
@@ -389,18 +393,21 @@ class Bound:
 
     def scenarios(self, plan) -> Iterator[Scenario]:
         """Each scenario as the prover reaches it — nothing holds the
-        last one's terms once the next is built."""
+        last one's terms once the next is built, but the key tests, which
+        all of them share and which go with the proof."""
         members = plan.middlebox.state
         on_switch = [
             name for name, placement in plan.placements.items()
             if placement.on_switch
         ]
+        key_tests: KeyTests = {}
         for kind, ingress, payload, (index, prestate) in itertools.product(
                 PACKET_SHAPES, self.ingresses, self.payloads,
                 enumerate(self.prestates)):
             yield Scenario(
                 f"{kind}/in{ingress}/pay{len(payload)}/state{index}",
                 kind, ingress, payload, prestate, members, on_switch,
+                key_tests,
             )
 
     def to_dict(self) -> dict:
@@ -645,16 +652,19 @@ def _compare_world(plan, source, src_packet: SymPacketView,
         )
         if mismatch is not None:
             return mismatch
-        field_pairs = []
-        for region, name in OBSERVED_FIELDS:
-            field_pairs.append((
-                f"{region}->{name}",
-                src_packet.get_field(region, name),
-                comp.packet.get_field(region, name),
-            ))
-        mismatch = _first_unequal(field_pairs, "field")
-        if mismatch is not None:
-            return mismatch
+        # Both views are copies of the scenario's one packet shape, so
+        # views that hold the same terms read the same observed fields.
+        if src_packet.fields != comp.packet.fields:
+            field_pairs = []
+            for region, name in OBSERVED_FIELDS:
+                field_pairs.append((
+                    f"{region}->{name}",
+                    src_packet.get_field(region, name),
+                    comp.packet.get_field(region, name),
+                ))
+            mismatch = _first_unequal(field_pairs, "field")
+            if mismatch is not None:
+                return mismatch
 
     # Final state, compared where the concrete oracle compares it: the
     # server sections of `kernel.end_state`, a register the switch holds
@@ -699,6 +709,8 @@ def _copies_unequal(kind: str, sides: Tuple[str, str],
         if isinstance(ours, Term):
             pairs.append((f"{what} {name}", ours, theirs))
             continue
+        if ours == theirs:
+            continue  # the same terms, entry by entry (terms are interned)
         if len(ours) != len(theirs):
             return Mismatch(
                 kind,
@@ -716,7 +728,7 @@ def _ingress_of(packet: SymPacketView) -> int:
 
 def _run_world(plan, program, scenario: Scenario, script: Tuple[bool, ...],
                config, budget: SymbolicBudget) -> WorldResult:
-    chooser = Chooser(script, max_decisions=MAX_DECISIONS)
+    chooser = Chooser(scenario.key_tests, script, max_decisions=MAX_DECISIONS)
     domain = TermDomain(chooser, MAX_STEPS)
     src_packet = scenario.packet.copy()
     src_store = SymStateStore(scenario.state, chooser)

@@ -18,10 +18,20 @@ switch⊕server composition — which execute the *same* projected
 instructions routed through width-masking shim headers — produce
 structurally identical terms on equivalent paths.  Structural identity is
 the proof; anything else becomes a case split or a counterexample search.
+
+Every term is interned: the constructors look each node up in one
+weak-valued table — a constant by its value, an atom by ``(name, width)``,
+an operation by ``(op, payload, *children)`` — so structurally equal terms
+are one object, ``==`` and ``hash`` are identity, and a memo keyed by a
+term hashes a pointer instead of a nested tuple.  That is sound because a
+term never changes after construction and its interval is a function of
+its operator, payload and children; the table holds no term alive, so a
+finished proof's terms are freed with it.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.ir.instructions import BinOpKind, UnOpKind
@@ -34,12 +44,13 @@ _COMPARISONS = {
 
 
 class Term:
-    """One node of a symbolic expression DAG (immutable)."""
+    """One node of a symbolic expression DAG (immutable, interned: build
+    one only through the constructors below)."""
 
-    __slots__ = ("kind", "op", "args", "value", "name", "lo", "hi", "key",
-                 "_hash")
+    __slots__ = ("kind", "op", "args", "value", "name", "lo", "hi",
+                 "is_const", "known", "__weakref__")
 
-    def __init__(self, kind, op, args, value, name, lo, hi, key):
+    def __init__(self, kind, op, args, value, name, lo, hi):
         self.kind = kind  # "const" | "atom" | "op"
         self.op = op  # BinOpKind/UnOpKind/"wrap"/"bool" for kind == "op"
         self.args = args  # tuple of Terms
@@ -47,18 +58,11 @@ class Term:
         self.name = name  # atom name
         self.lo = lo
         self.hi = hi
-        self.key = key  # structural identity (hashable)
-        self._hash = hash(key)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, Term) and self.key == other.key
-
-    @property
-    def is_const(self) -> bool:
-        return self.kind == "const"
+        self.is_const = kind == "const"
+        #: the truth value the interval implies, else None (:func:`truth`)
+        self.known = False if lo == hi == 0 else (
+            True if lo > 0 or hi < 0 else None
+        )
 
     def __repr__(self):
         if self.kind == "const":
@@ -71,39 +75,44 @@ class Term:
         return f"{str(op).lower()}({', '.join(repr(a) for a in self.args)})"
 
 
-_CONST_CACHE: Dict[int, Term] = {}
+#: structure -> the one live term with it (see the module docstring)
+_INTERNED: Dict[object, weakref.KeyedRef] = {}
 
 
-def const(value: int) -> Term:
-    term = _CONST_CACHE.get(value)
-    if term is None:
-        term = Term("const", None, (), value, None, value, value,
-                    ("c", value))
-        if -256 <= value <= 65536:
-            _CONST_CACHE[value] = term
+def _forget(ref: weakref.KeyedRef) -> None:
+    if _INTERNED.get(ref.key) is ref:
+        del _INTERNED[ref.key]
+
+
+def _interned(key, kind, op, args, value, name, lo, hi) -> Term:
+    ref = _INTERNED.get(key)
+    if ref is not None:
+        term = ref()
+        if term is not None:
+            return term
+    term = Term(kind, op, args, value, name, lo, hi)
+    _INTERNED[key] = weakref.KeyedRef(term, _forget, key)
     return term
 
 
+def const(value: int) -> Term:
+    return _interned(value, "const", None, (), value, None, value, value)
+
+
 def atom(name: str, width: int) -> Term:
-    hi = (1 << width) - 1
-    return Term("atom", None, (), width, name, 0, hi, ("a", name, width))
+    return _interned((name, width), "atom", None, (), width, name, 0,
+                     (1 << width) - 1)
 
 
 def _mk_op(op, args: Tuple[Term, ...], lo: int, hi: int,
            value: Optional[int] = None) -> Term:
-    key = ("o", getattr(op, "name", op), value) + tuple(a.key for a in args)
-    return Term("op", op, args, value, None, lo, hi, key)
+    return _interned((op, value, *args), "op", op, args, value, None, lo, hi)
 
 
 def truth(term: Term) -> Optional[bool]:
-    """Truthiness of ``term`` if the interval decides it, else ``None``."""
-    if term.lo == 0 and term.hi == 0:
-        return False
-    if term.lo > 0 or term.hi < 0:
-        return True
-    if term.is_const:
-        return bool(term.value)
-    return None
+    """Truthiness of ``term`` if the interval decides it, else ``None``
+    (a constant's interval is its value, so a constant is always decided)."""
+    return term.known
 
 
 def _bits_hi(*terms: Term) -> int:
@@ -125,7 +134,7 @@ def binop(op: BinOpKind, a: Term, b: Term) -> Term:
     if op is kind.SUB:
         if b.is_const and b.value == 0:
             return a
-        if a.key == b.key:
+        if a is b:
             return const(0)
         return _mk_op(op, (a, b), a.lo - b.hi, a.hi - b.lo)
     if op is kind.MUL:
@@ -151,7 +160,7 @@ def binop(op: BinOpKind, a: Term, b: Term) -> Term:
     if op is kind.AND:
         if (a.is_const and a.value == 0) or (b.is_const and b.value == 0):
             return const(0)
-        if a.key == b.key:
+        if a is b:
             return a
         if a.lo >= 0 and b.lo >= 0:
             return _mk_op(op, (a, b), 0, min(a.hi, b.hi))
@@ -161,13 +170,13 @@ def binop(op: BinOpKind, a: Term, b: Term) -> Term:
             return b
         if b.is_const and b.value == 0:
             return a
-        if a.key == b.key:
+        if a is b:
             return a
         if a.lo >= 0 and b.lo >= 0:
             return _mk_op(op, (a, b), max(a.lo, b.lo), _bits_hi(a, b))
         return _mk_op(op, (a, b), min(a.lo, b.lo), -1 if (a.hi < 0 or b.hi < 0) else _bits_hi(a, b))
     if op is kind.XOR:
-        if a.key == b.key:
+        if a is b:
             return const(0)
         if a.lo >= 0 and b.lo >= 0:
             return _mk_op(op, (a, b), 0, _bits_hi(a, b))
@@ -200,7 +209,7 @@ def binop(op: BinOpKind, a: Term, b: Term) -> Term:
 
 def _decide_comparison(op: BinOpKind, a: Term, b: Term) -> Optional[int]:
     kind = BinOpKind
-    same = a.key == b.key
+    same = a is b
     disjoint = a.hi < b.lo or b.hi < a.lo
     if op is kind.EQ:
         if same:
@@ -285,7 +294,7 @@ def evaluate(term: Term, assignment: Dict[str, int],
              _memo: Optional[dict] = None) -> int:
     """Concretely evaluate ``term`` (atoms default to 0)."""
     memo = _memo if _memo is not None else {}
-    cached = memo.get(term.key)
+    cached = memo.get(term)
     if cached is not None:
         return cached
     if term.kind == "const":
@@ -303,7 +312,7 @@ def evaluate(term: Term, assignment: Dict[str, int],
             result = _apply_unop(op, args[0])
         else:
             result = _apply_binop(op, args[0], args[1])
-    memo[term.key] = result
+    memo[term] = result
     return result
 
 
@@ -311,12 +320,12 @@ def atoms_of(terms: Iterable[Term]) -> Dict[str, int]:
     """Atom name -> bit width over a collection of terms."""
     out: Dict[str, int] = {}
     stack: List[Term] = list(terms)
-    seen: Set[tuple] = set()
+    seen: Set[Term] = set()
     while stack:
         term = stack.pop()
-        if term.key in seen:
+        if term in seen:
             continue
-        seen.add(term.key)
+        seen.add(term)
         if term.kind == "atom":
             out[term.name] = term.value
         stack.extend(term.args)
@@ -327,12 +336,12 @@ def constants_of(terms: Iterable[Term]) -> Set[int]:
     """Constant values appearing anywhere in ``terms`` (witness pools)."""
     out: Set[int] = set()
     stack: List[Term] = list(terms)
-    seen: Set[tuple] = set()
+    seen: Set[Term] = set()
     while stack:
         term = stack.pop()
-        if term.key in seen:
+        if term in seen:
             continue
-        seen.add(term.key)
+        seen.add(term)
         if term.kind == "const":
             out.add(term.value)
         elif term.op == "wrap":

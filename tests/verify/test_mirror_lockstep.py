@@ -113,10 +113,12 @@ class Counts:
 
 
 class ConcolicChooser(Chooser):
-    """Decides every undecided term the way the concrete packet does."""
+    """Decides every undecided term the way the concrete packet does —
+    each test of a table scan too, so a scan stops where the twin's
+    lookup finds its key."""
 
     def __init__(self, assignment: Dict[str, int]):
-        super().__init__()
+        super().__init__({})
         self.assignment = assignment
         self._memo: dict = {}
 
@@ -128,7 +130,13 @@ class ConcolicChooser(Chooser):
     def values(self, keys) -> tuple:
         return tuple(self.value(key) for key in keys)
 
-    def decide(self, term: Term) -> bool:
+    def _first(self, tests) -> Optional[int]:
+        for position, term in enumerate(tests):
+            if self._concrete_truth(term):
+                return position
+        return None
+
+    def _concrete_truth(self, term: Term) -> bool:
         concrete = bool(self.value(term))
         implied = truth(term)
         if implied is None:
@@ -151,6 +159,7 @@ def symbolic_world(packet, ingress: int, prestate: dict, members,
     scenario = prover.Scenario(
         "lockstep", "udp" if packet.udp is not None else "tcp",
         ingress, packet.payload, prestate, members, on_switch=(),
+        key_tests={},
     )
     scenario.state.tables = {
         name: engine._entries(entries)
@@ -463,7 +472,7 @@ def test_a_narrow_address_mask_is_caught(monkeypatch):
     def narrow(self, region, field_name, value):
         real(self, region, field_name, value)
         if field_name in ("saddr", "daddr"):
-            key = self._resolve(region, field_name)
+            key = self._keys[region, field_name]
             self.fields[key] = engine.wrap(self.fields[key], 0xFFFF)
 
     monkeypatch.setattr(SymPacketView, "set_field", narrow)
@@ -518,7 +527,7 @@ def through_all_three_views(function, packet, value: int = 0):
     ``%v = value`` on ``packet`` — from the interpreter over
     ``PacketView``, demanded equal from the generated code and from the
     ladder over ``SymPacketView``."""
-    chooser = Chooser()
+    chooser = Chooser({})
     twin = attempt(
         lambda: Interpreter(function, StateStore({})).run(
             PacketView(packet.copy()), {"v": value}

@@ -7,7 +7,8 @@ starts each world from a pointer copy (``engine.SymPrestate``,
 it was handed; the pins show most leaks as moved worlds, this file names
 every one.  The second half is the reason the sharing exists, as a count: a proof
 that again re-derived its tables per world would construct tens of terms
-per decision where it now constructs about one.
+per decision where it now constructs a quarter of one — and a table scan,
+however long, is one call to the chooser.
 """
 
 import json
@@ -18,7 +19,7 @@ import pytest
 from repro.middleboxes import MIDDLEBOX_NAMES, load
 from repro.runtime.deployment import compile_middlebox
 from repro.verify.symbolic import prover, terms, verify_symbolic
-from repro.verify.symbolic.engine import SymStateStore
+from repro.verify.symbolic.engine import Chooser, SymStateStore, SymTable
 from tests.verify import prover_pins
 
 #: the bundled middleboxes whose ``process`` inserts and erases
@@ -26,20 +27,16 @@ WRITERS = ["trojan", "mazunat", "lb"]
 
 
 def shared_terms(scenario: prover.Scenario) -> tuple:
-    """Everything the worlds of ``scenario`` share, by structure."""
-    def entries(table) -> list:
-        return [(tuple(key.key for key in keys), value.key)
-                for keys, value in table]
-
+    """Everything the worlds of ``scenario`` share, copied out (terms are
+    interned, so comparing the copies compares structure)."""
     state = scenario.state
     return (
-        {name: entries(table) for name, table in state.maps.items()},
-        {name: [term.key for term in vector]
-         for name, vector in state.vectors.items()},
-        {name: term.key for name, term in state.scalars.items()},
-        {name: entries(table) for name, table in state.tables.items()},
-        {name: term.key for name, term in state.registers.items()},
-        {key: term.key for key, term in scenario.packet.fields.items()},
+        {name: list(table) for name, table in state.maps.items()},
+        {name: list(vector) for name, vector in state.vectors.items()},
+        dict(state.scalars),
+        {name: list(table) for name, table in state.tables.items()},
+        dict(state.registers),
+        dict(scenario.packet.fields),
         (scenario.packet.verdict, scenario.packet.egress_port),
     )
 
@@ -112,10 +109,25 @@ def test_an_aliasing_store_moves_the_pins(aliasing_store):
     assert moved == ["trojan", "lb"]
 
 
+def prove_the_six() -> int:
+    """All six bundled proofs at the default budget; their decisions."""
+    decisions = 0
+    for name in MIDDLEBOX_NAMES:
+        middlebox = load(name)
+        report = verify_symbolic(
+            *compile_middlebox(middlebox.source), config=middlebox.config
+        )
+        assert report.proved, name
+        decisions += report.decisions
+    return decisions
+
+
 def test_a_proof_pays_per_decision_not_per_stored_entry(monkeypatch):
     """``Term`` constructions over the six bundled proofs at the default
     budget: 560 520 for 13 354 decisions (42 each) while every world
-    rebuilt its tables, key tests and comparisons; ~13 000 since."""
+    rebuilt its tables, key tests and comparisons; ~13 000 (≈1 each) once
+    a scenario built them once; 3 093 (0.23 each) since terms are
+    interned and a key test is built once per proof."""
     built = 0
     real = terms.Term.__init__
 
@@ -125,13 +137,52 @@ def test_a_proof_pays_per_decision_not_per_stored_entry(monkeypatch):
         real(self, *args)
 
     monkeypatch.setattr(terms.Term, "__init__", counting)
-    decisions = 0
-    for name in MIDDLEBOX_NAMES:
-        middlebox = load(name)
-        report = verify_symbolic(
-            *compile_middlebox(middlebox.source), config=middlebox.config
-        )
-        assert report.proved, name
-        decisions += report.decisions
+    decisions = prove_the_six()
     assert decisions > 10_000
-    assert built <= 5 * decisions, (built, decisions)
+    assert built * 4 <= decisions, (built, decisions)
+
+
+def test_a_table_scan_is_one_chooser_call(monkeypatch):
+    """Each lookup a map or a table answers — ``map_find`` /
+    ``map_insert`` / ``map_erase`` on the server, ``SymTable.lookup`` on
+    the switch — asks the chooser once, however many entries it scans:
+    1 538 lookups over the six proofs, 1 538 calls, 52 968 stored entries
+    in the lists they scan (one ``decide`` per entry tested, before)."""
+    lookups = chooser_calls = scanned = 0
+    depth = 0
+
+    def lookup(method):
+        def counted(*args):
+            nonlocal lookups, depth
+            lookups += 1
+            depth += 1
+            try:
+                return method(*args)
+            finally:
+                depth -= 1
+        return counted
+
+    def asks(method):
+        def counted(self, *args):
+            nonlocal chooser_calls
+            chooser_calls += depth
+            return method(self, *args)
+        return counted
+
+    def scans(method):
+        def counted(self, entries, keys):
+            nonlocal scanned
+            scanned += depth * len(entries)
+            return method(self, entries, keys)
+        return counted
+
+    for cls, name in [(SymStateStore, "map_find"),
+                      (SymStateStore, "map_insert"),
+                      (SymStateStore, "map_erase"), (SymTable, "lookup")]:
+        monkeypatch.setattr(cls, name, lookup(getattr(cls, name)))
+    monkeypatch.setattr(Chooser, "_first", asks(Chooser._first))
+    monkeypatch.setattr(Chooser, "find", scans(Chooser.find))
+    prove_the_six()
+    assert lookups > 1_000
+    assert chooser_calls == lookups, (chooser_calls, lookups)
+    assert scanned > 20 * lookups, (scanned, lookups)
