@@ -160,7 +160,7 @@ LINT_MYPY = src/repro/verify src/repro/difftest/kernel.py \
 	src/repro/ir/interp.py src/repro/codegen/headers.py \
 	src/repro/switchsim/tables.py src/repro/switchsim/control_plane.py \
 	src/repro/switchsim/switch_model.py src/repro/runtime/server.py \
-	src/repro/analysis/liveness.py src/repro/tenancy/allocator.py \
+	src/repro/tenancy/allocator.py \
 	src/repro/codegen/p4/emit.py src/repro/codegen/cpp/emit.py \
 	src/repro/net/fields.py src/repro/sim/costs.py \
 	src/repro/sim/capacity.py src/repro/sim/latency.py
@@ -316,7 +316,7 @@ tenancy-smoke:
 	$(PYTHON) -m repro tenancy minilb mazunat lb firewall proxy \
 		--admit-only > tenancy_refusal.txt; test $$? -eq 1
 	grep -q proxy tenancy_refusal.txt
-	grep -q table_slots tenancy_refusal.txt
+	grep -q phv_bytes tenancy_refusal.txt
 	$(PYTHON) -m repro tenancy minilb minilb --admit-only \
 		2> tenancy_refusal.txt; test $$? -eq 1
 	grep -q "^error: TEN004:" tenancy_refusal.txt

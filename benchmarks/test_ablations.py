@@ -11,7 +11,7 @@
 import pytest
 
 from benchmarks.conftest import emit
-from repro.analysis.liveness import allocate_metadata
+from repro.partition.constraints import allocate_metadata
 from repro.eval.reporting import render_table
 from repro.middleboxes import load
 from repro.partition.constraints import SwitchResources

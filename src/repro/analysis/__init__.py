@@ -6,8 +6,6 @@
   (anti), control, and output-commit edges, plus its transitive closure
 * :mod:`repro.analysis.distance` — dependency-distance metrics used for the
   pipeline-depth constraint (§4.2.2)
-* :mod:`repro.analysis.liveness` — register live ranges and the
-  scratchpad metadata allocation (§4.3.1, constraint 4)
 """
 
 from repro.analysis.reachability import ReachabilityInfo, compute_reachability

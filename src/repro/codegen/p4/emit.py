@@ -13,16 +13,18 @@ CFG construct               P4 construct
 temporary variable          ``meta.scratch`` slice at its offset
 map                         exact-match table (+ write-back table)
 global scalar               ``register`` extern
-branch                      ``if`` in the apply block
+branch                      a predicate guarding later stages' ops
 header access               ``hdr.<header>.<field>``
 ALU operation               P4 arithmetic on metadata
 map lookup                  ``table.apply()`` keyed on the key's slice
 ==========================  =======================================
 
-``metadata_t`` is one scratch area holding each pipeline's allocation
-(:meth:`SwitchProgram.metadata`, constraint 4), pre and post overlaid as a
-packet takes one of them.  Constraint 3 gives a table one lookup, so its
-key reads that lookup's key slices and its actions write its results.
+A pipeline is printed as it is staged (:meth:`SwitchProgram.stages`), a
+``/* stage k */`` block per stage, and ``metadata_t`` is one scratch area
+holding each pipeline's allocation of that order (constraint 4), pre and
+post overlaid as a packet takes one of them.  Constraint 3 gives a table
+one lookup, so its key reads that lookup's key slices and its actions
+write its results.
 
 Replicated tables get the §4.3.3 write-back machinery: a small companion
 table, a one-bit visibility register read into the lookup's first result
@@ -36,9 +38,10 @@ Tofino SDK, and the LoC accounting for Table 1.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.analysis.reachability import compute_reachability
 from repro.codegen.headers import (
     EGRESS_PORT_FIELD,
     FLAG_VERDICT_DROP,
@@ -48,10 +51,10 @@ from repro.codegen.headers import (
     VERDICT_FIELD,
 )
 from repro.ir import instructions as irin
-from repro.ir.function import Function
 from repro.ir.values import Const
 from repro.net.fields import BY_KEY
 from repro.net.headers import ETHERTYPE_GALLIUM
+from repro.partition.constraints import Guard
 from repro.switchsim.program import PORT_PAIRS, SERVER_PORT, SwitchProgram
 
 
@@ -83,17 +86,15 @@ class _P4Emitter:
         self.program = program
         self.lines: List[str] = []
         self.indent = 0
-        pre, post = program.metadata()
-        self.scratch_bytes = max(pre.total_bytes, post.total_bytes)
-        self.pre_offsets, self.post_offsets = pre.offsets, post.offsets
+        self.stages = {side: program.stages(side) for side in ("pre", "post")}
+        self.scratch_bytes = max(a.total_bytes for _, a in self.stages.values())
         #: the offsets of the pipeline being emitted
-        self.offsets: _Offsets = pre.offsets
+        self.offsets: _Offsets = {}
         #: table -> its lookup, and the offsets of the pipeline it is in
         self.lookups: Dict[str, Tuple[_Lookup, _Offsets]] = {
-            inst.state: (inst, offsets)
-            for function, offsets in ((program.pre, pre.offsets),
-                                      (program.post, post.offsets))
-            for inst in function.instructions()
+            inst.state: (inst, allocation.offsets)
+            for staged, allocation in self.stages.values()
+            for inst, _, _ in staged
             if isinstance(inst, _LOOKUPS)
         }
 
@@ -103,7 +104,10 @@ class _P4Emitter:
         self.lines.append(("    " * self.indent + text).rstrip())
 
     @contextmanager
-    def block(self, header: str) -> Iterator[None]:
+    def block(self, header: Optional[str]) -> Iterator[None]:
+        if header is None:
+            yield
+            return
         self.emit(header + " {")
         self.indent += 1
         yield
@@ -309,8 +313,7 @@ class _P4Emitter:
                 ):
                     self._emit_post_dispatch()
                 with self.block("else"):
-                    self.offsets = self.pre_offsets
-                    self._emit_pipeline(self.program.pre)
+                    self._emit_stages("pre")
         self.emit()
 
     def _emit_post_dispatch(self) -> None:
@@ -326,66 +329,44 @@ class _P4Emitter:
             )
             self.emit(f"{shim}.setInvalid();")
         with self.block("else"):
-            self.offsets = self.post_offsets
+            self.offsets = self.stages["post"][1].offsets
             for field in self.program.shim_to_switch.fields:
                 if field.name not in RESERVED_FIELDS:
                     slot = self._slot(field.name, field.width_bits)
                     self.emit(f"{slot} = {shim}.{_sanitize(field.name)};")
-            self._emit_pipeline(self.program.post)
+            self._emit_stages("post")
             self.emit(f"{shim}.setInvalid();")
 
-    def _emit_pipeline(self, function: Function) -> None:
-        info = compute_reachability(function)
-        self._emit_region(function, function.entry, None, info)
+    def _emit_stages(self, side: str) -> None:
+        """``side``'s ops in stage order: a block per stage (stage 0, free
+        copies nothing costly precedes, before the first), a run of ops
+        under one guard in one ``if``.  Branches and jumps print nothing
+        (their conditions are the guards), nor does post's return."""
+        staged, allocation = self.stages[side]
+        self.offsets = allocation.offsets
+        for stage, ops in groupby(staged, key=itemgetter(1)):
+            printed = [
+                (inst, guard) for inst, _, guard in ops
+                if not isinstance(inst, (irin.Branch, irin.Jump))
+                and not (side == "post" and isinstance(inst, irin.Return))
+            ]
+            with self.block(f"/* stage {stage} */" if stage else None):
+                for guard, run in groupby(printed, key=itemgetter(1)):
+                    with self.block(
+                        None if guard == ((),)
+                        else f"if ({self._predicate(guard)})"
+                    ):
+                        for inst, _ in run:
+                            self._emit_instruction(inst)
 
-    def _emit_region(
-        self,
-        function: Function,
-        block_name: Optional[str],
-        stop: Optional[str],
-        info,
-    ) -> None:
-        while block_name is not None and block_name != stop:
-            block = function.blocks[block_name]
-            for inst in block.body:
-                self._emit_instruction(inst)
-            terminator = block.terminator
-            if isinstance(terminator, irin.Jump):
-                block_name = terminator.target
-            elif isinstance(terminator, irin.Branch):
-                join = info.immediate_postdominator(block_name)
-                cond = self._operand(terminator.cond, width=1)
-                for arm, target in (
-                    (f"if ({cond} == 1)", terminator.if_true),
-                    ("else", terminator.if_false),
-                ):
-                    with self.block(arm):
-                        self._emit_region(function, target, join, info)
-                block_name = join
-            elif isinstance(terminator, (irin.Send, irin.SendTo)):
-                if isinstance(terminator, irin.SendTo):
-                    self.emit(
-                        "standard_metadata.egress_spec ="
-                        f" (bit<9>){self._operand(terminator.port)};"
-                    )
-                else:
-                    (near, far), (_, back) = PORT_PAIRS.items()
-                    self.emit("/* forward on the wire pair */")
-                    self.emit(
-                        "standard_metadata.egress_spec ="
-                        f" (standard_metadata.ingress_port == {near})"
-                        f" ? 9w{far} : 9w{back};"
-                    )
-                return
-            elif isinstance(terminator, irin.Drop):
-                self.emit("mark_to_drop(standard_metadata);")
-                return
-            elif isinstance(terminator, irin.Return):
-                if function is self.program.pre:
-                    self._emit_punt()
-                return
-            else:
-                return
+    def _predicate(self, guard: Guard) -> str:
+        return " || ".join(
+            " && ".join(
+                f"{self._operand(cond, width=1)} == {arm}"
+                for cond, arm in conjunction
+            )
+            for conjunction in guard
+        )
 
     def _emit_punt(self) -> None:
         shim = "hdr.shim_to_server"
@@ -421,8 +402,25 @@ class _P4Emitter:
                 )
         elif isinstance(inst, _EXPRESSIONS):
             self.emit(f"{self._operand(inst.dst)} = {self._expression(inst)};")
+        elif isinstance(inst, irin.SendTo):
+            self.emit(
+                "standard_metadata.egress_spec ="
+                f" (bit<9>){self._operand(inst.port)};"
+            )
+        elif isinstance(inst, irin.Send):
+            (near, far), (_, back) = PORT_PAIRS.items()
+            self.emit("/* forward on the wire pair */")
+            self.emit(
+                "standard_metadata.egress_spec ="
+                f" (standard_metadata.ingress_port == {near})"
+                f" ? 9w{far} : 9w{back};"
+            )
+        elif isinstance(inst, irin.Drop):
+            self.emit("mark_to_drop(standard_metadata);")
+        elif isinstance(inst, irin.Return):
+            self._emit_punt()
         else:
-            self.emit(f"/* unsupported: {type(inst).__name__} */")
+            raise NotImplementedError(f"{self.program.name}: no P4 for {inst!r}")
 
     def _expression(self, inst) -> str:
         """What one of :data:`_EXPRESSIONS` writes to its register."""

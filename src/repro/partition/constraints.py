@@ -10,7 +10,8 @@ This module also owns the numbers those limits are held against:
 :func:`measure_pipeline` is the one measurement of a switch pipeline and
 its stage schedule (the partitioner's budget search, its final
 :class:`ConstraintReport`, the P4 lint and tenancy's table slots all read
-the same :class:`PipelineUsage`), :func:`co_reachable`
+the same :class:`PipelineUsage`, whose ``staged`` ops are the order
+:func:`allocate_metadata` and the P4 text follow), :func:`co_reachable`
 the one constraint-3 collision test, :func:`entry_bytes` the one
 constraint-1 memory formula, and :meth:`ConstraintReport.violations` the
 one constraint 1–5 accounting.
@@ -19,13 +20,20 @@ one constraint 1–5 accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.depgraph import build_dependency_graph
 from repro.analysis.distance import dependency_distances
 from repro.analysis.reachability import ReachabilityInfo, compute_reachability
 from repro.ir import instructions as irin
 from repro.ir.function import Function, per_shape
+from repro.ir.values import Operand, Reg
+
+
+class PartitionError(Exception):
+    """Raised when no feasible partitioning exists (should not happen:
+    all-server is always feasible; this signals an internal bug or an
+    unannotated structure the caller must fix)."""
 
 
 @dataclass(frozen=True)
@@ -131,17 +139,24 @@ SWITCH_STATE_OPS = (
 UNBOUNDED_DEPTH = 10**9
 
 
+#: When an op runs: where one of these conjunctions of ``(branch condition,
+#: polarity)`` pairs holds (``((),)``: always).
+Guard = Tuple[Tuple[Tuple[Operand, int], ...], ...]
+#: An op as the switch runs it: the instruction, its stage and its guard.
+StagedOp = Tuple[irin.Instruction, int, Guard]
+
+
 @dataclass
 class PipelineUsage:
     """What one switch pipeline (a projected pre or post function) uses."""
 
     reachability: ReachabilityInfo
-    #: instruction id -> the stage it runs in: the longest stage-costing
-    #: dependency chain ending at it (0 for a free copy nothing costly
-    #: precedes); empty for a pipeline with a control-flow loop
-    schedule: Dict[int, int]
     #: constraint 2 — the stages it occupies, its schedule's deepest
     depth: int
+    #: every op in (stage, program position) order, its stage the longest
+    #: stage-costing dependency chain ending at it (the last for a Return,
+    #: the exit pre's punt copies the shim out at); empty for a loop
+    staged: Tuple[StagedOp, ...]
     #: constraint 3 — state name -> the instructions accessing it
     sites: Dict[str, List[irin.Instruction]]
     #: instructions no P4 pipeline can express
@@ -161,13 +176,22 @@ def measure_pipeline(function: Function) -> PipelineUsage:
     :class:`PipelineUsage`.
     """
     info = compute_reachability(function)
-    schedule: Dict[int, int] = {}
+    staged: Sequence[StagedOp] = ()
     depth = UNBOUNDED_DEPTH
     if not info.cyclic_blocks:
         # Built, scheduled and dropped: nothing reads a projection's graph
         # twice, and a kept one would sit in memory while packets run.
         schedule, _ = dependency_distances(build_dependency_graph(function))
         depth = max(schedule.values(), default=0)
+        guards = _guards(function, info)
+        staged = sorted(
+            (
+                (inst, depth if isinstance(inst, irin.Return)
+                 else schedule[inst.id], guards[info.inst_block[inst.id]])
+                for inst in function.instructions()
+            ),
+            key=lambda op: op[1],
+        )
     sites: Dict[str, List[irin.Instruction]] = {}
     unsupported: List[irin.Instruction] = []
     for inst in function.instructions():
@@ -177,11 +201,42 @@ def measure_pipeline(function: Function) -> PipelineUsage:
             unsupported.append(inst)
     return PipelineUsage(
         reachability=info,
-        schedule=schedule,
         depth=depth,
+        staged=tuple(staged),
         sites=sites,
         unsupported=unsupported,
     )
+
+
+def _guards(function: Function, info: ReachabilityInfo) -> Dict[str, Guard]:
+    """Block -> its guard, a conjunction per way the walk reaches it: a
+    branch's arms run under its condition up to its immediate
+    postdominator, where its own guard resumes.  A guard reads its
+    conditions where its op runs: one written after its branch is refused."""
+    guards: Dict[str, list] = {}
+    branches: Dict[str, set] = {}  # condition -> the branches on it
+    regions = [(function.entry, None, ())]
+    while regions:
+        block, stop, conjunction = regions.pop()
+        while block is not None and block != stop:
+            guards.setdefault(block, []).append(conjunction)
+            end = function.blocks[block].terminator
+            if isinstance(end, irin.Branch):
+                branches.setdefault(getattr(end.cond, "name", ""), set()).add(end)
+                block = info.immediate_postdominator(block)
+                regions += [
+                    (end.if_false, block, conjunction + ((end.cond, 0),)),
+                    (end.if_true, block, conjunction + ((end.cond, 1),)),
+                ]
+            else:
+                block = end.target if isinstance(end, irin.Jump) else None
+    for inst in function.instructions():
+        for reg in inst.defs():
+            if any(info.can_happen_after(b, inst) for b in branches.get(reg.name, ())):
+                raise PartitionError(
+                    f"{function.name}: PART007: {reg} is written after the branch on it"
+                )
+    return {block: tuple(found) for block, found in guards.items()}
 
 
 def co_reachable(
@@ -200,3 +255,69 @@ def co_reachable(
             ):
                 return first, second
     return None
+
+
+@dataclass(frozen=True)
+class MetadataAllocation:
+    """Byte offsets assigned to each register in the scratchpad."""
+
+    offsets: Dict[str, Tuple[int, int]]  # name -> (offset, size)
+    total_bytes: int
+
+
+def allocate_metadata(
+    function: Function,
+    held_from_entry: Iterable[str],
+    held_to_exit: Iterable[str],
+) -> MetadataAllocation:
+    """Constraint 4's one answer, §4.3.1's reuse of dead temporaries:
+    scratchpad byte offsets for every register of the acyclic pipeline
+    ``function``, once per shape and boundary — ``held_from_entry`` are
+    copied in before its first op, ``held_to_exit`` out after its last."""
+    return function.once(
+        _linear_scan, frozenset(held_from_entry), frozenset(held_to_exit)
+    )
+
+
+def _linear_scan(
+    function: Function,
+    held_from_entry: FrozenSet[str],
+    held_to_exit: FrozenSet[str],
+) -> MetadataAllocation:
+    """A linear-scan register allocator over bytes: a register lives
+    from its first to its last position in the staged order — an op holds
+    its results, its operands and its guard's conditions — and registers
+    sorted by start each take the lowest byte offset whose previous
+    occupant's range has ended.  Ranges are inclusive, so the operands and
+    the results of one op never share a byte."""
+    staged = measure_pipeline(function).staged
+    ranges: Dict[str, Tuple[int, int]] = {}
+    for position, (inst, _, guard) in enumerate(staged):
+        conditions = [
+            cond for conjunction in guard for cond, _ in conjunction
+            if isinstance(cond, Reg)
+        ]
+        for reg in (*inst.defs(), *inst.uses(), *conditions):
+            first, _ = ranges.get(reg.name, (position, position))
+            ranges[reg.name] = (first, position)
+    for name in held_from_entry & ranges.keys():
+        ranges[name] = (-1, ranges[name][1])
+    for name in held_to_exit & ranges.keys():
+        ranges[name] = (ranges[name][0], len(staged))
+    registers = function.registers()
+    offsets: Dict[str, Tuple[int, int]] = {}
+    active: List[Tuple[int, int, int]] = []  # (end, offset, size)
+    total = 0
+    for name in sorted(ranges, key=lambda name: ranges[name][0]):
+        start, end = ranges[name]
+        size = registers[name].bytes
+        active = [entry for entry in active if entry[0] >= start]
+        offset = 0
+        for lo, hi in sorted((at, at + sz) for _, at, sz in active):
+            if offset + size <= lo:
+                break
+            offset = max(offset, hi)
+        offsets[name] = (offset, size)
+        active.append((end, offset, size))
+        total = max(total, offset + size)
+    return MetadataAllocation(offsets, total)

@@ -24,14 +24,15 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.depgraph import DependencyGraph, dependency_graph
 from repro.analysis.distance import dependency_distances
-from repro.analysis.liveness import allocate_metadata
 from repro.ir import instructions as irin
 from repro.ir.function import Function
 from repro.ir.lowering import LoweredMiddlebox, StateMember
 from repro.partition.constraints import (
     ConstraintReport,
+    PartitionError,
     PipelineUsage,
     SwitchResources,
+    allocate_metadata,
     co_reachable,
     entry_bytes,
     measure_pipeline,
@@ -54,12 +55,6 @@ from repro.partition.projection import (
     ProjectionStatics,
     project_partition,
 )
-
-
-class PartitionError(Exception):
-    """Raised when no feasible partitioning exists (should not happen:
-    all-server is always feasible; this signals an internal bug or an
-    unannotated structure the caller must fix)."""
 
 
 _MAX_ENUM_SITES = 8
@@ -432,23 +427,23 @@ class _Side:
     def over_budget(
         self, transfer: TransferSpec, limits: SwitchResources
     ) -> Tuple[bool, Optional[Tuple[PipelineUsage, int]]]:
-        """Does this pipeline break constraint 5, 4 or 2?  Also returns
+        """Does this pipeline break constraint 5, 2 or 4?  Also returns
         its measured usage and metadata bytes — its allocation with
         ``transfer`` held to pre's exit or from post's entry — unless the
-        shim alone decided (the cheap test goes first: measuring builds
-        the projection and its dependency graph)."""
+        shim (the cheap test: measuring builds the projection and its
+        graph) or the depth (only a pipeline that fits has a stage order
+        to allocate) decided."""
         if transfer.byte_size() > limits.transfer_bytes:
             return True, None
-        function, held = self.function(), transfer.names()
-        pre = self._partition is Partition.PRE
+        function = self.function()
+        usage = measure_pipeline(function)
+        if usage.depth > limits.pipeline_depth:
+            return True, None
+        held, pre = transfer.names(), self._partition is Partition.PRE
         metadata = allocate_metadata(
             function, () if pre else held, held if pre else ()
         ).total_bytes
-        usage = measure_pipeline(function)
-        return (
-            metadata > limits.metadata_bytes
-            or usage.depth > limits.pipeline_depth
-        ), (usage, metadata)
+        return metadata > limits.metadata_bytes, (usage, metadata)
 
 
 def _build_transfers(

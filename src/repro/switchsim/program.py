@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.analysis.liveness import MetadataAllocation, allocate_metadata
 from repro.codegen.headers import ShimLayout
 from repro.ir.function import Function
-from repro.partition.constraints import SwitchResources, entry_bytes
+from repro.partition.constraints import (
+    MetadataAllocation, StagedOp, SwitchResources, allocate_metadata,
+    entry_bytes, measure_pipeline,
+)
 from repro.partition.plan import PartitionPlan
 
 
@@ -123,13 +125,15 @@ class SwitchProgram:
         if failure is not None:
             raise SwitchProgramError(f"{self.name}: {failure.format()}")
 
-    def metadata(self) -> Tuple[MetadataAllocation, MetadataAllocation]:
-        """Constraint 4: the allocation of ``pre`` (its punt copies the
-        to-server shim out at its exit) and of ``post`` (the to-switch shim
-        is copied in at its entry), read by the lint and ``metadata_t``."""
-        return (
-            allocate_metadata(self.pre, (), self.shim_to_server.carried()),
-            allocate_metadata(self.post, self.shim_to_switch.carried(), ()),
+    def stages(self, side: str) -> Tuple[Tuple[StagedOp, ...], MetadataAllocation]:
+        """The ``"pre"`` or ``"post"`` pipeline as the switch runs it: its
+        staged ops and their allocation (constraint 4), pre's to-server
+        shim held to its exit, post's to-switch shim from its entry."""
+        function = getattr(self, side)
+        pre = side == "pre"
+        carried = (self.shim_to_server if pre else self.shim_to_switch).carried()
+        return measure_pipeline(function).staged, allocate_metadata(
+            function, () if pre else carried, carried if pre else ()
         )
 
     def memory_bytes(self) -> int:

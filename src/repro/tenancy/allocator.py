@@ -11,7 +11,7 @@ first-class: it admits N compiled artifacts under one
 :class:`SharedSwitchBudget`, reading each tenant's measured usage from
 its ``plan.report`` and its pipelines' stage schedules — per-tenant stage
 placement (stage 0 is the dispatch table; each table a tenant applies
-takes a slot in the stage ``measure_pipeline`` schedules it in, and a
+takes a slot in the stage ``SwitchProgram.stages`` runs it in, and a
 stage has a bounded number of slots), register/table memory carved into
 contiguous per-tenant ranges, and PHV/header arbitration (every tenant's
 metadata and shim fields coexist in the parser's static PHV layout, so they
@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.partition.constraints import SwitchResources, measure_pipeline
+from repro.partition.constraints import SWITCH_STATE_OPS, SwitchResources
 from repro.partition.plan import PartitionPlan
 from repro.switchsim.program import SERVER_PORT, SwitchProgram
 from repro.verify.diagnostics import STAGE_TENANCY, VerificationReport, error
@@ -75,7 +75,7 @@ class SharedSwitchBudget:
     pipeline_depth: int = SwitchResources.pipeline_depth
     #: Match-table slots available per stage (RMT: a handful of parallel
     #: tables per stage).  Tenants' tables share stages: each takes a slot
-    #: in the stage its pipeline's ``measure_pipeline`` schedule puts it.
+    #: in the stage its pipeline's ``SwitchProgram.stages`` runs it in.
     table_slots_per_stage: int = 4
     #: PHV bytes available to tenant metadata (each tenant's constraint-4
     #: allocation) + shim fields combined.
@@ -147,11 +147,12 @@ class TenantSpec:
         in the stage its pipeline's schedule puts it, pre's and post's
         summed (both are laid out in the one ingress pipeline)."""
         slots: Counter[int] = Counter()
-        for function in (self.program.pre, self.program.post):
-            usage = measure_pipeline(function)
-            for state, sites in usage.sites.items():
-                if state in self.program.tables:
-                    slots.update(usage.schedule[inst.id] for inst in sites)
+        for side in ("pre", "post"):
+            slots.update(
+                stage for inst, stage, _ in self.program.stages(side)[0]
+                if isinstance(inst, SWITCH_STATE_OPS)
+                and inst.state in self.program.tables
+            )
         return dict(slots)
 
 

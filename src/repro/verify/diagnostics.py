@@ -45,6 +45,7 @@ DIAGNOSTIC_CODES: Dict[str, str] = {
     "PART004": "value live across a partition boundary missing from the shim",
     "PART005": "shim header exceeds the per-direction transfer budget",
     "PART006": "switch-side register write incompatible with cached deployment",
+    "PART007": "branch condition written again after its branch on the switch",
     # Stage 3 — P4 resource lint (paper §2.2 constraints 1-5).
     "P4L001": "instruction not expressible in a P4 pipeline",
     "P4L002": "state access not backed by a switch table or register",

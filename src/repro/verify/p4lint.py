@@ -6,7 +6,7 @@ limits: no loops, only P4-expressible instructions, every state access
 backed and applied at most once, switch memory, dependency depth, scratchpad
 metadata, register width, table count.  The numbers come from
 :func:`repro.partition.constraints.measure_pipeline` and
-:meth:`SwitchProgram.metadata` — what the partitioner's budget search
+:meth:`SwitchProgram.stages` — what the partitioner's budget search
 reads — applied here to the artifact's own ``pre`` / ``post``, after the
 partitioner has returned.  This is the only
 acceptability check a switch program gets: ``SwitchProgram.validate()``
@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import List
 
 from repro.analysis.distance import _stage_cost
-from repro.ir.function import Function
 from repro.partition.constraints import co_reachable, measure_pipeline
 from repro.switchsim.program import SwitchProgram
 
@@ -35,23 +34,18 @@ ACTION_COMPLEXITY_LIMIT = 32
 
 def lint_switch_program(program: SwitchProgram) -> List[Diagnostic]:
     out: List[Diagnostic] = []
-    for label, function, allocation in zip(
-        ("pre", "post"), (program.pre, program.post), program.metadata()
-    ):
-        out.extend(
-            _lint_pipeline(program, label, function, allocation.total_bytes)
-        )
+    for label in ("pre", "post"):
+        out.extend(_lint_pipeline(program, label))
     out.extend(_lint_memory(program))
     out.extend(_lint_registers(program))
     return out
 
 
-def _lint_pipeline(
-    program: SwitchProgram, label: str, function: Function,
-    metadata_bytes: int,
-) -> List[Diagnostic]:
+def _lint_pipeline(program: SwitchProgram, label: str) -> List[Diagnostic]:
     out: List[Diagnostic] = []
+    function = getattr(program, label)
     usage = measure_pipeline(function)
+    metadata_bytes = program.stages(label)[1].total_bytes
     cyclic = usage.reachability.cyclic_blocks
     if cyclic:
         out.append(

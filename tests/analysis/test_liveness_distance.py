@@ -1,11 +1,14 @@
 """Tests for liveness and dependency distances."""
 
+from typing import Dict, Tuple
+
 from repro.analysis.depgraph import build_dependency_graph
 from repro.analysis.distance import dependency_distances
-from repro.analysis.liveness import allocate_metadata, live_ranges
 from repro.ir import lower_program
 from repro.ir import instructions as irin
+from repro.ir.function import Function
 from repro.lang import parse_program
+from repro.partition.constraints import allocate_metadata, measure_pipeline
 
 
 def lower(statements: str, members: str = ""):
@@ -15,20 +18,48 @@ def lower(statements: str, members: str = ""):
     return lower_program(parse_program(source))
 
 
+def staged_ranges(function: Function) -> Dict[str, Tuple[int, int]]:
+    """First/last position of each register in the staged order, an op
+    holding its results, its operands and its guard's conditions: the
+    ranges the allocator scans, restated apart from it."""
+    ranges: Dict[str, Tuple[int, int]] = {}
+    for position, (inst, _, guard) in enumerate(
+        measure_pipeline(function).staged
+    ):
+        names = [reg.name for reg in (*inst.defs(), *inst.uses())] + [
+            cond.name for conjunction in guard for cond, _ in conjunction
+        ]
+        for name in names:
+            ranges[name] = (ranges.get(name, (position,))[0], position)
+    return ranges
+
+
+def staged_uses(function: Function, name: str):
+    """Staged positions of the ops reading ``name``, by operand or guard."""
+    return [
+        position for position, (inst, _, guard) in enumerate(
+            measure_pipeline(function).staged
+        )
+        if name in {reg.name for reg in inst.uses()}
+        or name in {cond.name for conj in guard for cond, _ in conj}
+    ]
+
+
 class TestLiveness:
     def test_live_ranges_cover_first_to_last_use(self):
         lowered = lower(
             "uint32_t a = 1; uint32_t b = 2; uint32_t c = a + b; pkt->send();"
         )
-        ranges = live_ranges(lowered.process)
-        a_name = next(n for n in ranges if n.startswith("a."))
-        first, last = ranges[a_name]
-        assert first < last
+        function = lowered.process
+        a_name = next(n for n in staged_ranges(function) if n.startswith("a."))
+        first, last = staged_ranges(function)[a_name]
+        assert first < last == max(staged_uses(function, a_name))
 
-    def test_live_ranges_list_registers_in_program_order(self):
-        """Definitions before operands, instruction by instruction — the
-        allocator breaks ties on this order, which was string-hash order
-        (and so ``PYTHONHASHSEED``'s) while it came from a set."""
+    def test_the_allocator_breaks_ties_in_program_order(self):
+        """Definitions before operands, instruction by instruction: a
+        lookup's value and found flag start together and take bytes in
+        that order (string-hash order, and so ``PYTHONHASHSEED``'s, while
+        the ranges came from a set)."""
         lowered = lower(
             "uint16_t k = 1; uint32_t *p = m.find(&k);"
             " if (p != NULL) { pkt->send(); } else { pkt->drop(); }",
@@ -38,21 +69,20 @@ class TestLiveness:
                     if isinstance(inst, irin.MapFind))
         assert find.defs() == (find.value, find.found)
         assert find.uses() == find.keys
-        order = list(live_ranges(lowered.process))
-        value, found, key = (order.index(reg.name) for reg in
-                             (find.value, find.found, find.keys[0]))
+        offsets = allocate_metadata(lowered.process, (), ()).offsets
+        key, value, found = (offsets[reg.name][0] for reg in
+                             (find.keys[0], find.value, find.found))
         assert key < value < found
-        assert set(lowered.process.registers()) == set(order)
-        assert set(lowered.process.defined_regs()) <= set(order)
+        assert set(lowered.process.registers()) == set(offsets)
 
     def test_straight_line_ranges_open_at_their_definition(self):
-        """Nothing is live into a straight-line function: every
-        register's range opens at the instruction that defines it."""
+        """Nothing is live into a straight-line function: in stage order
+        every register's range opens at the op that defines it."""
         lowered = lower("uint32_t a = 1; uint32_t b = a; pkt->send();")
-        instructions = list(lowered.process.instructions())
-        for name, (first, last) in live_ranges(lowered.process).items():
-            assert 0 <= first <= last < len(instructions), name
-            assert name in {reg.name for reg in instructions[first].defs()}
+        staged = measure_pipeline(lowered.process).staged
+        for name, (first, last) in staged_ranges(lowered.process).items():
+            assert 0 <= first <= last < len(staged), name
+            assert name in {reg.name for reg in staged[first][0].defs()}
 
     def test_branch_condition_range_reaches_its_use_in_the_branch(self):
         lowered = lower(
@@ -60,29 +90,27 @@ class TestLiveness:
             " if (a) { uint32_t b = a + 1; pkt->send(); } else { pkt->drop(); }"
         )
         function = lowered.process
-        instructions = list(function.instructions())
-        a_name = next(n for n in live_ranges(function) if n.startswith("a."))
-        uses = [
-            position for position, inst in enumerate(instructions)
-            if a_name in {reg.name for reg in inst.uses()}
-        ]
-        # `a` is read by the branch and again inside the then block.
+        a_name = next(n for n in staged_ranges(function) if n.startswith("a."))
+        uses = staged_uses(function, a_name)
+        # `a` is read by the branch's test and again inside the then block.
         assert len(uses) >= 2
-        first, last = live_ranges(function)[a_name]
+        first, last = staged_ranges(function)[a_name]
         assert first < min(uses) and last == max(uses)
 
     def test_dead_temporaries_give_their_bytes_back(self):
-        """Three values that never overlap need one value's bytes, not
-        three (the §4.3.1 reuse the allocator relies on)."""
+        """Three values that never overlap in stage order — each read
+        back from the header the previous one was stored to — need one
+        value's bytes, not three (the §4.3.1 reuse the allocator relies
+        on)."""
         lowered = lower(
             "iphdr *ip = pkt->network_header();"
-            " uint32_t a = 1; ip->saddr = a;"
-            " uint32_t b = 2; ip->daddr = b;"
-            " uint32_t c = 3; ip->id = c; pkt->send();"
+            " uint32_t a = ip->saddr; ip->daddr = a;"
+            " uint32_t b = ip->daddr; ip->saddr = b;"
+            " uint32_t c = ip->saddr; ip->daddr = c; pkt->send();"
         )
         function = lowered.process
         registers = function.registers()
-        total = sum(registers[name].bytes for name in live_ranges(function))
+        total = sum(reg.bytes for reg in registers.values())
         allocated = allocate_metadata(function, (), ()).total_bytes
         assert max(reg.bytes for reg in registers.values()) <= allocated
         assert allocated < total

@@ -1,12 +1,12 @@
 """Tests for the scratchpad metadata allocation (§4.3.1, constraint 4)."""
 
-from repro.analysis.liveness import allocate_metadata, live_ranges
 from repro.compiler import compile_source
 from repro.difftest.generator import generate_program
 from repro.difftest.runner import derive_seeds
 from repro.ir import lower_program
 from repro.lang import parse_program
-from repro.partition.constraints import SwitchResources
+from repro.partition.constraints import SwitchResources, allocate_metadata
+from tests.analysis.test_liveness_distance import staged_ranges
 from tests.partition.compile_pins import PIN_SEED, allocation_problems
 
 
@@ -29,7 +29,7 @@ class TestAllocator:
         """Registers with overlapping live ranges get disjoint bytes."""
         function = compiled.plan.pre
         allocation = pre_allocation(compiled)
-        ranges = live_ranges(function)
+        ranges = staged_ranges(function)
         names = list(allocation.offsets)
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
@@ -75,20 +75,26 @@ class TestAllocator:
         assert allocation.total_bytes == highest
 
     def test_the_boundary_holds_a_register_to_its_copy_point(self):
-        """Two values that never overlap share one slot, unless the first
-        is carried out at the exit (a to-server shim) or the second is
-        carried in at the entry (a to-switch shim)."""
+        """Two values that never overlap in stage order share one slot,
+        unless the first is carried out at the exit (a to-server shim) or
+        the second is carried in at the entry (a to-switch shim)."""
         lowered = lower(
             "iphdr *ip = pkt->network_header();"
-            " uint32_t a = 1; ip->saddr = a;"
-            " uint32_t b = 2; ip->daddr = b; pkt->send();"
+            " uint32_t a = ip->saddr; ip->daddr = a;"
+            " uint32_t b = ip->daddr; ip->saddr = b; pkt->send();"
         )
         function = lowered.process
-        assert list(live_ranges(function)) == ["a.1", "b.2"]
+        ranges = staged_ranges(function)
+        assert ranges["a.1"][1] < ranges["b.2"][0]
         free = allocate_metadata(function, (), ())
-        assert free.offsets == {"a.1": (0, 4), "b.2": (0, 4)}
-        assert allocate_metadata(function, (), ["a.1"]).total_bytes == 8
-        assert allocate_metadata(function, ["b.2"], ()).total_bytes == 8
+        assert free.offsets["a.1"] == free.offsets["b.2"] == (4, 4)
+        assert free.total_bytes == 8
+        for held in (
+            allocate_metadata(function, (), ["a.1"]),
+            allocate_metadata(function, ["b.2"], ()),
+        ):
+            assert held.offsets["a.1"] != held.offsets["b.2"]
+            assert held.total_bytes == 12
 
     def test_one_allocation_per_shape_and_boundary(self, middlebox_name,
                                                    compiled):
@@ -97,7 +103,7 @@ class TestAllocator:
         program = compiled.switch_program
         carried = program.shim_to_server.carried()
         allocation = allocate_metadata(program.pre, (), carried)
-        assert program.metadata()[0] is allocation
+        assert program.stages("pre")[1] is allocation
         assert allocate_metadata(program.pre, (), reversed(carried)) is (
             allocation
         )
@@ -116,7 +122,9 @@ def test_tiny_gen027_is_held_to_its_allocation():
         generate_program(program_seed).source(), limits, verify=False
     )
     report = result.plan.report
-    pre, post = result.switch_program.metadata()
+    (_, pre), (_, post) = (
+        result.switch_program.stages(side) for side in ("pre", "post")
+    )
     assert (report.metadata_bytes_pre, report.metadata_bytes_post) == (
         pre.total_bytes, post.total_bytes
     )

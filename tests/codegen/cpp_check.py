@@ -5,12 +5,14 @@ it and checked with ``g++ -std=c++17 -fsyntax-only`` against
 ``gallium_runtime.h`` (:data:`repro.codegen.cpp.emit.RUNTIME_HEADER`),
 two compilers at a time.  Tier-1 compiles the six bundled middleboxes
 (``test_cpp_contract.py``); ``make cpp-check`` adds the generated
-programs ``derive_seeds(0, i)``, ``i <`` :data:`GENERATED`, and checks
-that no emitted handler renders an IR operator as a bare C++ one::
+programs ``derive_seeds(0, i)``, ``i <`` :data:`GENERATED`, checks
+that no emitted handler renders an IR operator as a bare C++ one, and
+holds each program's switch pipelines to their stage order
+(:func:`tests.partition.compile_pins.stage_hazards`)::
 
     PYTHONPATH=src python -m tests.codegen.cpp_check
 
-Exit 1 when a program fails either check; with no ``g++`` on PATH, the
+Exit 1 when a program fails any check; with no ``g++`` on PATH, the
 compile is skipped with a note.
 """
 
@@ -29,6 +31,7 @@ from repro.compiler import compile_source
 from repro.difftest.generator import generate_program
 from repro.difftest.runner import derive_seeds
 from repro.middleboxes import MIDDLEBOX_NAMES, load
+from tests.partition.compile_pins import stage_hazards
 
 CXXFLAGS = ("-std=c++17", "-fsyntax-only", f"-I{RUNTIME_HEADER.parent}")
 JOBS = 2
@@ -91,16 +94,21 @@ def bare_operators(cpp_source: str) -> List[str]:
     return [m.group(0) for m in BARE_OPERATOR.finditer(handler)]
 
 
-def emitted(generated: int = 0) -> Dict[str, str]:
-    """``label -> emitted C++`` of :func:`sources`."""
-    return {
-        label: compile_source(source).cpp_source
-        for label, source in sources(generated)
-    }
-
-
 def main() -> int:
-    programs = emitted(GENERATED)
+    results = {
+        label: compile_source(source)
+        for label, source in sources(GENERATED)
+    }
+    hazards = {
+        label: found for label, result in results.items()
+        if (found := stage_hazards(result.switch_program, "pre")
+            + stage_hazards(result.switch_program, "post"))
+    }
+    for label, found in hazards.items():
+        print(f"--- {label}: stage hazards {found}")
+    print(f"cpp-check: {len(results) - len(hazards)} of {len(results)}"
+          " programs run their switch pipelines in stage order as written")
+    programs = {label: result.cpp_source for label, result in results.items()}
     bare = {
         label: found for label, text in programs.items()
         if (found := bare_operators(text))
@@ -111,13 +119,13 @@ def main() -> int:
           " handlers render every guarded operator through gallium::")
     if gxx() is None:
         print("cpp-check: g++ not on PATH; the emitted C++ is not compiled")
-        return 1 if bare else 0
+        return 1 if bare or hazards else 0
     errors = compile_errors(programs)
     for label, output in errors.items():
         print(f"--- {label}\n{output}")
     print(f"cpp-check: {len(programs) - len(errors)} of {len(programs)}"
           " programs compile")
-    return 1 if bare or errors else 0
+    return 1 if bare or hazards or errors else 0
 
 
 if __name__ == "__main__":

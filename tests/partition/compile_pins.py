@@ -15,10 +15,11 @@ two JSON files.
 
 Every compiled row is also held to constraint 4's one definition
 (:func:`allocation_problems`): the bytes the emitted ``metadata_t``
-declares are the bytes the partitioner enforced, within the budget, and a
-liveness computed here, independently of the allocator, finds no two
-registers sharing a scratch byte while both hold a value.  A row that
-fails raises :class:`AllocationError`.
+declares are the bytes the partitioner enforced, within the budget, and
+:func:`stage_hazards`, written independently of the allocator and of the
+dependency graph, finds the staged order running no pair of conflicting
+ops out of program order and no register's bytes written while it holds a
+value.  A row that fails raises :class:`AllocationError`.
 
 The ``sensitivity`` group pins each P4L001-P4L009 mutation of
 ``tests/verify/test_p4lint.py`` and each IR001-IR007 fixture of
@@ -43,19 +44,21 @@ import json
 import re
 import sys
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
+from repro.analysis.distance import _stage_cost
+from repro.analysis.reachability import compute_reachability
 from repro.compiler import compile_source
 from repro.difftest.generator import generate_program
 from repro.difftest.runner import derive_seeds
 from repro.ir import instructions as irin
 from repro.ir.compile import compile_function
-from repro.ir.function import Function
+from repro.ir.values import Const, LocKind
 from repro.middleboxes import MIDDLEBOX_NAMES, load
 from repro.partition.constraints import SwitchResources
 from repro.partition.partitioner import PartitionError
 from repro.switchsim.compiled import compile_switch_function
-from repro.switchsim.program import SwitchProgramError
+from repro.switchsim.program import SwitchProgram, SwitchProgramError
 from repro.verify import lint_switch_program, verify_compilation, verify_ir
 
 GOLDEN = Path(__file__).parent / "golden" / "compile_pins.json"
@@ -88,90 +91,104 @@ def declared_metadata_bytes(p4_source: str) -> int:
     return (bits + 7) // 8
 
 
-def clobbers(
-    function: Function,
-    offsets: Dict[str, Tuple[int, int]],
-    held_from_entry: Iterable[str],
-    held_to_exit: Iterable[str],
-) -> List[str]:
-    """Registers of ``function`` that share a byte of ``offsets`` at a
-    point where both hold a value.
+def stage_hazards(program: SwitchProgram, side: str) -> List[str]:
+    """What the ``side`` pipeline's staged order
+    (``program.stages(side)``) runs differently from the program.
 
-    Written without the allocator's linear ranges, over the CFG: a
-    register holds a value at a point when a definition of it may reach
-    the point (``held_from_entry`` are defined before the entry) and a
-    use may follow it (every ``Return`` uses ``held_to_exit``).  The
-    copy-in at the entry holds ``held_from_entry`` at once, and an
-    instruction holds its operands and results.
+    Written without the allocator and without the dependency graph: what
+    an op touches is read off the instruction — its operands, results and
+    guard conditions, the registers pre's punt copies out, the state
+    members and packet regions of its ``reads()`` / ``writes()`` — program
+    order is the CFG's ``can_happen_after``, and a register's bytes are
+    its offsets in the staged allocation.  Three rules:
+
+    * two ops one traversal runs one after the other that touch one
+      thing, one of them writing it, run in that order in stage order too;
+    * an op reading what the other wrote sits in a later stage when the
+      read costs one (a guard's always does: it is tested as its stage
+      starts);
+    * no op writes a byte of a register while that register holds a value
+      a later op on its path reads — from the write (or post's copy-in of
+      the to-switch shim) to the read, in stage order.
     """
-    held_in, held_out = set(held_from_entry), set(held_to_exit)
-    blocks = function.blocks
-    successors = function.successors()
+    staged, allocation = program.stages(side)
+    after = compute_reachability(getattr(program, side)).can_happen_after
+    copied_in = program.shim_to_switch.carried() if side == "post" else ()
+    punted = program.shim_to_server.carried() if side == "pre" else ()
 
-    def names(regs) -> Set[str]:
-        return {reg.name for reg in regs}
+    def memory(locations) -> Set[object]:
+        return {loc for loc in locations if loc.kind is not LocKind.VAR}
 
-    defined_in: Dict[str, Set[str]] = {name: set() for name in blocks}
-    defined_in[function.entry] |= held_in
-    live_out: Dict[str, Set[str]] = {name: set() for name in blocks}
-    changed = True
-    while changed:
-        changed = False
-        for name, block in blocks.items():
-            defined = defined_in[name].union(
-                *(names(inst.defs()) for inst in block.instructions)
-            )
-            live = set(held_out) if isinstance(
-                block.terminator, irin.Return
-            ) else set()
-            for successor in successors[name]:
-                changed |= not defined <= defined_in[successor]
-                defined_in[successor] |= defined
-                live |= _live_in(blocks[successor], live_out[successor])
-            changed |= live != live_out[name]
-            live_out[name] = live
-    points = [held_in]
-    for name, block in blocks.items():
-        live = set(live_out[name])
-        after: List[Set[str]] = []
-        for inst in reversed(block.instructions):
-            after.append(set(live))
-            live = live - names(inst.defs()) | names(inst.uses())
-        defined = set(defined_in[name])
-        for inst, live_after in zip(block.instructions, reversed(after)):
-            results = names(inst.defs())
-            defined |= results
-            points.append(
-                results | names(inst.uses()) | live_after & defined
-            )
-    problems = set()
-    for point in points:
-        owner: Dict[int, str] = {}
-        for reg in sorted(point):
-            offset, size = offsets[reg]
-            for byte in range(offset, offset + size):
-                other = owner.setdefault(byte, reg)
-                if other != reg:
-                    problems.add(
-                        f"{function.name}: {other} and {reg} share"
-                        f" scratch byte {byte}"
-                    )
-    return sorted(problems)
-
-
-def _live_in(block, live_out: Set[str]) -> Set[str]:
-    live = set(live_out)
-    for inst in reversed(block.instructions):
-        live = live - {r.name for r in inst.defs()} | {
-            r.name for r in inst.uses()
+    touched = []
+    for inst, _, guard in staged:
+        operands = {reg.name for reg in inst.uses()}
+        if isinstance(inst, irin.Return):
+            operands.update(punted)
+        conditions = {
+            cond.name for conjunction in guard for cond, _ in conjunction
+            if not isinstance(cond, Const)
         }
-    return live
+        reads = operands | conditions | memory(inst.reads())
+        costly = conditions | (reads if _stage_cost(inst) else set())
+        writes = {reg.name for reg in inst.defs()} | memory(inst.writes())
+        touched.append((reads, writes, costly))
+    problems = []
+    for at, ((first, stage, _), (reads, writes, _)) in enumerate(
+        zip(staged, touched)
+    ):
+        for (second, later, _), (later_reads, later_writes, costly) in zip(
+            staged[at + 1:], touched[at + 1:]
+        ):
+            if not (writes & (later_reads | later_writes) or reads & later_writes):
+                continue
+            if after(second, first):
+                problems.append(
+                    f"{side}: {second!r} runs before {first!r} in program"
+                    " order, after it in stage order"
+                )
+            elif writes & costly and stage == later and after(first, second):
+                problems.append(
+                    f"{side}: {second!r} reads in stage {stage} what"
+                    f" {first!r} writes there"
+                )
+    scratch = {
+        name: set(range(offset, offset + size))
+        for name, (offset, size) in allocation.offsets.items()
+    }
+    defined: Dict[str, List[int]] = {name: [-1] for name in copied_in}
+    for at, (inst, _, _) in enumerate(staged):
+        for reg in inst.defs():
+            defined.setdefault(reg.name, []).append(at)
+
+    def one_path(*positions: int) -> bool:
+        insts = [staged[at][0] for at in positions if at >= 0]
+        return all(
+            after(a, b) or after(b, a)
+            for i, a in enumerate(insts) for b in insts[i + 1:]
+        )
+
+    for use, (reads, _, _) in enumerate(touched):
+        for name in reads & scratch.keys():
+            for define in defined.get(name, ()):
+                if not define < use or not one_path(define, use):
+                    continue
+                for write in range(define + 1, use):
+                    for reg in staged[write][0].defs():
+                        if reg.name != name and scratch[reg.name] & scratch[
+                            name
+                        ] and one_path(define, write, use):
+                            problems.append(
+                                f"{side}: {staged[write][0]!r} writes"
+                                f" {reg.name} over {name}, which"
+                                f" {staged[use][0]!r} reads"
+                            )
+    return problems
 
 
 def allocation_problems(result, limits: SwitchResources) -> List[str]:
     """Constraint 4 of one compiled row: the emitted ``metadata_t``
     declares the bytes the partitioner enforced, they fit ``limits``, and
-    :func:`clobbers` finds nothing in either pipeline."""
+    :func:`stage_hazards` finds nothing in either pipeline."""
     program = result.switch_program
     report = result.plan.report
     enforced = max(report.metadata_bytes_pre, report.metadata_bytes_post)
@@ -187,12 +204,9 @@ def allocation_problems(result, limits: SwitchResources) -> List[str]:
             f"{enforced} B of metadata over the {limits.metadata_bytes} B"
             " budget"
         )
-    pre, post = program.metadata()
-    carried_out = program.shim_to_server.carried()
-    carried_in = program.shim_to_switch.carried()
-    problems += clobbers(program.pre, pre.offsets, (), carried_out)
-    problems += clobbers(program.post, post.offsets, carried_in, ())
-    return problems
+    return problems + stage_hazards(program, "pre") + stage_hazards(
+        program, "post"
+    )
 
 
 def compile_row(source: str, limits: SwitchResources) -> dict:

@@ -58,8 +58,8 @@ class TestAdmission:
         assert {
             name: rejection.resource for name, rejection in rejected.items()
         } == {
-            "minilb": "table_slots",
-            "proxy": "table_slots",
+            "minilb": "phv_bytes",
+            "proxy": "phv_bytes",
             "trojan": "phv_bytes",
         }
         for rejection in rejected.values():

@@ -52,7 +52,7 @@ class TestTenancyCommand:
         assert code == 1
         out = capsys.readouterr().out
         assert "proxy" in out
-        assert "table_slots" in out
+        assert "phv_bytes" in out
         assert "TEN001" in out
 
     def test_budget_overrides_apply(self, capsys):

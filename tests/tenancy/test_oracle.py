@@ -156,7 +156,7 @@ class TestCombinedLint:
         assert [d.function for d in rejections] == ["minilb", "proxy"]
         for rejection in rejections:
             assert rejection.function in rejection.message
-            assert "table_slots" in rejection.message
+            assert "phv_bytes" in rejection.message
 
     def test_duplicate_tenants_surface_as_ten004(self):
         specs = build_tenant_specs(["minilb"])

@@ -62,13 +62,27 @@ def test_stage_cost():
 
 
 def test_stage_schedule():
-    """Which stage an instruction runs in is ``measure_pipeline``'s
-    schedule: tenancy's table slots read it, and ``tenancy/`` has no
-    stage rule of its own (it once packed tables from stage 1)."""
-    assert matching(r"\.schedule\b(?!\()") == [
-        ("tenancy/allocator.py", "table_slots"),
-    ]
+    """Which stage an instruction runs in, and the order and the guard it
+    runs under, are ``measure_pipeline``'s (the guards from the one
+    postdominator walk): the allocation, the lint, the P4 text and
+    tenancy's table slots read them through ``SwitchProgram.stages``, and
+    ``tenancy/`` has no stage rule of its own (it once packed tables from
+    stage 1)."""
+    assert matching(r"\.schedule\b(?!\()") == []
     assert sites("measure_pipeline(", outside="partition/") == [
+        ("switchsim/program.py", "stages"),
+        ("verify/p4lint.py", "_lint_pipeline"),
+    ]
+    assert sites("_guards(") == [
+        ("partition/constraints.py", "_guards"),
+        ("partition/constraints.py", "measure_pipeline"),
+    ]
+    assert sites("immediate_postdominator(", outside="analysis/") == [
+        ("partition/constraints.py", "_guards"),
+        ("partition/projection.py", "build"),
+    ]
+    assert sites(".stages(", outside="switchsim/") == [
+        ("codegen/p4/emit.py", "__init__"),
         ("tenancy/allocator.py", "table_slots"),
         ("verify/p4lint.py", "_lint_pipeline"),
     ]
@@ -86,10 +100,10 @@ def test_metadata_bytes():
     §4.3.1 allocation with the shim boundary held — and a register's
     bytes are summed into a scratchpad nowhere else."""
     assert matching(r"def \w*(allocat|live_bytes)\w*\(") == [
-        ("analysis/liveness.py", "allocate_metadata"),
+        ("partition/constraints.py", "allocate_metadata"),
     ]
     assert matching(r"\.bytes\b") == [
-        ("analysis/liveness.py", "_linear_scan"),
+        ("partition/constraints.py", "_linear_scan"),
         ("partition/plan.py", "byte_size"),
     ]
 

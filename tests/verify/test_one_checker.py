@@ -19,11 +19,12 @@ from unittest import mock
 import pytest
 
 import repro
-from repro.analysis import depgraph, liveness
+from repro.analysis import depgraph
 from repro.compiler import compile_source
 from repro.ir.lowering import lower_program
 from repro.lang.parser import parse_program
 from repro.ir.validate import IRValidationError, validate_function
+from repro.partition import constraints
 from repro.runtime.deployment import compile_middlebox
 from repro.switchsim.program import SwitchProgramError
 from repro.verify import lint_switch_program
@@ -93,7 +94,8 @@ def test_each_fact_is_written_once():
         ("partition/projection.py", "decide"),
     ]
     assert sites("can_happen_after(", outside="analysis/") == [
-        ("partition/constraints.py", "co_reachable")
+        ("partition/constraints.py", "_guards"),
+        ("partition/constraints.py", "co_reachable"),
     ]
     # Constraint 1's state bytes: tests/test_one_definition.py.
     assert sites("transfer_bytes + 2") == [
@@ -107,9 +109,9 @@ def test_pipelines_are_measured_in_one_function():
     4 is the allocation the budget search asks for with the transfer set
     it holds, and the program — its lint and its emitted ``metadata_t`` —
     with its shim layouts."""
-    assert sites("allocate_metadata(", outside="analysis/") == [
+    assert sites("allocate_metadata(", outside="partition/constraints") == [
         ("partition/partitioner.py", "over_budget"),
-        ("switchsim/program.py", "metadata"),
+        ("switchsim/program.py", "stages"),
     ]
     assert sites("dependency_distances(", outside="analysis/") == [
         ("partition/constraints.py", "measure_pipeline"),
@@ -219,7 +221,7 @@ def _count_calls(action) -> Counter:
     counts: Counter = Counter()
     patches = []
     for original in (
-        depgraph.build_dependency_graph, liveness._linear_scan
+        depgraph.build_dependency_graph, constraints._linear_scan
     ):
         def counted(*args, _original=original, **kwargs):
             counts[_original.__name__] += 1
