@@ -1,10 +1,12 @@
 """Protocol header codecs: Ethernet, IPv4, TCP, UDP.
 
 Each header class is a small mutable record with ``pack``/``unpack``
-round-trips.  Field names intentionally match the names the Click substrate
-and the generated P4 programs use (``saddr``, ``daddr``, ``sport``,
-``dport``, ...), so the same identifiers appear end to end: in the C++-subset
-middlebox sources, in the IR, in the dependency graph, and in the emitted P4.
+round-trips, slotted like a P4 header: a fixed set of fields and no
+per-instance attribute dict.  Field names intentionally match the names the
+Click substrate and the generated P4 programs use (``saddr``, ``daddr``,
+``sport``, ``dport``, ...), so the same identifiers appear end to end: in the
+C++-subset middlebox sources, in the IR, in the dependency graph, and in the
+emitted P4.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ class TcpFlags:
         return "|".join(names) if names else "none"
 
 
-@dataclass
+@dataclass(slots=True)
 class EthernetHeader:
     """14-byte Ethernet II header."""
 
@@ -75,7 +77,7 @@ class EthernetHeader:
         return EthernetHeader(self.dst, self.src, self.ethertype)
 
 
-@dataclass
+@dataclass(slots=True)
 class Ipv4Header:
     """20-byte IPv4 header (options unsupported; Gallium never emits them)."""
 
@@ -160,7 +162,7 @@ class Ipv4Header:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class TcpHeader:
     """20-byte TCP header (no options)."""
 
@@ -231,7 +233,7 @@ class TcpHeader:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class UdpHeader:
     """8-byte UDP header."""
 

@@ -61,7 +61,7 @@ class RawPacket:
         "_l4",
         "_payload",
         "ingress_port",
-        "metadata",
+        "_meta",
     )
 
     def __init__(
@@ -77,9 +77,7 @@ class RawPacket:
         self._l4 = l4
         self._payload = payload
         self.ingress_port = ingress_port
-        # Free-form annotation area (like Click packet annotations); the
-        # simulator uses it for timestamps, the runtime for shim state.
-        self.metadata: dict = {}
+        self._meta: Optional[dict] = None
 
     # -- constructors -----------------------------------------------------
 
@@ -141,6 +139,18 @@ class RawPacket:
                 l4 = UdpHeader.unpack(_header(data, offset, UdpHeader.SIZE))
                 offset += UdpHeader.SIZE
         return cls(eth, ip_header, l4, data[offset:], ingress_port)
+
+    # -- annotation area ---------------------------------------------------
+
+    @property
+    def metadata(self) -> dict:
+        """Free-form annotation area (like Click packet annotations): the
+        punt shim, INT stamps.  Made on first access, so a packet nothing
+        annotates never holds one."""
+        meta = self._meta
+        if meta is None:
+            meta = self._meta = {}
+        return meta
 
     # -- header views ------------------------------------------------------
 
@@ -239,7 +249,8 @@ class RawPacket:
             self._payload,
             self.ingress_port,
         )
-        pkt.metadata = dict(self.metadata)
+        if self._meta:
+            pkt._meta = dict(self._meta)
         return pkt
 
     def __repr__(self) -> str:

@@ -34,6 +34,7 @@ from repro.runtime import state_image
 from repro.runtime.deployment import GalliumMiddlebox, Role
 from repro.switchsim.control_plane import StateUpdate
 from repro.switchsim.program import SwitchProgram, bypass_port
+from repro.switchsim.switch_model import SHIM_DIR_KEY, SHIM_KEY
 
 
 class CacheConfigurationError(ValueError):
@@ -180,6 +181,12 @@ class BoundedCache(Role):
             if self._lookup_misses() == misses:
                 return first, None
             first = box.switch.rebook_as_punt(first)
+        else:
+            # The speculative pass's to-server shim is not part of the
+            # packet as received.
+            metadata = packet.metadata
+            metadata.pop(SHIM_KEY, None)
+            metadata.pop(SHIM_DIR_KEY, None)
         if tracer is not None:
             # The pre pipeline's work is speculative on a miss; its traced
             # effects must not double-count with the server's rerun.

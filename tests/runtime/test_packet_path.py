@@ -16,14 +16,20 @@ import pytest
 
 from repro.codegen.headers import ShimDecodeError
 from repro.faults.injector import FaultInjector
+from repro.runtime.cache import CacheConfigurationError
 from repro.runtime.deployment import PacketJourney, PuntCompletion
 from repro.runtime.server import ServerResult
 from repro.switchsim.control_plane import UpdateBatchResult
 from repro.switchsim.program import SERVER_PORT
-from repro.switchsim.switch_model import SHIM_KEY, SwitchOutput
+from repro.switchsim.switch_model import SHIM_DIR_KEY, SHIM_KEY, SwitchOutput
 from repro.telemetry.metrics import Histogram
 from tests.runtime import golden_pins
-from tests.runtime.golden_pins import build, churn_stream
+from tests.runtime.golden_pins import (
+    MIDDLEBOXES,
+    PUNT_PATH_FLAVOURS,
+    build,
+    churn_stream,
+)
 
 FIELDS = dataclasses.fields(PacketJourney)
 DEFAULTS = {
@@ -386,3 +392,37 @@ class TestShortShimsEndInADiagnostic:
             box.switch.receive(served.packet, SERVER_PORT)
         assert (caught.value.direction, caught.value.expected,
                 caught.value.received) == ("to_switch", expected, keep or 0)
+
+
+class TestTheAnnotationArea:
+    """A packet's annotation area is made on first write: the fast path
+    writes none, and what the punt path writes (the shim and its
+    direction) never leaves the deployment on an emitted frame."""
+
+    def test_a_fast_path_packet_allocates_no_annotation_area(self):
+        box = build("base", "proxy", None)
+        answered = 0
+        for packet, port in churn_stream("proxy")[:200]:
+            frame = packet.copy()
+            journey = box.process_packet(frame, port)
+            if not journey.punted:
+                answered += 1
+                assert frame._meta is None
+                assert all(out._meta is None for _, out in journey.emitted)
+        assert answered > 100
+
+    @pytest.mark.parametrize("flavour", PUNT_PATH_FLAVOURS)
+    def test_no_emitted_frame_carries_a_shim(self, flavour):
+        punts = 0
+        for name in MIDDLEBOXES:
+            try:
+                box = build(flavour, name, None)
+            except CacheConfigurationError:
+                continue  # not admitted in cache mode
+            for packet, port in churn_stream(name)[:1000]:
+                journey = box.process_packet(packet.copy(), port)
+                punts += journey.punted
+                for _, frame in journey.emitted:
+                    assert SHIM_KEY not in frame.metadata, (name, journey)
+                    assert SHIM_DIR_KEY not in frame.metadata, (name, journey)
+        assert punts > 100
