@@ -21,7 +21,7 @@ from typing import (
 )
 
 from repro.ir.interp import PacketView
-from repro.net.fields import FIELD_WIDTHS
+from repro.net.fields import BY_KEY, FIELD_WIDTHS, HeaderField
 from repro.net.packet import RawPacket
 from repro.partition.partitioner import PartitionError
 from repro.runtime import state_image
@@ -42,12 +42,16 @@ EXACT_PARTS = ("verdict", "path", "egress")
 DROP: Observation = ("drop", None, None)
 
 
+#: ``(observation key, field row)`` of each observed field, in order
+_OBSERVED_ROWS: List[Tuple[str, HeaderField]] = [
+    (f"{region}->{name}", BY_KEY[region, name])
+    for region, name in OBSERVED_FIELDS
+]
+
+
 def observe_fields(packet: RawPacket) -> Dict[str, int]:
-    view = PacketView(packet)
-    return {
-        f"{region}->{name}": view.get_field(region, name)
-        for region, name in OBSERVED_FIELDS
-    }
+    read = PacketView(packet)._read
+    return {key: read(row) for key, row in _OBSERVED_ROWS}
 
 
 def observe(

@@ -83,6 +83,11 @@ class OracleResult:
     trace_diff: Optional[object] = None
 
 
+#: The /16s a generated stream's sources and destinations come from.
+_CLIENTS = 10 << 24
+_SERVERS = 10 << 24 | 9 << 16
+
+
 @dataclass
 class StreamSpec:
     """A deterministic packet stream, serializable for the corpus.
@@ -124,8 +129,9 @@ class StreamSpec:
         rng = random.Random(self.seed)
         packets: List[Tuple[RawPacket, int]] = []
         for _ in range(self.count):
-            saddr = f"10.0.{rng.randrange(0, 3)}.{rng.randrange(1, 7)}"
-            daddr = f"10.9.{rng.randrange(0, 2)}.{rng.randrange(1, 5)}"
+            # 10.0.x.y and 10.9.x.y, each octet drawn in reading order.
+            saddr = _CLIENTS | rng.randrange(0, 3) << 8 | rng.randrange(1, 7)
+            daddr = _SERVERS | rng.randrange(0, 2) << 8 | rng.randrange(1, 5)
             sport = rng.choice([1, 2, 3, 7, 80, 443, 8080])
             dport = rng.choice([1, 2, 53, 80, 65535])
             ingress = 1 if rng.random() < 0.7 else 2

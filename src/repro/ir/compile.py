@@ -1,9 +1,9 @@
 """Compile IR functions to specialized Python code (the fast path).
 
-The :class:`~repro.ir.interp.Interpreter` re-dispatches every instruction
-on every packet: an ``isinstance`` ladder, operand boxing, field-map
-lookups, and width resolution all run per instruction executed.  This
-module removes that overhead the way the NetKAT compiler removes
+The :class:`~repro.ir.interp.Interpreter` decodes each instruction once,
+but still makes a call per instruction executed, keeps every register in
+a dict and looks a header field up on every packet access.  This module
+removes that overhead the way the NetKAT compiler removes
 interpretation overhead from its pipeline, and the way Druzhba generates
 a pipeline simulator specialized to one program: each function is
 compiled **once** into one specialized Python function in which

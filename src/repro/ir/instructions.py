@@ -131,7 +131,9 @@ class Instruction:
     another operand builds another instruction and puts it in the block
     (``tests/ir/test_computed_once.py`` scans ``src/`` and ``tests/`` for an
     assignment that would break this).  So what the analyses ask of it —
-    :class:`Facts` — is derived on the first question and kept.
+    :class:`Facts` — is derived on the first question and kept, and so is
+    what the interpreter makes of it (``_decoded``, the op, for the value
+    domain ``_decoded_for``; see :func:`repro.ir.interp._decode`).
     """
 
     #: Source statement this instruction was lowered from (-1 = synthetic).

@@ -9,9 +9,17 @@ Gives the IR executable semantics.  Four consumers:
 * **differential tests** compare the unpartitioned interpretation against
   the deployed switch+server pipeline packet by packet (the paper's
   functional-equivalence goal),
-* the **translation validator** runs this same instruction ladder over
-  symbolic terms (a value domain, see :class:`IntDomain`) to prove that
-  equivalence per compilation.
+* the **translation validator** runs these same decoded instructions
+  over symbolic terms (a value domain, see :class:`IntDomain`) to prove
+  that equivalence per compilation.
+
+An instruction is decoded once per value domain, on its first run, into
+an *op*: its operands resolved to register names or constants, the
+destination's wrap (mask, ``bool`` or 64 bits) worked out, its operator
+looked up in the domain's table (:data:`BINOPS` / :data:`UNOPS` for
+ints).  The op is kept on the instruction (an instruction never changes
+after ``__init__``), so a run is one call per instruction executed and no
+dispatch on its class.
 
 The interpreter also counts executed instructions, which the performance
 model converts to CPU cycles.
@@ -20,8 +28,11 @@ model converts to CPU cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import and_
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache, partial
+from operator import (
+    add, and_, invert, itemgetter, mul, neg, or_, sub, xor,
+)
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.lang.types import BOOL, IntType, bit_width_of
 from repro.ir import instructions as irin
@@ -29,7 +40,9 @@ from repro.ir.externs import ExternHost
 from repro.ir.function import Function
 from repro.ir.lowering import StateMember
 from repro.ir.values import Const, Operand, Reg
-from repro.net.fields import HeaderField, header_field
+from repro.net.fields import (
+    LOAD_ROWS, STORE_ROWS, HeaderField, header_field,
+)
 
 
 class InterpreterError(Exception):
@@ -55,7 +68,14 @@ class PacketView:
     # -- header fields -----------------------------------------------------
 
     def get_field(self, region: str, field_name: str) -> int:
-        row = header_field(region, field_name, InterpreterError)
+        try:
+            row = LOAD_ROWS[region][field_name]
+        except KeyError:
+            row = header_field(region, field_name, InterpreterError)  # raises
+        return self._read(row)
+
+    def _read(self, row: HeaderField) -> int:
+        """The value of ``row``'s field."""
         header = self._header(row)
         if header is None:
             return 0  # absent header: reads yield 0 (guarded by protocol checks)
@@ -63,7 +83,11 @@ class PacketView:
         return int(value) if row.wrapper else value
 
     def set_field(self, region: str, field_name: str, value: int) -> None:
-        row = header_field(region, field_name, InterpreterError, store=True)
+        try:
+            row = STORE_ROWS[region][field_name]
+        except KeyError:
+            row = header_field(region, field_name, InterpreterError,
+                               store=True)  # raises
         header = self._header(row)
         if header is None:
             return  # writes to absent headers are dropped
@@ -295,53 +319,54 @@ class ExecutionResult:
         return self.verdict == "drop"
 
 
+def _div(a: int, b: int) -> int:
+    return a // b if b else 0
+
+
+def _mod(a: int, b: int) -> int:
+    return a % b if b else 0
+
+
+#: What each binary operator does to two ints — the one definition.
+BINOPS: Dict[irin.BinOpKind, Callable[[int, int], int]] = {
+    irin.BinOpKind.ADD: add,
+    irin.BinOpKind.SUB: sub,
+    irin.BinOpKind.MUL: mul,
+    irin.BinOpKind.DIV: _div,
+    irin.BinOpKind.MOD: _mod,
+    irin.BinOpKind.AND: and_,
+    irin.BinOpKind.OR: or_,
+    irin.BinOpKind.XOR: xor,
+    irin.BinOpKind.SHL: lambda a, b: a << (b & 63),
+    irin.BinOpKind.SHR: lambda a, b: a >> (b & 63),
+    irin.BinOpKind.EQ: lambda a, b: 1 if a == b else 0,
+    irin.BinOpKind.NE: lambda a, b: 1 if a != b else 0,
+    irin.BinOpKind.LT: lambda a, b: 1 if a < b else 0,
+    irin.BinOpKind.LE: lambda a, b: 1 if a <= b else 0,
+    irin.BinOpKind.GT: lambda a, b: 1 if a > b else 0,
+    irin.BinOpKind.GE: lambda a, b: 1 if a >= b else 0,
+    irin.BinOpKind.LAND: lambda a, b: 1 if a and b else 0,
+    irin.BinOpKind.LOR: lambda a, b: 1 if a or b else 0,
+}
+
+#: What each unary operator does to an int.
+UNOPS: Dict[irin.UnOpKind, Callable[[int], int]] = {
+    irin.UnOpKind.NEG: neg,
+    irin.UnOpKind.NOT: invert,
+    irin.UnOpKind.LNOT: lambda a: 0 if a else 1,
+}
+
+
 def _apply_binop(op: irin.BinOpKind, a: int, b: int) -> int:
-    kind = irin.BinOpKind
-    if op is kind.ADD:
-        return a + b
-    if op is kind.SUB:
-        return a - b
-    if op is kind.MUL:
-        return a * b
-    if op is kind.DIV:
-        return a // b if b else 0
-    if op is kind.MOD:
-        return a % b if b else 0
-    if op is kind.AND:
-        return a & b
-    if op is kind.OR:
-        return a | b
-    if op is kind.XOR:
-        return a ^ b
-    if op is kind.SHL:
-        return a << (b & 63)
-    if op is kind.SHR:
-        return a >> (b & 63)
-    if op is kind.EQ:
-        return int(a == b)
-    if op is kind.NE:
-        return int(a != b)
-    if op is kind.LT:
-        return int(a < b)
-    if op is kind.LE:
-        return int(a <= b)
-    if op is kind.GT:
-        return int(a > b)
-    if op is kind.GE:
-        return int(a >= b)
-    if op is kind.LAND:
-        return int(bool(a) and bool(b))
-    if op is kind.LOR:
-        return int(bool(a) or bool(b))
-    raise InterpreterError(f"unknown binop {op}")
+    try:
+        apply = BINOPS[op]
+    except KeyError:
+        raise InterpreterError(f"unknown binop {op}") from None
+    return apply(a, b)
 
 
 def _apply_unop(op: irin.UnOpKind, a: int) -> int:
-    if op is irin.UnOpKind.NEG:
-        return -a
-    if op is irin.UnOpKind.NOT:
-        return ~a
-    return int(not a)  # LNOT
+    return UNOPS[op](a)
 
 
 #: Mask of the default (non-IntType, non-bool) register wrap.
@@ -349,21 +374,26 @@ MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 class IntDomain:
-    """The values :class:`Interpreter` computes with, as the six operations
-    its instruction ladder applies to them and the failures it raises.
+    """The values :class:`Interpreter` computes with, as the operations its
+    decoded instructions apply to them and the failures they raise.
 
     This is the concrete domain: a value is a Python int.  The translation
-    validator runs the same ladder over symbolic terms by supplying its own
-    (:class:`repro.verify.symbolic.engine.TermDomain`).
+    validator runs the same decoded instructions over symbolic terms by
+    supplying its own (:class:`repro.verify.symbolic.engine.TermDomain`).
+    A decoder reads ``lift``, ``binops``, ``unops``, ``wrap`` and
+    ``boolify`` from the domain's class, once per instruction; a branch
+    reads ``decide`` from the instance it runs under.
     """
 
     #: constant -> value; ``None``: a constant is its own value
     lift = None
     #: value -> the side a branch takes; ``None``: a value is its own truth
     decide = None
-    binop = staticmethod(_apply_binop)
-    unop = staticmethod(_apply_unop)
-    #: ``wrap(value, mask)``: a result as a ``mask``-wide register holds it
+    #: operator -> what it does to values
+    binops = BINOPS
+    unops = UNOPS
+    #: ``wrap(mask, value)``: a result as a ``mask``-wide register holds
+    #: it (the mask first, so a decoder binds it once)
     wrap = staticmethod(and_)
 
     @staticmethod
@@ -378,12 +408,437 @@ class IntDomain:
     max_steps = _MAX_STEPS
 
 
+# ---------------------------------------------------------------------------
+# Decoding: each instruction becomes one op, once per value domain
+# ---------------------------------------------------------------------------
+
+#: What a terminator's op returns when the run ends (a jump returns the
+#: name of the block to go on in; any other op returns ``None``).
+_END = object()
+
+
+class _Run:
+    """What a run's ops share besides its registers."""
+
+    __slots__ = ("packet", "state", "externs", "tracer", "decide",
+                 "verdict", "egress")
+
+    def __init__(self, packet, state, externs, tracer, decide):
+        self.packet = packet
+        self.state = state
+        self.externs = externs
+        self.tracer = tracer
+        self.decide = decide
+        self.verdict: Optional[str] = None
+        self.egress = None
+
+
+#: ``op(env, run)``: one decoded instruction; ``env`` is the register file
+Op = Callable[[Dict[str, object], _Run], object]
+
+#: instruction class -> ``decoder(inst, domain class) -> op``
+_DECODERS: Dict[type, Callable[..., Op]] = {}
+
+
+def _decodes(*classes):
+    def register(decoder):
+        for cls in classes:
+            _DECODERS[cls] = decoder
+        return decoder
+    return register
+
+
+def _decode(inst: irin.Instruction, domain) -> Op:
+    """``inst``'s op over ``domain``, decoded on its first run there and
+    kept on the instruction with the domain it is for.  An instruction
+    never changes after ``__init__``, so nothing invalidates it; an op
+    holds names and constants, never the instruction, so keeping it makes
+    no cycle.  One domain is kept: a run in another decodes again."""
+    decoder = _DECODERS.get(type(inst), _unhandled)
+    op = inst._decoded = decoder(inst, domain)
+    inst._decoded_for = domain
+    return op
+
+
+# -- what an op keeps -------------------------------------------------------
+#
+# A decoder returns a bound method of one small slotted record per
+# instruction family: it keeps a few machine words per instruction where a
+# closure would keep a cell per name.
+
+
+class _Record:
+    """A record of ``__slots__``, filled in slot order.  A method reads
+    only the slots its decoder filled, so trailing ones may be left out."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            setattr(self, name, value)
+
+
+class _Constant(_Record):
+    """``read(env)`` of a constant operand."""
+
+    __slots__ = ("value",)
+
+    def __call__(self, env):
+        return self.value
+
+
+def _operand(operand: Operand, domain) -> Tuple[Optional[str], object]:
+    """``(register name, None)``, or ``(None, the constant's value)``."""
+    if isinstance(operand, Reg):
+        return operand.name, None
+    if isinstance(operand, Const):
+        lift = domain.lift
+        return None, operand.value if lift is None else lift(operand.value)
+    raise domain.error(f"bad operand {operand!r}")
+
+
+def _reader(operand: Operand, domain) -> Callable[[dict], object]:
+    """``read(env)``: the operand's value."""
+    name, value = _operand(operand, domain)
+    return _Constant(value) if name is None else itemgetter(name)
+
+
+def _holder(reg: Reg, domain) -> Callable[[object], object]:
+    """``hold(value)``: ``value`` as register ``reg`` holds it."""
+    type_ = reg.type
+    if type_ is BOOL:
+        return domain.boolify
+    return _masking(
+        domain, type_.mask if isinstance(type_, IntType) else MASK64
+    )
+
+
+@lru_cache(maxsize=None)
+def _masking(domain, mask: int) -> Callable[[object], object]:
+    """``domain.wrap`` bound to ``mask``: one per width, shared by every
+    op that writes a register of it."""
+    return partial(domain.wrap, mask)
+
+
+class _Compute(_Record):
+    """``dst = hold(apply(lhs, rhs))``.  Which operand is a register name
+    and which a constant is the method the decoder picked."""
+
+    __slots__ = ("dst", "lhs", "hold", "apply", "rhs")
+
+    def constant(self, env, run):  # lhs: the value, folded and held
+        env[self.dst] = self.lhs
+
+    def copy(self, env, run):
+        env[self.dst] = self.hold(env[self.lhs])
+
+    def unary(self, env, run):
+        env[self.dst] = self.hold(self.apply(env[self.lhs]))
+
+    def binary(self, env, run):
+        env[self.dst] = self.hold(self.apply(env[self.lhs], env[self.rhs]))
+
+    def binary_constant_rhs(self, env, run):
+        env[self.dst] = self.hold(self.apply(env[self.lhs], self.rhs))
+
+    def binary_constant_lhs(self, env, run):
+        env[self.dst] = self.hold(self.apply(self.lhs, env[self.rhs]))
+
+
+@_decodes(irin.Assign, irin.Cast)
+def _assign(inst, domain) -> Op:
+    hold = _holder(inst.dst, domain)
+    src, value = _operand(inst.src, domain)
+    if src is None:
+        return _Compute(inst.dst.name, hold(value)).constant
+    return _Compute(inst.dst.name, src, hold).copy
+
+
+@_decodes(irin.UnOp)
+def _unop(inst, domain) -> Op:
+    hold = _holder(inst.dst, domain)
+    apply = domain.unops[inst.op]
+    src, value = _operand(inst.src, domain)
+    if src is None:
+        return _Compute(inst.dst.name, hold(apply(value))).constant
+    return _Compute(inst.dst.name, src, hold, apply).unary
+
+
+@_decodes(irin.BinOp)
+def _binop(inst, domain) -> Op:
+    hold = _holder(inst.dst, domain)
+    apply = domain.binops[inst.op]
+    lhs, left = _operand(inst.lhs, domain)
+    rhs, right = _operand(inst.rhs, domain)
+    dst = inst.dst.name
+    if lhs is not None and rhs is not None:
+        return _Compute(dst, lhs, hold, apply, rhs).binary
+    if lhs is not None:
+        return _Compute(dst, lhs, hold, apply, right).binary_constant_rhs
+    if rhs is not None:
+        return _Compute(dst, left, hold, apply, rhs).binary_constant_lhs
+    return _Compute(dst, hold(apply(left, right))).constant
+
+
+class _Packet(_Record):
+    """A header field: ``packet.region.field = read(env)``, or
+    ``dst = hold(packet.region.field)``."""
+
+    __slots__ = ("region", "field", "error", "read", "dst", "hold")
+
+    def load(self, env, run):
+        packet = run.packet
+        if packet is None:
+            raise self.error("packet access without a packet")
+        env[self.dst] = self.hold(packet.get_field(self.region, self.field))
+
+    def store(self, env, run):
+        packet = run.packet
+        if packet is None:
+            raise self.error("packet access without a packet")
+        value = self.read(env)
+        packet.set_field(self.region, self.field, value)
+        if run.tracer is not None:
+            run.tracer.record("packet_write", region=self.region,
+                              field=self.field, value=value)
+
+
+@_decodes(irin.LoadPacketField)
+def _load_packet_field(inst, domain) -> Op:
+    return _Packet(inst.region, inst.field, domain.error, None,
+                   inst.dst.name, _holder(inst.dst, domain)).load
+
+
+@_decodes(irin.StorePacketField)
+def _store_packet_field(inst, domain) -> Op:
+    return _Packet(inst.region, inst.field, domain.error,
+                   _reader(inst.src, domain)).store
+
+
+class _Member(_Record):
+    """A scalar or vector member ``name`` of ``run.state``: the value
+    ``read(env)`` in, the result into ``dst``."""
+
+    __slots__ = ("name", "read", "dst", "hold", "kind", "width")
+
+    def load_scalar(self, env, run):
+        env[self.dst] = self.hold(run.state.load_scalar(self.name))
+
+    def store_scalar(self, env, run):
+        run.state.store_scalar(self.name, self.read(env))
+
+    def rmw_scalar(self, env, run):
+        env[self.dst] = self.hold(run.state.rmw_scalar(
+            self.name, self.kind, self.read(env), self.width
+        ))
+
+    def vector_get(self, env, run):
+        env[self.dst] = run.state.vector_get(self.name, self.read(env))
+
+    def vector_len(self, env, run):
+        env[self.dst] = run.state.vector_len(self.name)
+
+    def vector_push(self, env, run):
+        run.state.vector_push(self.name, self.read(env))
+
+
+@_decodes(irin.LoadState)
+def _load_state(inst, domain) -> Op:
+    return _Member(inst.state, None, inst.dst.name,
+                   _holder(inst.dst, domain)).load_scalar
+
+
+@_decodes(irin.StoreState)
+def _store_state(inst, domain) -> Op:
+    return _Member(inst.state, _reader(inst.src, domain)).store_scalar
+
+
+@_decodes(irin.RegisterRMW)
+def _register_rmw(inst, domain) -> Op:
+    return _Member(inst.state, _reader(inst.operand, domain), inst.dst.name,
+                   _holder(inst.dst, domain), inst.op,
+                   bit_width_of(inst.dst.type, 32)).rmw_scalar
+
+
+@_decodes(irin.VectorGet)
+def _vector_get(inst, domain) -> Op:
+    return _Member(inst.state, _reader(inst.index, domain),
+                   inst.dst.name).vector_get
+
+
+@_decodes(irin.VectorLen)
+def _vector_len(inst, domain) -> Op:
+    return _Member(inst.state, None, inst.dst.name).vector_len
+
+
+@_decodes(irin.VectorPush)
+def _vector_push(inst, domain) -> Op:
+    return _Member(inst.state, _reader(inst.value, domain)).vector_push
+
+
+class _Map(_Record):
+    """A map member ``name`` of ``run.state`` under the key ``keys`` reads:
+    the value ``read(env)`` in; a lookup's value into ``dst`` and its hit
+    into ``found`` (``founds`` is the hit register's value, indexed by the
+    store's answer)."""
+
+    __slots__ = ("name", "keys", "read", "dst", "found", "founds")
+
+    def _key(self, env) -> tuple:
+        return tuple([read(env) for read in self.keys])
+
+    def find(self, env, run):
+        found, value = run.state.map_find(self.name, self._key(env))
+        env[self.found] = self.founds[found]
+        if self.dst is not None:
+            env[self.dst] = value
+
+    def insert(self, env, run):
+        run.state.map_insert(self.name, self._key(env), self.read(env))
+
+    def erase(self, env, run):
+        run.state.map_erase(self.name, self._key(env))
+
+
+def _keys(inst, domain) -> tuple:
+    return tuple(_reader(key, domain) for key in inst.keys)
+
+
+@_decodes(irin.MapFind)
+def _map_find(inst, domain) -> Op:
+    lift = domain.lift
+    return _Map(
+        inst.state, _keys(inst, domain), None,
+        None if inst.value is None else inst.value.name, inst.found.name,
+        (0, 1) if lift is None else (lift(0), lift(1)),
+    ).find
+
+
+@_decodes(irin.MapInsert)
+def _map_insert(inst, domain) -> Op:
+    return _Map(inst.state, _keys(inst, domain),
+                _reader(inst.value, domain)).insert
+
+
+@_decodes(irin.MapErase)
+def _map_erase(inst, domain) -> Op:
+    return _Map(inst.state, _keys(inst, domain)).erase
+
+
+class _Extern(_Record):
+    """``dst = hold(externs.name(args...))``."""
+
+    __slots__ = ("name", "args", "dst", "hold")
+
+    def call(self, env, run):
+        result = run.externs.call(
+            self.name, [read(env) for read in self.args], run.packet
+        )
+        if self.dst is not None:
+            env[self.dst] = self.hold(result)
+
+
+@_decodes(irin.ExternCall)
+def _extern_call(inst, domain) -> Op:
+    args = tuple(_reader(arg, domain) for arg in inst.args)
+    if inst.dst is None:
+        return _Extern(inst.name, args, None).call
+    return _Extern(inst.name, args, inst.dst.name,
+                   _holder(inst.dst, domain)).call
+
+
+class _Control(_Record):
+    """Where control goes: ``if_true`` (a jump's target), or ``if_false``
+    when ``read(env)`` decides against; a send's port is ``read(env)``."""
+
+    __slots__ = ("read", "if_true", "if_false")
+
+    def jump(self, env, run):
+        return self.if_true
+
+    def branch(self, env, run):
+        taken = self.read(env)
+        if run.decide is not None:
+            taken = run.decide(taken)
+        return self.if_true if taken else self.if_false
+
+    def send_to(self, env, run):
+        run.verdict = "send"
+        run.egress = egress = self.read(env)
+        if run.packet is not None:
+            run.packet.send(egress)
+        return _END
+
+
+@_decodes(irin.Jump)
+def _jump(inst, domain) -> Op:
+    return _Control(None, inst.target).jump
+
+
+@_decodes(irin.Branch)
+def _branch(inst, domain) -> Op:
+    return _Control(_reader(inst.cond, domain), inst.if_true,
+                    inst.if_false).branch
+
+
+@_decodes(irin.SendTo)
+def _send_to(inst, domain) -> Op:
+    return _Control(_reader(inst.port, domain)).send_to
+
+
+def _send(env, run):
+    run.verdict = "send"
+    if run.packet is not None:
+        run.packet.send()
+    return _END
+
+
+def _drop(env, run):
+    run.verdict = "drop"
+    if run.packet is not None:
+        run.packet.drop()
+    return _END
+
+
+def _return(env, run):
+    return _END
+
+
+_decodes(irin.Send)(lambda inst, domain: _send)
+_decodes(irin.Drop)(lambda inst, domain: _drop)
+_decodes(irin.Return)(lambda inst, domain: _return)
+
+
+def _unhandled(inst, domain) -> Op:
+    error = domain.error
+    message = f"unhandled instruction {type(inst).__name__}"
+
+    def op(env, run):
+        raise error(message)
+    return op
+
+
+def _undefined(error: KeyError, inst: irin.Instruction, env: dict):
+    """The register whose read raised ``error``, or ``None`` when the key
+    is no register ``inst`` reads.  An op reads its registers before it
+    does anything else, so a register it reads that ``env`` lacks is the
+    one the ``KeyError`` is about."""
+    name = error.args[0] if len(error.args) == 1 else None
+    if (
+        isinstance(name, str) and name not in env
+        and any(reg.name == name for reg in inst.uses())
+    ):
+        return name
+    return None
+
+
 class Interpreter:
     """Executes one IR function against a packet view and state store.
 
-    This ladder is the only evaluator of the IR: ``domain`` says what a
-    value is (ints here; the prover passes terms), and ``state`` /
-    ``packet`` / ``externs`` need only speak that domain's values.
+    This is the only evaluator of the IR: ``domain`` says what a value is
+    (ints here; the prover passes terms), and ``state`` / ``packet`` /
+    ``externs`` need only speak that domain's values.  Each instruction
+    runs as the op :func:`_decode` made of it for the domain's class.
     """
 
     def __init__(
@@ -404,173 +859,70 @@ class Interpreter:
         initial_env: Optional[Dict[str, int]] = None,
         collect_ids: bool = False,
     ) -> ExecutionResult:
-        env: Dict[str, int] = dict(initial_env or {})
-        block = self.function.blocks[self.function.entry]
-        steps = 0
-        executed: List[int] = []
-        verdict: Optional[str] = None
-        egress: Optional[int] = None
-        state = self.state
+        function, domain, state = self.function, self.domain, self.state
+        #: the class the ops are decoded for (the prover's domain is an
+        #: instance: its ``decide`` is its world's)
+        kind = domain if isinstance(domain, type) else type(domain)
         tracer = getattr(state, "tracer", None)
         deep = tracer is not None and tracer.deep
-        domain = self.domain
-        lift, decide = domain.lift, domain.decide
-        binop, unop = domain.binop, domain.unop
-        wrap, boolify = domain.wrap, domain.boolify
-        error, max_steps = domain.error, domain.max_steps
-
-        def value_of(operand: Operand):
-            if isinstance(operand, Const):
-                return operand.value if lift is None else lift(operand.value)
-            if isinstance(operand, Reg):
-                try:
-                    return env[operand.name]
-                except KeyError:
-                    raise error(
-                        f"{self.function.name}: read of undefined register"
-                        f" %{operand.name}"
-                    ) from None
-            raise error(f"bad operand {operand!r}")
-
-        def wrapped(value, reg: Reg):
-            """``value`` as register ``reg`` holds it."""
-            type_ = reg.type
-            if type_ is BOOL:
-                return boolify(value)
-            if isinstance(type_, IntType):
-                return wrap(value, type_.mask)
-            return wrap(value, MASK64)
-
+        watched = collect_ids or deep
+        run = _Run(packet, state, self.externs, tracer, domain.decide)
+        env: Dict[str, int] = dict(initial_env or {})
+        executed: List[int] = []
+        max_steps = domain.max_steps
+        blocks = function.blocks
+        block = blocks[function.entry]
+        steps = 0
         while True:
-            next_block: Optional[str] = None
-            for position, inst in enumerate(block.instructions):
+            entered = steps
+            for inst in block.instructions:
                 steps += 1
                 if steps > max_steps:
                     raise domain.step_limit(
-                        f"{self.function.name}: step limit exceeded"
+                        f"{function.name}: step limit exceeded"
                         " (runaway loop?)"
                     )
-                if collect_ids:
-                    executed.append(inst.id)
-                if deep:
-                    # ``position`` (not ``inst.id``) keeps deep traces
-                    # byte-identical across re-compiles: instruction ids
-                    # come from a process-global counter.
-                    tracer.record("exec", function=self.function.name,
-                                  block=block.name, position=position,
-                                  op=type(inst).__name__)
-                if isinstance(inst, irin.Assign):
-                    env[inst.dst.name] = wrapped(value_of(inst.src), inst.dst)
-                elif isinstance(inst, irin.BinOp):
-                    result = binop(
-                        inst.op, value_of(inst.lhs), value_of(inst.rhs)
-                    )
-                    env[inst.dst.name] = wrapped(result, inst.dst)
-                elif isinstance(inst, irin.UnOp):
-                    env[inst.dst.name] = wrapped(
-                        unop(inst.op, value_of(inst.src)), inst.dst
-                    )
-                elif isinstance(inst, irin.Cast):
-                    env[inst.dst.name] = wrapped(value_of(inst.src), inst.dst)
-                elif isinstance(inst, irin.LoadPacketField):
-                    if packet is None:
-                        raise error("packet access without a packet")
-                    env[inst.dst.name] = wrapped(
-                        packet.get_field(inst.region, inst.field), inst.dst
-                    )
-                elif isinstance(inst, irin.StorePacketField):
-                    if packet is None:
-                        raise error("packet access without a packet")
-                    value = value_of(inst.src)
-                    packet.set_field(inst.region, inst.field, value)
-                    if tracer is not None:
-                        tracer.record("packet_write", region=inst.region,
-                                      field=inst.field, value=value)
-                elif isinstance(inst, irin.LoadState):
-                    env[inst.dst.name] = wrapped(
-                        state.load_scalar(inst.state), inst.dst
-                    )
-                elif isinstance(inst, irin.StoreState):
-                    state.store_scalar(inst.state, value_of(inst.src))
-                elif isinstance(inst, irin.RegisterRMW):
-                    old = state.rmw_scalar(
-                        inst.state,
-                        inst.op,
-                        value_of(inst.operand),
-                        bit_width_of(inst.dst.type, 32),
-                    )
-                    env[inst.dst.name] = wrapped(old, inst.dst)
-                elif isinstance(inst, irin.MapFind):
-                    keys = tuple(value_of(k) for k in inst.keys)
-                    found, value = state.map_find(inst.state, keys)
-                    env[inst.found.name] = (
-                        int(found) if lift is None else lift(int(found))
-                    )
-                    if inst.value is not None:
-                        env[inst.value.name] = value
-                elif isinstance(inst, irin.MapInsert):
-                    keys = tuple(value_of(k) for k in inst.keys)
-                    state.map_insert(inst.state, keys, value_of(inst.value))
-                elif isinstance(inst, irin.MapErase):
-                    keys = tuple(value_of(k) for k in inst.keys)
-                    state.map_erase(inst.state, keys)
-                elif isinstance(inst, irin.VectorGet):
-                    env[inst.dst.name] = state.vector_get(
-                        inst.state, value_of(inst.index)
-                    )
-                elif isinstance(inst, irin.VectorLen):
-                    env[inst.dst.name] = state.vector_len(inst.state)
-                elif isinstance(inst, irin.VectorPush):
-                    state.vector_push(inst.state, value_of(inst.value))
-                elif isinstance(inst, irin.ExternCall):
-                    args = [value_of(a) for a in inst.args]
-                    result = self.externs.call(inst.name, args, packet)
-                    if inst.dst is not None:
-                        env[inst.dst.name] = wrapped(result, inst.dst)
-                elif isinstance(inst, irin.SendTo):
-                    verdict = "send"
-                    egress = value_of(inst.port)
-                    if packet is not None:
-                        packet.send(egress)
-                    next_block = None
+                if watched:
+                    if collect_ids:
+                        executed.append(inst.id)
+                    if deep:
+                        # ``position`` (not ``inst.id``) keeps deep traces
+                        # byte-identical across re-compiles: instruction
+                        # ids come from a process-global counter.
+                        tracer.record("exec", function=function.name,
+                                      block=block.name,
+                                      position=steps - entered - 1,
+                                      op=type(inst).__name__)
+                try:
+                    decoded_for = inst._decoded_for
+                except AttributeError:  # never run yet
+                    decoded_for = None
+                op = inst._decoded if decoded_for is kind else _decode(
+                    inst, kind)
+                try:
+                    target = op(env, run)
+                except KeyError as exc:
+                    name = _undefined(exc, inst, env)
+                    if name is None:
+                        raise
+                    raise domain.error(
+                        f"{function.name}: read of undefined register"
+                        f" %{name}"
+                    ) from None
+                if target is not None:
                     break
-                elif isinstance(inst, irin.Send):
-                    verdict = "send"
-                    if packet is not None:
-                        packet.send()
-                    next_block = None
-                    break
-                elif isinstance(inst, irin.Drop):
-                    verdict = "drop"
-                    if packet is not None:
-                        packet.drop()
-                    next_block = None
-                    break
-                elif isinstance(inst, irin.Jump):
-                    next_block = inst.target
-                    break
-                elif isinstance(inst, irin.Branch):
-                    taken = value_of(inst.cond)
-                    if decide is not None:
-                        taken = decide(taken)
-                    next_block = inst.if_true if taken else inst.if_false
-                    break
-                elif isinstance(inst, irin.Return):
-                    next_block = None
-                    break
-                else:
-                    raise error(
-                        f"unhandled instruction {type(inst).__name__}"
-                    )
-            if next_block is None:
-                return ExecutionResult(
-                    verdict=verdict,
-                    egress_port=egress,
-                    instructions_executed=steps,
-                    executed_ids=executed,
-                    env=env,
-                )
-            block = self.function.blocks[next_block]
+            else:
+                break  # a block without a terminator ends the run too
+            if target is _END:
+                break
+            block = blocks[target]
+        return ExecutionResult(
+            verdict=run.verdict,
+            egress_port=run.egress,
+            instructions_executed=steps,
+            executed_ids=executed,
+            env=env,
+        )
 
 
 def interpreted(function: Function):

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceLocation:
-    """A (line, column) position in a named source buffer."""
+class SourceLocation(NamedTuple):
+    """A (line, column) position in a named source buffer.
+
+    A tuple, so one is built by ``tuple.__new__`` — the tokenizer makes
+    one per token — where a frozen dataclass sets each field through
+    ``object.__setattr__``.  It is equal only to another location, never
+    to a bare tuple, and hashes as the tuple of its fields, as the frozen
+    dataclass did.
+    """
 
     line: int = 0
     column: int = 0
@@ -16,9 +22,21 @@ class SourceLocation:
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}:{self.column}"
 
+    def __eq__(self, other: object) -> bool:
+        return type(other) is SourceLocation and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
     @classmethod
     def unknown(cls) -> "SourceLocation":
-        return cls(0, 0, "<unknown>")
+        return _UNKNOWN
+
+
+#: Where a synthetic instruction comes from: one location, shared.
+_UNKNOWN = SourceLocation(0, 0, "<unknown>")
 
 
 class FrontendError(Exception):

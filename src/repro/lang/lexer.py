@@ -12,7 +12,8 @@ import enum
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import List, Optional
+from types import MappingProxyType
+from typing import List, Mapping, Optional
 
 from repro.lang.diagnostics import LexError, SourceLocation
 
@@ -123,7 +124,16 @@ _TOKEN_RE = re.compile(
 _ANNOTATION_RE = re.compile(r"//\s*@gallium:\s*(.*)")
 
 
-@dataclass
+#: The annotations of every token no ``// @gallium:`` comment precedes:
+#: one read-only empty map, shared.
+_NO_ANNOTATIONS: Mapping[str, object] = MappingProxyType({})
+
+
+def _no_annotations() -> Mapping[str, object]:
+    return _NO_ANNOTATIONS
+
+
+@dataclass(slots=True)
 class Token:
     kind: TokenKind
     text: str
@@ -131,7 +141,7 @@ class Token:
     value: Optional[int] = None
     # Annotation key/value pairs from an immediately preceding
     # ``// @gallium: ...`` comment.
-    annotations: dict = field(default_factory=dict)
+    annotations: Mapping[str, object] = field(default_factory=_no_annotations)
 
     def is_punct(self, text: str) -> bool:
         return self.kind is TokenKind.PUNCT and self.text == text
@@ -186,8 +196,8 @@ class Lexer:
         pending_annotations: dict = {}
         src = self.source
         match_at = _TOKEN_RE.match
-        pos = 0
-        while pos < len(src):
+        pos, end = 0, len(src)
+        while pos < end:
             match = match_at(src, pos)
             if match is None:
                 raise LexError(

@@ -113,6 +113,18 @@ FIELDS: Tuple[HeaderField, ...] = (
 
 BY_KEY: Dict[Tuple[str, str], HeaderField] = {row.key: row for row in FIELDS}
 
+#: ``region -> name -> row``: what a packet view looks a field up in on
+#: every access (two string keys, whose hashes are cached, where a tuple
+#: key is hashed again each time).  ``meta`` is read-only, so the rows a
+#: store may name leave it out.
+LOAD_ROWS: Dict[str, Dict[str, HeaderField]] = {
+    region: {row.name: row for row in FIELDS if row.region == region}
+    for region in dict.fromkeys(row.region for row in FIELDS)
+}
+STORE_ROWS: Dict[str, Dict[str, HeaderField]] = {
+    region: rows for region, rows in LOAD_ROWS.items() if region != "meta"
+}
+
 #: ``(region, name) -> width`` of the fields the generator reads and the
 #: oracles compare on every emitted packet: the IP and L4 fields a whole
 #: number of bytes wide.  The subset has no masked sub-byte store, so the
@@ -130,8 +142,8 @@ def header_field(
     """The row a load (or, with ``store``, a store) of ``region.name``
     goes by.  There being none raises ``error`` with the one text every
     packet view reports it in."""
-    row = BY_KEY.get((region, name))
-    if row is not None and not (store and region == "meta"):
+    row = (STORE_ROWS if store else LOAD_ROWS).get(region, {}).get(name)
+    if row is not None:
         return row
     if region == "eth" or (region == "meta" and not store):
         raise error(f"unknown {region} field {name!r}")

@@ -2,7 +2,7 @@
 
 See :mod:`repro.verify.symbolic.prover` for the prover itself,
 :mod:`repro.verify.symbolic.engine` for the value domain and symbolic
-stores the IR interpreter's ladder runs over, and
+stores the IR interpreter's decoded instructions run over, and
 :mod:`repro.verify.symbolic.terms` for the bit-vector term language.
 """
 

@@ -14,7 +14,7 @@ runs the deployment's own definition of it:
 ==============================  ======================================
 shared                          the one definition
 ==============================  ======================================
-instruction ladder              ``repro.ir.interp.Interpreter.run``
+the decoded evaluator           ``repro.ir.interp.Interpreter.run``
                                 over :class:`TermDomain`
 replication rule                ``repro.runtime.server``:
                                 ``replicated_members``,
@@ -48,7 +48,7 @@ concolically, on generated programs and the bundled middleboxes.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.ir import instructions as irin
@@ -187,9 +187,10 @@ class TermDomain:
     decided by the world's chooser, the budget's step bound."""
 
     lift = staticmethod(const)
-    binop = staticmethod(binop)
-    unop = staticmethod(unop)
-    wrap = staticmethod(wrap)
+    binops = {kind: partial(binop, kind) for kind in irin.BinOpKind}
+    unops = {kind: partial(unop, kind) for kind in irin.UnOpKind}
+    #: the mask first, as :class:`repro.ir.interp.IntDomain` takes it
+    wrap = staticmethod(lambda mask, value: wrap(value, mask))
     boolify = staticmethod(boolify)
     error = SymExecError
     step_limit = BudgetExhausted

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Union
 
 from repro.net.addresses import ip, mac
 from repro.net.headers import (
@@ -18,11 +18,17 @@ from repro.net.packet import RawPacket
 
 CLIENT_MAC = "02:00:00:00:01:01"
 SERVER_MAC = "02:00:00:00:02:01"
+#: Both parsed once: an address is immutable, so every frame shares them.
+_CLIENT_MAC = mac(CLIENT_MAC)
+_SERVER_MAC = mac(SERVER_MAC)
+
+#: An IPv4 address as dotted text or as its 32-bit value.
+Address = Union[str, int]
 
 
 def make_tcp_packet(
-    saddr: str,
-    daddr: str,
+    saddr: Address,
+    daddr: Address,
     sport: int,
     dport: int,
     flags: int = TcpFlags.ACK,
@@ -31,7 +37,7 @@ def make_tcp_packet(
     ingress_port: int = 1,
 ) -> RawPacket:
     packet = RawPacket.make_tcp(
-        EthernetHeader(mac(SERVER_MAC), mac(CLIENT_MAC)),
+        EthernetHeader(_SERVER_MAC, _CLIENT_MAC),
         Ipv4Header(saddr=ip(saddr), daddr=ip(daddr)),
         TcpHeader(sport=sport, dport=dport, flags=flags, seq=seq),
         payload,
@@ -41,15 +47,15 @@ def make_tcp_packet(
 
 
 def make_udp_packet(
-    saddr: str,
-    daddr: str,
+    saddr: Address,
+    daddr: Address,
     sport: int,
     dport: int,
     payload: bytes = b"",
     ingress_port: int = 1,
 ) -> RawPacket:
     packet = RawPacket.make_udp(
-        EthernetHeader(mac(SERVER_MAC), mac(CLIENT_MAC)),
+        EthernetHeader(_SERVER_MAC, _CLIENT_MAC),
         Ipv4Header(saddr=ip(saddr), daddr=ip(daddr)),
         UdpHeader(sport=sport, dport=dport),
         payload,

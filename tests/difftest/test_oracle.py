@@ -1,6 +1,15 @@
 """Oracle classification and stream determinism."""
 
+import hashlib
+
+import pytest
+
+from repro.difftest.kernel import OBSERVED_FIELDS, observe_fields
 from repro.difftest.oracle import Outcome, StreamSpec, run_oracle
+from repro.ir.interp import PacketView
+from repro.net.headers import ETHERTYPE_ARP, EthernetHeader
+from repro.net.packet import RawPacket
+from repro.workloads.packets import make_tcp_packet, make_udp_packet
 from repro.partition.constraints import SwitchResources
 
 AGREEING = """\
@@ -58,6 +67,41 @@ def test_stream_mixes_protocols_and_ports():
     assert {ingress for _, ingress in packets} == {1, 2}
     protos = {p.ip.protocol for p, _ in packets}
     assert len(protos) == 2  # TCP and UDP
+
+
+#: sha256 of every frame, ingress port and ``ingress_port`` the streams of
+#: seeds 0-9 at ``udp_ratio`` 0 and 0.5 build, recorded while ``build``
+#: still formatted and parsed each address as a string.
+STREAM_FRAMES = (
+    "309e15eac8d03e3569f4d2dda6f360ee8d706fe36d66ed3a7013c8f550f4900c"
+)
+
+
+def test_stream_frames_pinned():
+    digest = hashlib.sha256()
+    for seed in range(10):
+        for udp_ratio in (0.0, 0.5):
+            for packet, ingress in StreamSpec(seed,
+                                              udp_ratio=udp_ratio).build():
+                digest.update(bytes(packet.pack()))
+                digest.update(repr((ingress, packet.ingress_port)).encode())
+    assert digest.hexdigest() == STREAM_FRAMES
+
+
+@pytest.mark.parametrize("packet", [
+    make_tcp_packet("10.0.0.1", "10.9.0.1", 1111, 2222, seq=7),
+    make_udp_packet("10.0.0.1", "10.9.0.1", 3333, 4444),  # tcp-> aliases
+    RawPacket(EthernetHeader(ethertype=ETHERTYPE_ARP)),
+], ids=["tcp", "udp", "non-ip"])
+def test_observation_reads_what_get_field_reads(packet):
+    view = PacketView(packet)
+    assert observe_fields(packet) == {
+        f"{region}->{name}": view.get_field(region, name)
+        for region, name in OBSERVED_FIELDS
+    }
+    assert list(observe_fields(packet)) == [
+        f"{region}->{name}" for region, name in OBSERVED_FIELDS
+    ]
 
 
 def test_stream_roundtrip():

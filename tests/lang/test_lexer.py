@@ -1,9 +1,38 @@
 """Tests for the tokenizer."""
 
+import hashlib
+
 import pytest
 
+from repro.difftest.generator import generate_program
+from repro.difftest.runner import derive_seeds
 from repro.lang.diagnostics import LexError
 from repro.lang.lexer import TokenKind, tokenize
+from repro.middleboxes import MIDDLEBOX_NAMES, load
+
+#: sha256 of ``(kind, text, value, line, column, annotations)`` of every
+#: token of the six bundled sources and 50 generated programs, recorded
+#: while each token built a fresh annotation dict and a frozen
+#: ``SourceLocation`` through ``__setattr__``.
+TOKEN_STREAM = (
+    "853c43b8a61710879222ae2f2baa1b5e08b57b849d649250f19707e581b40987"
+)
+
+
+def test_token_stream_pinned():
+    sources = [load(name).source for name in MIDDLEBOX_NAMES] + [
+        generate_program(derive_seeds(0, index)[0]).source()
+        for index in range(50)
+    ]
+    digest = hashlib.sha256()
+    for source in sources:
+        for token in tokenize(source):
+            digest.update(repr((
+                token.kind.value, token.text, token.value,
+                token.location.line, token.location.column,
+                sorted(token.annotations.items()),
+            )).encode())
+    assert digest.hexdigest() == TOKEN_STREAM
 
 
 class TestBasicTokens:

@@ -11,6 +11,8 @@ pricing, migration cost, retry backoff — fails here.  ``make verify`` runs thi
 import ast
 import re
 
+from repro.ir import instructions as irin
+from repro.ir import interp
 from repro.sim import costs
 from tests.verify.test_one_checker import modules, sites
 
@@ -251,3 +253,34 @@ def test_replication_ops():
         ("runtime/server.py", ""),
         ("runtime/server.py", "updates_from_journal"),
     ]
+
+
+def _concrete_instructions(cls=irin.Instruction):
+    """The instruction classes of ``ir/instructions.py`` nothing there
+    derives from: the ones a function holds."""
+    for sub in cls.__subclasses__():
+        if sub.__module__ != irin.__name__:
+            continue
+        below = list(_concrete_instructions(sub))
+        yield from below or [sub]
+
+
+def test_one_evaluator():
+    """The IR is evaluated by one decoder per instruction class (the prover
+    runs the same ops over terms): every concrete class has its own, and
+    ``ir/interp.py`` dispatches on no instruction class at run time — the
+    per-instruction ``isinstance`` ladder is gone, not kept as a
+    fallback."""
+    concrete = sorted(cls.__name__ for cls in _concrete_instructions())
+    assert concrete == sorted(cls.__name__ for cls in interp._DECODERS)
+    assert "Branch" in concrete and "MapFind" in concrete
+    tree = dict(trees())["ir/interp.py"]
+    dispatch = [
+        ast.unparse(node) for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("isinstance", "type")
+        and "irin." in ast.unparse(node)
+        or isinstance(node, ast.Compare)
+        and any("irin." in ast.unparse(right) for right in node.comparators)
+    ]
+    assert dispatch == []

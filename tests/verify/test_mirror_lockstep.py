@@ -1,7 +1,7 @@
 """Every symbolic mirror runs in lockstep with its concrete twin.
 
 The prover shares with the runtime whatever never looks at a value (the
-instruction ladder, the replication rule, the data-plane access rules,
+decoded evaluator, the replication rule, the data-plane access rules,
 bit widths).  What does — the term algebra and its intervals,
 ``SymStateStore`` / ``SymTable`` / ``SymRegister``, ``SymPacketView``,
 ``SymExternHost``, ``apply_updates``, the shim wrap, the egress rule — is
@@ -225,7 +225,7 @@ def fields_of(view, value=lambda field: field) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Source side: the ladder over terms against the ladder over ints
+# Source side: the evaluator over terms against the evaluator over ints
 # ---------------------------------------------------------------------------
 
 
@@ -526,7 +526,7 @@ def through_all_three_views(function, packet, value: int = 0):
     """``(env, None)`` or ``(None, error text)`` of ``function`` with
     ``%v = value`` on ``packet`` — from the interpreter over
     ``PacketView``, demanded equal from the generated code and from the
-    ladder over ``SymPacketView``."""
+    evaluator over ``SymPacketView``."""
     chooser = Chooser({})
     twin = attempt(
         lambda: Interpreter(function, StateStore({})).run(
