@@ -3,7 +3,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: help test test-durations verify prover-pins replication-mutants \
-	mirror-lockstep punt-lockstep symbolic-smoke lint \
+	mirror-lockstep symbolic-smoke lint \
 	lint-verify option-census \
 	difftest difftest-smoke difftest-compiled cpp-check oracle-pins faults \
 	faults-smoke bench-smoke \
@@ -27,9 +27,6 @@ help:
 	@echo "                  recorded reason (~2 s; gen004 runs in tier-1)"
 	@echo "  mirror-lockstep every symbolic mirror against its concrete twin,"
 	@echo "                  concolically (wide slice, ~30 s; narrow in tier-1)"
-	@echo "  punt-lockstep   a fault-free batch's one pass against the retry loop,"
-	@echo "                  batch by batch, over eight flavours (wide slice, ~10 s;"
-	@echo "                  narrow in tier-1)"
 	@echo "  symbolic-smoke  translation validation: prove all middleboxes,"
 	@echo "                  schema-check the JSON, disprove a seeded mutation"
 	@echo "                  (~1.5 s)"
@@ -109,15 +106,6 @@ replication-mutants:
 # tier-1 runs 100 / 40 (tests/verify/test_mirror_lockstep.py).
 mirror-lockstep:
 	$(PYTHON) -m tests.verify.test_mirror_lockstep --wide
-
-# ControlPlane.apply_batch's one pass for a batch nothing can fault,
-# against the general retry loop forced by a hook that never faults:
-# result, undo log, jitter RNG, channel, clock and metrics after every
-# batch of the golden churn streams, over every golden flavour, a
-# two-entry cache and a pool behind a cache.  Wide slice; tier-1 runs
-# base, cached and pooled (tests/runtime/test_punt_lockstep.py).
-punt-lockstep:
-	$(PYTHON) -m tests.runtime.test_punt_lockstep --wide
 
 # Translation validation smoke (blocking in CI): prove every bundled
 # middlebox at the default budget, validate every report against the

@@ -132,8 +132,10 @@ class Instruction:
     (``tests/ir/test_computed_once.py`` scans ``src/`` and ``tests/`` for an
     assignment that would break this).  So what the analyses ask of it —
     :class:`Facts` — is derived on the first question and kept, and so is
-    what the interpreter makes of it (``_decoded``, the op, for the value
-    domain ``_decoded_for``; see :func:`repro.ir.interp._decode`).
+    what the interpreter makes of it: ``_decoded``, the op for the value
+    domain ``_decoded_for`` it last ran in, and, once it has run in a
+    second domain, ``_ops``, every domain's op (see
+    :func:`repro.ir.interp._decode`).
     """
 
     #: Source statement this instruction was lowered from (-1 = synthetic).

@@ -17,9 +17,9 @@ An instruction is decoded once per value domain, on its first run, into
 an *op*: its operands resolved to register names or constants, the
 destination's wrap (mask, ``bool`` or 64 bits) worked out, its operator
 looked up in the domain's table (:data:`BINOPS` / :data:`UNOPS` for
-ints).  The op is kept on the instruction (an instruction never changes
-after ``__init__``), so a run is one call per instruction executed and no
-dispatch on its class.
+ints).  The op is kept on the instruction, one per domain it ran in (an
+instruction never changes after ``__init__``), so a run is one call per
+instruction executed and no dispatch on its class.
 
 The interpreter also counts executed instructions, which the performance
 model converts to CPU cycles.
@@ -450,12 +450,22 @@ def _decodes(*classes):
 
 def _decode(inst: irin.Instruction, domain) -> Op:
     """``inst``'s op over ``domain``, decoded on its first run there and
-    kept on the instruction with the domain it is for.  An instruction
-    never changes after ``__init__``, so nothing invalidates it; an op
-    holds names and constants, never the instruction, so keeping it makes
-    no cycle.  One domain is kept: a run in another decodes again."""
-    decoder = _DECODERS.get(type(inst), _unhandled)
-    op = inst._decoded = decoder(inst, domain)
+    made the one the run loop finds: ``_decoded``, for ``_decoded_for``.
+    An instruction run in a second domain keeps every domain's op in
+    ``_ops``, so runs that alternate domains (a concolic check runs each
+    packet over ints, then terms) swap ops in instead of decoding again.
+    An instruction never changes after ``__init__``, so nothing
+    invalidates an op; an op holds names and constants, never the
+    instruction, so keeping it makes no cycle."""
+    ops = getattr(inst, "_ops", None)
+    if ops is None and getattr(inst, "_decoded_for", None) is not None:
+        ops = inst._ops = {inst._decoded_for: inst._decoded}
+    op = ops.get(domain) if ops is not None else None
+    if op is None:
+        op = _DECODERS.get(type(inst), _unhandled)(inst, domain)
+        if ops is not None:
+            ops[domain] = op
+    inst._decoded = op
     inst._decoded_for = domain
     return op
 

@@ -96,7 +96,7 @@ class BoundedCache(Role):
         self.cache_entries = cache_entries
 
     def bind(self, box: GalliumMiddlebox) -> None:
-        self.box = box
+        super().bind(box)
         plan = box.plan
         self.bounded_tables = tuple(
             placement.member.name

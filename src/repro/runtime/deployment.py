@@ -48,6 +48,7 @@ clean reference deployment to prove nothing diverged silently.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -155,13 +156,15 @@ class Role:
     A role is built from its own settings only and bound to the
     deployment that holds it; it reads the deployment's current
     ``switch`` / ``state`` / ``server`` per call (promotion and crash
-    recovery swap them).
+    recovery swap them).  The deployment owns its roles, so a role holds
+    it weakly: a finished deployment is freed by reference counting, not
+    left to the cycle collector.
     """
 
     box: "GalliumMiddlebox"
 
     def bind(self, box: "GalliumMiddlebox") -> None:
-        self.box = box
+        self.box = weakref.proxy(box)
 
 
 class FullReplication(Role):
@@ -250,7 +253,7 @@ class SingleServer(Role):
     """Punt target: one :class:`ServerRuntime`."""
 
     def bind(self, box: "GalliumMiddlebox") -> None:
-        self.box = box
+        super().bind(box)
         box.server = box.build_server_runtime()
 
     def route(self, frame: RawPacket):

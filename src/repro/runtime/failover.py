@@ -55,7 +55,7 @@ class ActiveStandby(Role):
     """
 
     def bind(self, box: GalliumMiddlebox) -> None:
-        self.box = box
+        super().bind(box)
         metrics = box.telemetry.metrics
         self.health = HealthMonitor(metrics)
         self.standby = box.build_switch(box.seed ^ _STANDBY_SALT)

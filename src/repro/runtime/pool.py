@@ -115,7 +115,7 @@ class ServerPool(Role):
         self._names = default_member_names(servers)
 
     def bind(self, box: GalliumMiddlebox) -> None:
-        self.box = box
+        super().bind(box)
         self.plan = box.plan
         self.selector = build_selector(self._names, box.seed)
         self.members: Dict[str, PoolMember] = {

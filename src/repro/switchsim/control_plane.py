@@ -153,10 +153,6 @@ class RpcChannel:
         """Record one submitted RPC's completion time."""
         self.inflight.append(finish_us)
 
-    @property
-    def outstanding(self) -> int:
-        return len(self.inflight)
-
 
 class ControlPlaneFault(Exception):
     """A transient injected fault on one batch attempt (retryable).
@@ -346,12 +342,7 @@ class ControlPlane:
     # -- bulk install (deployment time, not on the packet path) ---------------
 
     def install_entries(self, table: str, entries: Dict[tuple, int]) -> None:
-        target = self.tables[table]
-        for key, value in entries.items():
-            target.stage(key, value)
-        target.set_visibility(True)
-        target.fold_writeback()
-        target.set_visibility(False)
+        _land([(self.tables[table], list(entries.items()))], [])
 
     def write_register(self, register: str, value: int) -> None:
         self.registers[register].control_write(value)
@@ -367,70 +358,18 @@ class ControlPlane:
 
         Returns the latency components; the caller (the Gallium runtime)
         holds the triggering packet until ``visibility_latency_us`` has
-        elapsed — the output-commit rule.  Transient injected faults are
-        retried per ``self.retry``.  An exhausted batch consults its undo
-        log: roll *forward* (return a committed result with
-        ``decision == "rolled_forward"``) when the high-water mark covers
-        the whole batch, roll *back* byte-exactly and raise
-        :class:`UpdateBatchError` otherwise.
-
-        With no fault hook armed and no tracer on, nothing can fault the
-        batch, so it makes the retry loop's first attempt in one straight
-        pass: the same jitter draw, channel entry, counters, histogram
-        observations, clock advance and undo log.
+        elapsed — the output-commit rule.  Each attempt enters the RPC
+        channel and makes the three steps (:func:`_land`; through
+        :meth:`_apply_once` under the fault hook's verdict when one is
+        armed).  A batch nothing faults leaves at its first confirmation;
+        a transient injected fault is retried per ``self.retry``.  An
+        exhausted batch consults its undo log: roll *forward* (return a
+        committed result with ``decision == "rolled_forward"``) when the
+        high-water mark covers the whole batch, roll *back* byte-exactly
+        and raise :class:`UpdateBatchError` otherwise.
         """
         telemetry = self.telemetry
-        if self.fault_hook is not None or telemetry.active_tracer is not None:
-            return self._apply_with_retries(updates)
-        staged, registers, undo, tables, op = self._open(updates)
-        self._c_attempts.value += 1
-        clock = telemetry.clock
-        channel = self.channel
-        queue_wait, start = channel.submit(clock.now_us)
-        self._g_outstanding.value = float(len(channel.inflight))
-        histogram = self._h_queue_wait
-        if queue_wait:
-            histogram.observe(queue_wait)
-        else:
-            # observe(0.0)'s four updates on its memoised cell: a serial
-            # caller never queues behind itself
-            histogram.count += 1
-            histogram.sum += 0.0
-            if 0.0 > histogram.max_observed:
-                histogram.max_observed = 0.0
-            histogram.bucket_counts[self._zero_wait_bucket] += 1
-        try:
-            _land(staged, registers)
-        except TableEntryLimit as exc:
-            raise self._overflow(exc, staged, undo, 1, queue_wait) from exc
-        visibility = _batch_latency_us(tables, op, self._rng)
-        channel.complete(start + visibility)
-        undo.high_water = len(updates)
-        # The class defaults (one attempt, no retry wait, committed) plus
-        # what this batch knows; folding runs after visibility.
-        result = _new(UpdateBatchResult)
-        result.total_latency_us = visibility * 1.35 + queue_wait
-        result.visibility_latency_us = visibility = visibility + queue_wait
-        result.tables_touched = tables
-        result.updates_applied = len(updates)
-        result.queue_wait_us = queue_wait
-        result.undo = undo
-        self._c_applied.value += 1
-        self._c_updates.value += len(updates)
-        self._h_visibility.observe(visibility)
-        clock.now_us += visibility  # SimClock.advance: it is never negative
-        return result
-
-    def _apply_with_retries(
-        self, updates: List[StateUpdate]
-    ) -> UpdateBatchResult:
-        """:meth:`apply_batch` for a batch a fault hook or a tracer sees:
-        attempts until one confirms or the retry policy runs out."""
-        max_attempts = self.retry.max_attempts if self.retry else 1
-        retry_wait = 0.0
-        queue_wait = 0.0
-        attempts = 0
-        tracer = self.telemetry.active_tracer
+        tracer = telemetry.active_tracer
         staged, registers, undo, tables, op = self._open(updates)
         if tracer is not None:
             tracer.record(
@@ -438,65 +377,90 @@ class ControlPlane:
                 updates=len(updates),
                 tables=sorted({u.target for u in updates}),
             )
-        last_fault: Optional[ControlPlaneFault] = None
-        while attempts < max_attempts:
+        clock = telemetry.clock
+        channel = self.channel
+        histogram = self._h_queue_wait
+        hook = self.fault_hook
+        retry_wait = queue_wait = 0.0
+        attempts = 0
+        while True:
             attempts += 1
             self._c_attempts.value += 1
             # The simulated clock only advances at batch completion, so the
-            # channel sees this attempt at now + wall clock already burned.
-            wait, start = self._rpc_submit(retry_wait + queue_wait)
-            queue_wait += wait
-            fault = self.fault_hook(attempts) if self.fault_hook else None
+            # channel sees this attempt at now + wall clock already burned
+            # (summed first: float addition does not associate).
+            wait, start = channel.submit(clock.now_us + (retry_wait + queue_wait))
+            self._g_outstanding.value = float(len(channel.inflight))
+            if wait:
+                histogram.observe(wait)
+                queue_wait += wait
+            else:
+                # observe(0.0)'s four updates on its memoised cell: a serial
+                # caller never queues behind itself
+                histogram.count += 1
+                histogram.sum += 0.0
+                if 0.0 > histogram.max_observed:
+                    histogram.max_observed = 0.0
+                histogram.bucket_counts[self._zero_wait_bucket] += 1
             try:
-                self._apply_once(staged, registers, len(updates), fault)
+                if hook is None:
+                    _land(staged, registers)
+                else:
+                    self._apply_once(
+                        staged, registers, len(updates), hook(attempts)
+                    )
             except ControlPlaneFault as exc:
-                last_fault = exc
+                # its kind, not the exception: a frame that keeps its own
+                # exception is a cycle through the traceback
+                last_kind = exc.kind
                 undo.high_water = max(undo.high_water, exc.applied_updates)
                 cost = self._attempt_cost_us(tables, op, exc.kind)
-                self.channel.complete(start + cost)
+                channel.complete(start + cost)
                 retry_wait += cost
                 if tracer is not None:
                     tracer.record("batch_attempt", component="control_plane",
                                   attempt=attempts, fault=exc.kind,
                                   high_water=undo.high_water)
-                if attempts < max_attempts:
-                    self._c_retried.inc()
-                    retry_wait += self.retry.backoff_us(attempts, self._rng)
+                if attempts >= (self.retry.max_attempts if self.retry else 1):
+                    break
+                self._c_retried.inc()
+                retry_wait += self.retry.backoff_us(attempts, self._rng)
                 continue
             except TableEntryLimit as exc:
-                error = self._overflow(
-                    exc, staged, undo, attempts, retry_wait + queue_wait
-                )
                 if tracer is not None:
                     tracer.record("batch_abort", component="control_plane",
                                   fault="overflow", attempts=attempts,
                                   decision="rolled_back")
-                raise error from exc
+                raise self._overflow(
+                    exc, staged, undo, attempts, retry_wait + queue_wait
+                ) from exc
             visibility = _batch_latency_us(tables, op, self._rng)
+            channel.complete(start + visibility)
             undo.high_water = len(updates)
-            self.channel.complete(start + visibility)
             wall_us = retry_wait + queue_wait
-            result = UpdateBatchResult(
-                visibility_latency_us=visibility + wall_us,
-                # folding runs after visibility
-                total_latency_us=visibility * 1.35 + wall_us,
-                tables_touched=tables, updates_applied=len(updates),
-                attempts=attempts, retry_wait_us=retry_wait,
-                queue_wait_us=queue_wait, undo=undo,
-            )
+            # The class defaults (one attempt, no retry wait, committed)
+            # plus what this batch knows; folding runs after visibility.
+            result = _new(UpdateBatchResult)
+            if attempts > 1:
+                result.attempts = attempts
+                result.retry_wait_us = retry_wait
+            result.total_latency_us = visibility * 1.35 + wall_us
+            result.visibility_latency_us = visibility = visibility + wall_us
+            result.tables_touched = tables
+            result.updates_applied = len(updates)
+            result.queue_wait_us = queue_wait
+            result.undo = undo
             self._c_applied.value += 1
             self._c_updates.value += len(updates)
-            self._h_visibility.observe(result.visibility_latency_us)
-            self.telemetry.clock.advance(result.visibility_latency_us)
+            self._h_visibility.observe(visibility)
+            clock.now_us += visibility  # SimClock.advance: it is never negative
             if tracer is not None:
                 tracer.record(
                     "batch_commit", component="control_plane",
                     attempts=attempts, updates=len(updates),
-                    visibility_us=round(result.visibility_latency_us, 3),
-                    decision="committed",
+                    visibility_us=round(visibility, 3), decision="committed",
                 )
             return result
-        assert last_fault is not None
         wall_us = retry_wait + queue_wait
         if updates and undo.high_water >= len(updates):
             # Roll forward: the whole batch landed during a timed-out
@@ -507,7 +471,7 @@ class ControlPlane:
             self._c_rolled_forward.inc()
             self._c_updates.inc(len(updates))
             self._h_visibility.observe(wall_us)
-            self.telemetry.clock.advance(wall_us)
+            clock.advance(wall_us)
             if tracer is not None:
                 tracer.record(
                     "batch_commit", component="control_plane",
@@ -531,15 +495,15 @@ class ControlPlane:
         self._c_failed.inc()
         self._c_rolled_back.inc()
         self._rollback(undo, staged)
-        self.telemetry.clock.advance(wall_us)
+        clock.advance(wall_us)
         if tracer is not None:
             tracer.record("batch_abort", component="control_plane",
-                          fault=last_fault.kind, attempts=attempts,
+                          fault=last_kind, attempts=attempts,
                           decision="rolled_back")
         raise UpdateBatchError(
             f"update batch failed after {attempts} attempts"
-            f" (last fault: {last_fault.kind})",
-            kind=last_fault.kind,
+            f" (last fault: {last_kind})",
+            kind=last_kind,
             attempts=attempts,
             retry_wait_us=wall_us,
             undo=undo,
@@ -617,23 +581,7 @@ class ControlPlane:
             else:
                 self.registers[record.target].restore(record.value)
 
-    # -- the RPC channel -------------------------------------------------------
-
-    def _rpc_submit(self, elapsed_us: float) -> Tuple[float, float]:
-        """FIFO wait on the control-plane RPC channel.
-
-        ``elapsed_us`` is wall clock this batch already burned in earlier
-        attempts (the simulated clock advances only at completion).
-        Returns ``(wait_us, start_us)``: how long the attempt queues
-        behind outstanding RPCs and when its own service begins.  The
-        caller appends ``start_us + service`` to the in-flight list once
-        the attempt's service time is known.
-        """
-        now = self.telemetry.clock.now_us + elapsed_us
-        wait, start = self.channel.submit(now)
-        self._g_outstanding.set(self.channel.outstanding)
-        self._h_queue_wait.observe(wait)
-        return wait, start
+    # -- a faulted attempt -----------------------------------------------------
 
     def _apply_once(self, staged: _Staged, registers: _Writes, count: int,
                     fault: Optional[str]) -> None:

@@ -15,8 +15,9 @@ edges are the ones a latency model, a tracer or a prover reads:
 * the per-operator table against the ladder's ``_apply_binop`` over a
   value grid with DIV and MOD by 0 and shifts of 64 and more.
 
-Two more tests hold the cache itself: the op stays on the instruction
-and makes no cycle, and a block edited in place runs its new instruction.
+Three more tests hold the cache itself: the op stays on the instruction
+and makes no cycle, a block edited in place runs its new instruction, and
+runs that alternate domains decode an instruction once per domain.
 
 Run as a module to print the values this tree computes::
 
@@ -30,6 +31,7 @@ import gc
 import hashlib
 import io
 import json
+from collections import Counter
 from itertools import islice
 from typing import Dict, List
 
@@ -37,7 +39,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.ir import instructions as irin
-from repro.ir import lower_program
+from repro.ir import interp, lower_program
 from repro.ir.builder import FunctionBuilder
 from repro.ir.externs import ExternHost
 from repro.ir.instructions import BinOpKind, UnOpKind
@@ -327,6 +329,45 @@ def test_a_block_edited_in_place_runs_its_new_instruction():
                 block.instructions[index] = irin.StorePacketField(
                     inst.region, inst.field, Const(9, UINT32))
     assert ttl() == 9
+
+
+def test_alternating_domains_decode_once_per_domain(monkeypatch):
+    """A concolic check runs one function over ints, then terms, then ints
+    again: each instruction it executes is decoded once per domain, and
+    the third run decodes nothing."""
+    decoded: Counter = Counter()
+
+    def counting(decoder):
+        def decode(inst, domain):
+            decoded[inst.id, domain] += 1
+            return decoder(inst, domain)
+        return decode
+
+    for cls, decoder in list(interp._DECODERS.items()):
+        monkeypatch.setitem(interp._DECODERS, cls, counting(decoder))
+    lowered = lower("iphdr *ip = pkt->network_header();"
+                    " ip->ttl = ip->ttl + 1; pkt->send();")
+
+    def over_ints():
+        packet = _packet()
+        result = Interpreter(lowered.process, StateStore(lowered.state)).run(
+            PacketView(packet), collect_ids=True)
+        return result.executed_ids, result.verdict, bytes(packet.pack())
+
+    def over_terms():
+        view, store, chooser = _symbolic(_packet(), lowered.state)
+        return Interpreter(
+            lowered.process, store, SymExternHost({}, chooser),
+            TermDomain(chooser, IntDomain.max_steps),
+        ).run(view, collect_ids=True).executed_ids
+
+    first = over_ints()
+    symbolic = over_terms()
+    expected = Counter({(i, IntDomain): 1 for i in first[0]})
+    expected.update({(i, TermDomain): 1 for i in symbolic})
+    assert decoded == expected
+    assert over_ints() == first
+    assert decoded == expected
 
 
 def test_operator_tables_are_the_ladder():

@@ -1,12 +1,17 @@
 """Tests for the deployed Gallium middlebox and the baseline runtime."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.eval.profiles import build_baseline, build_gallium
+from repro.faults.injector import FaultInjector
 from repro.net.addresses import ip
 from repro.net.headers import TcpFlags
 from repro.workloads.packets import make_tcp_packet
 from tests.conftest import get_bundle
+from tests.runtime import golden_pins
 
 
 class TestInstall:
@@ -244,3 +249,32 @@ class TestReplicationRule:
             )
         ]
         assert server.updates_from_journal(table, journal) == expected
+
+
+class TestFreedByReferenceCounting:
+    """The deployment owns its roles and they hold it weakly, so a
+    finished deployment — every golden flavour, and one under an armed
+    fault injector — goes when its last reference does, with the cycle
+    collector off, and leaves the collector nothing."""
+
+    CELLS = [(name, False) for name in golden_pins.FLAVOURS] + [("pooled", True)]
+
+    @pytest.mark.parametrize("flavour,faulted", CELLS)
+    def test_a_finished_deployment_is_freed(self, flavour, faulted):
+        injector = (
+            FaultInjector(golden_pins.FAULT_PLANS[flavour], seed=3)
+            if faulted else None
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            box = golden_pins.build(flavour, "lb", injector)
+            for packet, port in golden_pins.churn_stream("lb")[:200]:
+                box.process_packet(packet.copy(), port)
+                box.drain_deferred()
+            ref = weakref.ref(box)
+            del box, injector
+            assert ref() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

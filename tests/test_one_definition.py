@@ -284,3 +284,27 @@ def test_one_evaluator():
         and any("irin." in ast.unparse(right) for right in node.comparators)
     ]
     assert dispatch == []
+
+
+def test_one_update_batch_path():
+    """An update batch enters the RPC channel in one place: ``apply_batch``
+    is one attempt loop, and a fault-free batch is its first attempt, not
+    a second copy of it."""
+    tree = dict(trees())["switchsim/control_plane.py"]
+    plane = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "ControlPlane"
+    )
+    submitters = sorted(
+        method.name for method in plane.body
+        if isinstance(method, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "submit"
+            and "channel" in ast.unparse(node.func.value)
+            for node in ast.walk(method)
+        )
+    )
+    assert submitters == ["apply_batch"]
+    assert sites(".submit(") == [("switchsim/control_plane.py", "apply_batch")]
