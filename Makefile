@@ -8,7 +8,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 	difftest difftest-smoke difftest-compiled cpp-check oracle-pins faults \
 	faults-smoke bench-smoke \
 	failover-smoke \
-	pool-smoke telemetry-smoke obs-smoke tenancy-smoke bench-record \
+	pool-smoke telemetry-smoke obs-smoke tenancy-smoke bench-record ab \
 	benchmarks
 
 help:
@@ -60,6 +60,9 @@ help:
 	@echo "  bench-record    N=<pr>: run the repo benchmark (3 untraced + 1 traced"
 	@echo "                  run per workload, ~10 min), compare with the previous"
 	@echo "                  record, time tier-1, write BENCH_<n>.json"
+	@echo "  ab              BASE=<rev>: the working tree against <rev> in"
+	@echo "                  simultaneous pairs, one core each (W=campaign,"
+	@echo "                  PAIRS=10): median ratio, pairs won, sign test"
 	@echo "  benchmarks      regenerate every paper table/figure"
 
 test:
@@ -328,6 +331,16 @@ N ?=
 bench-record:
 	@test -n "$(N)" || { echo "usage: make bench-record N=<pr>"; exit 64; }
 	$(PYTHON) benchmarks/bench_record.py $(N) $(if $(PREV),--prev $(PREV))
+
+# Two trees' benchmark at once, one pinned core each, cores swapped every
+# pair: what a change does to an end-to-end row, with the host's drift
+# common to both.  benchmarks/ab.py --smoke is one short pair (CI).
+BASE ?=
+W ?= campaign
+PAIRS ?= 10
+ab:
+	@test -n "$(BASE)" || { echo "usage: make ab BASE=<rev> [W=<workload>] [PAIRS=<n>]"; exit 64; }
+	$(PYTHON) benchmarks/ab.py $(BASE) --workload $(W) --pairs $(PAIRS)
 
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

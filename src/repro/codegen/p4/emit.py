@@ -30,9 +30,11 @@ Replicated tables get the §4.3.3 write-back machinery: a small companion
 table, a one-bit visibility register read into the lookup's first result
 slice, and a lookup sequence that consults the write-back table first.
 
-The behavioral switch model executes the (equivalent) IR directly; this
-emitter produces the artifact a real deployment would compile with the
-Tofino SDK, and the LoC accounting for Table 1.
+The interpreted switch model runs the same staged ops under the same
+guards over the same allocation
+(:class:`repro.switchsim.pipeline.PipelineExecutor`); this emitter
+produces the artifact a real deployment would compile with the Tofino
+SDK, and the LoC accounting for Table 1.
 """
 
 from __future__ import annotations
@@ -388,8 +390,7 @@ class _P4Emitter:
 
     def _emit_instruction(self, inst: irin.Instruction) -> None:
         if isinstance(inst, irin.StorePacketField):
-            target = BY_KEY[(inst.region, inst.field)].p4
-            self.emit(f"{target} = {self._operand(inst.src)};")
+            self._emit_store(inst)
         elif isinstance(inst, _LOOKUPS):
             self._emit_lookup(inst)
         elif isinstance(inst, (irin.LoadState, irin.RegisterRMW)):
@@ -422,6 +423,24 @@ class _P4Emitter:
         else:
             raise NotImplementedError(f"{self.program.name}: no P4 for {inst!r}")
 
+    def _emit_store(self, inst: irin.StorePacketField) -> None:
+        """A header field gets the value; a field P4 keeps in parts, a
+        slice of it per part (a store's register is the field's width:
+        lowering casts to it)."""
+        row = BY_KEY[(inst.region, inst.field)]
+        if not row.p4_widths:
+            self.emit(f"{row.p4} = {self._operand(inst.src)};")
+            return
+        src = inst.src
+        for path, high, low in row.p4_slices():
+            bits = high - low + 1
+            if isinstance(src, Const):
+                part = f"{bits}w{src.value >> low & (1 << bits) - 1}"
+            else:
+                base = self.offsets[src.name][0] * 8
+                part = f"meta.scratch[{base + high}:{base + low}]"
+            self.emit(f"{path} = {part};")
+
     def _expression(self, inst) -> str:
         """What one of :data:`_EXPRESSIONS` writes to its register."""
         if isinstance(inst, irin.Assign):
@@ -429,7 +448,8 @@ class _P4Emitter:
         if isinstance(inst, irin.Cast):
             return f"(bit<{inst.dst.bits}>)({self._operand(inst.src)})"
         if isinstance(inst, irin.LoadPacketField):
-            source = BY_KEY[(inst.region, inst.field)].p4
+            row = BY_KEY[(inst.region, inst.field)]
+            source = f"({row.p4})" if row.p4_widths else row.p4
             return f"(bit<{inst.dst.bits}>){source}"
         if isinstance(inst, irin.UnOp):
             src = self._operand(inst.src)

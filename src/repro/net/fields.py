@@ -19,7 +19,12 @@ What is peculiar about a field is a column, not a branch somewhere:
   value as it is (a register is already wrapped to its declared width);
 * ``alias`` — Click's ``transport_header()`` is one L4 view, and TCP and
   UDP keep their ports at the same offsets: on a packet with no TCP
-  header ``tcp->sport`` / ``tcp->dport`` are the UDP ports.
+  header ``tcp->sport`` / ``tcp->dport`` are the UDP ports;
+* ``p4_widths`` — a field P4 keeps in parts: Linux's 16-bit
+  ``ip->frag_off`` is ``flags ++ fragOffset`` in ``ipv4_t`` (and the
+  record's ``frag_offset``, read and written whole over its ``flags``
+  and ``fragment_offset``).  A load prints the concatenation, a store a
+  slice per part.
 
 A header the packet does not have reads 0 and drops writes.  ``meta`` is
 not a header: its one field lives on the packet itself and is read-only.
@@ -49,10 +54,22 @@ class HeaderField(NamedTuple):
     wrapper: Optional[type] = None
     masked: bool = False
     alias: Optional[str] = None
+    #: the widths of the ``++``-joined parts of ``p4``, high first
+    p4_widths: Tuple[int, ...] = ()
 
     @property
     def key(self) -> Tuple[str, str]:
         return (self.region, self.name)
+
+    def p4_slices(self) -> Tuple[Tuple[str, int, int], ...]:
+        """``(path, high bit, low bit)``: which bits of the field each
+        part of ``p4`` holds, high first."""
+        slices = []
+        low = self.width
+        for path, width in zip(self.p4.split(" ++ "), self.p4_widths):
+            low -= width
+            slices.append((path, low + width - 1, low))
+        return tuple(slices)
 
     @property
     def mask(self) -> int:
@@ -77,8 +94,9 @@ FIELDS: Tuple[HeaderField, ...] = (
        "ip->tot_len"),
     _F("ip", "id", 32, 16, "identification", "hdr.ipv4.identification",
        "ip->id"),
-    _F("ip", "frag_off", 48, 16, "frag_offset", "hdr.ipv4.fragOffset",
-       "ip->frag_off"),
+    _F("ip", "frag_off", 48, 16, "frag_offset",
+       "hdr.ipv4.flags ++ hdr.ipv4.fragOffset", "ip->frag_off",
+       p4_widths=(3, 13)),
     _F("ip", "check", 80, 16, "checksum", "hdr.ipv4.hdrChecksum",
        "ip->check"),
     _F("ip", "version", 0, 4, "version", "hdr.ipv4.version", "ip->version"),

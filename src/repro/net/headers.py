@@ -86,8 +86,9 @@ class Ipv4Header:
     tos: int = 0
     total_length: int = 20
     identification: int = 0
+    #: the 3 flag bits (DF is 2) and the 13-bit fragment offset
     flags: int = 0
-    frag_offset: int = 0
+    fragment_offset: int = 0
     ttl: int = 64
     protocol: int = IPPROTO_TCP
     checksum: int = 0
@@ -95,6 +96,17 @@ class Ipv4Header:
     daddr: Ipv4Address = field(default_factory=lambda: Ipv4Address(0))
 
     SIZE = 20
+
+    @property
+    def frag_offset(self) -> int:
+        """Linux's ``frag_off``: the flags, then the fragment offset, as
+        one 16-bit field (the ``ip.frag_off`` of middlebox sources)."""
+        return self.flags << 13 | self.fragment_offset
+
+    @frag_offset.setter
+    def frag_offset(self, value: int) -> None:
+        self.flags = value >> 13
+        self.fragment_offset = value & 0x1FFF
 
     def pack(self) -> bytes:
         """The wire bytes, header checksum computed."""
@@ -104,7 +116,7 @@ class Ipv4Header:
             self.tos,
             self.total_length,
             self.identification,
-            (self.flags << 13) | self.frag_offset,
+            (self.flags << 13) | self.fragment_offset,
             self.ttl,
             self.protocol,
             0,
@@ -137,7 +149,7 @@ class Ipv4Header:
             total_length=total_length,
             identification=identification,
             flags=flags_frag >> 13,
-            frag_offset=flags_frag & 0x1FFF,
+            fragment_offset=flags_frag & 0x1FFF,
             ttl=ttl,
             protocol=protocol,
             checksum=checksum,
@@ -153,7 +165,7 @@ class Ipv4Header:
             self.total_length,
             self.identification,
             self.flags,
-            self.frag_offset,
+            self.fragment_offset,
             self.ttl,
             self.protocol,
             self.checksum,

@@ -1,11 +1,13 @@
 """Pipeline execution: one traversal of the pre or post program.
 
-This is the interpreted engine — the oracle.  (The compiled one, selected
-with ``SwitchModel(..., fast_path=True)``, is the rendition in
-:mod:`repro.switchsim.compiled`; it raises the same violations, built by
-the functions below, and ``difftest --compiled`` holds the two equal.)
+This is the interpreted engine — the oracle — and it runs the staged
+program the P4 text prints (:class:`PipelineExecutor`).  (The compiled
+one, selected with ``SwitchModel(..., fast_path=True)``, is the rendition
+of the IR in :mod:`repro.switchsim.compiled`; it raises the same
+violations, built by the functions below, and ``difftest --compiled``
+holds the two equal.)
 
-The executor reuses the IR interpreter for evaluation semantics but backs
+The executor runs the IR interpreter's decoded instructions but backs
 all state accesses with the switch's tables and registers through
 :class:`SwitchStateAdapter`, which
 
@@ -20,11 +22,22 @@ all state accesses with the switch's tables and registers through
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Tuple, Type
+from itertools import groupby
+from typing import (
+    Any, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Type,
+)
 
+from repro.analysis.reachability import compute_reachability
+from repro.ir import instructions as irin
+from repro.ir.externs import ExternHost
 from repro.ir.function import Function
-from repro.ir.interp import Interpreter, PacketView
+from repro.ir.instructions import Instruction
+from repro.ir.interp import (
+    _END, IntDomain, InterpreterError, PacketView, _Run, _decode, _undefined,
+)
+from repro.ir.values import Reg
 from repro.net.packet import RawPacket
+from repro.partition.constraints import StagedOp
 from repro.switchsim.registers import Register
 from repro.switchsim.tables import ExactMatchTable
 
@@ -194,16 +207,271 @@ class SwitchStateAdapter(AccessRules):
 
 
 class PipelineExecutor:
-    """Executes pre/post pipeline traversals against switch state."""
+    """One pipeline of ``program`` run as the switch runs it: the staged
+    ops of :meth:`SwitchProgram.stages`, in (stage, program position)
+    order, the order the printed P4 reads them.
 
-    def __init__(self, function: Function, adapter: SwitchStateAdapter):
-        self.function = function
+    * A run of ops in one stage under one guard tests the guard once, as
+      the printed ``if`` does, left to right and no further than a false
+      condition, and runs only where it holds.  Branches and jumps do
+      nothing (their conditions are the guards) but count as the
+      instructions they are, so the count is the one the IR walk made.
+    * A verdict marks the packet and the pipeline goes on, as the text
+      has no exit: an op staged after a verdict on its path (a value
+      computed for another path) still runs.  A verdict or punt after
+      which no op of its path is staged ends the traversal.
+    * Registers live in the allocation's bytes: a write clobbers every
+      register holding a value that shares a byte with it, and a later
+      read of a clobbered one — by an op, a guard, or pre's punt copying
+      out its shim — raises a :class:`DataPlaneViolation` naming both.
+
+    A program is decoded once (kept by the function, per allocation):
+    each op is the interpreter's decoded instruction
+    (:func:`repro.ir.interp._decode`) with the registers each of its
+    writes may clobber.  A clobbered register leaves ``env`` (so reading
+    it fails where any undefined read does) until it is written again;
+    one still clobbered at the end is put back, with the value it last
+    held, in the ``env`` a traversal returns: the one the IR walk
+    leaves.  A pipeline with a loop has no stage schedule (the
+    partitioner never puts one on a switch): its traversals raise.
+    """
+
+    def __init__(self, program, side: str, adapter: SwitchStateAdapter):
         self.adapter = adapter
+        self.externs = ExternHost()
+        function = getattr(program, side)
+        self.name = function.name
+        staged, allocation = program.stages(side)
+        pre = side == "pre"
+        self.punted = tuple(program.shim_to_server.carried() if pre else ())
+        held = tuple(() if pre else program.shim_to_switch.carried())
+        self.groups = function.once(
+            _decode_stages, staged, tuple(allocation.offsets.items()), held,
+            self.punted,
+        )
 
     def run(self, packet: RawPacket,
             initial_env: Optional[Dict[str, int]] = None) -> Traversal:
-        self.adapter.begin_traversal()
-        interpreter = Interpreter(self.function, self.adapter)  # type: ignore[arg-type]
-        result = interpreter.run(PacketView(packet), initial_env=initial_env)
-        return (result.verdict, result.egress_port, result.env,
-                result.instructions_executed)
+        adapter = self.adapter
+        adapter.begin_traversal()
+        tracer = adapter.tracer
+        deep = tracer is not None and tracer.deep
+        run = _Run(PacketView(packet), adapter, self.externs, tracer, None)
+        env: Dict[str, int] = dict(initial_env) if initial_env else {}
+        #: register -> (the register whose write took its bytes, the
+        #: value it held then)
+        clobbered: Dict[str, Tuple[str, int]] = {}
+        steps = 0
+        for guard, ops in self.groups:
+            if guard is not None:
+                try:
+                    for conjunction in guard:
+                        for name, false_arm in conjunction:
+                            if (not env[name]) is not false_arm:
+                                break
+                        else:
+                            break
+                    else:
+                        continue
+                except KeyError as exc:
+                    raise self._unreadable(exc.args[0], clobbered,
+                                           ops[0][3]) from None
+            for op, writes, done, info in ops:
+                if deep:
+                    tracer.record("exec", function=self.name,
+                                  block=info.block, position=info.position,
+                                  op=type(info.inst).__name__,
+                                  stage=info.stage)
+                try:
+                    end = op(env, run)
+                except KeyError as exc:
+                    name = _undefined(exc, info.inst, env)
+                    if name is None:
+                        raise
+                    if name in clobbered:
+                        raise self._unreadable(name, clobbered,
+                                               info) from None
+                    raise InterpreterError(
+                        f"{self.name}: read of undefined register %{name}"
+                    ) from None
+                if writes:
+                    for name, shares in writes:
+                        clobbered.pop(name, None)
+                        for other in shares:
+                            if other in env:
+                                clobbered[other] = (name, env.pop(other))
+                if done and end is _END:
+                    return self._leave(run, env, steps + done, clobbered,
+                                       info)
+            steps += len(ops)
+        return self._leave(run, env, steps, clobbered, None)
+
+    def _leave(self, run: _Run, env: Dict[str, int], steps: int,
+               clobbered: Dict[str, Tuple[str, int]],
+               info: Optional["_OpInfo"]) -> Traversal:
+        """The traversal's result: a punt copies its shim registers out
+        first, and ``env`` gets its clobbered registers back."""
+        if clobbered:
+            if run.verdict is None:
+                for name in self.punted:
+                    if name in clobbered:
+                        raise self._unreadable(name, clobbered, info)
+            for name, (_, value) in clobbered.items():
+                env[name] = value
+        return run.verdict, run.egress, env, steps
+
+    def _unreadable(self, name: str, clobbered: Dict[str, Tuple[str, int]],
+                    info: Optional["_OpInfo"]) -> DataPlaneViolation:
+        """What a read of register ``name`` at ``info`` raises when ``env``
+        has no value for it that an op could have read."""
+        stage = "the exit" if info is None else f"stage {info.stage}"
+        if name in clobbered:
+            return DataPlaneViolation(
+                f"{self.name}: {stage} reads %{name}, whose bytes the"
+                f" write of %{clobbered[name][0]} took"
+            )
+        return DataPlaneViolation(
+            f"{self.name}: {stage} is guarded by %{name} before any op"
+            " writes it"
+        )
+
+
+class _OpInfo(NamedTuple):
+    """Where a staged op comes from: what its errors and trace name."""
+
+    inst: Instruction
+    stage: int
+    #: its block, and its position there (a deep trace's ``exec`` event
+    #: names an op by both: instruction ids differ across compiles)
+    block: str
+    position: int
+
+
+#: A decoded staged op: the interpreter's op; ``(register, the registers
+#: sharing its bytes)`` per one it writes that shares any; for a verdict
+#: or punt after which no op of its path is staged, the steps its run of
+#: ops has taken when it ends the traversal (else 0); where it comes from.
+_StagedOp = Tuple[Any, Tuple[Tuple[str, Tuple[str, ...]], ...], int,
+                  _OpInfo]
+#: A guard as tested: conjunctions of ``(register, holds where it is
+#: false)`` pairs; ``None`` when it always holds.
+_Test = Optional[Tuple[Tuple[Tuple[str, bool], ...], ...]]
+
+
+def _nothing(env, run):
+    """A branch or a jump: what it decides, the guards test."""
+    return None
+
+
+def _refuse_loop(name: str):
+    def op(env, run):
+        raise DataPlaneViolation(
+            f"{name}: a pipeline with a loop has no stage schedule"
+        )
+    return op
+
+
+def _decode_stages(
+    function: Function,
+    staged: Sequence[StagedOp],
+    offsets: Tuple[Tuple[str, Tuple[int, int]], ...],
+    held: Tuple[str, ...],
+    punted: Tuple[str, ...],
+) -> Tuple[Tuple[_Test, Tuple[_StagedOp, ...]], ...]:
+    """``staged`` as runs of ops that share a stage and a guard, each op
+    decoded with the registers its writes can clobber in the scratch
+    bytes ``offsets`` gives them (register -> (offset, size)): one that
+    shares a byte with the write, may hold a value there (written
+    earlier in stage order, or ``held`` from the entry) and is read
+    later (by an op, a guard, or pre's punt, a Return, copying out the
+    ``punted`` registers).  An allocation gives no two such registers a
+    byte, so over a correct one no write clobbers anything."""
+    if not staged:
+        info = _OpInfo(irin.Return(), 0, function.entry, 0)
+        return ((None, ((_refuse_loop(function.name), (), 1, info),)),)
+    first_write = dict.fromkeys(held, -1)
+    last_read: Dict[str, int] = {}
+    for at, (inst, _, guard) in enumerate(staged):
+        for reg in inst.defs():
+            first_write.setdefault(reg.name, at)
+        for reg in inst.uses():
+            last_read[reg.name] = at
+        for conjunction in guard:
+            for cond, _ in conjunction:
+                if isinstance(cond, Reg):
+                    last_read[cond.name] = at
+        if isinstance(inst, irin.Return):
+            last_read.update(dict.fromkeys(punted, at))
+    holders: Dict[int, list] = {}
+    for name, (offset, size) in offsets:
+        for byte in range(offset, offset + size):
+            holders.setdefault(byte, []).append(name)
+    bytes_of = dict(offsets)
+
+    def clobbers(name: str, at: int) -> Tuple[str, ...]:
+        offset, size = bytes_of.get(name, (0, 0))
+        return tuple(
+            other for other in dict.fromkeys(
+                other for byte in range(offset, offset + size)
+                for other in holders[byte]
+            ) if other != name
+            and first_write.get(other, at) < at < last_read.get(other, at)
+        )
+
+    shared = {
+        (at, reg.name): clobbers(reg.name, at)
+        for at, (inst, _, _) in enumerate(staged) for reg in inst.defs()
+    }
+    # A register one write may clobber gets its bytes back at each of its
+    # own writes, even one that clobbers nothing.
+    targets = {name for names in shared.values() for name in names}
+    info = compute_reachability(function)
+    after = info.can_happen_after
+    groups = []
+    at = 0
+    for (stage, guard), run in groupby(staged, key=lambda op: op[1:]):
+        ops = []
+        for inst, _, _ in run:
+            writes = tuple(
+                (reg.name, shared[at, reg.name]) for reg in inst.defs()
+                if shared[at, reg.name] or reg.name in targets
+            )
+            at += 1
+            ends = inst.is_terminator and not inst.successors() and not any(
+                after(later, inst) for later, _, _ in staged[at:]
+            )
+            if isinstance(inst, (irin.Branch, irin.Jump)):
+                op = _nothing
+            elif getattr(inst, "_decoded_for", None) is IntDomain:
+                op = inst._decoded
+            else:
+                op = _decode(inst, IntDomain)
+            ops.append((
+                op,
+                writes,
+                len(ops) + 1 if ends else 0,
+                _OpInfo(inst, stage, info.inst_block[inst.id],
+                        info.inst_index[inst.id]),
+            ))
+        groups.append((_test(guard), tuple(ops)))
+    return tuple(groups)
+
+
+def _test(guard) -> _Test:
+    """``guard`` as :meth:`PipelineExecutor.run` tests it: each
+    conjunction's conditions left to right, no further than the first
+    false one, as the printed predicate reads them.  A constant condition
+    is decided here; ``None`` is a guard that always holds."""
+    conjunctions = []
+    for conjunction in guard:
+        pairs = []
+        for cond, polarity in conjunction:
+            if isinstance(cond, Reg):
+                pairs.append((cond.name, not polarity))
+            elif bool(cond.value) is not bool(polarity):
+                break
+        else:
+            if not pairs:
+                return None
+            conjunctions.append(tuple(pairs))
+    return tuple(conjunctions)

@@ -94,12 +94,12 @@ class SwitchModel:
             self._post = specialize(program.post, self.tables,
                                     self.registers, tracer)
         else:
-            # The interpreter: the oracle, and the one engine that can
-            # give a deep trace its event per instruction.
+            # The staged program the P4 text prints: the oracle, and the
+            # one engine that can give a deep trace its event per op.
             adapter = SwitchStateAdapter(self.tables, self.registers)
             adapter.tracer = tracer
-            self._pre = PipelineExecutor(program.pre, adapter).run
-            self._post = PipelineExecutor(program.post, adapter).run
+            self._pre = PipelineExecutor(program, "pre", adapter).run
+            self._post = PipelineExecutor(program, "post", adapter).run
         # Counters (views over the deployment's metrics registry).
         metrics = self.telemetry.metrics
         self._c_fast = metrics.counter("switch.fast_path_packets")

@@ -168,12 +168,6 @@ class TestStagedP4:
                 assert found[0][1] is not None
 
 
-#: field-table rows whose ``hdr.`` path the emitted headers declare at
-#: another width: the IR's 16-bit ``ip.frag_off`` is ``flags`` (3 bits)
-#: plus ``fragOffset`` (13 bits) in ``ipv4_t``
-KNOWN_WIDTH_DISAGREEMENTS = {("ip", "frag_off"): (16, 13)}
-
-
 def declared_header_fields(p4_source):
     """``hdr.<member>.<field>`` -> width, read off ``headers_t`` and the
     ``header`` types the emitted program declares."""
@@ -194,17 +188,18 @@ def declared_header_fields(p4_source):
 
 def test_every_field_path_is_declared_at_its_width():
     """Every ``hdr.`` path of the field table names a field the emitted
-    ``headers_t`` declares, at the row's width; the one disagreement
-    already known is the only one allowed."""
+    ``headers_t`` declares, at the row's width — or, for a field P4
+    keeps in parts (``ip.frag_off`` is ``flags ++ fragOffset``), parts
+    declared at the widths the row slices them to."""
     declared = declared_header_fields(get_compiled("minilb").p4_source)
-    disagreements = {}
     for row in FIELDS:
         if not row.p4.startswith("hdr."):
             continue
-        assert row.p4 in declared, f"{row.key}: {row.p4} is not declared"
-        if declared[row.p4] != row.width:
-            disagreements[row.key] = (row.width, declared[row.p4])
-    assert disagreements == KNOWN_WIDTH_DISAGREEMENTS
+        parts = row.p4_slices() or ((row.p4, row.width - 1, 0),)
+        for path, high, low in parts:
+            assert path in declared, f"{row.key}: {path} is not declared"
+            assert declared[path] == high - low + 1, row.key
+        assert parts[0][1] == row.width - 1 and parts[-1][2] == 0, row.key
 
 
 class TestEmittedConstants:

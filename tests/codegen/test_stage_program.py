@@ -14,6 +14,16 @@ fresh compile:
 * m3 — the schedule drops CONTROL edges: a guarded op moves before the
   condition it is guarded by is computed.
 
+The interpreted switch runs that staged program, so each of these, and
+two more, makes a packet run diverge (:data:`RUN_MUTANTS`; on the walk
+over the IR it replaced, every one of them agreed on every packet):
+
+* m4 — a dropped liveness fact: the allocation forgets that a guard
+  reads its conditions, so a condition's bytes are reused while an op
+  it guards has yet to run;
+* m5 — a dropped guard conjunction: a block two paths reach keeps the
+  first path's conjunction only, so on the second its ops do not run.
+
 Also: the printed program needs no more stages than the lint counts
 (:func:`printed_depth`), a condition written again after its branch is
 refused (PART007), and the emitter refuses an op it cannot print.  Run as
@@ -25,6 +35,9 @@ the stage order::
 """
 
 import dataclasses
+import inspect
+import re
+import textwrap
 from typing import Dict, List, Optional, Sequence
 
 import pytest
@@ -35,6 +48,9 @@ from repro.analysis.distance import _stage_cost
 from repro.analysis.reachability import compute_reachability
 from repro.codegen.p4.emit import emit_p4_program
 from repro.compiler import compile_source
+from repro.difftest.kernel import derive_seeds
+from repro.difftest.generator import generate_program
+from repro.difftest.oracle import Outcome, StreamSpec, run_oracle
 from repro.ir import instructions as irin
 from repro.ir import lower_program
 from repro.ir.function import Function
@@ -45,7 +61,7 @@ from repro.middleboxes import MIDDLEBOX_NAMES, load
 from repro.partition import constraints
 from repro.partition.partitioner import PartitionError
 from repro.switchsim.program import SwitchProgram
-from tests.partition.compile_pins import sources, stage_hazards
+from tests.partition.compile_pins import PIN_SEED, sources, stage_hazards
 
 
 MEASURE = constraints.measure_pipeline
@@ -90,6 +106,74 @@ MUTANTS = {
     "m2": ("build_dependency_graph", without(DependencyKind.ANTI)),
     "m3": ("build_dependency_graph", without(DependencyKind.CONTROL)),
 }
+
+
+def rewritten(name: str, pattern: str, replacement: str):
+    """``constraints.<name>`` with one piece of its source rewritten."""
+    source = textwrap.dedent(inspect.getsource(getattr(constraints, name)))
+    mutated, hits = re.subn(pattern, replacement, source)
+    assert hits == 1, pattern
+    namespace = dict(vars(constraints))
+    exec(mutated, namespace)
+    return name, namespace[name]
+
+
+RUN_MUTANTS = {
+    **MUTANTS,
+    "m4": rewritten(
+        "_linear_scan",
+        r"\(\*inst\.defs\(\), \*inst\.uses\(\), \*conditions\)",
+        "(*inst.defs(), *inst.uses())",
+    ),
+    "m5": rewritten(
+        "_guards",
+        r"guards\.setdefault\(block, \[\]\)\.append\(conjunction\)",
+        "guards.setdefault(block, [conjunction])",
+    ),
+}
+
+#: m2's write-after-read: ``x = 2`` is free (a copy) and waits for the
+#: read of ``x = 1`` only through its ANTI edge.
+WRITE_AFTER_READ = (
+    "class T { void process(Packet *pkt) {"
+    " iphdr *ip = pkt->network_header();"
+    " uint16_t x = 1; uint16_t y = x + ip->ttl;"
+    " x = 2; ip->id = y + x; pkt->send(); } };"
+)
+
+
+def run_sources() -> Dict[str, str]:
+    """What the packet runs drive: m2's program, and the generated
+    program of the compile-pin sweep that the other four each break."""
+    program_seed, _ = derive_seeds(PIN_SEED, 11)
+    return {
+        "write_after_read": WRITE_AFTER_READ,
+        "gen011": generate_program(program_seed).source(),
+    }
+
+
+def packet_runs() -> Dict[str, Outcome]:
+    """Program -> the oracle's outcome over a 10-packet stream."""
+    return {
+        label: run_oracle(source, StreamSpec(seed=1, count=10)).outcome
+        for label, source in run_sources().items()
+    }
+
+
+def test_the_packet_runs_agree_unmutated():
+    assert set(packet_runs().values()) == {Outcome.AGREE}
+
+
+@pytest.mark.parametrize("mutant", sorted(RUN_MUTANTS))
+def test_each_mutant_makes_a_packet_run_diverge(monkeypatch, mutant):
+    """The staged switch runs what the allocation and the schedule
+    decided, so a wrong decision shows up as a packet, not only as a
+    moved depth: a wrong verdict or field, or a violation naming the
+    register read after another took its bytes, or the guard read before
+    its condition was written."""
+    monkeypatch.setattr(constraints, *RUN_MUTANTS[mutant])
+    outcomes = packet_runs().values()
+    assert {Outcome.DIVERGE, Outcome.CRASH} & set(outcomes), mutant
 
 
 def printed_depth(

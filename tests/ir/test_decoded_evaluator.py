@@ -7,7 +7,8 @@ edges are the ones a latency model, a tracer or a prover reads:
 
 * the deep-trace JSON bytes of ``repro trace <mb> --packets 4 --deep
   --json`` for every bundled middlebox (``exec`` records by position,
-  ``packet_write`` events, state events, in order);
+  ``packet_write`` events, state events, in order; the switch's
+  re-recorded when it came to run its stage order);
 * a runaway loop stopped by the step limit: the same exception at the
   same step, with the same partial state and journal, in both domains;
 * the ``collect_ids`` order, in both domains;
@@ -71,14 +72,16 @@ from repro.workloads.packets import make_tcp_packet
 from tests.verify.test_mirror_lockstep import symbolic_world
 
 #: sha256 of each middlebox's ``repro trace --packets 4 --deep --json``
-#: stdout, as the ladder printed it.
+#: stdout.  The ladder printed the server's events; the switch's are the
+#: staged run's since the interpreted switch runs its stage order (its
+#: ``exec`` events in that order, each with its ``stage``).
 DEEP_TRACES = {
-    "minilb": "cc4d67dc59e1799cf5a3992732d4b3940fcd6efed830bd5005e3be5d8e1b5811",
-    "mazunat": "c35fc1f67bf911a0a437d6c5f0c08ad468791bdbd6a5d6660fc802632a738071",
-    "lb": "76c72e25f260129ec45109bc0080f1bdf908f1fdfb2ddafd5ee4f83c307235fd",
-    "firewall": "471c4b357a7bda9a9cb667ffacd30cc37dee4eb54f57a525ec4d1b3ef5a9bc37",
-    "proxy": "1aefd1b9fc2e1e9c517035395f136da74ae7a0c27ea81804c58b656faf5cf76c",
-    "trojan": "38da5e42ce9e1046ede69f5281632c20a3367883ebdeaf4db4b691a42a095477",
+    "minilb": "a1ebb848fd59ad6ade2a72ccd3bfbd1fea07273b5db0d78273016feb461b4a12",
+    "mazunat": "1b87f1de7d81cff75338b39838b5ee0b8a71f6c1d9edbeca295e9a22226035db",
+    "lb": "f320afc76001feaf444b8ba2dae35f2e71a93f81fd0a41f33a663cdcd6b023a4",
+    "firewall": "e698d822867234c8b41aa2a2f4e8042d87bdcd7a581af69cf709c8c955182238",
+    "proxy": "cb10810fccae764d27b354ab22b6f5e04110a0a170049eae73a1d626babb71bf",
+    "trojan": "26602123571fdaa55f3154072d679b2baa2dc9111719e068a3e4e8ee8f89d763",
 }
 
 #: What the ladder computed for every operator over ``GRID`` x ``GRID``

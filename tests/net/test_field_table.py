@@ -100,7 +100,7 @@ P4_PATHS = {
         "tos": "hdr.ipv4.diffserv",
         "tot_len": "hdr.ipv4.totalLen",
         "id": "hdr.ipv4.identification",
-        "frag_off": "hdr.ipv4.fragOffset",
+        "frag_off": "hdr.ipv4.flags ++ hdr.ipv4.fragOffset",
         "check": "hdr.ipv4.hdrChecksum",
         "version": "hdr.ipv4.version",
         "ihl": "hdr.ipv4.ihl",

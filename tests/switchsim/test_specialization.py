@@ -110,13 +110,24 @@ class TestSameRefusalFromBothEngines:
         (table_write, DataPlaneViolation,
          "map_insert('t') in a switch pipeline — table writes must go"
          " through the control plane"),
-        (runaway_loop, InterpreterError,
-         "pre: step limit exceeded (runaway loop?)"),
     ], ids=lambda value: getattr(value, "__name__", None))
     def test_type_and_message(self, build, error, says):
         interpreted = failure_of(build, False, error)
         specialized = failure_of(build, True, error)
         assert interpreted == specialized == (error, says)
+
+    def test_a_loop_has_no_stage_schedule(self):
+        """The one pipeline the engines refuse differently: the staged
+        switch has no schedule to run a loop by (the partitioner never
+        offloads one, and the lint refuses it as P4L004); the compiled
+        walk runs it into the step limit."""
+        assert failure_of(runaway_loop, False, DataPlaneViolation) == (
+            DataPlaneViolation,
+            "pre: a pipeline with a loop has no stage schedule",
+        )
+        assert failure_of(runaway_loop, True, InterpreterError) == (
+            InterpreterError, "pre: step limit exceeded (runaway loop?)",
+        )
 
     @ENGINES
     def test_a_fresh_traversal_may_touch_the_table_again(self, fast_path):
