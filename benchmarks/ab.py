@@ -8,13 +8,13 @@ much as the code.  Here each round runs the benchmark on both trees *at
 the same time*, one child pinned to each core (``os.sched_setaffinity``
 on the child, before it starts), and swaps the cores every round::
 
-    python benchmarks/ab.py <rev> [--workload campaign] [--pairs 10]
-        [--seconds 15] [--seed 11] [--smoke]
+    python benchmarks/ab.py <rev> [--workload campaign] [--pairs 10] [--smoke]
 
 ``<rev>`` is exported with ``git archive`` into a temporary directory; the
 other tree is this checkout's working tree.  Each child is
-``perfbench/run.py --workload W --seed S --seconds T --trace 0`` of its
-own tree, whose last stdout line is the end-to-end metrics.  Both
+``perfbench/run.py --workload W --seed 11 --trace 0`` of its own tree (the
+seed ``bench_record.py`` records with; the run's own seconds), whose last
+stdout line is the end-to-end metrics.  Both
 children get one empty ``PYTHONPYCACHEPREFIX``, so neither reads
 bytecode an earlier run left (a tree with ``__pycache__`` reads about
 1 MB lower ``peak_rss_mb``).  Per end-to-end row of ``BENCHMARK.json``
@@ -40,7 +40,7 @@ from math import comb
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-ROOT = Path(__file__).resolve().parent.parent
+from bench_record import ROOT, SEED
 
 
 def export(rev: str, scratch: Path) -> Path:
@@ -56,10 +56,8 @@ def export(rev: str, scratch: Path) -> Path:
 
 def command(tree: Path, args) -> List[str]:
     run = [sys.executable, str(tree / "perfbench" / "run.py"),
-           "--workload", args.workload, "--seed", str(args.seed),
-           "--trace", "0"]
-    return run + (["--smoke"] if args.smoke else
-                  ["--seconds", str(args.seconds)])
+           "--workload", args.workload, "--seed", str(SEED), "--trace", "0"]
+    return run + (["--smoke"] if args.smoke else [])
 
 
 def pinned(core: int):
@@ -125,8 +123,6 @@ def parse_args(argv=None):
     parser.add_argument("base", help="the revision to compare against")
     parser.add_argument("--workload", default="campaign")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--smoke", action="store_true",
                         help="one pair of --smoke runs")
     args = parser.parse_args(argv)
@@ -147,7 +143,7 @@ def main(argv=None) -> int:
         trees = {"base": export(args.base, scratch), "head": ROOT}
         env = dict(os.environ, PYTHONPYCACHEPREFIX=str(scratch / "pycache"))
         print(f"base {args.base} -> {trees['base']}; head {ROOT};"
-              f" {args.workload} seed {args.seed}, cores {cores}")
+              f" {args.workload} seed {SEED}, cores {cores}")
         pairs = []
         for index in range(args.pairs):
             order = cores if index % 2 == 0 else cores[::-1]

@@ -33,7 +33,7 @@ from repro.ir.externs import ExternHost
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
 from repro.ir.interp import (
-    _END, IntDomain, InterpreterError, PacketView, _Run, _decode, _undefined,
+    IntDomain, InterpreterError, PacketView, _Run, _decode, _undefined,
 )
 from repro.ir.values import Reg
 from repro.net.packet import RawPacket
@@ -216,14 +216,21 @@ class PipelineExecutor:
       condition, and runs only where it holds.  Branches and jumps do
       nothing (their conditions are the guards) but count as the
       instructions they are, so the count is the one the IR walk made.
-    * A verdict marks the packet and the pipeline goes on, as the text
-      has no exit: an op staged after a verdict on its path (a value
-      computed for another path) still runs.  A verdict or punt after
-      which no op of its path is staged ends the traversal.
+    * A verdict marks the packet and the pipeline goes on to its last
+      stage, as the text has no exit: an op staged after a verdict on its
+      path (a value computed for another path) still runs, and one of no
+      path through the verdict sits under a guard that fails.
     * Registers live in the allocation's bytes: a write clobbers every
       register holding a value that shares a byte with it, and a later
       read of a clobbered one — by an op, a guard, or pre's punt copying
       out its shim — raises a :class:`DataPlaneViolation` naming both.
+      A register the traversal has not written holds no value to lose:
+      an op reading it fails as any undefined read, and pre's punt sends
+      it as 0 (the codec's encoding of a name it lacks).  The printed
+      punt copies that field out of its bytes, which a register written
+      on the path may hold: there the text and this run send different
+      values for a field the server reads on no such path (DESIGN.md,
+      "The staged switch").
 
     A program is decoded once (kept by the function, per allocation):
     each op is the interpreter's decoded instruction
@@ -232,8 +239,8 @@ class PipelineExecutor:
     it fails where any undefined read does) until it is written again;
     one still clobbered at the end is put back, with the value it last
     held, in the ``env`` a traversal returns: the one the IR walk
-    leaves.  A pipeline with a loop has no stage schedule (the
-    partitioner never puts one on a switch): its traversals raise.
+    leaves.  A pipeline with a loop has no stage schedule:
+    :class:`~repro.switchsim.switch_model.SwitchModel` refuses it.
     """
 
     def __init__(self, program, side: str, adapter: SwitchStateAdapter):
@@ -275,15 +282,15 @@ class PipelineExecutor:
                         continue
                 except KeyError as exc:
                     raise self._unreadable(exc.args[0], clobbered,
-                                           ops[0][3]) from None
-            for op, writes, done, info in ops:
+                                           ops[0][2]) from None
+            for op, writes, info in ops:
                 if deep:
                     tracer.record("exec", function=self.name,
                                   block=info.block, position=info.position,
                                   op=type(info.inst).__name__,
                                   stage=info.stage)
                 try:
-                    end = op(env, run)
+                    op(env, run)
                 except KeyError as exc:
                     name = _undefined(exc, info.inst, env)
                     if name is None:
@@ -298,24 +305,15 @@ class PipelineExecutor:
                     for name, shares in writes:
                         clobbered.pop(name, None)
                         for other in shares:
+                            # One not written yet has no value to lose.
                             if other in env:
                                 clobbered[other] = (name, env.pop(other))
-                if done and end is _END:
-                    return self._leave(run, env, steps + done, clobbered,
-                                       info)
             steps += len(ops)
-        return self._leave(run, env, steps, clobbered, None)
-
-    def _leave(self, run: _Run, env: Dict[str, int], steps: int,
-               clobbered: Dict[str, Tuple[str, int]],
-               info: Optional["_OpInfo"]) -> Traversal:
-        """The traversal's result: a punt copies its shim registers out
-        first, and ``env`` gets its clobbered registers back."""
         if clobbered:
             if run.verdict is None:
                 for name in self.punted:
                     if name in clobbered:
-                        raise self._unreadable(name, clobbered, info)
+                        raise self._unreadable(name, clobbered, None)
             for name, (_, value) in clobbered.items():
                 env[name] = value
         return run.verdict, run.egress, env, steps
@@ -348,11 +346,9 @@ class _OpInfo(NamedTuple):
 
 
 #: A decoded staged op: the interpreter's op; ``(register, the registers
-#: sharing its bytes)`` per one it writes that shares any; for a verdict
-#: or punt after which no op of its path is staged, the steps its run of
-#: ops has taken when it ends the traversal (else 0); where it comes from.
-_StagedOp = Tuple[Any, Tuple[Tuple[str, Tuple[str, ...]], ...], int,
-                  _OpInfo]
+#: sharing its bytes)`` per one it writes that shares any; where it comes
+#: from.
+_StagedOp = Tuple[Any, Tuple[Tuple[str, Tuple[str, ...]], ...], _OpInfo]
 #: A guard as tested: conjunctions of ``(register, holds where it is
 #: false)`` pairs; ``None`` when it always holds.
 _Test = Optional[Tuple[Tuple[Tuple[str, bool], ...], ...]]
@@ -361,14 +357,6 @@ _Test = Optional[Tuple[Tuple[Tuple[str, bool], ...], ...]]
 def _nothing(env, run):
     """A branch or a jump: what it decides, the guards test."""
     return None
-
-
-def _refuse_loop(name: str):
-    def op(env, run):
-        raise DataPlaneViolation(
-            f"{name}: a pipeline with a loop has no stage schedule"
-        )
-    return op
 
 
 def _decode_stages(
@@ -386,9 +374,6 @@ def _decode_stages(
     later (by an op, a guard, or pre's punt, a Return, copying out the
     ``punted`` registers).  An allocation gives no two such registers a
     byte, so over a correct one no write clobbers anything."""
-    if not staged:
-        info = _OpInfo(irin.Return(), 0, function.entry, 0)
-        return ((None, ((_refuse_loop(function.name), (), 1, info),)),)
     first_write = dict.fromkeys(held, -1)
     last_read: Dict[str, int] = {}
     for at, (inst, _, guard) in enumerate(staged):
@@ -426,7 +411,6 @@ def _decode_stages(
     # own writes, even one that clobbers nothing.
     targets = {name for names in shared.values() for name in names}
     info = compute_reachability(function)
-    after = info.can_happen_after
     groups = []
     at = 0
     for (stage, guard), run in groupby(staged, key=lambda op: op[1:]):
@@ -437,9 +421,6 @@ def _decode_stages(
                 if shared[at, reg.name] or reg.name in targets
             )
             at += 1
-            ends = inst.is_terminator and not inst.successors() and not any(
-                after(later, inst) for later, _, _ in staged[at:]
-            )
             if isinstance(inst, (irin.Branch, irin.Jump)):
                 op = _nothing
             elif getattr(inst, "_decoded_for", None) is IntDomain:
@@ -449,7 +430,6 @@ def _decode_stages(
             ops.append((
                 op,
                 writes,
-                len(ops) + 1 if ends else 0,
                 _OpInfo(inst, stage, info.inst_block[inst.id],
                         info.inst_index[inst.id]),
             ))

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.analysis.reachability import compute_reachability
 from repro.codegen.headers import (
     EGRESS_PORT_FIELD,
     FLAG_VERDICT_DROP,
@@ -28,7 +29,9 @@ from repro.codegen.headers import (
 from repro.net.packet import RawPacket
 from repro.sim.clock import PARSE_US, SWITCH_INSTR_US
 from repro.switchsim.control_plane import ControlPlane
-from repro.switchsim.pipeline import PipelineExecutor, SwitchStateAdapter
+from repro.switchsim.pipeline import (
+    DataPlaneViolation, PipelineExecutor, SwitchStateAdapter,
+)
 from repro.switchsim.program import SERVER_PORT, SwitchProgram, bypass_port
 from repro.switchsim.registers import Register
 from repro.switchsim.tables import ExactMatchTable
@@ -65,6 +68,14 @@ class SwitchModel:
     ):
         from repro.telemetry import INSTRUCTION_BOUNDS, Telemetry
 
+        for function in (program.pre, program.post):
+            # Neither engine runs a loop: the staged program has no
+            # schedule for one (the lint refuses it as P4L004).
+            if compute_reachability(function).cyclic_blocks:
+                raise DataPlaneViolation(
+                    f"{function.name}: a pipeline with a loop has no stage"
+                    " schedule"
+                )
         self.program = program
         self.fast_path = fast_path
         self.telemetry = telemetry if telemetry is not None else Telemetry()

@@ -20,7 +20,6 @@ from repro.codegen.headers import (
 )
 from repro.ir import instructions as irin
 from repro.ir.builder import FunctionBuilder
-from repro.ir.interp import InterpreterError
 from repro.ir.values import Const
 from repro.lang.types import UINT16, UINT32
 from repro.switchsim.pipeline import DataPlaneViolation
@@ -56,10 +55,9 @@ def program_of(build) -> SwitchProgram:
 
 
 def failure_of(build, fast_path, error):
-    switch = SwitchModel(program_of(build), fast_path=fast_path)
     packet = make_tcp_packet("10.0.0.1", "10.0.0.2", 1, 2)
     with pytest.raises(error) as raised:
-        switch.receive(packet, 1)
+        SwitchModel(program_of(build), fast_path=fast_path).receive(packet, 1)
     return type(raised.value), str(raised.value)
 
 
@@ -110,24 +108,13 @@ class TestSameRefusalFromBothEngines:
         (table_write, DataPlaneViolation,
          "map_insert('t') in a switch pipeline — table writes must go"
          " through the control plane"),
+        (runaway_loop, DataPlaneViolation,
+         "pre: a pipeline with a loop has no stage schedule"),
     ], ids=lambda value: getattr(value, "__name__", None))
     def test_type_and_message(self, build, error, says):
         interpreted = failure_of(build, False, error)
         specialized = failure_of(build, True, error)
         assert interpreted == specialized == (error, says)
-
-    def test_a_loop_has_no_stage_schedule(self):
-        """The one pipeline the engines refuse differently: the staged
-        switch has no schedule to run a loop by (the partitioner never
-        offloads one, and the lint refuses it as P4L004); the compiled
-        walk runs it into the step limit."""
-        assert failure_of(runaway_loop, False, DataPlaneViolation) == (
-            DataPlaneViolation,
-            "pre: a pipeline with a loop has no stage schedule",
-        )
-        assert failure_of(runaway_loop, True, InterpreterError) == (
-            InterpreterError, "pre: step limit exceeded (runaway loop?)",
-        )
 
     @ENGINES
     def test_a_fresh_traversal_may_touch_the_table_again(self, fast_path):

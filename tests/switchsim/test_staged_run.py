@@ -17,12 +17,12 @@ from repro.ir import instructions as irin
 from repro.ir.builder import FunctionBuilder
 from repro.ir.values import Const, Reg
 from repro.lang.types import UINT8
-from repro.middleboxes import MIDDLEBOX_NAMES
+from repro.middleboxes import MIDDLEBOX_NAMES, load
 from repro.partition.constraints import MetadataAllocation
 from repro.switchsim.pipeline import DataPlaneViolation
 from repro.switchsim.program import SwitchProgram
 from repro.switchsim.switch_model import SwitchModel
-from repro.workloads.packets import make_tcp_packet
+from repro.workloads.packets import TcpFlags, make_tcp_packet
 
 
 def deep_trace(middlebox: str) -> list:
@@ -112,3 +112,53 @@ def test_a_clobbered_register_written_again_holds_its_new_value(
     verdict, _, env, steps = SwitchModel(program)._pre(packet, None)
     assert (verdict, packet.ip.ttl, env, steps) == (
         "send", 3, {"x": 3, "y": 2}, 5)
+
+
+def unwritten_at_the_punt(program: SwitchProgram) -> set:
+    """The to-server shim registers some path through pre reaches its
+    punt without writing: the fields the staged run sends as 0 and the
+    printed punt copies out of whatever its bytes hold."""
+    pre = program.pre
+    carried = set(program.shim_to_server.carried())
+    found = set()
+
+    def walk(name, written):
+        block = pre.blocks[name]
+        written = written | {
+            reg.name for inst in block.instructions for reg in inst.defs()
+        }
+        if isinstance(block.terminator, irin.Return):
+            found.update(carried - written)
+        for successor in block.successors():
+            walk(successor, written)
+
+    walk(pre.entry, frozenset())
+    return found
+
+
+def test_a_punt_field_its_path_never_wrote_is_sent_as_0():
+    """The one read the byte model lets through: trojan's SYN path punts
+    without computing ``c23`` (the flow-table miss), and ``proto.1``
+    holds its byte.  The staged run sends the field as 0, as the IR walk
+    did; the printed punt copies the byte out, so the text sends the
+    protocol there.  The server reads ``c23`` on no path that leaves it
+    unwritten, so no packet can tell the two apart.  Every field a punt
+    sends unwritten is one a path through pre leaves unwritten."""
+    result = compile_source(load("trojan").source, verify=False)
+    program = result.switch_program
+    offsets = program.stages("pre")[1].offsets
+    assert offsets["c23"] == offsets["proto.1"]
+    low = offsets["c23"][0] * 8
+    assert f"hdr.shim_to_server.c23 = meta.scratch[{low}:{low}];" in (
+        result.p4_source)
+    switch = SwitchModel(program)
+    layout = program.shim_to_server
+    unwritten = set()
+    for flags in (TcpFlags.SYN, TcpFlags.ACK, TcpFlags.FIN):
+        verdict, _, env, _ = switch._pre(
+            make_tcp_packet("10.0.0.1", "10.0.0.2", 1, 22, flags=flags), None)
+        if verdict is None:
+            unwritten |= set(layout.carried()) - env.keys()
+            if "c23" not in env:
+                assert layout.decode(layout.encode(env))["c23"] == 0
+    assert "c23" in unwritten <= unwritten_at_the_punt(program)
