@@ -9,6 +9,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 	faults-smoke bench-smoke \
 	failover-smoke \
 	pool-smoke telemetry-smoke obs-smoke tenancy-smoke bench-record ab \
+	compile-calls \
 	benchmarks
 
 help:
@@ -60,6 +61,8 @@ help:
 	@echo "  bench-record    N=<pr>: run the repo benchmark (3 untraced + 1 traced"
 	@echo "                  run per workload, ~10 min), compare with the previous"
 	@echo "                  record, time tier-1, write BENCH_<n>.json"
+	@echo "  compile-calls   Python calls per operation of the compile workload"
+	@echo "                  (deterministic; benchmarks/compile_calls.py)"
 	@echo "  ab              BASE=<rev>: the working tree against <rev> in"
 	@echo "                  simultaneous pairs, one core each (W=campaign,"
 	@echo "                  PAIRS=10): median ratio, pairs won, sign test"
@@ -331,6 +334,12 @@ N ?=
 bench-record:
 	@test -n "$(N)" || { echo "usage: make bench-record N=<pr>"; exit 64; }
 	$(PYTHON) benchmarks/bench_record.py $(N) $(if $(PREV),--prev $(PREV))
+
+# Python calls per operation of the compile workload's pool (the six
+# bundled sources, 12 generated programs and six proofs, seed 11): a count
+# beside the clock, the same on every run of one tree.
+compile-calls:
+	$(PYTHON) benchmarks/compile_calls.py
 
 # Two trees' benchmark at once, one pinned core each, cores swapped every
 # pair: what a change does to an end-to-end row, with the host's drift

@@ -14,7 +14,7 @@ longest-path computation well-defined.
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.depgraph import DependencyGraph
 from repro.ir import instructions as irin
@@ -40,63 +40,71 @@ def dependency_distances(graph: DependencyGraph) -> Tuple[Dict[int, int], Dict[i
     longest chain starting at ``i``.  Instructions on dependency cycles get
     a large sentinel (they can never be offloaded anyway).
     """
-    cost = {inst.id: _stage_cost(inst) for inst in graph.instructions}
-    # Kahn's algorithm drains every node exactly when nothing is cyclic;
-    # only a graph with a dependency cycle has to consult the closure.
-    cyclic: Set[int] = set()
-    order = _topological_order(graph, cyclic)
-    if len(order) != len(graph.instructions):
-        cyclic = {
-            inst.id for inst in graph.instructions if graph.self_dependent(inst)
-        }
-        order = _topological_order(graph, cyclic)
-    from_entry: Dict[int, int] = {}
+    instructions = graph.instructions
+    cost = [_stage_cost(inst) for inst in instructions]
+    successors = graph.successors
+    # Edges run forward in program order unless the CFG loops; only then
+    # can a dependency cycle exist, and the closure say who is on one.
+    cyclic = 0
+    order: Sequence[int] = range(len(instructions))
+    if not graph.forward:
+        for at, inst in enumerate(instructions):
+            if graph.self_dependent(inst):
+                cyclic |= 1 << at
+        order = _topological_order(successors, cyclic)
     sentinel = 10**9
-    for inst in graph.instructions:
-        if inst.id in cyclic:
-            from_entry[inst.id] = sentinel
-        else:
-            from_entry[inst.id] = cost[inst.id]
-    for node in order:
-        for dep in graph.dependencies.get(node, ()):  # dep -> node
-            if dep in cyclic or node in cyclic:
-                continue
-            from_entry[node] = max(
-                from_entry[node], from_entry[dep] + cost[node]
-            )
-    to_exit: Dict[int, int] = {}
-    for inst in graph.instructions:
-        to_exit[inst.id] = sentinel if inst.id in cyclic else cost[inst.id]
-    for node in reversed(order):
-        for dep in graph.dependents.get(node, ()):  # node -> dep
-            if dep in cyclic or node in cyclic:
-                continue
-            to_exit[node] = max(to_exit[node], to_exit[dep] + cost[node])
-    return from_entry, to_exit
+    from_entry = [
+        sentinel if cyclic >> at & 1 else cost[at] for at in range(len(cost))
+    ]
+    to_exit = list(from_entry)
+    for at in order:
+        reach = from_entry[at]
+        row = successors[at] & ~cyclic
+        while row:
+            low = row & -row
+            row ^= low
+            other = low.bit_length() - 1
+            if reach + cost[other] > from_entry[other]:
+                from_entry[other] = reach + cost[other]
+    for at in reversed(order):
+        longest = 0
+        row = successors[at] & ~cyclic
+        while row:
+            low = row & -row
+            row ^= low
+            other = to_exit[low.bit_length() - 1]
+            if other > longest:
+                longest = other
+        to_exit[at] += longest
+    ids = [inst.id for inst in instructions]
+    return dict(zip(ids, from_entry)), dict(zip(ids, to_exit))
 
 
-def _topological_order(graph: DependencyGraph, cyclic: Set[int]):
-    """Kahn's algorithm over the nodes outside ``cyclic``.
-
-    Returns the nodes it could drain: all of them when the sub-graph is
-    acyclic (it is once every self-dependent node is excluded), fewer
-    when a cycle holds some back.
-    """
-    indegree: Dict[int, int] = {}
-    nodes = [inst.id for inst in graph.instructions if inst.id not in cyclic]
-    node_set = set(nodes)
-    for node in nodes:
-        indegree[node] = sum(
-            1 for dep in graph.dependencies.get(node, ()) if dep in node_set
-        )
-    ready = [node for node in nodes if indegree[node] == 0]
+def _topological_order(successors: List[int], cyclic: int) -> List[int]:
+    """Kahn's algorithm over the positions outside ``cyclic``, which must
+    leave an acyclic graph."""
+    indegree = [0] * len(successors)
+    for at, row in enumerate(successors):
+        if not cyclic >> at & 1:
+            row &= ~cyclic
+            while row:
+                low = row & -row
+                row ^= low
+                indegree[low.bit_length() - 1] += 1
+    ready = [
+        at for at, degree in enumerate(indegree)
+        if not degree and not cyclic >> at & 1
+    ]
     order = []
     while ready:
-        node = ready.pop()
-        order.append(node)
-        for succ in graph.dependents.get(node, ()):
-            if succ in node_set:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    ready.append(succ)
+        at = ready.pop()
+        order.append(at)
+        row = successors[at] & ~cyclic
+        while row:
+            low = row & -row
+            row ^= low
+            other = low.bit_length() - 1
+            indegree[other] -= 1
+            if not indegree[other]:
+                ready.append(other)
     return order

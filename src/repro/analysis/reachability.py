@@ -7,13 +7,14 @@ block, or B's block is reachable from A's block's successors.  Instructions
 in CFG cycles can happen after themselves.
 
 Also provides postdominators (for control dependencies) and the set of
-blocks on cycles (for the paper's loop rule 5).
+blocks on cycles (for the paper's loop rule 5).  Block sets are Python-int
+bitsets over :attr:`ReachabilityInfo.blocks` (the function's block order).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.ir.function import Function, per_shape
 from repro.ir.instructions import Branch, Instruction
@@ -24,13 +25,17 @@ class ReachabilityInfo:
     """Precomputed reachability facts for one function (of one shape:
     :func:`compute_reachability`)."""
 
-    #: block -> set of blocks reachable from it (excluding itself unless on
+    #: the blocks in ``Function.block_order()``: bit ``i`` of a block set
+    #: is ``blocks[i]``
+    blocks: List[str]
+    index: Dict[str, int]
+    #: per block, the blocks reachable from it (excluding itself unless on
     #: a cycle through it)
-    block_reachable: Dict[str, Set[str]]
+    reach: List[int]
+    #: per block, the blocks that postdominate it (itself included)
+    post: List[int]
     #: blocks that lie on some CFG cycle
     cyclic_blocks: Set[str]
-    #: block -> its postdominator set (blocks that postdominate it)
-    postdominators: Dict[str, Set[str]]
     #: instruction id -> block name
     inst_block: Dict[int, str]
     #: instruction id -> index within its block
@@ -40,12 +45,12 @@ class ReachabilityInfo:
         """True if ``second`` can execute after ``first`` on some trace."""
         block_a = self.inst_block[first.id]
         block_b = self.inst_block[second.id]
-        if block_a == block_b:
-            if self.inst_index[second.id] > self.inst_index[first.id]:
-                return True
-            # Same block, second at or before first: only via a cycle.
-            return block_a in self.block_reachable[block_a]
-        return block_b in self.block_reachable[block_a]
+        if block_a == block_b and (
+            self.inst_index[second.id] > self.inst_index[first.id]
+        ):
+            return True
+        # Another block, or same block at or before first: only via a cycle.
+        return bool(self.reach[self.index[block_a]] >> self.index[block_b] & 1)
 
     def in_cycle(self, inst: Instruction) -> bool:
         return self.inst_block[inst.id] in self.cyclic_blocks
@@ -53,47 +58,69 @@ class ReachabilityInfo:
     def immediate_postdominator(self, block: str) -> Optional[str]:
         """The nearest strict postdominator of ``block`` (None if it exits):
         the one every other strict postdominator postdominates."""
-        strict = self.postdominators.get(block, set()) - {block}
-        for candidate in strict:
-            if strict - {candidate} <= self.postdominators.get(candidate, set()):
-                return candidate
+        at = self.index.get(block)
+        if at is None:
+            return None
+        strict = self.post[at] & ~(1 << at)
+        rest = strict
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            candidate = low.bit_length() - 1
+            if not strict & ~low & ~self.post[candidate]:
+                return self.blocks[candidate]
         return None
 
 
 @per_shape
 def compute_reachability(function: Function) -> ReachabilityInfo:
-    blocks = function.blocks
-    successors = function.successors()
-    # Forward reachability via DFS from each block's successors.
-    block_reachable: Dict[str, Set[str]] = {}
-    for name in blocks:
-        seen: Set[str] = set()
-        stack = list(successors[name])
-        while stack:
-            current = stack.pop()
-            if current in seen or current not in blocks:
-                continue
-            seen.add(current)
-            stack.extend(successors[current])
-        block_reachable[name] = seen
-    cyclic_blocks = {name for name in blocks if name in block_reachable[name]}
-    postdominators = _compute_postdominators(function)
+    names = list(function.block_order())
+    index = {name: at for at, name in enumerate(names)}
+    successors = [
+        [index[target] for target in function.blocks[name].successors()
+         if target in index]
+        for name in names
+    ]
+    # Forward reachability: a block reaches its successors and what they
+    # reach.  Reverse post-order visits successors first but across a back
+    # edge, so one sweep settles an acyclic CFG; around a loop it repeats.
+    reach = [0] * len(names)
+    changed = True
+    while changed:
+        changed = False
+        for at in reversed(range(len(names))):
+            row = reach[at]
+            for target in successors[at]:
+                row |= 1 << target | reach[target]
+            if row != reach[at]:
+                reach[at] = row
+                changed = True
+    cyclic_blocks = {
+        name for at, name in enumerate(names) if reach[at] >> at & 1
+    }
     inst_block: Dict[int, str] = {}
     inst_index: Dict[int, int] = {}
-    for name, block in blocks.items():
-        for index, inst in enumerate(block.instructions):
+    for name, block in function.blocks.items():
+        for position, inst in enumerate(block.instructions):
             inst_block[inst.id] = name
-            inst_index[inst.id] = index
+            inst_index[inst.id] = position
     return ReachabilityInfo(
-        block_reachable=block_reachable,
+        blocks=names,
+        index=index,
+        reach=reach,
+        post=_postdominators(
+            successors,
+            [not function.blocks[name].successors() for name in names],
+        ),
         cyclic_blocks=cyclic_blocks,
-        postdominators=postdominators,
         inst_block=inst_block,
         inst_index=inst_index,
     )
 
 
-def _compute_postdominators(function: Function) -> Dict[str, Set[str]]:
+def _postdominators(
+    successors: List[List[int]], exits: List[bool]
+) -> List[int]:
     """Standard iterative postdominator sets over a virtual exit node.
 
     Exit nodes are blocks whose terminator has no successors (verdicts and
@@ -101,54 +128,45 @@ def _compute_postdominators(function: Function) -> Dict[str, Set[str]]:
     full set, which conservatively suppresses control-dependence pruning —
     loops are forced off the switch by rule 5 anyway.
     """
-    successors = function.successors()
-    exits = [name for name, targets in successors.items() if not targets]
-    all_blocks: Set[str] = set(successors)
-    post: Dict[str, Set[str]] = {}
-    for name in successors:
-        post[name] = {name} if name in exits else set(all_blocks)
+    every = (1 << len(successors)) - 1
+    post = [1 << at if exit else every for at, exit in enumerate(exits)]
     changed = True
     while changed:
         changed = False
-        for name, targets in successors.items():
-            if name in exits:
+        for at in reversed(range(len(successors))):
+            targets = successors[at]
+            if exits[at] or not targets:
                 continue
-            succs = [s for s in targets if s in post]
-            if not succs:
-                continue
-            meet: Set[str] = set(all_blocks)
-            for succ in succs:
-                meet &= post[succ]
-            candidate = {name} | meet
-            if candidate != post[name]:
-                post[name] = candidate
+            meet = every
+            for target in targets:
+                meet &= post[target]
+            meet |= 1 << at
+            if meet != post[at]:
+                post[at] = meet
                 changed = True
     return post
 
 
 def control_dependence_sources(
     function: Function, info: ReachabilityInfo
-) -> Dict[str, Set[int]]:
-    """For each block, the set of Branch instruction ids it is control
-    dependent on (classic CDG construction via postdominance).
+) -> Dict[int, int]:
+    """For each Branch instruction id, the blocks (a bitset) control
+    dependent on it (classic CDG construction via postdominance).
 
     Block B is control dependent on branch A (in block N) when A has a
     successor S such that B postdominates S (or B == S), but B does not
-    strictly postdominate N.  Note ``info.postdominators[x]`` includes x.
+    strictly postdominate N.  Note ``info.post[x]`` includes x.
     """
-    post = info.postdominators
-    result: Dict[str, Set[int]] = {name: set() for name in function.blocks}
-    for name, block in function.blocks.items():
-        term = block.terminator
+    post, index = info.post, info.index
+    result: Dict[int, int] = {}
+    for at, name in enumerate(info.blocks):
+        term = function.blocks[name].terminator
         if not isinstance(term, Branch):
             continue
-        strict_post_of_branch = post.get(name, set()) - {name}
+        outside = ~(post[at] & ~(1 << at))
+        dependent = 0
         for succ in term.successors():
-            if succ not in function.blocks:
-                continue
-            for candidate in function.blocks:
-                if candidate not in post.get(succ, set()):
-                    continue
-                if candidate not in strict_post_of_branch:
-                    result[candidate].add(term.id)
+            if succ in index:
+                dependent |= post[index[succ]] & outside
+        result[term.id] = dependent
     return result

@@ -39,10 +39,9 @@ SDK, and the LoC accounting for Table 1.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from itertools import groupby
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.codegen.headers import (
     EGRESS_PORT_FIELD,
@@ -88,6 +87,8 @@ class _P4Emitter:
         self.program = program
         self.lines: List[str] = []
         self.indent = 0
+        #: the headers of the blocks open, innermost last
+        self._headers: List[Optional[str]] = []
         self.stages = {side: program.stages(side) for side in ("pre", "post")}
         self.scratch_bytes = max(a.total_bytes for _, a in self.stages.values())
         #: the offsets of the pipeline being emitted
@@ -105,16 +106,22 @@ class _P4Emitter:
     def emit(self, text: str = "") -> None:
         self.lines.append(("    " * self.indent + text).rstrip())
 
-    @contextmanager
-    def block(self, header: Optional[str]) -> Iterator[None]:
-        if header is None:
-            yield
-            return
-        self.emit(header + " {")
-        self.indent += 1
-        yield
-        self.indent -= 1
-        self.emit("}")
+    def block(self, header: Optional[str]) -> "_P4Emitter":
+        """``with self.block(header):`` — the body indented inside
+        ``header { ... }``, or as it is for no header."""
+        self._headers.append(header)
+        return self
+
+    def __enter__(self) -> None:
+        header = self._headers[-1]
+        if header is not None:
+            self.emit(header + " {")
+            self.indent += 1
+
+    def __exit__(self, *exc_info) -> None:
+        if self._headers.pop() is not None:
+            self.indent -= 1
+            self.emit("}")
 
     def _slot(self, name: str, bits: int) -> str:
         """The scratch slice register ``name`` is allocated."""

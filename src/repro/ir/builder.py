@@ -48,7 +48,10 @@ class FunctionBuilder:
     def terminated(self) -> bool:
         return self.current is not None and self.current.terminator is not None
 
-    def ensure_jump_to(self, block: BasicBlock, stmt_id: int = -1) -> None:
-        """Terminate the current block with a jump if it has no terminator."""
-        if not self.terminated:
-            self.emit(Jump(block.name, stmt_id=stmt_id))
+    def ensure_jump_to(self, block: BasicBlock, stmt_id: int = -1) -> bool:
+        """Terminate the current block with a jump if it has no
+        terminator; whether it did."""
+        if self.terminated:
+            return False
+        self.emit(Jump(block.name, stmt_id=stmt_id))
+        return True

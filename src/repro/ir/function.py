@@ -32,15 +32,18 @@ class BasicBlock:
         return list(self.instructions)
 
     def successors(self) -> Tuple[str, ...]:
-        term = self.terminator
-        return term.successors() if term is not None else ()
+        instructions = self.instructions
+        if instructions and isinstance(instructions[-1], Terminator):
+            return instructions[-1].successors()
+        return ()
 
     def append(self, instruction: Instruction) -> None:
-        if self.terminator is not None:
+        instructions = self.instructions
+        if instructions and isinstance(instructions[-1], Terminator):
             raise ValueError(
                 f"block {self.name!r} already terminated; cannot append"
             )
-        self.instructions.append(instruction)
+        instructions.append(instruction)
 
     def __repr__(self) -> str:
         return f"<BasicBlock {self.name} ({len(self.instructions)} insts)>"
@@ -205,22 +208,25 @@ def _block_order(function: Function) -> Tuple[str, ...]:
 
 
 def _instructions(function: Function) -> Tuple[Instruction, ...]:
-    return tuple(
+    blocks = function.blocks
+    return tuple([
         inst
         for block_name in function.block_order()
-        for inst in function.blocks[block_name].instructions
-    )
+        for inst in blocks[block_name].instructions
+    ])
 
 
 def _defined_regs(function: Function) -> Dict[str, Reg]:
     return {
-        reg.name: reg for inst in function.instructions() for reg in inst.defs()
+        reg.name: reg
+        for inst in function.instructions() for reg in inst.facts.defs
     }
 
 
 def _registers(function: Function) -> Dict[str, Reg]:
     regs: Dict[str, Reg] = {}
     for inst in function.instructions():
-        for reg in inst.defs() + inst.uses():
+        facts = inst.facts
+        for reg in facts.defs + facts.uses:
             regs.setdefault(reg.name, reg)
     return regs

@@ -23,12 +23,15 @@ from __future__ import annotations
 
 import enum
 import itertools
-from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 from typing import FrozenSet, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from repro.lang.diagnostics import SourceLocation
 from repro.lang.types import Type
-from repro.ir.values import HEADER_REGIONS, Location, Operand, Reg
+from repro.ir.values import (
+    HEADER_REGIONS, Location, Operand, Reg, derived_once,
+)
 
 _instruction_ids = itertools.count()
 
@@ -65,25 +68,25 @@ class BinOpKind(enum.Enum):
         )
 
 
-#: The ALU operations a programmable switch supports (paper §2.2).
-P4_SUPPORTED_BINOPS = frozenset(
-    {
-        BinOpKind.ADD,
-        BinOpKind.SUB,
-        BinOpKind.AND,
-        BinOpKind.OR,
-        BinOpKind.XOR,
-        BinOpKind.SHL,
-        BinOpKind.SHR,
-        BinOpKind.EQ,
-        BinOpKind.NE,
-        BinOpKind.LT,
-        BinOpKind.LE,
-        BinOpKind.GT,
-        BinOpKind.GE,
-        BinOpKind.LAND,
-        BinOpKind.LOR,
-    }
+#: The ALU operations a programmable switch supports (paper §2.2).  A
+#: tuple: membership compares members by identity, where a set would run
+#: ``Enum.__hash__`` in Python on every test.
+P4_SUPPORTED_BINOPS = (
+    BinOpKind.ADD,
+    BinOpKind.SUB,
+    BinOpKind.AND,
+    BinOpKind.OR,
+    BinOpKind.XOR,
+    BinOpKind.SHL,
+    BinOpKind.SHR,
+    BinOpKind.EQ,
+    BinOpKind.NE,
+    BinOpKind.LT,
+    BinOpKind.LE,
+    BinOpKind.GT,
+    BinOpKind.GE,
+    BinOpKind.LAND,
+    BinOpKind.LOR,
 )
 
 
@@ -107,6 +110,25 @@ def _shared(locations: Iterable[Location]) -> FrozenSet[Location]:
         (only,) = found
         return only.alone
     return found
+
+
+#: What :attr:`Instruction.facts` filters, maps and builds with, in C.
+_is_reg = Reg.__instancecheck__
+_location = attrgetter("location")
+_new_facts = tuple.__new__
+
+
+def _registers(regs: Tuple[Reg, ...]) -> FrozenSet[Location]:
+    """The locations of ``regs``, as :func:`_shared` would give them."""
+    if not regs:
+        return _NOTHING
+    if len(regs) == 1:
+        return regs[0].location.alone
+    return _shared(map(_location, regs))
+
+
+def _is_state(location: Location) -> bool:
+    return location.is_global
 
 
 #: The non-register locations read and written (``Instruction._memory``).
@@ -168,20 +190,23 @@ class Instruction:
 
     # -- dependency interface ----------------------------------------------
 
-    @cached_property
+    @derived_once
     def facts(self) -> Facts:
-        uses = tuple(op for op in self.operands() if isinstance(op, Reg))
+        uses = tuple(filter(_is_reg, self.operands()))
         defs = self._defined()
         memory_reads, memory_writes = self._memory()
-        return Facts(
-            _shared([reg.location for reg in uses] + list(memory_reads)),
-            _shared([reg.location for reg in defs] + list(memory_writes)),
+        if memory_reads or memory_writes:
+            reads = _shared(chain(map(_location, uses), memory_reads))
+            writes = _shared(chain(map(_location, defs), memory_writes))
             # A register is never global state.
-            _shared(
-                loc for loc in (*memory_reads, *memory_writes) if loc.is_global
-            ),
-            uses, defs,
-        )
+            global_state = _shared(
+                filter(_is_state, chain(memory_reads, memory_writes))
+            )
+        else:
+            reads = _registers(uses)
+            writes = _registers(defs)
+            global_state = _NOTHING
+        return _new_facts(Facts, (reads, writes, global_state, uses, defs))
 
     def reads(self) -> FrozenSet[Location]:
         """Abstract locations this instruction may read."""
@@ -214,14 +239,10 @@ class Instruction:
         """Whether a switch pipeline can execute this instruction (§4.2.1)."""
         return False
 
-    @property
-    def is_terminator(self) -> bool:
-        return False
-
-    @property
-    def is_verdict(self) -> bool:
-        """True for Send/SendTo/Drop — packet-release points."""
-        return False
+    #: True for the instructions that end a block
+    is_terminator = False
+    #: True for Send/SendTo/Drop — packet-release points
+    is_verdict = False
 
     def __repr__(self) -> str:
         from repro.ir.printer import format_instruction
@@ -611,9 +632,7 @@ class ExternCall(Instruction):
 
 
 class Terminator(Instruction):
-    @property
-    def is_terminator(self):
-        return True
+    is_terminator = True
 
     def successors(self) -> Tuple[str, ...]:
         return ()
@@ -632,9 +651,7 @@ class _VerdictBase(Terminator):
         (Location.packet("meta"),),
     )
 
-    @property
-    def is_verdict(self):
-        return True
+    is_verdict = True
 
     def _memory(self):
         return self._MEMORY

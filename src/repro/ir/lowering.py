@@ -36,7 +36,10 @@ from repro.lang.types import (
     PointerType,
     TupleType,
     Type,
+    UINT8,
+    UINT16,
     UINT32,
+    UINT64,
     VectorType,
     VOID,
     bit_width_of,
@@ -399,7 +402,7 @@ class _MethodLowering:
                 f"{base.header.name} has no field {field_name!r}", stmt.location
             )
         width = base.header.field_width(field_name)
-        field_type = IntType(width) if width in (8, 16, 32, 64) else IntType(32)
+        field_type = _STANDARD_INTS.get(width, UINT32)
         operand = self._as_operand(rhs_value, stmt.location, stmt.stmt_id)
         if op_text != "=":
             kind = BinOpKind(op_text[:-1])
@@ -442,20 +445,22 @@ class _MethodLowering:
             irin.Branch(cond, then_block.name, else_block.name,
                         stmt_id=stmt.stmt_id, location=stmt.location)
         )
+        # The join is fresh: only the branch (with no else arm) and the
+        # jumps closing the arms can lead to it.
+        joined = not stmt.else_body
         self.builder.enter_block(then_block)
         self._lower_body(stmt.then_body, _Scope(scope))
-        self.builder.ensure_jump_to(join_block, stmt.stmt_id)
+        joined |= self.builder.ensure_jump_to(join_block, stmt.stmt_id)
         if stmt.else_body:
             self.builder.enter_block(else_block)
             self._lower_body(stmt.else_body, _Scope(scope))
-            self.builder.ensure_jump_to(join_block, stmt.stmt_id)
+            joined |= self.builder.ensure_jump_to(join_block, stmt.stmt_id)
         self.builder.enter_block(join_block)
         # If both arms terminated, the join block is unreachable: give it a
         # terminator so it stays well-formed (the builder then reports
         # "terminated", making any trailing statement an error), and let the
         # unreachable-block prune remove it.
-        preds = self.builder.function.predecessors()
-        if not preds.get(join_block.name):
+        if not joined:
             self.builder.emit(irin.Return(stmt_id=stmt.stmt_id))
 
     def _lower_while(self, stmt: ast.WhileStmt, scope: _Scope) -> None:
@@ -610,7 +615,8 @@ class _MethodLowering:
                 )
             width = base.header.field_width(expr.field)
             dst = self.builder.fresh_temp(
-                IntType(width) if width in (8, 16, 32, 48, 64) else IntType(32)
+                IntType(48) if width == 48
+                else _STANDARD_INTS.get(width, UINT32)
             )
             self.builder.emit(
                 irin.LoadPacketField(dst, base.region, expr.field,
@@ -1153,9 +1159,7 @@ def _find_rmw_tail(insts, start: int, load: irin.LoadState):
     binop = None
     for j in range(start, len(insts)):
         inst = insts[j]
-        state_locs = {
-            loc.name for loc in (inst.reads() | inst.writes()) if loc.is_global
-        }
+        state_locs = {loc.name for loc in inst.global_state_accesses()}
         if (
             isinstance(inst, irin.Assign)
             and isinstance(inst.src, Reg)
@@ -1217,9 +1221,7 @@ def _find_mergeable_rmw(insts, start: int, load: irin.LoadState, all_insts):
                 for other in all_insts for reg in other.uses()
             )
             return None if used else (j, inst)
-        state_locs = {
-            loc.name for loc in (inst.reads() | inst.writes()) if loc.is_global
-        }
+        state_locs = {loc.name for loc in inst.global_state_accesses()}
         if state in state_locs:
             return None
     return None
@@ -1264,13 +1266,17 @@ def _literal_type(value: int) -> IntType:
     return IntType(64)
 
 
+#: The standard widths' types, one object each.
+_STANDARD_INTS = {type_.bits: type_ for type_ in (UINT8, UINT16, UINT32, UINT64)}
+
+
 def _wider_type(a: Type, b: Type) -> Type:
     width = max(bit_width_of(a, 32), bit_width_of(b, 32), 8)
     # Normalize bool arithmetic to 8-bit.
     for candidate in (8, 16, 32, 64):
         if width <= candidate:
-            return IntType(candidate)
-    return IntType(64)
+            return _STANDARD_INTS[candidate]
+    return UINT64
 
 
 def _reject_calls(expr: ast.Expr) -> None:

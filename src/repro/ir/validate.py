@@ -35,39 +35,59 @@ def validate_function(function: Function) -> None:
         raise IRValidationError(failure.format())
 
 
-def defined_at_entry(
-    function: Function, seed: FrozenSet[str] = frozenset()
-) -> Dict[str, Set[str]]:
+def defined_at_entry(function: Function) -> Dict[str, Set[str]]:
     """Forward must-dataflow: registers definitely defined at block entry.
 
-    ``seed`` names registers defined before the function starts (the shim
-    fields a projected partition reads).  Blocks nothing jumps to are left
-    out: no use in them can be checked.
+    Blocks nothing jumps to are left out: no use in them can be checked.
     """
+    index, at_entry = _must_defined(function, frozenset())
+    return {
+        block: {name for name, at in index.items() if bits >> at & 1}
+        for block, bits in at_entry.items()
+    }
+
+
+def _must_defined(
+    function: Function, seed: FrozenSet[str]
+) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """:func:`defined_at_entry` as bitsets, with the ``seed`` names
+    defined before the function starts (the shim fields a projected
+    partition reads): a bit for every name the seed holds or an
+    instruction defines, and per block the bits of those defined at its
+    entry."""
+    index = {name: at for at, name in enumerate(sorted(seed))}
+    seeded = (1 << len(index)) - 1
     preds = function.predecessors()
     order = function.block_order()
-    block_defs = {
-        name: {reg.name for inst in block.instructions
-               for reg in inst.defs()}
-        for name, block in function.blocks.items()
-    }
+    block_defs: Dict[str, int] = {}
+    for name, block in function.blocks.items():
+        defined = 0
+        for inst in block.instructions:
+            for reg in inst.facts.defs:
+                at = index.get(reg.name)
+                if at is None:
+                    at = index[reg.name] = len(index)
+                defined |= 1 << at
+        block_defs[name] = defined
     # Initialize to "all regs" (top) except the entry, and iterate to fixpoint.
-    all_regs = set(seed).union(*block_defs.values())
-    defined_in = {name: set(all_regs) for name in function.blocks}
-    defined_in[function.entry] = set(seed)
+    all_regs = seeded
+    for defined in block_defs.values():
+        all_regs |= defined
+    defined_in = dict.fromkeys(function.blocks, all_regs)
+    defined_in[function.entry] = seeded
     changed = True
     while changed:
         changed = False
         for name in order:
             if name == function.entry or not preds.get(name):
                 continue
-            incoming = set(all_regs)
+            incoming = all_regs
             for pred in preds[name]:
                 incoming &= defined_in[pred] | block_defs[pred]
             if incoming != defined_in[name]:
                 defined_in[name] = incoming
                 changed = True
-    return {
+    return index, {
         name: regs for name, regs in defined_in.items()
         if name == function.entry or preds.get(name)
     }
@@ -78,16 +98,19 @@ def undefined_uses(
 ) -> Iterator[Tuple[str, ir.Instruction, Reg]]:
     """Yield ``(block, inst, reg)`` for every use a definition may not
     reach, block by block (one register can be yielded more than once)."""
-    defined_in = defined_at_entry(function, seed)
+    index, defined_in = _must_defined(function, seed)
     for name, block in function.blocks.items():
         if name not in defined_in:
             continue
-        defined = set(defined_in[name])
+        defined = defined_in[name]
         for inst in block.instructions:
-            for reg in inst.uses():
-                if reg.name not in defined:
+            facts = inst.facts
+            for reg in facts.uses:
+                at = index.get(reg.name)
+                if at is None or not defined >> at & 1:
                     yield name, inst, reg
-            defined.update(reg.name for reg in inst.defs())
+            for reg in facts.defs:
+                defined |= 1 << index[reg.name]
 
 
 def unsatisfied_uses(function: Function) -> Dict[str, Reg]:

@@ -15,12 +15,35 @@ from typing import Dict, Tuple
 from repro.lang.types import BOOL, IntType, Type, bit_width_of
 
 
+class derived_once:
+    """``functools.cached_property`` without its lock: the value lands in
+    the instance's ``__dict__`` on the first read, which every later read
+    finds before the descriptor — for what is derived from fields that
+    never change (an operand's width, an instruction's read/write sets)."""
+
+    def __init__(self, derive):
+        self.derive = derive
+        self.name = derive.__name__
+        self.__doc__ = derive.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.derive(instance)
+        return value
+
+
 class LocKind(enum.Enum):
     """The kind of an abstract location."""
 
     VAR = "var"  # a local variable or temporary
     STATE = "state"  # element member (global, cross-packet state)
     PACKET = "packet"  # a packet region: ip / tcp / udp / eth / payload / meta
+
+    # A member is equal only to itself, so it hashes by identity: the
+    # interning key of every location lookup, where ``Enum.__hash__``
+    # would run Python code.
+    __hash__ = object.__hash__
 
 
 class Location:
@@ -103,13 +126,13 @@ class Operand:
 
     type: Type
 
-    @property
+    @derived_once
     def bits(self) -> int:
         """Width as P4 declares it: the type's, 32 where the type has none
         to resolve, never less than one bit."""
         return max(1, bit_width_of(self.type, 32))
 
-    @property
+    @derived_once
     def bytes(self) -> int:
         """Whole bytes one scratchpad or shim slot for it takes."""
         return (self.bits + 7) // 8
@@ -136,7 +159,7 @@ class Reg(Operand):
     type: Type
     is_temp: bool = True
 
-    @property
+    @derived_once
     def location(self) -> Location:
         return Location.var(self.name)
 

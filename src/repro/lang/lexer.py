@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import enum
 import re
-from bisect import bisect_right
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import List, Mapping, Optional
+from typing import List, Mapping, NamedTuple, Optional
 
 from repro.lang.diagnostics import LexError, SourceLocation
 
@@ -102,22 +100,28 @@ _PUNCTUATORS = [
     ":",
 ]
 
-#: One token, comment or run of blanks per match, the alternatives in the
-#: order a hand-written scanner would try them.  Hex and decimal literals
-#: take the C integer suffixes (``10UL``, ``0xFFu``); a literal that runs
-#: straight into an identifier character is ``badnumber``, a comment or a
-#: string that never closes ``unclosed``.
+#: One token or comment per match, with the blanks before it, the
+#: alternatives in the order a hand-written scanner would try them; the
+#: last two, any other character and the end of the input, make every
+#: character part of some match, so ``findall`` skips nothing.  Hex and
+#: decimal literals take the C integer suffixes (``10UL``, ``0xFFu``); a
+#: literal that runs straight into an identifier character is
+#: ``badnumber``, a comment or a string that never closes ``unclosed``.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<blank>[ \t\r\n]+)
-    | (?P<line>//[^\n]*)
-    | (?P<block>/\*.*?\*/)
-    | (?P<number>(?:0[xX][0-9a-fA-F]+|[0-9]+)[uUlL]*(?![A-Za-z0-9_]))
-    | (?P<badnumber>[0-9][A-Za-z0-9_]*)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<string>"(?:\\.|[^"\\])*")
-    | (?P<unclosed>/\*|")
-    | (?P<punct>%s)
+      (?P<blank>[ \t\r\n]*)
+      (?:
+        (?P<line>//[^\n]*)
+      | (?P<block>/\*.*?\*/)
+      | (?P<number>(?:0[xX][0-9a-fA-F]+|[0-9]+)[uUlL]*(?![A-Za-z0-9_]))
+      | (?P<badnumber>[0-9][A-Za-z0-9_]*)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<string>"(?:\\.|[^"\\])*")
+      | (?P<unclosed>/\*|")
+      | (?P<punct>%s)
+      | (?P<unexpected>.)
+      | \Z
+      )
     """ % "|".join(re.escape(punct) for punct in _PUNCTUATORS),
     re.VERBOSE | re.DOTALL,
 )
@@ -129,25 +133,20 @@ _ANNOTATION_RE = re.compile(r"//\s*@gallium:\s*(.*)")
 _NO_ANNOTATIONS: Mapping[str, object] = MappingProxyType({})
 
 
-def _no_annotations() -> Mapping[str, object]:
-    return _NO_ANNOTATIONS
+class Token(NamedTuple):
+    """One token: a tuple, so the lexer builds one with ``tuple.__new__``
+    and no Python ``__init__`` runs per token."""
 
-
-@dataclass(slots=True)
-class Token:
     kind: TokenKind
     text: str
     location: SourceLocation
     value: Optional[int] = None
     # Annotation key/value pairs from an immediately preceding
     # ``// @gallium: ...`` comment.
-    annotations: Mapping[str, object] = field(default_factory=_no_annotations)
-
-    def is_punct(self, text: str) -> bool:
-        return self.kind is TokenKind.PUNCT and self.text == text
-
-    def is_keyword(self, text: str) -> bool:
-        return self.kind is TokenKind.KEYWORD and self.text == text
+    annotations: Mapping[str, object] = _NO_ANNOTATIONS
+    #: the text of a punctuator or keyword, what the parser matches on;
+    #: None for any other token
+    tag: Optional[str] = None
 
     def __repr__(self) -> str:
         return f"Token({self.kind.value}, {self.text!r}, {self.location})"
@@ -174,76 +173,95 @@ def _parse_annotation_comment(body: str) -> dict:
 
 
 class Lexer:
-    """Single-pass tokenizer: one :data:`_TOKEN_RE` match per token."""
+    """Single-pass tokenizer: the groups of every :data:`_TOKEN_RE` match
+    at once, positions counted forward from their lengths, the line from
+    the blanks, comments and strings that hold newlines."""
 
     def __init__(self, source: str, filename: str = "<input>"):
         self.source = source
         self.filename = filename
-        #: offset of the first character of each line
-        self._line_starts = [0]
-        self._line_starts.extend(
-            match.end() for match in re.finditer("\n", source)
-        )
-
-    def _location(self, offset: int) -> SourceLocation:
-        line = bisect_right(self._line_starts, offset)
-        return SourceLocation(
-            line, offset - self._line_starts[line - 1] + 1, self.filename
-        )
 
     def tokens(self) -> List[Token]:
         out: List[Token] = []
+        append = out.append
         pending_annotations: dict = {}
-        src = self.source
-        match_at = _TOKEN_RE.match
-        pos, end = 0, len(src)
-        while pos < end:
-            match = match_at(src, pos)
-            if match is None:
-                raise LexError(
-                    f"unexpected character {src[pos]!r}", self._location(pos)
-                )
-            kind = match.lastgroup
-            text = match.group()
-            pos = match.end()
-            if kind == "blank" or kind == "block":
-                continue
-            if kind == "line":
-                annotation = _ANNOTATION_RE.match(text)
+        filename = self.filename
+        new = tuple.__new__
+        keywords = KEYWORDS
+        punct_kind, ident_kind, keyword_kind, number_kind = (
+            TokenKind.PUNCT, TokenKind.IDENT, TokenKind.KEYWORD,
+            TokenKind.NUMBER,
+        )
+        none = _NO_ANNOTATIONS
+        line, line_start, pos = 1, 0, 0
+        for (
+            blank, comment, block, number, badnumber, ident, string,
+            unclosed, punct, unexpected,
+        ) in _TOKEN_RE.findall(self.source):
+            if blank:
+                newlines = blank.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = pos + blank.rindex("\n") + 1
+                pos += len(blank)
+            location = new(
+                SourceLocation, (line, pos - line_start + 1, filename)
+            )
+            annotations = none
+            if pending_annotations and (ident or punct or number or string):
+                annotations, pending_annotations = pending_annotations, {}
+            if ident:
+                pos += len(ident)
+                if ident in keywords:
+                    append(new(Token, (keyword_kind, ident, location, None,
+                                       annotations, ident)))
+                else:
+                    append(new(Token, (ident_kind, ident, location, None,
+                                       annotations, None)))
+            elif punct:
+                pos += len(punct)
+                append(new(Token, (punct_kind, punct, location, None,
+                                   annotations, punct)))
+            elif number:
+                pos += len(number)
+                text = number.rstrip("uUlL")
+                base = 16 if text[1:2] in ("x", "X") else 10
+                append(new(Token, (number_kind, text, location,
+                                   int(text, base), annotations, None)))
+            elif comment:
+                pos += len(comment)
+                annotation = _ANNOTATION_RE.match(comment)
                 if annotation:
                     pending_annotations.update(
                         _parse_annotation_comment(annotation.group(1))
                     )
-                continue
-            location = self._location(match.start())
-            if kind == "ident":
-                token = Token(
-                    TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT,
-                    text, location,
-                )
-            elif kind == "punct":
-                token = Token(TokenKind.PUNCT, text, location)
-            elif kind == "number":
-                text = text.rstrip("uUlL")
-                base = 16 if text[1:2] in ("x", "X") else 10
-                token = Token(TokenKind.NUMBER, text, location, int(text, base))
-            elif kind == "string":
-                # Only used in config snippets.
-                token = Token(TokenKind.STRING, text[1:-1], location)
-            elif kind == "badnumber":
+            elif block or string:
+                text = block or string
+                newlines = text.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = pos + text.rindex("\n") + 1
+                pos += len(text)
+                if string:
+                    # Only used in config snippets.
+                    append(Token(TokenKind.STRING, string[1:-1], location,
+                                 None, annotations))
+            elif badnumber:
                 raise LexError(
                     f"identifier character directly after an integer"
-                    f" literal: {text!r}", location,
+                    f" literal: {badnumber!r}", location,
                 )
-            elif text == '"':
+            elif unclosed == '"':
                 raise LexError("unterminated string literal", location)
-            else:
+            elif unclosed:
                 raise LexError("unterminated block comment", location)
-            if pending_annotations:
-                token.annotations = pending_annotations
-                pending_annotations = {}
-            out.append(token)
-        out.append(Token(TokenKind.EOF, "", self._location(len(src))))
+            elif unexpected:
+                raise LexError(
+                    f"unexpected character {unexpected!r}", location
+                )
+        append(Token(TokenKind.EOF, "", SourceLocation(
+            line, pos - line_start + 1, filename
+        )))
         return out
 
 

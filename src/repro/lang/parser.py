@@ -70,39 +70,40 @@ class Parser:
 
     # -- token plumbing ------------------------------------------------------
 
-    def _peek(self) -> Token:
-        return self.tokens[self.index]
-
     def _advance(self) -> Token:
         token = self.tokens[self.index]
         if token.kind is not TokenKind.EOF:
             self.index += 1
         return token
 
+    # A token with a tag, or of any kind the grammar names, is not the EOF
+    # token: the parser steps past one it has looked at with
+    # ``self.index += 1``.
+
     def _expect_punct(self, text: str) -> Token:
-        token = self._peek()
-        if not token.is_punct(text):
+        token = self.tokens[self.index]
+        if token.tag != text:
             raise ParseError(
                 f"expected {text!r}, found {token.text!r}", token.location
             )
-        return self._advance()
+        self.index += 1
+        return token
 
     def _expect_ident(self) -> Token:
-        token = self._peek()
+        token = self.tokens[self.index]
         if token.kind is not TokenKind.IDENT:
             raise ParseError(
                 f"expected identifier, found {token.text!r}", token.location
             )
-        return self._advance()
+        self.index += 1
+        return token
 
-    def _accept_punct(self, text: str) -> Optional[Token]:
-        if self._peek().is_punct(text):
-            return self._advance()
-        return None
-
-    def _accept_keyword(self, text: str) -> Optional[Token]:
-        if self._peek().is_keyword(text):
-            return self._advance()
+    def _accept(self, text: str) -> Optional[Token]:
+        """The next token if it is the punctuator or keyword ``text``."""
+        token = self.tokens[self.index]
+        if token.tag == text:
+            self.index += 1
+            return token
         return None
 
     def _alloc_stmt_id(self) -> int:
@@ -114,12 +115,12 @@ class Parser:
 
     def _looks_like_type(self) -> bool:
         """True if the upcoming tokens start a type (for decl-vs-expr)."""
-        token = self._peek()
-        if token.is_keyword("const"):
+        token = self.tokens[self.index]
+        if token.tag == "const":
             return True
-        if token.is_keyword("unsigned") or token.is_keyword("int"):
+        if token.tag == "unsigned" or token.tag == "int":
             return True
-        if token.is_keyword("bool") or token.is_keyword("void"):
+        if token.tag == "bool" or token.tag == "void":
             return True
         if token.kind is not TokenKind.IDENT:
             return False
@@ -128,24 +129,24 @@ class Parser:
         return lookup_named_type(token.text) is not None
 
     def parse_type(self) -> Type:
-        self._accept_keyword("const")
-        token = self._peek()
+        self._accept("const")
+        token = self.tokens[self.index]
         base: Optional[Type] = None
-        if token.is_keyword("unsigned"):
-            self._advance()
-            self._accept_keyword("int")
+        if token.tag == "unsigned":
+            self.index += 1
+            self._accept("int")
             base = lookup_named_type("unsigned")
-        elif token.is_keyword("int"):
-            self._advance()
+        elif token.tag == "int":
+            self.index += 1
             base = lookup_named_type("int")
-        elif token.is_keyword("bool"):
-            self._advance()
+        elif token.tag == "bool":
+            self.index += 1
             base = lookup_named_type("bool")
-        elif token.is_keyword("void"):
-            self._advance()
+        elif token.tag == "void":
+            self.index += 1
             base = lookup_named_type("void")
         elif token.kind is TokenKind.IDENT and token.text == "HashMap":
-            self._advance()
+            self.index += 1
             self._expect_punct("<")
             key_type = self.parse_type()
             self._expect_punct(",")
@@ -153,16 +154,16 @@ class Parser:
             self._expect_template_close()
             base = HashMapType(key_type, value_type)
         elif token.kind is TokenKind.IDENT and token.text == "Vector":
-            self._advance()
+            self.index += 1
             self._expect_punct("<")
             element = self.parse_type()
             self._expect_template_close()
             base = VectorType(element)
         elif token.kind is TokenKind.IDENT and token.text == "Tuple":
-            self._advance()
+            self.index += 1
             self._expect_punct("<")
             elements = [self.parse_type()]
-            while self._accept_punct(","):
+            while self._accept(","):
                 elements.append(self.parse_type())
             self._expect_template_close()
             base = TupleType(tuple(elements))
@@ -170,34 +171,34 @@ class Parser:
             named = lookup_named_type(token.text)
             if named is None:
                 raise ParseError(f"unknown type {token.text!r}", token.location)
-            self._advance()
+            self.index += 1
             base = named
         if base is None:
             raise ParseError(f"expected type, found {token.text!r}", token.location)
-        while self._accept_punct("*"):
+        while self._accept("*"):
             base = PointerType(base)
         return base
 
     def _expect_template_close(self) -> None:
         """Consume ``>`` handling the ``>>`` maximal-munch collision."""
-        token = self._peek()
-        if token.is_punct(">"):
-            self._advance()
+        token = self.tokens[self.index]
+        if token.tag == ">":
+            self.index += 1
             return
-        if token.is_punct(">>"):
+        if token.tag == ">>":
             # Split ">>" into two ">" tokens.
-            token.text = ">"
+            self.tokens[self.index] = token._replace(text=">", tag=">")
             return
         raise ParseError(f"expected '>', found {token.text!r}", token.location)
 
     # -- top level ----------------------------------------------------------------
 
     def parse_program(self, source: str = "") -> ast.Program:
-        token = self._peek()
-        if not token.is_keyword("class") and not token.is_keyword("struct"):
+        token = self.tokens[self.index]
+        if token.tag != "class" and token.tag != "struct":
             raise ParseError("expected 'class' at top level", token.location)
         class_decl = self.parse_class()
-        eof = self._peek()
+        eof = self.tokens[self.index]
         if eof.kind is not TokenKind.EOF:
             raise ParseError(
                 f"trailing tokens after class: {eof.text!r}", eof.location
@@ -210,16 +211,16 @@ class Parser:
         self._expect_punct("{")
         members: List[ast.MemberDecl] = []
         methods: List[ast.MethodDecl] = []
-        while not self._peek().is_punct("}"):
-            token = self._peek()
-            if token.is_keyword("public") or token.is_keyword("private"):
-                self._advance()
+        while self.tokens[self.index].tag != "}":
+            token = self.tokens[self.index]
+            if token.tag == "public" or token.tag == "private":
+                self.index += 1
                 self._expect_punct(":")
                 continue
             annotations = dict(token.annotations)
             decl_type = self.parse_type()
             decl_name = self._expect_ident()
-            if self._peek().is_punct("("):
+            if self.tokens[self.index].tag == "(":
                 methods.append(self._parse_method(decl_type, decl_name))
             else:
                 self._expect_punct(";")
@@ -229,20 +230,20 @@ class Parser:
                     )
                 )
         self._expect_punct("}")
-        self._accept_punct(";")
+        self._accept(";")
         return ast.ClassDecl(keyword.location, name.text, members, methods)
 
     def _parse_method(self, return_type: Type, name: Token) -> ast.MethodDecl:
         self._expect_punct("(")
         params: List[ast.ParamDecl] = []
-        if not self._peek().is_punct(")"):
+        if self.tokens[self.index].tag != ")":
             while True:
                 param_type = self.parse_type()
                 param_name = self._expect_ident()
                 params.append(
                     ast.ParamDecl(param_name.location, param_type, param_name.text)
                 )
-                if not self._accept_punct(","):
+                if not self._accept(","):
                     break
         self._expect_punct(")")
         self._expect_punct("{")
@@ -254,20 +255,20 @@ class Parser:
     def _parse_block_body(self) -> List[ast.Stmt]:
         """Parse statements until the matching ``}`` (which is consumed)."""
         body: List[ast.Stmt] = []
-        while not self._peek().is_punct("}"):
-            if self._peek().kind is TokenKind.EOF:
-                raise ParseError("unexpected end of input in block", self._peek().location)
+        while self.tokens[self.index].tag != "}":
+            if self.tokens[self.index].kind is TokenKind.EOF:
+                raise ParseError("unexpected end of input in block", self.tokens[self.index].location)
             body.append(self.parse_statement())
         self._expect_punct("}")
         return body
 
     def parse_statement(self) -> ast.Stmt:
-        token = self._peek()
-        if token.is_punct("{"):
+        token = self.tokens[self.index]
+        if token.tag == "{":
             # A bare block is flattened into an IfStmt-less sequence; we wrap
             # it in an if(true) to keep one statement node.  In practice the
             # middlebox sources never use bare blocks, but accept them.
-            self._advance()
+            self.index += 1
             body = self._parse_block_body()
             stmt = ast.IfStmt(
                 token.location,
@@ -277,25 +278,25 @@ class Parser:
                 stmt_id=self._alloc_stmt_id(),
             )
             return stmt
-        if token.is_keyword("if"):
+        if token.tag == "if":
             return self._parse_if()
-        if token.is_keyword("while"):
+        if token.tag == "while":
             return self._parse_while()
-        if token.is_keyword("for"):
+        if token.tag == "for":
             return self._parse_for()
-        if token.is_keyword("return"):
-            self._advance()
+        if token.tag == "return":
+            self.index += 1
             value = None
-            if not self._peek().is_punct(";"):
+            if self.tokens[self.index].tag != ";":
                 value = self.parse_expression()
             self._expect_punct(";")
             return ast.ReturnStmt(token.location, value, stmt_id=self._alloc_stmt_id())
-        if token.is_keyword("break"):
-            self._advance()
+        if token.tag == "break":
+            self.index += 1
             self._expect_punct(";")
             return ast.BreakStmt(token.location, stmt_id=self._alloc_stmt_id())
-        if token.is_keyword("continue"):
-            self._advance()
+        if token.tag == "continue":
+            self.index += 1
             self._expect_punct(";")
             return ast.ContinueStmt(token.location, stmt_id=self._alloc_stmt_id())
         if self._looks_like_type() and self._is_declaration():
@@ -312,7 +313,7 @@ class Parser:
         saved = self.index
         try:
             self.parse_type()
-            result = self._peek().kind is TokenKind.IDENT
+            result = self.tokens[self.index].kind is TokenKind.IDENT
         except ParseError:
             result = False
         finally:
@@ -320,11 +321,11 @@ class Parser:
         return result
 
     def _parse_declaration(self) -> ast.Stmt:
-        location = self._peek().location
+        location = self.tokens[self.index].location
         decl_type = self.parse_type()
         name = self._expect_ident()
         init = None
-        if self._accept_punct("="):
+        if self._accept("="):
             init = self.parse_expression()
         self._expect_punct(";")
         return ast.DeclStmt(
@@ -338,8 +339,8 @@ class Parser:
         self._expect_punct(")")
         then_body = self._parse_stmt_or_block()
         else_body: List[ast.Stmt] = []
-        if self._accept_keyword("else"):
-            if self._peek().is_keyword("if"):
+        if self._accept("else"):
+            if self.tokens[self.index].tag == "if":
                 else_body = [self._parse_if()]
             else:
                 else_body = self._parse_stmt_or_block()
@@ -359,19 +360,19 @@ class Parser:
         token = self._advance()
         self._expect_punct("(")
         init: Optional[ast.Stmt] = None
-        if not self._peek().is_punct(";"):
+        if self.tokens[self.index].tag != ";":
             if self._looks_like_type() and self._is_declaration():
                 init = self._parse_declaration()
             else:
                 init = self._parse_expr_or_assign()
         else:
-            self._advance()
+            self.index += 1
         cond: Optional[ast.Expr] = None
-        if not self._peek().is_punct(";"):
+        if self.tokens[self.index].tag != ";":
             cond = self.parse_expression()
         self._expect_punct(";")
         step: Optional[ast.Stmt] = None
-        if not self._peek().is_punct(")"):
+        if self.tokens[self.index].tag != ")":
             step = self._parse_assign_like(consume_semicolon=False)
         self._expect_punct(")")
         body = self._parse_stmt_or_block()
@@ -380,7 +381,7 @@ class Parser:
         )
 
     def _parse_stmt_or_block(self) -> List[ast.Stmt]:
-        if self._accept_punct("{"):
+        if self._accept("{"):
             return self._parse_block_body()
         return [self.parse_statement()]
 
@@ -388,18 +389,18 @@ class Parser:
         return self._parse_assign_like(consume_semicolon=True)
 
     def _parse_assign_like(self, consume_semicolon: bool) -> ast.Stmt:
-        location = self._peek().location
+        location = self.tokens[self.index].location
         expr = self.parse_expression()
-        token = self._peek()
+        token = self.tokens[self.index]
         stmt: ast.Stmt
         if token.kind is TokenKind.PUNCT and token.text in _ASSIGN_OPS:
-            self._advance()
+            self.index += 1
             value = self.parse_expression()
             stmt = ast.AssignStmt(
                 location, expr, value, token.text, stmt_id=self._alloc_stmt_id()
             )
-        elif token.is_punct("++") or token.is_punct("--"):
-            self._advance()
+        elif token.tag == "++" or token.tag == "--":
+            self.index += 1
             one = ast.IntLiteral(token.location, 1)
             op = "+=" if token.text == "++" else "-="
             stmt = ast.AssignStmt(
@@ -414,11 +415,9 @@ class Parser:
     # -- expressions -----------------------------------------------------------
 
     def parse_expression(self) -> ast.Expr:
-        return self._parse_ternary()
-
-    def _parse_ternary(self) -> ast.Expr:
+        """A conditional expression, or the binary one it starts with."""
         cond = self._parse_binary(1)
-        if self._accept_punct("?"):
+        if self._accept("?"):
             then = self.parse_expression()
             self._expect_punct(":")
             otherwise = self.parse_expression()
@@ -428,33 +427,33 @@ class Parser:
     def _parse_binary(self, min_precedence: int) -> ast.Expr:
         lhs = self._parse_unary()
         while True:
-            token = self._peek()
+            token = self.tokens[self.index]
             if token.kind is not TokenKind.PUNCT:
                 break
             precedence = _BINARY_PRECEDENCE.get(token.text)
             if precedence is None or precedence < min_precedence:
                 break
-            self._advance()
+            self.index += 1
             rhs = self._parse_binary(precedence + 1)
             lhs = ast.BinaryOp(lhs.location, token.text, lhs, rhs)
         return lhs
 
     def _parse_unary(self) -> ast.Expr:
-        token = self._peek()
+        token = self.tokens[self.index]
         if token.kind is TokenKind.PUNCT and token.text in ("-", "~", "!", "*", "&"):
-            self._advance()
+            self.index += 1
             operand = self._parse_unary()
             return ast.UnaryOp(token.location, token.text, operand)
         # C-style cast: "(" type ")" unary — only when the parenthesized
         # tokens form a type.
-        if token.is_punct("("):
+        if token.tag == "(":
             saved = self.index
-            self._advance()
+            self.index += 1
             if self._looks_like_type():
                 try:
                     target_type = self.parse_type()
-                    if self._peek().is_punct(")"):
-                        self._advance()
+                    if self.tokens[self.index].tag == ")":
+                        self.index += 1
                         operand = self._parse_unary()
                         return ast.CastExpr(token.location, target_type, operand)
                 except ParseError:
@@ -465,20 +464,20 @@ class Parser:
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
         while True:
-            token = self._peek()
-            if token.is_punct(".") or token.is_punct("->"):
+            token = self.tokens[self.index]
+            if token.tag == "." or token.tag == "->":
                 arrow = token.text == "->"
-                self._advance()
+                self.index += 1
                 name = self._expect_ident()
-                if self._peek().is_punct("("):
+                if self.tokens[self.index].tag == "(":
                     args = self._parse_call_args()
                     expr = ast.CallExpr(
                         token.location, name.text, expr, args, receiver_arrow=arrow
                     )
                 else:
                     expr = ast.FieldAccess(token.location, expr, name.text, arrow)
-            elif token.is_punct("["):
-                self._advance()
+            elif token.tag == "[":
+                self.index += 1
                 index = self.parse_expression()
                 self._expect_punct("]")
                 expr = ast.IndexExpr(token.location, expr, index)
@@ -489,39 +488,39 @@ class Parser:
     def _parse_call_args(self) -> List[ast.Expr]:
         self._expect_punct("(")
         args: List[ast.Expr] = []
-        if not self._peek().is_punct(")"):
+        if self.tokens[self.index].tag != ")":
             while True:
                 args.append(self.parse_expression())
-                if not self._accept_punct(","):
+                if not self._accept(","):
                     break
         self._expect_punct(")")
         return args
 
     def _parse_primary(self) -> ast.Expr:
-        token = self._peek()
+        token = self.tokens[self.index]
         if token.kind is TokenKind.NUMBER:
-            self._advance()
+            self.index += 1
             return ast.IntLiteral(token.location, token.value)
-        if token.is_keyword("true"):
-            self._advance()
+        if token.tag == "true":
+            self.index += 1
             return ast.BoolLiteral(token.location, True)
-        if token.is_keyword("false"):
-            self._advance()
+        if token.tag == "false":
+            self.index += 1
             return ast.BoolLiteral(token.location, False)
-        if token.is_keyword("NULL") or token.is_keyword("nullptr"):
-            self._advance()
+        if token.tag == "NULL" or token.tag == "nullptr":
+            self.index += 1
             return ast.NullLiteral(token.location)
         if token.kind is TokenKind.STRING:
-            self._advance()
+            self.index += 1
             return ast.StringLiteral(token.location, token.text)
-        if token.is_punct("("):
-            self._advance()
+        if token.tag == "(":
+            self.index += 1
             inner = self.parse_expression()
             self._expect_punct(")")
             return inner
         if token.kind is TokenKind.IDENT:
-            self._advance()
-            if self._peek().is_punct("("):
+            self.index += 1
+            if self.tokens[self.index].tag == "(":
                 args = self._parse_call_args()
                 return ast.CallExpr(token.location, token.text, None, args)
             return ast.NameRef(token.location, token.text)
@@ -537,5 +536,5 @@ def parse_program(source: str, filename: str = "<input>") -> ast.Program:
     except RecursionError:
         # Recursive descent: hostile nesting runs out of stack, not grammar.
         raise ParseError(
-            "nesting too deep to parse", parser._peek().location
+            "nesting too deep to parse", parser.tokens[parser.index].location
         ) from None

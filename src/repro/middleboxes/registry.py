@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ir.lowering import LoweredMiddlebox, lower_program
 from repro.lang.parser import parse_program
@@ -111,13 +111,23 @@ def load_source(name: str) -> str:
     return (_SOURCES_DIR / filename).read_text()
 
 
+#: (file name, file text) -> its lowering: one per text, shared by every
+#: bundle of it (a caller reads it and never changes it —
+#: ``tests/conftest.py`` compares the shapes before and after tier-1).
+_LOWERED: Dict[Tuple[str, str], LoweredMiddlebox] = {}
+
+
 def load(name: str) -> MiddleboxBundle:
-    """Load, parse, and lower one middlebox by short name."""
+    """Load one middlebox by short name: its source parsed and lowered
+    once per text of the file, a fresh bundle (and config) per call."""
     from repro.middleboxes import reference
 
     source = load_source(name)
-    program = parse_program(source, f"{name}.cc")
-    lowered = lower_program(program)
+    filename = f"{name}.cc"
+    lowered = _LOWERED.get((filename, source))
+    if lowered is None:
+        lowered = lower_program(parse_program(source, filename))
+        _LOWERED[filename, source] = lowered
     factories = {
         "minilb": reference.make_minilb,
         "mazunat": reference.make_mazunat,

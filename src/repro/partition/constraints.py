@@ -231,7 +231,7 @@ def _guards(function: Function, info: ReachabilityInfo) -> Dict[str, Guard]:
             else:
                 block = end.target if isinstance(end, irin.Jump) else None
     for inst in function.instructions():
-        for reg in inst.defs():
+        for reg in inst.facts.defs:
             if any(info.can_happen_after(b, inst) for b in branches.get(reg.name, ())):
                 raise PartitionError(
                     f"{function.name}: PART007: {reg} is written after the branch on it"
@@ -313,7 +313,7 @@ def _linear_scan(
         size = registers[name].bytes
         active = [entry for entry in active if entry[0] >= start]
         offset = 0
-        for lo, hi in sorted((at, at + sz) for _, at, sz in active):
+        for lo, hi in sorted([(at, at + sz) for _, at, sz in active]):
             if offset + size <= lo:
                 break
             offset = max(offset, hi)

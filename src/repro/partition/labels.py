@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
 from repro.analysis.depgraph import DependencyGraph
 from repro.ir.values import Location
@@ -96,11 +96,12 @@ class LabelAssignment:
 
     def through(self, partition: Partition) -> int:
         """The instructions assigned to ``partition`` or an earlier one."""
-        mask = 0
-        for other in Partition:
-            if other.value <= partition.value:
-                mask |= self.members(other)
-        return mask
+        if partition is Partition.PRE:
+            return self.members(partition)
+        everything = (1 << len(self.graph.instructions)) - 1
+        if partition is Partition.NON_OFF:
+            return everything & ~(self.no_pre & ~self.no_post)
+        return everything
 
 
 @dataclass(frozen=True)
@@ -146,14 +147,6 @@ class LabelStatics:
             no_pre=_spread(server_only | later, descendants),
             no_post=_spread(server_only | earlier, graph.ancestors),
         )
-
-
-def set_bits(mask: int) -> Iterator[int]:
-    """The set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _spread(seeds: int, rows: List[int]) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.depgraph import DependencyGraph, dependency_graph
+from repro.analysis.depgraph import DependencyGraph, dependency_graph, set_bits
 from repro.analysis.distance import dependency_distances
 from repro.ir import instructions as irin
 from repro.ir.function import Function
@@ -41,7 +41,6 @@ from repro.partition.labels import (
     LabelAssignment,
     Partition,
     run_label_removal,
-    set_bits,
 )
 from repro.partition.plan import (
     PartitionPlan,
@@ -161,32 +160,35 @@ class _Masks:
         self.verdicts = self.branches = self.jumps = 0
         for at, inst in enumerate(graph.instructions):
             bit = 1 << at
-            accesses = inst.global_state_accesses()
+            reads, writes, accesses, _, _ = inst.facts
             if accesses:
                 self.stateful |= bit
-            for loc in accesses:
-                if loc.name in state:
-                    self.accessors[loc.name] |= bit
-            for locations, members in (
-                (inst.reads(), self.readers), (inst.writes(), self.writers)
-            ):
-                for loc in locations:
-                    if loc.is_global and loc.name in state:
-                        members[loc.name] |= bit
+                for loc in accesses:
+                    if loc.name in state:
+                        self.accessors[loc.name] |= bit
+                for locations, members in (
+                    (reads, self.readers), (writes, self.writers)
+                ):
+                    for loc in locations & accesses:
+                        if loc.name in state:
+                            members[loc.name] |= bit
             if inst.is_verdict:
                 self.verdicts |= bit
             if isinstance(inst, irin.Branch):
                 self.branches |= bit
             if isinstance(inst, (irin.Jump, irin.Return)):
                 self.jumps |= bit
-        #: positions farthest from the entry / exit first, program order
-        #: among equals: where the budget search looks for its next move
+        #: the positions at each distance from the entry / exit, farthest
+        #: first: where the budget search looks for its next move
         self.pre_order = self._by_distance(from_entry)
         self.post_order = self._by_distance(to_exit)
 
     def _by_distance(self, distance: Dict[int, int]) -> List[int]:
-        far = [-distance[inst.id] for inst in self.graph.instructions]
-        return sorted(range(len(far)), key=far.__getitem__)
+        groups: Dict[int, int] = {}
+        for at, inst in enumerate(self.graph.instructions):
+            far = distance[inst.id]
+            groups[far] = groups.get(far, 0) | 1 << at
+        return [groups[far] for far in sorted(groups, reverse=True)]
 
     def instructions(self, mask: int) -> List[irin.Instruction]:
         """The instructions of ``mask``, in program order."""
@@ -406,7 +408,7 @@ class _Side:
         self._partition = partition
         self._key: Optional[Tuple[int, int]] = None
         self._function: Optional[Function] = None
-        self.boundary: Boundary
+        self.boundary: Optional[Boundary] = None
 
     def decide(self, assignment: LabelAssignment) -> Boundary:
         key = (
@@ -414,7 +416,9 @@ class _Side:
             assignment.through(self._partition),
         )
         if key != self._key:
-            self.boundary = self._statics.decide(assignment, self._partition)
+            self.boundary = self._statics.decide(
+                assignment, self._partition, self.boundary
+            )
             self._key = key
             self._function = None
         return self.boundary
@@ -522,7 +526,8 @@ def _enforce_budgets(
 
 def _deepest(masks: _Masks, order: List[int], members: int) -> int:
     """The offloaded instruction farthest along the dependency order
-    (closest to the partition boundary), as a bit; 0 if there is none.
+    (closest to the partition boundary; program order among equals), as a
+    bit; 0 if there is none.
 
     Prefers compute/state instructions (moving control flow alone rarely
     frees budget), but falls back to branches and verdicts when nothing
@@ -532,9 +537,10 @@ def _deepest(masks: _Masks, order: List[int], members: int) -> int:
     movable = members & ~masks.jumps
     control = masks.verdicts | masks.branches
     for candidates in (movable & ~control, movable & control):
-        for at in order:
-            if candidates >> at & 1:
-                return 1 << at
+        for group in order:
+            found = group & candidates
+            if found:
+                return found & -found
     return 0
 
 

@@ -31,12 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.depgraph import dependency_graph
+from repro.analysis.depgraph import dependency_graph, set_bits
 from repro.lang.types import BOOL
 from repro.ir import instructions as irin
 from repro.ir.function import Function
 from repro.ir.values import Const, Reg, aliased_packet_region
-from repro.partition.labels import LabelAssignment, Partition, set_bits
+from repro.partition.labels import LabelAssignment, Partition
 
 NEEDS_SERVER = "__needs_server"
 
@@ -49,9 +49,10 @@ def _effectful(inst: irin.Instruction) -> bool:
         return True
     if isinstance(inst, (irin.Jump, irin.Branch, irin.Return)):
         return False
-    for loc in inst.writes():
-        if loc.is_global or loc.is_packet:
-            return True
+    # Every location is asked, so the work does not depend on the set's
+    # order (`make compile-calls` counts it the same on every run).
+    if any([loc.is_global or loc.is_packet for loc in inst.facts.writes]):
+        return True
     if isinstance(inst, irin.ExternCall) and inst.extra_writes:
         return True
     return False
@@ -66,6 +67,9 @@ class _Block:
     index: int
     #: ``(bit, instruction, used registers, defined registers)`` in order
     instructions: List[Tuple[int, irin.Instruction, int, int]]
+    #: the bits of its instructions, and of those but its jumps
+    bits: int = 0
+    body: int = 0
     #: successors in the source CFG
     successors: Tuple[int, ...] = ()
     terminator: Optional[irin.Terminator] = None
@@ -101,6 +105,33 @@ class Boundary:
     #: registers read before any definition / defined, the slices included
     needs: int
     defs: int
+    #: the must-defined dataflow the decision ran
+    flow: "MustDefined"
+
+
+@dataclass(frozen=True)
+class MustDefined:
+    """The must-defined dataflow of one decision, over the source blocks
+    along the projection's edges: per block (by index in
+    ``ProjectionStatics.order``; lists, read and never written once
+    made), the registers its present instructions read before defining
+    and define, and those defined on every path to its entry and exit.
+    A later decision over the same edges starts from it
+    (:meth:`ProjectionStatics.decide`)."""
+
+    #: the instructions the projection keeps: members and kept branches
+    present: int
+    #: the blocks it reaches, in reverse post-order, and its edges
+    live: List[int]
+    successors: List[Tuple[int, ...]]
+    predecessors: List[List[int]]
+    exposed: List[int]
+    defined: List[int]
+    at_entry: List[int]
+    at_exit: List[int]
+    #: whether every edge runs forward in reverse post-order: then the
+    #: dataflow has one fixpoint, not a greatest among several
+    acyclic: bool
 
 
 @dataclass(eq=False)
@@ -130,6 +161,8 @@ class ProjectionStatics:
     effectful: int
     #: register -> its defining instruction, where there is exactly one
     single_def: Dict[int, irin.Instruction]
+    #: the blocks ending in a branch
+    branches: List[_Block]
     #: destination partition -> pure register -> its slice
     closures: Dict[Partition, Dict[int, int]]
 
@@ -145,8 +178,11 @@ class ProjectionStatics:
         regs = sorted(function.registers().values(), key=lambda reg: reg.name)
         reg_index = {reg.name: at for at, reg in enumerate(regs)}
 
-        def mask(registers: List[Reg]) -> int:
-            return sum({1 << reg_index[reg.name] for reg in registers})
+        def mask(registers: Tuple[Reg, ...]) -> int:
+            bits = 0
+            for reg in registers:
+                bits |= 1 << reg_index[reg.name]
+            return bits
 
         names = function.block_order()
         index = {name: at for at, name in enumerate(names)}
@@ -158,21 +194,26 @@ class ProjectionStatics:
         for name in names:
             block = function.blocks[name]
             rows = []
+            bits = body = 0
             for inst in block.instructions:
                 bit = 1 << position[inst.id]
-                rows.append((bit, inst, mask(inst.uses()), mask(inst.defs())))
+                facts = inst.facts
+                rows.append((bit, inst, mask(facts.uses), mask(facts.defs)))
+                bits |= bit
+                if not isinstance(inst, irin.Jump):
+                    body |= bit
                 if not isinstance(inst, (irin.Jump, irin.Branch, irin.Return)):
                     carried |= bit
                 if _effectful(inst):
                     effectful |= bit
                 if isinstance(inst, irin.StorePacketField):
                     written_regions.add(aliased_packet_region(inst.region))
-                for reg in inst.defs():
+                for reg in facts.defs:
                     at = reg_index[reg.name]
                     def_count[at] = def_count.get(at, 0) + 1
                     single_def[at] = inst
             order.append(_Block(
-                name, index[name], rows,
+                name, index[name], rows, bits, body,
                 tuple(index[s] for s in block.successors() if s in index),
                 block.terminator,
             ))
@@ -193,22 +234,29 @@ class ProjectionStatics:
                 if current in seen:
                     continue
                 seen.add(current)
-                for bit, inst, _, _ in order[current].instructions:
-                    if not isinstance(inst, irin.Jump):
-                        block.region |= bit
+                block.region |= order[current].body
                 stack.extend(order[current].successors)
 
+        # A switch pipeline recomputes only what it can run: a slice is
+        # POST's when no definition in it lacks a P4 form.
+        anywhere = _pure_closures(single_def, reg_index, written_regions)
+        not_p4 = 0
+        for at, inst in single_def.items():
+            if not inst.p4_supported():
+                not_p4 |= 1 << at
         closures = {
-            destination: _pure_closures(
-                single_def, reg_index, written_regions,
-                p4_only=destination is Partition.POST,
-            )
-            for destination in (Partition.NON_OFF, Partition.POST)
+            Partition.NON_OFF: anywhere,
+            Partition.POST: {
+                at: closure for at, closure in anywhere.items()
+                if not closure & not_p4
+            },
         }
         return cls(
             function.name, function.entry, regs, reg_index, order,
             [order[index[name]] for name in function.blocks],
-            carried, effectful, single_def, closures,
+            carried, effectful, single_def,
+            [block for block in order if block.branch],
+            closures,
         )
 
     # -- the decisions, one definition each -----------------------------------
@@ -223,7 +271,7 @@ class ProjectionStatics:
         out of switch pipelines, which cannot loop.
         """
         kept = 0
-        for block in self.order:
+        for block in self.branches:
             if block.branch & not_later and block.region & members:
                 kept |= block.branch
         return kept
@@ -260,15 +308,20 @@ class ProjectionStatics:
         """
         closures = self.closures[destination]
         roots = whole = 0
-        for at in set_bits(needs):
-            closure = closures.get(at)
+        while needs:
+            low = needs & -needs
+            needs ^= low
+            closure = closures.get(low.bit_length() - 1)
             if closure is not None and not closure & defined:
-                roots |= 1 << at
+                roots |= low
                 whole |= closure
         return roots, whole
 
     def decide(
-        self, assignment: LabelAssignment, partition: Partition
+        self,
+        assignment: LabelAssignment,
+        partition: Partition,
+        previous: Optional[Boundary] = None,
     ) -> Boundary:
         """What projecting onto ``partition`` would keep, need and define.
 
@@ -277,12 +330,66 @@ class ProjectionStatics:
         edges (a skipped branch's region holds nothing of the partition and
         drops out as unreachable); the slices land at the entry, so they
         are defined everywhere and leave ``needs − slices`` to the shim.
+
+        ``previous``, the side's last decision, is where the dataflow
+        starts when it applies: same kept branches, so the same edges, and
+        either no instruction present that was not present then, or no
+        cycle among the edges.  Fewer definitions only lower the greatest
+        fixpoint, so iterating down from the old one reaches the new one;
+        without a cycle the fixpoint is the only one, so any start reaches
+        it.  Either way only the blocks whose definitions changed, and
+        what their exits reach, are revisited.  Otherwise it is solved
+        from the top.
         """
         members = assignment.members(partition)
         not_later = assignment.through(partition)
         kept = self.kept_branches(members, not_later)
         present = members & self.carried | kept
+        if (
+            previous is not None
+            and previous.kept == kept
+            and (
+                previous.flow.acyclic
+                or not present & ~previous.flow.present
+            )
+        ):
+            reachable = previous.reachable
+            flow = self._rebased(previous.flow, present)
+        else:
+            reachable, flow = self._must_defined(kept, present)
 
+        needs = defs = 0
+        for at in flow.live:
+            needs |= flow.exposed[at] & ~flow.at_entry[at]
+            defs |= flow.defined[at]
+        roots = whole = 0
+        if partition is not Partition.PRE:
+            roots, whole = self.pure_slice(partition, needs, defs)
+        return Boundary(
+            partition=partition,
+            members=members,
+            not_later=not_later,
+            kept=kept,
+            reachable=reachable,
+            remat_roots=roots,
+            needs=needs & ~whole,
+            defs=defs | whole,
+            flow=flow,
+        )
+
+    def _block_flow(self, at: int, present: int) -> Tuple[int, int]:
+        """Registers block ``at``'s present instructions read before a
+        definition in it, and define."""
+        reads = writes = 0
+        for bit, _, uses, defs in self.order[at].instructions:
+            if present & bit:
+                reads |= uses & ~writes
+                writes |= defs
+        return reads, writes
+
+    def _must_defined(self, kept: int, present: int) -> Tuple[int, MustDefined]:
+        """The blocks the projection reaches, and its dataflow solved from
+        the top."""
         order = self.order
         edges = [
             block.skip if block.branch & ~kept else block.successors
@@ -296,77 +403,97 @@ class ProjectionStatics:
                 continue
             reachable |= 1 << current
             stack.extend(edges[current])
-        live = list(set_bits(reachable))  # reverse post-order of the source
+        # in reverse post-order of the source
+        live = [at for at in range(len(order)) if reachable >> at & 1]
 
-        # Per block: registers read before a definition in it, and defined.
         exposed = [0] * len(order)
         defined = [0] * len(order)
         predecessors: List[List[int]] = [[] for _ in order]
         for at in live:
-            reads = writes = 0
-            for bit, _, uses, defs in order[at].instructions:
-                if present & bit:
-                    reads |= uses & ~writes
-                    writes |= defs
-            exposed[at], defined[at] = reads, writes
+            exposed[at], defined[at] = self._block_flow(at, present)
             for successor in edges[at]:
                 predecessors[successor].append(at)
 
-        # Forward must-dataflow to the greatest fixpoint; nothing is
-        # defined at the entry, whatever jumps back to it.
         top = (1 << len(self.regs)) - 1
         at_entry = [top] * len(order)
         at_exit = [top] * len(order)
         at_entry[0] = 0
-        changed = True
-        while changed:
-            changed = False
-            for at in live:
-                if at:
-                    incoming = top
-                    for predecessor in predecessors[at]:
-                        incoming &= at_exit[predecessor]
-                    at_entry[at] = incoming
-                outgoing = at_entry[at] | defined[at]
-                if outgoing != at_exit[at]:
-                    at_exit[at] = outgoing
-                    changed = True
-
-        needs = defs = 0
+        acyclic = True
         for at in live:
-            needs |= exposed[at] & ~at_entry[at]
-            defs |= defined[at]
-        roots = whole = 0
-        if partition is not Partition.PRE:
-            roots, whole = self.pure_slice(partition, needs, defs)
-        return Boundary(
-            partition=partition,
-            members=members,
-            not_later=not_later,
-            kept=kept,
-            reachable=reachable,
-            remat_roots=roots,
-            needs=needs & ~whole,
-            defs=defs | whole,
+            for successor in edges[at]:
+                if successor <= at:
+                    acyclic = False
+        flow = MustDefined(
+            present, live, edges, predecessors, exposed, defined,
+            at_entry, at_exit, acyclic,
         )
+        self._settle(flow, live[::-1])
+        return reachable, flow
+
+    def _rebased(self, old: MustDefined, present: int) -> MustDefined:
+        """``old`` with ``present`` its instructions instead, over the same
+        edges: the blocks whose instructions changed, and then what their
+        exits reach, re-solved from where ``old`` stood."""
+        changed = old.present ^ present
+        exposed, defined = list(old.exposed), list(old.defined)
+        work = []
+        for at in old.live:
+            if self.order[at].bits & changed:
+                exposed[at], defined[at] = self._block_flow(at, present)
+                if defined[at] != old.defined[at]:
+                    work.append(at)
+        flow = MustDefined(
+            present, old.live, old.successors, old.predecessors, exposed,
+            defined, list(old.at_entry), list(old.at_exit), old.acyclic,
+        )
+        self._settle(flow, work)
+        return flow
+
+    def _settle(self, flow: MustDefined, work: List[int]) -> None:
+        """Take ``flow``, while it is being made, from where it stands down
+        to the greatest fixpoint: the blocks of ``work`` (the last first),
+        and again every block whose entry a changed exit reaches.  Nothing
+        is defined at the entry, whatever jumps back to it."""
+        top = (1 << len(self.regs)) - 1
+        predecessors, successors = flow.predecessors, flow.successors
+        at_entry, at_exit, defined = flow.at_entry, flow.at_exit, flow.defined
+        pending = set(work)
+        while work:
+            at = work.pop()
+            pending.discard(at)
+            if at:
+                incoming = top
+                for predecessor in predecessors[at]:
+                    incoming &= at_exit[predecessor]
+                at_entry[at] = incoming
+            outgoing = at_entry[at] | defined[at]
+            if outgoing != at_exit[at]:
+                at_exit[at] = outgoing
+                for successor in successors[at]:
+                    if successor not in pending:
+                        pending.add(successor)
+                        work.append(successor)
 
     def registers(self, mask: int) -> List[Reg]:
         """The registers of a bitset, sorted by name."""
-        return [self.regs[at] for at in set_bits(mask)]
+        regs = self.regs
+        found = []
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            found.append(regs[low.bit_length() - 1])
+        return found
 
 
 def _pure_closures(
     single_def: Dict[int, irin.Instruction],
     reg_index: Dict[str, int],
     written_regions: set,
-    p4_only: bool,
 ) -> Dict[int, int]:
     """Register -> its slice, for every register with a pure one (the
     static half of :meth:`ProjectionStatics.pure_slice`)."""
 
     def pure(inst: irin.Instruction) -> bool:
-        if p4_only and not inst.p4_supported():
-            return False
         if isinstance(inst, irin.LoadPacketField):
             return aliased_packet_region(
                 inst.region

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from repro.analysis.depgraph import dependency_graph
+from repro.analysis.depgraph import dependency_graph, set_bits
 from repro.codegen.headers import ShimLayout
 from repro.ir import instructions as irin
 from repro.ir.validate import unsatisfied_uses
@@ -68,15 +68,18 @@ def _check_write_locality(plan: PartitionPlan) -> List[Diagnostic]:
     server_readers: Set[str] = set()
     for inst in plan.middlebox.process.instructions():
         partition = _partition_of(plan, inst)
-        for loc in inst.writes():
-            if loc.is_global and loc.name in state_names:
+        reads, writes, global_state, _, _ = inst.facts
+        if not global_state:
+            continue
+        for loc in writes & global_state:
+            if loc.name in state_names:
                 if partition is Partition.NON_OFF:
                     server_writers.add(loc.name)
                 else:
                     offloaded_writers.setdefault(loc.name, []).append(inst)
         if partition is Partition.NON_OFF:
-            for loc in inst.reads():
-                if loc.is_global and loc.name in state_names:
+            for loc in reads & global_state:
+                if loc.name in state_names:
                     server_readers.add(loc.name)
     out: List[Diagnostic] = []
     for name, writers in sorted(offloaded_writers.items()):
@@ -102,25 +105,42 @@ def _check_write_locality(plan: PartitionPlan) -> List[Diagnostic]:
 
 def _check_run_to_completion(plan: PartitionPlan) -> List[Diagnostic]:
     graph = dependency_graph(plan.middlebox.process)
+    # Per position, the positions of the phases before its own.
+    pre = non_off = 0
+    phases = [_partition_of(plan, inst) for inst in graph.instructions]
+    for at, phase in enumerate(phases):
+        if phase is Partition.PRE:
+            pre |= 1 << at
+        elif phase is Partition.NON_OFF:
+            non_off |= 1 << at
+    backward = []
+    for at, row in enumerate(graph.successors):
+        phase = phases[at]
+        if phase is Partition.PRE:
+            continue
+        row &= pre if phase is Partition.NON_OFF else pre | non_off
+        for other in set_bits(row):
+            backward.append((
+                graph.instructions[at].id, graph.instructions[other].id
+            ))
     out: List[Diagnostic] = []
-    for (src_id, dst_id), kinds in sorted(graph.edges.items()):
+    for src_id, dst_id in sorted(backward):
         src = graph.by_id(src_id)
         dst = graph.by_id(dst_id)
-        src_phase = _partition_of(plan, src)
-        dst_phase = _partition_of(plan, dst)
-        if src_phase.value > dst_phase.value:
-            kind_names = ",".join(sorted(k.value for k in kinds))
-            out.append(
-                error(
-                    "PART003",
-                    STAGE_PARTITION,
-                    f"{dst_phase.name} instruction {dst!r} depends"
-                    f" ({kind_names}) on {src_phase.name} instruction"
-                    f" {src!r}: execution order would flow backward",
-                    function=plan.middlebox.process.name,
-                    location=dst.location,
-                )
+        kinds = graph.edges[src_id, dst_id]
+        kind_names = ",".join(sorted(k.value for k in kinds))
+        out.append(
+            error(
+                "PART003",
+                STAGE_PARTITION,
+                f"{_partition_of(plan, dst).name} instruction {dst!r}"
+                f" depends ({kind_names}) on {_partition_of(plan, src).name}"
+                f" instruction {src!r}: execution order would flow"
+                " backward",
+                function=plan.middlebox.process.name,
+                location=dst.location,
             )
+        )
     return out
 
 

@@ -127,7 +127,7 @@ def _check_ssa(function: Function) -> List[Diagnostic]:
     out: List[Diagnostic] = []
     temp_defs: Dict[str, List[irin.Instruction]] = {}
     for inst in function.instructions():
-        for reg in inst.defs():
+        for reg in inst.facts.defs:
             if reg.is_temp:
                 temp_defs.setdefault(reg.name, []).append(inst)
     for name, sites in temp_defs.items():

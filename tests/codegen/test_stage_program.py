@@ -77,25 +77,17 @@ def program_order(function: Function) -> constraints.PipelineUsage:
 
 
 def without(kind: DependencyKind):
-    """m2 / m3: the projection's graph with every edge that is only
-    ``kind`` dropped, so the schedule never sees it."""
+    """m2 / m3: the projection's graph with its ``kind`` rows emptied —
+    every edge that is only ``kind`` dropped — so the schedule never
+    sees it."""
     build = depgraph.build_dependency_graph
 
     def built(function: Function) -> depgraph.DependencyGraph:
         graph = build(function)
-        edges = {
-            pair: kinds for pair, kinds in graph.edges.items()
-            if kinds != {kind}
-        }
-        ids = [inst.id for inst in graph.instructions]
-        dependents = {inst_id: set() for inst_id in ids}
-        dependencies = {inst_id: set() for inst_id in ids}
-        for src, dst in edges:
-            dependents[src].add(dst)
-            dependencies[dst].add(src)
+        rows = dict(graph.rows)
+        rows[kind] = [0] * len(graph.instructions)
         return depgraph.DependencyGraph(
-            graph.reachability, graph.instructions, edges, dependents,
-            dependencies,
+            graph.reachability, graph.instructions, rows
         )
 
     return built

@@ -39,3 +39,27 @@ def compiled(middlebox_name):
 
 
 MINILB_SOURCE = get_bundle("minilb").source
+
+
+def _shapes(bundle: MiddleboxBundle) -> tuple:
+    """What a caller could change of a loaded middlebox: each function's
+    entry, blocks and instruction objects, and the state it declares."""
+    lowered = bundle.lowered
+    functions = tuple(
+        (function.entry, tuple(
+            (name, tuple(block.instructions))
+            for name, block in function.blocks.items()
+        ))
+        for function in (lowered.process, lowered.configure)
+        if function is not None
+    )
+    return functions, repr(lowered.state), lowered.program
+
+
+@pytest.fixture(scope="session", autouse=True)
+def loaded_middleboxes_stay_as_loaded():
+    """``load`` hands every caller the one lowering of a file: the suite
+    must leave it as it found it."""
+    before = {name: _shapes(load(name)) for name in MIDDLEBOX_NAMES}
+    yield
+    assert {name: _shapes(load(name)) for name in MIDDLEBOX_NAMES} == before

@@ -194,7 +194,7 @@ class CharacterWalk:
     @staticmethod
     def _attach(token: Token, annotations: dict) -> Token:
         if annotations:
-            token.annotations = dict(annotations)
+            return token._replace(annotations=dict(annotations))
         return token
 
 

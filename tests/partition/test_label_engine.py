@@ -37,17 +37,23 @@ PIN_SETS_PER_SHAPE = 3
 
 
 def closure_by_dfs(graph) -> Dict[int, Set[int]]:
-    """src_id -> every id depending on it transitively (DFS per node)."""
+    """src_id -> every id depending on it transitively (DFS per node over
+    the graph's edges)."""
+    dependents: Dict[int, Set[int]] = {
+        inst.id: set() for inst in graph.instructions
+    }
+    for src, dst in graph.edges:
+        dependents[src].add(dst)
     closure: Dict[int, Set[int]] = {}
-    for start in graph.dependents:
+    for start in dependents:
         seen: Set[int] = set()
-        stack = list(graph.dependents[start])
+        stack = list(dependents[start])
         while stack:
             node = stack.pop()
             if node in seen:
                 continue
             seen.add(node)
-            stack.extend(graph.dependents[node])
+            stack.extend(dependents[node])
         closure[start] = seen
     return closure
 

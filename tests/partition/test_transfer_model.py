@@ -30,7 +30,6 @@ from unittest import mock
 import pytest
 
 from repro.analysis.depgraph import build_dependency_graph
-from repro.analysis.reachability import compute_reachability
 from repro.difftest.generator import generate_program
 from repro.difftest.runner import derive_seeds
 from repro.ir import instructions as irin
@@ -41,6 +40,7 @@ from repro.lang import parse_program
 from repro.partition import partitioner, projection
 from repro.partition.constraints import SwitchResources
 from repro.partition.labels import LabelAssignment, Partition
+from tests.analysis import depgraph_oracle
 from tests.partition import compile_pins, projection_oracle
 
 #: ``perfbench/tool_path.py``'s POOL_MASTER_SEED and CAMPAIGN_SCENARIOS
@@ -110,7 +110,9 @@ class Oracle:
         self.statics = statics
         self.function = function
         self.instructions = list(self.function.instructions())
-        self.postdominators = compute_reachability(self.function).postdominators
+        self.postdominators = depgraph_oracle.compute_reachability(
+            self.function
+        ).postdominators
         self.built: dict = {}
 
     def compare(self, boundaries, specs, where: str) -> None:

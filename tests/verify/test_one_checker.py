@@ -90,8 +90,8 @@ def test_each_fact_is_written_once():
     # budget search decides on before it builds one) —
     # tests/partition/test_transfer_model.py holds the second to the first.
     assert sites("incoming &=") == [
-        ("ir/validate.py", "defined_at_entry"),
-        ("partition/projection.py", "decide"),
+        ("ir/validate.py", "_must_defined"),
+        ("partition/projection.py", "_settle"),
     ]
     assert sites("can_happen_after(", outside="analysis/") == [
         ("partition/constraints.py", "_guards"),
