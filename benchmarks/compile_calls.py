@@ -20,7 +20,9 @@ seed is set, so two runs of one tree print the same numbers::
 ``--tree`` counts another checkout (say, a ``git archive`` of the parent
 commit) with its own ``src/`` and ``perfbench/``.  Prints calls per
 operation by kind (``bundled``, ``fuzz``, ``prove``) and for one pass of
-the pool.  Exit status 1 when an operation fails.
+the pool, then the calls of each proof by middlebox — a proof's share
+of the pool moves with what its middlebox's lookups cost, and this shows
+that move as a count.  Exit status 1 when an operation fails.
 """
 
 from __future__ import annotations
@@ -79,9 +81,13 @@ def main(argv=None) -> int:
 
     ops = CompileContext(SEED, smoke=False).ops()
     per_kind: Dict[str, List[int]] = defaultdict(list)
+    proofs: Dict[str, int] = {}
     for op in ops:
         op.run()
-        per_kind[op.kind].append(count_calls(op.run))
+        calls = count_calls(op.run)
+        per_kind[op.kind].append(calls)
+        if op.kind == "prove":
+            proofs[op.label] = calls
     print(f"compile pool of {tree}, seed {SEED}, PYTHONHASHSEED"
           f" {os.environ['PYTHONHASHSEED']}")
     print(f"{'kind':8} {'ops':>4} {'calls per op':>13} {'calls':>10}")
@@ -90,6 +96,9 @@ def main(argv=None) -> int:
               f" {sum(counts):10}")
     total = sum(sum(counts) for counts in per_kind.values())
     print(f"{'pass':8} {len(ops):4} {total / len(ops):13.1f} {total:10}")
+    print(f"\n{'prove':8} {'calls':>10}")
+    for label, calls in sorted(proofs.items()):
+        print(f"{label:8} {calls:10}")
     return 0
 
 

@@ -40,9 +40,36 @@ def dependency_distances(graph: DependencyGraph) -> Tuple[Dict[int, int], Dict[i
     longest chain starting at ``i``.  Instructions on dependency cycles get
     a large sentinel (they can never be offloaded anyway).
     """
+    own, cyclic, order = _chain_basis(graph)
+    to_exit = list(own)
+    for at in reversed(order):
+        longest = 0
+        row = graph.successors[at] & ~cyclic
+        while row:
+            low = row & -row
+            row ^= low
+            other = to_exit[low.bit_length() - 1]
+            if other > longest:
+                longest = other
+        to_exit[at] += longest
+    ids = [inst.id for inst in graph.instructions]
+    return (dict(zip(ids, _from_entry(graph, own, cyclic, order))),
+            dict(zip(ids, to_exit)))
+
+
+def distances_from_entry(graph: DependencyGraph) -> Dict[int, int]:
+    """``from_entry`` of :func:`dependency_distances` alone: a pipeline's
+    stage schedule needs no chain to the exit."""
+    ids = [inst.id for inst in graph.instructions]
+    return dict(zip(ids, _from_entry(graph, *_chain_basis(graph))))
+
+
+def _chain_basis(graph: DependencyGraph) -> Tuple[List[int], int, Sequence[int]]:
+    """What both directions start from: each instruction's own stage cost
+    (the sentinel on a dependency cycle), the cycle's positions as a
+    bitset, and an order in which every other edge runs forward."""
     instructions = graph.instructions
     cost = [_stage_cost(inst) for inst in instructions]
-    successors = graph.successors
     # Edges run forward in program order unless the CFG loops; only then
     # can a dependency cycle exist, and the closure say who is on one.
     cyclic = 0
@@ -51,33 +78,26 @@ def dependency_distances(graph: DependencyGraph) -> Tuple[Dict[int, int], Dict[i
         for at, inst in enumerate(instructions):
             if graph.self_dependent(inst):
                 cyclic |= 1 << at
-        order = _topological_order(successors, cyclic)
+        order = _topological_order(graph.successors, cyclic)
     sentinel = 10**9
-    from_entry = [
-        sentinel if cyclic >> at & 1 else cost[at] for at in range(len(cost))
-    ]
-    to_exit = list(from_entry)
+    own = [sentinel if cyclic >> at & 1 else cost[at] for at in range(len(cost))]
+    return own, cyclic, order
+
+
+def _from_entry(graph: DependencyGraph, own: List[int], cyclic: int,
+                order: Sequence[int]) -> List[int]:
+    """The longest chain ending at each position, in ``order``."""
+    from_entry = list(own)
     for at in order:
         reach = from_entry[at]
-        row = successors[at] & ~cyclic
+        row = graph.successors[at] & ~cyclic
         while row:
             low = row & -row
             row ^= low
             other = low.bit_length() - 1
-            if reach + cost[other] > from_entry[other]:
-                from_entry[other] = reach + cost[other]
-    for at in reversed(order):
-        longest = 0
-        row = successors[at] & ~cyclic
-        while row:
-            low = row & -row
-            row ^= low
-            other = to_exit[low.bit_length() - 1]
-            if other > longest:
-                longest = other
-        to_exit[at] += longest
-    ids = [inst.id for inst in instructions]
-    return dict(zip(ids, from_entry)), dict(zip(ids, to_exit))
+            if reach + own[other] > from_entry[other]:
+                from_entry[other] = reach + own[other]
+    return from_entry
 
 
 def _topological_order(successors: List[int], cyclic: int) -> List[int]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.depgraph import build_dependency_graph
-from repro.analysis.distance import dependency_distances
+from repro.analysis.distance import distances_from_entry
 from repro.analysis.reachability import ReachabilityInfo, compute_reachability
 from repro.ir import instructions as irin
 from repro.ir.function import Function, per_shape
@@ -181,7 +181,7 @@ def measure_pipeline(function: Function) -> PipelineUsage:
     if not info.cyclic_blocks:
         # Built, scheduled and dropped: nothing reads a projection's graph
         # twice, and a kept one would sit in memory while packets run.
-        schedule, _ = dependency_distances(build_dependency_graph(function))
+        schedule = distances_from_entry(build_dependency_graph(function))
         depth = max(schedule.values(), default=0)
         guards = _guards(function, info)
         staged = sorted(

@@ -36,6 +36,8 @@ mirror                          concrete twin
 ``SymStateStore``               ``repro.ir.interp.StateStore``
 ``SymTable`` / ``SymRegister``  ``ExactMatchTable`` / ``Register`` and a
 and ``apply_updates``           fault-free ``ControlPlane.apply_batch``
+``Chooser.lookup`` (a map no    ``StateStore.map_find`` /
+run writes: one decision)       ``ExactMatchTable.lookup``
 ``SymExternHost``               ``repro.ir.externs.ExternHost``
 ``prover._shim_pack``           ``ShimLayout.encode`` then ``decode``
 ``prover._resolve_egress_sym``  ``explicit or bypass_port(ingress)``
@@ -49,7 +51,15 @@ concolically, on generated programs and the bundled middleboxes.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.ir import instructions as irin
 from repro.ir.lowering import StateMember
@@ -61,6 +71,7 @@ from repro.verify.symbolic.terms import (
     binop,
     boolify,
     const,
+    ite,
     unop,
     wrap,
 )
@@ -92,9 +103,28 @@ class BudgetExhausted(Exception):
 Entry = Tuple[Tuple[Term, ...], Term]
 
 #: lookup key -> stored entry's keys -> the test that the two are equal.
-#: Terms are interned, so a lookup key is one object in every scenario of
-#: a proof and one memo serves them all; it goes when the proof does.
-KeyTests = Dict[Tuple[Term, ...], Dict[Tuple[Term, ...], Term]]
+Tests = Dict[Tuple[Term, ...], Dict[Tuple[Term, ...], Term]]
+
+
+class KeyTests:
+    """One proof's memo of what its lookups ask.  Terms are interned, so
+    a lookup key is one object in every scenario of a proof and one memo
+    serves them all; it goes when the proof does.
+
+    ``tests`` holds each entry's key test against a lookup key.
+    ``chains`` holds a read-only member's merged lookup (:meth:`Chooser.
+    lookup`) per entry tuple and lookup key: the entries (which the
+    ``id`` in the memo key names), whether any entry matches, the first
+    match's value, and the key tests a miss makes false.
+    """
+
+    __slots__ = ("tests", "chains")
+
+    def __init__(self) -> None:
+        self.tests: Tests = {}
+        self.chains: Dict[Tuple[int, Tuple[Term, ...]],
+                          Tuple[Tuple[Entry, ...], Term, Term,
+                                Tuple[Term, ...]]] = {}
 
 
 class Chooser:
@@ -108,14 +138,18 @@ class Chooser:
     (the DFS prefix); beyond it the default is True, and every fresh
     decision is recorded in ``trace`` so the driver can enqueue flips.
     A map's or a table's scan is one call (:meth:`find`) deciding its
-    entries' key tests by that same rule.
+    entries' key tests by that same rule.  A lookup in a map of
+    ``merged`` is one decision in all (:meth:`lookup`).
     """
 
     def __init__(self, key_tests: KeyTests, script: Tuple[bool, ...] = (),
-                 max_decisions: int = 192):
+                 max_decisions: int = 192,
+                 merged: FrozenSet[str] = frozenset()):
         self.key_tests = key_tests
         self.script = script
         self.max_decisions = max_decisions
+        #: the map members whose lookups :meth:`lookup` answers
+        self.merged = merged
         self.decided: Dict[Term, bool] = {}
         self.trace: List[bool] = []
         #: (term, outcome) pairs for every fresh decision — the world's
@@ -129,10 +163,33 @@ class Chooser:
              keys: Tuple[Term, ...]) -> Optional[int]:
         """The index of the first entry whose keys this world makes equal
         to ``keys``, or None: a map's or a table's scan, as one call."""
-        tests = self.key_tests.get(keys)
+        return self._first(_key_tests(self._tests(keys), entries, keys))
+
+    def lookup(self, entries: Tuple[Entry, ...],
+               keys: Tuple[Term, ...]) -> Tuple[bool, Term]:
+        """``(found, value)`` of ``keys`` in ``entries``, which no run
+        writes, as one decision: whether any key test holds.  A hit's
+        value is the first match's, as one ``ite`` chain over the tests;
+        a miss makes every open test false in this world.  Built once per
+        proof, entry tuple and key."""
+        memo_key = (id(entries), keys)
+        chain = self.key_tests.chains.get(memo_key)
+        if chain is None or chain[0] is not entries:
+            chain = self.key_tests.chains[memo_key] = (
+                entries, *_first_match(self._tests(keys), entries, keys)
+            )
+        _entries, hit, value, open_tests = chain
+        if self._first((hit,)) is None:
+            for test in open_tests:
+                self.decided[test] = False
+            return False, const(0)
+        return True, value
+
+    def _tests(self, keys: Tuple[Term, ...]) -> Dict[Tuple[Term, ...], Term]:
+        tests = self.key_tests.tests.get(keys)
         if tests is None:
-            tests = self.key_tests[keys] = {}
-        return self._first(_key_tests(tests, entries, keys))
+            tests = self.key_tests.tests[keys] = {}
+        return tests
 
     def _first(self, tests: Iterable[Term]) -> Optional[int]:
         """The position of the first of ``tests`` that holds, deciding
@@ -171,9 +228,39 @@ def _key_tests(tests: Dict[Tuple[Term, ...], Term], entries: Iterable[Entry],
         yield test
 
 
+def _first_match(tests: Dict[Tuple[Term, ...], Term],
+                 entries: Tuple[Entry, ...], keys: Tuple[Term, ...]
+                 ) -> Tuple[Term, Term, Tuple[Term, ...]]:
+    """``(hit, value, open tests)`` of a merged lookup: ``lor`` of the
+    key tests an interval does not refute, the first-match ``ite`` chain
+    of their values (the last one stands alone: it is read only on a hit),
+    and those tests.  A test the interval makes true ends the scan."""
+    open_tests: List[Term] = []
+    values: List[Term] = []
+    for test, (_keys, value) in zip(_key_tests(tests, entries, keys),
+                                    entries):
+        if test.known is False:
+            continue
+        open_tests.append(test)
+        values.append(value)
+        if test.known:
+            break
+    if not open_tests:
+        return const(0), const(0), ()
+    hit = open_tests[0]
+    for test in open_tests[1:]:
+        hit = binop(irin.BinOpKind.LOR, hit, test)
+    value = values[-1]
+    for test, then in zip(reversed(open_tests[:-1]), reversed(values[:-1])):
+        value = ite(test, then, value)
+    return hit, value, tuple(t for t in open_tests if t.known is None)
+
+
 def _keys_equal(entry_keys: Tuple[Term, ...], keys: Tuple[Term, ...]) -> Term:
-    if len(entry_keys) != len(keys):
-        return const(0)
+    if len(entry_keys) != len(keys) or any(
+            want.hi < have.lo or have.hi < want.lo
+            for have, want in zip(entry_keys, keys)):
+        return const(0)  # a disjoint pair folds the chain below to 0
     cond = const(1)
     for have, want in zip(entry_keys, keys):
         cond = binop(irin.BinOpKind.LAND, cond,
@@ -294,20 +381,40 @@ def _entries(table: dict) -> Tuple[Entry, ...]:
     )
 
 
+def read_only_maps(members: Dict[str, StateMember],
+                   functions: Iterable) -> FrozenSet[str]:
+    """The map members that none of ``functions`` inserts into or erases
+    from: whatever a run starts with, it holds to the end."""
+    written = {
+        inst.state
+        for function in functions
+        for block in function.blocks.values()
+        for inst in block.instructions
+        if isinstance(inst, (irin.MapInsert, irin.MapErase))
+    }
+    return frozenset(
+        name for name, member in members.items()
+        if member.kind == "map" and name not in written
+    )
+
+
 class SymPrestate:
     """One concrete pre-state in term form: what every world of a
-    scenario starts from, built once.
+    proof that starts from it starts from, built once.
 
     Terms are immutable and so are the ``(keys, value)`` entries made of
     them; a store enters a world with a copy of the entry *lists*, so
     worlds share terms and nothing they can write to.  The switch's copy
     (derived the way ``sync_all_state`` installs it) holds the very entry
     objects of the server maps it mirrors: an entry no world touched is
-    one object on every side of the final comparison.
+    one object on every side of the final comparison.  A map no run
+    writes is looked up here, in its one tuple (:meth:`Chooser.lookup`).
     """
 
     def __init__(self, members: Dict[str, StateMember], snapshot: dict,
                  on_switch: Iterable[str]):
+        #: the concrete server snapshot, what a witness replays on
+        self.snapshot = snapshot
         self.members = members
         self.maps: Dict[str, Tuple[Entry, ...]] = {}
         self.vectors: Dict[str, Tuple[Term, ...]] = {}
@@ -353,6 +460,7 @@ class SymStateStore:
     def __init__(self, prestate: SymPrestate, chooser: Chooser):
         self.members = prestate.members
         self.chooser = chooser
+        self._prestate_maps = prestate.maps
         self.maps: Dict[str, List[Entry]] = {
             name: list(entries) for name, entries in prestate.maps.items()
         }
@@ -366,6 +474,8 @@ class SymStateStore:
     # -- maps ----------------------------------------------------------------
 
     def map_find(self, name: str, keys: Tuple[Term, ...]) -> Tuple[bool, Term]:
+        if name in self.chooser.merged:
+            return self.chooser.lookup(self._prestate_maps[name], keys)
         index = self.chooser.find(self.maps[name], keys)
         if index is None:
             return False, const(0)
@@ -469,9 +579,12 @@ class SymTable:
     def __init__(self, name: str, size: int, prestate: SymPrestate):
         self.name = name
         self.size = size
-        self.entries: List[Entry] = list(prestate.tables.get(name, ()))
+        self._prestate_entries = prestate.tables.get(name, ())
+        self.entries: List[Entry] = list(self._prestate_entries)
 
     def lookup(self, keys: Tuple[Term, ...], chooser: Chooser) -> Tuple[bool, Term]:
+        if self.name in chooser.merged:
+            return chooser.lookup(self._prestate_entries, keys)
         index = chooser.find(self.entries, keys)
         if index is None:
             return False, const(0)

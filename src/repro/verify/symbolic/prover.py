@@ -40,7 +40,16 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.codegen.headers import (
     EGRESS_PORT_FIELD,
@@ -80,6 +89,7 @@ from repro.verify.symbolic.engine import (
     SymStateStore,
     SymSwitchState,
     TermDomain,
+    read_only_maps,
 )
 from repro.verify.symbolic.terms import (
     Term,
@@ -278,24 +288,28 @@ PACKET_SHAPES = ("tcp", "udp")
 
 class Scenario:
     """One concrete slice of the bounded packet/state space, and what
-    every world of it starts from, built once: the pre-state in term form
-    and the base packet view.  A world copies both on entry (terms are
-    immutable, so a copy is pointers) and writes to neither.  The key
-    tests its worlds' table scans ask are the proof's (``key_tests``,
-    shared by every scenario of it)."""
+    every world of it starts from: the pre-state in term form (built once
+    per proof and shared by the scenarios that start from it) and the
+    base packet view.  A world copies both on entry (terms are immutable,
+    so a copy is pointers) and writes to neither.  The key tests its
+    worlds' lookups ask are the proof's (``key_tests``, shared by every
+    scenario of it), and so are the maps no function writes
+    (``read_only``), whose lookups a world may merge."""
 
     def __init__(self, label: str, kind: str, ingress: int, payload: bytes,
-                 prestate: dict, members, on_switch, key_tests: KeyTests):
+                 state: SymPrestate, key_tests: KeyTests,
+                 read_only: FrozenSet[str]):
         self.label = label
         self.kind = kind  # one of PACKET_SHAPES
         self.ingress = ingress
         self.payload = payload
         #: concrete server StateStore snapshot, what a witness replays on
-        self.prestate = prestate
-        #: the same in term form, with the switch's copy of ``on_switch``
-        self.state = SymPrestate(members, prestate, on_switch)
+        self.prestate = state.snapshot
+        #: the same in term form, with the switch's copy of what it holds
+        self.state = state
         self.packet, self.atoms = make_symbolic_packet(kind, payload, ingress)
         self.key_tests = key_tests
+        self.read_only = read_only
 
 
 def _base_prestate(plan, config) -> dict:
@@ -392,22 +406,30 @@ class Bound:
                 * len(self.prestates))
 
     def scenarios(self, plan) -> Iterator[Scenario]:
-        """Each scenario as the prover reaches it — nothing holds the
-        last one's terms once the next is built, but the key tests, which
-        all of them share and which go with the proof."""
+        """Each scenario as the prover reaches it.  What they share goes
+        with the proof: the key tests, the read-only maps, and each
+        pre-state's term form."""
         members = plan.middlebox.state
         on_switch = [
             name for name, placement in plan.placements.items()
             if placement.on_switch
         ]
-        key_tests: KeyTests = {}
+        read_only = read_only_maps(members, (
+            plan.middlebox.process, plan.pre, plan.non_offloaded, plan.post,
+        ))
+        key_tests = KeyTests()
+        states: Dict[int, SymPrestate] = {}
         for kind, ingress, payload, (index, prestate) in itertools.product(
                 PACKET_SHAPES, self.ingresses, self.payloads,
                 enumerate(self.prestates)):
+            state = states.get(index)
+            if state is None:
+                state = states[index] = SymPrestate(
+                    members, prestate, on_switch
+                )
             yield Scenario(
                 f"{kind}/in{ingress}/pay{len(payload)}/state{index}",
-                kind, ingress, payload, prestate, members, on_switch,
-                key_tests,
+                kind, ingress, payload, state, key_tests, read_only,
             )
 
     def to_dict(self) -> dict:
@@ -727,8 +749,9 @@ def _ingress_of(packet: SymPacketView) -> int:
 
 
 def _run_world(plan, program, scenario: Scenario, script: Tuple[bool, ...],
-               config, budget: SymbolicBudget) -> WorldResult:
-    chooser = Chooser(scenario.key_tests, script, max_decisions=MAX_DECISIONS)
+               config, budget: SymbolicBudget,
+               merged: FrozenSet[str]) -> WorldResult:
+    chooser = Chooser(scenario.key_tests, script, MAX_DECISIONS, merged)
     domain = TermDomain(chooser, MAX_STEPS)
     src_packet = scenario.packet.copy()
     src_store = SymStateStore(scenario.state, chooser)
@@ -802,6 +825,13 @@ def _witness_candidates(scenario: Scenario, chooser: Chooser,
             if satisfies(assignment):
                 yield assignment
     else:
+        # Too many to try them all: first the one assignment the path
+        # condition spells out, if it has one, then random draws.
+        pinned = _pinned(chooser.conditions)
+        if pinned:
+            assignment = {name: pinned.get(name, 0) for name in names}
+            if satisfies(assignment):
+                yield assignment
         for _ in range(budget.random_tries):
             assignment = {
                 name: (rng.choice(pools[name]) if rng.random() < 0.7
@@ -810,6 +840,25 @@ def _witness_candidates(scenario: Scenario, chooser: Chooser,
             }
             if satisfies(assignment):
                 yield assignment
+
+
+def _pinned(conditions: Sequence[Tuple[Term, bool]]) -> Dict[str, int]:
+    """Atom values a path condition fixes: each ``eq`` of an atom and a
+    constant among the ``land`` conjuncts of a condition that holds (a
+    key test that matched fixes every field it compares)."""
+    pinned: Dict[str, int] = {}
+    stack = [term for term, choice in conditions if choice]
+    while stack:
+        term = stack.pop()
+        if term.op is irin.BinOpKind.LAND:
+            stack.extend(term.args)
+        elif term.op is irin.BinOpKind.EQ:
+            lhs, rhs = term.args
+            if lhs.kind == "atom" and rhs.is_const:
+                pinned[lhs.name] = rhs.value
+            elif rhs.kind == "atom" and lhs.is_const:
+                pinned[rhs.name] = lhs.value
+    return pinned
 
 
 def _packet_spec(scenario: Scenario, assignment: Dict[str, int]) -> dict:
@@ -906,49 +955,32 @@ def verify_symbolic(
     entered = time.perf_counter()
     for scenario in bound.scenarios(plan):
         worlds, decisions = report.worlds, report.decisions
-        pending: List[Tuple[bool, ...]] = [()]
-        explored = 0
-        while pending:
-            if explored >= budget.max_worlds:
-                report.inconclusive.append(
-                    f"{scenario.label}: world budget exhausted"
-                    f" ({budget.max_worlds} worlds,"
-                    f" {len(pending)} paths unexplored)"
-                )
-                break
-            script = pending.pop()
-            explored += 1
-            report.worlds += 1
-            try:
-                world = _run_world(
-                    plan, program, scenario, script, config, budget
-                )
-            except BudgetExhausted as exc:
-                report.inconclusive.append(f"{scenario.label}: {exc}")
-                continue
-            report.decisions += len(world.chooser.trace)
-            for index in range(len(script), len(world.chooser.trace)):
-                flipped = tuple(world.chooser.trace[:index]) + (
-                    not world.chooser.trace[index],
-                )
-                pending.append(flipped)
-            if world.status == "ok":
-                continue
-            if world.status == "source_error":
-                report.source_crash_worlds += 1
-                continue
-            handled = _handle_suspect(
-                plan, program, source, config, scenario, world,
-                budget, rng, report, corpus_dir, bound.prestates[0],
+        # A map no function writes is one decision per lookup.  Should
+        # any world of that pass be a suspect, the scenario is explored
+        # again with every lookup split per entry, so witnesses, codes and
+        # counterexamples are those of the per-entry rule.
+        split = False
+        if scenario.read_only:
+            noted = len(report.inconclusive)
+            split = _explore(plan, program, scenario, scenario.read_only,
+                             config, budget, report, lambda world: True)
+            if split:
+                del report.inconclusive[noted:]
+        if split or not scenario.read_only:
+            _explore(
+                plan, program, scenario, frozenset(), config, budget, report,
+                lambda world: _handle_suspect(
+                    plan, program, source, config, scenario, world,
+                    budget, rng, report, corpus_dir, bound.prestates[0],
+                ),
             )
-            if handled:
-                break  # confirmed disproof: stop this scenario
         left = time.perf_counter()
         report.per_scenario.append({
             "label": scenario.label,
             "worlds": report.worlds - worlds,
             "decisions": report.decisions - decisions,
             "elapsed_s": round(left - entered, 4),
+            "split": split,
         })
         entered = left
         if report.counterexamples:
@@ -965,6 +997,49 @@ def verify_symbolic(
             function=plan.middlebox.process.name,
         ))
     return report
+
+
+def _explore(plan, program, scenario: Scenario, merged: FrozenSet[str],
+             config, budget: SymbolicBudget, report: SymbolicReport,
+             suspect: Callable[[WorldResult], bool]) -> bool:
+    """The script-DFS over the worlds of ``scenario``, lookups in
+    ``merged`` one decision each.  Each world that is neither ok nor a
+    source crash goes to ``suspect``, and when that returns True the
+    exploration ends; returns whether it did."""
+    pending: List[Tuple[bool, ...]] = [()]
+    explored = 0
+    while pending:
+        if explored >= budget.max_worlds:
+            report.inconclusive.append(
+                f"{scenario.label}: world budget exhausted"
+                f" ({budget.max_worlds} worlds,"
+                f" {len(pending)} paths unexplored)"
+            )
+            return False
+        script = pending.pop()
+        explored += 1
+        report.worlds += 1
+        try:
+            world = _run_world(
+                plan, program, scenario, script, config, budget, merged
+            )
+        except BudgetExhausted as exc:
+            report.inconclusive.append(f"{scenario.label}: {exc}")
+            continue
+        report.decisions += len(world.chooser.trace)
+        for index in range(len(script), len(world.chooser.trace)):
+            flipped = tuple(world.chooser.trace[:index]) + (
+                not world.chooser.trace[index],
+            )
+            pending.append(flipped)
+        if world.status == "ok":
+            continue
+        if world.status == "source_error":
+            report.source_crash_worlds += 1
+            continue
+        if suspect(world):
+            return True  # a confirmed disproof, or a merged pass to redo
+    return False
 
 
 def _handle_suspect(plan, program, source, config, scenario: Scenario,

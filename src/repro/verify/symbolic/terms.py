@@ -52,7 +52,7 @@ class Term:
 
     def __init__(self, kind, op, args, value, name, lo, hi):
         self.kind = kind  # "const" | "atom" | "op"
-        self.op = op  # BinOpKind/UnOpKind/"wrap"/"bool" for kind == "op"
+        self.op = op  # BinOpKind/UnOpKind/"wrap"/"bool"/"ite" for kind == "op"
         self.args = args  # tuple of Terms
         self.value = value  # int payload: const value, or wrap mask
         self.name = name  # atom name
@@ -290,6 +290,18 @@ def boolify(a: Term) -> Term:
     return _mk_op("bool", (a,), 0, 1)
 
 
+def ite(cond: Term, then: Term, other: Term) -> Term:
+    """``then if cond else other``: which stored value a lookup returns,
+    as one term over its key tests."""
+    known = cond.known
+    if known is not None:
+        return then if known else other
+    if then is other:
+        return then
+    return _mk_op("ite", (cond, then, other), min(then.lo, other.lo),
+                  max(then.hi, other.hi))
+
+
 def evaluate(term: Term, assignment: Dict[str, int],
              _memo: Optional[dict] = None) -> int:
     """Concretely evaluate ``term`` (atoms default to 0)."""
@@ -308,6 +320,8 @@ def evaluate(term: Term, assignment: Dict[str, int],
             result = args[0] & term.value
         elif op == "bool":
             result = 1 if args[0] else 0
+        elif op == "ite":
+            result = args[1] if args[0] else args[2]
         elif isinstance(op, UnOpKind):
             result = _apply_unop(op, args[0])
         else:

@@ -57,8 +57,8 @@ def test_stage_cost():
     )
     assert free_sets == ["analysis/distance.py"]
     assert sites("_stage_cost(") == [
+        ("analysis/distance.py", "_chain_basis"),
         ("analysis/distance.py", "_stage_cost"),
-        ("analysis/distance.py", "dependency_distances"),
         ("verify/p4lint.py", "_lint_pipeline"),
     ]
 

@@ -22,13 +22,19 @@ the packet's assignment and must equal what the twin computed:
   same error text;
 * **composition side** — ``prover._run_composition`` against one
   ``GalliumMiddlebox.process_packet``: verdict, resolved egress port,
-  emitted header fields, server state, switch tables and registers.
+  emitted header fields, server state, switch tables and registers;
+* **merged lookup** — on both sides, each lookup in a map no function
+  writes (``Chooser.lookup``: one decision, a first-match ``ite`` chain)
+  as ``(found, value)`` against ``StateStore.map_find`` on the server and
+  ``ExactMatchTable.lookup`` on the switch.
 
 Tier-1 runs 100 generated programs (source side; the 40 the prover pins
 compile, composition side too) on their 25-packet ``StreamSpec`` and the
 six bundled middleboxes on an iperf stream; the wide slice is
 ``python -m tests.verify.test_mirror_lockstep --wide`` (200, both sides).
-Two seeded mirror bugs must make it fail.
+Two seeded mirror bugs must make it fail, and two more the merged
+lookup's row: a chain that ignores its tests, and a merge of a map some
+function writes.
 
 The generator never names ``eth.*``, ``ip.version``, ``ip.ihl`` or
 ``tcp.doff``, so none of the above reaches them.  The last section takes
@@ -41,8 +47,9 @@ packet.
 
 from __future__ import annotations
 
+import copy
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import pytest
@@ -69,7 +76,7 @@ from repro.ir.interp import (
 )
 from repro.ir.values import Reg
 from repro.lang import parse_program
-from repro.lang.types import UINT64
+from repro.lang.types import UINT64, bit_width_of
 from repro.middleboxes import MIDDLEBOX_NAMES, load
 from repro.net.headers import ETHERTYPE_ARP, EthernetHeader
 from repro.net.packet import RawPacket
@@ -81,6 +88,7 @@ from repro.verify.symbolic import engine, prover, terms
 from repro.verify.symbolic.engine import (
     Chooser,
     CompositionViolation,
+    KeyTests,
     SymExecError,
     SymExternHost,
     SymPacketView,
@@ -106,21 +114,32 @@ class Disagreement(AssertionError):
 class Counts:
     def __init__(self) -> None:
         self.programs = self.packets = self.forced = 0
+        #: ``(member, found)`` of every merged lookup held to its twin
+        self.merged: List[Tuple[str, bool]] = []
 
     def __str__(self) -> str:
         return (f"{self.programs} programs, {self.packets} packets,"
-                f" {self.forced} decisions forced")
+                f" {self.forced} decisions forced,"
+                f" {len(self.merged)} merged lookups")
 
 
 class ConcolicChooser(Chooser):
     """Decides every undecided term the way the concrete packet does —
     each test of a table scan too, so a scan stops where the twin's
-    lookup finds its key."""
+    lookup finds its key, and a merged lookup's one test of all of them.
+    Each merged lookup is kept, ``(entries, keys, found, value)``."""
 
-    def __init__(self, assignment: Dict[str, int]):
-        super().__init__({})
+    def __init__(self, assignment: Dict[str, int],
+                 merged: frozenset = frozenset()):
+        super().__init__(KeyTests(), merged=merged)
         self.assignment = assignment
         self._memo: dict = {}
+        self.lookups: List[tuple] = []
+
+    def lookup(self, entries, keys):
+        found, value = super().lookup(entries, keys)
+        self.lookups.append((entries, keys, found, value))
+        return found, value
 
     def value(self, term: Optional[Term]) -> Optional[int]:
         return None if term is None else evaluate(
@@ -151,15 +170,16 @@ class ConcolicChooser(Chooser):
 
 
 def symbolic_world(packet, ingress: int, prestate: dict, members,
-                   switch_prestate: dict):
+                   switch_prestate: dict, merged: frozenset = frozenset()):
     """The prover's scenario, view and chooser for one concrete packet:
     atoms where the prover has atoms, this packet's values elsewhere, and
     the switch holding what its twin holds (not what a fresh install of
-    ``prestate`` would give it)."""
+    ``prestate`` would give it).  Lookups in ``merged`` are merged."""
     scenario = prover.Scenario(
         "lockstep", "udp" if packet.udp is not None else "tcp",
-        ingress, packet.payload, prestate, members, on_switch=(),
-        key_tests={},
+        ingress, packet.payload,
+        engine.SymPrestate(members, prestate, on_switch=()), KeyTests(),
+        merged,
     )
     scenario.state.tables = {
         name: engine._entries(entries)
@@ -177,7 +197,7 @@ def symbolic_world(packet, ingress: int, prestate: dict, members,
     chooser = ConcolicChooser({
         name: concrete.get_field(region, field)
         for name, (region, field, _width) in scenario.atoms.items()
-    })
+    }, merged)
     return scenario, view, chooser
 
 
@@ -217,6 +237,32 @@ def require_same_store(store: SymStateStore, state: StateStore,
                       state.scalars[name])
 
 
+def require_merged_twins(chooser: ConcolicChooser, twins: list,
+                         counts: Counts) -> None:
+    """Each merged lookup of the run, ``(found, value)`` under the
+    packet's assignment, against its twin on the same concrete key.
+    ``twins`` holds ``(member, entry tuple, the twin's lookup)``: a lookup
+    answers for the member(s) whose tuple it read (an empty tuple is one
+    object, so it may be several)."""
+    for entries, keys, found, value in chooser.lookups:
+        answered = [
+            (member, twin) for member, held, twin in twins if held is entries
+        ]
+        assert answered, f"a merged lookup of no member: {keys!r}"
+        for member, twin in answered:
+            require_equal(f"merged lookup {member}",
+                          (found, chooser.value(value)),
+                          twin(chooser.values(keys)))
+        counts.merged.append((answered[0][0], found))
+
+
+def store_twins(store: StateStore, prestate: engine.SymPrestate,
+                merged: frozenset) -> list:
+    """``StateStore.map_find`` as the twin of each merged server map."""
+    return [(name, prestate.maps[name], partial(store.map_find, name))
+            for name in merged]
+
+
 def fields_of(view, value=lambda field: field) -> dict:
     return {
         f"{region}->{name}": value(view.get_field(region, name))
@@ -229,18 +275,23 @@ def fields_of(view, value=lambda field: field) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def source_lockstep(lowered, config, packets: Packets, counts: Counts) -> None:
+def source_lockstep(lowered, config, packets: Packets, counts: Counts,
+                    seed: Optional[dict] = None) -> None:
+    """``seed`` (map -> entries) joins the post-configure state."""
+    merged = engine.read_only_maps(lowered.state, [lowered.process])
     state = StateStore(lowered.state)
     externs = ExternHost(config=config)
     if lowered.configure is not None:
         Interpreter(lowered.configure, state, externs).run()
     state.drain_journal()
+    for name, entries in (seed or {}).items():
+        state.maps[name].update(entries)
     counts.programs += 1
     for packet, ingress in packets:
         packet = packet.copy()
         packet.ingress_port = ingress
         scenario, sym_view, chooser = symbolic_world(
-            packet, ingress, state.snapshot(), lowered.state, {}
+            packet, ingress, state.snapshot(), lowered.state, {}, merged
         )
         store = SymStateStore(scenario.state, chooser)
         mirror, mirror_error = attempt(
@@ -258,6 +309,9 @@ def source_lockstep(lowered, config, packets: Packets, counts: Counts) -> None:
         counts.packets += 1
         counts.forced += len(chooser.trace)
         require_equal("error", mirror_error, twin_error)
+        require_merged_twins(
+            chooser, store_twins(state, scenario.state, merged), counts
+        )
         journal = state.drain_journal()
         if twin is None:
             continue
@@ -289,6 +343,12 @@ def source_lockstep(lowered, config, packets: Packets, counts: Counts) -> None:
 # ---------------------------------------------------------------------------
 
 
+def switch_lookup(table, keys: tuple) -> Tuple[bool, int]:
+    """``ExactMatchTable.lookup`` on a copy: the twin's hit counters are
+    the deployment's, not this probe's."""
+    return copy.copy(table).lookup(keys)
+
+
 def switch_state(box: GalliumMiddlebox) -> dict:
     return {
         "tables": {n: t.snapshot() for n, t in box.switch.tables.items()},
@@ -297,9 +357,13 @@ def switch_state(box: GalliumMiddlebox) -> dict:
 
 
 def composition_lockstep(plan, program, config, packets: Packets,
-                         counts: Counts) -> None:
+                         counts: Counts, seed: Optional[dict] = None) -> None:
     box = GalliumMiddlebox(plan, program, config=config)
     box.install()
+    if seed:
+        for name, entries in seed.items():
+            box.state.maps[name].update(entries)
+        box.sync_all_state()
     # The prover's derivation of the switch pre-state is install()'s,
     # out of the server's own entries where a table mirrors a map.
     members = plan.middlebox.state
@@ -317,11 +381,21 @@ def composition_lockstep(plan, program, config, packets: Packets,
     for name, entries in derived.tables.items():
         if members[name].kind == "map":
             assert entries is derived.maps[name], name
+    # What a proof of the plan merges (``prover.Bound.scenarios``).
+    merged = engine.read_only_maps(members, [
+        plan.middlebox.process, plan.pre, plan.non_offloaded, plan.post,
+    ])
     counts.programs += 1
     for packet, ingress in packets:
         scenario, sym_view, chooser = symbolic_world(
-            packet, ingress, box.state.snapshot(), members, switch_state(box)
+            packet, ingress, box.state.snapshot(), members, switch_state(box),
+            merged,
         )
+        twins = store_twins(box.state, scenario.state, merged) + [
+            (f"{name} (switch)", scenario.state.tables[name],
+             partial(switch_lookup, box.switch.tables[name]))
+            for name in merged if name in scenario.state.tables
+        ]
         mirror, mirror_error = attempt(
             lambda: prover._run_composition(
                 plan, program, scenario, sym_view,
@@ -336,6 +410,7 @@ def composition_lockstep(plan, program, config, packets: Packets,
         counts.packets += 1
         counts.forced += len(chooser.trace)
         require_equal("crashes", mirror is None, journey is None)
+        require_merged_twins(chooser, twins, counts)
         if journey is None:
             if not isinstance(twin_error, UpdateBatchError):
                 require_equal("error", mirror_error, twin_error)
@@ -447,6 +522,135 @@ def test_both_sides_on_the_bundled_middleboxes(report):
     report(f"composition side, bundled: {composition}")
 
 
+# -- the merged lookup, hit and missed -------------------------------------------
+
+
+def flipped(packet, ports_only: bool = False):
+    """``packet`` with its ports swapped (and its addresses, unless
+    ``ports_only``): the answer of a flow, or a flow nobody allowed."""
+    packet = packet.copy()
+    view = PacketView(packet)
+    pairs = [("tcp", "sport", "dport")]
+    if not ports_only:
+        pairs.append(("ip", "saddr", "daddr"))
+    for region, one, other in pairs:
+        first, second = view.get_field(region, one), view.get_field(
+            region, other)
+        view.set_field(region, one, second)
+        view.set_field(region, other, first)
+    return packet
+
+
+def half_seeded(lowered, config, packets: Packets) -> dict:
+    """Entries for ``lowered``'s read-only maps: every other key its
+    ``process`` looks up on ``packets`` (as many as the map's
+    ``max_entries`` leaves room for), so a stream both hits and misses a
+    map that nothing fills."""
+    merged = engine.read_only_maps(lowered.state, [lowered.process])
+    state = StateStore(lowered.state)
+    externs = ExternHost(config=config)
+    if lowered.configure is not None:
+        Interpreter(lowered.configure, state, externs).run()
+    state.track_reads = True
+    for packet, ingress in packets:
+        packet = packet.copy()
+        packet.ingress_port = ingress
+        try:
+            Interpreter(lowered.process, state, externs).run(
+                PacketView(packet))
+        except InterpreterError:
+            pass
+    keys = sorted({(name, keys) for name, keys, _found, _value
+                   in state.read_log if name in merged})
+    seed: Dict[str, dict] = {}
+    for number, (name, key) in enumerate(keys[::2]):
+        member = lowered.state[name]
+        entries = seed.setdefault(name, {})
+        room = member.max_entries
+        if room is not None and len(state.maps[name]) + len(entries) >= room:
+            continue
+        mask = (1 << bit_width_of(member.value_type(), 32)) - 1
+        entries[key] = (0x5A5A + 97 * number) & mask
+    return seed
+
+
+def run_merged(source_side: range = range(NARROW),
+               composition_side: range = range(40)
+               ) -> Tuple[Counts, Counts, int]:
+    """Each lookup in a map no function writes, against its twins:
+    firewall's two whitelists (the stream, its answers on port 2, and
+    flows neither allows), proxy's port set, and every generated program
+    of the two slices with a read-only map, seeded with every other key
+    its stream looks up.  The source and composition counts, and how many
+    generated programs ran."""
+    source, composition = Counts(), Counts()
+    for name in ("firewall", "proxy"):
+        middlebox = load(name)
+        stream = list(middlebox_stream(name, IPERF))
+        packets = stream + [(flipped(packet), 2) for packet, _ in stream]
+        packets += [(flipped(packet, ports_only=True), ingress)
+                    for packet, ingress in packets]
+        try:
+            source_lockstep(middlebox.lowered, middlebox.config, packets,
+                            source)
+            composition_lockstep(*compile_middlebox(middlebox.source),
+                                 middlebox.config, packets, composition)
+        except Disagreement as exc:
+            raise Disagreement(f"{name}: {exc}") from None
+    seeded = 0
+    for index in source_side:
+        lowered, packets = generated(index)
+        if not engine.read_only_maps(lowered.state, [lowered.process]):
+            continue
+        seed = half_seeded(lowered, None, packets)
+        compiled = (compiled_generated(index) if index in composition_side
+                    else "not swept")
+        try:
+            source_lockstep(lowered, None, packets, source, seed)
+            if not isinstance(compiled, str):
+                composition_lockstep(*compiled, None, packets, composition,
+                                     seed)
+        except Disagreement as exc:
+            raise Disagreement(f"gen{index:03d}: {exc}") from None
+        seeded += 1
+    return source, composition, seeded
+
+
+def test_a_merged_lookup_answers_as_its_twins(report):
+    source, composition, seeded = run_merged()
+    for member in ("wl_out", "wl_in", "proxy_ports"):
+        assert {(member, True), (member, False)} <= set(source.merged)
+        switch = f"{member} (switch)"
+        assert {(switch, True), (switch, False)} <= set(composition.merged)
+    generated_hits = [member for member, found
+                      in source.merged + composition.merged
+                      if found and member.startswith("m")]
+    assert seeded >= 20 and len(generated_hits) > 100
+    report(f"merged lookups, source side: {source}")
+    report(f"merged lookups, composition side: {composition}")
+
+
+def test_a_chain_that_ignores_its_tests_is_caught(monkeypatch):
+    """A hit that returns the last entry's value, whichever matched."""
+    monkeypatch.setattr(engine, "ite", lambda cond, then, other: other)
+    with pytest.raises(Disagreement, match="merged lookup"):
+        run_merged()
+
+
+def test_merging_a_written_map_is_caught(monkeypatch):
+    """Merge every map, written or not: a lookup after an insert or an
+    erase then reads the entries the run started from."""
+    every_map = lambda members, functions: frozenset(  # noqa: E731
+        name for name, member in members.items() if member.kind == "map"
+    )
+    monkeypatch.setattr(engine, "read_only_maps", every_map)
+    monkeypatch.setattr(prover, "read_only_maps", every_map)
+    with pytest.raises(Disagreement):
+        run_source_side(range(NARROW))
+    with pytest.raises(Disagreement):
+        run_bundled()
+
+
 # -- the probe can fail -----------------------------------------------------------
 
 
@@ -527,7 +731,7 @@ def through_all_three_views(function, packet, value: int = 0):
     ``%v = value`` on ``packet`` — from the interpreter over
     ``PacketView``, demanded equal from the generated code and from the
     evaluator over ``SymPacketView``."""
-    chooser = Chooser({})
+    chooser = Chooser(KeyTests())
     twin = attempt(
         lambda: Interpreter(function, StateStore({})).run(
             PacketView(packet.copy()), {"v": value}
@@ -625,6 +829,10 @@ def main(argv: List[str]) -> int:
     source, composition = run_bundled()
     print(f"source side, bundled: {source}")
     print(f"composition side, bundled: {composition}")
+    source, composition, seeded = run_merged(programs, programs)
+    print(f"merged lookups, {seeded} seeded generated programs and"
+          f" firewall, proxy: source side {source};"
+          f" composition side {composition}")
     return 0
 
 

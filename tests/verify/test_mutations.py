@@ -34,6 +34,7 @@ from repro.difftest.corpus import load_corpus
 from repro.ir import instructions as irin
 from repro.ir.values import const_int, Reg
 from repro.lang.types import IntType
+from repro.middleboxes import load
 from repro.partition.labels import Partition
 from repro.verify import verify_compilation
 from repro.verify.symbolic import verify_symbolic
@@ -377,6 +378,38 @@ def test_symbolic_composition_crash_disproved_sym006(corpus, tmp_path):
     cx = report.counterexamples[0]
     assert cx.code == "SYM006"
     assert cx.confirmed, cx.replay_detail
+
+
+def test_symbolic_swapped_whitelist_key_disproved_sym001():
+    """A key mix-up in a lookup of a map no function writes: firewall's
+    pre asks ``wl_out`` with the source and destination ports swapped.
+    Merged, the lookup is one decision, and the world where the source
+    finds the flow and the switch does not has an ``lor`` over 64 entries
+    for its path condition, which no witness draw satisfies.  So that
+    scenario is explored again entry by entry: its first mismatch names
+    one entry, whose key test fixes the witness.  Without the second pass
+    the proof ends inconclusive (SYM008)."""
+    middlebox = load("firewall")
+    result = compile_source(middlebox.source, verify=False)
+    pre = result.switch_program.pre
+    block, idx = next(
+        (block, idx) for block in pre.blocks.values()
+        for idx, inst in enumerate(block.instructions)
+        if isinstance(inst, irin.MapFind) and inst.state == "wl_out"
+    )
+    find = block.instructions[idx]
+    keys = list(find.keys)
+    keys[2], keys[3] = keys[3], keys[2]
+    block.instructions[idx] = irin.MapFind(
+        find.found, find.value, find.state, keys
+    )
+    report = verify_symbolic(
+        result.plan, result.switch_program, config=middlebox.config
+    )
+    cx = _sole_confirmed(report, "SYM001")
+    assert [scenario["split"] for scenario in report.per_scenario] == [True]
+    fields = cx.packet["fields"]
+    assert (fields["tcp.sport"], fields["tcp.dport"]) == (1000, 80)
 
 
 def test_symbolic_unsound_path_reported_sym007(corpus, tmp_path, monkeypatch):

@@ -114,8 +114,10 @@ def test_pipelines_are_measured_in_one_function():
         ("switchsim/program.py", "stages"),
     ]
     assert sites("dependency_distances(", outside="analysis/") == [
-        ("partition/constraints.py", "measure_pipeline"),
         ("partition/partitioner.py", "partition_middlebox"),
+    ]
+    assert sites("distances_from_entry(", outside="analysis/") == [
+        ("partition/constraints.py", "measure_pipeline"),
     ]
 
 

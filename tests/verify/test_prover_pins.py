@@ -31,7 +31,13 @@ def test_every_mutation_pin_names_its_own_code(recorded):
 
 
 def test_the_pinned_proofs_explore_something(recorded):
-    """A pin set of one-world proofs would hold whatever the evaluator did."""
-    assert all(pin["proved"] for pin in recorded["bundled"].values())
-    assert sum(pin["worlds"] for pin in recorded["bundled"].values()) > 400
+    """A pin set of one-world proofs would hold whatever the evaluator did.
+    The bundled group is counted against its scenarios: since a lookup in
+    a map no function writes is one decision, firewall's two proofs
+    explore 18 and 12 worlds where they explored 396 and 264."""
+    bundled = recorded["bundled"].values()
+    assert all(pin["proved"] for pin in bundled)
+    assert sum(pin["worlds"] for pin in bundled) > 2 * sum(
+        pin["scenarios"] for pin in bundled
+    )
     assert sum(pin["worlds"] for pin in recorded["generated"].values()) > 1000

@@ -1,14 +1,15 @@
-"""What a scenario builds once, every world of it may read and none may
+"""What a proof builds once, every world of it may read and none may
 change — and a proof pays per decision, not per stored entry.
 
-The prover keeps a scenario's pre-state and base packet in term form and
+The prover keeps each pre-state in term form once per proof, shared by
+the scenarios that start from it, and a scenario's base packet once, and
 starts each world from a pointer copy (``engine.SymPrestate``,
 ``prover.Scenario``).  That is sound only while no world writes to what
 it was handed; the pins show most leaks as moved worlds, this file names
-every one.  The second half is the reason the sharing exists, as a count: a proof
-that again re-derived its tables per world would construct tens of terms
-per decision where it now constructs a quarter of one — and a table scan,
-however long, is one call to the chooser.
+every one.  The second half is the reason the sharing exists, as a count:
+a table scan, however long, is one call to the chooser; a lookup in a map
+no function writes is one decision, whose ``ite`` chain is built once per
+proof; and the terms the six proofs construct do not grow.
 """
 
 import json
@@ -18,7 +19,7 @@ import pytest
 
 from repro.middleboxes import MIDDLEBOX_NAMES, load
 from repro.runtime.deployment import compile_middlebox
-from repro.verify.symbolic import prover, terms, verify_symbolic
+from repro.verify.symbolic import engine, prover, terms, verify_symbolic
 from repro.verify.symbolic.engine import Chooser, SymStateStore, SymTable
 from tests.verify import prover_pins
 
@@ -93,10 +94,11 @@ def test_an_aliasing_store_is_caught(name, aliasing_store):
 
 
 def test_an_aliasing_store_moves_the_pins(aliasing_store):
-    """... of ``trojan`` and ``lb``.  ``mazunat``'s hold: a mapping leaked
-    from an earlier world is found by a key test that folds to true (the
-    key is the same term), at no decision, and both sides of the
-    comparison alias the one list — the leak only the check above sees."""
+    """... of all three.  ``mazunat``'s once held: a mapping leaked from an
+    earlier world is found by a key test that folds to true (the key is
+    the same term), at no decision, and both sides of the comparison alias
+    the one list.  Since a pre-state's term form is the proof's, the leak
+    also reaches the scenarios after it, and its pins move too."""
     recorded = json.loads(prover_pins.GOLDEN.read_text())["narrow"]["bundled"]
     moved = []
     for name in WRITERS:
@@ -106,11 +108,12 @@ def test_an_aliasing_store_moves_the_pins(aliasing_store):
         )
         if pin != recorded[f"{name}@default"]:
             moved.append(name)
-    assert moved == ["trojan", "lb"]
+    assert moved == WRITERS
 
 
 def prove_the_six() -> int:
-    """All six bundled proofs at the default budget; their decisions."""
+    """All six bundled proofs at the default budget; their decisions.
+    No scenario of them is explored again entry by entry."""
     decisions = 0
     for name in MIDDLEBOX_NAMES:
         middlebox = load(name)
@@ -118,16 +121,21 @@ def prove_the_six() -> int:
             *compile_middlebox(middlebox.source), config=middlebox.config
         )
         assert report.proved, name
+        assert not any(s["split"] for s in report.per_scenario), name
         decisions += report.decisions
     return decisions
 
 
 def test_a_proof_pays_per_decision_not_per_stored_entry(monkeypatch):
-    """``Term`` constructions over the six bundled proofs at the default
-    budget: 560 520 for 13 354 decisions (42 each) while every world
-    rebuilt its tables, key tests and comparisons; ~13 000 (≈1 each) once
-    a scenario built them once; 3 093 (0.23 each) since terms are
-    interned and a key test is built once per proof."""
+    """``Term`` constructions and decisions over the six bundled proofs at
+    the default budget.  While every world rebuilt its tables, key tests
+    and comparisons: 560 520 terms for 13 354 decisions.  Since a scenario
+    built them once, and terms are interned and a key test is built once
+    per proof: 3 093 terms, still 13 354 decisions, 12 864 of them
+    firewall's scans of its two 64-entry whitelists.  Since a lookup in a
+    map no function writes is one decision: 480 decisions, and 2 124
+    terms (a key test an interval refutes builds none, and a merged
+    lookup's ``lor`` and ``ite`` chain are built once per proof)."""
     built = 0
     real = terms.Term.__init__
 
@@ -138,17 +146,19 @@ def test_a_proof_pays_per_decision_not_per_stored_entry(monkeypatch):
 
     monkeypatch.setattr(terms.Term, "__init__", counting)
     decisions = prove_the_six()
-    assert decisions > 10_000
-    assert built * 4 <= decisions, (built, decisions)
+    assert decisions < 600, decisions
+    assert built < 2_500, built
 
 
 def test_a_table_scan_is_one_chooser_call(monkeypatch):
     """Each lookup a map or a table answers — ``map_find`` /
     ``map_insert`` / ``map_erase`` on the server, ``SymTable.lookup`` on
     the switch — asks the chooser once, however many entries it scans:
-    1 538 lookups over the six proofs, 1 538 calls, 52 968 stored entries
-    in the lists they scan (one ``decide`` per entry tested, before)."""
-    lookups = chooser_calls = scanned = 0
+    770 lookups over the six proofs, 770 calls.  48 of them are in a map
+    no function writes (firewall's whitelists, proxy's ports) and scan
+    nothing: one ``lor`` of the 2 388 stored entries' key tests is their
+    one question.  The other 722 scan 1 148 entries."""
+    lookups = chooser_calls = scanned = merged = behind = 0
     depth = 0
 
     def lookup(method):
@@ -176,13 +186,68 @@ def test_a_table_scan_is_one_chooser_call(monkeypatch):
             return method(self, entries, keys)
         return counted
 
+    def merges(method):
+        def counted(self, entries, keys):
+            nonlocal merged, behind, scanned
+            merged += depth
+            behind += depth * len(entries)
+            before = scanned
+            try:
+                return method(self, entries, keys)
+            finally:
+                assert scanned == before, "a merged lookup scanned"
+        return counted
+
     for cls, name in [(SymStateStore, "map_find"),
                       (SymStateStore, "map_insert"),
                       (SymStateStore, "map_erase"), (SymTable, "lookup")]:
         monkeypatch.setattr(cls, name, lookup(getattr(cls, name)))
     monkeypatch.setattr(Chooser, "_first", asks(Chooser._first))
     monkeypatch.setattr(Chooser, "find", scans(Chooser.find))
+    monkeypatch.setattr(Chooser, "lookup", merges(Chooser.lookup))
     prove_the_six()
-    assert lookups > 1_000
+    assert lookups > 500
     assert chooser_calls == lookups, (chooser_calls, lookups)
-    assert scanned > 20 * lookups, (scanned, lookups)
+    assert merged > 40 and behind > 40 * merged, (merged, behind)
+
+
+def test_a_chain_is_built_once_per_proof(monkeypatch):
+    """A merged lookup's ``lor`` and ``ite`` chain are built on the first
+    lookup of its entries and key in a proof, and read from the proof's
+    memo by every later one — in later worlds, later scenarios (the
+    pre-state's entries are one tuple per proof) and on the switch (its
+    copy of a map is the server's tuple).  Over the six: 48 merged
+    lookups, 15 chains."""
+    built: list = []
+    asked: list = []
+    real_build, real_lookup = engine._first_match, Chooser.lookup
+
+    def build(tests, entries, keys):
+        built.append((id(entries), keys))
+        return real_build(tests, entries, keys)
+
+    def lookup(self, entries, keys):
+        asked.append((id(entries), keys))
+        return real_lookup(self, entries, keys)
+
+    monkeypatch.setattr(engine, "_first_match", build)
+    monkeypatch.setattr(Chooser, "lookup", lookup)
+    run_proof = verify_symbolic
+
+    def one_proof(*args, **kwargs):
+        built.clear()
+        asked.clear()
+        report = run_proof(*args, **kwargs)
+        assert len(built) == len(set(built)) == len(set(asked)), (
+            len(built), len(set(asked)))
+        proofs.append((len(asked), len(built)))
+        return report
+
+    proofs: list = []
+    monkeypatch.setattr(
+        "tests.verify.test_scenario_sharing.verify_symbolic", one_proof
+    )
+    prove_the_six()
+    lookups = sum(asked for asked, _ in proofs)
+    chains = sum(built for _, built in proofs)
+    assert lookups > 2 * chains > 20, (lookups, chains)

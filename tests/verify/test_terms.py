@@ -22,6 +22,7 @@ from repro.verify.symbolic.terms import (
     boolify,
     const,
     evaluate,
+    ite,
     unop,
     wrap,
 )
@@ -87,11 +88,12 @@ def test_operation_nodes_are_one_object():
             unop(UnOpKind.NEG, ttl),
             wrap(binop(BinOpKind.ADD, saddr, ttl), 0xFFFF),
             boolify(binop(BinOpKind.SUB, ttl, saddr)),
+            ite(binop(BinOpKind.EQ, ttl, const(6)), saddr, ttl),
         )
 
     once, again = build(), build()
     assert [term.op for term in once] == [
-        BinOpKind.XOR, BinOpKind.LT, UnOpKind.NEG, "wrap", "bool",
+        BinOpKind.XOR, BinOpKind.LT, UnOpKind.NEG, "wrap", "bool", "ite",
     ]
     for built, rebuilt in zip(once, again):
         assert built is rebuilt
@@ -100,16 +102,33 @@ def test_operation_nodes_are_one_object():
     assert wrap(once[3].args[0], 0xFF) is not once[3]
 
 
+def test_a_lookup_chain_folds_and_evaluates_as_its_arms():
+    """``ite``: a decided test or equal arms fold away; otherwise the
+    interval is the union of the arms' and :func:`evaluate` takes the arm
+    the test picks."""
+    ttl, tos = atom("ip.ttl", 8), atom("ip.tos", 8)
+    test = binop(BinOpKind.EQ, ttl, const(6))
+    assert ite(const(1), ttl, tos) is ttl and ite(const(0), ttl, tos) is tos
+    assert ite(test, tos, tos) is tos
+    chain = ite(test, const(300), binop(BinOpKind.ADD, tos, const(1)))
+    assert (chain.lo, chain.hi, repr(chain)) == (
+        1, 300, "ite(eq(ip.ttl, 6), 300, add(ip.tos, 1))")
+    assert evaluate(chain, {"ip.ttl": 6, "ip.tos": 9}) == 300
+    assert evaluate(chain, {"ip.ttl": 7, "ip.tos": 9}) == 10
+
+
 def _live_operations() -> list:
     return [term for term in (ref() for ref in terms._INTERNED.values())
             if term is not None and term.kind == "op"]
 
 
+@pytest.mark.parametrize("name", ["trojan", "firewall"])
 def test_a_finished_proof_leaves_no_operation_in_the_intern_table(
-        monkeypatch):
+        monkeypatch, name):
     """The table holds its terms weakly: once ``verify_symbolic`` returns,
-    the operation nodes it built are gone with the proof."""
-    middlebox = load("trojan")
+    the operation nodes it built are gone with the proof — firewall's
+    merged lookups' chains too, which the proof's memo holds."""
+    middlebox = load(name)
     plan, program = compile_middlebox(middlebox.source)
     gc.collect()
     before = set(_live_operations())
