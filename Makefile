@@ -3,7 +3,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: help test test-durations verify prover-pins replication-mutants \
-	mirror-lockstep symbolic-smoke lint \
+	stage-mutants mirror-lockstep symbolic-smoke lint \
 	lint-verify option-census \
 	difftest difftest-smoke difftest-compiled cpp-check oracle-pins faults \
 	faults-smoke bench-smoke \
@@ -26,6 +26,10 @@ help:
 	@echo "                  every generated program with a replicated register"
 	@echo "                  disproved by a confirmed SYM005, or proved for a"
 	@echo "                  recorded reason (~2 s; gen004 runs in tier-1)"
+	@echo "  stage-mutants   the five stage mutants (m1-m5) against the prover and"
+	@echo "                  a 10-packet oracle run over the bundled six and the"
+	@echo "                  compile-pin programs; exit 1 on a mutant disproved"
+	@echo "                  nowhere (the run_sources() slice runs in tier-1)"
 	@echo "  mirror-lockstep every symbolic mirror against its concrete twin,"
 	@echo "                  concolically (wide slice, ~30 s; narrow in tier-1)"
 	@echo "  symbolic-smoke  translation validation: prove all middleboxes,"
@@ -105,6 +109,16 @@ prover-pins:
 # gen004 (tests/verify/test_mutations.py).
 replication-mutants:
 	$(PYTHON) -m tests.verify.replication_mutants --wide
+
+# The stage order's and the allocation's five seeded mutants
+# (tests/codegen/test_stage_program.py::RUN_MUTANTS) against the prover,
+# which proves the staged program the switch runs, over the six bundled
+# middleboxes and the compile-pin sweep's generated programs: per mutant,
+# the programs disproved (code) next to those a 10-packet oracle run
+# diverges on.  Exit 1 when a mutant is disproved nowhere.  Tier-1 runs
+# the run_sources() slice (tests/codegen/test_stage_mutants.py).
+stage-mutants:
+	$(PYTHON) -m tests.codegen.stage_mutants --wide
 
 # What the prover does not share with the runtime it mirrors; this runs
 # each mirror against its twin on 200 generated programs x 25 packets and

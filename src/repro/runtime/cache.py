@@ -35,6 +35,7 @@ from repro.runtime.deployment import GalliumMiddlebox, Role
 from repro.switchsim.control_plane import StateUpdate
 from repro.switchsim.program import SwitchProgram, bypass_port
 from repro.switchsim.switch_model import SHIM_DIR_KEY, SHIM_KEY
+from repro.telemetry.metrics import counter_property
 
 
 class CacheConfigurationError(ValueError):
@@ -67,18 +68,8 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-def _stats_property(name: str) -> property:
-    def _get(self: CacheStats) -> int:
-        return self._counters[name].value
-
-    def _set(self: CacheStats, value: int) -> None:
-        self._counters[name].set(value)
-
-    return property(_get, _set)
-
-
 for _name in CacheStats._FIELDS:
-    setattr(CacheStats, _name, _stats_property(_name))
+    setattr(CacheStats, _name, counter_property(_name))
 del _name
 
 

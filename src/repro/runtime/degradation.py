@@ -37,6 +37,7 @@ from typing import Dict
 
 from repro.corpus_format import fields_from
 from repro.switchsim.control_plane import RetryPolicy
+from repro.telemetry.metrics import counter_property
 
 #: Reasons where the packet is physically gone: policy cannot save it.
 UNSALVAGEABLE_REASONS = frozenset({
@@ -156,18 +157,8 @@ class DropAccounting:
         return data
 
 
-def _ledger_property(name: str) -> property:
-    def _get(self: DropAccounting) -> int:
-        return self._counters[name].value
-
-    def _set(self: DropAccounting, value: int) -> None:
-        self._counters[name].set(value)
-
-    return property(_get, _set)
-
-
 # The legacy dataclass fields (``accounting.failed_closed += 1`` etc.)
 # become registry-counter views so call sites keep working unchanged.
 for _name in DropAccounting._FIELDS:
-    setattr(DropAccounting, _name, _ledger_property(_name))
+    setattr(DropAccounting, _name, counter_property(_name))
 del _name

@@ -1,45 +1,36 @@
 """Pipeline execution: one traversal of the pre or post program.
 
-This is the interpreted engine — the oracle — and it runs the staged
-program the P4 text prints (:class:`PipelineExecutor`).  (The compiled
-one, selected with ``SwitchModel(..., fast_path=True)``, is the rendition
-of the IR in :mod:`repro.switchsim.compiled`; it raises the same
-violations, built by the functions below, and ``difftest --compiled``
-holds the two equal.)
+:class:`PipelineExecutor` runs the staged program the P4 text prints
+over either of the interpreter's value domains: ints for the interpreted
+switch (the oracle), terms for the prover's, so the prover proves what
+the switch runs.  Every state access goes through the one data-plane
+adapter, :class:`SwitchStateAdapter`, which
 
-The executor runs the IR interpreter's decoded instructions but backs
-all state accesses with the switch's tables and registers through
-:class:`SwitchStateAdapter`, which
-
-* services ``MapFind``/``VectorGet`` from exact-match tables (honouring the
-  write-back visibility bit),
+* services ``MapFind``/``VectorGet`` from exact-match tables,
 * services scalar loads/RMWs from registers,
 * **rejects** any mutation a data plane cannot perform (map inserts, bare
   stores) — hitting one is a compiler bug, and
 * counts accesses so a traversal touching a stateful element twice fails
   loudly (the run-time shadow of constraint 3).
+
+The compiled engine (``SwitchModel(..., fast_path=True)``, the packet
+fast path in :mod:`repro.switchsim.compiled`) is the one IR-order
+traversal left: it raises the same violations, built by the functions
+below, and ``difftest --compiled`` holds it to the staged run.
 """
 
 from __future__ import annotations
 
+import weakref
 from itertools import groupby
-from typing import (
-    Any, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Type,
-)
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 from repro.analysis.reachability import compute_reachability
 from repro.ir import instructions as irin
-from repro.ir.externs import ExternHost
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
-from repro.ir.interp import (
-    IntDomain, InterpreterError, PacketView, _Run, _decode, _undefined,
-)
+from repro.ir.interp import _Run, _decode, _undefined
 from repro.ir.values import Reg
-from repro.net.packet import RawPacket
-from repro.partition.constraints import StagedOp
-from repro.switchsim.registers import Register
-from repro.switchsim.tables import ExactMatchTable
 
 #: what one traversal yields: verdict ("send" | "drop" | None when it fell
 #: off the end), explicit egress port, final environment (the compiled
@@ -53,32 +44,24 @@ class DataPlaneViolation(Exception):
     """A pipeline attempted an operation the data plane cannot perform."""
 
 
-#: The builders below spell each violation once; an engine with its own
-#: exception class for them (the prover's symbolic switch) names it.
-Violation = Type[Exception]
-
-
-def accessed_twice(state: str,
-                   violation: Violation = DataPlaneViolation) -> Exception:
-    return violation(
+def accessed_twice(state: str) -> DataPlaneViolation:
+    return DataPlaneViolation(
         f"stateful element {state!r} accessed twice in one traversal"
     )
 
 
-def unknown_member(access: str, name: str,
-                   violation: Violation = DataPlaneViolation) -> Exception:
+def unknown_member(access: str, name: str) -> DataPlaneViolation:
     """``access`` is the phrase the violation opens with: ``"lookup on
     unknown table"``, ``"read of unknown register"``, ``"RMW of unknown
     register"``."""
-    return violation(f"{access} {name!r}")
+    return DataPlaneViolation(f"{access} {name!r}")
 
 
-def rmw_width_mismatch(name: str, width: int, register,
-                       violation: Violation = DataPlaneViolation) -> Exception:
+def rmw_width_mismatch(name: str, width: int, register) -> DataPlaneViolation:
     # Uniform with StateStore.rmw_scalar: a caller-supplied width must
     # agree with the cell's declared width, never silently re-mask (the
     # stateful ALU wraps at width_bits, full stop).
-    return violation(
+    return DataPlaneViolation(
         f"RMW width {width} does not match register {name!r}"
         f" width {register.width_bits}"
     )
@@ -95,30 +78,32 @@ FORBIDDEN = {
 }
 
 
-def forbidden(operation: str, name: str,
-              violation: Violation = DataPlaneViolation) -> Exception:
-    return violation(FORBIDDEN[operation].format(name=name))
+def forbidden(operation: str, name: str) -> DataPlaneViolation:
+    return DataPlaneViolation(FORBIDDEN[operation].format(name=name))
 
 
-class AccessRules:
-    """What one traversal may do to ``tables`` and ``registers``, whatever
-    a value in them is: one access per stateful element, none to an
-    element the switch does not hold, an RMW only at the register's
-    declared width, none of the five mutations.  The interpreted adapter
-    below and the prover's symbolic switch state are this plus their own
-    lookups; the compiled rendition emits the same builders in place."""
+class SwitchStateAdapter:
+    """StateStore-compatible facade over one traversal's switch tables
+    (``lookup(keys) -> (found, value)``, a miss answering its domain's
+    zero) and registers (``read()``, ``rmw(op, operand)``): one access
+    per stateful element, none to an element the switch lacks, an RMW
+    only at the declared width, none of the five mutations."""
 
-    tables: Mapping[str, Any]
-    registers: Mapping[str, Any]
-    #: the exception a refused access raises
-    violation: Violation = DataPlaneViolation
+    def __init__(self, tables: Mapping[str, Any],
+                 registers: Mapping[str, Any]):
+        self.tables = tables
+        self.registers = registers
+        self.begin_traversal()
+        #: Optional :class:`repro.telemetry.PacketTracer` (``None`` when
+        #: tracing is off; the interpreter picks it up via ``state.tracer``).
+        self.tracer = None
 
     def begin_traversal(self) -> None:
         self._accessed: set = set()
 
     def _count(self, state: str) -> None:
         if state in self._accessed:
-            raise accessed_twice(state, self.violation)
+            raise accessed_twice(state)
         self._accessed.add(state)
 
     def _table(self, name: str):
@@ -126,8 +111,7 @@ class AccessRules:
         self._count(name)
         table = self.tables.get(name)
         if table is None:
-            raise unknown_member("lookup on unknown table", name,
-                                 self.violation)
+            raise unknown_member("lookup on unknown table", name)
         return table
 
     def _register(self, name: str, access: str, width: Optional[int] = None):
@@ -136,41 +120,10 @@ class AccessRules:
         self._count(name)
         register = self.registers.get(name)
         if register is None:
-            raise unknown_member(f"{access} of unknown register", name,
-                                 self.violation)
+            raise unknown_member(f"{access} of unknown register", name)
         if width and width != register.width_bits:
-            raise rmw_width_mismatch(name, width, register, self.violation)
+            raise rmw_width_mismatch(name, width, register)
         return register
-
-    # -- operations the data plane cannot do -----------------------------------
-
-    def map_insert(self, name: str, keys, value) -> None:
-        raise forbidden("map_insert", name, self.violation)
-
-    def map_erase(self, name: str, keys) -> None:
-        raise forbidden("map_erase", name, self.violation)
-
-    def store_scalar(self, name: str, value) -> None:
-        raise forbidden("store_scalar", name, self.violation)
-
-    def vector_len(self, name: str):
-        raise forbidden("vector_len", name, self.violation)
-
-    def vector_push(self, name: str, value) -> None:
-        raise forbidden("vector_push", name, self.violation)
-
-
-class SwitchStateAdapter(AccessRules):
-    """StateStore-compatible facade over switch tables and registers."""
-
-    def __init__(self, tables: Dict[str, ExactMatchTable],
-                 registers: Dict[str, Register]):
-        self.tables = tables
-        self.registers = registers
-        self.begin_traversal()
-        #: Optional :class:`repro.telemetry.PacketTracer` (``None`` when
-        #: tracing is off; the interpreter picks it up via ``state.tracer``).
-        self.tracer = None
 
     # -- StateStore interface ------------------------------------------------
 
@@ -181,22 +134,20 @@ class SwitchStateAdapter(AccessRules):
                                hit=found, value=value)
         return found, value
 
-    def vector_get(self, name: str, index: int) -> int:
-        found, value = self._table(name).lookup((index,))
-        value = value if found else 0
+    def vector_get(self, name: str, index):
+        _found, value = self._table(name).lookup((index,))
         if self.tracer is not None:
             self.tracer.record("vector_get", name=name, index=index,
                                value=value)
         return value
 
-    def load_scalar(self, name: str) -> int:
+    def load_scalar(self, name: str):
         value = self._register(name, "read").read()
         if self.tracer is not None:
             self.tracer.record("register_read", name=name, value=value)
         return value
 
-    def rmw_scalar(self, name: str, op, operand: int,
-                   width: Optional[int] = None) -> int:
+    def rmw_scalar(self, name: str, op, operand, width: Optional[int] = None):
         register = self._register(name, "RMW", width)
         old = register.rmw(op, operand)
         if self.tracer is not None:
@@ -204,6 +155,23 @@ class SwitchStateAdapter(AccessRules):
                                op=getattr(op, "name", str(op)).lower(),
                                old=old, new=register.value)
         return old
+
+    # -- operations the data plane cannot do -----------------------------------
+
+    def map_insert(self, name: str, keys, value) -> None:
+        raise forbidden("map_insert", name)
+
+    def map_erase(self, name: str, keys) -> None:
+        raise forbidden("map_erase", name)
+
+    def store_scalar(self, name: str, value) -> None:
+        raise forbidden("store_scalar", name)
+
+    def vector_len(self, name: str):
+        raise forbidden("vector_len", name)
+
+    def vector_push(self, name: str, value) -> None:
+        raise forbidden("vector_push", name)
 
 
 class PipelineExecutor:
@@ -232,8 +200,13 @@ class PipelineExecutor:
       values for a field the server reads on no such path (DESIGN.md,
       "The staged switch").
 
-    A program is decoded once (kept by the function, per allocation):
-    each op is the interpreter's decoded instruction
+    It runs over ``domain`` (:class:`~repro.ir.interp.IntDomain`, or a
+    prover world's ``TermDomain``, whose chooser decides each guard
+    condition as it decides a branch), ``externs`` and the packet view
+    ``view(packet)`` its caller supplies.
+
+    A program is decoded once per domain class (kept by the function,
+    per allocation): each op is the interpreter's decoded instruction
     (:func:`repro.ir.interp._decode`) with the registers each of its
     writes may clobber.  A clobbered register leaves ``env`` (so reading
     it fails where any undefined read does) until it is written again;
@@ -243,43 +216,58 @@ class PipelineExecutor:
     :class:`~repro.switchsim.switch_model.SwitchModel` refuses it.
     """
 
-    def __init__(self, program, side: str, adapter: SwitchStateAdapter):
+    def __init__(self, program, side: str, adapter: SwitchStateAdapter,
+                 domain, externs, view: Callable[[Any], Any]):
         self.adapter = adapter
-        self.externs = ExternHost()
+        self.externs = externs
+        self.view = view
+        self.decide = domain.decide  # None over ints
+        self.error = domain.error
         function = getattr(program, side)
         self.name = function.name
-        staged, allocation = program.stages(side)
         pre = side == "pre"
         self.punted = tuple(program.shim_to_server.carried() if pre else ())
         held = tuple(() if pre else program.shim_to_switch.carried())
         self.groups = function.once(
-            _decode_stages, staged, tuple(allocation.offsets.items()), held,
-            self.punted,
+            _decode_stages,
+            domain if isinstance(domain, type) else type(domain),
+            held, self.punted, _Stages(program, side),
         )
 
-    def run(self, packet: RawPacket,
-            initial_env: Optional[Dict[str, int]] = None) -> Traversal:
+    def run(self, packet: Any,
+            initial_env: Optional[Dict[str, Any]] = None) -> Traversal:
         adapter = self.adapter
         adapter.begin_traversal()
         tracer = adapter.tracer
         deep = tracer is not None and tracer.deep
-        run = _Run(PacketView(packet), adapter, self.externs, tracer, None)
-        env: Dict[str, int] = dict(initial_env) if initial_env else {}
+        decide = self.decide
+        run = _Run(self.view(packet), adapter, self.externs, tracer, decide)
+        env: Dict[str, Any] = dict(initial_env) if initial_env else {}
         #: register -> (the register whose write took its bytes, the
         #: value it held then)
-        clobbered: Dict[str, Tuple[str, int]] = {}
+        clobbered: Dict[str, Tuple[str, Any]] = {}
         steps = 0
         for guard, ops in self.groups:
             if guard is not None:
                 try:
-                    for conjunction in guard:
-                        for name, false_arm in conjunction:
-                            if (not env[name]) is not false_arm:
+                    if decide is None:
+                        for conjunction in guard:
+                            for name, false_arm in conjunction:
+                                if (not env[name]) is not false_arm:
+                                    break
+                            else:
                                 break
                         else:
-                            break
-                    else:
-                        continue
+                            continue
+                    else:  # the same test, each condition decided
+                        for conjunction in guard:
+                            for name, false_arm in conjunction:
+                                if (not decide(env[name])) is not false_arm:
+                                    break
+                            else:
+                                break
+                        else:
+                            continue
                 except KeyError as exc:
                     raise self._unreadable(exc.args[0], clobbered,
                                            ops[0][2]) from None
@@ -298,7 +286,7 @@ class PipelineExecutor:
                     if name in clobbered:
                         raise self._unreadable(name, clobbered,
                                                info) from None
-                    raise InterpreterError(
+                    raise self.error(
                         f"{self.name}: read of undefined register %{name}"
                     ) from None
                 if writes:
@@ -318,7 +306,7 @@ class PipelineExecutor:
                 env[name] = value
         return run.verdict, run.egress, env, steps
 
-    def _unreadable(self, name: str, clobbered: Dict[str, Tuple[str, int]],
+    def _unreadable(self, name: str, clobbered: Dict[str, Tuple[str, Any]],
                     info: Optional["_OpInfo"]) -> DataPlaneViolation:
         """What a read of register ``name`` at ``info`` raises when ``env``
         has no value for it that an op could have read."""
@@ -359,21 +347,41 @@ def _nothing(env, run):
     return None
 
 
+class _Stages:
+    """``program.stages(side)`` for a memo that misses, and no part of its
+    key (a shape and its held and punted names have one staged program);
+    held weakly, as the key stays in the function's memo."""
+
+    __slots__ = ("program", "side")
+
+    def __init__(self, program, side: str):
+        self.program: Callable[[], Any] = weakref.ref(program)
+        self.side = side
+
+    def __hash__(self) -> int:
+        return 0
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Stages)
+
+
 def _decode_stages(
     function: Function,
-    staged: Sequence[StagedOp],
-    offsets: Tuple[Tuple[str, Tuple[int, int]], ...],
+    kind: type,
     held: Tuple[str, ...],
     punted: Tuple[str, ...],
+    stages: _Stages,
 ) -> Tuple[Tuple[_Test, Tuple[_StagedOp, ...]], ...]:
-    """``staged`` as runs of ops that share a stage and a guard, each op
-    decoded with the registers its writes can clobber in the scratch
-    bytes ``offsets`` gives them (register -> (offset, size)): one that
+    """The staged ops as runs that share a stage and a guard, each op
+    decoded for the domain class ``kind`` with the registers its writes
+    can clobber in the scratch bytes the allocation gives them: one that
     shares a byte with the write, may hold a value there (written
     earlier in stage order, or ``held`` from the entry) and is read
     later (by an op, a guard, or pre's punt, a Return, copying out the
     ``punted`` registers).  An allocation gives no two such registers a
     byte, so over a correct one no write clobbers anything."""
+    staged, allocation = stages.program().stages(stages.side)
+    offsets = allocation.offsets
     first_write = dict.fromkeys(held, -1)
     last_read: Dict[str, int] = {}
     for at, (inst, _, guard) in enumerate(staged):
@@ -388,13 +396,12 @@ def _decode_stages(
         if isinstance(inst, irin.Return):
             last_read.update(dict.fromkeys(punted, at))
     holders: Dict[int, list] = {}
-    for name, (offset, size) in offsets:
+    for name, (offset, size) in offsets.items():
         for byte in range(offset, offset + size):
             holders.setdefault(byte, []).append(name)
-    bytes_of = dict(offsets)
 
     def clobbers(name: str, at: int) -> Tuple[str, ...]:
-        offset, size = bytes_of.get(name, (0, 0))
+        offset, size = offsets.get(name, (0, 0))
         return tuple(
             other for other in dict.fromkeys(
                 other for byte in range(offset, offset + size)
@@ -423,10 +430,10 @@ def _decode_stages(
             at += 1
             if isinstance(inst, (irin.Branch, irin.Jump)):
                 op = _nothing
-            elif getattr(inst, "_decoded_for", None) is IntDomain:
+            elif getattr(inst, "_decoded_for", None) is kind:
                 op = inst._decoded
             else:
-                op = _decode(inst, IntDomain)
+                op = _decode(inst, kind)
             ops.append((
                 op,
                 writes,

@@ -26,6 +26,8 @@ from repro.codegen.headers import (
     INGRESS_PORT_FIELD,
     VERDICT_FIELD,
 )
+from repro.ir.externs import ExternHost
+from repro.ir.interp import IntDomain, PacketView
 from repro.net.packet import RawPacket
 from repro.sim.clock import PARSE_US, SWITCH_INSTR_US
 from repro.switchsim.control_plane import ControlPlane
@@ -109,8 +111,11 @@ class SwitchModel:
             # one engine that can give a deep trace its event per op.
             adapter = SwitchStateAdapter(self.tables, self.registers)
             adapter.tracer = tracer
-            self._pre = PipelineExecutor(program, "pre", adapter).run
-            self._post = PipelineExecutor(program, "post", adapter).run
+            self._pre, self._post = (
+                PipelineExecutor(program, side, adapter, IntDomain,
+                                 ExternHost(), PacketView).run
+                for side in ("pre", "post")
+            )
         # Counters (views over the deployment's metrics registry).
         metrics = self.telemetry.metrics
         self._c_fast = metrics.counter("switch.fast_path_packets")

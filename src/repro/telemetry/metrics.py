@@ -45,6 +45,18 @@ class Counter:
         return f"<Counter {self.name}={self.value}>"
 
 
+def counter_property(name: str) -> property:
+    """A legacy ``stats.hits += 1`` field as a view of ``_counters[name]``."""
+
+    def _get(self) -> int:
+        return self._counters[name].value
+
+    def _set(self, value: int) -> None:
+        self._counters[name].set(value)
+
+    return property(_get, _set)
+
+
 class Gauge:
     """A last-value-wins float gauge."""
 

@@ -21,7 +21,9 @@ replication rule                ``repro.runtime.server``:
                                 ``updates_from_journal``, ``verdict_flag``
 which members are compared      ``repro.runtime.state_image``:
                                 ``authoritative``, ``replicated``
-data-plane access rules         ``repro.switchsim.pipeline.AccessRules``
+the staged switch and its       ``repro.switchsim.pipeline``:
+data-plane access rules         ``PipelineExecutor`` over
+                                :class:`TermDomain`, ``SwitchStateAdapter``
 member and RMW bit widths       ``repro.lang.types.bit_width_of``
 ==============================  ======================================
 
@@ -34,8 +36,8 @@ mirror                          concrete twin
 ``terms`` (the algebra)         ``repro.ir.interp.IntDomain``
 ``SymPacketView``               ``repro.ir.interp.PacketView``
 ``SymStateStore``               ``repro.ir.interp.StateStore``
-``SymTable`` / ``SymRegister``  ``ExactMatchTable`` / ``Register`` and a
-and ``apply_updates``           fault-free ``ControlPlane.apply_batch``
+``SymTable`` / ``SymRegister``  ``ExactMatchTable`` / ``Register``
+``apply_updates``               a fault-free ``ControlPlane.apply_batch``
 ``Chooser.lookup`` (a map no    ``StateStore.map_find`` /
 run writes: one decision)       ``ExactMatchTable.lookup``
 ``SymExternHost``               ``repro.ir.externs.ExternHost``
@@ -65,7 +67,7 @@ from repro.ir import instructions as irin
 from repro.ir.lowering import StateMember
 from repro.lang.types import bit_width_of
 from repro.net.fields import BY_KEY, header_field
-from repro.switchsim.pipeline import AccessRules
+from repro.switchsim.pipeline import SwitchStateAdapter
 from repro.verify.symbolic.terms import (
     Term,
     binop,
@@ -84,9 +86,9 @@ class SymExecError(Exception):
 
 
 class CompositionViolation(Exception):
-    """The composed switch pipeline attempted something the data plane
-    cannot do — mirrors :class:`repro.switchsim.pipeline.DataPlaneViolation`
-    and the control plane's :class:`TableEntryLimit`."""
+    """A replication batch the control plane would refuse — mirrors its
+    :class:`TableEntryLimit` and unknown-member errors (the data plane's
+    refusals are the switch's own ``DataPlaneViolation``)."""
 
 
 class BudgetExhausted(Exception):
@@ -157,7 +159,12 @@ class Chooser:
         self.conditions: List[Tuple[Term, bool]] = []
 
     def decide(self, term: Term) -> bool:
-        return self._first((term,)) == 0
+        choice = term.known
+        if choice is None:
+            choice = self.decided.get(term)
+            if choice is None:  # a fresh decision
+                return self._first((term,)) == 0
+        return choice
 
     def find(self, entries: Iterable[Entry],
              keys: Tuple[Term, ...]) -> Optional[int]:
@@ -574,18 +581,21 @@ class SymStateStore:
 
 class SymTable:
     """One exact-match table's committed contents (fault-free, so the
-    write-back stage is always folded — a plain ordered entry list)."""
+    write-back stage is always folded — a plain ordered entry list),
+    looked up by its world's chooser."""
 
-    def __init__(self, name: str, size: int, prestate: SymPrestate):
+    def __init__(self, name: str, size: int, prestate: SymPrestate,
+                 chooser: Chooser):
         self.name = name
         self.size = size
+        self.chooser = chooser
         self._prestate_entries = prestate.tables.get(name, ())
         self.entries: List[Entry] = list(self._prestate_entries)
 
-    def lookup(self, keys: Tuple[Term, ...], chooser: Chooser) -> Tuple[bool, Term]:
-        if self.name in chooser.merged:
-            return chooser.lookup(self._prestate_entries, keys)
-        index = chooser.find(self.entries, keys)
+    def lookup(self, keys: Tuple[Term, ...]) -> Tuple[bool, Term]:
+        if self.name in self.chooser.merged:
+            return self.chooser.lookup(self._prestate_entries, keys)
+        index = self.chooser.find(self.entries, keys)
         if index is None:
             return False, const(0)
         return True, self.entries[index][1]
@@ -601,84 +611,50 @@ class SymRegister:
         self.mask = (1 << width_bits) - 1
         self.value = wrap(value, self.mask)
 
+    def read(self) -> Term:
+        return self.value
 
-class SymSwitchState(AccessRules):
-    """The switch's tables and registers over terms: the data plane's
-    :class:`AccessRules` (the run-time shadow of constraint 3) with
-    symbolic lookups, plus the fault-free control-plane update path."""
-
-    violation = CompositionViolation
-
-    def __init__(self, program, prestate: SymPrestate, chooser: Chooser):
-        self.chooser = chooser
-        self.tables: Dict[str, SymTable] = {
-            name: SymTable(name, spec.size, prestate)
-            for name, spec in program.tables.items()
-        }
-        self.registers: Dict[str, SymRegister] = {
-            name: SymRegister(
-                name, spec.width_bits, prestate.registers.get(name, const(0))
-            )
-            for name, spec in program.registers.items()
-        }
-        self.begin_traversal()
-
-    # -- StateStore interface (data plane) ------------------------------------
-
-    def map_find(self, name: str, keys: Tuple[Term, ...]) -> Tuple[bool, Term]:
-        return self._table(name).lookup(keys, self.chooser)
-
-    def vector_get(self, name: str, index: Term) -> Term:
-        found, value = self._table(name).lookup((index,), self.chooser)
-        return value if found else const(0)
-
-    def load_scalar(self, name: str) -> Term:
-        return self._register(name, "read").value
-
-    def rmw_scalar(self, name: str, op, operand: Term,
-                   width: Optional[int] = None) -> Term:
-        register = self._register(name, "RMW", width)
-        old = register.value
-        register.value = wrap(binop(op, old, operand), register.mask)
+    def rmw(self, op, operand: Term) -> Term:
+        old = self.value
+        self.value = wrap(binop(op, old, operand), self.mask)
         return old
 
-    # -- control plane (replication batch, fault-free) --------------------------
 
-    def apply_updates(self, updates) -> None:
-        """Apply one punt's replication batch (``StateUpdate``s over
-        terms) the way a fault-free ``apply_batch`` commit does."""
-        for update in updates:
-            kind, member, keys, value = (
-                update.op, update.target, update.key, update.value
-            )
-            if kind == "register":
-                register = self.registers.get(member)
-                if register is None:
-                    raise CompositionViolation(
-                        f"register update for unknown register {member!r}"
-                    )
-                register.value = wrap(value, register.mask)
-                continue
-            table = self.tables.get(member)
-            if table is None:
+def apply_updates(switch: SwitchStateAdapter, updates) -> None:
+    """Apply one punt's replication batch (``StateUpdate``s over terms)
+    to ``switch`` as a fault-free ``ControlPlane.apply_batch`` does."""
+    for update in updates:
+        kind, member, keys, value = (
+            update.op, update.target, update.key, update.value
+        )
+        if kind == "register":
+            register = switch.registers.get(member)
+            if register is None:
                 raise CompositionViolation(
-                    f"table update for unknown table {member!r}"
+                    f"register update for unknown register {member!r}"
                 )
-            index = self.chooser.find(table.entries, keys)
-            if kind == "insert":
-                if index is None:
-                    if len(table.entries) >= table.size:
-                        raise CompositionViolation(
-                            f"table {member!r} full ({table.size} entries)"
-                        )
-                    table.entries.append((keys, value))
-                else:
-                    table.entries[index] = (table.entries[index][0], value)
-            elif kind == "delete":
-                if index is not None:
-                    del table.entries[index]
+            register.value = wrap(value, register.mask)
+            continue
+        table = switch.tables.get(member)
+        if table is None:
+            raise CompositionViolation(
+                f"table update for unknown table {member!r}"
+            )
+        index = table.chooser.find(table.entries, keys)
+        if kind == "insert":
+            if index is None:
+                if len(table.entries) >= table.size:
+                    raise CompositionViolation(
+                        f"table {member!r} full ({table.size} entries)"
+                    )
+                table.entries.append((keys, value))
             else:
-                raise CompositionViolation(f"unknown update kind {kind!r}")
+                table.entries[index] = (table.entries[index][0], value)
+        elif kind == "delete":
+            if index is not None:
+                del table.entries[index]
+        else:
+            raise CompositionViolation(f"unknown update kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

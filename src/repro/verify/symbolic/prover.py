@@ -71,6 +71,11 @@ from repro.runtime.server import (
     updates_from_journal,
     verdict_flag,
 )
+from repro.switchsim.pipeline import (
+    DataPlaneViolation,
+    PipelineExecutor,
+    SwitchStateAdapter,
+)
 from repro.switchsim.program import bypass_port
 from repro.verify.diagnostics import (
     STAGE_SYMBOLIC,
@@ -86,9 +91,11 @@ from repro.verify.symbolic.engine import (
     SymExternHost,
     SymPacketView,
     SymPrestate,
+    SymRegister,
     SymStateStore,
-    SymSwitchState,
+    SymTable,
     TermDomain,
+    apply_updates,
     read_only_maps,
 )
 from repro.verify.symbolic.terms import (
@@ -297,8 +304,9 @@ class Scenario:
     (``read_only``), whose lookups a world may merge."""
 
     def __init__(self, label: str, kind: str, ingress: int, payload: bytes,
-                 state: SymPrestate, key_tests: KeyTests,
-                 read_only: FrozenSet[str]):
+                 state: SymPrestate,
+                 packet: Tuple[SymPacketView, Dict[str, Tuple[str, str, int]]],
+                 key_tests: KeyTests, read_only: FrozenSet[str]):
         self.label = label
         self.kind = kind  # one of PACKET_SHAPES
         self.ingress = ingress
@@ -307,7 +315,8 @@ class Scenario:
         self.prestate = state.snapshot
         #: the same in term form, with the switch's copy of what it holds
         self.state = state
-        self.packet, self.atoms = make_symbolic_packet(kind, payload, ingress)
+        #: the base view and its atoms, one per shape, ingress and payload
+        self.packet, self.atoms = packet
         self.key_tests = key_tests
         self.read_only = read_only
 
@@ -407,8 +416,8 @@ class Bound:
 
     def scenarios(self, plan) -> Iterator[Scenario]:
         """Each scenario as the prover reaches it.  What they share goes
-        with the proof: the key tests, the read-only maps, and each
-        pre-state's term form."""
+        with the proof: the key tests, the read-only maps, each
+        pre-state's term form and each base packet."""
         members = plan.middlebox.state
         on_switch = [
             name for name, placement in plan.placements.items()
@@ -419,18 +428,20 @@ class Bound:
         ))
         key_tests = KeyTests()
         states: Dict[int, SymPrestate] = {}
-        for kind, ingress, payload, (index, prestate) in itertools.product(
-                PACKET_SHAPES, self.ingresses, self.payloads,
-                enumerate(self.prestates)):
-            state = states.get(index)
-            if state is None:
-                state = states[index] = SymPrestate(
-                    members, prestate, on_switch
+        for kind, ingress, payload in itertools.product(
+                PACKET_SHAPES, self.ingresses, self.payloads):
+            packet = make_symbolic_packet(kind, payload, ingress)
+            for index, prestate in enumerate(self.prestates):
+                state = states.get(index)
+                if state is None:
+                    state = states[index] = SymPrestate(
+                        members, prestate, on_switch
+                    )
+                yield Scenario(
+                    f"{kind}/in{ingress}/pay{len(payload)}/state{index}",
+                    kind, ingress, payload, state, packet, key_tests,
+                    read_only,
                 )
-            yield Scenario(
-                f"{kind}/in{ingress}/pay{len(payload)}/state{index}",
-                kind, ingress, payload, state, key_tests, read_only,
-            )
 
     def to_dict(self) -> dict:
         return {
@@ -539,7 +550,7 @@ class CompOutcome:
     egress: Optional[Term]
     packet: SymPacketView
     server: SymStateStore
-    switch: SymSwitchState
+    switch: SwitchStateAdapter  # over SymTable / SymRegister
 
 
 def _run_composition(plan, program, scenario: Scenario,
@@ -547,27 +558,41 @@ def _run_composition(plan, program, scenario: Scenario,
                      config) -> CompOutcome:
     chooser = domain.chooser
     packet = base_packet.copy()
-    switch = SymSwitchState(program, scenario.state, chooser)
+    # The switch's tables and registers over terms, as the world enters them.
+    switch = SwitchStateAdapter(
+        {name: SymTable(name, spec.size, scenario.state, chooser)
+         for name, spec in program.tables.items()},
+        {name: SymRegister(name, spec.width_bits,
+                           scenario.state.registers.get(name, const(0)))
+         for name, spec in program.registers.items()},
+    )
     server = SymStateStore(scenario.state, chooser)
     # The switch pipelines run with a bare ExternHost (no deployment
     # config); only the server's interpreter sees the config sections.
     switch_externs = SymExternHost(None, chooser)
     server_externs = SymExternHost(config, chooser)
 
-    switch.begin_traversal()
-    pre = Interpreter(plan.pre, switch, switch_externs, domain).run(packet)
-    if pre.verdict == "send":
-        egress = _resolve_egress_sym(pre.egress_port, scenario.ingress, chooser)
-        return CompOutcome("send", egress, packet, server, switch)
-    if pre.verdict == "drop":
+    def ends(verdict: Optional[str], egress: Optional[Term]) -> CompOutcome:
+        """A send, or else a drop (no verdict anywhere is one too)."""
+        if verdict == "send":
+            egress = _resolve_egress_sym(egress, scenario.ingress, chooser)
+            return CompOutcome("send", egress, packet, server, switch)
         return CompOutcome("drop", None, packet, server, switch)
+
+    # The switch runs the staged program the P4 prints, as the
+    # interpreted switch does: its stage order, guards and bytes.
+    verdict, egress, pre_env, _ = PipelineExecutor(
+        program, "pre", switch, domain, switch_externs, lambda view: view,
+    ).run(packet)
+    if verdict is not None:
+        return ends(verdict, egress)
 
     # Punt: shim to the server (encode ∘ decode wraps to field widths).
     # As on the switch, the reserved field joins the finished traversal's
     # environment; as on the server, what is left of the decoded fields
     # after it is the partition's environment.
-    pre.env[INGRESS_PORT_FIELD] = const(scenario.ingress)
-    env = _shim_pack(program.shim_to_server, pre.env)
+    pre_env[INGRESS_PORT_FIELD] = const(scenario.ingress)
+    env = _shim_pack(program.shim_to_server, pre_env)
     env.pop(INGRESS_PORT_FIELD, None)
     server.drain_journal()
     server_result = Interpreter(
@@ -589,7 +614,7 @@ def _run_composition(plan, program, scenario: Scenario,
 
     # Replication batch commits before the return leg (output commit).
     if updates:
-        switch.apply_updates(updates)
+        apply_updates(switch, updates)
 
     # What is left of the decoded fields after the three reserved ones is
     # the post pipeline's environment.
@@ -597,24 +622,15 @@ def _run_composition(plan, program, scenario: Scenario,
     values2.pop(INGRESS_PORT_FIELD, None)
     explicit_egress = values2.pop(EGRESS_PORT_FIELD, None)
     assert flag.is_const  # verdicts are path-concrete by construction
-    if flag.value == FLAG_VERDICT_DROP:
-        return CompOutcome("drop", None, packet, server, switch)
-    if flag.value == FLAG_VERDICT_SEND:
-        egress = _resolve_egress_sym(
-            explicit_egress, scenario.ingress, chooser
-        )
-        return CompOutcome("send", egress, packet, server, switch)
+    if flag.value in (FLAG_VERDICT_DROP, FLAG_VERDICT_SEND):
+        send = flag.value == FLAG_VERDICT_SEND
+        return ends("send" if send else "drop", explicit_egress)
 
     # No server verdict: the post-processing pipeline decides.
-    switch.begin_traversal()
-    post = Interpreter(plan.post, switch, switch_externs, domain).run(
-        packet, initial_env=values2
-    )
-    if post.verdict == "send":
-        egress = _resolve_egress_sym(post.egress_port, scenario.ingress, chooser)
-        return CompOutcome("send", egress, packet, server, switch)
-    # post drop, or no verdict anywhere: the switch drops defensively.
-    return CompOutcome("drop", None, packet, server, switch)
+    verdict, egress, _, _ = PipelineExecutor(
+        program, "post", switch, domain, switch_externs, lambda view: view,
+    ).run(packet, values2)
+    return ends(verdict, egress)
 
 
 def _entry_pairs(what: str, ours, theirs) -> Iterator[Tuple[str, Term, Term]]:
@@ -768,7 +784,7 @@ def _run_world(plan, program, scenario: Scenario, script: Tuple[bool, ...],
         comp = _run_composition(
             plan, program, scenario, scenario.packet, domain, config
         )
-    except (CompositionViolation, SymExecError) as exc:
+    except (CompositionViolation, DataPlaneViolation, SymExecError) as exc:
         # Only the composition fails: a deployment-side crash candidate.
         return WorldResult("composition", chooser, detail=str(exc))
     mismatch = _compare_world(

@@ -76,7 +76,6 @@ class TestRmwScalarWidths:
 
     def test_adapter_rmw_width_mismatch_raises(self):
         adapter = SwitchStateAdapter({}, {"r": Register("r", 16)})
-        adapter.begin_traversal()
         with pytest.raises(DataPlaneViolation, match="width"):
             adapter.rmw_scalar("r", BinOpKind.ADD, 1, 32)
 
@@ -103,7 +102,6 @@ class TestUniformityAcrossImplementations:
         register = Register("r", width)
         register.control_write(start)
         adapter = SwitchStateAdapter({}, {"r": register})
-        adapter.begin_traversal()
         adapter.rmw_scalar("r", BinOpKind.ADD, operand, width)
 
         assert state.scalars["ctr"] == register.value
@@ -134,9 +132,7 @@ def _switch_state():
     vector.set_visibility(True)
     vector.fold_writeback()
     vector.set_visibility(False)
-    adapter = SwitchStateAdapter({"m": table, "v": vector}, {})
-    adapter.begin_traversal()
-    return adapter
+    return SwitchStateAdapter({"m": table, "v": vector}, {})
 
 
 @pytest.fixture(params=["server", "switch"])

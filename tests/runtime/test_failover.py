@@ -275,8 +275,9 @@ class TestFailoverOracle:
         ), result.violation
 
     def test_cached_and_failover_compose(self):
-        # Historically a ValueError; the CachedFailoverDeployment
-        # composition now handles both flags end to end.
+        # A bounded cache and a standby are independent roles of one
+        # deployment spec (DESIGN.md, "Deployment roles"): set together,
+        # both run in the one packet loop, end to end.
         result = run_fault_oracle(
             FAULTBOX, StreamSpec(seed=1, count=5), FaultPlan(),
             deployment=replace(FAILOVER, cache_entries=2),

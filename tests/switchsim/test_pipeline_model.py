@@ -35,12 +35,10 @@ class TestSwitchStateAdapter:
         tables["t"].set_visibility(True)
         tables["t"].fold_writeback()
         tables["t"].set_visibility(False)
-        adapter.begin_traversal()
         assert adapter.map_find("t", (3,)) == (True, 33)
 
     def test_register_read_and_rmw(self):
         adapter, _, registers = make_adapter()
-        adapter.begin_traversal()
         assert adapter.load_scalar("r") == 5
         adapter.begin_traversal()
         assert adapter.rmw_scalar("r", BinOpKind.ADD, 2, 32) == 5
@@ -48,21 +46,18 @@ class TestSwitchStateAdapter:
 
     def test_double_access_rejected(self):
         adapter, _, _ = make_adapter()
-        adapter.begin_traversal()
         adapter.map_find("t", (1,))
         with pytest.raises(DataPlaneViolation):
             adapter.map_find("t", (2,))
 
     def test_traversal_resets_counts(self):
         adapter, _, _ = make_adapter()
-        adapter.begin_traversal()
         adapter.map_find("t", (1,))
         adapter.begin_traversal()
         adapter.map_find("t", (1,))  # fine after reset
 
     def test_mutations_rejected(self):
         adapter, _, _ = make_adapter()
-        adapter.begin_traversal()
         with pytest.raises(DataPlaneViolation):
             adapter.map_insert("t", (1,), 2)
         with pytest.raises(DataPlaneViolation):
@@ -76,7 +71,6 @@ class TestSwitchStateAdapter:
 
     def test_unknown_table_rejected(self):
         adapter, _, _ = make_adapter()
-        adapter.begin_traversal()
         with pytest.raises(DataPlaneViolation):
             adapter.map_find("ghost", (1,))
 

@@ -308,3 +308,48 @@ def test_one_update_batch_path():
     )
     assert submitters == ["apply_batch"]
     assert sites(".submit(") == [("switchsim/control_plane.py", "apply_batch")]
+
+
+#: the four violation builders the compiled rendition emits in place
+VIOLATION_BUILDERS = (
+    "accessed_twice", "unknown_member", "rmw_width_mismatch", "forbidden",
+)
+
+
+def test_one_switch_traversal():
+    """A switch pipeline is run one way over both value domains: the
+    interpreted switch and the prover's switch are one
+    ``PipelineExecutor`` over the staged program, behind one
+    ``SwitchStateAdapter``.  No ``Interpreter`` under ``src/`` walks a
+    ``.pre`` / ``.post`` pipeline in IR order (the compiled fast path is
+    generated code, held to the staged run by ``difftest --compiled``),
+    the second adapter and the rules class it shared are gone, and a
+    violation builder raises the switch's one exception class."""
+    walks = sorted(
+        (module, node.lineno)
+        for module, tree in trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        == "Interpreter"
+        and any(
+            isinstance(arg, ast.Attribute) and arg.attr in ("pre", "post")
+            for arg in [*node.args, *(k.value for k in node.keywords)]
+        )
+    )
+    assert walks == []
+    classes = {
+        node.name for _, tree in trees() for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    assert not classes & {"AccessRules", "SymSwitchState"}
+    builders = {
+        node.name: [arg.arg for arg in node.args.args]
+        for node in dict(trees())["switchsim/pipeline.py"].body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in VIOLATION_BUILDERS
+    }
+    assert sorted(builders) == sorted(VIOLATION_BUILDERS)
+    assert [
+        name for name, params in builders.items() if "violation" in params
+    ] == []

@@ -1,8 +1,8 @@
 """Every symbolic mirror runs in lockstep with its concrete twin.
 
 The prover shares with the runtime whatever never looks at a value (the
-decoded evaluator, the replication rule, the data-plane access rules,
-bit widths).  What does — the term algebra and its intervals,
+decoded evaluator, the staged switch and its data-plane access rules,
+the replication rule, bit widths).  What does — the term algebra and its intervals,
 ``SymStateStore`` / ``SymTable`` / ``SymRegister``, ``SymPacketView``,
 ``SymExternHost``, ``apply_updates``, the shim wrap, the egress rule — is
 a mirror of a concrete twin, and ``engine.py`` says a divergence between
@@ -175,11 +175,12 @@ def symbolic_world(packet, ingress: int, prestate: dict, members,
     atoms where the prover has atoms, this packet's values elsewhere, and
     the switch holding what its twin holds (not what a fresh install of
     ``prestate`` would give it).  Lookups in ``merged`` are merged."""
+    kind = "udp" if packet.udp is not None else "tcp"
     scenario = prover.Scenario(
-        "lockstep", "udp" if packet.udp is not None else "tcp",
-        ingress, packet.payload,
-        engine.SymPrestate(members, prestate, on_switch=()), KeyTests(),
-        merged,
+        "lockstep", kind, ingress, packet.payload,
+        engine.SymPrestate(members, prestate, on_switch=()),
+        prover.make_symbolic_packet(kind, packet.payload, ingress),
+        KeyTests(), merged,
     )
     scenario.state.tables = {
         name: engine._entries(entries)
@@ -401,7 +402,7 @@ def composition_lockstep(plan, program, config, packets: Packets,
                 plan, program, scenario, sym_view,
                 TermDomain(chooser, IntDomain.max_steps), config,
             ),
-            (CompositionViolation, SymExecError),
+            (CompositionViolation, DataPlaneViolation, SymExecError),
         )
         journey, twin_error = attempt(
             lambda: box.process_packet(packet.copy(), ingress),

@@ -111,6 +111,39 @@ def test_an_aliasing_store_moves_the_pins(aliasing_store):
     assert moved == WRITERS
 
 
+def test_scenarios_of_one_packet_share_one_view(monkeypatch):
+    """A base packet is built once per shape, ingress and payload of a
+    proof, as a pre-state's term form is once per pre-state: scenarios
+    that differ only in their pre-state start from one view object.  Over
+    the six bundled proofs: 54 scenarios, 18 views."""
+    built = []
+    real = prover.make_symbolic_packet
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(prover, "make_symbolic_packet", counted)
+    scenarios = views = 0
+    for name in MIDDLEBOX_NAMES:
+        middlebox = load(name)
+        plan, _program = compile_middlebox(middlebox.source)
+        bound = prover.proof_bound(plan, middlebox.config,
+                                   prover.SymbolicBudget())
+        built.clear()
+        shared: dict = {}
+        listed = list(bound.scenarios(plan))
+        for scenario in listed:
+            key = (scenario.kind, scenario.ingress, scenario.payload)
+            shared.setdefault(key, set()).add(id(scenario.packet))
+        assert len(listed) == len(bound), name
+        assert all(len(ids) == 1 for ids in shared.values()), name
+        assert len(built) == len(set(built)) == len(shared), name
+        scenarios += len(listed)
+        views += len(shared)
+    assert scenarios > 2 * views > 10, (scenarios, views)
+
+
 def prove_the_six() -> int:
     """All six bundled proofs at the default budget; their decisions.
     No scenario of them is explored again entry by entry."""
