@@ -215,9 +215,12 @@ difftest-compiled:
 # Every emitted server program against the header it is written to
 # (src/repro/codegen/cpp/gallium_runtime.h): the six bundled middleboxes
 # and the generated programs derive_seeds(0, i), i < 60, each through
-# g++ -std=c++17 -fsyntax-only.  Exit 1 on a program that does not
-# compile; without g++ on PATH it says so and passes.  Tier-1 compiles the
-# bundled six (tests/codegen/test_cpp_contract.py).
+# g++ -std=c++17 -fsyntax-only, and each program's P4 text read back to
+# its staged program (tests/codegen/p4_reader.py).  Exit 1 on a program
+# that does not compile or read back; without g++ on PATH the compile is
+# skipped with a note.  Tier-1 compiles the bundled six
+# (tests/codegen/test_cpp_contract.py) and reads them back under both
+# limits (tests/codegen/test_p4_roundtrip.py).
 cpp-check:
 	$(PYTHON) -m tests.codegen.cpp_check
 

@@ -71,11 +71,18 @@ def _binop(op: irin.BinOpKind) -> str:
     return op.value
 
 
+def _portless(port) -> bool:
+    """A SEND to port 0 names no port: it leaves by the wire pair."""
+    return isinstance(port, Const) and not port.value
+
+
 #: A table lookup the emitter renders: the one offloaded site of its table.
 _LOOKUPS = (irin.MapFind, irin.VectorGet)
 _Lookup = Union[irin.MapFind, irin.VectorGet]
 #: register -> (byte offset, size) in the scratch area
 _Offsets = Dict[str, Tuple[int, int]]
+_INGRESS = "standard_metadata.ingress_port"
+_SHIM_INGRESS = f"hdr.shim_to_switch.{INGRESS_PORT_FIELD}"
 #: The instructions that write one expression to their register.
 _EXPRESSIONS = (
     irin.Assign, irin.Cast, irin.LoadPacketField, irin.UnOp, irin.BinOp
@@ -93,6 +100,10 @@ class _P4Emitter:
         self.scratch_bytes = max(a.total_bytes for _, a in self.stages.values())
         #: the offsets of the pipeline being emitted
         self.offsets: _Offsets = {}
+        #: where the pipeline being emitted reads the port the packet came
+        #: in on: post runs for a packet the server returns, whose shim
+        #: carries it back
+        self.ingress = _INGRESS
         #: table -> its lookup, and the offsets of the pipeline it is in
         self.lookups: Dict[str, Tuple[_Lookup, _Offsets]] = {
             inst.state: (inst, allocation.offsets)
@@ -132,6 +143,16 @@ class _P4Emitter:
         if isinstance(operand, Const):
             return f"{width or operand.bits}w{operand.value}"
         return self._slot(operand.name, operand.bits)
+
+    def _pair(self) -> str:
+        """The far side of the wire pair the packet came in on."""
+        (near, far), (_, back) = PORT_PAIRS.items()
+        return f"({self.ingress} == {near}) ? 9w{far} : 9w{back}"
+
+    def _leaves(self, port: str) -> str:
+        """Where a SEND to ``port`` leaves: the port, or the wire pair
+        when it is 0 (the switch's ``egress or bypass_port(ingress)``)."""
+        return f"({port} != 0) ? (bit<9>){port} : ({self._pair()})"
 
     # -- top level ----------------------------------------------------------------
 
@@ -331,10 +352,11 @@ class _P4Emitter:
         verdict = f"{shim}.{VERDICT_FIELD}"
         with self.block(f"if ({verdict} == {FLAG_VERDICT_DROP})"):
             self.emit("mark_to_drop(standard_metadata);")
+        self.ingress = _SHIM_INGRESS
         with self.block(f"else if ({verdict} == {FLAG_VERDICT_SEND})"):
             self.emit(
-                f"standard_metadata.egress_spec ="
-                f" (bit<9>){shim}.{EGRESS_PORT_FIELD};"
+                "standard_metadata.egress_spec ="
+                f" {self._leaves(f'{shim}.{EGRESS_PORT_FIELD}')};"
             )
             self.emit(f"{shim}.setInvalid();")
         with self.block("else"):
@@ -353,6 +375,7 @@ class _P4Emitter:
         (their conditions are the guards), nor does post's return."""
         staged, allocation = self.stages[side]
         self.offsets = allocation.offsets
+        self.ingress = _INGRESS if side == "pre" else _SHIM_INGRESS
         for stage, ops in groupby(staged, key=itemgetter(1)):
             printed = [
                 (inst, guard) for inst, _, guard in ops
@@ -410,19 +433,16 @@ class _P4Emitter:
                 )
         elif isinstance(inst, _EXPRESSIONS):
             self.emit(f"{self._operand(inst.dst)} = {self._expression(inst)};")
-        elif isinstance(inst, irin.SendTo):
-            self.emit(
-                "standard_metadata.egress_spec ="
-                f" (bit<9>){self._operand(inst.port)};"
+        elif isinstance(inst, irin.SendTo) and not _portless(inst.port):
+            port = self._operand(inst.port)
+            egress = (
+                f"(bit<9>){port}" if isinstance(inst.port, Const)
+                else self._leaves(port)
             )
-        elif isinstance(inst, irin.Send):
-            (near, far), (_, back) = PORT_PAIRS.items()
+            self.emit(f"standard_metadata.egress_spec = {egress};")
+        elif isinstance(inst, (irin.Send, irin.SendTo)):
             self.emit("/* forward on the wire pair */")
-            self.emit(
-                "standard_metadata.egress_spec ="
-                f" (standard_metadata.ingress_port == {near})"
-                f" ? 9w{far} : 9w{back};"
-            )
+            self.emit(f"standard_metadata.egress_spec = {self._pair()};")
         elif isinstance(inst, irin.Drop):
             self.emit("mark_to_drop(standard_metadata);")
         elif isinstance(inst, irin.Return):
@@ -456,7 +476,10 @@ class _P4Emitter:
             return f"(bit<{inst.dst.bits}>)({self._operand(inst.src)})"
         if isinstance(inst, irin.LoadPacketField):
             row = BY_KEY[(inst.region, inst.field)]
-            source = f"({row.p4})" if row.p4_widths else row.p4
+            if row.region == "meta":  # its one field, the ingress port
+                source = self.ingress
+            else:
+                source = f"({row.p4})" if row.p4_widths else row.p4
             return f"(bit<{inst.dst.bits}>){source}"
         if isinstance(inst, irin.UnOp):
             src = self._operand(inst.src)

@@ -6,9 +6,11 @@ it and checked with ``g++ -std=c++17 -fsyntax-only`` against
 two compilers at a time.  Tier-1 compiles the six bundled middleboxes
 (``test_cpp_contract.py``); ``make cpp-check`` adds the generated
 programs ``derive_seeds(0, i)``, ``i <`` :data:`GENERATED`, checks
-that no emitted handler renders an IR operator as a bare C++ one, and
-holds each program's switch pipelines to their stage order
-(:func:`tests.partition.compile_pins.stage_hazards`)::
+that no emitted handler renders an IR operator as a bare C++ one, holds
+each program's switch pipelines to their stage order
+(:func:`tests.partition.compile_pins.stage_hazards`), and reads each
+program's P4 text back to its staged program
+(:mod:`tests.codegen.p4_reader`)::
 
     PYTHONPATH=src python -m tests.codegen.cpp_check
 
@@ -31,6 +33,7 @@ from repro.compiler import compile_source
 from repro.difftest.generator import generate_program
 from repro.difftest.runner import derive_seeds
 from repro.middleboxes import MIDDLEBOX_NAMES, load
+from tests.codegen.p4_reader import P4ReadError, expected, read
 from tests.partition.compile_pins import stage_hazards
 
 CXXFLAGS = ("-std=c++17", "-fsyntax-only", f"-I{RUNTIME_HEADER.parent}")
@@ -94,6 +97,24 @@ def bare_operators(cpp_source: str) -> List[str]:
     return [m.group(0) for m in BARE_OPERATOR.finditer(handler)]
 
 
+def read_back(result) -> str:
+    """'' when ``result``'s P4 text reads back to its staged program;
+    else the reader's refusal, or the parts of the record that differ."""
+    try:
+        printed = read(result.p4_source)
+    except P4ReadError as exc:
+        return str(exc)
+    want = expected(result.switch_program)
+    differs = [
+        part for part in printed._fields if part != "pipelines"
+        and getattr(printed, part) != getattr(want, part)
+    ] + [
+        f"the {side} pipeline" for side, pipeline in printed.pipelines.items()
+        if pipeline != want.pipelines[side]
+    ]
+    return ", ".join(differs) + " differ" * bool(differs)
+
+
 def main() -> int:
     results = {
         label: compile_source(source)
@@ -108,6 +129,14 @@ def main() -> int:
         print(f"--- {label}: stage hazards {found}")
     print(f"cpp-check: {len(results) - len(hazards)} of {len(results)}"
           " programs run their switch pipelines in stage order as written")
+    misread = {
+        label: found for label, result in results.items()
+        if (found := read_back(result))
+    }
+    for label, found in misread.items():
+        print(f"--- {label}: the P4 text reads back {found}")
+    print(f"cpp-check: {len(results) - len(misread)} of {len(results)}"
+          " programs read back to their staged program")
     programs = {label: result.cpp_source for label, result in results.items()}
     bare = {
         label: found for label, text in programs.items()
@@ -119,13 +148,13 @@ def main() -> int:
           " handlers render every guarded operator through gallium::")
     if gxx() is None:
         print("cpp-check: g++ not on PATH; the emitted C++ is not compiled")
-        return 1 if bare or hazards else 0
+        return 1 if bare or hazards or misread else 0
     errors = compile_errors(programs)
     for label, output in errors.items():
         print(f"--- {label}\n{output}")
     print(f"cpp-check: {len(programs) - len(errors)} of {len(programs)}"
           " programs compile")
-    return 1 if bare or hazards or errors else 0
+    return 1 if bare or hazards or misread or errors else 0
 
 
 if __name__ == "__main__":

@@ -1,13 +1,7 @@
 """Tests for the P4-16 and C++ emitters."""
 
-import re
-from typing import Dict, List, Optional, Tuple
-
 import pytest
 
-from repro.ir import instructions as irin
-from repro.net.fields import FIELDS
-from repro.partition.constraints import measure_pipeline
 from tests.conftest import get_compiled
 
 
@@ -24,9 +18,6 @@ def balanced_braces(text: str) -> bool:
 
 
 class TestP4Emission:
-    def test_braces_balanced(self, middlebox_name, compiled):
-        assert balanced_braces(compiled.p4_source)
-
     def test_has_v1model_skeleton(self, middlebox_name, compiled):
         source = compiled.p4_source
         for expected in (
@@ -75,132 +66,6 @@ class TestP4Emission:
     def test_checksum_recomputed(self, middlebox_name, compiled):
         assert "update_checksum" in compiled.p4_source
 
-    def test_no_loops_in_p4(self, middlebox_name, compiled):
-        assert "while" not in compiled.p4_source
-        assert not re.search(r"\bfor\s*\(", compiled.p4_source)
-
-
-def pipeline_texts(p4_source: str) -> Dict[str, str]:
-    """``"pre"`` / ``"post"`` -> the ingress text that pipeline is printed
-    in: post answers the server's port, pre is the ``else``."""
-    ingress = p4_source.index("control GalliumIngress")
-    apply = p4_source[
-        p4_source.index("    apply {", ingress):
-        p4_source.index("control GalliumEgress")
-    ]
-    post, pre = re.split(r"\n {8}else \{\n", apply)
-    return {"pre": pre, "post": post}
-
-
-def staged_lines(text: str) -> List[Tuple[Optional[int], str]]:
-    """Each line of a pipeline's text with the ``/* stage k */`` block it
-    sits in (``None`` outside every block)."""
-    out: List[Tuple[Optional[int], str]] = []
-    stage, closer = None, None
-    for line in text.splitlines():
-        opened = re.fullmatch(r"( *)/\* stage (\d+) \*/ \{", line)
-        if opened:
-            stage, closer = int(opened[2]), opened[1] + "}"
-        elif line == closer:
-            stage, closer = None, None
-        else:
-            out.append((stage, line))
-    return out
-
-
-class TestStagedP4:
-    """The printed pipelines are their stage schedule: what the depth
-    lint (P4L006) counts is what the text prints."""
-
-    def test_one_block_per_stage(self, middlebox_name, compiled):
-        program = compiled.switch_program
-        for side, text in pipeline_texts(compiled.p4_source).items():
-            depth = measure_pipeline(getattr(program, side)).depth
-            blocks = [int(k) for k in re.findall(r"/\* stage (\d+) \*/", text)]
-            assert blocks == list(range(1, depth + 1)), side
-
-    def test_state_ops_sit_in_their_stage(self, middlebox_name, compiled):
-        program = compiled.switch_program
-        checked = 0
-        for side, text in pipeline_texts(compiled.p4_source).items():
-            lines = staged_lines(text)
-            staged, _ = program.stages(side)
-            for inst, stage, _ in staged:
-                if isinstance(inst, (irin.MapFind, irin.VectorGet)):
-                    needle = f"tbl_{inst.state}.apply()"
-                elif isinstance(inst, (irin.LoadState, irin.RegisterRMW)):
-                    needle = f"reg_{inst.state}.read("
-                else:
-                    continue
-                assert {at for at, line in lines if needle in line} == {
-                    stage
-                }, (side, needle)
-                checked += 1
-        assert checked == sum(
-            len(sites) for function in (program.pre, program.post)
-            for sites in measure_pipeline(function).sites.values()
-        )
-
-    def test_the_writeback_read_sits_in_its_lookups_stage(self):
-        """§4.3.3: the visibility bit, then the write-back table, then the
-        table — one stage, in that order."""
-        compiled = get_compiled("minilb")
-        replicated = [
-            name for name, spec in compiled.switch_program.tables.items()
-            if spec.replicated
-        ]
-        assert replicated
-        for name in replicated:
-            for text in pipeline_texts(compiled.p4_source).values():
-                lines = staged_lines(text)
-                found = [
-                    (at, stage) for at, (stage, line) in enumerate(lines)
-                    for needle in (
-                        f"wb_bit_{name}.read(", f"tbl_wb_{name}.apply()",
-                        f"tbl_{name}.apply()",
-                    ) if needle in line
-                ]
-                if not found:
-                    continue
-                positions = [at for at, _ in found]
-                assert len(found) == 3 and positions == sorted(positions)
-                assert len({stage for _, stage in found}) == 1
-                assert found[0][1] is not None
-
-
-def declared_header_fields(p4_source):
-    """``hdr.<member>.<field>`` -> width, read off ``headers_t`` and the
-    ``header`` types the emitted program declares."""
-    types = {
-        name: dict(
-            (field, int(width))
-            for width, field in re.findall(r"bit<(\d+)>\s+(\w+);", body)
-        )
-        for name, body in re.findall(r"header (\w+) \{([^}]*)\}", p4_source)
-    }
-    (members,) = re.findall(r"struct headers_t \{([^}]*)\}", p4_source)
-    return {
-        f"hdr.{member}.{field}": width
-        for type_name, member in re.findall(r"(\w+) (\w+);", members)
-        for field, width in types[type_name].items()
-    }
-
-
-def test_every_field_path_is_declared_at_its_width():
-    """Every ``hdr.`` path of the field table names a field the emitted
-    ``headers_t`` declares, at the row's width — or, for a field P4
-    keeps in parts (``ip.frag_off`` is ``flags ++ fragOffset``), parts
-    declared at the widths the row slices them to."""
-    declared = declared_header_fields(get_compiled("minilb").p4_source)
-    for row in FIELDS:
-        if not row.p4.startswith("hdr."):
-            continue
-        parts = row.p4_slices() or ((row.p4, row.width - 1, 0),)
-        for path, high, low in parts:
-            assert path in declared, f"{row.key}: {path} is not declared"
-            assert declared[path] == high - low + 1, row.key
-        assert parts[0][1] == row.width - 1 and parts[-1][2] == 0, row.key
-
 
 class TestEmittedConstants:
     """The P4 text prints the constants it means: move one, the text
@@ -214,6 +79,7 @@ class TestEmittedConstants:
         ]),
         ("PORT_PAIRS", {4: 5, 5: 4}, [
             "(standard_metadata.ingress_port == 4) ? 9w5 : 9w4;",
+            "(hdr.shim_to_switch.__ingress_port == 4) ? 9w5 : 9w4",
         ]),
         ("ETHERTYPE_GALLIUM", 0x88B6, [
             "0x88B6: parse_shim;", "hdr.ethernet.etherType = 0x88B6;",

@@ -15,7 +15,8 @@ two JSON files.
 
 Every compiled row is also held to constraint 4's one definition
 (:func:`allocation_problems`): the bytes the emitted ``metadata_t``
-declares are the bytes the partitioner enforced, within the budget, and
+declares, read back by :mod:`tests.codegen.p4_reader`, are the bytes the
+partitioner enforced, within the budget, and
 :func:`stage_hazards`, written independently of the allocator and of the
 dependency graph, finds the staged order running no pair of conflicting
 ops out of program order and no register's bytes written while it holds a
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 import sys
 from pathlib import Path
 from typing import Dict, Iterator, List, Set, Tuple
@@ -60,6 +60,7 @@ from repro.partition.partitioner import PartitionError
 from repro.switchsim.compiled import compile_switch_function
 from repro.switchsim.program import SwitchProgram, SwitchProgramError
 from repro.verify import lint_switch_program, verify_compilation, verify_ir
+from tests.codegen.p4_reader import read
 
 GOLDEN = Path(__file__).parent / "golden" / "compile_pins.json"
 
@@ -82,13 +83,6 @@ def _sha(text: str) -> str:
 
 class AllocationError(AssertionError):
     """A compiled row whose scratchpad allocation breaks constraint 4."""
-
-
-def declared_metadata_bytes(p4_source: str) -> int:
-    """The bytes the emitted ``struct metadata_t`` declares."""
-    struct = re.search(r"struct metadata_t \{(.*?)\n\}", p4_source, re.S)
-    bits = sum(int(width) for width in re.findall(r"bit<(\d+)>", struct[1]))
-    return (bits + 7) // 8
 
 
 def stage_hazards(program: SwitchProgram, side: str) -> List[str]:
@@ -192,7 +186,7 @@ def allocation_problems(result, limits: SwitchResources) -> List[str]:
     program = result.switch_program
     report = result.plan.report
     enforced = max(report.metadata_bytes_pre, report.metadata_bytes_post)
-    declared = declared_metadata_bytes(result.p4_source)
+    declared = read(result.p4_source).scratch_bits // 8
     problems = []
     if declared != enforced:
         problems.append(
