@@ -15,7 +15,7 @@ map                         exact-match table (+ write-back table)
 global scalar               ``register`` extern
 branch                      a predicate guarding later stages' ops
 header access               ``hdr.<header>.<field>``
-ALU operation               P4 arithmetic on metadata
+ALU operation               P4 arithmetic at one width
 map lookup                  ``table.apply()`` keyed on the key's slice
 ==========================  =======================================
 
@@ -52,7 +52,7 @@ from repro.codegen.headers import (
     VERDICT_FIELD,
 )
 from repro.ir import instructions as irin
-from repro.ir.values import Const
+from repro.ir.values import Const, Reg
 from repro.net.fields import BY_KEY
 from repro.net.headers import ETHERTYPE_GALLIUM
 from repro.partition.constraints import Guard
@@ -71,6 +71,33 @@ def _binop(op: irin.BinOpKind) -> str:
     return op.value
 
 
+_SHIFTS = (irin.BinOpKind.SHL, irin.BinOpKind.SHR)
+
+
+def _held(operand) -> int:
+    """The bits ``operand``'s value can need: a register's width, a
+    constant's ``bit_length``."""
+    if isinstance(operand, Const):
+        return operand.value.bit_length()
+    return operand.bits
+
+
+def _computed_at(inst: Union[irin.UnOp, irin.BinOp]) -> int:
+    """The width W an operation is computed at: its operands are put at
+    W and its result narrowed from W to its register.  A comparison's W
+    holds each operand's value; a shift's, its register and its left
+    operand's value; any other's, its register and its register operands
+    (a constant wraps at W as the result does)."""
+    operands = inst.operands()
+    if isinstance(inst, irin.BinOp) and inst.op.is_comparison:
+        return max(1, *map(_held, operands))
+    if isinstance(inst, irin.BinOp) and inst.op in _SHIFTS:
+        return max(inst.dst.bits, _held(inst.lhs))
+    return max([inst.dst.bits]
+               + [operand.bits for operand in operands
+                  if isinstance(operand, Reg)])
+
+
 def _portless(port) -> bool:
     """A SEND to port 0 names no port: it leaves by the wire pair."""
     return isinstance(port, Const) and not port.value
@@ -81,8 +108,9 @@ _LOOKUPS = (irin.MapFind, irin.VectorGet)
 _Lookup = Union[irin.MapFind, irin.VectorGet]
 #: register -> (byte offset, size) in the scratch area
 _Offsets = Dict[str, Tuple[int, int]]
-_INGRESS = "standard_metadata.ingress_port"
-_SHIM_INGRESS = f"hdr.shim_to_switch.{INGRESS_PORT_FIELD}"
+#: ``standard_metadata.ingress_port`` and ``egress_spec`` are ``bit<9>``
+_PORT_BITS = 9
+_INGRESS = ("standard_metadata.ingress_port", _PORT_BITS)
 #: The instructions that write one expression to their register.
 _EXPRESSIONS = (
     irin.Assign, irin.Cast, irin.LoadPacketField, irin.UnOp, irin.BinOp
@@ -101,8 +129,8 @@ class _P4Emitter:
         #: the offsets of the pipeline being emitted
         self.offsets: _Offsets = {}
         #: where the pipeline being emitted reads the port the packet came
-        #: in on: post runs for a packet the server returns, whose shim
-        #: carries it back
+        #: in on, ``(text, width)``: post runs for a packet the server
+        #: returns, whose shim carries it back
         self.ingress = _INGRESS
         #: table -> its lookup, and the offsets of the pipeline it is in
         self.lookups: Dict[str, Tuple[_Lookup, _Offsets]] = {
@@ -139,20 +167,48 @@ class _P4Emitter:
         low = self.offsets[name][0] * 8
         return f"meta.scratch[{low + bits - 1}:{low}]"
 
-    def _operand(self, operand, width: Optional[int] = None) -> str:
-        if isinstance(operand, Const):
-            return f"{width or operand.bits}w{operand.value}"
-        return self._slot(operand.name, operand.bits)
+    def _operand(self, reg: Reg) -> str:
+        """A register's slot, as an assignment's target."""
+        return self._slot(reg.name, reg.bits)
+
+    def _at(self, value, bits: int) -> str:
+        """``value`` printed ``bits`` wide: the one place the text decides
+        a width.  A constant (an IR ``Const`` or an int) prints as
+        ``<bits>w<value mod 2^bits>``; a register's slot, or a P4 value
+        given as ``(text, width)`` with ``text`` a primary, prints as it
+        is when it is ``bits`` wide and cast to ``bit<bits>`` otherwise."""
+        if isinstance(value, Const):
+            value = value.value
+        if isinstance(value, int):
+            return f"{bits}w{value & (1 << bits) - 1}"
+        if isinstance(value, Reg):
+            value = (self._operand(value), value.bits)
+        text, width = value
+        return text if width == bits else f"(bit<{bits}>){text}"
+
+    def _operation(self, op: irin.BinOpKind, lhs, rhs, bits: int) -> str:
+        """``lhs op rhs`` computed ``bits`` wide: each operand at
+        ``bits``, but a shift amount at its own width."""
+        right = rhs.bits if op in _SHIFTS else bits
+        return f"({self._at(lhs, bits)} {_binop(op)} {self._at(rhs, right)})"
+
+    def _returned(self, name: str) -> Tuple[str, int]:
+        """The to-switch shim's field ``name``, as ``(text, width)``."""
+        (bits,) = [field.width_bits for field in
+                   self.program.shim_to_switch.fields if field.name == name]
+        return f"hdr.shim_to_switch.{name}", bits
 
     def _pair(self) -> str:
         """The far side of the wire pair the packet came in on."""
         (near, far), (_, back) = PORT_PAIRS.items()
-        return f"({self.ingress} == {near}) ? 9w{far} : 9w{back}"
+        return f"({self.ingress[0]} == {near}) ? 9w{far} : 9w{back}"
 
-    def _leaves(self, port: str) -> str:
-        """Where a SEND to ``port`` leaves: the port, or the wire pair
-        when it is 0 (the switch's ``egress or bypass_port(ingress)``)."""
-        return f"({port} != 0) ? (bit<9>){port} : ({self._pair()})"
+    def _leaves(self, port) -> str:
+        """Where a SEND to ``port`` (a register, or a field as ``(text,
+        width)``) leaves: the port, or the wire pair when it is 0 (the
+        switch's ``egress or bypass_port(ingress)``)."""
+        egress = self._at(port, _PORT_BITS)
+        return f"({egress} != 0) ? {egress} : ({self._pair()})"
 
     # -- top level ----------------------------------------------------------------
 
@@ -278,16 +334,15 @@ class _P4Emitter:
             if found is not None:
                 self.emit(f"{self._operand(found)} = 1;")
             if value is not None:
-                cast = "" if value.bits == width else f"(bit<{value.bits}>)"
-                self.emit(f"{self._operand(value)} = {cast}value;")
+                self.emit(
+                    f"{self._operand(value)} ="
+                    f" {self._at(('value', width), value.bits)};"
+                )
         with self.block(f"action miss_{name}()"):
             if found is not None:
                 self.emit(f"{self._operand(found)} = 0;")
         key_fields = [
-            self._operand(key, bits)
-            if isinstance(key, Const) or key.bits == bits
-            else f"(bit<{bits}>){self._operand(key)}"
-            for key, bits in zip(keys, spec.key_widths)
+            self._at(key, bits) for key, bits in zip(keys, spec.key_widths)
         ]
         self._emit_match(f"tbl_{name}", name, key_fields, max(spec.size, 1))
         if spec.replicated:
@@ -352,13 +407,11 @@ class _P4Emitter:
         verdict = f"{shim}.{VERDICT_FIELD}"
         with self.block(f"if ({verdict} == {FLAG_VERDICT_DROP})"):
             self.emit("mark_to_drop(standard_metadata);")
-        self.ingress = _SHIM_INGRESS
+        self.ingress = self._returned(INGRESS_PORT_FIELD)
         with self.block(f"else if ({verdict} == {FLAG_VERDICT_SEND})"):
-            self.emit(
-                "standard_metadata.egress_spec ="
-                f" {self._leaves(f'{shim}.{EGRESS_PORT_FIELD}')};"
-            )
-            self.emit(f"{shim}.setInvalid();")
+            egress = self._leaves(self._returned(EGRESS_PORT_FIELD))
+            self.emit(f"standard_metadata.egress_spec = {egress};")
+            self._unshim()
         with self.block("else"):
             self.offsets = self.stages["post"][1].offsets
             for field in self.program.shim_to_switch.fields:
@@ -366,7 +419,14 @@ class _P4Emitter:
                     slot = self._slot(field.name, field.width_bits)
                     self.emit(f"{slot} = {shim}.{_sanitize(field.name)};")
             self._emit_stages("post")
-            self.emit(f"{shim}.setInvalid();")
+            self._unshim()
+
+    def _unshim(self) -> None:
+        """The return shim taken off: the frame's own EtherType back
+        first, so the packet leaves as it came."""
+        shim = "hdr.shim_to_switch"
+        self.emit(f"hdr.ethernet.etherType = {shim}.innerEtherType;")
+        self.emit(f"{shim}.setInvalid();")
 
     def _emit_stages(self, side: str) -> None:
         """``side``'s ops in stage order: a block per stage (stage 0, free
@@ -375,7 +435,9 @@ class _P4Emitter:
         (their conditions are the guards), nor does post's return."""
         staged, allocation = self.stages[side]
         self.offsets = allocation.offsets
-        self.ingress = _INGRESS if side == "pre" else _SHIM_INGRESS
+        self.ingress = (
+            _INGRESS if side == "pre" else self._returned(INGRESS_PORT_FIELD)
+        )
         for stage, ops in groupby(staged, key=itemgetter(1)):
             printed = [
                 (inst, guard) for inst, _, guard in ops
@@ -394,7 +456,7 @@ class _P4Emitter:
     def _predicate(self, guard: Guard) -> str:
         return " || ".join(
             " && ".join(
-                f"{self._operand(cond, width=1)} == {arm}"
+                f"{self._at(cond, 1)} == {arm}"
                 for cond, arm in conjunction
             )
             for conjunction in guard
@@ -409,10 +471,8 @@ class _P4Emitter:
         for field in self.program.shim_to_server.fields:
             name = _sanitize(field.name)
             if field.name == INGRESS_PORT_FIELD:
-                self.emit(
-                    f"{shim}.{name} ="
-                    " (bit<8>)standard_metadata.ingress_port;"
-                )
+                ingress = self._at(self.ingress, field.width_bits)
+                self.emit(f"{shim}.{name} = {ingress};")
             else:
                 slot = self._slot(field.name, field.width_bits)
                 self.emit(f"{shim}.{name} = {slot};")
@@ -424,20 +484,17 @@ class _P4Emitter:
         elif isinstance(inst, _LOOKUPS):
             self._emit_lookup(inst)
         elif isinstance(inst, (irin.LoadState, irin.RegisterRMW)):
-            dst = self._operand(inst.dst)
-            self.emit(f"reg_{inst.state}.read({dst}, 0);")
+            self.emit(f"reg_{inst.state}.read({self._operand(inst.dst)}, 0);")
             if isinstance(inst, irin.RegisterRMW):
-                self.emit(
-                    f"reg_{inst.state}.write(0, ({dst}) {_binop(inst.op)}"
-                    f" ({self._operand(inst.operand)}));"
-                )
+                bits = self.program.registers[inst.state].width_bits
+                value = self._operation(inst.op, inst.dst, inst.operand, bits)
+                self.emit(f"reg_{inst.state}.write(0, {value});")
         elif isinstance(inst, _EXPRESSIONS):
             self.emit(f"{self._operand(inst.dst)} = {self._expression(inst)};")
         elif isinstance(inst, irin.SendTo) and not _portless(inst.port):
-            port = self._operand(inst.port)
             egress = (
-                f"(bit<9>){port}" if isinstance(inst.port, Const)
-                else self._leaves(port)
+                self._at(inst.port, _PORT_BITS)
+                if isinstance(inst.port, Const) else self._leaves(inst.port)
             )
             self.emit(f"standard_metadata.egress_spec = {egress};")
         elif isinstance(inst, (irin.Send, irin.SendTo)):
@@ -456,43 +513,50 @@ class _P4Emitter:
         lowering casts to it)."""
         row = BY_KEY[(inst.region, inst.field)]
         if not row.p4_widths:
-            self.emit(f"{row.p4} = {self._operand(inst.src)};")
+            self.emit(f"{row.p4} = {self._at(inst.src, row.width)};")
             return
         src = inst.src
         for path, high, low in row.p4_slices():
             bits = high - low + 1
             if isinstance(src, Const):
-                part = f"{bits}w{src.value >> low & (1 << bits) - 1}"
+                part = self._at(src.value >> low, bits)
             else:
                 base = self.offsets[src.name][0] * 8
                 part = f"meta.scratch[{base + high}:{base + low}]"
             self.emit(f"{path} = {part};")
 
     def _expression(self, inst) -> str:
-        """What one of :data:`_EXPRESSIONS` writes to its register."""
-        if isinstance(inst, irin.Assign):
-            return self._operand(inst.src, inst.dst.bits)
-        if isinstance(inst, irin.Cast):
-            return f"(bit<{inst.dst.bits}>)({self._operand(inst.src)})"
+        """What one of :data:`_EXPRESSIONS` writes to its register, at the
+        register's width.  An operation is computed at
+        :func:`_computed_at`'s width, which holds its register, then
+        narrowed: the IR computes unbounded and wraps at the register,
+        so the value is the same.  A result is never widened, which
+        would drop the bits the IR keeps."""
+        dst = inst.dst.bits
+        if isinstance(inst, (irin.Assign, irin.Cast)):
+            return self._at(inst.src, dst)
         if isinstance(inst, irin.LoadPacketField):
             row = BY_KEY[(inst.region, inst.field)]
             if row.region == "meta":  # its one field, the ingress port
-                source = self.ingress
-            else:
-                source = f"({row.p4})" if row.p4_widths else row.p4
-            return f"(bit<{inst.dst.bits}>){source}"
+                return self._at(self.ingress, dst)
+            source = f"({row.p4})" if row.p4_widths else row.p4
+            return self._at((source, row.width), dst)
         if isinstance(inst, irin.UnOp):
-            src = self._operand(inst.src)
+            src = inst.src
             if inst.op is irin.UnOpKind.LNOT:
-                return f"({src} == 0) ? 1w1 : 1w0"
-            return f"{'~' if inst.op is irin.UnOpKind.NOT else '-'}({src})"
-        op = _binop(inst.op)
-        lhs, rhs = self._operand(inst.lhs), self._operand(inst.rhs)
-        if inst.op in (irin.BinOpKind.LAND, irin.BinOpKind.LOR):
-            return f"(({lhs} == 1) {op} ({rhs} == 1)) ? 1w1 : 1w0"
-        if inst.op.is_comparison:
-            return f"({lhs} {op} {rhs}) ? 1w1 : 1w0"
-        return f"({lhs}) {op} ({rhs})"
+                return f"({self._at(src, src.bits)} == 0) ? 1w1 : 1w0"
+            bits = _computed_at(inst)
+            text = f"({inst.op.value}{self._at(src, bits)})"
+            return self._at((text, bits), dst)
+        op, lhs, rhs = inst.op, inst.lhs, inst.rhs
+        if op in (irin.BinOpKind.LAND, irin.BinOpKind.LOR):
+            lhs, rhs = self._at(lhs, lhs.bits), self._at(rhs, rhs.bits)
+            return f"(({lhs} == 1) {_binop(op)} ({rhs} == 1)) ? 1w1 : 1w0"
+        bits = _computed_at(inst)
+        text = self._operation(op, lhs, rhs, bits)
+        if op.is_comparison:
+            return f"{text} ? 1w1 : 1w0"
+        return self._at((text, bits), dst)
 
     def _emit_lookup(self, inst: _Lookup) -> None:
         """The table's actions write this lookup's result slices."""

@@ -9,8 +9,10 @@ programs ``derive_seeds(0, i)``, ``i <`` :data:`GENERATED`, checks
 that no emitted handler renders an IR operator as a bare C++ one, holds
 each program's switch pipelines to their stage order
 (:func:`tests.partition.compile_pins.stage_hazards`), and reads each
-program's P4 text back to its staged program
-(:mod:`tests.codegen.p4_reader`)::
+program's P4 text back, typed, to its staged program
+(:mod:`tests.codegen.p4_reader`) — compiled as the rest are, and again
+under ``SwitchResources.tiny()``, whose plans reach other widths (a
+program the tiny switch refuses is listed with its code)::
 
     PYTHONPATH=src python -m tests.codegen.cpp_check
 
@@ -33,6 +35,8 @@ from repro.compiler import compile_source
 from repro.difftest.generator import generate_program
 from repro.difftest.runner import derive_seeds
 from repro.middleboxes import MIDDLEBOX_NAMES, load
+from repro.partition.constraints import SwitchResources
+from repro.switchsim.program import SwitchProgramError
 from tests.codegen.p4_reader import P4ReadError, expected, read
 from tests.partition.compile_pins import stage_hazards
 
@@ -115,11 +119,26 @@ def read_back(result) -> str:
     return ", ".join(differs) + " differ" * bool(differs)
 
 
+def misreads(results) -> Dict[str, str]:
+    """``label -> what differs`` of each result whose P4 text does not
+    read back to its staged program."""
+    return {
+        label: found for label, result in results.items()
+        if (found := read_back(result))
+    }
+
+
 def main() -> int:
     results = {
         label: compile_source(source)
         for label, source in sources(GENERATED)
     }
+    tiny, refused = {}, {}
+    for label, source in sources(GENERATED):
+        try:
+            tiny[label] = compile_source(source, SwitchResources.tiny())
+        except SwitchProgramError as exc:
+            refused[label] = re.search(r"[A-Z]+\d{3}", str(exc))[0]
     hazards = {
         label: found for label, result in results.items()
         if (found := stage_hazards(result.switch_program, "pre")
@@ -129,14 +148,20 @@ def main() -> int:
         print(f"--- {label}: stage hazards {found}")
     print(f"cpp-check: {len(results) - len(hazards)} of {len(results)}"
           " programs run their switch pipelines in stage order as written")
-    misread = {
-        label: found for label, result in results.items()
-        if (found := read_back(result))
-    }
+    misread = misreads(results)
     for label, found in misread.items():
         print(f"--- {label}: the P4 text reads back {found}")
     print(f"cpp-check: {len(results) - len(misread)} of {len(results)}"
           " programs read back to their staged program")
+    misread_tiny = misreads(tiny)
+    for label, code in refused.items():
+        print(f"--- {label}: refused under tiny ({code})")
+    for label, found in misread_tiny.items():
+        print(f"--- {label}: under tiny the P4 text reads back {found}")
+    print(f"cpp-check: {len(tiny) - len(misread_tiny)} of {len(tiny)}"
+          " programs read back under tiny")
+    misread.update({f"{label} (tiny)": found
+                    for label, found in misread_tiny.items()})
     programs = {label: result.cpp_source for label, result in results.items()}
     bare = {
         label: found for label, text in programs.items()

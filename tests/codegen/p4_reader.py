@@ -14,19 +14,30 @@ register at its allocation offset, a header field as
 :data:`repro.net.fields.FIELDS` keeps it (``p4_slices`` for one P4 keeps
 in parts), the §4.3.3 write-back read (the visibility bit into the
 lookup's first result slice, then ``tbl_wb_*``, then the table, one
-stage), post's ingress restored from ``hdr.shim_to_switch.__ingress_port``
-and a SEND that names no port (or port 0) leaving by ``PORT_PAIRS``.
+stage), post's ingress restored from ``hdr.shim_to_switch.__ingress_port``,
+a SEND that names no port (or port 0) leaving by ``PORT_PAIRS``, and the
+return leg restoring the frame's EtherType before the shim goes.
+
+``read`` also types each statement as P4-16 does, and refuses, naming
+the line, one that would not type: ``+ - & | ^`` and the comparisons
+take one operand width, ``++`` sums its operands' widths, a shift has
+its left operand's width, ``set``, ``read`` and ``write`` store a value
+of the target's width, and an unsized literal takes its partner's.
+``expected`` puts every operand at the width its use needs as the
+emitter's one rule does (``_at``): an operation is computed at one
+width W that holds its register, and its result is cast only to narrow
+it to the register.
 
 The round trip ``read(emit_p4_program(p)) == expected(p)`` runs in
 tier-1 over the bundled six under both limits
 (``test_p4_roundtrip.py``) and over the 66 programs of ``make
-cpp-check``.
+cpp-check`` under each (65 under ``tiny``, which refuses gen030).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.codegen.headers import (
     EGRESS_PORT_FIELD,
@@ -125,7 +136,8 @@ class Printed(NamedTuple):
 
 
 class P4ReadError(ValueError):
-    """The text has a line the emitter's grammar does not."""
+    """The text has a line the emitter's grammar does not, or one P4-16
+    would not type."""
 
 
 def identifier(name: str) -> str:
@@ -157,10 +169,10 @@ def _is_true(cond: Expr) -> Expr:
 
 
 def leaves(port: Expr, ingress: Expr) -> Expr:
-    """Where a SEND to ``port`` leaves: the port, or the wire pair when
-    it is 0 (the switch model's ``egress or bypass_port(ingress)``)."""
-    return ("?:", ("binary", "!=", port, const(0)), ("cast", 9, port),
-            pair(ingress))
+    """Where a SEND to ``port``, 9 bits wide, leaves: the port, or the
+    wire pair when it is 0 (the switch model's ``egress or
+    bypass_port(ingress)``)."""
+    return ("?:", ("binary", "!=", port, const(0)), port, pair(ingress))
 
 
 def _boolean(cond: Expr) -> Expr:
@@ -280,7 +292,8 @@ class _Expression:
             low = self.number()
             self.take("]")
             return self.declared.slice(high, low)
-        return path(self.declared.name(name))
+        self.declared.declared(name)
+        return path(name)
 
 
 def _ports(tree: Expr) -> Expr:
@@ -302,6 +315,76 @@ def _ports(tree: Expr) -> Expr:
     ):
         return pair(cond[2])
     return tree
+
+
+#: The type of a P4 condition; ``None`` is an unsized literal's.
+BOOL = "bool"
+#: A P4-16 type: a ``bit<w>`` width, :data:`BOOL`, or ``None``.
+Width = Union[int, str, None]
+_COMPARISONS = ("==", "!=", "<", ">", "<=", ">=")
+
+
+def _typename(width: Width) -> str:
+    names = {None: "an unsized literal", BOOL: "bool"}
+    return names.get(width, f"bit<{width}>")
+
+
+def _same(what: str, left: Width, right: Width) -> Width:
+    """The one width ``what``'s two operands share: an unsized literal
+    takes its partner's; a boolean is no width."""
+    if BOOL not in (left, right) and None in (left, right):
+        return right if left is None else left
+    if left == right and left != BOOL:
+        return left
+    raise ValueError(f"{what} of {_typename(left)} and {_typename(right)}")
+
+
+def width(tree: Expr, declared) -> Width:
+    """``tree``'s P4-16 type: a width, :data:`BOOL`, or ``None`` for an
+    unsized literal; ``declared(name)`` is a path's width.  ``+ - & | ^``
+    and the comparisons take one operand width, ``++`` sums its
+    operands', a shift has its left operand's, a ternary's arms share
+    one; :class:`ValueError` names what does not type."""
+    kind = tree[0]
+    if kind == "slice":
+        return tree[1] - tree[2] + 1
+    if kind == "path":
+        return declared(tree[1])
+    if kind == "const":
+        return tree[1]
+    if kind == "pair":  # ``(ingress == p) ? 9wa : 9wb``
+        _same("==", width(tree[1], declared), None)
+        return 9
+    if kind == "cast":
+        if width(tree[2], declared) == BOOL:
+            raise ValueError(f"a bool cast to bit<{tree[1]}>")
+        return tree[1]
+    if kind == "?:":
+        if width(tree[1], declared) != BOOL:
+            raise ValueError("a condition that is not a bool")
+        return _same("?:", width(tree[2], declared), width(tree[3], declared))
+    if kind == "unary":
+        inner = width(tree[2], declared)
+        if (inner == BOOL) != (tree[1] == "!"):
+            raise ValueError(f"{tree[1]} of {_typename(inner)}")
+        return inner
+    op = tree[1]
+    left, right = (width(side, declared) for side in tree[2:])
+    if op in _COMPARISONS:
+        if not left == right == BOOL:
+            _same(op, left, right)
+        return BOOL
+    if op in ("&&", "||") and left == right == BOOL:
+        return BOOL
+    if op in ("&&", "||") or BOOL in (left, right) or (
+        op == "++" and None in (left, right)
+    ):
+        raise ValueError(f"{op} of {_typename(left)} and {_typename(right)}")
+    if op == "++":
+        return left + right
+    if op in ("<<", ">>"):
+        return left
+    return _same(op, left, right)
 
 
 def _guard(tree: Expr) -> Guard:
@@ -437,8 +520,11 @@ class _Reader:
         self.depth = 0
         self.headers: Dict[str, int] = {}
         self.scratch_bits = 0
-        #: the action parameter is a name inside an action only
-        self.in_action = False
+        #: the width of the action parameter ``value``, inside an action
+        #: only
+        self.value_width: Optional[int] = None
+        #: ``reg_*`` / ``wb_bit_*`` -> width
+        self.registers: Dict[str, int] = {}
 
     # -- lines -------------------------------------------------------------
 
@@ -497,23 +583,46 @@ class _Reader:
             )
         return ("slice", high, low)
 
-    def name(self, name: str) -> str:
-        if name in self.headers or name == INGRESS or (
-            name == "value" and self.in_action
-        ):
-            return name
+    def declared(self, name: str) -> int:
+        """The width ``name`` is declared at; :class:`ValueError` for a
+        name no declaration has."""
+        if name in self.headers:
+            return self.headers[name]
+        if name in (INGRESS, EGRESS):
+            return 9
+        if name == "value" and self.value_width is not None:
+            return self.value_width
         raise ValueError(f"{name} is not declared")
 
+    def width(self, tree: Expr) -> Width:
+        return width(tree, self.declared)
+
     def expression(self, text: str) -> Expr:
+        """``text`` parsed, and typed."""
         try:
-            return _ports(_Expression(text, self).parse())
+            tree = _ports(_Expression(text, self).parse())
+            self.width(tree)
         except ValueError as exc:
             raise self.refuse(f"{text!r}: {exc}", self.at - 1) from None
+        return tree
 
     def target(self, text: str) -> Expr:
         if text == EGRESS:
             return path(EGRESS)
         return self.expression(text)
+
+    def fits(self, got: Width, into: Width, what: str) -> None:
+        """Refuse a value of type ``got`` stored into ``into`` bits (an
+        unsized literal takes them)."""
+        if got is not None and got != into:
+            raise self.refuse(
+                f"{_typename(got)} {what} {_typename(into)}", self.at - 1)
+
+    def assignment(self, target: str, value: str) -> Statement:
+        """``target = value;``, typed."""
+        into, tree = self.target(target), self.expression(value)
+        self.fits(self.width(tree), self.width(into), "set into")
+        return ("set", into, tree)
 
     # -- the program ------------------------------------------------------
 
@@ -559,6 +668,7 @@ class _Reader:
                 raise self.refuse("a register of no state, or declared twice",
                                   self.at - 1)
             registers[register] = int(width)
+            self.registers[f"reg_{register}"] = int(width)
         if registers:
             self.expect("")
         self.expect("apply {",
@@ -593,15 +703,16 @@ class _Reader:
     def table(self) -> Tuple[str, Table]:
         name, width = self.match(re.compile(
             r"action set_val_(\w+)\(bit<(\d+)> value\) \{")).groups()
-        self.in_action = True
+        self.value_width = int(width)
         hit = self.assignments()
-        self.in_action = False
+        self.value_width = None
         self.expect(f"action miss_{name}() {{")
         miss = self.assignments()
         keys, size = self.match_table(f"tbl_{name}", name)
         companion = None
         if self.peek() == f"register<bit<1>>(1) wb_bit_{name};":
             self.take()
+            self.registers[f"wb_bit_{name}"] = 1
             companion = self.match_table(f"tbl_wb_{name}", name)
         self.expect("")
         return name, Table(keys, int(width), size, hit, miss, companion)
@@ -610,8 +721,7 @@ class _Reader:
         """An action's body, to its closing brace."""
         out = []
         while self.peek() != "}":
-            target, value = self.match(_SET).groups()
-            out.append(("set", self.target(target), self.expression(value)))
+            out.append(self.assignment(*self.match(_SET).groups()))
         self.expect("}")
         return tuple(out)
 
@@ -682,10 +792,16 @@ class _Reader:
                 break
         else:
             raise self.refuse("no statement of the grammar", self.at - 1)
-        if pattern is _READ:
-            return ("read", found[1], self.expression(found[2]))
-        if pattern is _WRITE:
-            return ("write", found[1], self.expression(found[2]))
+        if pattern in (_READ, _WRITE):
+            if found[1] not in self.registers:
+                raise self.refuse(f"no register {found[1]}", self.at - 1)
+            register = self.registers[found[1]]
+            value = self.expression(found[2])
+            if pattern is _READ:  # the register into the slice
+                self.fits(register, self.width(value), "read into")
+                return ("read", found[1], value)
+            self.fits(self.width(value), register, "written into")
+            return ("write", found[1], value)
         if pattern is _APPLY:
             return ("apply", found[1], False)
         if pattern is _COMPANION:
@@ -695,7 +811,7 @@ class _Reader:
             if not any(key.startswith(found[1] + ".") for key in self.headers):
                 raise self.refuse(f"no header {found[1]}", self.at - 1)
             return ("valid", found[1], found[2] == "setValid")
-        return ("set", self.target(found[1]), self.expression(found[2]))
+        return self.assignment(found[1], found[2])
 
 
 def read(text: str) -> Printed:
@@ -707,21 +823,40 @@ def read(text: str) -> Printed:
 # -- what the program should print ------------------------------------------------
 
 
-def _operand(offsets, operand, width: Optional[int] = None) -> Expr:
+def _at(offsets, value, bits: int) -> Expr:
+    """``value`` as the text has it ``bits`` wide — P4-16 takes no
+    operand at another width, so each is put at the one its use needs: a
+    constant (an IR ``Const`` or an int) as ``bits``-wide, mod 2^bits; a
+    register's slice, or an expression given as ``(tree, width)``, as it
+    is when it is ``bits`` wide and cast otherwise."""
+    if isinstance(value, Const):
+        value = value.value
+    if isinstance(value, int):
+        return const(value & (1 << bits) - 1, bits)
+    if not isinstance(value, tuple):
+        value = (scratch(offsets, value.name, value.bits), value.bits)
+    tree, width = value
+    return tree if width == bits else ("cast", bits, tree)
+
+
+def _needs(operand) -> int:
+    """The bits an operand's value can need: a register's width, a
+    constant's ``bit_length``."""
     if isinstance(operand, Const):
-        return const(operand.value, width or operand.bits)
-    return scratch(offsets, operand.name, operand.bits)
+        return operand.value.bit_length()
+    return operand.bits
 
 
-def _field(row, ingress: Expr) -> Expr:
-    """A header field read whole: its path, or its parts joined."""
+def _field(row, ingress) -> Tuple[Expr, int]:
+    """A header field read whole, with its width: its path, or its parts
+    joined."""
     if row.region == "meta":
         return ingress
     parts = [path(part) for part, _, _ in row.p4_slices()] or [path(row.p4)]
     tree = parts[0]
     for part in parts[1:]:
         tree = ("binary", "++", tree, part)
-    return tree
+    return tree, row.width
 
 
 #: The instructions that write one expression to their register.
@@ -741,12 +876,11 @@ class _Expected:
         self.bytes = allocation.total_bytes
         # The post pipeline runs for the packet the server returns: its
         # ingress is the one the switch received it on, carried back.
-        self.ingress = path(
-            INGRESS if side == "pre" else f"{TO_SWITCH}.{INGRESS_PORT_FIELD}"
-        )
+        self.ingress = (path(INGRESS), 9) if side == "pre" else (
+            shim_field(program.shim_to_switch, INGRESS_PORT_FIELD))
 
-    def operand(self, operand, width: Optional[int] = None) -> Expr:
-        return _operand(self.offsets, operand, width)
+    def at(self, value, bits: int) -> Expr:
+        return _at(self.offsets, value, bits)
 
     def slot(self, reg) -> Expr:
         return scratch(self.offsets, reg.name, reg.bits)
@@ -755,22 +889,28 @@ class _Expected:
         """Where a SEND to ``port`` leaves (a constant port is known to
         be 0 or not here)."""
         if not isinstance(port, Const):
-            return leaves(self.slot(port), self.ingress)
+            return leaves(self.at(port, 9), self.ingress[0])
         if port.value:
-            return ("cast", 9, self.operand(port))
-        return pair(self.ingress)
+            return self.at(port, 9)
+        return pair(self.ingress[0])
+
+    def operation(self, op, lhs, rhs, bits: int) -> Expr:
+        """``lhs op rhs`` at ``bits``; a shift amount at its own width."""
+        right = rhs.bits if op in (irin.BinOpKind.SHL,
+                                   irin.BinOpKind.SHR) else bits
+        return ("binary", op.value, self.at(lhs, bits), self.at(rhs, right))
 
     def statements(self, inst) -> List[Statement]:
         if isinstance(inst, irin.StorePacketField):
             row = BY_KEY[(inst.region, inst.field)]
             if not row.p4_widths:
-                return [("set", path(row.p4), self.operand(inst.src))]
+                return [("set", path(row.p4), self.at(inst.src, row.width))]
             src = inst.src
             out = []
             for part, high, low in row.p4_slices():
                 bits = high - low + 1
                 if isinstance(src, Const):
-                    value = const(src.value >> low & (1 << bits) - 1, bits)
+                    value = self.at(src.value >> low, bits)
                 else:
                     base = self.offsets[src.name][0] * 8
                     value = ("slice", base + high, base + low)
@@ -789,14 +929,15 @@ class _Expected:
             dst = self.slot(inst.dst)
             out = [("read", register, dst)]
             if isinstance(inst, irin.RegisterRMW):
-                out.append(("write", register, (
-                    "binary", inst.op.value, dst, self.operand(inst.operand)
-                )))
+                # computed at the register's declared width
+                bits = self.program.registers[inst.state].width_bits
+                out.append(("write", register, self.operation(
+                    inst.op, inst.dst, inst.operand, bits)))
             return out
         if isinstance(inst, irin.SendTo):
             return [("set", path(EGRESS), self.egress(inst.port))]
         if isinstance(inst, irin.Send):
-            return [("set", path(EGRESS), pair(self.ingress))]
+            return [("set", path(EGRESS), pair(self.ingress[0]))]
         if isinstance(inst, irin.Drop):
             return [("drop",)]
         if isinstance(inst, irin.Return):
@@ -806,25 +947,40 @@ class _Expected:
         raise NotImplementedError(f"no P4 for {inst!r}")
 
     def expression(self, inst) -> Expr:
-        if isinstance(inst, irin.Assign):
-            return self.operand(inst.src, inst.dst.bits)
-        if isinstance(inst, irin.Cast):
-            return ("cast", inst.dst.bits, self.operand(inst.src))
+        """What the instruction writes, at its register's width.  An
+        operation is computed at one width W — for ``+ - & | ^ ~ -`` the
+        widest of its register and its register operands, for a shift of
+        its register and its left operand's value, for a comparison of
+        its operands' values — then narrowed to its register: the IR
+        computes unbounded and wraps there, so the value is the same."""
+        dst = inst.dst.bits
+        if isinstance(inst, (irin.Assign, irin.Cast)):
+            return self.at(inst.src, dst)
         if isinstance(inst, irin.LoadPacketField):
             row = BY_KEY[(inst.region, inst.field)]
-            return ("cast", inst.dst.bits, _field(row, self.ingress))
+            return self.at(_field(row, self.ingress), dst)
         if isinstance(inst, irin.UnOp):
-            src = self.operand(inst.src)
+            src = inst.src
             if inst.op is irin.UnOpKind.LNOT:
-                return _boolean(("binary", "==", src, const(0)))
-            return ("unary", "~" if inst.op is irin.UnOpKind.NOT else "-", src)
-        op = inst.op.value
-        lhs, rhs = self.operand(inst.lhs), self.operand(inst.rhs)
-        if inst.op in (irin.BinOpKind.LAND, irin.BinOpKind.LOR):
-            return _boolean(("binary", op, _is_true(lhs), _is_true(rhs)))
-        if inst.op.is_comparison:
-            return _boolean(("binary", op, lhs, rhs))
-        return ("binary", op, lhs, rhs)
+                return _boolean(
+                    ("binary", "==", self.at(src, src.bits), const(0)))
+            bits = max(dst, 0 if isinstance(src, Const) else src.bits)
+            return self.at(
+                (("unary", inst.op.value, self.at(src, bits)), bits), dst)
+        op, lhs, rhs = inst.op, inst.lhs, inst.rhs
+        if op in (irin.BinOpKind.LAND, irin.BinOpKind.LOR):
+            return _boolean(("binary", op.value,
+                             _is_true(self.at(lhs, lhs.bits)),
+                             _is_true(self.at(rhs, rhs.bits))))
+        if op.is_comparison:
+            bits = max(1, _needs(lhs), _needs(rhs))
+            return _boolean(self.operation(op, lhs, rhs, bits))
+        if op in (irin.BinOpKind.SHL, irin.BinOpKind.SHR):
+            bits = max(dst, _needs(lhs))
+        else:
+            bits = max([dst] + [x.bits for x in (lhs, rhs)
+                                if not isinstance(x, Const)])
+        return self.at((self.operation(op, lhs, rhs, bits), bits), dst)
 
     def punt(self) -> List[Statement]:
         """Pre's exit: the to-server shim made valid and filled, the
@@ -838,7 +994,7 @@ class _Expected:
         for field in self.program.shim_to_server.fields:
             target = path(f"{TO_SERVER}.{identifier(field.name)}")
             if field.name == INGRESS_PORT_FIELD:
-                value = ("cast", field.width_bits, self.ingress)
+                value = self.at(self.ingress, field.width_bits)
             else:
                 value = scratch(self.offsets, field.name, field.width_bits)
             out.append(("set", target, value))
@@ -847,7 +1003,7 @@ class _Expected:
 
     def guard(self, guard) -> Guard:
         return tuple(
-            tuple((self.operand(cond, 1), arm) for cond, arm in conjunction)
+            tuple((self.at(cond, 1), arm) for cond, arm in conjunction)
             for conjunction in guard
         )
 
@@ -872,9 +1028,24 @@ class _Expected:
             printed = self.guard(guard)
             ops.extend((stage, printed, s) for s in self.statements(inst))
         if post:
-            ops.append((0, ALWAYS, ("valid", TO_SWITCH, False)))
+            ops.extend((0, ALWAYS, statement) for statement in UNSHIM)
         blocks = tuple(sorted({stage for _, stage, _ in self.staged} - {0}))
         return Pipeline(blocks, tuple(ops))
+
+
+#: The return leg taking the shim off: the frame's own EtherType back,
+#: then the shim invalid.
+UNSHIM = (
+    ("set", path("hdr.ethernet.etherType"),
+     path(f"{TO_SWITCH}.innerEtherType")),
+    ("valid", TO_SWITCH, False),
+)
+
+
+def shim_field(layout, name: str) -> Tuple[Expr, int]:
+    """A reserved to-switch shim field's path, with its width."""
+    (bits,) = [f.width_bits for f in layout.fields if f.name == name]
+    return path(f"{TO_SWITCH}.{name}"), bits
 
 
 def _visible(offsets, lookup) -> Expr:
@@ -891,19 +1062,17 @@ def _table(program: SwitchProgram, name: str, lookup, offsets) -> Table:
     else:
         keys, found, value = (lookup.index,), None, lookup.dst
     key_slices = tuple(
-        _operand(offsets, key, bits) if isinstance(key, Const)
-        or key.bits == bits else ("cast", bits, _operand(offsets, key))
-        for key, bits in zip(keys, spec.key_widths)
+        _at(offsets, key, bits) for key, bits in zip(keys, spec.key_widths)
     )
     width = max(spec.value_width, 1)  # P4 has no bit<0>
     hit, miss = [], []
     if found is not None:
-        hit.append(("set", _operand(offsets, found), const(1)))
-        miss.append(("set", _operand(offsets, found), const(0)))
+        slot = scratch(offsets, found.name, found.bits)
+        hit.append(("set", slot, const(1)))
+        miss.append(("set", slot, const(0)))
     if value is not None:
-        param = path("value")
-        hit.append(("set", _operand(offsets, value), param if value.bits
-                    == width else ("cast", value.bits, param)))
+        hit.append(("set", scratch(offsets, value.name, value.bits),
+                    _at(offsets, (path("value"), width), value.bits)))
     companion = None
     if spec.replicated:
         # A sixteenth of the table, at least 16 entries, keyed on the
@@ -954,9 +1123,10 @@ def expected(program: SwitchProgram) -> Printed:
         verdicts={
             FLAG_VERDICT_DROP: (("drop",),),
             FLAG_VERDICT_SEND: (
-                ("set", path(EGRESS), leaves(
-                    path(f"{TO_SWITCH}.{EGRESS_PORT_FIELD}"), post.ingress)),
-                ("valid", TO_SWITCH, False),
+                ("set", path(EGRESS), leaves(post.at(shim_field(
+                    program.shim_to_switch, EGRESS_PORT_FIELD), 9),
+                    post.ingress[0])),
+                *UNSHIM,
             ),
         },
     )

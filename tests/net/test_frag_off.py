@@ -90,7 +90,7 @@ FLAGS, OFFSET = path("hdr.ipv4.flags"), path("hdr.ipv4.fragOffset")
 
 def test_the_p4_text_reads_the_concatenation_and_writes_each_part():
     sets = printed_sets(SOURCE)
-    joined = ("cast", 16, ("binary", "++", FLAGS, OFFSET))
+    joined = ("binary", "++", FLAGS, OFFSET)  # 16 bits, as ``id`` is
     assert joined in [value for _, value in sets]
     (_, high, flags_low), (_, offset_high, low) = (
         dict(sets)[FLAGS], dict(sets)[OFFSET])
